@@ -348,7 +348,7 @@ impl MdsServer {
         }
         let id = (self.cfg.group, self.next_xid);
         self.next_xid += 1;
-        let mut groups = std::collections::HashSet::new();
+        let mut groups = std::collections::BTreeSet::new();
         for g in 0..self.cfg.partitioner.groups() {
             if g == self.cfg.group {
                 continue;
@@ -416,62 +416,41 @@ impl MdsServer {
         }
         let ops = std::mem::take(&mut self.pending);
         let first_txid = self.next_txid;
-        let records: Vec<Txn> = ops.iter().map(|o| o.txn.clone()).collect();
-        // Ack records replicate the `(client, seq)` each record settles, so
-        // every replica that replays the batch rebuilds the retry window.
-        // Distributed-transaction legs carry no ack — their client binding
-        // lives in the coordinating group's journal.
-        let acks: Vec<mams_journal::AckRecord> = ops
-            .iter()
-            .enumerate()
-            .filter_map(|(i, op)| match op.reply {
-                ReplyTo::Client { node, seq } => Some(mams_journal::AckRecord {
-                    record: i as u32,
-                    client: node,
-                    seq,
-                    spec: false,
-                }),
-                ReplyTo::SpecAcked { node, seq } => Some(mams_journal::AckRecord {
-                    record: i as u32,
-                    client: node,
-                    seq,
-                    spec: true,
-                }),
-                ReplyTo::XGroup { .. } => None,
-            })
-            .collect();
         let sn = self.log.tail_sn() + 1;
-        let batch = SharedBatch::sealed(JournalBatch::with_acks(sn, first_txid, records, acks));
-        self.next_txid = batch.last_txid() + 1;
-        self.log.append(batch.share()).expect("own batch is contiguous");
-        self.cursor = ReplayCursor::at(sn);
-        // Fold the same bindings into our own window (our batches never go
-        // through `apply_records` — the ops already executed in
-        // `exec_mutation`). Outcomes come straight from the executed ops,
-        // which is byte-identical to what replicas reconstruct at replay.
-        for (i, op) in ops.iter().enumerate() {
-            let (client, seq, spec) = match op.reply {
-                ReplyTo::Client { node, seq } => (node, seq, false),
-                ReplyTo::SpecAcked { node, seq } => (node, seq, true),
-                ReplyTo::XGroup { .. } => continue,
-            };
-            let outcome = match &op.output {
-                OpOutput::Done => mams_namespace::RetryOutcome::Done,
-                OpOutput::Block(b) => mams_namespace::RetryOutcome::Block(*b),
-                OpOutput::Info(info) => mams_namespace::RetryOutcome::Info(info.clone()),
-                OpOutput::Listing(_) => unreachable!("reads are never journaled"),
-            };
-            let token = spec.then_some(first_txid + i as u64);
-            self.window.record(client, seq, mams_namespace::RetryEntry { outcome, token });
-        }
-
+        let mut records = Vec::with_capacity(ops.len());
+        let mut acks = Vec::with_capacity(ops.len());
         let mut inflight = Inflight {
             waiting_pool: true,
             waiting_members: self.standbys.clone(),
             flushed_at: ctx.now(),
             ..Default::default()
         };
-        for op in ops {
+        for (i, op) in ops.into_iter().enumerate() {
+            // Ack records replicate the `(client, seq)` each record settles,
+            // so every replica that replays the batch rebuilds the retry
+            // window. Distributed-transaction legs carry no ack — their
+            // client binding lives in the coordinating group's journal.
+            let settles = match op.reply {
+                ReplyTo::Client { node, seq } => Some((node, seq, false)),
+                ReplyTo::SpecAcked { node, seq } => Some((node, seq, true)),
+                ReplyTo::XGroup { .. } => None,
+            };
+            if let Some((client, seq, spec)) = settles {
+                acks.push(mams_journal::AckRecord { record: i as u32, client, seq, spec });
+                // Fold the same binding into our own window (our batches
+                // never go through `apply_records` — the ops already executed
+                // in `exec_mutation`). The outcome comes straight from the
+                // executed op, which is byte-identical to what replicas
+                // reconstruct at replay.
+                let outcome = match &op.output {
+                    OpOutput::Done => mams_namespace::RetryOutcome::Done,
+                    OpOutput::Block(b) => mams_namespace::RetryOutcome::Block(*b),
+                    OpOutput::Info(info) => mams_namespace::RetryOutcome::Info(info.clone()),
+                    OpOutput::Listing(_) => unreachable!("reads are never journaled"),
+                };
+                let token = spec.then_some(first_txid + i as u64);
+                self.window.record(client, seq, mams_namespace::RetryEntry { outcome, token });
+            }
             if let Some(xid) = op.xid {
                 // The legs may have settled already (fast acks); only wait
                 // on xids still outstanding.
@@ -495,7 +474,12 @@ impl MdsServer {
                 // owes the client nothing at completion.
                 ReplyTo::SpecAcked { .. } => {}
             }
+            records.push(op.txn);
         }
+        let batch = SharedBatch::sealed(JournalBatch::with_acks(sn, first_txid, records, acks));
+        self.next_txid = batch.last_txid() + 1;
+        self.log.append(batch.share()).expect("own batch is contiguous");
+        self.cursor = ReplayCursor::at(sn);
         self.inflight.insert(sn, inflight);
 
         let epoch = self.epoch;

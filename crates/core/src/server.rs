@@ -207,8 +207,10 @@ pub(crate) struct RenewDriver {
 #[derive(Debug)]
 pub(crate) struct XgOutstanding {
     pub txn: Txn,
-    /// Groups that have not acknowledged the leg yet.
-    pub groups: HashSet<u32>,
+    /// Groups that have not acknowledged the leg yet. Ordered: the retry
+    /// timer sends to them in iteration order, and one seed must give one
+    /// run.
+    pub groups: BTreeSet<u32>,
 }
 
 /// Election round stage.
@@ -285,7 +287,7 @@ pub struct MdsServer {
     /// As coordinator: legs still outstanding per xid (retried until every
     /// group acknowledges, so a mid-failover group cannot jam the
     /// in-order reply pipeline).
-    pub(crate) xg_outstanding: HashMap<(u32, u64), XgOutstanding>,
+    pub(crate) xg_outstanding: BTreeMap<(u32, u64), XgOutstanding>,
     pub(crate) next_xid: u64,
 
     // ---- member-side state ----
@@ -391,7 +393,7 @@ impl MdsServer {
             renew_driver: None,
             xg_to_sn: HashMap::new(),
             xg_seen: HashSet::new(),
-            xg_outstanding: HashMap::new(),
+            xg_outstanding: BTreeMap::new(),
             next_xid: 1,
             registered: false,
             boot_lock_tried: false,
@@ -520,18 +522,11 @@ impl MdsServer {
     /// single-process analogue of one worker thread per shard.
     pub(crate) fn fan_out_by_shard(
         &self,
-        drained: Vec<crate::ingress::IngressItem>,
+        mut drained: Vec<crate::ingress::IngressItem>,
     ) -> Vec<crate::ingress::IngressItem> {
-        if drained.len() < 2 {
-            return drained;
-        }
-        let mut buckets: Vec<Vec<crate::ingress::IngressItem>> =
-            (0..self.ns.shard_count()).map(|_| Vec::new()).collect();
-        for item in drained {
-            let shard = self.ns.home_shard(item.op().primary_path());
-            buckets[shard].push(item);
-        }
-        buckets.into_iter().flatten().collect()
+        // A stable sort is the bucket-per-shard pass in place.
+        drained.sort_by_cached_key(|item| self.ns.home_shard(item.op().primary_path()));
+        drained
     }
 
     /// Ingest a batch from any source (live sync, re-flush, renewing, pool

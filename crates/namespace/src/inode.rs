@@ -80,6 +80,22 @@ pub struct FileInfo {
     pub child_count: usize,
 }
 
+impl FileInfo {
+    /// What `getfileinfo` answers for the file `create(path, replication)`
+    /// just made — the reply to the create itself.
+    pub fn new_file(path: &str, replication: u8) -> FileInfo {
+        FileInfo {
+            path: path.to_string(),
+            is_dir: false,
+            blocks: Vec::new(),
+            replication,
+            sealed: false,
+            perm: DEFAULT_PERM,
+            child_count: 0,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,7 +23,7 @@
 //! seq first — which keeps the window a pure function of the journal
 //! prefix on every replica (the replay-parity invariant tests assert).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use mams_journal::hash::{peek_varint, HashingBuf, Varint};
 use mams_journal::Txn;
@@ -53,10 +53,13 @@ pub struct RetryEntry {
     pub token: Option<u64>,
 }
 
-/// Bounded per-client map of settled `(client, seq) → outcome` entries.
+/// Bounded per-client window of settled `(client, seq) → outcome` entries.
+/// A client's seqs arrive ascending, so each client holds a ring sorted by
+/// seq: a new entry is a `push_back`, eviction a `pop_front`, and only a
+/// duplicate or out-of-order seq pays for a search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryWindow {
-    per_client: BTreeMap<u32, BTreeMap<u64, RetryEntry>>,
+    per_client: BTreeMap<u32, VecDeque<(u64, RetryEntry)>>,
     cap: usize,
 }
 
@@ -80,22 +83,30 @@ impl RetryWindow {
     /// per-client bound. Deterministic: replicas folding the same journal
     /// prefix hold byte-identical windows.
     pub fn record(&mut self, client: u32, seq: u64, entry: RetryEntry) {
-        let m = self.per_client.entry(client).or_default();
-        m.insert(seq, entry);
-        while m.len() > self.cap {
-            let oldest = *m.keys().next().expect("non-empty");
-            m.remove(&oldest);
+        let ring = self.per_client.entry(client).or_default();
+        if ring.back().is_none_or(|(newest, _)| *newest < seq) {
+            ring.push_back((seq, entry));
+        } else {
+            match ring.binary_search_by_key(&seq, |(s, _)| *s) {
+                Ok(i) => ring[i].1 = entry,
+                Err(i) => ring.insert(i, (seq, entry)),
+            }
+        }
+        if ring.len() > self.cap {
+            ring.pop_front();
         }
     }
 
     /// The remembered entry for an exact `(client, seq)`, if any.
     pub fn get(&self, client: u32, seq: u64) -> Option<&RetryEntry> {
-        self.per_client.get(&client).and_then(|m| m.get(&seq))
+        let ring = self.per_client.get(&client)?;
+        let i = ring.binary_search_by_key(&seq, |(s, _)| *s).ok()?;
+        Some(&ring[i].1)
     }
 
     /// Total entries across clients.
     pub fn len(&self) -> usize {
-        self.per_client.values().map(BTreeMap::len).sum()
+        self.per_client.values().map(VecDeque::len).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -108,7 +119,7 @@ impl RetryWindow {
 
     /// Iterate `(client, seq, entry)` in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u64, &RetryEntry)> {
-        self.per_client.iter().flat_map(|(&c, m)| m.iter().map(move |(&s, e)| (c, s, e)))
+        self.per_client.iter().flat_map(|(&c, ring)| ring.iter().map(move |(s, e)| (c, *s, e)))
     }
 
     /// Order-independent digest of the window contents (replay-parity
@@ -125,11 +136,11 @@ impl RetryWindow {
         let mut out = HashingBuf::with_capacity(64);
         out.put_varint(self.cap as u64);
         out.put_varint(self.per_client.len() as u64);
-        for (&client, m) in &self.per_client {
+        for (&client, ring) in &self.per_client {
             out.put_varint(client as u64);
-            out.put_varint(m.len() as u64);
-            for (&seq, e) in m {
-                out.put_varint(seq);
+            out.put_varint(ring.len() as u64);
+            for (seq, e) in ring {
+                out.put_varint(*seq);
                 let kind: u8 = match &e.outcome {
                     RetryOutcome::Done => 0,
                     RetryOutcome::Block(_) => 1,
@@ -256,22 +267,21 @@ impl<'a> SectionReader<'a> {
 }
 
 /// Reconstruct the outcome the active replied for a journaled mutation,
-/// from the record and the namespace state **at its apply point** (call
-/// right after applying the record, before the next one). `info` looks a
-/// path up in that state.
+/// from the record alone. A `Create` answered with the fresh file's info,
+/// which is a constant of the record's path and replication; `info` looks a
+/// path up in the namespace state **at the record's apply point** (right
+/// after applying it, before the next one) and is consulted only by debug
+/// builds, to check that constant against a real lookup.
 pub fn replay_outcome<F>(info: F, txn: &Txn) -> RetryOutcome
 where
     F: FnOnce(&str) -> Option<FileInfo>,
 {
     match txn {
-        // `create` answers with the fresh file's info; right after the
-        // record applies, a lookup returns exactly that.
-        Txn::Create { path, .. } => match info(path) {
-            Some(i) => RetryOutcome::Info(i),
-            // Unreachable for a record that just applied cleanly; degrade
-            // to Done rather than poisoning replay.
-            None => RetryOutcome::Done,
-        },
+        Txn::Create { path, replication } => {
+            let fresh = FileInfo::new_file(path, *replication);
+            debug_assert_eq!(info(path).as_ref(), Some(&fresh), "create reply is not a constant");
+            RetryOutcome::Info(fresh)
+        }
         Txn::AddBlock { block_id, .. } => RetryOutcome::Block(*block_id),
         Txn::Mkdir { .. }
         | Txn::Delete { .. }
@@ -355,10 +365,10 @@ mod tests {
     #[test]
     fn replay_outcomes_match_the_active_reply_shapes() {
         let t = Txn::Create { path: "/f".into(), replication: 3 };
-        match replay_outcome(|p| Some(info(p)), &t) {
-            RetryOutcome::Info(i) => assert_eq!(i.path, "/f"),
-            other => panic!("create must reconstruct Info, got {other:?}"),
-        }
+        assert_eq!(
+            replay_outcome(|p| Some(FileInfo::new_file(p, 3)), &t),
+            RetryOutcome::Info(FileInfo::new_file("/f", 3))
+        );
         let t = Txn::AddBlock { path: "/f".into(), block_id: 77, len: 1 };
         assert_eq!(replay_outcome(|_| None, &t), RetryOutcome::Block(77));
         let t = Txn::Mkdir { path: "/d".into() };

@@ -67,7 +67,7 @@ use std::sync::{Arc, Mutex, RwLock, RwLockWriteGuard};
 
 use mams_journal::{Apply, Txn, TxnId};
 
-use crate::inode::{FileInfo, Inode, InodeId, DEFAULT_PERM, ROOT_ID};
+use crate::inode::{FileInfo, Inode, InodeId, ROOT_ID};
 use crate::partition::fnv1a64;
 use crate::path::{self, PathError};
 use crate::tree::{NamespaceTree, NsError};
@@ -83,8 +83,12 @@ const MAX_PINS: usize = 32;
 const PIN_EMPTY: u64 = u64::MAX;
 /// Per-shard intern-table bound (legacy table split across shards).
 const SHARD_NAME_CAP: usize = 1 << 12;
-/// Per-shard resolution-cache bound.
+/// Per-shard resolution-cache bound, in entries.
 const SHARD_CACHE_CAP: usize = 1 << 10;
+/// Entries per cache set. A path's hash picks one set; a full set replaces
+/// its oldest binding.
+const CACHE_WAYS: usize = 4;
+const CACHE_SETS: usize = SHARD_CACHE_CAP / CACHE_WAYS;
 
 /// One inode's versions. `stamp`/`node` is the newest version; `hist` holds
 /// displaced versions (oldest first) and is empty unless mutations ran while
@@ -178,9 +182,9 @@ impl std::hash::Hasher for IdHasher {
 
 type IdBuild = std::hash::BuildHasherDefault<IdHasher>;
 
-/// Hasher for path and name string keys (resolution cache, name interner).
-/// Paths are short (tens of bytes) trusted strings, so FNV-1a beats
-/// SipHash's fixed finalization cost on every probe.
+/// Hasher for the name interner's string keys. Component names are short
+/// trusted strings, so FNV-1a beats SipHash's fixed finalization cost on
+/// every probe.
 #[derive(Clone, Copy)]
 struct PathHasher(u64);
 
@@ -245,17 +249,111 @@ struct Shard {
     state: RwLock<ShardState>,
 }
 
+/// A directory path hashed once — the hash picks the cache shard and the set
+/// inside it — with the cache generation read *before* the path was
+/// resolved, so a binding resolved across a subtree move is dead on insert.
+#[derive(Clone, Copy)]
+struct CacheKey<'p> {
+    path: &'p str,
+    hash: u64,
+    gen: u64,
+}
+
+impl CacheKey<'_> {
+    fn set(&self) -> std::ops::Range<usize> {
+        // The bits just above the shard index (at most 8 bits): FNV-1a
+        // carries a path's last characters into its low bits, hardly at all
+        // into bits 32–39.
+        let first = (self.hash >> 8) as usize % CACHE_SETS * CACHE_WAYS;
+        first..first + CACHE_WAYS
+    }
+}
+
+/// One cached binding `path → directory id`, inserted by the mutation
+/// stamped `stamp` while the cache generation was `gen`. `gen == 0` is an
+/// empty way: the generation counter starts at 1.
+#[derive(Default)]
+struct CacheEntry {
+    hash: u64,
+    gen: u64,
+    stamp: Stamp,
+    id: InodeId,
+    path: Box<str>,
+}
+
+impl CacheEntry {
+    fn holds(&self, k: &CacheKey<'_>) -> bool {
+        self.hash == k.hash && self.gen == k.gen && *self.path == *k.path
+    }
+}
+
 /// One shard of the path → directory-id resolution cache (sharded by path
-/// hash, independently of the inode shards). Entries are stamped with the
-/// mutation that inserted them: an entry is valid for an unpinned reader
-/// whenever present (the legacy invalidation invariant — only delete/rename
-/// relocate a directory, and both remove the entry), and valid for a pinned
-/// reader at epoch `E` when its stamp is ≤ `E` (the binding has held
-/// continuously from the stamp to now, which covers `E`).
+/// hash, independently of the inode shards): [`CACHE_SETS`] sets of
+/// [`CACHE_WAYS`] entries. Only directories are cached, and only by a
+/// mutation holding the write lock of the directory's inode shard, having
+/// seen the directory live there.
+///
+/// An entry of the current generation is a live binding. Removing an *empty*
+/// directory drops exactly its own key — it has no cached descendants,
+/// because every cached descendant is a live directory beneath it — and a
+/// subtree move (directory rename, recursive delete of a populated
+/// directory) bumps the namespace's generation instead of searching for the
+/// descendants, which retires every entry at once. A pinned reader at epoch
+/// `E` additionally needs `stamp ≤ E`: the binding has held continuously from
+/// the stamp to now, which covers `E`.
 struct CacheShard {
-    map: Mutex<HashMap<Box<str>, (InodeId, Stamp), PathBuild>>,
+    ways: Mutex<Box<[CacheEntry]>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    evictions: AtomicU64,
+}
+
+impl CacheShard {
+    fn new() -> CacheShard {
+        CacheShard {
+            ways: Mutex::new((0..SHARD_CACHE_CAP).map(|_| CacheEntry::default()).collect()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+        }
+    }
+
+    /// Probe for `k` at `epoch`. Contended probes count as misses
+    /// (`try_lock`): the reader falls back to the walk rather than blocking.
+    fn get(&self, k: &CacheKey<'_>, epoch: Option<Stamp>) -> Option<InodeId> {
+        let ways = self.ways.try_lock().ok()?;
+        let e = ways[k.set()].iter().find(|e| e.holds(k))?;
+        epoch.is_none_or(|at| e.stamp <= at).then_some(e.id)
+    }
+
+    /// Bind `k → id` as of `stamp`, into a dead way when the set has one and
+    /// over its oldest binding otherwise.
+    fn put(&self, k: &CacheKey<'_>, id: InodeId, stamp: Stamp) {
+        let mut ways = self.ways.lock().expect("cache shard lock poisoned");
+        let set = &mut ways[k.set()];
+        if let Some(e) = set.iter().find(|e| e.holds(k)) {
+            // Keep the older entry: the binding is unchanged and the older
+            // stamp serves more pinned epochs.
+            debug_assert_eq!(e.id, id, "two live bindings for {}", k.path);
+            return;
+        }
+        let victim = match set.iter().position(|e| e.gen != k.gen) {
+            Some(dead) => dead,
+            None => {
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+                (0..CACHE_WAYS).min_by_key(|&i| set[i].stamp).expect("CACHE_WAYS > 0")
+            }
+        };
+        set[victim] = CacheEntry { hash: k.hash, gen: k.gen, stamp, id, path: Box::from(k.path) };
+    }
+
+    /// Drop the binding for `k`, if cached.
+    fn remove(&self, k: &CacheKey<'_>) {
+        let mut ways = self.ways.lock().expect("cache shard lock poisoned");
+        if let Some(e) = ways[k.set()].iter_mut().find(|e| e.holds(k)) {
+            *e = CacheEntry::default();
+        }
+    }
 }
 
 impl std::fmt::Debug for CacheShard {
@@ -263,15 +361,20 @@ impl std::fmt::Debug for CacheShard {
         f.debug_struct("CacheShard")
             .field("hits", &self.hits.load(Ordering::Relaxed))
             .field("misses", &self.misses.load(Ordering::Relaxed))
+            .field("evictions", &self.evictions.load(Ordering::Relaxed))
             .finish()
     }
 }
 
-/// Resolution-cache hit/miss counters, summed across shards.
+/// Resolution-cache counters, summed across shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,
+    /// Generation bumps: each retired every cached binding at once.
+    pub flushes: u64,
+    /// Live bindings replaced because their set was full.
+    pub evictions: u64,
 }
 
 /// Ascending-order write guards over a set of shards (the deterministic
@@ -296,6 +399,9 @@ impl Locked<'_> {
 pub struct ShardedNamespace {
     shards: Box<[Shard]>,
     cache: Box<[CacheShard]>,
+    /// Resolution-cache generation (starts at 1): entries of an earlier
+    /// generation are dead. Bumped by subtree moves, under every shard lock.
+    cache_gen: AtomicU64,
     mask: usize,
     /// Pin/mutator coordination gate (see module docs): mutators hold it
     /// shared across apply+publish, pin registration takes it exclusively.
@@ -349,16 +455,10 @@ impl ShardedNamespace {
             }
             shards.push(Shard { state: RwLock::new(st) });
         }
-        let cache = (0..n)
-            .map(|_| CacheShard {
-                map: Mutex::new(HashMap::default()),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-            })
-            .collect::<Vec<_>>();
         ShardedNamespace {
             shards: shards.into_boxed_slice(),
-            cache: cache.into_boxed_slice(),
+            cache: (0..n).map(|_| CacheShard::new()).collect(),
+            cache_gen: AtomicU64::new(1),
             mask: n - 1,
             gate: RwLock::new(()),
             next_stamp: AtomicU64::new(0),
@@ -409,7 +509,7 @@ impl ShardedNamespace {
     /// Flatten the newest versions into a legacy tree (checkpoint encoding
     /// goes through this; ids are preserved).
     pub fn to_tree(&self) -> NamespaceTree {
-        let mut inodes = HashMap::new();
+        let mut inodes = HashMap::with_capacity((self.num_files() + self.num_dirs() + 1) as usize);
         let mut next_id: InodeId = 1;
         for shard in self.shards.iter() {
             let st = shard.state.read().unwrap();
@@ -443,13 +543,17 @@ impl ShardedNamespace {
         self.divergences.load(Ordering::Relaxed)
     }
 
-    /// Resolution-cache hit/miss counters summed over shards (the bench
-    /// surfaces these in `BENCH_hotpath.json`).
+    /// Resolution-cache counters summed over shards (the bench surfaces
+    /// hits and misses in `BENCH_hotpath.json`).
     pub fn cache_stats(&self) -> CacheStats {
-        let mut s = CacheStats::default();
+        let mut s = CacheStats {
+            flushes: self.cache_gen.load(Ordering::Relaxed) - 1,
+            ..CacheStats::default()
+        };
         for c in self.cache.iter() {
             s.hits += c.hits.load(Ordering::Relaxed);
             s.misses += c.misses.load(Ordering::Relaxed);
+            s.evictions += c.evictions.load(Ordering::Relaxed);
         }
         s
     }
@@ -546,54 +650,42 @@ impl ShardedNamespace {
         }
     }
 
-    fn cache_shard(&self, p: &str) -> &CacheShard {
-        &self.cache[(fnv1a64(p.as_bytes()) as usize) & self.mask]
+    /// Hash `dir` for the cache and read the generation a binding resolved
+    /// from here on may be inserted under. Take the key *before* resolving.
+    fn cache_key<'p>(&self, dir: &'p str) -> CacheKey<'p> {
+        CacheKey {
+            path: dir,
+            hash: fnv1a64(dir.as_bytes()),
+            gen: self.cache_gen.load(Ordering::Acquire),
+        }
     }
 
-    /// Probe the resolution cache. `epoch` filters entries stamped after a
-    /// pinned snapshot. Contended probes count as misses (`try_lock`): the
-    /// reader falls back to the walk rather than blocking.
-    fn cache_get(&self, p: &str, epoch: Option<Stamp>) -> Option<InodeId> {
-        let cs = self.cache_shard(p);
-        let m = cs.map.try_lock().ok()?;
-        let &(id, s) = m.get(p)?;
-        if epoch.is_some_and(|e| s > e) {
-            return None;
-        }
-        Some(id)
+    fn cache_shard(&self, k: &CacheKey<'_>) -> &CacheShard {
+        &self.cache[(k.hash as usize) & self.mask]
     }
 
-    /// Record `p → id` (mutation paths only, while holding the op's shard
-    /// write locks — this serializes inserts against the invalidations of
-    /// structural ops, which also hold their shard locks).
-    fn cache_put(&self, p: &str, id: InodeId, stamp: Stamp) {
-        let cs = self.cache_shard(p);
-        let mut m = cs.map.lock().unwrap();
-        if m.contains_key(p) {
-            // Keep the older entry: the binding is unchanged and the older
-            // stamp serves more pinned epochs.
-            return;
+    /// Record `k → id`. Mutation paths only, while holding the write lock of
+    /// `id`'s inode shard and having seen `id` live there: removing or moving
+    /// a directory takes that lock too, so a binding is never inserted behind
+    /// its own invalidation.
+    fn cache_put(&self, k: &CacheKey<'_>, id: InodeId, stamp: Stamp) {
+        // A key taken before a flush would be dead on arrival.
+        if k.gen == self.cache_gen.load(Ordering::Acquire) {
+            self.cache_shard(k).put(k, id, stamp);
         }
-        if m.len() >= SHARD_CACHE_CAP {
-            m.clear();
-        }
-        m.insert(Box::from(p), (id, stamp));
     }
 
-    /// Drop the entry for `p` — and, when `p` was a directory, every entry
-    /// beneath it (the subtree moved or disappeared). Scans all cache shards
-    /// for the subtree case: descendant paths hash anywhere.
-    fn cache_invalidate(&self, p: &str, was_dir: bool) {
-        if was_dir {
-            for cs in self.cache.iter() {
-                cs.map
-                    .lock()
-                    .unwrap()
-                    .retain(|k, _| !(k.as_ref() == p || path::is_strict_descendant(k, p)));
-            }
-        } else {
-            self.cache_shard(p).map.lock().unwrap().remove(p);
-        }
+    /// An empty directory at `p` was removed: drop its key. Nothing is cached
+    /// beneath it (see [`CacheShard`]).
+    fn cache_remove(&self, p: &str) {
+        let k = self.cache_key(p);
+        self.cache_shard(&k).remove(&k);
+    }
+
+    /// A subtree moved or disappeared: retire every cached binding. Called
+    /// under every shard lock, so no insert is in flight.
+    fn cache_flush(&self) {
+        self.cache_gen.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Read the version of `id` visible at `epoch` (newest when `None`).
@@ -621,54 +713,46 @@ impl ShardedNamespace {
         Some(cur)
     }
 
-    /// Resolve a validated path at `epoch`: full-path cache probe first
-    /// (directories are the cached population, and dir resolution dominates
-    /// this fast path — parent lookups for mutations), then a parent-dir
-    /// probe (covers files with a warm parent), then the walk. Maintains
-    /// the hit/miss counters — a walk fallback is the "miss" the legacy
-    /// tree never recorded.
-    fn resolve(&self, p: &str, epoch: Option<Stamp>) -> Option<InodeId> {
-        if p == "/" {
-            return Some(ROOT_ID);
+    /// Resolve the validated directory path `dir` at `epoch`: one hash, one
+    /// cache probe, and the walk from the root when that misses. A walked
+    /// answer comes back with its key, for the mutation that goes on to lock
+    /// the directory's shard to bind (see [`cache_put`](Self::cache_put)).
+    /// Maintains the hit/miss counters; the root costs no lookup and counts
+    /// as neither.
+    fn lookup_dir<'p>(
+        &self,
+        dir: &'p str,
+        epoch: Option<Stamp>,
+    ) -> Option<(InodeId, Option<CacheKey<'p>>)> {
+        if dir == "/" {
+            return Some((ROOT_ID, None));
         }
-        let cs = self.cache_shard(p);
-        if let Ok(m) = cs.map.try_lock() {
-            if let Some(&(id, s)) = m.get(p) {
-                if epoch.is_none_or(|e| s <= e) {
-                    drop(m);
-                    cs.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(id);
-                }
-            }
-        }
-        if let Some((dir, name)) = path::split(p) {
-            let pid = if dir == "/" { Some(ROOT_ID) } else { self.cache_get(dir, epoch) };
-            if let Some(pid) = pid {
-                let st = self.shards[self.shard_of(pid)].state.read().unwrap();
-                if let Some(Inode::Directory { children, .. }) =
-                    st.slots.get(&pid).and_then(|s| s.view(epoch))
-                {
-                    cs.hits.fetch_add(1, Ordering::Relaxed);
-                    return children.get(name).copied();
-                }
-            }
+        let k = self.cache_key(dir);
+        let cs = self.cache_shard(&k);
+        if let Some(id) = cs.get(&k, epoch) {
+            cs.hits.fetch_add(1, Ordering::Relaxed);
+            return Some((id, None));
         }
         cs.misses.fetch_add(1, Ordering::Relaxed);
-        self.walk(p, epoch)
+        self.walk(dir, epoch).map(|id| (id, Some(k)))
     }
 
-    /// Resolve the parent directory of `p` at `epoch`, classifying failures
-    /// exactly like the legacy tree.
-    fn resolve_parent(&self, p: &str, epoch: Option<Stamp>) -> Result<InodeId, NsError> {
-        let parent = path::parent(p).ok_or(NsError::RootImmutable)?;
-        match self.resolve(parent, epoch) {
-            Some(id) => match self.with_node(id, epoch, Inode::is_dir) {
-                Some(true) => Ok(id),
-                Some(false) => Err(NsError::ParentNotDirectory(p.to_string())),
-                None => Err(NsError::ParentNotFound(p.to_string())),
-            },
-            None => Err(self.parent_missing_error(p, parent, epoch)),
-        }
+    /// The child `name` of directory `dir_id` at `epoch`.
+    fn child_of(&self, dir_id: InodeId, name: &str, epoch: Option<Stamp>) -> Option<InodeId> {
+        self.with_node(dir_id, epoch, |n| match n {
+            Inode::Directory { children, .. } => children.get(name).copied(),
+            Inode::File { .. } => None,
+        })
+        .flatten()
+    }
+
+    /// Resolve a validated path at `epoch` through its parent directory's
+    /// cache entry — directories are the only cached population, so the full
+    /// path is never probed.
+    fn resolve(&self, p: &str, epoch: Option<Stamp>) -> Option<InodeId> {
+        let Some((dir, name)) = path::split(p) else { return Some(ROOT_ID) };
+        let (pid, _) = self.lookup_dir(dir, epoch)?;
+        self.child_of(pid, name, epoch)
     }
 
     /// Classify a failed parent resolution the way the legacy tree does:
@@ -726,52 +810,32 @@ impl ShardedNamespace {
     // ------------------------------------------------------------------
 
     /// `getfileinfo`: read-only metadata lookup against the newest published
-    /// state. Fused fast path: when the parent directory is cached and the
-    /// target is co-located in the parent's shard (the file-create layout),
-    /// the whole read is one cache probe plus one shard read lock.
+    /// state. When the target is co-located in its parent's shard (the
+    /// file-create layout), the whole read is one cache probe plus one shard
+    /// read lock.
     pub fn getfileinfo(&self, p: &str) -> Result<FileInfo, NsError> {
         path::validate(p)?;
-        if p == "/" {
-            return self
-                .with_node(ROOT_ID, None, |n| Self::info_of(p, n))
-                .ok_or_else(|| NsError::NotFound(p.to_string()));
+        let missing = || NsError::NotFound(p.to_string());
+        let Some((dir, name)) = path::split(p) else {
+            return self.with_node(ROOT_ID, None, |n| Self::info_of(p, n)).ok_or_else(missing);
+        };
+        let (pid, _) = self.lookup_dir(dir, None).ok_or_else(missing)?;
+        let pk = self.shard_of(pid);
+        let st = self.shards[pk].state.read().unwrap();
+        let id = match st.slots.get(&pid).and_then(Slot::latest) {
+            Some(Inode::Directory { children, .. }) => *children.get(name).ok_or_else(missing)?,
+            _ => return Err(missing()),
+        };
+        if self.shard_of(id) == pk {
+            return st
+                .slots
+                .get(&id)
+                .and_then(Slot::latest)
+                .map(|n| Self::info_of(p, n))
+                .ok_or_else(missing);
         }
-        if let Some((dir, name)) = path::split(p) {
-            // Probe the parent path directly on its own cache shard so the
-            // hit counter costs no extra hash over the full path.
-            let probe = if dir == "/" {
-                Some((ROOT_ID, self.cache_shard(p)))
-            } else {
-                let cs = self.cache_shard(dir);
-                let id = cs.map.try_lock().ok().and_then(|m| m.get(dir).map(|&(id, _)| id));
-                id.map(|id| (id, cs))
-            };
-            if let Some((pid, cs)) = probe {
-                let pk = self.shard_of(pid);
-                let st = self.shards[pk].state.read().unwrap();
-                if let Some(Inode::Directory { children, .. }) =
-                    st.slots.get(&pid).and_then(Slot::latest)
-                {
-                    cs.hits.fetch_add(1, Ordering::Relaxed);
-                    let id = *children.get(name).ok_or_else(|| NsError::NotFound(p.to_string()))?;
-                    if self.shard_of(id) == pk {
-                        return st
-                            .slots
-                            .get(&id)
-                            .and_then(Slot::latest)
-                            .map(|n| Self::info_of(p, n))
-                            .ok_or_else(|| NsError::NotFound(p.to_string()));
-                    }
-                    drop(st);
-                    return self
-                        .with_node(id, None, |n| Self::info_of(p, n))
-                        .ok_or_else(|| NsError::NotFound(p.to_string()));
-                }
-            }
-        }
-        let id = self.resolve(p, None).ok_or_else(|| NsError::NotFound(p.to_string()))?;
-        self.with_node(id, None, |n| Self::info_of(p, n))
-            .ok_or_else(|| NsError::NotFound(p.to_string()))
+        drop(st);
+        self.with_node(id, None, |n| Self::info_of(p, n)).ok_or_else(missing)
     }
 
     /// List child names of a directory (sorted), newest state.
@@ -838,67 +902,13 @@ impl ShardedNamespace {
     pub fn create(&self, p: &str, replication: u8) -> Result<FileInfo, NsError> {
         path::validate(p)?;
         let (dir, name) = path::split(p).ok_or(NsError::RootImmutable)?;
-        // Bare resolve for the candidate parent id; its kind (and the
-        // legacy error precedence) is classified under the write lock
-        // below, saving a separate read-locked kind check per create.
-        // Probing inline also tells us whether the parent is already
-        // cached, so the steady-state create skips the cache insert.
-        let cached = if dir == "/" {
-            Some(ROOT_ID)
-        } else {
-            let cs = self.cache_shard(dir);
-            let hit = cs.map.try_lock().ok().and_then(|m| m.get(dir).map(|&(id, _)| id));
-            if hit.is_some() {
-                cs.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            hit
-        };
-        let (pid, from_cache) = match cached {
-            Some(id) => (id, true),
-            None => match self.resolve(dir, None) {
-                Some(pid) => (pid, false),
-                None => return Err(self.parent_missing_error(p, dir, None)),
-            },
-        };
-        let _gate = self.gate.read().unwrap();
-        let pk = self.shard_of(pid);
-        let mut st = self.shards[pk].state.write().unwrap();
-        self.sweep(&mut st);
-        match st.slots.get(&pid).and_then(Slot::latest) {
-            Some(Inode::Directory { children, .. }) => {
-                if children.contains_key(name) {
-                    return Err(NsError::AlreadyExists(p.to_string()));
-                }
-            }
-            Some(Inode::File { .. }) => return Err(NsError::ParentNotDirectory(p.to_string())),
-            None => return Err(NsError::ParentNotFound(p.to_string())),
-        }
-        let keep = self.watermark();
-        let s = self.alloc_stamp();
-        let name = st.intern(name);
-        let id = st.alloc_id(self.shards.len() as u64);
-        match st.slots.get_mut(&pid).expect("parent checked above").open(s, keep) {
-            Some(Inode::Directory { children, .. }) => {
-                children.insert(name, id);
-            }
-            _ => unreachable!("parent kind checked above"),
-        }
-        st.slots.insert(id, Slot::fresh(s, Inode::new_file(replication)));
-        if !from_cache {
-            self.cache_put(dir, pid, s);
-        }
-        self.num_files.fetch_add(1, Ordering::Relaxed);
-        drop(st);
-        self.publish(s);
-        Ok(FileInfo {
-            path: p.to_string(),
-            is_dir: false,
-            blocks: Vec::new(),
-            replication,
-            sealed: false,
-            perm: DEFAULT_PERM,
-            child_count: 0,
-        })
+        // Bare lookup for the candidate parent id; its kind (and the legacy
+        // error precedence) is classified under the write lock, saving a
+        // separate read-locked kind check per create.
+        let (pid, bind) =
+            self.lookup_dir(dir, None).ok_or_else(|| self.parent_missing_error(p, dir, None))?;
+        self.attach_file(pid, name, replication, p, bind)?;
+        Ok(FileInfo::new_file(p, replication))
     }
 
     /// `mkdir`: make a directory (parent must exist). The new id is spread
@@ -906,41 +916,10 @@ impl ShardedNamespace {
     pub fn mkdir(&self, p: &str) -> Result<(), NsError> {
         path::validate(p)?;
         let (dir, name) = path::split(p).ok_or(NsError::RootImmutable)?;
-        let pid = match self.resolve(dir, None) {
-            Some(pid) => pid,
-            None => return Err(self.parent_missing_error(p, dir, None)),
-        };
-        let _gate = self.gate.read().unwrap();
-        let pk = self.shard_of(pid);
-        let tk = self.dir_home(pid, name);
-        let mut locked = self.lock_set(&[pk, tk]);
-        self.sweep(locked.get(pk));
-        match locked.get(pk).slots.get(&pid).and_then(Slot::latest) {
-            Some(Inode::Directory { children, .. }) => {
-                if children.contains_key(name) {
-                    return Err(NsError::AlreadyExists(p.to_string()));
-                }
-            }
-            Some(Inode::File { .. }) => return Err(NsError::ParentNotDirectory(p.to_string())),
-            None => return Err(NsError::ParentNotFound(p.to_string())),
-        }
-        let keep = self.watermark();
-        let s = self.alloc_stamp();
-        let id = locked.get(tk).alloc_id(self.shards.len() as u64);
-        let name = locked.get(pk).intern(name);
-        match locked.get(pk).slots.get_mut(&pid).expect("parent checked above").open(s, keep) {
-            Some(Inode::Directory { children, .. }) => {
-                children.insert(name, id);
-            }
-            _ => unreachable!("parent kind checked above"),
-        }
-        locked.get(tk).slots.insert(id, Slot::fresh(s, Inode::new_dir()));
-        self.cache_put(dir, pid, s);
-        self.cache_put(p, id, s);
-        self.num_dirs.fetch_add(1, Ordering::Relaxed);
-        drop(locked);
-        self.publish(s);
-        Ok(())
+        let new = self.cache_key(p);
+        let (pid, bind) =
+            self.lookup_dir(dir, None).ok_or_else(|| self.parent_missing_error(p, dir, None))?;
+        self.attach_dir(pid, name, p, bind, new).map(|_| ())
     }
 
     /// `mkdir -p`: create all missing ancestors. Ok if the directory exists.
@@ -971,16 +950,12 @@ impl ShardedNamespace {
     /// most two.
     pub fn delete(&self, p: &str, recursive: bool) -> Result<(u64, u64), NsError> {
         path::validate(p)?;
-        if p == "/" {
-            return Err(NsError::RootImmutable);
-        }
+        let (dir, name) = path::split(p).ok_or(NsError::RootImmutable)?;
+        let missing = || NsError::NotFound(p.to_string());
         loop {
-            let id = self.resolve(p, None).ok_or_else(|| NsError::NotFound(p.to_string()))?;
-            let is_dir = self
-                .with_node(id, None, Inode::is_dir)
-                .ok_or_else(|| NsError::NotFound(p.to_string()))?;
-            let pid = self.resolve_parent(p, None)?;
-            let (dir, name) = path::split(p).expect("non-root validated path");
+            let (pid, bind) = self.lookup_dir(dir, None).ok_or_else(missing)?;
+            let id = self.child_of(pid, name, None).ok_or_else(missing)?;
+            let is_dir = self.with_node(id, None, Inode::is_dir).ok_or_else(missing)?;
             let _gate = self.gate.read().unwrap();
             let mut locked = if is_dir {
                 self.lock_all()
@@ -1039,8 +1014,16 @@ impl ShardedNamespace {
                     st.dead.push(cur);
                 }
             }
-            self.cache_invalidate(p, is_dir);
-            self.cache_put(dir, pid, s);
+            // Files are never cached; an empty directory is cached under its
+            // own key at most; a populated one takes its subtree with it.
+            if is_dir && empty {
+                self.cache_remove(p);
+            } else if is_dir {
+                self.cache_flush();
+            }
+            if let Some(k) = bind {
+                self.cache_put(&k, pid, s);
+            }
             self.num_files.fetch_sub(files, Ordering::Relaxed);
             self.num_dirs.fetch_sub(dirs, Ordering::Relaxed);
             drop(locked);
@@ -1051,32 +1034,43 @@ impl ShardedNamespace {
 
     /// `rename`: move `src` to `dst` (which must not exist). File renames
     /// lock the two parents' shards; directory renames take every shard
-    /// (cached subtree paths must be invalidated consistently).
+    /// (the subtree's cached paths are retired with the cache generation).
     pub fn rename(&self, src: &str, dst: &str) -> Result<(), NsError> {
         path::validate(src)?;
         path::validate(dst)?;
-        if src == "/" || dst == "/" {
+        let (Some((src_dir, src_name)), Some((dst_dir, dst_name))) =
+            (path::split(src), path::split(dst))
+        else {
             return Err(NsError::RootImmutable);
-        }
+        };
         if src == dst {
             return Err(NsError::AlreadyExists(dst.to_string()));
         }
         if path::is_strict_descendant(dst, src) {
             return Err(NsError::RenameIntoSelf { src: src.to_string(), dst: dst.to_string() });
         }
+        let missing = || NsError::NotFound(src.to_string());
         loop {
-            let src_id =
-                self.resolve(src, None).ok_or_else(|| NsError::NotFound(src.to_string()))?;
-            if self.resolve(dst, None).is_some() {
-                return Err(NsError::AlreadyExists(dst.to_string()));
+            let (src_parent, src_bind) = self.lookup_dir(src_dir, None).ok_or_else(missing)?;
+            let src_id = self.child_of(src_parent, src_name, None).ok_or_else(missing)?;
+            let (dst_parent, dst_bind) = if dst_dir == src_dir {
+                (src_parent, None)
+            } else {
+                self.lookup_dir(dst_dir, None)
+                    .ok_or_else(|| self.parent_missing_error(dst, dst_dir, None))?
+            };
+            // Unlocked classification of the destination, in the legacy
+            // tree's error order; the locks below revalidate the clean case.
+            match self.with_node(dst_parent, None, |n| match n {
+                Inode::Directory { children, .. } => Some(children.contains_key(dst_name)),
+                Inode::File { .. } => None,
+            }) {
+                Some(Some(false)) => {}
+                Some(Some(true)) => return Err(NsError::AlreadyExists(dst.to_string())),
+                Some(None) => return Err(NsError::ParentNotDirectory(dst.to_string())),
+                None => return Err(NsError::ParentNotFound(dst.to_string())),
             }
-            let dst_parent = self.resolve_parent(dst, None)?;
-            let src_parent = self.resolve_parent(src, None)?;
-            let (src_dir, src_name) = path::split(src).expect("non-root");
-            let (dst_dir, dst_name) = path::split(dst).expect("non-root");
-            let src_is_dir = self
-                .with_node(src_id, None, Inode::is_dir)
-                .ok_or_else(|| NsError::NotFound(src.to_string()))?;
+            let src_is_dir = self.with_node(src_id, None, Inode::is_dir).ok_or_else(missing)?;
             let _gate = self.gate.read().unwrap();
             let sk = self.shard_of(src_parent);
             let dk = self.shard_of(dst_parent);
@@ -1105,13 +1099,15 @@ impl ShardedNamespace {
                 }
                 _ => unreachable!("revalidated directory parent"),
             }
-            // Every cached path at or under `src` now points somewhere else
-            // (or nowhere).
-            self.cache_invalidate(src, src_is_dir);
-            self.cache_put(src_dir, src_parent, s);
-            self.cache_put(dst_dir, dst_parent, s);
             if src_is_dir {
-                self.cache_put(dst, src_id, s);
+                // Every cached path at or under `src` now points somewhere
+                // else (or nowhere).
+                self.cache_flush();
+            }
+            for (bind, parent) in [(src_bind, src_parent), (dst_bind, dst_parent)] {
+                if let Some(k) = bind {
+                    self.cache_put(&k, parent, s);
+                }
             }
             drop(locked);
             self.publish(s);
@@ -1120,8 +1116,7 @@ impl ShardedNamespace {
     }
 
     /// Shared frame for the single-inode file mutations (`add_block`,
-    /// `close_file`, `set_perm`): resolve, lock one shard, revalidate,
-    /// mutate at a fresh stamp.
+    /// `close_file`, `set_perm`): resolve, then mutate by id.
     fn mutate_node(
         &self,
         p: &str,
@@ -1129,25 +1124,7 @@ impl ShardedNamespace {
     ) -> Result<(), NsError> {
         path::validate(p)?;
         let id = self.resolve(p, None).ok_or_else(|| NsError::NotFound(p.to_string()))?;
-        let _gate = self.gate.read().unwrap();
-        let mut st = self.shards[self.shard_of(id)].state.write().unwrap();
-        self.sweep(&mut st);
-        match st.slots.get(&id).and_then(Slot::latest) {
-            Some(node) => {
-                // Validate against the newest version before opening a new
-                // one (a failed op must not bump the slot's stamp).
-                let mut probe = node.clone();
-                f(&mut probe, p)?;
-            }
-            None => return Err(NsError::NotFound(p.to_string())),
-        }
-        let keep = self.watermark();
-        let s = self.alloc_stamp();
-        let node = st.slots.get_mut(&id).expect("checked above").open(s, keep);
-        f(node.as_mut().expect("latest version exists"), p).expect("validated above");
-        drop(st);
-        self.publish(s);
-        Ok(())
+        self.mutate_by_id(id, p, f)
     }
 
     /// Append a block to an unsealed file.
@@ -1349,14 +1326,15 @@ impl ShardedReplaySession {
     pub fn apply(&mut self, ns: &ShardedNamespace, txn: &Txn) -> Result<(), NsError> {
         match txn {
             Txn::Create { path, replication } => {
-                let (pid, name) = self.parent_of(ns, path)?;
-                let id = ns.attach_file(pid, name, *replication)?;
+                let (pid, name, bind) = self.parent_of(ns, path)?;
+                let id = ns.attach_file(pid, name, *replication, name, bind)?;
                 self.remember_node(path, id);
                 Ok(())
             }
             Txn::Mkdir { path } => {
-                let (pid, name) = self.parent_of(ns, path)?;
-                let id = ns.attach_dir(pid, name)?;
+                let new = ns.cache_key(path);
+                let (pid, name, bind) = self.parent_of(ns, path)?;
+                let id = ns.attach_dir(pid, name, name, bind, new)?;
                 self.remember_dir(path, id);
                 Ok(())
             }
@@ -1415,21 +1393,26 @@ impl ShardedReplaySession {
         self.node_valid = true;
     }
 
+    /// The parent directory of `path`, the child's name, and — when the
+    /// namespace had to walk for it — the key the caller's attach binds it
+    /// under, so later records (and other sessions) hit the namespace's
+    /// resolution cache.
     fn parent_of<'p>(
         &mut self,
         ns: &ShardedNamespace,
         path: &'p str,
-    ) -> Result<(InodeId, &'p str), NsError> {
+    ) -> Result<(InodeId, &'p str, Option<CacheKey<'p>>), NsError> {
         let (dir, name) = path::split(path).ok_or(NsError::RootImmutable)?;
         if name.is_empty() {
             return Err(NsError::Invalid(PathError(format!("{path:?} has a trailing slash"))));
         }
         if self.dir_valid && self.dir == dir {
-            return Ok((self.dir_id, name));
+            return Ok((self.dir_id, name, None));
         }
-        let pid = ns.resolve(dir, None).ok_or_else(|| NsError::ParentNotFound(path.to_string()))?;
+        let (pid, bind) =
+            ns.lookup_dir(dir, None).ok_or_else(|| NsError::ParentNotFound(path.to_string()))?;
         self.remember_dir(dir, pid);
-        Ok((pid, name))
+        Ok((pid, name, bind))
     }
 
     fn resolve_node(&mut self, ns: &ShardedNamespace, path: &str) -> Result<InodeId, NsError> {
@@ -1442,41 +1425,32 @@ impl ShardedReplaySession {
         if self.dir_valid && self.dir == path {
             return Ok(self.dir_id);
         }
-        let (pid, name) = self.parent_of(ns, path)?;
-        let id = ns
-            .with_node(pid, None, |n| match n {
-                Inode::Directory { children, .. } => children.get(name).copied(),
-                Inode::File { .. } => None,
-            })
-            .flatten()
-            .ok_or_else(|| NsError::NotFound(path.to_string()))?;
+        let (pid, name, _) = self.parent_of(ns, path)?;
+        let id = ns.child_of(pid, name, None).ok_or_else(|| NsError::NotFound(path.to_string()))?;
         self.remember_node(path, id);
         Ok(id)
     }
 }
 
 impl ShardedNamespace {
-    /// Replay-path create: attach a new file directly under `parent` (the
-    /// analogue of the legacy `attach_child`; error payloads match it).
+    /// Attach a new file under directory `parent` — the body of `create`, and
+    /// the replay path's whole create (the analogue of the legacy
+    /// `attach_child`). Errors name `what`: the path on the live path, the
+    /// bare name on replay, as the legacy tree's do. `bind` is the parent's
+    /// cache key when its lookup walked.
     fn attach_file(
         &self,
         parent: InodeId,
         name: &str,
         replication: u8,
+        what: &str,
+        bind: Option<CacheKey<'_>>,
     ) -> Result<InodeId, NsError> {
         let _gate = self.gate.read().unwrap();
         let pk = self.shard_of(parent);
         let mut st = self.shards[pk].state.write().unwrap();
         self.sweep(&mut st);
-        match st.slots.get(&parent).and_then(Slot::latest) {
-            Some(Inode::Directory { children, .. }) => {
-                if children.contains_key(name) {
-                    return Err(NsError::AlreadyExists(name.to_string()));
-                }
-            }
-            Some(Inode::File { .. }) => return Err(NsError::ParentNotDirectory(name.to_string())),
-            None => return Err(NsError::ParentNotFound(name.to_string())),
-        }
+        Self::check_parent(st.slots.get(&parent), name, what)?;
         let keep = self.watermark();
         let s = self.alloc_stamp();
         let name = st.intern(name);
@@ -1488,28 +1462,32 @@ impl ShardedNamespace {
             _ => unreachable!("parent kind checked above"),
         }
         st.slots.insert(id, Slot::fresh(s, Inode::new_file(replication)));
+        if let Some(k) = bind {
+            self.cache_put(&k, parent, s);
+        }
         self.num_files.fetch_add(1, Ordering::Relaxed);
         drop(st);
         self.publish(s);
         Ok(id)
     }
 
-    /// Replay-path mkdir: attach a new directory directly under `parent`.
-    fn attach_dir(&self, parent: InodeId, name: &str) -> Result<InodeId, NsError> {
+    /// Attach a new directory under `parent` (see
+    /// [`attach_file`](Self::attach_file)), and cache it under `new`, the key
+    /// of its own path.
+    fn attach_dir(
+        &self,
+        parent: InodeId,
+        name: &str,
+        what: &str,
+        bind: Option<CacheKey<'_>>,
+        new: CacheKey<'_>,
+    ) -> Result<InodeId, NsError> {
         let _gate = self.gate.read().unwrap();
         let pk = self.shard_of(parent);
         let tk = self.dir_home(parent, name);
         let mut locked = self.lock_set(&[pk, tk]);
         self.sweep(locked.get(pk));
-        match locked.get(pk).slots.get(&parent).and_then(Slot::latest) {
-            Some(Inode::Directory { children, .. }) => {
-                if children.contains_key(name) {
-                    return Err(NsError::AlreadyExists(name.to_string()));
-                }
-            }
-            Some(Inode::File { .. }) => return Err(NsError::ParentNotDirectory(name.to_string())),
-            None => return Err(NsError::ParentNotFound(name.to_string())),
-        }
+        Self::check_parent(locked.get(pk).slots.get(&parent), name, what)?;
         let keep = self.watermark();
         let s = self.alloc_stamp();
         let id = locked.get(tk).alloc_id(self.shards.len() as u64);
@@ -1521,15 +1499,32 @@ impl ShardedNamespace {
             _ => unreachable!("parent kind checked above"),
         }
         locked.get(tk).slots.insert(id, Slot::fresh(s, Inode::new_dir()));
+        if let Some(k) = bind {
+            self.cache_put(&k, parent, s);
+        }
+        self.cache_put(&new, id, s);
         self.num_dirs.fetch_add(1, Ordering::Relaxed);
         drop(locked);
         self.publish(s);
         Ok(id)
     }
 
-    /// Replay-path node mutation against a cached id (the session resolved
-    /// it; a missing slot means the cache went stale and maps to NotFound,
-    /// matching what a fresh resolution would report).
+    /// The legacy tree's classification of an attach under `parent`.
+    fn check_parent(parent: Option<&Slot>, name: &str, what: &str) -> Result<(), NsError> {
+        match parent.and_then(Slot::latest) {
+            Some(Inode::Directory { children, .. }) if children.contains_key(name) => {
+                Err(NsError::AlreadyExists(what.to_string()))
+            }
+            Some(Inode::Directory { .. }) => Ok(()),
+            Some(Inode::File { .. }) => Err(NsError::ParentNotDirectory(what.to_string())),
+            None => Err(NsError::ParentNotFound(what.to_string())),
+        }
+    }
+
+    /// Mutate the node `id`, which the caller resolved from `p`: lock one
+    /// shard, validate, mutate at a fresh stamp. A missing slot means the
+    /// resolution went stale and maps to NotFound, matching what a fresh one
+    /// would report.
     fn mutate_by_id(
         &self,
         id: InodeId,
@@ -1559,6 +1554,7 @@ impl ShardedNamespace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inode::DEFAULT_PERM;
     use std::sync::atomic::AtomicBool;
 
     fn both() -> (NamespaceTree, ShardedNamespace) {

@@ -142,6 +142,9 @@ pub struct Sim {
     kernel: Kernel,
     nodes: Vec<Option<Box<dyn Node>>>,
     factories: Vec<Option<Factory>>,
+    /// Some node was added or restarted and has not had `on_start` yet; only
+    /// then does `start_pending` need to look at the node slots.
+    awaiting_start: bool,
 }
 
 impl Sim {
@@ -162,6 +165,7 @@ impl Sim {
             },
             nodes: Vec::new(),
             factories: Vec::new(),
+            awaiting_start: false,
         }
     }
 
@@ -177,6 +181,7 @@ impl Sim {
             status: NodeStatus::Up,
             started: false,
         });
+        self.awaiting_start = true;
         id
     }
 
@@ -327,12 +332,16 @@ impl Sim {
         m.status = NodeStatus::Up;
         m.epoch += 1;
         m.started = false;
+        self.awaiting_start = true;
         let now = self.kernel.now;
         self.kernel.trace.record(now, id, "sim.restart", String::new);
         self.start_pending();
     }
 
     fn start_pending(&mut self) {
+        if !std::mem::take(&mut self.awaiting_start) {
+            return;
+        }
         for id in 0..self.nodes.len() {
             let meta = &self.kernel.meta[id];
             if meta.status == NodeStatus::Up && !meta.started {
