@@ -70,7 +70,6 @@ pub struct AvatarNode {
     next_block: u64,
     retry: RetryCache,
     cursor: ReplayCursor,
-    replayer: StandbyReplayer,
     next_sn: Sn,
     pending: Vec<crate::common::PendingReply>,
     pending_txns: Vec<mams_journal::Txn>,
@@ -94,7 +93,6 @@ impl AvatarNode {
             next_block: 1,
             retry: RetryCache::new(),
             cursor: ReplayCursor::new(),
-            replayer: StandbyReplayer::new(),
             next_sn: 1,
             pending: Vec::new(),
             pending_txns: Vec::new(),
@@ -148,7 +146,7 @@ impl AvatarNode {
 
     fn apply_tail(&mut self, batches: Vec<mams_journal::SharedBatch>) {
         for b in batches {
-            self.replayer.offer(&mut self.cursor, &mut self.ns, &mut self.next_block, &b);
+            StandbyReplayer::offer(&mut self.cursor, &mut self.ns, &mut self.next_block, &b);
         }
         self.next_sn = self.cursor.max_sn() + 1;
     }
@@ -216,9 +214,6 @@ impl Node for AvatarNode {
                     }
                     Err(e) => ctx.trace("avatar.image_corrupt", || e.to_string()),
                 }
-                // The namespace was just replaced (and will now be mutated
-                // outside replay): drop the session's cached handles.
-                self.replayer.reset();
                 self.role = AvRole::Active;
                 let me = ctx.id();
                 self.coord.set(ctx, mams_core::keys::active(0), me.to_string(), true);

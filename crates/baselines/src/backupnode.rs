@@ -82,7 +82,6 @@ pub struct BnNode {
     next_block: u64,
     retry: RetryCache,
     cursor: ReplayCursor,
-    replayer: StandbyReplayer,
     next_sn: Sn,
     pending: Vec<crate::common::PendingReply>,
     pending_txns: Vec<mams_journal::Txn>,
@@ -105,7 +104,6 @@ impl BnNode {
             next_block: 1,
             retry: RetryCache::new(),
             cursor: ReplayCursor::new(),
-            replayer: StandbyReplayer::new(),
             next_sn: 1,
             pending: Vec::new(),
             pending_txns: Vec::new(),
@@ -164,9 +162,6 @@ impl BnNode {
             }
             Err(e) => ctx.trace("bn.image_corrupt", || e.to_string()),
         }
-        // The namespace was just replaced (and the new primary mutates it
-        // outside replay): drop the session's cached handles.
-        self.replayer.reset();
         let files = self.ns.num_files().max(self.spec.scale.nominal_files);
         let recollect = Duration::from_micros(files * RECOLLECT_PER_FILE.micros()) + image_io;
         ctx.trace("bn.takeover_start", || {
@@ -269,7 +264,7 @@ impl Node for BnNode {
         let msg = match msg.downcast::<BnMsg>() {
             Ok(BnMsg::Stream { batch }) => {
                 if self.role == BnRole::Backup {
-                    self.replayer.offer(
+                    StandbyReplayer::offer(
                         &mut self.cursor,
                         &mut self.ns,
                         &mut self.next_block,

@@ -3,7 +3,7 @@
 
 use mams_core::{FsOp, MdsResp, OpOutput};
 use mams_journal::{JournalBatch, ReplayCursor, Sn, Txn};
-use mams_namespace::{ImageError, NamespaceImage, NamespaceTree, ReplaySession};
+use mams_namespace::{ImageError, NamespaceImage, NamespaceTree};
 use mams_sim::{Ctx, NodeId};
 
 /// File-system scale for experiments that cannot materialize millions of
@@ -115,39 +115,23 @@ pub fn exec_op(
     }
 }
 
-/// Journal replay for a baseline standby: the same validate-skip
-/// [`ReplaySession`] fast path the MAMS standby uses, plus the block-id
-/// high-water mark every namenode keeps alongside its namespace — so
-/// replay-throughput comparisons across systems measure protocol
-/// differences, not apply-loop differences.
-#[derive(Debug, Default)]
-pub struct StandbyReplayer {
-    session: ReplaySession,
-}
+/// Journal replay for a baseline standby: the reference per-record
+/// [`NamespaceTree::apply`], plus the block-id high-water mark every
+/// namenode keeps alongside its namespace. A baseline's replay CPU is
+/// modelled, so the apply loop's own speed is not part of any comparison.
+pub struct StandbyReplayer;
 
 impl StandbyReplayer {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drop the cached handles. Call after the namespace is replaced or
-    /// mutated outside replay (checkpoint reload, a stint as primary).
-    pub fn reset(&mut self) {
-        self.session.reset();
-    }
-
-    /// Offer one batch to `cursor`, applying the in-order records through
-    /// the fast path and advancing the block-id high-water mark.
+    /// Offer one batch to `cursor`, applying the in-order records and
+    /// advancing the block-id high-water mark.
     pub fn offer(
-        &mut self,
         cursor: &mut ReplayCursor,
         ns: &mut NamespaceTree,
         next_block: &mut u64,
         batch: &JournalBatch,
     ) {
-        let session = &mut self.session;
         cursor.offer(batch, &mut |_, t: &Txn| {
-            let _ = session.apply(ns, t);
+            let _ = ns.apply(t);
             if let Txn::AddBlock { block_id, .. } = t {
                 *next_block = (*next_block).max(*block_id + 1);
             }
@@ -204,19 +188,6 @@ mod tests {
         let (restored, sn) = cp.restore().unwrap();
         assert_eq!(sn, 42);
         assert_eq!(cp.next_block, 111);
-        assert_eq!(restored.fingerprint(), ns.fingerprint());
-    }
-
-    #[test]
-    fn checkpoint_restores_legacy_v1_images() {
-        let mut ns = NamespaceTree::new();
-        ns.mkdir_p("/old/world").unwrap();
-        ns.create("/old/world/f", 2).unwrap();
-        // A checkpoint saved by a pre-v2 binary.
-        let cp = SavedCheckpoint { image: mams_namespace::encode_image_v1(&ns, 7), next_block: 9 };
-        assert_eq!(cp.image.version(), Some(mams_namespace::VERSION_V1));
-        let (restored, sn) = cp.restore().unwrap();
-        assert_eq!(sn, 7);
         assert_eq!(restored.fingerprint(), ns.fingerprint());
     }
 

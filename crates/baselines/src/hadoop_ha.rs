@@ -75,7 +75,6 @@ pub struct HaNameNode {
     next_block: u64,
     retry: RetryCache,
     cursor: ReplayCursor,
-    replayer: StandbyReplayer,
     next_sn: Sn,
     epoch: u64,
     pending: Vec<crate::common::PendingReply>,
@@ -101,7 +100,6 @@ impl HaNameNode {
             next_block: 1,
             retry: RetryCache::new(),
             cursor: ReplayCursor::new(),
-            replayer: StandbyReplayer::new(),
             next_sn: 1,
             epoch: 1,
             pending: Vec::new(),
@@ -161,7 +159,7 @@ impl HaNameNode {
 
     fn apply_tail(&mut self, batches: Vec<mams_journal::SharedBatch>) {
         for b in batches {
-            self.replayer.offer(&mut self.cursor, &mut self.ns, &mut self.next_block, &b);
+            StandbyReplayer::offer(&mut self.cursor, &mut self.ns, &mut self.next_block, &b);
         }
         self.next_sn = self.cursor.max_sn() + 1;
     }
@@ -226,8 +224,6 @@ impl Node for HaNameNode {
             }
             T_TRANSITION_DONE if self.role == HaRole::Transitioning => {
                 self.role = HaRole::Active;
-                // From here the namespace is mutated outside replay.
-                self.replayer.reset();
                 let me = ctx.id();
                 self.coord.set(ctx, mams_core::keys::active(0), me.to_string(), true);
                 ctx.trace("ha.transition_done", String::new);

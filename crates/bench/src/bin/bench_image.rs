@@ -1,10 +1,11 @@
-//! Wall-clock image-pipeline benchmark: encode/decode of namespace images
-//! in the legacy full-path v1 format vs the parent-id delta v2 format, plus
-//! chunked streaming decode — the work that dominates junior catch-up and
-//! the Table I MTTR sweep.
+//! Wall-clock image-pipeline benchmark: encode, buffered decode and chunked
+//! streaming decode of namespace images (wire version 2), plus delta fold
+//! and apply — the work that dominates junior catch-up and the Table I MTTR
+//! sweep.
 //!
-//! A fixed-seed generator builds realistic trees sized so their *v1* image
-//! lands in the 16/64/256 MB classes the paper sweeps, then each stage is
+//! A fixed-seed generator builds realistic trees sized at 72 nominal bytes
+//! per file (HDFS-style full-path records; the parent-id image is ~2.2x
+//! smaller) for the 16/64/256 MB classes the paper sweeps, then each stage is
 //! timed best-of-5 (identical deterministic work per rep). Results go to
 //! `BENCH_image.json` at the repo root so successive PRs can track the
 //! perf trajectory.
@@ -17,16 +18,17 @@ use std::time::Instant;
 use bytes::Bytes;
 use mams_journal::Txn;
 use mams_namespace::{
-    apply_delta, decode_delta, decode_image, encode_image, encode_image_v1, fold_delta,
-    NamespaceTree, StreamingImageDecoder,
+    apply_delta, decode_delta, decode_image, encode_image, fold_delta, NamespaceTree,
+    StreamingImageDecoder,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 const SEED: u64 = 0x4d41_4d53; // "MAMS"
-/// Approximate v1 bytes per file for the generated shape (path ~43 chars,
-/// fixed attrs, ~2 blocks) — used only to size the tree per class.
-const V1_BYTES_PER_FILE: u64 = 72;
+/// Nominal bytes per file for the generated shape as a full-path record
+/// (path ~43 chars, fixed attrs, ~2 blocks) — used only to size the tree
+/// per class.
+const CLASS_BYTES_PER_FILE: u64 = 72;
 /// Files per leaf directory.
 const FILES_PER_DIR: u64 = 256;
 /// Streaming-decode chunk size (the renewing default is the same order).
@@ -120,11 +122,8 @@ struct ClassResult {
     class_mb: u64,
     files: u64,
     dirs: u64,
-    v1_bytes: u64,
     v2_bytes: u64,
-    encode_v1_s: f64,
     encode_v2_s: f64,
-    decode_v1_s: f64,
     decode_v2_s: f64,
     decode_v2_streaming_s: f64,
     churn_txns: u64,
@@ -136,15 +135,12 @@ struct ClassResult {
 
 fn run_class(class_mb: u64, reps: usize) -> ClassResult {
     let mut rng = SmallRng::seed_from_u64(SEED ^ class_mb);
-    let target_files = (class_mb * 1024 * 1024) / V1_BYTES_PER_FILE;
+    let target_files = (class_mb * 1024 * 1024) / CLASS_BYTES_PER_FILE;
     let (tree, paths) = build_tree(target_files, &mut rng);
 
-    let encode_v1_s = best_of(reps, || encode_image_v1(&tree, 1));
     let encode_v2_s = best_of(reps, || encode_image(&tree, 1));
-    let v1 = encode_image_v1(&tree, 1);
     let v2 = encode_image(&tree, 1);
 
-    let decode_v1_s = best_of(reps, || decode_image(v1.data.clone()).unwrap());
     let decode_v2_s = best_of(reps, || decode_image(v2.data.clone()).unwrap());
     let decode_v2_streaming_s = best_of(reps, || {
         let mut d = StreamingImageDecoder::new();
@@ -154,12 +150,10 @@ fn run_class(class_mb: u64, reps: usize) -> ClassResult {
         d.finish().unwrap()
     });
 
-    // Every decode path must reconstruct the same namespace.
-    let fp = tree.fingerprint();
-    for img in [&v1, &v2] {
-        let (t, _) = decode_image(Bytes::clone(&img.data)).unwrap();
-        assert_eq!(t.fingerprint(), fp, "decode mismatch at {class_mb} MB class");
-    }
+    // The decode must reconstruct the same namespace.
+    let (t, _) = decode_image(Bytes::clone(&v2.data)).unwrap();
+    assert_eq!(t.fingerprint(), tree.fingerprint(), "decode mismatch at {class_mb} MB class");
+    drop(t);
 
     // Delta mode: fold a ~1% churn window into a delta image — the
     // incremental checkpoint the active cuts between full images. Fold cost
@@ -183,23 +177,16 @@ fn run_class(class_mb: u64, reps: usize) -> ClassResult {
     };
 
     println!(
-        "class {class_mb:>4} MB: {} files | v1 {:>4} MB, v2 {:>4} MB ({:.2}x smaller) | \
-         decode v1 {:.3}s, v2 {:.3}s ({:.2}x), streaming {:.3}s | \
-         encode v1 {:.3}s, v2 {:.3}s ({:.2}x)",
+        "class {class_mb:>4} MB: {} files | image {:>4} MB | \
+         encode {:.3}s, decode {:.3}s, streaming decode {:.3}s",
         tree.num_files(),
-        v1.size_bytes() >> 20,
         v2.size_bytes() >> 20,
-        v1.size_bytes() as f64 / v2.size_bytes() as f64,
-        decode_v1_s,
-        decode_v2_s,
-        decode_v1_s / decode_v2_s,
-        decode_v2_streaming_s,
-        encode_v1_s,
         encode_v2_s,
-        encode_v1_s / encode_v2_s,
+        decode_v2_s,
+        decode_v2_streaming_s,
     );
     println!(
-        "  delta: {} txns fold to {} entries, {} KB ({:.0}x smaller than v2 image) | \
+        "  delta: {} txns fold to {} entries, {} KB ({:.0}x smaller than the image) | \
          fold {:.4}s, apply {:.4}s",
         churn_txns.len(),
         delta.entries,
@@ -213,11 +200,8 @@ fn run_class(class_mb: u64, reps: usize) -> ClassResult {
         class_mb,
         files: tree.num_files(),
         dirs: tree.num_dirs(),
-        v1_bytes: v1.size_bytes(),
         v2_bytes: v2.size_bytes(),
-        encode_v1_s,
         encode_v2_s,
-        decode_v1_s,
         decode_v2_s,
         decode_v2_streaming_s,
         churn_txns: churn_txns.len() as u64,
@@ -237,36 +221,27 @@ fn main() {
     // Hand-rolled JSON: the offline serde_json stand-in cannot serialize,
     // and this document is the repo's perf trajectory — it must hold real
     // numbers in every environment.
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut doc = String::new();
     doc.push_str(&format!(
-        "{{\n  \"bench\": \"image\",\n  \"seed\": {SEED},\n  \"reps\": {reps},\n  \
-         \"chunk_bytes\": {CHUNK},\n  \"classes\": [\n"
+        "{{\n  \"bench\": \"image\",\n  \"seed\": {SEED},\n  \"host_cpus\": {host_cpus},\n  \
+         \"reps\": {reps},\n  \"chunk_bytes\": {CHUNK},\n  \"classes\": [\n"
     ));
     for (i, r) in results.iter().enumerate() {
         doc.push_str(&format!(
             "    {{\n      \"class_mb\": {},\n      \"files\": {},\n      \"dirs\": {},\n      \
-             \"v1_bytes\": {},\n      \"v2_bytes\": {},\n      \
-             \"size_ratio_v1_over_v2\": {:.3},\n      \
-             \"encode_v1_s\": {:.6},\n      \"encode_v2_s\": {:.6},\n      \
-             \"encode_speedup_v2\": {:.3},\n      \
-             \"decode_v1_s\": {:.6},\n      \"decode_v2_s\": {:.6},\n      \
-             \"decode_v2_streaming_s\": {:.6},\n      \"decode_speedup_v2\": {:.3},\n      \
+             \"v2_bytes\": {},\n      \"encode_v2_s\": {:.6},\n      \
+             \"decode_v2_s\": {:.6},\n      \"decode_v2_streaming_s\": {:.6},\n      \
              \"churn_txns\": {},\n      \"delta_entries\": {},\n      \
              \"delta_bytes\": {},\n      \"delta_vs_v2_size_ratio\": {:.1},\n      \
              \"fold_s\": {:.6},\n      \"delta_apply_s\": {:.6}\n    }}{}\n",
             r.class_mb,
             r.files,
             r.dirs,
-            r.v1_bytes,
             r.v2_bytes,
-            r.v1_bytes as f64 / r.v2_bytes as f64,
-            r.encode_v1_s,
             r.encode_v2_s,
-            r.encode_v1_s / r.encode_v2_s,
-            r.decode_v1_s,
             r.decode_v2_s,
             r.decode_v2_streaming_s,
-            r.decode_v1_s / r.decode_v2_s,
             r.churn_txns,
             r.delta_entries,
             r.delta_bytes,

@@ -7,13 +7,11 @@
 //! with occasional renames and deletes — executed once against a scratch
 //! tree so every journaled record is valid, exactly like the active's
 //! execution path. The stream is then sealed into 64-record batches and
-//! replayed two ways:
+//! replayed the way a replica does — `ShardedReplaySession` over a
+//! `ShardedNamespace` — in two settings:
 //!
-//! - **live**: batches already decoded (the standby's `SyncJournal` path);
-//!   naive per-record `NamespaceTree::apply` vs the `ReplaySession` fast
-//!   path (validate-skip + cached parent handle).
-//! - **cold**: wire bytes → decode + apply (the junior's catch-up path);
-//!   v1 wire + naive apply vs v2 wire + `ReplaySession`.
+//! - **live**: batches already decoded (the standby's `SyncJournal` path).
+//! - **cold**: wire bytes → decode + apply (the junior's catch-up path).
 //!
 //! The `--delta` mode adds the **delta catch-up** sweep: a junior restarting
 //! at the last checkpoint recovers either by fetching the latest *full*
@@ -33,9 +31,10 @@
 use std::time::Instant;
 
 use bytes::Bytes;
-use mams_journal::{decode_batch, encode_batch, encode_batch_v1, JournalBatch, Txn};
+use mams_journal::{decode_batch, encode_batch, JournalBatch, Txn};
 use mams_namespace::{
-    apply_delta, decode_delta, decode_image, encode_image, fold_delta, NamespaceTree, ReplaySession,
+    apply_delta, decode_delta, decode_image, encode_image, fold_delta, NamespaceTree,
+    ShardedNamespace, ShardedReplaySession,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -46,6 +45,7 @@ const FILES_PER_DIR: u64 = 128;
 
 /// The directory skeleton both the generator and every replay rep start
 /// from (a junior begins at the same checkpoint the stream was cut from).
+/// The generator runs on the plain tree; replicas install it sharded.
 fn base_tree(leaf_dirs: u64) -> (NamespaceTree, Vec<String>) {
     let mut t = NamespaceTree::new();
     let mut dirs = Vec::new();
@@ -123,11 +123,26 @@ fn best_of<S, T>(reps: usize, mut setup: impl FnMut() -> S, mut f: impl FnMut(S)
     best
 }
 
+/// Apply one decoded batch the way a standby does.
+fn apply_batch(session: &mut ShardedReplaySession, ns: &ShardedNamespace, b: &JournalBatch) {
+    for (_, t) in b.entries() {
+        session.apply(ns, t).unwrap();
+    }
+}
+
+/// Decode and apply wire batches in order: a junior's catch-up loop.
+fn replay_wire(ns: &ShardedNamespace, wire: &[Bytes]) {
+    let mut session = ShardedReplaySession::new();
+    for w in wire {
+        apply_batch(&mut session, ns, &decode_batch(w.clone()).unwrap());
+    }
+}
+
 // --------------------------------------------------------- delta catch-up
 
-/// Approximate v1 bytes per file (same sizing rule as `bench_image`, so the
-/// 16/64/256 MB classes line up across the two benches).
-const V1_BYTES_PER_FILE: u64 = 72;
+/// Nominal bytes per file of a class (same sizing rule as `bench_image`, so
+/// the 16/64/256 MB classes line up across the two benches).
+const CLASS_BYTES_PER_FILE: u64 = 72;
 /// Files per leaf directory in the class-sized tree.
 const CLASS_FILES_PER_DIR: u64 = 256;
 
@@ -223,7 +238,7 @@ struct DeltaClassResult {
 /// One delta catch-up class: a junior at the checkpoint recovers to the
 /// chain end + journal tail, via full-image fetch vs delta apply.
 fn run_delta_class(class_mb: u64, reps: usize, rng: &mut SmallRng) -> DeltaClassResult {
-    let target_files = (class_mb * 1024 * 1024) / V1_BYTES_PER_FILE;
+    let target_files = (class_mb * 1024 * 1024) / CLASS_BYTES_PER_FILE;
     let (base, paths) = build_class_tree(target_files, rng);
     let base_sn = 1_000u64;
 
@@ -248,42 +263,34 @@ fn run_delta_class(class_mb: u64, reps: usize, rng: &mut SmallRng) -> DeltaClass
     let tail_bytes: u64 = tail_wire.iter().map(|b| b.len() as u64).sum();
     let expected_fp = live.fingerprint();
 
-    let replay_tail = |tree: &mut NamespaceTree| {
-        let mut session = ReplaySession::new();
-        for w in &tail_wire {
-            let b = decode_batch(w.clone()).unwrap();
-            for (_, t) in b.entries() {
-                session.apply(tree, t).unwrap();
-            }
-        }
-    };
-
     // Full-image recovery: decode the latest checkpoint from wire bytes
-    // (the junior's prior state is discarded), then replay the tail.
+    // and install it (the junior's prior state is discarded), then replay
+    // the tail.
     let full_recovery_s = best_of(
         reps,
         || (),
         |()| {
-            let (mut tree, sn) = decode_image(full_image.data.clone()).unwrap();
+            let (tree, sn) = decode_image(full_image.data.clone()).unwrap();
             assert_eq!(sn, delta_end);
-            replay_tail(&mut tree);
-            assert_eq!(tree.fingerprint(), expected_fp, "full-image recovery divergence");
-            tree
+            let ns = ShardedNamespace::from_tree(tree);
+            replay_wire(&ns, &tail_wire);
+            assert_eq!(ns.fingerprint(), expected_fp, "full-image recovery divergence");
+            ns
         },
     );
 
     // Delta recovery: the junior keeps its checkpoint state and applies the
-    // folded churn, then replays the same tail. The clone models the state
-    // it already holds and runs outside the clock.
+    // folded churn, then replays the same tail. The install models the
+    // state it already holds and runs outside the clock.
     let delta_recovery_s = best_of(
         reps,
-        || base.clone(),
-        |mut tree| {
+        || ShardedNamespace::from_tree(base.clone()),
+        |mut ns| {
             let d = decode_delta(&delta.data).unwrap();
-            apply_delta(&mut tree, &d).unwrap();
-            replay_tail(&mut tree);
-            assert_eq!(tree.fingerprint(), expected_fp, "delta recovery divergence");
-            tree
+            apply_delta(&mut ns, &d).unwrap();
+            replay_wire(&ns, &tail_wire);
+            assert_eq!(ns.fingerprint(), expected_fp, "delta recovery divergence");
+            ns
         },
     );
 
@@ -322,96 +329,40 @@ fn main() {
     let batches = seal_batches(&txns);
     let records = txns.len() as u64;
 
-    let v1_wire: Vec<Bytes> = batches.iter().map(encode_batch_v1).collect();
-    let v2_wire: Vec<Bytes> = batches.iter().map(encode_batch).collect();
-    let v1_bytes: u64 = v1_wire.iter().map(|b| b.len() as u64).sum();
-    let v2_bytes: u64 = v2_wire.iter().map(|b| b.len() as u64).sum();
+    let wire: Vec<Bytes> = batches.iter().map(encode_batch).collect();
+    let wire_bytes: u64 = wire.iter().map(|b| b.len() as u64).sum();
 
-    // Every replay path must land on the generator's namespace.
-    let check = |tree: &NamespaceTree, what: &str| {
-        assert_eq!(tree.fingerprint(), expected_fp, "replay divergence in {what}");
+    // Every replay must land on the generator's namespace.
+    let check = |ns: &ShardedNamespace, what: &str| {
+        assert_eq!(ns.fingerprint(), expected_fp, "replay divergence in {what}");
     };
+    let replica = || ShardedNamespace::from_tree(base_tree(leaf_dirs).0);
 
     // Live standby: batches are already decoded, only the apply loop runs.
-    let live_naive_s = best_of(
-        reps,
-        || base_tree(leaf_dirs).0,
-        |mut tree| {
-            for b in &batches {
-                for (_, t) in b.entries() {
-                    tree.apply(t).unwrap();
-                }
-            }
-            check(&tree, "live naive");
-            tree
-        },
-    );
-    let live_session_s = best_of(
-        reps,
-        || base_tree(leaf_dirs).0,
-        |mut tree| {
-            let mut session = ReplaySession::new();
-            for b in &batches {
-                for (_, t) in b.entries() {
-                    session.apply(&mut tree, t).unwrap();
-                }
-            }
-            check(&tree, "live session");
-            tree
-        },
-    );
+    let live_s = best_of(reps, replica, |ns| {
+        let mut session = ShardedReplaySession::new();
+        for b in &batches {
+            apply_batch(&mut session, &ns, b);
+        }
+        check(&ns, "live");
+        ns
+    });
 
     // Cold junior catch-up: wire bytes → decode + apply.
-    let cold_v1_naive_s = best_of(
-        reps,
-        || base_tree(leaf_dirs).0,
-        |mut tree| {
-            for w in &v1_wire {
-                let b = decode_batch(w.clone()).unwrap();
-                for (_, t) in b.entries() {
-                    tree.apply(t).unwrap();
-                }
-            }
-            check(&tree, "cold v1 naive");
-            tree
-        },
-    );
-    let cold_v2_session_s = best_of(
-        reps,
-        || base_tree(leaf_dirs).0,
-        |mut tree| {
-            let mut session = ReplaySession::new();
-            for w in &v2_wire {
-                let b = decode_batch(w.clone()).unwrap();
-                for (_, t) in b.entries() {
-                    session.apply(&mut tree, t).unwrap();
-                }
-            }
-            check(&tree, "cold v2 session");
-            tree
-        },
-    );
+    let cold_s = best_of(reps, replica, |ns| {
+        replay_wire(&ns, &wire);
+        check(&ns, "cold");
+        ns
+    });
 
     let rate = |s: f64| records as f64 / s;
     println!(
-        "{records} records in {} batches | wire v1 {} KB, v2 {} KB ({:.2}x smaller)",
+        "{records} records in {} batches | wire {} KB ({:.1} B/record)",
         batches.len(),
-        v1_bytes >> 10,
-        v2_bytes >> 10,
-        v1_bytes as f64 / v2_bytes as f64,
+        wire_bytes >> 10,
+        wire_bytes as f64 / records as f64,
     );
-    println!(
-        "live:  naive {:.0} rec/s, session {:.0} rec/s ({:.2}x)",
-        rate(live_naive_s),
-        rate(live_session_s),
-        live_naive_s / live_session_s,
-    );
-    println!(
-        "cold:  v1+naive {:.0} rec/s, v2+session {:.0} rec/s ({:.2}x)",
-        rate(cold_v1_naive_s),
-        rate(cold_v2_session_s),
-        cold_v1_naive_s / cold_v2_session_s,
-    );
+    println!("live: {:.0} rec/s | cold (decode + apply): {:.0} rec/s", rate(live_s), rate(cold_s));
 
     // Delta catch-up sweep: always in the full run, opt-in for the CI
     // smoke via `--delta --quick`.
@@ -427,27 +378,16 @@ fn main() {
     // Hand-rolled JSON: the offline serde_json stand-in cannot serialize,
     // and this document is the repo's perf trajectory — it must hold real
     // numbers in every environment.
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut doc = format!(
-        "{{\n  \"bench\": \"replay\",\n  \"seed\": {SEED},\n  \"reps\": {reps},\n  \
-         \"records\": {records},\n  \"batches\": {},\n  \"batch_ops\": {BATCH_OPS},\n  \
-         \"wire_v1_bytes\": {v1_bytes},\n  \"wire_v2_bytes\": {v2_bytes},\n  \
-         \"wire_ratio_v1_over_v2\": {:.3},\n  \
-         \"live_naive_s\": {live_naive_s:.6},\n  \"live_session_s\": {live_session_s:.6},\n  \
-         \"live_naive_records_per_s\": {:.0},\n  \"live_session_records_per_s\": {:.0},\n  \
-         \"live_speedup_session\": {:.3},\n  \
-         \"cold_v1_naive_s\": {cold_v1_naive_s:.6},\n  \
-         \"cold_v2_session_s\": {cold_v2_session_s:.6},\n  \
-         \"cold_v1_naive_records_per_s\": {:.0},\n  \
-         \"cold_v2_session_records_per_s\": {:.0},\n  \
-         \"cold_speedup_v2_session\": {:.3}",
+        "{{\n  \"bench\": \"replay\",\n  \"seed\": {SEED},\n  \"host_cpus\": {host_cpus},\n  \
+         \"reps\": {reps},\n  \"records\": {records},\n  \"batches\": {},\n  \
+         \"batch_ops\": {BATCH_OPS},\n  \"wire_v2_bytes\": {wire_bytes},\n  \
+         \"live_s\": {live_s:.6},\n  \"live_records_per_s\": {:.0},\n  \
+         \"cold_s\": {cold_s:.6},\n  \"cold_records_per_s\": {:.0}",
         batches.len(),
-        v1_bytes as f64 / v2_bytes as f64,
-        rate(live_naive_s),
-        rate(live_session_s),
-        live_naive_s / live_session_s,
-        rate(cold_v1_naive_s),
-        rate(cold_v2_session_s),
-        cold_v1_naive_s / cold_v2_session_s,
+        rate(live_s),
+        rate(cold_s),
     );
     if !delta_results.is_empty() {
         doc.push_str(",\n  \"delta_catchup\": [\n");

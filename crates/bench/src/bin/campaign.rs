@@ -23,7 +23,6 @@ struct Args {
     seeds: u64,
     scenario: Option<String>,
     inject: bool,
-    legacy_echoes: bool,
     jobs: usize,
     shrink_budget: usize,
 }
@@ -33,7 +32,6 @@ fn parse_args() -> Args {
         seeds: 60,
         scenario: None,
         inject: false,
-        legacy_echoes: false,
         jobs: std::thread::available_parallelism().map(|n| n.get().min(8)).unwrap_or(4),
         shrink_budget: 32,
     };
@@ -43,10 +41,6 @@ fn parse_args() -> Args {
             "--seeds" => args.seeds = it.next().and_then(|v| v.parse().ok()).expect("--seeds N"),
             "--scenario" => args.scenario = Some(it.next().expect("--scenario NAME")),
             "--inject" => args.inject = true,
-            // Check under the pre-replication "modulo retry duplication"
-            // echo model instead of strict linearizability. Only for
-            // builds without the replicated retry window.
-            "--legacy-echoes" => args.legacy_echoes = true,
             "--jobs" => args.jobs = it.next().and_then(|v| v.parse().ok()).expect("--jobs N"),
             "--shrink-budget" => {
                 args.shrink_budget =
@@ -54,8 +48,8 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: campaign [--seeds N] [--scenario NAME] [--inject] [--legacy-echoes] \
-                     [--jobs N] [--shrink-budget N]"
+                    "usage: campaign [--seeds N] [--scenario NAME] [--inject] [--jobs N] \
+                     [--shrink-budget N]"
                 );
                 std::process::exit(0);
             }
@@ -121,12 +115,7 @@ fn main() {
             scope.spawn(|| loop {
                 let job = queue.lock().unwrap().pop();
                 let Some((si, seed)) = job else { break };
-                let cfg = RunConfig {
-                    seed,
-                    inject_double_ack: args.inject,
-                    legacy_echoes: args.legacy_echoes,
-                    ..Default::default()
-                };
+                let cfg = RunConfig { seed, inject_double_ack: args.inject, ..Default::default() };
                 let rep = run_scenario(&scenarios[si], &cfg);
                 reports.lock().unwrap().push(rep);
             });
@@ -140,11 +129,7 @@ fn main() {
     if !args.inject {
         for rep in reports.iter().filter(|r| r.failed()).take(3) {
             let sc = scenarios.iter().find(|s| s.name == rep.scenario).expect("scenario");
-            let cfg = RunConfig {
-                seed: rep.seed,
-                legacy_echoes: args.legacy_echoes,
-                ..Default::default()
-            };
+            let cfg = RunConfig { seed: rep.seed, ..Default::default() };
             println!(
                 "shrinking {}/seed {} ({} actions)...",
                 rep.scenario,
@@ -212,8 +197,7 @@ fn main() {
     let mut doc = serde_json::Map::new();
     doc.insert("seeds_per_scenario".into(), serde_json::Value::from(per_scenario as f64));
     doc.insert("injected_double_ack".into(), serde_json::Value::from(args.inject));
-    doc.insert("legacy_echoes".into(), serde_json::Value::from(args.legacy_echoes));
-    doc.insert("strict_linearizability".into(), serde_json::Value::from(!args.legacy_echoes));
+    doc.insert("strict_linearizability".into(), serde_json::Value::from(true));
     doc.insert("wall_secs".into(), serde_json::Value::from(t_start.elapsed().as_secs_f64()));
     let mut sc_map = serde_json::Map::new();
     for (name, t) in &tally {

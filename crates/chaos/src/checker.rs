@@ -26,25 +26,14 @@
 //! from the replicated window, never re-executed — there is no
 //! at-most-once hole across failover, and the checker holds every history
 //! (retried or not, across any number of failovers) to **strict**
-//! linearizability by default.
-//!
-//! The pre-replication model survives as an opt-in legacy mode
-//! ([`CheckerOpts::echoes`]): each completed mutation that needed more
-//! than one attempt contributes up to [`MAX_ECHOES`] optional *echo*
-//! entries — phantom executions in the same real-time window that the
-//! search may apply or discard, i.e. "linearizable modulo retry
-//! duplication". It exists only to check builds of the protocol without
-//! the replicated window (campaign `--legacy-echoes`); leaving it off is
-//! what gives the double-ack teeth test its bite even in faulty runs.
+//! linearizability. There is no other mode: a re-executed retry is a bug,
+//! which is what gives the double-ack teeth test its bite even in faulty
+//! runs.
 
 use std::collections::{HashMap, HashSet};
 
 use mams_cluster::OpRecord;
 use mams_core::{FsOp, OpOutput};
-
-/// Echo entries per retried mutation in legacy mode (bounds the
-/// branching).
-pub const MAX_ECHOES: u32 = 2;
 
 /// Search budget: explored configurations per component.
 pub const DEFAULT_BUDGET: u64 = 400_000;
@@ -70,10 +59,6 @@ impl CheckOutcome {
 #[derive(Debug, Clone, Copy)]
 pub struct CheckerOpts {
     pub budget: u64,
-    /// Legacy model of the pre-replication at-most-once hole (echo entries
-    /// for retried mutations). Off by default: the retry window is
-    /// replicated, so retries are strict too.
-    pub echoes: bool,
     /// Model the speculative-ack contract: a mutation acknowledged before
     /// durability (`OpRecord::spec`) may be lost on failover, so its
     /// success gets an extra "never applied" branch. Durable-ack records
@@ -83,7 +68,7 @@ pub struct CheckerOpts {
 
 impl Default for CheckerOpts {
     fn default() -> Self {
-        CheckerOpts { budget: DEFAULT_BUDGET, echoes: false, spec_maybe_lost: false }
+        CheckerOpts { budget: DEFAULT_BUDGET, spec_maybe_lost: false }
     }
 }
 
@@ -135,8 +120,7 @@ struct Entry {
 /// One independently checkable key component.
 struct Component {
     /// Per virtual client: entries in invocation order (real clients are
-    /// closed-loop, so per-client entries never overlap; echoes are
-    /// singleton queues).
+    /// closed-loop, so per-client entries never overlap).
     queues: Vec<Vec<Entry>>,
     n_paths: usize,
     /// Original records (for the witness).
@@ -350,19 +334,6 @@ fn build_components(records: &[OpRecord], opts: &CheckerOpts) -> Vec<Component> 
                 queues.len() - 1
             });
             queues[qi].push(Entry { inv, ret, branches });
-
-            // Legacy echo entries: without a replicated retry window, each
-            // extra attempt of a completed mutation may have executed once
-            // more.
-            if opts.echoes && is_mutation && r.attempts > 1 {
-                for _ in 0..(r.attempts - 1).min(MAX_ECHOES) {
-                    let mut eb = vec![NOOP];
-                    if let Some(b) = success_branch(&r.op, slot) {
-                        eb.push(b);
-                    }
-                    queues.push(vec![Entry { inv, ret, branches: eb }]);
-                }
-            }
         }
 
         // Per-queue entries must be in invocation order (real clients are
@@ -617,12 +588,10 @@ mod tests {
     }
 
     #[test]
-    fn retry_duplication_is_a_violation_unless_legacy_echoes_opt_in() {
+    fn retry_duplication_is_a_violation() {
         // Client 0's create took 2 attempts across a failover; its second
         // execution resurrects the file after client 1's delete. With the
-        // replicated retry window that re-execution is a real bug, so the
-        // strict default convicts; only the legacy echo model (for builds
-        // without the window) explains it away.
+        // replicated retry window that re-execution is a real bug.
         let recs = vec![
             rec(0, create("/hot/f0"), (0, Some(20)), Some(true), 2),
             rec(1, delete("/hot/f0"), (5, Some(6)), Some(true), 1),
@@ -633,8 +602,6 @@ mod tests {
             },
         ];
         assert!(check_history(&recs).is_violation());
-        let legacy = CheckerOpts { echoes: true, ..CheckerOpts::default() };
-        assert!(matches!(check_history_with(&recs, &legacy), CheckOutcome::Ok { .. }));
     }
 
     #[test]

@@ -29,10 +29,6 @@ pub struct RunConfig {
     pub seed: u64,
     /// Arm the deliberate double-ack defect (teeth test for the checker).
     pub inject_double_ack: bool,
-    /// Check under the legacy "modulo retry duplication" echo model
-    /// instead of strict linearizability (for builds without the
-    /// replicated retry window; campaign `--legacy-echoes`).
-    pub legacy_echoes: bool,
     /// Replace the scenario's generated fault program (shrinking).
     pub program: Option<Vec<FaultAction>>,
     /// Checker override (None = defaults).
@@ -378,11 +374,9 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
     // Speculative runs relax the checker (spec acks may be lost to
     // failover) but add the token contract: ordering tokens may only
     // regress once a fault could have fired.
-    let checker = cfg.checker.unwrap_or(CheckerOpts {
-        spec_maybe_lost: sc.speculative,
-        echoes: cfg.legacy_echoes,
-        ..CheckerOpts::default()
-    });
+    let checker = cfg
+        .checker
+        .unwrap_or(CheckerOpts { spec_maybe_lost: sc.speculative, ..CheckerOpts::default() });
     if sc.speculative {
         let first_fault_us =
             program.iter().map(|a| t0.micros() + a.at_ms * 1_000).min().unwrap_or(u64::MAX);
@@ -462,7 +456,7 @@ mod tests {
     fn retry_across_failover_scenario_is_strictly_linearizable() {
         // Reply cuts force same-seq retries onto a freshly promoted
         // active; the window seeded from journal replay must answer them
-        // exactly-once. Checked strictly (echoes off by default).
+        // exactly-once.
         let sc = scenario::by_name("retry_across_failover").unwrap();
         let rep = run_scenario(&sc, &RunConfig { seed: 9, ..Default::default() });
         assert!(!rep.failed(), "invariants: {:?} check: {:?}", rep.invariants, rep.check);

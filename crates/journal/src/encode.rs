@@ -1,47 +1,39 @@
 //! Binary journal encoding.
 //!
 //! The SSP stores journal segments as sequential shared files; this module
-//! defines the record format. Two versions exist behind the header's
-//! version field:
+//! defines the record format. There is one: **wire version 2**, named by
+//! the header's version field. Any other version is refused with
+//! [`EncodeError::BadVersion`].
 //!
-//! * **v1** — fixed-width header (`sn`, `first_txid`, record count as
-//!   u64/u32), u16-length-prefixed path strings, and a trailing FNV-1a-64
-//!   checksum computed by a second scan over the body. Still decoded for
-//!   compatibility with journals written by older actives.
-//! * **v2** — the current write format. Header integers are LEB128
-//!   varints; per-record txids stay implicit deltas from the varint
-//!   `first_txid` base (txid of record *i* is `first_txid + i`). Paths are
-//!   prefix-compressed against the previous path in the batch: journals
-//!   have heavy directory locality (a client writing `/a/b/f0001..f9999`
-//!   repeats the 40-byte prefix thousands of times), so each path is
-//!   `⟨varint shared, varint suffix_len, suffix bytes⟩` where `shared` is
-//!   the byte length of the common prefix with the previously encoded
-//!   path. `Rename` chains: `src` deltas against the previous path and
-//!   `dst` deltas against `src`. The checksum is folded in while encoding
-//!   via [`HashingBuf`] — sealing a batch is one 8-byte append, not a
-//!   second pass. After the records the body may carry an **ack section**
-//!   (varint count + per-entry `⟨record idx, client, seq, flags⟩`
-//!   varints) binding records to the client requests they answer — the
-//!   replicated retry-outcome window rides here. The section is detected
-//!   by "body bytes remain after the `n` records", so v2 bytes written
-//!   before the extension decode unchanged with an empty ack list, and
-//!   old decoders never looked past record `n` anyway: read-compat both
-//!   ways.
+//! Header integers are LEB128 varints; per-record txids stay implicit
+//! deltas from the varint `first_txid` base (txid of record *i* is
+//! `first_txid + i`). Paths are prefix-compressed against the previous path
+//! in the batch: journals have heavy directory locality (a client writing
+//! `/a/b/f0001..f9999` repeats the 40-byte prefix thousands of times), so
+//! each path is `⟨varint shared, varint suffix_len, suffix bytes⟩` where
+//! `shared` is the byte length of the common prefix with the previously
+//! encoded path. `Rename` chains: `src` deltas against the previous path
+//! and `dst` deltas against `src`. The checksum is folded in while encoding
+//! via [`HashingBuf`] — sealing a batch is one 8-byte append, not a second
+//! pass. After the records the body may carry an **ack section** (varint
+//! count + per-entry `⟨record idx, client, seq, flags⟩` varints) binding
+//! records to the client requests they answer — the replicated
+//! retry-outcome window rides here. The section is elided when the batch
+//! owes nothing to a client and detected by "body bytes remain after the
+//! `n` records".
 //!
-//! Both versions end with the same 8-byte big-endian FNV-1a-64 trailer over
-//! everything before it, so a torn or corrupted write is detected on
-//! replay before any field is trusted.
+//! A batch ends with an 8-byte big-endian FNV-1a-64 trailer over everything
+//! before it, so a torn or corrupted write is detected on replay before any
+//! field is trusted.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 
 use crate::hash::{fnv1a64, peek_varint, HashingBuf, Varint};
 use crate::txn::{AckRecord, JournalBatch, Txn};
 
 /// Format magic: "MAMSJRNL" truncated to 4 bytes.
 pub const MAGIC: u32 = 0x4d4a_524e;
-/// Legacy fixed-width format.
-pub const VERSION_V1: u16 = 1;
-/// Varint + prefix-compressed-path format (current write format).
+/// The wire version: varints + prefix-compressed paths.
 pub const VERSION_V2: u16 = 2;
 
 /// Decoding failure.
@@ -57,7 +49,7 @@ pub enum EncodeError {
     BadTag(u8),
     BadUtf8,
     BadVarint,
-    /// A v2 path delta referenced more shared bytes than the previous path
+    /// A path delta referenced more shared bytes than the previous path
     /// has, or split it off a UTF-8 character boundary.
     BadPrefix {
         shared: u64,
@@ -85,134 +77,6 @@ impl std::fmt::Display for EncodeError {
 }
 
 impl std::error::Error for EncodeError {}
-
-// ---------------------------------------------------------------------------
-// v1 (legacy fixed-width)
-// ---------------------------------------------------------------------------
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u16(s.len() as u16);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut Bytes) -> Result<String, EncodeError> {
-    if buf.remaining() < 2 {
-        return Err(EncodeError::Truncated);
-    }
-    let len = buf.get_u16() as usize;
-    if buf.remaining() < len {
-        return Err(EncodeError::Truncated);
-    }
-    let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| EncodeError::BadUtf8)
-}
-
-fn put_txn_v1(buf: &mut BytesMut, t: &Txn) {
-    buf.put_u8(t.tag());
-    match t {
-        Txn::Create { path, replication } => {
-            put_str(buf, path);
-            buf.put_u8(*replication);
-        }
-        Txn::Mkdir { path } => put_str(buf, path),
-        Txn::Delete { path, recursive } => {
-            put_str(buf, path);
-            buf.put_u8(*recursive as u8);
-        }
-        Txn::Rename { src, dst } => {
-            put_str(buf, src);
-            put_str(buf, dst);
-        }
-        Txn::AddBlock { path, block_id, len } => {
-            put_str(buf, path);
-            buf.put_u64(*block_id);
-            buf.put_u32(*len);
-        }
-        Txn::CloseFile { path } => put_str(buf, path),
-        Txn::SetPerm { path, perm } => {
-            put_str(buf, path);
-            buf.put_u16(*perm);
-        }
-    }
-}
-
-fn get_txn_v1(buf: &mut Bytes) -> Result<Txn, EncodeError> {
-    if buf.remaining() < 1 {
-        return Err(EncodeError::Truncated);
-    }
-    let tag = buf.get_u8();
-    Ok(match tag {
-        1 => {
-            let path = get_str(buf)?;
-            if buf.remaining() < 1 {
-                return Err(EncodeError::Truncated);
-            }
-            Txn::Create { path, replication: buf.get_u8() }
-        }
-        2 => Txn::Mkdir { path: get_str(buf)? },
-        3 => {
-            let path = get_str(buf)?;
-            if buf.remaining() < 1 {
-                return Err(EncodeError::Truncated);
-            }
-            Txn::Delete { path, recursive: buf.get_u8() != 0 }
-        }
-        4 => Txn::Rename { src: get_str(buf)?, dst: get_str(buf)? },
-        5 => {
-            let path = get_str(buf)?;
-            if buf.remaining() < 12 {
-                return Err(EncodeError::Truncated);
-            }
-            Txn::AddBlock { path, block_id: buf.get_u64(), len: buf.get_u32() }
-        }
-        6 => Txn::CloseFile { path: get_str(buf)? },
-        7 => {
-            let path = get_str(buf)?;
-            if buf.remaining() < 2 {
-                return Err(EncodeError::Truncated);
-            }
-            Txn::SetPerm { path, perm: buf.get_u16() }
-        }
-        t => return Err(EncodeError::BadTag(t)),
-    })
-}
-
-/// Encode a batch in the legacy v1 format. Kept for the bench baseline and
-/// for tests exercising the read-compat path; new wire bytes use v2.
-pub fn encode_batch_v1(batch: &JournalBatch) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + batch.records.len() * 48);
-    buf.put_u32(MAGIC);
-    buf.put_u16(VERSION_V1);
-    buf.put_u64(batch.sn);
-    buf.put_u64(batch.first_txid);
-    buf.put_u32(batch.records.len() as u32);
-    for t in &batch.records {
-        put_txn_v1(&mut buf, t);
-    }
-    let sum = fnv1a64(&buf);
-    buf.put_u64(sum);
-    buf.freeze()
-}
-
-fn decode_batch_v1(mut buf: Bytes) -> Result<JournalBatch, EncodeError> {
-    if buf.remaining() < 8 + 8 + 4 {
-        return Err(EncodeError::Truncated);
-    }
-    let sn = buf.get_u64();
-    let first_txid = buf.get_u64();
-    let n = buf.get_u32() as usize;
-    let mut records = Vec::with_capacity(n);
-    for _ in 0..n {
-        records.push(get_txn_v1(&mut buf)?);
-    }
-    // v1 predates the ack section; journals written by old actives carry
-    // no replicated retry outcomes.
-    Ok(JournalBatch { sn, first_txid, records, acks: Vec::new() })
-}
-
-// ---------------------------------------------------------------------------
-// v2 (varints + prefix-compressed paths + incremental checksum)
-// ---------------------------------------------------------------------------
 
 /// Longest common prefix of `prev` and `next` in bytes, clamped back to a
 /// character boundary so the suffix stays valid UTF-8 on its own.
@@ -266,7 +130,7 @@ fn put_txn_v2(buf: &mut HashingBuf, prev: &mut String, t: &Txn) {
     }
 }
 
-/// A consuming view over the checksum-verified v2 body.
+/// A consuming view over the checksum-verified body.
 struct Reader<'a> {
     w: &'a [u8],
 }
@@ -354,7 +218,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Encode a batch into its on-disk/wire bytes (current format, v2).
+/// Encode a batch into its on-disk/wire bytes.
 pub fn encode_batch(batch: &JournalBatch) -> Bytes {
     let mut buf = HashingBuf::with_capacity(32 + batch.records.len() * 24);
     buf.put_u32(MAGIC);
@@ -366,8 +230,7 @@ pub fn encode_batch(batch: &JournalBatch) -> Bytes {
     for t in &batch.records {
         put_txn_v2(&mut buf, &mut prev, t);
     }
-    // Optional ack section. Elided when empty so ack-free batches stay
-    // byte-identical to the pre-extension format.
+    // Optional ack section, elided when empty.
     if !batch.acks.is_empty() {
         buf.put_varint(batch.acks.len() as u64);
         for a in &batch.acks {
@@ -390,8 +253,8 @@ fn decode_batch_v2(body: &[u8]) -> Result<JournalBatch, EncodeError> {
     for _ in 0..n {
         records.push(r.txn(&mut prev)?);
     }
-    // Body bytes past the records host the ack section (absent in batches
-    // written before the extension, or with nothing owed to clients).
+    // Body bytes past the records host the ack section (absent when the
+    // batch owes nothing to a client).
     let mut acks = Vec::new();
     if !r.w.is_empty() {
         let count = r.varint()? as usize;
@@ -413,7 +276,7 @@ fn decode_batch_v2(body: &[u8]) -> Result<JournalBatch, EncodeError> {
     Ok(JournalBatch { sn, first_txid, records, acks })
 }
 
-/// Decode a batch of either version, verifying magic, version and checksum.
+/// Decode a batch, verifying checksum, magic and version.
 pub fn decode_batch(data: Bytes) -> Result<JournalBatch, EncodeError> {
     if data.remaining() < 8 {
         return Err(EncodeError::Truncated);
@@ -433,7 +296,6 @@ pub fn decode_batch(data: Bytes) -> Result<JournalBatch, EncodeError> {
     }
     let version = u16::from_be_bytes(data[4..6].try_into().expect("2 bytes"));
     match version {
-        VERSION_V1 => decode_batch_v1(data.slice(6..body_len)),
         VERSION_V2 => decode_batch_v2(&data[6..body_len]),
         v => Err(EncodeError::BadVersion(v)),
     }
@@ -480,9 +342,7 @@ mod tests {
     }
 
     #[test]
-    fn ack_free_batches_stay_byte_identical_to_pre_extension_wire() {
-        // The section is elided when empty, so old v2 bytes (which are
-        // exactly this encoding) decode to an empty ack list: read-compat.
+    fn ack_section_is_elided_when_empty() {
         let b = sample_batch();
         let enc = encode_batch(&b);
         let dec = decode_batch(enc.clone()).unwrap();
@@ -503,45 +363,20 @@ mod tests {
     }
 
     #[test]
-    fn v1_drops_acks_but_still_decodes() {
-        let mut b = sample_batch();
-        b.acks = vec![AckRecord { record: 0, client: 3, seq: 9, spec: false }];
-        let dec = decode_batch(encode_batch_v1(&b)).unwrap();
-        assert_eq!(dec.records, b.records);
-        assert!(dec.acks.is_empty(), "legacy format cannot carry the window");
-    }
-
-    #[test]
-    fn v1_round_trip_still_decodes() {
-        let b = sample_batch();
-        let enc = encode_batch_v1(&b);
-        assert_eq!(decode_batch(enc).unwrap(), b);
-    }
-
-    #[test]
-    fn v1_and_v2_decode_agree() {
-        let b = sample_batch();
-        assert_eq!(
-            decode_batch(encode_batch_v1(&b)).unwrap(),
-            decode_batch(encode_batch(&b)).unwrap()
-        );
-    }
-
-    #[test]
     fn v2_prefix_compression_shrinks_local_workloads() {
-        // A directory-local run of creates: v2's shared-prefix deltas
-        // should beat v1's full path strings comfortably.
+        // A directory-local run of creates: shared-prefix deltas should
+        // beat the raw path bytes comfortably.
         let records: Vec<Txn> = (0..256)
             .map(|i| Txn::Create {
                 path: format!("/warehouse/db7/events/part-{i:05}"),
                 replication: 3,
             })
             .collect();
+        let raw: usize = records.iter().map(|t| t.primary_path().len()).sum();
         let b = JournalBatch::new(9, 1000, records);
-        let v1 = encode_batch_v1(&b);
-        let v2 = encode_batch(&b);
-        assert_eq!(decode_batch(v2.clone()).unwrap(), b);
-        assert!(v2.len() * 2 < v1.len(), "v2 ({}) should be <half of v1 ({})", v2.len(), v1.len());
+        let enc = encode_batch(&b);
+        assert_eq!(decode_batch(enc.clone()).unwrap(), b);
+        assert!(enc.len() * 2 < raw, "wire ({}) should be <half of the paths ({raw})", enc.len());
     }
 
     #[test]
@@ -565,39 +400,36 @@ mod tests {
     fn single_record_batch_round_trips() {
         let b = JournalBatch::new(1, u64::MAX - 1, vec![Txn::Mkdir { path: "/x".into() }]);
         assert_eq!(decode_batch(encode_batch(&b)).unwrap(), b);
-        assert_eq!(decode_batch(encode_batch_v1(&b)).unwrap(), b);
     }
 
     #[test]
     fn corruption_detected() {
-        for enc in [encode_batch(&sample_batch()), encode_batch_v1(&sample_batch())] {
-            for i in [0usize, 6, enc.len() / 2, enc.len() - 1] {
-                let mut bad = enc.to_vec();
-                bad[i] ^= 0xff;
-                let err = decode_batch(Bytes::from(bad)).unwrap_err();
-                assert!(
-                    matches!(
-                        err,
-                        EncodeError::BadChecksum { .. }
-                            | EncodeError::BadMagic(_)
-                            | EncodeError::BadVersion(_)
-                    ),
-                    "unexpected error at byte {i}: {err:?}"
-                );
-            }
+        let enc = encode_batch(&sample_batch());
+        for i in [0usize, 6, enc.len() / 2, enc.len() - 1] {
+            let mut bad = enc.to_vec();
+            bad[i] ^= 0xff;
+            let err = decode_batch(Bytes::from(bad)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    EncodeError::BadChecksum { .. }
+                        | EncodeError::BadMagic(_)
+                        | EncodeError::BadVersion(_)
+                ),
+                "unexpected error at byte {i}: {err:?}"
+            );
         }
     }
 
     #[test]
     fn truncation_detected() {
-        for enc in [encode_batch(&sample_batch()), encode_batch_v1(&sample_batch())] {
-            for cut in [0usize, 4, 7, 20, enc.len() - 9] {
-                let err = decode_batch(enc.slice(..cut)).unwrap_err();
-                assert!(
-                    matches!(err, EncodeError::Truncated | EncodeError::BadChecksum { .. }),
-                    "cut={cut}: {err:?}"
-                );
-            }
+        let enc = encode_batch(&sample_batch());
+        for cut in [0usize, 4, 7, 20, enc.len() - 9] {
+            let err = decode_batch(enc.slice(..cut)).unwrap_err();
+            assert!(
+                matches!(err, EncodeError::Truncated | EncodeError::BadChecksum { .. }),
+                "cut={cut}: {err:?}"
+            );
         }
     }
 

@@ -27,7 +27,7 @@ pub mod shared;
 pub mod txn;
 
 pub use cursor::{Apply, ReplayCursor, ReplayOutcome};
-pub use encode::{decode_batch, encode_batch, encode_batch_v1, EncodeError};
+pub use encode::{decode_batch, encode_batch, EncodeError};
 pub use hash::{fnv1a64, peek_varint, Fnv1a64, HashingBuf, Varint};
 pub use log::{AppendOutcome, JournalError, JournalLog};
 pub use shared::SharedBatch;

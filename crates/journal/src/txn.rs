@@ -112,8 +112,6 @@ pub struct JournalBatch {
     pub first_txid: TxnId,
     pub records: Vec<Txn>,
     /// Which records answer which client requests (ascending by `record`).
-    /// Only the v2 wire format carries these; legacy v1 bytes decode with
-    /// an empty list.
     pub acks: Vec<AckRecord>,
 }
 

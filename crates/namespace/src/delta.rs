@@ -436,9 +436,9 @@ pub fn decode_delta(data: &[u8]) -> Result<DecodedDelta, ImageError> {
         let tag = r.u8()?;
         let shared = r.varint()? as usize;
         let suffix_len = r.varint()? as usize;
-        if shared > prev.len() {
+        if shared > prev.len() || !prev.is_char_boundary(shared) {
             return Err(ImageError::Corrupt(format!(
-                "prefix {shared} exceeds previous path length {}",
+                "prefix {shared} does not fit the previous {}-byte path",
                 prev.len()
             )));
         }

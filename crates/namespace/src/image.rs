@@ -1,19 +1,18 @@
 //! Namespace images: checkpoints of the whole tree.
 //!
 //! The renewing protocol ships an image to a junior whose journal gap is too
-//! large to replay record-by-record. Two wire formats exist behind the
-//! version byte:
+//! large to replay record-by-record. There is one wire format, **version
+//! 2**, named in the header; any other version is refused with
+//! [`ImageError::BadVersion`].
 //!
-//! * **v1** (legacy): a preorder DFS of *full-path* entries, rebuilt by the
-//!   decoder through the public namespace operations. Still decoded for
-//!   images written before the v2 cutover; no longer written.
-//! * **v2** (current): a preorder DFS of **parent-id delta** entries —
-//!   `(parent entry index, name, attrs)` with varint lengths. The encoder
-//!   emits borrowed name slices (zero per-entry `String`s) and the decoder
-//!   attaches each inode directly under its already-materialized parent in
-//!   a single pass: no from-root path resolution, no second lookup to set
-//!   permissions, and names shrink the image (a path appears once, not once
-//!   per descendant).
+//! The body is a preorder DFS of **parent-id delta** entries — `(parent
+//! entry index, name, attrs)` with varint lengths. The encoder emits
+//! borrowed name slices (zero per-entry `String`s) and the decoder attaches
+//! each inode directly under its already-materialized parent in a single
+//! pass: no from-root path resolution, no second lookup to set permissions,
+//! and a name appears once, not once per descendant. After the tree entries
+//! an image may carry the retry-outcome window as one `W`-tagged,
+//! length-prefixed section, elided when the window is empty.
 //!
 //! Images are read back in *chunks* so the junior can checkpoint its
 //! progress and resume after an interruption (Section III-D: "the junior
@@ -30,18 +29,13 @@ use mams_journal::hash::{peek_varint, Fnv1a64, HashingBuf, Varint};
 use mams_journal::Sn;
 
 use crate::inode::{Inode, InodeId, ROOT_ID};
-use crate::path as nspath;
 use crate::retry::RetryWindow;
 use crate::tree::NamespaceTree;
 
 /// Image format magic ("MIMG").
 pub const MAGIC: u32 = 0x4d49_4d47;
-/// Legacy full-path image format.
-pub const VERSION_V1: u16 = 1;
-/// Parent-id delta image format.
+/// The image format version: parent-id delta entries.
 pub const VERSION_V2: u16 = 2;
-/// Current image format version (what encoders write).
-pub const VERSION: u16 = VERSION_V2;
 
 /// Fixed header: magic (4) + version (2) + checkpoint sn (8) + root perm (2).
 const HEADER_LEN: usize = 16;
@@ -111,35 +105,31 @@ impl NamespaceImage {
 // ------------------------------------------------------------------ encode
 //
 // The checksum machinery ([`Fnv1a64`], [`HashingBuf`], varints) is shared
-// with the journal wire format and lives in `mams_journal::hash`; the
-// digests here are byte-identical to the private copy this module carried
-// before the hoist, so old images still verify.
+// with the journal wire format and lives in `mams_journal::hash`.
 
-fn put_header(out: &mut HashingBuf, version: u16, checkpoint_sn: Sn, root_perm: u16) {
+fn put_header(out: &mut HashingBuf, checkpoint_sn: Sn, root_perm: u16) {
     out.put_u32(MAGIC);
-    out.put_u16(version);
+    out.put_u16(VERSION_V2);
     out.put_u64(checkpoint_sn);
     out.put_u16(root_perm);
 }
 
-/// Encode the tree into a current-format (v2) image checkpointed at
-/// `checkpoint_sn`.
+/// Encode the tree into an image checkpointed at `checkpoint_sn`.
 pub fn encode_image(tree: &NamespaceTree, checkpoint_sn: Sn) -> NamespaceImage {
     encode_image_with_window(tree, checkpoint_sn, &RetryWindow::new())
 }
 
-/// Encode a v2 image carrying the retry-outcome window as of
+/// Encode an image carrying the retry-outcome window as of
 /// `checkpoint_sn`. The window rides as one `W`-tagged, length-prefixed
-/// section after the tree entries (elided when empty, so window-free
-/// images stay byte-identical to the pre-extension format and old images
-/// decode with an empty window).
+/// section after the tree entries, elided when empty (such an image decodes
+/// with an empty window).
 pub fn encode_image_with_window(
     tree: &NamespaceTree,
     checkpoint_sn: Sn,
     window: &RetryWindow,
 ) -> NamespaceImage {
     let mut out = HashingBuf::with_capacity(4096);
-    put_header(&mut out, VERSION_V2, checkpoint_sn, tree.inodes[&ROOT_ID].perm());
+    put_header(&mut out, checkpoint_sn, tree.inodes[&ROOT_ID].perm());
 
     // Preorder DFS. Every emitted entry gets the next index (the root is
     // index 0 and is never emitted); children reference their parent by
@@ -195,51 +185,6 @@ pub fn encode_image_with_window(
     }
 }
 
-/// Encode the tree in the legacy full-path v1 format. Kept for
-/// compatibility tests and as the benchmark baseline; production writers
-/// use [`encode_image`].
-pub fn encode_image_v1(tree: &NamespaceTree, checkpoint_sn: Sn) -> NamespaceImage {
-    let mut out = HashingBuf::with_capacity(4096);
-    put_header(&mut out, VERSION_V1, checkpoint_sn, tree.inodes[&ROOT_ID].perm());
-
-    // Preorder DFS with explicit paths; children of a directory are visited
-    // in sorted order, so parents always precede children.
-    let mut stack: Vec<(InodeId, String)> = vec![(ROOT_ID, "/".to_string())];
-    while let Some((id, p)) = stack.pop() {
-        match &tree.inodes[&id] {
-            Inode::Directory { children, perm } => {
-                if id != ROOT_ID {
-                    out.put_u8(b'D');
-                    out.put_u32(p.len() as u32);
-                    out.put_slice(p.as_bytes());
-                    out.put_u16(*perm);
-                }
-                for (name, child) in children.iter().rev() {
-                    stack.push((*child, nspath::join(&p, name)));
-                }
-            }
-            Inode::File { blocks, replication, sealed, perm } => {
-                out.put_u8(b'F');
-                out.put_u32(p.len() as u32);
-                out.put_slice(p.as_bytes());
-                out.put_u16(*perm);
-                out.put_u8(*replication);
-                out.put_u8(*sealed as u8);
-                out.put_u32(blocks.len() as u32);
-                for b in blocks {
-                    out.put_u64(*b);
-                }
-            }
-        }
-    }
-    NamespaceImage {
-        checkpoint_sn,
-        data: out.seal(),
-        files: tree.num_files(),
-        dirs: tree.num_dirs(),
-    }
-}
-
 // ------------------------------------------------------------------ decode
 
 /// Chunk-incremental image decoder.
@@ -248,8 +193,7 @@ pub fn encode_image_v1(tree: &NamespaceTree, checkpoint_sn: Sn) -> NamespaceImag
 /// with [`push`](Self::push), then call [`finish`](Self::finish) once the
 /// whole image has been delivered. Entries are applied to the tree as soon
 /// as they are complete, so decoding overlaps the transfer and no whole-
-/// image buffer ever exists. The decoder handles both wire formats behind
-/// the version byte.
+/// image buffer ever exists.
 ///
 /// **Checkpoint rule:** after any `push`, [`checkpoint`](Self::checkpoint)
 /// reports `(offset, last_inode)` — the total bytes accepted and the most
@@ -264,10 +208,9 @@ pub fn encode_image_v1(tree: &NamespaceTree, checkpoint_sn: Sn) -> NamespaceImag
 #[derive(Debug)]
 pub struct StreamingImageDecoder {
     tree: NamespaceTree,
-    /// Entry index → inode id (index 0 is the root). v2 only.
+    /// Entry index → inode id (index 0 is the root).
     ids: Vec<InodeId>,
     sn: Sn,
-    version: u16,
     header_done: bool,
     hash: Fnv1a64,
     /// Total bytes accepted (the junior's resume offset).
@@ -295,7 +238,6 @@ impl StreamingImageDecoder {
             tree: NamespaceTree::new(),
             ids: vec![ROOT_ID],
             sn: 0,
-            version: 0,
             header_done: false,
             hash: Fnv1a64::new(),
             offset: 0,
@@ -348,15 +290,10 @@ impl StreamingImageDecoder {
     /// Purely an optimization — avoids rehash churn while millions of
     /// entries stream in.
     pub fn reserve_hint(&mut self, image_bytes: u64) {
-        // A v2 entry averages ~30 encoded bytes.
+        // An entry averages ~30 encoded bytes.
         let entries = (image_bytes / 30) as usize;
         self.ids.reserve(entries);
         self.tree.reserve_inodes(entries);
-    }
-
-    /// Wire format version, once the header has been seen.
-    pub fn version(&self) -> Option<u16> {
-        self.header_done.then_some(self.version)
     }
 
     /// The checkpoint sn from the header, once seen.
@@ -404,25 +341,19 @@ impl StreamingImageDecoder {
                 return Err(ImageError::BadMagic(magic));
             }
             let version = u16::from_be_bytes(s[4..6].try_into().expect("2 bytes"));
-            if version != VERSION_V1 && version != VERSION_V2 {
+            if version != VERSION_V2 {
                 return Err(ImageError::BadVersion(version));
             }
             self.sn = u64::from_be_bytes(s[6..14].try_into().expect("8 bytes"));
             let root_perm = u16::from_be_bytes(s[14..16].try_into().expect("2 bytes"));
             self.tree.inodes.get_mut(&ROOT_ID).expect("root exists").set_perm(root_perm);
             self.hash.write(&s[..HEADER_LEN]);
-            self.version = version;
             self.header_done = true;
             pos = HEADER_LEN;
         }
         while s.len() - pos > TRAILER_LEN {
             let window = &s[pos..s.len() - TRAILER_LEN];
-            let step = if self.version == VERSION_V2 {
-                self.entry_v2(window)?
-            } else {
-                self.entry_v1(window)?
-            };
-            match step {
+            match self.entry_v2(window)? {
                 Some(n) => {
                     self.hash.write(&window[..n]);
                     pos += n;
@@ -433,8 +364,8 @@ impl StreamingImageDecoder {
         Ok(pos)
     }
 
-    /// Try to decode one v2 entry from the front of `w`. `Ok(None)` means
-    /// the entry is not complete yet.
+    /// Try to decode one entry from the front of `w`. `Ok(None)` means the
+    /// entry is not complete yet.
     fn entry_v2(&mut self, w: &[u8]) -> Result<Option<usize>, ImageError> {
         let Some(&kind) = w.first() else { return Ok(None) };
         if self.window_seen {
@@ -450,15 +381,16 @@ impl StreamingImageDecoder {
                 Varint::Bad => return Err(ImageError::Corrupt("malformed window length".into())),
                 Varint::Val(v, n) => {
                     pos += n;
-                    v as usize
+                    v
                 }
             };
-            if w.len() < pos + wlen {
+            let end = claimed_end(pos, wlen)?;
+            if w.len() < end {
                 return Ok(None);
             }
-            self.window = RetryWindow::decode_bytes(&w[pos..pos + wlen])?;
+            self.window = RetryWindow::decode_bytes(&w[pos..end])?;
             self.window_seen = true;
-            return Ok(Some(pos + wlen));
+            return Ok(Some(end));
         }
         let mut pos = 1;
         let parent = match peek_varint(&w[pos..]) {
@@ -474,15 +406,16 @@ impl StreamingImageDecoder {
             Varint::Bad => return Err(ImageError::Corrupt("malformed name length".into())),
             Varint::Val(v, n) => {
                 pos += n;
-                v as usize
+                v
             }
         };
-        if w.len() < pos + nlen {
+        let end = claimed_end(pos, nlen)?;
+        if w.len() < end {
             return Ok(None);
         }
-        let name = std::str::from_utf8(&w[pos..pos + nlen])
+        let name = std::str::from_utf8(&w[pos..end])
             .map_err(|_| ImageError::Corrupt("non-UTF-8 name".into()))?;
-        pos += nlen;
+        pos = end;
         if name.is_empty() || name.contains('/') || name == "." || name == ".." {
             return Err(ImageError::Corrupt(format!("invalid component name {name:?}")));
         }
@@ -540,67 +473,20 @@ impl StreamingImageDecoder {
         self.last_id = id;
         Ok(Some(pos))
     }
-
-    /// Try to decode one legacy v1 full-path entry from the front of `w`.
-    /// Paths are decoded as borrowed slices — one interned-name allocation
-    /// inside the tree, no intermediate copies.
-    fn entry_v1(&mut self, w: &[u8]) -> Result<Option<usize>, ImageError> {
-        if w.len() < 5 {
-            return Ok(None);
-        }
-        let kind = w[0];
-        let plen = u32::from_be_bytes(w[1..5].try_into().expect("4 bytes")) as usize;
-        if w.len() < 5 + plen {
-            return Ok(None);
-        }
-        let p = std::str::from_utf8(&w[5..5 + plen])
-            .map_err(|_| ImageError::Corrupt("non-UTF-8 path".into()))?;
-        let mut pos = 5 + plen;
-        let corrupt = |e: crate::tree::NsError| ImageError::Corrupt(e.to_string());
-        match kind {
-            b'D' => {
-                if w.len() < pos + 2 {
-                    return Ok(None);
-                }
-                let perm = u16::from_be_bytes(w[pos..pos + 2].try_into().expect("2 bytes"));
-                pos += 2;
-                self.tree.mkdir(p).map_err(corrupt)?;
-                self.tree.set_perm(p, perm).map_err(corrupt)?;
-            }
-            b'F' => {
-                if w.len() < pos + 2 + 1 + 1 + 4 {
-                    return Ok(None);
-                }
-                let perm = u16::from_be_bytes(w[pos..pos + 2].try_into().expect("2 bytes"));
-                let replication = w[pos + 2];
-                let sealed = w[pos + 3] != 0;
-                let nblocks =
-                    u32::from_be_bytes(w[pos + 4..pos + 8].try_into().expect("4 bytes")) as usize;
-                pos += 8;
-                if w.len() < pos + nblocks * 8 {
-                    return Ok(None);
-                }
-                self.tree.create(p, replication).map_err(corrupt)?;
-                for _ in 0..nblocks {
-                    let b = u64::from_be_bytes(w[pos..pos + 8].try_into().expect("8 bytes"));
-                    pos += 8;
-                    self.tree.add_block(p, b).map_err(corrupt)?;
-                }
-                if sealed {
-                    self.tree.close_file(p).map_err(corrupt)?;
-                }
-                self.tree.set_perm(p, perm).map_err(corrupt)?;
-            }
-            k => return Err(ImageError::Corrupt(format!("unknown entry kind {k}"))),
-        }
-        if let Some(id) = self.tree.resolve_path(p) {
-            self.last_id = id;
-        }
-        Ok(Some(pos))
-    }
 }
 
-/// Decode a whole in-memory image (either version) back into a tree,
+/// Where a section of `len` bytes starting at `pos` ends. The length comes
+/// from bytes whose checksum has not been verified yet (the junior decodes
+/// chunks as they stream in), so an end past `usize::MAX` is a corrupt
+/// image, not an offset to compute.
+fn claimed_end(pos: usize, len: u64) -> Result<usize, ImageError> {
+    usize::try_from(len)
+        .ok()
+        .and_then(|n| pos.checked_add(n))
+        .ok_or_else(|| ImageError::Corrupt(format!("section length {len} overflows")))
+}
+
+/// Decode a whole in-memory image back into a tree,
 /// verifying the checksum. Returns the tree and the checkpoint sn stored in
 /// the image. One pass over the bytes — this is the streaming decoder fed a
 /// single chunk.
@@ -622,13 +508,13 @@ pub fn decode_image_with_window(
     d.finish_with_window()
 }
 
-/// Estimated encoded v2 image size (bytes) for a namespace with the given
+/// Estimated encoded image size (bytes) for a namespace with the given
 /// shape, used to size experiments without materializing millions of
-/// inodes. Derived from the v2 encoding: ~`name + 6` bytes per entry (kind,
+/// inodes. Derived from the encoding: ~`name + 6` bytes per entry (kind,
 /// parent varint, name length, perm) plus ~11 bytes of file attributes and
 /// a short block list. Note the paper's calibration point — "more than 7
 /// million files when the image size is about 1 GB", i.e. ~150 B/file — is
-/// a property of HDFS's full-path-style records (our v1); the delta format
+/// a property of HDFS's full-path-style records; the parent-id delta format
 /// stores the same namespace in roughly a third of that.
 pub fn estimated_image_bytes(files: u64, dirs: u64, avg_name_len: u64) -> u64 {
     (HEADER_LEN + TRAILER_LEN) as u64 + (files + dirs) * (avg_name_len + 6) + files * 11
@@ -699,14 +585,14 @@ mod tests {
     }
 
     #[test]
-    fn windowless_images_stay_byte_identical_and_decode_empty() {
+    fn empty_window_is_elided_and_decodes_empty() {
         use crate::retry::RetryWindow;
         let t = sample_tree();
         let plain = encode_image(&t, 7);
         let explicit = encode_image_with_window(&t, 7, &RetryWindow::new());
         assert_eq!(plain.data, explicit.data, "empty window must be elided");
         let (_, _, w) = decode_image_with_window(plain.data.clone()).unwrap();
-        assert!(w.is_empty(), "pre-extension images decode to an empty window");
+        assert!(w.is_empty());
     }
 
     #[test]
@@ -723,60 +609,29 @@ mod tests {
     }
 
     #[test]
-    fn v1_round_trip_still_decodes() {
-        let t = sample_tree();
-        let img = encode_image_v1(&t, 9);
-        assert_eq!(img.version(), Some(VERSION_V1));
-        let (t2, sn) = decode_image(img.data.clone()).unwrap();
-        assert_eq!(sn, 9);
-        assert_eq!(t.fingerprint(), t2.fingerprint());
-        assert!(t2.getfileinfo("/data/logs/f4").unwrap().sealed);
-    }
-
-    #[test]
-    fn v1_and_v2_decodes_agree() {
-        let t = sample_tree();
-        let (a, _) = decode_image(encode_image_v1(&t, 5).data).unwrap();
-        let (b, _) = decode_image(encode_image(&t, 5).data).unwrap();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.num_files(), b.num_files());
-        assert_eq!(a.num_dirs(), b.num_dirs());
-    }
-
-    #[test]
-    fn v2_is_smaller_than_v1() {
-        let t = sample_tree();
-        let v1 = encode_image_v1(&t, 1).size_bytes();
-        let v2 = encode_image(&t, 1).size_bytes();
-        assert!(v2 < v1, "v2 {v2} B must be smaller than v1 {v1} B");
-    }
-
-    #[test]
     fn corruption_detected_at_every_byte() {
-        for img in [encode_image(&sample_tree(), 1), encode_image_v1(&sample_tree(), 1)] {
-            for i in 0..img.data.len() {
-                let mut bad = img.data.to_vec();
-                bad[i] ^= 0x55;
-                assert!(
-                    decode_image(Bytes::from(bad)).is_err(),
-                    "flip at byte {i}/{} must not decode",
-                    img.data.len()
-                );
-            }
+        let img = encode_image(&sample_tree(), 1);
+        for i in 0..img.data.len() {
+            let mut bad = img.data.to_vec();
+            bad[i] ^= 0x55;
+            assert!(
+                decode_image(Bytes::from(bad)).is_err(),
+                "flip at byte {i}/{} must not decode",
+                img.data.len()
+            );
         }
     }
 
     #[test]
     fn truncation_detected_at_every_cut_point() {
-        for img in [encode_image(&sample_tree(), 1), encode_image_v1(&sample_tree(), 1)] {
-            for cut in 0..img.data.len() {
-                let prefix = img.data.slice(..cut);
-                assert!(decode_image(prefix.clone()).is_err(), "cut at {cut} must not decode");
-                // Streaming path: same prefix, any boundary, then finish.
-                let mut d = StreamingImageDecoder::new();
-                let ok = d.push(&prefix).is_ok();
-                assert!(!ok || d.finish().is_err(), "streaming cut at {cut} must not finish");
-            }
+        let img = encode_image(&sample_tree(), 1);
+        for cut in 0..img.data.len() {
+            let prefix = img.data.slice(..cut);
+            assert!(decode_image(prefix.clone()).is_err(), "cut at {cut} must not decode");
+            // Streaming path: same prefix, any boundary, then finish.
+            let mut d = StreamingImageDecoder::new();
+            let ok = d.push(&prefix).is_ok();
+            assert!(!ok || d.finish().is_err(), "streaming cut at {cut} must not finish");
         }
     }
 
@@ -798,22 +653,6 @@ mod tests {
             // Byte-identical result: re-encoding the resumed decode equals
             // re-encoding the buffered decode.
             assert_eq!(encode_image(&t2, sn).data, reencoded, "split at {cut}");
-        }
-    }
-
-    #[test]
-    fn streaming_decodes_v1_in_small_chunks() {
-        let t = sample_tree();
-        let img = encode_image_v1(&t, 3);
-        for chunk in [1usize, 3, 7, 64] {
-            let mut d = StreamingImageDecoder::new();
-            for c in img.data.chunks(chunk) {
-                d.push(c).unwrap();
-            }
-            assert_eq!(d.version(), Some(VERSION_V1));
-            let (t2, sn) = d.finish().unwrap();
-            assert_eq!(sn, 3);
-            assert_eq!(t2.fingerprint(), t.fingerprint(), "chunk size {chunk}");
         }
     }
 
@@ -869,9 +708,7 @@ mod tests {
 
     #[test]
     fn image_trailer_is_shared_fnv_of_body() {
-        // The image checksum is the repo-wide shared FNV-1a-64 (hoisted to
-        // `mams_journal::hash`), so images written by the pre-hoist private
-        // copy still verify byte-for-byte.
+        // The image checksum is the repo-wide shared FNV-1a-64.
         let img = encode_image(&sample_tree(), 1);
         let (body, trailer) = img.data.split_at(img.data.len() - TRAILER_LEN);
         assert_eq!(

@@ -29,12 +29,11 @@ pub use delta::{
     DeltaOp, DELTA_MAGIC, DELTA_VERSION,
 };
 pub use image::{
-    decode_image, decode_image_with_window, encode_image, encode_image_v1,
-    encode_image_with_window, estimated_image_bytes, ImageError, NamespaceImage,
-    StreamingImageDecoder, VERSION_V1, VERSION_V2,
+    decode_image, decode_image_with_window, encode_image, encode_image_with_window,
+    estimated_image_bytes, ImageError, NamespaceImage, StreamingImageDecoder, VERSION_V2,
 };
 pub use inode::{FileInfo, Inode, InodeId};
 pub use partition::Partitioner;
 pub use retry::{replay_outcome, RetryEntry, RetryOutcome, RetryWindow, DEFAULT_WINDOW_CAP};
 pub use shard::{CacheStats, ShardedNamespace, ShardedReplaySession, SnapshotView};
-pub use tree::{NamespaceTree, NsError, ReplaySession};
+pub use tree::{NamespaceTree, NsError};

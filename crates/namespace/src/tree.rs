@@ -1,20 +1,15 @@
 //! The namespace tree and its metadata operations.
 //!
-//! Two structures make the op hot path allocation-light:
+//! This is the plain reference namespace: every path resolves by a walk
+//! from the root, and [`NamespaceTree::apply`] is the per-record replay the
+//! sharded namespace and its replay session are checked against. It is also
+//! the image layout (checkpoints encode from it and decode into it) and the
+//! engine of the baseline systems. It carries no resolution cache of its
+//! own — the oracle a cache is compared with should not have one.
 //!
-//! * an **interned component table**: directory-child names are `Arc<str>`
-//!   handles deduplicated tree-wide, so the repeated components of a large
-//!   namespace (`part-00000`, `data`, …) share one allocation apiece;
-//! * a **parent-directory resolution cache**: directory path → inode id,
-//!   so `create`/`getfileinfo`/`delete` against a warm directory cost one
-//!   map probe plus one child lookup instead of a walk from the root.
-//!
-//! Cache invariant: an entry maps a path to the id of a directory that is
-//! *currently* at that path. Inode ids are never reused, directories never
-//! become files, and the only operations that relocate or remove a
-//! directory are `delete` and `rename` — which invalidate the entry and
-//! (for directories) its whole subtree. Everything else leaves entries
-//! valid, so a cache hit can never disagree with a from-root walk.
+//! Directory-child names are `Arc<str>` handles interned tree-wide, so the
+//! repeated components of a large namespace (`part-00000`, `data`, …) share
+//! one allocation apiece.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -83,15 +78,10 @@ pub struct NamespaceTree {
     /// full; live names stay alive through the directories that hold them
     /// and re-intern on next use.
     names: HashSet<Arc<str>>,
-    /// Directory path → inode id fast-path cache (see module docs for the
-    /// invalidation invariant). Bounded: cleared when full.
-    parent_cache: HashMap<Box<str>, InodeId>,
 }
 
 /// Intern-table bound; ~64k distinct component names before a reset.
 const NAME_TABLE_CAP: usize = 1 << 16;
-/// Resolution-cache bound (directories, not files).
-const PARENT_CACHE_CAP: usize = 1 << 14;
 
 impl Default for NamespaceTree {
     fn default() -> Self {
@@ -111,7 +101,6 @@ impl NamespaceTree {
             num_dirs: 0,
             divergences: 0,
             names: HashSet::new(),
-            parent_cache: HashMap::new(),
         }
     }
 
@@ -147,7 +136,6 @@ impl NamespaceTree {
             num_dirs,
             divergences: 0,
             names: HashSet::new(),
-            parent_cache: HashMap::new(),
         }
     }
 
@@ -230,54 +218,8 @@ impl NamespaceTree {
         self.inodes.reserve(extra);
     }
 
-    /// Record that the directory at `p` has inode `id` (mutation paths call
-    /// this after a successful resolve, warming the cache for the reads).
-    fn cache_dir(&mut self, p: &str, id: InodeId) {
-        debug_assert!(self.inodes.get(&id).is_some_and(Inode::is_dir));
-        if self.parent_cache.contains_key(p) {
-            return;
-        }
-        if self.parent_cache.len() >= PARENT_CACHE_CAP {
-            self.parent_cache.clear();
-        }
-        self.parent_cache.insert(Box::from(p), id);
-    }
-
-    /// Drop the cache entry for `p` — and, when `p` was a directory, every
-    /// entry beneath it (the subtree moved or disappeared).
-    fn invalidate_cached(&mut self, p: &str, was_dir: bool) {
-        if was_dir {
-            self.parent_cache.retain(|k, _| !(k.as_ref() == p || path::is_strict_descendant(k, p)));
-        } else {
-            self.parent_cache.remove(p);
-        }
-    }
-
-    /// Resolve a validated path to an inode id.
-    ///
-    /// Fast path: `p` itself, or its parent directory, is in the resolution
-    /// cache — one probe (plus one child lookup) instead of a component
-    /// walk. Falls back to the from-root walk on a cold cache.
+    /// Resolve a validated path to an inode id by walking from the root.
     fn resolve(&self, p: &str) -> Option<InodeId> {
-        if p == "/" {
-            return Some(ROOT_ID);
-        }
-        if let Some(&id) = self.parent_cache.get(p) {
-            return Some(id);
-        }
-        if let Some((dir, name)) = path::split(p) {
-            if let Some(&pid) = self.parent_cache.get(dir) {
-                return match self.inodes.get(&pid) {
-                    Some(Inode::Directory { children, .. }) => children.get(name).copied(),
-                    _ => None,
-                };
-            }
-        }
-        self.resolve_walk(p)
-    }
-
-    /// The from-root component walk.
-    fn resolve_walk(&self, p: &str) -> Option<InodeId> {
         let mut cur = ROOT_ID;
         for comp in path::components(p) {
             match self.inodes.get(&cur)? {
@@ -288,17 +230,10 @@ impl NamespaceTree {
         Some(cur)
     }
 
-    /// Resolve a path to its inode id (fast path; test/bench hook).
+    /// Resolve a path to its inode id (test/bench hook).
     pub fn resolve_path(&self, p: &str) -> Option<InodeId> {
         path::validate(p).ok()?;
         self.resolve(p)
-    }
-
-    /// Resolve by walking from the root, ignoring the cache (test/bench
-    /// hook: the oracle the fast path must agree with).
-    pub fn resolve_path_uncached(&self, p: &str) -> Option<InodeId> {
-        path::validate(p).ok()?;
-        self.resolve_walk(p)
     }
 
     /// Whether a path exists.
@@ -341,7 +276,7 @@ impl NamespaceTree {
     pub fn create(&mut self, p: &str, replication: u8) -> Result<FileInfo, NsError> {
         path::validate(p)?;
         let parent_id = self.resolve_parent(p)?;
-        let (dir, name) = path::split(p).expect("non-root validated path");
+        let name = path::basename(p).expect("non-root validated path");
         if let Inode::Directory { children, .. } = &self.inodes[&parent_id] {
             if children.contains_key(name) {
                 return Err(NsError::AlreadyExists(p.to_string()));
@@ -355,7 +290,6 @@ impl NamespaceTree {
             }
             Inode::File { .. } => unreachable!("resolve_parent checked kind"),
         }
-        self.cache_dir(dir, parent_id);
         self.num_files += 1;
         self.info_of(p, id)
     }
@@ -364,7 +298,7 @@ impl NamespaceTree {
     pub fn mkdir(&mut self, p: &str) -> Result<(), NsError> {
         path::validate(p)?;
         let parent_id = self.resolve_parent(p)?;
-        let (dir, name) = path::split(p).expect("non-root validated path");
+        let name = path::basename(p).expect("non-root validated path");
         if let Inode::Directory { children, .. } = &self.inodes[&parent_id] {
             if children.contains_key(name) {
                 return Err(NsError::AlreadyExists(p.to_string()));
@@ -378,8 +312,6 @@ impl NamespaceTree {
             }
             Inode::File { .. } => unreachable!("resolve_parent checked kind"),
         }
-        self.cache_dir(dir, parent_id);
-        self.cache_dir(p, id);
         self.num_dirs += 1;
         Ok(())
     }
@@ -421,8 +353,7 @@ impl NamespaceTree {
             }
         }
         let parent_id = self.resolve_parent(p)?;
-        let (dir, name) = path::split(p).expect("non-root validated path");
-        let was_dir = self.inodes[&id].is_dir();
+        let name = path::basename(p).expect("non-root validated path");
         match self.inodes.get_mut(&parent_id).expect("parent exists") {
             Inode::Directory { children, .. } => {
                 children.remove(name);
@@ -432,8 +363,6 @@ impl NamespaceTree {
         let (files, dirs) = self.drop_subtree(id);
         self.num_files -= files;
         self.num_dirs -= dirs;
-        self.invalidate_cached(p, was_dir);
-        self.cache_dir(dir, parent_id);
         Ok((files, dirs))
     }
 
@@ -472,9 +401,8 @@ impl NamespaceTree {
         }
         let dst_parent = self.resolve_parent(dst)?;
         let src_parent = self.resolve_parent(src)?;
-        let (src_dir, src_name) = path::split(src).expect("non-root");
-        let (dst_dir, dst_name) = path::split(dst).expect("non-root");
-        let src_is_dir = self.inodes[&src_id].is_dir();
+        let src_name = path::basename(src).expect("non-root");
+        let dst_name = path::basename(dst).expect("non-root");
         match self.inodes.get_mut(&src_parent).expect("src parent") {
             Inode::Directory { children, .. } => {
                 children.remove(src_name);
@@ -487,14 +415,6 @@ impl NamespaceTree {
                 children.insert(dst_name, src_id);
             }
             Inode::File { .. } => unreachable!(),
-        }
-        // The subtree rooted at `src` moved: every cached path at or under
-        // `src` now points somewhere else (or nowhere).
-        self.invalidate_cached(src, src_is_dir);
-        self.cache_dir(src_dir, src_parent);
-        self.cache_dir(dst_dir, dst_parent);
-        if src_is_dir {
-            self.cache_dir(dst, src_id);
         }
         Ok(())
     }
@@ -638,182 +558,6 @@ impl Apply for NamespaceTree {
     }
 }
 
-/// Resolution-skipping journal replay fast path.
-///
-/// Journalled records were fully validated by the active before they were
-/// logged, so a replica replaying them can skip `path::validate` and most
-/// of the from-root resolution work that dominates naive `apply`:
-///
-/// * the **last-resolved parent directory** `(path, id)` is cached across
-///   records — journals have heavy directory locality, so a run of creates
-///   into one directory costs one resolve total;
-/// * the **last-touched file** is cached the same way, making the
-///   ubiquitous `Create f → AddBlock f → CloseFile f` sequence two map
-///   probes instead of two more resolutions;
-/// * creates and mkdirs attach via [`NamespaceTree::attach_child`] — one
-///   B-tree entry probe, no duplicate pre-check, and none of the
-///   [`FileInfo`] allocation (`path` string + `blocks` clone) that the
-///   client-facing `create` pays for its response.
-///
-/// Soundness of the caches rests on the same invariant as the tree's own
-/// resolution cache (see module docs): inode ids are never reused,
-/// directories never become files, and only `Delete`/`Rename` relocate or
-/// remove inodes — the session conservatively drops both caches on those
-/// records (structural ops are rare in journals). The caches also go stale
-/// if the tree is mutated *outside* the session (direct ops on an active,
-/// or wholesale replacement by an image load): callers must [`reset`] at
-/// those boundaries before replaying again.
-///
-/// Errors are returned, not panicked on, so callers keep counting replay
-/// divergences exactly as with naive `apply`. Error *kinds* can differ
-/// from naive apply on malformed records (the session does only basename
-/// sanity checks), but success/failure agrees: a record naive apply
-/// accepts is applied identically, and a record it rejects is rejected.
-///
-/// [`reset`]: ReplaySession::reset
-#[derive(Debug, Default)]
-pub struct ReplaySession {
-    /// Cached `(path, id)` of the last-resolved parent directory.
-    dir: String,
-    dir_id: InodeId,
-    dir_valid: bool,
-    /// Cached `(path, id)` of the last-resolved non-parent node (usually a
-    /// file mid `Create/AddBlock/CloseFile` run).
-    node: String,
-    node_id: InodeId,
-    node_valid: bool,
-}
-
-impl ReplaySession {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drop the cached handles. Call whenever the tree may have changed
-    /// hands since the last `apply` through this session: after an image
-    /// load replaces the tree, after `reset_replica_state`, or after a
-    /// stint as active mutating the namespace directly.
-    pub fn reset(&mut self) {
-        self.dir_valid = false;
-        self.node_valid = false;
-    }
-
-    /// Apply one journalled record to `tree` via the fast path.
-    pub fn apply(&mut self, tree: &mut NamespaceTree, txn: &Txn) -> Result<(), NsError> {
-        match txn {
-            Txn::Create { path, replication } => {
-                let (pid, name) = self.parent_of(tree, path)?;
-                let id = tree.attach_child(pid, name, Inode::new_file(*replication))?;
-                self.remember_node(path, id);
-                Ok(())
-            }
-            Txn::Mkdir { path } => {
-                let (pid, name) = self.parent_of(tree, path)?;
-                let id = tree.attach_child(pid, name, Inode::new_dir())?;
-                // Subsequent records usually populate the new directory.
-                self.remember_dir(path, id);
-                Ok(())
-            }
-            Txn::Delete { path, recursive } => {
-                self.reset();
-                tree.delete(path, *recursive).map(|_| ())
-            }
-            Txn::Rename { src, dst } => {
-                self.reset();
-                tree.rename(src, dst)
-            }
-            Txn::AddBlock { path, block_id, .. } => {
-                let id = self.resolve_node(tree, path)?;
-                match tree.inodes.get_mut(&id).expect("cached/resolved inode exists") {
-                    Inode::File { blocks, sealed, .. } => {
-                        if *sealed {
-                            return Err(NsError::FileSealed(path.clone()));
-                        }
-                        blocks.push(*block_id);
-                        Ok(())
-                    }
-                    Inode::Directory { .. } => Err(NsError::IsDirectory(path.clone())),
-                }
-            }
-            Txn::CloseFile { path } => {
-                let id = self.resolve_node(tree, path)?;
-                match tree.inodes.get_mut(&id).expect("cached/resolved inode exists") {
-                    Inode::File { sealed, .. } => {
-                        *sealed = true;
-                        Ok(())
-                    }
-                    Inode::Directory { .. } => Err(NsError::IsDirectory(path.clone())),
-                }
-            }
-            Txn::SetPerm { path, perm } => {
-                let id = self.resolve_node(tree, path)?;
-                tree.inodes.get_mut(&id).expect("cached/resolved inode exists").set_perm(*perm);
-                Ok(())
-            }
-        }
-    }
-
-    fn remember_dir(&mut self, path: &str, id: InodeId) {
-        self.dir.clear();
-        self.dir.push_str(path);
-        self.dir_id = id;
-        self.dir_valid = true;
-    }
-
-    fn remember_node(&mut self, path: &str, id: InodeId) {
-        self.node.clear();
-        self.node.push_str(path);
-        self.node_id = id;
-        self.node_valid = true;
-    }
-
-    /// Split `path` and resolve its parent directory, via the cache when
-    /// the previous record touched the same directory.
-    fn parent_of<'p>(
-        &mut self,
-        tree: &NamespaceTree,
-        path: &'p str,
-    ) -> Result<(InodeId, &'p str), NsError> {
-        let (dir, name) = path::split(path).ok_or(NsError::RootImmutable)?;
-        if name.is_empty() {
-            // Validate-skip still rejects the shapes that would corrupt the
-            // tree (a trailing slash would attach an empty component).
-            return Err(NsError::Invalid(PathError(format!("{path:?} has a trailing slash"))));
-        }
-        if self.dir_valid && self.dir == dir {
-            return Ok((self.dir_id, name));
-        }
-        let pid = tree.resolve(dir).ok_or_else(|| NsError::ParentNotFound(path.to_string()))?;
-        // A file id is cached as-is: `attach_child` and the child lookups
-        // classify it as ParentNotDirectory/NotFound exactly like a walk.
-        self.remember_dir(dir, pid);
-        Ok((pid, name))
-    }
-
-    /// Resolve a full path to its inode, via the node/dir caches when the
-    /// previous records touched the same file or directory.
-    fn resolve_node(&mut self, tree: &NamespaceTree, path: &str) -> Result<InodeId, NsError> {
-        if path == "/" {
-            return Ok(ROOT_ID);
-        }
-        if self.node_valid && self.node == path {
-            return Ok(self.node_id);
-        }
-        if self.dir_valid && self.dir == path {
-            return Ok(self.dir_id);
-        }
-        let (pid, name) = self.parent_of(tree, path)?;
-        let id = match tree.inodes.get(&pid) {
-            Some(Inode::Directory { children, .. }) => {
-                children.get(name).copied().ok_or_else(|| NsError::NotFound(path.to_string()))?
-            }
-            _ => return Err(NsError::NotFound(path.to_string())),
-        };
-        self.remember_node(path, id);
-        Ok(id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -950,87 +694,6 @@ mod tests {
         }
         assert_eq!(direct.fingerprint(), replayed.fingerprint());
         assert_eq!(replayed.divergences(), 0);
-    }
-
-    #[test]
-    fn replay_session_matches_naive_apply() {
-        let workload = [
-            Txn::Mkdir { path: "/a".into() },
-            Txn::Mkdir { path: "/a/b".into() },
-            Txn::Create { path: "/a/b/f0".into(), replication: 3 },
-            Txn::AddBlock { path: "/a/b/f0".into(), block_id: 1, len: 64 },
-            Txn::AddBlock { path: "/a/b/f0".into(), block_id: 2, len: 64 },
-            Txn::CloseFile { path: "/a/b/f0".into() },
-            Txn::Create { path: "/a/b/f1".into(), replication: 2 },
-            Txn::SetPerm { path: "/a/b".into(), perm: 0o750 },
-            Txn::SetPerm { path: "/".into(), perm: 0o711 },
-            Txn::Rename { src: "/a/b/f1".into(), dst: "/a/g".into() },
-            Txn::Delete { path: "/a/b/f0".into(), recursive: false },
-            Txn::Create { path: "/a/b/f2".into(), replication: 1 },
-        ];
-        let mut naive = NamespaceTree::new();
-        let mut fast = NamespaceTree::new();
-        let mut session = ReplaySession::new();
-        for txn in &workload {
-            naive.apply(txn).unwrap();
-            session.apply(&mut fast, txn).unwrap();
-        }
-        assert_eq!(naive.fingerprint(), fast.fingerprint());
-        assert_eq!(naive.num_files(), fast.num_files());
-        assert_eq!(naive.num_dirs(), fast.num_dirs());
-    }
-
-    #[test]
-    fn replay_session_rename_invalidates_cached_parent() {
-        // The session resolves `/d` once, then the directory moves out from
-        // under the cache; the next create must not attach under the old
-        // location.
-        let txns = [
-            Txn::Mkdir { path: "/d".into() },
-            Txn::Mkdir { path: "/e".into() },
-            Txn::Create { path: "/d/f".into(), replication: 1 },
-            Txn::Rename { src: "/d".into(), dst: "/e/d2".into() },
-            Txn::Create { path: "/e/d2/g".into(), replication: 1 },
-        ];
-        let mut naive = NamespaceTree::new();
-        let mut fast = NamespaceTree::new();
-        let mut session = ReplaySession::new();
-        for txn in &txns {
-            naive.apply(txn).unwrap();
-            session.apply(&mut fast, txn).unwrap();
-        }
-        // A create into the *old* path must now fail in both.
-        let stale = Txn::Create { path: "/d/h".into(), replication: 1 };
-        assert!(naive.apply(&stale).is_err());
-        assert!(session.apply(&mut fast, &stale).is_err());
-        assert_eq!(naive.fingerprint(), fast.fingerprint());
-    }
-
-    #[test]
-    fn replay_session_delete_invalidates_cached_file() {
-        let mut fast = NamespaceTree::new();
-        let mut session = ReplaySession::new();
-        session.apply(&mut fast, &Txn::Mkdir { path: "/x".into() }).unwrap();
-        session.apply(&mut fast, &Txn::Create { path: "/x/f".into(), replication: 1 }).unwrap();
-        session
-            .apply(&mut fast, &Txn::AddBlock { path: "/x/f".into(), block_id: 9, len: 1 })
-            .unwrap();
-        session.apply(&mut fast, &Txn::Delete { path: "/x/f".into(), recursive: false }).unwrap();
-        // The node cache was dropped: a stale AddBlock fails instead of
-        // resurrecting the deleted inode.
-        let err = session
-            .apply(&mut fast, &Txn::AddBlock { path: "/x/f".into(), block_id: 10, len: 1 })
-            .unwrap_err();
-        assert_eq!(err, NsError::NotFound("/x/f".into()));
-    }
-
-    #[test]
-    fn replay_session_rejects_malformed_shapes() {
-        let mut t = NamespaceTree::new();
-        let mut s = ReplaySession::new();
-        assert!(s.apply(&mut t, &Txn::Create { path: "/".into(), replication: 1 }).is_err());
-        assert!(s.apply(&mut t, &Txn::Mkdir { path: "/a/".into() }).is_err());
-        assert!(s.apply(&mut t, &Txn::Delete { path: "/".into(), recursive: true }).is_err());
     }
 
     #[test]

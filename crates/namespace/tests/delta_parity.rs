@@ -8,10 +8,9 @@
 //! severed directories shipped as full subtrees), so these tests are the
 //! proof that nothing observable is lost.
 //!
-//! These are seeded randomized tests, not `proptest` suites: the vendored
-//! `proptest` crate is an intentionally empty stand-in (see
-//! `vendor/proptest`), so property coverage comes from the vendored `rand`
-//! with fixed seeds — deterministic, shrink-free, CI-friendly.
+//! These are seeded randomized tests, not `proptest` suites (no `proptest`
+//! crate resolves offline): property coverage comes from the vendored
+//! `rand` with fixed seeds — deterministic, shrink-free, CI-friendly.
 //! `PARITY_CASES` scales the number of cases per test (nightly runs more).
 
 use mams_journal::Txn;

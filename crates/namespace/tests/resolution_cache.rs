@@ -11,8 +11,7 @@
 //! The shape test counts instead of timing: a stream with no subtree move
 //! must never flush the cache, and must keep hitting it.
 //!
-//! Seeded `rand`, not `proptest` (an empty stand-in here); `PARITY_CASES`
-//! scales the case count.
+//! Seeded `rand`; `PARITY_CASES` scales the case count.
 
 use mams_journal::Txn;
 use mams_namespace::{NamespaceTree, ShardedNamespace, ShardedReplaySession, SnapshotView};

@@ -7,9 +7,8 @@
 //! mid-sequence must match a quiesced replica that stopped at the pin
 //! point.
 //!
-//! These are seeded randomized tests, not `proptest` suites: the vendored
-//! `proptest` crate is an intentionally empty stand-in (see
-//! `vendor/proptest`), so property coverage here comes from the vendored
+//! These are seeded randomized tests, not `proptest` suites (no `proptest`
+//! crate resolves offline): property coverage here comes from the vendored
 //! `rand` with fixed seeds — deterministic, shrink-free, CI-friendly.
 //! `PARITY_CASES` scales the number of cases per test (nightly runs more).
 

@@ -390,23 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_pool_images_still_stream_decode() {
-        // An image written before the v2 cutover sits in the pool across
-        // the upgrade; a new junior must still restore from it.
-        let pool = new_shared_pool();
-        let mut t = mams_namespace::NamespaceTree::new();
-        t.mkdir_p("/legacy/dir").unwrap();
-        t.create("/legacy/dir/f", 2).unwrap();
-        let img = mams_namespace::encode_image_v1(&t, 9);
-        assert_eq!(img.version(), Some(mams_namespace::VERSION_V1));
-        pool.lock().group_mut(0).write_image(1, img).unwrap();
-        let mut n = PoolNode::new(pool);
-        let (t2, sn) = stream_image_from_pool(&mut n, 16);
-        assert_eq!(sn, 9);
-        assert_eq!(t2.fingerprint(), t.fingerprint());
-    }
-
-    #[test]
     fn missing_image_is_an_error_not_a_panic() {
         let pool = new_shared_pool();
         let mut n = PoolNode::new(pool);

@@ -2,10 +2,9 @@
 //! model (a set of absolute paths with kinds). Every operation must agree
 //! with the model on success/failure *and* on the resulting state.
 //!
-//! These are seeded randomized tests, not `proptest` suites: the vendored
-//! `proptest` crate is an intentionally empty stand-in (see
-//! `vendor/proptest`), so property coverage comes from the vendored `rand`
-//! with fixed seeds — deterministic, shrink-free, CI-friendly.
+//! These are seeded randomized tests, not `proptest` suites (no `proptest`
+//! crate resolves offline): property coverage comes from the vendored
+//! `rand` with fixed seeds — deterministic, shrink-free, CI-friendly.
 //! `PARITY_CASES` scales the number of cases (nightly runs more).
 
 use std::collections::BTreeMap;

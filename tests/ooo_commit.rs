@@ -10,16 +10,16 @@
 //!
 //! - the recorded history is strictly linearizable (Wing–Gong checker);
 //! - the SSP journal replays to the same fingerprint via the fast
-//!   `ReplaySession` and a naive per-record apply — and no replica ever
+//!   `ShardedReplaySession` and a naive per-record apply — and no replica ever
 //!   reported divergence, so the live (serve-order) image agrees;
 //! - replies for ops journaled under the *same parent directory* by the
 //!   same group completed in journal order (per-shard FIFO held);
 //! - the `commit.ooo_release` trace fired, so the suite exercised the
 //!   out-of-order path rather than vacuously passing.
 //!
-//! Seeded `SmallRng` drives the randomization (the vendored proptest is an
-//! empty shim; see tests/proptest_invariants.rs for the pattern). Override
-//! the case count with `PARITY_CASES=n`.
+//! Seeded `SmallRng` drives the randomization (see
+//! tests/proptest_invariants.rs for the pattern). Override the case count
+//! with `PARITY_CASES=n`.
 
 use std::collections::HashMap;
 
@@ -28,7 +28,7 @@ use mams_cluster::deploy::{build, DeploySpec};
 use mams_cluster::{faults, History, Metrics, Recorder, Workload};
 use mams_core::FsOp;
 use mams_journal::{ReplayCursor, Txn};
-use mams_namespace::{path, NamespaceTree, ReplaySession};
+use mams_namespace::{path, NamespaceTree, ShardedNamespace, ShardedReplaySession};
 use mams_sim::{Duration, Sim, SimConfig, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -174,11 +174,11 @@ fn run_case(case: u64) -> CaseOutcome {
         assert!(!order.is_empty(), "case {case}: group {group} journaled nothing");
 
         let mut naive = NamespaceTree::new();
-        let mut fast = NamespaceTree::new();
-        let mut session = ReplaySession::new();
+        let fast = ShardedNamespace::new();
+        let mut session = ShardedReplaySession::new();
         for t in &order {
             naive.apply(t).expect("journaled txns always replay");
-            session.apply(&mut fast, t).expect("journaled txns replay via the session");
+            session.apply(&fast, t).expect("journaled txns replay via the session");
         }
         assert_eq!(
             fast.fingerprint(),

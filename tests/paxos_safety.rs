@@ -2,8 +2,7 @@
 //! message interleavings, at most one value is ever chosen per instance —
 //! the guarantee MAMS leans on for "only one active is elected each time".
 //!
-//! Seeded randomized coverage (the vendored `proptest` is an empty
-//! stand-in); `PARITY_CASES` scales the number of cases.
+//! Seeded randomized coverage; `PARITY_CASES` scales the number of cases.
 
 use bytes::Bytes;
 use rand::rngs::SmallRng;

@@ -2,10 +2,9 @@
 //! (DESIGN.md §4): encode/decode round trips, replay determinism, duplicate
 //! suppression, partition stability.
 //!
-//! These are seeded randomized tests, not `proptest` suites: the vendored
-//! `proptest` crate is an intentionally empty stand-in (see
-//! `vendor/proptest`), so property coverage comes from the vendored `rand`
-//! with fixed seeds — deterministic, shrink-free, CI-friendly.
+//! These are seeded randomized tests, not `proptest` suites (no `proptest`
+//! crate resolves offline): property coverage comes from the vendored
+//! `rand` with fixed seeds — deterministic, shrink-free, CI-friendly.
 //! `PARITY_CASES` overrides the per-test case count (nightly runs more).
 
 use rand::rngs::SmallRng;
@@ -133,25 +132,6 @@ fn log_append_is_idempotent_and_contiguous() {
     }
 }
 
-// ------------------------------------------- journal wire format v1/v2
-
-/// The legacy length-prefixed v1 wire form and the varint +
-/// prefix-compressed v2 form of the same batch decode to identical records
-/// through the one version-dispatching entry point.
-#[test]
-fn journal_v1_and_v2_wire_decode_agree() {
-    for case in 0..cases(128) {
-        let mut rng = SmallRng::seed_from_u64(0x10_0004 ^ (case << 8));
-        let batch = rand_batch(&mut rng, 5);
-        let v1 = mams::journal::encode_batch_v1(&batch);
-        let v2 = encode_batch(&batch);
-        let from_v1 = decode_batch(v1).expect("v1 decodes");
-        let from_v2 = decode_batch(v2).expect("v2 decodes");
-        assert_eq!(from_v1, batch, "case {case}");
-        assert_eq!(from_v2, batch, "case {case}");
-    }
-}
-
 // ---------------------------------------------------- replay determinism
 
 /// Invariant 4: namespace(journal replay) == namespace(live execution).
@@ -263,34 +243,8 @@ fn image_round_trips_and_chunks() {
     }
 }
 
-/// The legacy full-path v1 encoding and the parent-id delta v2 encoding of
-/// the same tree decode to identical namespaces, and v2 never comes out
-/// larger than v1.
-#[test]
-fn v1_and_v2_images_decode_to_the_same_tree() {
-    for case in 0..cases(48) {
-        let mut rng = SmallRng::seed_from_u64(0x10_0008 ^ (case << 8));
-        let ops = rand_txns(&mut rng, 1, 100);
-        let mut tree = NamespaceTree::new();
-        apply_random_ops(&mut tree, &ops);
-
-        let v1 = mams::namespace::encode_image_v1(&tree, 7);
-        let v2 = encode_image(&tree, 7);
-        assert_eq!(v1.version(), Some(mams::namespace::VERSION_V1));
-        assert_eq!(v2.version(), Some(mams::namespace::VERSION_V2));
-        assert!(v2.size_bytes() <= v1.size_bytes(), "case {case}");
-
-        let (from_v1, sn1) = decode_image(v1.data.clone()).expect("v1 decodes");
-        let (from_v2, sn2) = decode_image(v2.data.clone()).expect("v2 decodes");
-        assert_eq!(sn1, 7);
-        assert_eq!(sn2, 7);
-        assert_eq!(from_v1.fingerprint(), tree.fingerprint(), "case {case}");
-        assert_eq!(from_v2.fingerprint(), tree.fingerprint(), "case {case}");
-    }
-}
-
 /// Pushing an image through the streaming decoder in arbitrary-sized chunks
-/// yields exactly the buffered decode, for both wire versions.
+/// yields exactly the buffered decode.
 #[test]
 fn streaming_decode_matches_buffered_at_any_chunk_size() {
     for case in 0..cases(48) {
@@ -299,14 +253,9 @@ fn streaming_decode_matches_buffered_at_any_chunk_size() {
         let mut rng = SmallRng::seed_from_u64(0x10_0009 ^ (case << 8));
         let ops = rand_txns(&mut rng, 1, 100);
         let chunk = rng.gen_range(1..300usize);
-        let legacy = rng.gen_bool(0.5);
         let mut tree = NamespaceTree::new();
         apply_random_ops(&mut tree, &ops);
-        let img = if legacy {
-            mams::namespace::encode_image_v1(&tree, 9)
-        } else {
-            encode_image(&tree, 9)
-        };
+        let img = encode_image(&tree, 9);
 
         let mut dec = StreamingImageDecoder::new();
         let mut pushed = 0u64;
@@ -328,55 +277,12 @@ fn streaming_decode_matches_buffered_at_any_chunk_size() {
     }
 }
 
-// ------------------------------------------------- resolution fast path
-
-/// Every path a transaction names (probe targets for the resolution test).
-fn txn_paths(op: &Txn) -> Vec<&str> {
-    match op {
-        Txn::Create { path, .. }
-        | Txn::Mkdir { path }
-        | Txn::Delete { path, .. }
-        | Txn::AddBlock { path, .. }
-        | Txn::CloseFile { path }
-        | Txn::SetPerm { path, .. } => vec![path],
-        Txn::Rename { src, dst } => vec![src, dst],
-    }
-}
-
-/// The interned-name + parent-directory-cache fast path may never disagree
-/// with a naive from-root component walk, at any point of a random
-/// create/mkdir/rename/delete history. Probes cover hits, misses,
-/// renamed-away sources, deleted subtrees, and every ancestor prefix of
-/// each.
-#[test]
-fn cached_resolution_matches_from_root_walk() {
-    for case in 0..cases(96) {
-        let mut rng = SmallRng::seed_from_u64(0x10_000a ^ (case << 8));
-        let ops = rand_txns(&mut rng, 1, 150);
-        let mut tree = NamespaceTree::new();
-        for op in &ops {
-            let _ = tree.apply(op);
-            // Probe immediately after each mutation: a stale cache entry
-            // shows up the moment the invalidation rule is wrong, not just
-            // in the final state.
-            for p in txn_paths(op) {
-                for prefix in mams::namespace::path::prefixes(p) {
-                    assert_eq!(
-                        tree.resolve_path(prefix),
-                        tree.resolve_path_uncached(prefix),
-                        "case {case}: fast path diverged on {prefix:?} after {op:?}"
-                    );
-                }
-            }
-        }
-    }
-}
-
 // ------------------------------------------------- replay session parity
 
-/// The validate-skip `ReplaySession` fast path must land on exactly the
-/// state a naive per-record `apply` produces, across histories whose
-/// renames and deletes relocate or remove the cached directories.
+/// The validate-skip `ShardedReplaySession` fast path must land on exactly
+/// the state the reference per-record `NamespaceTree::apply` produces,
+/// across histories whose renames and deletes relocate or remove the
+/// cached directories.
 #[test]
 fn replay_session_matches_naive_apply() {
     for case in 0..cases(64) {
@@ -390,10 +296,10 @@ fn replay_session_matches_naive_apply() {
             naive.apply(t).expect("journaled txns always replay");
         }
 
-        let mut fast = NamespaceTree::new();
-        let mut session = mams::namespace::ReplaySession::new();
+        let fast = mams::namespace::ShardedNamespace::new();
+        let mut session = mams::namespace::ShardedReplaySession::new();
         for t in &journaled {
-            session.apply(&mut fast, t).expect("journaled txns replay via the session");
+            session.apply(&fast, t).expect("journaled txns replay via the session");
         }
         assert_eq!(fast.fingerprint(), naive.fingerprint(), "case {case}");
         assert_eq!(fast.num_files(), naive.num_files(), "case {case}");

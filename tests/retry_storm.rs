@@ -19,9 +19,8 @@
 //! - the storm was real: retried operations completed, and some image
 //!   actually carried a non-empty window (no vacuous pass).
 //!
-//! Seeded `SmallRng` drives the randomization (the vendored proptest is an
-//! empty shim). Override the case count with `PARITY_CASES=n`; the nightly
-//! workflow runs an elevated sweep.
+//! Seeded `SmallRng` drives the randomization. Override the case count with
+//! `PARITY_CASES=n`; the nightly workflow runs an elevated sweep.
 
 use mams_chaos::{active_of, check_history, CheckOutcome};
 use mams_cluster::deploy::{build, DeploySpec};
