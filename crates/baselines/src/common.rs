@@ -48,7 +48,7 @@ impl SavedCheckpoint {
         SavedCheckpoint { image: mams_namespace::encode_image(ns, sn), next_block }
     }
 
-    /// Reload the image (either wire version) into a fresh namespace.
+    /// Reload the image into a fresh namespace.
     pub fn restore(&self) -> Result<(NamespaceTree, Sn), ImageError> {
         mams_namespace::decode_image(self.image.data.clone())
     }

@@ -8,12 +8,13 @@
 //! 3. SSP journal-disk latency vs client op latency — the "built-in shared
 //!    storage pool reduces the overhead for state synchronization" claim:
 //!    ops track pool latency, so a slow pool *would* be the bottleneck;
-//! 4. journal batch flush interval — aggregation latency/throughput trade;
+//! 4. (fixed flush intervals vs the group-commit controller: removed with
+//!    the fixed cadence; its recorded table is in EXPERIMENTS.md);
 //! 5. the renewing protocol's image path vs journal-only replay for a
 //!    large sn gap — why juniors load images instead of replaying
 //!    everything.
 
-use mams_bench::{print_table, save_json};
+use mams_bench::{arr, obj, print_table, save_json};
 use mams_cluster::deploy::{build, DeploySpec};
 use mams_cluster::metrics::Metrics;
 use mams_cluster::mttr::mttr_from_completions;
@@ -21,6 +22,17 @@ use mams_cluster::workload::Workload;
 use mams_core::MdsReq;
 use mams_sim::{Duration, Sim, SimConfig, SimTime};
 use mams_storage::DiskModel;
+use serde_json::Value;
+
+/// Print one ablation's table and return its rows for `ablations.json`:
+/// one object per row keyed by column header, numeric cells as numbers.
+fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Value {
+    print_table(title, headers, rows);
+    let cell = |c: &String| c.parse::<f64>().map_or_else(|_| c.as_str().into(), Value::from);
+    arr(rows.iter().map(|row| {
+        Value::Object(headers.iter().zip(row).map(|(h, c)| (h.to_string(), cell(c))).collect())
+    }))
+}
 
 fn base_spec(standbys: usize) -> DeploySpec {
     DeploySpec { groups: 1, standbys_per_group: standbys, ..DeploySpec::default() }
@@ -53,33 +65,7 @@ fn throughput_with(spec: DeploySpec, clients: u32, seed: u64) -> f64 {
     m.mean_throughput(3, 13)
 }
 
-/// Under a closed-loop `clients` fleet: (p99 latency ms, mean mutations per
-/// sealed batch — the SSP append amplification of the commit policy).
-fn loaded_stats(spec: DeploySpec, clients: u32, seed: u64) -> (f64, f64) {
-    let mut sim = Sim::new(SimConfig { seed, trace: false, ..SimConfig::default() });
-    let mut d = build(&mut sim, spec);
-    let m = Metrics::new(true);
-    for c in 0..clients {
-        d.add_client(&mut sim, Workload::create_only(c), m.clone());
-    }
-    sim.run_for(Duration::from_secs(10));
-    let batches = d.shared_pool.lock().group(0).map(|g| g.tail_sn()).unwrap_or(0);
-    let ops_per_batch = if batches > 0 { m.ok_count() as f64 / batches as f64 } else { 0.0 };
-    let mut lat: Vec<u64> = m
-        .completions()
-        .iter()
-        .filter(|c| c.ok && c.issued_us >= 3_000_000)
-        .map(|c| c.latency_us())
-        .collect();
-    lat.sort_unstable();
-    if lat.is_empty() {
-        return (f64::NAN, ops_per_batch);
-    }
-    let idx = ((lat.len() as f64 - 1.0) * 0.99).round() as usize;
-    (lat[idx.min(lat.len() - 1)] as f64 / 1000.0, ops_per_batch)
-}
-
-fn ablate_session_timeout() {
+fn ablate_session_timeout() -> Value {
     let mut rows = Vec::new();
     for timeout_s in [1u64, 2, 5, 10] {
         let mut spec = base_spec(3);
@@ -92,31 +78,33 @@ fn ablate_session_timeout() {
             format!("{:.2}", mttr - timeout_s as f64),
         ]);
     }
-    print_table(
+    let json = table(
         "Ablation 1: session timeout vs MTTR (1A3S)",
         &["timeout (s)", "MTTR (s)", "MTTR − timeout"],
         &rows,
     );
     println!("detection dominates: the post-timeout remainder stays roughly constant.");
+    json
 }
 
-fn ablate_standby_count() {
+fn ablate_standby_count() -> Value {
     let mut rows = Vec::new();
     for standbys in [1usize, 2, 3, 4] {
         let mttr = mttr_with(base_spec(standbys), 0xAB2 + standbys as u64);
         let tput = throughput_with(base_spec(standbys), 48, 0xAB2);
         rows.push(vec![format!("{standbys}"), format!("{mttr:.2}"), format!("{tput:.0}")]);
     }
-    print_table(
+    let json = table(
         "Ablation 2: hot standbys vs MTTR and create throughput (1 group, 48 clients)",
         &["standbys", "MTTR (s)", "create ops/s"],
         &rows,
     );
     println!("one standby already gives fast failover; extras buy failure tolerance,");
     println!("not speed, and cost a few percent of mutation throughput each.");
+    json
 }
 
-fn ablate_pool_latency() {
+fn ablate_pool_latency() -> Value {
     let mut rows = Vec::new();
     for overhead_us in [500u64, 1_500, 5_000, 15_000] {
         let disk = DiskModel {
@@ -134,82 +122,17 @@ fn ablate_pool_latency() {
             format!("{latency_ms:.2}"),
         ]);
     }
-    print_table(
+    let json = table(
         "Ablation 3: SSP journal latency vs op latency (4 clients, latency-bound)",
         &["pool fsync (ms)", "ops/s", "mean op latency (ms)"],
         &rows,
     );
     println!("client-visible latency tracks the SSP append — the pool being cheap is");
     println!("what keeps MAMS synchronization overhead negligible (Figure 5/6 claim).");
+    json
 }
 
-fn ablate_flush_interval() {
-    // Fixed flush intervals trade client latency (short wins) against
-    // batching efficiency under saturation (long wins) — no single setting
-    // is right at both ends, which is exactly the gap the adaptive
-    // group-commit controller closes by pacing batches to the observed
-    // durability round trip.
-    let mut rows = Vec::new();
-    // (interval_us, low-load latency ms, loaded p99 ms, ops/batch, ops/s)
-    let mut fixed: Vec<(u64, f64, f64, f64, f64)> = Vec::new();
-    let measure = |spec: DeploySpec, salt: u64| {
-        let few = throughput_with(spec.clone(), 4, 0xAB4 + salt);
-        let (p99, opb) = loaded_stats(spec.clone(), 64, 0xAB4 + salt);
-        let many = throughput_with(spec, 96, 0xAB4 + salt);
-        (4.0 * 1000.0 / few, p99, opb, many)
-    };
-    for flush_us in [500u64, 2_000, 8_000, 20_000] {
-        let mut spec = base_spec(2);
-        spec.timing.adaptive_commit = false;
-        spec.timing.flush_interval = Duration::from_micros(flush_us);
-        let (lat_ms, p99, opb, many) = measure(spec, flush_us);
-        fixed.push((flush_us, lat_ms, p99, opb, many));
-        rows.push(vec![
-            format!("fixed {:.1}", flush_us as f64 / 1000.0),
-            format!("{lat_ms:.2}"),
-            format!("{p99:.2}"),
-            format!("{opb:.1}"),
-            format!("{many:.0}"),
-        ]);
-    }
-    let (ad_lat, ad_p99, ad_opb, ad_many) = measure(base_spec(2), 0); // adaptive default
-    rows.push(vec![
-        "adaptive".into(),
-        format!("{ad_lat:.2}"),
-        format!("{ad_p99:.2}"),
-        format!("{ad_opb:.1}"),
-        format!("{ad_many:.0}"),
-    ]);
-    print_table(
-        "Ablation 4: group-commit policy — low-load latency (4 clients), loaded p99 + \
-         batching (64), saturated throughput (96)",
-        &["flush policy (ms)", "op latency (ms)", "p99@64 (ms)", "ops/batch@64", "ops/s@96"],
-        &rows,
-    );
-    // The crossover: which fixed interval wins flips across the columns —
-    // short intervals take the latency columns but shred batching (every
-    // batch is an SSP append and a standby sync), long ones batch well but
-    // drag latency. Find where each side stops winning against adaptive.
-    let last_latency_win =
-        fixed.iter().rev().find(|r| r.1 < ad_lat && r.2 <= ad_p99 * 1.05).map(|r| r.0);
-    let first_batching_win = fixed.iter().find(|r| r.3 >= ad_opb * 0.95).map(|r| r.0);
-    match (last_latency_win, first_batching_win) {
-        (Some(a), Some(b)) if a < b => println!(
-            "crossover between fixed {:.1} ms and {:.1} ms: below it fixed wins latency \
-             but pays {:.1}x the SSP appends, above it batches well but drags the tail.",
-            a as f64 / 1000.0,
-            b as f64 / 1000.0,
-            ad_opb / fixed.iter().find(|r| r.0 == a).map(|r| r.3.max(0.1)).unwrap_or(1.0),
-        ),
-        _ => println!("no clean crossover in this sweep (disk backpressure self-batches)."),
-    }
-    println!(
-        "adaptive: {ad_lat:.2} ms low-load, {ad_p99:.2} ms p99@64 at {ad_opb:.1} ops/batch, \
-         {ad_many:.0} ops/s saturated — near both frontiers with ~1 batch per durability RTT."
-    );
-}
-
-fn ablate_renewing_image_path() {
+fn ablate_renewing_image_path() -> Value {
     // Recovery time as a function of history length, with and without a
     // checkpointed image. Without checkpoints the junior must replay the
     // whole journal (cost grows with history, and the shared journal can
@@ -245,20 +168,24 @@ fn ablate_renewing_image_path() {
         }
         rows.push(cells);
     }
-    print_table(
+    let json = table(
         "Ablation 5: junior recovery time vs history length",
         &["history (s)", "with checkpoint+image (s)", "journal-only replay (s)"],
         &rows,
     );
     println!("journal-only recovery grows with the whole history; the image path is");
     println!("bounded by namespace size plus the journal tail since the checkpoint.");
+    json
 }
 
 fn main() {
-    ablate_session_timeout();
-    ablate_standby_count();
-    ablate_pool_latency();
-    ablate_flush_interval();
-    ablate_renewing_image_path();
-    save_json("ablations", &serde_json::json!({"note": "see stdout tables"}));
+    save_json(
+        "ablations",
+        &obj([
+            ("session_timeout", ablate_session_timeout()),
+            ("standby_count", ablate_standby_count()),
+            ("pool_latency", ablate_pool_latency()),
+            ("renewing_image_path", ablate_renewing_image_path()),
+        ]),
+    );
 }

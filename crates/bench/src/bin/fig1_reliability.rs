@@ -1,7 +1,7 @@
 //! Figure 1: system reliability vs node count for per-node MTBF of 10^5 and
 //! 10^6 hours (the paper's motivation figure; analytic model).
 
-use mams_bench::{print_table, save_json};
+use mams_bench::{arr, obj, print_table, save_json};
 use mams_sim::reliability::{reliability_series, system_mtbf_hours};
 
 fn main() {
@@ -33,14 +33,13 @@ fn main() {
         "\nBlue Gene/L scale (131k nodes, per-node MTBF 9e5h): system MTBF = {:.1} h (paper: below 7 h)",
         system_mtbf_hours(131_000, 9e5)
     );
+    let series =
+        |s: &[(u64, f64)]| arr(s.iter().map(|&(n, r)| arr([serde_json::Value::from(n), r.into()])));
     save_json(
         "fig1_reliability",
-        &serde_json::json!({
-            "mission_hours": mission_hours,
-            "series": {
-                "mtbf_1e5": lo.iter().map(|(n, r)| serde_json::json!([n, r])).collect::<Vec<_>>(),
-                "mtbf_1e6": hi.iter().map(|(n, r)| serde_json::json!([n, r])).collect::<Vec<_>>(),
-            },
-        }),
+        &obj([
+            ("mission_hours", mission_hours.into()),
+            ("series", obj([("mtbf_1e5", series(&lo)), ("mtbf_1e6", series(&hi))])),
+        ]),
     );
 }

@@ -7,7 +7,7 @@
 //! rename) are distributed transactions and do not scale with actives;
 //! adding standbys costs only a few percent per standby.
 
-use mams_bench::{measure_throughput, populate, print_table, save_json};
+use mams_bench::{arr, measure_throughput, obj, populate, print_table, save_json};
 use mams_cluster::deploy::{build, DeploySpec};
 use mams_cluster::workload::Workload;
 use mams_coord::CoordConfig;
@@ -88,9 +88,9 @@ fn main() {
         for (i, sys) in systems.iter().enumerate() {
             let tput = run_cell(sys, op, 0x5EED + i as u64);
             row.push(format!("{tput:.0}"));
-            jrow.insert(sys.to_string(), serde_json::json!(tput));
+            jrow.insert(sys.to_string(), tput.into());
         }
-        jrow.insert("op".into(), serde_json::json!(op.name()));
+        jrow.insert("op".into(), op.name().into());
         json_rows.push(serde_json::Value::Object(jrow));
         rows.push(row);
     }
@@ -102,5 +102,5 @@ fn main() {
     println!("  * create/getfileinfo: CFS (3 actives) > HDFS (1 namenode)");
     println!("  * delete/mkdir/rename: distributed transactions, no active scaling");
     println!("  * throughput declines only slightly as standbys are added");
-    save_json("fig5_standby_scaling", &serde_json::json!({ "rows": json_rows }));
+    save_json("fig5_standby_scaling", &obj([("rows", arr(json_rows))]));
 }

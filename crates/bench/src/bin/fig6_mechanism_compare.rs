@@ -103,7 +103,7 @@ fn main() {
         }
         let rel = if hdfs_tput > 0.0 { tput / hdfs_tput * 100.0 } else { 100.0 };
         rows.push(vec![sys.to_string(), format!("{tput:.0}"), format!("{rel:.1}%")]);
-        json.insert(sys.to_string(), serde_json::json!(tput));
+        json.insert(sys.to_string(), tput.into());
     }
     print_table(
         "Figure 6: mixed create/getfileinfo/mkdir throughput by mechanism",

@@ -6,7 +6,7 @@
 //! event-triggered bids + the lock grant), switching is bounded and stable,
 //! and client reconnection grows to dominate as total failover time grows.
 
-use mams_bench::{print_table, save_json};
+use mams_bench::{arr, obj, print_table, save_json};
 use mams_cluster::deploy::{build, DeploySpec};
 use mams_cluster::metrics::Metrics;
 use mams_cluster::workload::Workload;
@@ -68,11 +68,11 @@ fn main() {
             format!("{:.0}%", s.switching_ms / total * 100.0),
             format!("{:.0}%", s.reconnection_ms / total * 100.0),
         ]);
-        json_rows.push(serde_json::json!({
-            "election_ms": s.election_ms,
-            "switching_ms": s.switching_ms,
-            "reconnection_ms": s.reconnection_ms,
-        }));
+        json_rows.push(obj([
+            ("election_ms", s.election_ms.into()),
+            ("switching_ms", s.switching_ms.into()),
+            ("reconnection_ms", s.reconnection_ms.into()),
+        ]));
         ok_elect &= s.election_ms < 100.0;
     }
     print_table(
@@ -92,5 +92,5 @@ fn main() {
     println!("\nShape checks (paper):");
     println!("  * election under 100 ms in every run: {}", if ok_elect { "yes" } else { "NO" });
     println!("  * client reconnection dominates as total failover time grows");
-    save_json("fig7_stage_breakdown", &serde_json::json!({ "runs": json_rows }));
+    save_json("fig7_stage_breakdown", &obj([("runs", arr(json_rows))]));
 }

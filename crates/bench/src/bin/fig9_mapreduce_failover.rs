@@ -7,12 +7,12 @@
 //! failure case.
 
 use mams_baselines::boomfs;
-use mams_bench::save_json;
+use mams_bench::{arr, obj, save_json};
 use mams_cluster::deploy::{build, DeploySpec};
 use mams_coord::{CoordConfig, CoordServer};
 use mams_mapreduce::{build_job, JobSpec, JobStats};
 use mams_namespace::Partitioner;
-use mams_sim::{Duration, NodeId, Sim, SimConfig, SimTime};
+use mams_sim::{Duration, Sim, SimConfig, SimTime};
 use std::sync::Arc;
 
 const FAIL_AT: SimTime = SimTime(30_000_000);
@@ -109,23 +109,20 @@ fn main() {
     println!("(paper: 28.13% and 9.76%)");
     assert!(map_gain > 0.0, "CFS must beat Boom-FS on map completion under failure");
 
+    let points =
+        |times: &[u64]| arr(JobStats::cdf(times).into_iter().map(|(t, f)| arr([secs(t), f])));
     let cdf = |s: &JobStats| {
-        // The offline `json!` stand-in discards its arguments; keep `s`
-        // visibly used in every build.
-        let _ = s;
-        serde_json::json!({
-            "maps": JobStats::cdf(&s.maps_done()).iter().map(|(t, f)| serde_json::json!([secs(*t), f])).collect::<Vec<_>>(),
-            "reduces": JobStats::cdf(&s.reduces_done()).iter().map(|(t, f)| serde_json::json!([secs(*t), f])).collect::<Vec<_>>(),
-        })
+        obj([("maps", points(&s.maps_done())), ("reduces", points(&s.reduces_done()))])
     };
-    let _ = &cdf;
     save_json(
         "fig9_mapreduce_failover",
-        &serde_json::json!({
-            "cfs_normal": cdf(&cfs_ok), "boomfs_normal": cdf(&boom_ok),
-            "cfs_failure": cdf(&cfs_fail), "boomfs_failure": cdf(&boom_fail),
-            "map_gain_pct": map_gain, "reduce_gain_pct": red_gain,
-        }),
+        &obj([
+            ("cfs_normal", cdf(&cfs_ok)),
+            ("boomfs_normal", cdf(&boom_ok)),
+            ("cfs_failure", cdf(&cfs_fail)),
+            ("boomfs_failure", cdf(&boom_fail)),
+            ("map_gain_pct", map_gain.into()),
+            ("reduce_gain_pct", red_gain.into()),
+        ]),
     );
-    let _ = NodeId::default();
 }

@@ -8,7 +8,7 @@
 //! 14–35 % of the baselines' average MTTR.
 
 use mams_baselines::{avatar, backupnode, hadoop_ha, FsScale};
-use mams_bench::{print_table, save_json};
+use mams_bench::{arr, obj, print_table, save_json};
 use mams_cluster::deploy::{build, DeploySpec};
 use mams_cluster::metrics::Metrics;
 use mams_cluster::mttr::mttr_from_completions;
@@ -95,12 +95,12 @@ fn main() {
     for &mb in &IMAGE_MB {
         let mut row = vec![mb.to_string()];
         let mut jrow = serde_json::Map::new();
-        jrow.insert("image_mb".into(), serde_json::json!(mb));
+        jrow.insert("image_mb".into(), mb.into());
         for (i, sys) in systems.iter().enumerate() {
             let m = mean_mttr(sys, mb);
             sums[i] += m;
             row.push(format!("{m:.3}"));
-            jrow.insert(sys.to_string(), serde_json::json!(m));
+            jrow.insert(sys.to_string(), m.into());
         }
         rows.push(row);
         json_rows.push(serde_json::Value::Object(jrow));
@@ -123,5 +123,5 @@ fn main() {
         avg[0] / avg[3] * 100.0
     );
     println!("(paper: 14.35% of BackupNode, 19.77% of Avatar, 34.54% of HA)");
-    save_json("table1_mttr", &serde_json::json!({ "rows": json_rows, "averages": avg }));
+    save_json("table1_mttr", &obj([("rows", arr(json_rows)), ("averages", arr(avg))]));
 }

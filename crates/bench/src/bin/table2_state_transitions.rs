@@ -10,7 +10,8 @@
 //!   has empty state, registers as junior, and is renewed to standby.
 
 use mams_bench::{
-    crash_current_active_at, expire_current_active_at, print_table, reconstruct_states, save_json,
+    arr, crash_current_active_at, expire_current_active_at, obj, print_table, reconstruct_states,
+    save_json,
 };
 use mams_cluster::deploy::{build, DeploySpec};
 use mams_cluster::metrics::Metrics;
@@ -100,18 +101,10 @@ fn main() {
     println!("  * B: unplugged members show '-' then rejoin as J and renew to S");
     println!("  * C: restarted processes register as J and renew to S");
     let to_json = |rows: &[(f64, Vec<String>)]| {
-        rows.iter()
-            .map(|(t, s)| {
-                // The offline `json!` stand-in discards its arguments; keep
-                // the fields visibly used in every build.
-                let _ = (t, s);
-                serde_json::json!({"t": t, "states": s})
-            })
-            .collect::<Vec<_>>()
+        arr(rows.iter().map(|(t, s)| obj([("t", (*t).into()), ("states", arr(s.iter().cloned()))])))
     };
-    let _ = (&a, &b, &c, &to_json);
     save_json(
         "table2_state_transitions",
-        &serde_json::json!({ "test_a": to_json(&a), "test_b": to_json(&b), "test_c": to_json(&c) }),
+        &obj([("test_a", to_json(&a)), ("test_b", to_json(&b)), ("test_c", to_json(&c))]),
     );
 }

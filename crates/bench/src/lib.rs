@@ -2,7 +2,8 @@
 //!
 //! One binary per experiment (see DESIGN.md §3). Shared plumbing lives
 //! here: table formatting, JSON result export, throughput measurement, and
-//! trace inspection helpers.
+//! trace inspection helpers. Wall-clock cost is measured by `bench_e2e/`,
+//! a package of its own.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -12,6 +13,7 @@ use mams_cluster::deploy::Deployment;
 use mams_cluster::metrics::Metrics;
 use mams_cluster::workload::Workload;
 use mams_sim::{Duration, NodeId, Sim, SimTime};
+use serde_json::Value;
 
 /// Print an aligned table to stdout.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -38,8 +40,19 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// A JSON object from `(key, value)` pairs. Result documents are built by
+/// hand from `Value` because the offline `serde_json::json!` renders `null`.
+pub fn obj<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// A JSON array of anything that converts to a `Value`.
+pub fn arr<T: Into<Value>>(items: impl IntoIterator<Item = T>) -> Value {
+    Value::Array(items.into_iter().map(Into::into).collect())
+}
+
 /// Write a JSON result document under `results/`.
-pub fn save_json(name: &str, value: &serde_json::Value) {
+pub fn save_json(name: &str, value: &Value) {
     let dir = PathBuf::from("results");
     let _ = std::fs::create_dir_all(&dir);
     let path = dir.join(format!("{name}.json"));
@@ -112,22 +125,6 @@ pub fn populate(
         sim.run_for(Duration::from_secs(1));
     }
     metrics
-}
-
-/// Standard kill-the-active MTTR probe: returns the measured MTTR in
-/// seconds, if the service recovered.
-pub fn mttr_probe(
-    sim: &mut Sim,
-    metrics: &Metrics,
-    kill_at: SimTime,
-    kill: impl FnOnce(&mut Sim) + Send + 'static,
-    run_until: SimTime,
-) -> Option<f64> {
-    sim.at(kill_at, kill);
-    sim.run_until(run_until);
-    let outages =
-        mams_cluster::mttr::mttr_from_completions(&metrics.completions(), &[kill_at.micros()]);
-    outages.first().map(|o| o.mttr_secs())
 }
 
 /// Reconstruct the global-view state table (the paper's Table II rows) from

@@ -449,7 +449,7 @@ fn witness(c: &Component) -> String {
 }
 
 /// Check a recorded history for strict linearizability (see the module
-/// docs; the legacy echo model is opt-in via [`check_history_with`]).
+/// docs).
 pub fn check_history(records: &[OpRecord]) -> CheckOutcome {
     check_history_with(records, &CheckerOpts::default())
 }

@@ -17,9 +17,8 @@
 //! * [`checker`] — the Wing–Gong-style linearizability checker over the
 //!   per-client histories, specialized to the metadata op model. The
 //!   retry window is replicated through the journal, so every history is
-//!   held to *strict* linearizability — retries across failover included;
-//!   the old "modulo retry duplication" echo model survives only as the
-//!   opt-in legacy mode for builds without the window (see DESIGN.md §11).
+//!   held to *strict* linearizability — retries across failover included
+//!   (see DESIGN.md §11).
 //! * [`shrink`] — greedy delta-debugging of failing programs down to a
 //!   minimal witness.
 

@@ -625,7 +625,7 @@ pub fn corpus() -> Vec<Scenario> {
         run_secs: 50,
         about: "a standby turns gray-slow while the adaptive group-commit \
                 controller is pacing batches to its ack latency: the \
-                controller must stretch toward flush_max (not spin), \
+                controller must stretch toward its 8 ms ceiling (not spin), \
                 durable acks stay strict, and service survives the \
                 subsequent active crash",
         faults: |r| {

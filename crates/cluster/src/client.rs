@@ -35,13 +35,14 @@ fn op_token(seq: u64, attempts: u32) -> u64 {
     (seq << 20) | u64::from(attempts & 0xF_FFFF)
 }
 
+/// Per-attempt timeout before re-resolving the active and resending.
+const OP_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Client tuning.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     pub coord: NodeId,
     pub partitioner: Partitioner,
-    /// Per-attempt timeout before re-resolving the active and resending.
-    pub op_timeout: Duration,
     /// Grace period before the first operation (cluster boot).
     pub start_delay: Duration,
     /// Stop after this many completed operations (`None` = run forever).
@@ -65,7 +66,6 @@ impl ClientConfig {
         ClientConfig {
             coord,
             partitioner,
-            op_timeout: Duration::from_millis(1_000),
             start_delay: Duration::from_millis(500),
             max_ops: None,
             think: Duration::ZERO,
@@ -208,7 +208,7 @@ impl FsClient {
                 self.refresh_view(ctx);
             }
         }
-        ctx.set_timer(self.cfg.op_timeout, op_token(seq, attempts));
+        ctx.set_timer(OP_TIMEOUT, op_token(seq, attempts));
     }
 
     /// A retried mutation may hit the result of its own earlier, half-acked

@@ -95,6 +95,14 @@ pub struct Deployment {
 /// Build the cluster: coordination server, pool nodes, `groups ×
 /// (1 + standbys + juniors)` metadata servers (restartable), data servers.
 pub fn build(sim: &mut Sim, spec: DeploySpec) -> Deployment {
+    // A partitioned active must fence itself before the coordinator can
+    // expire its session and let a successor serve.
+    let lease = spec.timing.coord_lease();
+    assert!(
+        lease < spec.coord.session_timeout,
+        "self-fencing lease {lease:?} (2 × heartbeat) must be below the session timeout {:?}",
+        spec.coord.session_timeout
+    );
     let shared_pool = new_shared_pool();
     let coord = sim.add_node("coord", Box::new(CoordServer::new(spec.coord)));
     let mut pool = Vec::new();
@@ -205,22 +213,6 @@ impl Deployment {
         self.client_count
     }
 
-    /// Like [`Deployment::add_client`], but every operation is logged into
-    /// `history` for linearizability checking.
-    pub fn add_client_recorded(
-        &mut self,
-        sim: &mut Sim,
-        workload: Workload,
-        metrics: Arc<Metrics>,
-        history: Arc<crate::history::History>,
-    ) -> NodeId {
-        let client = self.next_client_id();
-        self.add_client_with(sim, workload, metrics, move |mut cfg| {
-            cfg.history = Some(crate::history::Recorder { client, log: history });
-            cfg
-        })
-    }
-
     /// Dynamically add a backup node to a running replica group (the
     /// paper's "supports dynamically adding backup nodes at runtime"): the
     /// node boots as a junior, registers with the active, and is upgraded
@@ -242,5 +234,20 @@ impl Deployment {
         });
         g.members.push(id);
         id
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mams_sim::SimConfig;
+
+    #[test]
+    #[should_panic(expected = "must be below the session timeout")]
+    fn build_refuses_a_session_timeout_the_lease_would_outlive() {
+        let mut sim = Sim::new(SimConfig::default());
+        let coord =
+            CoordConfig { session_timeout: Duration::from_secs(1), ..CoordConfig::default() };
+        build(&mut sim, DeploySpec { coord, ..DeploySpec::default() });
     }
 }

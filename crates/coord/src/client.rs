@@ -133,12 +133,6 @@ impl CoordClient {
         ctx.send(self.coord, CoordReq::ReleaseLock { path: path.into(), epoch, req });
         req
     }
-
-    /// Deliberately kill our own session (Test A's "active loses the
-    /// lock").
-    pub fn expire_self(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.send(self.coord, CoordReq::Expire);
-    }
 }
 
 #[cfg(test)]

@@ -2,12 +2,19 @@
 //! synchronization, distributed transactions, checkpoints.
 
 use mams_journal::{JournalBatch, ReplayCursor, SharedBatch, Sn, Txn};
-use mams_sim::{Ctx, NodeId};
+use mams_sim::{Ctx, Duration, NodeId};
 use mams_storage::pool::PoolError;
 use mams_storage::proto::{PoolReq, PoolResp};
 
 use crate::proto::{FsOp, GroupMsg, MdsReq, MdsResp, OpOutput};
+use crate::renewing::CATCHUP_PAGE;
 use crate::server::{Inflight, MdsServer, PendingOp, PoolCtx, ReplyTo, Role, XgOutstanding};
+
+/// Flush as soon as this many mutations are pending.
+const BATCH_MAX_OPS: usize = 64;
+/// How long a standby waits on a hole in its stash before reading the
+/// missing batches from the pool.
+const GAP_REPAIR_DELAY: Duration = Duration::from_millis(100);
 
 impl MdsServer {
     // ------------------------------------------------------------- clients
@@ -185,7 +192,7 @@ impl MdsServer {
                 let xid = self.maybe_xg_fanout(ctx, &txn, true);
                 let reply = ReplyTo::SpecAcked { node: from, seq };
                 self.pending.push(PendingOp { txn, reply, output, xid });
-                if self.pending.len() >= self.cfg.timing.batch_max_ops {
+                if self.pending.len() >= BATCH_MAX_OPS {
                     self.flush_batch(ctx);
                 }
             }
@@ -237,10 +244,11 @@ impl MdsServer {
 
     /// Serve a read against a pinned epoch snapshot. In this simulated node
     /// the server is single-threaded, so the pin is vacuous here — but it is
-    /// the same path a threaded deployment uses (see `bench_hotpath
-    /// --threads`), and going through it keeps the snapshot machinery under
-    /// the full protocol test surface: a pinned read must observe exactly
-    /// the applied-and-published prefix, never a mutation mid-apply.
+    /// the same path a threaded deployment uses (see `shard.rs`'s
+    /// `pinned_reader_concurrent_with_writer`), and going through it keeps
+    /// the snapshot machinery under the full protocol test surface: a
+    /// pinned read must observe exactly the applied-and-published prefix,
+    /// never a mutation mid-apply.
     fn exec_read(&self, op: &FsOp) -> Result<OpOutput, String> {
         let view = self.ns.pin();
         match op {
@@ -325,7 +333,7 @@ impl MdsServer {
                 let client = matches!(reply, ReplyTo::Client { .. });
                 let xid = self.maybe_xg_fanout(ctx, &txn, client);
                 self.pending.push(PendingOp { txn, reply, output, xid });
-                if self.pending.len() >= self.cfg.timing.batch_max_ops {
+                if self.pending.len() >= BATCH_MAX_OPS {
                     self.flush_batch(ctx);
                 }
             }
@@ -601,7 +609,7 @@ impl MdsServer {
     pub(crate) fn arm_gap_repair(&mut self, ctx: &mut Ctx<'_>) {
         if !self.gap_repair_armed {
             self.gap_repair_armed = true;
-            ctx.set_timer(self.cfg.timing.register_retry.mul_f64(0.4), crate::server::T_GAP_REPAIR);
+            ctx.set_timer(GAP_REPAIR_DELAY, crate::server::T_GAP_REPAIR);
         }
     }
 
@@ -621,10 +629,9 @@ impl MdsServer {
         if !self.stash.is_empty() {
             let group = self.cfg.group;
             let after = self.cursor.max_sn();
-            let max = self.cfg.timing.catchup_page;
             self.pool_send(
                 ctx,
-                move |req| PoolReq::ReadJournal { group, after_sn: after, max, req },
+                move |req| PoolReq::ReadJournal { group, after_sn: after, max: CATCHUP_PAGE, req },
                 PoolCtx::GapRepair,
             );
         }

@@ -1,15 +1,14 @@
-//! Adaptive group-commit controller.
+//! Group-commit controller: the one flush cadence.
 //!
-//! The fixed `flush_interval` cadence trades throughput against tail
-//! latency statically: a short interval acks single ops quickly but floods
-//! the durability pipe with tiny batches under load; a long one amortizes
-//! the fan-out but adds up to a full interval of residual wait to every
-//! reply. [`GroupCommitPolicy`] replaces the constant with a controller
-//! driven by two observed signals:
+//! A fixed flush interval trades throughput against tail latency
+//! statically: a short one acks single ops quickly but floods the
+//! durability pipe with tiny batches under load; a long one amortizes the
+//! fan-out but adds up to a full interval of residual wait to every reply.
+//! [`GroupCommitPolicy`] sets the interval from two observed signals:
 //!
 //! * **arrival rate** (EWMA of admitted ops per µs) — decides whether the
-//!   server is idle. An idle server keeps the configured base cadence, so
-//!   a lone op is never delayed longer than the fixed baseline would have.
+//!   server is idle. An idle server ticks every [`FLUSH_IDLE`], so a lone
+//!   op never waits longer than that.
 //! * **in-flight ack latency** (EWMA of seal→durable per batch) — paces
 //!   flushes under load. One batch per durability round-trip is the group
 //!   commit sweet spot: everything that arrives while the previous batch
@@ -17,7 +16,7 @@
 //!   pipe is slow, and the in-flight window stays bounded even when a gray
 //!   standby stretches acks by orders of magnitude.
 //!
-//! The output interval is clamped to `[flush_min, flush_max]`. The policy
+//! The loaded interval is clamped to `[FLUSH_MIN, FLUSH_MAX]`. The policy
 //! is pure bookkeeping — no clocks, no I/O — so it is unit-testable in
 //! isolation and deterministic under simulation.
 
@@ -31,37 +30,39 @@ const RATE_TAU_US: f64 = 20_000.0;
 /// Fixed smoothing factor for the per-batch ack-latency EWMA.
 const ACK_ALPHA: f64 = 0.25;
 
-/// Expected admissions per *base* interval below which the server counts
-/// as idle (with an empty backlog).
-const IDLE_OPS_PER_BASE: f64 = 0.5;
+/// Expected admissions per [`FLUSH_IDLE`] below which the server counts as
+/// idle (with an empty backlog).
+const IDLE_OPS_PER_TICK: f64 = 0.5;
 
-/// Adaptive flush-cadence controller (see module docs).
+/// Flush cadence of an idle server, and of every member that is not the
+/// active.
+pub(crate) const FLUSH_IDLE: Duration = Duration::from_millis(2);
+/// Shortest loaded flush interval (latency floor).
+pub(crate) const FLUSH_MIN: Duration = Duration::from_micros(250);
+/// Longest loaded flush interval (batching ceiling when the durability
+/// pipe is slow). Also bounds the drain budget a single tick may spend, so
+/// a late tick cannot burst past the CPU model.
+pub(crate) const FLUSH_MAX: Duration = Duration::from_millis(8);
+
+/// Flush-cadence controller (see module docs).
 #[derive(Debug, Clone)]
 pub struct GroupCommitPolicy {
-    base_us: f64,
-    min_us: f64,
-    max_us: f64,
     /// EWMA of the admission rate, in ops per µs.
     rate_per_us: f64,
     /// EWMA of batch durability latency (seal → last ack), in µs.
     ack_us: f64,
 }
 
+impl Default for GroupCommitPolicy {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl GroupCommitPolicy {
-    /// `base` is the fixed cadence the idle server keeps (the legacy
-    /// `flush_interval`); `min`/`max` bound the adaptive range.
-    pub fn new(base: Duration, min: Duration, max: Duration) -> Self {
-        let min_us = (min.micros() as f64).max(1.0);
-        let max_us = (max.micros() as f64).max(min_us);
-        GroupCommitPolicy {
-            base_us: (base.micros() as f64).max(1.0),
-            min_us,
-            max_us,
-            rate_per_us: 0.0,
-            // Optimistic start: flush fast until the first ack says
-            // otherwise.
-            ack_us: min_us,
-        }
+    pub fn new() -> Self {
+        // Optimistic start: flush fast until the first ack says otherwise.
+        GroupCommitPolicy { rate_per_us: 0.0, ack_us: FLUSH_MIN.micros() as f64 }
     }
 
     /// Record one drain tick: `arrived` ops were admitted over `elapsed`.
@@ -81,22 +82,17 @@ impl GroupCommitPolicy {
     /// The interval until the next drain-and-flush tick. `backlog` is the
     /// number of ops still queued after the current drain.
     pub fn next_interval(&self, backlog: usize) -> Duration {
-        if backlog == 0 && self.rate_per_us * self.base_us < IDLE_OPS_PER_BASE {
-            // Idle: keep the fixed cadence — no extra timer traffic, and a
-            // lone op never waits longer than under the fixed policy.
-            return Duration::from_micros(self.base_us as u64);
+        if backlog == 0 && self.rate_per_us * (FLUSH_IDLE.micros() as f64) < IDLE_OPS_PER_TICK {
+            // Idle: no extra timer traffic.
+            return FLUSH_IDLE;
         }
-        Duration::from_micros(self.ack_us.clamp(self.min_us, self.max_us) as u64)
+        let (min, max) = (FLUSH_MIN.micros() as f64, FLUSH_MAX.micros() as f64);
+        Duration::from_micros(self.ack_us.clamp(min, max) as u64)
     }
 
     /// Observed admission rate in ops per second (diagnostics).
     pub fn rate_per_sec(&self) -> f64 {
         self.rate_per_us * 1_000_000.0
-    }
-
-    /// Observed ack latency in µs (diagnostics).
-    pub fn ack_latency_us(&self) -> f64 {
-        self.ack_us
     }
 }
 
@@ -104,17 +100,9 @@ impl GroupCommitPolicy {
 mod tests {
     use super::*;
 
-    fn policy() -> GroupCommitPolicy {
-        GroupCommitPolicy::new(
-            Duration::from_millis(2),
-            Duration::from_micros(250),
-            Duration::from_millis(8),
-        )
-    }
-
     #[test]
     fn idle_server_keeps_the_base_cadence() {
-        let mut p = policy();
+        let mut p = GroupCommitPolicy::new();
         for _ in 0..100 {
             p.observe_tick(0, Duration::from_millis(2));
         }
@@ -123,7 +111,7 @@ mod tests {
 
     #[test]
     fn loaded_fast_pipe_flushes_at_the_floor() {
-        let mut p = policy();
+        let mut p = GroupCommitPolicy::new();
         // Sustained traffic, acks faster than the floor.
         for _ in 0..200 {
             p.observe_tick(40, Duration::from_millis(2));
@@ -134,7 +122,7 @@ mod tests {
 
     #[test]
     fn interval_tracks_the_ack_round_trip_under_load() {
-        let mut p = policy();
+        let mut p = GroupCommitPolicy::new();
         for _ in 0..200 {
             p.observe_tick(40, Duration::from_millis(2));
             p.observe_ack(Duration::from_micros(900));
@@ -145,7 +133,7 @@ mod tests {
 
     #[test]
     fn slow_acks_are_clamped_at_the_ceiling() {
-        let mut p = policy();
+        let mut p = GroupCommitPolicy::new();
         for _ in 0..50 {
             p.observe_tick(40, Duration::from_millis(2));
             p.observe_ack(Duration::from_millis(400)); // gray standby
@@ -157,7 +145,7 @@ mod tests {
     fn interval_is_monotone_in_ack_latency() {
         let mut prev = Duration::ZERO;
         for ack_us in [100u64, 400, 900, 2000, 5000, 20_000] {
-            let mut p = policy();
+            let mut p = GroupCommitPolicy::new();
             for _ in 0..100 {
                 p.observe_tick(40, Duration::from_millis(2));
                 p.observe_ack(Duration::from_micros(ack_us));
@@ -170,7 +158,7 @@ mod tests {
 
     #[test]
     fn backlog_forces_the_busy_path_even_at_low_rate() {
-        let mut p = policy();
+        let mut p = GroupCommitPolicy::new();
         for _ in 0..100 {
             p.observe_tick(0, Duration::from_millis(2));
             p.observe_ack(Duration::from_micros(300));
@@ -182,7 +170,7 @@ mod tests {
 
     #[test]
     fn a_light_closed_loop_client_gets_the_fast_cadence() {
-        let mut p = policy();
+        let mut p = GroupCommitPolicy::new();
         // ~1 op/ms: far from saturation, but well above the idle threshold.
         for _ in 0..200 {
             p.observe_tick(2, Duration::from_millis(2));
@@ -193,7 +181,7 @@ mod tests {
 
     #[test]
     fn rate_ewma_decays_back_to_idle() {
-        let mut p = policy();
+        let mut p = GroupCommitPolicy::new();
         for _ in 0..50 {
             p.observe_tick(40, Duration::from_millis(2));
         }

@@ -15,61 +15,20 @@ pub enum InitialRole {
     Junior,
 }
 
-/// Protocol timing and sizing knobs. Defaults follow the paper's setup
-/// (Section IV): ZooKeeper heartbeat 2 s, session timeout 5 s; journal
-/// batches aggregated and flushed asynchronously.
+/// The protocol settings some caller sets. Defaults follow the paper's
+/// setup (Section IV): ZooKeeper heartbeat 2 s against a 5 s session
+/// timeout. Every period or size with a single value in use is a constant
+/// beside the code that reads it (`commit`, `server`, `failover`,
+/// `renewing`).
 #[derive(Debug, Clone, Copy)]
 pub struct MdsTiming {
-    /// Journal batch flush cadence — the fixed cadence when
-    /// `adaptive_commit` is off, and the idle cadence when it is on.
-    pub flush_interval: Duration,
-    /// Adaptive group commit: size batches from the observed arrival rate
-    /// and in-flight ack latency instead of the fixed `flush_interval`
-    /// (see `commit::GroupCommitPolicy`).
-    pub adaptive_commit: bool,
-    /// Shortest adaptive flush interval (latency floor under load).
-    pub flush_min: Duration,
-    /// Longest adaptive flush interval (batching ceiling when the
-    /// durability pipe is slow). Also bounds the drain budget a single
-    /// adaptive tick may spend, so a late tick cannot burst past the CPU
-    /// model.
-    pub flush_max: Duration,
-    /// Flush as soon as this many mutations are pending.
-    pub batch_max_ops: usize,
     /// Coordination heartbeat interval.
     pub heartbeat: Duration,
-    /// Self-fencing lease: an active that has heard *nothing* from the
-    /// coordination service for this long must assume its session expired
-    /// and step down before a successor can be elected. The coordinator
-    /// renews the session on *any* request arrival and we renew the lease
-    /// on *any* response arrival (milliseconds later), so the lease clock
-    /// can never lag the expiry clock — any value strictly below the
-    /// session timeout fences the zombie before a successor serves. Keep
-    /// a healthy margin below it, but not so tight that a short burst of
-    /// lost view-refresh rounds triggers spurious fences.
-    pub coord_lease: Duration,
-    /// Active-side scan for juniors needing renewal.
-    pub renew_scan: Duration,
-    /// Maximum random election delay (Algorithm 1's bid is mapped onto a
-    /// delay so the largest bid attempts the lock first).
-    pub election_spread: Duration,
-    /// Registration retry cadence after a view change.
-    pub register_retry: Duration,
-    /// Journal-sn gap at or below which the renewing protocol enters its
-    /// final synchronization stage.
-    pub renew_final_gap: u64,
     /// Journal-sn gap above which a junior loads the image instead of
     /// replaying the journal record-by-record.
     pub renew_image_gap: u64,
     /// Image transfer chunk size (bytes).
     pub image_chunk: u64,
-    /// Batches per journal catch-up page.
-    pub catchup_page: usize,
-    /// Journal catch-up pages kept in flight against the pool at once, so
-    /// network RTT overlaps replay instead of serializing with it.
-    pub catchup_window: usize,
-    /// Per-operation CPU costs (server capacity model).
-    pub cpu: crate::ingress::CpuModel,
     /// Automatic image-checkpoint cadence for the active (`None` = only on
     /// explicit `MdsReq::Checkpoint`). Checkpoints compact the shared
     /// journal and bound junior recovery time.
@@ -80,10 +39,6 @@ pub struct MdsTiming {
     /// cheaper than a full image — cost is proportional to churn — so it
     /// can run far more often, keeping junior recovery time flat.
     pub delta_interval: Option<Duration>,
-    /// Extra per-mutation CPU for each hot standby the active synchronizes
-    /// (serialization + send per replica). This is what produces the
-    /// paper's few-percent throughput decline per added standby (Fig. 5).
-    pub sync_cpu_per_standby: Duration,
     /// **Deliberate bug switch** (chaos-checker teeth test): the active
     /// acknowledges `delete` without applying it. Must never be set outside
     /// chaos campaigns — it exists so the linearizability checker can be
@@ -94,27 +49,37 @@ pub struct MdsTiming {
 impl Default for MdsTiming {
     fn default() -> Self {
         MdsTiming {
-            flush_interval: Duration::from_millis(2),
-            adaptive_commit: true,
-            flush_min: Duration::from_micros(250),
-            flush_max: Duration::from_millis(8),
-            batch_max_ops: 64,
             heartbeat: Duration::from_secs(2),
-            coord_lease: Duration::from_secs(4),
-            renew_scan: Duration::from_secs(1),
-            election_spread: Duration::from_millis(50),
-            register_retry: Duration::from_millis(250),
-            renew_final_gap: 8,
             renew_image_gap: 512,
             image_chunk: 4 * 1024 * 1024,
-            catchup_page: 64,
-            catchup_window: 4,
-            cpu: crate::ingress::CpuModel::default(),
             checkpoint_interval: None,
             delta_interval: None,
-            sync_cpu_per_standby: Duration::from_micros(5),
             fault_double_ack: false,
         }
+    }
+}
+
+impl MdsTiming {
+    /// Self-fencing lease: an active that has heard *nothing* from the
+    /// coordination service for this long must assume its session expired
+    /// and step down before a successor can be elected. The coordinator
+    /// renews the session on *any* request arrival and we renew the lease
+    /// on *any* response arrival (milliseconds later), so the lease clock
+    /// can never lag the expiry clock — any value strictly below the
+    /// session timeout fences the zombie before a successor serves
+    /// (`mams_cluster::deploy::build` asserts it, the one place both are
+    /// known). Two heartbeats, which is at least two [`Self::view_refresh`]
+    /// rounds: one lost round does not fence.
+    pub fn coord_lease(&self) -> Duration {
+        Duration::from_micros(2 * self.heartbeat.micros())
+    }
+
+    /// Period of the view-refresh round: a listing that heals lost watch
+    /// events, and whose response is the contact that renews the lease
+    /// (heartbeats are not acknowledged). 1 s, or the heartbeat when that
+    /// is shorter, so that the lease always spans two rounds.
+    pub fn view_refresh(&self) -> Duration {
+        self.heartbeat.min(Duration::from_secs(1))
     }
 }
 
@@ -161,14 +126,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_match_paper_setup() {
+    fn constants_and_defaults_fit_together() {
+        use crate::commit::{FLUSH_IDLE, FLUSH_MAX, FLUSH_MIN};
         let t = MdsTiming::default();
         assert_eq!(t.heartbeat, Duration::from_secs(2));
-        assert!(t.flush_interval < Duration::from_millis(10));
-        assert!(t.renew_final_gap < t.renew_image_gap);
-        assert!(t.adaptive_commit);
-        assert!(t.flush_min < t.flush_interval);
-        assert!(t.flush_interval < t.flush_max);
+        assert!(FLUSH_MIN < FLUSH_IDLE && FLUSH_IDLE < FLUSH_MAX);
+        assert!(crate::renewing::RENEW_FINAL_GAP < t.renew_image_gap);
+        assert_eq!(t.coord_lease(), Duration::from_secs(4));
+        assert_eq!(t.view_refresh(), Duration::from_secs(1));
+        assert!(t.coord_lease() < mams_coord::CoordConfig::default().session_timeout);
     }
 
     #[test]

@@ -10,15 +10,24 @@
 //! state sequences of the paper's Table II.
 
 use mams_coord::{CoordEvent, CoordResp, KeyOp};
-use mams_sim::{Ctx, NodeId};
+use mams_sim::{Ctx, Duration, NodeId};
 use mams_storage::proto::{PoolReq, PoolResp};
 
 use crate::config::InitialRole;
 use crate::proto::GroupMsg;
+use crate::renewing::CATCHUP_PAGE;
 use crate::server::{
     ElectStage, ElectState, Inflight, MdsServer, PoolCtx, Role, T_ELECT, T_UPGRADE_RETRY,
 };
 use crate::view::keys;
+
+/// How long an election round collects bids before listing them
+/// (Algorithm 1: the largest bid in the window attempts the lock).
+const ELECTION_SPREAD: Duration = Duration::from_millis(50);
+/// How long a round waits for its winner before starting over.
+const ELECTION_BACKOFF: Duration = Duration::from_millis(200);
+/// Rerun the switch sequence if a pool reply of it was lost.
+const UPGRADE_RETRY: Duration = Duration::from_millis(500);
 
 impl MdsServer {
     fn bid_key(&self, node: NodeId) -> String {
@@ -291,7 +300,7 @@ impl MdsServer {
             self.role = Role::Electing;
         }
         self.elect = Some(ElectState { bid, stage: ElectStage::Window });
-        ctx.set_timer(self.cfg.timing.election_spread, T_ELECT);
+        ctx.set_timer(ELECTION_SPREAD, T_ELECT);
     }
 
     /// The T_ELECT timer fired.
@@ -307,7 +316,7 @@ impl MdsServer {
                 if let Some(e) = self.elect.as_mut() {
                     e.stage = ElectStage::Backoff;
                 }
-                ctx.set_timer(self.cfg.timing.election_spread.mul_f64(4.0), T_ELECT);
+                ctx.set_timer(ELECTION_BACKOFF, T_ELECT);
             }
             ElectStage::Backoff => {
                 // The round fizzled (winner died mid-acquire, listing lost,
@@ -379,7 +388,7 @@ impl MdsServer {
         self.group_epoch = self.group_epoch.max(epoch);
         self.elect = None;
         // If any pool reply of the switch sequence is lost, rerun it.
-        ctx.set_timer(self.cfg.timing.register_retry.mul_f64(2.0), T_UPGRADE_RETRY);
+        ctx.set_timer(UPGRADE_RETRY, T_UPGRADE_RETRY);
         // Fence the pool before reading its authoritative tail, so the
         // deposed active cannot append behind our back.
         let group = self.cfg.group;
@@ -399,10 +408,9 @@ impl MdsServer {
         // hold everything that was ever acknowledged.
         let group = self.cfg.group;
         let after = self.cursor.max_sn();
-        let max = self.cfg.timing.catchup_page;
         self.pool_send(
             ctx,
-            move |req| PoolReq::ReadJournal { group, after_sn: after, max, req },
+            move |req| PoolReq::ReadJournal { group, after_sn: after, max: CATCHUP_PAGE, req },
             PoolCtx::UpgradeTail,
         );
     }
@@ -426,10 +434,9 @@ impl MdsServer {
                 if self.cursor.max_sn() < tail_sn {
                     let group = self.cfg.group;
                     let after = self.cursor.max_sn();
-                    let max = self.cfg.timing.catchup_page;
                     self.pool_send(
                         ctx,
-                        move |req| PoolReq::ReadJournal { group, after_sn: after, max, req },
+                        move |req| PoolReq::ReadJournal { group, after_sn: after, max: CATCHUP_PAGE, req },
                         PoolCtx::UpgradeTail,
                     );
                 } else {
@@ -596,15 +603,15 @@ impl MdsServer {
     /// of them — its session expires server-side, a successor is elected,
     /// and the zombie would keep answering reads (stale!) for clients still
     /// connected to it. So the active also enforces its lease locally: no
-    /// coordination contact for `coord_lease` (= the coordinator's session
-    /// timeout) means the session must be presumed dead, and we step down
+    /// coordination contact for `coord_lease()` (below the coordinator's
+    /// session timeout) means the session must be presumed dead, and we step down
     /// *before* any successor can finish its upgrade.
     pub(crate) fn check_coord_lease(&mut self, ctx: &mut Ctx<'_>) {
         if !matches!(self.role, Role::Active | Role::Upgrading) {
             return;
         }
         let silent = ctx.now().since(self.last_coord_contact);
-        if silent > self.cfg.timing.coord_lease {
+        if silent > self.cfg.timing.coord_lease() {
             ctx.trace("failover.self_fence", || format!("coord silent for {silent:?}"));
             // Teardown of our view presence. On an *asymmetric* cut (we can
             // send to the coordinator but hear nothing back) our session

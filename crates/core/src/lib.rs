@@ -17,7 +17,7 @@
 //!   synchronization handshake once the `sn` gap is small.
 //!
 //! The central type is [`MdsServer`]: one replica-group member. It embeds
-//! the namespace tree, journal log and replay cursor, block map, the
+//! the sharded namespace, journal log and replay cursor, block map, the
 //! coordination client, and the role state machine, and runs on any
 //! `mams-sim` runtime.
 

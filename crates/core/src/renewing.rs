@@ -21,6 +21,16 @@ use mams_storage::{ArtifactId, ArtifactKind, ManifestEntry, PoolError};
 use crate::proto::GroupMsg;
 use crate::server::{Catchup, CatchupStage, MdsServer, PoolCtx, RenewDriver, Role};
 
+/// Journal-sn gap at or below which the renewing protocol enters its final
+/// synchronization stage. Must stay below `MdsTiming::renew_image_gap`.
+pub(crate) const RENEW_FINAL_GAP: u64 = 8;
+/// Batches per journal page read from the pool (catch-up, upgrade tail,
+/// gap repair).
+pub(crate) const CATCHUP_PAGE: usize = 64;
+/// Journal catch-up pages kept in flight against the pool at once, so
+/// network RTT overlaps replay instead of serializing with it.
+const CATCHUP_WINDOW: usize = 4;
+
 impl MdsServer {
     // ---------------------------------------------------- active side
 
@@ -67,7 +77,7 @@ impl MdsServer {
         driver.stale_scans = 0;
         self.member_sns.insert(from, sn);
         let tail = self.log.tail_sn();
-        if tail.saturating_sub(sn) <= self.cfg.timing.renew_final_gap {
+        if tail.saturating_sub(sn) <= RENEW_FINAL_GAP {
             // Final stage: live-sync from now on + ship the missing range.
             self.standbys.insert(from);
             match self.log.read_after(sn) {
@@ -204,14 +214,12 @@ impl MdsServer {
         self.pump_journal_pages(ctx, for_upgrade);
     }
 
-    /// Top up the journal-page request window: keep up to `catchup_window`
+    /// Top up the journal-page request window: keep up to `CATCHUP_WINDOW`
     /// page reads in flight, each asking for the page after the previous
     /// request's range, so the pool RTT overlaps local replay. Responses
     /// may arrive out of order; the stash/cursor machinery in
     /// `ingest_batch` reassembles them contiguously.
     fn pump_journal_pages(&mut self, ctx: &mut Ctx<'_>, for_upgrade: bool) {
-        let page = self.cfg.timing.catchup_page as u64;
-        let window = self.cfg.timing.catchup_window.max(1);
         loop {
             let applied = self.cursor.max_sn();
             let after = {
@@ -221,7 +229,7 @@ impl MdsServer {
                 else {
                     return;
                 };
-                if *inflight >= window {
+                if *inflight >= CATCHUP_WINDOW {
                     return;
                 }
                 if *inflight == 0 {
@@ -236,15 +244,14 @@ impl MdsServer {
                     return;
                 }
                 let after = *next_after;
-                *next_after = after.saturating_add(page);
+                *next_after = after.saturating_add(CATCHUP_PAGE as u64);
                 *inflight += 1;
                 after
             };
             let group = self.cfg.group;
-            let max = self.cfg.timing.catchup_page;
             self.pool_send(
                 ctx,
-                move |req| PoolReq::ReadJournal { group, after_sn: after, max, req },
+                move |req| PoolReq::ReadJournal { group, after_sn: after, max: CATCHUP_PAGE, req },
                 PoolCtx::CatchupPage { for_upgrade },
             );
         }

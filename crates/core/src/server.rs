@@ -16,6 +16,7 @@ use mams_sim::{Ctx, Duration, Message, Node, NodeId, SimTime};
 use mams_storage::pool::Epoch;
 use mams_storage::proto::{PoolReq, PoolResp, ReqId};
 
+use crate::commit::{FLUSH_IDLE, FLUSH_MAX};
 use crate::config::{InitialRole, MdsConfig};
 use crate::proto::{GroupMsg, MdsReq, OpOutput};
 
@@ -31,6 +32,17 @@ pub(crate) const T_VIEW_REFRESH: u64 = 8;
 pub(crate) const T_UPGRADE_RETRY: u64 = 9;
 pub(crate) const T_CHECKPOINT: u64 = 10;
 pub(crate) const T_DELTA: u64 = 11;
+
+/// Periods of the repeating timers above.
+const RENEW_SCAN: Duration = Duration::from_secs(1);
+const REGISTER_RETRY: Duration = Duration::from_millis(250);
+const XG_RETRY: Duration = Duration::from_millis(500);
+const POOL_RETRY: Duration = Duration::from_millis(100);
+
+/// Extra per-mutation CPU for each hot standby the active synchronizes
+/// (serialization + send per replica). This is what produces the paper's
+/// few-percent throughput decline per added standby (Fig. 5).
+const SYNC_CPU_PER_STANDBY: Duration = Duration::from_micros(5);
 
 /// A member's role, as in Figure 3 of the paper, plus the two transitional
 /// states the protocol moves through.
@@ -176,7 +188,7 @@ pub(crate) enum CatchupStage {
         decoder: Option<Box<mams_namespace::StreamingImageDecoder>>,
         buf: Vec<u8>,
     },
-    /// Replaying journal pages from the pool, with up to `catchup_window`
+    /// Replaying journal pages from the pool, with up to `CATCHUP_WINDOW`
     /// page requests in flight so network RTT overlaps apply. `inflight`
     /// counts outstanding requests, `next_after` is the next speculative
     /// page boundary, and `tail_hint` bounds speculation (the last tail sn
@@ -300,13 +312,12 @@ pub struct MdsServer {
     /// Admission queue (CPU capacity model).
     pub(crate) ingress: crate::ingress::Ingress,
 
-    // ---- adaptive commit pipeline ----
-    /// Flush-cadence controller (drives `T_FLUSH` when
-    /// `timing.adaptive_commit` is on).
+    // ---- commit pipeline ----
+    /// Flush-cadence controller (drives `T_FLUSH`).
     pub(crate) commit: crate::commit::GroupCommitPolicy,
     /// When the ingress queue was last drained; the next drain's budget is
     /// the elapsed wall time, so the CPU model's service rate is invariant
-    /// under the adaptive tick cadence.
+    /// under the tick cadence.
     pub(crate) last_drain_at: SimTime,
     /// `ingress.admitted()` at the previous tick (arrival-rate signal).
     pub(crate) last_admitted: u64,
@@ -342,7 +353,7 @@ pub struct MdsServer {
     pub(crate) diverged_traced: bool,
 
     /// When we last heard *anything* from the coordination service. An
-    /// active whose last contact is older than `timing.coord_lease` must
+    /// active whose last contact is older than `timing.coord_lease()` must
     /// assume its session expired and self-fence (see `check_coord_lease`).
     pub(crate) last_coord_contact: SimTime,
 
@@ -356,11 +367,6 @@ pub struct MdsServer {
 impl MdsServer {
     pub fn new(cfg: MdsConfig) -> Self {
         let coord = CoordClient::new(cfg.coord, cfg.timing.heartbeat);
-        let commit = crate::commit::GroupCommitPolicy::new(
-            cfg.timing.flush_interval,
-            cfg.timing.flush_min,
-            cfg.timing.flush_max,
-        );
         let role = match cfg.initial_role {
             InitialRole::Active => Role::Standby, // becomes Active via the lock
             InitialRole::Standby => Role::Standby,
@@ -400,7 +406,7 @@ impl MdsServer {
             catchup: None,
             elect: None,
             ingress: crate::ingress::Ingress::default(),
-            commit,
+            commit: crate::commit::GroupCommitPolicy::new(),
             last_drain_at: SimTime::ZERO,
             last_admitted: 0,
             token_waits: Vec::new(),
@@ -503,12 +509,6 @@ impl MdsServer {
         }
     }
 
-    /// The replicated retry window (test/harness hook: replay-parity
-    /// assertions compare fingerprints across replicas).
-    pub fn retry_window(&self) -> &RetryWindow {
-        &self.window
-    }
-
     /// Fan a drained admission window across the namespace's shard workers:
     /// ops are bucketed by the shard that owns their parent directory
     /// ([`ShardedNamespace::home_shard`]) and the buckets are served in
@@ -609,12 +609,12 @@ impl Node for MdsServer {
         // `Registered` response because coordination messages may reorder.
         self.coord.start(ctx);
         self.coord.watch(ctx, crate::view::keys::all_groups());
-        ctx.set_timer(self.cfg.timing.flush_interval, T_FLUSH);
-        ctx.set_timer(self.cfg.timing.renew_scan, T_RENEW_SCAN);
-        ctx.set_timer(self.cfg.timing.register_retry, T_REGISTER);
-        ctx.set_timer(self.cfg.timing.register_retry.mul_f64(2.0), T_XG_RETRY);
-        ctx.set_timer(self.cfg.timing.register_retry.mul_f64(0.4), T_POOL_RETRY);
-        ctx.set_timer(Duration::from_secs(1), T_VIEW_REFRESH);
+        ctx.set_timer(FLUSH_IDLE, T_FLUSH);
+        ctx.set_timer(RENEW_SCAN, T_RENEW_SCAN);
+        ctx.set_timer(REGISTER_RETRY, T_REGISTER);
+        ctx.set_timer(XG_RETRY, T_XG_RETRY);
+        ctx.set_timer(POOL_RETRY, T_POOL_RETRY);
+        ctx.set_timer(self.cfg.timing.view_refresh(), T_VIEW_REFRESH);
         if let Some(interval) = self.cfg.timing.checkpoint_interval {
             ctx.set_timer(interval, T_CHECKPOINT);
         }
@@ -635,9 +635,7 @@ impl Node for MdsServer {
                 let admitted = self.ingress.admitted();
                 let arrived = admitted - self.last_admitted;
                 self.last_admitted = admitted;
-                let mut next = self.cfg.timing.flush_interval;
-                if self.role == Role::Active {
-                    let adaptive = self.cfg.timing.adaptive_commit;
+                let next = if self.role == Role::Active {
                     self.commit.observe_tick(arrived, elapsed);
                     // Token waits left over from the previous tick: serve
                     // what the watermark now covers, answer the rest with
@@ -646,19 +644,14 @@ impl Node for MdsServer {
                     // The drain budget is the elapsed wall time — not the
                     // tick interval — so the CPU model's service rate is
                     // the same whether the controller ticks every 250µs or
-                    // every 8ms. Bounded by `flush_max` so a tick delayed
+                    // every 8ms. Bounded by `FLUSH_MAX` so a tick delayed
                     // past the cadence (promotion, timer skew) cannot
                     // burst beyond the modeled capacity.
-                    let budget = if adaptive {
-                        elapsed.min(self.cfg.timing.flush_max)
-                    } else {
-                        self.cfg.timing.flush_interval
-                    };
-                    let mut cpu = self.cfg.timing.cpu;
+                    let budget = elapsed.min(FLUSH_MAX);
+                    let mut cpu = crate::ingress::CpuModel::default();
                     // Journal fan-out: every mutation is serialized and
                     // sent to each hot standby.
-                    cpu.mutation +=
-                        self.cfg.timing.sync_cpu_per_standby.mul_f64(self.standbys.len() as f64);
+                    cpu.mutation += SYNC_CPU_PER_STANDBY.mul_f64(self.standbys.len() as f64);
                     let drained = self.ingress.drain(budget, cpu);
                     for item in self.fan_out_by_shard(drained) {
                         match item {
@@ -671,35 +664,35 @@ impl Node for MdsServer {
                         }
                     }
                     self.flush_batch(ctx);
-                    if adaptive {
-                        next = self.commit.next_interval(self.ingress.len());
-                    }
-                }
+                    self.commit.next_interval(self.ingress.len())
+                } else {
+                    FLUSH_IDLE
+                };
                 ctx.set_timer(next, T_FLUSH);
             }
             T_RENEW_SCAN => {
                 if self.role == Role::Active {
                     self.renew_scan(ctx);
                 }
-                ctx.set_timer(self.cfg.timing.renew_scan, T_RENEW_SCAN);
+                ctx.set_timer(RENEW_SCAN, T_RENEW_SCAN);
             }
             T_ELECT => self.election_window_closed(ctx),
             T_REGISTER => {
                 self.maybe_register(ctx);
-                ctx.set_timer(self.cfg.timing.register_retry, T_REGISTER);
+                ctx.set_timer(REGISTER_RETRY, T_REGISTER);
             }
             T_XG_RETRY => {
                 if self.role == Role::Active {
                     self.retry_xg_legs(ctx);
                 }
-                ctx.set_timer(self.cfg.timing.register_retry.mul_f64(2.0), T_XG_RETRY);
+                ctx.set_timer(XG_RETRY, T_XG_RETRY);
             }
             T_GAP_REPAIR => self.gap_repair_fired(ctx),
             T_POOL_RETRY => {
                 if self.role == Role::Active {
                     self.retry_pool_appends(ctx);
                 }
-                ctx.set_timer(self.cfg.timing.register_retry.mul_f64(0.4), T_POOL_RETRY);
+                ctx.set_timer(POOL_RETRY, T_POOL_RETRY);
             }
             T_VIEW_REFRESH => {
                 // Watch events are fire-and-forget; a periodic listing heals
@@ -710,7 +703,7 @@ impl Node for MdsServer {
                     self.coord.release_lock(ctx, crate::view::keys::lock(self.cfg.group), epoch);
                 }
                 self.coord.list(ctx, crate::view::keys::all_groups());
-                ctx.set_timer(Duration::from_secs(1), T_VIEW_REFRESH);
+                ctx.set_timer(self.cfg.timing.view_refresh(), T_VIEW_REFRESH);
             }
             T_CHECKPOINT => {
                 if let Some(interval) = self.cfg.timing.checkpoint_interval {

@@ -55,6 +55,8 @@ pub enum EncodeError {
         shared: u64,
         prev_len: usize,
     },
+    /// The bytes decode, but to a batch `JournalBatch::with_acks` refuses.
+    Invalid(&'static str),
 }
 
 impl std::fmt::Display for EncodeError {
@@ -72,6 +74,7 @@ impl std::fmt::Display for EncodeError {
             EncodeError::BadPrefix { shared, prev_len } => {
                 write!(f, "journal path delta shares {shared} bytes of a {prev_len}-byte prefix")
             }
+            EncodeError::Invalid(why) => write!(f, "invalid journal batch: {why}"),
         }
     }
 }
@@ -248,6 +251,15 @@ fn decode_batch_v2(body: &[u8]) -> Result<JournalBatch, EncodeError> {
     let sn = r.varint()?;
     let first_txid = r.varint()?;
     let n = r.varint()? as usize;
+    if sn == 0 {
+        return Err(EncodeError::Invalid("sn 0 is the 'nothing applied' sentinel"));
+    }
+    if n == 0 {
+        return Err(EncodeError::Invalid("no records"));
+    }
+    if first_txid.checked_add(n as u64).is_none() {
+        return Err(EncodeError::Invalid("txid range overflows"));
+    }
     let mut records = Vec::with_capacity(n.min(body.len()));
     let mut prev = String::new();
     for _ in 0..n {

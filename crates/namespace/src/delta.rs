@@ -310,8 +310,7 @@ pub fn encode_delta(base_sn: Sn, end_sn: Sn, entries: &[DeltaEntry]) -> DeltaIma
 
 /// [`encode_delta`] variant carrying a retry-outcome window. The window
 /// rides after the entries as `'W'` + varint length + blob, mirroring the
-/// base image's section; an empty window writes nothing, keeping window-free
-/// deltas byte-identical to the pre-extension format.
+/// base image's section; an empty window writes nothing.
 pub fn encode_delta_with_window(
     base_sn: Sn,
     end_sn: Sn,
@@ -430,7 +429,12 @@ pub fn decode_delta(data: &[u8]) -> Result<DecodedDelta, ImageError> {
         return Err(ImageError::Corrupt(format!("empty range ({base_sn}, {end_sn}]")));
     }
     let count = r.varint()?;
-    let mut entries = Vec::with_capacity(count.min(1 << 20) as usize);
+    // An entry is at least a tag and two varints: a count the bytes left
+    // cannot hold is damage, and must not size an allocation.
+    if count > ((body.len() - r.at) / 3) as u64 {
+        return Err(ImageError::Truncated);
+    }
+    let mut entries = Vec::with_capacity(count as usize);
     let mut prev = String::new();
     for _ in 0..count {
         let tag = r.u8()?;
@@ -758,7 +762,7 @@ mod tests {
         let mut applied = base.clone();
         apply_delta(&mut applied, &d).unwrap();
         assert_eq!(applied.fingerprint(), end.fingerprint());
-        // An empty window writes the pre-extension bytes exactly.
+        // An empty window writes no section at all.
         let plain = fold_delta(&end, 1, 2, txns.iter());
         let explicit = fold_delta_with_window(&end, 1, 2, txns.iter(), &RetryWindow::new());
         assert_eq!(plain.data, explicit.data);

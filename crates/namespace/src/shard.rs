@@ -543,8 +543,8 @@ impl ShardedNamespace {
         self.divergences.load(Ordering::Relaxed)
     }
 
-    /// Resolution-cache counters summed over shards (the bench surfaces
-    /// hits and misses in `BENCH_hotpath.json`).
+    /// Resolution-cache counters summed over shards (`bench_e2e` reports
+    /// them as `namespace.cache_hit_ratio`).
     pub fn cache_stats(&self) -> CacheStats {
         let mut s = CacheStats {
             flushes: self.cache_gen.load(Ordering::Relaxed) - 1,

@@ -33,11 +33,6 @@ impl RealTimePacer {
         self
     }
 
-    /// Access the underlying simulation (inject faults, read traces).
-    pub fn sim_mut(&mut self) -> &mut Sim {
-        &mut self.sim
-    }
-
     pub fn sim(&self) -> &Sim {
         &self.sim
     }

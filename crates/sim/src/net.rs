@@ -212,11 +212,6 @@ impl Network {
         self.dup_probability = p;
     }
 
-    /// Shape the directed link `from -> to`.
-    pub fn shape_link_directed(&mut self, from: NodeId, to: NodeId, shape: LinkShape) {
-        self.link_shapes.insert((from, to), shape);
-    }
-
     /// Shape the link between `a` and `b` in both directions.
     pub fn shape_link(&mut self, a: NodeId, b: NodeId, shape: LinkShape) {
         self.link_shapes.insert((a, b), shape);

@@ -12,7 +12,6 @@ use std::fmt;
 
 use crate::rng::DetRng;
 use crate::time::{Duration, SimTime};
-use crate::trace::Trace;
 use crate::world::Kernel;
 
 /// Identifies a node in the simulated cluster. Dense small integers; assigned
@@ -172,11 +171,6 @@ impl<'a> Ctx<'a> {
         let now = self.kernel.now;
         let id = self.id;
         self.kernel.trace.record(now, id, tag, detail);
-    }
-
-    /// Access the trace sink directly (for counters the harness reads back).
-    pub fn trace_sink(&mut self) -> &mut Trace {
-        &mut self.kernel.trace
     }
 }
 

@@ -44,10 +44,6 @@ impl Trace {
         self.enabled
     }
 
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
     /// Record an event. `detail` is lazily evaluated.
     pub fn record(
         &mut self,

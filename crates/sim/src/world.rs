@@ -218,11 +218,6 @@ impl Sim {
         &mut self.kernel.trace
     }
 
-    /// Deterministic random stream (shared with the nodes).
-    pub fn rng_mut(&mut self) -> &mut DetRng {
-        &mut self.kernel.rng
-    }
-
     pub fn node_status(&self, id: NodeId) -> NodeStatus {
         self.kernel.meta[id as usize].status
     }
@@ -448,16 +443,6 @@ impl Sim {
     pub fn run_for(&mut self, d: Duration) {
         let deadline = self.kernel.now + d;
         self.run_until(deadline);
-    }
-
-    /// Drain every pending event (panics after `limit` events as a runaway
-    /// guard — heartbeat protocols never drain naturally).
-    pub fn run_to_quiescence(&mut self, limit: u64) {
-        let mut n = 0;
-        while self.step() {
-            n += 1;
-            assert!(n <= limit, "no quiescence after {limit} events");
-        }
     }
 }
 

@@ -27,7 +27,7 @@ pub mod pool;
 pub mod proto;
 
 pub use disk::DiskModel;
-pub use node::{CompactionPolicy, PoolNode};
+pub use node::PoolNode;
 pub use pool::{
     ArtifactId, ArtifactKind, GroupStore, Manifest, ManifestEntry, PoolError, PoolState, SharedPool,
 };

@@ -14,26 +14,12 @@ use crate::disk::DiskModel;
 use crate::pool::{PoolError, SharedPool};
 use crate::proto::{PoolReq, PoolResp};
 
-/// When and how aggressively a pool node folds delta chains back into a
-/// fresh base image.
-#[derive(Debug, Clone, Copy)]
-pub struct CompactionPolicy {
-    /// How often the background sweep looks for over-long chains.
-    pub sweep_every: Duration,
-    /// Compact once a chain carries more than this many deltas (or once the
-    /// deltas outweigh the base, whichever trips first — see
-    /// [`crate::GroupStore::compaction_due`]).
-    pub max_chain: usize,
-    /// Disable the sweep entirely (ablation benches and crash-point tests
-    /// that drive compaction by hand).
-    pub enabled: bool,
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> Self {
-        CompactionPolicy { sweep_every: Duration::from_secs(5), max_chain: 8, enabled: true }
-    }
-}
+/// How often the background sweep looks for over-long delta chains.
+const SWEEP_EVERY: Duration = Duration::from_secs(5);
+/// Compact once a chain carries more than this many deltas (or once the
+/// deltas outweigh the base, whichever trips first — see
+/// [`crate::GroupStore::compaction_due`]).
+const MAX_CHAIN: usize = 8;
 
 /// Timer token reserved for the compaction sweep; `next_token` counts up
 /// from zero so reply timers can never collide with it.
@@ -44,7 +30,6 @@ pub struct PoolNode {
     pool: SharedPool,
     journal_disk: DiskModel,
     image_disk: DiskModel,
-    compaction: CompactionPolicy,
     pending: HashMap<u64, (NodeId, PoolResp)>,
     next_token: u64,
 }
@@ -55,7 +40,6 @@ impl PoolNode {
             pool,
             journal_disk: DiskModel::journal_disk(),
             image_disk: DiskModel::image_disk(),
-            compaction: CompactionPolicy::default(),
             pending: HashMap::new(),
             next_token: 0,
         }
@@ -68,12 +52,6 @@ impl PoolNode {
         self
     }
 
-    /// Override the background compaction policy.
-    pub fn with_compaction(mut self, policy: CompactionPolicy) -> Self {
-        self.compaction = policy;
-        self
-    }
-
     /// Sweep every group and fold any over-long delta chain into a fresh
     /// base. Failures (e.g. a corrupt delta injected by chaos) leave the
     /// chain as-is — consumers fall back to journal catch-up, and the next
@@ -82,7 +60,7 @@ impl PoolNode {
         let mut pool = self.pool.lock();
         for group in pool.group_ids() {
             let g = pool.group_mut(group);
-            if g.compaction_due(self.compaction.max_chain) {
+            if g.compaction_due(MAX_CHAIN) {
                 let _ = g.compact();
             }
         }
@@ -201,9 +179,7 @@ impl PoolNode {
 
 impl Node for PoolNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if self.compaction.enabled {
-            ctx.set_timer(self.compaction.sweep_every, T_COMPACT_SWEEP);
-        }
+        ctx.set_timer(SWEEP_EVERY, T_COMPACT_SWEEP);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Message) {
@@ -221,7 +197,7 @@ impl Node for PoolNode {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token == T_COMPACT_SWEEP {
             self.compaction_sweep();
-            ctx.set_timer(self.compaction.sweep_every, T_COMPACT_SWEEP);
+            ctx.set_timer(SWEEP_EVERY, T_COMPACT_SWEEP);
             return;
         }
         if let Some((to, resp)) = self.pending.remove(&token) {

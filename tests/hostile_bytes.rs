@@ -5,16 +5,18 @@
 //!
 //! Each case builds two valid artifacts per format from a seeded random
 //! namespace history and mutates them: truncate, flip a bit, splice one
-//! into the other, overwrite a byte with a `u64::MAX` length varint. Every
-//! artifact ends in a checksum over everything before it, so the property
-//! comes in two strengths:
+//! into the other, overwrite a byte with a `u64::MAX` length varint, zero
+//! the record count. Every artifact ends in a checksum over everything
+//! before it, so the property comes in two strengths:
 //!
 //! - mutated bytes as they are: the decode is an **error**, unless the
 //!   mutation happened to reproduce one of the two originals, in which case
 //!   it is **identical** to that original's decode;
 //! - mutated bytes with the checksum recomputed (a writer bug, or an
 //!   adversary): the parser behind the checksum is reached, and the only
-//!   claim is the one that holds for every input — **never a panic**.
+//!   claim is the one that holds for every input — **never a panic**
+//!   (and for a zeroed record count over a body that still carries its
+//!   records, an **error**).
 //!
 //! The image decoder parses entries *before* the checksum can be verified
 //! (the junior decodes chunks as they stream in), so for it the first
@@ -44,6 +46,13 @@ const MUTATIONS_PER_KIND: usize = 12;
 const MAX_VARINT: [u8; 10] = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
 /// Every artifact ends in an 8-byte big-endian FNV-1a-64 of its body.
 const TRAILER_LEN: usize = 8;
+/// Journal batch: magic (4) + version (2), then the varints sn, first txid
+/// and record count — one byte each for every batch built here (< 128).
+const JOURNAL_SN_AT: usize = 6;
+const JOURNAL_COUNT_AT: usize = JOURNAL_SN_AT + 2;
+/// Delta: magic (4) + version (2) + base sn (8) + end sn (8), then the
+/// entry-count varint.
+const DELTA_COUNT_AT: usize = 22;
 
 // ---------------------------------------------------------- generators
 
@@ -189,11 +198,13 @@ fn mutate(kind: usize, a: &[u8], b: &[u8], rng: &mut SmallRng) -> (Vec<u8>, &'st
 }
 
 /// Run `decode` on every mutation of `a` (spliced with `b`), in both
-/// strengths, and hold it to the property in the module docs.
+/// strengths, and hold it to the property in the module docs. `count_at`
+/// is where the format keeps its one-byte record count, if it has one.
 fn assault<T: PartialEq + std::fmt::Debug, E: std::fmt::Debug>(
     what: &str,
     a: &[u8],
     b: &[u8],
+    count_at: Option<usize>,
     rng: &mut SmallRng,
     mut decode: impl FnMut(&[u8], &mut SmallRng) -> Result<T, E>,
 ) {
@@ -222,6 +233,14 @@ fn assault<T: PartialEq + std::fmt::Debug, E: std::fmt::Debug>(
             }
         }
     }
+    if let Some(at) = count_at.filter(|&at| a[at] != 0) {
+        let mut bytes = a.to_vec();
+        bytes[at] = 0;
+        reseal(&mut bytes);
+        let got = catch_unwind(AssertUnwindSafe(|| decode(&bytes, rng)))
+            .unwrap_or_else(|_| panic!("{what}: decoder panicked on a zeroed record count"));
+        assert!(got.is_err(), "{what}: zero records over a non-empty body decoded to {got:?}");
+    }
 }
 
 // ---------------------------------------------------------------- tests
@@ -234,9 +253,10 @@ fn mutated_artifacts_error_or_decode_identically_and_never_panic() {
         let a = rand_artifacts(&mut rng, case % 2 == 1);
         let b = rand_artifacts(&mut rng, true);
         let what = |format: &str| format!("case {case}, {format}");
-        assault(&what("journal"), &a.journal, &b.journal, &mut rng, |d, _| journal_of(d));
-        assault(&what("image"), &a.image, &b.image, &mut rng, stream_image);
-        assault(&what("delta"), &a.delta, &b.delta, &mut rng, |d, _| decode_delta(d));
+        let (j, d) = (Some(JOURNAL_COUNT_AT), Some(DELTA_COUNT_AT));
+        assault(&what("journal"), &a.journal, &b.journal, j, &mut rng, |d, _| journal_of(d));
+        assault(&what("image"), &a.image, &b.image, None, &mut rng, stream_image);
+        assault(&what("delta"), &a.delta, &b.delta, d, &mut rng, |d, _| decode_delta(d));
     }
 }
 
@@ -309,4 +329,45 @@ fn a_version_without_a_codec_is_bad_version_not_a_misparse() {
     assert_eq!(journal_of(&with_version(&a.journal, 1)), Err(EncodeError::BadVersion(1)));
     assert_eq!(stream_image(&with_version(&a.image, 1), &mut rng), Err(ImageError::BadVersion(1)));
     assert_eq!(decode_delta(&with_version(&a.delta, 2)), Err(ImageError::BadVersion(2)));
+}
+
+#[test]
+fn a_resealed_batch_with_no_records_or_sn_zero_is_invalid() {
+    let batch = JournalBatch::new(3, 40, vec![Txn::Mkdir { path: "/d".into() }]);
+    let sealed = encode_batch(&batch).to_vec();
+    assert_eq!(&sealed[JOURNAL_SN_AT..=JOURNAL_COUNT_AT], [3, 40, 1]);
+
+    // Header and a zero count, nothing after it: `last_txid()` of what this
+    // used to decode to underflows.
+    let mut empty = sealed[..=JOURNAL_COUNT_AT].to_vec();
+    empty[JOURNAL_COUNT_AT] = 0;
+    empty.extend_from_slice(&[0; TRAILER_LEN]);
+    reseal(&mut empty);
+    assert!(matches!(journal_of(&empty), Err(EncodeError::Invalid(_))), "no records");
+
+    let mut sn_zero = sealed.clone();
+    sn_zero[JOURNAL_SN_AT] = 0;
+    reseal(&mut sn_zero);
+    assert!(matches!(journal_of(&sn_zero), Err(EncodeError::Invalid(_))), "sn 0");
+
+    assert_eq!(journal_of(&sealed), Ok(batch));
+}
+
+#[test]
+fn delta_entry_count_beyond_the_bytes_left_is_truncated() {
+    let mut tree = NamespaceTree::new();
+    let txn = Txn::Mkdir { path: "/d".into() };
+    tree.apply(&txn).unwrap();
+    let sealed = fold_delta_with_window(&tree, 0, 1, [&txn], &RetryWindow::new()).data.to_vec();
+    assert_eq!(sealed[DELTA_COUNT_AT], 1);
+    // One entry of 7 bytes is left: a count of 3 cannot fit (3 bytes is the
+    // smallest entry), and neither can u64::MAX.
+    let entry_len = sealed.len() - TRAILER_LEN - DELTA_COUNT_AT - 1;
+    assert!(entry_len < 9, "{entry_len}");
+    let mut three = sealed.clone();
+    three[DELTA_COUNT_AT] = 3;
+    for mut bytes in [three, with_max_varint(&sealed, DELTA_COUNT_AT)] {
+        reseal(&mut bytes);
+        assert_eq!(decode_delta(&bytes).map(|d| d.entries.len()), Err(ImageError::Truncated));
+    }
 }
