@@ -30,27 +30,13 @@ const T_SWITCH_DONE: u64 = 3;
 /// scale replay, leaving ~25 s of redirection machinery.
 pub const AVATAR_SWITCH_COST: Duration = Duration::from_secs(25);
 
-#[derive(Debug, Clone, Copy)]
-pub struct AvatarSpec {
-    pub flush_interval: Duration,
-    /// NFS append latency (higher than local disk: network + filer fsync).
-    pub nfs_latency: Duration,
-    /// Standby tail-poll cadence.
-    pub tail_interval: Duration,
-    /// Primary-side journaling CPU per mutation (NFS client stack per edit record).
-    pub journal_cpu: Duration,
-}
-
-impl Default for AvatarSpec {
-    fn default() -> Self {
-        AvatarSpec {
-            flush_interval: Duration::from_millis(2),
-            nfs_latency: Duration::from_micros(3_500),
-            tail_interval: Duration::from_millis(300),
-            journal_cpu: Duration::from_micros(25),
-        }
-    }
-}
+const FLUSH_INTERVAL: Duration = Duration::from_millis(2);
+/// NFS append latency (higher than local disk: network + filer fsync).
+const NFS_LATENCY: Duration = Duration::from_micros(3_500);
+/// Standby tail-poll cadence.
+const TAIL_INTERVAL: Duration = Duration::from_millis(300);
+/// Primary-side journaling CPU per mutation (NFS client stack per edit record).
+const JOURNAL_CPU: Duration = Duration::from_micros(25);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AvRole {
@@ -62,7 +48,6 @@ enum AvRole {
 /// One avatar (active or standby decided at build time; the standby becomes
 /// active after failover).
 pub struct AvatarNode {
-    spec: AvatarSpec,
     role: AvRole,
     nfs: NodeId,
     coord: CoordClient,
@@ -83,9 +68,8 @@ pub struct AvatarNode {
 }
 
 impl AvatarNode {
-    pub fn new(coord: NodeId, nfs: NodeId, spec: AvatarSpec, active: bool) -> Self {
+    pub fn new(coord: NodeId, nfs: NodeId, active: bool) -> Self {
         AvatarNode {
-            spec,
             role: if active { AvRole::Active } else { AvRole::Standby },
             nfs,
             coord: CoordClient::new(coord, Duration::from_secs(2)),
@@ -163,9 +147,9 @@ impl Node for AvatarNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.coord.start(ctx);
         self.coord.watch(ctx, "g/0/".to_string());
-        ctx.set_timer(self.spec.flush_interval, T_FLUSH);
+        ctx.set_timer(FLUSH_INTERVAL, T_FLUSH);
         if self.role == AvRole::Standby {
-            ctx.set_timer(self.spec.tail_interval, T_TAIL);
+            ctx.set_timer(TAIL_INTERVAL, T_TAIL);
         }
     }
 
@@ -176,22 +160,21 @@ impl Node for AvatarNode {
         match token {
             T_FLUSH => {
                 if self.role == AvRole::Active {
-                    let budget = self.spec.flush_interval;
                     let mut cpu = self.cpu;
-                    cpu.mutation += self.spec.journal_cpu;
-                    for item in self.ingress.drain(budget, cpu) {
+                    cpu.mutation += JOURNAL_CPU;
+                    for item in self.ingress.drain(FLUSH_INTERVAL, cpu) {
                         if let mams_core::IngressItem::Client { from, op, seq, .. } = item {
                             self.serve(ctx, from, op, seq);
                         }
                     }
                     self.flush(ctx);
                 }
-                ctx.set_timer(self.spec.flush_interval, T_FLUSH);
+                ctx.set_timer(FLUSH_INTERVAL, T_FLUSH);
             }
             T_TAIL => {
                 if matches!(self.role, AvRole::Standby | AvRole::Switching) {
                     self.request_tail(ctx);
-                    ctx.set_timer(self.spec.tail_interval, T_TAIL);
+                    ctx.set_timer(TAIL_INTERVAL, T_TAIL);
                 }
             }
             T_SWITCH_DONE if self.role == AvRole::Switching => {
@@ -280,14 +263,13 @@ impl Node for AvatarNode {
 
 /// Build the avatar pair plus the NFS filer. Returns
 /// `(active, standby, nfs)`.
-pub fn build(sim: &mut Sim, coord: NodeId, spec: AvatarSpec) -> (NodeId, NodeId, NodeId) {
+pub fn build(sim: &mut Sim, coord: NodeId) -> (NodeId, NodeId, NodeId) {
     let nfs_pool = new_shared_pool();
-    let nfs_disk = DiskModel { op_overhead: spec.nfs_latency, bytes_per_sec: 80 * 1024 * 1024 };
+    let nfs_disk = DiskModel { op_overhead: NFS_LATENCY, bytes_per_sec: 80 * 1024 * 1024 };
     let nfs = sim
         .add_node("avatar-nfs", Box::new(PoolNode::new(nfs_pool).with_disks(nfs_disk, nfs_disk)));
-    let active = sim.add_node("avatar-active", Box::new(AvatarNode::new(coord, nfs, spec, true)));
-    let standby =
-        sim.add_node("avatar-standby", Box::new(AvatarNode::new(coord, nfs, spec, false)));
+    let active = sim.add_node("avatar-active", Box::new(AvatarNode::new(coord, nfs, true)));
+    let standby = sim.add_node("avatar-standby", Box::new(AvatarNode::new(coord, nfs, false)));
     (active, standby, nfs)
 }
 
@@ -306,7 +288,7 @@ mod tests {
     fn failover_is_flat_and_around_thirty_seconds() {
         let mut sim = Sim::new(SimConfig::default());
         let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
-        let (active, _standby, _nfs) = build(&mut sim, coord, AvatarSpec::default());
+        let (active, _standby, _nfs) = build(&mut sim, coord);
         let m = Metrics::new(true);
         let cfg = ClientConfig::new(coord, Partitioner::new(1));
         sim.add_node(

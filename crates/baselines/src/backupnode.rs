@@ -32,26 +32,10 @@ pub const RECOLLECT_PER_FILE: Duration = Duration::from_micros(20);
 /// MTTR of 2.8 s bounds it well below the 5 s ZooKeeper timeout).
 pub const DETECT_BUDGET: Duration = Duration::from_millis(1_000);
 
-#[derive(Debug, Clone, Copy)]
-pub struct BackupNodeSpec {
-    pub flush_interval: Duration,
-    pub disk_latency: Duration,
-    /// Scale model driving the recollection time.
-    pub scale: FsScale,
-    /// Primary-side journaling CPU per mutation (asynchronous stream serialization per record).
-    pub journal_cpu: Duration,
-}
-
-impl Default for BackupNodeSpec {
-    fn default() -> Self {
-        BackupNodeSpec {
-            flush_interval: Duration::from_millis(2),
-            disk_latency: Duration::from_micros(1_500),
-            scale: FsScale::from_image_mb(64),
-            journal_cpu: Duration::from_micros(3),
-        }
-    }
-}
+const FLUSH_INTERVAL: Duration = Duration::from_millis(2);
+const DISK_LATENCY: Duration = Duration::from_micros(1_500);
+/// Primary-side journaling CPU per mutation (asynchronous stream serialization per record).
+const JOURNAL_CPU: Duration = Duration::from_micros(3);
 
 /// Primary ↔ backup messages.
 #[derive(Debug, Clone)]
@@ -74,7 +58,8 @@ enum BnRole {
 /// Either half of a BackupNode pair (role decides behaviour; the backup
 /// *becomes* a primary after takeover).
 pub struct BnNode {
-    spec: BackupNodeSpec,
+    /// Scale model driving the recollection time.
+    scale: FsScale,
     role: BnRole,
     peer: Option<NodeId>,
     coord: CoordClient,
@@ -94,9 +79,9 @@ pub struct BnNode {
 }
 
 impl BnNode {
-    pub fn new(coord: NodeId, spec: BackupNodeSpec, role_primary: bool) -> Self {
+    pub fn new(coord: NodeId, scale: FsScale, role_primary: bool) -> Self {
         BnNode {
-            spec,
+            scale,
             role: if role_primary { BnRole::Primary } else { BnRole::Backup },
             peer: None,
             coord: CoordClient::new(coord, Duration::from_secs(2)),
@@ -137,7 +122,7 @@ impl BnNode {
         let token = self.next_disk_token;
         self.next_disk_token += 1;
         self.flushing.insert(token, replies);
-        ctx.set_timer(self.spec.disk_latency, token);
+        ctx.set_timer(DISK_LATENCY, token);
     }
 
     fn begin_takeover(&mut self, ctx: &mut Ctx<'_>) {
@@ -162,7 +147,7 @@ impl BnNode {
             }
             Err(e) => ctx.trace("bn.image_corrupt", || e.to_string()),
         }
-        let files = self.ns.num_files().max(self.spec.scale.nominal_files);
+        let files = self.ns.num_files().max(self.scale.nominal_files);
         let recollect = Duration::from_micros(files * RECOLLECT_PER_FILE.micros()) + image_io;
         ctx.trace("bn.takeover_start", || {
             format!("recollecting {files} files' block locations (~{recollect})")
@@ -192,7 +177,7 @@ impl BnNode {
 impl Node for BnNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.coord.start(ctx);
-        ctx.set_timer(self.spec.flush_interval, T_FLUSH);
+        ctx.set_timer(FLUSH_INTERVAL, T_FLUSH);
         if self.role == BnRole::Backup {
             self.last_pong_us = ctx.now().micros();
             ctx.set_timer(Duration::from_millis(250), T_PING);
@@ -206,17 +191,16 @@ impl Node for BnNode {
         match token {
             T_FLUSH => {
                 if self.role == BnRole::Primary {
-                    let budget = self.spec.flush_interval;
                     let mut cpu = self.cpu;
-                    cpu.mutation += self.spec.journal_cpu;
-                    for item in self.ingress.drain(budget, cpu) {
+                    cpu.mutation += JOURNAL_CPU;
+                    for item in self.ingress.drain(FLUSH_INTERVAL, cpu) {
                         if let mams_core::IngressItem::Client { from, op, seq, .. } = item {
                             self.serve(ctx, from, op, seq);
                         }
                     }
                     self.flush(ctx);
                 }
-                ctx.set_timer(self.spec.flush_interval, T_FLUSH);
+                ctx.set_timer(FLUSH_INTERVAL, T_FLUSH);
             }
             T_PING => {
                 if self.role == BnRole::Backup {
@@ -296,12 +280,12 @@ impl Node for BnNode {
 }
 
 /// Build a primary + backup pair. Returns `(primary, backup)`.
-pub fn build(sim: &mut Sim, coord: NodeId, spec: BackupNodeSpec) -> (NodeId, NodeId) {
+pub fn build(sim: &mut Sim, coord: NodeId, scale: FsScale) -> (NodeId, NodeId) {
     let primary_id = sim.num_nodes() as NodeId;
     let backup_id = primary_id + 1;
-    let mut primary = BnNode::new(coord, spec, true);
+    let mut primary = BnNode::new(coord, scale, true);
     primary.set_peer(backup_id);
-    let mut backup = BnNode::new(coord, spec, false);
+    let mut backup = BnNode::new(coord, scale, false);
     backup.set_peer(primary_id);
     let p = sim.add_node("bn-primary", Box::new(primary));
     let b = sim.add_node("bn-backup", Box::new(backup));
@@ -323,8 +307,7 @@ mod tests {
     fn run_takeover(image_mb: u64) -> f64 {
         let mut sim = Sim::new(SimConfig::default());
         let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
-        let spec = BackupNodeSpec { scale: FsScale::from_image_mb(image_mb), ..Default::default() };
-        let (primary, _backup) = build(&mut sim, coord, spec);
+        let (primary, _backup) = build(&mut sim, coord, FsScale::from_image_mb(image_mb));
         let m = Metrics::new(true);
         let cfg = ClientConfig::new(coord, Partitioner::new(1));
         sim.add_node(

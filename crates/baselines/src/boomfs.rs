@@ -221,29 +221,15 @@ mod wire {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-pub struct BoomFsSpec {
-    /// Replica count (the distributed log's membership).
-    pub members: usize,
-    pub heartbeat: Duration,
-    /// Leader failure-detection budget; Boom-FS sits between MAMS (~5 s
-    /// session timeout) and the heavier namenode designs.
-    pub election_timeout: Duration,
-    /// Leader-side consensus CPU per mutation (proposal marshalling +
-    /// accept handling for each follower).
-    pub consensus_cpu: Duration,
-}
-
-impl Default for BoomFsSpec {
-    fn default() -> Self {
-        BoomFsSpec {
-            members: 3,
-            heartbeat: Duration::from_millis(500),
-            election_timeout: Duration::from_secs(6),
-            consensus_cpu: Duration::from_micros(40),
-        }
-    }
-}
+/// Replica count (the distributed log's membership).
+const MEMBERS: usize = 3;
+const HEARTBEAT: Duration = Duration::from_millis(500);
+/// Leader failure-detection budget; Boom-FS sits between MAMS (~5 s
+/// session timeout) and the heavier namenode designs.
+const ELECTION_TIMEOUT: Duration = Duration::from_secs(6);
+/// Leader-side consensus CPU per mutation (proposal marshalling +
+/// accept handling for each follower).
+const CONSENSUS_CPU: Duration = Duration::from_micros(40);
 
 /// The replicated application: a namespace driven by serialized [`FsOp`]s.
 pub struct NsApp {
@@ -286,11 +272,10 @@ pub struct BoomFsServer {
     next_req: u64,
     ingress: Ingress,
     cpu: CpuModel,
-    consensus_cpu: Duration,
 }
 
 impl BoomFsServer {
-    pub fn new(coord: NodeId, cfg: RsmConfig, consensus_cpu: Duration) -> Self {
+    pub fn new(coord: NodeId, cfg: RsmConfig) -> Self {
         BoomFsServer {
             rsm: RsmNode::new(cfg, NsApp::new()),
             coord: CoordClient::new(coord, Duration::from_secs(2)),
@@ -300,13 +285,12 @@ impl BoomFsServer {
             next_req: 1,
             ingress: Ingress::default(),
             cpu: CpuModel::default(),
-            consensus_cpu,
         }
     }
 
     fn drain(&mut self, ctx: &mut Ctx<'_>) {
         let mut cpu = self.cpu;
-        cpu.mutation += self.consensus_cpu;
+        cpu.mutation += CONSENSUS_CPU;
         for item in self.ingress.drain(Duration::from_millis(2), cpu) {
             if let IngressItem::Client { from, op, seq, .. } = item {
                 self.process(ctx, from, op, seq);
@@ -425,25 +409,21 @@ impl Node for BoomFsServer {
                     }
                     self.ingress.push(from, op, seq, None);
                 }
-                // Baselines are never driven in speculative mode.
-                MdsReq::OpSpec { .. } | MdsReq::BlockReport { .. } | MdsReq::Checkpoint => {}
+                MdsReq::BlockReport { .. } | MdsReq::Checkpoint => {}
             }
         }
     }
 }
 
 /// Build a Boom-FS cluster. Returns the member node ids.
-pub fn build(sim: &mut Sim, coord: NodeId, spec: BoomFsSpec) -> Vec<NodeId> {
+pub fn build(sim: &mut Sim, coord: NodeId) -> Vec<NodeId> {
     let base = sim.num_nodes() as NodeId;
-    let members: Vec<NodeId> = (0..spec.members as NodeId).map(|i| base + i).collect();
+    let members: Vec<NodeId> = (0..MEMBERS as NodeId).map(|i| base + i).collect();
     for (i, &planned) in members.iter().enumerate() {
         let mut cfg = RsmConfig::new(members.clone(), i as u32);
-        cfg.heartbeat = spec.heartbeat;
-        cfg.election_timeout = spec.election_timeout;
-        let got = sim.add_node(
-            format!("boomfs-{i}"),
-            Box::new(BoomFsServer::new(coord, cfg, spec.consensus_cpu)),
-        );
+        cfg.heartbeat = HEARTBEAT;
+        cfg.election_timeout = ELECTION_TIMEOUT;
+        let got = sim.add_node(format!("boomfs-{i}"), Box::new(BoomFsServer::new(coord, cfg)));
         assert_eq!(got, planned);
     }
     members
@@ -463,7 +443,7 @@ mod tests {
     fn boot(seed: u64) -> (Sim, NodeId, Vec<NodeId>) {
         let mut sim = Sim::new(SimConfig { seed, ..SimConfig::default() });
         let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
-        let members = build(&mut sim, coord, BoomFsSpec::default());
+        let members = build(&mut sim, coord);
         (sim, coord, members)
     }
 

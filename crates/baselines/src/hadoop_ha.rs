@@ -31,30 +31,15 @@ const T_TRANSITION_DONE: u64 = 3;
 /// 15–19 s with a 5 s detection timeout, leaving ~11 s of transition work.
 pub const HA_TRANSITION_COST: Duration = Duration::from_secs(11);
 
-#[derive(Debug, Clone, Copy)]
-pub struct HadoopHaSpec {
-    pub flush_interval: Duration,
-    /// Number of journal nodes (the paper sets 4).
-    pub journal_nodes: usize,
-    /// Per-journal-node append latency (QJM RPC + fsync).
-    pub jn_latency: Duration,
-    /// Standby tail-poll cadence.
-    pub tail_interval: Duration,
-    /// Primary-side journaling CPU per mutation (QJM RPC marshalling per edit to 4 journal nodes).
-    pub journal_cpu: Duration,
-}
-
-impl Default for HadoopHaSpec {
-    fn default() -> Self {
-        HadoopHaSpec {
-            flush_interval: Duration::from_millis(2),
-            journal_nodes: 4,
-            jn_latency: Duration::from_micros(2_500),
-            tail_interval: Duration::from_millis(500),
-            journal_cpu: Duration::from_micros(35),
-        }
-    }
-}
+const FLUSH_INTERVAL: Duration = Duration::from_millis(2);
+/// Number of journal nodes (the paper sets 4).
+const JOURNAL_NODES: usize = 4;
+/// Per-journal-node append latency (QJM RPC + fsync).
+const JN_LATENCY: Duration = Duration::from_micros(2_500);
+/// Standby tail-poll cadence.
+const TAIL_INTERVAL: Duration = Duration::from_millis(500);
+/// Primary-side journaling CPU per mutation (QJM RPC marshalling per edit to 4 journal nodes).
+const JOURNAL_CPU: Duration = Duration::from_micros(35);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum HaRole {
@@ -67,7 +52,6 @@ enum HaRole {
 
 /// One HA namenode.
 pub struct HaNameNode {
-    spec: HadoopHaSpec,
     role: HaRole,
     journals: Vec<NodeId>,
     coord: CoordClient,
@@ -90,9 +74,8 @@ pub struct HaNameNode {
 }
 
 impl HaNameNode {
-    pub fn new(coord: NodeId, journals: Vec<NodeId>, spec: HadoopHaSpec, active: bool) -> Self {
+    pub fn new(coord: NodeId, journals: Vec<NodeId>, active: bool) -> Self {
         HaNameNode {
-            spec,
             role: if active { HaRole::Active } else { HaRole::Standby },
             journals,
             coord: CoordClient::new(coord, Duration::from_secs(2)),
@@ -193,9 +176,9 @@ impl Node for HaNameNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.coord.start(ctx);
         self.coord.watch(ctx, "g/0/".to_string());
-        ctx.set_timer(self.spec.flush_interval, T_FLUSH);
+        ctx.set_timer(FLUSH_INTERVAL, T_FLUSH);
         if self.role == HaRole::Standby {
-            ctx.set_timer(self.spec.tail_interval, T_TAIL);
+            ctx.set_timer(TAIL_INTERVAL, T_TAIL);
         }
     }
 
@@ -206,21 +189,20 @@ impl Node for HaNameNode {
         match token {
             T_FLUSH => {
                 if self.role == HaRole::Active {
-                    let budget = self.spec.flush_interval;
                     let mut cpu = self.cpu;
-                    cpu.mutation += self.spec.journal_cpu;
-                    for item in self.ingress.drain(budget, cpu) {
+                    cpu.mutation += JOURNAL_CPU;
+                    for item in self.ingress.drain(FLUSH_INTERVAL, cpu) {
                         if let mams_core::IngressItem::Client { from, op, seq, .. } = item {
                             self.serve(ctx, from, op, seq);
                         }
                     }
                     self.flush(ctx);
                 }
-                ctx.set_timer(self.spec.flush_interval, T_FLUSH);
+                ctx.set_timer(FLUSH_INTERVAL, T_FLUSH);
             }
             T_TAIL if self.role != HaRole::Active => {
                 self.request_tail(ctx);
-                ctx.set_timer(self.spec.tail_interval, T_TAIL);
+                ctx.set_timer(TAIL_INTERVAL, T_TAIL);
             }
             T_TRANSITION_DONE if self.role == HaRole::Transitioning => {
                 self.role = HaRole::Active;
@@ -303,10 +285,10 @@ impl Node for HaNameNode {
 
 /// Build the HA pair plus journal nodes. Returns
 /// `(active, standby, journal_nodes)`.
-pub fn build(sim: &mut Sim, coord: NodeId, spec: HadoopHaSpec) -> (NodeId, NodeId, Vec<NodeId>) {
-    let jn_disk = DiskModel { op_overhead: spec.jn_latency, bytes_per_sec: 100 * 1024 * 1024 };
+pub fn build(sim: &mut Sim, coord: NodeId) -> (NodeId, NodeId, Vec<NodeId>) {
+    let jn_disk = DiskModel { op_overhead: JN_LATENCY, bytes_per_sec: 100 * 1024 * 1024 };
     let mut journals = Vec::new();
-    for i in 0..spec.journal_nodes {
+    for i in 0..JOURNAL_NODES {
         // Each journal node has its *own* storage (quorum semantics).
         let pool = new_shared_pool();
         journals.push(sim.add_node(
@@ -315,9 +297,9 @@ pub fn build(sim: &mut Sim, coord: NodeId, spec: HadoopHaSpec) -> (NodeId, NodeI
         ));
     }
     let active =
-        sim.add_node("ha-active", Box::new(HaNameNode::new(coord, journals.clone(), spec, true)));
+        sim.add_node("ha-active", Box::new(HaNameNode::new(coord, journals.clone(), true)));
     let standby =
-        sim.add_node("ha-standby", Box::new(HaNameNode::new(coord, journals.clone(), spec, false)));
+        sim.add_node("ha-standby", Box::new(HaNameNode::new(coord, journals.clone(), false)));
     (active, standby, journals)
 }
 
@@ -336,7 +318,7 @@ mod tests {
     fn failover_in_the_paper_band() {
         let mut sim = Sim::new(SimConfig::default());
         let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
-        let (active, _standby, _jns) = build(&mut sim, coord, HadoopHaSpec::default());
+        let (active, _standby, _jns) = build(&mut sim, coord);
         let m = Metrics::new(true);
         let cfg = ClientConfig::new(coord, Partitioner::new(1));
         sim.add_node(

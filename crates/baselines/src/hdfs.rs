@@ -13,30 +13,13 @@ const T_FLUSH: u64 = 1;
 /// Flush-completion timers are `T_DISK_BASE + token`.
 const T_DISK_BASE: u64 = 1_000;
 
-/// Tuning for the vanilla namenode.
-#[derive(Debug, Clone, Copy)]
-pub struct HdfsSpec {
-    /// Journal batch aggregation interval (same as MAMS for fairness).
-    pub flush_interval: Duration,
-    /// Local edit-log fsync latency.
-    pub disk_latency: Duration,
-    /// Primary-side journaling CPU per mutation (local edit log append is amortized by group commit).
-    pub journal_cpu: Duration,
-}
-
-impl Default for HdfsSpec {
-    fn default() -> Self {
-        HdfsSpec {
-            flush_interval: Duration::from_millis(2),
-            disk_latency: Duration::from_micros(1_500),
-            journal_cpu: Duration::from_micros(0),
-        }
-    }
-}
+/// Journal batch aggregation interval (same as MAMS for fairness).
+const FLUSH_INTERVAL: Duration = Duration::from_millis(2);
+/// Local edit-log fsync latency.
+const DISK_LATENCY: Duration = Duration::from_micros(1_500);
 
 /// The single namenode.
 pub struct HdfsNameNode {
-    spec: HdfsSpec,
     coord: CoordClient,
     ns: NamespaceTree,
     next_block: u64,
@@ -51,9 +34,8 @@ pub struct HdfsNameNode {
 }
 
 impl HdfsNameNode {
-    pub fn new(coord: NodeId, spec: HdfsSpec) -> Self {
+    pub fn new(coord: NodeId) -> Self {
         HdfsNameNode {
-            spec,
             coord: CoordClient::new(coord, Duration::from_secs(2)),
             ns: NamespaceTree::new(),
             next_block: 1,
@@ -91,14 +73,14 @@ impl HdfsNameNode {
         let token = self.next_disk_token;
         self.next_disk_token += 1;
         self.flushing.insert(token, batch);
-        ctx.set_timer(self.spec.disk_latency, token);
+        ctx.set_timer(DISK_LATENCY, token);
     }
 }
 
 impl Node for HdfsNameNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.coord.start(ctx);
-        ctx.set_timer(self.spec.flush_interval, T_FLUSH);
+        ctx.set_timer(FLUSH_INTERVAL, T_FLUSH);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -106,16 +88,15 @@ impl Node for HdfsNameNode {
             return;
         }
         if token == T_FLUSH {
-            let budget = self.spec.flush_interval;
-            let mut cpu = self.cpu;
-            cpu.mutation += self.spec.journal_cpu;
-            for item in self.ingress.drain(budget, cpu) {
+            // No journaling CPU on top of the base cost: the local edit-log
+            // append is amortized by group commit.
+            for item in self.ingress.drain(FLUSH_INTERVAL, self.cpu) {
                 if let mams_core::IngressItem::Client { from, op, seq, .. } = item {
                     self.serve(ctx, from, op, seq);
                 }
             }
             self.flush(ctx);
-            ctx.set_timer(self.spec.flush_interval, T_FLUSH);
+            ctx.set_timer(FLUSH_INTERVAL, T_FLUSH);
         } else if let Some(replies) = self.flushing.remove(&token) {
             for (to, seq, result) in replies {
                 reply(&mut self.retry, ctx, to, seq, result);
@@ -139,8 +120,7 @@ impl Node for HdfsNameNode {
                 MdsReq::Op { op, seq, .. } => {
                     self.ingress.push(from, op, seq, None);
                 }
-                // Baselines are never driven in speculative mode.
-                MdsReq::OpSpec { .. } | MdsReq::BlockReport { .. } | MdsReq::Checkpoint => {}
+                MdsReq::BlockReport { .. } | MdsReq::Checkpoint => {}
             }
         }
     }
@@ -148,8 +128,8 @@ impl Node for HdfsNameNode {
 
 /// Add a vanilla HDFS namenode to the simulation (publishing itself as
 /// group 0's active in the global view so `FsClient` routes to it).
-pub fn build(sim: &mut Sim, coord: NodeId, spec: HdfsSpec) -> NodeId {
-    sim.add_node("hdfs-nn", Box::new(HdfsNameNode::new(coord, spec)))
+pub fn build(sim: &mut Sim, coord: NodeId) -> NodeId {
+    sim.add_node("hdfs-nn", Box::new(HdfsNameNode::new(coord)))
 }
 
 #[cfg(test)]
@@ -166,7 +146,7 @@ mod tests {
     fn serves_clients_through_the_standard_client_library() {
         let mut sim = Sim::new(SimConfig::default());
         let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
-        build(&mut sim, coord, HdfsSpec::default());
+        build(&mut sim, coord);
         let m = Metrics::new(false);
         let cfg = ClientConfig::new(coord, Partitioner::new(1));
         sim.add_node(

@@ -35,9 +35,4 @@ pub mod common;
 pub mod hadoop_ha;
 pub mod hdfs;
 
-pub use avatar::AvatarSpec;
-pub use backupnode::BackupNodeSpec;
-pub use boomfs::BoomFsSpec;
 pub use common::FsScale;
-pub use hadoop_ha::HadoopHaSpec;
-pub use hdfs::HdfsSpec;

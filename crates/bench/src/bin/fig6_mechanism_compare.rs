@@ -7,7 +7,7 @@
 //! costs least; CFS with three standbys still beats AvatarNode and
 //! Hadoop HA thanks to the SSP's cheap journal synchronization.
 
-use mams_baselines::{avatar, backupnode, boomfs, hadoop_ha, hdfs};
+use mams_baselines::{avatar, backupnode, boomfs, hadoop_ha, hdfs, FsScale};
 use mams_bench::{print_table, save_json};
 use mams_cluster::deploy::{build, DeploySpec};
 use mams_cluster::metrics::Metrics;
@@ -63,23 +63,24 @@ fn run_system(name: &str) -> f64 {
     let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
     let start_delay = match name {
         "HDFS" => {
-            hdfs::build(&mut sim, coord, hdfs::HdfsSpec::default());
+            hdfs::build(&mut sim, coord);
             Duration::from_millis(500)
         }
         "BackupNode" => {
-            backupnode::build(&mut sim, coord, backupnode::BackupNodeSpec::default());
+            // Nothing fails here, so the recollection scale is never read.
+            backupnode::build(&mut sim, coord, FsScale::from_image_mb(64));
             Duration::from_millis(500)
         }
         "AvatarNode" => {
-            avatar::build(&mut sim, coord, avatar::AvatarSpec::default());
+            avatar::build(&mut sim, coord);
             Duration::from_millis(500)
         }
         "Hadoop HA" => {
-            hadoop_ha::build(&mut sim, coord, hadoop_ha::HadoopHaSpec::default());
+            hadoop_ha::build(&mut sim, coord);
             Duration::from_millis(500)
         }
         "Boom-FS" => {
-            boomfs::build(&mut sim, coord, boomfs::BoomFsSpec::default());
+            boomfs::build(&mut sim, coord);
             Duration::from_secs(10) // let the RSM elect first
         }
         other => panic!("unknown system {other}"),

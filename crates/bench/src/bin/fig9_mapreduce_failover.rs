@@ -44,7 +44,7 @@ fn run_cfs(fail: bool) -> Arc<JobStats> {
 fn run_boomfs(fail: bool) -> Arc<JobStats> {
     let mut sim = Sim::new(SimConfig { seed: 0xF16A, trace: true, ..SimConfig::default() });
     let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
-    boomfs::build(&mut sim, coord, boomfs::BoomFsSpec::default());
+    boomfs::build(&mut sim, coord);
     // Give the RSM time to elect before the job starts.
     sim.run_for(Duration::from_secs(10));
     let stats = JobStats::new();

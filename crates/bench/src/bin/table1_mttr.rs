@@ -44,16 +44,10 @@ fn run_one(system: &str, image_mb: u64, seed: u64) -> Option<f64> {
             let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
             let victim = match system {
                 "BackupNode" => {
-                    let spec = backupnode::BackupNodeSpec {
-                        scale: FsScale::from_image_mb(image_mb),
-                        ..Default::default()
-                    };
-                    backupnode::build(&mut sim, coord, spec).0
+                    backupnode::build(&mut sim, coord, FsScale::from_image_mb(image_mb)).0
                 }
-                "Hadoop Avatar" => avatar::build(&mut sim, coord, avatar::AvatarSpec::default()).0,
-                "Hadoop HA" => {
-                    hadoop_ha::build(&mut sim, coord, hadoop_ha::HadoopHaSpec::default()).0
-                }
+                "Hadoop Avatar" => avatar::build(&mut sim, coord).0,
+                "Hadoop HA" => hadoop_ha::build(&mut sim, coord).0,
                 other => panic!("unknown system {other}"),
             };
             let cfg = ClientConfig::new(coord, Partitioner::new(1));

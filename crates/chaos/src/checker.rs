@@ -36,7 +36,7 @@ use mams_cluster::OpRecord;
 use mams_core::{FsOp, OpOutput};
 
 /// Search budget: explored configurations per component.
-pub const DEFAULT_BUDGET: u64 = 400_000;
+const BUDGET: u64 = 400_000;
 
 /// Checker verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,23 +52,6 @@ pub enum CheckOutcome {
 impl CheckOutcome {
     pub fn is_violation(&self) -> bool {
         matches!(self, CheckOutcome::Violation { .. })
-    }
-}
-
-/// Tuning for [`check_history_with`].
-#[derive(Debug, Clone, Copy)]
-pub struct CheckerOpts {
-    pub budget: u64,
-    /// Model the speculative-ack contract: a mutation acknowledged before
-    /// durability (`OpRecord::spec`) may be lost on failover, so its
-    /// success gets an extra "never applied" branch. Durable-ack records
-    /// in the same history stay strict.
-    pub spec_maybe_lost: bool,
-}
-
-impl Default for CheckerOpts {
-    fn default() -> Self {
-        CheckerOpts { budget: DEFAULT_BUDGET, spec_maybe_lost: false }
     }
 }
 
@@ -245,7 +228,7 @@ fn in_model(r: &OpRecord) -> bool {
     }
 }
 
-fn build_components(records: &[OpRecord], opts: &CheckerOpts) -> Vec<Component> {
+fn build_components(records: &[OpRecord]) -> Vec<Component> {
     let mut uf = Uf(HashMap::new());
     let in_scope: Vec<&OpRecord> = records.iter().filter(|r| in_model(r)).collect();
     for r in &in_scope {
@@ -304,11 +287,6 @@ fn build_components(records: &[OpRecord], opts: &CheckerOpts) -> Vec<Component> 
                     if let Some(b) = success_branch(op, slot) {
                         branches.push(b);
                     }
-                    if opts.spec_maybe_lost && r.spec {
-                        // Speculative ack: the reply preceded durability, so
-                        // a failover may have erased the op entirely.
-                        branches.push(NOOP);
-                    }
                     if r.reconciled {
                         // The success the client reported was inferred from
                         // a retry error ("already exists" / "no such
@@ -359,7 +337,7 @@ fn encode(fronts: &[u16], st: &[u8]) -> Vec<u8> {
 
 /// Check one component. Returns `Ok(states)` on success, `Err(true)` on
 /// violation, `Err(false)` on budget exhaustion.
-fn check_component(c: &Component, budget: u64) -> Result<u64, bool> {
+fn check_component(c: &Component) -> Result<u64, bool> {
     let nq = c.queues.len();
     let fronts0 = vec![0u16; nq];
     let st0 = vec![KeySt::Absent as u8; c.n_paths];
@@ -373,7 +351,7 @@ fn check_component(c: &Component, budget: u64) -> Result<u64, bool> {
             continue;
         }
         states += 1;
-        if states > budget {
+        if states > BUDGET {
             return Err(false);
         }
         if fronts.iter().enumerate().all(|(qi, &f)| f as usize >= c.queues[qi].len()) {
@@ -451,16 +429,11 @@ fn witness(c: &Component) -> String {
 /// Check a recorded history for strict linearizability (see the module
 /// docs).
 pub fn check_history(records: &[OpRecord]) -> CheckOutcome {
-    check_history_with(records, &CheckerOpts::default())
-}
-
-/// [`check_history`] with explicit options.
-pub fn check_history_with(records: &[OpRecord], opts: &CheckerOpts) -> CheckOutcome {
-    let comps = build_components(records, opts);
+    let comps = build_components(records);
     let mut total: u64 = 0;
     let mut inconclusive = false;
     for c in &comps {
-        match check_component(c, opts.budget) {
+        match check_component(c) {
             Ok(states) => total += states,
             Err(true) => return CheckOutcome::Violation { witness: witness(c) },
             Err(false) => inconclusive = true,
@@ -471,38 +444,6 @@ pub fn check_history_with(records: &[OpRecord], opts: &CheckerOpts) -> CheckOutc
     } else {
         CheckOutcome::Ok { states: total }
     }
-}
-
-/// Verify the speculative ordering-token contract over a recorded history:
-/// per client, returned tokens are non-decreasing while the service is
-/// healthy. A regression is the protocol's *signal* that a speculative
-/// timeline was lost to failover, so one is only legitimate once a fault
-/// may have fired — any regression completing before `quiet_until_us` is a
-/// bug in the watermark plumbing, not a lost timeline.
-pub fn check_token_contract(records: &[OpRecord], quiet_until_us: u64) -> Option<String> {
-    let mut per_client: HashMap<u32, Vec<&OpRecord>> = HashMap::new();
-    for r in records {
-        if r.token.is_some() && r.completed_us.is_some() {
-            per_client.entry(r.client).or_default().push(r);
-        }
-    }
-    for recs in per_client.values_mut() {
-        recs.sort_by_key(|r| r.completed_us.unwrap());
-        let mut high = 0u64;
-        for r in recs {
-            let t = r.token.unwrap();
-            let at = r.completed_us.unwrap();
-            if t < high && at < quiet_until_us {
-                return Some(format!(
-                    "client {} token regressed {high} -> {t} at {at}us, before any fault \
-                     (quiet until {quiet_until_us}us): {:?}",
-                    r.client, r.op
-                ));
-            }
-            high = high.max(t);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -528,8 +469,6 @@ mod tests {
             attempts,
             reconciled: false,
             is_setup: false,
-            spec: false,
-            token: None,
         }
     }
 
@@ -662,50 +601,15 @@ mod tests {
     }
 
     #[test]
-    fn speculative_loss_is_accepted_only_under_the_spec_model() {
-        // A spec-acked create vanished in a failover: a later read sees the
-        // file absent. Strict checking convicts; the spec model explains it
-        // (the ack never promised durability).
-        let mut lost = rec(0, create("/hot/f0"), (0, Some(1)), Some(true), 1);
-        lost.spec = true;
-        lost.token = Some(5);
+    fn acked_create_later_read_absent_is_a_violation() {
+        // An acknowledged create vanished (say, in a failover): a later
+        // read sees the file absent. An ack promises durability, so this
+        // cannot linearize.
+        let acked = rec(0, create("/hot/f0"), (0, Some(1)), Some(true), 1);
         let mut missing = rec(0, getinfo("/hot/f0"), (10, Some(11)), Some(false), 1);
         missing.error = Some("/hot/f0: no such file or directory".into());
         missing.output = None;
-        let recs = vec![lost, missing];
-        assert!(check_history(&recs).is_violation());
-        let spec = CheckerOpts { spec_maybe_lost: true, ..CheckerOpts::default() };
-        assert!(matches!(check_history_with(&recs, &spec), CheckOutcome::Ok { .. }));
-    }
-
-    #[test]
-    fn durable_acks_stay_strict_under_the_spec_model() {
-        // Same shape but the ack was durable (spec=false): still a
-        // violation even with spec_maybe_lost on.
-        let durable = rec(0, create("/hot/f0"), (0, Some(1)), Some(true), 1);
-        let mut missing = rec(0, getinfo("/hot/f0"), (10, Some(11)), Some(false), 1);
-        missing.error = Some("/hot/f0: no such file or directory".into());
-        missing.output = None;
-        let spec = CheckerOpts { spec_maybe_lost: true, ..CheckerOpts::default() };
-        assert!(check_history_with(&[durable, missing], &spec).is_violation());
-    }
-
-    #[test]
-    fn token_contract_flags_only_pre_fault_regressions() {
-        let mk = |seq: u64, at: u64, token: u64| {
-            let mut r = rec(0, create(&format!("/hot/f{seq}")), (at - 1, Some(at)), Some(true), 1);
-            r.spec = true;
-            r.token = Some(token);
-            r
-        };
-        // Monotone: fine.
-        let recs = vec![mk(0, 10, 1), mk(1, 20, 2), mk(2, 30, 7)];
-        assert_eq!(check_token_contract(&recs, u64::MAX), None);
-        // Regression after the first fault: a legitimate lost-timeline signal.
-        let recs = vec![mk(0, 10, 5), mk(1, 20, 2)];
-        assert_eq!(check_token_contract(&recs, 15), None);
-        // Regression while healthy: a watermark bug.
-        assert!(check_token_contract(&recs, u64::MAX).is_some());
+        assert!(check_history(&[acked, missing]).is_violation());
     }
 
     #[test]

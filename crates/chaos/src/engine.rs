@@ -17,7 +17,7 @@ use mams_cluster::{History, Metrics, Recorder};
 use mams_core::MdsTiming;
 use mams_sim::{DetRng, Duration, NodeId, NodeStatus, Sim, SimConfig, SimTime};
 
-use crate::checker::{check_history_with, CheckOutcome, CheckerOpts};
+use crate::checker::{check_history, CheckOutcome};
 use crate::scenario::{FaultAction, FaultKind, NodeRef, Scenario, Topology};
 
 /// Post-fault recovery window before invariants are checked.
@@ -31,8 +31,6 @@ pub struct RunConfig {
     pub inject_double_ack: bool,
     /// Replace the scenario's generated fault program (shrinking).
     pub program: Option<Vec<FaultAction>>,
-    /// Checker override (None = defaults).
-    pub checker: Option<CheckerOpts>,
 }
 
 /// Everything observed in one run.
@@ -45,9 +43,6 @@ pub struct RunReport {
     pub ops_ok: u64,
     pub ops_failed: u64,
     pub records: usize,
-    /// How many records were speculative-acked (0 unless the scenario
-    /// drives `OpSpec` clients).
-    pub spec_acked: usize,
     pub check: CheckOutcome,
     /// Violated run invariants, human-readable.
     pub invariants: Vec<String>,
@@ -289,7 +284,6 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
 
     let history = History::new();
     let metrics = Metrics::new(false);
-    let speculative = sc.speculative;
     for i in 0..sc.clients {
         let client = deployment.next_client_id();
         let log = history.clone();
@@ -301,7 +295,6 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
             move |mut c| {
                 c.history = Some(Recorder { client, log });
                 c.think = think;
-                c.speculative = speculative;
                 c
             },
         );
@@ -371,20 +364,7 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
         invariants.push("no successful operation after faults were lifted".into());
     }
 
-    // Speculative runs relax the checker (spec acks may be lost to
-    // failover) but add the token contract: ordering tokens may only
-    // regress once a fault could have fired.
-    let checker = cfg
-        .checker
-        .unwrap_or(CheckerOpts { spec_maybe_lost: sc.speculative, ..CheckerOpts::default() });
-    if sc.speculative {
-        let first_fault_us =
-            program.iter().map(|a| t0.micros() + a.at_ms * 1_000).min().unwrap_or(u64::MAX);
-        if let Some(msg) = crate::checker::check_token_contract(&records, first_fault_us) {
-            invariants.push(format!("token contract: {msg}"));
-        }
-    }
-    let check = check_history_with(&records, &checker);
+    let check = check_history(&records);
 
     RunReport {
         scenario: sc.name,
@@ -393,7 +373,6 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
         ops_ok: metrics.ok_count(),
         ops_failed: metrics.failed_count(),
         records: records.len(),
-        spec_acked: records.iter().filter(|r| r.spec).count(),
         check,
         invariants,
     }
@@ -443,13 +422,11 @@ mod tests {
     }
 
     #[test]
-    fn spec_ack_loss_scenario_survives() {
-        let sc = scenario::by_name("spec_ack_loss").unwrap();
+    fn double_failover_scenario_survives() {
+        let sc = scenario::by_name("double_failover").unwrap();
         let rep = run_scenario(&sc, &RunConfig { seed: 5, ..Default::default() });
         assert!(!rep.failed(), "invariants: {:?} check: {:?}", rep.invariants, rep.check);
         assert!(rep.ops_ok > 0);
-        // The speculative path really engaged.
-        assert!(rep.spec_acked > 0, "no spec-acked records in a speculative scenario");
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod engine;
 pub mod scenario;
 pub mod shrink;
 
-pub use checker::{check_history, check_history_with, CheckOutcome, CheckerOpts};
+pub use checker::{check_history, CheckOutcome};
 pub use engine::{active_of, run_scenario, RunConfig, RunReport};
 pub use scenario::{by_name, corpus, quiet, FaultAction, FaultKind, NodeRef, Scenario};
 pub use shrink::{shrink, Shrunk};

@@ -141,11 +141,6 @@ pub struct Scenario {
     pub think_ms: u64,
     /// Main phase length; cleanup + grace follow.
     pub run_secs: u64,
-    /// Drive clients in speculative-ack mode (`OpSpec` with ordering
-    /// tokens). The checker then models spec-acked mutations as possibly
-    /// lost and verifies the token contract instead of durable-ack
-    /// linearizability.
-    pub speculative: bool,
     /// Timing overrides (e.g. fast checkpoints for image scenarios).
     pub tune: fn(MdsTiming) -> MdsTiming,
     /// Per-client workload, by client boot index (scenarios can mix e.g.
@@ -179,7 +174,6 @@ fn base(name: &'static str, about: &'static str) -> Scenario {
         keys: 6,
         think_ms: 40,
         run_secs: 50,
-        speculative: false,
         tune: |t| t,
         workload: |_, keys| Workload::shared_hot(keys),
         faults: |_| Vec::new(),
@@ -592,14 +586,12 @@ pub fn corpus() -> Vec<Scenario> {
     });
 
     v.push(Scenario {
-        speculative: true,
         clients: 6,
         run_secs: 60,
-        about: "speculative-ack clients across a double failover: acks \
-                released before durability may be lost when the active \
-                dies, which the checker accepts only for spec-acked ops — \
-                and the ordering-token contract must hold (no regression \
-                before the first fault)",
+        about: "double failover with a restart between the crashes: the \
+                first ex-active rejoins as a junior, the second crash \
+                takes its successor — nothing acknowledged before either \
+                crash may be lost",
         faults: |r| {
             let t1 = jitter(r, 10_000, 3_000);
             let t2 = jitter(r, 36_000, 4_000);
@@ -616,7 +608,7 @@ pub fn corpus() -> Vec<Scenario> {
                 ),
             ]
         },
-        ..base("spec_ack_loss", "")
+        ..base("double_failover", "")
     });
 
     v.push(Scenario {

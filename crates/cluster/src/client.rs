@@ -54,11 +54,6 @@ pub struct ClientConfig {
     /// When set, every operation's invocation/completion is logged for
     /// linearizability checking.
     pub history: Option<Recorder>,
-    /// Opt into speculative acks (`MdsReq::OpSpec`): mutations acknowledge
-    /// on apply (before durability) with an ordering token, and reads carry
-    /// the last token so the server enforces read-your-writes. A token
-    /// regression on a reply means a failover discarded acked operations.
-    pub speculative: bool,
 }
 
 impl ClientConfig {
@@ -70,7 +65,6 @@ impl ClientConfig {
             max_ops: None,
             think: Duration::ZERO,
             history: None,
-            speculative: false,
         }
     }
 }
@@ -99,8 +93,6 @@ pub struct FsClient {
     outstanding: Option<Outstanding>,
     setup: Option<String>,
     completed: u64,
-    /// Last ordering token seen (speculative mode); sent as `min_token`.
-    last_token: u64,
     /// Cumulative receipt watermark piggybacked on every request: the
     /// client is closed-loop (one op outstanding), so the last completed
     /// seq means every reply at or below it has been received. The server
@@ -121,18 +113,7 @@ impl FsClient {
             outstanding: None,
             setup,
             completed: 0,
-            last_token: 0,
             acked: 0,
-        }
-    }
-
-    /// Wire form of an operation: default durable-ack, or `OpSpec` carrying
-    /// the last token when this client opted into speculative mode.
-    fn wire_req(&self, op: FsOp, seq: u64) -> MdsReq {
-        if self.cfg.speculative {
-            MdsReq::OpSpec { op, seq, min_token: self.last_token, acked: self.acked }
-        } else {
-            MdsReq::Op { op, seq, acked: self.acked }
         }
     }
 
@@ -201,8 +182,7 @@ impl FsClient {
         };
         match self.actives.get(&group) {
             Some(&active) => {
-                let req = self.wire_req(op, seq);
-                ctx.send(active, req);
+                ctx.send(active, MdsReq::Op { op, seq, acked: self.acked });
             }
             None => {
                 self.refresh_view(ctx);
@@ -222,22 +202,13 @@ impl FsClient {
         }
     }
 
-    fn finish(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        ok: bool,
-        result: &Result<OpOutput, String>,
-        token: Option<u64>,
-    ) {
+    fn finish(&mut self, ctx: &mut Ctx<'_>, ok: bool, result: &Result<OpOutput, String>) {
         let o = self.outstanding.take().expect("outstanding op");
         // Closed loop: completing seq N means every reply ≤ N was received.
         self.acked = self.acked.max(o.seq);
         self.metrics.record(o.issued, ctx.now(), ok);
         if let (Some(idx), Some(h)) = (o.rec, self.cfg.history.as_ref()) {
             h.log.complete(idx, ctx.now().micros(), result, ok, o.attempts);
-            if let Some(t) = token {
-                h.log.set_spec_token(idx, t);
-            }
         }
         self.completed += 1;
         if self.cfg.think > Duration::ZERO {
@@ -247,32 +218,13 @@ impl FsClient {
         }
     }
 
-    /// Shared completion path for `Reply` and `ReplySpec`.
-    fn handle_reply(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        seq: u64,
-        result: Result<OpOutput, String>,
-        token: Option<u64>,
-    ) {
+    fn handle_reply(&mut self, ctx: &mut Ctx<'_>, seq: u64, result: Result<OpOutput, String>) {
         let (matches, attempts, is_setup) = match &self.outstanding {
             Some(o) => (o.seq == seq, o.attempts, o.is_setup),
             None => (false, 0, false),
         };
         if !matches {
             return;
-        }
-        if let Some(t) = token {
-            if t < self.last_token {
-                // The active changed and our speculatively acked suffix was
-                // discarded — the opt-in contract's loss signal.
-                ctx.trace("client.spec_token_regressed", || {
-                    format!("token {t} < last {}", self.last_token)
-                });
-            }
-            // Adopt the server's timeline either way; subsequent reads wait
-            // on it, not on the discarded one.
-            self.last_token = t;
         }
         let ok = match &result {
             Ok(_) => true,
@@ -292,7 +244,7 @@ impl FsClient {
             let op = self.outstanding.as_ref().map(|o| format!("{:?}", o.op));
             ctx.trace("client.op_failed", || format!("{op:?}: {err}"));
         }
-        self.finish(ctx, ok, &result, token);
+        self.finish(ctx, ok, &result);
     }
 }
 
@@ -328,12 +280,7 @@ impl Node for FsClient {
         let msg = match MdsResp::from_message(msg) {
             Ok(resp) => {
                 match resp {
-                    MdsResp::Reply { seq, result } => {
-                        self.handle_reply(ctx, seq, result, None);
-                    }
-                    MdsResp::ReplySpec { seq, result, token } => {
-                        self.handle_reply(ctx, seq, result, Some(token));
-                    }
+                    MdsResp::Reply { seq, result } => self.handle_reply(ctx, seq, result),
                     MdsResp::NotActive { seq } => {
                         if let Some(o) = self.outstanding.as_ref().filter(|o| o.seq == seq) {
                             // Stale routing: refresh and retry shortly. The
@@ -371,8 +318,7 @@ impl Node for FsClient {
                     // the timeout.
                     let (seq, group, op) = (o.seq, o.group, o.op.clone());
                     if let Some(&active) = self.actives.get(&group) {
-                        let req = self.wire_req(op, seq);
-                        ctx.send(active, req);
+                        ctx.send(active, MdsReq::Op { op, seq, acked: self.acked });
                     }
                 }
             }

@@ -39,13 +39,6 @@ pub struct OpRecord {
     pub reconciled: bool,
     /// The private-directory setup mkdir (idempotent by construction).
     pub is_setup: bool,
-    /// Completed through the speculative-ack path (`MdsResp::ReplySpec`):
-    /// a mutation's ack predates durability and may be lost on failover.
-    pub spec: bool,
-    /// Ordering token from the speculative reply (the applied-txid
-    /// watermark; for a mutation, the op's own txid). A token below the
-    /// client's previous one marks a discarded speculative suffix.
-    pub token: Option<u64>,
 }
 
 /// Shared, append-only history. Indexes returned by [`History::invoke`] are
@@ -74,17 +67,8 @@ impl History {
             attempts: 0,
             reconciled: false,
             is_setup,
-            spec: false,
-            token: None,
         });
         r.len() - 1
-    }
-
-    /// Mark record `idx` as a speculative-mode completion carrying `token`.
-    pub fn set_spec_token(&self, idx: usize, token: u64) {
-        let mut r = self.records.lock();
-        r[idx].spec = true;
-        r[idx].token = Some(token);
     }
 
     /// Patch the completion side of record `idx`.

@@ -40,11 +40,8 @@ impl MdsServer {
                 return;
             }
             _ => {
-                match req {
-                    MdsReq::Op { seq, .. } | MdsReq::OpSpec { seq, .. } => {
-                        ctx.send(from, MdsResp::NotActive { seq });
-                    }
-                    _ => {}
+                if let MdsReq::Op { seq, .. } = req {
+                    ctx.send(from, MdsResp::NotActive { seq });
                 }
                 return;
             }
@@ -59,25 +56,11 @@ impl MdsServer {
                 // modeling server CPU capacity.
                 self.ingress.push(from, op, seq, None);
             }
-            MdsReq::OpSpec { op, seq, min_token, acked } => {
-                self.retry_cache.note_acked(from, acked);
-                self.ingress.push(from, op, seq, Some(min_token));
-            }
             MdsReq::BlockReport { .. } => unreachable!("handled above"),
         }
     }
 
-    pub(crate) fn serve_op(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        from: NodeId,
-        op: FsOp,
-        seq: u64,
-        spec: Option<u64>,
-    ) {
-        if let Some(min_token) = spec {
-            return self.serve_spec_op(ctx, from, op, seq, min_token);
-        }
+    pub(crate) fn serve_op(&mut self, ctx: &mut Ctx<'_>, from: NodeId, op: FsOp, seq: u64) {
         // Duplicate handling: a retried request (same seq) is answered from
         // the cache, never re-executed.
         if let Some(cached) = self.retry_cache.check(from, seq) {
@@ -120,100 +103,6 @@ impl MdsServer {
             return;
         }
         self.enqueue_mutation(ctx, op, ReplyTo::Client { node: from, seq });
-    }
-
-    // ---------------------------------------------------- speculative mode
-
-    /// Applied txid watermark: the highest transaction id executed against
-    /// the image (flushed or still pending). This is the ordering token
-    /// speculative clients carry between operations.
-    fn applied_watermark(&self) -> u64 {
-        self.next_txid + self.pending.len() as u64 - 1
-    }
-
-    /// Serve an `MdsReq::OpSpec` operation. Mutations are acknowledged on
-    /// apply — before durability — with the op's own txid as the ordering
-    /// token; reads wait until the watermark reaches the client's
-    /// `min_token` (read-your-writes) and return the current watermark.
-    /// The PR 6 read barrier does not apply: a speculative client opted out
-    /// of the durable-observation contract, and a discarded suffix is
-    /// surfaced through token regression instead.
-    fn serve_spec_op(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        from: NodeId,
-        op: FsOp,
-        seq: u64,
-        min_token: u64,
-    ) {
-        if let Some(cached) = self.retry_cache.check(from, seq) {
-            ctx.send(from, cached);
-            return;
-        }
-        if !op.is_mutation() {
-            if self.applied_watermark() >= min_token {
-                let result = self.exec_read(&op);
-                let token = self.applied_watermark();
-                let resp = std::sync::Arc::new(MdsResp::ReplySpec { seq, result, token });
-                self.retry_cache.store(from, seq, resp.clone());
-                ctx.send(from, resp);
-            } else {
-                // The watermark is behind the client's last ack — only
-                // possible across a failover that discarded a speculative
-                // suffix. Hold one flush tick (the mutation may be in this
-                // very drain window), then answer with whatever watermark
-                // we have; a token below `min_token` is the loss signal.
-                self.token_waits.push((min_token, from, seq, op));
-            }
-            return;
-        }
-        if !self.retry_cache.begin(from, seq) {
-            return;
-        }
-        match self.exec_mutation(op) {
-            Err(e) => {
-                // Errors observed speculative state the client opted into;
-                // nothing was journaled, so answer immediately.
-                let token = self.applied_watermark();
-                let resp = std::sync::Arc::new(MdsResp::ReplySpec { seq, result: Err(e), token });
-                self.retry_cache.store(from, seq, resp.clone());
-                ctx.send(from, resp);
-            }
-            Ok((txn, output)) => {
-                // The txid this op receives when its batch seals.
-                let token = self.next_txid + self.pending.len() as u64;
-                let resp = std::sync::Arc::new(MdsResp::ReplySpec {
-                    seq,
-                    result: Ok(output.clone()),
-                    token,
-                });
-                self.retry_cache.store(from, seq, resp.clone());
-                ctx.send(from, resp);
-                let xid = self.maybe_xg_fanout(ctx, &txn, true);
-                let reply = ReplyTo::SpecAcked { node: from, seq };
-                self.pending.push(PendingOp { txn, reply, output, xid });
-                if self.pending.len() >= BATCH_MAX_OPS {
-                    self.flush_batch(ctx);
-                }
-            }
-        }
-    }
-
-    /// Resolve speculative reads parked on a watermark. Called at every
-    /// flush tick: waits the watermark now covers serve normally; the rest
-    /// are answered with the current (regressed) watermark so the client
-    /// learns its speculative timeline was discarded.
-    pub(crate) fn answer_token_waits(&mut self, ctx: &mut Ctx<'_>) {
-        if self.token_waits.is_empty() {
-            return;
-        }
-        let token = self.applied_watermark();
-        for (_min_token, node, seq, op) in std::mem::take(&mut self.token_waits) {
-            let result = self.exec_read(&op);
-            let resp = std::sync::Arc::new(MdsResp::ReplySpec { seq, result, token });
-            self.retry_cache.store(node, seq, resp.clone());
-            ctx.send(node, resp);
-        }
     }
 
     /// Release a reply that *observed* the namespace without journaling
@@ -383,11 +272,10 @@ impl MdsServer {
                 ctx.send(node, resp);
             }
             ReplyTo::XGroup { coordinator, xid } => {
-                let group = self.cfg.group;
-                ctx.send(coordinator, GroupMsg::XGroupAck { xid, group, ok: result.is_ok() });
+                let (group, ok) = (self.cfg.group, result.is_ok());
+                self.xg_seen.insert(xid, Some(ok));
+                ctx.send(coordinator, GroupMsg::XGroupAck { xid, group, ok });
             }
-            // The speculative ack already went out on apply.
-            ReplyTo::SpecAcked { .. } => {}
         }
     }
 
@@ -434,31 +322,6 @@ impl MdsServer {
             ..Default::default()
         };
         for (i, op) in ops.into_iter().enumerate() {
-            // Ack records replicate the `(client, seq)` each record settles,
-            // so every replica that replays the batch rebuilds the retry
-            // window. Distributed-transaction legs carry no ack — their
-            // client binding lives in the coordinating group's journal.
-            let settles = match op.reply {
-                ReplyTo::Client { node, seq } => Some((node, seq, false)),
-                ReplyTo::SpecAcked { node, seq } => Some((node, seq, true)),
-                ReplyTo::XGroup { .. } => None,
-            };
-            if let Some((client, seq, spec)) = settles {
-                acks.push(mams_journal::AckRecord { record: i as u32, client, seq, spec });
-                // Fold the same binding into our own window (our batches
-                // never go through `apply_records` — the ops already executed
-                // in `exec_mutation`). The outcome comes straight from the
-                // executed op, which is byte-identical to what replicas
-                // reconstruct at replay.
-                let outcome = match &op.output {
-                    OpOutput::Done => mams_namespace::RetryOutcome::Done,
-                    OpOutput::Block(b) => mams_namespace::RetryOutcome::Block(*b),
-                    OpOutput::Info(info) => mams_namespace::RetryOutcome::Info(info.clone()),
-                    OpOutput::Listing(_) => unreachable!("reads are never journaled"),
-                };
-                let token = spec.then_some(first_txid + i as u64);
-                self.window.record(client, seq, mams_namespace::RetryEntry { outcome, token });
-            }
             if let Some(xid) = op.xid {
                 // The legs may have settled already (fast acks); only wait
                 // on xids still outstanding.
@@ -467,9 +330,29 @@ impl MdsServer {
                     self.xg_to_sn.insert(xid, sn);
                 }
             }
-            match &op.reply {
+            match op.reply {
+                // Distributed-transaction legs carry no ack record — their
+                // client binding lives in the coordinating group's journal.
                 ReplyTo::XGroup { .. } => inflight.xg_replies.push((op.reply, Ok(op.output))),
-                ReplyTo::Client { .. } => {
+                ReplyTo::Client { node: client, seq } => {
+                    // Ack records replicate the `(client, seq)` each record
+                    // settles, so every replica that replays the batch
+                    // rebuilds the retry window.
+                    let record = i as u32;
+                    acks.push(mams_journal::AckRecord { record, client, seq, spec: false });
+                    // Fold the same binding into our own window (our batches
+                    // never go through `apply_records` — the ops already
+                    // executed in `exec_mutation`). The outcome comes straight
+                    // from the executed op, which is byte-identical to what
+                    // replicas reconstruct at replay.
+                    let outcome = match &op.output {
+                        OpOutput::Done => mams_namespace::RetryOutcome::Done,
+                        OpOutput::Block(b) => mams_namespace::RetryOutcome::Block(*b),
+                        OpOutput::Info(info) => mams_namespace::RetryOutcome::Info(info.clone()),
+                        OpOutput::Listing(_) => unreachable!("reads are never journaled"),
+                    };
+                    let entry = mams_namespace::RetryEntry { outcome, token: None };
+                    self.window.record(client, seq, entry);
                     let shards = self.shards_of_txn(&op.txn);
                     inflight.client_replies.push(crate::server::ClientReply {
                         reply: op.reply,
@@ -477,10 +360,6 @@ impl MdsServer {
                         shards,
                     });
                 }
-                // Speculative ops were acknowledged on apply; the batch
-                // still rides the durability pipeline (journal + sync), but
-                // owes the client nothing at completion.
-                ReplyTo::SpecAcked { .. } => {}
             }
             records.push(op.txn);
         }
@@ -660,12 +539,19 @@ impl MdsServer {
         if self.role != Role::Active {
             return; // coordinator's client retries after our group recovers
         }
-        if self.xg_seen.contains(&xid) {
-            // Already applied (the ack may have been lost): re-ack.
-            ctx.send(from, GroupMsg::XGroupAck { xid, group: self.cfg.group, ok: true });
-            return;
+        match self.xg_seen.get(&xid) {
+            // Already acknowledged (the ack may have been lost): re-ack.
+            Some(&Some(ok)) => {
+                ctx.send(from, GroupMsg::XGroupAck { xid, group: self.cfg.group, ok });
+                return;
+            }
+            // Still in flight: the coordinator's retry timer resends every
+            // outstanding leg whatever its age. Acknowledging here would
+            // release the client's reply before the leg is durable in this
+            // group; its own ack goes out when it is.
+            Some(None) => return,
+            None => {}
         }
-        self.xg_seen.insert(xid);
         let op = match txn {
             Txn::Mkdir { path } => FsOp::Mkdir { path },
             Txn::Delete { path, recursive } => FsOp::Delete { path, recursive },
@@ -675,7 +561,11 @@ impl MdsServer {
                 return;
             }
         };
-        self.ingress.push_item(crate::ingress::IngressItem::Leg { coordinator: from, xid, op });
+        // A leg refused by a full queue leaves no entry: the coordinator's
+        // retry must run it, not be told it already ran.
+        if self.ingress.push_item(crate::ingress::IngressItem::Leg { coordinator: from, xid, op }) {
+            self.xg_seen.insert(xid, None);
+        }
     }
 
     /// Execute an admitted distributed-transaction leg.

@@ -436,7 +436,12 @@ impl MdsServer {
                     let after = self.cursor.max_sn();
                     self.pool_send(
                         ctx,
-                        move |req| PoolReq::ReadJournal { group, after_sn: after, max: CATCHUP_PAGE, req },
+                        move |req| PoolReq::ReadJournal {
+                            group,
+                            after_sn: after,
+                            max: CATCHUP_PAGE,
+                            req,
+                        },
                         PoolCtx::UpgradeTail,
                     );
                 } else {
@@ -493,8 +498,8 @@ impl MdsServer {
         // rebuilt during replay: a retry of an op the dead active committed
         // but never answered is served from cache, not re-executed —
         // at-most-once holds *across* the switch. The window derives only
-        // from the durable journal, so a speculative ack whose batch died
-        // with the predecessor is absent and its retry executes fresh (the
+        // from the durable journal, so an op whose batch died with the
+        // predecessor is absent and its retry executes fresh (the
         // predecessor's own `abort_inflight` semantics, reconstructed).
         self.retry_cache.clear();
         self.retry_cache.seed_from_window(&self.window);
@@ -675,9 +680,6 @@ impl MdsServer {
         // Barriered reads observed state that will never commit; answering
         // them now would be a dirty read. The clients time out and retry.
         self.deferred_reads.clear();
-        // Parked speculative reads likewise: the new active answers the
-        // retry with its own watermark, exposing any token regression.
-        self.token_waits.clear();
         self.retry_cache.abort_inflight();
         self.ingress.clear();
         self.buffered.clear();
@@ -686,6 +688,10 @@ impl MdsServer {
         self.renew_driver = None;
         self.xg_to_sn.clear();
         self.xg_outstanding.clear();
+        // Legs still in flight were discarded with the queues above; their
+        // retries must run if we are re-promoted. Acknowledged ones keep
+        // answering duplicates.
+        self.xg_seen.retain(|_, acked| acked.is_some());
         self.elect = None;
         self.catchup = None;
         // As active we mutated `ns` outside the replay session, so its

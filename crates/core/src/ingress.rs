@@ -21,20 +21,8 @@ use crate::proto::FsOp;
 /// actives.
 #[derive(Debug)]
 pub enum IngressItem {
-    Client {
-        from: NodeId,
-        op: FsOp,
-        seq: u64,
-        /// Speculative-ack mode (`MdsReq::OpSpec`): `Some(min_token)`.
-        /// Mutations ack on apply carrying an ordering token; reads wait
-        /// until the applied watermark reaches `min_token`.
-        spec: Option<u64>,
-    },
-    Leg {
-        coordinator: NodeId,
-        xid: (u32, u64),
-        op: FsOp,
-    },
+    Client { from: NodeId, op: FsOp, seq: u64 },
+    Leg { coordinator: NodeId, xid: (u32, u64), op: FsOp },
 }
 
 impl IngressItem {
@@ -94,9 +82,10 @@ impl Ingress {
     }
 
     /// Admit a client operation; `false` = queue full, op dropped (client
-    /// will time out and retry).
-    pub fn push(&mut self, from: NodeId, op: FsOp, seq: u64, spec: Option<u64>) -> bool {
-        self.push_item(IngressItem::Client { from, op, seq, spec })
+    /// will time out and retry). The fourth argument is reserved; see
+    /// ROADMAP item 2.
+    pub fn push(&mut self, from: NodeId, op: FsOp, seq: u64, _reserved: Option<u64>) -> bool {
+        self.push_item(IngressItem::Client { from, op, seq })
     }
 
     /// Admit any work item.
@@ -233,7 +222,7 @@ mod tests {
         assert_eq!(q.admitted(), 2);
         q.drain(Duration::from_secs(1), CpuModel::default());
         let (f, o, s) = mutation(9);
-        q.push(f, o, s, Some(0));
+        q.push(f, o, s, None);
         // Monotone across drains.
         assert_eq!(q.admitted(), 3);
     }

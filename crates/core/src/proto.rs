@@ -73,14 +73,6 @@ pub enum MdsReq {
     /// cache entries the client can never retry, instead of guessing by
     /// age.
     Op { op: FsOp, seq: u64, acked: u64 },
-    /// Speculative-ack mode (opt-in): mutations are acknowledged on apply
-    /// — before durability — carrying an ordering token (the op's journal
-    /// `txid`); reads wait until the server's applied watermark reaches
-    /// `min_token` (read-your-writes) and return the current watermark.
-    /// The durable-ack contract of `Op` does not hold: a speculative ack
-    /// can be lost on failover, which the returned token exposes (it
-    /// regresses below the client's `min_token`).
-    OpSpec { op: FsOp, seq: u64, min_token: u64, acked: u64 },
     /// Admin: checkpoint the namespace image to the SSP.
     Checkpoint,
     /// Data-server block report: the complete set of blocks this server
@@ -94,15 +86,6 @@ pub enum MdsResp {
     Reply {
         seq: u64,
         result: Result<OpOutput, String>,
-    },
-    /// Reply to an `OpSpec`: `token` is the server's applied txid
-    /// watermark at the reply (for a mutation, the op's own txid). A token
-    /// below the request's `min_token` means the active changed and the
-    /// speculative suffix the client observed was discarded.
-    ReplySpec {
-        seq: u64,
-        result: Result<OpOutput, String>,
-        token: u64,
     },
     /// The receiver is not the active for this group; the client should
     /// re-resolve the active from the global view and retry.

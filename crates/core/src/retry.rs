@@ -124,13 +124,12 @@ impl RetryCache {
     /// Seed the cache from a replicated retry window rebuilt during journal
     /// replay (failover: the successor inherits the dead active's
     /// duplicate-suppression state). Entries become exactly the replies the
-    /// predecessor sent: `ReplySpec` with the recorded token for
-    /// speculatively acked ops, plain `Reply` otherwise.
+    /// predecessor sent.
     ///
-    /// Only *journaled* acks live in the window, so a speculative ack whose
-    /// batch failover discarded is naturally absent — its retry executes
-    /// fresh, which is the `abort_inflight` semantics the predecessor would
-    /// have applied on degradation.
+    /// Only *journaled* acks live in the window, so an op whose batch
+    /// failover discarded is naturally absent — its retry executes fresh,
+    /// which is the `abort_inflight` semantics the predecessor would have
+    /// applied on degradation.
     pub fn seed_from_window(&mut self, window: &RetryWindow) {
         for (client, seq, entry) in window.iter() {
             let result = Ok(match &entry.outcome {
@@ -138,11 +137,7 @@ impl RetryCache {
                 RetryOutcome::Block(b) => OpOutput::Block(*b),
                 RetryOutcome::Info(info) => OpOutput::Info(info.clone()),
             });
-            let resp = match entry.token {
-                Some(token) => MdsResp::ReplySpec { seq, result, token },
-                None => MdsResp::Reply { seq, result },
-            };
-            self.store(client, seq, Arc::new(resp));
+            self.store(client, seq, Arc::new(MdsResp::Reply { seq, result }));
         }
     }
 
@@ -251,6 +246,7 @@ mod tests {
         assert!(c.check(1, 3).is_some());
     }
 
+    /// The reserved `token` of an entry never reaches the reply.
     #[test]
     fn seeding_from_a_window_reconstructs_replies() {
         use mams_namespace::{RetryEntry, RetryWindow};
@@ -264,8 +260,8 @@ mod tests {
             other => panic!("unexpected seeded reply {other:?}"),
         }
         match c.check(4, 10).as_deref() {
-            Some(MdsResp::ReplySpec { seq: 10, result: Ok(OpOutput::Block(77)), token: 12 }) => {}
-            other => panic!("unexpected seeded spec reply {other:?}"),
+            Some(MdsResp::Reply { seq: 10, result: Ok(OpOutput::Block(77)) }) => {}
+            other => panic!("unexpected seeded reply {other:?}"),
         }
         assert!(c.check(4, 11).is_none(), "unseen seqs execute fresh");
     }

@@ -106,14 +106,6 @@ pub(crate) enum ReplyTo {
         coordinator: NodeId,
         xid: (u32, u64),
     },
-    /// Speculative mode: the client was already acknowledged on apply
-    /// (`MdsResp::ReplySpec`); nothing is owed at durability. The client
-    /// identity still rides along so the flush can journal the ack record
-    /// that replicates the `(client, seq) → outcome` binding.
-    SpecAcked {
-        node: NodeId,
-        seq: u64,
-    },
 }
 
 /// A validated-and-not-yet-flushed mutation.
@@ -294,8 +286,12 @@ pub struct MdsServer {
     pub(crate) renew_driver: Option<RenewDriver>,
     /// As coordinator: xid → the batch sn whose replies wait on it.
     pub(crate) xg_to_sn: HashMap<(u32, u64), Sn>,
-    /// As participant: xids already applied (duplicate suppression).
-    pub(crate) xg_seen: HashSet<(u32, u64)>,
+    /// As participant: every leg admitted to the ingress queue, by xid.
+    /// `None` while the leg is in flight (queued, pending or awaiting
+    /// durability) — a duplicate delivery is dropped, the leg's own ack
+    /// covers it; `Some(ok)` once its `XGroupAck` went out — a duplicate
+    /// means that ack was lost and is answered again with the same `ok`.
+    pub(crate) xg_seen: HashMap<(u32, u64), Option<bool>>,
     /// As coordinator: legs still outstanding per xid (retried until every
     /// group acknowledges, so a mid-failover group cannot jam the
     /// in-order reply pipeline).
@@ -321,12 +317,6 @@ pub struct MdsServer {
     pub(crate) last_drain_at: SimTime,
     /// `ingress.admitted()` at the previous tick (arrival-rate signal).
     pub(crate) last_admitted: u64,
-    /// Speculative reads whose `min_token` is ahead of the applied txid
-    /// watermark. Served when the watermark catches up; any wait still
-    /// unsatisfied at the next flush tick is answered with the current
-    /// watermark — a token below the request's `min_token` tells the
-    /// client its speculative timeline was discarded (failover).
-    pub(crate) token_waits: Vec<(u64, NodeId, u64, crate::proto::FsOp)>,
 
     // ---- pool plumbing ----
     pub(crate) pool_pending: HashMap<ReqId, PoolCtx>,
@@ -398,7 +388,7 @@ impl MdsServer {
             buffered: Vec::new(),
             renew_driver: None,
             xg_to_sn: HashMap::new(),
-            xg_seen: HashSet::new(),
+            xg_seen: HashMap::new(),
             xg_outstanding: BTreeMap::new(),
             next_xid: 1,
             registered: false,
@@ -409,7 +399,6 @@ impl MdsServer {
             commit: crate::commit::GroupCommitPolicy::new(),
             last_drain_at: SimTime::ZERO,
             last_admitted: 0,
-            token_waits: Vec::new(),
             pool_pending: HashMap::new(),
             next_pool_req: 1,
             pool_rr: 0,
@@ -501,10 +490,7 @@ impl MdsServer {
             // order), so a single forward scan pairs them up.
             while let Some(ack) = acks.next_if(|a| a.record as usize == i) {
                 let outcome = replay_outcome(|p| self.ns.getfileinfo(p).ok(), txn);
-                // A speculative ack carried the record's txid as its
-                // ordering token; replay knows it exactly.
-                let token = ack.spec.then_some(txid);
-                self.window.record(ack.client, ack.seq, RetryEntry { outcome, token });
+                self.window.record(ack.client, ack.seq, RetryEntry { outcome, token: None });
             }
         }
     }
@@ -637,10 +623,6 @@ impl Node for MdsServer {
                 self.last_admitted = admitted;
                 let next = if self.role == Role::Active {
                     self.commit.observe_tick(arrived, elapsed);
-                    // Token waits left over from the previous tick: serve
-                    // what the watermark now covers, answer the rest with
-                    // the current (regressed) watermark.
-                    self.answer_token_waits(ctx);
                     // The drain budget is the elapsed wall time — not the
                     // tick interval — so the CPU model's service rate is
                     // the same whether the controller ticks every 250µs or
@@ -655,8 +637,8 @@ impl Node for MdsServer {
                     let drained = self.ingress.drain(budget, cpu);
                     for item in self.fan_out_by_shard(drained) {
                         match item {
-                            crate::ingress::IngressItem::Client { from, op, seq, spec } => {
-                                self.serve_op(ctx, from, op, seq, spec)
+                            crate::ingress::IngressItem::Client { from, op, seq } => {
+                                self.serve_op(ctx, from, op, seq)
                             }
                             crate::ingress::IngressItem::Leg { coordinator, xid, op } => {
                                 self.serve_leg(ctx, coordinator, xid, op)
@@ -765,5 +747,47 @@ impl Node for MdsServer {
         if let Ok(req) = msg.downcast::<MdsReq>() {
             self.on_client_req(ctx, from, req);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mams_journal::{decode_batch, AckRecord};
+    use mams_namespace::{Partitioner, RetryOutcome};
+
+    /// A standby's state after ingesting one batch whose only ack record
+    /// carries `spec`, decoded from the wire as a standby receives it.
+    fn standby_after(spec: bool) -> (u64, RetryWindow) {
+        let mut s = MdsServer::new(MdsConfig {
+            group: 0,
+            members: vec![1, 2],
+            coord: 0,
+            pool: vec![3],
+            partitioner: Partitioner::new(1),
+            initial_role: InitialRole::Standby,
+            timing: Default::default(),
+        });
+        let records = vec![
+            Txn::Mkdir { path: "/d".into() },
+            Txn::Create { path: "/d/f".into(), replication: 3 },
+        ];
+        let acks = vec![AckRecord { record: 1, client: 7, seq: 3, spec }];
+        let sealed = SharedBatch::sealed(JournalBatch::with_acks(1, 1, records, acks));
+        let decoded = decode_batch(sealed.wire().clone()).expect("own encoding decodes");
+        assert_eq!(decoded.acks[0].spec, spec, "the byte survives the wire");
+        assert_eq!(s.ingest_batch(SharedBatch::new(decoded)), Some(1));
+        (s.fingerprint(), s.window)
+    }
+
+    /// `AckRecord::spec` is a reserved byte: whatever it holds, a replica
+    /// replays the batch to the same namespace and the same retry window.
+    #[test]
+    fn the_reserved_ack_byte_changes_nothing_a_standby_derives() {
+        let (fp, window) = standby_after(false);
+        assert_eq!(standby_after(true), (fp, window.clone()));
+        let entry = window.get(7, 3).expect("the ack settled (7, 3)");
+        assert!(matches!(&entry.outcome, RetryOutcome::Info(i) if i.path == "/d/f"));
+        assert_eq!(entry.token, None);
     }
 }

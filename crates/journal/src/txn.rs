@@ -94,8 +94,7 @@ pub struct AckRecord {
     pub client: u32,
     /// The client's per-session request sequence number.
     pub seq: u64,
-    /// Acked speculatively (`OpSpec`): the reply carried the record's own
-    /// txid as ordering token, so a cache-seeded retry answer must too.
+    /// Reserved; see ROADMAP item 2. Written `false`, read only by the codec.
     pub spec: bool,
 }
 

@@ -139,9 +139,6 @@ impl FsIo {
                 };
                 return IoEvent::Completed { seq, result };
             }
-            // This I/O layer never issues `OpSpec`, so a speculative reply
-            // can only be a stray; drop it.
-            Ok(MdsResp::ReplySpec { .. }) => return IoEvent::Consumed,
             Ok(MdsResp::NotActive { seq }) => {
                 if self.pending.contains_key(&seq) {
                     self.refresh(ctx);

@@ -45,11 +45,11 @@ pub enum RetryOutcome {
     Info(FileInfo),
 }
 
-/// One settled request: its outcome, plus the ordering token when the ack
-/// was speculative (`OpSpec` replies carry the record's txid).
+/// One settled request and its outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryEntry {
     pub outcome: RetryOutcome,
+    /// Reserved; see ROADMAP item 2. Written `None`, read only by the codec.
     pub token: Option<u64>,
 }
 

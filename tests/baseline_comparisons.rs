@@ -27,19 +27,9 @@ fn mttr_of(system: &str, image_mb: u64, seed: u64) -> f64 {
     } else {
         let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
         let victim = match system {
-            "backupnode" => {
-                backupnode::build(
-                    &mut sim,
-                    coord,
-                    backupnode::BackupNodeSpec {
-                        scale: FsScale::from_image_mb(image_mb),
-                        ..Default::default()
-                    },
-                )
-                .0
-            }
-            "avatar" => avatar::build(&mut sim, coord, avatar::AvatarSpec::default()).0,
-            "hadoop_ha" => hadoop_ha::build(&mut sim, coord, hadoop_ha::HadoopHaSpec::default()).0,
+            "backupnode" => backupnode::build(&mut sim, coord, FsScale::from_image_mb(image_mb)).0,
+            "avatar" => avatar::build(&mut sim, coord).0,
+            "hadoop_ha" => hadoop_ha::build(&mut sim, coord).0,
             other => panic!("unknown {other}"),
         };
         sim.add_node(
@@ -110,13 +100,13 @@ fn every_reliable_mechanism_costs_some_throughput() {
         metrics.mean_throughput(5, 13)
     }
     let hdfs_t = tput(|sim, coord| {
-        hdfs::build(sim, coord, hdfs::HdfsSpec::default());
+        hdfs::build(sim, coord);
     });
     let ha_t = tput(|sim, coord| {
-        hadoop_ha::build(sim, coord, hadoop_ha::HadoopHaSpec::default());
+        hadoop_ha::build(sim, coord);
     });
     let av_t = tput(|sim, coord| {
-        avatar::build(sim, coord, avatar::AvatarSpec::default());
+        avatar::build(sim, coord);
     });
     assert!(hdfs_t > av_t, "HDFS {hdfs_t:.0} !> Avatar {av_t:.0}");
     assert!(av_t > ha_t, "Avatar {av_t:.0} !> HA {ha_t:.0}");

@@ -59,12 +59,11 @@ fn fold_window(
             continue;
         }
         let mut acks = b.acks.iter().peekable();
-        for (i, (txid, txn)) in b.entries().enumerate() {
+        for (i, (_, txn)) in b.entries().enumerate() {
             replay.apply(&ns, txn).expect("journaled txns always replay");
             while let Some(ack) = acks.next_if(|a| a.record as usize == i) {
                 let outcome = replay_outcome(|p| ns.getfileinfo(p).ok(), txn);
-                let token = ack.spec.then_some(txid);
-                window.record(ack.client, ack.seq, RetryEntry { outcome, token });
+                window.record(ack.client, ack.seq, RetryEntry { outcome, token: None });
             }
         }
     }
