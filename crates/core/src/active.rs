@@ -4,7 +4,7 @@
 use mams_journal::{JournalBatch, ReplayCursor, SharedBatch, Sn, Txn};
 use mams_sim::{Ctx, Duration, NodeId};
 use mams_storage::pool::PoolError;
-use mams_storage::proto::{PoolReq, PoolResp};
+use mams_storage::proto::{PoolReq, PoolResp, ReqId};
 
 use crate::proto::{FsOp, GroupMsg, MdsReq, MdsResp, OpOutput};
 use crate::renewing::CATCHUP_PAGE;
@@ -316,7 +316,6 @@ impl MdsServer {
         let mut records = Vec::with_capacity(ops.len());
         let mut acks = Vec::with_capacity(ops.len());
         let mut inflight = Inflight {
-            waiting_pool: true,
             waiting_members: self.standbys.clone(),
             flushed_at: ctx.now(),
             ..Default::default()
@@ -367,18 +366,18 @@ impl MdsServer {
         self.next_txid = batch.last_txid() + 1;
         self.log.append(batch.share()).expect("own batch is contiguous");
         self.cursor = ReplayCursor::at(sn);
-        self.inflight.insert(sn, inflight);
 
         let epoch = self.epoch;
         let group = self.cfg.group;
         for s in self.standbys.clone() {
             ctx.send(s, GroupMsg::SyncJournal { epoch, batch: batch.share() });
         }
-        self.pool_send(
+        inflight.pool_req = Some(self.pool_send(
             ctx,
             move |req| PoolReq::AppendJournal { group, epoch, batch, req },
             PoolCtx::AppendAck { sn },
-        );
+        ));
+        self.inflight.insert(sn, inflight);
     }
 
     /// Release replies: leg acks as soon as their batch is durable (any
@@ -615,17 +614,20 @@ impl MdsServer {
     pub(crate) fn retry_pool_appends(&mut self, ctx: &mut Ctx<'_>) {
         let epoch = self.epoch;
         let group = self.cfg.group;
-        let stuck: Vec<mams_journal::Sn> =
-            self.inflight.iter().filter(|(_, inf)| inf.waiting_pool).map(|(&sn, _)| sn).collect();
-        for sn in stuck {
+        let stuck: Vec<(Sn, ReqId)> = self
+            .inflight
+            .iter()
+            .filter_map(|(&sn, inf)| inf.pool_req.map(|req| (sn, req)))
+            .collect();
+        for (sn, req) in stuck {
             // `share` ends the log borrow, so the retained handle can move
             // into the request without copying the batch.
             if let Some(batch) = self.log.get(sn).map(SharedBatch::share) {
-                self.pool_send(
-                    ctx,
-                    move |req| PoolReq::AppendJournal { group, epoch, batch, req },
-                    PoolCtx::AppendAck { sn },
-                );
+                // The same request again, not a new one (see
+                // `Inflight::pool_req`); an error reply consumed the entry
+                // while the batch still waits, so put it back.
+                self.pool_pending.insert(req, PoolCtx::AppendAck { sn });
+                self.pool_deliver(ctx, PoolReq::AppendJournal { group, epoch, batch, req });
             }
         }
         // Standbys behind the oldest incomplete batch get that range again.
@@ -668,26 +670,26 @@ impl MdsServer {
 
     /// Write a namespace image to the SSP (compacts the shared journal).
     pub(crate) fn start_checkpoint(&mut self, ctx: &mut Ctx<'_>) {
-        // The image encoder works on the flat legacy layout; `to_tree`
-        // snapshots the sharded namespace into one (ids preserved, so the
-        // image round-trips through `from_tree` on the junior unchanged).
-        // The retry window rides inside the image so a junior restored from
-        // it inherits the duplicate-suppression state as of this sn.
-        let image = mams_namespace::encode_image_with_window(
-            &self.ns.to_tree(),
-            self.cursor.max_sn(),
-            &self.window,
-        );
+        // Encoded straight from the shards at a pinned epoch: no second copy
+        // of the namespace is built, and the pin is gone again before the
+        // next mutation, so none pays for history. The retry window rides
+        // inside the image so a junior restored from it inherits the
+        // duplicate-suppression state as of this sn.
+        let image = self.ns.pin().encode_image(self.cursor.max_sn(), &self.window);
         let group = self.cfg.group;
         let epoch = self.epoch;
         ctx.trace("checkpoint.start", || {
             format!("sn {} size {} B", image.checkpoint_sn, image.size_bytes())
         });
-        self.pool_send(
+        // A full image restarts the manifest chain, so it supersedes any
+        // artifact write still unanswered: that reply may have been lost,
+        // and whatever it said, this image's reply replaces it.
+        self.forget_artifact_in_flight();
+        self.artifact_in_flight = Some(self.pool_send(
             ctx,
             move |req| PoolReq::WriteImage { group, epoch, image, req },
             PoolCtx::CheckpointWrite,
-        );
+        ));
     }
 
     /// Incremental checkpoint: fold the journal range since the last
@@ -699,7 +701,7 @@ impl MdsServer {
         let Some(anchor) = self.delta_anchor else {
             // Nothing to chain onto yet: establish the chain with a full
             // image (unless one is already in flight).
-            if !self.pool_pending.values().any(|c| matches!(c, PoolCtx::CheckpointWrite)) {
+            if self.artifact_in_flight.is_none() {
                 self.start_checkpoint(ctx);
             }
             return;
@@ -708,11 +710,7 @@ impl MdsServer {
         if end <= anchor {
             return; // no churn since the last artifact
         }
-        if self
-            .pool_pending
-            .values()
-            .any(|c| matches!(c, PoolCtx::DeltaWrite | PoolCtx::CheckpointWrite))
-        {
+        if self.artifact_in_flight.is_some() {
             // One artifact write at a time keeps the chain ordered; a delta
             // folded while a full image is in flight would chain onto an
             // anchor the image is about to supersede.
@@ -734,11 +732,11 @@ impl MdsServer {
         });
         let group = self.cfg.group;
         let epoch = self.epoch;
-        self.pool_send(
+        self.artifact_in_flight = Some(self.pool_send(
             ctx,
             move |req| PoolReq::WriteDelta { group, epoch, delta, req },
             PoolCtx::DeltaWrite,
-        );
+        ));
     }
 
     // ------------------------------------------------------ pool responses
@@ -748,11 +746,14 @@ impl MdsServer {
             Some(w) => w,
             None => return,
         };
+        if self.artifact_in_flight == Some(resp.req_id()) {
+            self.artifact_in_flight = None;
+        }
         match why {
             PoolCtx::AppendAck { sn } => match resp {
                 PoolResp::AppendOk { .. } => {
                     if let Some(inf) = self.inflight.get_mut(&sn) {
-                        inf.waiting_pool = false;
+                        inf.pool_req = None;
                     }
                     self.try_complete(ctx);
                 }
@@ -895,7 +896,7 @@ mod tests {
     }
 
     fn incomplete(replies: Vec<ClientReply>) -> Inflight {
-        Inflight { waiting_pool: true, client_replies: replies, ..Default::default() }
+        Inflight { pool_req: Some(0), client_replies: replies, ..Default::default() }
     }
 
     fn seqs(released: &[ReadyReply]) -> Vec<u64> {
@@ -923,7 +924,7 @@ mod tests {
         assert_eq!(w[&2].client_replies.len(), 1, "same-shard reply stays held");
 
         // Once sn 1 turns durable, both release — in batch (txid) order.
-        w.get_mut(&1).unwrap().waiting_pool = false;
+        w.get_mut(&1).unwrap().pool_req = None;
         let (released, drained, ooo) = release_walk(&mut w);
         assert_eq!(seqs(&released), vec![1, 2], "per-shard FIFO preserved");
         assert_eq!(ooo, 0, "nothing overtaken once the window is complete");

@@ -464,13 +464,13 @@ impl MdsServer {
                     for batch in resync {
                         let sn = batch.batch().sn;
                         ctx.trace("failover.resync_pool", || format!("re-offer sn {sn}"));
-                        self.inflight
-                            .insert(sn, Inflight { waiting_pool: true, ..Default::default() });
-                        self.pool_send(
+                        let req = self.pool_send(
                             ctx,
                             move |req| PoolReq::AppendJournal { group, epoch, batch, req },
                             PoolCtx::AppendAck { sn },
                         );
+                        self.inflight
+                            .insert(sn, Inflight { pool_req: Some(req), ..Default::default() });
                     }
                 }
             }
@@ -665,7 +665,7 @@ impl MdsServer {
         // paper's junior semantics, discard everything and rebuild from the
         // shared image + journal; keeping the polluted image would make
         // later replay diverge.
-        if !self.pending.is_empty() || self.inflight.values().any(|i| i.waiting_pool) {
+        if !self.pending.is_empty() || self.inflight.values().any(|i| i.pool_req.is_some()) {
             ctx.trace("failover.discard_speculative", || {
                 format!("{} pending, {} inflight", self.pending.len(), self.inflight.len())
             });
@@ -698,6 +698,9 @@ impl MdsServer {
         // cached handles may be stale.
         self.replay.reset();
         self.delta_anchor = None;
+        // Whatever an artifact write still in flight answers, it answers a
+        // tenure that is over.
+        self.forget_artifact_in_flight();
         self.role = Role::Junior;
         self.registered = false;
         self.announce_state(ctx);

@@ -139,7 +139,11 @@ pub(crate) struct ClientReply {
 /// and are released in per-shard FIFO order (see `try_complete`).
 #[derive(Debug, Default)]
 pub(crate) struct Inflight {
-    pub waiting_pool: bool,
+    /// The SSP append this batch still waits on; `None` once acknowledged.
+    /// A resend repeats the request under the same id, so whichever reply
+    /// arrives first settles the batch and `pool_pending` holds one entry
+    /// per unacknowledged batch however many resends a lossy link costs.
+    pub pool_req: Option<ReqId>,
     pub waiting_members: BTreeSet<NodeId>,
     /// Outgoing distributed-transaction legs client replies wait on.
     pub waiting_xg: HashSet<(u32, u64)>,
@@ -154,7 +158,7 @@ pub(crate) struct Inflight {
 impl Inflight {
     /// Locally durable: in the SSP and on every current standby.
     pub fn durable(&self) -> bool {
-        !self.waiting_pool && self.waiting_members.is_empty()
+        self.pool_req.is_none() && self.waiting_members.is_empty()
     }
 
     pub fn complete(&self) -> bool {
@@ -332,6 +336,11 @@ pub struct MdsServer {
     /// cleared on every role change — a new active must re-establish the
     /// chain with a full image before producing deltas.
     pub(crate) delta_anchor: Option<Sn>,
+    /// The one image or delta write whose reply is still awaited: no delta
+    /// folds while it is set (one artifact at a time keeps the chain
+    /// ordered). A reply clears it; a lost reply leaves it set only until
+    /// the next full checkpoint supersedes the request.
+    pub(crate) artifact_in_flight: Option<ReqId>,
 
     // ---- measurement hooks ----
     /// When we observed the previous active disappear (drives the Figure 7
@@ -404,6 +413,7 @@ impl MdsServer {
             pool_rr: 0,
             gap_repair_armed: false,
             delta_anchor: None,
+            artifact_in_flight: None,
             failure_seen_at: None,
             divergences: 0,
             diverged_traced: false,
@@ -425,6 +435,11 @@ impl MdsServer {
     /// Namespace fingerprint (test hook).
     pub fn fingerprint(&self) -> u64 {
         self.ns.fingerprint()
+    }
+
+    /// Pool requests whose replies are still awaited (test/harness hook).
+    pub fn pool_requests_pending(&self) -> usize {
+        self.pool_pending.len()
     }
 
     /// Replay divergences observed (test hook; must be 0).
@@ -455,10 +470,23 @@ impl MdsServer {
         let req = self.next_pool_req;
         self.next_pool_req += 1;
         self.pool_pending.insert(req, why);
+        self.pool_deliver(ctx, build(req));
+        req
+    }
+
+    /// Stop waiting for the artifact write in flight, if any: its reply,
+    /// should it still come, finds no entry and is ignored.
+    pub(crate) fn forget_artifact_in_flight(&mut self) {
+        if let Some(stale) = self.artifact_in_flight.take() {
+            self.pool_pending.remove(&stale);
+        }
+    }
+
+    /// Hand a pool request to the next pool node in the rotation.
+    pub(crate) fn pool_deliver(&mut self, ctx: &mut Ctx<'_>, req: PoolReq) {
         let target = self.cfg.pool[self.pool_rr % self.cfg.pool.len()];
         self.pool_rr += 1;
-        ctx.send(target, build(req));
-        req
+        ctx.send(target, req);
     }
 
     // ------------------------------------------------------------- journal

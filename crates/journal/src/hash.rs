@@ -109,19 +109,9 @@ impl HashingBuf {
     }
 
     /// LEB128-encode `v`.
-    pub fn put_varint(&mut self, mut v: u64) {
-        let mut tmp = [0u8; 10];
-        let mut n = 0;
-        loop {
-            let b = (v & 0x7f) as u8;
-            v >>= 7;
-            tmp[n] = if v == 0 { b } else { b | 0x80 };
-            n += 1;
-            if v == 0 {
-                break;
-            }
-        }
-        self.put_slice(&tmp[..n]);
+    pub fn put_varint(&mut self, v: u64) {
+        let (bytes, n) = leb128(v);
+        self.put_slice(&bytes[..n]);
     }
 
     /// Bytes written so far (the trailer is not included until `seal`).
@@ -139,6 +129,29 @@ impl HashingBuf {
         self.buf.put_u64(sum);
         self.buf.freeze()
     }
+}
+
+/// The LEB128 encoding of `v` and its length.
+#[inline]
+fn leb128(mut v: u64) -> ([u8; 10], usize) {
+    let mut bytes = [0u8; 10];
+    let mut n = 0;
+    loop {
+        let b = (v & 0x7f) as u8;
+        v >>= 7;
+        bytes[n] = if v == 0 { b } else { b | 0x80 };
+        n += 1;
+        if v == 0 {
+            return (bytes, n);
+        }
+    }
+}
+
+/// LEB128-encode `v` onto the end of `out` — for encoders that assemble an
+/// entry in a scratch buffer and hand it to [`HashingBuf::put_slice`] whole.
+pub fn push_varint(out: &mut Vec<u8>, v: u64) {
+    let (bytes, n) = leb128(v);
+    out.extend_from_slice(&bytes[..n]);
 }
 
 /// Result of peeking a varint at the front of a window.
@@ -230,6 +243,9 @@ mod tests {
                 }
                 other => panic!("{v}: {other:?}"),
             }
+            let mut pushed = Vec::new();
+            push_varint(&mut pushed, v);
+            assert_eq!(pushed, enc[..enc.len() - 8], "{v}: push_varint");
         }
         assert!(matches!(peek_varint(&[0x80]), Varint::Need));
         assert!(matches!(peek_varint(&[0xff; 11]), Varint::Bad));

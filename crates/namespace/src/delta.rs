@@ -27,16 +27,15 @@
 //! whole before decoding, so unlike the base image there is no streaming
 //! decoder; corruption anywhere fails [`decode_delta`] loudly.
 
-use std::collections::BTreeSet;
-
 use bytes::Bytes;
-use mams_journal::hash::{fnv1a64, HashingBuf};
+use mams_journal::hash::{fnv1a64, push_varint, HashingBuf};
 use mams_journal::{Sn, Txn};
 
 use crate::image::ImageError;
-use crate::inode::FileInfo;
+use crate::inode::{FileInfo, Inode, InodeSource, ROOT_ID};
+use crate::path;
 use crate::retry::RetryWindow;
-use crate::shard::ShardedNamespace;
+use crate::shard::{LockedShards, ShardedNamespace};
 use crate::tree::{NamespaceTree, NsError};
 
 /// Delta image magic ("MDLT").
@@ -122,10 +121,14 @@ pub struct DecodedDelta {
 /// the flat [`NamespaceTree`] (parity tests, pool compaction) and the
 /// [`ShardedNamespace`] a live replica runs (the renewing consumer).
 pub trait DeltaNamespace {
-    /// Final state of a path (`None` when absent).
+    /// What the fold reads final states through: by-id access to the
+    /// namespace as it stands, unchanged for as long as the view lives.
+    type View<'a>: InodeSource
+    where
+        Self: 'a;
+    fn view(&self) -> Self::View<'_>;
+    /// Current state of a path (`None` when absent).
     fn info(&self, p: &str) -> Option<FileInfo>;
-    /// Child names of a directory (empty when absent or a file).
-    fn child_names(&self, p: &str) -> Vec<String>;
     /// Recursive remove.
     fn remove(&mut self, p: &str) -> Result<(), NsError>;
     fn make_dir(&mut self, p: &str) -> Result<(), NsError>;
@@ -136,11 +139,12 @@ pub trait DeltaNamespace {
 }
 
 impl DeltaNamespace for NamespaceTree {
+    type View<'a> = &'a NamespaceTree;
+    fn view(&self) -> &NamespaceTree {
+        self
+    }
     fn info(&self, p: &str) -> Option<FileInfo> {
         self.getfileinfo(p).ok()
-    }
-    fn child_names(&self, p: &str) -> Vec<String> {
-        self.list(p).unwrap_or_default()
     }
     fn remove(&mut self, p: &str) -> Result<(), NsError> {
         self.delete(p, true).map(|_| ())
@@ -163,11 +167,12 @@ impl DeltaNamespace for NamespaceTree {
 }
 
 impl DeltaNamespace for ShardedNamespace {
+    type View<'a> = LockedShards<'a>;
+    fn view(&self) -> LockedShards<'_> {
+        self.lock_shards(None)
+    }
     fn info(&self, p: &str) -> Option<FileInfo> {
         self.getfileinfo(p).ok()
-    }
-    fn child_names(&self, p: &str) -> Vec<String> {
-        self.list(p).unwrap_or_default()
     }
     fn remove(&mut self, p: &str) -> Result<(), NsError> {
         ShardedNamespace::delete(self, p, true).map(|_| ())
@@ -213,7 +218,14 @@ pub fn fold_delta<'a, N: DeltaNamespace>(
 
 /// [`fold_delta`] variant that embeds the producer's retry-outcome window as
 /// of `end_sn`, so consumers on the delta ladder inherit at-most-once state
-/// along with the namespace. An empty window is elided on the wire.
+/// along with the namespace. The window rides after the entries as `'W'` +
+/// varint length + blob, mirroring the base image's section; an empty
+/// window writes nothing.
+///
+/// This is the only `MDLT` encoder. Paths stay borrowed from the journal
+/// records (or from one arena for the subtrees a rename moved), final
+/// states are read through the source's by-id view without building a
+/// `FileInfo`, and every entry is written once, straight into the artifact.
 pub fn fold_delta_with_window<'a, N: DeltaNamespace>(
     src: &N,
     base_sn: Sn,
@@ -221,145 +233,150 @@ pub fn fold_delta_with_window<'a, N: DeltaNamespace>(
     txns: impl IntoIterator<Item = &'a Txn>,
     window: &RetryWindow,
 ) -> DeltaImage {
-    let mut touched: BTreeSet<String> = BTreeSet::new();
-    let mut severed: BTreeSet<String> = BTreeSet::new();
+    // Every path the range names; `true` marks one whose inode identity the
+    // range severed (delete or rename).
+    let mut touched: Vec<(&str, bool)> = Vec::new();
     for txn in txns {
         match txn {
             Txn::Create { path, .. }
             | Txn::Mkdir { path }
             | Txn::AddBlock { path, .. }
             | Txn::CloseFile { path }
-            | Txn::SetPerm { path, .. } => {
-                touched.insert(path.clone());
-            }
-            Txn::Delete { path, .. } => {
-                touched.insert(path.clone());
-                severed.insert(path.clone());
-            }
+            | Txn::SetPerm { path, .. } => touched.push((path, false)),
+            Txn::Delete { path, .. } => touched.push((path, true)),
             Txn::Rename { src: s, dst: d } => {
-                touched.insert(s.clone());
-                severed.insert(s.clone());
-                touched.insert(d.clone());
-                severed.insert(d.clone());
+                touched.push((s, true));
+                touched.push((d, true));
             }
         }
     }
+    sort_dedup(&mut touched);
+
+    let view = src.view();
     // Severed paths that ended up as directories ship their whole final
     // subtree: the consumer replaces them with a fresh directory, so every
     // surviving descendant must ride along.
-    let mut subtree: Vec<String> = Vec::new();
-    for p in &severed {
-        if src.info(p).is_some_and(|i| i.is_dir) {
-            collect_subtree(src, p, &mut subtree);
-        }
-    }
-    touched.extend(subtree);
-
-    let mut entries = Vec::with_capacity(touched.len());
-    for path in touched {
-        match src.info(&path) {
-            None => {
-                if path != "/" {
-                    entries.push(DeltaEntry { path, op: DeltaOp::Tombstone });
+    let mut subtrees = String::new();
+    let mut spans: Vec<std::ops::Range<usize>> = Vec::new();
+    for &(p, severed) in &touched {
+        if let (true, Some(Inode::Directory { children, .. })) = (severed, resolve(&view, p)) {
+            // One path buffer and one open child iterator per level.
+            let mut cur = String::from(if p == "/" { "" } else { p });
+            let mut open = vec![(children.iter(), cur.len())];
+            while let Some((siblings, dir_len)) = open.last_mut() {
+                let Some((name, &id)) = siblings.next() else {
+                    open.pop();
+                    continue;
+                };
+                cur.truncate(*dir_len);
+                cur.push('/');
+                cur.push_str(name);
+                let start = subtrees.len();
+                subtrees.push_str(&cur);
+                spans.push(start..subtrees.len());
+                if let Some(Inode::Directory { children, .. }) = view.inode(id) {
+                    open.push((children.iter(), cur.len()));
                 }
             }
-            Some(info) if info.is_dir => {
-                let op = if path != "/" && severed.contains(path.as_str()) {
-                    DeltaOp::ReplaceDir { perm: info.perm }
-                } else {
-                    DeltaOp::UpsertDir { perm: info.perm }
-                };
-                entries.push(DeltaEntry { path, op });
-            }
-            Some(info) => {
-                entries.push(DeltaEntry {
-                    path,
-                    op: DeltaOp::UpsertFile {
-                        perm: info.perm,
-                        replication: info.replication,
-                        sealed: info.sealed,
-                        blocks: info.blocks,
-                    },
-                });
-            }
         }
     }
-    encode_delta_with_window(base_sn, end_sn, &entries, window)
-}
-
-fn collect_subtree<N: DeltaNamespace>(src: &N, root: &str, out: &mut Vec<String>) {
-    let mut stack = vec![root.to_string()];
-    while let Some(p) = stack.pop() {
-        for name in src.child_names(&p) {
-            let child = if p == "/" { format!("/{name}") } else { format!("{p}/{name}") };
-            if src.info(&child).is_some_and(|i| i.is_dir) {
-                stack.push(child.clone());
-            }
-            out.push(child);
-        }
+    if !spans.is_empty() {
+        touched.extend(spans.into_iter().map(|span| (&subtrees[span], false)));
+        sort_dedup(&mut touched);
     }
-}
 
-// ------------------------------------------------------------------ encode
+    // Entries in ascending path order, each path prefix-compressed against
+    // the one before. Sorted siblings come in runs, so the parent directory
+    // resolved for one path serves the next until the parent changes.
+    let mut body: Vec<u8> = Vec::with_capacity(touched.len() * 24);
+    let mut entries = 0u64;
+    let mut prev = "";
+    let mut parent: Option<(&str, Option<&Inode>)> = None;
+    for &(p, severed) in &touched {
+        let node = if path::validate(p).is_err() {
+            None // a damaged record's path names nothing
+        } else if let Some((dir, name)) = path::split(p) {
+            let (_, dir_node) = match parent {
+                Some(cached) if cached.0 == dir => cached,
+                _ => *parent.insert((dir, resolve(&view, dir))),
+            };
+            match dir_node {
+                Some(Inode::Directory { children, .. }) => {
+                    children.get(name).and_then(|&id| view.inode(id))
+                }
+                _ => None,
+            }
+        } else {
+            view.inode(ROOT_ID)
+        };
+        let tag = match node {
+            // The root is never removed, whatever a damaged record says.
+            None if p == "/" => continue,
+            None => b'T',
+            Some(Inode::Directory { .. }) if severed && p != "/" => b'R',
+            Some(Inode::Directory { .. }) => b'D',
+            Some(Inode::File { .. }) => b'F',
+        };
+        body.push(tag);
+        let shared = common_prefix(prev.as_bytes(), p.as_bytes());
+        push_varint(&mut body, shared as u64);
+        push_varint(&mut body, (p.len() - shared) as u64);
+        body.extend_from_slice(&p.as_bytes()[shared..]);
+        if let Some(node) = node {
+            body.extend_from_slice(&node.perm().to_be_bytes());
+            if let Inode::File { blocks, replication, sealed, .. } = node {
+                body.extend_from_slice(&[*replication, *sealed as u8]);
+                push_varint(&mut body, blocks.len() as u64);
+                for b in blocks {
+                    push_varint(&mut body, *b);
+                }
+            }
+        }
+        prev = p;
+        entries += 1;
+    }
+    drop(view);
 
-/// Encode sorted entries into the `MDLT` wire format. Callers normally go
-/// through [`fold_delta`]; this is exposed for tests and the compactor.
-pub fn encode_delta(base_sn: Sn, end_sn: Sn, entries: &[DeltaEntry]) -> DeltaImage {
-    encode_delta_with_window(base_sn, end_sn, entries, &RetryWindow::new())
-}
-
-/// [`encode_delta`] variant carrying a retry-outcome window. The window
-/// rides after the entries as `'W'` + varint length + blob, mirroring the
-/// base image's section; an empty window writes nothing.
-pub fn encode_delta_with_window(
-    base_sn: Sn,
-    end_sn: Sn,
-    entries: &[DeltaEntry],
-    window: &RetryWindow,
-) -> DeltaImage {
-    debug_assert!(entries.windows(2).all(|w| w[0].path < w[1].path), "entries must be sorted");
-    let mut out = HashingBuf::with_capacity(256);
+    let window_bytes = if window.is_empty() { Vec::new() } else { window.encode_bytes() };
+    let mut out =
+        HashingBuf::with_capacity(HEADER_LEN + body.len() + window_bytes.len() + 32 + TRAILER_LEN);
     out.put_u32(DELTA_MAGIC);
     out.put_u16(DELTA_VERSION);
     out.put_u64(base_sn);
     out.put_u64(end_sn);
-    out.put_varint(entries.len() as u64);
-    let mut prev: &str = "";
-    for e in entries {
-        let tag = match &e.op {
-            DeltaOp::UpsertDir { .. } => b'D',
-            DeltaOp::ReplaceDir { .. } => b'R',
-            DeltaOp::UpsertFile { .. } => b'F',
-            DeltaOp::Tombstone => b'T',
-        };
-        out.put_u8(tag);
-        let shared = common_prefix(prev.as_bytes(), e.path.as_bytes());
-        let suffix = &e.path.as_bytes()[shared..];
-        out.put_varint(shared as u64);
-        out.put_varint(suffix.len() as u64);
-        out.put_slice(suffix);
-        match &e.op {
-            DeltaOp::UpsertDir { perm } | DeltaOp::ReplaceDir { perm } => out.put_u16(*perm),
-            DeltaOp::UpsertFile { perm, replication, sealed, blocks } => {
-                out.put_u16(*perm);
-                out.put_u8(*replication);
-                out.put_u8(*sealed as u8);
-                out.put_varint(blocks.len() as u64);
-                for b in blocks {
-                    out.put_varint(*b);
-                }
-            }
-            DeltaOp::Tombstone => {}
-        }
-        prev = &e.path;
-    }
-    if !window.is_empty() {
-        let wb = window.encode_bytes();
+    out.put_varint(entries);
+    out.put_slice(&body);
+    if !window_bytes.is_empty() {
         out.put_u8(b'W');
-        out.put_varint(wb.len() as u64);
-        out.put_slice(&wb);
+        out.put_varint(window_bytes.len() as u64);
+        out.put_slice(&window_bytes);
     }
-    DeltaImage { base_sn, end_sn, entries: entries.len() as u64, data: out.seal() }
+    DeltaImage { base_sn, end_sn, entries, data: out.seal() }
+}
+
+/// Sort by path and keep one element per path, marked severed if any of its
+/// duplicates was (equal paths sort with the mark last).
+fn sort_dedup(paths: &mut Vec<(&str, bool)>) {
+    paths.sort_unstable();
+    paths.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        kept.1 |= same && later.1;
+        same
+    });
+}
+
+/// The inode at `p` in `view`, walking from the root (`None` when absent,
+/// below a file, or not a valid path).
+fn resolve<'v, V: InodeSource>(view: &'v V, p: &str) -> Option<&'v Inode> {
+    path::validate(p).ok()?;
+    let mut cur = view.inode(ROOT_ID)?;
+    for comp in path::components(p) {
+        match cur {
+            Inode::Directory { children, .. } => cur = view.inode(*children.get(comp)?)?,
+            Inode::File { .. } => return None,
+        }
+    }
+    Some(cur)
 }
 
 // ------------------------------------------------------------------ decode
@@ -791,14 +808,14 @@ mod tests {
 
     #[test]
     fn peek_reads_range_without_decode() {
-        let delta = encode_delta(7, 19, &[]);
+        let delta = fold_delta(&NamespaceTree::new(), 7, 19, []);
         assert_eq!(peek_delta_range(&delta.data), Some((7, 19)));
         assert_eq!(peek_delta_range(b"short"), None);
     }
 
     #[test]
     fn empty_range_rejected() {
-        let delta = encode_delta(5, 5, &[]);
+        let delta = fold_delta(&NamespaceTree::new(), 5, 5, []);
         assert!(matches!(decode_delta(&delta.data), Err(ImageError::Corrupt(_))));
     }
 

@@ -6,8 +6,10 @@
 //! [`ImageError::BadVersion`].
 //!
 //! The body is a preorder DFS of **parent-id delta** entries — `(parent
-//! entry index, name, attrs)` with varint lengths. The encoder emits
-//! borrowed name slices (zero per-entry `String`s) and the decoder attaches
+//! entry index, name, attrs)` with varint lengths. The encoder reads the
+//! namespace through [`InodeSource`] — the reference tree or the active's
+//! pinned shards, no copy of either — with names borrowed from the
+//! directories that hold them, and the decoder attaches
 //! each inode directly under its already-materialized parent in a single
 //! pass: no from-root path resolution, no second lookup to set permissions,
 //! and a name appears once, not once per descendant. After the tree entries
@@ -22,13 +24,12 @@
 //! buffers a whole image before starting to rebuild the tree.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use bytes::Bytes;
-use mams_journal::hash::{peek_varint, Fnv1a64, HashingBuf, Varint};
+use mams_journal::hash::{peek_varint, push_varint, Fnv1a64, HashingBuf, Varint};
 use mams_journal::Sn;
 
-use crate::inode::{Inode, InodeId, ROOT_ID};
+use crate::inode::{Inode, InodeId, InodeSource, ROOT_ID};
 use crate::retry::RetryWindow;
 use crate::tree::NamespaceTree;
 
@@ -107,82 +108,90 @@ impl NamespaceImage {
 // The checksum machinery ([`Fnv1a64`], [`HashingBuf`], varints) is shared
 // with the journal wire format and lives in `mams_journal::hash`.
 
-fn put_header(out: &mut HashingBuf, checkpoint_sn: Sn, root_perm: u16) {
-    out.put_u32(MAGIC);
-    out.put_u16(VERSION_V2);
-    out.put_u64(checkpoint_sn);
-    out.put_u16(root_perm);
-}
+/// Mean component length assumed when sizing the output buffer. Generous:
+/// reserved pages an image does not reach are never touched, while a
+/// reservation that falls short re-copies megabytes.
+const ASSUMED_NAME_LEN: u64 = 16;
 
-/// Encode the tree into an image checkpointed at `checkpoint_sn`.
-pub fn encode_image(tree: &NamespaceTree, checkpoint_sn: Sn) -> NamespaceImage {
-    encode_image_with_window(tree, checkpoint_sn, &RetryWindow::new())
+/// Encode the namespace `src` shows into an image checkpointed at
+/// `checkpoint_sn`.
+pub fn encode_image<S: InodeSource>(src: &S, checkpoint_sn: Sn) -> NamespaceImage {
+    encode_image_with_window(src, checkpoint_sn, &RetryWindow::new())
 }
 
 /// Encode an image carrying the retry-outcome window as of
 /// `checkpoint_sn`. The window rides as one `W`-tagged, length-prefixed
 /// section after the tree entries, elided when empty (such an image decodes
 /// with an empty window).
-pub fn encode_image_with_window(
-    tree: &NamespaceTree,
+///
+/// This is the only encoder: the active hands it its pinned shards
+/// ([`SnapshotView::encode_image`](crate::SnapshotView::encode_image)), pool
+/// compaction and the baselines a [`NamespaceTree`], and the bytes depend on
+/// the namespace alone, not on which of the two held it.
+pub fn encode_image_with_window<S: InodeSource>(
+    src: &S,
     checkpoint_sn: Sn,
     window: &RetryWindow,
 ) -> NamespaceImage {
-    let mut out = HashingBuf::with_capacity(4096);
-    put_header(&mut out, checkpoint_sn, tree.inodes[&ROOT_ID].perm());
+    let root = src.inode(ROOT_ID).expect("a namespace has a root");
+    let window_bytes = if window.is_empty() { Vec::new() } else { window.encode_bytes() };
+    let (files, dirs) = src.counts();
+    let reserve = estimated_image_bytes(files, dirs, ASSUMED_NAME_LEN) as usize;
+    let mut out = HashingBuf::with_capacity(reserve + window_bytes.len() + 11);
+    out.put_u32(MAGIC);
+    out.put_u16(VERSION_V2);
+    out.put_u64(checkpoint_sn);
+    out.put_u16(root.perm());
 
-    // Preorder DFS. Every emitted entry gets the next index (the root is
-    // index 0 and is never emitted); children reference their parent by
-    // that index, which the decoder has always already materialized.
-    // Names ride as `Arc<str>` handles — reference-count bumps, no copies.
+    // Preorder DFS, one open child iterator per level. Every emitted entry
+    // gets the next index (the root is index 0 and is never emitted);
+    // children reference their parent by that index, which the decoder has
+    // always already materialized. Names are borrowed from the directory
+    // that holds them, and an entry is assembled in `entry` and handed to
+    // the hashing buffer whole: one checksum run and one copy per inode.
+    let (mut files, mut dirs) = (0u64, 0u64);
     let mut next_index: u64 = 1;
-    let mut stack: Vec<(InodeId, Arc<str>, u64)> = Vec::new();
-    if let Inode::Directory { children, .. } = &tree.inodes[&ROOT_ID] {
-        for (name, child) in children.iter().rev() {
-            stack.push((*child, name.clone(), 0));
-        }
+    let mut entry: Vec<u8> = Vec::with_capacity(128);
+    let mut open = Vec::new();
+    if let Inode::Directory { children, .. } = root {
+        open.push((children.iter(), 0u64));
     }
-    while let Some((id, name, parent)) = stack.pop() {
-        let my_index = next_index;
-        next_index += 1;
-        match &tree.inodes[&id] {
-            Inode::Directory { children, perm } => {
-                out.put_u8(b'D');
-                out.put_varint(parent);
-                out.put_varint(name.len() as u64);
-                out.put_slice(name.as_bytes());
-                out.put_u16(*perm);
-                for (n, child) in children.iter().rev() {
-                    stack.push((*child, n.clone(), my_index));
-                }
+    while let Some((siblings, parent)) = open.last_mut() {
+        let Some((name, &id)) = siblings.next() else {
+            open.pop();
+            continue;
+        };
+        let parent = *parent;
+        let node = src.inode(id).expect("a directory entry names an inode of the same state");
+        entry.clear();
+        entry.push(if node.is_dir() { b'D' } else { b'F' });
+        push_varint(&mut entry, parent);
+        push_varint(&mut entry, name.len() as u64);
+        entry.extend_from_slice(name.as_bytes());
+        entry.extend_from_slice(&node.perm().to_be_bytes());
+        match node {
+            Inode::Directory { children, .. } => {
+                dirs += 1;
+                open.push((children.iter(), next_index));
             }
-            Inode::File { blocks, replication, sealed, perm } => {
-                out.put_u8(b'F');
-                out.put_varint(parent);
-                out.put_varint(name.len() as u64);
-                out.put_slice(name.as_bytes());
-                out.put_u16(*perm);
-                out.put_u8(*replication);
-                out.put_u8(*sealed as u8);
-                out.put_varint(blocks.len() as u64);
+            Inode::File { blocks, replication, sealed, .. } => {
+                files += 1;
+                entry.extend_from_slice(&[*replication, *sealed as u8]);
+                push_varint(&mut entry, blocks.len() as u64);
                 for b in blocks {
-                    out.put_varint(*b);
+                    push_varint(&mut entry, *b);
                 }
             }
         }
+        out.put_slice(&entry);
+        next_index += 1;
     }
-    if !window.is_empty() {
-        let wb = window.encode_bytes();
+    if !window_bytes.is_empty() {
         out.put_u8(b'W');
-        out.put_varint(wb.len() as u64);
-        out.put_slice(&wb);
+        out.put_varint(window_bytes.len() as u64);
+        out.put_slice(&window_bytes);
     }
-    NamespaceImage {
-        checkpoint_sn,
-        data: out.seal(),
-        files: tree.num_files(),
-        dirs: tree.num_dirs(),
-    }
+    NamespaceImage { checkpoint_sn, data: out.seal(), files, dirs }
 }
 
 // ------------------------------------------------------------------ decode

@@ -66,6 +66,26 @@ impl Inode {
     }
 }
 
+/// Read-only access to a namespace by inode id: what the image encoder and
+/// the delta fold walk. The reference tree implements it directly and the
+/// sharded namespace through a view holding its shard locks, so both
+/// producers read the namespace a replica runs instead of a copy of it.
+pub trait InodeSource {
+    /// The inode `id` in the state this source shows, if it exists there.
+    fn inode(&self, id: InodeId) -> Option<&Inode>;
+    /// `(files, directories excluding the root)`; sizes the image buffer.
+    fn counts(&self) -> (u64, u64);
+}
+
+impl<S: InodeSource> InodeSource for &S {
+    fn inode(&self, id: InodeId) -> Option<&Inode> {
+        (**self).inode(id)
+    }
+    fn counts(&self) -> (u64, u64) {
+        (**self).counts()
+    }
+}
+
 /// The answer to `getfileinfo`: a snapshot of one inode's metadata.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FileInfo {

@@ -24,16 +24,15 @@ pub mod tree;
 
 pub use blocks::{BlockInfo, BlockMap};
 pub use delta::{
-    apply_delta, decode_delta, encode_delta, encode_delta_with_window, fold_delta,
-    fold_delta_with_window, peek_delta_range, DecodedDelta, DeltaEntry, DeltaImage, DeltaNamespace,
-    DeltaOp, DELTA_MAGIC, DELTA_VERSION,
+    apply_delta, decode_delta, fold_delta, fold_delta_with_window, peek_delta_range, DecodedDelta,
+    DeltaEntry, DeltaImage, DeltaNamespace, DeltaOp, DELTA_MAGIC, DELTA_VERSION,
 };
 pub use image::{
     decode_image, decode_image_with_window, encode_image, encode_image_with_window,
     estimated_image_bytes, ImageError, NamespaceImage, StreamingImageDecoder, VERSION_V2,
 };
-pub use inode::{FileInfo, Inode, InodeId};
+pub use inode::{FileInfo, Inode, InodeId, InodeSource};
 pub use partition::Partitioner;
 pub use retry::{replay_outcome, RetryEntry, RetryOutcome, RetryWindow, DEFAULT_WINDOW_CAP};
-pub use shard::{CacheStats, ShardedNamespace, ShardedReplaySession, SnapshotView};
+pub use shard::{CacheStats, LockedShards, ShardedNamespace, ShardedReplaySession, SnapshotView};
 pub use tree::{NamespaceTree, NsError};

@@ -26,9 +26,11 @@
 //!   (mkdir, cross-directory file rename) lock them in ascending shard-index
 //!   order; structural subtree ops (directory rename, recursive delete) take
 //!   every shard — the namespace-level analogue of the paper's "structural
-//!   operations are distributed transactions". Readers never hold two shard
-//!   locks at once (each path step locks exactly one shard), so they can
-//!   never deadlock against ascending-order writers.
+//!   operations are distributed transactions". Path readers never hold two
+//!   shard locks at once (each path step locks exactly one shard), and the
+//!   two readers that visit the whole namespace — the image encoder and the
+//!   delta fold, through [`LockedShards`] — read-lock every shard in the
+//!   same ascending order, so neither can deadlock against the writers.
 //!
 //! ### Pin/mutator protocol
 //!
@@ -55,21 +57,26 @@
 //! [`ShardedNamespace::from_tree`]; both produce a namespace whose
 //! [`fingerprint`] is byte-for-byte the legacy tree's over the same history —
 //! inode ids may differ (per-shard allocators), but the fingerprint hashes
-//! structure, names, and attributes, never ids. Property tests pin this
-//! parity (`tests/sharded_parity.rs`).
+//! structure, names, and attributes, never ids. The other direction needs
+//! no tree: the active's checkpoint is
+//! [`SnapshotView::encode_image`], the image encoder reading the shards at a
+//! pinned epoch, and its bytes are those of the tree's image. Property
+//! tests pin both (`tests/sharded_parity.rs`).
 //!
 //! [`pin`]: ShardedNamespace::pin
 //! [`fingerprint`]: ShardedNamespace::fingerprint
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use mams_journal::{Apply, Txn, TxnId};
+use mams_journal::{Apply, Sn, Txn, TxnId};
 
-use crate::inode::{FileInfo, Inode, InodeId, ROOT_ID};
+use crate::image::{encode_image_with_window, NamespaceImage};
+use crate::inode::{FileInfo, Inode, InodeId, InodeSource, ROOT_ID};
 use crate::partition::fnv1a64;
 use crate::path::{self, PathError};
+use crate::retry::RetryWindow;
 use crate::tree::{NamespaceTree, NsError};
 
 /// Mutation stamp: allocated per mutation, published in order to `visible`.
@@ -393,6 +400,30 @@ impl Locked<'_> {
     }
 }
 
+/// Every shard read-locked at once, for a reader that visits the whole
+/// namespace by inode id: the image encoder at a pinned epoch, the delta
+/// fold at the newest state (`epoch: None`, which the held locks keep
+/// still). One lock acquisition per shard instead of one per inode; taken in
+/// ascending shard order, like the writers' lock sets, so the two cannot
+/// deadlock. Mutators wait while it lives — hold it for one pass, not for
+/// the life of a pin.
+pub struct LockedShards<'a> {
+    guards: Box<[RwLockReadGuard<'a, ShardState>]>,
+    epoch: Option<Stamp>,
+    counts: (u64, u64),
+}
+
+impl InodeSource for LockedShards<'_> {
+    fn inode(&self, id: InodeId) -> Option<&Inode> {
+        // The shard count is a power of two.
+        self.guards[(id as usize) & (self.guards.len() - 1)].slots.get(&id)?.view(self.epoch)
+    }
+
+    fn counts(&self) -> (u64, u64) {
+        self.counts
+    }
+}
+
 /// The sharded, concurrently-usable namespace. All operations take `&self`;
 /// the structure is `Sync` and is shared across shard workers and reader
 /// threads without external locking.
@@ -506,8 +537,9 @@ impl ShardedNamespace {
         ns
     }
 
-    /// Flatten the newest versions into a legacy tree (checkpoint encoding
-    /// goes through this; ids are preserved).
+    /// Flatten the newest versions into a legacy tree (ids are preserved).
+    /// The oracle the parity suites and `bench_e2e`'s probes hold
+    /// [`SnapshotView::encode_image`] against; the server never calls it.
     pub fn to_tree(&self) -> NamespaceTree {
         let mut inodes = HashMap::with_capacity((self.num_files() + self.num_dirs() + 1) as usize);
         let mut next_id: InodeId = 1;
@@ -541,6 +573,20 @@ impl ShardedNamespace {
     /// Replay divergence count (must stay 0 in a correct deployment).
     pub fn divergences(&self) -> u64 {
         self.divergences.load(Ordering::Relaxed)
+    }
+
+    /// Displaced versions still chained behind live inodes for pinned
+    /// readers. A write with no pin registered clears its slot's chain, so
+    /// once every pin is gone this falls to 0 as the inodes are next
+    /// written.
+    pub fn displaced_versions(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| {
+                let st = s.state.read().expect("shard lock poisoned");
+                st.slots.values().filter(|s| s.node.is_some()).map(|s| s.hist.len()).sum::<usize>()
+            })
+            .sum()
     }
 
     /// Resolution-cache counters summed over shards (`bench_e2e` reports
@@ -647,6 +693,21 @@ impl ShardedNamespace {
             guards: (0..self.shards.len())
                 .map(|i| (i, self.shards[i].state.write().unwrap()))
                 .collect(),
+        }
+    }
+
+    /// Read-lock every shard for a by-id reader at `epoch` (newest when
+    /// `None`); see [`LockedShards`]. The counts are the newest ones — a
+    /// sizing hint, exact when nothing has mutated since `epoch`.
+    pub(crate) fn lock_shards(&self, epoch: Option<Stamp>) -> LockedShards<'_> {
+        LockedShards {
+            guards: self
+                .shards
+                .iter()
+                .map(|s| s.state.read().expect("shard lock poisoned"))
+                .collect(),
+            epoch,
+            counts: (self.num_files(), self.num_dirs()),
         }
     }
 
@@ -1292,6 +1353,16 @@ impl SnapshotView<'_> {
     /// Structural fingerprint of the pinned state.
     pub fn fingerprint(&self) -> u64 {
         self.ns.fingerprint_at(Some(self.epoch))
+    }
+
+    /// The image of the pinned state, checkpointed at `checkpoint_sn` (the
+    /// journal position the caller knows the pin to reflect) and carrying
+    /// `window`: encoded straight from the shards, byte for byte what
+    /// [`encode_image_with_window`] makes of a [`NamespaceTree`] holding the
+    /// same namespace. Shard locks are held for the encode only, so a pin
+    /// kept across mutations yields the same image afterwards.
+    pub fn encode_image(&self, checkpoint_sn: Sn, window: &RetryWindow) -> NamespaceImage {
+        encode_image_with_window(&self.ns.lock_shards(Some(self.epoch)), checkpoint_sn, window)
     }
 }
 

@@ -3,8 +3,9 @@
 //! This is the plain reference namespace: every path resolves by a walk
 //! from the root, and [`NamespaceTree::apply`] is the per-record replay the
 //! sharded namespace and its replay session are checked against. It is also
-//! the image layout (checkpoints encode from it and decode into it) and the
-//! engine of the baseline systems. It carries no resolution cache of its
+//! what images decode into (the encoder reads any [`InodeSource`], this tree
+//! or the active's shards), what pool compaction merges in, and the engine
+//! of the baseline systems. It carries no resolution cache of its
 //! own — the oracle a cache is compared with should not have one.
 //!
 //! Directory-child names are `Arc<str>` handles interned tree-wide, so the
@@ -16,7 +17,7 @@ use std::sync::Arc;
 
 use mams_journal::{Apply, Txn, TxnId};
 
-use crate::inode::{FileInfo, Inode, InodeId, ROOT_ID};
+use crate::inode::{FileInfo, Inode, InodeId, InodeSource, ROOT_ID};
 use crate::path::{self, PathError};
 
 /// Metadata operation failure.
@@ -546,6 +547,15 @@ impl NamespaceTree {
             }
         }
         h
+    }
+}
+
+impl InodeSource for NamespaceTree {
+    fn inode(&self, id: InodeId) -> Option<&Inode> {
+        self.inodes.get(&id)
+    }
+    fn counts(&self) -> (u64, u64) {
+        (self.num_files, self.num_dirs)
     }
 }
 

@@ -13,8 +13,12 @@
 //! `rand` with fixed seeds — deterministic, shrink-free, CI-friendly.
 //! `PARITY_CASES` scales the number of cases per test (nightly runs more).
 
+use mams_journal::hash::fnv1a64;
 use mams_journal::Txn;
-use mams_namespace::{apply_delta, decode_delta, fold_delta, NamespaceTree, ShardedNamespace};
+use mams_namespace::{
+    apply_delta, decode_delta, encode_image_with_window, fold_delta, fold_delta_with_window,
+    NamespaceTree, RetryEntry, RetryOutcome, RetryWindow, ShardedNamespace,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -255,5 +259,48 @@ fn corruption_anywhere_is_detected() {
         // Truncation at any prefix length is also loud.
         let cut = rng.gen_range(0..delta.data.len());
         assert!(decode_delta(&delta.data[..cut]).is_err(), "case {case}: truncation at {cut}");
+    }
+}
+
+/// `(generator seed, image digest, delta digest)`: FNV-1a-64 of the encoded
+/// artifacts, recorded at commit 0cddcc6 — when the image was encoded from a
+/// `to_tree` copy and the delta folded through `getfileinfo` per path.
+const WIRE_DIGESTS: [(u64, u64, u64); 3] = [
+    (0x000D_E17A_0101, 0x7c3e_6323_d795_2fa6, 0x1569_e9c7_d24a_b97b),
+    (0x000D_E17A_0202, 0x8bda_bbfc_b51e_5061, 0xa002_6c81_ca9f_8641),
+    (0x000D_E17A_0303, 0x6d13_b0d8_dadd_254e, 0x56e9_5f8f_5abd_520f),
+];
+
+/// Both checkpoint artifacts are byte for byte what the previous encoders
+/// wrote for the same namespace, journal range and retry window — from the
+/// reference tree and from the shards alike — so a pool written before the
+/// encoders read the shards directly still loads, and the reverse.
+#[test]
+fn wire_bytes_are_the_recorded_ones() {
+    for (seed, image_digest, delta_digest) in WIRE_DIGESTS {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut live = NamespaceTree::new();
+        let sharded = ShardedNamespace::with_shards(4);
+        for txn in grow(&mut rng, &mut live, 200) {
+            sharded.apply(&txn).expect("committed on the tree");
+        }
+        let journal = grow(&mut rng, &mut live, 300);
+        let mut window = RetryWindow::new();
+        for (i, txn) in journal.iter().enumerate() {
+            sharded.apply(txn).expect("committed on the tree");
+            let outcome = match txn {
+                Txn::AddBlock { block_id, .. } => RetryOutcome::Block(*block_id),
+                _ => RetryOutcome::Done,
+            };
+            window.record(i as u32 % 5, i as u64, RetryEntry { outcome, token: None });
+        }
+        let delta = fold_delta_with_window(&live, 200, 500, journal.iter(), &window);
+        assert_eq!(fnv1a64(&delta.data), delta_digest, "seed {seed:#x}: delta off the tree");
+        let delta = fold_delta_with_window(&sharded, 200, 500, journal.iter(), &window);
+        assert_eq!(fnv1a64(&delta.data), delta_digest, "seed {seed:#x}: delta off the shards");
+        let image = encode_image_with_window(&live, 500, &window);
+        assert_eq!(fnv1a64(&image.data), image_digest, "seed {seed:#x}: image of the tree");
+        let image = sharded.pin().encode_image(500, &window);
+        assert_eq!(fnv1a64(&image.data), image_digest, "seed {seed:#x}: image of the shards");
     }
 }

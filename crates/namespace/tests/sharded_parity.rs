@@ -12,7 +12,10 @@
 //! `rand` with fixed seeds — deterministic, shrink-free, CI-friendly.
 //! `PARITY_CASES` scales the number of cases per test (nightly runs more).
 
-use mams_namespace::{NamespaceTree, NsError, ShardedNamespace};
+use mams_namespace::{
+    decode_image_with_window, encode_image_with_window, NamespaceTree, NsError, RetryEntry,
+    RetryOutcome, RetryWindow, ShardedNamespace,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -201,5 +204,81 @@ fn snapshot_reads_match_a_quiesced_replica() {
         // And the live namespace still matches a full replay elsewhere:
         // fingerprints only need to agree *after* the view is released.
         assert_eq!(sharded.divergences(), 0, "case {case}");
+    }
+}
+
+/// Every path that exists in `ns`, the root included.
+fn live_paths(ns: &ShardedNamespace) -> Vec<String> {
+    let mut out = vec!["/".to_string()];
+    let mut next = 0;
+    while next < out.len() {
+        for name in ns.list(&out[next]).unwrap_or_default() {
+            let dir = out[next].trim_end_matches('/');
+            out.push(format!("{dir}/{name}"));
+        }
+        next += 1;
+    }
+    out
+}
+
+/// [`rand_op`], with one draw in twelve a directory rename: whole subtrees
+/// move, also to depths the universe does not name.
+fn rand_op_with_dir_renames(rng: &mut SmallRng) -> Op {
+    if rng.gen_range(0..12u32) == 0 {
+        Op::Rename(rand_dir(rng), rand_dir(rng))
+    } else {
+        rand_op(rng)
+    }
+}
+
+/// The active checkpoints by encoding its pinned shards. That image must be
+/// byte for byte the one the encoder makes of a `to_tree` copy of the same
+/// namespace; a pin held while the namespace moves on must keep yielding
+/// the image of the pin point; and once the pin is gone, writing an inode
+/// must drop the versions it kept for the pin.
+#[test]
+fn pinned_shards_encode_the_image_of_the_pin_point() {
+    for case in 0..cases() {
+        let shards = [1usize, 2, 4, 16][case as usize % 4];
+        let mut rng = SmallRng::seed_from_u64(0x5AD_0003 ^ (case << 8));
+        let sharded = ShardedNamespace::with_shards(shards);
+        let mut window = RetryWindow::new();
+        for step in 0..rng.gen_range(100..OPS_PER_CASE) as u64 {
+            if rand_op_with_dir_renames(&mut rng).apply_sharded(&sharded).is_ok() {
+                let entry = RetryEntry { outcome: RetryOutcome::Block(step), token: None };
+                window.record(step as u32 % 7, step, entry);
+            }
+        }
+        assert!(!window.is_empty(), "case {case}: the image must carry a window section");
+        let sn = 1 + case;
+        let of_copy = encode_image_with_window(&sharded.to_tree(), sn, &window);
+
+        let view = sharded.pin();
+        let at_pin = view.encode_image(sn, &window);
+        assert_eq!(at_pin.data, of_copy.data, "case {case}: shards and tree copy encode alike");
+        assert_eq!((at_pin.files, at_pin.dirs), (of_copy.files, of_copy.dirs), "case {case}");
+        let pinned_fingerprint = view.fingerprint();
+
+        let mut mutations = 0;
+        while mutations < 1_000 {
+            mutations += rand_op_with_dir_renames(&mut rng).apply_sharded(&sharded).is_ok() as u32;
+        }
+        assert!(sharded.displaced_versions() > 0, "case {case}: the pin preserved nothing");
+        let later = view.encode_image(sn, &window);
+        assert_eq!(later.data, at_pin.data, "case {case}: the pinned image moved");
+        let (decoded, got_sn, got_window) =
+            decode_image_with_window(later.data).expect("own image decodes");
+        assert_eq!(decoded.fingerprint(), pinned_fingerprint, "case {case}: decoded state");
+        assert_eq!((got_sn, &got_window), (sn, &window), "case {case}: sn and window");
+        drop(view);
+
+        let now = sharded.pin().encode_image(sn, &window);
+        let now_of_copy = encode_image_with_window(&sharded.to_tree(), sn, &window);
+        assert_eq!(now.data, now_of_copy.data, "case {case}: after the pin");
+        for p in live_paths(&sharded) {
+            let perm = sharded.getfileinfo(&p).expect("listed").perm;
+            sharded.set_perm(&p, perm).expect("listed");
+        }
+        assert_eq!(sharded.displaced_versions(), 0, "case {case}: history outlived its pin");
     }
 }
