@@ -637,6 +637,26 @@ pub fn corpus() -> Vec<Scenario> {
         ..base("adaptive_gray_standby", "")
     });
 
+    v.push(Scenario {
+        tune: |mut t| {
+            t.checkpoint_interval = Some(Duration::from_secs(2));
+            t
+        },
+        about: "cut active → standby one way for 2.5 s — longer than the \
+                checkpoint interval, well under the session timeout — so a \
+                checkpoint compacts the shared journal past the batches the \
+                standby missed: the active must still hold them and re-push \
+                them after the heal, or every reply waits on that standby \
+                for ever with all nodes up",
+        faults: |r| {
+            vec![FaultAction::at(
+                jitter(r, 15_000, 5_000),
+                FaultKind::OneWay { from: vec![A0], to: vec![B0], heal_ms: Some(2_500) },
+            )]
+        },
+        ..base("standby_cut_across_checkpoint", "")
+    });
+
     v
 }
 

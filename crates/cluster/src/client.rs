@@ -21,8 +21,8 @@ use crate::workload::Workload;
 
 const T_START: u64 = 1;
 const T_NEXT: u64 = 2;
-/// Operation timers use the op's seq as token; seqs start above the control
-/// token range.
+/// Seqs start above this. Any base keeps [`op_token`] clear of an owner's
+/// own tokens; this one is what `FsClient` has always sent.
 const SEQ_BASE: u64 = 1_000;
 
 /// Retry timers are scoped to `(seq, attempt)`: a firing only acts if the
@@ -37,6 +37,210 @@ fn op_token(seq: u64, attempts: u32) -> u64 {
 
 /// Per-attempt timeout before re-resolving the active and resending.
 const OP_TIMEOUT: Duration = Duration::from_secs(1);
+/// Pause before retrying an op a member refused as `NotActive`.
+const NOT_ACTIVE_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Outcome of feeding a message through [`FsIo::on_message`].
+pub enum IoEvent {
+    /// Operation `seq` finished after `attempts` sends. `result` is the
+    /// server's answer as it arrived; `reconciled` says an error in it is
+    /// the echo of the op's own earlier, half-acked execution (a retried
+    /// create finding its file) and counts as success.
+    Completed {
+        seq: u64,
+        op: FsOp,
+        attempts: u32,
+        result: Result<OpOutput, String>,
+        reconciled: bool,
+    },
+    /// The message was FsIo-internal traffic.
+    Consumed,
+    /// Not ours; returned to the owner.
+    NotMine(Message),
+}
+
+struct Pending {
+    seq: u64,
+    op: FsOp,
+    attempts: u32,
+    group: u32,
+}
+
+/// The client state machine — partition routing, active discovery, retry
+/// and reconciliation — for any number of outstanding operations. A node
+/// embeds one and feeds it its messages and timers; [`FsClient`] is the
+/// closed-loop driver over it. Timer tokens are `seq << 20 | attempt` with
+/// seqs above 1000, so the owner's own tokens must stay below `1 << 20`.
+pub struct FsIo {
+    coord: NodeId,
+    partitioner: Partitioner,
+    actives: HashMap<u32, NodeId>,
+    /// Ascending by seq (the order of submission), so that one seed gives
+    /// one run. A vector, not a map: a closed-loop owner holds one entry,
+    /// and this keeps its allocation from one op to the next.
+    pending: Vec<Pending>,
+    next_seq: u64,
+    /// Cumulative receipt watermark piggybacked on every request: seqs are
+    /// issued in order, so once an op completes every reply below the
+    /// lowest seq still pending has been received. The server evicts
+    /// exactly those retry-cache entries.
+    acked: u64,
+}
+
+impl FsIo {
+    pub fn new(coord: NodeId, partitioner: Partitioner) -> Self {
+        FsIo {
+            coord,
+            partitioner,
+            actives: HashMap::new(),
+            pending: Vec::new(),
+            next_seq: SEQ_BASE,
+            acked: 0,
+        }
+    }
+
+    /// Subscribe to the global view. Call from `on_start`.
+    pub fn start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.send(self.coord, CoordReq::Watch { prefix: "g/".into(), req: 0 });
+        self.refresh_view(ctx);
+    }
+
+    fn refresh_view(&self, ctx: &mut Ctx<'_>) {
+        ctx.send(self.coord, CoordReq::List { prefix: "g/".into(), req: 0 });
+    }
+
+    fn absorb_active(&mut self, key: &str, value: Option<&str>) {
+        if let Some(group) = mams_core::keys::parse_active_key(key) {
+            match value.and_then(|v| v.parse().ok()) {
+                Some(n) => {
+                    self.actives.insert(group, n);
+                }
+                None => {
+                    self.actives.remove(&group);
+                }
+            }
+        }
+    }
+
+    /// Issue an operation; the completion arrives later via
+    /// [`IoEvent::Completed`] with the returned seq.
+    pub fn submit(&mut self, ctx: &mut Ctx<'_>, op: FsOp) -> u64 {
+        self.next_seq += 1;
+        let seq = self.next_seq;
+        let group = self.partitioner.owner(op.primary_path());
+        self.pending.push(Pending { seq, op, attempts: 0, group });
+        self.attempt(ctx, self.pending.len() - 1);
+        seq
+    }
+
+    /// Where `seq` is in `pending`, if it is still outstanding.
+    fn position(&self, seq: u64) -> Option<usize> {
+        self.pending.binary_search_by_key(&seq, |p| p.seq).ok()
+    }
+
+    /// Send an op to its group's active, if one is known.
+    fn send_op(&self, ctx: &mut Ctx<'_>, p: &Pending) -> bool {
+        let active = self.actives.get(&p.group);
+        if let Some(&active) = active {
+            ctx.send(active, MdsReq::Op { op: p.op.clone(), seq: p.seq, acked: self.acked });
+        }
+        active.is_some()
+    }
+
+    /// One more attempt of the op at `at` in `pending`.
+    fn attempt(&mut self, ctx: &mut Ctx<'_>, at: usize) {
+        self.pending[at].attempts += 1;
+        let p = &self.pending[at];
+        if !self.send_op(ctx, p) {
+            self.refresh_view(ctx);
+        }
+        ctx.set_timer(OP_TIMEOUT, op_token(p.seq, p.attempts));
+    }
+
+    /// Feed a timer through; `true` if it was an op's.
+    ///
+    /// Per-op timeout: if the op is still outstanding *on the attempt this
+    /// timer belongs to*, re-resolve the active and resend with the same
+    /// seq (server-side duplicate suppression makes this safe). Timers for
+    /// superseded attempts are inert, so at most one retry chain is ever
+    /// live per op.
+    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> bool {
+        let (seq, attempt) = (token >> 20, (token & 0xF_FFFF) as u32);
+        if seq <= SEQ_BASE {
+            return false;
+        }
+        if let Some(at) = self.position(seq) {
+            if self.pending[at].attempts & 0xF_FFFF == attempt {
+                self.refresh_view(ctx);
+                self.attempt(ctx, at);
+            }
+        }
+        true
+    }
+
+    /// A retried mutation may hit the result of its own earlier, half-acked
+    /// execution; reconcile those errors into successes.
+    fn reconcile(op: &FsOp, err: &str) -> bool {
+        match op {
+            FsOp::Create { .. } | FsOp::Mkdir { .. } => err.contains("already exists"),
+            FsOp::Delete { .. } | FsOp::Rename { .. } => err.contains("no such file"),
+            _ => false,
+        }
+    }
+
+    /// Feed a message through.
+    pub fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) -> IoEvent {
+        let msg = match MdsResp::from_message(msg) {
+            Ok(MdsResp::Reply { seq, result }) => {
+                let Some(at) = self.position(seq) else {
+                    return IoEvent::Consumed; // stale reply
+                };
+                let Pending { op, attempts, .. } = self.pending.remove(at);
+                self.acked = self.pending.first().map_or(self.next_seq, |low| low.seq - 1);
+                let reconciled =
+                    attempts > 1 && result.as_ref().is_err_and(|e| Self::reconcile(&op, e));
+                return IoEvent::Completed { seq, op, attempts, result, reconciled };
+            }
+            Ok(MdsResp::NotActive { seq }) => {
+                if let Some(p) = self.position(seq).map(|at| &self.pending[at]) {
+                    // Stale routing: refresh and retry shortly. The fast
+                    // timer shares the current attempt's token, so
+                    // whichever of it and the full timeout fires first
+                    // supersedes the other.
+                    let token = op_token(seq, p.attempts);
+                    self.refresh_view(ctx);
+                    ctx.set_timer(NOT_ACTIVE_BACKOFF, token);
+                }
+                return IoEvent::Consumed;
+            }
+            Err(m) => m,
+        };
+        let msg = match msg.downcast::<CoordEvent>() {
+            Ok(ev) => {
+                if let CoordEvent::KeyChanged { key, value, .. } = ev {
+                    self.absorb_active(&key, value.as_deref());
+                }
+                return IoEvent::Consumed;
+            }
+            Err(m) => m,
+        };
+        match msg.downcast::<CoordResp>() {
+            Ok(CoordResp::Listing { entries, .. }) => {
+                for (k, v) in &entries {
+                    self.absorb_active(k, Some(v));
+                }
+                // A first attempt may have been swallowed by missing
+                // routing; push it out now rather than wait for the timeout.
+                for p in self.pending.iter().filter(|p| p.attempts == 1) {
+                    self.send_op(ctx, p);
+                }
+                IoEvent::Consumed
+            }
+            Ok(_) => IoEvent::Consumed,
+            Err(m) => IoEvent::NotMine(m),
+        }
+    }
+}
 
 /// Client tuning.
 #[derive(Debug, Clone)]
@@ -69,69 +273,34 @@ impl ClientConfig {
     }
 }
 
+/// What the driver remembers of the one operation it has submitted.
 #[derive(Debug)]
 struct Outstanding {
-    op: FsOp,
-    seq: u64,
     issued: SimTime,
-    attempts: u32,
-    group: u32,
     /// The private-directory setup mkdir (idempotent by construction).
     is_setup: bool,
     /// Index of this op's record in the history log, when recording.
     rec: Option<usize>,
 }
 
-/// A closed-loop client (one outstanding operation).
+/// A closed-loop client: a workload, think time, metrics and history over
+/// an [`FsIo`] with at most one operation submitted.
 pub struct FsClient {
     cfg: ClientConfig,
     workload: Workload,
     metrics: Arc<Metrics>,
     rng: DetRng,
-    seq: u64,
-    actives: HashMap<u32, NodeId>,
+    io: FsIo,
     outstanding: Option<Outstanding>,
     setup: Option<String>,
     completed: u64,
-    /// Cumulative receipt watermark piggybacked on every request: the
-    /// client is closed-loop (one op outstanding), so the last completed
-    /// seq means every reply at or below it has been received. The server
-    /// evicts exactly those retry-cache entries.
-    acked: u64,
 }
 
 impl FsClient {
     pub fn new(cfg: ClientConfig, workload: Workload, metrics: Arc<Metrics>, rng: DetRng) -> Self {
         let setup = workload.setup_dir();
-        FsClient {
-            cfg,
-            workload,
-            metrics,
-            rng,
-            seq: SEQ_BASE,
-            actives: HashMap::new(),
-            outstanding: None,
-            setup,
-            completed: 0,
-            acked: 0,
-        }
-    }
-
-    fn refresh_view(&self, ctx: &mut Ctx<'_>) {
-        ctx.send(self.cfg.coord, CoordReq::List { prefix: "g/".into(), req: 0 });
-    }
-
-    fn absorb_active(&mut self, key: &str, value: Option<&str>) {
-        if let Some(group) = mams_core::keys::parse_active_key(key) {
-            match value.and_then(|v| v.parse().ok()) {
-                Some(n) => {
-                    self.actives.insert(group, n);
-                }
-                None => {
-                    self.actives.remove(&group);
-                }
-            }
-        }
+        let io = FsIo::new(cfg.coord, cfg.partitioner);
+        FsClient { cfg, workload, metrics, rng, io, outstanding: None, setup, completed: 0 }
     }
 
     fn issue_next(&mut self, ctx: &mut Ctx<'_>) {
@@ -153,62 +322,37 @@ impl FsClient {
                 None => return, // stream exhausted
             }
         };
-        self.seq += 1;
-        let group = self.cfg.partitioner.owner(op.primary_path());
         let rec = self
             .cfg
             .history
             .as_ref()
             .map(|h| h.log.invoke(h.client, op.clone(), is_setup, ctx.now().micros()));
-        self.outstanding = Some(Outstanding {
-            op,
-            seq: self.seq,
-            issued: ctx.now(),
-            attempts: 0,
-            group,
-            is_setup,
-            rec,
-        });
-        self.attempt(ctx);
+        self.outstanding = Some(Outstanding { issued: ctx.now(), is_setup, rec });
+        self.io.submit(ctx, op);
     }
 
-    fn attempt(&mut self, ctx: &mut Ctx<'_>) {
-        let (seq, group, op, attempts) = match &mut self.outstanding {
-            Some(o) => {
-                o.attempts += 1;
-                (o.seq, o.group, o.op.clone(), o.attempts)
-            }
-            None => return,
-        };
-        match self.actives.get(&group) {
-            Some(&active) => {
-                ctx.send(active, MdsReq::Op { op, seq, acked: self.acked });
-            }
-            None => {
-                self.refresh_view(ctx);
-            }
-        }
-        ctx.set_timer(OP_TIMEOUT, op_token(seq, attempts));
-    }
-
-    /// A retried mutation may hit the result of its own earlier, half-acked
-    /// execution; reconcile those errors into successes.
-    pub(crate) fn reconcile_retry(op: &FsOp, err: &str) -> bool {
-        match op {
-            FsOp::Create { .. } | FsOp::Mkdir { .. } => err.contains("already exists"),
-            FsOp::Delete { .. } => err.contains("no such file"),
-            FsOp::Rename { .. } => err.contains("no such file"),
-            _ => false,
-        }
-    }
-
-    fn finish(&mut self, ctx: &mut Ctx<'_>, ok: bool, result: &Result<OpOutput, String>) {
+    fn finish(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        op: &FsOp,
+        attempts: u32,
+        result: &Result<OpOutput, String>,
+        reconciled: bool,
+    ) {
         let o = self.outstanding.take().expect("outstanding op");
-        // Closed loop: completing seq N means every reply ≤ N was received.
-        self.acked = self.acked.max(o.seq);
+        let ok = match result {
+            Ok(_) => true,
+            Err(e) if reconciled || (o.is_setup && e.contains("already exists")) => true,
+            Err(e) => {
+                // A genuine error (e.g. AlreadyExists on a first attempt) is
+                // an application-level failure; trace it for diagnosis.
+                ctx.trace("client.op_failed", || format!("{op:?}: {e}"));
+                false
+            }
+        };
         self.metrics.record(o.issued, ctx.now(), ok);
         if let (Some(idx), Some(h)) = (o.rec, self.cfg.history.as_ref()) {
-            h.log.complete(idx, ctx.now().micros(), result, ok, o.attempts);
+            h.log.complete(idx, ctx.now().micros(), result, ok, attempts);
         }
         self.completed += 1;
         if self.cfg.think > Duration::ZERO {
@@ -217,111 +361,27 @@ impl FsClient {
             self.issue_next(ctx);
         }
     }
-
-    fn handle_reply(&mut self, ctx: &mut Ctx<'_>, seq: u64, result: Result<OpOutput, String>) {
-        let (matches, attempts, is_setup) = match &self.outstanding {
-            Some(o) => (o.seq == seq, o.attempts, o.is_setup),
-            None => (false, 0, false),
-        };
-        if !matches {
-            return;
-        }
-        let ok = match &result {
-            Ok(_) => true,
-            Err(e) => {
-                (is_setup && e.contains("already exists"))
-                    || (attempts > 1
-                        && Self::reconcile_retry(
-                            &self.outstanding.as_ref().expect("matched").op,
-                            e,
-                        ))
-            }
-        };
-        if !ok {
-            // A genuine error (e.g. AlreadyExists on a first attempt) is an
-            // application-level failure; trace it for diagnosis.
-            let err = result.as_ref().err().cloned().unwrap_or_default();
-            let op = self.outstanding.as_ref().map(|o| format!("{:?}", o.op));
-            ctx.trace("client.op_failed", || format!("{op:?}: {err}"));
-        }
-        self.finish(ctx, ok, &result);
-    }
 }
 
 impl Node for FsClient {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.send(self.cfg.coord, CoordReq::Watch { prefix: "g/".into(), req: 0 });
-        self.refresh_view(ctx);
+        self.io.start(ctx);
         ctx.set_timer(self.cfg.start_delay, T_START);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token == T_START || token == T_NEXT {
             self.issue_next(ctx);
-            return;
-        }
-        // Per-op timeout: if the op is still outstanding *on the attempt
-        // this timer belongs to*, re-resolve the active and resend with the
-        // same seq (server-side duplicate suppression makes this safe).
-        // Timers for superseded attempts are inert, so at most one retry
-        // chain is ever live per op.
-        let (seq, attempt) = (token >> 20, (token & 0xF_FFFF) as u32);
-        if self
-            .outstanding
-            .as_ref()
-            .is_some_and(|o| o.seq == seq && o.attempts & 0xF_FFFF == attempt)
-        {
-            self.refresh_view(ctx);
-            self.attempt(ctx);
+        } else {
+            self.io.on_timer(ctx, token);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
-        let msg = match MdsResp::from_message(msg) {
-            Ok(resp) => {
-                match resp {
-                    MdsResp::Reply { seq, result } => self.handle_reply(ctx, seq, result),
-                    MdsResp::NotActive { seq } => {
-                        if let Some(o) = self.outstanding.as_ref().filter(|o| o.seq == seq) {
-                            // Stale routing: refresh and retry shortly. The
-                            // fast timer shares the current attempt's token,
-                            // so whichever of it and the full timeout fires
-                            // first supersedes the other.
-                            let token = op_token(seq, o.attempts);
-                            self.refresh_view(ctx);
-                            ctx.set_timer(Duration::from_millis(50), token);
-                        }
-                    }
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<CoordEvent>() {
-            Ok(ev) => {
-                if let CoordEvent::KeyChanged { key, value, .. } = ev {
-                    self.absorb_active(&key, value.as_deref());
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        if let Ok(CoordResp::Listing { entries, .. }) = msg.downcast::<CoordResp>() {
-            for (k, v) in &entries {
-                self.absorb_active(k, Some(v));
-            }
-            // If an op was blocked on routing, push it out now.
-            if let Some(o) = &self.outstanding {
-                if o.attempts == 1 && self.actives.contains_key(&o.group) {
-                    // First attempt may have been swallowed by missing
-                    // routing; resend immediately rather than waiting for
-                    // the timeout.
-                    let (seq, group, op) = (o.seq, o.group, o.op.clone());
-                    if let Some(&active) = self.actives.get(&group) {
-                        ctx.send(active, MdsReq::Op { op, seq, acked: self.acked });
-                    }
-                }
-            }
+        if let IoEvent::Completed { op, attempts, result, reconciled, .. } =
+            &self.io.on_message(ctx, msg)
+        {
+            self.finish(ctx, op, *attempts, result, *reconciled);
         }
     }
 }
@@ -334,30 +394,38 @@ mod tests {
     use mams_coord::{CoordConfig, CoordServer};
     use mams_core::OpOutput;
     use mams_sim::{Sim, SimConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn reconcile_only_accepts_own_echoes() {
         let create = FsOp::Create { path: "/f".into(), replication: 1 };
-        assert!(FsClient::reconcile_retry(&create, "/f: already exists"));
-        assert!(!FsClient::reconcile_retry(&create, "/f: no such file or directory"));
+        assert!(FsIo::reconcile(&create, "/f: already exists"));
+        assert!(!FsIo::reconcile(&create, "/f: no such file or directory"));
         let del = FsOp::Delete { path: "/f".into(), recursive: false };
-        assert!(FsClient::reconcile_retry(&del, "/f: no such file or directory"));
-        assert!(!FsClient::reconcile_retry(&del, "/f: directory not empty"));
+        assert!(FsIo::reconcile(&del, "/f: no such file or directory"));
+        assert!(!FsIo::reconcile(&del, "/f: directory not empty"));
         let read = FsOp::GetFileInfo { path: "/f".into() };
-        assert!(!FsClient::reconcile_retry(&read, "/f: already exists"));
+        assert!(!FsIo::reconcile(&read, "/f: already exists"));
     }
 
-    /// A fake MDS that ignores the first `drop_n` requests (forcing client
-    /// timeouts + same-seq resends), then answers; duplicate seqs must not
-    /// be double-counted by the client.
-    struct FlakyMds {
-        drop_n: usize,
-        seen: Vec<u64>,
+    /// What a [`FakeMds`] does with a request.
+    enum Answer {
+        /// Ignore this many requests (forcing client timeouts + same-seq
+        /// resends), then answer `Done`.
+        DoneAfterDropping(usize),
+        NotActive,
+    }
+
+    /// A fake MDS that publishes itself as group 0's active and counts the
+    /// requests it gets.
+    struct FakeMds {
+        answer: Answer,
+        requests: Arc<AtomicUsize>,
         coord: NodeId,
         published: bool,
     }
 
-    impl Node for FlakyMds {
+    impl Node for FakeMds {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             ctx.send(self.coord, mams_coord::CoordReq::Register);
         }
@@ -381,25 +449,33 @@ mod tests {
                 return;
             }
             if let Ok(mams_core::MdsReq::Op { seq, .. }) = msg.downcast::<mams_core::MdsReq>() {
-                self.seen.push(seq);
-                if self.drop_n > 0 {
-                    self.drop_n -= 1;
-                    return; // swallow: client must time out and resend
+                self.requests.fetch_add(1, Ordering::Relaxed);
+                match &mut self.answer {
+                    // Swallow: the client must time out and resend.
+                    Answer::DoneAfterDropping(n) if *n > 0 => *n -= 1,
+                    Answer::DoneAfterDropping(_) => {
+                        ctx.send(from, MdsResp::Reply { seq, result: Ok(OpOutput::Done) })
+                    }
+                    Answer::NotActive => ctx.send(from, MdsResp::NotActive { seq }),
                 }
-                ctx.send(from, MdsResp::Reply { seq, result: Ok(OpOutput::Done) });
             }
         }
         fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: u64) {}
     }
 
-    #[test]
-    fn client_resends_with_the_same_seq_after_timeout() {
+    /// A coordinator and a [`FakeMds`]; returns the request counter.
+    fn sim_with(answer: Answer) -> (Sim, NodeId, Arc<AtomicUsize>) {
         let mut sim = Sim::new(SimConfig::default());
         let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
-        let mds = sim.add_node(
-            "mds",
-            Box::new(FlakyMds { drop_n: 2, seen: Vec::new(), coord, published: false }),
-        );
+        let requests = Arc::new(AtomicUsize::new(0));
+        let mds = FakeMds { answer, requests: requests.clone(), coord, published: false };
+        sim.add_node("mds", Box::new(mds));
+        (sim, coord, requests)
+    }
+
+    #[test]
+    fn client_resends_with_the_same_seq_after_timeout() {
+        let (mut sim, coord, requests) = sim_with(Answer::DoneAfterDropping(2));
         let m = Metrics::new(true);
         let mut cfg = ClientConfig::new(coord, Partitioner::new(1));
         cfg.max_ops = Some(1);
@@ -414,9 +490,44 @@ mod tests {
         );
         sim.run_for(Duration::from_secs(10));
         assert_eq!(m.ok_count(), 1, "exactly one completion");
+        assert_eq!(requests.load(Ordering::Relaxed), 3, "two dropped, one answered");
         // Latency includes the two dropped attempts (two 1 s timeouts).
         let c = m.completions();
         assert!(c[0].latency_us() >= 2_000_000, "latency {}us", c[0].latency_us());
-        let _ = mds;
+    }
+
+    /// The smallest owner of an [`FsIo`]: one op, submitted at start.
+    struct OneOp {
+        io: FsIo,
+        op: Option<FsOp>,
+    }
+
+    impl Node for OneOp {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.io.start(ctx);
+            self.io.submit(ctx, self.op.take().expect("started once"));
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
+            self.io.on_message(ctx, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.io.on_timer(ctx, token);
+        }
+    }
+
+    /// A member that keeps answering `NotActive` (a group mid-failover)
+    /// costs one request per back-off, not a chain per attempt: the copy of
+    /// this state machine `mams-mapreduce` used to carry armed unscoped
+    /// timers and sent 22 245 requests for this one op in these 5 s.
+    #[test]
+    fn a_refusing_member_does_not_start_a_retry_storm() {
+        let (mut sim, coord, requests) = sim_with(Answer::NotActive);
+        let io = FsIo::new(coord, Partitioner::new(1));
+        let op = Some(FsOp::Mkdir { path: "/x".into() });
+        sim.add_node("owner", Box::new(OneOp { io, op }));
+        sim.run_for(Duration::from_secs(5));
+        let n = requests.load(Ordering::Relaxed);
+        assert!(n >= 50, "the op was meant to be retried throughout ({n} requests)");
+        assert!(n <= 120, "{n} requests for one op in 5 s");
     }
 }

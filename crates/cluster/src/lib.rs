@@ -6,7 +6,8 @@
 //! routing, active discovery through the global view, transparent
 //! reconnect-and-resend on failover — the paper's "the client can reconnect
 //! to the new active directly and automatically ... and resend requests
-//! when needed"), [`workload`] generators for every benchmark in the
+//! when needed" — as one state machine, [`FsIo`], with [`FsClient`] its
+//! closed-loop driver), [`workload`] generators for every benchmark in the
 //! paper's evaluation, [`metrics`] collection, [`faults`] injection
 //! (Tests A/B/C), and [`mttr`] computation.
 
@@ -19,7 +20,7 @@ pub mod metrics;
 pub mod mttr;
 pub mod workload;
 
-pub use client::{ClientConfig, FsClient};
+pub use client::{ClientConfig, FsClient, FsIo, IoEvent};
 pub use datasrv::DataServer;
 pub use deploy::{DeploySpec, Deployment};
 pub use history::{History, OpRecord, Recorder};

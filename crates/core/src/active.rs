@@ -2,19 +2,15 @@
 //! synchronization, distributed transactions, checkpoints.
 
 use mams_journal::{JournalBatch, ReplayCursor, SharedBatch, Sn, Txn};
-use mams_sim::{Ctx, Duration, NodeId};
+use mams_sim::{Ctx, NodeId};
 use mams_storage::pool::PoolError;
 use mams_storage::proto::{PoolReq, PoolResp, ReqId};
 
 use crate::proto::{FsOp, GroupMsg, MdsReq, MdsResp, OpOutput};
-use crate::renewing::CATCHUP_PAGE;
 use crate::server::{Inflight, MdsServer, PendingOp, PoolCtx, ReplyTo, Role, XgOutstanding};
 
 /// Flush as soon as this many mutations are pending.
 const BATCH_MAX_OPS: usize = 64;
-/// How long a standby waits on a hole in its stash before reading the
-/// missing batches from the pool.
-const GAP_REPAIR_DELAY: Duration = Duration::from_millis(100);
 
 impl MdsServer {
     // ------------------------------------------------------------- clients
@@ -368,16 +364,28 @@ impl MdsServer {
         self.cursor = ReplayCursor::at(sn);
 
         let epoch = self.epoch;
-        let group = self.cfg.group;
         for s in self.standbys.clone() {
             ctx.send(s, GroupMsg::SyncJournal { epoch, batch: batch.share() });
         }
-        inflight.pool_req = Some(self.pool_send(
+        self.append_to_pool(ctx, batch, inflight);
+    }
+
+    /// Offer a batch of our log to the SSP and hold `inflight` until the
+    /// append (and whatever else it waits on) is acknowledged.
+    pub(crate) fn append_to_pool(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        batch: SharedBatch,
+        inflight: Inflight,
+    ) {
+        let (group, epoch, sn) = (self.cfg.group, self.epoch, batch.sn);
+        self.inflight.insert(sn, inflight);
+        let req = self.pool_send(
             ctx,
             move |req| PoolReq::AppendJournal { group, epoch, batch, req },
             PoolCtx::AppendAck { sn },
-        ));
-        self.inflight.insert(sn, inflight);
+        );
+        self.inflight.get_mut(&sn).expect("inserted above").pool_req = Some(req);
     }
 
     /// Release replies: leg acks as soon as their batch is durable (any
@@ -475,44 +483,10 @@ impl MdsServer {
         self.active_hint = Some(from);
         self.ingest_batch(batch);
         self.note_divergence(ctx);
+        // Cumulative: a hole (a batch lost on the wire) shows as an ack
+        // below what the active sent, and its re-push fills it — a standby
+        // never reads the pool.
         ctx.send(from, GroupMsg::SyncAck { sn: self.cursor.max_sn() });
-        if !self.stash.is_empty() {
-            // A batch was lost on the wire: fetch the missing range from
-            // the shared pool rather than stalling the active's commits.
-            self.arm_gap_repair(ctx);
-        }
-    }
-
-    /// Arm the lost-sync repair timer (idempotent).
-    pub(crate) fn arm_gap_repair(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.gap_repair_armed {
-            self.gap_repair_armed = true;
-            ctx.set_timer(GAP_REPAIR_DELAY, crate::server::T_GAP_REPAIR);
-        }
-    }
-
-    /// The gap-repair timer fired: if the stash still has a hole, read the
-    /// missing batches from the pool; in any case refresh our cumulative
-    /// ack so a lost `SyncAck` cannot stall the active either.
-    pub(crate) fn gap_repair_fired(&mut self, ctx: &mut Ctx<'_>) {
-        self.gap_repair_armed = false;
-        if !matches!(self.role, Role::Standby | Role::Junior) {
-            return;
-        }
-        if let Some(active) = self.active_hint {
-            if active != ctx.id() {
-                ctx.send(active, GroupMsg::SyncAck { sn: self.cursor.max_sn() });
-            }
-        }
-        if !self.stash.is_empty() {
-            let group = self.cfg.group;
-            let after = self.cursor.max_sn();
-            self.pool_send(
-                ctx,
-                move |req| PoolReq::ReadJournal { group, after_sn: after, max: CATCHUP_PAGE, req },
-                PoolCtx::GapRepair,
-            );
-        }
     }
 
     /// Active side: a member acknowledged everything up to `sn`.
@@ -609,8 +583,10 @@ impl MdsServer {
 
     /// Retransmit SSP appends whose acknowledgement has not arrived (the
     /// pool deduplicates by sn, so this is safe under any message loss).
-    /// Also re-push the current batch to standbys that have not caught up —
-    /// cumulative acks make the refresh idempotent.
+    /// Also re-push to every standby that has not caught up the whole range
+    /// it has not acknowledged — only the active can know that the *last*
+    /// batch was lost, cumulative acks make the refresh idempotent, and the
+    /// range is always in our log (see `PoolCtx::CheckpointWrite`).
     pub(crate) fn retry_pool_appends(&mut self, ctx: &mut Ctx<'_>) {
         let epoch = self.epoch;
         let group = self.cfg.group;
@@ -630,7 +606,6 @@ impl MdsServer {
                 self.pool_deliver(ctx, PoolReq::AppendJournal { group, epoch, batch, req });
             }
         }
-        // Standbys behind the oldest incomplete batch get that range again.
         let lagging: Vec<(NodeId, mams_journal::Sn)> = self
             .standbys
             .iter()
@@ -641,7 +616,7 @@ impl MdsServer {
             .collect();
         for (member, acked) in lagging {
             if let Some(batches) = self.log.read_after(acked) {
-                for b in batches.iter().take(4) {
+                for b in batches {
                     ctx.send(member, GroupMsg::SyncJournal { epoch, batch: b.share() });
                 }
             }
@@ -683,8 +658,11 @@ impl MdsServer {
         });
         // A full image restarts the manifest chain, so it supersedes any
         // artifact write still unanswered: that reply may have been lost,
-        // and whatever it said, this image's reply replaces it.
-        self.forget_artifact_in_flight();
+        // and whatever it said, this image's reply replaces it (the old
+        // reply, should it still come, finds no entry and is ignored).
+        if let Some(stale) = self.artifact_in_flight.take() {
+            self.pool_pending.remove(&stale);
+        }
         self.artifact_in_flight = Some(self.pool_send(
             ctx,
             move |req| PoolReq::WriteImage { group, epoch, image, req },
@@ -768,7 +746,15 @@ impl MdsServer {
             },
             PoolCtx::CheckpointWrite => {
                 if let PoolResp::ImageWritten { checkpoint_sn, .. } = resp {
-                    self.log.compact_through(checkpoint_sn);
+                    // Our log is what a lagging standby is repaired from and
+                    // an unacknowledged append is resent from: keep whatever
+                    // some standby, or the pool, has not acknowledged.
+                    let acked = |m| self.member_sns.get(m).copied().unwrap_or(0);
+                    let by_standbys = self.standbys.iter().map(acked).min();
+                    let unappended = self.inflight.iter().find(|(_, inf)| inf.pool_req.is_some());
+                    let by_pool = unappended.map(|(&sn, _)| sn - 1);
+                    let held = by_standbys.into_iter().chain(by_pool).min().unwrap_or(Sn::MAX);
+                    self.log.compact_through(checkpoint_sn.min(held));
                     // The new base starts a fresh manifest chain; deltas
                     // fold from here on.
                     self.delta_anchor = Some(checkpoint_sn);
@@ -794,29 +780,10 @@ impl MdsServer {
                     ctx.trace("delta.error", || format!("{other:?}"));
                 }
             },
-            PoolCtx::GapRepair => {
-                if let PoolResp::Journal { batches, .. } = resp {
-                    for b in batches {
-                        self.ingest_batch(b);
-                    }
-                    self.note_divergence(ctx);
-                    if let Some(active) = self.active_hint {
-                        if active != ctx.id() {
-                            ctx.send(active, GroupMsg::SyncAck { sn: self.cursor.max_sn() });
-                        }
-                    }
-                    if !self.stash.is_empty() {
-                        self.arm_gap_repair(ctx);
-                    }
-                }
-            }
-            PoolCtx::EpochAdvance => self.on_epoch_advanced(ctx, resp),
-            PoolCtx::UpgradeTail => self.on_upgrade_tail(ctx, resp),
-            PoolCtx::Manifest { for_upgrade } => self.on_manifest(ctx, resp, for_upgrade),
-            PoolCtx::ArtifactChunk { for_upgrade } => {
-                self.on_artifact_chunk(ctx, resp, for_upgrade)
-            }
-            PoolCtx::CatchupPage { for_upgrade } => self.on_catchup_page(ctx, resp, for_upgrade),
+            PoolCtx::EpochAdvance => self.on_epoch_advanced(ctx),
+            PoolCtx::Manifest => self.on_manifest(ctx, resp),
+            PoolCtx::ArtifactChunk { .. } => self.on_artifact_chunk(ctx, resp),
+            PoolCtx::CatchupPage { .. } => self.on_catchup_page(ctx, resp),
         }
     }
 }

@@ -10,14 +10,14 @@
 //! state sequences of the paper's Table II.
 
 use mams_coord::{CoordEvent, CoordResp, KeyOp};
+use mams_journal::{SharedBatch, Sn};
 use mams_sim::{Ctx, Duration, NodeId};
-use mams_storage::proto::{PoolReq, PoolResp};
 
 use crate::config::InitialRole;
 use crate::proto::GroupMsg;
-use crate::renewing::CATCHUP_PAGE;
 use crate::server::{
-    ElectStage, ElectState, Inflight, MdsServer, PoolCtx, Role, T_ELECT, T_UPGRADE_RETRY,
+    CatchupStage, ElectStage, ElectState, Inflight, MdsServer, PoolCtx, Role, T_ELECT,
+    T_UPGRADE_RETRY,
 };
 use crate::view::keys;
 
@@ -26,8 +26,8 @@ use crate::view::keys;
 const ELECTION_SPREAD: Duration = Duration::from_millis(50);
 /// How long a round waits for its winner before starting over.
 const ELECTION_BACKOFF: Duration = Duration::from_millis(200);
-/// Rerun the switch sequence if a pool reply of it was lost.
-const UPGRADE_RETRY: Duration = Duration::from_millis(500);
+/// How long the switch waits for a pool reply before asking again.
+pub(crate) const UPGRADE_RETRY: Duration = Duration::from_millis(500);
 
 impl MdsServer {
     fn bid_key(&self, node: NodeId) -> String {
@@ -387,110 +387,44 @@ impl MdsServer {
         self.epoch = epoch;
         self.group_epoch = self.group_epoch.max(epoch);
         self.elect = None;
-        // If any pool reply of the switch sequence is lost, rerun it.
         ctx.set_timer(UPGRADE_RETRY, T_UPGRADE_RETRY);
+        // A junior elected mid-renewing (or a rerun) keeps a chain in
+        // progress and nothing else of the session before.
+        let chain = self.catchup.take().filter(|c| matches!(c, CatchupStage::Chain { .. }));
+        self.set_catchup(chain);
         // Fence the pool before reading its authoritative tail, so the
         // deposed active cannot append behind our back.
-        let group = self.cfg.group;
-        self.pool_send(
-            ctx,
-            move |req| PoolReq::AdvanceEpoch { group, to: epoch, req },
-            PoolCtx::EpochAdvance,
-        );
+        self.session_send(ctx, PoolCtx::EpochAdvance);
     }
 
-    pub(crate) fn on_epoch_advanced(&mut self, ctx: &mut Ctx<'_>, _resp: PoolResp) {
+    /// The pool is fenced: sync with the SSP through the catch-up ladder.
+    /// Every client-acknowledged batch is durable there, so once the ladder
+    /// reaches the tail we hold everything that was ever acknowledged and
+    /// `on_catchup_page` finishes the switch.
+    pub(crate) fn on_epoch_advanced(&mut self, ctx: &mut Ctx<'_>) {
         if self.role != Role::Upgrading {
             return;
         }
-        // Commit any cached journals, then sync with the SSP tail: every
-        // client-acknowledged batch is durable there, so after this read we
-        // hold everything that was ever acknowledged.
-        let group = self.cfg.group;
-        let after = self.cursor.max_sn();
-        self.pool_send(
-            ctx,
-            move |req| PoolReq::ReadJournal { group, after_sn: after, max: CATCHUP_PAGE, req },
-            PoolCtx::UpgradeTail,
-        );
-    }
-
-    pub(crate) fn on_upgrade_tail(&mut self, ctx: &mut Ctx<'_>, resp: PoolResp) {
-        if self.role != Role::Upgrading {
-            return;
-        }
-        match resp {
-            PoolResp::Journal { batches, tail_sn, compacted, .. } => {
-                if compacted {
-                    // Too far behind the shared journal: load the image
-                    // first (elected-junior path).
-                    self.start_image_fetch(ctx, true);
-                    return;
-                }
-                for b in batches {
-                    self.ingest_batch(b);
-                }
-                self.note_divergence(ctx);
-                if self.cursor.max_sn() < tail_sn {
-                    let group = self.cfg.group;
-                    let after = self.cursor.max_sn();
-                    self.pool_send(
-                        ctx,
-                        move |req| PoolReq::ReadJournal {
-                            group,
-                            after_sn: after,
-                            max: CATCHUP_PAGE,
-                            req,
-                        },
-                        PoolCtx::UpgradeTail,
-                    );
-                } else {
-                    // Our replica can be *ahead* of the durable tail: the
-                    // deposed active synced batches to us whose own SSP
-                    // appends died with it. They are already applied to our
-                    // image, so re-offer the suffix to the pool — otherwise
-                    // our first fresh append sits behind a permanent journal
-                    // gap and no mutation ever commits again. None of these
-                    // batches was acknowledged to a client (acks require SSP
-                    // durability), so committing them is linearizable.
-                    let resync: Vec<mams_journal::SharedBatch> = self
-                        .log
-                        .read_after(tail_sn)
-                        .map(|bs| bs.iter().map(mams_journal::SharedBatch::share).collect())
-                        .unwrap_or_default();
-                    self.finish_upgrade(ctx);
-                    let group = self.cfg.group;
-                    let epoch = self.epoch;
-                    for batch in resync {
-                        let sn = batch.batch().sn;
-                        ctx.trace("failover.resync_pool", || format!("re-offer sn {sn}"));
-                        let req = self.pool_send(
-                            ctx,
-                            move |req| PoolReq::AppendJournal { group, epoch, batch, req },
-                            PoolCtx::AppendAck { sn },
-                        );
-                        self.inflight
-                            .insert(sn, Inflight { pool_req: Some(req), ..Default::default() });
-                    }
-                }
-            }
-            other => {
-                ctx.trace("failover.pool_error", || format!("{other:?}"));
-                self.degrade_to_junior(ctx, "pool error during upgrade");
-            }
+        if self.catchup.is_some() {
+            self.start_image_fetch(ctx);
+        } else {
+            self.enter_journal_stage(ctx, 0);
         }
     }
 
     /// Steps 2/3/6: flip the view, then serve (buffered requests first).
-    pub(crate) fn finish_upgrade(&mut self, ctx: &mut Ctx<'_>) {
+    /// `durable_tail` is the pool's journal tail the ladder caught up with.
+    pub(crate) fn finish_upgrade(&mut self, ctx: &mut Ctx<'_>, durable_tail: Sn) {
         let me = ctx.id();
         self.role = Role::Active;
         self.active_hint = Some(me);
         self.registered = true;
         self.standbys.clear();
         self.member_sns.clear();
+        // The session is over and nothing of an earlier tenure is awaited.
         self.inflight.clear();
         self.catchup = None;
+        self.pool_pending.clear();
         // The predecessor's manifest chain is not ours to extend: the first
         // delta tick after promotion writes a fresh full image instead.
         self.delta_anchor = None;
@@ -521,6 +455,22 @@ impl MdsServer {
         );
         ctx.trace("failover.view_updated", String::new);
         ctx.trace("failover.switch_done", || format!("sn {}", self.cursor.max_sn()));
+        // Our replica can be *ahead* of the durable tail: the deposed active
+        // synced batches to us whose own SSP appends died with it. They are
+        // already applied to our image, so re-offer the suffix to the pool —
+        // otherwise our first fresh append sits behind a permanent journal
+        // gap and no mutation ever commits again. None of these batches was
+        // acknowledged to a client (acks require SSP durability), so
+        // committing them is linearizable.
+        let resync: Vec<SharedBatch> = self
+            .log
+            .read_after(durable_tail)
+            .map(|bs| bs.iter().map(SharedBatch::share).collect())
+            .unwrap_or_default();
+        for batch in resync {
+            ctx.trace("failover.resync_pool", || format!("re-offer sn {}", batch.sn));
+            self.append_to_pool(ctx, batch, Inflight::default());
+        }
         // Step 6: release buffered client requests.
         let buffered = std::mem::take(&mut self.buffered);
         for (from, req) in buffered {
@@ -582,7 +532,7 @@ impl MdsServer {
         self.registered = true;
         if as_standby {
             self.role = Role::Standby;
-            self.catchup = None;
+            self.set_catchup(None);
             self.announce_state(ctx);
             ctx.trace("member.registered_standby", String::new);
         } else {
@@ -693,14 +643,16 @@ impl MdsServer {
         // answering duplicates.
         self.xg_seen.retain(|_, acked| acked.is_some());
         self.elect = None;
-        self.catchup = None;
         // As active we mutated `ns` outside the replay session, so its
         // cached handles may be stale.
         self.replay.reset();
         self.delta_anchor = None;
-        // Whatever an artifact write still in flight answers, it answers a
-        // tenure that is over.
-        self.forget_artifact_in_flight();
+        // Whatever the pool still answers — an append, an artifact write, a
+        // page of the switch — it answers a tenure that is over: a late
+        // `Fenced` must not degrade us a second time.
+        self.catchup = None;
+        self.artifact_in_flight = None;
+        self.pool_pending.clear();
         self.role = Role::Junior;
         self.registered = false;
         self.announce_state(ctx);

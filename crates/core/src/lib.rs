@@ -16,6 +16,13 @@
 //!   checkpointed) and replaying the journal tail, finishing with a final
 //!   synchronization handshake once the `sn` gap is small.
 //!
+//! One rule ties the two together: **one role pulls**. A member reads the
+//! pool only as a renewing junior or as the elected member inside the
+//! switch, both through the one catch-up ladder in `renewing.rs`, and
+//! which of the two is running is its [`Role`]. A standby never reads the
+//! pool: what it misses the active re-pushes, out of a log the active
+//! keeps back to what every standby and the pool have acknowledged.
+//!
 //! The central type is [`MdsServer`]: one replica-group member. It embeds
 //! the sharded namespace, journal log and replay cursor, block map, the
 //! coordination client, and the role state machine, and runs on any

@@ -11,25 +11,32 @@
 //! synchronization stage: it adds the junior to the live sync set and ships
 //! the remaining batches directly; once the junior acknowledges the tail
 //! `sn`, the active promotes it and the junior announces itself a standby.
+//!
+//! That catch-up is the one ladder by which any member reads the pool
+//! (manifest → chain → journal → final). Its other user is the elected
+//! member inside the switch (`failover.rs`), which enters it once the pool
+//! is fenced and becomes the active where a junior would wait for the final
+//! stage; `self.role` says which of the two is running. No other role
+//! pulls: a standby that misses a batch is repaired by the active's
+//! re-push (`retry_pool_appends`).
 
 use mams_journal::{JournalLog, ReplayCursor, SharedBatch, Sn};
 use mams_namespace::StreamingImageDecoder;
 use mams_sim::{Ctx, NodeId};
-use mams_storage::proto::{PoolReq, PoolResp};
+use mams_storage::proto::{PoolReq, PoolResp, ReqId};
 use mams_storage::{ArtifactId, ArtifactKind, ManifestEntry, PoolError};
 
 use crate::proto::GroupMsg;
-use crate::server::{Catchup, CatchupStage, MdsServer, PoolCtx, RenewDriver, Role};
+use crate::server::{CatchupStage, MdsServer, PoolCtx, RenewDriver, Role};
 
 /// Journal-sn gap at or below which the renewing protocol enters its final
 /// synchronization stage. Must stay below `MdsTiming::renew_image_gap`.
 pub(crate) const RENEW_FINAL_GAP: u64 = 8;
-/// Batches per journal page read from the pool (catch-up, upgrade tail,
-/// gap repair).
-pub(crate) const CATCHUP_PAGE: usize = 64;
+/// Batches per journal page read from the pool.
+const CATCHUP_PAGE: usize = 64;
 /// Journal catch-up pages kept in flight against the pool at once, so
 /// network RTT overlaps replay instead of serializing with it.
-const CATCHUP_WINDOW: usize = 4;
+pub(crate) const CATCHUP_WINDOW: usize = 4;
 
 impl MdsServer {
     // ---------------------------------------------------- active side
@@ -143,23 +150,19 @@ impl MdsServer {
         self.active_hint = Some(from);
         let gap = tip_sn.saturating_sub(self.cursor.max_sn());
         ctx.trace("renew.begin", || format!("gap {gap}"));
-        if let Some(c) = &self.catchup {
+        if let Some(CatchupStage::Chain { idx, offset, .. }) = &self.catchup {
             // Resume an interrupted session from its checkpoint instead of
             // retransmitting everything. Re-resolving the manifest first
             // confirms the planned artifacts still exist (compaction may
             // have GC'd them while we were away).
-            if let CatchupStage::Chain { idx, offset, .. } = &c.stage {
-                ctx.trace("renew.resume", || format!("chain idx {idx} offset {offset}"));
-                self.request_manifest(ctx, false);
-                return;
-            }
-        }
-        if gap > self.cfg.timing.renew_image_gap {
-            self.start_image_fetch(ctx, false);
+            ctx.trace("renew.resume", || format!("chain idx {idx} offset {offset}"));
+            self.start_image_fetch(ctx);
+        } else if gap > self.cfg.timing.renew_image_gap {
+            self.start_image_fetch(ctx);
         } else {
             // The session start tells us the active's tip, so the request
             // window can open fully on the first pump.
-            self.enter_journal_stage(ctx, false, tip_sn);
+            self.enter_journal_stage(ctx, tip_sn);
         }
     }
 
@@ -167,65 +170,87 @@ impl MdsServer {
     /// manifest decides what actually moves: the full base image only when
     /// our state predates it, otherwise just the deltas past our sn —
     /// recovery bytes proportional to churn, not namespace size.
-    pub(crate) fn start_image_fetch(&mut self, ctx: &mut Ctx<'_>, for_upgrade: bool) {
-        let keep = matches!(&self.catchup, Some(Catchup { stage: CatchupStage::Chain { .. } }));
-        if !keep {
-            self.catchup = Some(Catchup { stage: CatchupStage::Manifest });
+    /// A chain in progress is kept (the fresh manifest decides whether it
+    /// can resume); anything else restarts from the manifest.
+    pub(crate) fn start_image_fetch(&mut self, ctx: &mut Ctx<'_>) {
+        let stage = match self.catchup.take() {
+            Some(chain @ CatchupStage::Chain { .. }) => chain,
+            _ => CatchupStage::Manifest,
+        };
+        self.set_catchup(Some(stage));
+        self.session_send(ctx, PoolCtx::Manifest);
+    }
+
+    // ------------------------------------------- the session's pool reads
+
+    /// Start, move or end (`None`) the catch-up session. Any request of the
+    /// session before is forgotten with it: its reply, should it still
+    /// come, finds no entry and is ignored.
+    pub(crate) fn set_catchup(&mut self, stage: Option<CatchupStage>) {
+        self.pool_pending.retain(|_, why| !why.of_session());
+        self.catchup = stage;
+    }
+
+    /// Issue a request of the catch-up session.
+    pub(crate) fn session_send(&mut self, ctx: &mut Ctx<'_>, why: PoolCtx) {
+        let req = self.await_pool_reply(why);
+        self.resend_session_request(ctx, req);
+    }
+
+    /// Send (again) the request an entry of the session stands for — the
+    /// only place a member reads the pool. A resend is the same request, not
+    /// a new one: whichever reply arrives first settles it, so neither a
+    /// slow pool nor a lossy link costs an entry.
+    fn resend_session_request(&mut self, ctx: &mut Ctx<'_>, req: ReqId) {
+        let group = self.cfg.group;
+        let read = match self.pool_pending.get(&req) {
+            Some(PoolCtx::EpochAdvance) => PoolReq::AdvanceEpoch { group, to: self.epoch, req },
+            Some(PoolCtx::Manifest) => PoolReq::ReadManifest { group, req },
+            Some(&PoolCtx::ArtifactChunk { artifact, offset }) => {
+                let len = self.cfg.timing.image_chunk;
+                PoolReq::ReadArtifactChunk { group, artifact, offset, len, req }
+            }
+            Some(&PoolCtx::CatchupPage { after }) => {
+                PoolReq::ReadJournal { group, after_sn: after, max: CATCHUP_PAGE, req }
+            }
+            _ => return, // not the session's
+        };
+        self.pool_deliver(ctx, read);
+    }
+
+    /// Send every awaited request of the session again (the switch's retry
+    /// timer). `false` when the session awaits nothing.
+    pub(crate) fn resend_session_requests(&mut self, ctx: &mut Ctx<'_>) -> bool {
+        let mut awaited: Vec<ReqId> =
+            self.pool_pending.iter().filter(|(_, why)| why.of_session()).map(|(&r, _)| r).collect();
+        awaited.sort_unstable(); // one seed, one run
+        for &req in &awaited {
+            self.resend_session_request(ctx, req);
         }
-        self.request_manifest(ctx, for_upgrade);
-    }
-
-    fn request_manifest(&mut self, ctx: &mut Ctx<'_>, for_upgrade: bool) {
-        let group = self.cfg.group;
-        self.pool_send(
-            ctx,
-            move |req| PoolReq::ReadManifest { group, req },
-            PoolCtx::Manifest { for_upgrade },
-        );
-    }
-
-    fn request_artifact_chunk(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        artifact: ArtifactId,
-        offset: u64,
-        for_upgrade: bool,
-    ) {
-        let group = self.cfg.group;
-        let len = self.cfg.timing.image_chunk;
-        self.pool_send(
-            ctx,
-            move |req| PoolReq::ReadArtifactChunk { group, artifact, offset, len, req },
-            PoolCtx::ArtifactChunk { for_upgrade },
-        );
+        !awaited.is_empty()
     }
 
     /// Switch the catch-up session into the journal stage and start the
     /// request window. `tail_hint` is the highest journal sn we know the
     /// pool holds (0 when unknown — the first response teaches us).
-    fn enter_journal_stage(&mut self, ctx: &mut Ctx<'_>, for_upgrade: bool, tail_hint: Sn) {
-        self.catchup = Some(Catchup {
-            stage: CatchupStage::Journal {
-                inflight: 0,
-                next_after: self.cursor.max_sn(),
-                tail_hint,
-            },
-        });
-        self.pump_journal_pages(ctx, for_upgrade);
+    pub(crate) fn enter_journal_stage(&mut self, ctx: &mut Ctx<'_>, tail_hint: Sn) {
+        let next_after = self.cursor.max_sn();
+        self.set_catchup(Some(CatchupStage::Journal { inflight: 0, next_after, tail_hint }));
+        self.pump_journal_pages(ctx);
     }
 
     /// Top up the journal-page request window: keep up to `CATCHUP_WINDOW`
     /// page reads in flight, each asking for the page after the previous
     /// request's range, so the pool RTT overlaps local replay. Responses
     /// may arrive out of order; the stash/cursor machinery in
-    /// `ingest_batch` reassembles them contiguously.
-    fn pump_journal_pages(&mut self, ctx: &mut Ctx<'_>, for_upgrade: bool) {
+    /// `ingest_batch` reassembles them contiguously. This is the only place
+    /// a member reads the pool's journal.
+    fn pump_journal_pages(&mut self, ctx: &mut Ctx<'_>) {
         loop {
             let applied = self.cursor.max_sn();
             let after = {
-                let Some(Catchup {
-                    stage: CatchupStage::Journal { inflight, next_after, tail_hint },
-                }) = self.catchup.as_mut()
+                let Some(CatchupStage::Journal { inflight, next_after, tail_hint }) =
+                    self.catchup.as_mut()
                 else {
                     return;
                 };
@@ -248,20 +273,12 @@ impl MdsServer {
                 *inflight += 1;
                 after
             };
-            let group = self.cfg.group;
-            self.pool_send(
-                ctx,
-                move |req| PoolReq::ReadJournal { group, after_sn: after, max: CATCHUP_PAGE, req },
-                PoolCtx::CatchupPage { for_upgrade },
-            );
+            self.session_send(ctx, PoolCtx::CatchupPage { after });
         }
     }
 
     /// The pool's manifest chain arrived: plan which artifacts we need.
-    pub(crate) fn on_manifest(&mut self, ctx: &mut Ctx<'_>, resp: PoolResp, for_upgrade: bool) {
-        if self.catchup.is_none() {
-            return;
-        }
+    pub(crate) fn on_manifest(&mut self, ctx: &mut Ctx<'_>, resp: PoolResp) {
         let manifest = match resp {
             PoolResp::ManifestInfo { manifest, .. } => manifest,
             other => {
@@ -272,21 +289,19 @@ impl MdsServer {
         // Mid-chain resume: if everything we still need is listed in the
         // fresh manifest, continue from the checkpointed offset instead of
         // replanning (nothing was compacted away under us).
-        if let Some(Catchup { stage: CatchupStage::Chain { plan, idx, offset, .. } }) =
-            self.catchup.as_ref()
-        {
+        if let Some(CatchupStage::Chain { plan, idx, offset, .. }) = self.catchup.as_ref() {
             if *idx < plan.len()
                 && plan[*idx..].iter().all(|e| manifest.chain.iter().any(|m| m.id == e.id))
             {
                 let (artifact, offset) = (plan[*idx].id, *offset);
-                self.request_artifact_chunk(ctx, artifact, offset, for_upgrade);
+                self.session_send(ctx, PoolCtx::ArtifactChunk { artifact, offset });
                 return;
             }
         }
         let applied = self.cursor.max_sn();
         if manifest.is_empty() || manifest.end_sn() <= applied {
             // Nothing checkpointed past our state: journal replay only.
-            self.enter_journal_stage(ctx, for_upgrade, 0);
+            self.enter_journal_stage(ctx, 0);
             return;
         }
         let base_sn = manifest.base().expect("non-empty manifest").end_sn;
@@ -304,7 +319,7 @@ impl MdsServer {
             .cloned()
             .collect();
         if plan.is_empty() {
-            self.enter_journal_stage(ctx, for_upgrade, 0);
+            self.enter_journal_stage(ctx, 0);
             return;
         }
         ctx.trace("renew.chain_plan", || {
@@ -322,19 +337,18 @@ impl MdsServer {
             d.reserve_hint(first.bytes);
             d
         });
-        self.catchup = Some(Catchup {
-            stage: CatchupStage::Chain { plan, idx: 0, offset: 0, decoder, buf: Vec::new() },
-        });
-        self.request_artifact_chunk(ctx, first.id, 0, for_upgrade);
+        self.set_catchup(Some(CatchupStage::Chain {
+            plan,
+            idx: 0,
+            offset: 0,
+            decoder,
+            buf: Vec::new(),
+        }));
+        self.session_send(ctx, PoolCtx::ArtifactChunk { artifact: first.id, offset: 0 });
     }
 
     /// A chunk of the current chain artifact arrived.
-    pub(crate) fn on_artifact_chunk(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        resp: PoolResp,
-        for_upgrade: bool,
-    ) {
+    pub(crate) fn on_artifact_chunk(&mut self, ctx: &mut Ctx<'_>, resp: PoolResp) {
         let (artifact, chunk_offset, data, total) = match resp {
             PoolResp::ArtifactChunk { artifact, offset, data, total, .. } => {
                 (artifact, offset, data, total)
@@ -345,17 +359,15 @@ impl MdsServer {
                 // against the merged chain (satellite of the crash-safe
                 // compaction swap).
                 ctx.trace("renew.manifest_stale", || format!("artifact {id} gone"));
-                if let Some(Catchup { stage: CatchupStage::Chain { plan, .. } }) =
-                    self.catchup.as_mut()
-                {
+                if let Some(CatchupStage::Chain { plan, .. }) = self.catchup.as_mut() {
                     plan.clear(); // force a replan; resume check can't hold
                 }
-                self.request_manifest(ctx, for_upgrade);
+                self.session_send(ctx, PoolCtx::Manifest);
                 return;
             }
             other => {
                 ctx.trace("renew.chunk_error", || format!("{other:?}"));
-                self.request_manifest(ctx, for_upgrade);
+                self.session_send(ctx, PoolCtx::Manifest);
                 return;
             }
         };
@@ -369,17 +381,15 @@ impl MdsServer {
             Corrupt(String),
         }
         let step = {
-            let Some(Catchup { stage: CatchupStage::Chain { plan, idx, offset, decoder, buf } }) =
+            let Some(CatchupStage::Chain { plan, idx, offset, decoder, buf }) =
                 self.catchup.as_mut()
             else {
-                return; // stale chunk after a stage change
+                return;
             };
             let Some(entry) = plan.get(*idx) else { return };
-            if entry.id != artifact || chunk_offset != *offset {
-                // A duplicate/stale stream (e.g. a resumed session racing
-                // the original): exactly one stream may advance the cursor.
-                return;
-            }
+            // Exactly one stream advances the cursor: the session awaits
+            // one chunk at a time, and a restart forgets the one before.
+            debug_assert_eq!((entry.id, *offset), (artifact, chunk_offset));
             let done = *offset + data.len() as u64 >= total || data.is_empty();
             match entry.kind {
                 ArtifactKind::Base => {
@@ -408,24 +418,26 @@ impl MdsServer {
             }
         };
         match step {
-            Step::More(id, offset) => self.request_artifact_chunk(ctx, id, offset, for_upgrade),
-            Step::BaseDone => self.finish_base_artifact(ctx, for_upgrade),
-            Step::DeltaDone => self.finish_delta_artifact(ctx, for_upgrade),
+            Step::More(artifact, offset) => {
+                self.session_send(ctx, PoolCtx::ArtifactChunk { artifact, offset })
+            }
+            Step::BaseDone => self.finish_base_artifact(ctx),
+            Step::DeltaDone => self.finish_delta_artifact(ctx),
             Step::Corrupt(e) => {
                 ctx.trace("renew.image_corrupt", || e);
                 // A corrupt *base* has no cheaper fallback: restart the
                 // whole resolve (a fresh checkpoint will replace it).
-                self.catchup = Some(Catchup { stage: CatchupStage::Manifest });
-                self.request_manifest(ctx, for_upgrade);
+                self.set_catchup(Some(CatchupStage::Manifest));
+                self.session_send(ctx, PoolCtx::Manifest);
             }
         }
     }
 
     /// The base image is fully transferred: verify, adopt, move down the
     /// plan.
-    fn finish_base_artifact(&mut self, ctx: &mut Ctx<'_>, for_upgrade: bool) {
+    fn finish_base_artifact(&mut self, ctx: &mut Ctx<'_>) {
         let decoder = match self.catchup.as_mut() {
-            Some(Catchup { stage: CatchupStage::Chain { decoder, .. } }) => decoder.take(),
+            Some(CatchupStage::Chain { decoder, .. }) => decoder.take(),
             _ => return,
         };
         let Some(decoder) = decoder else { return };
@@ -441,20 +453,20 @@ impl MdsServer {
                 self.log = JournalLog::with_base(image_sn);
                 self.cursor = ReplayCursor::at(image_sn);
                 self.stash.clear();
-                self.advance_chain(ctx, for_upgrade);
+                self.advance_chain(ctx);
             }
             Err(e) => {
                 ctx.trace("renew.image_corrupt", || e.to_string());
-                self.catchup = Some(Catchup { stage: CatchupStage::Manifest });
-                self.request_manifest(ctx, for_upgrade);
+                self.set_catchup(Some(CatchupStage::Manifest));
+                self.session_send(ctx, PoolCtx::Manifest);
             }
         }
     }
 
     /// A delta artifact is fully buffered: decode, verify, apply.
-    fn finish_delta_artifact(&mut self, ctx: &mut Ctx<'_>, for_upgrade: bool) {
+    fn finish_delta_artifact(&mut self, ctx: &mut Ctx<'_>) {
         let buf = match self.catchup.as_mut() {
-            Some(Catchup { stage: CatchupStage::Chain { buf, .. } }) => std::mem::take(buf),
+            Some(CatchupStage::Chain { buf, .. }) => std::mem::take(buf),
             _ => return,
         };
         let applied = self.cursor.max_sn();
@@ -483,7 +495,7 @@ impl MdsServer {
                 self.log = JournalLog::with_base(end_sn);
                 self.cursor = ReplayCursor::at(end_sn);
                 self.stash.clear();
-                self.advance_chain(ctx, for_upgrade);
+                self.advance_chain(ctx);
             }
             Err(e) => {
                 // Corrupt (or unexpectedly disjoint) delta: drop the rest
@@ -493,26 +505,18 @@ impl MdsServer {
                 // if a compaction truncates it meanwhile, the `compacted`
                 // reply re-resolves a fresh manifest.
                 ctx.trace("renew.delta_corrupt", || e);
-                self.enter_journal_stage(ctx, for_upgrade, 0);
+                self.enter_journal_stage(ctx, 0);
             }
         }
     }
 
     /// Move to the next planned artifact, or into journal catch-up when the
     /// chain is exhausted.
-    fn advance_chain(&mut self, ctx: &mut Ctx<'_>, for_upgrade: bool) {
-        // Report progress so the active's renewing session sees movement
-        // even while large artifacts stream.
-        let sn = self.cursor.max_sn();
-        if !for_upgrade {
-            if let Some(active) = self.active_hint {
-                if active != ctx.id() {
-                    ctx.send(active, GroupMsg::RenewProgress { sn });
-                }
-            }
-        }
+    fn advance_chain(&mut self, ctx: &mut Ctx<'_>) {
+        // Progress is reported even while large artifacts stream.
+        self.report_progress(ctx);
         let next = {
-            let Some(Catchup { stage: CatchupStage::Chain { plan, idx, offset, decoder, buf } }) =
+            let Some(CatchupStage::Chain { plan, idx, offset, decoder, buf }) =
                 self.catchup.as_mut()
             else {
                 return;
@@ -524,74 +528,68 @@ impl MdsServer {
             plan.get(*idx).map(|e| e.id)
         };
         match next {
-            Some(id) => self.request_artifact_chunk(ctx, id, 0, for_upgrade),
-            None => self.enter_journal_stage(ctx, for_upgrade, 0),
+            Some(artifact) => {
+                self.session_send(ctx, PoolCtx::ArtifactChunk { artifact, offset: 0 })
+            }
+            None => self.enter_journal_stage(ctx, 0),
         }
     }
 
-    pub(crate) fn on_catchup_page(&mut self, ctx: &mut Ctx<'_>, resp: PoolResp, for_upgrade: bool) {
-        if for_upgrade && self.role != Role::Upgrading {
-            // A straggler from a finished (or abandoned) upgrade; acting on
-            // it could re-run `finish_upgrade`.
+    /// Renewing only (the elected member has no active to tell): report how
+    /// far we are, so the active's session sees movement.
+    fn report_progress(&mut self, ctx: &mut Ctx<'_>) {
+        if self.role == Role::Upgrading {
             return;
         }
-        // Account the response against the request window. A page arriving
-        // after the stage changed (image restart, session reset) is stale:
-        // drop it rather than corrupt another stage's bookkeeping.
-        {
-            let Some(Catchup { stage: CatchupStage::Journal { inflight, .. } }) =
-                self.catchup.as_mut()
-            else {
-                return;
-            };
-            *inflight = inflight.saturating_sub(1);
+        if let Some(active) = self.active_hint.filter(|&a| a != ctx.id()) {
+            ctx.send(active, GroupMsg::RenewProgress { sn: self.cursor.max_sn() });
         }
+    }
+
+    pub(crate) fn on_catchup_page(&mut self, ctx: &mut Ctx<'_>, resp: PoolResp) {
+        // Account the response against the request window (a reply awaited
+        // at all belongs to the current session, see `set_catchup`).
+        let Some(CatchupStage::Journal { inflight, tail_hint, .. }) = self.catchup.as_mut() else {
+            return;
+        };
+        *inflight = inflight.saturating_sub(1);
         let (batches, tail_sn, compacted) = match resp {
             PoolResp::Journal { batches, tail_sn, compacted, .. } => (batches, tail_sn, compacted),
             other => {
                 ctx.trace("renew.page_error", || format!("{other:?}"));
                 // Keep the pipeline moving despite the failed read.
-                self.pump_journal_pages(ctx, for_upgrade);
+                self.pump_journal_pages(ctx);
                 return;
             }
         };
         if compacted {
-            // Checkpoint raced us; restart from the image.
-            self.start_image_fetch(ctx, for_upgrade);
+            // We are behind the shared journal's base (a checkpoint raced
+            // us, or we were elected that far back): load the image first.
+            self.start_image_fetch(ctx);
             return;
         }
+        *tail_hint = (*tail_hint).max(tail_sn);
         for b in batches {
             self.ingest_batch(b);
         }
         self.note_divergence(ctx);
-        if let Some(Catchup { stage: CatchupStage::Journal { tail_hint, .. } }) =
-            self.catchup.as_mut()
-        {
-            *tail_hint = (*tail_hint).max(tail_sn);
-        }
         let caught_up = self.cursor.max_sn() >= tail_sn;
-        if for_upgrade {
+        if self.role == Role::Upgrading {
+            // The switch: once everything durable is applied, take over.
             if caught_up {
-                self.finish_upgrade(ctx);
+                self.finish_upgrade(ctx, tail_sn);
             } else {
-                self.pump_journal_pages(ctx, true);
+                self.pump_journal_pages(ctx);
             }
             return;
         }
         // Renewing: report progress; keep paging until we reach the
         // shared journal's tail, then wait for the final stage.
-        let sn = self.cursor.max_sn();
-        if let Some(active) = self.active_hint {
-            if active != ctx.id() {
-                ctx.send(active, GroupMsg::RenewProgress { sn });
-            }
-        }
+        self.report_progress(ctx);
         if caught_up {
-            if let Some(c) = self.catchup.as_mut() {
-                c.stage = CatchupStage::Final;
-            }
+            self.set_catchup(Some(CatchupStage::Final));
         } else {
-            self.pump_journal_pages(ctx, false);
+            self.pump_journal_pages(ctx);
         }
     }
 

@@ -1,9 +1,11 @@
 //! The replica-group member: state, dispatch, and shared machinery.
 //!
 //! Role-specific behaviour lives in sibling modules: `active` (client
-//! operations, journal batching/sync, distributed transactions,
-//! checkpoints), `failover` (detection, election, the six-step switch,
-//! degradation), and `renewing` (junior recovery).
+//! operations, journal batching/sync and re-push, distributed
+//! transactions, checkpoints), `failover` (detection, election, the
+//! six-step switch, degradation), and `renewing` (junior recovery, and the
+//! catch-up ladder the switch shares with it — the only reader of the
+//! pool).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -13,12 +15,13 @@ use mams_namespace::{
     replay_outcome, BlockMap, RetryEntry, RetryWindow, ShardedNamespace, ShardedReplaySession,
 };
 use mams_sim::{Ctx, Duration, Message, Node, NodeId, SimTime};
-use mams_storage::pool::Epoch;
+use mams_storage::pool::{ArtifactId, Epoch};
 use mams_storage::proto::{PoolReq, PoolResp, ReqId};
 
 use crate::commit::{FLUSH_IDLE, FLUSH_MAX};
 use crate::config::{InitialRole, MdsConfig};
 use crate::proto::{GroupMsg, MdsReq, OpOutput};
+use crate::renewing::CATCHUP_WINDOW;
 
 /// Timer tokens (coord heartbeat uses its own reserved token).
 pub(crate) const T_FLUSH: u64 = 1;
@@ -26,12 +29,11 @@ pub(crate) const T_RENEW_SCAN: u64 = 2;
 pub(crate) const T_ELECT: u64 = 3;
 pub(crate) const T_REGISTER: u64 = 4;
 pub(crate) const T_XG_RETRY: u64 = 5;
-pub(crate) const T_GAP_REPAIR: u64 = 6;
-pub(crate) const T_POOL_RETRY: u64 = 7;
-pub(crate) const T_VIEW_REFRESH: u64 = 8;
-pub(crate) const T_UPGRADE_RETRY: u64 = 9;
-pub(crate) const T_CHECKPOINT: u64 = 10;
-pub(crate) const T_DELTA: u64 = 11;
+pub(crate) const T_POOL_RETRY: u64 = 6;
+pub(crate) const T_VIEW_REFRESH: u64 = 7;
+pub(crate) const T_UPGRADE_RETRY: u64 = 8;
+pub(crate) const T_CHECKPOINT: u64 = 9;
+pub(crate) const T_DELTA: u64 = 10;
 
 /// Periods of the repeating timers above.
 const RENEW_SCAN: Duration = Duration::from_secs(1);
@@ -71,27 +73,35 @@ impl Role {
     }
 }
 
-/// Why we are waiting on a pool response.
+/// Why we are waiting on a pool response. An entry of `pool_pending` lives
+/// no longer than what awaits it: an `AppendAck` goes with its `inflight`
+/// batch, an artifact write with `artifact_in_flight`, and the rest — the
+/// reads of a renewing junior or of the switch, each holding what it takes
+/// to send the read again — with the catch-up session
+/// (`MdsServer::set_catchup`).
 #[derive(Debug)]
 pub(crate) enum PoolCtx {
     /// Ack for the SSP append of batch `sn`.
     AppendAck { sn: Sn },
-    /// Upgrade step: reading the authoritative journal tail from the pool.
-    UpgradeTail,
-    /// Journal page during catch-up (renewing or upgrade).
-    CatchupPage { for_upgrade: bool },
     /// Checkpoint write ack.
     CheckpointWrite,
     /// Incremental-checkpoint (delta image) write ack.
     DeltaWrite,
-    /// Renewing/upgrade: resolving the checkpoint manifest chain.
-    Manifest { for_upgrade: bool },
-    /// Renewing/upgrade: a chunk of a manifest artifact (base or delta).
-    ArtifactChunk { for_upgrade: bool },
-    /// Fencing epoch advance ack during upgrade.
+    /// The switch: fencing epoch advance ack.
     EpochAdvance,
-    /// Standby-side repair of a sync gap (lost `SyncJournal`) from the pool.
-    GapRepair,
+    /// Catch-up: resolving the checkpoint manifest chain.
+    Manifest,
+    /// Catch-up: a chunk of a manifest artifact (base or delta).
+    ArtifactChunk { artifact: ArtifactId, offset: u64 },
+    /// Catch-up: the journal page after `after`.
+    CatchupPage { after: Sn },
+}
+
+impl PoolCtx {
+    /// Whether the request is one of the catch-up session's.
+    pub(crate) fn of_session(&self) -> bool {
+        !matches!(self, PoolCtx::AppendAck { .. } | PoolCtx::CheckpointWrite | PoolCtx::DeltaWrite)
+    }
 }
 
 /// Client reply destination for a pending mutation.
@@ -166,7 +176,10 @@ impl Inflight {
     }
 }
 
-/// Junior-side renewing progress.
+/// Progress of a catch-up session — the one ladder (manifest → chain →
+/// journal → final) by which a member pulls state from the pool. Only a
+/// renewing junior and the elected member inside the switch run it, and
+/// which of the two is running is `MdsServer::role`.
 #[derive(Debug)]
 pub(crate) enum CatchupStage {
     /// Asked the pool for the checkpoint manifest chain.
@@ -192,13 +205,6 @@ pub(crate) enum CatchupStage {
     Journal { inflight: usize, next_after: Sn, tail_hint: Sn },
     /// Waiting for the active's final synchronization range.
     Final,
-}
-
-/// A catch-up session (used by a renewing junior and by an elected member
-/// syncing with the pool before switching).
-#[derive(Debug)]
-pub(crate) struct Catchup {
-    pub stage: CatchupStage,
 }
 
 /// Active-side renewing session (one junior at a time, per the paper).
@@ -306,7 +312,7 @@ pub struct MdsServer {
     pub(crate) registered: bool,
     /// Whether the boot-time lock attempt (designated active) was made.
     pub(crate) boot_lock_tried: bool,
-    pub(crate) catchup: Option<Catchup>,
+    pub(crate) catchup: Option<CatchupStage>,
     pub(crate) elect: Option<ElectState>,
 
     /// Admission queue (CPU capacity model).
@@ -326,9 +332,6 @@ pub struct MdsServer {
     pub(crate) pool_pending: HashMap<ReqId, PoolCtx>,
     pub(crate) next_pool_req: ReqId,
     pub(crate) pool_rr: usize,
-
-    /// Whether a gap-repair timer is armed (lost-sync recovery).
-    pub(crate) gap_repair_armed: bool,
 
     /// Sn of the last checkpoint artifact (full image or delta) this active
     /// wrote to the pool: the anchor the next delta folds from. `None`
@@ -411,7 +414,6 @@ impl MdsServer {
             pool_pending: HashMap::new(),
             next_pool_req: 1,
             pool_rr: 0,
-            gap_repair_armed: false,
             delta_anchor: None,
             artifact_in_flight: None,
             failure_seen_at: None,
@@ -467,19 +469,25 @@ impl MdsServer {
         build: impl FnOnce(ReqId) -> PoolReq,
         why: PoolCtx,
     ) -> ReqId {
-        let req = self.next_pool_req;
-        self.next_pool_req += 1;
-        self.pool_pending.insert(req, why);
+        let req = self.await_pool_reply(why);
         self.pool_deliver(ctx, build(req));
         req
     }
 
-    /// Stop waiting for the artifact write in flight, if any: its reply,
-    /// should it still come, finds no entry and is ignored.
-    pub(crate) fn forget_artifact_in_flight(&mut self) {
-        if let Some(stale) = self.artifact_in_flight.take() {
-            self.pool_pending.remove(&stale);
-        }
+    /// Name a request and remember why its reply is awaited. At most one
+    /// entry per batch in flight, one artifact write, and the session's one
+    /// fence, manifest or chunk read or its window of journal pages.
+    pub(crate) fn await_pool_reply(&mut self, why: PoolCtx) -> ReqId {
+        let req = self.next_pool_req;
+        self.next_pool_req += 1;
+        self.pool_pending.insert(req, why);
+        debug_assert!(
+            self.pool_pending.len() <= self.inflight.len() + 2 + CATCHUP_WINDOW,
+            "{} pool replies awaited with {} batches in flight",
+            self.pool_pending.len(),
+            self.inflight.len()
+        );
+        req
     }
 
     /// Hand a pool request to the next pool node in the rotation.
@@ -548,7 +556,7 @@ impl MdsServer {
     /// Returns the highest sn applied by this call, if any.
     ///
     /// A non-empty stash after draining means a batch went missing on the
-    /// wire; the caller should arm gap repair (`arm_gap_repair`).
+    /// wire; the active's re-push (`retry_pool_appends`) fills the hole.
     pub(crate) fn ingest_batch(&mut self, batch: SharedBatch) -> Option<Sn> {
         if batch.sn <= self.cursor.max_sn() {
             return None; // duplicate: suppressed by sn comparison
@@ -697,7 +705,6 @@ impl Node for MdsServer {
                 }
                 ctx.set_timer(XG_RETRY, T_XG_RETRY);
             }
-            T_GAP_REPAIR => self.gap_repair_fired(ctx),
             T_POOL_RETRY => {
                 if self.role == Role::Active {
                     self.retry_pool_appends(ctx);
@@ -732,11 +739,15 @@ impl Node for MdsServer {
                 }
             }
             T_UPGRADE_RETRY if self.role == Role::Upgrading => {
-                // A pool reply went missing mid-switch; the sequence is
-                // idempotent, so run it again from the fencing step.
+                // A pool reply of the switch is late or lost: ask again. A
+                // switch that awaits nothing runs again from the fence.
                 ctx.trace("failover.upgrade_retry", String::new);
-                let epoch = self.epoch;
-                self.begin_upgrade(ctx, epoch);
+                if self.resend_session_requests(ctx) {
+                    ctx.set_timer(crate::failover::UPGRADE_RETRY, T_UPGRADE_RETRY);
+                } else {
+                    let epoch = self.epoch;
+                    self.begin_upgrade(ctx, epoch);
+                }
             }
             _ => {}
         }

@@ -29,11 +29,6 @@ pub mod keys {
         format!("g/{group}/state/{node}")
     }
 
-    /// Prefix covering one group's whole view.
-    pub fn group_prefix(group: u32) -> String {
-        format!("g/{group}/")
-    }
-
     /// Prefix covering every group (used by actives that coordinate
     /// distributed transactions across groups).
     pub fn all_groups() -> String {
@@ -54,11 +49,6 @@ pub mod keys {
         let (group, rest) = rest.split_once('/')?;
         (rest == "active").then(|| group.parse().ok()).flatten()
     }
-}
-
-/// Encode a node id as the view value of the `active` key.
-pub fn encode_node(n: NodeId) -> String {
-    n.to_string()
 }
 
 /// Decode the view value of the `active` key.
@@ -82,16 +72,8 @@ mod tests {
     }
 
     #[test]
-    fn node_encoding() {
-        assert_eq!(decode_node(&encode_node(42)), Some(42));
+    fn node_decoding() {
+        assert_eq!(decode_node("42"), Some(42));
         assert_eq!(decode_node("bogus"), None);
-    }
-
-    #[test]
-    fn group_prefix_contains_group_keys() {
-        let p = keys::group_prefix(1);
-        assert!(keys::active(1).starts_with(&p));
-        assert!(keys::state(1, 9).starts_with(&p));
-        assert!(!keys::active(10).starts_with(&p));
     }
 }

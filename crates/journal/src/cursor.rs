@@ -85,11 +85,6 @@ impl ReplayCursor {
         }
         applied
     }
-
-    /// Gap between this cursor and another sn (how far behind a junior is).
-    pub fn lag_behind(&self, tip: Sn) -> u64 {
-        tip.saturating_sub(self.max_sn)
-    }
 }
 
 #[cfg(test)]
@@ -140,12 +135,5 @@ mod tests {
         let batches = vec![batch(1, 1), batch(1, 1), batch(2, 1), batch(4, 1)];
         assert_eq!(cur.offer_all(&batches, &mut sink), 2);
         assert_eq!(cur.max_sn(), 2);
-    }
-
-    #[test]
-    fn lag_measures_junior_gap() {
-        let cur = ReplayCursor::at(10);
-        assert_eq!(cur.lag_behind(25), 15);
-        assert_eq!(cur.lag_behind(5), 0);
     }
 }

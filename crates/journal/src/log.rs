@@ -152,11 +152,6 @@ impl JournalLog {
     pub fn iter(&self) -> impl Iterator<Item = &SharedBatch> {
         self.batches.iter()
     }
-
-    /// Total number of records across retained batches.
-    pub fn record_count(&self) -> usize {
-        self.batches.iter().map(|b| b.records.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +175,6 @@ mod tests {
         }
         assert_eq!(log.tail_sn(), 5);
         assert_eq!(log.len(), 5);
-        assert_eq!(log.record_count(), 5);
     }
 
     #[test]

@@ -51,15 +51,6 @@ impl SharedBatch {
         shared
     }
 
-    /// Wrap a batch that was just decoded from `wire` (a pool read or a
-    /// network receive): the already-paid encoding is retained so the batch
-    /// is never re-encoded downstream.
-    pub fn from_wire(batch: JournalBatch, wire: Bytes) -> Self {
-        let cell = OnceLock::new();
-        let _ = cell.set(wire);
-        SharedBatch { inner: Arc::new(Inner { batch, wire: cell }) }
-    }
-
     /// Another handle to the same batch — a reference-count bump, not a
     /// copy. Named distinctly from `clone` so hot-path code reads as
     /// sharing.
@@ -70,11 +61,6 @@ impl SharedBatch {
     /// The wire encoding, computed at most once per batch.
     pub fn wire(&self) -> &Bytes {
         self.inner.wire.get_or_init(|| encode_batch(&self.inner.batch))
-    }
-
-    /// Whether the wire form has been computed yet.
-    pub fn is_sealed(&self) -> bool {
-        self.inner.wire.get().is_some()
     }
 
     /// The decoded batch.
@@ -156,22 +142,11 @@ mod tests {
     #[test]
     fn sealed_encodes_once_and_wire_round_trips() {
         let shared = SharedBatch::sealed(sample(7));
-        assert!(shared.is_sealed());
         let w1 = shared.wire().clone();
         let w2 = shared.share().wire().clone();
         // Bytes clones of the same encoding share the same buffer.
         assert_eq!(w1.as_ptr(), w2.as_ptr(), "wire computed exactly once");
         assert_eq!(decode_batch(w1).unwrap(), *shared.batch());
-    }
-
-    #[test]
-    fn from_wire_keeps_the_paid_encoding() {
-        let original = SharedBatch::sealed(sample(3));
-        let wire = original.wire().clone();
-        let decoded = SharedBatch::from_wire(decode_batch(wire.clone()).unwrap(), wire.clone());
-        assert!(decoded.is_sealed());
-        assert_eq!(decoded.wire().as_ptr(), wire.as_ptr());
-        assert_eq!(decoded, original);
     }
 
     #[test]

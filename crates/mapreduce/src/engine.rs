@@ -10,14 +10,14 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use mams_cluster::{FsIo, IoEvent};
 use mams_core::FsOp;
 use mams_namespace::Partitioner;
 use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim};
 
-use crate::fsio::{FsIo, IoEvent};
 use crate::stats::JobStats;
 
-/// Worker-local timer tokens (FsIo owns tokens ≥ 2^32).
+/// Worker-local timer tokens (FsIo owns tokens ≥ 2^20).
 const T_MAP_COMPUTE: u64 = 1;
 const T_REDUCE_COMPUTE: u64 = 2;
 

@@ -8,16 +8,13 @@
 //! directly as delayed map completions and stalled reduces.
 //!
 //! Components:
-//! * [`FsIo`] — an embedded file-system port (routing, retry, duplicate
-//!   reconciliation) usable from any node, mirroring `mams-cluster`'s
-//!   standalone client,
-//! * [`JobTracker`] / [`TaskWorker`] — scheduling and execution,
+//! * [`JobTracker`] / [`TaskWorker`] — scheduling and execution, each
+//!   issuing its metadata operations through an embedded
+//!   `mams_cluster::FsIo` (the client state machine, many ops outstanding),
 //! * [`JobStats`] — per-task completion timestamps for the CDF plots.
 
 pub mod engine;
-pub mod fsio;
 pub mod stats;
 
 pub use engine::{build_job, JobSpec, JobTracker, MrMsg, TaskWorker};
-pub use fsio::{FsIo, IoEvent};
 pub use stats::JobStats;

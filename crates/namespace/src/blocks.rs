@@ -71,26 +71,6 @@ impl BlockMap {
     pub fn is_empty(&self) -> bool {
         self.blocks.is_empty()
     }
-
-    /// Blocks with fewer than `target` replicas (re-replication candidates).
-    pub fn under_replicated(&self, target: usize) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .blocks
-            .iter()
-            .filter(|(_, i)| i.locations.len() < target)
-            .map(|(&b, _)| b)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Drop every location entry (what a BackupNode knows right after
-    /// takeover, before recollection).
-    pub fn clear_locations(&mut self) {
-        for info in self.blocks.values_mut() {
-            info.locations.clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -124,18 +104,6 @@ mod tests {
     }
 
     #[test]
-    fn under_replication_detection() {
-        let mut m = BlockMap::new();
-        for b in 1..=3 {
-            m.register(b, 1);
-        }
-        m.report(1, &[1, 2]);
-        m.report(2, &[1]);
-        assert_eq!(m.under_replicated(2), vec![2, 3]);
-        assert_eq!(m.under_replicated(1), vec![3]);
-    }
-
-    #[test]
     fn reports_can_precede_registration() {
         // A data server may report a block before the journal record
         // arrives (races are normal); the location must not be lost.
@@ -145,16 +113,6 @@ mod tests {
         m.register(9, 77);
         assert_eq!(m.get(9).unwrap().len, 77);
         assert_eq!(m.replication_of(9), 1);
-    }
-
-    #[test]
-    fn clear_locations_models_backupnode_takeover() {
-        let mut m = BlockMap::new();
-        m.register(1, 1);
-        m.report(1, &[1]);
-        m.clear_locations();
-        assert_eq!(m.replication_of(1), 0);
-        assert_eq!(m.len(), 1, "block metadata survives; only locations are lost");
     }
 
     #[test]

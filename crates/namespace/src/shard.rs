@@ -555,11 +555,6 @@ impl ShardedNamespace {
         NamespaceTree::from_parts(inodes, next_id, self.num_files(), self.num_dirs())
     }
 
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of files.
     pub fn num_files(&self) -> u64 {
         self.num_files.load(Ordering::Relaxed)
@@ -1945,6 +1940,6 @@ mod tests {
     fn home_shard_groups_by_parent() {
         let s = ShardedNamespace::with_shards(8);
         assert_eq!(s.home_shard("/a/b/f1"), s.home_shard("/a/b/f2"));
-        assert!(s.home_shard("/a/b/f1") < s.shard_count());
+        assert!(s.home_shard("/a/b/f1") < 8);
     }
 }

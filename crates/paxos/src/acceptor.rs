@@ -1,17 +1,9 @@
-//! The acceptor: the only state that matters for Paxos safety.
+//! The acceptor: the only state that matters for Paxos safety. The RSM
+//! runs phase 1 once per leadership (its own `promised` ballot covers every
+//! slot), so a slot's acceptor sees phase 2 only.
 
 use crate::ballot::Ballot;
 use crate::messages::Value;
-
-/// Reply to a phase-1 `Prepare`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PrepareReply {
-    /// Promise not to accept anything below `ballot`; reveals the
-    /// highest-ballot value accepted so far.
-    Promise { ballot: Ballot, accepted: Option<(Ballot, Value)> },
-    /// Already promised `promised` (> the offered ballot).
-    Nack { promised: Ballot },
-}
 
 /// Reply to a phase-2 `Accept`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,17 +24,6 @@ impl Acceptor {
         Acceptor::default()
     }
 
-    /// Phase 1: handle `Prepare(ballot)`.
-    pub fn on_prepare(&mut self, ballot: Ballot) -> PrepareReply {
-        match self.promised {
-            Some(p) if p > ballot => PrepareReply::Nack { promised: p },
-            _ => {
-                self.promised = Some(ballot);
-                PrepareReply::Promise { ballot, accepted: self.accepted.clone() }
-            }
-        }
-    }
-
     /// Phase 2: handle `Accept(ballot, value)`.
     pub fn on_accept(&mut self, ballot: Ballot, value: Value) -> AcceptReply {
         match self.promised {
@@ -59,11 +40,6 @@ impl Acceptor {
     pub fn accepted(&self) -> Option<&(Ballot, Value)> {
         self.accepted.as_ref()
     }
-
-    /// The ballot this acceptor has promised (if any).
-    pub fn promised(&self) -> Option<Ballot> {
-        self.promised
-    }
 }
 
 #[cfg(test)]
@@ -79,43 +55,12 @@ mod tests {
     }
 
     #[test]
-    fn promises_are_monotone() {
-        let mut a = Acceptor::new();
-        assert!(matches!(a.on_prepare(b(1, 0)), PrepareReply::Promise { .. }));
-        assert!(matches!(a.on_prepare(b(2, 0)), PrepareReply::Promise { .. }));
-        // Lower ballot after a higher promise: rejected.
-        assert_eq!(a.on_prepare(b(1, 5)), PrepareReply::Nack { promised: b(2, 0) });
-    }
-
-    #[test]
-    fn accept_below_promise_rejected() {
-        let mut a = Acceptor::new();
-        a.on_prepare(b(3, 0));
-        assert_eq!(a.on_accept(b(2, 9), v("x")), AcceptReply::Nack { promised: b(3, 0) });
-        assert!(a.accepted().is_none());
-    }
-
-    #[test]
-    fn accept_at_or_above_promise_succeeds_and_is_revealed() {
-        let mut a = Acceptor::new();
-        a.on_prepare(b(1, 0));
-        assert_eq!(a.on_accept(b(1, 0), v("x")), AcceptReply::Accepted { ballot: b(1, 0) });
-        match a.on_prepare(b(5, 1)) {
-            PrepareReply::Promise { accepted: Some((bal, val)), .. } => {
-                assert_eq!(bal, b(1, 0));
-                assert_eq!(val, v("x"));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
     fn accept_without_prior_prepare_is_legal() {
         // An acceptor that never promised can accept directly (it implicitly
         // promises the accept ballot).
         let mut a = Acceptor::new();
-        assert!(matches!(a.on_accept(b(1, 0), v("y")), AcceptReply::Accepted { .. }));
-        assert_eq!(a.promised(), Some(b(1, 0)));
+        assert_eq!(a.on_accept(b(1, 0), v("y")), AcceptReply::Accepted { ballot: b(1, 0) });
+        assert_eq!(a.accepted(), Some(&(b(1, 0), v("y"))));
     }
 
     #[test]
@@ -125,7 +70,7 @@ mod tests {
         a.on_accept(b(2, 0), v("new"));
         assert_eq!(a.accepted().unwrap().1, v("new"));
         // But a lower accept cannot roll it back.
-        assert!(matches!(a.on_accept(b(1, 5), v("evil")), AcceptReply::Nack { .. }));
+        assert_eq!(a.on_accept(b(1, 5), v("evil")), AcceptReply::Nack { promised: b(2, 0) });
         assert_eq!(a.accepted().unwrap().1, v("new"));
     }
 }

@@ -1,30 +1,20 @@
 //! # mams-paxos — consensus for election and replicated state
 //!
-//! The paper leans on Paxos twice:
+//! The Boom-FS baseline (Section II, Figure 9) replicates its metadata
+//! through a Paxos-backed, globally-consistent distributed log; its extra
+//! normal-case latency and centralized-repair failover cost come from that
+//! structure. (MAMS itself elects through the coordination service's lock —
+//! `mams-coord` does not depend on this crate.)
 //!
-//! 1. Active election — "With the Paxos algorithm for consensus, MAMS
-//!    ensures that only one active is elected each time" (Section III-B).
-//!    The uniqueness guarantee behind the distributed lock is exactly
-//!    single-decree Paxos safety: at most one value (lock holder) chosen per
-//!    instance (per lock generation).
-//! 2. The Boom-FS baseline (Section II, Figure 9) replicates its metadata
-//!    through a Paxos-backed, globally-consistent distributed log; its extra
-//!    normal-case latency and centralized-repair failover cost come from
-//!    that structure.
-//!
-//! This crate provides the pure single-decree state machines
-//! ([`Acceptor`], [`Proposer`]) with machine-checkable safety, plus
-//! [`rsm::RsmNode`] — a multi-decree replicated log (multi-Paxos with a
-//! stable leader, Raft-flavored commit rule) that runs on the simulator and
-//! backs the Boom-FS baseline.
+//! This crate provides [`rsm::RsmNode`] — a multi-decree replicated log
+//! (multi-Paxos with a stable leader, Raft-flavored commit rule) that runs
+//! on the simulator — over a per-slot [`Acceptor`].
 
 pub mod acceptor;
 pub mod ballot;
 pub mod messages;
-pub mod proposer;
 pub mod rsm;
 
-pub use acceptor::{AcceptReply, Acceptor, PrepareReply};
+pub use acceptor::{AcceptReply, Acceptor};
 pub use ballot::Ballot;
 pub use messages::Value;
-pub use proposer::{Proposer, ProposerEvent};

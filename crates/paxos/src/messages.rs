@@ -1,28 +1,7 @@
-//! Wire vocabulary shared by the single-decree machines and the RSM.
+//! Wire vocabulary shared by the acceptor and the RSM.
 
 use bytes::Bytes;
-
-use crate::ballot::Ballot;
 
 /// The value type consensus is run over. Opaque bytes: the Boom-FS baseline
 /// stores encoded journal batches; the tests store small literals.
 pub type Value = Bytes;
-
-/// Single-decree Paxos messages for one instance (the instance id is carried
-/// by the enclosing protocol).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PaxosMsg {
-    /// Phase 1a.
-    Prepare { ballot: Ballot },
-    /// Phase 1b (positive): the acceptor promises `ballot` and reveals its
-    /// previously accepted `(ballot, value)` if any.
-    Promise { ballot: Ballot, accepted: Option<(Ballot, Value)> },
-    /// Phase 1b (negative): already promised a higher ballot.
-    PrepareNack { ballot: Ballot, promised: Ballot },
-    /// Phase 2a.
-    Accept { ballot: Ballot, value: Value },
-    /// Phase 2b (positive).
-    Accepted { ballot: Ballot },
-    /// Phase 2b (negative).
-    AcceptNack { ballot: Ballot, promised: Ballot },
-}

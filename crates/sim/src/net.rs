@@ -78,18 +78,6 @@ impl LinkShape {
     pub fn lossy(p: f64) -> Self {
         LinkShape { loss: p, ..LinkShape::default() }
     }
-
-    /// Add a fixed extra delay.
-    pub fn with_extra(mut self, extra: Duration) -> Self {
-        self.extra = extra;
-        self
-    }
-
-    /// Add a duplication probability.
-    pub fn with_dup(mut self, p: f64) -> Self {
-        self.dup = p;
-        self
-    }
 }
 
 /// The sampled fate of one message: deliver (after a latency), possibly
@@ -351,7 +339,8 @@ mod tests {
         let mut n =
             Network::new(LatencyModel { base: Duration::from_micros(100), jitter: Duration::ZERO });
         let mut rng = DetRng::seed_from_u64(3);
-        n.shape_link(1, 2, LinkShape::slow(10.0).with_extra(Duration::from_micros(7)));
+        let extra = Duration::from_micros(7);
+        n.shape_link(1, 2, LinkShape { extra, ..LinkShape::slow(10.0) });
         let d = n.route(1, 2, &mut rng).unwrap();
         assert_eq!(d, Duration::from_micros(1007));
         // The other direction is shaped too; an unrelated link is not.
@@ -381,7 +370,7 @@ mod tests {
         n.shape_link(1, 2, LinkShape::lossy(1.0));
         assert!(n.route(1, 2, &mut rng).is_none());
         n.clear_shapes();
-        n.shape_link(1, 2, LinkShape::default().with_dup(1.0));
+        n.shape_link(1, 2, LinkShape { dup: 1.0, ..LinkShape::default() });
         let fate = n.route_fate(1, 2, &mut rng);
         let (orig, dup) = (fate.deliver.unwrap(), fate.duplicate.unwrap());
         assert!(dup > orig, "duplicate must arrive after the original");

@@ -69,12 +69,6 @@ impl Duration {
         Duration(s * 1_000_000)
     }
 
-    /// Construct from a float second count (e.g. calibration constants).
-    pub fn from_secs_f64(s: f64) -> Duration {
-        assert!(s >= 0.0 && s.is_finite(), "negative or non-finite duration");
-        Duration((s * 1e6).round() as u64)
-    }
-
     #[inline]
     pub fn micros(self) -> u64 {
         self.0
@@ -193,7 +187,6 @@ mod tests {
         assert_eq!(Duration::from_secs(5).micros(), 5_000_000);
         assert_eq!(Duration::from_millis(5).micros(), 5_000);
         assert_eq!(Duration::from_micros(5).micros(), 5);
-        assert_eq!(Duration::from_secs_f64(0.25).millis(), 250);
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl Trace {
         &self.events
     }
 
-    /// Events whose tag starts with `prefix`.
-    pub fn with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a TraceEvent> {
-        self.events.iter().filter(move |e| e.tag.starts_with(prefix))
-    }
-
     /// First event with exactly this tag at or after `from`.
     pub fn first_at_or_after(&self, tag: &str, from: SimTime) -> Option<&TraceEvent> {
         self.events.iter().find(|e| e.tag == tag && e.time >= from)
@@ -105,7 +100,7 @@ mod tests {
         t.record(SimTime(10), 1, "op.ok", || "a".into());
         t.record(SimTime(20), 1, "op.fail", || "b".into());
         t.record(SimTime(30), 2, "op.ok", || "c".into());
-        assert_eq!(t.with_prefix("op.").count(), 3);
+        assert_eq!(t.events().len(), 3);
         assert_eq!(t.first_at_or_after("op.ok", SimTime(15)).unwrap().time, SimTime(30));
         assert_eq!(t.last_before("op.ok", SimTime(30)).unwrap().time, SimTime(10));
         assert!(t.last_before("op.ok", SimTime(10)).is_none());

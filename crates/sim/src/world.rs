@@ -218,12 +218,14 @@ impl Sim {
         &mut self.kernel.trace
     }
 
-    pub fn node_status(&self, id: NodeId) -> NodeStatus {
-        self.kernel.meta[id as usize].status
+    /// Record a control action on a node, named as it was registered.
+    fn trace_control(&mut self, id: NodeId, tag: &'static str) {
+        let Kernel { now, trace, meta, .. } = &mut self.kernel;
+        trace.record(*now, id, tag, || meta[id as usize].name.clone());
     }
 
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.kernel.meta[id as usize].name
+    pub fn node_status(&self, id: NodeId) -> NodeStatus {
+        self.kernel.meta[id as usize].status
     }
 
     pub fn num_nodes(&self) -> usize {
@@ -262,8 +264,7 @@ impl Sim {
         // process is gone, nothing will drain its socket buffers.
         self.kernel.paused.remove(&id);
         self.kernel.backlog.remove(&id);
-        let now = self.kernel.now;
-        self.kernel.trace.record(now, id, "sim.crash", String::new);
+        self.trace_control(id, "sim.crash");
     }
 
     /// Freeze a node without killing it (long GC pause, SIGSTOP): its state
@@ -275,8 +276,7 @@ impl Sim {
             return;
         }
         if self.kernel.paused.insert(id) {
-            let now = self.kernel.now;
-            self.kernel.trace.record(now, id, "sim.pause", String::new);
+            self.trace_control(id, "sim.pause");
         }
     }
 
@@ -286,8 +286,8 @@ impl Sim {
         if !self.kernel.paused.remove(&id) {
             return;
         }
+        self.trace_control(id, "sim.resume");
         let now = self.kernel.now;
-        self.kernel.trace.record(now, id, "sim.resume", String::new);
         if let Some(events) = self.kernel.backlog.remove(&id) {
             // Pushed at `now` in buffered order; the queue keeps same-time
             // events FIFO by insertion sequence, so the backlog drains in
@@ -328,8 +328,7 @@ impl Sim {
         m.epoch += 1;
         m.started = false;
         self.awaiting_start = true;
-        let now = self.kernel.now;
-        self.kernel.trace.record(now, id, "sim.restart", String::new);
+        self.trace_control(id, "sim.restart");
         self.start_pending();
     }
 

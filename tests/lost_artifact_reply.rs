@@ -7,91 +7,45 @@
 //! dropped `ImageWritten` ended delta images for good. And every resend of
 //! an unacknowledged journal append was a new request beside the old one,
 //! so under steady loss the table of awaited replies only grew.
+//!
+//! The other roles leaked too: a renewing junior kept an entry for every
+//! page or chunk reply it lost (two were left on a settled standby), and an
+//! elected member one per rerun of the switch. An entry now lives no longer
+//! than the session that awaits it. The election test found a third outage
+//! on the way: a checkpoint compacted the active's log past a batch whose
+//! pool append had been lost, so the append could never be resent and the
+//! journal gap behind it stopped every later commit.
 
-use std::sync::{Arc, Mutex};
+mod common;
 
-use mams::cluster::{ClientConfig, FsClient, Metrics, Workload};
-use mams::coord::{CoordConfig, CoordServer};
-use mams::core::{InitialRole, MdsConfig, MdsServer, MdsTiming, Role};
-use mams::namespace::Partitioner;
-use mams::sim::{
-    Ctx, DetRng, Duration, LatencyModel, Message, Node, NodeId, Sim, SimConfig, SimTime,
-};
-use mams::storage::pool::new_shared_pool;
-use mams::storage::PoolNode;
+use common::{group, secs, Group};
+use mams::core::{MdsTiming, Role};
+use mams::sim::{Duration, LinkShape};
 
 const CHECKPOINT_SECS: u64 = 4;
-
-/// The simulator owns its nodes; a server registered behind this keeps a
-/// second handle outside for reading its state back.
-struct Shared(Arc<Mutex<MdsServer>>);
-
-impl Node for Shared {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.0.lock().unwrap().on_start(ctx);
-    }
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Message) {
-        self.0.lock().unwrap().on_message(ctx, from, msg);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        self.0.lock().unwrap().on_timer(ctx, token);
-    }
-}
-
-struct Cluster {
-    sim: Sim,
-    pool: NodeId,
-    active: NodeId,
-    /// The designated active's state.
-    server: Arc<Mutex<MdsServer>>,
-    metrics: Arc<Metrics>,
-}
+/// `renewing::CATCHUP_WINDOW` + 2: the most replies a member that is not
+/// the active may await — a window of journal pages, or one fence, manifest
+/// or chunk read.
+const SESSION_BOUND: usize = 4 + 2;
 
 /// One group — an active and a standby — on one pool node, a full image
 /// every [`CHECKPOINT_SECS`] and a delta every second, three closed-loop
-/// clients creating files.
-fn cluster(seed: u64) -> Cluster {
-    let mut sim = Sim::new(SimConfig { seed, trace: true, latency: LatencyModel::lan() });
-    let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
-    let pool = sim.add_node("pool-0", Box::new(PoolNode::new(new_shared_pool())));
-    let partitioner = Partitioner::new(1);
-    let active = sim.num_nodes() as NodeId;
-    let cfg = |initial_role| MdsConfig {
-        group: 0,
-        members: vec![active, active + 1],
-        coord,
-        pool: vec![pool],
-        partitioner,
-        initial_role,
-        timing: MdsTiming {
-            checkpoint_interval: Some(Duration::from_secs(CHECKPOINT_SECS)),
-            delta_interval: Some(Duration::from_secs(1)),
-            ..MdsTiming::default()
-        },
+/// clients creating files. A restarted member renews over the manifest
+/// chain, not the journal alone.
+fn cluster(seed: u64) -> Group {
+    let timing = MdsTiming {
+        checkpoint_interval: Some(Duration::from_secs(CHECKPOINT_SECS)),
+        delta_interval: Some(Duration::from_secs(1)),
+        renew_image_gap: 64,
+        ..MdsTiming::default()
     };
-    let server = Arc::new(Mutex::new(MdsServer::new(cfg(InitialRole::Active))));
-    assert_eq!(sim.add_node("mds-0", Box::new(Shared(server.clone()))), active);
-    sim.add_node("mds-1", Box::new(MdsServer::new(cfg(InitialRole::Standby))));
-    let metrics = Metrics::new(false);
-    for c in 0..3u32 {
-        let client = FsClient::new(
-            ClientConfig::new(coord, partitioner),
-            Workload::create_only(c),
-            metrics.clone(),
-            DetRng::seed_from_u64(0xC11E47 + u64::from(c)),
-        );
-        sim.add_node(format!("client-{c}"), Box::new(client));
-    }
-    Cluster { sim, pool, active, server, metrics }
-}
-
-fn secs(s: f64) -> SimTime {
-    SimTime((s * 1e6) as u64)
+    group(seed, 1, timing, 3)
 }
 
 #[test]
 fn a_lost_image_reply_does_not_stop_deltas() {
-    let Cluster { mut sim, pool, active, .. } = cluster(0xA571);
+    let Group { mut sim, pool, members, .. } = cluster(0xA571);
+    let active = members[0];
     // The second checkpoint's `ImageWritten` never arrives: the pool's
     // replies to the active are cut from just before it is requested until
     // well after it was sent.
@@ -119,7 +73,8 @@ fn a_lost_image_reply_does_not_stop_deltas() {
 
 #[test]
 fn lost_pool_replies_do_not_accumulate() {
-    let Cluster { mut sim, server, metrics, .. } = cluster(0xA572);
+    let Group { mut sim, servers, metrics, .. } = cluster(0xA572);
+    let server = &servers[0];
     sim.run_for(Duration::from_secs(3));
     sim.net_mut().set_loss_probability(0.05);
     let mut most = 0;
@@ -133,4 +88,56 @@ fn lost_pool_replies_do_not_accumulate() {
     // artifact write: a handful. Before, every lost `AppendOk` and every
     // resend left an entry behind, hundreds over these twenty seconds.
     assert!(most <= 32, "{most} pool requests awaited at once");
+}
+
+#[test]
+fn a_renewing_junior_awaits_a_bounded_number_of_pool_replies() {
+    let Group { mut sim, pool, members, servers, .. } = cluster(0xA573);
+    let junior = members[1];
+    // Restarted empty, the standby renews through the base image, the
+    // deltas chained onto it and journal pages, losing 5 % of what it
+    // exchanges with the pool all the while.
+    sim.at(secs(6.0), move |s| s.crash(junior));
+    sim.at(secs(12.5), move |s| {
+        s.net_mut().shape_link(junior, pool, LinkShape::lossy(0.05));
+        s.restart(junior);
+    });
+    sim.run_until(secs(12.5));
+    let mut most = 0;
+    for _ in 0..40 {
+        sim.run_for(Duration::from_secs(1));
+        most = most.max(servers[1].lock().unwrap().pool_requests_pending());
+    }
+    for stage in ["renew.image_loaded", "renew.delta_applied"] {
+        let seen = sim.trace().events().iter().any(|e| e.tag == stage && e.node == junior);
+        assert!(seen, "renewing was meant to go through {stage}");
+    }
+    assert!(most <= SESSION_BOUND, "{most} pool requests awaited at once");
+    let s = servers[1].lock().unwrap();
+    assert_eq!(s.role(), Role::Standby, "the loss was meant to be survivable");
+    assert_eq!(s.pool_requests_pending(), 0, "a settled standby awaits nothing");
+}
+
+#[test]
+fn an_elected_member_awaits_a_bounded_number_of_pool_replies() {
+    let Group { mut sim, pool, members, servers, metrics, .. } = cluster(0xA574);
+    let (active, standby) = (members[0], members[1]);
+    sim.at(secs(6.0), move |s| {
+        s.net_mut().shape_link(standby, pool, LinkShape::lossy(0.05));
+        s.crash(active);
+    });
+    sim.run_until(secs(6.0));
+    let before = metrics.ok_count();
+    let (mut most_waiting, mut most_serving) = (0, 0);
+    for _ in 0..30 {
+        sim.run_for(Duration::from_secs(1));
+        let s = servers[1].lock().unwrap();
+        let most = if s.role() == Role::Active { &mut most_serving } else { &mut most_waiting };
+        *most = (*most).max(s.pool_requests_pending());
+    }
+    assert_eq!(servers[1].lock().unwrap().role(), Role::Active, "the standby was meant to win");
+    assert!(metrics.ok_count() > before + 1_000, "the successor barely served");
+    assert!(most_waiting <= SESSION_BOUND, "{most_waiting} pool requests awaited before serving");
+    // As in `lost_pool_replies_do_not_accumulate`: a handful.
+    assert!(most_serving <= 32, "{most_serving} pool requests awaited at once while serving");
 }

@@ -78,55 +78,75 @@ fn junior_with_max_sn_takes_over_when_no_standby_left() {
     // Algorithm 1's second branch: kill ALL standbys, then the active.
     // The only survivors are juniors (restarted empties); the one with the
     // maximum journal sn must win the lock and serve after catching up
-    // from the pool.
-    let mut sim = Sim::new(SimConfig { seed: 3, ..SimConfig::default() });
-    let mut d =
-        build(&mut sim, DeploySpec { groups: 1, standbys_per_group: 2, ..DeploySpec::default() });
-    let metrics = Metrics::new(true);
-    d.add_client(&mut sim, Workload::create_only(0), metrics.clone());
-    let m = d.groups[0].members.clone();
-    // Kill both standbys and bring them back (they rejoin as juniors and
-    // begin renewing)...
-    sim.at(SimTime(15_000_000), {
-        let m = m.clone();
-        move |s| {
-            s.crash(m[1]);
-            s.crash(m[2]);
+    // from the pool. Second input: a checkpoint has compacted the shared
+    // journal and the active dies before either junior renewed anything, so
+    // the winner is elected *behind the journal's base* and its switch must
+    // go through the image.
+    for (checkpointed, active_dies_at) in [(false, 18_500_000), (true, 17_200_000)] {
+        let mut sim = Sim::new(SimConfig { seed: 3, ..SimConfig::default() });
+        let spec = DeploySpec { groups: 1, standbys_per_group: 2, ..DeploySpec::default() };
+        let mut d = build(&mut sim, spec);
+        let metrics = Metrics::new(true);
+        d.add_client(&mut sim, Workload::create_only(0), metrics.clone());
+        let m = d.groups[0].members.clone();
+        if checkpointed {
+            let active = m[0];
+            sim.at(SimTime(10_000_000), move |s| s.send_external(active, MdsReq::Checkpoint));
         }
-    });
-    sim.at(SimTime(17_000_000), {
-        let m = m.clone();
-        move |s| {
-            s.restart(m[1]);
-            s.restart(m[2]);
-        }
-    });
-    // ...then kill the active while they are still juniors (renew_scan only
-    // starts a session at most once a second, and a junior needs the gap
-    // replay; 1.5s in they are typically still J).
-    sim.at(SimTime(18_500_000), {
-        let m = m.clone();
-        move |s| s.crash(m[0])
-    });
-    sim.run_until(SimTime(90_000_000));
+        // Kill both standbys and bring them back (they rejoin as juniors
+        // and begin renewing)...
+        sim.at(SimTime(15_000_000), {
+            let m = m.clone();
+            move |s| {
+                s.crash(m[1]);
+                s.crash(m[2]);
+            }
+        });
+        sim.at(SimTime(17_000_000), {
+            let m = m.clone();
+            move |s| {
+                s.restart(m[1]);
+                s.restart(m[2]);
+            }
+        });
+        // ...then kill the active while they are still juniors (renew_scan
+        // only starts a session at most once a second, and a junior needs
+        // the gap replay; 1.5s in they are typically still J, 0.2s in they
+        // have not begun).
+        sim.at(SimTime(active_dies_at), {
+            let m = m.clone();
+            move |s| s.crash(m[0])
+        });
+        sim.run_until(SimTime(90_000_000));
 
-    // Someone took over and service resumed.
-    let late_ok = metrics.completions().iter().filter(|c| c.ok && c.at_us > 70_000_000).count();
-    assert!(late_ok > 100, "no takeover by surviving members ({late_ok})");
-    // And the winner was one of the two juniors.
-    let winner = sim
-        .trace()
-        .events()
-        .iter()
-        .rev()
-        .find(|e| e.tag == "failover.switch_done")
-        .map(|e| e.node)
-        .expect("a switch completed");
-    assert!(m[1..].contains(&winner), "winner {winner} was not a junior");
-    // No acked op was lost (the journal check).
-    let pool = d.shared_pool.lock();
-    let g = pool.group(0).expect("journal");
-    assert!(g.tail_sn() > 0);
+        // Someone took over and service resumed.
+        let late_ok = metrics.completions().iter().filter(|c| c.ok && c.at_us > 70_000_000).count();
+        assert!(late_ok > 100, "no takeover by surviving members ({late_ok})");
+        // And the winner was one of the two juniors.
+        let events = sim.trace().events();
+        let switch = events
+            .iter()
+            .rposition(|e| e.tag == "failover.switch_done")
+            .expect("a switch completed");
+        let winner = events[switch].node;
+        assert!(m[1..].contains(&winner), "winner {winner} was not a junior");
+        if checkpointed {
+            let upgrade = events[..switch]
+                .iter()
+                .rposition(|e| e.tag == "failover.lock_acquired" && e.node == winner)
+                .expect("the winner took the lock");
+            assert!(
+                events[upgrade..switch]
+                    .iter()
+                    .any(|e| e.tag == "renew.image_loaded" && e.node == winner),
+                "the winner switched without loading the image"
+            );
+        }
+        // No acked op was lost (the journal check).
+        let pool = d.shared_pool.lock();
+        let g = pool.group(0).expect("journal");
+        assert!(g.tail_sn() > 0);
+    }
 }
 
 #[test]

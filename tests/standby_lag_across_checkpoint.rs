@@ -1,0 +1,51 @@
+//! A standby that misses batches across a checkpoint must be repaired by
+//! the active, not stranded behind the compaction.
+//!
+//! A 60 ms one-way cut active → standby loses a few `SyncJournal`s. The
+//! checkpoint that fires inside the cut used to compact the active's log
+//! and the pool's journal past the standby's hole: the active's re-push
+//! found nothing to read, the standby's own pool read was answered
+//! `compacted` and dropped, and every later batch waited on that standby
+//! for ever — a total outage with every node up and the network healed.
+//! The active now keeps its log back to what every standby has
+//! acknowledged and re-pushes the whole missing range.
+
+mod common;
+
+use common::{group, secs, Group};
+use mams::core::{MdsTiming, Role};
+use mams::sim::Duration;
+
+#[test]
+fn a_cut_spanning_a_checkpoint_does_not_stop_the_group() {
+    let timing =
+        MdsTiming { checkpoint_interval: Some(Duration::from_secs(4)), ..MdsTiming::default() };
+    let Group { mut sim, members, servers, clients, metrics, .. } = group(5, 1, timing, 3);
+    let (active, standby) = (members[0], members[1]);
+    // The second checkpoint tick (8 s) falls inside the cut.
+    sim.at(secs(7.96), move |s| s.net_mut().cut_one_way(active, standby));
+    sim.at(secs(8.02), move |s| s.net_mut().heal_one_way(active, standby));
+    sim.run_until(secs(8.02));
+    let at_heal = metrics.ok_count();
+    assert!(at_heal > 1_000, "the workload barely ran ({at_heal} ok)");
+    assert!(
+        sim.trace().first_at_or_after("checkpoint.done", secs(7.96)).is_some(),
+        "the checkpoint was meant to land inside the cut"
+    );
+
+    sim.run_until(secs(9.02));
+    let resumed = metrics.ok_count() - at_heal;
+    assert!(resumed > 100, "{resumed} ops acknowledged in the second after the heal");
+
+    sim.run_until(secs(20.0));
+    for c in clients {
+        sim.crash(c);
+    }
+    sim.run_for(Duration::from_secs(1));
+    let (a, s) = (servers[0].lock().unwrap(), servers[1].lock().unwrap());
+    assert_eq!((a.role(), s.role()), (Role::Active, Role::Standby));
+    assert_eq!(s.applied_sn(), a.applied_sn());
+    assert_eq!(s.fingerprint(), a.fingerprint());
+    assert_eq!(a.divergences() + s.divergences(), 0);
+    assert_eq!(metrics.failed_count(), 0);
+}
