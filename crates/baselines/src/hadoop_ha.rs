@@ -11,18 +11,13 @@
 
 use std::collections::HashMap;
 
-use mams_coord::{CoordClient, CoordEvent, CoordResp, Incoming};
-use mams_core::{CpuModel, Ingress, MdsReq, MdsResp};
-use mams_journal::{JournalBatch, ReplayCursor, Sn};
-use mams_namespace::NamespaceTree;
 use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim};
 use mams_storage::pool::new_shared_pool;
 use mams_storage::proto::{PoolReq, PoolResp};
 use mams_storage::{DiskModel, PoolNode};
 
-use crate::common::{exec_op, reply, RetryCache, StandbyReplayer};
+use crate::common::{NameNode, PendingReply, FLUSH_INTERVAL, T_FLUSH};
 
-const T_FLUSH: u64 = 1;
 const T_TAIL: u64 = 2;
 const T_TRANSITION_DONE: u64 = 3;
 
@@ -31,7 +26,6 @@ const T_TRANSITION_DONE: u64 = 3;
 /// 15–19 s with a 5 s detection timeout, leaving ~11 s of transition work.
 pub const HA_TRANSITION_COST: Duration = Duration::from_secs(11);
 
-const FLUSH_INTERVAL: Duration = Duration::from_millis(2);
 /// Number of journal nodes (the paper sets 4).
 const JOURNAL_NODES: usize = 4;
 /// Per-journal-node append latency (QJM RPC + fsync).
@@ -52,65 +46,27 @@ enum HaRole {
 
 /// One HA namenode.
 pub struct HaNameNode {
+    nn: NameNode,
     role: HaRole,
     journals: Vec<NodeId>,
-    coord: CoordClient,
-    ns: NamespaceTree,
-    next_block: u64,
-    retry: RetryCache,
-    cursor: ReplayCursor,
-    next_sn: Sn,
     epoch: u64,
-    pending: Vec<crate::common::PendingReply>,
-    pending_txns: Vec<mams_journal::Txn>,
     /// req id → (acks outstanding, replies) for quorum appends.
-    quorum_waits: HashMap<u64, (usize, Vec<crate::common::PendingReply>)>,
+    quorum_waits: HashMap<u64, (usize, Vec<PendingReply>)>,
     /// Fencing acks outstanding.
     fence_waits: usize,
     next_req: u64,
-    detected: bool,
-    ingress: Ingress,
-    cpu: CpuModel,
 }
 
 impl HaNameNode {
     pub fn new(coord: NodeId, journals: Vec<NodeId>, active: bool) -> Self {
         HaNameNode {
+            nn: NameNode::new(coord, JOURNAL_CPU),
             role: if active { HaRole::Active } else { HaRole::Standby },
             journals,
-            coord: CoordClient::new(coord, Duration::from_secs(2)),
-            ns: NamespaceTree::new(),
-            next_block: 1,
-            retry: RetryCache::new(),
-            cursor: ReplayCursor::new(),
-            next_sn: 1,
             epoch: 1,
-            pending: Vec::new(),
-            pending_txns: Vec::new(),
             quorum_waits: HashMap::new(),
             fence_waits: 0,
             next_req: 1,
-            detected: false,
-            ingress: Ingress::default(),
-            cpu: CpuModel::default(),
-        }
-    }
-
-    fn serve(&mut self, ctx: &mut Ctx<'_>, from: NodeId, op: mams_core::FsOp, seq: u64) {
-        if let Some(cached) = self.retry.check(from, seq) {
-            ctx.send(from, cached);
-            return;
-        }
-        match exec_op(&mut self.ns, &mut self.next_block, &op) {
-            Ok((txn, out)) => {
-                if let Some(txn) = txn {
-                    self.pending_txns.push(txn);
-                    self.pending.push((from, seq, Ok(out)));
-                } else {
-                    reply(&mut self.retry, ctx, from, seq, Ok(out));
-                }
-            }
-            Err(e) => reply(&mut self.retry, ctx, from, seq, Err(e)),
         }
     }
 
@@ -118,17 +74,9 @@ impl HaNameNode {
         self.journals.len() / 2 + 1
     }
 
+    /// Durable once a majority of the journal nodes have the batch.
     fn flush(&mut self, ctx: &mut Ctx<'_>) {
-        if self.pending_txns.is_empty() {
-            for (to, seq, result) in std::mem::take(&mut self.pending) {
-                reply(&mut self.retry, ctx, to, seq, result);
-            }
-            return;
-        }
-        let replies = std::mem::take(&mut self.pending);
-        let txns = std::mem::take(&mut self.pending_txns);
-        let batch = mams_journal::SharedBatch::new(JournalBatch::new(self.next_sn, 1, txns));
-        self.next_sn += 1;
+        let Some((batch, replies)) = self.nn.seal() else { return };
         let req = self.next_req;
         self.next_req += 1;
         self.quorum_waits.insert(req, (self.quorum(), replies));
@@ -140,23 +88,14 @@ impl HaNameNode {
         }
     }
 
-    fn apply_tail(&mut self, batches: Vec<mams_journal::SharedBatch>) {
-        for b in batches {
-            StandbyReplayer::offer(&mut self.cursor, &mut self.ns, &mut self.next_block, &b);
-        }
-        self.next_sn = self.cursor.max_sn() + 1;
-    }
-
+    /// Tail from every journal node; the cursor skips duplicates, and
+    /// reading all nodes guarantees we see the quorum maximum.
     fn request_tail(&mut self, ctx: &mut Ctx<'_>) {
-        // Tail from every journal node; the stash-free cursor simply skips
-        // duplicates, and reading all nodes guarantees we see the quorum
-        // maximum.
-        for &jn in &self.journals {
-            let req = self.next_req;
-            self.next_req += 1;
-            let after_sn = self.cursor.max_sn();
+        let after_sn = self.nn.replayed_sn();
+        for (&jn, req) in self.journals.iter().zip(self.next_req..) {
             ctx.send(jn, PoolReq::ReadJournal { group: 0, after_sn, max: 4_096, req });
         }
+        self.next_req += self.journals.len() as u64;
     }
 
     fn begin_failover(&mut self, ctx: &mut Ctx<'_>) {
@@ -164,38 +103,30 @@ impl HaNameNode {
         self.epoch += 1;
         self.fence_waits = self.quorum();
         ctx.trace("ha.fencing", || format!("epoch {}", self.epoch));
-        for &jn in &self.journals {
-            let req = self.next_req;
-            self.next_req += 1;
+        for (&jn, req) in self.journals.iter().zip(self.next_req..) {
             ctx.send(jn, PoolReq::AdvanceEpoch { group: 0, to: self.epoch, req });
         }
+        self.next_req += self.journals.len() as u64;
     }
 }
 
 impl Node for HaNameNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.coord.start(ctx);
-        self.coord.watch(ctx, "g/0/".to_string());
-        ctx.set_timer(FLUSH_INTERVAL, T_FLUSH);
+        self.nn.start(ctx);
+        self.nn.watch_active(ctx);
         if self.role == HaRole::Standby {
             ctx.set_timer(TAIL_INTERVAL, T_TAIL);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.coord.on_timer(ctx, token) {
+        if self.nn.heartbeat(ctx, token) {
             return;
         }
         match token {
             T_FLUSH => {
                 if self.role == HaRole::Active {
-                    let mut cpu = self.cpu;
-                    cpu.mutation += JOURNAL_CPU;
-                    for item in self.ingress.drain(FLUSH_INTERVAL, cpu) {
-                        if let mams_core::IngressItem::Client { from, op, seq, .. } = item {
-                            self.serve(ctx, from, op, seq);
-                        }
-                    }
+                    self.nn.drain(ctx, NameNode::serve);
                     self.flush(ctx);
                 }
                 ctx.set_timer(FLUSH_INTERVAL, T_FLUSH);
@@ -206,8 +137,7 @@ impl Node for HaNameNode {
             }
             T_TRANSITION_DONE if self.role == HaRole::Transitioning => {
                 self.role = HaRole::Active;
-                let me = ctx.id();
-                self.coord.set(ctx, mams_core::keys::active(0), me.to_string(), true);
+                self.nn.publish(ctx);
                 ctx.trace("ha.transition_done", String::new);
             }
             _ => {}
@@ -215,41 +145,26 @@ impl Node for HaNameNode {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Message) {
-        let msg = match CoordClient::classify(msg) {
-            Ok(Incoming::Resp(CoordResp::Registered)) => {
-                if self.role == HaRole::Active {
-                    let me = ctx.id();
-                    self.coord.set(ctx, mams_core::keys::active(0), me.to_string(), true);
-                }
-                return;
-            }
-            Ok(Incoming::Event(CoordEvent::KeyChanged { key, value, .. })) => {
-                if self.role == HaRole::Standby
-                    && !self.detected
-                    && key == mams_core::keys::active(0)
-                    && value.is_none()
-                {
-                    self.detected = true;
+        let active = self.role == HaRole::Active;
+        let msg = match self.nn.on_coord(ctx, msg, active) {
+            Ok(active_vanished) => {
+                if active_vanished && self.role == HaRole::Standby {
                     ctx.trace("ha.failover_detected", String::new);
                     self.begin_failover(ctx);
                 }
                 return;
             }
-            Ok(_) => return,
-            Err(m) => m,
+            Err(msg) => msg,
         };
-        let msg = match msg.downcast::<PoolResp>() {
+        match msg.downcast::<PoolResp>() {
             Ok(PoolResp::AppendOk { req, .. }) => {
                 if let Some((remaining, _)) = self.quorum_waits.get_mut(&req) {
                     *remaining -= 1;
                     if *remaining == 0 {
                         let (_, replies) = self.quorum_waits.remove(&req).expect("present");
-                        for (to, seq, result) in replies {
-                            reply(&mut self.retry, ctx, to, seq, result);
-                        }
+                        self.nn.release(ctx, replies);
                     }
                 }
-                return;
             }
             Ok(PoolResp::EpochAdvanced { .. }) => {
                 if self.role == HaRole::Fencing && self.fence_waits > 0 {
@@ -259,26 +174,17 @@ impl Node for HaNameNode {
                         self.request_tail(ctx);
                     }
                 }
-                return;
             }
             Ok(PoolResp::Journal { batches, tail_sn, .. }) => {
-                self.apply_tail(batches);
-                if self.role == HaRole::Draining && self.cursor.max_sn() >= tail_sn {
+                self.nn.replay(&batches);
+                if self.role == HaRole::Draining && self.nn.replayed_sn() >= tail_sn {
                     self.role = HaRole::Transitioning;
-                    ctx.trace("ha.drained", || format!("sn {}", self.cursor.max_sn()));
+                    ctx.trace("ha.drained", || format!("sn {}", self.nn.replayed_sn()));
                     ctx.set_timer(HA_TRANSITION_COST, T_TRANSITION_DONE);
                 }
-                return;
             }
-            Ok(_) => return,
-            Err(m) => m,
-        };
-        if let Ok(MdsReq::Op { op, seq, .. }) = msg.downcast::<MdsReq>() {
-            if self.role != HaRole::Active {
-                ctx.send(from, MdsResp::NotActive { seq });
-                return;
-            }
-            self.ingress.push(from, op, seq, None);
+            Ok(_) => {}
+            Err(msg) => self.nn.admit(ctx, from, msg, active),
         }
     }
 }
@@ -306,36 +212,17 @@ pub fn build(sim: &mut Sim, coord: NodeId) -> (NodeId, NodeId, Vec<NodeId>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mams_cluster::metrics::Metrics;
-    use mams_cluster::mttr::mttr_from_completions;
-    use mams_cluster::workload::Workload;
-    use mams_cluster::{ClientConfig, FsClient};
-    use mams_coord::{CoordConfig, CoordServer};
-    use mams_namespace::Partitioner;
-    use mams_sim::{DetRng, Sim, SimConfig, SimTime};
+    use mams_cluster::KillRig;
+    use mams_sim::{SimConfig, SimTime};
 
     #[test]
     fn failover_in_the_paper_band() {
-        let mut sim = Sim::new(SimConfig::default());
-        let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
-        let (active, _standby, _jns) = build(&mut sim, coord);
-        let m = Metrics::new(true);
-        let cfg = ClientConfig::new(coord, Partitioner::new(1));
-        sim.add_node(
-            "client",
-            Box::new(FsClient::new(
-                cfg,
-                Workload::create_only(0),
-                m.clone(),
-                DetRng::seed_from_u64(4),
-            )),
-        );
-        let kill = SimTime(10_000_000);
-        sim.at(kill, move |s| s.crash(active));
-        sim.run_for(Duration::from_secs(60));
-        let outages = mttr_from_completions(&m.completions(), &[kill.micros()]);
-        assert_eq!(outages.len(), 1);
-        let mttr = outages[0].mttr_secs();
+        let mut rig = KillRig::new(SimConfig::default());
+        let (active, _standby, _jns) = build(&mut rig.sim, rig.coord);
+        rig.add_client(4, |_| {});
+        let mttr = rig
+            .mttr_after(SimTime(10_000_000), move |s| s.crash(active), SimTime(60_000_000))
+            .expect("service must recover");
         // Paper band: 15–19 s.
         assert!((14.0..22.0).contains(&mttr), "HA MTTR {mttr:.1}s");
     }

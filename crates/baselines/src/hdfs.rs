@@ -2,126 +2,67 @@
 //! reliability mechanism (and no recovery — if the namenode dies, the file
 //! system is down, which is exactly the paper's motivation).
 
-use mams_coord::{CoordClient, Incoming};
-use mams_core::{CpuModel, Ingress, MdsReq};
-use mams_namespace::NamespaceTree;
+use std::collections::HashMap;
+
 use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim};
 
-use crate::common::{exec_op, reply, RetryCache};
+use crate::common::{NameNode, PendingReply, FLUSH_INTERVAL, T_FLUSH};
 
-const T_FLUSH: u64 = 1;
-/// Flush-completion timers are `T_DISK_BASE + token`.
+/// Flush-completion timers are `T_DISK_BASE + n`.
 const T_DISK_BASE: u64 = 1_000;
 
-/// Journal batch aggregation interval (same as MAMS for fairness).
-const FLUSH_INTERVAL: Duration = Duration::from_millis(2);
 /// Local edit-log fsync latency.
 const DISK_LATENCY: Duration = Duration::from_micros(1_500);
 
 /// The single namenode.
 pub struct HdfsNameNode {
-    coord: CoordClient,
-    ns: NamespaceTree,
-    next_block: u64,
-    retry: RetryCache,
-    /// Mutation replies awaiting the next flush.
-    pending: Vec<crate::common::PendingReply>,
+    /// No journaling CPU on top of the base cost: the local edit-log
+    /// append is amortized by group commit.
+    nn: NameNode,
     /// Flushes whose disk write is in progress, by timer token.
-    flushing: std::collections::HashMap<u64, Vec<crate::common::PendingReply>>,
+    flushing: HashMap<u64, Vec<PendingReply>>,
     next_disk_token: u64,
-    ingress: Ingress,
-    cpu: CpuModel,
 }
 
 impl HdfsNameNode {
     pub fn new(coord: NodeId) -> Self {
         HdfsNameNode {
-            coord: CoordClient::new(coord, Duration::from_secs(2)),
-            ns: NamespaceTree::new(),
-            next_block: 1,
-            retry: RetryCache::new(),
-            pending: Vec::new(),
-            flushing: std::collections::HashMap::new(),
+            nn: NameNode::new(coord, Duration::ZERO),
+            flushing: HashMap::new(),
             next_disk_token: T_DISK_BASE,
-            ingress: Ingress::default(),
-            cpu: CpuModel::default(),
         }
-    }
-
-    fn serve(&mut self, ctx: &mut Ctx<'_>, from: NodeId, op: mams_core::FsOp, seq: u64) {
-        if let Some(cached) = self.retry.check(from, seq) {
-            ctx.send(from, cached);
-            return;
-        }
-        match exec_op(&mut self.ns, &mut self.next_block, &op) {
-            Ok((txn, out)) => {
-                if txn.is_some() {
-                    self.pending.push((from, seq, Ok(out)));
-                } else {
-                    reply(&mut self.retry, ctx, from, seq, Ok(out));
-                }
-            }
-            Err(e) => reply(&mut self.retry, ctx, from, seq, Err(e)),
-        }
-    }
-
-    fn flush(&mut self, ctx: &mut Ctx<'_>) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let batch = std::mem::take(&mut self.pending);
-        let token = self.next_disk_token;
-        self.next_disk_token += 1;
-        self.flushing.insert(token, batch);
-        ctx.set_timer(DISK_LATENCY, token);
     }
 }
 
 impl Node for HdfsNameNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.coord.start(ctx);
-        ctx.set_timer(FLUSH_INTERVAL, T_FLUSH);
+        self.nn.start(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.coord.on_timer(ctx, token) {
+        if self.nn.heartbeat(ctx, token) {
             return;
         }
         if token == T_FLUSH {
-            // No journaling CPU on top of the base cost: the local edit-log
-            // append is amortized by group commit.
-            for item in self.ingress.drain(FLUSH_INTERVAL, self.cpu) {
-                if let mams_core::IngressItem::Client { from, op, seq, .. } = item {
-                    self.serve(ctx, from, op, seq);
-                }
+            self.nn.drain(ctx, NameNode::serve);
+            // Durable once the local disk has the edits.
+            if let Some((_edits, replies)) = self.nn.seal() {
+                let token = self.next_disk_token;
+                self.next_disk_token += 1;
+                self.flushing.insert(token, replies);
+                ctx.set_timer(DISK_LATENCY, token);
             }
-            self.flush(ctx);
             ctx.set_timer(FLUSH_INTERVAL, T_FLUSH);
         } else if let Some(replies) = self.flushing.remove(&token) {
-            for (to, seq, result) in replies {
-                reply(&mut self.retry, ctx, to, seq, result);
-            }
+            self.nn.release(ctx, replies);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Message) {
-        let msg = match CoordClient::classify(msg) {
-            Ok(Incoming::Resp(mams_coord::CoordResp::Registered)) => {
-                // Publish ourselves as the (only) active for group 0.
-                let me = ctx.id();
-                self.coord.set(ctx, mams_core::keys::active(0), me.to_string(), true);
-                return;
-            }
-            Ok(_) => return,
-            Err(m) => m,
-        };
-        if let Ok(req) = msg.downcast::<MdsReq>() {
-            match req {
-                MdsReq::Op { op, seq, .. } => {
-                    self.ingress.push(from, op, seq, None);
-                }
-                MdsReq::BlockReport { .. } | MdsReq::Checkpoint => {}
-            }
+        // The only namenode is the active for group 0 from its first
+        // registration on.
+        if let Err(msg) = self.nn.on_coord(ctx, msg, true) {
+            self.nn.admit(ctx, from, msg, true);
         }
     }
 }
@@ -139,14 +80,21 @@ mod tests {
     use mams_cluster::workload::Workload;
     use mams_cluster::{ClientConfig, FsClient};
     use mams_coord::{CoordConfig, CoordServer};
+    use mams_core::{FsOp, MdsReq, MdsResp, OpOutput};
     use mams_namespace::Partitioner;
     use mams_sim::{DetRng, Sim, SimConfig};
+    use std::sync::{Arc, Mutex};
+
+    fn boot() -> (Sim, NodeId, NodeId) {
+        let mut sim = Sim::new(SimConfig::default());
+        let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
+        let nn = build(&mut sim, coord);
+        (sim, coord, nn)
+    }
 
     #[test]
     fn serves_clients_through_the_standard_client_library() {
-        let mut sim = Sim::new(SimConfig::default());
-        let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
-        build(&mut sim, coord);
+        let (mut sim, coord, _) = boot();
         let m = Metrics::new(false);
         let cfg = ClientConfig::new(coord, Partitioner::new(1));
         sim.add_node(
@@ -156,5 +104,49 @@ mod tests {
         sim.run_for(Duration::from_secs(10));
         assert!(m.ok_count() > 500, "got {}", m.ok_count());
         assert_eq!(m.failed_count(), 0);
+    }
+
+    /// Creates `/f` under one seq and sends the same request again when its
+    /// reply arrives — the retry of a client whose first reply was slow.
+    struct Retrier {
+        nn: NodeId,
+        replies: Arc<Mutex<Vec<Result<OpOutput, String>>>>,
+    }
+
+    impl Retrier {
+        fn send(&self, ctx: &mut Ctx<'_>) {
+            let op = FsOp::Create { path: "/f".into(), replication: 3 };
+            ctx.send(self.nn, MdsReq::Op { op, seq: 7, acked: 0 });
+        }
+    }
+
+    impl Node for Retrier {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.send(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
+            if let Ok(MdsResp::Reply { seq: 7, result }) = MdsResp::from_message(msg) {
+                let mut replies = self.replies.lock().unwrap();
+                replies.push(result);
+                if replies.len() == 1 {
+                    self.send(ctx);
+                }
+            }
+        }
+    }
+
+    /// No harness sends a duplicate, so this is the front-end's only
+    /// witness: an answered request asked again gets its first answer, not
+    /// a second execution ("already exists").
+    #[test]
+    fn a_retried_request_is_answered_from_the_cache() {
+        let (mut sim, _, nn) = boot();
+        let replies = Arc::new(Mutex::new(Vec::new()));
+        sim.add_node("retrier", Box::new(Retrier { nn, replies: replies.clone() }));
+        sim.run_for(Duration::from_secs(1));
+        let replies = replies.lock().unwrap();
+        assert_eq!(replies.len(), 2);
+        assert!(matches!(&replies[0], Ok(OpOutput::Info(i)) if i.path == "/f"), "{replies:?}");
+        assert_eq!(replies[0], replies[1]);
     }
 }

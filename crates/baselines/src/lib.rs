@@ -21,6 +21,29 @@
 //!   log (`mams-paxos`'s RSM); every mutation pays a consensus round and
 //!   failover pays leader election plus log repair.
 //!
+//! **One front-end.** All five sit behind [`common::NameNode`], which holds
+//! what a comparison must not vary: the coordination session and the
+//! `g/0/active` pointer clients route by, the namespace and block cursor,
+//! the bounded admission queue under MAMS's CPU model, MAMS's
+//! duplicate-suppression cache, the window of executed-but-unsealed
+//! mutations with their replies, and the standby's replay cursor — with one
+//! `admit`, `drain`, `serve`, `seal`, `release`, `replay` and
+//! `restart_from_checkpoint`. A baseline module may differ only in what
+//! makes it that system: where a sealed batch must be durable before its
+//! replies go (local-disk timer, fire-and-forget stream, NFS append,
+//! journal quorum, consensus round), how failure is detected (ping budget,
+//! watch on the ephemeral pointer, election timeout), and what takeover
+//! costs (block recollection, fencing and drain, the calibrated constants).
+//! Boom-FS takes admission and the flush tick from the same front-end and
+//! hands what it drains to its RSM instead of [`common::NameNode::serve`].
+//!
+//! Duplicate handling is weaker than MAMS's in ways that are written down
+//! at `serve` and not yet measured: no `RetryCache::begin` (a duplicate of
+//! a mutation still waiting on durability executes again), no `note_acked`
+//! (the receipt watermark is ignored), and Boom-FS does not ask the cache a
+//! second time at its flush tick. No recorded harness sends a duplicate
+//! any comparator's cache answers; one unit test in [`hdfs`] does.
+//!
 //! Where a baseline's cost is driven by machinery we do not simulate at
 //! full fidelity (Avatar's VIP switch, the HA namenode's state transition),
 //! the cost appears as a **named, documented calibration constant** derived

@@ -9,63 +9,37 @@
 
 use mams_baselines::{avatar, backupnode, hadoop_ha, FsScale};
 use mams_bench::{arr, obj, print_table, save_json};
-use mams_cluster::deploy::{build, DeploySpec};
-use mams_cluster::metrics::Metrics;
-use mams_cluster::mttr::mttr_from_completions;
-use mams_cluster::workload::Workload;
-use mams_cluster::{ClientConfig, FsClient};
-use mams_coord::{CoordConfig, CoordServer};
-use mams_namespace::Partitioner;
-use mams_sim::{DetRng, Sim, SimConfig, SimTime};
+use mams_cluster::deploy::DeploySpec;
+use mams_cluster::KillRig;
+use mams_sim::{SimConfig, SimTime};
 
 const IMAGE_MB: [u64; 7] = [16, 32, 64, 128, 256, 512, 1024];
 const REPS: u64 = 5;
 const KILL_AT: SimTime = SimTime(15_000_000);
 
 fn run_one(system: &str, image_mb: u64, seed: u64) -> Option<f64> {
-    let mut sim = Sim::new(SimConfig { seed, trace: true, ..SimConfig::default() });
-    let metrics = Metrics::new(true);
+    let cfg = SimConfig { seed, trace: true, ..SimConfig::default() };
+    let (rig, victim) = if system == "MAMS-1A3S" {
+        // Image size does not enter MAMS failover: the standbys are hot
+        // and the data servers already report blocks to them.
+        let spec = DeploySpec { groups: 1, standbys_per_group: 3, ..DeploySpec::default() };
+        let (rig, d) = KillRig::deployed(cfg, spec);
+        (rig, d.initial_active(0))
+    } else {
+        let mut rig = KillRig::new(cfg);
+        let (sim, coord) = (&mut rig.sim, rig.coord);
+        let victim = match system {
+            "BackupNode" => backupnode::build(sim, coord, FsScale::from_image_mb(image_mb)).0,
+            "Hadoop Avatar" => avatar::build(sim, coord).0,
+            "Hadoop HA" => hadoop_ha::build(sim, coord).0,
+            other => panic!("unknown system {other}"),
+        };
+        rig.add_client(seed ^ 0xC11E, |_| {});
+        (rig, victim)
+    };
     // Generous horizon: BackupNode at 1 GB needs ~2.5 virtual minutes.
-    let horizon = SimTime(15_000_000 + 200_000_000);
-
-    match system {
-        "MAMS-1A3S" => {
-            // Image size does not enter MAMS failover: the standbys are hot
-            // and the data servers already report blocks to them.
-            let mut d = build(
-                &mut sim,
-                DeploySpec { groups: 1, standbys_per_group: 3, ..DeploySpec::default() },
-            );
-            d.add_client(&mut sim, Workload::create_only(0), metrics.clone());
-            let victim = d.initial_active(0);
-            sim.at(KILL_AT, move |s| s.crash(victim));
-        }
-        _ => {
-            let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
-            let victim = match system {
-                "BackupNode" => {
-                    backupnode::build(&mut sim, coord, FsScale::from_image_mb(image_mb)).0
-                }
-                "Hadoop Avatar" => avatar::build(&mut sim, coord).0,
-                "Hadoop HA" => hadoop_ha::build(&mut sim, coord).0,
-                other => panic!("unknown system {other}"),
-            };
-            let cfg = ClientConfig::new(coord, Partitioner::new(1));
-            sim.add_node(
-                "client",
-                Box::new(FsClient::new(
-                    cfg,
-                    Workload::create_only(0),
-                    metrics.clone(),
-                    DetRng::seed_from_u64(seed ^ 0xC11E),
-                )),
-            );
-            sim.at(KILL_AT, move |s| s.crash(victim));
-        }
-    }
-    sim.run_until(horizon);
-    let outages = mttr_from_completions(&metrics.completions(), &[KILL_AT.micros()]);
-    outages.first().map(|o| o.mttr_secs())
+    let horizon = SimTime(KILL_AT.micros() + 200_000_000);
+    rig.mttr_after(KILL_AT, move |s| s.crash(victim), horizon)
 }
 
 fn mean_mttr(system: &str, image_mb: u64) -> f64 {

@@ -9,6 +9,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use mams_chaos::active_of;
 use mams_cluster::deploy::Deployment;
 use mams_cluster::metrics::Metrics;
 use mams_cluster::workload::Workload;
@@ -63,21 +64,6 @@ pub fn save_json(name: &str, value: &Value) {
         }
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
-}
-
-/// The current active of group 0 according to the recorded view trace.
-pub fn current_active(sim: &Sim) -> Option<NodeId> {
-    for e in sim.trace().events().iter().rev() {
-        if e.tag == "view.set" {
-            if let Some(rest) = e.detail.strip_prefix("g/0/active=") {
-                return rest.parse().ok();
-            }
-        }
-        if e.tag == "view.del" && e.detail == "g/0/active" {
-            return None;
-        }
-    }
-    None
 }
 
 /// Throughput of a workload against an already-built deployment:
@@ -175,7 +161,7 @@ pub fn reconstruct_states(sim: &Sim, members: &[NodeId]) -> Vec<(f64, Vec<String
 /// Schedule "make whoever is active at `at` lose the lock" (Test A).
 pub fn expire_current_active_at(sim: &mut Sim, coord: NodeId, at: SimTime) {
     sim.at(at, move |s| {
-        if let Some(victim) = current_active(s) {
+        if let Some(victim) = active_of(s, 0) {
             s.send_external(coord, mams_coord::CoordReq::ForceExpire { victim });
         }
     });
@@ -184,7 +170,7 @@ pub fn expire_current_active_at(sim: &mut Sim, coord: NodeId, at: SimTime) {
 /// Schedule "unplug whoever is active at `at` for `down`" (Test B).
 pub fn unplug_current_active_at(sim: &mut Sim, at: SimTime, down: Duration) {
     sim.at(at, move |s| {
-        if let Some(victim) = current_active(s) {
+        if let Some(victim) = active_of(s, 0) {
             mams_cluster::faults::schedule_unplug(s, victim, s.now(), down);
         }
     });
@@ -193,7 +179,7 @@ pub fn unplug_current_active_at(sim: &mut Sim, at: SimTime, down: Duration) {
 /// Schedule "kill whoever is active at `at`, restart after `down`" (Test C).
 pub fn crash_current_active_at(sim: &mut Sim, at: SimTime, down: Duration) {
     sim.at(at, move |s| {
-        if let Some(victim) = current_active(s) {
+        if let Some(victim) = active_of(s, 0) {
             s.crash(victim);
             s.after(down, move |s2| s2.restart(victim));
         }
@@ -208,7 +194,7 @@ mod tests {
     use mams_sim::SimConfig;
 
     #[test]
-    fn current_active_tracks_the_view_trace() {
+    fn the_active_is_read_off_the_view_trace() {
         let mut sim = Sim::new(SimConfig::default());
         let mut d = build(
             &mut sim,
@@ -217,12 +203,12 @@ mod tests {
         let m = Metrics::new(false);
         d.add_client(&mut sim, W::create_only(0), m);
         sim.run_for(Duration::from_secs(2));
-        assert_eq!(current_active(&sim), Some(d.initial_active(0)));
+        assert_eq!(active_of(&sim, 0), Some(d.initial_active(0)));
         // After a failover, the helper reports the new active.
         let old = d.initial_active(0);
         sim.after(Duration::ZERO, move |s| s.crash(old));
         sim.run_for(Duration::from_secs(12));
-        let now = current_active(&sim).expect("an active exists");
+        let now = active_of(&sim, 0).expect("an active exists");
         assert_ne!(now, old);
         assert!(d.groups[0].members.contains(&now));
     }

@@ -187,22 +187,6 @@ fn apply(sim: &mut Sim, topo: &Topology, kind: &FaultKind) {
                 );
             }
         }
-        FaultKind::ShapeLink { a, b, factor, loss, clear_ms } => {
-            let (na, nb) = (resolve(sim, topo, *a), resolve(sim, topo, *b));
-            if let (Some(na), Some(nb)) = (na, nb) {
-                let shape = mams_sim::LinkShape {
-                    latency_factor: *factor,
-                    loss: *loss,
-                    ..Default::default()
-                };
-                sim.net_mut().shape_link(na, nb, shape);
-                if let Some(ms) = clear_ms {
-                    sim.after(Duration::from_millis(*ms), move |s| {
-                        s.net_mut().clear_link_shape(na, nb);
-                    });
-                }
-            }
-        }
         FaultKind::GlobalLoss(p) => sim.net_mut().set_loss_probability(*p),
         FaultKind::GlobalDup(p) => sim.net_mut().set_dup_probability(*p),
         FaultKind::ClockSkew { node, factor } => {
@@ -211,36 +195,16 @@ fn apply(sim: &mut Sim, topo: &Topology, kind: &FaultKind) {
             }
         }
         FaultKind::CorruptImage { group } => {
-            // Reach into the shared pool directly: this models bit rot on
-            // the stored image, not a protocol message.
-            let g = *group;
-            let sp = TOPO_POOL.with(|p| p.borrow().clone());
-            if let Some(sp) = sp {
-                let hit = sp.lock().group_mut(g).corrupt_image();
-                let now = sim.now();
-                sim.trace_mut()
-                    .record(now, u32::MAX, "chaos.corrupt_image", || format!("g{g} hit={hit}"));
-            }
+            let hit = topo.shared_pool.lock().group_mut(*group).corrupt_image();
+            trace_pool_fault(sim, "chaos.corrupt_image", format!("g{group} hit={hit}"));
         }
         FaultKind::CorruptDelta { group } => {
-            let g = *group;
-            let sp = TOPO_POOL.with(|p| p.borrow().clone());
-            if let Some(sp) = sp {
-                let hit = sp.lock().group_mut(g).corrupt_delta();
-                let now = sim.now();
-                sim.trace_mut()
-                    .record(now, u32::MAX, "chaos.corrupt_delta", || format!("g{g} hit={hit}"));
-            }
+            let hit = topo.shared_pool.lock().group_mut(*group).corrupt_delta();
+            trace_pool_fault(sim, "chaos.corrupt_delta", format!("g{group} hit={hit}"));
         }
         FaultKind::CompactPool { group } => {
-            let g = *group;
-            let sp = TOPO_POOL.with(|p| p.borrow().clone());
-            if let Some(sp) = sp {
-                let outcome = sp.lock().group_mut(g).compact();
-                let now = sim.now();
-                sim.trace_mut()
-                    .record(now, u32::MAX, "chaos.compact_pool", || format!("g{g} {outcome:?}"));
-            }
+            let outcome = topo.shared_pool.lock().group_mut(*group).compact();
+            trace_pool_fault(sim, "chaos.compact_pool", format!("g{group} {outcome:?}"));
         }
         FaultKind::ClearNetwork => {
             let net = sim.net_mut();
@@ -252,11 +216,9 @@ fn apply(sim: &mut Sim, topo: &Topology, kind: &FaultKind) {
     }
 }
 
-thread_local! {
-    /// The running scenario's shared pool, visible to `CorruptImage`
-    /// actions (fault closures only get `&mut Sim`).
-    static TOPO_POOL: std::cell::RefCell<Option<mams_storage::pool::SharedPool>> =
-        const { std::cell::RefCell::new(None) };
+fn trace_pool_fault(sim: &mut Sim, tag: &'static str, detail: String) {
+    let now = sim.now();
+    sim.trace_mut().record(now, u32::MAX, tag, || detail);
 }
 
 /// Run one scenario once. Deterministic in `(scenario, cfg)`.
@@ -279,8 +241,8 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
         pool: deployment.pool.clone(),
         groups: deployment.groups.iter().map(|g| g.members.clone()).collect(),
         clients: Vec::new(),
+        shared_pool: deployment.shared_pool.clone(),
     };
-    TOPO_POOL.with(|p| *p.borrow_mut() = Some(deployment.shared_pool.clone()));
 
     let history = History::new();
     let metrics = Metrics::new(false);
@@ -341,7 +303,6 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
             eprintln!("[trc] {:>9}us n{} {} {}", e.time.micros(), e.node, e.tag, e.detail);
         }
     }
-    TOPO_POOL.with(|p| *p.borrow_mut() = None);
 
     // ---- invariants ----
     let mut invariants = Vec::new();

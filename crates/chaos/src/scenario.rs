@@ -16,6 +16,7 @@
 use mams_cluster::Workload;
 use mams_core::MdsTiming;
 use mams_sim::{DetRng, Duration, NodeId};
+use mams_storage::pool::SharedPool;
 
 /// A symbolic node reference, resolved when the action fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,14 +68,6 @@ pub enum FaultKind {
     SlowNode {
         node: NodeRef,
         factor: f64,
-        clear_ms: Option<u64>,
-    },
-    /// Shape one link: latency factor plus independent loss probability.
-    ShapeLink {
-        a: NodeRef,
-        b: NodeRef,
-        factor: f64,
-        loss: f64,
         clear_ms: Option<u64>,
     },
     /// Network-wide independent message loss.
@@ -692,6 +685,9 @@ pub struct Topology {
     pub groups: Vec<Vec<NodeId>>,
     /// Workload client node ids ([`NodeRef::Clients`]).
     pub clients: Vec<NodeId>,
+    /// The pool's contents, for the faults that damage or compact stored
+    /// artifacts directly (bit rot is not a protocol message).
+    pub shared_pool: SharedPool,
 }
 
 #[cfg(test)]

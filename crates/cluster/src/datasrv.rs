@@ -13,13 +13,6 @@ use mams_sim::{Ctx, Duration, Message, Node, NodeId};
 
 const T_REPORT: u64 = 1;
 
-/// Harness → data server: change the held-block set.
-#[derive(Debug, Clone)]
-pub enum DataSrvCtl {
-    AddBlocks(Vec<u64>),
-    DropBlocks(Vec<u64>),
-}
-
 /// A data server holding a set of block replicas and reporting them to
 /// every metadata server on a fixed cadence.
 pub struct DataServer {
@@ -62,18 +55,7 @@ impl Node for DataServer {
         }
     }
 
-    fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
-        if let Ok(ctl) = msg.downcast::<DataSrvCtl>() {
-            match ctl {
-                DataSrvCtl::AddBlocks(b) => self.held.extend(b),
-                DataSrvCtl::DropBlocks(b) => {
-                    for x in b {
-                        self.held.remove(&x);
-                    }
-                }
-            }
-        }
-    }
+    fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _msg: Message) {}
 }
 
 #[cfg(test)]
@@ -96,23 +78,17 @@ mod tests {
     }
 
     #[test]
-    fn reports_flow_periodically_and_reflect_control() {
+    fn reports_flow_periodically() {
         let mut sim = Sim::new(SimConfig::default());
         let reports = Arc::new(Mutex::new(Vec::new()));
         let sink = sim.add_node("mds", Box::new(Sink { reports: reports.clone() }));
-        let ds = sim.add_node(
+        sim.add_node(
             "ds",
             Box::new(DataServer::new(7, vec![sink], Duration::from_secs(1)).with_blocks([1, 2, 3])),
         );
         sim.run_for(Duration::from_millis(2_500));
-        {
-            let r = reports.lock();
-            assert!(r.len() >= 3, "initial + 2 periodic, got {}", r.len());
-            assert!(r.iter().all(|&(id, n)| id == 7 && n == 3));
-        }
-        sim.send_external(ds, DataSrvCtl::AddBlocks(vec![4, 5]));
-        sim.run_for(Duration::from_millis(1_100));
         let r = reports.lock();
-        assert_eq!(r.last().unwrap().1, 5, "new blocks show in the next report");
+        assert!(r.len() >= 3, "initial + 2 periodic, got {}", r.len());
+        assert!(r.iter().all(|&(id, n)| id == 7 && n == 3));
     }
 }

@@ -7,7 +7,16 @@
 //! i.e. for each injected failure, the span from the first failed/blocked
 //! operation to the first successful operation after recovery.
 
-use crate::metrics::Completion;
+use std::sync::Arc;
+
+use mams_coord::{CoordConfig, CoordServer};
+use mams_namespace::Partitioner;
+use mams_sim::{DetRng, NodeId, Sim, SimConfig, SimTime};
+
+use crate::client::{ClientConfig, FsClient};
+use crate::deploy::{build, DeploySpec, Deployment};
+use crate::metrics::{Completion, Metrics};
+use crate::workload::Workload;
 
 /// One measured outage.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,6 +61,59 @@ pub fn mean_mttr_secs(outages: &[OutageStats]) -> Option<f64> {
         return None;
     }
     Some(outages.iter().map(|o| o.mttr_secs()).sum::<f64>() / outages.len() as f64)
+}
+
+/// The kill-and-measure rig behind every MTTR comparison: a system that
+/// publishes group 0's active at `coord`, one closed-loop client creating
+/// files against it, the serving node crashed mid-run.
+pub struct KillRig {
+    pub sim: Sim,
+    pub coord: NodeId,
+    metrics: Arc<Metrics>,
+}
+
+impl KillRig {
+    /// A simulation holding a coordination server and nothing else: the
+    /// caller adds the system under test to `sim`, then the client.
+    pub fn new(cfg: SimConfig) -> KillRig {
+        let mut sim = Sim::new(cfg);
+        let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
+        KillRig { sim, coord, metrics: Metrics::new(true) }
+    }
+
+    /// The rig over a MAMS cluster, which brings its own coordinator; the
+    /// client is the deployment's first.
+    pub fn deployed(cfg: SimConfig, spec: DeploySpec) -> (KillRig, Deployment) {
+        let mut sim = Sim::new(cfg);
+        let mut d = build(&mut sim, spec);
+        let metrics = Metrics::new(true);
+        d.add_client(&mut sim, Workload::create_only(0), metrics.clone());
+        (KillRig { sim, coord: d.coord, metrics }, d)
+    }
+
+    /// The client, drawing from `rng_seed`; `tune` may adjust its config.
+    pub fn add_client(&mut self, rng_seed: u64, tune: impl FnOnce(&mut ClientConfig)) {
+        let mut cfg = ClientConfig::new(self.coord, Partitioner::new(1));
+        tune(&mut cfg);
+        let rng = DetRng::seed_from_u64(rng_seed);
+        let client = FsClient::new(cfg, Workload::create_only(0), self.metrics.clone(), rng);
+        self.sim.add_node("client", Box::new(client));
+    }
+
+    /// Run `kill` at `kill_at` and the simulation until `until`: the span in
+    /// seconds from the client's last success before the kill to its first
+    /// after it, `None` if service never came back.
+    pub fn mttr_after(
+        mut self,
+        kill_at: SimTime,
+        kill: impl FnOnce(&mut Sim) + Send + 'static,
+        until: SimTime,
+    ) -> Option<f64> {
+        self.sim.at(kill_at, kill);
+        self.sim.run_until(until);
+        let outages = mttr_from_completions(&self.metrics.completions(), &[kill_at.micros()]);
+        outages.first().map(OutageStats::mttr_secs)
+    }
 }
 
 #[cfg(test)]

@@ -371,10 +371,10 @@ fn automatic_checkpoints_bound_the_shared_journal() {
     assert!(checkpoints >= 3, "only {checkpoints} checkpoints");
     let pool = d.shared_pool.lock();
     let g = pool.group(0).expect("journal");
-    let img = g.image().expect("image present");
-    assert!(img.checkpoint_sn > 0);
+    let checkpoint_sn = g.manifest().base().expect("image present").end_sn;
+    assert!(checkpoint_sn > 0);
     // The retained journal tail is short relative to total history.
-    let tail_len = g.read_journal(img.checkpoint_sn, usize::MAX).unwrap().len();
+    let tail_len = g.read_journal(checkpoint_sn, usize::MAX).unwrap().len();
     let total_sn = g.tail_sn();
     assert!(
         (tail_len as u64) < total_sn / 2,

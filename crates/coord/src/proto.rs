@@ -38,9 +38,6 @@ pub enum CoordReq {
     /// stale epoch and must not free a lock the sender has since
     /// re-acquired.
     ReleaseLock { path: String, epoch: u64, req: ReqId },
-    /// Deliberately drop the sender's session (Test A forces the active to
-    /// lose the lock this way).
-    Expire,
     /// Harness-only: drop `victim`'s session ("modifying the global view to
     /// make the active lose the lock", Test A).
     ForceExpire { victim: u32 },

@@ -1,6 +1,6 @@
 //! The coordination server node.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use mams_sim::{Ctx, Duration, Message, Node, NodeId, SimTime};
 
@@ -42,9 +42,11 @@ struct LockState {
 /// The global-view / lock / watch service.
 pub struct CoordServer {
     cfg: CoordConfig,
-    sessions: HashMap<NodeId, SimTime>,
+    /// Ordered, like `locks`: the expiry scan and `expire_session` iterate
+    /// them, and every send is a latency draw from the one rng.
+    sessions: BTreeMap<NodeId, SimTime>,
     keys: BTreeMap<String, Entry>,
-    locks: HashMap<String, LockState>,
+    locks: BTreeMap<String, LockState>,
     /// (watcher, prefix) pairs; persistent.
     watches: Vec<(NodeId, String)>,
 }
@@ -53,9 +55,9 @@ impl CoordServer {
     pub fn new(cfg: CoordConfig) -> Self {
         CoordServer {
             cfg,
-            sessions: HashMap::new(),
+            sessions: BTreeMap::new(),
             keys: BTreeMap::new(),
-            locks: HashMap::new(),
+            locks: BTreeMap::new(),
             watches: Vec::new(),
         }
     }
@@ -272,9 +274,6 @@ impl Node for CoordServer {
                     self.release_lock(ctx, &path, false);
                 }
                 ctx.send(from, CoordResp::LockReleased { path, req });
-            }
-            CoordReq::Expire => {
-                self.expire_session(ctx, from);
             }
             CoordReq::ForceExpire { victim } => {
                 self.expire_session(ctx, victim);
@@ -659,7 +658,7 @@ mod more_tests {
                     CoordReq::Register,
                     CoordReq::Watch { prefix: "k/".into(), req: 1 },
                     // Kill our own session, then come back.
-                    CoordReq::Expire,
+                    CoordReq::ForceExpire { victim: 1 },
                     CoordReq::Register,
                     CoordReq::Multi {
                         ops: vec![KeyOp::Set {

@@ -101,26 +101,6 @@ pub struct MdsConfig {
     pub timing: MdsTiming,
 }
 
-impl MdsConfig {
-    /// Minimal config for a single-group deployment.
-    pub fn single_group(
-        members: Vec<NodeId>,
-        coord: NodeId,
-        pool: Vec<NodeId>,
-        initial_role: InitialRole,
-    ) -> Self {
-        MdsConfig {
-            group: 0,
-            members,
-            coord,
-            pool,
-            partitioner: Partitioner::new(1),
-            initial_role,
-            timing: MdsTiming::default(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,13 +115,5 @@ mod tests {
         assert_eq!(t.coord_lease(), Duration::from_secs(4));
         assert_eq!(t.view_refresh(), Duration::from_secs(1));
         assert!(t.coord_lease() < mams_coord::CoordConfig::default().session_timeout);
-    }
-
-    #[test]
-    fn single_group_builder() {
-        let c = MdsConfig::single_group(vec![1, 2, 3], 0, vec![4], InitialRole::Standby);
-        assert_eq!(c.group, 0);
-        assert_eq!(c.partitioner.groups(), 1);
-        assert_eq!(c.initial_role, InitialRole::Standby);
     }
 }

@@ -584,10 +584,11 @@ impl MdsServer {
             return;
         }
         // Renewing: report progress; keep paging until we reach the
-        // shared journal's tail, then wait for the final stage.
+        // shared journal's tail. The session ends there: the final
+        // synchronization range is the active's to push.
         self.report_progress(ctx);
         if caught_up {
-            self.set_catchup(Some(CatchupStage::Final));
+            self.set_catchup(None);
         } else {
             self.pump_journal_pages(ctx);
         }

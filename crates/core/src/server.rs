@@ -177,7 +177,9 @@ impl Inflight {
 }
 
 /// Progress of a catch-up session — the one ladder (manifest → chain →
-/// journal → final) by which a member pulls state from the pool. Only a
+/// journal) by which a member pulls state from the pool; a renewing junior
+/// that reaches the tail holds no session while it waits for the active's
+/// final synchronization range. Only a
 /// renewing junior and the elected member inside the switch run it, and
 /// which of the two is running is `MdsServer::role`.
 #[derive(Debug)]
@@ -203,8 +205,6 @@ pub(crate) enum CatchupStage {
     /// page boundary, and `tail_hint` bounds speculation (the last tail sn
     /// any pool response reported; 0 until the first response).
     Journal { inflight: usize, next_after: Sn, tail_hint: Sn },
-    /// Waiting for the active's final synchronization range.
-    Final,
 }
 
 /// Active-side renewing session (one junior at a time, per the paper).

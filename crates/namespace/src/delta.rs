@@ -92,15 +92,6 @@ impl DeltaImage {
     pub fn size_bytes(&self) -> u64 {
         self.data.len() as u64
     }
-
-    /// A chunk `[offset, offset + len)` of the encoded bytes, clamped to
-    /// the end (resumable transfer, same contract as the base image).
-    pub fn chunk(&self, offset: u64, len: u64) -> Bytes {
-        let size = self.data.len() as u64;
-        let start = offset.min(size) as usize;
-        let end = offset.saturating_add(len).min(size) as usize;
-        self.data.slice(start..end)
-    }
 }
 
 /// A decoded delta, ready to apply.
@@ -507,20 +498,6 @@ pub fn decode_delta(data: &[u8]) -> Result<DecodedDelta, ImageError> {
     Ok(DecodedDelta { base_sn, end_sn, entries, window })
 }
 
-/// Peek a delta artifact's `(base_sn, end_sn)` without a full decode (the
-/// header is fixed-position). Checksum is *not* verified here.
-pub fn peek_delta_range(data: &[u8]) -> Option<(Sn, Sn)> {
-    if data.len() < HEADER_LEN {
-        return None;
-    }
-    if u32::from_be_bytes(data[0..4].try_into().ok()?) != DELTA_MAGIC {
-        return None;
-    }
-    let base = u64::from_be_bytes(data[6..14].try_into().ok()?);
-    let end = u64::from_be_bytes(data[14..22].try_into().ok()?);
-    Some((base, end))
-}
-
 fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     let mut n = 0;
     // Cap at b.len() - 1 so every entry emits at least one suffix byte and
@@ -804,13 +781,6 @@ mod tests {
             bad[i] ^= 0x55;
             assert!(decode_delta(&bad).is_err(), "flip at byte {i} must not decode");
         }
-    }
-
-    #[test]
-    fn peek_reads_range_without_decode() {
-        let delta = fold_delta(&NamespaceTree::new(), 7, 19, []);
-        assert_eq!(peek_delta_range(&delta.data), Some((7, 19)));
-        assert_eq!(peek_delta_range(b"short"), None);
     }
 
     #[test]

@@ -92,15 +92,6 @@ impl NamespaceImage {
     pub fn version(&self) -> Option<u16> {
         self.data.get(4..6).map(|b| u16::from_be_bytes([b[0], b[1]]))
     }
-
-    /// A chunk `[offset, offset + len)` of the encoded bytes, clamped to the
-    /// image end. Used by the resumable transfer in the renewing protocol.
-    pub fn chunk(&self, offset: u64, len: u64) -> Bytes {
-        let size = self.data.len() as u64;
-        let start = offset.min(size) as usize;
-        let end = offset.saturating_add(len).min(size) as usize;
-        self.data.slice(start..end)
-    }
 }
 
 // ------------------------------------------------------------------ encode
@@ -675,35 +666,6 @@ mod tests {
         assert!(matches!(err, ImageError::Corrupt(_)));
         assert_eq!(d.push(b"more").unwrap_err(), err);
         assert_eq!(d.finish().unwrap_err(), err);
-    }
-
-    #[test]
-    fn chunks_cover_exactly_the_image() {
-        let img = encode_image(&sample_tree(), 1);
-        let mut reassembled = Vec::new();
-        let chunk = 37u64;
-        let mut off = 0u64;
-        loop {
-            let c = img.chunk(off, chunk);
-            if c.is_empty() {
-                break;
-            }
-            reassembled.extend_from_slice(&c);
-            off += c.len() as u64;
-        }
-        assert_eq!(Bytes::from(reassembled), img.data);
-        // Past-the-end chunks are empty, not panics.
-        assert!(img.chunk(img.size_bytes() + 100, 10).is_empty());
-    }
-
-    #[test]
-    fn chunk_survives_u64_overflow_offsets() {
-        let img = encode_image(&sample_tree(), 1);
-        // Regression: `offset + len` used to overflow u64 and panic.
-        assert!(img.chunk(u64::MAX, 10).is_empty());
-        assert!(img.chunk(u64::MAX, u64::MAX).is_empty());
-        let tail = img.chunk(1, u64::MAX);
-        assert_eq!(tail.len(), img.data.len() - 1);
     }
 
     #[test]

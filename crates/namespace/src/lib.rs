@@ -24,8 +24,8 @@ pub mod tree;
 
 pub use blocks::{BlockInfo, BlockMap};
 pub use delta::{
-    apply_delta, decode_delta, fold_delta, fold_delta_with_window, peek_delta_range, DecodedDelta,
-    DeltaEntry, DeltaImage, DeltaNamespace, DeltaOp, DELTA_MAGIC, DELTA_VERSION,
+    apply_delta, decode_delta, fold_delta, fold_delta_with_window, DecodedDelta, DeltaEntry,
+    DeltaImage, DeltaNamespace, DeltaOp, DELTA_MAGIC, DELTA_VERSION,
 };
 pub use image::{
     decode_image, decode_image_with_window, encode_image, encode_image_with_window,

@@ -3,7 +3,6 @@
 //! slot), so a slot's acceptor sees phase 2 only.
 
 use crate::ballot::Ballot;
-use crate::messages::Value;
 
 /// Reply to a phase-2 `Accept`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -12,20 +11,26 @@ pub enum AcceptReply {
     Nack { promised: Ballot },
 }
 
-/// Single-instance acceptor state machine.
-#[derive(Debug, Clone, Default)]
-pub struct Acceptor {
+/// Single-instance acceptor state machine over values of type `V`.
+#[derive(Debug, Clone)]
+pub struct Acceptor<V> {
     promised: Option<Ballot>,
-    accepted: Option<(Ballot, Value)>,
+    accepted: Option<(Ballot, V)>,
 }
 
-impl Acceptor {
+impl<V> Default for Acceptor<V> {
+    fn default() -> Self {
+        Acceptor { promised: None, accepted: None }
+    }
+}
+
+impl<V> Acceptor<V> {
     pub fn new() -> Self {
         Acceptor::default()
     }
 
     /// Phase 2: handle `Accept(ballot, value)`.
-    pub fn on_accept(&mut self, ballot: Ballot, value: Value) -> AcceptReply {
+    pub fn on_accept(&mut self, ballot: Ballot, value: V) -> AcceptReply {
         match self.promised {
             Some(p) if p > ballot => AcceptReply::Nack { promised: p },
             _ => {
@@ -37,7 +42,7 @@ impl Acceptor {
     }
 
     /// The highest-ballot value this acceptor has accepted.
-    pub fn accepted(&self) -> Option<&(Ballot, Value)> {
+    pub fn accepted(&self) -> Option<&(Ballot, V)> {
         self.accepted.as_ref()
     }
 }
@@ -50,7 +55,7 @@ mod tests {
     fn b(round: u64, p: u32) -> Ballot {
         Ballot::new(round, p)
     }
-    fn v(s: &str) -> Value {
+    fn v(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
     }
 

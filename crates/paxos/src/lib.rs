@@ -8,13 +8,13 @@
 //!
 //! This crate provides [`rsm::RsmNode`] — a multi-decree replicated log
 //! (multi-Paxos with a stable leader, Raft-flavored commit rule) that runs
-//! on the simulator — over a per-slot [`Acceptor`].
+//! on the simulator — over a per-slot [`Acceptor`]. The application names
+//! its command, query and reply types ([`rsm::RsmApp`]); simulator messages
+//! are typed values, so nothing is serialized.
 
 pub mod acceptor;
 pub mod ballot;
-pub mod messages;
 pub mod rsm;
 
 pub use acceptor::{AcceptReply, Acceptor};
 pub use ballot::Ballot;
-pub use messages::Value;

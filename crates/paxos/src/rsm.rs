@@ -10,32 +10,41 @@
 //! transition, which leads to additional failover time", Section II).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt::Debug;
 
 use mams_sim::{Ctx, Duration, Message, Node, NodeId};
 
 use crate::acceptor::Acceptor;
 use crate::ballot::Ballot;
-use crate::messages::Value;
 
-/// An accepted slot entry: `(slot, ballot, value)`.
-pub type SlotEntry = (u64, Ballot, Value);
+/// An accepted slot entry: `(slot, ballot, command)`.
+pub type SlotEntry<C> = (u64, Ballot, C);
 
 /// Timer tokens.
 const T_HEARTBEAT: u64 = 1;
 const T_ELECTION: u64 = 2;
 
-/// Application state machine driven by the replicated log.
+/// Application state machine driven by the replicated log. It names what
+/// the log carries: simulator messages are typed values, so a command is
+/// whatever the application applies, never bytes.
 pub trait RsmApp: Send {
+    type Cmd: Clone + Debug + Send + 'static;
+    type Query: Clone + Debug + Send + 'static;
+    type Reply: Clone + Debug + Send + 'static;
+
     /// Apply a committed command (called exactly once per slot, in order).
-    fn apply(&mut self, slot: u64, cmd: &Value);
+    fn apply(&mut self, slot: u64, cmd: &Self::Cmd);
     /// Serve a read-only query (leader-side, after all committed entries
     /// are applied).
-    fn query(&mut self, q: &Value) -> Value;
+    fn query(&mut self, q: &Self::Query) -> Self::Reply;
 }
 
-/// RSM protocol messages.
+/// The messages of an RSM whose application is `A`.
+pub type MsgOf<A> = RsmMsg<<A as RsmApp>::Cmd, <A as RsmApp>::Query, <A as RsmApp>::Reply>;
+
+/// RSM protocol messages over commands `C`, queries `Q` and replies `R`.
 #[derive(Debug, Clone)]
-pub enum RsmMsg {
+pub enum RsmMsg<C, Q, R> {
     /// Phase 1 for all slots ≥ `from_slot`.
     Prepare {
         ballot: Ballot,
@@ -44,7 +53,7 @@ pub enum RsmMsg {
     /// Promise carrying the acceptor's accepted entries ≥ `from_slot`.
     Promise {
         ballot: Ballot,
-        entries: Vec<SlotEntry>,
+        entries: Vec<SlotEntry<C>>,
         commit_index: u64,
     },
     PrepareNack {
@@ -54,7 +63,7 @@ pub enum RsmMsg {
     Accept {
         ballot: Ballot,
         slot: u64,
-        value: Value,
+        value: C,
     },
     Accepted {
         ballot: Ballot,
@@ -71,7 +80,7 @@ pub enum RsmMsg {
     },
     /// Client write request.
     Propose {
-        cmd: Value,
+        cmd: C,
         req: u64,
     },
     /// Client write reply (`slot` set on success; `leader_hint` on redirect).
@@ -83,13 +92,13 @@ pub enum RsmMsg {
     },
     /// Client read request.
     Query {
-        q: Value,
+        q: Q,
         req: u64,
     },
     QueryReply {
         req: u64,
         ok: bool,
-        result: Option<Value>,
+        result: Option<R>,
         leader_hint: Option<NodeId>,
     },
 }
@@ -125,11 +134,6 @@ enum Role {
     Leader,
 }
 
-#[derive(Debug, Default)]
-struct Slot {
-    acceptor: Acceptor,
-}
-
 /// A replicated-log member.
 pub struct RsmNode<A: RsmApp> {
     cfg: RsmConfig,
@@ -142,11 +146,11 @@ pub struct RsmNode<A: RsmApp> {
     /// Our ballot when leading/campaigning.
     ballot: Ballot,
     leader_hint: Option<NodeId>,
-    slots: BTreeMap<u64, Slot>,
+    slots: BTreeMap<u64, Acceptor<A::Cmd>>,
     /// Slots [0, commit_index) are committed and applied.
     commit_index: u64,
     /// Candidate: promises gathered (member index → entries).
-    promises: BTreeMap<u32, Vec<SlotEntry>>,
+    promises: BTreeMap<u32, Vec<SlotEntry<A::Cmd>>>,
     /// Leader: per-slot accept quorum tracking.
     accepts: HashMap<u64, BTreeSet<u32>>,
     /// Leader: next free slot.
@@ -157,7 +161,7 @@ pub struct RsmNode<A: RsmApp> {
     heard_from_leader: bool,
 }
 
-impl<A: RsmApp> RsmNode<A> {
+impl<A: RsmApp + 'static> RsmNode<A> {
     pub fn new(cfg: RsmConfig, app: A) -> Self {
         assert!((cfg.me as usize) < cfg.members.len());
         RsmNode {
@@ -190,7 +194,12 @@ impl<A: RsmApp> RsmNode<A> {
         self.cfg.members.iter().copied().filter(move |&n| n != me)
     }
 
-    fn broadcast(&self, ctx: &mut Ctx<'_>, msg: &RsmMsg) {
+    /// `ctx.send` with the message type pinned to this application's.
+    fn send(ctx: &mut Ctx<'_>, to: NodeId, msg: MsgOf<A>) {
+        ctx.send(to, msg);
+    }
+
+    fn broadcast(&self, ctx: &mut Ctx<'_>, msg: &MsgOf<A>) {
         for p in self.peers().collect::<Vec<_>>() {
             ctx.send(p, msg.clone());
         }
@@ -216,10 +225,10 @@ impl<A: RsmApp> RsmNode<A> {
         self.arm_election_timer(ctx);
     }
 
-    fn accepted_from(&self, from_slot: u64) -> Vec<SlotEntry> {
+    fn accepted_from(&self, from_slot: u64) -> Vec<SlotEntry<A::Cmd>> {
         self.slots
             .range(from_slot..)
-            .filter_map(|(&s, slot)| slot.acceptor.accepted().map(|(b, v)| (s, *b, v.clone())))
+            .filter_map(|(&s, slot)| slot.accepted().map(|(b, v)| (s, *b, v.clone())))
             .collect()
     }
 
@@ -231,7 +240,7 @@ impl<A: RsmApp> RsmNode<A> {
 
         // Merge promise suffixes: per slot keep the highest-ballot value,
         // then re-propose everything uncommitted under our ballot.
-        let mut merged: BTreeMap<u64, (Ballot, Value)> = BTreeMap::new();
+        let mut merged: BTreeMap<u64, (Ballot, A::Cmd)> = BTreeMap::new();
         for entries in self.promises.values() {
             for (slot, b, v) in entries {
                 match merged.get(slot) {
@@ -266,12 +275,11 @@ impl<A: RsmApp> RsmNode<A> {
         &mut self,
         ctx: &mut Ctx<'_>,
         slot: u64,
-        value: Value,
+        value: A::Cmd,
         client: Option<(NodeId, u64)>,
     ) {
         // Accept locally first.
-        let entry = self.slots.entry(slot).or_default();
-        entry.acceptor.on_accept(self.ballot, value.clone());
+        self.slots.entry(slot).or_default().on_accept(self.ballot, value.clone());
         let mut set = BTreeSet::new();
         set.insert(self.cfg.me);
         self.accepts.insert(slot, set);
@@ -294,13 +302,14 @@ impl<A: RsmApp> RsmNode<A> {
             let value = self
                 .slots
                 .get(&slot)
-                .and_then(|s| s.acceptor.accepted().map(|(_, v)| v.clone()))
+                .and_then(|s| s.accepted().map(|(_, v)| v.clone()))
                 .expect("quorum-accepted slot has a local value");
             self.app.apply(slot, &value);
             self.commit_index += 1;
             ctx.trace("rsm.commit", || format!("slot {slot}"));
             if let Some((client, req)) = self.waiting_clients.remove(&slot) {
-                ctx.send(
+                Self::send(
+                    ctx,
                     client,
                     RsmMsg::ProposeReply {
                         req,
@@ -318,7 +327,7 @@ impl<A: RsmApp> RsmNode<A> {
     fn follow_commits(&mut self, ctx: &mut Ctx<'_>, leader_commit: u64) {
         while self.commit_index < leader_commit {
             let slot = self.commit_index;
-            let value = match self.slots.get(&slot).and_then(|s| s.acceptor.accepted()) {
+            let value = match self.slots.get(&slot).and_then(|s| s.accepted()) {
                 Some((_, v)) => v.clone(),
                 None => break, // hole: wait for the leader's re-propose
             };
@@ -381,7 +390,7 @@ impl<A: RsmApp + 'static> Node for RsmNode<A> {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Message) {
-        let msg = match msg.downcast::<RsmMsg>() {
+        let msg = match msg.downcast::<MsgOf<A>>() {
             Ok(m) => m,
             Err(_) => return,
         };
@@ -390,12 +399,13 @@ impl<A: RsmApp + 'static> Node for RsmNode<A> {
                 if ballot > self.promised {
                     self.step_down(ballot, None);
                     let entries = self.accepted_from(from_slot);
-                    ctx.send(
+                    Self::send(
+                        ctx,
                         from,
                         RsmMsg::Promise { ballot, entries, commit_index: self.commit_index },
                     );
                 } else {
-                    ctx.send(from, RsmMsg::PrepareNack { ballot, promised: self.promised });
+                    Self::send(ctx, from, RsmMsg::PrepareNack { ballot, promised: self.promised });
                 }
             }
             RsmMsg::Promise { ballot, entries, commit_index: _ } => {
@@ -424,11 +434,10 @@ impl<A: RsmApp + 'static> Node for RsmNode<A> {
                     self.promised = ballot;
                     self.leader_hint = Some(from);
                     self.heard_from_leader = true;
-                    let entry = self.slots.entry(slot).or_default();
-                    entry.acceptor.on_accept(ballot, value);
-                    ctx.send(from, RsmMsg::Accepted { ballot, slot });
+                    self.slots.entry(slot).or_default().on_accept(ballot, value);
+                    Self::send(ctx, from, RsmMsg::Accepted { ballot, slot });
                 } else {
-                    ctx.send(from, RsmMsg::AcceptNack { ballot, promised: self.promised });
+                    Self::send(ctx, from, RsmMsg::AcceptNack { ballot, promised: self.promised });
                 }
             }
             RsmMsg::Accepted { ballot, slot } => {
@@ -463,7 +472,8 @@ impl<A: RsmApp + 'static> Node for RsmNode<A> {
                     self.next_slot += 1;
                     self.propose_in_slot(ctx, slot, cmd, Some((from, req)));
                 } else {
-                    ctx.send(
+                    Self::send(
+                        ctx,
                         from,
                         RsmMsg::ProposeReply {
                             req,
@@ -477,7 +487,8 @@ impl<A: RsmApp + 'static> Node for RsmNode<A> {
             RsmMsg::Query { q, req } => {
                 if self.role == Role::Leader {
                     let result = self.app.query(&q);
-                    ctx.send(
+                    Self::send(
+                        ctx,
                         from,
                         RsmMsg::QueryReply {
                             req,
@@ -487,7 +498,8 @@ impl<A: RsmApp + 'static> Node for RsmNode<A> {
                         },
                     );
                 } else {
-                    ctx.send(
+                    Self::send(
+                        ctx,
                         from,
                         RsmMsg::QueryReply {
                             req,
@@ -509,6 +521,11 @@ impl<A: RsmApp + 'static> Node for RsmNode<A> {
 mod tests {
     use super::*;
     use bytes::Bytes;
+
+    /// These tests replicate opaque byte strings.
+    type Value = Bytes;
+    type Msg = MsgOf<VecApp>;
+
     use mams_sim::{Sim, SimConfig, SimTime};
     use parking_lot::Mutex;
     use std::sync::Arc;
@@ -519,6 +536,10 @@ mod tests {
     }
 
     impl RsmApp for VecApp {
+        type Cmd = Value;
+        type Query = Value;
+        type Reply = Value;
+
         fn apply(&mut self, _slot: u64, cmd: &Value) {
             self.applied.lock().push(cmd.clone());
         }
@@ -545,13 +566,13 @@ mod tests {
             if self.next < self.cmds.len() {
                 self.req += 1;
                 let cmd = self.cmds[self.next].clone();
-                ctx.send(self.members[self.target], RsmMsg::Propose { cmd, req: self.req });
+                ctx.send(self.members[self.target], Msg::Propose { cmd, req: self.req });
                 ctx.set_timer(Duration::from_millis(700), 1);
             }
         }
         fn on_message(&mut self, _ctx: &mut Ctx<'_>, from: NodeId, msg: Message) {
-            if let Ok(RsmMsg::ProposeReply { committed, slot, leader_hint, .. }) =
-                msg.downcast::<RsmMsg>()
+            if let Ok(Msg::ProposeReply { committed, slot, leader_hint, .. }) =
+                msg.downcast::<Msg>()
             {
                 if committed {
                     self.committed.lock().push(slot.unwrap());

@@ -102,7 +102,10 @@ impl fmt::Debug for Message {
 /// Callbacks are invoked by the driving runtime ([`crate::Sim`]). All methods
 /// default to no-ops except [`Node::on_message`], which every node must
 /// handle.
-pub trait Node: Send {
+///
+/// `Any` is a supertrait so a harness can read a node's state back by its
+/// concrete type ([`crate::Sim::node`]).
+pub trait Node: Any + Send {
     /// Invoked once when the node starts (either at simulation start or on
     /// restart after a crash). Typical use: arm heartbeat timers, register
     /// with the coordination service.

@@ -11,7 +11,7 @@ use crate::node::NodeId;
 use crate::time::SimTime;
 
 /// One trace record.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     pub time: SimTime,
     pub node: NodeId,

@@ -232,6 +232,13 @@ impl Sim {
         self.nodes.len()
     }
 
+    /// Read a node's state back between events: `None` when the node is
+    /// down or is not a `T`.
+    pub fn node<T: Node>(&self, id: NodeId) -> Option<&T> {
+        let node: &dyn Node = self.nodes.get(id as usize)?.as_deref()?;
+        (node as &dyn std::any::Any).downcast_ref::<T>()
+    }
+
     /// Inject a message from outside the cluster.
     pub fn send_external<T: crate::node::AnyMessage>(&mut self, dst: NodeId, payload: T) {
         self.kernel.send_message(EXTERNAL, dst, Message::new(payload));
@@ -538,6 +545,24 @@ mod tests {
         sim.run_for(Duration::from_millis(20));
         assert_eq!(hits.load(Ordering::Relaxed), 200);
         assert_eq!(sim.node_status(a), NodeStatus::Up);
+    }
+
+    #[test]
+    fn a_live_node_reads_back_by_its_type() {
+        let hits = Arc::new(AtomicU64::new(0));
+        let mut sim = Sim::new(SimConfig::default());
+        let h = hits.clone();
+        let a = sim.add_restartable("a", move || mk(h.clone(), Some(7)));
+        sim.run_for(Duration::from_millis(20));
+        assert_eq!(sim.node::<Counter>(a).map(|c| c.peer), Some(Some(7)));
+        struct Other;
+        impl Node for Other {
+            fn on_message(&mut self, _: &mut Ctx<'_>, _: NodeId, _: Message) {}
+        }
+        assert!(sim.node::<Other>(a).is_none(), "another type");
+        assert!(sim.node::<Counter>(a + 1).is_none(), "no such node");
+        sim.crash(a);
+        assert!(sim.node::<Counter>(a).is_none(), "a crashed node has no state");
     }
 
     #[test]

@@ -142,36 +142,11 @@ impl PoolNode {
                     }
                 }
             }
-            PoolReq::ReadImageMeta { group, req } => {
-                let meta = pool
-                    .group(group)
-                    .and_then(|g| g.image())
-                    .map(|img| (img.checkpoint_sn, img.size_bytes()));
-                (PoolResp::ImageMeta { group, meta, req }, self.image_disk.op_overhead)
-            }
-            PoolReq::ReadImageChunk { group, offset, len, req } => {
-                match pool.group(group).and_then(|g| g.image()) {
-                    Some(img) => {
-                        let data = img.chunk(offset, len);
-                        let delay = self.image_disk.io_time(data.len() as u64);
-                        let total = img.size_bytes();
-                        (PoolResp::ImageChunk { group, offset, data, total, req }, delay)
-                    }
-                    None => (
-                        PoolResp::Failed { group, error: PoolError::NoSuchImage, req },
-                        self.image_disk.op_overhead,
-                    ),
-                }
-            }
             PoolReq::AdvanceEpoch { group, to, req } => {
                 let g = pool.group_mut(group);
                 g.advance_epoch(to);
                 let epoch = g.epoch();
                 (PoolResp::EpochAdvanced { group, epoch, req }, self.journal_disk.op_overhead)
-            }
-            PoolReq::TailSn { group, req } => {
-                let sn = pool.group_mut(group).tail_sn();
-                (PoolResp::Tail { group, sn, req }, self.journal_disk.op_overhead)
             }
         }
     }
@@ -279,9 +254,9 @@ mod tests {
         drop(a);
         // Write through the state directly, read through a node's serve().
         pool.lock().group_mut(3).append_journal(1, batch(1)).unwrap();
-        let (resp, _) = b.serve(PoolReq::TailSn { group: 3, req: 1 });
+        let (resp, _) = b.serve(PoolReq::ReadJournal { group: 3, after_sn: 1, max: 1, req: 1 });
         match resp {
-            PoolResp::Tail { sn, .. } => assert_eq!(sn, 1),
+            PoolResp::Journal { tail_sn, .. } => assert_eq!(tail_sn, 1),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -299,6 +274,14 @@ mod tests {
         }
     }
 
+    /// The base image's artifact id, as a renewing junior learns it.
+    fn base_of(n: &mut PoolNode) -> crate::pool::ManifestEntry {
+        match n.serve(PoolReq::ReadManifest { group: 0, req: 1 }).0 {
+            PoolResp::ManifestInfo { manifest, .. } => manifest.base().expect("a base").clone(),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
     #[test]
     fn image_chunk_flow() {
         let pool = new_shared_pool();
@@ -308,14 +291,12 @@ mod tests {
         let total = img.size_bytes();
         pool.lock().group_mut(0).write_image(1, img).unwrap();
         let mut n = PoolNode::new(pool);
-        let (meta, _) = n.serve(PoolReq::ReadImageMeta { group: 0, req: 1 });
-        match meta {
-            PoolResp::ImageMeta { meta: Some((5, sz)), .. } => assert_eq!(sz, total),
-            other => panic!("unexpected {other:?}"),
-        }
-        let (chunk, _) = n.serve(PoolReq::ReadImageChunk { group: 0, offset: 0, len: 10, req: 2 });
-        match chunk {
-            PoolResp::ImageChunk { data, total: t2, .. } => {
+        let base = base_of(&mut n);
+        assert_eq!((base.end_sn, base.bytes), (5, total));
+        let read =
+            PoolReq::ReadArtifactChunk { group: 0, artifact: base.id, offset: 0, len: 10, req: 2 };
+        match n.serve(read).0 {
+            PoolResp::ArtifactChunk { data, total: t2, .. } => {
                 assert_eq!(data.len(), 10);
                 assert_eq!(t2, total);
             }
@@ -323,19 +304,20 @@ mod tests {
         }
     }
 
-    /// Pull a pool-stored image through `ReadImageChunk` exactly as a
+    /// Pull a pool-stored image through `ReadArtifactChunk` exactly as a
     /// renewing junior does, feeding each chunk to the streaming decoder.
     fn stream_image_from_pool(
         n: &mut PoolNode,
         chunk_len: u64,
     ) -> (mams_namespace::NamespaceTree, u64) {
+        let artifact = base_of(n).id;
         let mut d = mams_namespace::StreamingImageDecoder::new();
         let mut offset = 0u64;
         loop {
-            let (resp, _) =
-                n.serve(PoolReq::ReadImageChunk { group: 0, offset, len: chunk_len, req: 7 });
-            let (data, total) = match resp {
-                PoolResp::ImageChunk { data, total, .. } => (data, total),
+            let read =
+                PoolReq::ReadArtifactChunk { group: 0, artifact, offset, len: chunk_len, req: 7 };
+            let (data, total) = match n.serve(read).0 {
+                PoolResp::ArtifactChunk { data, total, .. } => (data, total),
                 other => panic!("unexpected {other:?}"),
             };
             d.push(&data).unwrap();
@@ -369,9 +351,10 @@ mod tests {
     fn missing_image_is_an_error_not_a_panic() {
         let pool = new_shared_pool();
         let mut n = PoolNode::new(pool);
-        let (resp, _) = n.serve(PoolReq::ReadImageChunk { group: 0, offset: 0, len: 10, req: 1 });
-        assert!(matches!(resp, PoolResp::Failed { error: PoolError::NoSuchImage, .. }));
-        let (meta, _) = n.serve(PoolReq::ReadImageMeta { group: 0, req: 2 });
-        assert!(matches!(meta, PoolResp::ImageMeta { meta: None, .. }));
+        let read = PoolReq::ReadArtifactChunk { group: 0, artifact: 0, offset: 0, len: 10, req: 1 };
+        let (resp, _) = n.serve(read);
+        assert!(matches!(resp, PoolResp::Failed { error: PoolError::NoSuchArtifact { .. }, .. }));
+        let (meta, _) = n.serve(PoolReq::ReadManifest { group: 0, req: 2 });
+        assert!(matches!(meta, PoolResp::ManifestInfo { manifest, .. } if manifest.is_empty()));
     }
 }

@@ -31,8 +31,6 @@ pub enum PoolError {
     Fenced { current: Epoch, presented: Epoch },
     /// Journal gap or divergence.
     Journal(String),
-    /// Requested image/chunk does not exist.
-    NoSuchImage,
     /// The named artifact is gone (GC'd by compaction after the caller
     /// cached its manifest): re-resolve the manifest and retry.
     NoSuchArtifact { id: ArtifactId },
@@ -49,7 +47,6 @@ impl std::fmt::Display for PoolError {
                 write!(f, "fenced: pool epoch {current}, writer presented {presented}")
             }
             PoolError::Journal(s) => write!(f, "journal: {s}"),
-            PoolError::NoSuchImage => write!(f, "no such image"),
             PoolError::NoSuchArtifact { id } => write!(f, "no such artifact {id}"),
             PoolError::DeltaChain { expected, offered } => {
                 write!(f, "delta chains onto sn {offered}, manifest ends at {expected}")
@@ -132,16 +129,15 @@ pub struct GroupStore {
     epoch: Epoch,
     /// The shared journal segment.
     journal: JournalLog,
-    /// Latest namespace image, if checkpointed.
-    image: Option<NamespaceImage>,
     /// Checkpoint artifacts by id (base images and deltas). Entries not
     /// referenced by the manifest are garbage the next GC sweep collects.
     artifacts: HashMap<ArtifactId, Bytes>,
     /// The current resolvable chain.
     manifest: Manifest,
     next_artifact: ArtifactId,
-    /// A merged base built by `compact_begin` and not yet committed.
-    staged_base: Option<(ArtifactId, NamespaceImage)>,
+    /// A merged base built by `compact_begin` and not yet committed, with
+    /// the sn it was encoded at.
+    staged_base: Option<(ArtifactId, Sn)>,
 }
 
 impl GroupStore {
@@ -201,7 +197,6 @@ impl GroupStore {
                 bytes: image.size_bytes(),
             }],
         };
-        self.image = Some(image);
         self.gc_unreferenced();
         self.journal.compact_through(sn);
         Ok(())
@@ -252,11 +247,6 @@ impl GroupStore {
         let start = offset.min(size) as usize;
         let end = offset.saturating_add(len).min(size) as usize;
         Ok((data.slice(start..end), size))
-    }
-
-    /// Latest image metadata.
-    pub fn image(&self) -> Option<&NamespaceImage> {
-        self.image.as_ref()
     }
 
     // ------------------------------------------------------- compaction
@@ -320,8 +310,8 @@ impl GroupStore {
             }
         }
         let merged = encode_image_with_window(&tree, end_sn, &window);
-        let id = self.alloc_artifact(merged.data.clone());
-        self.staged_base = Some((id, merged));
+        let id = self.alloc_artifact(merged.data);
+        self.staged_base = Some((id, end_sn));
         Ok(Some(id))
     }
 
@@ -331,11 +321,7 @@ impl GroupStore {
             self.artifacts.get(&new_base).ok_or(PoolError::NoSuchArtifact { id: new_base })?;
         let bytes = data.len() as u64;
         let end_sn = match self.staged_base.take() {
-            Some((id, image)) if id == new_base => {
-                let sn = image.checkpoint_sn;
-                self.image = Some(image);
-                sn
-            }
+            Some((id, sn)) if id == new_base => sn,
             other => {
                 // Committing an id that was not staged (or re-committing
                 // after the staging was dropped): fall back to the chain
@@ -377,38 +363,12 @@ impl GroupStore {
         self.artifacts.retain(|id, _| live.contains(id));
     }
 
-    /// Chaos hook: flip one byte in the middle of the stored checkpoint
-    /// image, simulating silent on-disk corruption. Returns whether an
-    /// image was present to corrupt. Readers must detect the damage (the
-    /// image decoder validates) rather than build a divergent namespace.
-    /// The manifest's base artifact is the same bytes, so it is damaged
-    /// identically.
-    pub fn corrupt_image(&mut self) -> bool {
-        let Some(img) = self.image.as_mut() else { return false };
-        if img.data.is_empty() {
+    /// Flip one byte in the middle of a stored artifact; `false` when there
+    /// is nothing to damage.
+    fn corrupt_artifact(&mut self, id: Option<ArtifactId>) -> bool {
+        let Some((id, data)) = id.and_then(|id| Some((id, self.artifacts.get(&id)?))) else {
             return false;
-        }
-        let mut raw = img.data.to_vec();
-        let mid = raw.len() / 2;
-        raw[mid] ^= 0xFF;
-        img.data = Bytes::from(raw);
-        if let Some(base) = self.manifest.base() {
-            self.artifacts.insert(base.id, img.data.clone());
-        }
-        true
-    }
-
-    /// Chaos hook: flip one byte in the middle of a mid-chain delta
-    /// artifact. Returns whether a delta was present to corrupt. A junior
-    /// streaming the chain must detect the damage and fall back down the
-    /// recovery ladder instead of applying a divergent delta.
-    pub fn corrupt_delta(&mut self) -> bool {
-        let deltas = self.manifest.deltas();
-        if deltas.is_empty() {
-            return false;
-        }
-        let id = deltas[deltas.len() / 2].id;
-        let Some(data) = self.artifacts.get(&id) else { return false };
+        };
         if data.is_empty() {
             return false;
         }
@@ -417,6 +377,23 @@ impl GroupStore {
         raw[mid] ^= 0xFF;
         self.artifacts.insert(id, Bytes::from(raw));
         true
+    }
+
+    /// Chaos hook: flip one byte in the middle of the manifest's base
+    /// image, simulating silent on-disk corruption. Returns whether an
+    /// image was present to corrupt. Readers must detect the damage (the
+    /// image decoder validates) rather than build a divergent namespace.
+    pub fn corrupt_image(&mut self) -> bool {
+        self.corrupt_artifact(self.manifest.base().map(|e| e.id))
+    }
+
+    /// Chaos hook: flip one byte in the middle of a mid-chain delta
+    /// artifact. Returns whether a delta was present to corrupt. A junior
+    /// streaming the chain must detect the damage and fall back down the
+    /// recovery ladder instead of applying a divergent delta.
+    pub fn corrupt_delta(&mut self) -> bool {
+        let deltas = self.manifest.deltas();
+        self.corrupt_artifact(deltas.get(deltas.len() / 2).map(|e| e.id))
     }
 
     /// Current fencing epoch.
@@ -510,6 +487,49 @@ mod tests {
         assert!(matches!(err, PoolError::Fenced { current: 2, presented: 1 }));
     }
 
+    /// A stored image and its artifact id.
+    fn stored_image() -> (GroupStore, ArtifactId, Bytes) {
+        let mut t = NamespaceTree::new();
+        t.mkdir_p("/a/b/c").unwrap();
+        for i in 0..20 {
+            t.create(&format!("/a/b/c/f{i}"), 3).unwrap();
+        }
+        let img = encode_image(&t, 1);
+        let mut g = GroupStore::default();
+        g.write_image(1, img.clone()).unwrap();
+        let id = g.manifest().base().unwrap().id;
+        (g, id, img.data)
+    }
+
+    #[test]
+    fn chunks_cover_exactly_the_image() {
+        let (g, id, data) = stored_image();
+        let mut reassembled = Vec::new();
+        let mut off = 0u64;
+        loop {
+            let (c, total) = g.artifact_chunk(id, off, 37).unwrap();
+            assert_eq!(total, data.len() as u64);
+            if c.is_empty() {
+                break;
+            }
+            reassembled.extend_from_slice(&c);
+            off += c.len() as u64;
+        }
+        assert_eq!(Bytes::from(reassembled), data);
+        // Past-the-end chunks are empty, not panics.
+        assert!(g.artifact_chunk(id, data.len() as u64 + 100, 10).unwrap().0.is_empty());
+    }
+
+    #[test]
+    fn chunk_survives_u64_overflow_offsets() {
+        let (g, id, data) = stored_image();
+        // Regression: `offset + len` used to overflow u64 and panic.
+        assert!(g.artifact_chunk(id, u64::MAX, 10).unwrap().0.is_empty());
+        assert!(g.artifact_chunk(id, u64::MAX, u64::MAX).unwrap().0.is_empty());
+        let (tail, _) = g.artifact_chunk(id, 1, u64::MAX).unwrap();
+        assert_eq!(tail.len(), data.len() - 1);
+    }
+
     #[test]
     fn image_checkpoint_compacts_journal() {
         let mut g = GroupStore::default();
@@ -521,7 +541,7 @@ mod tests {
             t.mkdir(&format!("/d{sn}")).unwrap();
         }
         g.write_image(1, encode_image(&t, 7)).unwrap();
-        assert_eq!(g.image().unwrap().checkpoint_sn, 7);
+        assert_eq!(g.manifest().base().unwrap().end_sn, 7);
         // Journal before sn 7 is gone; readers fall back to the image.
         assert!(g.read_journal(3, 10).is_none());
         let tail = g.read_journal(7, 10).unwrap();
@@ -682,7 +702,6 @@ mod tests {
         assert_eq!(m.chain.len(), 1);
         assert_eq!(m.base().unwrap().end_sn, 5);
         assert_eq!(resolve_chain(&g).fingerprint(), t.fingerprint());
-        assert_eq!(g.image().unwrap().checkpoint_sn, 5);
         // Old artifacts are gone; their ids resolve to NoSuchArtifact.
         for id in old_ids {
             assert!(matches!(g.artifact_chunk(id, 0, 8), Err(PoolError::NoSuchArtifact { .. })));

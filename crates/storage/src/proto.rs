@@ -27,14 +27,8 @@ pub enum PoolReq {
     ReadManifest { group: GroupId, req: ReqId },
     /// A chunk of one manifest artifact (resumable transfer; base or delta).
     ReadArtifactChunk { group: GroupId, artifact: ArtifactId, offset: u64, len: u64, req: ReqId },
-    /// Latest image metadata (checkpoint sn + size).
-    ReadImageMeta { group: GroupId, req: ReqId },
-    /// A chunk of the latest image (resumable transfer).
-    ReadImageChunk { group: GroupId, offset: u64, len: u64, req: ReqId },
     /// Fence all writers with epoch < `to` (issued on lock grant).
     AdvanceEpoch { group: GroupId, to: Epoch, req: ReqId },
-    /// The shared journal's tail sn.
-    TailSn { group: GroupId, req: ReqId },
 }
 
 /// Responses from a [`crate::PoolNode`].
@@ -79,28 +73,9 @@ pub enum PoolResp {
         total: u64,
         req: ReqId,
     },
-    /// `meta` is `(checkpoint_sn, size_bytes)` or `None` when no image
-    /// exists yet.
-    ImageMeta {
-        group: GroupId,
-        meta: Option<(Sn, u64)>,
-        req: ReqId,
-    },
-    ImageChunk {
-        group: GroupId,
-        offset: u64,
-        data: Bytes,
-        total: u64,
-        req: ReqId,
-    },
     EpochAdvanced {
         group: GroupId,
         epoch: Epoch,
-        req: ReqId,
-    },
-    Tail {
-        group: GroupId,
-        sn: Sn,
         req: ReqId,
     },
     Failed {
@@ -120,10 +95,7 @@ impl PoolResp {
             | PoolResp::DeltaWritten { req, .. }
             | PoolResp::ManifestInfo { req, .. }
             | PoolResp::ArtifactChunk { req, .. }
-            | PoolResp::ImageMeta { req, .. }
-            | PoolResp::ImageChunk { req, .. }
             | PoolResp::EpochAdvanced { req, .. }
-            | PoolResp::Tail { req, .. }
             | PoolResp::Failed { req, .. } => *req,
         }
     }

@@ -2,11 +2,10 @@
 //! hold structurally, not just in the tuned harness.
 
 use mams::baselines::{avatar, backupnode, hadoop_ha, FsScale};
-use mams::cluster::deploy::{build, DeploySpec};
+use mams::cluster::deploy::DeploySpec;
 use mams::cluster::metrics::Metrics;
-use mams::cluster::mttr::mttr_from_completions;
 use mams::cluster::workload::Workload;
-use mams::cluster::{ClientConfig, FsClient};
+use mams::cluster::{ClientConfig, FsClient, KillRig};
 use mams::coord::{CoordConfig, CoordServer};
 use mams::namespace::Partitioner;
 use mams::sim::{DetRng, Sim, SimConfig, SimTime};
@@ -14,38 +13,24 @@ use mams::sim::{DetRng, Sim, SimConfig, SimTime};
 const KILL_AT: SimTime = SimTime(12_000_000);
 
 fn mttr_of(system: &str, image_mb: u64, seed: u64) -> f64 {
-    let mut sim = Sim::new(SimConfig { seed, ..SimConfig::default() });
-    let metrics = Metrics::new(true);
-    if system == "mams" {
-        let mut d = build(
-            &mut sim,
-            DeploySpec { groups: 1, standbys_per_group: 3, ..DeploySpec::default() },
-        );
-        d.add_client(&mut sim, Workload::create_only(0), metrics.clone());
-        let victim = d.initial_active(0);
-        sim.at(KILL_AT, move |s| s.crash(victim));
+    let cfg = SimConfig { seed, ..SimConfig::default() };
+    let (rig, victim) = if system == "mams" {
+        let spec = DeploySpec { groups: 1, standbys_per_group: 3, ..DeploySpec::default() };
+        let (rig, d) = KillRig::deployed(cfg, spec);
+        (rig, d.initial_active(0))
     } else {
-        let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
+        let mut rig = KillRig::new(cfg);
+        let (sim, coord) = (&mut rig.sim, rig.coord);
         let victim = match system {
-            "backupnode" => backupnode::build(&mut sim, coord, FsScale::from_image_mb(image_mb)).0,
-            "avatar" => avatar::build(&mut sim, coord).0,
-            "hadoop_ha" => hadoop_ha::build(&mut sim, coord).0,
+            "backupnode" => backupnode::build(sim, coord, FsScale::from_image_mb(image_mb)).0,
+            "avatar" => avatar::build(sim, coord).0,
+            "hadoop_ha" => hadoop_ha::build(sim, coord).0,
             other => panic!("unknown {other}"),
         };
-        sim.add_node(
-            "client",
-            Box::new(FsClient::new(
-                ClientConfig::new(coord, Partitioner::new(1)),
-                Workload::create_only(0),
-                metrics.clone(),
-                DetRng::seed_from_u64(seed),
-            )),
-        );
-        sim.at(KILL_AT, move |s| s.crash(victim));
-    }
-    sim.run_until(SimTime(220_000_000));
-    let outages = mttr_from_completions(&metrics.completions(), &[KILL_AT.micros()]);
-    outages.first().map(|o| o.mttr_secs()).unwrap_or(f64::INFINITY)
+        rig.add_client(seed, |_| {});
+        (rig, victim)
+    };
+    rig.mttr_after(KILL_AT, move |s| s.crash(victim), SimTime(220_000_000)).unwrap_or(f64::INFINITY)
 }
 
 #[test]

@@ -18,7 +18,7 @@
 
 mod common;
 
-use common::{group, secs, Group};
+use common::{group, mds, secs, Group};
 use mams::core::{MdsTiming, Role};
 use mams::sim::{Duration, LinkShape};
 
@@ -73,16 +73,16 @@ fn a_lost_image_reply_does_not_stop_deltas() {
 
 #[test]
 fn lost_pool_replies_do_not_accumulate() {
-    let Group { mut sim, servers, metrics, .. } = cluster(0xA572);
-    let server = &servers[0];
+    let Group { mut sim, members, metrics, .. } = cluster(0xA572);
+    let active = members[0];
     sim.run_for(Duration::from_secs(3));
     sim.net_mut().set_loss_probability(0.05);
     let mut most = 0;
     for _ in 0..20 {
         sim.run_for(Duration::from_secs(1));
-        most = most.max(server.lock().unwrap().pool_requests_pending());
+        most = most.max(mds(&sim, active).pool_requests_pending());
     }
-    assert_eq!(server.lock().unwrap().role(), Role::Active, "the loss was meant to be survivable");
+    assert_eq!(mds(&sim, active).role(), Role::Active, "the loss was meant to be survivable");
     assert!(metrics.ok_count() > 1_000, "the workload barely ran ({} ok)", metrics.ok_count());
     // One awaited reply per batch still unacknowledged plus the one
     // artifact write: a handful. Before, every lost `AppendOk` and every
@@ -92,7 +92,7 @@ fn lost_pool_replies_do_not_accumulate() {
 
 #[test]
 fn a_renewing_junior_awaits_a_bounded_number_of_pool_replies() {
-    let Group { mut sim, pool, members, servers, .. } = cluster(0xA573);
+    let Group { mut sim, pool, members, .. } = cluster(0xA573);
     let junior = members[1];
     // Restarted empty, the standby renews through the base image, the
     // deltas chained onto it and journal pages, losing 5 % of what it
@@ -106,21 +106,21 @@ fn a_renewing_junior_awaits_a_bounded_number_of_pool_replies() {
     let mut most = 0;
     for _ in 0..40 {
         sim.run_for(Duration::from_secs(1));
-        most = most.max(servers[1].lock().unwrap().pool_requests_pending());
+        most = most.max(mds(&sim, junior).pool_requests_pending());
     }
     for stage in ["renew.image_loaded", "renew.delta_applied"] {
         let seen = sim.trace().events().iter().any(|e| e.tag == stage && e.node == junior);
         assert!(seen, "renewing was meant to go through {stage}");
     }
     assert!(most <= SESSION_BOUND, "{most} pool requests awaited at once");
-    let s = servers[1].lock().unwrap();
+    let s = mds(&sim, junior);
     assert_eq!(s.role(), Role::Standby, "the loss was meant to be survivable");
     assert_eq!(s.pool_requests_pending(), 0, "a settled standby awaits nothing");
 }
 
 #[test]
 fn an_elected_member_awaits_a_bounded_number_of_pool_replies() {
-    let Group { mut sim, pool, members, servers, metrics, .. } = cluster(0xA574);
+    let Group { mut sim, pool, members, metrics, .. } = cluster(0xA574);
     let (active, standby) = (members[0], members[1]);
     sim.at(secs(6.0), move |s| {
         s.net_mut().shape_link(standby, pool, LinkShape::lossy(0.05));
@@ -131,11 +131,11 @@ fn an_elected_member_awaits_a_bounded_number_of_pool_replies() {
     let (mut most_waiting, mut most_serving) = (0, 0);
     for _ in 0..30 {
         sim.run_for(Duration::from_secs(1));
-        let s = servers[1].lock().unwrap();
+        let s = mds(&sim, standby);
         let most = if s.role() == Role::Active { &mut most_serving } else { &mut most_waiting };
         *most = (*most).max(s.pool_requests_pending());
     }
-    assert_eq!(servers[1].lock().unwrap().role(), Role::Active, "the standby was meant to win");
+    assert_eq!(mds(&sim, standby).role(), Role::Active, "the standby was meant to win");
     assert!(metrics.ok_count() > before + 1_000, "the successor barely served");
     assert!(most_waiting <= SESSION_BOUND, "{most_waiting} pool requests awaited before serving");
     // As in `lost_pool_replies_do_not_accumulate`: a handful.

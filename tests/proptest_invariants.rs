@@ -227,11 +227,14 @@ fn image_round_trips_and_chunks() {
         assert_eq!(sn, 42);
         assert_eq!(decoded.fingerprint(), tree.fingerprint(), "case {case}");
 
-        // Chunked reassembly.
+        // Chunked reassembly, sliced as the pool slices a stored image.
+        let mut store = mams::storage::pool::GroupStore::default();
+        store.write_image(1, img).expect("no fence on a fresh store");
+        let id = store.manifest().base().expect("just written").id;
         let mut buf = Vec::new();
         let mut off = 0;
         loop {
-            let c = img.chunk(off, chunk);
+            let (c, _) = store.artifact_chunk(id, off, chunk).expect("the base exists");
             if c.is_empty() {
                 break;
             }

@@ -155,11 +155,11 @@ fn checkpoint_compacts_the_shared_journal() {
     sim.run_until(SimTime(20_000_000));
     let pool = d.shared_pool.lock();
     let g = pool.group(0).expect("journal");
-    let img = g.image().expect("image stored");
-    assert!(img.checkpoint_sn > 0);
+    let checkpoint_sn = g.manifest().base().expect("image stored").end_sn;
+    assert!(checkpoint_sn > 0);
     // Reads from before the checkpoint fall back to the image.
     assert!(g.read_journal(0, 10).is_none(), "pre-checkpoint journal must be compacted");
-    assert!(g.read_journal(img.checkpoint_sn, 10).is_some());
+    assert!(g.read_journal(checkpoint_sn, 10).is_some());
 }
 
 #[test]

@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{group, secs, Group};
+use common::{group, mds, secs, Group};
 use mams::core::{MdsTiming, Role};
 use mams::sim::Duration;
 
@@ -20,7 +20,7 @@ use mams::sim::Duration;
 fn a_cut_spanning_a_checkpoint_does_not_stop_the_group() {
     let timing =
         MdsTiming { checkpoint_interval: Some(Duration::from_secs(4)), ..MdsTiming::default() };
-    let Group { mut sim, members, servers, clients, metrics, .. } = group(5, 1, timing, 3);
+    let Group { mut sim, members, clients, metrics, .. } = group(5, 1, timing, 3);
     let (active, standby) = (members[0], members[1]);
     // The second checkpoint tick (8 s) falls inside the cut.
     sim.at(secs(7.96), move |s| s.net_mut().cut_one_way(active, standby));
@@ -42,7 +42,7 @@ fn a_cut_spanning_a_checkpoint_does_not_stop_the_group() {
         sim.crash(c);
     }
     sim.run_for(Duration::from_secs(1));
-    let (a, s) = (servers[0].lock().unwrap(), servers[1].lock().unwrap());
+    let (a, s) = (mds(&sim, active), mds(&sim, standby));
     assert_eq!((a.role(), s.role()), (Role::Active, Role::Standby));
     assert_eq!(s.applied_sn(), a.applied_sn());
     assert_eq!(s.fingerprint(), a.fingerprint());
