@@ -13,7 +13,7 @@ use std::sync::Arc;
 use mams_coord::{CoordEvent, CoordReq, CoordResp};
 use mams_core::{FsOp, MdsReq, MdsResp, OpOutput};
 use mams_namespace::Partitioner;
-use mams_sim::{Ctx, DetRng, Duration, Message, Node, NodeId, SimTime};
+use mams_sim::{Ctx, DetRng, Duration, Message, Node, NodeId, SimTime, TimerId};
 
 use crate::history::Recorder;
 use crate::metrics::Metrics;
@@ -31,6 +31,11 @@ const SEQ_BASE: u64 = 1_000;
 /// stay armed for the same op, and each firing re-arms both — under a
 /// persistently unavailable group the live timer chains double on every
 /// round and the client melts down in an exponential retry storm.
+///
+/// The scope is the guard; [`Pending::disarm`] is the economy. An op takes
+/// its timers back when it is answered or moves to its next attempt, so the
+/// guard is left with the firings no cancel reaches (a second `NotActive`
+/// for one attempt overwrites the handle of the first's backoff).
 fn op_token(seq: u64, attempts: u32) -> u64 {
     (seq << 20) | u64::from(attempts & 0xF_FFFF)
 }
@@ -64,6 +69,20 @@ struct Pending {
     op: FsOp,
     attempts: u32,
     group: u32,
+    /// The current attempt's timeout, and the backoff the latest `NotActive`
+    /// armed on it; both carry the attempt's token.
+    timeout: Option<TimerId>,
+    backoff: Option<TimerId>,
+}
+
+impl Pending {
+    /// Take back whatever the current attempt still has armed. One of the
+    /// two may be the timer that is firing right now, which costs nothing.
+    fn disarm(&mut self, ctx: &mut Ctx<'_>) {
+        for id in [self.timeout.take(), self.backoff.take()].into_iter().flatten() {
+            ctx.cancel_timer(id);
+        }
+    }
 }
 
 /// The client state machine — partition routing, active discovery, retry
@@ -128,7 +147,7 @@ impl FsIo {
         self.next_seq += 1;
         let seq = self.next_seq;
         let group = self.partitioner.owner(op.primary_path());
-        self.pending.push(Pending { seq, op, attempts: 0, group });
+        self.pending.push(Pending { seq, op, attempts: 0, group, timeout: None, backoff: None });
         self.attempt(ctx, self.pending.len() - 1);
         seq
     }
@@ -147,14 +166,17 @@ impl FsIo {
         active.is_some()
     }
 
-    /// One more attempt of the op at `at` in `pending`.
+    /// One more attempt of the op at `at` in `pending`; it supersedes the
+    /// timers of the one before.
     fn attempt(&mut self, ctx: &mut Ctx<'_>, at: usize) {
+        self.pending[at].disarm(ctx);
         self.pending[at].attempts += 1;
         let p = &self.pending[at];
         if !self.send_op(ctx, p) {
             self.refresh_view(ctx);
         }
-        ctx.set_timer(OP_TIMEOUT, op_token(p.seq, p.attempts));
+        let timeout = ctx.set_timer(OP_TIMEOUT, op_token(p.seq, p.attempts));
+        self.pending[at].timeout = Some(timeout);
     }
 
     /// Feed a timer through; `true` if it was an op's.
@@ -162,8 +184,8 @@ impl FsIo {
     /// Per-op timeout: if the op is still outstanding *on the attempt this
     /// timer belongs to*, re-resolve the active and resend with the same
     /// seq (server-side duplicate suppression makes this safe). Timers for
-    /// superseded attempts are inert, so at most one retry chain is ever
-    /// live per op.
+    /// superseded attempts are taken back, and inert if one fires all the
+    /// same, so at most one retry chain is ever live per op.
     pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> bool {
         let (seq, attempt) = (token >> 20, (token & 0xF_FFFF) as u32);
         if seq <= SEQ_BASE {
@@ -195,21 +217,23 @@ impl FsIo {
                 let Some(at) = self.position(seq) else {
                     return IoEvent::Consumed; // stale reply
                 };
-                let Pending { op, attempts, .. } = self.pending.remove(at);
+                let mut p = self.pending.remove(at);
+                p.disarm(ctx);
+                let Pending { op, attempts, .. } = p;
                 self.acked = self.pending.first().map_or(self.next_seq, |low| low.seq - 1);
                 let reconciled =
                     attempts > 1 && result.as_ref().is_err_and(|e| Self::reconcile(&op, e));
                 return IoEvent::Completed { seq, op, attempts, result, reconciled };
             }
             Ok(MdsResp::NotActive { seq }) => {
-                if let Some(p) = self.position(seq).map(|at| &self.pending[at]) {
+                if let Some(at) = self.position(seq) {
                     // Stale routing: refresh and retry shortly. The fast
                     // timer shares the current attempt's token, so
                     // whichever of it and the full timeout fires first
                     // supersedes the other.
-                    let token = op_token(seq, p.attempts);
+                    let token = op_token(seq, self.pending[at].attempts);
                     self.refresh_view(ctx);
-                    ctx.set_timer(NOT_ACTIVE_BACKOFF, token);
+                    self.pending[at].backoff = Some(ctx.set_timer(NOT_ACTIVE_BACKOFF, token));
                 }
                 return IoEvent::Consumed;
             }
@@ -393,8 +417,8 @@ mod tests {
     use crate::workload::Workload;
     use mams_coord::{CoordConfig, CoordServer};
     use mams_core::OpOutput;
-    use mams_sim::{Sim, SimConfig};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use mams_sim::{LatencyModel, Sim, SimConfig};
+    use std::sync::Mutex;
 
     #[test]
     fn reconcile_only_accepts_own_echoes() {
@@ -410,17 +434,24 @@ mod tests {
 
     /// What a [`FakeMds`] does with a request.
     enum Answer {
-        /// Ignore this many requests (forcing client timeouts + same-seq
-        /// resends), then answer `Done`.
-        DoneAfterDropping(usize),
+        /// Answer `Done`, but first ignore `n` requests for the `op`-th
+        /// operation it sees (from 0): the client must time out and resend
+        /// under the same seq.
+        DoneAfterDropping {
+            op: u64,
+            n: usize,
+        },
         NotActive,
     }
 
-    /// A fake MDS that publishes itself as group 0's active and counts the
-    /// requests it gets.
+    /// Every request a [`FakeMds`] received: when, and for which seq.
+    type Requests = Arc<Mutex<Vec<(SimTime, u64)>>>;
+
+    /// A fake MDS that publishes itself as group 0's active, keeps its
+    /// session alive, and logs the requests it gets.
     struct FakeMds {
         answer: Answer,
-        requests: Arc<AtomicUsize>,
+        requests: Requests,
         coord: NodeId,
         published: bool,
     }
@@ -428,6 +459,7 @@ mod tests {
     impl Node for FakeMds {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
             ctx.send(self.coord, mams_coord::CoordReq::Register);
+            ctx.set_timer(Duration::from_secs(1), 0);
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Message) {
             if msg.is::<mams_coord::CoordResp>() {
@@ -449,51 +481,93 @@ mod tests {
                 return;
             }
             if let Ok(mams_core::MdsReq::Op { seq, .. }) = msg.downcast::<mams_core::MdsReq>() {
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                match &mut self.answer {
-                    // Swallow: the client must time out and resend.
-                    Answer::DoneAfterDropping(n) if *n > 0 => *n -= 1,
-                    Answer::DoneAfterDropping(_) => {
-                        ctx.send(from, MdsResp::Reply { seq, result: Ok(OpOutput::Done) })
+                let mut requests = self.requests.lock().unwrap();
+                requests.push((ctx.now(), seq));
+                match self.answer {
+                    Answer::DoneAfterDropping { op, n } => {
+                        let seen = requests.iter().filter(|r| r.1 == seq).count();
+                        if seq - requests[0].1 != op || seen > n {
+                            ctx.send(from, MdsResp::Reply { seq, result: Ok(OpOutput::Done) })
+                        }
                     }
                     Answer::NotActive => ctx.send(from, MdsResp::NotActive { seq }),
                 }
             }
         }
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _t: u64) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
+            ctx.send(self.coord, mams_coord::CoordReq::Heartbeat);
+            ctx.set_timer(Duration::from_secs(1), 0);
+        }
     }
 
-    /// A coordinator and a [`FakeMds`]; returns the request counter.
-    fn sim_with(answer: Answer) -> (Sim, NodeId, Arc<AtomicUsize>) {
-        let mut sim = Sim::new(SimConfig::default());
+    /// One way, every message: with no jitter a resend reaches the server
+    /// exactly one timeout after the attempt it follows.
+    const LINK: Duration = Duration::from_micros(100);
+
+    /// A coordinator and a [`FakeMds`]; returns the request log.
+    fn sim_with(answer: Answer) -> (Sim, NodeId, Requests) {
+        let latency = LatencyModel { base: LINK, jitter: Duration::ZERO };
+        let mut sim = Sim::new(SimConfig { latency, ..SimConfig::default() });
         let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
-        let requests = Arc::new(AtomicUsize::new(0));
+        let requests = Requests::default();
         let mds = FakeMds { answer, requests: requests.clone(), coord, published: false };
         sim.add_node("mds", Box::new(mds));
         (sim, coord, requests)
     }
 
+    /// A closed-loop client over `mkdir /d0 … /d{ops-1}`, its first op issued
+    /// at `START`.
+    fn add_client(sim: &mut Sim, coord: NodeId, ops: u64) -> (NodeId, Arc<Metrics>) {
+        let m = Metrics::new(true);
+        let script = (0..ops).map(|i| FsOp::Mkdir { path: format!("/d{i}") }).collect();
+        let mut cfg = ClientConfig::new(coord, Partitioner::new(1));
+        cfg.start_delay = Duration::from_micros(START.micros());
+        let client =
+            FsClient::new(cfg, Workload::script(script), m.clone(), DetRng::seed_from_u64(1));
+        (sim.add_node("client", Box::new(client)), m)
+    }
+
+    const START: SimTime = SimTime(500_000);
+
+    /// (b) A lost request, or a lost reply: the same seq again, one timeout
+    /// after the attempt before, until one answer completes the op.
     #[test]
     fn client_resends_with_the_same_seq_after_timeout() {
-        let (mut sim, coord, requests) = sim_with(Answer::DoneAfterDropping(2));
-        let m = Metrics::new(true);
-        let mut cfg = ClientConfig::new(coord, Partitioner::new(1));
-        cfg.max_ops = Some(1);
-        sim.add_node(
-            "client",
-            Box::new(FsClient::new(
-                cfg,
-                Workload::script(vec![FsOp::Mkdir { path: "/x".into() }]),
-                m.clone(),
-                DetRng::seed_from_u64(1),
-            )),
-        );
+        let (mut sim, coord, requests) = sim_with(Answer::DoneAfterDropping { op: 0, n: 2 });
+        let (_, m) = add_client(&mut sim, coord, 1);
         sim.run_for(Duration::from_secs(10));
         assert_eq!(m.ok_count(), 1, "exactly one completion");
-        assert_eq!(requests.load(Ordering::Relaxed), 3, "two dropped, one answered");
+        let first = START + LINK;
+        let seq = requests.lock().unwrap()[0].1;
+        assert_eq!(
+            *requests.lock().unwrap(),
+            [(first, seq), (first + OP_TIMEOUT, seq), (first + OP_TIMEOUT + OP_TIMEOUT, seq)],
+            "two dropped, one answered"
+        );
         // Latency includes the two dropped attempts (two 1 s timeouts).
         let c = m.completions();
-        assert!(c[0].latency_us() >= 2_000_000, "latency {}us", c[0].latency_us());
+        assert_eq!(c[0].latency_us(), 2 * OP_TIMEOUT.micros() + 2 * LINK.micros());
+    }
+
+    /// (a) An answered op takes its timeout with it: the event queue holds
+    /// what is live and a bounded number of cancelled entries, not one inert
+    /// timer for every op of the last second.
+    #[test]
+    fn answered_ops_leave_no_timers_queued() {
+        const OPS: u64 = 20_000;
+        let (mut sim, coord, requests) = sim_with(Answer::DoneAfterDropping { op: 0, n: 0 });
+        let (_, m) = add_client(&mut sim, coord, OPS);
+        let mut peak = 0;
+        while m.ok_count() < OPS {
+            assert!(sim.now() < SimTime::ZERO + Duration::from_secs(10), "{} ops", m.ok_count());
+            sim.run_for(Duration::from_millis(5));
+            peak = peak.max(sim.queued_events());
+        }
+        assert_eq!(requests.lock().unwrap().len() as u64, OPS, "every op on its first attempt");
+        // Live: the coordinator's scan, the server's heartbeat, one request
+        // or reply, one timeout. At 1ec8bb4 the peak is the 5 000 ops of a
+        // second on this link.
+        assert!(peak <= 8 + mams_sim::event::SWEEP_MIN_DEAD, "{peak} events queued");
     }
 
     /// The smallest owner of an [`FsIo`]: one op, submitted at start.
@@ -515,7 +589,7 @@ mod tests {
         }
     }
 
-    /// A member that keeps answering `NotActive` (a group mid-failover)
+    /// (c) A member that keeps answering `NotActive` (a group mid-failover)
     /// costs one request per back-off, not a chain per attempt: the copy of
     /// this state machine `mams-mapreduce` used to carry armed unscoped
     /// timers and sent 22 245 requests for this one op in these 5 s.
@@ -526,8 +600,85 @@ mod tests {
         let op = Some(FsOp::Mkdir { path: "/x".into() });
         sim.add_node("owner", Box::new(OneOp { io, op }));
         sim.run_for(Duration::from_secs(5));
-        let n = requests.load(Ordering::Relaxed);
-        assert!(n >= 50, "the op was meant to be retried throughout ({n} requests)");
-        assert!(n <= 120, "{n} requests for one op in 5 s");
+        // The first attempt finds no route and waits out its timeout; from
+        // then on a round is the backoff and the two ways of the link, and
+        // each backoff takes the timeout of its attempt back. The count is
+        // 1ec8bb4's, where those timeouts fired and were ignored.
+        let rounds =
+            (5_000_000 - OP_TIMEOUT.micros()) / (NOT_ACTIVE_BACKOFF + LINK + LINK).micros();
+        assert_eq!(requests.lock().unwrap().len() as u64, rounds + 1);
+        // A timeout taken back 50 ms into its second: twenty at a time, too
+        // few to be worth a sweep.
+        let queued = sim.queued_events();
+        assert!(queued <= 8 + mams_sim::event::SWEEP_MIN_DEAD, "{queued} events queued");
+    }
+
+    /// (d) Replies duplicated by the network arrive after their op is done,
+    /// while the next op's timeout sits in the row of the timer table the
+    /// first one's was taken from. They must not reach it: that op's request
+    /// is lost, and its resend has to come one timeout after it, no sooner
+    /// and no later.
+    #[test]
+    fn a_duplicated_reply_does_not_touch_the_next_ops_timer() {
+        // Every message twice, so the first attempt of the second op is two
+        // requests to ignore.
+        let (mut sim, coord, requests) = sim_with(Answer::DoneAfterDropping { op: 1, n: 2 });
+        let (_, m) = add_client(&mut sim, coord, 2);
+        sim.run_for(Duration::from_millis(450));
+        // The coordinator's scan, the server's heartbeat — and the client's
+        // start timer, which will be gone.
+        let idle = sim.queued_events() - 1;
+        sim.net_mut().set_dup_probability(1.0);
+        sim.run_for(Duration::from_millis(3_000));
+        assert_eq!(m.ok_count(), 2);
+        let requests = requests.lock().unwrap().clone();
+        let (first, second) = (requests[0].1, requests[0].1 + 1);
+        let of = |seq| requests.iter().filter(|r| r.1 == seq).map(|r| r.0).collect::<Vec<_>>();
+        assert_eq!(of(first).len(), 2, "{requests:?}");
+        // The second op went out when the first reply came in.
+        let sent = START + LINK + LINK;
+        let copy = LINK.mul_f64(4.0);
+        assert_eq!(
+            of(second),
+            [
+                sent + LINK,
+                sent + LINK + copy,
+                sent + OP_TIMEOUT + LINK,
+                sent + OP_TIMEOUT + LINK + copy
+            ],
+            "{requests:?}"
+        );
+        let c = m.completions();
+        assert_eq!(c[1].latency_us(), OP_TIMEOUT.micros() + 2 * LINK.micros());
+        sim.net_mut().set_dup_probability(0.0);
+        sim.run_for(Duration::from_millis(50));
+        assert_eq!(sim.queued_events(), idle, "nothing of the two ops is left");
+    }
+
+    /// (e) A client frozen between its request and the reply: the reply, then
+    /// the timeout that came due, wait in the backlog and replay in that
+    /// order, so the op completes at resume and is not resent.
+    #[test]
+    fn a_reply_and_a_timeout_buffered_by_one_pause_replay_in_arrival_order() {
+        let (mut sim, coord, requests) = sim_with(Answer::DoneAfterDropping { op: 0, n: 0 });
+        let (client, m) = add_client(&mut sim, coord, 2);
+        let frozen = START + LINK + Duration::from_micros(50);
+        let woken = START + OP_TIMEOUT + Duration::from_millis(200);
+        sim.at(frozen, move |sim| sim.pause(client));
+        sim.at(woken, move |sim| {
+            assert!(sim.queued_events() >= 2, "the reply and the timeout wait");
+            sim.resume(client);
+        });
+        sim.run_for(Duration::from_secs(4));
+        assert_eq!(m.ok_count(), 2);
+        let c = m.completions();
+        assert_eq!((c[0].issued_us, c[0].at_us), (START.micros(), woken.micros()));
+        assert_eq!(c[1].latency_us(), 2 * LINK.micros());
+        let seq = requests.lock().unwrap()[0].1;
+        assert_eq!(
+            *requests.lock().unwrap(),
+            [(START + LINK, seq), (woken + LINK, seq + 1)],
+            "one request each"
+        );
     }
 }

@@ -22,9 +22,13 @@ pub type NodeId = u32;
 /// (test harnesses, fault injectors).
 pub const EXTERNAL: NodeId = u32::MAX;
 
-/// Handle to a pending timer, usable for cancellation.
+/// Handle to a pending timer, usable for cancellation: a row of the kernel's
+/// timer table and the generation the row had when the timer was armed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(pub(crate) u64);
+pub struct TimerId {
+    pub(crate) slot: u32,
+    pub(crate) generation: u32,
+}
 
 /// Object-safe super-trait for type-erased message payloads.
 ///
@@ -158,10 +162,18 @@ impl<'a> Ctx<'a> {
         self.kernel.set_timer(self.id, delay, token)
     }
 
-    /// Cancel a pending timer. Cancelling an already-fired or foreign timer
-    /// is a no-op.
+    /// Take a pending timer back: it will not fire, and its queue entry is
+    /// gone at the latest when a cancel finds cancelled entries outnumbering
+    /// live ones. Only the handle is checked, so pass ids this node's own
+    /// `set_timer` returned. Cancelling a timer that has fired or was
+    /// cancelled before does nothing and leaves nothing behind (the handle's
+    /// generation no longer matches anything); cancelling one a crashed
+    /// incarnation armed changes nothing a node can see, since it could not
+    /// fire. A timer that came due while its node was paused can still be
+    /// cancelled: it is left out when the backlog replays at resume, and the
+    /// rest replays in arrival order.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        self.kernel.cancel_timer(id);
+        self.kernel.queue.cancel_timer(id);
     }
 
     /// Deterministic random source shared by the whole simulation.

@@ -52,8 +52,6 @@ pub struct Kernel {
     pub(crate) rng: DetRng,
     pub(crate) trace: Trace,
     meta: Vec<NodeMeta>,
-    cancelled_timers: HashSet<u64>,
-    next_timer_id: u64,
     /// Nodes that are alive but not being scheduled (long GC pause / stop
     /// signal). Their events accumulate in `backlog` and replay on resume.
     paused: HashSet<NodeId>,
@@ -92,19 +90,12 @@ impl Kernel {
     }
 
     pub(crate) fn set_timer(&mut self, node: NodeId, delay: Duration, token: u64) -> TimerId {
-        let timer_id = self.next_timer_id;
-        self.next_timer_id += 1;
         let delay = match self.timer_scale.get(&node) {
             Some(&k) => delay.mul_f64(k),
             None => delay,
         };
         let epoch = self.meta[node as usize].epoch;
-        self.queue.push(self.now + delay, EventKind::Timer { node, epoch, timer_id, token });
-        TimerId(timer_id)
-    }
-
-    pub(crate) fn cancel_timer(&mut self, id: TimerId) {
-        self.cancelled_timers.insert(id.0);
+        self.queue.arm_timer(self.now + delay, node, epoch, token)
     }
 
     /// Current simulation time.
@@ -157,8 +148,6 @@ impl Sim {
                 rng: DetRng::seed_from_u64(cfg.seed),
                 trace: Trace::new(cfg.trace),
                 meta: Vec::new(),
-                cancelled_timers: HashSet::new(),
-                next_timer_id: 0,
                 paused: HashSet::new(),
                 backlog: HashMap::new(),
                 timer_scale: HashMap::new(),
@@ -239,6 +228,14 @@ impl Sim {
         (node as &dyn std::any::Any).downcast_ref::<T>()
     }
 
+    /// Events the kernel holds: the queue (a cancelled timer's entry counts
+    /// until it is swept or popped) and the backlogs of paused nodes. However
+    /// many timers were cancelled, their entries never outnumber the live
+    /// events by more than a constant when a cancel returns.
+    pub fn queued_events(&self) -> usize {
+        self.kernel.queue.len() + self.kernel.backlog.values().map(Vec::len).sum::<usize>()
+    }
+
     /// Inject a message from outside the cluster.
     pub fn send_external<T: crate::node::AnyMessage>(&mut self, dst: NodeId, payload: T) {
         self.kernel.send_message(EXTERNAL, dst, Message::new(payload));
@@ -268,9 +265,15 @@ impl Sim {
         m.epoch += 1;
         self.nodes[id as usize] = None;
         // A crash also ends any pause and discards buffered events: the
-        // process is gone, nothing will drain its socket buffers.
+        // process is gone, nothing will drain its socket buffers. Its timers
+        // still in the queue are dropped as they come due; the ones that came
+        // due during the pause end here.
         self.kernel.paused.remove(&id);
-        self.kernel.backlog.remove(&id);
+        for ev in self.kernel.backlog.remove(&id).unwrap_or_default() {
+            if let EventKind::Timer { id: timer, .. } = ev {
+                self.kernel.queue.cancel_timer(timer);
+            }
+        }
         self.trace_control(id, "sim.crash");
     }
 
@@ -298,9 +301,10 @@ impl Sim {
         if let Some(events) = self.kernel.backlog.remove(&id) {
             // Pushed at `now` in buffered order; the queue keeps same-time
             // events FIFO by insertion sequence, so the backlog drains in
-            // original arrival order.
+            // original arrival order. A timer cancelled while it waited here
+            // is left out.
             for ev in events {
-                self.kernel.queue.push(now, ev);
+                self.kernel.queue.unpark(now, ev);
             }
         }
     }
@@ -403,20 +407,17 @@ impl Sim {
                 }
                 self.with_node(dst, |node, ctx| node.on_message(ctx, from, msg));
             }
-            EventKind::Timer { node, epoch, timer_id, token } => {
-                // Buffer first: a timer that comes due during a pause fires
-                // (late) at resume, with cancellation and epoch re-checked
-                // then.
-                if self.kernel.paused.contains(&node) {
-                    self.kernel.backlog.entry(node).or_default().push(EventKind::Timer {
-                        node,
-                        epoch,
-                        timer_id,
-                        token,
-                    });
+            EventKind::Timer { node, epoch, id, token } => {
+                // A timer that comes due during a pause stays armed and
+                // fires (late) at resume, with cancellation and epoch
+                // re-checked then.
+                let paused = self.kernel.paused.contains(&node);
+                if !self.kernel.queue.take_due(id, paused) {
                     return true;
                 }
-                if self.kernel.cancelled_timers.remove(&timer_id) {
+                if paused {
+                    let parked = EventKind::Timer { node, epoch, id, token };
+                    self.kernel.backlog.entry(node).or_default().push(parked);
                     return true;
                 }
                 let meta = &self.kernel.meta[node as usize];
@@ -689,61 +690,198 @@ mod tests {
 #[cfg(test)]
 mod cancel_tests {
     use super::*;
-    use crate::node::{Ctx, Message, Node, NodeId, TimerId};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
-    /// Arms two timers and cancels the second when the first fires.
-    struct Canceller {
-        fired: Arc<AtomicU64>,
-        pending: Option<TimerId>,
+    type Shared<T> = Arc<Mutex<T>>;
+
+    /// Arms one timer (token 7) when it starts, leaves the id where the test
+    /// and a [`Canceller`] can reach it, and logs what is delivered to it.
+    /// On the message `"cancel"` it takes its own timer back.
+    struct Owner {
+        delay: Duration,
+        id: Shared<Option<TimerId>>,
+        log: Shared<Vec<&'static str>>,
     }
+
+    impl Node for Owner {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let id = ctx.set_timer(self.delay, 7);
+            // The first incarnation's id is the one the tests cancel.
+            self.id.lock().unwrap().get_or_insert(id);
+        }
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, token: u64) {
+            assert_eq!(token, 7);
+            self.log.lock().unwrap().push("timer");
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _: NodeId, msg: Message) {
+            let what = msg.downcast::<&'static str>().unwrap();
+            self.log.lock().unwrap().push(what);
+            if what == "cancel" {
+                ctx.cancel_timer(self.id.lock().unwrap().unwrap());
+            }
+        }
+    }
+
+    /// Cancels the shared id whenever it is poked.
+    struct Canceller(Shared<Option<TimerId>>);
 
     impl Node for Canceller {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.set_timer(Duration::from_millis(5), 1);
-            self.pending = Some(ctx.set_timer(Duration::from_millis(10), 2));
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _: NodeId, _: Message) {
+            ctx.cancel_timer(self.0.lock().unwrap().expect("the owner started first"));
         }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-            self.fired.fetch_add(token, Ordering::Relaxed);
-            if token == 1 {
-                if let Some(id) = self.pending.take() {
-                    ctx.cancel_timer(id);
-                }
-            }
-        }
-        fn on_message(&mut self, _: &mut Ctx<'_>, _: NodeId, _: Message) {}
     }
 
-    #[test]
-    fn cancelled_timers_never_fire() {
-        let fired = Arc::new(AtomicU64::new(0));
+    struct Rig {
+        sim: Sim,
+        owner: NodeId,
+        canceller: NodeId,
+        log: Shared<Vec<&'static str>>,
+    }
+
+    /// A restartable [`Owner`] whose timer is due at `due_ms`, and a
+    /// [`Canceller`] holding the first incarnation's id.
+    fn rig(due_ms: u64) -> Rig {
         let mut sim = Sim::new(SimConfig::default());
-        sim.add_node("c", Box::new(Canceller { fired: fired.clone(), pending: None }));
-        sim.run_for(Duration::from_secs(1));
-        assert_eq!(fired.load(Ordering::Relaxed), 1, "only the first timer fires");
+        let (id, log) = (Shared::default(), Shared::default());
+        let (i, l) = (id.clone(), log.clone());
+        let owner = sim.add_restartable("owner", move || {
+            Box::new(Owner { delay: Duration::from_millis(due_ms), id: i.clone(), log: l.clone() })
+        });
+        let canceller = sim.add_node("canceller", Box::new(Canceller(id)));
+        Rig { sim, owner, canceller, log }
+    }
+
+    impl Rig {
+        fn at_ms(&mut self, ms: u64, f: impl FnOnce(&mut Sim) + Send + 'static) {
+            self.sim.at(SimTime(ms * 1_000), f);
+        }
+        fn poke_at_ms(&mut self, ms: u64, dst: NodeId, what: &'static str) {
+            self.at_ms(ms, move |sim| sim.send_external(dst, what));
+        }
+        /// Run everything out and check that the kernel remembers no timer:
+        /// no entry, live or dead, in the queue or a backlog, and no row of
+        /// the timer table in use.
+        fn finish(mut self) -> Vec<&'static str> {
+            self.sim.run_for(Duration::from_secs(1));
+            assert_eq!(self.sim.queued_events(), 0);
+            assert!(self.sim.kernel.queue.holds_no_timer(), "{:?}", self.sim.kernel.queue);
+            let log = self.log.lock().unwrap().clone();
+            log
+        }
     }
 
     #[test]
-    fn cancelling_a_fired_timer_is_a_noop() {
-        struct LateCancel {
-            id: Option<TimerId>,
-        }
-        impl Node for LateCancel {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                self.id = Some(ctx.set_timer(Duration::from_millis(1), 1));
+    fn a_cancelled_timer_never_fires() {
+        let mut r = rig(10);
+        r.poke_at_ms(5, r.canceller, "");
+        assert_eq!(r.finish(), Vec::<&str>::new());
+    }
+
+    /// At the parent the kernel kept the id of a timer cancelled after it
+    /// fired for the life of the `Sim`.
+    #[test]
+    fn cancelling_a_fired_timer_is_a_noop_and_leaves_no_record() {
+        let mut r = rig(2);
+        // The fired timer's row of the table is free; the next incarnation's
+        // timer (due at 6 ms) takes it under a new generation, and the stale
+        // id must not reach it.
+        let owner = r.owner;
+        r.at_ms(4, move |sim| {
+            sim.crash(owner);
+            sim.restart(owner);
+        });
+        r.poke_at_ms(5, r.canceller, "");
+        assert_eq!(r.finish(), ["timer", "timer"]);
+    }
+
+    #[test]
+    fn cancelling_a_crashed_incarnations_timer_is_a_noop_and_leaves_no_record() {
+        let mut r = rig(10);
+        let owner = r.owner;
+        r.at_ms(1, move |sim| sim.crash(owner));
+        r.poke_at_ms(2, r.canceller, "");
+        // The new incarnation's timer reuses the row while the old one's
+        // entry is still queued.
+        r.at_ms(3, move |sim| sim.restart(owner));
+        assert_eq!(r.finish(), ["timer"]);
+    }
+
+    #[test]
+    fn a_timer_cancelled_in_a_paused_nodes_backlog_is_suppressed_at_resume() {
+        // Who cancels: nobody, another node during the pause, or the owner
+        // itself on a message that was buffered ahead of the timer.
+        let cases: [(&str, &[&str]); 3] = [
+            ("nobody", &["m1", "timer", "m2"]),
+            ("canceller", &["m1", "m2"]),
+            ("owner", &["cancel", "m2"]),
+        ];
+        for (who, delivered) in cases {
+            let mut r = rig(10);
+            let owner = r.owner;
+            r.at_ms(5, move |sim| sim.pause(owner));
+            r.poke_at_ms(8, owner, if who == "owner" { "cancel" } else { "m1" });
+            r.poke_at_ms(12, owner, "m2");
+            if who == "canceller" {
+                r.poke_at_ms(15, r.canceller, "");
             }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
-                // Cancel after the fact: must not panic or corrupt anything.
-                if let Some(id) = self.id.take() {
-                    ctx.cancel_timer(id);
+            r.at_ms(20, move |sim| {
+                assert_eq!(sim.queued_events(), 3, "two messages and the timer wait");
+                sim.resume(owner);
+            });
+            assert_eq!(r.finish(), delivered, "cancelled by {who}");
+        }
+    }
+
+    #[test]
+    fn a_crash_while_paused_ends_the_backlogs_timers() {
+        let mut r = rig(10);
+        let owner = r.owner;
+        r.at_ms(5, move |sim| sim.pause(owner));
+        r.at_ms(15, move |sim| {
+            let held = sim.queued_events();
+            sim.crash(owner);
+            assert_eq!(sim.queued_events(), held - 1, "the timer came due during the pause");
+            sim.restart(owner);
+        });
+        // Nothing is left to cancel.
+        r.poke_at_ms(16, r.canceller, "");
+        assert_eq!(r.finish(), ["timer"]);
+    }
+
+    /// Many more cancels than the sweep threshold: the queue stays the size
+    /// of what is live, and what is live fires.
+    #[test]
+    fn cancelled_entries_are_swept_once_they_outnumber_live_ones() {
+        struct Churn {
+            fired: Shared<Vec<u64>>,
+        }
+        impl Node for Churn {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                for i in 0..10_000 {
+                    let id = ctx.set_timer(Duration::from_millis(1 + i % 50), i);
+                    if i % 100 != 0 {
+                        ctx.cancel_timer(id);
+                    }
                 }
-                ctx.set_timer(Duration::from_millis(1), 2);
+            }
+            fn on_timer(&mut self, _: &mut Ctx<'_>, token: u64) {
+                self.fired.lock().unwrap().push(token);
             }
             fn on_message(&mut self, _: &mut Ctx<'_>, _: NodeId, _: Message) {}
         }
+        let fired = Shared::default();
         let mut sim = Sim::new(SimConfig::default());
-        sim.add_node("l", Box::new(LateCancel { id: None }));
-        sim.run_for(Duration::from_millis(50));
+        sim.add_node("churn", Box::new(Churn { fired: fired.clone() }));
+        sim.run_for(Duration::ZERO);
+        let live = 100;
+        assert!(sim.queued_events() <= live + live.max(crate::event::SWEEP_MIN_DEAD));
+        sim.run_for(Duration::from_secs(1));
+        let mut fired = fired.lock().unwrap().clone();
+        assert_eq!(fired.len(), live);
+        // Same due time: in the order armed. (i % 50, then i.)
+        assert!(fired.windows(2).all(|w| (w[0] % 50, w[0]) < (w[1] % 50, w[1])));
+        fired.sort_unstable();
+        assert!(fired.iter().all(|i| i % 100 == 0));
+        assert!(sim.kernel.queue.holds_no_timer());
     }
 }
