@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use mams_coord::{CoordClient, CoordEvent, CoordResp, Incoming, KeyOp};
 use mams_core::retry::RetryCache;
-use mams_core::{keys, CpuModel, FsOp, Ingress, IngressItem, MdsReq, MdsResp, OpOutput};
+use mams_core::{CpuModel, FsOp, Ingress, IngressItem, MdsReq, MdsResp, OpOutput, ViewKey};
 use mams_journal::{JournalBatch, ReplayCursor, SharedBatch, Sn, Txn};
 use mams_namespace::{ImageError, NamespaceImage, NamespaceTree};
 use mams_sim::{Ctx, Duration, Message, NodeId};
@@ -189,18 +189,18 @@ impl NameNode {
     /// Publish this node as group 0's active, so `FsClient` routes to it.
     pub fn publish(&mut self, ctx: &mut Ctx<'_>) {
         let me = ctx.id();
-        self.coord.set(ctx, keys::active(0), me.to_string(), true);
+        self.coord.set(ctx, ViewKey::Active(0).to_string(), me.to_string(), true);
     }
 
     /// Withdraw the pointer [`publish`](Self::publish) set.
     pub fn unpublish(&mut self, ctx: &mut Ctx<'_>) {
-        self.coord.multi(ctx, vec![KeyOp::Delete { key: keys::active(0) }]);
+        self.coord.multi(ctx, vec![KeyOp::Delete { key: ViewKey::Active(0).to_string() }]);
     }
 
     /// Watch group 0's keys: the failure detector of the hot-standby
     /// designs (see [`on_coord`](Self::on_coord)).
     pub fn watch_active(&mut self, ctx: &mut Ctx<'_>) {
-        self.coord.watch(ctx, "g/0/".to_string());
+        self.coord.watch(ctx, ViewKey::group(0));
     }
 
     /// Coordinator traffic. `Err(msg)`: not from the coordinator.
@@ -216,7 +216,7 @@ impl NameNode {
         match CoordClient::classify(msg)? {
             Incoming::Resp(CoordResp::Registered) if active => self.publish(ctx),
             Incoming::Event(CoordEvent::KeyChanged { key, value: None, .. }) => {
-                return Ok(key == keys::active(0));
+                return Ok(ViewKey::parse(&key) == Some(ViewKey::Active(0)));
             }
             _ => {}
         }

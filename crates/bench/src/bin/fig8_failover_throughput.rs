@@ -63,19 +63,18 @@ fn run(
 
 fn main() {
     let a = run("(a) Test A: active loses the lock", |sim, d| {
-        let coord = d.coord;
         for &t in &INJECT_SECS {
-            expire_current_active_at(sim, coord, SimTime(t * 1_000_000));
+            expire_current_active_at(sim, d.coord, SimTime(t * 1_000_000));
         }
     });
-    let b = run("(b) Test B: network wires pulled", |sim, _d| {
+    let b = run("(b) Test B: network wires pulled", |sim, d| {
         for &t in &INJECT_SECS {
-            unplug_current_active_at(sim, SimTime(t * 1_000_000), Duration::from_secs(12));
+            unplug_current_active_at(sim, d.coord, SimTime(t * 1_000_000), Duration::from_secs(12));
         }
     });
-    let c = run("(c) Test C: process shutdown/restart", |sim, _d| {
+    let c = run("(c) Test C: process shutdown/restart", |sim, d| {
         for &t in &INJECT_SECS {
-            crash_current_active_at(sim, SimTime(t * 1_000_000), Duration::from_secs(12));
+            crash_current_active_at(sim, d.coord, SimTime(t * 1_000_000), Duration::from_secs(12));
         }
     });
     save_json(

@@ -80,7 +80,7 @@ fn main() {
         );
     });
     let c = run_test("Test C: processes shut down and restarted", |sim, d| {
-        crash_current_active_at(sim, SimTime(20_000_000), Duration::from_secs(15));
+        crash_current_active_at(sim, d.coord, SimTime(20_000_000), Duration::from_secs(15));
         let m = d.groups[0].members.clone();
         // Later: two of the (by then) standbys go down and come back.
         sim.at(SimTime(90_000_000), {

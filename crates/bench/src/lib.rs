@@ -13,6 +13,7 @@ use mams_chaos::active_of;
 use mams_cluster::deploy::Deployment;
 use mams_cluster::metrics::Metrics;
 use mams_cluster::workload::Workload;
+use mams_core::ViewKey;
 use mams_sim::{Duration, NodeId, Sim, SimTime};
 use serde_json::Value;
 
@@ -128,7 +129,7 @@ pub fn reconstruct_states(sim: &Sim, members: &[NodeId]) -> Vec<(f64, Vec<String
         let changed = match e.tag {
             "view.set" => {
                 if let Some((key, value)) = e.detail.split_once('=') {
-                    if let Some((0, node)) = mams_core::keys::parse_state_key(key) {
+                    if let Some(ViewKey::State(0, node)) = ViewKey::parse(key) {
                         current.insert(node, value.to_string());
                         true
                     } else {
@@ -139,7 +140,7 @@ pub fn reconstruct_states(sim: &Sim, members: &[NodeId]) -> Vec<(f64, Vec<String
                 }
             }
             "view.del" => {
-                if let Some((0, node)) = mams_core::keys::parse_state_key(&e.detail) {
+                if let Some(ViewKey::State(0, node)) = ViewKey::parse(&e.detail) {
                     current.remove(&node);
                     true
                 } else {
@@ -161,25 +162,25 @@ pub fn reconstruct_states(sim: &Sim, members: &[NodeId]) -> Vec<(f64, Vec<String
 /// Schedule "make whoever is active at `at` lose the lock" (Test A).
 pub fn expire_current_active_at(sim: &mut Sim, coord: NodeId, at: SimTime) {
     sim.at(at, move |s| {
-        if let Some(victim) = active_of(s, 0) {
+        if let Some(victim) = active_of(s, coord, 0) {
             s.send_external(coord, mams_coord::CoordReq::ForceExpire { victim });
         }
     });
 }
 
 /// Schedule "unplug whoever is active at `at` for `down`" (Test B).
-pub fn unplug_current_active_at(sim: &mut Sim, at: SimTime, down: Duration) {
+pub fn unplug_current_active_at(sim: &mut Sim, coord: NodeId, at: SimTime, down: Duration) {
     sim.at(at, move |s| {
-        if let Some(victim) = active_of(s, 0) {
+        if let Some(victim) = active_of(s, coord, 0) {
             mams_cluster::faults::schedule_unplug(s, victim, s.now(), down);
         }
     });
 }
 
 /// Schedule "kill whoever is active at `at`, restart after `down`" (Test C).
-pub fn crash_current_active_at(sim: &mut Sim, at: SimTime, down: Duration) {
+pub fn crash_current_active_at(sim: &mut Sim, coord: NodeId, at: SimTime, down: Duration) {
     sim.at(at, move |s| {
-        if let Some(victim) = active_of(s, 0) {
+        if let Some(victim) = active_of(s, coord, 0) {
             s.crash(victim);
             s.after(down, move |s2| s2.restart(victim));
         }
@@ -194,7 +195,7 @@ mod tests {
     use mams_sim::SimConfig;
 
     #[test]
-    fn the_active_is_read_off_the_view_trace() {
+    fn the_active_is_read_off_the_coordinator() {
         let mut sim = Sim::new(SimConfig::default());
         let mut d = build(
             &mut sim,
@@ -203,12 +204,12 @@ mod tests {
         let m = Metrics::new(false);
         d.add_client(&mut sim, W::create_only(0), m);
         sim.run_for(Duration::from_secs(2));
-        assert_eq!(active_of(&sim, 0), Some(d.initial_active(0)));
+        assert_eq!(active_of(&sim, d.coord, 0), Some(d.initial_active(0)));
         // After a failover, the helper reports the new active.
         let old = d.initial_active(0);
         sim.after(Duration::ZERO, move |s| s.crash(old));
         sim.run_for(Duration::from_secs(12));
-        let now = active_of(&sim, 0).expect("an active exists");
+        let now = active_of(&sim, d.coord, 0).expect("an active exists");
         assert_ne!(now, old);
         assert!(d.groups[0].members.contains(&now));
     }

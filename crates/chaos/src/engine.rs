@@ -14,7 +14,8 @@
 
 use mams_cluster::deploy::{self, DeploySpec};
 use mams_cluster::{History, Metrics, Recorder};
-use mams_core::MdsTiming;
+use mams_coord::CoordServer;
+use mams_core::{MdsTiming, ViewKey};
 use mams_sim::{DetRng, Duration, NodeId, NodeStatus, Sim, SimConfig, SimTime};
 
 use crate::checker::{check_history, CheckOutcome};
@@ -63,9 +64,9 @@ fn resolve(sim: &Sim, topo: &Topology, r: NodeRef) -> Option<NodeId> {
         NodeRef::Member { group, idx } => {
             topo.groups.get(group as usize).and_then(|g| g.get(idx)).copied()
         }
-        NodeRef::Active { group } => active_of(sim, group),
+        NodeRef::Active { group } => active_of(sim, topo.coord, group),
         NodeRef::BackupOf { group } => {
-            let act = active_of(sim, group);
+            let act = active_of(sim, topo.coord, group);
             topo.groups.get(group as usize).and_then(|g| {
                 g.iter()
                     .find(|&&n| {
@@ -80,21 +81,11 @@ fn resolve(sim: &Sim, topo: &Topology, r: NodeRef) -> Option<NodeId> {
     }
 }
 
-/// The group's current active according to the recorded view trace.
-pub fn active_of(sim: &Sim, group: u32) -> Option<NodeId> {
-    let set_prefix = format!("g/{group}/active=");
-    let del_key = format!("g/{group}/active");
-    for e in sim.trace().events().iter().rev() {
-        if e.tag == "view.set" {
-            if let Some(rest) = e.detail.strip_prefix(set_prefix.as_str()) {
-                return rest.parse().ok();
-            }
-        }
-        if e.tag == "view.del" && e.detail == del_key {
-            return None;
-        }
-    }
-    None
+/// The group's current active according to the coordinator `coord`: the
+/// value of the group's active pointer in the global view.
+pub fn active_of(sim: &Sim, coord: NodeId, group: u32) -> Option<NodeId> {
+    let view: &CoordServer = sim.node(coord)?;
+    view.get(&ViewKey::Active(group).to_string())?.parse().ok()
 }
 
 fn resolve_all(sim: &Sim, topo: &Topology, refs: &[NodeRef]) -> Vec<NodeId> {
@@ -316,7 +307,7 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
         }
     }
     for g in 0..sc.groups {
-        if active_of(&sim, g).is_none() {
+        if active_of(&sim, topo.coord, g).is_none() {
             invariants.push(format!("no active for group {g} after grace"));
         }
     }

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mams_coord::{CoordEvent, CoordReq, CoordResp};
-use mams_core::{FsOp, MdsReq, MdsResp, OpOutput};
+use mams_core::{FsOp, MdsReq, MdsResp, OpOutput, ViewKey};
 use mams_namespace::Partitioner;
 use mams_sim::{Ctx, DetRng, Duration, Message, Node, NodeId, SimTime, TimerId};
 
@@ -120,16 +120,16 @@ impl FsIo {
 
     /// Subscribe to the global view. Call from `on_start`.
     pub fn start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.send(self.coord, CoordReq::Watch { prefix: "g/".into(), req: 0 });
+        ctx.send(self.coord, CoordReq::Watch { prefix: ViewKey::all_groups(), req: 0 });
         self.refresh_view(ctx);
     }
 
     fn refresh_view(&self, ctx: &mut Ctx<'_>) {
-        ctx.send(self.coord, CoordReq::List { prefix: "g/".into(), req: 0 });
+        ctx.send(self.coord, CoordReq::List { prefix: ViewKey::all_groups(), req: 0 });
     }
 
     fn absorb_active(&mut self, key: &str, value: Option<&str>) {
-        if let Some(group) = mams_core::keys::parse_active_key(key) {
+        if let Some(ViewKey::Active(group)) = ViewKey::parse(key) {
             match value.and_then(|v| v.parse().ok()) {
                 Some(n) => {
                     self.actives.insert(group, n);
@@ -469,7 +469,7 @@ mod tests {
                         self.coord,
                         mams_coord::CoordReq::Multi {
                             ops: vec![mams_coord::KeyOp::Set {
-                                key: mams_core::keys::active(0),
+                                key: ViewKey::Active(0).to_string(),
                                 value: ctx.id().to_string(),
                                 ephemeral: true,
                             }],

@@ -62,6 +62,11 @@ impl CoordServer {
         }
     }
 
+    /// The value of `key`, if set (harness hook: read through `Sim::node`).
+    pub fn get(&self, key: &str) -> Option<&str> {
+        self.keys.get(key).map(|e| e.value.as_str())
+    }
+
     fn watchers_of(&self, key: &str) -> Vec<NodeId> {
         let mut v: Vec<NodeId> = self
             .watches

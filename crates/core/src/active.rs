@@ -1,62 +1,80 @@
-//! Active-role behaviour: serving client operations, journal batching and
-//! synchronization, distributed transactions, checkpoints.
+//! The tenure at work: serving client operations, journal batching and
+//! synchronization, distributed transactions, checkpoints. Every handler
+//! here takes the [`Tenure`] and the [`Replica`] it runs on, so none can be
+//! entered in another role.
 
-use mams_journal::{JournalBatch, ReplayCursor, SharedBatch, Sn, Txn};
-use mams_sim::{Ctx, NodeId};
+use std::sync::Arc;
+
+use mams_journal::{JournalBatch, SharedBatch, Sn, Txn};
+use mams_sim::{Ctx, Duration, NodeId};
 use mams_storage::pool::PoolError;
 use mams_storage::proto::{PoolReq, PoolResp, ReqId};
 
-use crate::proto::{FsOp, GroupMsg, MdsReq, MdsResp, OpOutput};
-use crate::server::{Inflight, MdsServer, PendingOp, PoolCtx, ReplyTo, Role, XgOutstanding};
+use crate::commit::FLUSH_MAX;
+use crate::ingress::{CpuModel, IngressItem};
+use crate::proto::{FsOp, GroupMsg, MdsResp, OpOutput, Xid};
+use crate::server::{
+    ClientReply, Inflight, PendingOp, Replica, ReplyTo, Tenure, TenureReq, XgOutstanding,
+};
 
 /// Flush as soon as this many mutations are pending.
 const BATCH_MAX_OPS: usize = 64;
 
-impl MdsServer {
+/// Extra per-mutation CPU for each hot standby the active synchronizes
+/// (serialization + send per replica). This is what produces the paper's
+/// few-percent throughput decline per added standby (Fig. 5).
+const SYNC_CPU_PER_STANDBY: Duration = Duration::from_micros(5);
+
+impl Tenure {
     // ------------------------------------------------------------- clients
 
-    pub(crate) fn on_client_req(&mut self, ctx: &mut Ctx<'_>, from: NodeId, req: MdsReq) {
-        // Block reports go to every member regardless of role — that is
-        // what keeps standbys hot on file locations.
-        if let MdsReq::BlockReport { server, blocks } = &req {
-            self.blocks.report(*server, blocks);
-            return;
-        }
-        // Lazy lease enforcement: a just-thawed zombie can receive queued
-        // client requests before its first timer tick — it must notice its
-        // lapsed session *now*, not a second from now.
-        if matches!(self.role, Role::Active | Role::Upgrading) {
-            self.check_coord_lease(ctx);
-        }
-        match self.role {
-            Role::Active => {}
-            Role::Upgrading => {
-                // Step 3 of the switch: accept and buffer, commit later.
-                self.buffered.push((from, req));
-                return;
-            }
-            _ => {
-                if let MdsReq::Op { seq, .. } = req {
-                    ctx.send(from, MdsResp::NotActive { seq });
+    /// One `T_FLUSH` tick of the active: drain the admission queue for what
+    /// `elapsed` buys, serve it, seal it. Returns the next tick's interval.
+    pub(crate) fn drain_and_flush(
+        &mut self,
+        r: &mut Replica,
+        ctx: &mut Ctx<'_>,
+        arrived: u64,
+        elapsed: Duration,
+    ) -> Duration {
+        r.commit.observe_tick(arrived, elapsed);
+        // The drain budget is the elapsed wall time — not the tick interval
+        // — so the CPU model's service rate is the same whether the
+        // controller ticks every 250µs or every 8ms. Bounded by `FLUSH_MAX`
+        // so a tick delayed past the cadence (promotion, timer skew) cannot
+        // burst beyond the modeled capacity.
+        let budget = elapsed.min(FLUSH_MAX);
+        let mut cpu = CpuModel::default();
+        // Journal fan-out: every mutation is serialized and sent to each
+        // hot standby.
+        cpu.mutation += SYNC_CPU_PER_STANDBY.mul_f64(self.standbys.len() as f64);
+        // Fan the drained window across the namespace's shard workers: ops
+        // are bucketed by the shard that owns their parent directory
+        // (`ShardedNamespace::home_shard`) and the buckets are served in
+        // shard-index order — a stable sort is that pass in place. Within a
+        // bucket the admission order is preserved, so ops against the same
+        // directory, and hence the per-shard journal order, serve exactly as
+        // admitted; ops against different shards were concurrent (clients
+        // are closed-loop, one op in flight each), so any interleaving is a
+        // legal linearization. The grouping is deterministic, keeping
+        // replica replay and the retry cache's in-order assumptions intact,
+        // and it batches each shard's lock traffic together — the
+        // single-process analogue of one worker thread per shard.
+        let mut drained = r.ingress.drain(budget, cpu);
+        drained.sort_by_cached_key(|item| r.ns.home_shard(item.op().primary_path()));
+        for item in drained {
+            match item {
+                IngressItem::Client { from, op, seq } => self.serve_op(r, ctx, from, op, seq),
+                IngressItem::Leg { coordinator, xid, op } => {
+                    self.enqueue_mutation(r, ctx, op, ReplyTo::XGroup { coordinator, xid })
                 }
-                return;
             }
         }
-        match req {
-            MdsReq::Checkpoint => self.start_checkpoint(ctx),
-            MdsReq::Op { op, seq, acked } => {
-                // The piggybacked receipt watermark retires exactly the
-                // responses this client can never retry.
-                self.retry_cache.note_acked(from, acked);
-                // Admission control: the op executes at the next drain,
-                // modeling server CPU capacity.
-                self.ingress.push(from, op, seq, None);
-            }
-            MdsReq::BlockReport { .. } => unreachable!("handled above"),
-        }
+        self.flush_batch(r, ctx);
+        r.commit.next_interval(r.ingress.len())
     }
 
-    pub(crate) fn serve_op(&mut self, ctx: &mut Ctx<'_>, from: NodeId, op: FsOp, seq: u64) {
+    fn serve_op(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>, from: NodeId, op: FsOp, seq: u64) {
         // Duplicate handling: a retried request (same seq) is answered from
         // the cache, never re-executed.
         if let Some(cached) = self.retry_cache.check(from, seq) {
@@ -64,25 +82,25 @@ impl MdsServer {
             return;
         }
         if !op.is_mutation() {
-            let result = self.exec_read(&op);
-            let resp = std::sync::Arc::new(MdsResp::Reply { seq, result });
+            let result = r.exec_read(&op);
+            let resp = Arc::new(MdsResp::Reply { seq, result });
             // Read barrier: the image may include mutations that are not
             // yet durable in the SSP. Releasing the reply now would let
             // the client observe state that can still be discarded — an
             // isolated active throws its speculative suffix away when it
             // degrades, so such a dirty read contradicts the successor's
             // timeline. Hold the reply until everything the read could
-            // have observed has committed; on degradation the reply is
-            // dropped instead and the client retries against the new
-            // active. The read still linearizes at its execution point.
-            self.send_or_defer_observation(ctx, from, seq, resp);
+            // have observed has committed; on degradation the reply goes
+            // with the tenure instead and the client retries against the
+            // new active. The read still linearizes at its execution point.
+            self.send_or_defer_observation(r, ctx, from, seq, resp);
             return;
         }
-        if self.cfg.timing.fault_double_ack {
+        if r.cfg.timing.fault_double_ack {
             if let FsOp::Delete { .. } = &op {
                 // Injected defect (chaos teeth test): acknowledge the
                 // delete as done without executing it.
-                let resp = std::sync::Arc::new(MdsResp::Reply { seq, result: Ok(OpOutput::Done) });
+                let resp = Arc::new(MdsResp::Reply { seq, result: Ok(OpOutput::Done) });
                 self.retry_cache.store(from, seq, resp.clone());
                 ctx.send(from, resp);
                 return;
@@ -98,7 +116,7 @@ impl MdsServer {
         if !self.retry_cache.begin(from, seq) {
             return;
         }
-        self.enqueue_mutation(ctx, op, ReplyTo::Client { node: from, seq });
+        self.enqueue_mutation(r, ctx, op, ReplyTo::Client { node: from, seq });
     }
 
     /// Release a reply that *observed* the namespace without journaling
@@ -108,15 +126,16 @@ impl MdsServer {
     /// `serve_op`.
     fn send_or_defer_observation(
         &mut self,
+        r: &Replica,
         ctx: &mut Ctx<'_>,
         from: NodeId,
         seq: u64,
-        resp: std::sync::Arc<MdsResp>,
+        resp: Arc<MdsResp>,
     ) {
         let barrier = if self.pending.is_empty() {
             self.inflight.keys().next_back().copied()
         } else {
-            Some(self.log.tail_sn() + 1)
+            Some(r.log.tail_sn() + 1)
         };
         match barrier {
             None => {
@@ -127,6 +146,500 @@ impl MdsServer {
         }
     }
 
+    fn enqueue_mutation(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>, op: FsOp, reply: ReplyTo) {
+        match r.exec_mutation(op) {
+            // A rejected mutation journals nothing but its error *observed*
+            // the image (e.g. "already exists" proves a create happened) —
+            // it must cross the same barrier as a read, or it leaks
+            // speculative state.
+            Err(e) => match reply {
+                ReplyTo::Client { node, seq } => {
+                    let resp = Arc::new(MdsResp::Reply { seq, result: Err(e) });
+                    self.send_or_defer_observation(r, ctx, node, seq, resp);
+                }
+                other => self.reply_now(r, ctx, other, Err(e)),
+            },
+            Ok((txn, output)) => {
+                let client = matches!(reply, ReplyTo::Client { .. });
+                let xid = self.maybe_xg_fanout(r, ctx, &txn, client);
+                self.pending.push(PendingOp { txn, reply, output, xid });
+                if self.pending.len() >= BATCH_MAX_OPS {
+                    self.flush_batch(r, ctx);
+                }
+            }
+        }
+    }
+
+    /// Distributed-transaction fan-out: structural operations in a
+    /// multi-group deployment must also run on every other group's active
+    /// (their directory skeletons stay in lock-step). Only client-originated
+    /// ops coordinate; a leg never fans out again. Returns the xid when legs
+    /// were launched.
+    fn maybe_xg_fanout(
+        &mut self,
+        r: &Replica,
+        ctx: &mut Ctx<'_>,
+        txn: &Txn,
+        client_originated: bool,
+    ) -> Option<Xid> {
+        if !(client_originated && txn.is_structural() && r.cfg.partitioner.groups() > 1) {
+            return None;
+        }
+        // Named by the grant, which the whole group agrees on, and counted
+        // within it: whatever a participant remembers of an earlier tenure
+        // (`Replica::xg_seen`) cannot be mistaken for this transaction.
+        self.xids += 1;
+        let epoch = u32::try_from(self.epoch).expect("a lock is granted fewer than 2^32 times");
+        let id = (r.cfg.group, epoch, self.xids);
+        let mut groups = std::collections::BTreeSet::new();
+        for g in 0..r.cfg.partitioner.groups() {
+            if g == r.cfg.group {
+                continue;
+            }
+            groups.insert(g);
+            if let Some(act) = r.active_of_group(g) {
+                ctx.send(act, GroupMsg::XGroupApply { xid: id, txn: txn.clone() });
+            }
+            // Groups without a known active are retried by the T_XG_RETRY
+            // timer until they recover.
+        }
+        if groups.is_empty() {
+            return None;
+        }
+        self.xg_outstanding.insert(id, XgOutstanding { txn: txn.clone(), groups, sn: None });
+        Some(id)
+    }
+
+    fn reply_now(
+        &mut self,
+        r: &mut Replica,
+        ctx: &mut Ctx<'_>,
+        reply: ReplyTo,
+        result: Result<OpOutput, String>,
+    ) {
+        match reply {
+            ReplyTo::Client { node, seq } => {
+                let resp = Arc::new(MdsResp::Reply { seq, result });
+                self.retry_cache.store(node, seq, resp.clone());
+                ctx.send(node, resp);
+            }
+            ReplyTo::XGroup { coordinator, xid } => {
+                let (group, ok) = (r.cfg.group, result.is_ok());
+                r.xg_seen.insert(xid, Some(ok));
+                ctx.send(coordinator, GroupMsg::XGroupAck { xid, group, ok });
+            }
+        }
+    }
+
+    // --------------------------------------------------------------- flush
+
+    /// Seal the pending mutations into a `⟨sn, txid⟩` batch, append it to
+    /// the SSP, and synchronize it to the standbys. Replies are released
+    /// when the SSP and every current standby have acknowledged.
+    ///
+    /// The batch is encoded to its wire form exactly once, here; every
+    /// fan-out leg (own log, each standby's `SyncJournal`, the SSP append,
+    /// later retries) shares the same sealed allocation.
+    pub(crate) fn flush_batch(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let ops = std::mem::take(&mut self.pending);
+        let first_txid = r.next_txid;
+        let sn = r.log.tail_sn() + 1;
+        let mut records = Vec::with_capacity(ops.len());
+        let mut acks = Vec::with_capacity(ops.len());
+        let mut inflight = Inflight {
+            waiting_members: self.standbys.clone(),
+            flushed_at: ctx.now(),
+            ..Default::default()
+        };
+        for (i, op) in ops.into_iter().enumerate() {
+            if let Some(xid) = op.xid {
+                // The legs may have settled already (fast acks); only wait
+                // on xids still outstanding.
+                if let Some(o) = self.xg_outstanding.get_mut(&xid) {
+                    inflight.waiting_xg.insert(xid);
+                    o.sn = Some(sn);
+                }
+            }
+            match op.reply {
+                // Distributed-transaction legs carry no ack record — their
+                // client binding lives in the coordinating group's journal.
+                ReplyTo::XGroup { .. } => inflight.xg_replies.push((op.reply, Ok(op.output))),
+                ReplyTo::Client { node: client, seq } => {
+                    // Ack records replicate the `(client, seq)` each record
+                    // settles, so every replica that replays the batch
+                    // rebuilds the retry window.
+                    let record = i as u32;
+                    acks.push(mams_journal::AckRecord { record, client, seq, spec: false });
+                    // Fold the same binding into our own window (our batches
+                    // never go through `apply_records` — the ops already
+                    // executed in `exec_mutation`). The outcome comes straight
+                    // from the executed op, which is byte-identical to what
+                    // replicas reconstruct at replay.
+                    let outcome = match &op.output {
+                        OpOutput::Done => mams_namespace::RetryOutcome::Done,
+                        OpOutput::Block(b) => mams_namespace::RetryOutcome::Block(*b),
+                        OpOutput::Info(info) => mams_namespace::RetryOutcome::Info(info.clone()),
+                        OpOutput::Listing(_) => unreachable!("reads are never journaled"),
+                    };
+                    let entry = mams_namespace::RetryEntry { outcome, token: None };
+                    r.window.record(client, seq, entry);
+                    let shards = r.shards_of_txn(&op.txn);
+                    inflight.client_replies.push(ClientReply {
+                        reply: op.reply,
+                        result: Ok(op.output),
+                        shards,
+                    });
+                }
+            }
+            records.push(op.txn);
+        }
+        let batch = SharedBatch::sealed(JournalBatch::with_acks(sn, first_txid, records, acks));
+        r.next_txid = batch.last_txid() + 1;
+        r.log.append(batch.share()).expect("own batch is contiguous");
+
+        let epoch = self.epoch;
+        for &s in &self.standbys {
+            ctx.send(s, GroupMsg::SyncJournal { epoch, batch: batch.share() });
+        }
+        self.append_to_pool(r, ctx, batch, inflight);
+    }
+
+    /// Name a pool request and remember why its reply is awaited.
+    fn await_reply(&mut self, r: &mut Replica, why: TenureReq) -> ReqId {
+        let req = r.next_req();
+        self.awaited.insert(req, why);
+        debug_assert!(
+            self.awaited.len() <= self.inflight.len() + 1,
+            "{} pool replies awaited with {} batches in flight",
+            self.awaited.len(),
+            self.inflight.len()
+        );
+        req
+    }
+
+    /// Offer a batch of our log to the SSP and hold `inflight` until the
+    /// append (and whatever else it waits on) is acknowledged.
+    pub(crate) fn append_to_pool(
+        &mut self,
+        r: &mut Replica,
+        ctx: &mut Ctx<'_>,
+        batch: SharedBatch,
+        inflight: Inflight,
+    ) {
+        let (group, epoch, sn) = (r.cfg.group, self.epoch, batch.sn);
+        self.inflight.insert(sn, inflight);
+        let req = self.await_reply(r, TenureReq::Append { sn });
+        self.inflight.get_mut(&sn).expect("inserted above").pool_req = Some(req);
+        r.pool_deliver(ctx, PoolReq::AppendJournal { group, epoch, batch, req });
+    }
+
+    /// Release replies: leg acks as soon as their batch is durable (any
+    /// order); client replies when their batch is fully complete, released
+    /// **out of order** across batches subject to per-shard FIFO.
+    ///
+    /// Safety: the pool's journal rejects gaps, so an `AppendOk` for batch
+    /// `sn` proves every batch ≤ `sn` is durable in the SSP, and standby
+    /// acks are cumulative — a *complete* batch is never durable ahead of
+    /// its predecessors in reality, only ahead of their bookkeeping
+    /// (a lost pool ack) or their distributed-transaction legs. What the
+    /// ascending walk preserves is the client-visible contract: replies
+    /// touching the same home shard (same parent-directory region) release
+    /// in batch order, while creates/deletes/renames under disjoint shards
+    /// stop serializing behind each other's legs and stragglers.
+    pub(crate) fn try_complete(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
+        let mut leg_acks = Vec::new();
+        for inf in self.inflight.values_mut() {
+            if inf.durable() {
+                leg_acks.append(&mut inf.xg_replies);
+            }
+        }
+        for (reply, result) in leg_acks {
+            self.reply_now(r, ctx, reply, result);
+        }
+        let (released, drained, ooo) = release_walk(&mut self.inflight);
+        if ooo > 0 {
+            ctx.trace("commit.ooo_release", || format!("{ooo} replies past an incomplete batch"));
+        }
+        for sn in drained {
+            if let Some(inf) = self.inflight.remove(&sn) {
+                // Group-commit ack latency (seal → fully released) feeds
+                // the adaptive flush controller.
+                r.commit.observe_ack(now.since(inf.flushed_at));
+            }
+        }
+        for (reply, result) in released {
+            self.reply_now(r, ctx, reply, result);
+        }
+        // Release barriered reads whose observed mutations are all durable:
+        // the barrier batch must have been sealed (sn on the log) and every
+        // inflight entry at or below it completed.
+        if !self.deferred_reads.is_empty() {
+            let frontier = self.inflight.keys().next().copied().unwrap_or(Sn::MAX);
+            let tail = r.log.tail_sn();
+            let mut keep = Vec::new();
+            for (sn, node, seq, resp) in std::mem::take(&mut self.deferred_reads) {
+                if sn <= tail && sn < frontier {
+                    self.retry_cache.store(node, seq, resp.clone());
+                    ctx.send(node, resp);
+                } else {
+                    keep.push((sn, node, seq, resp));
+                }
+            }
+            self.deferred_reads = keep;
+        }
+    }
+
+    // ------------------------------------------------------------- members
+
+    /// A member acknowledged everything up to `sn`.
+    pub(crate) fn on_sync_ack(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>, from: NodeId, sn: Sn) {
+        self.member_sns.insert(from, sn);
+        for (&bsn, inf) in self.inflight.iter_mut() {
+            if bsn <= sn {
+                inf.waiting_members.remove(&from);
+            }
+        }
+        self.try_complete(r, ctx);
+        self.renew_check_promotion(r, ctx, from, sn);
+    }
+
+    /// A member's state key vanished: it died, stop waiting for its acks.
+    pub(crate) fn on_member_gone(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>, node: NodeId) {
+        self.standbys.remove(&node);
+        self.member_sns.remove(&node);
+        for inf in self.inflight.values_mut() {
+            inf.waiting_members.remove(&node);
+        }
+        if self.renew_driver.as_ref().is_some_and(|d| d.junior == node) {
+            self.renew_driver = None;
+        }
+        self.try_complete(r, ctx);
+    }
+
+    // ------------------------------------------------- distributed txns
+
+    /// Coordinator: a leg completed.
+    pub(crate) fn on_xgroup_ack(
+        &mut self,
+        r: &mut Replica,
+        ctx: &mut Ctx<'_>,
+        xid: Xid,
+        group: u32,
+        ok: bool,
+    ) {
+        if !ok {
+            // A rejected leg (e.g. the skeleton already had the entry from a
+            // previous coordinator's half-finished transaction) still counts
+            // as settled: the directory skeleton is consistent either way.
+            ctx.trace("xg.leg_failed", || format!("xid {xid:?} group {group}"));
+        }
+        let Some(o) = self.xg_outstanding.get_mut(&xid) else { return };
+        o.groups.remove(&group);
+        if !o.groups.is_empty() {
+            return;
+        }
+        let settled = self.xg_outstanding.remove(&xid).expect("found above");
+        if let Some(sn) = settled.sn {
+            if let Some(inf) = self.inflight.get_mut(&sn) {
+                inf.waiting_xg.remove(&xid);
+            }
+            self.try_complete(r, ctx);
+        }
+    }
+
+    /// Retransmit SSP appends whose acknowledgement has not arrived (the
+    /// pool deduplicates by sn, so this is safe under any message loss).
+    /// Also re-push to every standby that has not caught up the whole range
+    /// it has not acknowledged — only the active can know that the *last*
+    /// batch was lost, cumulative acks make the refresh idempotent, and the
+    /// range is always in our log (see `TenureReq::Checkpoint`'s reply).
+    pub(crate) fn retry_pool_appends(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>) {
+        let epoch = self.epoch;
+        let group = r.cfg.group;
+        let stuck: Vec<(Sn, ReqId)> = self
+            .inflight
+            .iter()
+            .filter_map(|(&sn, inf)| inf.pool_req.map(|req| (sn, req)))
+            .collect();
+        for (sn, req) in stuck {
+            // `share` ends the log borrow, so the retained handle can move
+            // into the request without copying the batch.
+            if let Some(batch) = r.log.get(sn).map(SharedBatch::share) {
+                // The same request again, not a new one (see
+                // `Inflight::pool_req`); an error reply consumed the entry
+                // while the batch still waits, so put it back.
+                self.awaited.insert(req, TenureReq::Append { sn });
+                r.pool_deliver(ctx, PoolReq::AppendJournal { group, epoch, batch, req });
+            }
+        }
+        let tail = r.log.tail_sn();
+        for &member in &self.standbys {
+            let acked = self.member_sns.get(&member).copied().unwrap_or(0);
+            if acked < tail {
+                for b in r.log.read_after(acked).unwrap_or_default() {
+                    ctx.send(member, GroupMsg::SyncJournal { epoch, batch: b.share() });
+                }
+            }
+        }
+    }
+
+    /// Resend unacked distributed-transaction legs to the current actives
+    /// of their groups.
+    pub(crate) fn retry_xg_legs(&mut self, r: &Replica, ctx: &mut Ctx<'_>) {
+        for (&xid, o) in &self.xg_outstanding {
+            for act in o.groups.iter().filter_map(|&g| r.active_of_group(g)) {
+                ctx.send(act, GroupMsg::XGroupApply { xid, txn: o.txn.clone() });
+            }
+        }
+    }
+
+    // ---------------------------------------------------------- checkpoint
+
+    /// Write a namespace image to the SSP (compacts the shared journal).
+    pub(crate) fn start_checkpoint(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>) {
+        // Encoded straight from the shards at a pinned epoch: no second copy
+        // of the namespace is built, and the pin is gone again before the
+        // next mutation, so none pays for history. The retry window rides
+        // inside the image so a junior restored from it inherits the
+        // duplicate-suppression state as of this sn.
+        let image = r.ns.pin().encode_image(r.log.tail_sn(), &r.window);
+        let group = r.cfg.group;
+        let epoch = self.epoch;
+        ctx.trace("checkpoint.start", || {
+            format!("sn {} size {} B", image.checkpoint_sn, image.size_bytes())
+        });
+        // A full image restarts the manifest chain, so it supersedes any
+        // artifact write still unanswered: that reply may have been lost,
+        // and whatever it said, this image's reply replaces it (the old
+        // reply, should it still come, finds no entry and is ignored).
+        if let Some(stale) = self.artifact_in_flight.take() {
+            self.awaited.remove(&stale);
+        }
+        let req = self.await_reply(r, TenureReq::Checkpoint);
+        self.artifact_in_flight = Some(req);
+        r.pool_deliver(ctx, PoolReq::WriteImage { group, epoch, image, req });
+    }
+
+    /// Incremental checkpoint: fold the journal range since the last
+    /// checkpoint artifact into a delta image and append it to the pool's
+    /// manifest chain. Cost is proportional to churn in the window, not to
+    /// namespace size — which is why it can run at a much faster cadence
+    /// than `start_checkpoint` and keep junior recovery time flat.
+    pub(crate) fn start_delta(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>) {
+        let Some(anchor) = self.delta_anchor else {
+            // Nothing to chain onto yet: establish the chain with a full
+            // image (unless one is already in flight).
+            if self.artifact_in_flight.is_none() {
+                self.start_checkpoint(r, ctx);
+            }
+            return;
+        };
+        let end = r.log.tail_sn();
+        if end <= anchor {
+            return; // no churn since the last artifact
+        }
+        if self.artifact_in_flight.is_some() {
+            // One artifact write at a time keeps the chain ordered; a delta
+            // folded while a full image is in flight would chain onto an
+            // anchor the image is about to supersede.
+            return;
+        }
+        let Some(batches) = r.log.read_after(anchor) else {
+            // Local log compacted past the anchor (a concurrent full
+            // checkpoint landed): re-anchor with a fresh image.
+            self.delta_anchor = None;
+            self.start_checkpoint(r, ctx);
+            return;
+        };
+        let txns =
+            batches.iter().filter(|b| b.sn <= end).flat_map(|b| b.entries().map(|(_, txn)| txn));
+        let delta = mams_namespace::fold_delta_with_window(&r.ns, anchor, end, txns, &r.window);
+        ctx.trace("delta.start", || {
+            format!("({anchor}, {end}] {} entries {} B", delta.entries, delta.size_bytes())
+        });
+        let group = r.cfg.group;
+        let epoch = self.epoch;
+        let req = self.await_reply(r, TenureReq::Delta);
+        self.artifact_in_flight = Some(req);
+        r.pool_deliver(ctx, PoolReq::WriteDelta { group, epoch, delta, req });
+    }
+
+    // ------------------------------------------------------ pool responses
+
+    /// The pool answered `why`. `true`: the append was refused at a newer
+    /// fence — we have been deposed, and the caller ends the tenure.
+    #[must_use]
+    pub(crate) fn on_pool_reply(
+        &mut self,
+        r: &mut Replica,
+        ctx: &mut Ctx<'_>,
+        why: TenureReq,
+        resp: PoolResp,
+    ) -> bool {
+        if self.artifact_in_flight == Some(resp.req_id()) {
+            self.artifact_in_flight = None;
+        }
+        match why {
+            TenureReq::Append { sn } => match resp {
+                PoolResp::AppendOk { .. } => {
+                    if let Some(inf) = self.inflight.get_mut(&sn) {
+                        inf.pool_req = None;
+                    }
+                    self.try_complete(r, ctx);
+                }
+                PoolResp::Failed { error: PoolError::Fenced { .. }, .. } => {
+                    // IO fencing in action.
+                    ctx.trace("fencing.append_refused", || format!("sn {sn}"));
+                    return true;
+                }
+                other => {
+                    ctx.trace("pool.append_error", || format!("{other:?}"));
+                }
+            },
+            TenureReq::Checkpoint => {
+                if let PoolResp::ImageWritten { checkpoint_sn, .. } = resp {
+                    // Our log is what a lagging standby is repaired from and
+                    // an unacknowledged append is resent from: keep whatever
+                    // some standby, or the pool, has not acknowledged.
+                    let acked = |m| self.member_sns.get(m).copied().unwrap_or(0);
+                    let by_standbys = self.standbys.iter().map(acked).min();
+                    let unappended = self.inflight.iter().find(|(_, inf)| inf.pool_req.is_some());
+                    let by_pool = unappended.map(|(&sn, _)| sn - 1);
+                    let held = by_standbys.into_iter().chain(by_pool).min().unwrap_or(Sn::MAX);
+                    r.log.compact_through(checkpoint_sn.min(held));
+                    // The new base starts a fresh manifest chain; deltas
+                    // fold from here on.
+                    self.delta_anchor = Some(checkpoint_sn);
+                    ctx.trace("checkpoint.done", || format!("sn {checkpoint_sn}"));
+                }
+            }
+            TenureReq::Delta => match resp {
+                PoolResp::DeltaWritten { end_sn, .. } => {
+                    self.delta_anchor = Some(end_sn);
+                    ctx.trace("delta.done", || format!("sn {end_sn}"));
+                }
+                PoolResp::Failed { error: PoolError::DeltaChain { .. }, .. } => {
+                    // The pool's chain moved under us (another writer's
+                    // checkpoint, a lost ack): our anchor is stale. Restart
+                    // the chain with a full image.
+                    ctx.trace("delta.rechain", String::new);
+                    self.delta_anchor = None;
+                    self.start_checkpoint(r, ctx);
+                }
+                other => {
+                    ctx.trace("delta.error", || format!("{other:?}"));
+                }
+            },
+        }
+        false
+    }
+}
+
+impl Replica {
     /// Serve a read against a pinned epoch snapshot. In this simulated node
     /// the server is single-threaded, so the pin is vacuous here — but it is
     /// the same path a threaded deployment uses (see `shard.rs`'s
@@ -201,86 +714,12 @@ impl MdsServer {
         }
     }
 
-    pub(crate) fn enqueue_mutation(&mut self, ctx: &mut Ctx<'_>, op: FsOp, reply: ReplyTo) {
-        match self.exec_mutation(op) {
-            // A rejected mutation journals nothing but its error *observed*
-            // the image (e.g. "already exists" proves a create happened) —
-            // it must cross the same barrier as a read, or it leaks
-            // speculative state.
-            Err(e) => match reply {
-                ReplyTo::Client { node, seq } => {
-                    let resp = std::sync::Arc::new(MdsResp::Reply { seq, result: Err(e) });
-                    self.send_or_defer_observation(ctx, node, seq, resp);
-                }
-                other => self.reply_now(ctx, other, Err(e)),
-            },
-            Ok((txn, output)) => {
-                let client = matches!(reply, ReplyTo::Client { .. });
-                let xid = self.maybe_xg_fanout(ctx, &txn, client);
-                self.pending.push(PendingOp { txn, reply, output, xid });
-                if self.pending.len() >= BATCH_MAX_OPS {
-                    self.flush_batch(ctx);
-                }
-            }
-        }
-    }
-
-    /// Distributed-transaction fan-out: structural operations in a
-    /// multi-group deployment must also run on every other group's active
-    /// (their directory skeletons stay in lock-step). Only client-originated
-    /// ops coordinate; a leg never fans out again. Returns the xid when legs
-    /// were launched.
-    fn maybe_xg_fanout(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        txn: &mams_journal::Txn,
-        client_originated: bool,
-    ) -> Option<(u32, u64)> {
-        if !(client_originated && txn.is_structural() && self.cfg.partitioner.groups() > 1) {
-            return None;
-        }
-        let id = (self.cfg.group, self.next_xid);
-        self.next_xid += 1;
-        let mut groups = std::collections::BTreeSet::new();
-        for g in 0..self.cfg.partitioner.groups() {
-            if g == self.cfg.group {
-                continue;
-            }
-            groups.insert(g);
-            if let Some(act) = self.active_of_group(g) {
-                ctx.send(act, GroupMsg::XGroupApply { xid: id, txn: txn.clone() });
-            }
-            // Groups without a known active are retried by the T_XG_RETRY
-            // timer until they recover.
-        }
-        if groups.is_empty() {
-            return None;
-        }
-        self.xg_outstanding.insert(id, XgOutstanding { txn: txn.clone(), groups });
-        Some(id)
-    }
-
-    fn reply_now(&mut self, ctx: &mut Ctx<'_>, reply: ReplyTo, result: Result<OpOutput, String>) {
-        match reply {
-            ReplyTo::Client { node, seq } => {
-                let resp = std::sync::Arc::new(MdsResp::Reply { seq, result });
-                self.retry_cache.store(node, seq, resp.clone());
-                ctx.send(node, resp);
-            }
-            ReplyTo::XGroup { coordinator, xid } => {
-                let (group, ok) = (self.cfg.group, result.is_ok());
-                self.xg_seen.insert(xid, Some(ok));
-                ctx.send(coordinator, GroupMsg::XGroupAck { xid, group, ok });
-            }
-        }
-    }
-
     /// Home shards a journaled transaction touched (a rename spans its
     /// source and destination parents). Client replies release in per-shard
     /// FIFO order, so ops whose shard sets are disjoint ack independently.
-    fn shards_of_txn(&self, txn: &mams_journal::Txn) -> Vec<usize> {
+    fn shards_of_txn(&self, txn: &Txn) -> Vec<usize> {
         match txn {
-            mams_journal::Txn::Rename { src, dst } => {
+            Txn::Rename { src, dst } => {
                 let a = self.ns.home_shard(src);
                 let b = self.ns.home_shard(dst);
                 if a == b {
@@ -293,225 +732,13 @@ impl MdsServer {
         }
     }
 
-    // --------------------------------------------------------------- flush
-
-    /// Seal the pending mutations into a `⟨sn, txid⟩` batch, append it to
-    /// the SSP, and synchronize it to the standbys. Replies are released
-    /// when the SSP and every current standby have acknowledged.
-    ///
-    /// The batch is encoded to its wire form exactly once, here; every
-    /// fan-out leg (own log, each standby's `SyncJournal`, the SSP append,
-    /// later retries) shares the same sealed allocation.
-    pub(crate) fn flush_batch(&mut self, ctx: &mut Ctx<'_>) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let ops = std::mem::take(&mut self.pending);
-        let first_txid = self.next_txid;
-        let sn = self.log.tail_sn() + 1;
-        let mut records = Vec::with_capacity(ops.len());
-        let mut acks = Vec::with_capacity(ops.len());
-        let mut inflight = Inflight {
-            waiting_members: self.standbys.clone(),
-            flushed_at: ctx.now(),
-            ..Default::default()
-        };
-        for (i, op) in ops.into_iter().enumerate() {
-            if let Some(xid) = op.xid {
-                // The legs may have settled already (fast acks); only wait
-                // on xids still outstanding.
-                if self.xg_outstanding.contains_key(&xid) {
-                    inflight.waiting_xg.insert(xid);
-                    self.xg_to_sn.insert(xid, sn);
-                }
-            }
-            match op.reply {
-                // Distributed-transaction legs carry no ack record — their
-                // client binding lives in the coordinating group's journal.
-                ReplyTo::XGroup { .. } => inflight.xg_replies.push((op.reply, Ok(op.output))),
-                ReplyTo::Client { node: client, seq } => {
-                    // Ack records replicate the `(client, seq)` each record
-                    // settles, so every replica that replays the batch
-                    // rebuilds the retry window.
-                    let record = i as u32;
-                    acks.push(mams_journal::AckRecord { record, client, seq, spec: false });
-                    // Fold the same binding into our own window (our batches
-                    // never go through `apply_records` — the ops already
-                    // executed in `exec_mutation`). The outcome comes straight
-                    // from the executed op, which is byte-identical to what
-                    // replicas reconstruct at replay.
-                    let outcome = match &op.output {
-                        OpOutput::Done => mams_namespace::RetryOutcome::Done,
-                        OpOutput::Block(b) => mams_namespace::RetryOutcome::Block(*b),
-                        OpOutput::Info(info) => mams_namespace::RetryOutcome::Info(info.clone()),
-                        OpOutput::Listing(_) => unreachable!("reads are never journaled"),
-                    };
-                    let entry = mams_namespace::RetryEntry { outcome, token: None };
-                    self.window.record(client, seq, entry);
-                    let shards = self.shards_of_txn(&op.txn);
-                    inflight.client_replies.push(crate::server::ClientReply {
-                        reply: op.reply,
-                        result: Ok(op.output),
-                        shards,
-                    });
-                }
-            }
-            records.push(op.txn);
-        }
-        let batch = SharedBatch::sealed(JournalBatch::with_acks(sn, first_txid, records, acks));
-        self.next_txid = batch.last_txid() + 1;
-        self.log.append(batch.share()).expect("own batch is contiguous");
-        self.cursor = ReplayCursor::at(sn);
-
-        let epoch = self.epoch;
-        for s in self.standbys.clone() {
-            ctx.send(s, GroupMsg::SyncJournal { epoch, batch: batch.share() });
-        }
-        self.append_to_pool(ctx, batch, inflight);
-    }
-
-    /// Offer a batch of our log to the SSP and hold `inflight` until the
-    /// append (and whatever else it waits on) is acknowledged.
-    pub(crate) fn append_to_pool(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        batch: SharedBatch,
-        inflight: Inflight,
-    ) {
-        let (group, epoch, sn) = (self.cfg.group, self.epoch, batch.sn);
-        self.inflight.insert(sn, inflight);
-        let req = self.pool_send(
-            ctx,
-            move |req| PoolReq::AppendJournal { group, epoch, batch, req },
-            PoolCtx::AppendAck { sn },
-        );
-        self.inflight.get_mut(&sn).expect("inserted above").pool_req = Some(req);
-    }
-
-    /// Release replies: leg acks as soon as their batch is durable (any
-    /// order); client replies when their batch is fully complete, released
-    /// **out of order** across batches subject to per-shard FIFO.
-    ///
-    /// Safety: the pool's journal rejects gaps, so an `AppendOk` for batch
-    /// `sn` proves every batch ≤ `sn` is durable in the SSP, and standby
-    /// acks are cumulative — a *complete* batch is never durable ahead of
-    /// its predecessors in reality, only ahead of their bookkeeping
-    /// (a lost pool ack) or their distributed-transaction legs. What the
-    /// ascending walk preserves is the client-visible contract: replies
-    /// touching the same home shard (same parent-directory region) release
-    /// in batch order, while creates/deletes/renames under disjoint shards
-    /// stop serializing behind each other's legs and stragglers.
-    pub(crate) fn try_complete(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        let mut leg_acks = Vec::new();
-        for inf in self.inflight.values_mut() {
-            if inf.durable() && !inf.xg_acked {
-                inf.xg_acked = true;
-                leg_acks.append(&mut inf.xg_replies);
-            }
-        }
-        for (reply, result) in leg_acks {
-            self.reply_now(ctx, reply, result);
-        }
-        let (released, drained, ooo) = release_walk(&mut self.inflight);
-        if ooo > 0 {
-            ctx.trace("commit.ooo_release", || format!("{ooo} replies past an incomplete batch"));
-        }
-        for sn in drained {
-            if let Some(inf) = self.inflight.remove(&sn) {
-                // Group-commit ack latency (seal → fully released) feeds
-                // the adaptive flush controller.
-                self.commit.observe_ack(now.since(inf.flushed_at));
-            }
-        }
-        for (reply, result) in released {
-            self.reply_now(ctx, reply, result);
-        }
-        // Release barriered reads whose observed mutations are all durable:
-        // the barrier batch must have been sealed (sn on the log) and every
-        // inflight entry at or below it completed.
-        if !self.deferred_reads.is_empty() {
-            let frontier = self.inflight.keys().next().copied().unwrap_or(Sn::MAX);
-            let tail = self.log.tail_sn();
-            let mut keep = Vec::new();
-            for (sn, node, seq, resp) in std::mem::take(&mut self.deferred_reads) {
-                if sn <= tail && sn < frontier {
-                    self.retry_cache.store(node, seq, resp.clone());
-                    ctx.send(node, resp);
-                } else {
-                    keep.push((sn, node, seq, resp));
-                }
-            }
-            self.deferred_reads = keep;
-        }
-    }
-
-    // ------------------------------------------------------------- members
-
-    pub(crate) fn on_group_msg(&mut self, ctx: &mut Ctx<'_>, from: NodeId, gm: GroupMsg) {
-        match gm {
-            GroupMsg::SyncJournal { epoch, batch } => self.on_sync_journal(ctx, from, epoch, batch),
-            GroupMsg::SyncAck { sn } => self.on_sync_ack(ctx, from, sn),
-            GroupMsg::Register { sn } => self.on_register(ctx, from, sn),
-            GroupMsg::RegisterAck { as_standby, epoch, tail_sn } => {
-                self.on_register_ack(ctx, from, as_standby, epoch, tail_sn)
-            }
-            GroupMsg::RenewStart { tip_sn } => self.on_renew_start(ctx, from, tip_sn),
-            GroupMsg::RenewProgress { sn } => self.on_renew_progress(ctx, from, sn),
-            GroupMsg::RenewJournal { epoch, batches } => {
-                self.on_renew_journal(ctx, from, epoch, batches)
-            }
-            GroupMsg::XGroupApply { xid, txn } => self.on_xgroup_apply(ctx, from, xid, txn),
-            GroupMsg::XGroupAck { xid, group, ok } => self.on_xgroup_ack(ctx, xid, group, ok),
-        }
-    }
-
-    /// Member side of journal synchronization. "The standby only receives
-    /// and responds for journals which come from the active server" — and
-    /// only at the current epoch, so a deposed active's flushes are inert.
-    fn on_sync_journal(&mut self, ctx: &mut Ctx<'_>, from: NodeId, epoch: u64, batch: SharedBatch) {
-        if epoch < self.group_epoch {
-            return; // obsolete data from a deposed active (see Fig. 4a)
-        }
-        self.group_epoch = epoch;
-        if matches!(self.role, Role::Active | Role::Upgrading) {
-            // We hold (or are taking) the lock; a sync from elsewhere at an
-            // equal-or-higher epoch would mean we lost it — failover.rs
-            // handles that through the view. Ignore here.
-            return;
-        }
-        self.active_hint = Some(from);
-        self.ingest_batch(batch);
-        self.note_divergence(ctx);
-        // Cumulative: a hole (a batch lost on the wire) shows as an ack
-        // below what the active sent, and its re-push fills it — a standby
-        // never reads the pool.
-        ctx.send(from, GroupMsg::SyncAck { sn: self.cursor.max_sn() });
-    }
-
-    /// Active side: a member acknowledged everything up to `sn`.
-    fn on_sync_ack(&mut self, ctx: &mut Ctx<'_>, from: NodeId, sn: Sn) {
-        self.member_sns.insert(from, sn);
-        for (&bsn, inf) in self.inflight.iter_mut() {
-            if bsn <= sn {
-                inf.waiting_members.remove(&from);
-            }
-        }
-        self.try_complete(ctx);
-        self.renew_check_promotion(ctx, from, sn);
-    }
-
-    // ------------------------------------------------- distributed txns
-
     /// Participant: admit a structural transaction leg from another group's
     /// active. Legs go through the same ingress queue as client operations:
     /// synchronizing the directory skeleton consumes real capacity on every
     /// group, which is why the paper's distributed transactions do not
-    /// scale with the number of actives.
-    fn on_xgroup_apply(&mut self, ctx: &mut Ctx<'_>, from: NodeId, xid: (u32, u64), txn: Txn) {
-        if self.role != Role::Active {
-            return; // coordinator's client retries after our group recovers
-        }
+    /// scale with the number of actives. (Only an active is handed one: a
+    /// coordinator's resend finds our group's active once it has one.)
+    pub(crate) fn admit_leg(&mut self, ctx: &mut Ctx<'_>, from: NodeId, xid: Xid, txn: Txn) {
         match self.xg_seen.get(&xid) {
             // Already acknowledged (the ack may have been lost): re-ack.
             Some(&Some(ok)) => {
@@ -536,254 +763,8 @@ impl MdsServer {
         };
         // A leg refused by a full queue leaves no entry: the coordinator's
         // retry must run it, not be told it already ran.
-        if self.ingress.push_item(crate::ingress::IngressItem::Leg { coordinator: from, xid, op }) {
+        if self.ingress.push_item(IngressItem::Leg { coordinator: from, xid, op }) {
             self.xg_seen.insert(xid, None);
-        }
-    }
-
-    /// Execute an admitted distributed-transaction leg.
-    pub(crate) fn serve_leg(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        coordinator: NodeId,
-        xid: (u32, u64),
-        op: FsOp,
-    ) {
-        if self.role != Role::Active {
-            return;
-        }
-        self.enqueue_mutation(ctx, op, ReplyTo::XGroup { coordinator, xid });
-    }
-
-    /// Coordinator: a leg completed.
-    fn on_xgroup_ack(&mut self, ctx: &mut Ctx<'_>, xid: (u32, u64), group: u32, ok: bool) {
-        if !ok {
-            // A rejected leg (e.g. the skeleton already had the entry from a
-            // previous coordinator's half-finished transaction) still counts
-            // as settled: the directory skeleton is consistent either way.
-            ctx.trace("xg.leg_failed", || format!("xid {xid:?} group {group}"));
-        }
-        let done = match self.xg_outstanding.get_mut(&xid) {
-            Some(o) => {
-                o.groups.remove(&group);
-                o.groups.is_empty()
-            }
-            None => return,
-        };
-        if done {
-            self.xg_outstanding.remove(&xid);
-            if let Some(sn) = self.xg_to_sn.remove(&xid) {
-                if let Some(inf) = self.inflight.get_mut(&sn) {
-                    inf.waiting_xg.remove(&xid);
-                }
-                self.try_complete(ctx);
-            }
-        }
-    }
-
-    /// Retransmit SSP appends whose acknowledgement has not arrived (the
-    /// pool deduplicates by sn, so this is safe under any message loss).
-    /// Also re-push to every standby that has not caught up the whole range
-    /// it has not acknowledged — only the active can know that the *last*
-    /// batch was lost, cumulative acks make the refresh idempotent, and the
-    /// range is always in our log (see `PoolCtx::CheckpointWrite`).
-    pub(crate) fn retry_pool_appends(&mut self, ctx: &mut Ctx<'_>) {
-        let epoch = self.epoch;
-        let group = self.cfg.group;
-        let stuck: Vec<(Sn, ReqId)> = self
-            .inflight
-            .iter()
-            .filter_map(|(&sn, inf)| inf.pool_req.map(|req| (sn, req)))
-            .collect();
-        for (sn, req) in stuck {
-            // `share` ends the log borrow, so the retained handle can move
-            // into the request without copying the batch.
-            if let Some(batch) = self.log.get(sn).map(SharedBatch::share) {
-                // The same request again, not a new one (see
-                // `Inflight::pool_req`); an error reply consumed the entry
-                // while the batch still waits, so put it back.
-                self.pool_pending.insert(req, PoolCtx::AppendAck { sn });
-                self.pool_deliver(ctx, PoolReq::AppendJournal { group, epoch, batch, req });
-            }
-        }
-        let lagging: Vec<(NodeId, mams_journal::Sn)> = self
-            .standbys
-            .iter()
-            .filter_map(|&m| {
-                let acked = self.member_sns.get(&m).copied().unwrap_or(0);
-                (acked < self.log.tail_sn()).then_some((m, acked))
-            })
-            .collect();
-        for (member, acked) in lagging {
-            if let Some(batches) = self.log.read_after(acked) {
-                for b in batches {
-                    ctx.send(member, GroupMsg::SyncJournal { epoch, batch: b.share() });
-                }
-            }
-        }
-    }
-
-    /// Resend unacked distributed-transaction legs to the current actives
-    /// of their groups.
-    pub(crate) fn retry_xg_legs(&mut self, ctx: &mut Ctx<'_>) {
-        let resend: Vec<(NodeId, (u32, u64), mams_journal::Txn)> = self
-            .xg_outstanding
-            .iter()
-            .flat_map(|(&xid, o)| {
-                o.groups
-                    .iter()
-                    .filter_map(|&g| self.active_of_group(g).map(|a| (a, xid, o.txn.clone())))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for (act, xid, txn) in resend {
-            ctx.send(act, GroupMsg::XGroupApply { xid, txn });
-        }
-    }
-
-    // ---------------------------------------------------------- checkpoint
-
-    /// Write a namespace image to the SSP (compacts the shared journal).
-    pub(crate) fn start_checkpoint(&mut self, ctx: &mut Ctx<'_>) {
-        // Encoded straight from the shards at a pinned epoch: no second copy
-        // of the namespace is built, and the pin is gone again before the
-        // next mutation, so none pays for history. The retry window rides
-        // inside the image so a junior restored from it inherits the
-        // duplicate-suppression state as of this sn.
-        let image = self.ns.pin().encode_image(self.cursor.max_sn(), &self.window);
-        let group = self.cfg.group;
-        let epoch = self.epoch;
-        ctx.trace("checkpoint.start", || {
-            format!("sn {} size {} B", image.checkpoint_sn, image.size_bytes())
-        });
-        // A full image restarts the manifest chain, so it supersedes any
-        // artifact write still unanswered: that reply may have been lost,
-        // and whatever it said, this image's reply replaces it (the old
-        // reply, should it still come, finds no entry and is ignored).
-        if let Some(stale) = self.artifact_in_flight.take() {
-            self.pool_pending.remove(&stale);
-        }
-        self.artifact_in_flight = Some(self.pool_send(
-            ctx,
-            move |req| PoolReq::WriteImage { group, epoch, image, req },
-            PoolCtx::CheckpointWrite,
-        ));
-    }
-
-    /// Incremental checkpoint: fold the journal range since the last
-    /// checkpoint artifact into a delta image and append it to the pool's
-    /// manifest chain. Cost is proportional to churn in the window, not to
-    /// namespace size — which is why it can run at a much faster cadence
-    /// than `start_checkpoint` and keep junior recovery time flat.
-    pub(crate) fn start_delta(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(anchor) = self.delta_anchor else {
-            // Nothing to chain onto yet: establish the chain with a full
-            // image (unless one is already in flight).
-            if self.artifact_in_flight.is_none() {
-                self.start_checkpoint(ctx);
-            }
-            return;
-        };
-        let end = self.cursor.max_sn();
-        if end <= anchor {
-            return; // no churn since the last artifact
-        }
-        if self.artifact_in_flight.is_some() {
-            // One artifact write at a time keeps the chain ordered; a delta
-            // folded while a full image is in flight would chain onto an
-            // anchor the image is about to supersede.
-            return;
-        }
-        let Some(batches) = self.log.read_after(anchor) else {
-            // Local log compacted past the anchor (a concurrent full
-            // checkpoint landed): re-anchor with a fresh image.
-            self.delta_anchor = None;
-            self.start_checkpoint(ctx);
-            return;
-        };
-        let txns =
-            batches.iter().filter(|b| b.sn <= end).flat_map(|b| b.entries().map(|(_, txn)| txn));
-        let delta =
-            mams_namespace::fold_delta_with_window(&self.ns, anchor, end, txns, &self.window);
-        ctx.trace("delta.start", || {
-            format!("({anchor}, {end}] {} entries {} B", delta.entries, delta.size_bytes())
-        });
-        let group = self.cfg.group;
-        let epoch = self.epoch;
-        self.artifact_in_flight = Some(self.pool_send(
-            ctx,
-            move |req| PoolReq::WriteDelta { group, epoch, delta, req },
-            PoolCtx::DeltaWrite,
-        ));
-    }
-
-    // ------------------------------------------------------ pool responses
-
-    pub(crate) fn on_pool_resp(&mut self, ctx: &mut Ctx<'_>, resp: PoolResp) {
-        let why = match self.pool_pending.remove(&resp.req_id()) {
-            Some(w) => w,
-            None => return,
-        };
-        if self.artifact_in_flight == Some(resp.req_id()) {
-            self.artifact_in_flight = None;
-        }
-        match why {
-            PoolCtx::AppendAck { sn } => match resp {
-                PoolResp::AppendOk { .. } => {
-                    if let Some(inf) = self.inflight.get_mut(&sn) {
-                        inf.pool_req = None;
-                    }
-                    self.try_complete(ctx);
-                }
-                PoolResp::Failed { error: PoolError::Fenced { .. }, .. } => {
-                    // We have been deposed: IO fencing in action.
-                    ctx.trace("fencing.append_refused", || format!("sn {sn}"));
-                    self.degrade_to_junior(ctx, "fenced by pool");
-                }
-                other => {
-                    ctx.trace("pool.append_error", || format!("{other:?}"));
-                }
-            },
-            PoolCtx::CheckpointWrite => {
-                if let PoolResp::ImageWritten { checkpoint_sn, .. } = resp {
-                    // Our log is what a lagging standby is repaired from and
-                    // an unacknowledged append is resent from: keep whatever
-                    // some standby, or the pool, has not acknowledged.
-                    let acked = |m| self.member_sns.get(m).copied().unwrap_or(0);
-                    let by_standbys = self.standbys.iter().map(acked).min();
-                    let unappended = self.inflight.iter().find(|(_, inf)| inf.pool_req.is_some());
-                    let by_pool = unappended.map(|(&sn, _)| sn - 1);
-                    let held = by_standbys.into_iter().chain(by_pool).min().unwrap_or(Sn::MAX);
-                    self.log.compact_through(checkpoint_sn.min(held));
-                    // The new base starts a fresh manifest chain; deltas
-                    // fold from here on.
-                    self.delta_anchor = Some(checkpoint_sn);
-                    ctx.trace("checkpoint.done", || format!("sn {checkpoint_sn}"));
-                }
-            }
-            PoolCtx::DeltaWrite => match resp {
-                PoolResp::DeltaWritten { end_sn, .. } => {
-                    self.delta_anchor = Some(end_sn);
-                    ctx.trace("delta.done", || format!("sn {end_sn}"));
-                }
-                PoolResp::Failed { error: PoolError::DeltaChain { .. }, .. } => {
-                    // The pool's chain moved under us (another writer's
-                    // checkpoint, a lost ack): our anchor is stale. Restart
-                    // the chain with a full image.
-                    ctx.trace("delta.rechain", String::new);
-                    self.delta_anchor = None;
-                    if self.role == crate::server::Role::Active {
-                        self.start_checkpoint(ctx);
-                    }
-                }
-                other => {
-                    ctx.trace("delta.error", || format!("{other:?}"));
-                }
-            },
-            PoolCtx::EpochAdvance => self.on_epoch_advanced(ctx),
-            PoolCtx::Manifest => self.on_manifest(ctx, resp),
-            PoolCtx::ArtifactChunk { .. } => self.on_artifact_chunk(ctx, resp),
-            PoolCtx::CatchupPage { .. } => self.on_catchup_page(ctx, resp),
         }
     }
 }

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 
 use mams_sim::{Duration, NodeId};
 
-use crate::proto::FsOp;
+use crate::proto::{FsOp, Xid};
 
 /// A unit of admitted work: a client operation or a distributed-transaction
 /// leg from another group's coordinator. Both consume server CPU, which is
@@ -22,7 +22,7 @@ use crate::proto::FsOp;
 #[derive(Debug)]
 pub enum IngressItem {
     Client { from: NodeId, op: FsOp, seq: u64 },
-    Leg { coordinator: NodeId, xid: (u32, u64), op: FsOp },
+    Leg { coordinator: NodeId, xid: Xid, op: FsOp },
 }
 
 impl IngressItem {
@@ -163,7 +163,7 @@ mod tests {
     fn seq_of(item: &IngressItem) -> u64 {
         match item {
             IngressItem::Client { seq, .. } => *seq,
-            IngressItem::Leg { xid, .. } => xid.1,
+            IngressItem::Leg { xid, .. } => xid.2,
         }
     }
 

@@ -19,14 +19,14 @@
 //! One rule ties the two together: **one role pulls**. A member reads the
 //! pool only as a renewing junior or as the elected member inside the
 //! switch, both through the one catch-up ladder in `renewing.rs`, and
-//! which of the two is running is its [`Role`]. A standby never reads the
+//! which of the two is running is the role it is in. A standby never reads the
 //! pool: what it misses the active re-pushes, out of a log the active
 //! keeps back to what every standby and the pool have acknowledged.
 //!
-//! The central type is [`MdsServer`]: one replica-group member. It embeds
-//! the sharded namespace, journal log and replay cursor, block map, the
-//! coordination client, and the role state machine, and runs on any
-//! `mams-sim` runtime.
+//! The central type is [`MdsServer`]: one replica-group member — a replica
+//! (the sharded namespace, journal log, block map, retry window and the
+//! coordination client) and beside it the one value of its role: member,
+//! upgrading, or the active's tenure. It runs on any `mams-sim` runtime.
 
 pub mod commit;
 pub mod config;
@@ -43,7 +43,7 @@ mod renewing;
 pub use commit::GroupCommitPolicy;
 pub use config::{InitialRole, MdsConfig, MdsTiming};
 pub use ingress::{CpuModel, Ingress, IngressItem};
-pub use proto::{FsOp, GroupMsg, MdsReq, MdsResp, OpOutput};
+pub use proto::{FsOp, GroupMsg, MdsReq, MdsResp, OpOutput, Xid};
 pub use retry::RetryCache;
 pub use server::{MdsServer, Role};
-pub use view::keys;
+pub use view::ViewKey;

@@ -4,12 +4,11 @@ use mams_journal::{SharedBatch, Sn};
 use mams_namespace::FileInfo;
 use mams_sim::NodeId;
 use mams_storage::pool::Epoch;
-use serde::{Deserialize, Serialize};
 
 /// A metadata operation as issued by a client. The first five are exactly
 /// the operations benchmarked in the paper (Figure 5/6); the rest round out
 /// a usable file-system API.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FsOp {
     Create { path: String, replication: u8 },
     Mkdir { path: String },
@@ -53,7 +52,7 @@ impl FsOp {
 }
 
 /// Successful operation result.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpOutput {
     Done,
     Info(FileInfo),
@@ -110,6 +109,15 @@ impl MdsResp {
     }
 }
 
+/// A distributed transaction's id: the coordinating group, the fencing
+/// epoch of the lock grant its coordinator served under, and a count within
+/// that tenure. The grant is state the whole group agrees on, so neither a
+/// successor, a zombie nor a later tenure of the same member can mint an id
+/// again, and no counter has to outlive a process. (The epoch counts one
+/// group's lock grants; 32 bits of it keep an id at the 16 bytes every leg,
+/// reply slot and `xg_seen` entry carries.)
+pub type Xid = (u32, u32, u64);
+
 /// Intra-replica-group messages.
 #[derive(Debug, Clone)]
 pub enum GroupMsg {
@@ -133,15 +141,12 @@ pub enum GroupMsg {
     /// handles into the active's log — no copy per junior).
     RenewJournal { epoch: Epoch, batches: Vec<SharedBatch> },
     /// Coordinator active → other groups' actives: apply a structural
-    /// transaction (distributed transaction leg). `xid` is unique per
-    /// (origin group, txid) for duplicate suppression.
-    XGroupApply { xid: (u32, u64), txn: mams_journal::Txn },
+    /// transaction (distributed transaction leg); the participant
+    /// suppresses duplicates by `xid`.
+    XGroupApply { xid: Xid, txn: mams_journal::Txn },
     /// Reply to `XGroupApply` once the leg is durable in that group.
-    XGroupAck { xid: (u32, u64), group: u32, ok: bool },
+    XGroupAck { xid: Xid, group: u32, ok: bool },
 }
-
-/// Reserved data-server id range start for MDS-internal use.
-pub const NO_SERVER: u32 = u32::MAX;
 
 #[allow(unused)]
 fn _assert_send() {

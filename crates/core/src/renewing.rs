@@ -16,18 +16,20 @@
 //! (manifest → chain → journal → final). Its other user is the elected
 //! member inside the switch (`failover.rs`), which enters it once the pool
 //! is fenced and becomes the active where a junior would wait for the final
-//! stage; `self.role` says which of the two is running. No other role
-//! pulls: a standby that misses a batch is repaired by the active's
-//! re-push (`retry_pool_appends`).
+//! stage; which role value holds the `Session` says which of the two is
+//! running. No other role pulls: a standby that misses a batch is repaired
+//! by the active's re-push (`retry_pool_appends`).
 
-use mams_journal::{JournalLog, ReplayCursor, SharedBatch, Sn};
+use mams_journal::{SharedBatch, Sn};
 use mams_namespace::StreamingImageDecoder;
 use mams_sim::{Ctx, NodeId};
 use mams_storage::proto::{PoolReq, PoolResp, ReqId};
 use mams_storage::{ArtifactId, ArtifactKind, ManifestEntry, PoolError};
 
 use crate::proto::GroupMsg;
-use crate::server::{CatchupStage, MdsServer, PoolCtx, RenewDriver, Role};
+use crate::server::{
+    CatchupStage, MdsServer, Member, RenewDriver, Replica, RoleState, Session, SessionReq, Tenure,
+};
 
 /// Journal-sn gap at or below which the renewing protocol enters its final
 /// synchronization stage. Must stay below `MdsTiming::renew_image_gap`.
@@ -38,16 +40,13 @@ const CATCHUP_PAGE: usize = 64;
 /// network RTT overlaps replay instead of serializing with it.
 pub(crate) const CATCHUP_WINDOW: usize = 4;
 
-impl MdsServer {
+impl Tenure {
     // ---------------------------------------------------- active side
 
     /// Periodic scan for juniors needing renewal (one session at a time).
     /// A session that makes no progress for several scans (lost messages,
     /// silently dead junior) is abandoned so another can start.
-    pub(crate) fn renew_scan(&mut self, ctx: &mut Ctx<'_>) {
-        if self.role != Role::Active {
-            return;
-        }
+    pub(crate) fn renew_scan(&mut self, r: &Replica, ctx: &mut Ctx<'_>) {
         if let Some(d) = self.renew_driver.as_mut() {
             d.stale_scans += 1;
             if d.stale_scans > 5 {
@@ -59,35 +58,37 @@ impl MdsServer {
         }
         // Registered members currently in junior state, by least gap
         // (highest sn) first.
-        let juniors = self.members_in_state("J");
+        let juniors = r.members_in_state("J");
         let candidate =
             juniors.iter().filter_map(|&n| self.member_sns.get(&n).map(|&sn| (sn, n))).max();
         if let Some((sn, junior)) = candidate {
-            let tip = self.log.tail_sn();
+            let tip = r.log.tail_sn();
             ctx.trace("renew.session_start", || format!("junior n{junior} sn {sn} tip {tip}"));
-            self.renew_driver = Some(RenewDriver { junior, last_progress_sn: sn, stale_scans: 0 });
+            self.renew_driver = Some(RenewDriver { junior, stale_scans: 0 });
             ctx.send(junior, GroupMsg::RenewStart { tip_sn: tip });
         }
     }
 
     /// Junior progress report. When the gap is small, enter the final
     /// synchronization stage.
-    pub(crate) fn on_renew_progress(&mut self, ctx: &mut Ctx<'_>, from: NodeId, sn: Sn) {
-        if self.role != Role::Active {
-            return;
-        }
+    pub(crate) fn on_renew_progress(
+        &mut self,
+        r: &Replica,
+        ctx: &mut Ctx<'_>,
+        from: NodeId,
+        sn: Sn,
+    ) {
         let driver = match self.renew_driver.as_mut() {
             Some(d) if d.junior == from => d,
             _ => return,
         };
-        driver.last_progress_sn = sn;
         driver.stale_scans = 0;
         self.member_sns.insert(from, sn);
-        let tail = self.log.tail_sn();
+        let tail = r.log.tail_sn();
         if tail.saturating_sub(sn) <= RENEW_FINAL_GAP {
             // Final stage: live-sync from now on + ship the missing range.
             self.standbys.insert(from);
-            match self.log.read_after(sn) {
+            match r.log.read_after(sn) {
                 Some(batches) if !batches.is_empty() => {
                     // Shared handles into our log — shipping the range is
                     // reference-count bumps, not a copy of the records.
@@ -101,7 +102,7 @@ impl MdsServer {
                 Some(_) => {
                     // Already at the tail; promote on its next ack (or now).
                     if sn == tail {
-                        self.promote_junior(ctx, from);
+                        self.promote_junior(r, ctx, from);
                     }
                 }
                 None => {
@@ -116,48 +117,46 @@ impl MdsServer {
 
     /// Called from the SyncAck path: a renewing junior that acknowledges
     /// our tail is fully synchronized — flip it to standby in the view.
-    pub(crate) fn renew_check_promotion(&mut self, ctx: &mut Ctx<'_>, from: NodeId, sn: Sn) {
-        if self.role != Role::Active {
-            return;
-        }
+    pub(crate) fn renew_check_promotion(
+        &mut self,
+        r: &Replica,
+        ctx: &mut Ctx<'_>,
+        from: NodeId,
+        sn: Sn,
+    ) {
         let is_session_junior = self.renew_driver.as_ref().is_some_and(|d| d.junior == from);
-        if is_session_junior && sn == self.log.tail_sn() {
-            self.promote_junior(ctx, from);
+        if is_session_junior && sn == r.log.tail_sn() {
+            self.promote_junior(r, ctx, from);
         }
     }
 
-    fn promote_junior(&mut self, ctx: &mut Ctx<'_>, junior: NodeId) {
+    fn promote_junior(&mut self, r: &Replica, ctx: &mut Ctx<'_>, junior: NodeId) {
         ctx.trace("renew.promoted", || format!("n{junior}"));
         self.renew_driver = None;
         self.standbys.insert(junior);
-        ctx.send(
-            junior,
-            GroupMsg::RegisterAck {
-                as_standby: true,
-                epoch: self.epoch,
-                tail_sn: self.log.tail_sn(),
-            },
-        );
+        let verdict =
+            GroupMsg::RegisterAck { as_standby: true, epoch: self.epoch, tail_sn: r.log.tail_sn() };
+        ctx.send(junior, verdict);
     }
+}
 
+impl MdsServer {
     // ---------------------------------------------------- junior side
 
     /// The active opened a renewing session with us.
     pub(crate) fn on_renew_start(&mut self, ctx: &mut Ctx<'_>, from: NodeId, tip_sn: Sn) {
-        if self.role != Role::Junior {
-            return;
-        }
-        self.active_hint = Some(from);
-        let gap = tip_sn.saturating_sub(self.cursor.max_sn());
+        let RoleState::Member(m @ Member { junior: true, .. }) = &self.role else { return };
+        self.r.active_hint = Some(from);
+        let gap = tip_sn.saturating_sub(self.r.log.tail_sn());
         ctx.trace("renew.begin", || format!("gap {gap}"));
-        if let Some(CatchupStage::Chain { idx, offset, .. }) = &self.catchup {
+        if let Some(CatchupStage::Chain { idx, offset, .. }) = &m.session.stage {
             // Resume an interrupted session from its checkpoint instead of
             // retransmitting everything. Re-resolving the manifest first
             // confirms the planned artifacts still exist (compaction may
             // have GC'd them while we were away).
             ctx.trace("renew.resume", || format!("chain idx {idx} offset {offset}"));
             self.start_image_fetch(ctx);
-        } else if gap > self.cfg.timing.renew_image_gap {
+        } else if gap > self.r.cfg.timing.renew_image_gap {
             self.start_image_fetch(ctx);
         } else {
             // The session start tells us the active's tip, so the request
@@ -173,27 +172,29 @@ impl MdsServer {
     /// A chain in progress is kept (the fresh manifest decides whether it
     /// can resume); anything else restarts from the manifest.
     pub(crate) fn start_image_fetch(&mut self, ctx: &mut Ctx<'_>) {
-        let stage = match self.catchup.take() {
-            Some(chain @ CatchupStage::Chain { .. }) => chain,
-            _ => CatchupStage::Manifest,
-        };
-        self.set_catchup(Some(stage));
-        self.session_send(ctx, PoolCtx::Manifest);
+        let stage = self.role.session().and_then(|s| s.stage.take());
+        let chain = stage.filter(|c| matches!(c, CatchupStage::Chain { .. }));
+        self.set_catchup(Some(chain.unwrap_or(CatchupStage::Manifest)));
+        self.session_send(ctx, SessionReq::Manifest);
     }
 
     // ------------------------------------------- the session's pool reads
 
-    /// Start, move or end (`None`) the catch-up session. Any request of the
-    /// session before is forgotten with it: its reply, should it still
-    /// come, finds no entry and is ignored.
+    /// Start, move or end (`None`) the catch-up session: a new `Session`,
+    /// awaiting nothing the one before did.
     pub(crate) fn set_catchup(&mut self, stage: Option<CatchupStage>) {
-        self.pool_pending.retain(|_, why| !why.of_session());
-        self.catchup = stage;
+        if let Some(session) = self.role.session() {
+            *session = Session::at(stage);
+        }
     }
 
-    /// Issue a request of the catch-up session.
-    pub(crate) fn session_send(&mut self, ctx: &mut Ctx<'_>, why: PoolCtx) {
-        let req = self.await_pool_reply(why);
+    /// Issue a request of the catch-up session: at most its one fence,
+    /// manifest or chunk read, or its window of journal pages.
+    pub(crate) fn session_send(&mut self, ctx: &mut Ctx<'_>, why: SessionReq) {
+        let Some(session) = self.role.session() else { return };
+        let req = self.r.next_req();
+        session.awaited.insert(req, why);
+        debug_assert!(session.awaited.len() <= CATCHUP_WINDOW, "{:?}", session.awaited);
         self.resend_session_request(ctx, req);
     }
 
@@ -202,28 +203,27 @@ impl MdsServer {
     /// a new one: whichever reply arrives first settles it, so neither a
     /// slow pool nor a lossy link costs an entry.
     fn resend_session_request(&mut self, ctx: &mut Ctx<'_>, req: ReqId) {
-        let group = self.cfg.group;
-        let read = match self.pool_pending.get(&req) {
-            Some(PoolCtx::EpochAdvance) => PoolReq::AdvanceEpoch { group, to: self.epoch, req },
-            Some(PoolCtx::Manifest) => PoolReq::ReadManifest { group, req },
-            Some(&PoolCtx::ArtifactChunk { artifact, offset }) => {
-                let len = self.cfg.timing.image_chunk;
+        let group = self.r.cfg.group;
+        let read = match self.role.session().and_then(|s| s.awaited.get(&req)) {
+            Some(&SessionReq::EpochAdvance { to }) => PoolReq::AdvanceEpoch { group, to, req },
+            Some(SessionReq::Manifest) => PoolReq::ReadManifest { group, req },
+            Some(&SessionReq::ArtifactChunk { artifact, offset }) => {
+                let len = self.r.cfg.timing.image_chunk;
                 PoolReq::ReadArtifactChunk { group, artifact, offset, len, req }
             }
-            Some(&PoolCtx::CatchupPage { after }) => {
+            Some(&SessionReq::CatchupPage { after }) => {
                 PoolReq::ReadJournal { group, after_sn: after, max: CATCHUP_PAGE, req }
             }
-            _ => return, // not the session's
+            None => return,
         };
-        self.pool_deliver(ctx, read);
+        self.r.pool_deliver(ctx, read);
     }
 
     /// Send every awaited request of the session again (the switch's retry
     /// timer). `false` when the session awaits nothing.
     pub(crate) fn resend_session_requests(&mut self, ctx: &mut Ctx<'_>) -> bool {
-        let mut awaited: Vec<ReqId> =
-            self.pool_pending.iter().filter(|(_, why)| why.of_session()).map(|(&r, _)| r).collect();
-        awaited.sort_unstable(); // one seed, one run
+        let awaited: Vec<ReqId> =
+            self.role.session().map(|s| s.awaited.keys().copied().collect()).unwrap_or_default();
         for &req in &awaited {
             self.resend_session_request(ctx, req);
         }
@@ -234,7 +234,7 @@ impl MdsServer {
     /// request window. `tail_hint` is the highest journal sn we know the
     /// pool holds (0 when unknown — the first response teaches us).
     pub(crate) fn enter_journal_stage(&mut self, ctx: &mut Ctx<'_>, tail_hint: Sn) {
-        let next_after = self.cursor.max_sn();
+        let next_after = self.r.log.tail_sn();
         self.set_catchup(Some(CatchupStage::Journal { inflight: 0, next_after, tail_hint }));
         self.pump_journal_pages(ctx);
     }
@@ -242,15 +242,15 @@ impl MdsServer {
     /// Top up the journal-page request window: keep up to `CATCHUP_WINDOW`
     /// page reads in flight, each asking for the page after the previous
     /// request's range, so the pool RTT overlaps local replay. Responses
-    /// may arrive out of order; the stash/cursor machinery in
-    /// `ingest_batch` reassembles them contiguously. This is the only place
+    /// may arrive out of order; the stash in `ingest_batch` reassembles
+    /// them contiguously. This is the only place
     /// a member reads the pool's journal.
     fn pump_journal_pages(&mut self, ctx: &mut Ctx<'_>) {
         loop {
-            let applied = self.cursor.max_sn();
+            let applied = self.r.log.tail_sn();
             let after = {
                 let Some(CatchupStage::Journal { inflight, next_after, tail_hint }) =
-                    self.catchup.as_mut()
+                    self.role.stage()
                 else {
                     return;
                 };
@@ -273,7 +273,7 @@ impl MdsServer {
                 *inflight += 1;
                 after
             };
-            self.session_send(ctx, PoolCtx::CatchupPage { after });
+            self.session_send(ctx, SessionReq::CatchupPage { after });
         }
     }
 
@@ -289,16 +289,16 @@ impl MdsServer {
         // Mid-chain resume: if everything we still need is listed in the
         // fresh manifest, continue from the checkpointed offset instead of
         // replanning (nothing was compacted away under us).
-        if let Some(CatchupStage::Chain { plan, idx, offset, .. }) = self.catchup.as_ref() {
+        if let Some(CatchupStage::Chain { plan, idx, offset, .. }) = self.role.stage() {
             if *idx < plan.len()
                 && plan[*idx..].iter().all(|e| manifest.chain.iter().any(|m| m.id == e.id))
             {
                 let (artifact, offset) = (plan[*idx].id, *offset);
-                self.session_send(ctx, PoolCtx::ArtifactChunk { artifact, offset });
+                self.session_send(ctx, SessionReq::ArtifactChunk { artifact, offset });
                 return;
             }
         }
-        let applied = self.cursor.max_sn();
+        let applied = self.r.log.tail_sn();
         if manifest.is_empty() || manifest.end_sn() <= applied {
             // Nothing checkpointed past our state: journal replay only.
             self.enter_journal_stage(ctx, 0);
@@ -344,7 +344,7 @@ impl MdsServer {
             decoder,
             buf: Vec::new(),
         }));
-        self.session_send(ctx, PoolCtx::ArtifactChunk { artifact: first.id, offset: 0 });
+        self.session_send(ctx, SessionReq::ArtifactChunk { artifact: first.id, offset: 0 });
     }
 
     /// A chunk of the current chain artifact arrived.
@@ -359,15 +359,15 @@ impl MdsServer {
                 // against the merged chain (satellite of the crash-safe
                 // compaction swap).
                 ctx.trace("renew.manifest_stale", || format!("artifact {id} gone"));
-                if let Some(CatchupStage::Chain { plan, .. }) = self.catchup.as_mut() {
+                if let Some(CatchupStage::Chain { plan, .. }) = self.role.stage() {
                     plan.clear(); // force a replan; resume check can't hold
                 }
-                self.session_send(ctx, PoolCtx::Manifest);
+                self.session_send(ctx, SessionReq::Manifest);
                 return;
             }
             other => {
                 ctx.trace("renew.chunk_error", || format!("{other:?}"));
-                self.session_send(ctx, PoolCtx::Manifest);
+                self.session_send(ctx, SessionReq::Manifest);
                 return;
             }
         };
@@ -381,13 +381,12 @@ impl MdsServer {
             Corrupt(String),
         }
         let step = {
-            let Some(CatchupStage::Chain { plan, idx, offset, decoder, buf }) =
-                self.catchup.as_mut()
+            let Some(CatchupStage::Chain { plan, idx, offset, decoder, buf }) = self.role.stage()
             else {
                 return;
             };
             let Some(entry) = plan.get(*idx) else { return };
-            // Exactly one stream advances the cursor: the session awaits
+            // Exactly one stream advances the offset: the session awaits
             // one chunk at a time, and a restart forgets the one before.
             debug_assert_eq!((entry.id, *offset), (artifact, chunk_offset));
             let done = *offset + data.len() as u64 >= total || data.is_empty();
@@ -419,7 +418,7 @@ impl MdsServer {
         };
         match step {
             Step::More(artifact, offset) => {
-                self.session_send(ctx, PoolCtx::ArtifactChunk { artifact, offset })
+                self.session_send(ctx, SessionReq::ArtifactChunk { artifact, offset })
             }
             Step::BaseDone => self.finish_base_artifact(ctx),
             Step::DeltaDone => self.finish_delta_artifact(ctx),
@@ -428,7 +427,7 @@ impl MdsServer {
                 // A corrupt *base* has no cheaper fallback: restart the
                 // whole resolve (a fresh checkpoint will replace it).
                 self.set_catchup(Some(CatchupStage::Manifest));
-                self.session_send(ctx, PoolCtx::Manifest);
+                self.session_send(ctx, SessionReq::Manifest);
             }
         }
     }
@@ -436,7 +435,7 @@ impl MdsServer {
     /// The base image is fully transferred: verify, adopt, move down the
     /// plan.
     fn finish_base_artifact(&mut self, ctx: &mut Ctx<'_>) {
-        let decoder = match self.catchup.as_mut() {
+        let decoder = match self.role.stage() {
             Some(CatchupStage::Chain { decoder, .. }) => decoder.take(),
             _ => return,
         };
@@ -444,39 +443,36 @@ impl MdsServer {
         match decoder.finish_with_window() {
             Ok((tree, image_sn, window)) => {
                 ctx.trace("renew.image_loaded", || format!("checkpoint sn {image_sn}"));
-                self.ns = mams_namespace::ShardedNamespace::from_tree(tree);
+                self.r.ns = mams_namespace::ShardedNamespace::from_tree(tree);
                 // The image's retry window is the writer's window at
                 // `image_sn`; adopting it keeps the window a function of
                 // the journal prefix even though we never saw the batches.
-                self.window = window;
-                self.replay.reset();
-                self.log = JournalLog::with_base(image_sn);
-                self.cursor = ReplayCursor::at(image_sn);
-                self.stash.clear();
+                self.r.window = window;
+                self.r.rebase(image_sn);
                 self.advance_chain(ctx);
             }
             Err(e) => {
                 ctx.trace("renew.image_corrupt", || e.to_string());
                 self.set_catchup(Some(CatchupStage::Manifest));
-                self.session_send(ctx, PoolCtx::Manifest);
+                self.session_send(ctx, SessionReq::Manifest);
             }
         }
     }
 
     /// A delta artifact is fully buffered: decode, verify, apply.
     fn finish_delta_artifact(&mut self, ctx: &mut Ctx<'_>) {
-        let buf = match self.catchup.as_mut() {
+        let buf = match self.role.stage() {
             Some(CatchupStage::Chain { buf, .. }) => std::mem::take(buf),
             _ => return,
         };
-        let applied = self.cursor.max_sn();
+        let applied = self.r.log.tail_sn();
         let outcome = mams_namespace::decode_delta(&buf).map_err(|e| e.to_string()).and_then(|d| {
             if applied < d.base_sn {
                 // A hole in front of this delta (should not happen on a
                 // well-formed chain): applying it would skip records.
                 return Err(format!("delta chains onto {} but we are at {applied}", d.base_sn));
             }
-            mams_namespace::apply_delta(&mut self.ns, &d).map_err(|e| e.to_string())?;
+            mams_namespace::apply_delta(&mut self.r.ns, &d).map_err(|e| e.to_string())?;
             Ok((d.end_sn, d.window))
         });
         match outcome {
@@ -487,14 +483,11 @@ impl MdsServer {
                 // writer's window — keep what we have (same policy as pool
                 // compaction).
                 if !window.is_empty() {
-                    self.window = window;
+                    self.r.window = window;
                 }
                 // The delta advanced us past records we never saw as
                 // batches: rebase the local log exactly like an image load.
-                self.replay.reset();
-                self.log = JournalLog::with_base(end_sn);
-                self.cursor = ReplayCursor::at(end_sn);
-                self.stash.clear();
+                self.r.rebase(end_sn);
                 self.advance_chain(ctx);
             }
             Err(e) => {
@@ -516,8 +509,7 @@ impl MdsServer {
         // Progress is reported even while large artifacts stream.
         self.report_progress(ctx);
         let next = {
-            let Some(CatchupStage::Chain { plan, idx, offset, decoder, buf }) =
-                self.catchup.as_mut()
+            let Some(CatchupStage::Chain { plan, idx, offset, decoder, buf }) = self.role.stage()
             else {
                 return;
             };
@@ -529,7 +521,7 @@ impl MdsServer {
         };
         match next {
             Some(artifact) => {
-                self.session_send(ctx, PoolCtx::ArtifactChunk { artifact, offset: 0 })
+                self.session_send(ctx, SessionReq::ArtifactChunk { artifact, offset: 0 })
             }
             None => self.enter_journal_stage(ctx, 0),
         }
@@ -538,18 +530,18 @@ impl MdsServer {
     /// Renewing only (the elected member has no active to tell): report how
     /// far we are, so the active's session sees movement.
     fn report_progress(&mut self, ctx: &mut Ctx<'_>) {
-        if self.role == Role::Upgrading {
+        if self.role.grant().is_some() {
             return;
         }
-        if let Some(active) = self.active_hint.filter(|&a| a != ctx.id()) {
-            ctx.send(active, GroupMsg::RenewProgress { sn: self.cursor.max_sn() });
+        if let Some(active) = self.r.active_hint.filter(|&a| a != ctx.id()) {
+            ctx.send(active, GroupMsg::RenewProgress { sn: self.r.log.tail_sn() });
         }
     }
 
     pub(crate) fn on_catchup_page(&mut self, ctx: &mut Ctx<'_>, resp: PoolResp) {
         // Account the response against the request window (a reply awaited
         // at all belongs to the current session, see `set_catchup`).
-        let Some(CatchupStage::Journal { inflight, tail_hint, .. }) = self.catchup.as_mut() else {
+        let Some(CatchupStage::Journal { inflight, tail_hint, .. }) = self.role.stage() else {
             return;
         };
         *inflight = inflight.saturating_sub(1);
@@ -570,11 +562,11 @@ impl MdsServer {
         }
         *tail_hint = (*tail_hint).max(tail_sn);
         for b in batches {
-            self.ingest_batch(b);
+            self.r.ingest_batch(b);
         }
-        self.note_divergence(ctx);
-        let caught_up = self.cursor.max_sn() >= tail_sn;
-        if self.role == Role::Upgrading {
+        self.r.note_divergence(ctx);
+        let caught_up = self.r.log.tail_sn() >= tail_sn;
+        if matches!(self.role, RoleState::Upgrading(_)) {
             // The switch: once everything durable is applied, take over.
             if caught_up {
                 self.finish_upgrade(ctx, tail_sn);
@@ -592,25 +584,5 @@ impl MdsServer {
         } else {
             self.pump_journal_pages(ctx);
         }
-    }
-
-    /// The active shipped the final-synchronization range directly.
-    pub(crate) fn on_renew_journal(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        from: NodeId,
-        epoch: u64,
-        batches: Vec<SharedBatch>,
-    ) {
-        if epoch < self.group_epoch || matches!(self.role, Role::Active | Role::Upgrading) {
-            return;
-        }
-        self.group_epoch = epoch;
-        self.active_hint = Some(from);
-        for b in batches {
-            self.ingest_batch(b);
-        }
-        self.note_divergence(ctx);
-        ctx.send(from, GroupMsg::SyncAck { sn: self.cursor.max_sn() });
     }
 }

@@ -148,13 +148,6 @@ impl RetryCache {
     pub fn abort_inflight(&mut self) {
         self.inflight.clear();
     }
-
-    /// Forget everything (before reseeding from a replayed window, or when
-    /// replica state is discarded wholesale).
-    pub fn clear(&mut self) {
-        self.per_client.clear();
-        self.inflight.clear();
-    }
 }
 
 #[cfg(test)]

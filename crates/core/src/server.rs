@@ -1,7 +1,14 @@
-//! The replica-group member: state, dispatch, and shared machinery.
+//! The replica-group member: one replica, one role value, and dispatch.
 //!
-//! Role-specific behaviour lives in sibling modules: `active` (client
-//! operations, journal batching/sync and re-push, distributed
+//! [`Replica`] is what a member is whatever it does: a function of the
+//! journal prefix and of the process. Beside it sits one [`RoleState`] —
+//! [`Member`] (standby, junior, electing), [`Upgrading`] (the switch) or
+//! [`Tenure`] (active) — that `begin_upgrade` and `finish_upgrade` construct
+//! and `degrade_to_junior` drops: nothing of a role is reset field by field,
+//! and a handler only an active runs takes the tenure (DESIGN §16).
+//!
+//! Role-specific behaviour lives in sibling modules: `active` (the tenure:
+//! client operations, journal batching/sync and re-push, distributed
 //! transactions, checkpoints), `failover` (detection, election, the
 //! six-step switch, degradation), and `renewing` (junior recovery, and the
 //! catch-up ladder the switch shares with it — the only reader of the
@@ -10,7 +17,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use mams_coord::{CoordClient, Incoming};
-use mams_journal::{JournalBatch, JournalLog, ReplayCursor, SharedBatch, Sn, Txn, TxnId};
+use mams_journal::{JournalBatch, JournalLog, SharedBatch, Sn, Txn, TxnId};
 use mams_namespace::{
     replay_outcome, BlockMap, RetryEntry, RetryWindow, ShardedNamespace, ShardedReplaySession,
 };
@@ -18,10 +25,10 @@ use mams_sim::{Ctx, Duration, Message, Node, NodeId, SimTime};
 use mams_storage::pool::{ArtifactId, Epoch};
 use mams_storage::proto::{PoolReq, PoolResp, ReqId};
 
-use crate::commit::{FLUSH_IDLE, FLUSH_MAX};
+use crate::commit::FLUSH_IDLE;
 use crate::config::{InitialRole, MdsConfig};
-use crate::proto::{GroupMsg, MdsReq, OpOutput};
-use crate::renewing::CATCHUP_WINDOW;
+use crate::proto::{GroupMsg, MdsReq, MdsResp, OpOutput, Xid};
+use crate::view::ViewKey;
 
 /// Timer tokens (coord heartbeat uses its own reserved token).
 pub(crate) const T_FLUSH: u64 = 1;
@@ -40,11 +47,6 @@ const RENEW_SCAN: Duration = Duration::from_secs(1);
 const REGISTER_RETRY: Duration = Duration::from_millis(250);
 const XG_RETRY: Duration = Duration::from_millis(500);
 const POOL_RETRY: Duration = Duration::from_millis(100);
-
-/// Extra per-mutation CPU for each hot standby the active synchronizes
-/// (serialization + send per replica). This is what produces the paper's
-/// few-percent throughput decline per added standby (Fig. 5).
-const SYNC_CPU_PER_STANDBY: Duration = Duration::from_micros(5);
 
 /// A member's role, as in Figure 3 of the paper, plus the two transitional
 /// states the protocol moves through.
@@ -65,43 +67,39 @@ impl Role {
     pub fn letter(self) -> &'static str {
         match self {
             Role::Active => "A",
-            Role::Standby => "S",
             Role::Junior => "J",
-            Role::Electing => "S", // a bidding standby is still a standby
-            Role::Upgrading => "S",
+            // A bidding standby, or one inside the switch, is still a standby.
+            Role::Standby | Role::Electing | Role::Upgrading => "S",
         }
     }
 }
 
-/// Why we are waiting on a pool response. An entry of `pool_pending` lives
-/// no longer than what awaits it: an `AppendAck` goes with its `inflight`
-/// batch, an artifact write with `artifact_in_flight`, and the rest — the
-/// reads of a renewing junior or of the switch, each holding what it takes
-/// to send the read again — with the catch-up session
-/// (`MdsServer::set_catchup`).
+/// What a tenure awaits of the pool. An entry lives no longer than what
+/// awaits it — an append goes with its `inflight` batch, an artifact write
+/// with `artifact_in_flight` — and all of them with the tenure.
 #[derive(Debug)]
-pub(crate) enum PoolCtx {
+pub(crate) enum TenureReq {
     /// Ack for the SSP append of batch `sn`.
-    AppendAck { sn: Sn },
+    Append { sn: Sn },
     /// Checkpoint write ack.
-    CheckpointWrite,
+    Checkpoint,
     /// Incremental-checkpoint (delta image) write ack.
-    DeltaWrite,
-    /// The switch: fencing epoch advance ack.
-    EpochAdvance,
-    /// Catch-up: resolving the checkpoint manifest chain.
-    Manifest,
-    /// Catch-up: a chunk of a manifest artifact (base or delta).
-    ArtifactChunk { artifact: ArtifactId, offset: u64 },
-    /// Catch-up: the journal page after `after`.
-    CatchupPage { after: Sn },
+    Delta,
 }
 
-impl PoolCtx {
-    /// Whether the request is one of the catch-up session's.
-    pub(crate) fn of_session(&self) -> bool {
-        !matches!(self, PoolCtx::AppendAck { .. } | PoolCtx::CheckpointWrite | PoolCtx::DeltaWrite)
-    }
+/// What a catch-up session awaits of the pool: the reads of a renewing
+/// junior or of the switch, each holding what it takes to send the read
+/// again.
+#[derive(Debug)]
+pub(crate) enum SessionReq {
+    /// The switch: fencing epoch advance (to the grant's epoch) ack.
+    EpochAdvance { to: Epoch },
+    /// Resolving the checkpoint manifest chain.
+    Manifest,
+    /// A chunk of a manifest artifact (base or delta).
+    ArtifactChunk { artifact: ArtifactId, offset: u64 },
+    /// The journal page after `after`.
+    CatchupPage { after: Sn },
 }
 
 /// Client reply destination for a pending mutation.
@@ -114,7 +112,7 @@ pub(crate) enum ReplyTo {
     /// A distributed-transaction leg: ack the coordinating active.
     XGroup {
         coordinator: NodeId,
-        xid: (u32, u64),
+        xid: Xid,
     },
 }
 
@@ -126,7 +124,7 @@ pub(crate) struct PendingOp {
     pub output: OpOutput,
     /// Distributed-transaction id when this op coordinates legs on other
     /// groups.
-    pub xid: Option<(u32, u64)>,
+    pub xid: Option<Xid>,
 }
 
 /// A client reply held until its batch (and its shards' predecessors) are
@@ -151,16 +149,15 @@ pub(crate) struct ClientReply {
 pub(crate) struct Inflight {
     /// The SSP append this batch still waits on; `None` once acknowledged.
     /// A resend repeats the request under the same id, so whichever reply
-    /// arrives first settles the batch and `pool_pending` holds one entry
-    /// per unacknowledged batch however many resends a lossy link costs.
+    /// arrives first settles the batch and the tenure awaits one reply per
+    /// unacknowledged batch however many resends a lossy link costs.
     pub pool_req: Option<ReqId>,
     pub waiting_members: BTreeSet<NodeId>,
     /// Outgoing distributed-transaction legs client replies wait on.
-    pub waiting_xg: HashSet<(u32, u64)>,
+    pub waiting_xg: HashSet<Xid>,
     pub client_replies: Vec<ClientReply>,
     /// Leg acknowledgements owed to other groups' coordinators.
     pub xg_replies: Vec<(ReplyTo, Result<OpOutput, String>)>,
-    pub xg_acked: bool,
     /// Seal time, for the adaptive controller's ack-latency signal.
     pub flushed_at: SimTime,
 }
@@ -178,10 +175,10 @@ impl Inflight {
 
 /// Progress of a catch-up session — the one ladder (manifest → chain →
 /// journal) by which a member pulls state from the pool; a renewing junior
-/// that reaches the tail holds no session while it waits for the active's
-/// final synchronization range. Only a
-/// renewing junior and the elected member inside the switch run it, and
-/// which of the two is running is `MdsServer::role`.
+/// that reaches the tail holds no stage while it waits for the active's
+/// final synchronization range. Only a renewing junior and the elected
+/// member inside the switch run it, and which of the two is running is
+/// which role value holds the [`Session`].
 #[derive(Debug)]
 pub(crate) enum CatchupStage {
     /// Asked the pool for the checkpoint manifest chain.
@@ -207,11 +204,28 @@ pub(crate) enum CatchupStage {
     Journal { inflight: usize, next_after: Sn, tail_hint: Sn },
 }
 
+/// A catch-up session: where it stands and the pool replies it awaits.
+/// Starting, moving or ending one is assigning a new value, so any request
+/// of the session before is forgotten with it: its reply, should it still
+/// come, finds no entry and is ignored.
+#[derive(Debug, Default)]
+pub(crate) struct Session {
+    pub stage: Option<CatchupStage>,
+    /// Ordered: the switch's retry timer resends in iteration order, and
+    /// one seed must give one run.
+    pub awaited: BTreeMap<ReqId, SessionReq>,
+}
+
+impl Session {
+    pub fn at(stage: Option<CatchupStage>) -> Self {
+        Session { stage, awaited: BTreeMap::new() }
+    }
+}
+
 /// Active-side renewing session (one junior at a time, per the paper).
 #[derive(Debug)]
 pub(crate) struct RenewDriver {
     pub junior: NodeId,
-    pub last_progress_sn: Sn,
     /// Scan ticks with no progress; a stalled session (lost messages, dead
     /// junior) is abandoned and restarted.
     pub stale_scans: u32,
@@ -225,6 +239,9 @@ pub(crate) struct XgOutstanding {
     /// timer sends to them in iteration order, and one seed must give one
     /// run.
     pub groups: BTreeSet<u32>,
+    /// The batch the coordinating op was sealed in, once it is: the one
+    /// whose client replies wait for these legs.
+    pub sn: Option<Sn>,
 }
 
 /// Election round stage.
@@ -245,207 +262,420 @@ pub(crate) struct ElectState {
     pub stage: ElectStage,
 }
 
-/// One MAMS replica-group member.
-pub struct MdsServer {
-    pub(crate) cfg: MdsConfig,
-    pub(crate) coord: CoordClient,
-    pub(crate) role: Role,
-    /// Fencing epoch from our lock grant (valid when Active/Upgrading).
-    pub(crate) epoch: Epoch,
-    /// Highest group epoch observed (stale-active hygiene).
-    pub(crate) group_epoch: Epoch,
-    pub(crate) active_hint: Option<NodeId>,
+/// What a member holds while it neither has nor is taking the lock:
+/// standby, junior, or either with a bid posted. Made at boot and by
+/// `degrade_to_junior`; `begin_upgrade` drops it.
+#[derive(Debug, Default)]
+pub(crate) struct Member {
+    /// Junior (out of sync) rather than standby.
+    pub junior: bool,
+    /// Whether the current active has qualified us (step 5).
+    pub registered: bool,
+    /// The election round we have a bid in.
+    pub elect: Option<ElectState>,
+    /// When we observed the previous active disappear (one
+    /// `failover.detected` per outage: Figure 7's clock starts there).
+    pub failure_seen_at: Option<SimTime>,
+    /// A renewing junior's catch-up.
+    pub session: Session,
+    /// Fencing epoch of the grant we last held (0: none yet) — what a
+    /// release names when the view still shows a pointer to us.
+    pub last_grant: Epoch,
+}
 
-    pub(crate) ns: ShardedNamespace,
-    pub(crate) blocks: BlockMap,
-    pub(crate) log: JournalLog,
-    pub(crate) cursor: ReplayCursor,
-    /// Out-of-order sync buffer (drained contiguously into the cursor);
-    /// holds shared handles, so stashing never copies records.
-    pub(crate) stash: BTreeMap<Sn, SharedBatch>,
-    pub(crate) next_txid: TxnId,
+/// The elected member inside the six-step switch. Made by `begin_upgrade`
+/// from a lock grant; `finish_upgrade` turns it into a [`Tenure`].
+#[derive(Debug)]
+pub(crate) struct Upgrading {
+    /// Fencing epoch of the grant.
+    pub epoch: Epoch,
+    /// Step-3 buffer: client requests received mid-upgrade.
+    pub buffered: Vec<(NodeId, MdsReq)>,
+    /// The fence, then the catch-up to the pool's tail.
+    pub session: Session,
+}
+
+/// Everything only an active holds, for as long as it is the active.
+/// `finish_upgrade` constructs it and `degrade_to_junior` drops it; between
+/// the two no other role can reach it, and after them nothing of it is left
+/// — no reply it awaited, no marker of an operation it never answered.
+#[derive(Debug, Default)]
+pub(crate) struct Tenure {
+    /// Fencing epoch of the grant: on every pool write and every sync.
+    pub epoch: Epoch,
+    pub pending: Vec<PendingOp>,
+    pub inflight: BTreeMap<Sn, Inflight>,
+    pub standbys: BTreeSet<NodeId>,
+    pub member_sns: HashMap<NodeId, Sn>,
+    pub retry_cache: crate::retry::RetryCache,
+    /// Read barrier: replies to reads that observed not-yet-durable
+    /// mutations, keyed by the batch sn that must commit before release.
+    /// A dirty read must never be answered, so they go with the tenure.
+    pub deferred_reads: Vec<(Sn, NodeId, u64, std::sync::Arc<MdsResp>)>,
+    pub renew_driver: Option<RenewDriver>,
+    /// As coordinator: legs still outstanding per xid (retried until every
+    /// group acknowledges, so a mid-failover group cannot jam the
+    /// in-order reply pipeline).
+    pub xg_outstanding: BTreeMap<Xid, XgOutstanding>,
+    /// Transactions minted so far: an xid is `(group, epoch, n)`, so no
+    /// successor, zombie or later tenure of this member can mint it again.
+    pub xids: u64,
+    /// Sn of the last checkpoint artifact (full image or delta) this tenure
+    /// wrote to the pool: the anchor the next delta folds from. `None`
+    /// until a base image lands — the predecessor's manifest chain is not
+    /// ours to extend, so the first delta tick writes a full image.
+    pub delta_anchor: Option<Sn>,
+    /// The one image or delta write whose reply is still awaited: no delta
+    /// folds while it is set (one artifact at a time keeps the chain
+    /// ordered). A reply clears it; a lost reply leaves it set only until
+    /// the next full checkpoint supersedes the request.
+    pub artifact_in_flight: Option<ReqId>,
+    /// Pool replies awaited: at most one per batch in flight and one
+    /// artifact write.
+    pub awaited: HashMap<ReqId, TenureReq>,
+}
+
+impl Tenure {
+    /// A tenure under the grant `epoch`. Its response cache starts as the
+    /// replicated retry window replay rebuilt: a retry of an op the dead
+    /// active committed but never answered is served from cache, not
+    /// re-executed — at-most-once holds *across* the switch. The window
+    /// derives only from the durable journal, so an op whose batch died
+    /// with the predecessor is absent and its retry executes fresh.
+    pub fn new(epoch: Epoch, window: &RetryWindow) -> Self {
+        let mut retry_cache = crate::retry::RetryCache::new();
+        retry_cache.seed_from_window(window);
+        Tenure { epoch, retry_cache, ..Tenure::default() }
+    }
+}
+
+/// The one role value beside the replica.
+#[derive(Debug)]
+pub(crate) enum RoleState {
+    Member(Member),
+    Upgrading(Upgrading),
+    Active(Box<Tenure>),
+}
+
+impl RoleState {
+    /// The grant we hold, while we hold one.
+    pub fn grant(&self) -> Option<Epoch> {
+        match self {
+            RoleState::Member(_) => None,
+            RoleState::Upgrading(up) => Some(up.epoch),
+            RoleState::Active(t) => Some(t.epoch),
+        }
+    }
+
+    pub fn member(&mut self) -> Option<&mut Member> {
+        match self {
+            RoleState::Member(m) => Some(m),
+            _ => None,
+        }
+    }
+
+    /// The catch-up session, in the two roles that run one.
+    pub fn session(&mut self) -> Option<&mut Session> {
+        match self {
+            RoleState::Member(m) => Some(&mut m.session),
+            RoleState::Upgrading(up) => Some(&mut up.session),
+            RoleState::Active(_) => None,
+        }
+    }
+
+    pub fn stage(&mut self) -> Option<&mut CatchupStage> {
+        self.session()?.stage.as_mut()
+    }
+}
+
+/// What a member is in every role: a function of the journal prefix it has
+/// applied (`ns`, `blocks`, `log`, `window`, the id high-water marks) and of
+/// the process (configuration, the coordination session, clocks, counters).
+/// No role change resets any of it; `reset` discards the journal-derived
+/// part when the prefix itself is given up.
+pub(crate) struct Replica {
+    pub cfg: MdsConfig,
+    pub coord: CoordClient,
+    /// Highest group epoch observed (stale-active hygiene).
+    pub group_epoch: Epoch,
+    pub active_hint: Option<NodeId>,
+
+    pub ns: ShardedNamespace,
+    pub blocks: BlockMap,
+    /// Every applied batch since the last compaction. Its tail is the
+    /// applied position, whatever wrote it: a flush, `ingest_batch`, an
+    /// adopted image or delta, a reset.
+    pub log: JournalLog,
+    /// Out-of-order sync buffer (drained contiguously onto the log); holds
+    /// shared handles, so stashing never copies records.
+    pub stash: BTreeMap<Sn, SharedBatch>,
+    pub next_txid: TxnId,
     /// Next block id to allocate (replay advances it past any seen id).
-    pub(crate) next_block_id: u64,
+    pub next_block_id: u64,
     /// Journal replay fast path (validate-skip + cached parent handle).
     /// Reset whenever `ns` is replaced or mutated outside replay (image
     /// load, replica reset, a stint as active).
-    pub(crate) replay: ShardedReplaySession,
+    pub replay: ShardedReplaySession,
     /// Replicated retry-outcome window: the `(client, seq) → outcome`
     /// bindings of every journaled batch this replica has applied (or
     /// adopted from an image/delta). A pure function of the journal prefix
     /// — standbys, catch-up juniors, and the active all agree byte-for-byte
-    /// — so a freshly promoted active can seed its response cache from it
-    /// and keep at-most-once across the switch.
-    pub(crate) window: RetryWindow,
-
+    /// — so a tenure seeds its response cache from it and keeps
+    /// at-most-once across the switch.
+    pub window: RetryWindow,
     /// View cache maintained from watch events.
-    pub(crate) view: HashMap<String, String>,
-
-    // ---- active-side state ----
-    pub(crate) pending: Vec<PendingOp>,
-    pub(crate) inflight: BTreeMap<Sn, Inflight>,
-    pub(crate) standbys: BTreeSet<NodeId>,
-    pub(crate) member_sns: HashMap<NodeId, Sn>,
-    pub(crate) retry_cache: crate::retry::RetryCache,
-    /// Read barrier: replies to reads that observed not-yet-durable
-    /// mutations, keyed by the batch sn that must commit before release.
-    /// Dropped on degradation — a dirty read must never be answered.
-    pub(crate) deferred_reads: Vec<(Sn, NodeId, u64, std::sync::Arc<crate::proto::MdsResp>)>,
-    /// Step-3 buffer: client requests received mid-upgrade.
-    pub(crate) buffered: Vec<(NodeId, MdsReq)>,
-    pub(crate) renew_driver: Option<RenewDriver>,
-    /// As coordinator: xid → the batch sn whose replies wait on it.
-    pub(crate) xg_to_sn: HashMap<(u32, u64), Sn>,
+    pub view: HashMap<String, String>,
     /// As participant: every leg admitted to the ingress queue, by xid.
     /// `None` while the leg is in flight (queued, pending or awaiting
     /// durability) — a duplicate delivery is dropped, the leg's own ack
     /// covers it; `Some(ok)` once its `XGroupAck` went out — a duplicate
     /// means that ack was lost and is answered again with the same `ok`.
-    pub(crate) xg_seen: HashMap<(u32, u64), Option<bool>>,
-    /// As coordinator: legs still outstanding per xid (retried until every
-    /// group acknowledges, so a mid-failover group cannot jam the
-    /// in-order reply pipeline).
-    pub(crate) xg_outstanding: BTreeMap<(u32, u64), XgOutstanding>,
-    pub(crate) next_xid: u64,
-
-    // ---- member-side state ----
-    pub(crate) registered: bool,
+    pub xg_seen: HashMap<Xid, Option<bool>>,
     /// Whether the boot-time lock attempt (designated active) was made.
-    pub(crate) boot_lock_tried: bool,
-    pub(crate) catchup: Option<CatchupStage>,
-    pub(crate) elect: Option<ElectState>,
+    pub boot_lock_tried: bool,
 
-    /// Admission queue (CPU capacity model).
-    pub(crate) ingress: crate::ingress::Ingress,
-
-    // ---- commit pipeline ----
+    /// Admission queue (CPU capacity model). Its admission count and credit
+    /// are the process's, not a tenure's.
+    pub ingress: crate::ingress::Ingress,
     /// Flush-cadence controller (drives `T_FLUSH`).
-    pub(crate) commit: crate::commit::GroupCommitPolicy,
+    pub commit: crate::commit::GroupCommitPolicy,
     /// When the ingress queue was last drained; the next drain's budget is
     /// the elapsed wall time, so the CPU model's service rate is invariant
     /// under the tick cadence.
-    pub(crate) last_drain_at: SimTime,
+    pub last_drain_at: SimTime,
     /// `ingress.admitted()` at the previous tick (arrival-rate signal).
-    pub(crate) last_admitted: u64,
+    pub last_admitted: u64,
 
-    // ---- pool plumbing ----
-    pub(crate) pool_pending: HashMap<ReqId, PoolCtx>,
-    pub(crate) next_pool_req: ReqId,
-    pub(crate) pool_rr: usize,
+    pub next_pool_req: ReqId,
+    pub pool_rr: usize,
 
-    /// Sn of the last checkpoint artifact (full image or delta) this active
-    /// wrote to the pool: the anchor the next delta folds from. `None`
-    /// until a base image lands (a delta must chain onto something) and
-    /// cleared on every role change — a new active must re-establish the
-    /// chain with a full image before producing deltas.
-    pub(crate) delta_anchor: Option<Sn>,
-    /// The one image or delta write whose reply is still awaited: no delta
-    /// folds while it is set (one artifact at a time keeps the chain
-    /// ordered). A reply clears it; a lost reply leaves it set only until
-    /// the next full checkpoint supersedes the request.
-    pub(crate) artifact_in_flight: Option<ReqId>,
-
-    // ---- measurement hooks ----
-    /// When we observed the previous active disappear (drives the Figure 7
-    /// stage breakdown).
-    pub(crate) failure_seen_at: Option<SimTime>,
     /// Replay-divergence counter; must stay 0 in a correct deployment.
-    pub(crate) divergences: u64,
+    pub divergences: u64,
     /// One-shot guard for the `replica.diverged` trace event.
-    pub(crate) diverged_traced: bool,
-
+    pub diverged_traced: bool,
     /// When we last heard *anything* from the coordination service. An
     /// active whose last contact is older than `timing.coord_lease()` must
     /// assume its session expired and self-fence (see `check_coord_lease`).
-    pub(crate) last_coord_contact: SimTime,
-
+    pub last_coord_contact: SimTime,
     /// Grant epoch of a lock release the coordinator has not yet confirmed.
     /// Re-sent every view-refresh tick: a lost release from a node whose
     /// session keeps heartbeating would otherwise hold the group lock (and
     /// block every election) forever.
-    pub(crate) pending_lock_release: Option<u64>,
+    pub pending_lock_release: Option<u64>,
+}
+
+/// One MAMS replica-group member: the replica, and the one value of the
+/// role it is in (`role`). What only a role uses is built when the role is
+/// entered and dropped when it is left (DESIGN §16).
+pub struct MdsServer {
+    pub(crate) r: Replica,
+    pub(crate) role: RoleState,
 }
 
 impl MdsServer {
     pub fn new(cfg: MdsConfig) -> Self {
         let coord = CoordClient::new(cfg.coord, cfg.timing.heartbeat);
-        let role = match cfg.initial_role {
-            InitialRole::Active => Role::Standby, // becomes Active via the lock
-            InitialRole::Standby => Role::Standby,
-            InitialRole::Junior => Role::Junior,
-        };
-        MdsServer {
+        // A designated active boots as a standby and becomes Active via the
+        // lock.
+        let junior = cfg.initial_role == InitialRole::Junior;
+        let r = Replica {
             cfg,
             coord,
-            role,
-            epoch: 0,
             group_epoch: 0,
             active_hint: None,
             ns: ShardedNamespace::new(),
             blocks: BlockMap::new(),
             log: JournalLog::new(),
-            cursor: ReplayCursor::new(),
             stash: BTreeMap::new(),
             next_txid: 1,
             next_block_id: 1,
             replay: ShardedReplaySession::new(),
             window: RetryWindow::new(),
             view: HashMap::new(),
-            pending: Vec::new(),
-            inflight: BTreeMap::new(),
-            standbys: BTreeSet::new(),
-            member_sns: HashMap::new(),
-            retry_cache: crate::retry::RetryCache::new(),
-            deferred_reads: Vec::new(),
-            buffered: Vec::new(),
-            renew_driver: None,
-            xg_to_sn: HashMap::new(),
             xg_seen: HashMap::new(),
-            xg_outstanding: BTreeMap::new(),
-            next_xid: 1,
-            registered: false,
             boot_lock_tried: false,
-            catchup: None,
-            elect: None,
             ingress: crate::ingress::Ingress::default(),
             commit: crate::commit::GroupCommitPolicy::new(),
             last_drain_at: SimTime::ZERO,
             last_admitted: 0,
-            pool_pending: HashMap::new(),
             next_pool_req: 1,
             pool_rr: 0,
-            delta_anchor: None,
-            artifact_in_flight: None,
-            failure_seen_at: None,
             divergences: 0,
             diverged_traced: false,
             last_coord_contact: SimTime::ZERO,
             pending_lock_release: None,
-        }
+        };
+        MdsServer { r, role: RoleState::Member(Member { junior, ..Member::default() }) }
     }
 
     /// Current role (test/harness hook).
     pub fn role(&self) -> Role {
-        self.role
+        match &self.role {
+            RoleState::Active(_) => Role::Active,
+            RoleState::Upgrading(_) => Role::Upgrading,
+            RoleState::Member(m) if m.junior => Role::Junior,
+            RoleState::Member(m) if m.elect.is_some() => Role::Electing,
+            RoleState::Member(_) => Role::Standby,
+        }
     }
 
     /// Applied journal position (test/harness hook).
     pub fn applied_sn(&self) -> Sn {
-        self.cursor.max_sn()
+        self.r.log.tail_sn()
     }
 
     /// Namespace fingerprint (test hook).
     pub fn fingerprint(&self) -> u64 {
-        self.ns.fingerprint()
+        self.r.ns.fingerprint()
+    }
+
+    /// Fingerprint of the directory skeleton alone — what every replica
+    /// group of a deployment agrees on at quiescence (test hook).
+    pub fn skeleton_fingerprint(&self) -> u64 {
+        self.r.ns.skeleton_fingerprint()
     }
 
     /// Pool requests whose replies are still awaited (test/harness hook).
     pub fn pool_requests_pending(&self) -> usize {
-        self.pool_pending.len()
+        match &self.role {
+            RoleState::Member(m) => m.session.awaited.len(),
+            RoleState::Upgrading(up) => up.session.awaited.len(),
+            RoleState::Active(t) => t.awaited.len(),
+        }
     }
 
     /// Replay divergences observed (test hook; must be 0).
     pub fn divergences(&self) -> u64 {
+        self.r.divergences()
+    }
+
+    /// The tenure and the replica it runs on, while we are the active.
+    pub(crate) fn active(&mut self) -> Option<(&mut Tenure, &mut Replica)> {
+        match &mut self.role {
+            RoleState::Active(t) => Some((t, &mut self.r)),
+            _ => None,
+        }
+    }
+
+    // ------------------------------------------------------------ dispatch
+
+    pub(crate) fn on_client_req(&mut self, ctx: &mut Ctx<'_>, from: NodeId, req: MdsReq) {
+        // Block reports go to every member regardless of role — that is
+        // what keeps standbys hot on file locations.
+        if let MdsReq::BlockReport { server, blocks } = &req {
+            self.r.blocks.report(*server, blocks);
+            return;
+        }
+        // Lazy lease enforcement: a just-thawed zombie can receive queued
+        // client requests before its first timer tick — it must notice its
+        // lapsed session *now*, not a second from now.
+        self.check_coord_lease(ctx);
+        match &mut self.role {
+            RoleState::Active(t) => match req {
+                MdsReq::Checkpoint => t.start_checkpoint(&mut self.r, ctx),
+                MdsReq::Op { op, seq, acked } => {
+                    // The piggybacked receipt watermark retires exactly the
+                    // responses this client can never retry.
+                    t.retry_cache.note_acked(from, acked);
+                    // Admission control: the op executes at the next drain,
+                    // modeling server CPU capacity.
+                    self.r.ingress.push(from, op, seq, None);
+                }
+                MdsReq::BlockReport { .. } => unreachable!("handled above"),
+            },
+            // Step 3 of the switch: accept and buffer, commit later.
+            RoleState::Upgrading(up) => up.buffered.push((from, req)),
+            RoleState::Member(_) => {
+                if let MdsReq::Op { seq, .. } = req {
+                    ctx.send(from, MdsResp::NotActive { seq });
+                }
+            }
+        }
+    }
+
+    /// Intra-group traffic. What is addressed to the active — acks,
+    /// registrations, progress reports, other groups' legs and their acks —
+    /// finds a tenure or is dropped, and its sender retries.
+    pub(crate) fn on_group_msg(&mut self, ctx: &mut Ctx<'_>, from: NodeId, gm: GroupMsg) {
+        match (gm, self.active()) {
+            (GroupMsg::SyncJournal { epoch, batch }, _) => {
+                self.on_sync_journal(ctx, from, epoch, [batch])
+            }
+            (GroupMsg::RenewJournal { epoch, batches }, _) => {
+                self.on_sync_journal(ctx, from, epoch, batches)
+            }
+            (GroupMsg::RegisterAck { as_standby, epoch, tail_sn }, _) => {
+                self.on_register_ack(ctx, from, as_standby, epoch, tail_sn)
+            }
+            (GroupMsg::RenewStart { tip_sn }, _) => self.on_renew_start(ctx, from, tip_sn),
+            (_, None) => {}
+            (GroupMsg::SyncAck { sn }, Some((t, r))) => t.on_sync_ack(r, ctx, from, sn),
+            (GroupMsg::Register { sn }, Some((t, r))) => t.on_register(r, ctx, from, sn),
+            (GroupMsg::RenewProgress { sn }, Some((t, r))) => t.on_renew_progress(r, ctx, from, sn),
+            (GroupMsg::XGroupApply { xid, txn }, Some((_, r))) => r.admit_leg(ctx, from, xid, txn),
+            (GroupMsg::XGroupAck { xid, group, ok }, Some((t, r))) => {
+                t.on_xgroup_ack(r, ctx, xid, group, ok)
+            }
+        }
+    }
+
+    /// Member side of journal synchronization, live (`SyncJournal`) or the
+    /// final range of a renewing (`RenewJournal`). "The standby only
+    /// receives and responds for journals which come from the active
+    /// server" — and only at the current epoch, so a deposed active's
+    /// flushes are inert.
+    fn on_sync_journal(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        from: NodeId,
+        epoch: Epoch,
+        batches: impl IntoIterator<Item = SharedBatch>,
+    ) {
+        if epoch < self.r.group_epoch {
+            return; // obsolete data from a deposed active (see Fig. 4a)
+        }
+        self.r.group_epoch = epoch;
+        if self.role.grant().is_some() {
+            // We hold (or are taking) the lock; a sync from elsewhere at an
+            // equal-or-higher epoch would mean we lost it — failover.rs
+            // handles that through the view. Ignore here.
+            return;
+        }
+        self.r.active_hint = Some(from);
+        for batch in batches {
+            self.r.ingest_batch(batch);
+        }
+        self.r.note_divergence(ctx);
+        // Cumulative: a hole (a batch lost on the wire) shows as an ack
+        // below what the active sent, and its re-push fills it — a standby
+        // never reads the pool.
+        ctx.send(from, GroupMsg::SyncAck { sn: self.r.log.tail_sn() });
+    }
+
+    /// A pool reply belongs to whoever awaits it: the tenure, or the
+    /// catch-up session of the role we are in. One that nobody awaits (any
+    /// more) is ignored — a late `Fenced` cannot depose us a second time.
+    pub(crate) fn on_pool_resp(&mut self, ctx: &mut Ctx<'_>, resp: PoolResp) {
+        let req = resp.req_id();
+        if let Some((t, r)) = self.active() {
+            let Some(why) = t.awaited.remove(&req) else { return };
+            if t.on_pool_reply(r, ctx, why, resp) {
+                self.degrade_to_junior(ctx, "fenced by pool");
+            }
+            return;
+        }
+        match self.role.session().and_then(|s| s.awaited.remove(&req)) {
+            None => {}
+            Some(SessionReq::EpochAdvance { .. }) => self.on_epoch_advanced(ctx),
+            Some(SessionReq::Manifest) => self.on_manifest(ctx, resp),
+            Some(SessionReq::ArtifactChunk { .. }) => self.on_artifact_chunk(ctx, resp),
+            Some(SessionReq::CatchupPage { .. }) => self.on_catchup_page(ctx, resp),
+        }
+    }
+}
+
+impl Replica {
+    pub(crate) fn divergences(&self) -> u64 {
         self.divergences + self.ns.divergences()
     }
 
@@ -462,32 +692,10 @@ impl MdsServer {
 
     // ---------------------------------------------------------------- pool
 
-    /// Send a pool request (round-robin across pool nodes), remembering why.
-    pub(crate) fn pool_send(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        build: impl FnOnce(ReqId) -> PoolReq,
-        why: PoolCtx,
-    ) -> ReqId {
-        let req = self.await_pool_reply(why);
-        self.pool_deliver(ctx, build(req));
-        req
-    }
-
-    /// Name a request and remember why its reply is awaited. At most one
-    /// entry per batch in flight, one artifact write, and the session's one
-    /// fence, manifest or chunk read or its window of journal pages.
-    pub(crate) fn await_pool_reply(&mut self, why: PoolCtx) -> ReqId {
-        let req = self.next_pool_req;
+    /// Name a pool request; whoever awaits its reply remembers why.
+    pub(crate) fn next_req(&mut self) -> ReqId {
         self.next_pool_req += 1;
-        self.pool_pending.insert(req, why);
-        debug_assert!(
-            self.pool_pending.len() <= self.inflight.len() + 2 + CATCHUP_WINDOW,
-            "{} pool replies awaited with {} batches in flight",
-            self.pool_pending.len(),
-            self.inflight.len()
-        );
-        req
+        self.next_pool_req - 1
     }
 
     /// Hand a pool request to the next pool node in the rotation.
@@ -500,7 +708,7 @@ impl MdsServer {
     // ------------------------------------------------------------- journal
 
     /// Apply a batch's records to the namespace + block map and advance the
-    /// txid high-water mark. Caller is responsible for cursor bookkeeping.
+    /// txid high-water mark. Caller appends the batch to the log.
     ///
     /// Ack records riding on the batch (wire v2) are folded into the
     /// replicated retry window *at each record's apply point*, so the
@@ -531,56 +739,34 @@ impl MdsServer {
         }
     }
 
-    /// Fan a drained admission window across the namespace's shard workers:
-    /// ops are bucketed by the shard that owns their parent directory
-    /// ([`ShardedNamespace::home_shard`]) and the buckets are served in
-    /// shard-index order. Within a bucket the admission order is preserved,
-    /// so ops against the same directory — and hence the per-shard journal
-    /// order — serve exactly as admitted; ops against different shards were
-    /// concurrent (clients are closed-loop, one op in flight each), so any
-    /// interleaving is a legal linearization. The grouping is deterministic,
-    /// keeping replica replay and the retry cache's in-order assumptions
-    /// intact, and it batches each shard's lock traffic together — the
-    /// single-process analogue of one worker thread per shard.
-    pub(crate) fn fan_out_by_shard(
-        &self,
-        mut drained: Vec<crate::ingress::IngressItem>,
-    ) -> Vec<crate::ingress::IngressItem> {
-        // A stable sort is the bucket-per-shard pass in place.
-        drained.sort_by_cached_key(|item| self.ns.home_shard(item.op().primary_path()));
-        drained
-    }
-
     /// Ingest a batch from any source (live sync, re-flush, renewing, pool
-    /// catch-up): stash, then drain contiguously through the cursor.
-    /// Returns the highest sn applied by this call, if any.
+    /// catch-up): stash, then drain contiguously onto the log. Returns the
+    /// highest sn applied by this call, if any.
     ///
     /// A non-empty stash after draining means a batch went missing on the
     /// wire; the active's re-push (`retry_pool_appends`) fills the hole.
     pub(crate) fn ingest_batch(&mut self, batch: SharedBatch) -> Option<Sn> {
-        if batch.sn <= self.cursor.max_sn() {
+        if batch.sn <= self.log.tail_sn() {
             return None; // duplicate: suppressed by sn comparison
         }
         self.stash.insert(batch.sn, batch);
         let mut last = None;
-        while let Some(next) = self.stash.remove(&(self.cursor.max_sn() + 1)) {
+        while let Some(next) = self.stash.remove(&(self.log.tail_sn() + 1)) {
             self.apply_records(&next);
             // Keep a local handle in the log (standbys serve renewing reads
             // and may become the active) — same allocation, no copy.
-            let _ = self.log.append(next.share());
-            self.cursor = ReplayCursor::at(next.sn);
             last = Some(next.sn);
+            self.log.append(next).expect("the stash drains in sn order onto the log's tail");
         }
         last
     }
 
     /// Discard every bit of replicated state (a divergent member resetting
     /// to junior, per step 5 of the switch when sn values cannot match).
-    pub(crate) fn reset_replica_state(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.ns = ShardedNamespace::new();
         self.replay.reset();
         self.log = JournalLog::new();
-        self.cursor = ReplayCursor::new();
         self.stash.clear();
         self.next_txid = 1;
         self.next_block_id = 1;
@@ -591,28 +777,24 @@ impl MdsServer {
         self.window.clear();
     }
 
-    // ---------------------------------------------------------------- view
-
-    pub(crate) fn view_set(&mut self, key: String, value: Option<String>) {
-        match value {
-            Some(v) => {
-                self.view.insert(key, v);
-            }
-            None => {
-                self.view.remove(&key);
-            }
-        }
+    /// Adopt state the pool checkpointed at `sn` (an image loaded into
+    /// `ns`, or a delta applied to it): the log restarts there, as after
+    /// any records we never saw as batches.
+    pub(crate) fn rebase(&mut self, sn: Sn) {
+        self.replay.reset();
+        self.log = JournalLog::with_base(sn);
+        self.stash.clear();
     }
 
-    /// Node ids of members currently in state `letter` per our view cache.
+    // ---------------------------------------------------------------- view
+
+    /// Node ids of our group's members in state `letter` per the view cache.
     pub(crate) fn members_in_state(&self, letter: &str) -> Vec<NodeId> {
-        let prefix = format!("g/{}/state/", self.cfg.group);
-        let mut v: Vec<NodeId> = self
-            .view
-            .iter()
-            .filter(|(k, val)| k.starts_with(&prefix) && val.as_str() == letter)
-            .filter_map(|(k, _)| k[prefix.len()..].parse().ok())
-            .collect();
+        let in_state = |(k, v): (&String, &String)| match ViewKey::parse(k) {
+            Some(ViewKey::State(g, n)) if g == self.cfg.group && v == letter => Some(n),
+            _ => None,
+        };
+        let mut v: Vec<NodeId> = self.view.iter().filter_map(in_state).collect();
         v.sort_unstable();
         v
     }
@@ -620,7 +802,7 @@ impl MdsServer {
     /// The active for an arbitrary group, per our view cache (distributed
     /// transactions route through this).
     pub(crate) fn active_of_group(&self, group: u32) -> Option<NodeId> {
-        self.view.get(&crate::view::keys::active(group)).and_then(|v| crate::view::decode_node(v))
+        self.view.get(&ViewKey::Active(group).to_string()).and_then(|v| v.parse().ok())
     }
 }
 
@@ -629,68 +811,45 @@ impl Node for MdsServer {
         // Open the session; the state announcement and (for the designated
         // active) the boot lock attempt are sequenced behind the
         // `Registered` response because coordination messages may reorder.
-        self.coord.start(ctx);
-        self.coord.watch(ctx, crate::view::keys::all_groups());
+        self.r.coord.start(ctx);
+        self.r.coord.watch(ctx, ViewKey::all_groups());
         ctx.set_timer(FLUSH_IDLE, T_FLUSH);
         ctx.set_timer(RENEW_SCAN, T_RENEW_SCAN);
         ctx.set_timer(REGISTER_RETRY, T_REGISTER);
         ctx.set_timer(XG_RETRY, T_XG_RETRY);
         ctx.set_timer(POOL_RETRY, T_POOL_RETRY);
-        ctx.set_timer(self.cfg.timing.view_refresh(), T_VIEW_REFRESH);
-        if let Some(interval) = self.cfg.timing.checkpoint_interval {
+        ctx.set_timer(self.r.cfg.timing.view_refresh(), T_VIEW_REFRESH);
+        if let Some(interval) = self.r.cfg.timing.checkpoint_interval {
             ctx.set_timer(interval, T_CHECKPOINT);
         }
-        if let Some(interval) = self.cfg.timing.delta_interval {
+        if let Some(interval) = self.r.cfg.timing.delta_interval {
             ctx.set_timer(interval, T_DELTA);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.coord.on_timer(ctx, token) {
+        if self.r.coord.on_timer(ctx, token) {
             return;
         }
         match token {
             T_FLUSH => {
+                // The tick's clocks run in every role: a tenure starts from
+                // what the process last observed.
                 let now = ctx.now();
-                let elapsed = now.since(self.last_drain_at);
-                self.last_drain_at = now;
-                let admitted = self.ingress.admitted();
-                let arrived = admitted - self.last_admitted;
-                self.last_admitted = admitted;
-                let next = if self.role == Role::Active {
-                    self.commit.observe_tick(arrived, elapsed);
-                    // The drain budget is the elapsed wall time — not the
-                    // tick interval — so the CPU model's service rate is
-                    // the same whether the controller ticks every 250µs or
-                    // every 8ms. Bounded by `FLUSH_MAX` so a tick delayed
-                    // past the cadence (promotion, timer skew) cannot
-                    // burst beyond the modeled capacity.
-                    let budget = elapsed.min(FLUSH_MAX);
-                    let mut cpu = crate::ingress::CpuModel::default();
-                    // Journal fan-out: every mutation is serialized and
-                    // sent to each hot standby.
-                    cpu.mutation += SYNC_CPU_PER_STANDBY.mul_f64(self.standbys.len() as f64);
-                    let drained = self.ingress.drain(budget, cpu);
-                    for item in self.fan_out_by_shard(drained) {
-                        match item {
-                            crate::ingress::IngressItem::Client { from, op, seq } => {
-                                self.serve_op(ctx, from, op, seq)
-                            }
-                            crate::ingress::IngressItem::Leg { coordinator, xid, op } => {
-                                self.serve_leg(ctx, coordinator, xid, op)
-                            }
-                        }
-                    }
-                    self.flush_batch(ctx);
-                    self.commit.next_interval(self.ingress.len())
-                } else {
-                    FLUSH_IDLE
+                let elapsed = now.since(self.r.last_drain_at);
+                self.r.last_drain_at = now;
+                let admitted = self.r.ingress.admitted();
+                let arrived = admitted - self.r.last_admitted;
+                self.r.last_admitted = admitted;
+                let next = match self.active() {
+                    Some((t, r)) => t.drain_and_flush(r, ctx, arrived, elapsed),
+                    None => FLUSH_IDLE,
                 };
                 ctx.set_timer(next, T_FLUSH);
             }
             T_RENEW_SCAN => {
-                if self.role == Role::Active {
-                    self.renew_scan(ctx);
+                if let Some((t, r)) = self.active() {
+                    t.renew_scan(r, ctx);
                 }
                 ctx.set_timer(RENEW_SCAN, T_RENEW_SCAN);
             }
@@ -700,14 +859,14 @@ impl Node for MdsServer {
                 ctx.set_timer(REGISTER_RETRY, T_REGISTER);
             }
             T_XG_RETRY => {
-                if self.role == Role::Active {
-                    self.retry_xg_legs(ctx);
+                if let Some((t, r)) = self.active() {
+                    t.retry_xg_legs(r, ctx);
                 }
                 ctx.set_timer(XG_RETRY, T_XG_RETRY);
             }
             T_POOL_RETRY => {
-                if self.role == Role::Active {
-                    self.retry_pool_appends(ctx);
+                if let Some((t, r)) = self.active() {
+                    t.retry_pool_appends(r, ctx);
                 }
                 ctx.set_timer(POOL_RETRY, T_POOL_RETRY);
             }
@@ -716,36 +875,38 @@ impl Node for MdsServer {
                 // any lost ones (stale routing, missed failure detection,
                 // lost view updates).
                 self.check_coord_lease(ctx);
-                if let Some(epoch) = self.pending_lock_release {
-                    self.coord.release_lock(ctx, crate::view::keys::lock(self.cfg.group), epoch);
+                if let Some(epoch) = self.r.pending_lock_release {
+                    let lock = ViewKey::Lock(self.r.cfg.group).to_string();
+                    self.r.coord.release_lock(ctx, lock, epoch);
                 }
-                self.coord.list(ctx, crate::view::keys::all_groups());
-                ctx.set_timer(self.cfg.timing.view_refresh(), T_VIEW_REFRESH);
+                self.r.coord.list(ctx, ViewKey::all_groups());
+                ctx.set_timer(self.r.cfg.timing.view_refresh(), T_VIEW_REFRESH);
             }
             T_CHECKPOINT => {
-                if let Some(interval) = self.cfg.timing.checkpoint_interval {
-                    if self.role == Role::Active {
-                        self.start_checkpoint(ctx);
+                if let Some(interval) = self.r.cfg.timing.checkpoint_interval {
+                    if let Some((t, r)) = self.active() {
+                        t.start_checkpoint(r, ctx);
                     }
                     ctx.set_timer(interval, T_CHECKPOINT);
                 }
             }
             T_DELTA => {
-                if let Some(interval) = self.cfg.timing.delta_interval {
-                    if self.role == Role::Active {
-                        self.start_delta(ctx);
+                if let Some(interval) = self.r.cfg.timing.delta_interval {
+                    if let Some((t, r)) = self.active() {
+                        t.start_delta(r, ctx);
                     }
                     ctx.set_timer(interval, T_DELTA);
                 }
             }
-            T_UPGRADE_RETRY if self.role == Role::Upgrading => {
+            T_UPGRADE_RETRY => {
+                let RoleState::Upgrading(up) = &self.role else { return };
+                let epoch = up.epoch;
                 // A pool reply of the switch is late or lost: ask again. A
                 // switch that awaits nothing runs again from the fence.
                 ctx.trace("failover.upgrade_retry", String::new);
                 if self.resend_session_requests(ctx) {
                     ctx.set_timer(crate::failover::UPGRADE_RETRY, T_UPGRADE_RETRY);
                 } else {
-                    let epoch = self.epoch;
                     self.begin_upgrade(ctx, epoch);
                 }
             }
@@ -757,7 +918,7 @@ impl Node for MdsServer {
         // Coordination traffic first.
         let msg = match CoordClient::classify(msg) {
             Ok(incoming) => {
-                self.last_coord_contact = ctx.now();
+                self.r.last_coord_contact = ctx.now();
                 match incoming {
                     Incoming::Resp(resp) => self.on_coord_resp(ctx, resp),
                     Incoming::Event(ev) => self.on_coord_event(ctx, ev),
@@ -815,8 +976,8 @@ mod tests {
         let sealed = SharedBatch::sealed(JournalBatch::with_acks(1, 1, records, acks));
         let decoded = decode_batch(sealed.wire().clone()).expect("own encoding decodes");
         assert_eq!(decoded.acks[0].spec, spec, "the byte survives the wire");
-        assert_eq!(s.ingest_batch(SharedBatch::new(decoded)), Some(1));
-        (s.fingerprint(), s.window)
+        assert_eq!(s.r.ingest_batch(SharedBatch::new(decoded)), Some(1));
+        (s.fingerprint(), s.r.window)
     }
 
     /// `AckRecord::spec` is a reserved byte: whatever it holds, a replica

@@ -1,7 +1,5 @@
 //! Namespace transactions and journal batches.
 
-use serde::{Deserialize, Serialize};
-
 /// Journal serial number. Assigned by the active when it writes a batch;
 /// strictly increasing by 1 within a replica group's log, starting at 1.
 /// `sn = 0` means "nothing applied yet" (the paper gives juniors loading an
@@ -17,7 +15,7 @@ pub type TxnId = u64;
 /// `mkdir`, `delete`, `rename`; `getfileinfo` is read-only and never logged)
 /// plus the block-level records an HDFS-style namenode journals so that a
 /// promoted standby can serve file reads.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Txn {
     /// Create an (empty) file at `path`.
     Create { path: String, replication: u8 },
@@ -86,7 +84,7 @@ impl Txn {
 /// *not* stored: it is reconstructed deterministically at replay (the
 /// namespace state at the record's apply point is exactly the state the
 /// original reply observed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AckRecord {
     /// Index into `records` of the mutation this ack settles.
     pub record: u32,
@@ -105,7 +103,7 @@ pub struct AckRecord {
 /// batch before flushing ("multiple metadata modifications are aggregated
 /// before being submitted and written back to journals in an asynchronous
 /// way", Section IV).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalBatch {
     pub sn: Sn,
     pub first_txid: TxnId,

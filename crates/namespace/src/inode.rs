@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// Dense inode identifier, unique within one namespace tree.
 pub type InodeId = u64;
 
@@ -15,7 +13,7 @@ pub const ROOT_ID: InodeId = 0;
 pub const DEFAULT_PERM: u16 = 0o755;
 
 /// A node of the namespace tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Inode {
     Directory {
         /// Child name → inode id, kept sorted for deterministic iteration
@@ -87,7 +85,7 @@ impl<S: InodeSource> InodeSource for &S {
 }
 
 /// The answer to `getfileinfo`: a snapshot of one inode's metadata.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileInfo {
     pub path: String,
     pub is_dir: bool,

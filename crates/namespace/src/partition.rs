@@ -8,8 +8,6 @@
 //! why the paper classifies them as distributed transactions whose
 //! throughput does not improve with more actives (Figure 5 discussion).
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a replica group within a deployment.
 pub type GroupId = u32;
 
@@ -26,7 +24,7 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Stable path → group mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Partitioner {
     groups: u32,
 }

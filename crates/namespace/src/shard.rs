@@ -1275,6 +1275,26 @@ impl ShardedNamespace {
         }
         h
     }
+
+    /// Fingerprint of the directory skeleton alone: every directory's path
+    /// and permission, files ignored, summed so that neither creation order
+    /// nor inode ids show. Replica groups partition files but run every
+    /// structural operation, so at quiescence all groups report one value.
+    pub fn skeleton_fingerprint(&self) -> u64 {
+        let mut sum = 0u64;
+        let mut stack: Vec<(InodeId, String)> = vec![(ROOT_ID, String::new())];
+        while let Some((id, dir)) = stack.pop() {
+            let st = self.shards[self.shard_of(id)].state.read().unwrap();
+            if let Some(Inode::Directory { children, perm }) =
+                st.slots.get(&id).and_then(Slot::latest)
+            {
+                sum = sum.wrapping_add(fnv1a64(format!("{dir}/ {perm}").as_bytes()));
+                stack
+                    .extend(children.iter().map(|(name, child)| (*child, format!("{dir}/{name}"))));
+            }
+        }
+        sum
+    }
 }
 
 impl Apply for ShardedNamespace {
@@ -1774,6 +1794,31 @@ mod tests {
         s.rename("/a/b/f", "/a/f2").unwrap();
         assert_eq!(view.fingerprint(), frozen);
         assert_ne!(s.fingerprint(), frozen);
+    }
+
+    /// What two replica groups must agree on: the directories, whatever
+    /// files each holds, in whatever order and shard layout they were made.
+    #[test]
+    fn skeleton_fingerprint_sees_directories_and_nothing_else() {
+        let a = ShardedNamespace::with_shards(4);
+        a.mkdir_p("/x/y").unwrap();
+        a.mkdir("/z").unwrap();
+        a.create("/x/y/f", 2).unwrap();
+        let b = ShardedNamespace::with_shards(16);
+        b.mkdir("/z").unwrap();
+        b.create("/z/g", 1).unwrap();
+        b.mkdir_p("/x/y").unwrap();
+        assert_eq!(a.skeleton_fingerprint(), b.skeleton_fingerprint());
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        b.set_perm("/z", 0o700).unwrap();
+        assert_ne!(a.skeleton_fingerprint(), b.skeleton_fingerprint(), "a directory's perm counts");
+        a.set_perm("/z", 0o700).unwrap();
+        a.mkdir("/x/yy").unwrap();
+        assert_ne!(
+            a.skeleton_fingerprint(),
+            b.skeleton_fingerprint(),
+            "so does one more directory"
+        );
     }
 
     #[test]

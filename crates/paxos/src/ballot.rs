@@ -1,10 +1,8 @@
 //! Ballot numbers: totally ordered, proposer-unique.
 
-use serde::{Deserialize, Serialize};
-
 /// A Paxos ballot: lexicographic `(round, proposer)` so two proposers can
 /// never issue the same ballot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ballot {
     pub round: u64,
     pub proposer: u32,

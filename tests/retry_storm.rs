@@ -126,7 +126,7 @@ fn run_case(case: u64) -> CaseOutcome {
 
     // Mid-storm failover: whoever is active dies while retries are in
     // flight. The successor must answer them from the seeded window.
-    let victim = active_of(&sim, 0).unwrap_or_else(|| d.initial_active(0));
+    let victim = active_of(&sim, d.coord, 0).unwrap_or_else(|| d.initial_active(0));
     sim.crash(victim);
     sim.run_for(Duration::from_secs(6));
     sim.net_mut().set_loss_probability(0.0);
