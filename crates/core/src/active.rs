@@ -7,14 +7,14 @@ use std::sync::Arc;
 
 use mams_journal::{JournalBatch, SharedBatch, Sn, Txn};
 use mams_sim::{Ctx, Duration, NodeId};
-use mams_storage::pool::PoolError;
-use mams_storage::proto::{PoolReq, PoolResp, ReqId};
+use mams_storage::pool::{ArtifactKind, PoolError};
+use mams_storage::proto::{PoolReq, PoolResp};
 
 use crate::commit::FLUSH_MAX;
 use crate::ingress::{CpuModel, IngressItem};
 use crate::proto::{FsOp, GroupMsg, MdsResp, OpOutput, Xid};
 use crate::server::{
-    ClientReply, Inflight, PendingOp, Replica, ReplyTo, Tenure, TenureReq, XgOutstanding,
+    ClientReply, Inflight, MemberPos, PendingOp, Replica, ReplyTo, Tenure, XgOutstanding,
 };
 
 /// Flush as soon as this many mutations are pending.
@@ -47,7 +47,7 @@ impl Tenure {
         let mut cpu = CpuModel::default();
         // Journal fan-out: every mutation is serialized and sent to each
         // hot standby.
-        cpu.mutation += SYNC_CPU_PER_STANDBY.mul_f64(self.standbys.len() as f64);
+        cpu.mutation += SYNC_CPU_PER_STANDBY.mul_f64(self.voters().count() as f64);
         // Fan the drained window across the namespace's shard workers: ops
         // are bucketed by the shard that owns their parent directory
         // (`ShardedNamespace::home_shard`) and the buckets are served in
@@ -249,19 +249,12 @@ impl Tenure {
         let sn = r.log.tail_sn() + 1;
         let mut records = Vec::with_capacity(ops.len());
         let mut acks = Vec::with_capacity(ops.len());
-        let mut inflight = Inflight {
-            waiting_members: self.standbys.clone(),
-            flushed_at: ctx.now(),
-            ..Default::default()
-        };
+        let mut inflight = Inflight { flushed_at: ctx.now(), ..Default::default() };
         for (i, op) in ops.into_iter().enumerate() {
-            if let Some(xid) = op.xid {
-                // The legs may have settled already (fast acks); only wait
-                // on xids still outstanding.
-                if let Some(o) = self.xg_outstanding.get_mut(&xid) {
-                    inflight.waiting_xg.insert(xid);
-                    o.sn = Some(sn);
-                }
+            // The legs may have settled already (fast acks); only xids
+            // still outstanding hold this batch's client replies.
+            if let Some(o) = op.xid.and_then(|xid| self.xg_outstanding.get_mut(&xid)) {
+                o.sn = Some(sn);
             }
             match op.reply {
                 // Distributed-transaction legs carry no ack record — their
@@ -301,23 +294,10 @@ impl Tenure {
         r.log.append(batch.share()).expect("own batch is contiguous");
 
         let epoch = self.epoch;
-        for &s in &self.standbys {
+        for (s, _) in self.voters() {
             ctx.send(s, GroupMsg::SyncJournal { epoch, batch: batch.share() });
         }
         self.append_to_pool(r, ctx, batch, inflight);
-    }
-
-    /// Name a pool request and remember why its reply is awaited.
-    fn await_reply(&mut self, r: &mut Replica, why: TenureReq) -> ReqId {
-        let req = r.next_req();
-        self.awaited.insert(req, why);
-        debug_assert!(
-            self.awaited.len() <= self.inflight.len() + 1,
-            "{} pool replies awaited with {} batches in flight",
-            self.awaited.len(),
-            self.inflight.len()
-        );
-        req
     }
 
     /// Offer a batch of our log to the SSP and hold `inflight` until the
@@ -327,12 +307,12 @@ impl Tenure {
         r: &mut Replica,
         ctx: &mut Ctx<'_>,
         batch: SharedBatch,
-        inflight: Inflight,
+        mut inflight: Inflight,
     ) {
-        let (group, epoch, sn) = (r.cfg.group, self.epoch, batch.sn);
-        self.inflight.insert(sn, inflight);
-        let req = self.await_reply(r, TenureReq::Append { sn });
-        self.inflight.get_mut(&sn).expect("inserted above").pool_req = Some(req);
+        let (group, epoch) = (r.cfg.group, self.epoch);
+        let req = r.next_req();
+        inflight.pool_req = Some(req);
+        self.inflight.insert(batch.sn, inflight);
         r.pool_deliver(ctx, PoolReq::AppendJournal { group, epoch, batch, req });
     }
 
@@ -351,16 +331,22 @@ impl Tenure {
     /// stop serializing behind each other's legs and stragglers.
     pub(crate) fn try_complete(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
+        let Tenure { inflight, members, xg_outstanding, .. } = self;
+        // Locally durable: in the SSP and on every member that votes on it.
+        let durable = |sn: Sn, inf: &Inflight| inf.pool_req.is_none() && voted(members, sn);
         let mut leg_acks = Vec::new();
-        for inf in self.inflight.values_mut() {
-            if inf.durable() {
+        for (&sn, inf) in inflight.iter_mut() {
+            if !inf.xg_replies.is_empty() && durable(sn, inf) {
                 leg_acks.append(&mut inf.xg_replies);
             }
         }
+        // Complete: durable, and none of its own legs is still out.
+        let (released, drained, ooo) = release_walk(inflight, |sn, inf| {
+            durable(sn, inf) && !xg_outstanding.values().any(|o| o.sn == Some(sn))
+        });
         for (reply, result) in leg_acks {
             self.reply_now(r, ctx, reply, result);
         }
-        let (released, drained, ooo) = release_walk(&mut self.inflight);
         if ooo > 0 {
             ctx.trace("commit.ooo_release", || format!("{ooo} replies past an incomplete batch"));
         }
@@ -395,25 +381,26 @@ impl Tenure {
 
     // ------------------------------------------------------------- members
 
-    /// A member acknowledged everything up to `sn`.
+    /// The sync set: the members every batch is sent to and waits for.
+    pub(crate) fn voters(&self) -> impl Iterator<Item = (NodeId, &MemberPos)> {
+        self.members.iter().filter(|(_, pos)| pos.votes_from.is_some()).map(|(&n, pos)| (n, pos))
+    }
+
+    /// A member acknowledged everything up to `sn`. Acks are cumulative, so
+    /// one the network reordered says nothing new; one from a member that
+    /// is gone says nothing at all.
     pub(crate) fn on_sync_ack(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>, from: NodeId, sn: Sn) {
-        self.member_sns.insert(from, sn);
-        for (&bsn, inf) in self.inflight.iter_mut() {
-            if bsn <= sn {
-                inf.waiting_members.remove(&from);
-            }
-        }
+        let Some(pos) = self.members.get_mut(&from) else { return };
+        pos.acked = pos.acked.max(sn);
         self.try_complete(r, ctx);
-        self.renew_check_promotion(r, ctx, from, sn);
+        if sn == r.log.tail_sn() && self.renew_driver.as_ref().is_some_and(|d| d.junior == from) {
+            self.promote_junior(r, ctx, from);
+        }
     }
 
     /// A member's state key vanished: it died, stop waiting for its acks.
     pub(crate) fn on_member_gone(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>, node: NodeId) {
-        self.standbys.remove(&node);
-        self.member_sns.remove(&node);
-        for inf in self.inflight.values_mut() {
-            inf.waiting_members.remove(&node);
-        }
+        self.members.remove(&node);
         if self.renew_driver.as_ref().is_some_and(|d| d.junior == node) {
             self.renew_driver = None;
         }
@@ -442,11 +429,8 @@ impl Tenure {
         if !o.groups.is_empty() {
             return;
         }
-        let settled = self.xg_outstanding.remove(&xid).expect("found above");
-        if let Some(sn) = settled.sn {
-            if let Some(inf) = self.inflight.get_mut(&sn) {
-                inf.waiting_xg.remove(&xid);
-            }
+        // Sealed already: its batch's client replies waited on this.
+        if self.xg_outstanding.remove(&xid).expect("found above").sn.is_some() {
             self.try_complete(r, ctx);
         }
     }
@@ -456,33 +440,23 @@ impl Tenure {
     /// Also re-push to every standby that has not caught up the whole range
     /// it has not acknowledged — only the active can know that the *last*
     /// batch was lost, cumulative acks make the refresh idempotent, and the
-    /// range is always in our log (see `TenureReq::Checkpoint`'s reply).
+    /// range is always in our log (see `on_pool_reply`).
     pub(crate) fn retry_pool_appends(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>) {
         let epoch = self.epoch;
         let group = r.cfg.group;
-        let stuck: Vec<(Sn, ReqId)> = self
-            .inflight
-            .iter()
-            .filter_map(|(&sn, inf)| inf.pool_req.map(|req| (sn, req)))
-            .collect();
-        for (sn, req) in stuck {
-            // `share` ends the log borrow, so the retained handle can move
-            // into the request without copying the batch.
-            if let Some(batch) = r.log.get(sn).map(SharedBatch::share) {
-                // The same request again, not a new one (see
-                // `Inflight::pool_req`); an error reply consumed the entry
-                // while the batch still waits, so put it back.
-                self.awaited.insert(req, TenureReq::Append { sn });
+        for (&sn, inf) in &self.inflight {
+            // The same request again, not a new one (see
+            // `Inflight::pool_req`). `share` ends the log borrow, so the
+            // retained handle moves into the request without copying.
+            if let (Some(req), Some(batch)) = (inf.pool_req, r.log.get(sn).map(SharedBatch::share))
+            {
                 r.pool_deliver(ctx, PoolReq::AppendJournal { group, epoch, batch, req });
             }
         }
         let tail = r.log.tail_sn();
-        for &member in &self.standbys {
-            let acked = self.member_sns.get(&member).copied().unwrap_or(0);
-            if acked < tail {
-                for b in r.log.read_after(acked).unwrap_or_default() {
-                    ctx.send(member, GroupMsg::SyncJournal { epoch, batch: b.share() });
-                }
+        for (member, pos) in self.voters().filter(|(_, pos)| pos.acked < tail) {
+            for b in r.log.read_after(pos.acked).unwrap_or_default() {
+                ctx.send(member, GroupMsg::SyncJournal { epoch, batch: b.share() });
             }
         }
     }
@@ -514,13 +488,9 @@ impl Tenure {
         });
         // A full image restarts the manifest chain, so it supersedes any
         // artifact write still unanswered: that reply may have been lost,
-        // and whatever it said, this image's reply replaces it (the old
-        // reply, should it still come, finds no entry and is ignored).
-        if let Some(stale) = self.artifact_in_flight.take() {
-            self.awaited.remove(&stale);
-        }
-        let req = self.await_reply(r, TenureReq::Checkpoint);
-        self.artifact_in_flight = Some(req);
+        // and whatever it said, this image's reply replaces it.
+        let req = r.next_req();
+        self.artifact = Some((req, ArtifactKind::Base));
         r.pool_deliver(ctx, PoolReq::WriteImage { group, epoch, image, req });
     }
 
@@ -533,7 +503,7 @@ impl Tenure {
         let Some(anchor) = self.delta_anchor else {
             // Nothing to chain onto yet: establish the chain with a full
             // image (unless one is already in flight).
-            if self.artifact_in_flight.is_none() {
+            if self.artifact.is_none() {
                 self.start_checkpoint(r, ctx);
             }
             return;
@@ -542,7 +512,7 @@ impl Tenure {
         if end <= anchor {
             return; // no churn since the last artifact
         }
-        if self.artifact_in_flight.is_some() {
+        if self.artifact.is_some() {
             // One artifact write at a time keeps the chain ordered; a delta
             // folded while a full image is in flight would chain onto an
             // anchor the image is about to supersede.
@@ -563,50 +533,33 @@ impl Tenure {
         });
         let group = r.cfg.group;
         let epoch = self.epoch;
-        let req = self.await_reply(r, TenureReq::Delta);
-        self.artifact_in_flight = Some(req);
+        let req = r.next_req();
+        self.artifact = Some((req, ArtifactKind::Delta));
         r.pool_deliver(ctx, PoolReq::WriteDelta { group, epoch, delta, req });
     }
 
     // ------------------------------------------------------ pool responses
 
-    /// The pool answered `why`. `true`: the append was refused at a newer
-    /// fence — we have been deposed, and the caller ends the tenure.
+    /// A pool reply is the artifact write's, or the append's of the one
+    /// batch whose `pool_req` names it; one that names neither is late (its
+    /// request was answered or superseded) and is ignored. `true`: an append
+    /// was refused at a newer fence — we have been deposed, and the caller
+    /// ends the tenure.
     #[must_use]
     pub(crate) fn on_pool_reply(
         &mut self,
         r: &mut Replica,
         ctx: &mut Ctx<'_>,
-        why: TenureReq,
         resp: PoolResp,
     ) -> bool {
-        if self.artifact_in_flight == Some(resp.req_id()) {
-            self.artifact_in_flight = None;
-        }
-        match why {
-            TenureReq::Append { sn } => match resp {
-                PoolResp::AppendOk { .. } => {
-                    if let Some(inf) = self.inflight.get_mut(&sn) {
-                        inf.pool_req = None;
-                    }
-                    self.try_complete(r, ctx);
-                }
-                PoolResp::Failed { error: PoolError::Fenced { .. }, .. } => {
-                    // IO fencing in action.
-                    ctx.trace("fencing.append_refused", || format!("sn {sn}"));
-                    return true;
-                }
-                other => {
-                    ctx.trace("pool.append_error", || format!("{other:?}"));
-                }
-            },
-            TenureReq::Checkpoint => {
-                if let PoolResp::ImageWritten { checkpoint_sn, .. } = resp {
+        let req = resp.req_id();
+        if let Some((_, kind)) = self.artifact.take_if(|(awaited, _)| *awaited == req) {
+            match (kind, resp) {
+                (ArtifactKind::Base, PoolResp::ImageWritten { checkpoint_sn, .. }) => {
                     // Our log is what a lagging standby is repaired from and
                     // an unacknowledged append is resent from: keep whatever
                     // some standby, or the pool, has not acknowledged.
-                    let acked = |m| self.member_sns.get(m).copied().unwrap_or(0);
-                    let by_standbys = self.standbys.iter().map(acked).min();
+                    let by_standbys = self.voters().map(|(_, pos)| pos.acked).min();
                     let unappended = self.inflight.iter().find(|(_, inf)| inf.pool_req.is_some());
                     let by_pool = unappended.map(|(&sn, _)| sn - 1);
                     let held = by_standbys.into_iter().chain(by_pool).min().unwrap_or(Sn::MAX);
@@ -616,13 +569,15 @@ impl Tenure {
                     self.delta_anchor = Some(checkpoint_sn);
                     ctx.trace("checkpoint.done", || format!("sn {checkpoint_sn}"));
                 }
-            }
-            TenureReq::Delta => match resp {
-                PoolResp::DeltaWritten { end_sn, .. } => {
+                (ArtifactKind::Base, _) => {}
+                (ArtifactKind::Delta, PoolResp::DeltaWritten { end_sn, .. }) => {
                     self.delta_anchor = Some(end_sn);
                     ctx.trace("delta.done", || format!("sn {end_sn}"));
                 }
-                PoolResp::Failed { error: PoolError::DeltaChain { .. }, .. } => {
+                (
+                    ArtifactKind::Delta,
+                    PoolResp::Failed { error: PoolError::DeltaChain { .. }, .. },
+                ) => {
                     // The pool's chain moved under us (another writer's
                     // checkpoint, a lost ack): our anchor is stale. Restart
                     // the chain with a full image.
@@ -630,13 +585,37 @@ impl Tenure {
                     self.delta_anchor = None;
                     self.start_checkpoint(r, ctx);
                 }
-                other => {
-                    ctx.trace("delta.error", || format!("{other:?}"));
-                }
-            },
+                (ArtifactKind::Delta, other) => ctx.trace("delta.error", || format!("{other:?}")),
+            }
+            return false;
+        }
+        let Some((&sn, inf)) = self.inflight.iter_mut().find(|(_, inf)| inf.pool_req == Some(req))
+        else {
+            return false;
+        };
+        match resp {
+            PoolResp::AppendOk { .. } => {
+                inf.pool_req = None;
+                self.try_complete(r, ctx);
+            }
+            PoolResp::Failed { error: PoolError::Fenced { .. }, .. } => {
+                // IO fencing in action.
+                ctx.trace("fencing.append_refused", || format!("sn {sn}"));
+                return true;
+            }
+            // The batch keeps its request: `retry_pool_appends` sends it
+            // again, and whichever reply comes next is matched the same way.
+            other => ctx.trace("pool.append_error", || format!("{other:?}")),
         }
         false
     }
+}
+
+/// Batch `sn` has the vote of every member that votes on it: acks are
+/// cumulative, so "has `m` voted for `sn`" is `m.acked ≥ sn`, and `m` votes
+/// on `sn` when it joined the sync set before `sn` was sealed.
+pub(crate) fn voted(members: &std::collections::BTreeMap<NodeId, MemberPos>, sn: Sn) -> bool {
+    members.values().all(|m| m.acked >= sn || m.votes_from.is_none_or(|from| sn < from))
 }
 
 impl Replica {
@@ -773,7 +752,8 @@ impl Replica {
 pub(crate) type ReadyReply = (ReplyTo, Result<OpOutput, String>);
 
 /// The ascending release walk over the inflight window (the out-of-order
-/// ack core, see `try_complete`): a *complete* batch releases its client
+/// ack core, see `try_complete`), `complete` saying which batches wait for
+/// nothing any more: a *complete* batch releases its client
 /// replies unless an earlier still-held reply shares one of their home
 /// shards; an *incomplete* batch blocks every shard its replies touch.
 /// Returns the replies to send, in release order, the sns whose reply lists
@@ -785,6 +765,7 @@ pub(crate) type ReadyReply = (ReplyTo, Result<OpOutput, String>);
 /// by unit tests without standing up a cluster.
 pub(crate) fn release_walk(
     inflight: &mut std::collections::BTreeMap<Sn, Inflight>,
+    complete: impl Fn(Sn, &Inflight) -> bool,
 ) -> (Vec<ReadyReply>, Vec<Sn>, u64) {
     let mut blocked: std::collections::HashSet<usize> = std::collections::HashSet::new();
     let mut released: Vec<ReadyReply> = Vec::new();
@@ -792,7 +773,7 @@ pub(crate) fn release_walk(
     let mut held = false;
     let mut ooo = 0u64;
     for (&sn, inf) in inflight.iter_mut() {
-        if inf.complete() {
+        if complete(sn, inf) {
             let mut kept = Vec::new();
             for cr in inf.client_replies.drain(..) {
                 if cr.shards.iter().any(|s| blocked.contains(s)) {
@@ -828,8 +809,12 @@ pub(crate) fn release_walk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::ClientReply;
-    use std::collections::BTreeMap;
+    use crate::config::{InitialRole, MdsConfig};
+    use crate::server::{MdsServer, RenewDriver, RoleState};
+    use mams_namespace::{Partitioner, ShardedNamespace};
+    use mams_sim::{DetRng, LatencyModel, Message, Node, Sim, SimConfig, SimTime};
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::sync::{Arc, Mutex};
 
     fn reply(seq: u64, shards: &[usize]) -> ClientReply {
         ClientReply {
@@ -845,6 +830,11 @@ mod tests {
 
     fn incomplete(replies: Vec<ClientReply>) -> Inflight {
         Inflight { pool_req: Some(0), client_replies: replies, ..Default::default() }
+    }
+
+    /// Completeness as these tests model it: the append was acknowledged.
+    fn appended(_: Sn, inf: &Inflight) -> bool {
+        inf.pool_req.is_none()
     }
 
     fn seqs(released: &[ReadyReply]) -> Vec<u64> {
@@ -865,7 +855,7 @@ mod tests {
         let mut w = BTreeMap::new();
         w.insert(1, incomplete(vec![reply(1, &[3])]));
         w.insert(2, complete(vec![reply(2, &[3]), reply(3, &[7])]));
-        let (released, drained, ooo) = release_walk(&mut w);
+        let (released, drained, ooo) = release_walk(&mut w, appended);
         assert_eq!(seqs(&released), vec![3], "disjoint shard releases out of order");
         assert_eq!(ooo, 1, "that release overtook the incomplete sn 1");
         assert!(drained.is_empty(), "sn 2 still holds the blocked reply");
@@ -873,7 +863,7 @@ mod tests {
 
         // Once sn 1 turns durable, both release — in batch (txid) order.
         w.get_mut(&1).unwrap().pool_req = None;
-        let (released, drained, ooo) = release_walk(&mut w);
+        let (released, drained, ooo) = release_walk(&mut w, appended);
         assert_eq!(seqs(&released), vec![1, 2], "per-shard FIFO preserved");
         assert_eq!(ooo, 0, "nothing overtaken once the window is complete");
         assert_eq!(drained, vec![1, 2]);
@@ -888,7 +878,7 @@ mod tests {
         w.insert(1, incomplete(vec![reply(1, &[0])]));
         w.insert(2, complete(vec![reply(2, &[1, 0])])); // rename /b/x -> /a/y
         w.insert(3, complete(vec![reply(3, &[1])]));
-        let (released, drained, _) = release_walk(&mut w);
+        let (released, drained, _) = release_walk(&mut w, appended);
         assert!(released.is_empty(), "rename held on shard 0 must also hold shard 1");
         assert!(drained.is_empty());
     }
@@ -901,7 +891,7 @@ mod tests {
         w.insert(1, incomplete(vec![reply(1, &[0]), reply(2, &[4])]));
         w.insert(2, complete(vec![reply(3, &[2])]));
         w.insert(3, complete(vec![reply(4, &[5]), reply(5, &[4])]));
-        let (released, _, ooo) = release_walk(&mut w);
+        let (released, _, ooo) = release_walk(&mut w, appended);
         assert_eq!(seqs(&released), vec![3, 4], "only shard-4 reply waits for sn 1");
         assert_eq!(ooo, 2, "both releases overtook the incomplete sn 1");
         assert_eq!(w[&3].client_replies.len(), 1);
@@ -917,5 +907,415 @@ mod tests {
         let t1 = mams_journal::Txn::Create { path: "/jobs/out/part-0".into(), replication: 3 };
         let t2 = mams_journal::Txn::Create { path: "/jobs/out/part-1".into(), replication: 3 };
         assert_eq!(ns.home_shard(t1.primary_path()), ns.home_shard(t2.primary_path()));
+    }
+
+    // ---------------------------------------------------------------------
+    // The tenure's bookkeeping against a reference that keeps, per sealed
+    // batch, the set of members and the set of legs it still waits for.
+
+    /// What leaves the active for a client or another group's coordinator.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Out {
+        Reply(u64),
+        LegAck(Xid),
+    }
+
+    /// Who a served mutation answers: a client (coordinating legs on groups
+    /// 1 and 2 under `xid` when set), or another group's coordinator.
+    #[derive(Debug, Clone, Copy)]
+    enum Target {
+        Client { seq: u64, xid: Option<Xid> },
+        Leg { xid: Xid },
+    }
+
+    /// One thing that happens to a tenure.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// A served create under `/d<dir>` waits in `pending`.
+        Enqueue {
+            dir: u8,
+            reply: Target,
+        },
+        Seal,
+        SyncAck {
+            from: NodeId,
+            sn: Sn,
+        },
+        /// The pool answers batch `sn`'s append.
+        PoolReply {
+            sn: Sn,
+            ok: bool,
+        },
+        LegAck {
+            xid: Xid,
+            group: u32,
+        },
+        Register {
+            from: NodeId,
+            sn: Sn,
+        },
+        /// A junior registers at `sn`, behind the tail but close enough
+        /// to enter the final stage of its renewing at its first report.
+        FinalStage {
+            from: NodeId,
+            sn: Sn,
+        },
+        Gone {
+            node: NodeId,
+        },
+    }
+
+    /// Node ids of the rig's world: sinks first, the active last.
+    const CLIENT: NodeId = 0;
+    const MEMBERS: std::ops::RangeInclusive<NodeId> = 1..=4;
+    const COORDINATOR: NodeId = 5;
+    const ACTIVE: NodeId = 6;
+
+    fn path(dir: u8) -> String {
+        format!("/d{dir}/f")
+    }
+
+    /// An active's tenure on a bare replica, driven through its handlers.
+    struct Rig {
+        s: MdsServer,
+        script: Vec<Step>,
+    }
+
+    impl Rig {
+        fn apply(&mut self, ctx: &mut Ctx<'_>, step: Step) {
+            let (t, r) = self.s.active().expect("the rig is an active");
+            match step {
+                Step::Enqueue { dir, reply } => {
+                    let txn = Txn::Create { path: path(dir), replication: 3 };
+                    let (reply, xid) = match reply {
+                        Target::Client { seq, xid } => (ReplyTo::Client { node: CLIENT, seq }, xid),
+                        Target::Leg { xid } => {
+                            (ReplyTo::XGroup { coordinator: COORDINATOR, xid }, None)
+                        }
+                    };
+                    if let Some(xid) = xid {
+                        let legs =
+                            XgOutstanding { txn: txn.clone(), groups: [1, 2].into(), sn: None };
+                        t.xg_outstanding.insert(xid, legs);
+                    }
+                    t.pending.push(PendingOp { txn, reply, output: OpOutput::Done, xid });
+                }
+                Step::Seal => t.flush_batch(r, ctx),
+                Step::SyncAck { from, sn } => t.on_sync_ack(r, ctx, from, sn),
+                Step::PoolReply { sn, ok } => {
+                    let Some(req) = t.inflight.get(&sn).and_then(|inf| inf.pool_req) else {
+                        return;
+                    };
+                    let resp = if ok {
+                        PoolResp::AppendOk { group: 0, sn, duplicate: false, req }
+                    } else {
+                        PoolResp::Failed { group: 0, error: PoolError::Journal("gap".into()), req }
+                    };
+                    assert!(!t.on_pool_reply(r, ctx, resp), "nothing fences the rig");
+                }
+                Step::LegAck { xid, group } => t.on_xgroup_ack(r, ctx, xid, group, true),
+                Step::Register { from, sn } => t.on_register(r, ctx, from, sn),
+                Step::FinalStage { from, sn } => {
+                    t.on_register(r, ctx, from, sn);
+                    t.renew_driver = Some(RenewDriver { junior: from, stale_scans: 0 });
+                    t.on_renew_progress(r, ctx, from, sn);
+                }
+                Step::Gone { node } => t.on_member_gone(r, ctx, node),
+            }
+        }
+    }
+
+    impl Node for Rig {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            // One callback, one instant: with a jitter-free network, what
+            // is sent in order is delivered in order.
+            for step in std::mem::take(&mut self.script) {
+                self.apply(ctx, step);
+            }
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_>, _: NodeId, _: Message) {}
+    }
+
+    /// Everyone the active talks to: records replies and leg acks in
+    /// arrival order, drops the rest (syncs, appends, verdicts).
+    struct Sink(Arc<Mutex<Vec<Out>>>);
+
+    impl Node for Sink {
+        fn on_message(&mut self, _: &mut Ctx<'_>, _: NodeId, msg: Message) {
+            let out = match MdsResp::from_message(msg) {
+                Ok(MdsResp::Reply { seq, .. }) => Out::Reply(seq),
+                Ok(_) => return,
+                Err(msg) => match msg.downcast::<GroupMsg>() {
+                    Ok(GroupMsg::XGroupAck { xid, .. }) => Out::LegAck(xid),
+                    _ => return,
+                },
+            };
+            self.0.lock().unwrap().push(out);
+        }
+    }
+
+    /// Run `script` through a fresh tenure; what left it, in order.
+    fn run(script: Vec<Step>) -> Vec<Out> {
+        let latency = LatencyModel { jitter: Duration::ZERO, ..LatencyModel::lan() };
+        let mut sim = Sim::new(SimConfig { seed: 1, trace: false, latency });
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        for id in CLIENT..=COORDINATOR {
+            sim.add_node(format!("sink{id}"), Box::new(Sink(seen.clone())));
+        }
+        let mut s = MdsServer::new(MdsConfig {
+            group: 0,
+            members: MEMBERS.chain([ACTIVE]).collect(),
+            coord: CLIENT,
+            pool: vec![CLIENT],
+            partitioner: Partitioner::new(1),
+            initial_role: InitialRole::Standby,
+            timing: Default::default(),
+        });
+        s.role = RoleState::Active(Box::new(Tenure::new(1, &s.r.window)));
+        assert_eq!(sim.add_node("active", Box::new(Rig { s, script })), ACTIVE);
+        sim.run_until(SimTime(1_000_000));
+        let seen = seen.lock().unwrap().clone();
+        seen
+    }
+
+    /// What a sealed batch waits for, kept the way the tenure used to: a
+    /// copy of the sync set taken at the seal and the xids still out, each
+    /// ticked down by hand.
+    #[derive(Default)]
+    struct Waits {
+        appended: bool,
+        members: BTreeSet<NodeId>,
+        legs: BTreeSet<Xid>,
+    }
+
+    #[derive(Default)]
+    struct Reference {
+        tail: Sn,
+        pending: Vec<(u8, Target)>,
+        window: BTreeMap<Sn, Inflight>,
+        waits: BTreeMap<Sn, Waits>,
+        standbys: BTreeSet<NodeId>,
+        acked: BTreeMap<NodeId, Sn>,
+        /// Groups yet to acknowledge, and the batch the op was sealed in.
+        legs: BTreeMap<Xid, (BTreeSet<u32>, Option<Sn>)>,
+        out: Vec<Out>,
+    }
+
+    impl Reference {
+        fn apply(&mut self, ns: &ShardedNamespace, step: Step) {
+            match step {
+                Step::Enqueue { dir, reply } => {
+                    if let Target::Client { xid: Some(xid), .. } = reply {
+                        self.legs.insert(xid, ([1, 2].into(), None));
+                    }
+                    self.pending.push((dir, reply));
+                }
+                Step::Seal if self.pending.is_empty() => {}
+                Step::Seal => {
+                    self.tail += 1;
+                    let mut inf = Inflight::default();
+                    let mut waits = Waits { members: self.standbys.clone(), ..Waits::default() };
+                    for (dir, target) in self.pending.drain(..) {
+                        match target {
+                            Target::Leg { xid } => {
+                                let to = ReplyTo::XGroup { coordinator: COORDINATOR, xid };
+                                inf.xg_replies.push((to, Ok(OpOutput::Done)));
+                            }
+                            Target::Client { seq, xid } => {
+                                // Only legs still out hold the replies.
+                                if let Some((xid, leg)) =
+                                    xid.and_then(|x| Some((x, self.legs.get_mut(&x)?)))
+                                {
+                                    waits.legs.insert(xid);
+                                    leg.1 = Some(self.tail);
+                                }
+                                inf.client_replies.push(reply(seq, &[ns.home_shard(&path(dir))]));
+                            }
+                        }
+                    }
+                    self.window.insert(self.tail, inf);
+                    self.waits.insert(self.tail, waits);
+                }
+                Step::SyncAck { from, sn } => {
+                    self.acked.insert(from, sn);
+                    for (_, w) in self.waits.range_mut(..=sn) {
+                        w.members.remove(&from);
+                    }
+                }
+                Step::PoolReply { sn, ok } => self.waits.get_mut(&sn).unwrap().appended |= ok,
+                Step::LegAck { xid, group } => {
+                    let Some((groups, sn)) = self.legs.get_mut(&xid) else { return };
+                    groups.remove(&group);
+                    if groups.is_empty() {
+                        if let Some(w) = sn.and_then(|sn| self.waits.get_mut(&sn)) {
+                            w.legs.remove(&xid);
+                        }
+                        self.legs.remove(&xid);
+                    }
+                }
+                Step::Register { from, sn } => {
+                    self.acked.insert(from, sn);
+                    if sn == self.tail {
+                        self.standbys.insert(from);
+                    }
+                }
+                Step::FinalStage { from, sn } => {
+                    self.acked.insert(from, sn);
+                    self.standbys.insert(from);
+                }
+                Step::Gone { node } => {
+                    self.standbys.remove(&node);
+                    self.acked.remove(&node);
+                    for w in self.waits.values_mut() {
+                        w.members.remove(&node);
+                    }
+                }
+            }
+            // `try_complete`, over the copies.
+            let waits = &self.waits;
+            let durable = |sn: Sn| waits[&sn].appended && waits[&sn].members.is_empty();
+            for (&sn, inf) in self.window.iter_mut() {
+                if durable(sn) {
+                    self.out.extend(inf.xg_replies.drain(..).map(|(to, _)| match to {
+                        ReplyTo::XGroup { xid, .. } => Out::LegAck(xid),
+                        other => panic!("{other:?} among the leg acks"),
+                    }));
+                }
+            }
+            let complete = |sn: Sn, _: &Inflight| durable(sn) && waits[&sn].legs.is_empty();
+            let (released, drained, _) = release_walk(&mut self.window, complete);
+            self.out.extend(seqs(&released).into_iter().map(Out::Reply));
+            for sn in drained {
+                self.window.remove(&sn);
+                self.waits.remove(&sn);
+            }
+        }
+    }
+
+    /// A random walk over what can happen to a tenure, drawn from the
+    /// reference's state so that every step is one both readings define:
+    /// acks in order, members that join as strangers.
+    fn random_script(rng: &mut DetRng, ns: &ShardedNamespace) -> (Vec<Step>, Vec<Out>) {
+        fn pick<T>(rng: &mut DetRng, from: impl Iterator<Item = T>) -> Option<T> {
+            let mut all: Vec<T> = from.collect();
+            (!all.is_empty()).then(|| all.swap_remove(rng.index(all.len())))
+        }
+        let mut model = Reference::default();
+        let mut script = Vec::new();
+        let mut ops = 0;
+        for _ in 0..rng.range(20, 120) {
+            let tail = model.tail;
+            let strangers = MEMBERS.filter(|m| !model.acked.contains_key(m));
+            let step = match rng.below(16) {
+                0..=3 => {
+                    ops += 1;
+                    let reply = match rng.below(4) {
+                        0 => Target::Leg { xid: (1, 1, ops) },
+                        1 => Target::Client { seq: ops, xid: Some((0, 1, ops)) },
+                        _ => Target::Client { seq: ops, xid: None },
+                    };
+                    Some(Step::Enqueue { dir: rng.below(4) as u8, reply })
+                }
+                4..=5 => Some(Step::Seal),
+                6..=8 => {
+                    let behind = model.standbys.iter().filter(|m| model.acked[m] < tail);
+                    let from = pick(rng, behind.copied());
+                    let sn = from.map(|from| rng.range(model.acked[&from], tail) + 1);
+                    from.zip(sn).map(|(from, sn)| Step::SyncAck { from, sn })
+                }
+                9..=10 => {
+                    // In any order: a later batch's ack may come first.
+                    let unappended = model.waits.iter().filter(|(_, w)| !w.appended);
+                    let sn = pick(rng, unappended.map(|(&sn, _)| sn));
+                    sn.map(|sn| Step::PoolReply { sn, ok: true })
+                }
+                11..=12 => {
+                    let out = model.legs.iter().flat_map(|(&xid, (groups, _))| {
+                        groups.iter().map(move |&group| Step::LegAck { xid, group })
+                    });
+                    pick(rng, out)
+                }
+                13 => pick(rng, strangers).map(|from| Step::Register { from, sn: tail }),
+                14 if tail > 0 => {
+                    pick(rng, strangers).map(|from| Step::FinalStage { from, sn: tail - 1 })
+                }
+                _ => pick(rng, model.acked.keys().copied()).map(|node| Step::Gone { node }),
+            };
+            if let Some(step) = step {
+                model.apply(ns, step);
+                script.push(step);
+            }
+        }
+        (script, model.out)
+    }
+
+    /// `PARITY_CASES` scales the case count, as in the other suites.
+    fn cases() -> u64 {
+        std::env::var("PARITY_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(64)
+    }
+
+    #[test]
+    fn derived_votes_release_what_the_per_batch_sets_released() {
+        let ns = ShardedNamespace::new();
+        for case in 0..cases() {
+            let mut rng = DetRng::seed_from_u64(0x7e9_0000 + case);
+            let (script, expected) = random_script(&mut rng, &ns);
+            assert_eq!(run(script.clone()), expected, "case {case}: {script:#?}");
+        }
+    }
+
+    /// A member that joins at tail `T` holds no batch up to `T`, and holds
+    /// `T + 1` until it acknowledges it.
+    #[test]
+    fn a_member_joining_at_the_tail_votes_from_the_next_batch_on() {
+        let client = |seq| Step::Enqueue { dir: 0, reply: Target::Client { seq, xid: None } };
+        let appended = |sn| Step::PoolReply { sn, ok: true };
+        let mut script = vec![Step::Register { from: 1, sn: 0 }];
+        for seq in 1..=3 {
+            script.extend([client(seq), Step::Seal]);
+        }
+        // Tail 3: member 2 joins, and none of 1..=3 waits for it.
+        script.push(Step::Register { from: 2, sn: 3 });
+        script.extend([appended(1), appended(2), appended(3), Step::SyncAck { from: 1, sn: 3 }]);
+        script.extend([client(4), Step::Seal, appended(4), Step::SyncAck { from: 1, sn: 4 }]);
+        let held = run(script.clone());
+        assert_eq!(held, [1, 2, 3].map(Out::Reply), "batch 4 waits for the member that joined");
+        script.push(Step::SyncAck { from: 2, sn: 4 });
+        assert_eq!(run(script), [1, 2, 3, 4].map(Out::Reply));
+
+        for tail in [0, 3, 17] {
+            let joined = MemberPos { acked: tail, votes_from: Some(tail + 1) };
+            let members = BTreeMap::from([(1, joined)]);
+            assert!((0..=tail).all(|sn| voted(&members, sn)), "joined at {tail}");
+            assert!(!voted(&members, tail + 1), "joined at {tail}");
+        }
+    }
+
+    /// Where the derived reading parts from the copies, on purpose.
+    #[test]
+    fn the_corners_decided_on_purpose() {
+        let client = |seq| Step::Enqueue { dir: 0, reply: Target::Client { seq, xid: None } };
+        let start = [Step::Register { from: 1, sn: 0 }, client(1), Step::Seal];
+
+        // A reordered ack lowers nothing: acks are cumulative.
+        let mut t = start.to_vec();
+        t.extend([client(2), Step::Seal]);
+        t.extend([Step::SyncAck { from: 1, sn: 2 }, Step::SyncAck { from: 1, sn: 1 }]);
+        t.extend([Step::PoolReply { sn: 1, ok: true }, Step::PoolReply { sn: 2, ok: true }]);
+        assert_eq!(run(t), [1, 2].map(Out::Reply));
+
+        // A voter that registers again behind the tail lost what it held:
+        // it is a junior, and the batch it never acknowledged stops waiting.
+        let mut t = start.to_vec();
+        t.extend([Step::PoolReply { sn: 1, ok: true }, Step::Register { from: 1, sn: 0 }]);
+        assert_eq!(run(t), [Out::Reply(1)]);
+
+        // An append's reply is matched by its batch, so the acknowledgement
+        // of a resend counts even right after an error reply.
+        let mut t = start.to_vec();
+        t.extend([Step::SyncAck { from: 1, sn: 1 }, Step::PoolReply { sn: 1, ok: false }]);
+        assert_eq!(run(t.clone()), []);
+        t.push(Step::PoolReply { sn: 1, ok: true });
+        assert_eq!(run(t), [Out::Reply(1)]);
     }
 }

@@ -17,8 +17,8 @@ use mams_storage::pool::Epoch;
 use crate::config::InitialRole;
 use crate::proto::GroupMsg;
 use crate::server::{
-    CatchupStage, ElectStage, ElectState, Inflight, MdsServer, Member, Replica, RoleState, Session,
-    SessionReq, Tenure, Upgrading, T_ELECT, T_UPGRADE_RETRY,
+    CatchupStage, ElectStage, ElectState, Inflight, MdsServer, Member, MemberPos, Replica,
+    RoleState, Session, SessionReq, Tenure, Upgrading, T_ELECT, T_UPGRADE_RETRY,
 };
 use crate::view::ViewKey;
 
@@ -96,7 +96,8 @@ impl MdsServer {
                     self.election_decide(ctx, entries);
                 } else if prefix == ViewKey::all_groups() {
                     // Replace our cached picture of the view.
-                    self.r.view = entries.into_iter().collect();
+                    let typed = |(k, v): (String, String)| Some((ViewKey::parse(&k)?, v));
+                    self.r.view = entries.into_iter().filter_map(typed).collect();
                     self.reconcile_with_view(ctx);
                 }
             }
@@ -139,11 +140,12 @@ impl MdsServer {
         let ours = |path: &str| ViewKey::parse(path) == Some(ViewKey::Lock(self.r.cfg.group));
         match ev {
             CoordEvent::KeyChanged { key, value, .. } => {
+                let Some(key) = ViewKey::parse(&key) else { return };
                 match value.clone() {
-                    Some(v) => self.r.view.insert(key.clone(), v),
+                    Some(v) => self.r.view.insert(key, v),
                     None => self.r.view.remove(&key),
                 };
-                self.on_view_key_changed(ctx, &key, value.as_deref());
+                self.on_view_key_changed(ctx, key, value.as_deref());
             }
             CoordEvent::LockFreed { path, .. } if ours(&path) => {
                 self.note_failure(ctx);
@@ -165,11 +167,11 @@ impl MdsServer {
         }
     }
 
-    fn on_view_key_changed(&mut self, ctx: &mut Ctx<'_>, key: &str, value: Option<&str>) {
+    fn on_view_key_changed(&mut self, ctx: &mut Ctx<'_>, key: ViewKey, value: Option<&str>) {
         let (me, group) = (ctx.id(), self.r.cfg.group);
-        match ViewKey::parse(key) {
+        match key {
             // Other groups matter only for routing (the cache is updated).
-            Some(ViewKey::Active(g)) if g == group => match value.and_then(|v| v.parse().ok()) {
+            ViewKey::Active(g) if g == group => match value.and_then(|v| v.parse().ok()) {
                 None => {
                     self.note_failure(ctx);
                     self.maybe_start_election(ctx);
@@ -194,7 +196,7 @@ impl MdsServer {
             // Our own state key is ours (or the renewing protocol's
             // completion, see renewing.rs) to change; a peer's vanishing
             // means it died.
-            Some(ViewKey::State(g, node)) if g == group && node != me && value.is_none() => {
+            ViewKey::State(g, node) if g == group && node != me && value.is_none() => {
                 if let Some((t, r)) = self.active() {
                     t.on_member_gone(r, ctx, node);
                 }
@@ -230,7 +232,7 @@ impl MdsServer {
             // Juniors stand only when no standby is left ("it ensures the
             // continuity of metadata service even if no standbys are in the
             // global view").
-            if !self.r.members_in_state("S").is_empty() {
+            if self.r.members_in_state("S").next().is_some() {
                 return;
             }
             self.r.log.tail_sn()
@@ -293,8 +295,8 @@ impl MdsServer {
         // Step 1: re-check our own state in the view; a concurrently
         // degraded junior must give the lock up (unless no standby exists —
         // then a junior takeover is exactly what Algorithm 1 prescribes).
-        let my_state = self.r.view.get(&ViewKey::State(group, me).to_string());
-        let standbys_exist = self.r.members_in_state("S").iter().any(|&n| n != me);
+        let my_state = self.r.view.get(&ViewKey::State(group, me));
+        let standbys_exist = self.r.members_in_state("S").any(|n| n != me);
         if my_state.map(String::as_str) == Some("J") && standbys_exist {
             ctx.trace("failover.aborted", || "junior with standbys present".into());
             self.r.coord.release_lock(ctx, ViewKey::Lock(group).to_string(), epoch);
@@ -521,16 +523,22 @@ impl Tenure {
     /// Step 5, the active's side: qualify a member by comparing sn.
     /// "If a server does not have the same maximum sn, it is switched to
     /// junior. Otherwise the server will be assigned to standby."
-    pub(crate) fn on_register(&mut self, r: &Replica, ctx: &mut Ctx<'_>, from: NodeId, sn: Sn) {
-        self.member_sns.insert(from, sn);
+    /// Where it says it is replaces whatever it acknowledged before: at the
+    /// tail it votes from the next batch on; a voter back behind the tail
+    /// (a restart quicker than its session) lost what it held, and no batch
+    /// waits for it any more — the renewing brings it back from the pool.
+    pub(crate) fn on_register(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>, from: NodeId, sn: Sn) {
         let tail = r.log.tail_sn();
         let as_standby = sn == tail;
+        let votes_from = as_standby.then_some(tail + 1);
+        self.members.insert(from, MemberPos { acked: sn, votes_from });
         if as_standby {
-            self.standbys.insert(from);
             ctx.trace("member.standby", || format!("n{from} at sn {sn}"));
         } else {
             ctx.trace("member.junior", || format!("n{from} at sn {sn} (tail {tail})"));
         }
         ctx.send(from, GroupMsg::RegisterAck { as_standby, epoch: self.epoch, tail_sn: tail });
+        // Batches that waited for a vote it no longer owes can go.
+        self.try_complete(r, ctx);
     }
 }

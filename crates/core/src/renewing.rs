@@ -21,7 +21,8 @@
 //! by the active's re-push (`retry_pool_appends`).
 
 use mams_journal::{SharedBatch, Sn};
-use mams_namespace::StreamingImageDecoder;
+use mams_namespace::inode::ROOT_ID;
+use mams_namespace::{DeltaOp, Inode, InodeSource, StreamingImageDecoder};
 use mams_sim::{Ctx, NodeId};
 use mams_storage::proto::{PoolReq, PoolResp, ReqId};
 use mams_storage::{ArtifactId, ArtifactKind, ManifestEntry, PoolError};
@@ -59,8 +60,7 @@ impl Tenure {
         // Registered members currently in junior state, by least gap
         // (highest sn) first.
         let juniors = r.members_in_state("J");
-        let candidate =
-            juniors.iter().filter_map(|&n| self.member_sns.get(&n).map(|&sn| (sn, n))).max();
+        let candidate = juniors.filter_map(|n| Some((self.members.get(&n)?.acked, n))).max();
         if let Some((sn, junior)) = candidate {
             let tip = r.log.tail_sn();
             ctx.trace("renew.session_start", || format!("junior n{junior} sn {sn} tip {tip}"));
@@ -73,70 +73,54 @@ impl Tenure {
     /// synchronization stage.
     pub(crate) fn on_renew_progress(
         &mut self,
-        r: &Replica,
+        r: &mut Replica,
         ctx: &mut Ctx<'_>,
         from: NodeId,
         sn: Sn,
     ) {
-        let driver = match self.renew_driver.as_mut() {
-            Some(d) if d.junior == from => d,
-            _ => return,
-        };
+        let Some(driver) = self.renew_driver.as_mut().filter(|d| d.junior == from) else { return };
+        // A session's junior registered, and is dropped with its entry.
+        let Some(pos) = self.members.get_mut(&from) else { return };
         driver.stale_scans = 0;
-        self.member_sns.insert(from, sn);
+        pos.acked = sn;
         let tail = r.log.tail_sn();
-        if tail.saturating_sub(sn) <= RENEW_FINAL_GAP {
-            // Final stage: live-sync from now on + ship the missing range.
-            self.standbys.insert(from);
-            match r.log.read_after(sn) {
-                Some(batches) if !batches.is_empty() => {
-                    // Shared handles into our log — shipping the range is
-                    // reference-count bumps, not a copy of the records.
-                    let batches: Vec<SharedBatch> =
-                        batches.iter().map(SharedBatch::share).collect();
-                    ctx.trace("renew.final_sync", || {
-                        format!("n{from}: {} batches to tail {tail}", batches.len())
-                    });
-                    ctx.send(from, GroupMsg::RenewJournal { epoch: self.epoch, batches });
-                }
-                Some(_) => {
-                    // Already at the tail; promote on its next ack (or now).
-                    if sn == tail {
-                        self.promote_junior(r, ctx, from);
-                    }
-                }
-                None => {
-                    // The range was compacted from our local log (rare:
-                    // checkpoint raced the session). Let the junior keep
-                    // pulling from the pool.
-                    self.standbys.remove(&from);
-                }
-            }
+        if tail.saturating_sub(sn) > RENEW_FINAL_GAP {
+            return;
         }
-    }
-
-    /// Called from the SyncAck path: a renewing junior that acknowledges
-    /// our tail is fully synchronized — flip it to standby in the view.
-    pub(crate) fn renew_check_promotion(
-        &mut self,
-        r: &Replica,
-        ctx: &mut Ctx<'_>,
-        from: NodeId,
-        sn: Sn,
-    ) {
-        let is_session_junior = self.renew_driver.as_ref().is_some_and(|d| d.junior == from);
-        if is_session_junior && sn == r.log.tail_sn() {
+        let Some(missing) = r.log.read_after(sn) else {
+            // The range was compacted from our local log (rare: checkpoint
+            // raced the session). Let the junior keep pulling from the
+            // pool, voting on nothing: whatever waited for it can go.
+            pos.votes_from = None;
+            self.try_complete(r, ctx);
+            return;
+        };
+        // Final stage: live-sync from now on + ship the missing range.
+        pos.votes_from.get_or_insert(tail + 1);
+        if !missing.is_empty() {
+            // Shared handles into our log — shipping the range is
+            // reference-count bumps, not a copy of the records.
+            let batches: Vec<SharedBatch> = missing.iter().map(SharedBatch::share).collect();
+            ctx.trace("renew.final_sync", || {
+                format!("n{from}: {} batches to tail {tail}", batches.len())
+            });
+            ctx.send(from, GroupMsg::RenewJournal { epoch: self.epoch, batches });
+        } else if sn == tail {
+            // Already at the tail; promote on its next ack (or now).
             self.promote_junior(r, ctx, from);
         }
     }
 
-    fn promote_junior(&mut self, r: &Replica, ctx: &mut Ctx<'_>, junior: NodeId) {
+    /// A renewing junior acknowledged our tail (or reported in at it): it is
+    /// fully synchronized — flip it to standby in the view.
+    pub(crate) fn promote_junior(&mut self, r: &Replica, ctx: &mut Ctx<'_>, junior: NodeId) {
         ctx.trace("renew.promoted", || format!("n{junior}"));
         self.renew_driver = None;
-        self.standbys.insert(junior);
-        let verdict =
-            GroupMsg::RegisterAck { as_standby: true, epoch: self.epoch, tail_sn: r.log.tail_sn() };
-        ctx.send(junior, verdict);
+        let tail_sn = r.log.tail_sn();
+        if let Some(pos) = self.members.get_mut(&junior) {
+            pos.votes_from.get_or_insert(tail_sn + 1);
+        }
+        ctx.send(junior, GroupMsg::RegisterAck { as_standby: true, epoch: self.epoch, tail_sn });
     }
 }
 
@@ -443,12 +427,13 @@ impl MdsServer {
         match decoder.finish_with_window() {
             Ok((tree, image_sn, window)) => {
                 ctx.trace("renew.image_loaded", || format!("checkpoint sn {image_sn}"));
+                let highest_block = highest_block_id(&tree);
                 self.r.ns = mams_namespace::ShardedNamespace::from_tree(tree);
                 // The image's retry window is the writer's window at
                 // `image_sn`; adopting it keeps the window a function of
                 // the journal prefix even though we never saw the batches.
                 self.r.window = window;
-                self.r.rebase(image_sn);
+                self.r.rebase(image_sn, highest_block);
                 self.advance_chain(ctx);
             }
             Err(e) => {
@@ -473,10 +458,14 @@ impl MdsServer {
                 return Err(format!("delta chains onto {} but we are at {applied}", d.base_sn));
             }
             mams_namespace::apply_delta(&mut self.r.ns, &d).map_err(|e| e.to_string())?;
-            Ok((d.end_sn, d.window))
+            let blocks = d.entries.iter().filter_map(|e| match &e.op {
+                DeltaOp::UpsertFile { blocks, .. } => blocks.iter().max().copied(),
+                _ => None,
+            });
+            Ok((d.end_sn, d.window, blocks.max().unwrap_or(0)))
         });
         match outcome {
-            Ok((end_sn, window)) => {
+            Ok((end_sn, window, highest_block)) => {
                 ctx.trace("renew.delta_applied", || format!("to sn {end_sn}"));
                 // Adopt the delta's retry window (it reflects `end_sn`); an
                 // empty section means no acks were ever journaled in the
@@ -487,7 +476,7 @@ impl MdsServer {
                 }
                 // The delta advanced us past records we never saw as
                 // batches: rebase the local log exactly like an image load.
-                self.r.rebase(end_sn);
+                self.r.rebase(end_sn, highest_block);
                 self.advance_chain(ctx);
             }
             Err(e) => {
@@ -585,4 +574,19 @@ impl MdsServer {
             self.pump_journal_pages(ctx);
         }
     }
+}
+
+/// The highest block id any file of `tree` holds (0: none).
+fn highest_block_id(tree: &impl InodeSource) -> u64 {
+    let (mut highest, mut stack) = (0, vec![ROOT_ID]);
+    while let Some(id) = stack.pop() {
+        match tree.inode(id) {
+            Some(Inode::Directory { children, .. }) => stack.extend(children.values()),
+            Some(Inode::File { blocks, .. }) => {
+                highest = blocks.iter().fold(highest, |h, &b| h.max(b))
+            }
+            None => {}
+        }
+    }
+    highest
 }

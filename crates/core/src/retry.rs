@@ -128,8 +128,8 @@ impl RetryCache {
     ///
     /// Only *journaled* acks live in the window, so an op whose batch
     /// failover discarded is naturally absent — its retry executes fresh,
-    /// which is the `abort_inflight` semantics the predecessor would have
-    /// applied on degradation.
+    /// as it does against a re-promoted predecessor, whose markers went
+    /// with the tenure that held them.
     pub fn seed_from_window(&mut self, window: &RetryWindow) {
         for (client, seq, entry) in window.iter() {
             let result = Ok(match &entry.outcome {
@@ -139,14 +139,6 @@ impl RetryCache {
             });
             self.store(client, seq, Arc::new(MdsResp::Reply { seq, result }));
         }
-    }
-
-    /// Drop every in-flight marker without caching a response. Called on
-    /// degradation: the pending operations were discarded unanswered, so
-    /// their retries (same seq, after we are possibly re-promoted) must be
-    /// allowed to execute fresh rather than being swallowed forever.
-    pub fn abort_inflight(&mut self) {
-        self.inflight.clear();
     }
 }
 
@@ -186,16 +178,6 @@ mod tests {
         c.store(1, 7, resp(7));
         assert!(c.check(1, 7).is_some(), "after completion the cache answers");
         assert!(c.begin(1, 7), "marker retired with the stored response");
-    }
-
-    #[test]
-    fn abort_clears_markers_but_keeps_responses() {
-        let mut c = RetryCache::new();
-        c.store(1, 3, resp(3));
-        assert!(c.begin(1, 4));
-        c.abort_inflight();
-        assert!(c.begin(1, 4), "aborted request may execute fresh on retry");
-        assert!(c.check(1, 3).is_some(), "completed responses survive the abort");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! catch-up ladder the switch shares with it — the only reader of the
 //! pool).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use mams_coord::{CoordClient, Incoming};
 use mams_journal::{JournalBatch, JournalLog, SharedBatch, Sn, Txn, TxnId};
@@ -22,7 +22,7 @@ use mams_namespace::{
     replay_outcome, BlockMap, RetryEntry, RetryWindow, ShardedNamespace, ShardedReplaySession,
 };
 use mams_sim::{Ctx, Duration, Message, Node, NodeId, SimTime};
-use mams_storage::pool::{ArtifactId, Epoch};
+use mams_storage::pool::{ArtifactId, ArtifactKind, Epoch};
 use mams_storage::proto::{PoolReq, PoolResp, ReqId};
 
 use crate::commit::FLUSH_IDLE;
@@ -72,19 +72,6 @@ impl Role {
             Role::Standby | Role::Electing | Role::Upgrading => "S",
         }
     }
-}
-
-/// What a tenure awaits of the pool. An entry lives no longer than what
-/// awaits it — an append goes with its `inflight` batch, an artifact write
-/// with `artifact_in_flight` — and all of them with the tenure.
-#[derive(Debug)]
-pub(crate) enum TenureReq {
-    /// Ack for the SSP append of batch `sn`.
-    Append { sn: Sn },
-    /// Checkpoint write ack.
-    Checkpoint,
-    /// Incremental-checkpoint (delta image) write ack.
-    Delta,
 }
 
 /// What a catch-up session awaits of the pool: the reads of a renewing
@@ -138,9 +125,12 @@ pub(crate) struct ClientReply {
     pub shards: Vec<usize>,
 }
 
-/// A flushed batch awaiting durability votes.
+/// A sealed batch: the replies it owes, and nothing else. What it waits
+/// for is recorded once, where the waited-for thing lives (DESIGN §10): its
+/// pool append in `pool_req`, the standbys' votes in [`Tenure::members`],
+/// its own outgoing legs in [`XgOutstanding::sn`].
 ///
-/// Two release levels: **durability** (SSP + standby acks) frees the
+/// Two release levels: **durability** (append + votes) frees the
 /// distributed-transaction leg acks immediately — tying leg acks to full
 /// completion would deadlock two groups coordinating at each other — while
 /// **client replies** additionally wait for this batch's own outgoing legs
@@ -150,11 +140,10 @@ pub(crate) struct Inflight {
     /// The SSP append this batch still waits on; `None` once acknowledged.
     /// A resend repeats the request under the same id, so whichever reply
     /// arrives first settles the batch and the tenure awaits one reply per
-    /// unacknowledged batch however many resends a lossy link costs.
+    /// unacknowledged batch however many resends a lossy link costs. A
+    /// later batch's ack says nothing of this one: `AppendOk` is sent when
+    /// the modelled disk write ends, not in sn order.
     pub pool_req: Option<ReqId>,
-    pub waiting_members: BTreeSet<NodeId>,
-    /// Outgoing distributed-transaction legs client replies wait on.
-    pub waiting_xg: HashSet<Xid>,
     pub client_replies: Vec<ClientReply>,
     /// Leg acknowledgements owed to other groups' coordinators.
     pub xg_replies: Vec<(ReplyTo, Result<OpOutput, String>)>,
@@ -162,15 +151,17 @@ pub(crate) struct Inflight {
     pub flushed_at: SimTime,
 }
 
-impl Inflight {
-    /// Locally durable: in the SSP and on every current standby.
-    pub fn durable(&self) -> bool {
-        self.pool_req.is_none() && self.waiting_members.is_empty()
-    }
-
-    pub fn complete(&self) -> bool {
-        self.durable() && self.waiting_xg.is_empty()
-    }
+/// What a tenure knows of a group member: what it holds, and which batches
+/// wait for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MemberPos {
+    /// The highest sn it acknowledged (acks are cumulative), or where it
+    /// last said it was (`Register`, `RenewProgress`).
+    pub acked: Sn,
+    /// The first batch it votes on: `tail + 1` when it joined the sync set,
+    /// so it holds no batch sealed before. `None`: a junior — sent no
+    /// batch, waited for by none.
+    pub votes_from: Option<Sn>,
 }
 
 /// Progress of a catch-up session — the one ladder (manifest → chain →
@@ -305,8 +296,9 @@ pub(crate) struct Tenure {
     pub epoch: Epoch,
     pub pending: Vec<PendingOp>,
     pub inflight: BTreeMap<Sn, Inflight>,
-    pub standbys: BTreeSet<NodeId>,
-    pub member_sns: HashMap<NodeId, Sn>,
+    /// Every registered member not gone since; those with `votes_from` set
+    /// are the sync set. Ordered: syncs go out in iteration order.
+    pub members: BTreeMap<NodeId, MemberPos>,
     pub retry_cache: crate::retry::RetryCache,
     /// Read barrier: replies to reads that observed not-yet-durable
     /// mutations, keyed by the batch sn that must commit before release.
@@ -325,14 +317,11 @@ pub(crate) struct Tenure {
     /// until a base image lands — the predecessor's manifest chain is not
     /// ours to extend, so the first delta tick writes a full image.
     pub delta_anchor: Option<Sn>,
-    /// The one image or delta write whose reply is still awaited: no delta
-    /// folds while it is set (one artifact at a time keeps the chain
-    /// ordered). A reply clears it; a lost reply leaves it set only until
-    /// the next full checkpoint supersedes the request.
-    pub artifact_in_flight: Option<ReqId>,
-    /// Pool replies awaited: at most one per batch in flight and one
-    /// artifact write.
-    pub awaited: HashMap<ReqId, TenureReq>,
+    /// The one image (`Base`) or delta write whose reply is still awaited:
+    /// no delta folds while it is set (one artifact at a time keeps the
+    /// chain ordered). Its reply clears it; a lost reply leaves it set only
+    /// until the next full checkpoint supersedes the request.
+    pub artifact: Option<(ReqId, ArtifactKind)>,
 }
 
 impl Tenure {
@@ -423,8 +412,9 @@ pub(crate) struct Replica {
     /// — so a tenure seeds its response cache from it and keeps
     /// at-most-once across the switch.
     pub window: RetryWindow,
-    /// View cache maintained from watch events.
-    pub view: HashMap<String, String>,
+    /// View cache maintained from watch events; what does not parse as a
+    /// key is not kept. Ordered, so a group's state keys are a range.
+    pub view: BTreeMap<ViewKey, String>,
     /// As participant: every leg admitted to the ingress queue, by xid.
     /// `None` while the leg is in flight (queued, pending or awaiting
     /// durability) — a duplicate delivery is dropped, the leg's own ack
@@ -491,7 +481,7 @@ impl MdsServer {
             next_block_id: 1,
             replay: ShardedReplaySession::new(),
             window: RetryWindow::new(),
-            view: HashMap::new(),
+            view: BTreeMap::new(),
             xg_seen: HashMap::new(),
             boot_lock_tried: false,
             ingress: crate::ingress::Ingress::default(),
@@ -540,7 +530,12 @@ impl MdsServer {
         match &self.role {
             RoleState::Member(m) => m.session.awaited.len(),
             RoleState::Upgrading(up) => up.session.awaited.len(),
-            RoleState::Active(t) => t.awaited.len(),
+            RoleState::Active(t) => t
+                .inflight
+                .values()
+                .filter_map(|i| i.pool_req)
+                .chain(t.artifact.map(|a| a.0))
+                .count(),
         }
     }
 
@@ -652,14 +647,29 @@ impl MdsServer {
         ctx.send(from, GroupMsg::SyncAck { sn: self.r.log.tail_sn() });
     }
 
+    /// One tick of a configured checkpoint cadence: an active starts the
+    /// artifact, every role re-arms the timer.
+    fn artifact_tick(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        every: Option<Duration>,
+        token: u64,
+        start: fn(&mut Tenure, &mut Replica, &mut Ctx<'_>),
+    ) {
+        let Some(every) = every else { return };
+        if let Some((t, r)) = self.active() {
+            start(t, r, ctx);
+        }
+        ctx.set_timer(every, token);
+    }
+
     /// A pool reply belongs to whoever awaits it: the tenure, or the
     /// catch-up session of the role we are in. One that nobody awaits (any
     /// more) is ignored — a late `Fenced` cannot depose us a second time.
     pub(crate) fn on_pool_resp(&mut self, ctx: &mut Ctx<'_>, resp: PoolResp) {
         let req = resp.req_id();
         if let Some((t, r)) = self.active() {
-            let Some(why) = t.awaited.remove(&req) else { return };
-            if t.on_pool_reply(r, ctx, why, resp) {
+            if t.on_pool_reply(r, ctx, resp) {
                 self.degrade_to_junior(ctx, "fenced by pool");
             }
             return;
@@ -779,30 +789,40 @@ impl Replica {
 
     /// Adopt state the pool checkpointed at `sn` (an image loaded into
     /// `ns`, or a delta applied to it): the log restarts there, as after
-    /// any records we never saw as batches.
-    pub(crate) fn rebase(&mut self, sn: Sn) {
+    /// any records we never saw as batches. Replay would have advanced the
+    /// block-id mark past every `AddBlock` among them; `highest_block`, the
+    /// highest id in what was adopted, does it here, or a member elected
+    /// after catching up this way hands out ids its files already hold.
+    /// `next_txid` stays where it is, on purpose: no artifact carries one
+    /// and nothing keys on it — replay ignores it, the pool and the members
+    /// deduplicate by `sn`, the retry window by `(client, seq)`.
+    pub(crate) fn rebase(&mut self, sn: Sn, highest_block: u64) {
         self.replay.reset();
         self.log = JournalLog::with_base(sn);
         self.stash.clear();
+        self.next_block_id = self.next_block_id.max(highest_block + 1);
     }
 
     // ---------------------------------------------------------------- view
 
-    /// Node ids of our group's members in state `letter` per the view cache.
-    pub(crate) fn members_in_state(&self, letter: &str) -> Vec<NodeId> {
-        let in_state = |(k, v): (&String, &String)| match ViewKey::parse(k) {
-            Some(ViewKey::State(g, n)) if g == self.cfg.group && v == letter => Some(n),
+    /// Node ids of our group's members in state `letter` per the view
+    /// cache, ascending.
+    pub(crate) fn members_in_state<'a>(
+        &'a self,
+        letter: &'a str,
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        let group = self.cfg.group;
+        let states = ViewKey::State(group, NodeId::MIN)..=ViewKey::State(group, NodeId::MAX);
+        self.view.range(states).filter_map(move |(key, value)| match key {
+            ViewKey::State(_, node) if value == letter => Some(*node),
             _ => None,
-        };
-        let mut v: Vec<NodeId> = self.view.iter().filter_map(in_state).collect();
-        v.sort_unstable();
-        v
+        })
     }
 
     /// The active for an arbitrary group, per our view cache (distributed
     /// transactions route through this).
     pub(crate) fn active_of_group(&self, group: u32) -> Option<NodeId> {
-        self.view.get(&ViewKey::Active(group).to_string()).and_then(|v| v.parse().ok())
+        self.view.get(&ViewKey::Active(group)).and_then(|v| v.parse().ok())
     }
 }
 
@@ -883,20 +903,12 @@ impl Node for MdsServer {
                 ctx.set_timer(self.r.cfg.timing.view_refresh(), T_VIEW_REFRESH);
             }
             T_CHECKPOINT => {
-                if let Some(interval) = self.r.cfg.timing.checkpoint_interval {
-                    if let Some((t, r)) = self.active() {
-                        t.start_checkpoint(r, ctx);
-                    }
-                    ctx.set_timer(interval, T_CHECKPOINT);
-                }
+                let every = self.r.cfg.timing.checkpoint_interval;
+                self.artifact_tick(ctx, every, token, Tenure::start_checkpoint)
             }
             T_DELTA => {
-                if let Some(interval) = self.r.cfg.timing.delta_interval {
-                    if let Some((t, r)) = self.active() {
-                        t.start_delta(r, ctx);
-                    }
-                    ctx.set_timer(interval, T_DELTA);
-                }
+                let every = self.r.cfg.timing.delta_interval;
+                self.artifact_tick(ctx, every, token, Tenure::start_delta)
             }
             T_UPGRADE_RETRY => {
                 let RoleState::Upgrading(up) = &self.role else { return };

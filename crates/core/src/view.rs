@@ -14,8 +14,9 @@ use std::fmt;
 use mams_sim::NodeId;
 
 /// A key of the view. `Display` is its wire form, [`ViewKey::parse`] the
-/// way back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// way back. Ordered by kind, then group, then node: one group's state keys
+/// (or bids) are one range of a sorted map.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ViewKey {
     /// The group's distributed-lock path.
     Lock(u32),
