@@ -6,6 +6,7 @@
 use std::sync::Arc;
 
 use mams_journal::{JournalBatch, SharedBatch, Sn, Txn};
+use mams_namespace::shard::MAX_SHARDS;
 use mams_sim::{Ctx, Duration, NodeId};
 use mams_storage::pool::{ArtifactKind, PoolError};
 use mams_storage::proto::{PoolReq, PoolResp};
@@ -696,18 +697,10 @@ impl Replica {
     /// Home shards a journaled transaction touched (a rename spans its
     /// source and destination parents). Client replies release in per-shard
     /// FIFO order, so ops whose shard sets are disjoint ack independently.
-    fn shards_of_txn(&self, txn: &Txn) -> Vec<usize> {
+    fn shards_of_txn(&self, txn: &Txn) -> [usize; 2] {
         match txn {
-            Txn::Rename { src, dst } => {
-                let a = self.ns.home_shard(src);
-                let b = self.ns.home_shard(dst);
-                if a == b {
-                    vec![a]
-                } else {
-                    vec![a, b]
-                }
-            }
-            other => vec![self.ns.home_shard(other.primary_path())],
+            Txn::Rename { src, dst } => [self.ns.home_shard(src), self.ns.home_shard(dst)],
+            other => [self.ns.home_shard(other.primary_path()); 2],
         }
     }
 
@@ -748,6 +741,23 @@ impl Replica {
     }
 }
 
+/// The home shards some held reply touches: a bit per shard a namespace can
+/// have, so a release walk builds its set on the stack.
+#[derive(Default)]
+struct ShardSet([u64; MAX_SHARDS / 64]);
+
+impl ShardSet {
+    fn contains(&self, shard: usize) -> bool {
+        self.0[shard / 64] >> (shard % 64) & 1 == 1
+    }
+
+    fn extend(&mut self, shards: [usize; 2]) {
+        for shard in shards {
+            self.0[shard / 64] |= 1 << (shard % 64);
+        }
+    }
+}
+
 /// A reply ready to go out: destination plus the operation's result.
 pub(crate) type ReadyReply = (ReplyTo, Result<OpOutput, String>);
 
@@ -767,7 +777,7 @@ pub(crate) fn release_walk(
     inflight: &mut std::collections::BTreeMap<Sn, Inflight>,
     complete: impl Fn(Sn, &Inflight) -> bool,
 ) -> (Vec<ReadyReply>, Vec<Sn>, u64) {
-    let mut blocked: std::collections::HashSet<usize> = std::collections::HashSet::new();
+    let mut blocked = ShardSet::default();
     let mut released: Vec<ReadyReply> = Vec::new();
     let mut drained: Vec<Sn> = Vec::new();
     let mut held = false;
@@ -776,11 +786,11 @@ pub(crate) fn release_walk(
         if complete(sn, inf) {
             let mut kept = Vec::new();
             for cr in inf.client_replies.drain(..) {
-                if cr.shards.iter().any(|s| blocked.contains(s)) {
+                if cr.shards.iter().any(|&s| blocked.contains(s)) {
                     // An earlier reply on this shard is still held: keep
                     // FIFO within the shard, and hold everything behind
                     // this reply's shards too.
-                    blocked.extend(cr.shards.iter().copied());
+                    blocked.extend(cr.shards);
                     kept.push(cr);
                 } else {
                     if held {
@@ -799,7 +809,7 @@ pub(crate) fn release_walk(
         } else {
             held = true;
             for cr in &inf.client_replies {
-                blocked.extend(cr.shards.iter().copied());
+                blocked.extend(cr.shards);
             }
         }
     }
@@ -820,7 +830,7 @@ mod tests {
         ClientReply {
             reply: ReplyTo::Client { node: 1, seq },
             result: Ok(OpOutput::Done),
-            shards: shards.to_vec(),
+            shards: [shards[0], shards[shards.len() - 1]],
         }
     }
 

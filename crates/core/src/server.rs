@@ -115,14 +115,15 @@ pub(crate) struct PendingOp {
 }
 
 /// A client reply held until its batch (and its shards' predecessors) are
-/// durable. `shards` are the home shards the op touched: release preserves
+/// durable. `shards` are the home shards the op touched — a rename's two
+/// parents, any other op's one shard twice: release preserves
 /// per-shard FIFO order, while ops on disjoint shards (different parent
 /// directories) release independently — the out-of-order ack path.
 #[derive(Debug)]
 pub(crate) struct ClientReply {
     pub reply: ReplyTo,
     pub result: Result<OpOutput, String>,
-    pub shards: Vec<usize>,
+    pub shards: [usize; 2],
 }
 
 /// A sealed batch: the replies it owes, and nothing else. What it waits

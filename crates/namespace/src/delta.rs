@@ -32,7 +32,7 @@ use mams_journal::hash::{fnv1a64, push_varint, HashingBuf};
 use mams_journal::{Sn, Txn};
 
 use crate::image::ImageError;
-use crate::inode::{FileInfo, Inode, InodeSource, ROOT_ID};
+use crate::inode::{child, FileInfo, Inode, InodeSource, ROOT_ID};
 use crate::path;
 use crate::retry::RetryWindow;
 use crate::shard::{LockedShards, ShardedNamespace};
@@ -261,7 +261,7 @@ pub fn fold_delta_with_window<'a, N: DeltaNamespace>(
                 };
                 cur.truncate(*dir_len);
                 cur.push('/');
-                cur.push_str(name);
+                cur.push_str(name.as_str());
                 let start = subtrees.len();
                 subtrees.push_str(&cur);
                 spans.push(start..subtrees.len());
@@ -293,7 +293,7 @@ pub fn fold_delta_with_window<'a, N: DeltaNamespace>(
             };
             match dir_node {
                 Some(Inode::Directory { children, .. }) => {
-                    children.get(name).and_then(|&id| view.inode(id))
+                    child(children, name).and_then(|id| view.inode(id))
                 }
                 _ => None,
             }
@@ -363,7 +363,7 @@ fn resolve<'v, V: InodeSource>(view: &'v V, p: &str) -> Option<&'v Inode> {
     let mut cur = view.inode(ROOT_ID)?;
     for comp in path::components(p) {
         match cur {
-            Inode::Directory { children, .. } => cur = view.inode(*children.get(comp)?)?,
+            Inode::Directory { children, .. } => cur = view.inode(child(children, comp)?)?,
             Inode::File { .. } => return None,
         }
     }

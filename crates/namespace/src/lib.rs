@@ -31,7 +31,7 @@ pub use image::{
     decode_image, decode_image_with_window, encode_image, encode_image_with_window,
     estimated_image_bytes, ImageError, NamespaceImage, StreamingImageDecoder, VERSION_V2,
 };
-pub use inode::{FileInfo, Inode, InodeId, InodeSource};
+pub use inode::{FileInfo, Inode, InodeId, InodeSource, Name};
 pub use partition::Partitioner;
 pub use retry::{replay_outcome, RetryEntry, RetryOutcome, RetryWindow, DEFAULT_WINDOW_CAP};
 pub use shard::{CacheStats, LockedShards, ShardedNamespace, ShardedReplaySession, SnapshotView};

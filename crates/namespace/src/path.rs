@@ -27,15 +27,23 @@ pub fn validate(p: &str) -> Result<(), PathError> {
     if p.ends_with('/') {
         return Err(PathError(format!("{p:?} has a trailing slash")));
     }
-    for comp in p[1..].split('/') {
-        if comp.is_empty() {
-            return Err(PathError(format!("{p:?} has an empty component")));
-        }
-        if comp == "." || comp == ".." {
-            return Err(PathError(format!("{p:?} contains {comp:?}")));
+    // By bytes: `str::split` on a `char` confirms every match with a call
+    // to `bcmp`, once per component of every path of every op.
+    for comp in p.as_bytes()[1..].split(|&b| b == b'/') {
+        match comp {
+            b"" => return Err(PathError(format!("{p:?} has an empty component"))),
+            b"." => return Err(PathError(format!("{p:?} contains \".\""))),
+            b".." => return Err(PathError(format!("{p:?} contains \"..\""))),
+            _ => {}
         }
     }
     Ok(())
+}
+
+/// Where the last `/` of `p` is (by bytes, like [`validate`]'s scan: `rfind`
+/// on a `char` calls `bcmp` too).
+fn last_slash(p: &str) -> Option<usize> {
+    p.bytes().rposition(|b| b == b'/')
 }
 
 /// Parent directory of a validated path. `None` for the root.
@@ -43,7 +51,7 @@ pub fn parent(p: &str) -> Option<&str> {
     if p == "/" {
         return None;
     }
-    match p.rfind('/') {
+    match last_slash(p) {
         Some(0) => Some("/"),
         Some(i) => Some(&p[..i]),
         None => None,
@@ -55,7 +63,7 @@ pub fn basename(p: &str) -> Option<&str> {
     if p == "/" {
         return None;
     }
-    p.rfind('/').map(|i| &p[i + 1..])
+    last_slash(p).map(|i| &p[i + 1..])
 }
 
 /// Split a validated non-root path into `(parent_dir, basename)` in one
@@ -66,7 +74,7 @@ pub fn split(p: &str) -> Option<(&str, &str)> {
     if p == "/" {
         return None;
     }
-    match p.rfind('/') {
+    match last_slash(p) {
         Some(0) => Some(("/", &p[1..])),
         Some(i) => Some((&p[..i], &p[i + 1..])),
         None => None,

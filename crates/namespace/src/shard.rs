@@ -5,9 +5,10 @@
 //! server's hot path while keeping the replicated-state contract intact:
 //!
 //! * **Inode-id sharding.** Inodes live in N power-of-two shards keyed by
-//!   `id % N`, each behind its own `RwLock`. Directory entries, the interned
-//!   component-name table, and the parent-directory resolution cache all move
-//!   to per-shard state, so ops on unrelated directories touch disjoint
+//!   `id % N`, each behind its own `RwLock`. Directory entries — each name
+//!   inline in its directory's map ([`Name`]), no table of names beside them
+//!   — and the parent-directory resolution cache are per-shard state, so ops
+//!   on unrelated directories touch disjoint
 //!   locks. New *file* ids are allocated from their parent directory's shard
 //!   (a create or block op locks exactly one shard); new *directory* ids are
 //!   spread by hashing `(parent, name)` so a deep tree doesn't collapse into
@@ -31,6 +32,21 @@
 //!   two readers that visit the whole namespace — the image encoder and the
 //!   delta fold, through [`LockedShards`] — read-lock every shard in the
 //!   same ascending order, so neither can deadlock against the writers.
+//!
+//! * **One descent per directory map.** A mutation resolves without the
+//!   write locks (the cache probe or the walk, then for delete and rename
+//!   the child's id and kind under a read lock), takes its write locks —
+//!   one or two shards held inline, every shard for a subtree op — checks
+//!   kinds on the slots, and then touches each directory's map once through
+//!   `entry`: create and mkdir insert if vacant, delete removes if the name
+//!   still binds the resolved id, rename claims the vacant destination and
+//!   removes the matching source (two descents when both are one map),
+//!   undoing the claim if the source went stale. The directory is opened for
+//!   writing *before* that descent, so an op it refuses or finds stale has
+//!   taken a stamp and, under a pin, displaced a copy equal to the newest
+//!   version: it publishes the stamp, no reader pinned or not sees a
+//!   difference, no inode id is spent, and the copy goes with the next
+//!   unpinned write of the slot (see `Slot::open`).
 //!
 //! ### Pin/mutator protocol
 //!
@@ -66,14 +82,15 @@
 //! [`pin`]: ShardedNamespace::pin
 //! [`fingerprint`]: ShardedNamespace::fingerprint
 
-use std::collections::{HashMap, HashSet};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use mams_journal::{Apply, Sn, Txn, TxnId};
 
 use crate::image::{encode_image_with_window, NamespaceImage};
-use crate::inode::{FileInfo, Inode, InodeId, InodeSource, ROOT_ID};
+use crate::inode::{child, FileInfo, Inode, InodeId, InodeSource, Name, ROOT_ID};
 use crate::partition::fnv1a64;
 use crate::path::{self, PathError};
 use crate::retry::RetryWindow;
@@ -84,12 +101,12 @@ pub type Stamp = u64;
 
 /// Default shard count (power of two).
 pub const DEFAULT_SHARDS: usize = 16;
+/// The most shards a namespace can be built with.
+pub const MAX_SHARDS: usize = 256;
 /// Concurrent snapshot-pin capacity; `pin` waits for a free slot beyond it.
 const MAX_PINS: usize = 32;
 /// Sentinel for an unoccupied pin slot.
 const PIN_EMPTY: u64 = u64::MAX;
-/// Per-shard intern-table bound (legacy table split across shards).
-const SHARD_NAME_CAP: usize = 1 << 12;
 /// Per-shard resolution-cache bound, in entries.
 const SHARD_CACHE_CAP: usize = 1 << 10;
 /// Entries per cache set. A path's hash picks one set; a full set replaces
@@ -143,6 +160,14 @@ impl Slot {
     /// onto the history chain (after pruning what no pin can read any more);
     /// when absent the chain is cleared and the write happens in place.
     /// Idempotent per stamp, so one op may touch a slot twice.
+    ///
+    /// A directory is opened *before* its one descent says whether the op
+    /// goes through, so an op refused there (the name is taken, the
+    /// directory is not empty) or found stale has opened the slot and
+    /// written nothing: every reader sees what it saw, a pinned one through
+    /// a displaced copy equal to the newest version, which the next unpinned
+    /// write clears like any other. Such an op publishes its stamp all the
+    /// same — a stamp taken and never published would stop `visible` for good.
     fn open(&mut self, stamp: Stamp, keep: Option<Stamp>) -> &mut Option<Inode> {
         if self.stamp == stamp {
             return &mut self.node;
@@ -189,42 +214,10 @@ impl std::hash::Hasher for IdHasher {
 
 type IdBuild = std::hash::BuildHasherDefault<IdHasher>;
 
-/// Hasher for the name interner's string keys. Component names are short
-/// trusted strings, so FNV-1a beats SipHash's fixed finalization cost on
-/// every probe.
-#[derive(Clone, Copy)]
-struct PathHasher(u64);
-
-impl Default for PathHasher {
-    fn default() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl std::hash::Hasher for PathHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1_0000_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-type PathBuild = std::hash::BuildHasherDefault<PathHasher>;
-
 /// Mutable per-shard state, behind the shard's `RwLock`.
 #[derive(Debug, Default)]
 struct ShardState {
     slots: HashMap<InodeId, Slot, IdBuild>,
-    /// Interned child-name handles for entries living in this shard's
-    /// directories (same bounded-reset policy as the legacy table).
-    names: HashSet<Arc<str>, PathBuild>,
     /// Next inode id this shard hands out (always ≡ shard index mod N).
     next_id: InodeId,
     /// Tombstoned ids awaiting the no-pins sweep.
@@ -232,22 +225,9 @@ struct ShardState {
 }
 
 impl ShardState {
-    fn intern(&mut self, name: &str) -> Arc<str> {
-        if let Some(n) = self.names.get(name) {
-            return n.clone();
-        }
-        if self.names.len() >= SHARD_NAME_CAP {
-            self.names.clear();
-        }
-        let n: Arc<str> = Arc::from(name);
-        self.names.insert(n.clone());
-        n
-    }
-
-    fn alloc_id(&mut self, nshards: u64) -> InodeId {
-        let id = self.next_id;
-        self.next_id += nshards;
-        id
+    /// Whether the newest version of `id` is a directory.
+    fn has_live_dir(&self, id: InodeId) -> bool {
+        self.slots.get(&id).and_then(Slot::latest).is_some_and(Inode::is_dir)
     }
 }
 
@@ -384,19 +364,25 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// Ascending-order write guards over a set of shards (the deterministic
-/// multi-shard lock order for cross-shard ops).
-struct Locked<'a> {
-    guards: Vec<(usize, RwLockWriteGuard<'a, ShardState>)>,
+/// The write guards of one mutation, taken in ascending shard order (the
+/// deterministic multi-shard lock order). An op on one or two directories
+/// holds its guards here, inline; only a subtree op, which takes every
+/// shard, allocates for them.
+enum Locked<'a> {
+    One(usize, RwLockWriteGuard<'a, ShardState>),
+    Two([(usize, RwLockWriteGuard<'a, ShardState>); 2]),
+    All(Vec<RwLockWriteGuard<'a, ShardState>>),
 }
 
 impl Locked<'_> {
     fn get(&mut self, shard: usize) -> &mut ShardState {
-        let i = self
-            .guards
-            .binary_search_by_key(&shard, |g| g.0)
-            .expect("op touched a shard outside its lock set");
-        &mut self.guards[i].1
+        match self {
+            Locked::One(k, g) if *k == shard => g,
+            Locked::Two([(k, g), _]) if *k == shard => g,
+            Locked::Two([_, (k, g)]) if *k == shard => g,
+            Locked::All(guards) => &mut guards[shard],
+            _ => panic!("op touched shard {shard}, outside its lock set"),
+        }
     }
 }
 
@@ -471,9 +457,9 @@ impl ShardedNamespace {
     }
 
     /// A namespace with `n` shards (rounded up to a power of two, clamped to
-    /// `1..=256`).
+    /// `1..=`[`MAX_SHARDS`]).
     pub fn with_shards(n: usize) -> Self {
-        let n = n.clamp(1, 256).next_power_of_two();
+        let n = n.clamp(1, MAX_SHARDS).next_power_of_two();
         let mut shards = Vec::with_capacity(n);
         for k in 0..n {
             let mut st = ShardState {
@@ -674,21 +660,22 @@ impl ShardedNamespace {
         }
     }
 
-    fn lock_set(&self, idxs: &[usize]) -> Locked<'_> {
-        let mut v: Vec<usize> = idxs.to_vec();
-        v.sort_unstable();
-        v.dedup();
-        Locked {
-            guards: v.into_iter().map(|i| (i, self.shards[i].state.write().unwrap())).collect(),
+    /// Write-lock shards `a` and `b` — one lock when they are the same.
+    fn lock_set(&self, a: usize, b: usize) -> Locked<'_> {
+        let lock = |k: usize| (k, self.shards[k].state.write().expect("shard lock poisoned"));
+        let (lo, hi) = (a.min(b), a.max(b));
+        let first = lock(lo);
+        if lo == hi {
+            Locked::One(first.0, first.1)
+        } else {
+            Locked::Two([first, lock(hi)])
         }
     }
 
     fn lock_all(&self) -> Locked<'_> {
-        Locked {
-            guards: (0..self.shards.len())
-                .map(|i| (i, self.shards[i].state.write().unwrap()))
-                .collect(),
-        }
+        Locked::All(
+            self.shards.iter().map(|s| s.state.write().expect("shard lock poisoned")).collect(),
+        )
     }
 
     /// Read-lock every shard for a by-id reader at `epoch` (newest when
@@ -762,7 +749,7 @@ impl ShardedNamespace {
         for comp in path::components(p) {
             let st = self.shards[self.shard_of(cur)].state.read().unwrap();
             match st.slots.get(&cur)?.view(epoch)? {
-                Inode::Directory { children, .. } => cur = *children.get(comp)?,
+                Inode::Directory { children, .. } => cur = child(children, comp)?,
                 Inode::File { .. } => return None,
             }
         }
@@ -796,10 +783,28 @@ impl ShardedNamespace {
     /// The child `name` of directory `dir_id` at `epoch`.
     fn child_of(&self, dir_id: InodeId, name: &str, epoch: Option<Stamp>) -> Option<InodeId> {
         self.with_node(dir_id, epoch, |n| match n {
-            Inode::Directory { children, .. } => children.get(name).copied(),
+            Inode::Directory { children, .. } => child(children, name),
             Inode::File { .. } => None,
         })
         .flatten()
+    }
+
+    /// The newest child `name` of directory `dir_id` and whether it is a
+    /// directory — what delete and rename choose their lock set from. One
+    /// read lock when the child lives in its parent's shard (every file
+    /// does), as in [`getfileinfo`](Self::getfileinfo).
+    fn child_kind(&self, dir_id: InodeId, name: &str) -> Option<(InodeId, bool)> {
+        let pk = self.shard_of(dir_id);
+        let st = self.shards[pk].state.read().expect("shard lock poisoned");
+        let Inode::Directory { children, .. } = st.slots.get(&dir_id)?.latest()? else {
+            return None;
+        };
+        let id = child(children, name)?;
+        if self.shard_of(id) == pk {
+            return Some((id, st.slots.get(&id)?.latest()?.is_dir()));
+        }
+        drop(st);
+        Some((id, self.with_node(id, None, Inode::is_dir)?))
     }
 
     /// Resolve a validated path at `epoch` through its parent directory's
@@ -827,8 +832,8 @@ impl ShardedNamespace {
         for comp in path::components(p) {
             let st = self.shards[self.shard_of(cur)].state.read().unwrap();
             match st.slots.get(&cur).and_then(|s| s.view(epoch)) {
-                Some(Inode::Directory { children, .. }) => match children.get(comp) {
-                    Some(id) => cur = *id,
+                Some(Inode::Directory { children, .. }) => match child(children, comp) {
+                    Some(id) => cur = id,
                     None => return false,
                 },
                 Some(Inode::File { .. }) => return true,
@@ -879,7 +884,7 @@ impl ShardedNamespace {
         let pk = self.shard_of(pid);
         let st = self.shards[pk].state.read().unwrap();
         let id = match st.slots.get(&pid).and_then(Slot::latest) {
-            Some(Inode::Directory { children, .. }) => *children.get(name).ok_or_else(missing)?,
+            Some(Inode::Directory { children, .. }) => child(children, name).ok_or_else(missing)?,
             _ => return Err(missing()),
         };
         if self.shard_of(id) == pk {
@@ -900,7 +905,7 @@ impl ShardedNamespace {
         let id = self.resolve(p, None).ok_or_else(|| NsError::NotFound(p.to_string()))?;
         self.with_node(id, None, |n| match n {
             Inode::Directory { children, .. } => {
-                Ok(children.keys().map(|k| k.to_string()).collect())
+                Ok(children.keys().map(|k| k.as_str().to_owned()).collect())
             }
             Inode::File { .. } => Err(NsError::IsFile(p.to_string())),
         })
@@ -1010,81 +1015,63 @@ impl ShardedNamespace {
         let missing = || NsError::NotFound(p.to_string());
         loop {
             let (pid, bind) = self.lookup_dir(dir, None).ok_or_else(missing)?;
-            let id = self.child_of(pid, name, None).ok_or_else(missing)?;
-            let is_dir = self.with_node(id, None, Inode::is_dir).ok_or_else(missing)?;
+            let (id, is_dir) = self.child_kind(pid, name).ok_or_else(missing)?;
             let _gate = self.gate.read().unwrap();
-            let mut locked = if is_dir {
-                self.lock_all()
-            } else {
-                self.lock_set(&[self.shard_of(pid), self.shard_of(id)])
-            };
-            // Revalidate under the locks; a concurrent structural op may
-            // have changed the binding since the unlocked resolution.
-            let pk = self.shard_of(pid);
-            match locked.get(pk).slots.get(&pid).and_then(Slot::latest) {
-                Some(Inode::Directory { children, .. }) if children.get(name) == Some(&id) => {}
+            let (pk, ck) = (self.shard_of(pid), self.shard_of(id));
+            let mut locked = if is_dir { self.lock_all() } else { self.lock_set(pk, ck) };
+            // A concurrent structural op may have run since the unlocked
+            // resolution: the child must still be of the kind the lock set
+            // was chosen for, and the parent a live directory.
+            let empty = match locked.get(ck).slots.get(&id).and_then(Slot::latest) {
+                Some(Inode::Directory { children, .. }) if is_dir => children.is_empty(),
+                Some(Inode::File { .. }) if !is_dir => true,
                 _ => continue,
-            }
-            let (empty, still_dir) = match locked.get(self.shard_of(id)).slots.get(&id) {
-                Some(slot) => match slot.latest() {
-                    Some(Inode::Directory { children, .. }) => (children.is_empty(), true),
-                    Some(Inode::File { .. }) => (true, false),
-                    None => continue,
-                },
-                None => continue,
             };
-            if still_dir != is_dir {
+            if !locked.get(pk).has_live_dir(pid) {
                 continue;
-            }
-            if is_dir && !empty && !recursive {
-                return Err(NsError::NotEmpty(p.to_string()));
             }
             let keep = self.watermark();
             let s = self.alloc_stamp();
-            // Unlink from the parent.
-            match locked.get(pk).slots.get_mut(&pid).expect("revalidated").open(s, keep) {
-                Some(Inode::Directory { children, .. }) => {
-                    children.remove(name);
+            let outcome = 'locked: {
+                // Whether the parent still binds `name` to `id` is learnt by
+                // unlinking it: one descent of the parent's map.
+                let children = Self::open_dir(locked.get(pk), pid, s, keep);
+                let Entry::Occupied(bound) = children.entry(Name::from(name)) else {
+                    break 'locked None;
+                };
+                if *bound.get() != id {
+                    break 'locked None;
                 }
-                _ => unreachable!("revalidated directory parent"),
-            }
-            // Collect and drop the subtree (just `id` itself for files).
-            let mut files = 0u64;
-            let mut dirs = 0u64;
-            let mut stack = vec![id];
-            while let Some(cur) = stack.pop() {
-                let ck = self.shard_of(cur);
-                let st = locked.get(ck);
-                match st.slots.get(&cur).and_then(Slot::latest) {
-                    Some(Inode::Directory { children, .. }) => {
-                        dirs += 1;
-                        stack.extend(children.values().copied());
-                    }
-                    Some(Inode::File { .. }) => files += 1,
-                    None => continue,
+                if is_dir && !empty && !recursive {
+                    break 'locked Some(Err(NsError::NotEmpty(p.to_string())));
                 }
-                if keep.is_none() {
-                    st.slots.remove(&cur);
+                bound.remove();
+                let (files, dirs) = if is_dir {
+                    self.drop_subtree(&mut locked, id, s, keep)
                 } else {
-                    *st.slots.get_mut(&cur).expect("visited above").open(s, keep) = None;
-                    st.dead.push(cur);
+                    Self::bury(locked.get(ck), id, s, keep);
+                    (1, 0)
+                };
+                // Files are never cached; an empty directory is cached under
+                // its own key at most; a populated one takes its subtree
+                // with it.
+                if is_dir && empty {
+                    self.cache_remove(p);
+                } else if is_dir {
+                    self.cache_flush();
                 }
-            }
-            // Files are never cached; an empty directory is cached under its
-            // own key at most; a populated one takes its subtree with it.
-            if is_dir && empty {
-                self.cache_remove(p);
-            } else if is_dir {
-                self.cache_flush();
-            }
-            if let Some(k) = bind {
-                self.cache_put(&k, pid, s);
-            }
-            self.num_files.fetch_sub(files, Ordering::Relaxed);
-            self.num_dirs.fetch_sub(dirs, Ordering::Relaxed);
+                if let Some(k) = bind {
+                    self.cache_put(&k, pid, s);
+                }
+                self.num_files.fetch_sub(files, Ordering::Relaxed);
+                self.num_dirs.fetch_sub(dirs, Ordering::Relaxed);
+                Some(Ok((files, dirs)))
+            };
             drop(locked);
             self.publish(s);
-            return Ok((files, dirs));
+            if let Some(done) = outcome {
+                return done;
+            }
         }
     }
 
@@ -1092,6 +1079,12 @@ impl ShardedNamespace {
     /// lock the two parents' shards; directory renames take every shard
     /// (the subtree's cached paths are retired with the cache generation).
     pub fn rename(&self, src: &str, dst: &str) -> Result<(), NsError> {
+        self.rename_entry(src, dst).map(|_moved_dir| ())
+    }
+
+    /// [`rename`](Self::rename), answering whether what moved is a directory
+    /// (the replay session keeps its directory handle across a file's move).
+    fn rename_entry(&self, src: &str, dst: &str) -> Result<bool, NsError> {
         path::validate(src)?;
         path::validate(dst)?;
         let (Some((src_dir, src_name)), Some((dst_dir, dst_name))) =
@@ -1108,7 +1101,7 @@ impl ShardedNamespace {
         let missing = || NsError::NotFound(src.to_string());
         loop {
             let (src_parent, src_bind) = self.lookup_dir(src_dir, None).ok_or_else(missing)?;
-            let src_id = self.child_of(src_parent, src_name, None).ok_or_else(missing)?;
+            let (src_id, src_is_dir) = self.child_kind(src_parent, src_name).ok_or_else(missing)?;
             let (dst_parent, dst_bind) = if dst_dir == src_dir {
                 (src_parent, None)
             } else {
@@ -1118,7 +1111,7 @@ impl ShardedNamespace {
             // Unlocked classification of the destination, in the legacy
             // tree's error order; the locks below revalidate the clean case.
             match self.with_node(dst_parent, None, |n| match n {
-                Inode::Directory { children, .. } => Some(children.contains_key(dst_name)),
+                Inode::Directory { children, .. } => Some(child(children, dst_name).is_some()),
                 Inode::File { .. } => None,
             }) {
                 Some(Some(false)) => {}
@@ -1126,48 +1119,55 @@ impl ShardedNamespace {
                 Some(None) => return Err(NsError::ParentNotDirectory(dst.to_string())),
                 None => return Err(NsError::ParentNotFound(dst.to_string())),
             }
-            let src_is_dir = self.with_node(src_id, None, Inode::is_dir).ok_or_else(missing)?;
             let _gate = self.gate.read().unwrap();
-            let sk = self.shard_of(src_parent);
-            let dk = self.shard_of(dst_parent);
-            let mut locked = if src_is_dir { self.lock_all() } else { self.lock_set(&[sk, dk]) };
-            match locked.get(sk).slots.get(&src_parent).and_then(Slot::latest) {
-                Some(Inode::Directory { children, .. })
-                    if children.get(src_name) == Some(&src_id) => {}
-                _ => continue,
-            }
-            match locked.get(dk).slots.get(&dst_parent).and_then(Slot::latest) {
-                Some(Inode::Directory { children, .. }) if !children.contains_key(dst_name) => {}
-                _ => continue,
+            let (sk, dk) = (self.shard_of(src_parent), self.shard_of(dst_parent));
+            let mut locked = if src_is_dir { self.lock_all() } else { self.lock_set(sk, dk) };
+            if !locked.get(sk).has_live_dir(src_parent) || !locked.get(dk).has_live_dir(dst_parent)
+            {
+                continue;
             }
             let keep = self.watermark();
             let s = self.alloc_stamp();
-            match locked.get(sk).slots.get_mut(&src_parent).expect("revalidated").open(s, keep) {
-                Some(Inode::Directory { children, .. }) => {
-                    children.remove(src_name);
+            let moved = 'locked: {
+                // Claim the destination, which shows it vacant…
+                let Entry::Vacant(claim) =
+                    Self::open_dir(locked.get(dk), dst_parent, s, keep).entry(Name::from(dst_name))
+                else {
+                    break 'locked false;
+                };
+                claim.insert(src_id);
+                // …and remove the source, which shows it is still what was
+                // resolved. One descent of each map; two of a shared one.
+                let unlinked = match Self::open_dir(locked.get(sk), src_parent, s, keep)
+                    .entry(Name::from(src_name))
+                {
+                    Entry::Occupied(bound) if *bound.get() == src_id => {
+                        bound.remove();
+                        true
+                    }
+                    _ => false,
+                };
+                if !unlinked {
+                    Self::open_dir(locked.get(dk), dst_parent, s, keep).remove(dst_name.as_bytes());
+                    break 'locked false;
                 }
-                _ => unreachable!("revalidated directory parent"),
-            }
-            let dst_name_arc = locked.get(dk).intern(dst_name);
-            match locked.get(dk).slots.get_mut(&dst_parent).expect("revalidated").open(s, keep) {
-                Some(Inode::Directory { children, .. }) => {
-                    children.insert(dst_name_arc, src_id);
+                if src_is_dir {
+                    // Every cached path at or under `src` now points
+                    // somewhere else (or nowhere).
+                    self.cache_flush();
                 }
-                _ => unreachable!("revalidated directory parent"),
-            }
-            if src_is_dir {
-                // Every cached path at or under `src` now points somewhere
-                // else (or nowhere).
-                self.cache_flush();
-            }
-            for (bind, parent) in [(src_bind, src_parent), (dst_bind, dst_parent)] {
-                if let Some(k) = bind {
-                    self.cache_put(&k, parent, s);
+                for (bind, parent) in [(src_bind, src_parent), (dst_bind, dst_parent)] {
+                    if let Some(k) = bind {
+                        self.cache_put(&k, parent, s);
+                    }
                 }
-            }
+                true
+            };
             drop(locked);
             self.publish(s);
-            return Ok(());
+            if moved {
+                return Ok(src_is_dir);
+            }
         }
     }
 
@@ -1347,7 +1347,7 @@ impl SnapshotView<'_> {
         self.ns
             .with_node(id, e, |n| match n {
                 Inode::Directory { children, .. } => {
-                    Ok(children.keys().map(|k| k.to_string()).collect())
+                    Ok(children.keys().map(|k| k.as_str().to_owned()).collect())
                 }
                 Inode::File { .. } => Err(NsError::IsFile(p.to_string())),
             })
@@ -1388,9 +1388,10 @@ impl SnapshotView<'_> {
 /// of the resolution work a per-record [`NamespaceTree::apply`] does: the
 /// last-resolved parent directory and last-touched node are remembered
 /// across records (journals have heavy directory locality, and
-/// `Create f → AddBlock f → CloseFile f` runs are ubiquitous), and both
-/// handles drop on `Delete`/`Rename` or an external
-/// [`reset`](Self::reset). Success/failure agrees with the naive apply
+/// `Create f → AddBlock f → CloseFile f` runs are ubiquitous). A `Delete` or
+/// `Rename` drops the node handle, and the directory handle too when what
+/// went was a directory (or the record failed); an external
+/// [`reset`](Self::reset) drops both. Success/failure agrees with the naive apply
 /// record for record; error *kinds* can differ on malformed records.
 #[derive(Debug, Default)]
 pub struct ShardedReplaySession {
@@ -1431,12 +1432,14 @@ impl ShardedReplaySession {
                 Ok(())
             }
             Txn::Delete { path, recursive } => {
-                self.reset();
-                ns.delete(path, *recursive).map(|_| ())
+                let removed = ns.delete(path, *recursive);
+                self.forget(!matches!(removed, Ok((_, 0))));
+                removed.map(|_| ())
             }
             Txn::Rename { src, dst } => {
-                self.reset();
-                ns.rename(src, dst)
+                let moved_dir = ns.rename_entry(src, dst);
+                self.forget(!matches!(moved_dir, Ok(false)));
+                moved_dir.map(|_| ())
             }
             Txn::AddBlock { path, block_id, .. } => {
                 let id = self.resolve_node(ns, path)?;
@@ -1469,6 +1472,14 @@ impl ShardedReplaySession {
                 })
             }
         }
+    }
+
+    /// A record removed or moved something. Only a directory's going can
+    /// leave the directory handle naming the wrong inode; a file's takes the
+    /// node handle alone.
+    fn forget(&mut self, maybe_dir: bool) {
+        self.node_valid = false;
+        self.dir_valid &= !maybe_dir;
     }
 
     fn remember_dir(&mut self, path: &str, id: InodeId) {
@@ -1539,28 +1550,25 @@ impl ShardedNamespace {
         bind: Option<CacheKey<'_>>,
     ) -> Result<InodeId, NsError> {
         let _gate = self.gate.read().unwrap();
-        let pk = self.shard_of(parent);
-        let mut st = self.shards[pk].state.write().unwrap();
+        let mut st = self.shards[self.shard_of(parent)].state.write().unwrap();
         self.sweep(&mut st);
-        Self::check_parent(st.slots.get(&parent), name, what)?;
+        Self::check_parent(st.slots.get(&parent), what)?;
         let keep = self.watermark();
         let s = self.alloc_stamp();
-        let name = st.intern(name);
-        let id = st.alloc_id(self.shards.len() as u64);
-        match st.slots.get_mut(&parent).expect("checked above").open(s, keep) {
-            Some(Inode::Directory { children, .. }) => {
-                children.insert(name, id);
+        // The id the file gets if the name is free: a refused op takes none.
+        let id = st.next_id;
+        let linked = Self::link(Self::open_dir(&mut st, parent, s, keep), name, id, what);
+        if linked.is_ok() {
+            st.next_id += self.shards.len() as u64;
+            st.slots.insert(id, Slot::fresh(s, Inode::new_file(replication)));
+            if let Some(k) = bind {
+                self.cache_put(&k, parent, s);
             }
-            _ => unreachable!("parent kind checked above"),
+            self.num_files.fetch_add(1, Ordering::Relaxed);
         }
-        st.slots.insert(id, Slot::fresh(s, Inode::new_file(replication)));
-        if let Some(k) = bind {
-            self.cache_put(&k, parent, s);
-        }
-        self.num_files.fetch_add(1, Ordering::Relaxed);
         drop(st);
         self.publish(s);
-        Ok(id)
+        linked.map(|()| id)
     }
 
     /// Attach a new directory under `parent` (see
@@ -1577,39 +1585,103 @@ impl ShardedNamespace {
         let _gate = self.gate.read().unwrap();
         let pk = self.shard_of(parent);
         let tk = self.dir_home(parent, name);
-        let mut locked = self.lock_set(&[pk, tk]);
+        let mut locked = self.lock_set(pk, tk);
         self.sweep(locked.get(pk));
-        Self::check_parent(locked.get(pk).slots.get(&parent), name, what)?;
+        Self::check_parent(locked.get(pk).slots.get(&parent), what)?;
         let keep = self.watermark();
         let s = self.alloc_stamp();
-        let id = locked.get(tk).alloc_id(self.shards.len() as u64);
-        let name = locked.get(pk).intern(name);
-        match locked.get(pk).slots.get_mut(&parent).expect("checked above").open(s, keep) {
-            Some(Inode::Directory { children, .. }) => {
-                children.insert(name, id);
+        let id = locked.get(tk).next_id;
+        let linked = Self::link(Self::open_dir(locked.get(pk), parent, s, keep), name, id, what);
+        if linked.is_ok() {
+            let home = locked.get(tk);
+            home.next_id += self.shards.len() as u64;
+            home.slots.insert(id, Slot::fresh(s, Inode::new_dir()));
+            if let Some(k) = bind {
+                self.cache_put(&k, parent, s);
             }
-            _ => unreachable!("parent kind checked above"),
+            self.cache_put(&new, id, s);
+            self.num_dirs.fetch_add(1, Ordering::Relaxed);
         }
-        locked.get(tk).slots.insert(id, Slot::fresh(s, Inode::new_dir()));
-        if let Some(k) = bind {
-            self.cache_put(&k, parent, s);
-        }
-        self.cache_put(&new, id, s);
-        self.num_dirs.fetch_add(1, Ordering::Relaxed);
         drop(locked);
         self.publish(s);
-        Ok(id)
+        linked.map(|()| id)
     }
 
-    /// The legacy tree's classification of an attach under `parent`.
-    fn check_parent(parent: Option<&Slot>, name: &str, what: &str) -> Result<(), NsError> {
+    /// The legacy tree's classification of an attach under `parent`, from
+    /// the slot alone; whether the name is free is [`link`](Self::link)'s.
+    fn check_parent(parent: Option<&Slot>, what: &str) -> Result<(), NsError> {
         match parent.and_then(Slot::latest) {
-            Some(Inode::Directory { children, .. }) if children.contains_key(name) => {
-                Err(NsError::AlreadyExists(what.to_string()))
-            }
             Some(Inode::Directory { .. }) => Ok(()),
             Some(Inode::File { .. }) => Err(NsError::ParentNotDirectory(what.to_string())),
             None => Err(NsError::ParentNotFound(what.to_string())),
+        }
+    }
+
+    /// Open the entries of `dir` for writing at `stamp`. The caller has seen
+    /// it a live directory under the write lock it still holds.
+    fn open_dir(
+        st: &mut ShardState,
+        dir: InodeId,
+        stamp: Stamp,
+        keep: Option<Stamp>,
+    ) -> &mut BTreeMap<Name, InodeId> {
+        match st.slots.get_mut(&dir).and_then(|slot| slot.open(stamp, keep).as_mut()) {
+            Some(Inode::Directory { children, .. }) => children,
+            _ => unreachable!("inode {dir} was a live directory under this lock"),
+        }
+    }
+
+    /// Bind `name → id` if the name is free: the one descent of a create or
+    /// mkdir.
+    fn link(
+        children: &mut BTreeMap<Name, InodeId>,
+        name: &str,
+        id: InodeId,
+        what: &str,
+    ) -> Result<(), NsError> {
+        match children.entry(Name::from(name)) {
+            Entry::Vacant(free) => {
+                free.insert(id);
+                Ok(())
+            }
+            Entry::Occupied(_) => Err(NsError::AlreadyExists(what.to_string())),
+        }
+    }
+
+    /// Drop the unlinked directory `root` and everything under it, every
+    /// shard being locked; `(files, directories)` dropped.
+    fn drop_subtree(
+        &self,
+        locked: &mut Locked<'_>,
+        root: InodeId,
+        stamp: Stamp,
+        keep: Option<Stamp>,
+    ) -> (u64, u64) {
+        let (mut files, mut dirs) = (0, 0);
+        let mut stack = vec![root];
+        while let Some(cur) = stack.pop() {
+            let st = locked.get(self.shard_of(cur));
+            match st.slots.get(&cur).and_then(Slot::latest) {
+                Some(Inode::Directory { children, .. }) => {
+                    dirs += 1;
+                    stack.extend(children.values().copied());
+                }
+                Some(Inode::File { .. }) => files += 1,
+                None => continue,
+            }
+            Self::bury(st, cur, stamp, keep);
+        }
+        (files, dirs)
+    }
+
+    /// Drop the deleted inode `id` — to a tombstone for the sweep while a
+    /// pin may still read it.
+    fn bury(st: &mut ShardState, id: InodeId, stamp: Stamp, keep: Option<Stamp>) {
+        if keep.is_none() {
+            st.slots.remove(&id);
+        } else {
+            *st.slots.get_mut(&id).expect("seen live under this lock").open(stamp, keep) = None;
+            st.dead.push(id);
         }
     }
 
@@ -1648,6 +1720,7 @@ mod tests {
     use super::*;
     use crate::inode::DEFAULT_PERM;
     use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
 
     fn both() -> (NamespaceTree, ShardedNamespace) {
         (NamespaceTree::new(), ShardedNamespace::with_shards(8))
@@ -1711,6 +1784,75 @@ mod tests {
         ];
         for (i, (a, b)) in cases.iter().enumerate() {
             assert_eq!(a, b, "error parity case {i}");
+        }
+        refused_ops_leave_no_trace(1);
+        refused_ops_leave_no_trace(8);
+    }
+
+    /// An op refused under the write locks — the name is taken, the
+    /// directory is populated — fails as the tree's does and leaves nothing
+    /// a reader or a later op can see, with no pin and under a live one: the
+    /// fingerprints hold still, the next inode ids are the ones a namespace
+    /// that never saw the refused ops hands out, and what a pinned refusal
+    /// displaced is cleared by the next unpinned write of the slot.
+    fn refused_ops_leave_no_trace(shards: usize) {
+        let setup = [
+            Txn::Mkdir { path: "/a".into() },
+            Txn::Create { path: "/a/f".into(), replication: 1 },
+            Txn::Mkdir { path: "/a/d".into() },
+            Txn::Mkdir { path: "/b".into() },
+            Txn::Create { path: "/b/g".into(), replication: 1 },
+        ];
+        let refused = [
+            Txn::Create { path: "/a/f".into(), replication: 2 },
+            Txn::Create { path: "/a/d".into(), replication: 2 },
+            Txn::Mkdir { path: "/a/d".into() },
+            Txn::Mkdir { path: "/a/f".into() },
+            Txn::Rename { src: "/a/f".into(), dst: "/a/d".into() },
+            Txn::Rename { src: "/a/f".into(), dst: "/b/g".into() },
+            Txn::Rename { src: "/a/d".into(), dst: "/b/g".into() },
+            Txn::Delete { path: "/a".into(), recursive: false },
+        ];
+        let next = [
+            Txn::Create { path: "/a/h".into(), replication: 1 },
+            Txn::Mkdir { path: "/a/d2".into() },
+            Txn::Mkdir { path: "/a/f2".into() },
+        ];
+        for pinned in [false, true] {
+            let mut t = NamespaceTree::new();
+            let (s, twin) =
+                (ShardedNamespace::with_shards(shards), ShardedNamespace::with_shards(shards));
+            for op in &setup {
+                t.apply(op).unwrap();
+                s.apply(op).unwrap();
+                twin.apply(op).unwrap();
+            }
+            let view = pinned.then(|| s.pin());
+            let before = s.fingerprint();
+            for op in &refused {
+                let (a, b) = (t.apply(op), s.apply(op));
+                assert!(a.is_err() && a == b, "pinned {pinned}, {op:?}: {a:?} vs {b:?}");
+                assert_eq!(s.fingerprint(), before, "pinned {pinned}, {op:?}");
+                if let Some(view) = &view {
+                    assert_eq!(view.fingerprint(), before, "pinned view, {op:?}");
+                }
+            }
+            for op in &next {
+                s.apply(op).unwrap();
+                twin.apply(op).unwrap();
+                let p = op.primary_path();
+                assert_eq!(s.resolve_path(p), twin.resolve_path(p), "pinned {pinned}: id of {p}");
+            }
+            if let Some(view) = view {
+                assert_eq!(view.fingerprint(), before);
+                assert!(s.displaced_versions() > 0, "the pin kept what was written under it");
+                drop(view);
+            }
+            // Write every slot an op above opened: `/a`, `/b` and the root.
+            for p in ["/a/i", "/b/i", "/i"] {
+                s.create(p, 1).unwrap();
+            }
+            assert_eq!(s.displaced_versions(), 0, "pinned {pinned}");
         }
     }
 
@@ -1861,6 +2003,33 @@ mod tests {
         ] {
             assert!(sess.apply(&sharded, &stale).is_err(), "{stale:?}");
             assert!(naive.apply(&stale).is_err(), "{stale:?}");
+        }
+        assert_eq!(naive.fingerprint(), sharded.fingerprint());
+        // The directory handle outlives a file's delete or rename and not
+        // the directory's own: a create under a path that was renamed or
+        // deleted away fails as the naive apply's does, between two that
+        // succeed.
+        for txn in [
+            Txn::Mkdir { path: "/p".into() },
+            Txn::Create { path: "/p/f1".into(), replication: 1 },
+            Txn::Rename { src: "/p/f1".into(), dst: "/p/f2".into() },
+            Txn::Create { path: "/p/f3".into(), replication: 1 },
+            Txn::Delete { path: "/p/f2".into(), recursive: false },
+            Txn::Create { path: "/p/f4".into(), replication: 1 },
+            Txn::Rename { src: "/p".into(), dst: "/q".into() },
+            Txn::Create { path: "/p/f5".into(), replication: 1 },
+            Txn::Create { path: "/q/f5".into(), replication: 1 },
+            Txn::Delete { path: "/q".into(), recursive: true },
+            Txn::Create { path: "/q/f6".into(), replication: 1 },
+            Txn::Mkdir { path: "/q".into() },
+            Txn::Create { path: "/q/f6".into(), replication: 1 },
+        ] {
+            let failing = matches!(&txn, Txn::Create { path, .. } if path == "/p/f5")
+                || (matches!(&txn, Txn::Create { path, .. } if path == "/q/f6")
+                    && !naive.exists("/q"));
+            let a = naive.apply(&txn);
+            assert_eq!(a, sess.apply(&sharded, &txn), "session parity broke on {txn:?}");
+            assert_eq!(a.is_err(), failing, "{txn:?}: {a:?}");
         }
         assert_eq!(naive.fingerprint(), sharded.fingerprint());
     }

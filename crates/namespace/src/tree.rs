@@ -7,17 +7,12 @@
 //! or the active's shards), what pool compaction merges in, and the engine
 //! of the baseline systems. It carries no resolution cache of its
 //! own — the oracle a cache is compared with should not have one.
-//!
-//! Directory-child names are `Arc<str>` handles interned tree-wide, so the
-//! repeated components of a large namespace (`part-00000`, `data`, …) share
-//! one allocation apiece.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashMap;
 
 use mams_journal::{Apply, Txn, TxnId};
 
-use crate::inode::{FileInfo, Inode, InodeId, InodeSource, ROOT_ID};
+use crate::inode::{child, FileInfo, Inode, InodeId, InodeSource, Name, ROOT_ID};
 use crate::path::{self, PathError};
 
 /// Metadata operation failure.
@@ -75,14 +70,7 @@ pub struct NamespaceTree {
     /// Journal replays that failed to apply — any nonzero value indicates a
     /// protocol bug (journaled operations must always replay cleanly).
     divergences: u64,
-    /// Interned child-name table (see module docs). Bounded: cleared when
-    /// full; live names stay alive through the directories that hold them
-    /// and re-intern on next use.
-    names: HashSet<Arc<str>>,
 }
-
-/// Intern-table bound; ~64k distinct component names before a reset.
-const NAME_TABLE_CAP: usize = 1 << 16;
 
 impl Default for NamespaceTree {
     fn default() -> Self {
@@ -95,14 +83,7 @@ impl NamespaceTree {
     pub fn new() -> Self {
         let mut inodes = HashMap::new();
         inodes.insert(ROOT_ID, Inode::new_dir());
-        NamespaceTree {
-            inodes,
-            next_id: 1,
-            num_files: 0,
-            num_dirs: 0,
-            divergences: 0,
-            names: HashSet::new(),
-        }
+        NamespaceTree { inodes, next_id: 1, num_files: 0, num_dirs: 0, divergences: 0 }
     }
 
     /// Number of files.
@@ -130,14 +111,7 @@ impl NamespaceTree {
         num_dirs: u64,
     ) -> Self {
         debug_assert!(inodes.contains_key(&ROOT_ID));
-        NamespaceTree {
-            inodes,
-            next_id,
-            num_files,
-            num_dirs,
-            divergences: 0,
-            names: HashSet::new(),
-        }
+        NamespaceTree { inodes, next_id, num_files, num_dirs, divergences: 0 }
     }
 
     /// Decompose into `(inodes, next_id, num_files, num_dirs)` — the sharded
@@ -152,19 +126,6 @@ impl NamespaceTree {
         self.next_id += 1;
         self.inodes.insert(id, inode);
         id
-    }
-
-    /// One shared handle per distinct component name, tree-wide.
-    fn intern(&mut self, name: &str) -> Arc<str> {
-        if let Some(n) = self.names.get(name) {
-            return n.clone();
-        }
-        if self.names.len() >= NAME_TABLE_CAP {
-            self.names.clear();
-        }
-        let n: Arc<str> = Arc::from(name);
-        self.names.insert(n.clone());
-        n
     }
 
     /// Attach a fully-formed inode directly under `parent` with the given
@@ -184,13 +145,12 @@ impl NamespaceTree {
             None => return Err(NsError::ParentNotFound(name.to_string())),
         }
         let is_dir = inode.is_dir();
-        let name = self.intern(name);
         let id = self.alloc(inode);
         let duplicate = match self.inodes.get_mut(&parent).expect("parent checked above") {
             Inode::Directory { children, .. } => {
                 // Single tree search via the entry API (this is the image
                 // decoder's per-entry hot path).
-                match children.entry(name) {
+                match children.entry(Name::from(name)) {
                     std::collections::btree_map::Entry::Vacant(v) => {
                         v.insert(id);
                         None
@@ -224,7 +184,7 @@ impl NamespaceTree {
         let mut cur = ROOT_ID;
         for comp in path::components(p) {
             match self.inodes.get(&cur)? {
-                Inode::Directory { children, .. } => cur = *children.get(comp)?,
+                Inode::Directory { children, .. } => cur = child(children, comp)?,
                 Inode::File { .. } => return None,
             }
         }
@@ -263,8 +223,8 @@ impl NamespaceTree {
         let mut cur = ROOT_ID;
         for comp in path::components(p) {
             match &self.inodes[&cur] {
-                Inode::Directory { children, .. } => match children.get(comp) {
-                    Some(id) => cur = *id,
+                Inode::Directory { children, .. } => match child(children, comp) {
+                    Some(id) => cur = id,
                     None => return false,
                 },
                 Inode::File { .. } => return true,
@@ -279,15 +239,14 @@ impl NamespaceTree {
         let parent_id = self.resolve_parent(p)?;
         let name = path::basename(p).expect("non-root validated path");
         if let Inode::Directory { children, .. } = &self.inodes[&parent_id] {
-            if children.contains_key(name) {
+            if child(children, name).is_some() {
                 return Err(NsError::AlreadyExists(p.to_string()));
             }
         }
-        let name = self.intern(name);
         let id = self.alloc(Inode::new_file(replication));
         match self.inodes.get_mut(&parent_id).expect("parent exists") {
             Inode::Directory { children, .. } => {
-                children.insert(name, id);
+                children.insert(Name::from(name), id);
             }
             Inode::File { .. } => unreachable!("resolve_parent checked kind"),
         }
@@ -301,15 +260,14 @@ impl NamespaceTree {
         let parent_id = self.resolve_parent(p)?;
         let name = path::basename(p).expect("non-root validated path");
         if let Inode::Directory { children, .. } = &self.inodes[&parent_id] {
-            if children.contains_key(name) {
+            if child(children, name).is_some() {
                 return Err(NsError::AlreadyExists(p.to_string()));
             }
         }
-        let name = self.intern(name);
         let id = self.alloc(Inode::new_dir());
         match self.inodes.get_mut(&parent_id).expect("parent exists") {
             Inode::Directory { children, .. } => {
-                children.insert(name, id);
+                children.insert(Name::from(name), id);
             }
             Inode::File { .. } => unreachable!("resolve_parent checked kind"),
         }
@@ -357,7 +315,7 @@ impl NamespaceTree {
         let name = path::basename(p).expect("non-root validated path");
         match self.inodes.get_mut(&parent_id).expect("parent exists") {
             Inode::Directory { children, .. } => {
-                children.remove(name);
+                children.remove(name.as_bytes());
             }
             Inode::File { .. } => unreachable!("resolve_parent checked kind"),
         }
@@ -406,14 +364,13 @@ impl NamespaceTree {
         let dst_name = path::basename(dst).expect("non-root");
         match self.inodes.get_mut(&src_parent).expect("src parent") {
             Inode::Directory { children, .. } => {
-                children.remove(src_name);
+                children.remove(src_name.as_bytes());
             }
             Inode::File { .. } => unreachable!(),
         }
-        let dst_name = self.intern(dst_name);
         match self.inodes.get_mut(&dst_parent).expect("dst parent") {
             Inode::Directory { children, .. } => {
-                children.insert(dst_name, src_id);
+                children.insert(Name::from(dst_name), src_id);
             }
             Inode::File { .. } => unreachable!(),
         }

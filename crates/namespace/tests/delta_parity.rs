@@ -304,3 +304,64 @@ fn wire_bytes_are_the_recorded_ones() {
         assert_eq!(fnv1a64(&image.data), image_digest, "seed {seed:#x}: image of the shards");
     }
 }
+
+/// FNV-1a-64 of the image of [`mixed_names`]' directory, recorded at commit
+/// 2d34f5a — when a directory's keys were `Arc<str>`.
+const MIXED_NAMES_IMAGE_DIGEST: u64 = 0x243f_5e52_1429_3cdc;
+
+/// Sibling names of every shape a directory key distinguishes: short, at
+/// and around the 22 bytes a key holds inline, far beyond them, one a prefix
+/// of another with NULs after it (the inline padding byte), non-ASCII.
+fn mixed_names() -> Vec<String> {
+    let mut names: Vec<String> =
+        ["a", "a\0", "a\0\0", "a\u{1}", "b", "é", "日本語", "f0", "f00", "f1"]
+            .map(String::from)
+            .into();
+    let mut rng = SmallRng::seed_from_u64(0x000D_E17A_0404);
+    for len in [1usize, 2, 21, 22, 23, 24, 300] {
+        for _ in 0..6 {
+            let alphabet = ["a", "b", "\0", "~", "é", "日"];
+            let mut name = String::new();
+            while name.len() < len {
+                let c = alphabet[rng.gen_range(0..alphabet.len())];
+                name.push_str(if name.len() + c.len() <= len { c } else { "z" });
+            }
+            names.push(name);
+        }
+    }
+    names.sort();
+    names.dedup();
+    names
+}
+
+/// The encoder walks a directory's children in key order, so the image of a
+/// directory of mixed names pins that order — byte order, which is `str`
+/// order — and each name's bytes, off the tree and off the shards.
+#[test]
+fn image_of_a_directory_of_mixed_names_is_the_recorded_one() {
+    let mut tree = NamespaceTree::new();
+    let sharded = ShardedNamespace::with_shards(4);
+    let mut ops = vec![Txn::Mkdir { path: "/m".into() }];
+    // Entered in an order that is not the sorted one.
+    for (i, name) in mixed_names().iter().rev().enumerate() {
+        let path = format!("/m/{name}");
+        ops.push(match i % 3 {
+            0 => Txn::Mkdir { path },
+            _ => Txn::Create { path, replication: 1 + (i % 3) as u8 },
+        });
+    }
+    for op in &ops {
+        tree.apply(op).expect("valid on the tree");
+        sharded.apply(op).expect("valid on the shards");
+    }
+    let mut listed = tree.list("/m").expect("a directory");
+    assert_eq!(listed, sharded.list("/m").expect("a directory"));
+    assert_eq!(listed, mixed_names(), "children list in str order");
+    listed.sort_by(|a, b| a.as_bytes().cmp(b.as_bytes()));
+    assert_eq!(listed, mixed_names(), "which is byte order");
+    let window = RetryWindow::new();
+    let image = encode_image_with_window(&tree, 7, &window);
+    assert_eq!(fnv1a64(&image.data), MIXED_NAMES_IMAGE_DIGEST, "image of the tree");
+    let image = sharded.pin().encode_image(7, &window);
+    assert_eq!(fnv1a64(&image.data), MIXED_NAMES_IMAGE_DIGEST, "image of the shards");
+}
