@@ -142,7 +142,7 @@ impl Node for AvatarNode {
                     self.nn.release(ctx, replies);
                 }
             }
-            Ok(PoolResp::Journal { batches, .. }) => self.nn.replay(&batches),
+            Ok(PoolResp::Journal { batches, .. }) => self.nn.replay(batches),
             Ok(_) => {}
             Err(msg) => self.nn.admit(ctx, from, msg, active),
         }

@@ -152,7 +152,7 @@ impl Node for BnNode {
         match msg.downcast::<BnMsg>() {
             Ok(BnMsg::Stream { batch }) => {
                 if self.role == BnRole::Backup {
-                    self.nn.replay(&[batch]);
+                    self.nn.replay([batch]);
                 }
             }
             Ok(BnMsg::Ping) => ctx.send(from, BnMsg::Pong),

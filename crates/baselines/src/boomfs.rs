@@ -12,12 +12,11 @@
 
 use std::collections::HashMap;
 
-use mams_core::{FsOp, MdsResp, OpOutput};
-use mams_namespace::NamespaceTree;
+use mams_core::{FsOp, MdsResp, OpOutput, Prefix};
 use mams_paxos::rsm::{MsgOf, RsmApp, RsmConfig, RsmNode};
 use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim};
 
-use crate::common::{exec_op, NameNode, FLUSH_INTERVAL, T_FLUSH};
+use crate::common::{NameNode, FLUSH_INTERVAL, T_FLUSH};
 
 /// Adapter timer token (the RSM uses 1 and 2, the front-end [`T_FLUSH`]).
 const T_PUBLISH: u64 = 101;
@@ -33,11 +32,10 @@ const ELECTION_TIMEOUT: Duration = Duration::from_secs(6);
 /// accept handling for each follower).
 const CONSENSUS_CPU: Duration = Duration::from_micros(40);
 
-/// The replicated application: a namespace the log's [`FsOp`]s drive.
-pub struct NsApp {
-    ns: NamespaceTree,
-    next_block: u64,
-}
+/// The replicated application: the state a MAMS member derives from its
+/// journal, driven by the log's [`FsOp`]s — the consensus log is the
+/// journal here, so nothing is ever sealed onto the prefix's own.
+pub struct NsApp(Prefix);
 
 impl RsmApp for NsApp {
     type Cmd = FsOp;
@@ -47,11 +45,11 @@ impl RsmApp for NsApp {
     fn apply(&mut self, _slot: u64, op: &FsOp) {
         // Validation happens at apply time in an RSM; a failed op is a
         // no-op on the state (all replicas agree on that too).
-        let _ = exec_op(&mut self.ns, &mut self.next_block, op);
+        let _ = self.0.exec(op.clone());
     }
 
     fn query(&mut self, op: &FsOp) -> Result<OpOutput, String> {
-        exec_op(&mut self.ns, &mut self.next_block, op).map(|(_, out)| out)
+        self.0.exec(op.clone()).map(|(_, out)| out)
     }
 }
 
@@ -72,7 +70,7 @@ pub struct BoomFsServer {
 impl BoomFsServer {
     pub fn new(coord: NodeId, cfg: RsmConfig) -> Self {
         BoomFsServer {
-            rsm: RsmNode::new(cfg, NsApp { ns: NamespaceTree::new(), next_block: 1 }),
+            rsm: RsmNode::new(cfg, NsApp(Prefix::new())),
             front: NameNode::new(coord, CONSENSUS_CPU),
             published: false,
             waiting: HashMap::new(),

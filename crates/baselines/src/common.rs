@@ -2,14 +2,12 @@
 //! tick, duplicate suppression, sealing and release, journal replay, the
 //! checkpoint restart — and the scale model.
 
-use std::borrow::Borrow;
 use std::sync::Arc;
 
 use mams_coord::{CoordClient, CoordEvent, CoordResp, Incoming, KeyOp};
 use mams_core::retry::RetryCache;
-use mams_core::{CpuModel, FsOp, Ingress, IngressItem, MdsReq, MdsResp, OpOutput, ViewKey};
-use mams_journal::{JournalBatch, ReplayCursor, SharedBatch, Sn, Txn};
-use mams_namespace::{ImageError, NamespaceImage, NamespaceTree};
+use mams_core::{CpuModel, FsOp, Ingress, IngressItem, MdsReq, MdsResp, OpOutput, Prefix, ViewKey};
+use mams_journal::{SharedBatch, Sn, Txn};
 use mams_sim::{Ctx, Duration, Message, NodeId};
 
 /// The front-end's flush timer. Clear of the tokens a comparator arms for
@@ -43,105 +41,23 @@ impl FsScale {
     }
 }
 
-/// A namenode checkpoint: the fsimage a restarting or taking-over node
-/// reloads (HDFS `-importCheckpoint` style), plus the block-id cursor that
-/// rides alongside it. Saved in the current wire format; images saved
-/// before the v2 cutover restore through the same call (the decoder
-/// dispatches on the version byte).
-#[derive(Debug, Clone)]
-pub struct SavedCheckpoint {
-    pub image: NamespaceImage,
-    pub next_block: u64,
-}
-
-impl SavedCheckpoint {
-    /// Snapshot the namespace as a current-format image.
-    pub fn save(ns: &NamespaceTree, next_block: u64, sn: Sn) -> SavedCheckpoint {
-        SavedCheckpoint { image: mams_namespace::encode_image(ns, sn), next_block }
-    }
-
-    /// Reload the image into a fresh namespace.
-    pub fn restore(&self) -> Result<(NamespaceTree, Sn), ImageError> {
-        mams_namespace::decode_image(self.image.data.clone())
-    }
-}
-
-/// Execute one client operation against a namespace, producing the journal
-/// record for mutations. Identical semantics to the MAMS active's execution
-/// path, so all systems agree on op outcomes.
-pub fn exec_op(
-    ns: &mut NamespaceTree,
-    next_block: &mut u64,
-    op: &FsOp,
-) -> Result<(Option<Txn>, OpOutput), String> {
-    match op {
-        FsOp::GetFileInfo { path } => {
-            ns.getfileinfo(path).map(|i| (None, OpOutput::Info(i))).map_err(|e| e.to_string())
-        }
-        FsOp::List { path } => {
-            ns.list(path).map(|l| (None, OpOutput::Listing(l))).map_err(|e| e.to_string())
-        }
-        FsOp::Create { path, replication } => ns
-            .create(path, *replication)
-            .map(|i| {
-                (
-                    Some(Txn::Create { path: path.clone(), replication: *replication }),
-                    OpOutput::Info(i),
-                )
-            })
-            .map_err(|e| e.to_string()),
-        FsOp::Mkdir { path } => ns
-            .mkdir(path)
-            .map(|()| (Some(Txn::Mkdir { path: path.clone() }), OpOutput::Done))
-            .map_err(|e| e.to_string()),
-        FsOp::Delete { path, recursive } => ns
-            .delete(path, *recursive)
-            .map(|_| {
-                (Some(Txn::Delete { path: path.clone(), recursive: *recursive }), OpOutput::Done)
-            })
-            .map_err(|e| e.to_string()),
-        FsOp::Rename { src, dst } => ns
-            .rename(src, dst)
-            .map(|()| (Some(Txn::Rename { src: src.clone(), dst: dst.clone() }), OpOutput::Done))
-            .map_err(|e| e.to_string()),
-        FsOp::AddBlock { path, len } => {
-            let id = *next_block;
-            ns.add_block(path, id)
-                .map(|()| {
-                    *next_block += 1;
-                    (
-                        Some(Txn::AddBlock { path: path.clone(), block_id: id, len: *len }),
-                        OpOutput::Block(id),
-                    )
-                })
-                .map_err(|e| e.to_string())
-        }
-        FsOp::CloseFile { path } => ns
-            .close_file(path)
-            .map(|()| (Some(Txn::CloseFile { path: path.clone() }), OpOutput::Done))
-            .map_err(|e| e.to_string()),
-        FsOp::SetPerm { path, perm } => ns
-            .set_perm(path, *perm)
-            .map(|()| (Some(Txn::SetPerm { path: path.clone(), perm: *perm }), OpOutput::Done))
-            .map_err(|e| e.to_string()),
-    }
-}
-
 /// A client reply waiting on durability: `(client, seq, result)`.
 pub type PendingReply = (NodeId, u64, Result<OpOutput, String>);
 
 /// What every comparator has in common with every other: a session with
 /// the coordination service and the `g/0/active` pointer clients route by,
-/// a namespace with its block cursor, the bounded admission queue under the
-/// shared CPU model, the duplicate-suppression cache MAMS uses, the window
-/// of mutations executed but not yet sealed, and the standby's replay
-/// cursor. A comparator adds only what makes it that system: where a
-/// sealed batch must be durable before its replies go, how failure is
-/// detected, what takeover costs.
+/// the journal prefix a MAMS member holds (one executor, one replay), the
+/// bounded admission queue under the shared CPU model, the
+/// duplicate-suppression cache MAMS uses, and the window of mutations
+/// executed but not yet sealed. A comparator adds only what makes it that
+/// system: where a sealed batch must be durable before its replies go, how
+/// failure is detected, what takeover costs.
 pub struct NameNode {
     coord: CoordClient,
-    ns: NamespaceTree,
-    next_block: u64,
+    /// What the active executes against and seals onto, and the standby
+    /// replays onto. No comparator journals acks, so its retry window stays
+    /// empty.
+    prefix: Prefix,
     retry: RetryCache,
     ingress: Ingress,
     /// The namenode's base cost per op plus this system's journaling CPU
@@ -151,9 +67,6 @@ pub struct NameNode {
     /// records those mutations produced.
     pending: Vec<PendingReply>,
     records: Vec<Txn>,
-    next_sn: Sn,
-    /// Standby side: how far the journal has been replayed.
-    cursor: ReplayCursor,
 }
 
 impl NameNode {
@@ -162,15 +75,12 @@ impl NameNode {
         cpu.mutation += journal_cpu;
         NameNode {
             coord: CoordClient::new(coord, Duration::from_secs(2)),
-            ns: NamespaceTree::new(),
-            next_block: 1,
+            prefix: Prefix::new(),
             retry: RetryCache::new(),
             ingress: Ingress::default(),
             cpu,
             pending: Vec::new(),
             records: Vec::new(),
-            next_sn: 1,
-            cursor: ReplayCursor::new(),
         }
     }
 
@@ -281,7 +191,7 @@ impl NameNode {
         if self.answer_duplicate(ctx, from, seq) {
             return;
         }
-        match exec_op(&mut self.ns, &mut self.next_block, &op) {
+        match self.prefix.exec(op) {
             Ok((Some(txn), out)) => {
                 self.records.push(txn);
                 self.pending.push((from, seq, Ok(out)));
@@ -298,9 +208,8 @@ impl NameNode {
         if self.records.is_empty() {
             return None;
         }
-        let batch = JournalBatch::new(self.next_sn, 1, std::mem::take(&mut self.records));
-        self.next_sn += 1;
-        Some((batch.into(), std::mem::take(&mut self.pending)))
+        let batch = self.prefix.seal(std::mem::take(&mut self.records), Vec::new());
+        Some((batch, std::mem::take(&mut self.pending)))
     }
 
     /// Reply to a client, remembering the response for its retries. The
@@ -325,29 +234,23 @@ impl NameNode {
         }
     }
 
-    /// Standby side: apply the in-order batches through the reference
-    /// per-record [`NamespaceTree::apply`], keeping the block-id high-water
-    /// mark, and seal from there on if promoted. A baseline's replay CPU is
-    /// modelled, so the apply loop's own speed is not part of any
-    /// comparison.
-    pub fn replay<B: Borrow<JournalBatch>>(&mut self, batches: &[B]) {
-        let (ns, next_block) = (&mut self.ns, &mut self.next_block);
-        self.cursor.offer_all(batches, &mut |_, t: &Txn| {
-            let _ = ns.apply(t);
-            if let Txn::AddBlock { block_id, .. } = t {
-                *next_block = (*next_block).max(*block_id + 1);
-            }
-        });
-        self.next_sn = self.cursor.max_sn() + 1;
+    /// Standby side: replay batches onto the prefix, and seal from there on
+    /// if promoted. A baseline's replay CPU is modelled, so the apply loop's
+    /// own speed is not part of any comparison.
+    pub fn replay(&mut self, batches: impl IntoIterator<Item = SharedBatch>) {
+        for batch in batches {
+            self.prefix.ingest(batch);
+        }
     }
 
-    /// Highest serial number [`replay`](Self::replay) has applied.
+    /// Highest serial number applied: replayed as a standby, sealed as the
+    /// active.
     pub fn replayed_sn(&self) -> Sn {
-        self.cursor.max_sn()
+        self.prefix.tail_sn()
     }
 
     pub fn num_files(&self) -> u64 {
-        self.ns.num_files()
+        self.prefix.ns().num_files()
     }
 
     /// HDFS `-importCheckpoint`: save the namespace as a fresh fsimage and
@@ -355,22 +258,18 @@ impl NameNode {
     /// a cold image load yields. Returns the image's size in bytes, for
     /// the caller's disk-time model.
     pub fn restart_from_checkpoint(&mut self, ctx: &mut Ctx<'_>) -> u64 {
-        let cp = SavedCheckpoint::save(&self.ns, self.next_block, self.cursor.max_sn());
-        match cp.restore() {
-            Ok((tree, _)) => {
+        let p = &self.prefix;
+        let image = p.ns().pin().encode_image(p.tail_sn(), p.window());
+        match mams_namespace::decode_image_with_window(image.data.clone()) {
+            Ok((tree, sn, window)) => {
                 ctx.trace("namenode.image_restart", || {
-                    format!(
-                        "v{} image, {} B",
-                        cp.image.version().unwrap_or(0),
-                        cp.image.size_bytes()
-                    )
+                    format!("v{} image, {} B", image.version().unwrap_or(0), image.size_bytes())
                 });
-                self.ns = tree;
-                self.next_block = cp.next_block;
+                self.prefix = Prefix::from_image(tree, sn, window);
             }
             Err(e) => ctx.trace("namenode.image_corrupt", || e.to_string()),
         }
-        cp.image.size_bytes()
+        image.size_bytes()
     }
 }
 
@@ -387,42 +286,5 @@ mod tests {
             s.nominal_files
         );
         assert_eq!(FsScale { nominal_files: 10 }.image_bytes(), 1_500);
-    }
-
-    #[test]
-    fn checkpoint_saves_v2_and_restores_identically() {
-        let mut ns = NamespaceTree::new();
-        ns.mkdir_p("/srv/data").unwrap();
-        for i in 0..10 {
-            ns.create(&format!("/srv/data/f{i}"), 3).unwrap();
-            ns.add_block(&format!("/srv/data/f{i}"), 100 + i).unwrap();
-        }
-        let cp = SavedCheckpoint::save(&ns, 111, 42);
-        assert_eq!(cp.image.version(), Some(mams_namespace::VERSION_V2));
-        let (restored, sn) = cp.restore().unwrap();
-        assert_eq!(sn, 42);
-        assert_eq!(cp.next_block, 111);
-        assert_eq!(restored.fingerprint(), ns.fingerprint());
-    }
-
-    #[test]
-    fn exec_op_matches_tree_semantics() {
-        let mut ns = NamespaceTree::new();
-        let mut nb = 1u64;
-        let (txn, _) = exec_op(&mut ns, &mut nb, &FsOp::Mkdir { path: "/a".into() }).unwrap();
-        assert!(matches!(txn, Some(Txn::Mkdir { .. })));
-        let (txn, out) =
-            exec_op(&mut ns, &mut nb, &FsOp::Create { path: "/a/f".into(), replication: 2 })
-                .unwrap();
-        assert!(matches!(txn, Some(Txn::Create { .. })));
-        assert!(matches!(out, OpOutput::Info(_)));
-        let (txn, _) =
-            exec_op(&mut ns, &mut nb, &FsOp::GetFileInfo { path: "/a/f".into() }).unwrap();
-        assert!(txn.is_none(), "reads are not journaled");
-        let err = exec_op(&mut ns, &mut nb, &FsOp::Mkdir { path: "/a".into() }).unwrap_err();
-        assert!(err.contains("already exists"));
-        // Block allocation advances the counter.
-        exec_op(&mut ns, &mut nb, &FsOp::AddBlock { path: "/a/f".into(), len: 42 }).unwrap();
-        assert_eq!(nb, 2);
     }
 }

@@ -88,7 +88,7 @@ impl HaNameNode {
         }
     }
 
-    /// Tail from every journal node; the cursor skips duplicates, and
+    /// Tail from every journal node; replay drops the duplicates by sn, and
     /// reading all nodes guarantees we see the quorum maximum.
     fn request_tail(&mut self, ctx: &mut Ctx<'_>) {
         let after_sn = self.nn.replayed_sn();
@@ -176,7 +176,7 @@ impl Node for HaNameNode {
                 }
             }
             Ok(PoolResp::Journal { batches, tail_sn, .. }) => {
-                self.nn.replay(&batches);
+                self.nn.replay(batches);
                 if self.role == HaRole::Draining && self.nn.replayed_sn() >= tail_sn {
                     self.role = HaRole::Transitioning;
                     ctx.trace("ha.drained", || format!("sn {}", self.nn.replayed_sn()));

@@ -21,21 +21,31 @@
 //!   log (`mams-paxos`'s RSM); every mutation pays a consensus round and
 //!   failover pays leader election plus log repair.
 //!
-//! **One front-end.** All five sit behind [`common::NameNode`], which holds
-//! what a comparison must not vary: the coordination session and the
-//! `g/0/active` pointer clients route by, the namespace and block cursor,
-//! the bounded admission queue under MAMS's CPU model, MAMS's
-//! duplicate-suppression cache, the window of executed-but-unsealed
-//! mutations with their replies, and the standby's replay cursor — with one
-//! `admit`, `drain`, `serve`, `seal`, `release`, `replay` and
-//! `restart_from_checkpoint`. A baseline module may differ only in what
-//! makes it that system: where a sealed batch must be durable before its
+//! **One front-end, one prefix.** All five sit behind [`common::NameNode`],
+//! which holds what a comparison must not vary: the coordination session
+//! and the `g/0/active` pointer clients route by, the bounded admission
+//! queue under MAMS's CPU model, MAMS's duplicate-suppression cache, the
+//! window of executed-but-unsealed mutations with their replies, and the
+//! same [`mams_core::Prefix`] a MAMS member holds — so every system
+//! executes an operation (`Prefix::exec`), seals a batch (`Prefix::seal`)
+//! and replays one (`Prefix::ingest`: duplicates dropped by `sn`, a batch
+//! past a hole stashed until the hole is filled) through the same code over
+//! the same sharded namespace, and restarts from a checkpoint by the same
+//! image round trip (`Prefix::from_image`). There is one `admit`, `drain`,
+//! `serve`, `seal`, `release`, `replay` and `restart_from_checkpoint`.
+//!
+//! **What a comparator may still differ in** is what makes it that system
+//! and nothing else: where a sealed batch must be durable before its
 //! replies go (local-disk timer, fire-and-forget stream, NFS append,
 //! journal quorum, consensus round), how failure is detected (ping budget,
-//! watch on the ephemeral pointer, election timeout), and what takeover
-//! costs (block recollection, fencing and drain, the calibrated constants).
-//! Boom-FS takes admission and the flush tick from the same front-end and
-//! hands what it drains to its RSM instead of [`common::NameNode::serve`].
+//! watch on the ephemeral pointer, election timeout), what takeover costs
+//! (block recollection, fencing and drain, the calibrated constants), and
+//! its journaling CPU per mutation. No comparator journals ack records, so
+//! its prefix's retry window stays empty: at-most-once across a takeover is
+//! MAMS's alone. Boom-FS takes admission and the flush tick from the same
+//! front-end and hands what it drains to its RSM instead of
+//! [`common::NameNode::serve`]; its replicated application is a `Prefix`
+//! driven by the consensus log, which is its journal.
 //!
 //! Duplicate handling is weaker than MAMS's in ways that are written down
 //! at `serve` and not yet measured: no `RetryCache::begin` (a duplicate of

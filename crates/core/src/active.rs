@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use mams_journal::{JournalBatch, SharedBatch, Sn, Txn};
+use mams_journal::{AckRecord, SharedBatch, Sn, Txn};
 use mams_namespace::shard::MAX_SHARDS;
 use mams_sim::{Ctx, Duration, NodeId};
 use mams_storage::pool::{ArtifactKind, PoolError};
@@ -62,7 +62,7 @@ impl Tenure {
         // and it batches each shard's lock traffic together — the
         // single-process analogue of one worker thread per shard.
         let mut drained = r.ingress.drain(budget, cpu);
-        drained.sort_by_cached_key(|item| r.ns.home_shard(item.op().primary_path()));
+        drained.sort_by_cached_key(|item| r.prefix.ns.home_shard(item.op().primary_path()));
         for item in drained {
             match item {
                 IngressItem::Client { from, op, seq } => self.serve_op(r, ctx, from, op, seq),
@@ -83,7 +83,7 @@ impl Tenure {
             return;
         }
         if !op.is_mutation() {
-            let result = r.exec_read(&op);
+            let result = r.prefix.exec(op).map(|(_, output)| output);
             let resp = Arc::new(MdsResp::Reply { seq, result });
             // Read barrier: the image may include mutations that are not
             // yet durable in the SSP. Releasing the reply now would let
@@ -136,7 +136,7 @@ impl Tenure {
         let barrier = if self.pending.is_empty() {
             self.inflight.keys().next_back().copied()
         } else {
-            Some(r.log.tail_sn() + 1)
+            Some(r.prefix.tail_sn() + 1)
         };
         match barrier {
             None => {
@@ -148,7 +148,7 @@ impl Tenure {
     }
 
     fn enqueue_mutation(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>, op: FsOp, reply: ReplyTo) {
-        match r.exec_mutation(op) {
+        match r.prefix.exec(op) {
             // A rejected mutation journals nothing but its error *observed*
             // the image (e.g. "already exists" proves a create happened) —
             // it must cross the same barrier as a read, or it leaks
@@ -160,7 +160,8 @@ impl Tenure {
                 }
                 other => self.reply_now(r, ctx, other, Err(e)),
             },
-            Ok((txn, output)) => {
+            Ok((None, _)) => unreachable!("only mutations are enqueued"),
+            Ok((Some(txn), output)) => {
                 let client = matches!(reply, ReplyTo::Client { .. });
                 let xid = self.maybe_xg_fanout(r, ctx, &txn, client);
                 self.pending.push(PendingOp { txn, reply, output, xid });
@@ -234,22 +235,17 @@ impl Tenure {
 
     // --------------------------------------------------------------- flush
 
-    /// Seal the pending mutations into a `⟨sn, txid⟩` batch, append it to
-    /// the SSP, and synchronize it to the standbys. Replies are released
-    /// when the SSP and every current standby have acknowledged.
-    ///
-    /// The batch is encoded to its wire form exactly once, here; every
-    /// fan-out leg (own log, each standby's `SyncJournal`, the SSP append,
-    /// later retries) shares the same sealed allocation.
+    /// Seal the pending mutations into the next batch of our prefix, append
+    /// it to the SSP, and synchronize it to the standbys. Replies are
+    /// released when the SSP and every current standby have acknowledged.
     pub(crate) fn flush_batch(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>) {
         if self.pending.is_empty() {
             return;
         }
         let ops = std::mem::take(&mut self.pending);
-        let first_txid = r.next_txid;
-        let sn = r.log.tail_sn() + 1;
+        let sn = r.prefix.tail_sn() + 1;
         let mut records = Vec::with_capacity(ops.len());
-        let mut acks = Vec::with_capacity(ops.len());
+        let mut settled = Vec::with_capacity(ops.len());
         let mut inflight = Inflight { flushed_at: ctx.now(), ..Default::default() };
         for (i, op) in ops.into_iter().enumerate() {
             // The legs may have settled already (fast acks); only xids
@@ -262,24 +258,14 @@ impl Tenure {
                 // client binding lives in the coordinating group's journal.
                 ReplyTo::XGroup { .. } => inflight.xg_replies.push((op.reply, Ok(op.output))),
                 ReplyTo::Client { node: client, seq } => {
-                    // Ack records replicate the `(client, seq)` each record
-                    // settles, so every replica that replays the batch
-                    // rebuilds the retry window.
-                    let record = i as u32;
-                    acks.push(mams_journal::AckRecord { record, client, seq, spec: false });
-                    // Fold the same binding into our own window (our batches
-                    // never go through `apply_records` — the ops already
-                    // executed in `exec_mutation`). The outcome comes straight
-                    // from the executed op, which is byte-identical to what
-                    // replicas reconstruct at replay.
                     let outcome = match &op.output {
                         OpOutput::Done => mams_namespace::RetryOutcome::Done,
                         OpOutput::Block(b) => mams_namespace::RetryOutcome::Block(*b),
                         OpOutput::Info(info) => mams_namespace::RetryOutcome::Info(info.clone()),
                         OpOutput::Listing(_) => unreachable!("reads are never journaled"),
                     };
-                    let entry = mams_namespace::RetryEntry { outcome, token: None };
-                    r.window.record(client, seq, entry);
+                    settled
+                        .push((AckRecord { record: i as u32, client, seq, spec: false }, outcome));
                     let shards = r.shards_of_txn(&op.txn);
                     inflight.client_replies.push(ClientReply {
                         reply: op.reply,
@@ -290,9 +276,7 @@ impl Tenure {
             }
             records.push(op.txn);
         }
-        let batch = SharedBatch::sealed(JournalBatch::with_acks(sn, first_txid, records, acks));
-        r.next_txid = batch.last_txid() + 1;
-        r.log.append(batch.share()).expect("own batch is contiguous");
+        let batch = r.prefix.seal(records, settled);
 
         let epoch = self.epoch;
         for (s, _) in self.voters() {
@@ -366,7 +350,7 @@ impl Tenure {
         // inflight entry at or below it completed.
         if !self.deferred_reads.is_empty() {
             let frontier = self.inflight.keys().next().copied().unwrap_or(Sn::MAX);
-            let tail = r.log.tail_sn();
+            let tail = r.prefix.tail_sn();
             let mut keep = Vec::new();
             for (sn, node, seq, resp) in std::mem::take(&mut self.deferred_reads) {
                 if sn <= tail && sn < frontier {
@@ -394,7 +378,8 @@ impl Tenure {
         let Some(pos) = self.members.get_mut(&from) else { return };
         pos.acked = pos.acked.max(sn);
         self.try_complete(r, ctx);
-        if sn == r.log.tail_sn() && self.renew_driver.as_ref().is_some_and(|d| d.junior == from) {
+        if sn == r.prefix.tail_sn() && self.renew_driver.as_ref().is_some_and(|d| d.junior == from)
+        {
             self.promote_junior(r, ctx, from);
         }
     }
@@ -449,14 +434,14 @@ impl Tenure {
             // The same request again, not a new one (see
             // `Inflight::pool_req`). `share` ends the log borrow, so the
             // retained handle moves into the request without copying.
-            if let (Some(req), Some(batch)) = (inf.pool_req, r.log.get(sn).map(SharedBatch::share))
-            {
+            let held = r.prefix.log.get(sn).map(SharedBatch::share);
+            if let (Some(req), Some(batch)) = (inf.pool_req, held) {
                 r.pool_deliver(ctx, PoolReq::AppendJournal { group, epoch, batch, req });
             }
         }
-        let tail = r.log.tail_sn();
+        let tail = r.prefix.tail_sn();
         for (member, pos) in self.voters().filter(|(_, pos)| pos.acked < tail) {
-            for b in r.log.read_after(pos.acked).unwrap_or_default() {
+            for b in r.prefix.log.read_after(pos.acked).unwrap_or_default() {
                 ctx.send(member, GroupMsg::SyncJournal { epoch, batch: b.share() });
             }
         }
@@ -481,7 +466,7 @@ impl Tenure {
         // next mutation, so none pays for history. The retry window rides
         // inside the image so a junior restored from it inherits the
         // duplicate-suppression state as of this sn.
-        let image = r.ns.pin().encode_image(r.log.tail_sn(), &r.window);
+        let image = r.prefix.ns.pin().encode_image(r.prefix.tail_sn(), &r.prefix.window);
         let group = r.cfg.group;
         let epoch = self.epoch;
         ctx.trace("checkpoint.start", || {
@@ -509,7 +494,7 @@ impl Tenure {
             }
             return;
         };
-        let end = r.log.tail_sn();
+        let end = r.prefix.tail_sn();
         if end <= anchor {
             return; // no churn since the last artifact
         }
@@ -519,7 +504,7 @@ impl Tenure {
             // anchor the image is about to supersede.
             return;
         }
-        let Some(batches) = r.log.read_after(anchor) else {
+        let Some(batches) = r.prefix.log.read_after(anchor) else {
             // Local log compacted past the anchor (a concurrent full
             // checkpoint landed): re-anchor with a fresh image.
             self.delta_anchor = None;
@@ -528,7 +513,13 @@ impl Tenure {
         };
         let txns =
             batches.iter().filter(|b| b.sn <= end).flat_map(|b| b.entries().map(|(_, txn)| txn));
-        let delta = mams_namespace::fold_delta_with_window(&r.ns, anchor, end, txns, &r.window);
+        let delta = mams_namespace::fold_delta_with_window(
+            &r.prefix.ns,
+            anchor,
+            end,
+            txns,
+            &r.prefix.window,
+        );
         ctx.trace("delta.start", || {
             format!("({anchor}, {end}] {} entries {} B", delta.entries, delta.size_bytes())
         });
@@ -564,7 +555,7 @@ impl Tenure {
                     let unappended = self.inflight.iter().find(|(_, inf)| inf.pool_req.is_some());
                     let by_pool = unappended.map(|(&sn, _)| sn - 1);
                     let held = by_standbys.into_iter().chain(by_pool).min().unwrap_or(Sn::MAX);
-                    r.log.compact_through(checkpoint_sn.min(held));
+                    r.prefix.log.compact_through(checkpoint_sn.min(held));
                     // The new base starts a fresh manifest chain; deltas
                     // fold from here on.
                     self.delta_anchor = Some(checkpoint_sn);
@@ -620,87 +611,15 @@ pub(crate) fn voted(members: &std::collections::BTreeMap<NodeId, MemberPos>, sn:
 }
 
 impl Replica {
-    /// Serve a read against a pinned epoch snapshot. In this simulated node
-    /// the server is single-threaded, so the pin is vacuous here — but it is
-    /// the same path a threaded deployment uses (see `shard.rs`'s
-    /// `pinned_reader_concurrent_with_writer`), and going through it keeps
-    /// the snapshot machinery under the full protocol test surface: a
-    /// pinned read must observe exactly the applied-and-published prefix,
-    /// never a mutation mid-apply.
-    fn exec_read(&self, op: &FsOp) -> Result<OpOutput, String> {
-        let view = self.ns.pin();
-        match op {
-            FsOp::GetFileInfo { path } => {
-                view.getfileinfo(path).map(OpOutput::Info).map_err(|e| e.to_string())
-            }
-            FsOp::List { path } => {
-                view.list(path).map(OpOutput::Listing).map_err(|e| e.to_string())
-            }
-            _ => unreachable!("exec_read on a mutation"),
-        }
-    }
-
-    /// Validate + apply a mutation against our namespace, producing the
-    /// journal record. Errors are replied immediately and never journaled.
-    /// Consumes the op so its paths move into the record instead of being
-    /// cloned — on a create/rename-heavy mix the journal's strings are
-    /// allocated exactly once, at request decode.
-    fn exec_mutation(&mut self, op: FsOp) -> Result<(Txn, OpOutput), String> {
-        match op {
-            FsOp::Create { path, replication } => self
-                .ns
-                .create(&path, replication)
-                .map(|info| (Txn::Create { path, replication }, OpOutput::Info(info)))
-                .map_err(|e| e.to_string()),
-            FsOp::Mkdir { path } => self
-                .ns
-                .mkdir(&path)
-                .map(|()| (Txn::Mkdir { path }, OpOutput::Done))
-                .map_err(|e| e.to_string()),
-            FsOp::Delete { path, recursive } => self
-                .ns
-                .delete(&path, recursive)
-                .map(|_| (Txn::Delete { path, recursive }, OpOutput::Done))
-                .map_err(|e| e.to_string()),
-            FsOp::Rename { src, dst } => self
-                .ns
-                .rename(&src, &dst)
-                .map(|()| (Txn::Rename { src, dst }, OpOutput::Done))
-                .map_err(|e| e.to_string()),
-            FsOp::AddBlock { path, len } => {
-                let block_id = self.next_block_id;
-                self.ns
-                    .add_block(&path, block_id)
-                    .map(|()| {
-                        self.next_block_id += 1;
-                        self.blocks.register(block_id, len);
-                        (Txn::AddBlock { path, block_id, len }, OpOutput::Block(block_id))
-                    })
-                    .map_err(|e| e.to_string())
-            }
-            FsOp::CloseFile { path } => self
-                .ns
-                .close_file(&path)
-                .map(|()| (Txn::CloseFile { path }, OpOutput::Done))
-                .map_err(|e| e.to_string()),
-            FsOp::SetPerm { path, perm } => self
-                .ns
-                .set_perm(&path, perm)
-                .map(|()| (Txn::SetPerm { path, perm }, OpOutput::Done))
-                .map_err(|e| e.to_string()),
-            FsOp::GetFileInfo { .. } | FsOp::List { .. } => {
-                unreachable!("exec_mutation on a read")
-            }
-        }
-    }
-
     /// Home shards a journaled transaction touched (a rename spans its
     /// source and destination parents). Client replies release in per-shard
     /// FIFO order, so ops whose shard sets are disjoint ack independently.
     fn shards_of_txn(&self, txn: &Txn) -> [usize; 2] {
         match txn {
-            Txn::Rename { src, dst } => [self.ns.home_shard(src), self.ns.home_shard(dst)],
-            other => [self.ns.home_shard(other.primary_path()); 2],
+            Txn::Rename { src, dst } => {
+                [self.prefix.ns.home_shard(src), self.prefix.ns.home_shard(dst)]
+            }
+            other => [self.prefix.ns.home_shard(other.primary_path()); 2],
         }
     }
 
@@ -1081,7 +1000,7 @@ mod tests {
             initial_role: InitialRole::Standby,
             timing: Default::default(),
         });
-        s.role = RoleState::Active(Box::new(Tenure::new(1, &s.r.window)));
+        s.role = RoleState::Active(Box::new(Tenure::new(1, &s.r.prefix.window)));
         assert_eq!(sim.add_node("active", Box::new(Rig { s, script })), ACTIVE);
         sim.run_until(SimTime(1_000_000));
         let seen = seen.lock().unwrap().clone();

@@ -15,6 +15,7 @@ use mams_sim::{Ctx, Duration, NodeId};
 use mams_storage::pool::Epoch;
 
 use crate::config::InitialRole;
+use crate::prefix::Prefix;
 use crate::proto::GroupMsg;
 use crate::server::{
     CatchupStage, ElectStage, ElectState, Inflight, MdsServer, Member, MemberPos, Replica,
@@ -235,7 +236,7 @@ impl MdsServer {
             if self.r.members_in_state("S").next().is_some() {
                 return;
             }
-            self.r.log.tail_sn()
+            self.r.prefix.tail_sn()
         } else {
             ctx.rng().next_u64() >> 1 // random, below junior cap
         };
@@ -344,13 +345,13 @@ impl MdsServer {
         let me = ctx.id();
         let RoleState::Upgrading(up) = &mut self.role else { return };
         let buffered = std::mem::take(&mut up.buffered);
-        self.role = RoleState::Active(Box::new(Tenure::new(up.epoch, &self.r.window)));
+        self.role = RoleState::Active(Box::new(Tenure::new(up.epoch, &self.r.prefix.window)));
         self.r.active_hint = Some(me);
         let mut keys = self.active_keys(me);
         keys.push(KeyOp::Delete { key: ViewKey::Bid(self.r.cfg.group, me).to_string() });
         self.r.coord.multi(ctx, keys);
         ctx.trace("failover.view_updated", String::new);
-        ctx.trace("failover.switch_done", || format!("sn {}", self.r.log.tail_sn()));
+        ctx.trace("failover.switch_done", || format!("sn {}", self.r.prefix.tail_sn()));
         // Our replica can be *ahead* of the durable tail: the deposed active
         // synced batches to us whose own SSP appends died with it. They are
         // already applied to our image, so re-offer the suffix to the pool —
@@ -360,6 +361,7 @@ impl MdsServer {
         // committing them is linearizable.
         let (t, r) = self.active().expect("promoted above");
         let resync: Vec<SharedBatch> = r
+            .prefix
             .log
             .read_after(durable_tail)
             .map(|bs| bs.iter().map(SharedBatch::share).collect())
@@ -386,7 +388,7 @@ impl MdsServer {
         }
         let hint = self.r.active_hint.or_else(|| self.r.active_of_group(self.r.cfg.group));
         if let Some(active) = hint.filter(|&a| a != ctx.id()) {
-            ctx.send(active, GroupMsg::Register { sn: self.r.log.tail_sn() });
+            ctx.send(active, GroupMsg::Register { sn: self.r.prefix.tail_sn() });
         }
     }
 
@@ -406,13 +408,14 @@ impl MdsServer {
         m.junior = !as_standby;
         if as_standby {
             m.session = Session::default();
-        } else if self.r.log.tail_sn() > tail_sn {
+        } else if self.r.prefix.tail_sn() > tail_sn {
             // Divergent suffix (our extra batches were never
-            // client-acknowledged): rebuild from scratch.
+            // client-acknowledged): give the prefix up, catch-up rebuilds
+            // one from the pool.
             ctx.trace("member.reset_divergent", || {
-                format!("our sn {} > tail {tail_sn}", self.r.log.tail_sn())
+                format!("our sn {} > tail {tail_sn}", self.r.prefix.tail_sn())
             });
-            self.r.reset();
+            self.r.prefix = Prefix::new();
         }
         self.announce_state(ctx);
         let verdict =
@@ -495,7 +498,7 @@ impl MdsServer {
         // pending or awaiting a pool ack is therefore *speculative* state in
         // our image that the rest of the group never saw — an isolated
         // active accumulates a whole divergent suffix this way. Per the
-        // paper's junior semantics, discard everything and rebuild from the
+        // paper's junior semantics, give the prefix up and rebuild from the
         // shared image + journal; keeping the polluted image would make
         // later replay diverge.
         if let RoleState::Active(t) = &ended {
@@ -503,7 +506,7 @@ impl MdsServer {
                 ctx.trace("failover.discard_speculative", || {
                     format!("{} pending, {} inflight", t.pending.len(), t.inflight.len())
                 });
-                self.r.reset();
+                self.r.prefix = Prefix::new();
             }
         }
         // What was admitted and not served goes the same way. Legs among it
@@ -511,9 +514,6 @@ impl MdsServer {
         // re-promoted, while acknowledged ones keep answering duplicates.
         self.r.ingress.clear();
         self.r.xg_seen.retain(|_, acked| acked.is_some());
-        // As active we mutated `ns` outside the replay session, so its
-        // cached handles may be stale.
-        self.r.replay.reset();
         self.announce_state(ctx);
         self.maybe_register(ctx);
     }
@@ -528,7 +528,7 @@ impl Tenure {
     /// (a restart quicker than its session) lost what it held, and no batch
     /// waits for it any more — the renewing brings it back from the pool.
     pub(crate) fn on_register(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>, from: NodeId, sn: Sn) {
-        let tail = r.log.tail_sn();
+        let tail = r.prefix.tail_sn();
         let as_standby = sn == tail;
         let votes_from = as_standby.then_some(tail + 1);
         self.members.insert(from, MemberPos { acked: sn, votes_from });

@@ -24,13 +24,17 @@
 //! keeps back to what every standby and the pool have acknowledged.
 //!
 //! The central type is [`MdsServer`]: one replica-group member — a replica
-//! (the sharded namespace, journal log, block map, retry window and the
-//! coordination client) and beside it the one value of its role: member,
-//! upgrading, or the active's tenure. It runs on any `mams-sim` runtime.
+//! (the process: configuration, the coordination client, clocks; and the
+//! one [`Prefix`] it has derived from the journal: sharded namespace, log,
+//! block map, retry window) and beside it the one value of its role:
+//! member, upgrading, or the active's tenure. It runs on any `mams-sim`
+//! runtime. [`Prefix`] is public because the comparators in
+//! `mams-baselines` execute and replay through the same value.
 
 pub mod commit;
 pub mod config;
 pub mod ingress;
+pub mod prefix;
 pub mod proto;
 pub mod retry;
 pub mod server;
@@ -43,6 +47,7 @@ mod renewing;
 pub use commit::GroupCommitPolicy;
 pub use config::{InitialRole, MdsConfig, MdsTiming};
 pub use ingress::{CpuModel, Ingress, IngressItem};
+pub use prefix::Prefix;
 pub use proto::{FsOp, GroupMsg, MdsReq, MdsResp, OpOutput, Xid};
 pub use retry::RetryCache;
 pub use server::{MdsServer, Role};

@@ -21,12 +21,12 @@
 //! by the active's re-push (`retry_pool_appends`).
 
 use mams_journal::{SharedBatch, Sn};
-use mams_namespace::inode::ROOT_ID;
-use mams_namespace::{DeltaOp, Inode, InodeSource, StreamingImageDecoder};
+use mams_namespace::StreamingImageDecoder;
 use mams_sim::{Ctx, NodeId};
 use mams_storage::proto::{PoolReq, PoolResp, ReqId};
 use mams_storage::{ArtifactId, ArtifactKind, ManifestEntry, PoolError};
 
+use crate::prefix::Prefix;
 use crate::proto::GroupMsg;
 use crate::server::{
     CatchupStage, MdsServer, Member, RenewDriver, Replica, RoleState, Session, SessionReq, Tenure,
@@ -62,7 +62,7 @@ impl Tenure {
         let juniors = r.members_in_state("J");
         let candidate = juniors.filter_map(|n| Some((self.members.get(&n)?.acked, n))).max();
         if let Some((sn, junior)) = candidate {
-            let tip = r.log.tail_sn();
+            let tip = r.prefix.tail_sn();
             ctx.trace("renew.session_start", || format!("junior n{junior} sn {sn} tip {tip}"));
             self.renew_driver = Some(RenewDriver { junior, stale_scans: 0 });
             ctx.send(junior, GroupMsg::RenewStart { tip_sn: tip });
@@ -83,11 +83,11 @@ impl Tenure {
         let Some(pos) = self.members.get_mut(&from) else { return };
         driver.stale_scans = 0;
         pos.acked = sn;
-        let tail = r.log.tail_sn();
+        let tail = r.prefix.tail_sn();
         if tail.saturating_sub(sn) > RENEW_FINAL_GAP {
             return;
         }
-        let Some(missing) = r.log.read_after(sn) else {
+        let Some(missing) = r.prefix.log.read_after(sn) else {
             // The range was compacted from our local log (rare: checkpoint
             // raced the session). Let the junior keep pulling from the
             // pool, voting on nothing: whatever waited for it can go.
@@ -116,7 +116,7 @@ impl Tenure {
     pub(crate) fn promote_junior(&mut self, r: &Replica, ctx: &mut Ctx<'_>, junior: NodeId) {
         ctx.trace("renew.promoted", || format!("n{junior}"));
         self.renew_driver = None;
-        let tail_sn = r.log.tail_sn();
+        let tail_sn = r.prefix.tail_sn();
         if let Some(pos) = self.members.get_mut(&junior) {
             pos.votes_from.get_or_insert(tail_sn + 1);
         }
@@ -131,7 +131,7 @@ impl MdsServer {
     pub(crate) fn on_renew_start(&mut self, ctx: &mut Ctx<'_>, from: NodeId, tip_sn: Sn) {
         let RoleState::Member(m @ Member { junior: true, .. }) = &self.role else { return };
         self.r.active_hint = Some(from);
-        let gap = tip_sn.saturating_sub(self.r.log.tail_sn());
+        let gap = tip_sn.saturating_sub(self.r.prefix.tail_sn());
         ctx.trace("renew.begin", || format!("gap {gap}"));
         if let Some(CatchupStage::Chain { idx, offset, .. }) = &m.session.stage {
             // Resume an interrupted session from its checkpoint instead of
@@ -218,7 +218,7 @@ impl MdsServer {
     /// request window. `tail_hint` is the highest journal sn we know the
     /// pool holds (0 when unknown — the first response teaches us).
     pub(crate) fn enter_journal_stage(&mut self, ctx: &mut Ctx<'_>, tail_hint: Sn) {
-        let next_after = self.r.log.tail_sn();
+        let next_after = self.r.prefix.tail_sn();
         self.set_catchup(Some(CatchupStage::Journal { inflight: 0, next_after, tail_hint }));
         self.pump_journal_pages(ctx);
     }
@@ -226,12 +226,12 @@ impl MdsServer {
     /// Top up the journal-page request window: keep up to `CATCHUP_WINDOW`
     /// page reads in flight, each asking for the page after the previous
     /// request's range, so the pool RTT overlaps local replay. Responses
-    /// may arrive out of order; the stash in `ingest_batch` reassembles
-    /// them contiguously. This is the only place
+    /// may arrive out of order; the prefix's stash reassembles them
+    /// contiguously. This is the only place
     /// a member reads the pool's journal.
     fn pump_journal_pages(&mut self, ctx: &mut Ctx<'_>) {
         loop {
-            let applied = self.r.log.tail_sn();
+            let applied = self.r.prefix.tail_sn();
             let after = {
                 let Some(CatchupStage::Journal { inflight, next_after, tail_hint }) =
                     self.role.stage()
@@ -282,7 +282,7 @@ impl MdsServer {
                 return;
             }
         }
-        let applied = self.r.log.tail_sn();
+        let applied = self.r.prefix.tail_sn();
         if manifest.is_empty() || manifest.end_sn() <= applied {
             // Nothing checkpointed past our state: journal replay only.
             self.enter_journal_stage(ctx, 0);
@@ -427,13 +427,10 @@ impl MdsServer {
         match decoder.finish_with_window() {
             Ok((tree, image_sn, window)) => {
                 ctx.trace("renew.image_loaded", || format!("checkpoint sn {image_sn}"));
-                let highest_block = highest_block_id(&tree);
-                self.r.ns = mams_namespace::ShardedNamespace::from_tree(tree);
                 // The image's retry window is the writer's window at
-                // `image_sn`; adopting it keeps the window a function of
-                // the journal prefix even though we never saw the batches.
-                self.r.window = window;
-                self.r.rebase(image_sn, highest_block);
+                // `image_sn`: the prefix it stands for, though we never saw
+                // the batches.
+                self.r.prefix = Prefix::from_image(tree, image_sn, window);
                 self.advance_chain(ctx);
             }
             Err(e) => {
@@ -450,33 +447,13 @@ impl MdsServer {
             Some(CatchupStage::Chain { buf, .. }) => std::mem::take(buf),
             _ => return,
         };
-        let applied = self.r.log.tail_sn();
-        let outcome = mams_namespace::decode_delta(&buf).map_err(|e| e.to_string()).and_then(|d| {
-            if applied < d.base_sn {
-                // A hole in front of this delta (should not happen on a
-                // well-formed chain): applying it would skip records.
-                return Err(format!("delta chains onto {} but we are at {applied}", d.base_sn));
-            }
-            mams_namespace::apply_delta(&mut self.r.ns, &d).map_err(|e| e.to_string())?;
-            let blocks = d.entries.iter().filter_map(|e| match &e.op {
-                DeltaOp::UpsertFile { blocks, .. } => blocks.iter().max().copied(),
-                _ => None,
-            });
-            Ok((d.end_sn, d.window, blocks.max().unwrap_or(0)))
+        let adopted = mams_namespace::decode_delta(&buf).map_err(|e| e.to_string()).and_then(|d| {
+            let end_sn = d.end_sn;
+            self.r.prefix.adopt_delta(d).map(|()| end_sn)
         });
-        match outcome {
-            Ok((end_sn, window, highest_block)) => {
+        match adopted {
+            Ok(end_sn) => {
                 ctx.trace("renew.delta_applied", || format!("to sn {end_sn}"));
-                // Adopt the delta's retry window (it reflects `end_sn`); an
-                // empty section means no acks were ever journaled in the
-                // writer's window — keep what we have (same policy as pool
-                // compaction).
-                if !window.is_empty() {
-                    self.r.window = window;
-                }
-                // The delta advanced us past records we never saw as
-                // batches: rebase the local log exactly like an image load.
-                self.r.rebase(end_sn, highest_block);
                 self.advance_chain(ctx);
             }
             Err(e) => {
@@ -523,7 +500,7 @@ impl MdsServer {
             return;
         }
         if let Some(active) = self.r.active_hint.filter(|&a| a != ctx.id()) {
-            ctx.send(active, GroupMsg::RenewProgress { sn: self.r.log.tail_sn() });
+            ctx.send(active, GroupMsg::RenewProgress { sn: self.r.prefix.tail_sn() });
         }
     }
 
@@ -550,11 +527,8 @@ impl MdsServer {
             return;
         }
         *tail_hint = (*tail_hint).max(tail_sn);
-        for b in batches {
-            self.r.ingest_batch(b);
-        }
-        self.r.note_divergence(ctx);
-        let caught_up = self.r.log.tail_sn() >= tail_sn;
+        self.r.ingest(ctx, batches);
+        let caught_up = self.r.prefix.tail_sn() >= tail_sn;
         if matches!(self.role, RoleState::Upgrading(_)) {
             // The switch: once everything durable is applied, take over.
             if caught_up {
@@ -574,19 +548,4 @@ impl MdsServer {
             self.pump_journal_pages(ctx);
         }
     }
-}
-
-/// The highest block id any file of `tree` holds (0: none).
-fn highest_block_id(tree: &impl InodeSource) -> u64 {
-    let (mut highest, mut stack) = (0, vec![ROOT_ID]);
-    while let Some(id) = stack.pop() {
-        match tree.inode(id) {
-            Some(Inode::Directory { children, .. }) => stack.extend(children.values()),
-            Some(Inode::File { blocks, .. }) => {
-                highest = blocks.iter().fold(highest, |h, &b| h.max(b))
-            }
-            None => {}
-        }
-    }
-    highest
 }

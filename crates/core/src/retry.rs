@@ -51,7 +51,6 @@ pub struct RetryCache {
     /// of a mutation whose first run is still in flight can interleave with
     /// other clients' operations and corrupt the history.
     inflight: HashSet<(NodeId, u64)>,
-    cap: usize,
 }
 
 /// Default responses remembered per client (overflow bound; the watermark
@@ -60,16 +59,7 @@ pub const DEFAULT_RETRY_WINDOW: usize = 128;
 
 impl RetryCache {
     pub fn new() -> Self {
-        RetryCache {
-            per_client: HashMap::new(),
-            inflight: HashSet::new(),
-            cap: DEFAULT_RETRY_WINDOW,
-        }
-    }
-
-    pub fn with_capacity(cap: usize) -> Self {
-        assert!(cap >= 1);
-        RetryCache { per_client: HashMap::new(), inflight: HashSet::new(), cap }
+        Self::default()
     }
 
     /// A cached response for an exact duplicate, if remembered.
@@ -115,7 +105,7 @@ impl RetryCache {
             return;
         }
         slot.responses.insert(seq, resp);
-        while slot.responses.len() > self.cap {
+        while slot.responses.len() > DEFAULT_RETRY_WINDOW {
             let oldest = *slot.responses.keys().next().expect("non-empty");
             slot.responses.remove(&oldest);
         }
@@ -212,13 +202,14 @@ mod tests {
 
     #[test]
     fn capacity_remains_an_overflow_backstop() {
-        let mut c = RetryCache::with_capacity(2);
-        c.store(1, 1, resp(1));
-        c.store(1, 2, resp(2));
-        c.store(1, 3, resp(3));
+        let mut c = RetryCache::new();
+        let last = DEFAULT_RETRY_WINDOW as u64 + 1;
+        for seq in 1..=last {
+            c.store(1, seq, resp(seq));
+        }
         assert!(c.check(1, 1).is_none(), "overflow still drops the lowest seq");
         assert!(c.check(1, 2).is_some());
-        assert!(c.check(1, 3).is_some());
+        assert!(c.check(1, last).is_some());
     }
 
     /// The reserved `token` of an entry never reaches the reply.

@@ -1,7 +1,8 @@
 //! The replica-group member: one replica, one role value, and dispatch.
 //!
-//! [`Replica`] is what a member is whatever it does: a function of the
-//! journal prefix and of the process. Beside it sits one [`RoleState`] —
+//! [`Replica`] is what a member is whatever it does: the process, and the
+//! one [`Prefix`] it has derived from the journal. Beside it sits one
+//! [`RoleState`] —
 //! [`Member`] (standby, junior, electing), [`Upgrading`] (the switch) or
 //! [`Tenure`] (active) — that `begin_upgrade` and `finish_upgrade` construct
 //! and `degrade_to_junior` drops: nothing of a role is reset field by field,
@@ -17,16 +18,15 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use mams_coord::{CoordClient, Incoming};
-use mams_journal::{JournalBatch, JournalLog, SharedBatch, Sn, Txn, TxnId};
-use mams_namespace::{
-    replay_outcome, BlockMap, RetryEntry, RetryWindow, ShardedNamespace, ShardedReplaySession,
-};
+use mams_journal::{SharedBatch, Sn, Txn};
+use mams_namespace::RetryWindow;
 use mams_sim::{Ctx, Duration, Message, Node, NodeId, SimTime};
 use mams_storage::pool::{ArtifactId, ArtifactKind, Epoch};
 use mams_storage::proto::{PoolReq, PoolResp, ReqId};
 
 use crate::commit::FLUSH_IDLE;
 use crate::config::{InitialRole, MdsConfig};
+use crate::prefix::Prefix;
 use crate::proto::{GroupMsg, MdsReq, MdsResp, OpOutput, Xid};
 use crate::view::ViewKey;
 
@@ -378,11 +378,10 @@ impl RoleState {
     }
 }
 
-/// What a member is in every role: a function of the journal prefix it has
-/// applied (`ns`, `blocks`, `log`, `window`, the id high-water marks) and of
-/// the process (configuration, the coordination session, clocks, counters).
-/// No role change resets any of it; `reset` discards the journal-derived
-/// part when the prefix itself is given up.
+/// What a member is in every role: the journal prefix it has applied, one
+/// value that `reset` and an adopted image replace whole, and the process
+/// (configuration, the coordination session, clocks, counters), which no
+/// role change resets.
 pub(crate) struct Replica {
     pub cfg: MdsConfig,
     pub coord: CoordClient,
@@ -390,29 +389,7 @@ pub(crate) struct Replica {
     pub group_epoch: Epoch,
     pub active_hint: Option<NodeId>,
 
-    pub ns: ShardedNamespace,
-    pub blocks: BlockMap,
-    /// Every applied batch since the last compaction. Its tail is the
-    /// applied position, whatever wrote it: a flush, `ingest_batch`, an
-    /// adopted image or delta, a reset.
-    pub log: JournalLog,
-    /// Out-of-order sync buffer (drained contiguously onto the log); holds
-    /// shared handles, so stashing never copies records.
-    pub stash: BTreeMap<Sn, SharedBatch>,
-    pub next_txid: TxnId,
-    /// Next block id to allocate (replay advances it past any seen id).
-    pub next_block_id: u64,
-    /// Journal replay fast path (validate-skip + cached parent handle).
-    /// Reset whenever `ns` is replaced or mutated outside replay (image
-    /// load, replica reset, a stint as active).
-    pub replay: ShardedReplaySession,
-    /// Replicated retry-outcome window: the `(client, seq) → outcome`
-    /// bindings of every journaled batch this replica has applied (or
-    /// adopted from an image/delta). A pure function of the journal prefix
-    /// — standbys, catch-up juniors, and the active all agree byte-for-byte
-    /// — so a tenure seeds its response cache from it and keeps
-    /// at-most-once across the switch.
-    pub window: RetryWindow,
+    pub prefix: Prefix,
     /// View cache maintained from watch events; what does not parse as a
     /// key is not kept. Ordered, so a group's state keys are a range.
     pub view: BTreeMap<ViewKey, String>,
@@ -440,7 +417,8 @@ pub(crate) struct Replica {
     pub next_pool_req: ReqId,
     pub pool_rr: usize,
 
-    /// Replay-divergence counter; must stay 0 in a correct deployment.
+    /// Records that failed to re-apply, over every prefix this process
+    /// held; must stay 0 in a correct deployment.
     pub divergences: u64,
     /// One-shot guard for the `replica.diverged` trace event.
     pub diverged_traced: bool,
@@ -474,14 +452,7 @@ impl MdsServer {
             coord,
             group_epoch: 0,
             active_hint: None,
-            ns: ShardedNamespace::new(),
-            blocks: BlockMap::new(),
-            log: JournalLog::new(),
-            stash: BTreeMap::new(),
-            next_txid: 1,
-            next_block_id: 1,
-            replay: ShardedReplaySession::new(),
-            window: RetryWindow::new(),
+            prefix: Prefix::new(),
             view: BTreeMap::new(),
             xg_seen: HashMap::new(),
             boot_lock_tried: false,
@@ -512,18 +483,18 @@ impl MdsServer {
 
     /// Applied journal position (test/harness hook).
     pub fn applied_sn(&self) -> Sn {
-        self.r.log.tail_sn()
+        self.r.prefix.tail_sn()
     }
 
     /// Namespace fingerprint (test hook).
     pub fn fingerprint(&self) -> u64 {
-        self.r.ns.fingerprint()
+        self.r.prefix.ns.fingerprint()
     }
 
     /// Fingerprint of the directory skeleton alone — what every replica
     /// group of a deployment agrees on at quiescence (test hook).
     pub fn skeleton_fingerprint(&self) -> u64 {
-        self.r.ns.skeleton_fingerprint()
+        self.r.prefix.ns.skeleton_fingerprint()
     }
 
     /// Pool requests whose replies are still awaited (test/harness hook).
@@ -542,7 +513,7 @@ impl MdsServer {
 
     /// Replay divergences observed (test hook; must be 0).
     pub fn divergences(&self) -> u64 {
-        self.r.divergences()
+        self.r.divergences
     }
 
     /// The tenure and the replica it runs on, while we are the active.
@@ -559,7 +530,7 @@ impl MdsServer {
         // Block reports go to every member regardless of role — that is
         // what keeps standbys hot on file locations.
         if let MdsReq::BlockReport { server, blocks } = &req {
-            self.r.blocks.report(*server, blocks);
+            self.r.prefix.blocks.report(*server, blocks);
             return;
         }
         // Lazy lease enforcement: a just-thawed zombie can receive queued
@@ -638,14 +609,11 @@ impl MdsServer {
             return;
         }
         self.r.active_hint = Some(from);
-        for batch in batches {
-            self.r.ingest_batch(batch);
-        }
-        self.r.note_divergence(ctx);
+        self.r.ingest(ctx, batches);
         // Cumulative: a hole (a batch lost on the wire) shows as an ack
         // below what the active sent, and its re-push fills it — a standby
         // never reads the pool.
-        ctx.send(from, GroupMsg::SyncAck { sn: self.r.log.tail_sn() });
+        ctx.send(from, GroupMsg::SyncAck { sn: self.r.prefix.tail_sn() });
     }
 
     /// One tick of a configured checkpoint cadence: an active starts the
@@ -686,17 +654,21 @@ impl MdsServer {
 }
 
 impl Replica {
-    pub(crate) fn divergences(&self) -> u64 {
-        self.divergences + self.ns.divergences()
-    }
-
-    /// Surface replica divergence on the trace (once per boot) so harnesses
-    /// outside the boxed node — e.g. the chaos campaign's invariant sweep —
-    /// can detect it by tag.
-    pub(crate) fn note_divergence(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.diverged_traced && self.divergences() > 0 {
+    /// Replay batches from any source onto the prefix (see
+    /// [`Prefix::ingest`]). A record that fails to re-apply is surfaced on
+    /// the trace (once per boot) so harnesses outside the boxed node — e.g.
+    /// the chaos campaign's invariant sweep — can detect it by tag.
+    pub(crate) fn ingest(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        batches: impl IntoIterator<Item = SharedBatch>,
+    ) {
+        for batch in batches {
+            self.divergences += self.prefix.ingest(batch);
+        }
+        if !self.diverged_traced && self.divergences > 0 {
             self.diverged_traced = true;
-            let n = self.divergences();
+            let n = self.divergences;
             ctx.trace("replica.diverged", || format!("count={n}"));
         }
     }
@@ -714,94 +686,6 @@ impl Replica {
         let target = self.cfg.pool[self.pool_rr % self.cfg.pool.len()];
         self.pool_rr += 1;
         ctx.send(target, req);
-    }
-
-    // ------------------------------------------------------------- journal
-
-    /// Apply a batch's records to the namespace + block map and advance the
-    /// txid high-water mark. Caller appends the batch to the log.
-    ///
-    /// Ack records riding on the batch (wire v2) are folded into the
-    /// replicated retry window *at each record's apply point*, so the
-    /// reconstructed outcome (e.g. the `FileInfo` a `Create` answered) is
-    /// exactly what the original active sent.
-    fn apply_records(&mut self, batch: &JournalBatch) {
-        let mut acks = batch.acks.iter().peekable();
-        for (i, (txid, txn)) in batch.entries().enumerate() {
-            if let Txn::AddBlock { block_id, len, .. } = txn {
-                self.blocks.register(*block_id, *len);
-                self.next_block_id = self.next_block_id.max(*block_id + 1);
-            }
-            // Replay fast path: journalled records were validated by the
-            // active, so the session skips re-validation and reuses the
-            // previous record's parent-directory resolution.
-            if self.replay.apply(&self.ns, txn).is_err() {
-                // Journaled transactions were validated before logging, so
-                // failure to re-apply means replica divergence.
-                self.divergences += 1;
-            }
-            self.next_txid = self.next_txid.max(txid + 1);
-            // Acks are sorted by record index (the flush emits them in op
-            // order), so a single forward scan pairs them up.
-            while let Some(ack) = acks.next_if(|a| a.record as usize == i) {
-                let outcome = replay_outcome(|p| self.ns.getfileinfo(p).ok(), txn);
-                self.window.record(ack.client, ack.seq, RetryEntry { outcome, token: None });
-            }
-        }
-    }
-
-    /// Ingest a batch from any source (live sync, re-flush, renewing, pool
-    /// catch-up): stash, then drain contiguously onto the log. Returns the
-    /// highest sn applied by this call, if any.
-    ///
-    /// A non-empty stash after draining means a batch went missing on the
-    /// wire; the active's re-push (`retry_pool_appends`) fills the hole.
-    pub(crate) fn ingest_batch(&mut self, batch: SharedBatch) -> Option<Sn> {
-        if batch.sn <= self.log.tail_sn() {
-            return None; // duplicate: suppressed by sn comparison
-        }
-        self.stash.insert(batch.sn, batch);
-        let mut last = None;
-        while let Some(next) = self.stash.remove(&(self.log.tail_sn() + 1)) {
-            self.apply_records(&next);
-            // Keep a local handle in the log (standbys serve renewing reads
-            // and may become the active) — same allocation, no copy.
-            last = Some(next.sn);
-            self.log.append(next).expect("the stash drains in sn order onto the log's tail");
-        }
-        last
-    }
-
-    /// Discard every bit of replicated state (a divergent member resetting
-    /// to junior, per step 5 of the switch when sn values cannot match).
-    pub(crate) fn reset(&mut self) {
-        self.ns = ShardedNamespace::new();
-        self.replay.reset();
-        self.log = JournalLog::new();
-        self.stash.clear();
-        self.next_txid = 1;
-        self.next_block_id = 1;
-        // Block locations are rebuilt by the periodic reports.
-        self.blocks = BlockMap::new();
-        // The window is a function of the journal prefix; no prefix, no
-        // window. Rebuilt alongside the namespace during catch-up.
-        self.window.clear();
-    }
-
-    /// Adopt state the pool checkpointed at `sn` (an image loaded into
-    /// `ns`, or a delta applied to it): the log restarts there, as after
-    /// any records we never saw as batches. Replay would have advanced the
-    /// block-id mark past every `AddBlock` among them; `highest_block`, the
-    /// highest id in what was adopted, does it here, or a member elected
-    /// after catching up this way hands out ids its files already hold.
-    /// `next_txid` stays where it is, on purpose: no artifact carries one
-    /// and nothing keys on it — replay ignores it, the pool and the members
-    /// deduplicate by `sn`, the retry window by `(client, seq)`.
-    pub(crate) fn rebase(&mut self, sn: Sn, highest_block: u64) {
-        self.replay.reset();
-        self.log = JournalLog::with_base(sn);
-        self.stash.clear();
-        self.next_block_id = self.next_block_id.max(highest_block + 1);
     }
 
     // ---------------------------------------------------------------- view
@@ -966,7 +850,7 @@ impl Node for MdsServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mams_journal::{decode_batch, AckRecord};
+    use mams_journal::{decode_batch, AckRecord, JournalBatch};
     use mams_namespace::{Partitioner, RetryOutcome};
 
     /// A standby's state after ingesting one batch whose only ack record
@@ -989,8 +873,9 @@ mod tests {
         let sealed = SharedBatch::sealed(JournalBatch::with_acks(1, 1, records, acks));
         let decoded = decode_batch(sealed.wire().clone()).expect("own encoding decodes");
         assert_eq!(decoded.acks[0].spec, spec, "the byte survives the wire");
-        assert_eq!(s.r.ingest_batch(SharedBatch::new(decoded)), Some(1));
-        (s.fingerprint(), s.r.window)
+        assert_eq!(s.r.prefix.ingest(SharedBatch::new(decoded)), 0);
+        assert_eq!(s.applied_sn(), 1);
+        (s.fingerprint(), s.r.prefix.window)
     }
 
     /// `AckRecord::spec` is a reserved byte: whatever it holds, a replica

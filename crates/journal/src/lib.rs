@@ -1,4 +1,4 @@
-//! # mams-journal — edit-log transactions, batches, and replay
+//! # mams-journal — edit-log transactions, batches, and the log
 //!
 //! The MAMS active serializes every namespace mutation into a journal. Log
 //! records are grouped into batches described by the pair `⟨sn, txid⟩`
@@ -16,17 +16,18 @@
 //! * [`JournalLog`] — an in-memory segment enforcing sn contiguity and
 //!   idempotent appends,
 //! * [`SharedBatch`] — a reference-counted batch handle with an encode-once
-//!   wire form, so fan-out to standbys and the SSP never deep-copies,
-//! * [`ReplayCursor`] — duplicate-suppressing batch application.
+//!   wire form, so fan-out to standbys and the SSP never deep-copies.
+//!
+//! Applying batches to a namespace — step 4's "only if `sn` is larger than
+//! the current maximum" included — is `mams_core::Prefix::ingest`, the one
+//! replay every node of every deployment runs.
 
-pub mod cursor;
 pub mod encode;
 pub mod hash;
 pub mod log;
 pub mod shared;
 pub mod txn;
 
-pub use cursor::{Apply, ReplayCursor, ReplayOutcome};
 pub use encode::{decode_batch, encode_batch, EncodeError};
 pub use hash::{fnv1a64, peek_varint, Fnv1a64, HashingBuf, Varint};
 pub use log::{AppendOutcome, JournalError, JournalLog};

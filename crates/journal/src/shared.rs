@@ -74,15 +74,6 @@ impl SharedBatch {
     }
 }
 
-/// Lets shared handles stand in wherever a `&JournalBatch` is borrowed
-/// (e.g. [`crate::ReplayCursor::offer_all`]). Consistent with `Eq`: handle
-/// equality is batch-content equality.
-impl std::borrow::Borrow<JournalBatch> for SharedBatch {
-    fn borrow(&self) -> &JournalBatch {
-        &self.inner.batch
-    }
-}
-
 impl Deref for SharedBatch {
     type Target = JournalBatch;
 

@@ -113,10 +113,6 @@ impl RetryWindow {
         self.per_client.is_empty()
     }
 
-    pub fn clear(&mut self) {
-        self.per_client.clear();
-    }
-
     /// Iterate `(client, seq, entry)` in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u64, &RetryEntry)> {
         self.per_client.iter().flat_map(|(&c, ring)| ring.iter().map(move |(s, e)| (c, *s, e)))

@@ -87,7 +87,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use mams_journal::{Apply, Sn, Txn, TxnId};
+use mams_journal::{Sn, Txn};
 
 use crate::image::{encode_image_with_window, NamespaceImage};
 use crate::inode::{child, FileInfo, Inode, InodeId, InodeSource, Name, ROOT_ID};
@@ -429,7 +429,6 @@ pub struct ShardedNamespace {
     pin_slots: Box<[AtomicU64]>,
     num_files: AtomicU64,
     num_dirs: AtomicU64,
-    divergences: AtomicU64,
 }
 
 impl std::fmt::Debug for ShardedNamespace {
@@ -484,7 +483,6 @@ impl ShardedNamespace {
             pin_slots: (0..MAX_PINS).map(|_| AtomicU64::new(PIN_EMPTY)).collect(),
             num_files: AtomicU64::new(0),
             num_dirs: AtomicU64::new(0),
-            divergences: AtomicU64::new(0),
         }
     }
 
@@ -549,11 +547,6 @@ impl ShardedNamespace {
     /// Number of directories, excluding the root.
     pub fn num_dirs(&self) -> u64 {
         self.num_dirs.load(Ordering::Relaxed)
-    }
-
-    /// Replay divergence count (must stay 0 in a correct deployment).
-    pub fn divergences(&self) -> u64 {
-        self.divergences.load(Ordering::Relaxed)
     }
 
     /// Displaced versions still chained behind live inodes for pinned
@@ -1294,15 +1287,6 @@ impl ShardedNamespace {
             }
         }
         sum
-    }
-}
-
-impl Apply for ShardedNamespace {
-    fn apply_txn(&mut self, _txid: TxnId, txn: &Txn) {
-        if self.apply(txn).is_err() {
-            self.divergences.fetch_add(1, Ordering::Relaxed);
-            debug_assert!(false, "journal replay diverged on {txn:?}");
-        }
     }
 }
 

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use mams_journal::{Apply, Txn, TxnId};
+use mams_journal::Txn;
 
 use crate::inode::{child, FileInfo, Inode, InodeId, InodeSource, Name, ROOT_ID};
 use crate::path::{self, PathError};
@@ -67,9 +67,6 @@ pub struct NamespaceTree {
     pub(crate) next_id: InodeId,
     num_files: u64,
     num_dirs: u64,
-    /// Journal replays that failed to apply — any nonzero value indicates a
-    /// protocol bug (journaled operations must always replay cleanly).
-    divergences: u64,
 }
 
 impl Default for NamespaceTree {
@@ -83,7 +80,7 @@ impl NamespaceTree {
     pub fn new() -> Self {
         let mut inodes = HashMap::new();
         inodes.insert(ROOT_ID, Inode::new_dir());
-        NamespaceTree { inodes, next_id: 1, num_files: 0, num_dirs: 0, divergences: 0 }
+        NamespaceTree { inodes, next_id: 1, num_files: 0, num_dirs: 0 }
     }
 
     /// Number of files.
@@ -96,11 +93,6 @@ impl NamespaceTree {
         self.num_dirs
     }
 
-    /// Replay divergence count (must stay 0 in a correct deployment).
-    pub fn divergences(&self) -> u64 {
-        self.divergences
-    }
-
     /// Assemble a tree from raw parts (the sharded namespace's conversion
     /// path). The caller guarantees `inodes` is a well-formed tree rooted at
     /// `ROOT_ID`, `next_id` is above every id in it, and the counts match.
@@ -111,7 +103,7 @@ impl NamespaceTree {
         num_dirs: u64,
     ) -> Self {
         debug_assert!(inodes.contains_key(&ROOT_ID));
-        NamespaceTree { inodes, next_id, num_files, num_dirs, divergences: 0 }
+        NamespaceTree { inodes, next_id, num_files, num_dirs }
     }
 
     /// Decompose into `(inodes, next_id, num_files, num_dirs)` — the sharded
@@ -516,15 +508,6 @@ impl InodeSource for NamespaceTree {
     }
 }
 
-impl Apply for NamespaceTree {
-    fn apply_txn(&mut self, _txid: TxnId, txn: &Txn) {
-        if self.apply(txn).is_err() {
-            self.divergences += 1;
-            debug_assert!(false, "journal replay diverged on {txn:?}");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -660,7 +643,6 @@ mod tests {
             replayed.apply(&txn).unwrap();
         }
         assert_eq!(direct.fingerprint(), replayed.fingerprint());
-        assert_eq!(replayed.divergences(), 0);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! would have produced:
 //!
 //! - the recorded history is strictly linearizable (Wing–Gong checker);
-//! - the SSP journal replays to the same fingerprint via the fast
-//!   `ShardedReplaySession` and a naive per-record apply — and no replica ever
-//!   reported divergence, so the live (serve-order) image agrees;
+//! - the SSP journal replays to the same fingerprint via the members' own
+//!   replay (`Prefix::ingest`) and a naive per-record apply — and no replica
+//!   ever reported divergence, so the live (serve-order) image agrees;
 //! - replies for ops journaled under the *same parent directory* by the
 //!   same group completed in journal order (per-shard FIFO held);
 //! - the `commit.ooo_release` trace fired, so the suite exercised the
@@ -26,9 +26,9 @@ use std::collections::HashMap;
 use mams_chaos::{check_history, CheckOutcome};
 use mams_cluster::deploy::{build, DeploySpec};
 use mams_cluster::{faults, History, Metrics, Recorder, Workload};
-use mams_core::FsOp;
-use mams_journal::{ReplayCursor, Txn};
-use mams_namespace::{path, NamespaceTree, ShardedNamespace, ShardedReplaySession};
+use mams_core::{FsOp, Prefix};
+use mams_journal::Txn;
+use mams_namespace::{path, NamespaceTree};
 use mams_sim::{Duration, Sim, SimConfig, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -166,22 +166,21 @@ fn run_case(case: u64) -> CaseOutcome {
             .group(group)
             .and_then(|g| g.read_journal(0, usize::MAX))
             .unwrap_or_default();
-        let mut order: Vec<Txn> = Vec::new();
-        let mut cursor = ReplayCursor::new();
-        for b in &batches {
-            cursor.offer(b, &mut |_txid, t: &Txn| order.push(t.clone()));
+        let mut fast = Prefix::new();
+        for b in batches {
+            assert_eq!(fast.ingest(b), 0, "case {case}: group {group} replay diverged");
         }
+        let applied = fast.log().read_after(0).expect("nothing compacted");
+        let order: Vec<&Txn> =
+            applied.iter().flat_map(|b| b.entries().map(|(_, txn)| txn)).collect();
         assert!(!order.is_empty(), "case {case}: group {group} journaled nothing");
 
         let mut naive = NamespaceTree::new();
-        let fast = ShardedNamespace::new();
-        let mut session = ShardedReplaySession::new();
         for t in &order {
             naive.apply(t).expect("journaled txns always replay");
-            session.apply(&fast, t).expect("journaled txns replay via the session");
         }
         assert_eq!(
-            fast.fingerprint(),
+            fast.ns().fingerprint(),
             naive.fingerprint(),
             "case {case}: group {group} replay paths disagree"
         );
@@ -190,7 +189,7 @@ fn run_case(case: u64) -> CaseOutcome {
         // directory must have completed in journal order (modulo reply
         // delivery jitter).
         let mut last_done: HashMap<String, (u64, String)> = HashMap::new();
-        for t in &order {
+        for t in order {
             if let Txn::Create { path: p, .. } = t {
                 if let Some(&done) = completed_ok.get(p) {
                     let dir = path::parent(p).unwrap_or("/").to_string();

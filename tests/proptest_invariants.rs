@@ -10,8 +10,9 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use mams::core::Prefix;
 use mams::journal::{
-    decode_batch, encode_batch, AppendOutcome, JournalBatch, JournalLog, ReplayCursor, Txn,
+    decode_batch, encode_batch, AppendOutcome, JournalBatch, JournalLog, SharedBatch, Txn,
 };
 use mams::namespace::{decode_image, encode_image, NamespaceTree, Partitioner};
 
@@ -153,9 +154,10 @@ fn replay_reproduces_live_execution() {
     }
 }
 
-/// Invariant 3: offering batches with duplications and stale repeats
-/// through the cursor yields the same state as a clean sequential replay
-/// (sn-based duplicate suppression).
+/// Invariant 3: offering batches with duplications and stale repeats to
+/// the prefix — the replay every member runs — yields the same state as a
+/// clean sequential replay (sn-based duplicate suppression), and that state
+/// is the reference tree's.
 #[test]
 fn cursor_suppresses_duplicates() {
     for case in 0..cases(64) {
@@ -171,41 +173,34 @@ fn cursor_suppresses_duplicates() {
             continue;
         }
         // Pack into batches of 3.
-        let batches: Vec<JournalBatch> = journaled
+        let batches: Vec<SharedBatch> = journaled
             .chunks(3)
             .enumerate()
             .map(|(i, chunk)| JournalBatch::new(i as u64 + 1, i as u64 * 3 + 1, chunk.to_vec()))
+            .map(SharedBatch::new)
             .collect();
 
         // Clean replay.
-        let mut clean = NamespaceTree::new();
-        let mut cur = ReplayCursor::new();
+        let mut clean = Prefix::new();
         for b in &batches {
-            let mut sink = |_: u64, t: &Txn| {
-                let _ = clean.apply(t);
-            };
-            cur.offer(b, &mut sink);
+            assert_eq!(clean.ingest(b.share()), 0, "case {case}: sn {} diverged", b.sn);
         }
 
         // Messy replay: after each batch, re-offer some earlier batches.
-        let mut messy = NamespaceTree::new();
-        let mut cur2 = ReplayCursor::new();
+        let mut messy = Prefix::new();
         for (i, b) in batches.iter().enumerate() {
-            let mut sink = |_: u64, t: &Txn| {
-                let _ = messy.apply(t);
-            };
-            cur2.offer(b, &mut sink);
+            messy.ingest(b.share());
             for &d in &dup_pattern {
                 if d <= i {
-                    let mut sink = |_: u64, t: &Txn| {
-                        let _ = messy.apply(t);
-                    };
-                    cur2.offer(&batches[d], &mut sink);
+                    assert_eq!(messy.ingest(batches[d].share()), 0, "case {case}");
+                    assert_eq!(messy.tail_sn(), i as u64 + 1, "case {case}: a repeat applied");
                 }
             }
         }
-        assert_eq!(clean.fingerprint(), messy.fingerprint(), "case {case}");
-        assert_eq!(cur.max_sn(), cur2.max_sn(), "case {case}");
+        assert_eq!(clean.ns().fingerprint(), source.fingerprint(), "case {case}");
+        assert_eq!(clean.ns().fingerprint(), messy.ns().fingerprint(), "case {case}");
+        assert_eq!(clean.tail_sn(), messy.tail_sn(), "case {case}");
+        assert_eq!(clean.id_marks(), messy.id_marks(), "case {case}");
     }
 }
 
@@ -318,7 +313,6 @@ fn replay_session_matches_naive_apply() {
 /// namespaces — sharing the allocation must not change replay semantics.
 #[test]
 fn shared_batch_replays_identically_via_sync_and_pool_paths() {
-    use mams::journal::SharedBatch;
     use mams::storage::pool::GroupStore;
 
     let txns = vec![
@@ -334,12 +328,8 @@ fn shared_batch_replays_identically_via_sync_and_pool_paths() {
     // Path 1: the standby's SyncJournal ingest — it replays the shared
     // handle itself.
     let standby_copy = sealed.share();
-    let mut via_sync = NamespaceTree::new();
-    let mut cur = ReplayCursor::new();
-    let mut sink = |_: u64, t: &Txn| {
-        via_sync.apply(t).expect("valid txn");
-    };
-    cur.offer(&standby_copy, &mut sink);
+    let mut via_sync = Prefix::new();
+    assert_eq!(via_sync.ingest(standby_copy.share()), 0, "valid txns");
 
     // Path 2: the pool append + read_after tail a recovering node replays.
     let mut store = GroupStore::default();
@@ -350,19 +340,19 @@ fn shared_batch_replays_identically_via_sync_and_pool_paths() {
         SharedBatch::ptr_eq(&tail[0], &sealed),
         "pool must return the shared allocation, not a copy"
     );
-    let mut via_pool = NamespaceTree::new();
-    let mut cur2 = ReplayCursor::new();
-    for b in &tail {
-        let mut sink = |_: u64, t: &Txn| {
-            via_pool.apply(t).expect("valid txn");
-        };
-        cur2.offer(b, &mut sink);
+    let mut via_pool = Prefix::new();
+    for b in tail {
+        assert_eq!(via_pool.ingest(b), 0, "valid txns");
     }
 
-    assert_eq!(via_sync.fingerprint(), via_pool.fingerprint());
-    let img_sync = mams::namespace::encode_image(&via_sync, 1);
-    let img_pool = mams::namespace::encode_image(&via_pool, 1);
+    assert_eq!(via_sync.ns().fingerprint(), via_pool.ns().fingerprint());
+    assert_eq!(via_sync.id_marks(), (7, 10), "txids 1..=6 and block 9 were seen");
+    let img_sync = via_sync.ns().pin().encode_image(1, via_sync.window());
+    let img_pool = via_pool.ns().pin().encode_image(1, via_pool.window());
     assert_eq!(img_sync.data, img_pool.data, "replayed namespaces must be byte-identical");
+    // And both logs hold the sealed allocation itself.
+    assert!(SharedBatch::ptr_eq(via_sync.log().get(1).expect("applied"), &sealed));
+    assert!(SharedBatch::ptr_eq(via_pool.log().get(1).expect("applied"), &sealed));
     // And the wire form both paths would transmit is the single sealed
     // encoding.
     assert_eq!(sealed.wire().as_ptr(), standby_copy.wire().as_ptr());
