@@ -16,10 +16,15 @@ use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim, SimConfig};
 
 const T_FIRST: u64 = 1;
 const T_RESEND: u64 = 2;
+const T_NEXT: u64 = 3;
+const T_LATE_COPY: u64 = 4;
 
-/// Sends the same `MdsReq::Op` seq three times: twice back-to-back (an
-/// in-flight duplicate, e.g. a delayed network copy) and once again after
-/// the op has long completed (a client resend after a reply timeout).
+/// Sends the same `MdsReq::Op` seq four times: twice back-to-back (an
+/// in-flight duplicate, e.g. a delayed network copy), once again after
+/// the op has long completed (a client resend after a reply timeout), and
+/// once more after its *next* request — a delete of the same path, whose
+/// receipt watermark covers seq 7 — has been answered: a network copy that
+/// trailed its original past the point where the cache forgot the reply.
 struct Resender {
     active: NodeId,
     replies: Arc<Mutex<Vec<Arc<MdsResp>>>>,
@@ -32,6 +37,11 @@ impl Resender {
             seq: 7,
             acked: 0,
         }
+    }
+
+    fn next_op(&self) -> MdsReq {
+        let op = FsOp::Delete { path: "/dup-target".into(), recursive: false };
+        MdsReq::Op { op, seq: 8, acked: 7 }
     }
 }
 
@@ -51,7 +61,16 @@ impl Node for Resender {
                 ctx.send(self.active, self.op());
                 ctx.set_timer(Duration::from_millis(500), T_RESEND);
             }
-            T_RESEND => ctx.send(self.active, self.op()),
+            T_RESEND => {
+                ctx.send(self.active, self.op());
+                ctx.set_timer(Duration::from_millis(500), T_NEXT);
+            }
+            T_NEXT => {
+                ctx.send(self.active, self.next_op());
+                ctx.set_timer(Duration::from_millis(500), T_LATE_COPY);
+            }
+            // The path is gone again: executed, this create would succeed.
+            T_LATE_COPY => ctx.send(self.active, self.op()),
             _ => {}
         }
     }
@@ -81,11 +100,13 @@ fn duplicate_delivery_is_answered_from_cache_without_reapply() {
     // no second reply); the post-completion resend is answered from the
     // retry cache. So: exactly two replies, both successful, and both the
     // *same allocation* — the cached `Arc` re-shipped, not a re-execution.
+    // Then the delete is answered, and the copy that arrives behind it gets
+    // no reply at all: the client said it holds that one.
     let replies = replies.lock().unwrap();
-    assert_eq!(replies.len(), 2, "one reply per distinct outcome, got {}", replies.len());
-    for r in replies.iter() {
+    assert_eq!(replies.len(), 3, "one reply per distinct outcome, got {replies:?}");
+    for (r, seq) in replies.iter().zip([7, 7, 8]) {
         match &**r {
-            MdsResp::Reply { seq: 7, result } => {
+            MdsResp::Reply { seq: got, result } if *got == seq => {
                 assert!(result.is_ok(), "duplicate create must not observe itself: {result:?}")
             }
             other => panic!("unexpected reply {other:?}"),
@@ -97,7 +118,7 @@ fn duplicate_delivery_is_answered_from_cache_without_reapply() {
     );
 
     // No double-apply: the shared journal holds exactly one Create for the
-    // target path across all three deliveries.
+    // target path across all four deliveries.
     let pool = d.shared_pool.lock();
     let g = pool.group(0).expect("group 0 journal");
     let mut creates = 0;

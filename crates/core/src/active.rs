@@ -113,7 +113,8 @@ impl Tenure {
         // or retried into a slow round) must not execute a second time —
         // the re-execution could interleave with other clients' operations
         // (e.g. re-delete a path someone re-created) and break
-        // linearizability. The original's reply covers the client.
+        // linearizability. The original's reply covers the client. The same
+        // goes for a copy that arrives after the client confirmed receipt.
         if !self.retry_cache.begin(from, seq) {
             return;
         }

@@ -12,8 +12,10 @@
 //! watermark can never be retried, so it is dropped exactly then — neither
 //! early (a blind oldest-first eviction can drop a response the client is
 //! actively retrying) nor late (entries linger only while the client might
-//! still need them). The capacity bound remains as an overflow backstop for
-//! clients that never advance their watermark.
+//! still need them). A request at or below the watermark is refused outright
+//! (`begin`): its reply is gone from the cache *because* the client has it.
+//! The capacity bound remains as an overflow backstop for clients that
+//! never advance their watermark.
 //!
 //! After a failover the successor seeds this cache from the replicated
 //! retry window ([`mams_namespace::RetryWindow`]) it rebuilt during journal
@@ -70,8 +72,16 @@ impl RetryCache {
     /// Admit a request for execution. Returns `false` when the same
     /// `(client, seq)` is already executing — the caller must drop the
     /// duplicate; the original's reply will reach the client (or the client
-    /// re-retries and hits the response cache).
+    /// re-retries and hits the response cache) — and when `seq` is at or
+    /// below the client's watermark: the client holds that reply and can
+    /// never need another, so this is a network copy that trailed its
+    /// original past the eviction of the cached response. Executed again it
+    /// could succeed where the original was refused (or the reverse) and
+    /// nobody would learn.
     pub fn begin(&mut self, from: NodeId, seq: u64) -> bool {
+        if self.per_client.get(&from).is_some_and(|slot| seq <= slot.acked) {
+            return false;
+        }
         self.inflight.insert((from, seq))
     }
 
@@ -168,6 +178,22 @@ mod tests {
         c.store(1, 7, resp(7));
         assert!(c.check(1, 7).is_some(), "after completion the cache answers");
         assert!(c.begin(1, 7), "marker retired with the stored response");
+    }
+
+    /// A network duplicate can trail its original past the client's next
+    /// request, whose watermark has by then evicted the cached reply: the
+    /// duplicate must still not execute.
+    #[test]
+    fn a_request_at_or_below_the_watermark_is_never_begun() {
+        let mut c = RetryCache::new();
+        assert!(c.begin(1, 7));
+        c.store(1, 7, resp(7));
+        c.note_acked(1, 7);
+        assert!(c.check(1, 7).is_none(), "the client holds that reply: nothing to resend");
+        assert!(!c.begin(1, 7), "a late duplicate must not execute a second time");
+        assert!(!c.begin(1, 3), "nor anything older");
+        assert!(c.begin(1, 8), "the next request executes");
+        assert!(c.begin(2, 7), "watermarks are per client");
     }
 
     #[test]
