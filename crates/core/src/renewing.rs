@@ -447,13 +447,12 @@ impl MdsServer {
             Some(CatchupStage::Chain { buf, .. }) => std::mem::take(buf),
             _ => return,
         };
-        let adopted = mams_namespace::decode_delta(&buf).map_err(|e| e.to_string()).and_then(|d| {
-            let end_sn = d.end_sn;
-            self.r.prefix.adopt_delta(d).map(|()| end_sn)
-        });
+        let adopted = mams_namespace::decode_delta(&buf)
+            .map_err(|e| e.to_string())
+            .and_then(|delta| self.r.prefix.adopt_delta(delta));
         match adopted {
-            Ok(end_sn) => {
-                ctx.trace("renew.delta_applied", || format!("to sn {end_sn}"));
+            Ok(()) => {
+                ctx.trace("renew.delta_applied", || format!("to sn {}", self.r.prefix.tail_sn()));
                 self.advance_chain(ctx);
             }
             Err(e) => {

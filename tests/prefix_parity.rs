@@ -50,10 +50,16 @@ fn rand_op(rng: &mut SmallRng) -> FsOp {
     }
 }
 
-/// Everything a prefix derives, in one comparable value: namespace and
-/// window digests, the applied position, both id marks.
-fn state(p: &Prefix) -> (u64, u64, u64, (u64, u64)) {
-    (p.ns().fingerprint(), p.window().fingerprint(), p.tail_sn(), p.id_marks())
+/// What a prefix derives whichever way the journal reached it: namespace
+/// and window digests and the applied position.
+fn derived(p: &Prefix) -> (u64, u64, u64) {
+    (p.ns().fingerprint(), p.window().fingerprint(), p.tail_sn())
+}
+
+/// That, and both id marks: what any replay of the batches themselves
+/// agrees on.
+fn state(p: &Prefix) -> ((u64, u64, u64), (u64, u64)) {
+    (derived(p), p.id_marks())
 }
 
 /// A writer's run: random operations executed and sealed a few at a time,
@@ -176,25 +182,20 @@ fn an_image_or_a_delta_and_the_suffix_equal_the_whole_journal() {
         let image = at_k.ns().pin().encode_image(k as u64, at_k.window());
         let (tree, sn, window) = decode_image_with_window(image.data).expect("own image decodes");
         let mut from_image = Prefix::from_image(tree, sn, window);
-        assert_eq!(state(&from_image).0, state(&at_k).0, "case {case}: image at {k}");
-        assert_eq!(state(&from_image).1, state(&at_k).1, "case {case}: image at {k}");
-        assert_eq!(from_image.tail_sn(), k as u64, "case {case}");
+        assert_eq!(derived(&from_image), derived(&at_k), "case {case}: image at {k}");
         replay(&mut from_image, &journal);
-        let (ns, win, tail, (_, block_mark)) = state(&from_image);
-        assert_eq!((ns, win, tail), (state(&writer).0, state(&writer).1, state(&writer).2));
-        assert!(block_mark <= writer.id_marks().1, "case {case}");
+        assert_eq!(derived(&from_image), derived(&writer), "case {case}: image at {k}, suffix");
+        assert!(from_image.id_marks().1 <= writer.id_marks().1, "case {case}");
 
         let txns = journal[k..m].iter().flat_map(|b| b.entries().map(|(_, txn)| txn));
         let delta = fold_delta_with_window(at_m.ns(), k as u64, m as u64, txns, at_m.window());
         let mut via_delta = at_k;
         via_delta.adopt_delta(decode_delta(&delta.data).expect("own delta decodes")).unwrap();
-        let (ns, win, tail, _) = state(&via_delta);
-        assert_eq!((ns, win, tail), (state(&at_m).0, state(&at_m).1, m as u64), "case {case}");
+        assert_eq!(derived(&via_delta), derived(&at_m), "case {case}: delta ({k}, {m}]");
         assert!(via_delta.log().is_empty(), "case {case}: the log restarts at the delta's end");
         replay(&mut via_delta, &journal);
-        let (ns, win, tail, (_, block_mark)) = state(&via_delta);
-        assert_eq!((ns, win, tail), (state(&writer).0, state(&writer).1, state(&writer).2));
-        assert!(block_mark <= writer.id_marks().1, "case {case}");
+        assert_eq!(derived(&via_delta), derived(&writer), "case {case}: delta, suffix");
+        assert!(via_delta.id_marks().1 <= writer.id_marks().1, "case {case}");
     }
 }
 
