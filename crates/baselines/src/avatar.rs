@@ -16,7 +16,7 @@ use mams_storage::pool::new_shared_pool;
 use mams_storage::proto::{PoolReq, PoolResp};
 use mams_storage::{DiskModel, PoolNode};
 
-use crate::common::{NameNode, PendingReply, FLUSH_INTERVAL, T_FLUSH};
+use crate::common::{BaselineTrace, NameNode, PendingReply, FLUSH_INTERVAL, T_FLUSH};
 
 const T_TAIL: u64 = 2;
 const T_SWITCH_DONE: u64 = 3;
@@ -114,7 +114,7 @@ impl Node for AvatarNode {
                 self.nn.restart_from_checkpoint(ctx);
                 self.role = AvRole::Active;
                 self.nn.publish(ctx);
-                ctx.trace("avatar.switch_done", String::new);
+                ctx.trace(|| BaselineTrace::TakeoverDone);
             }
             _ => {}
         }
@@ -126,7 +126,7 @@ impl Node for AvatarNode {
             Ok(active_vanished) => {
                 if active_vanished && self.role == AvRole::Standby {
                     self.role = AvRole::Switching;
-                    ctx.trace("avatar.failover_detected", String::new);
+                    ctx.trace(|| BaselineTrace::FailoverDetected);
                     // Drain the shared log once more, then pay the
                     // redirection machinery.
                     self.request_tail(ctx);

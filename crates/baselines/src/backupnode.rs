@@ -16,7 +16,7 @@ use mams_journal::SharedBatch;
 use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim};
 use mams_storage::DiskModel;
 
-use crate::common::{FsScale, NameNode, PendingReply, FLUSH_INTERVAL, T_FLUSH};
+use crate::common::{BaselineTrace, FsScale, NameNode, PendingReply, FLUSH_INTERVAL, T_FLUSH};
 
 const T_PING: u64 = 2;
 const T_RECOLLECT_DONE: u64 = 3;
@@ -97,9 +97,7 @@ impl BnNode {
         let image_io = DiskModel::image_disk().io_time(2 * self.nn.restart_from_checkpoint(ctx));
         let files = self.nn.num_files().max(self.scale.nominal_files);
         let recollect = Duration::from_micros(files * RECOLLECT_PER_FILE.micros()) + image_io;
-        ctx.trace("bn.takeover_start", || {
-            format!("recollecting {files} files' block locations (~{recollect})")
-        });
+        ctx.trace(|| BaselineTrace::Recollecting { files, takes: recollect });
         ctx.set_timer(recollect, T_RECOLLECT_DONE);
     }
 }
@@ -136,7 +134,7 @@ impl Node for BnNode {
             T_RECOLLECT_DONE if self.role == BnRole::Recollecting => {
                 self.role = BnRole::Primary;
                 self.nn.publish(ctx);
-                ctx.trace("bn.takeover_done", String::new);
+                ctx.trace(|| BaselineTrace::TakeoverDone);
             }
             t => {
                 if let Some(replies) = self.flushing.remove(&t) {

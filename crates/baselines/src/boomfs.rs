@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use mams_core::{FsOp, MdsResp, OpOutput, Prefix};
-use mams_paxos::rsm::{MsgOf, RsmApp, RsmConfig, RsmNode};
+use mams_paxos::rsm::{MsgOf, RsmApp, RsmConfig, RsmNode, RsmTrace};
 use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim};
 
 use crate::common::{NameNode, FLUSH_INTERVAL, T_FLUSH};
@@ -165,6 +165,12 @@ impl Node for BoomFsServer {
     }
 }
 
+/// The member that won the latest election, as the trace records it.
+pub fn last_leader(sim: &Sim) -> Option<NodeId> {
+    let won = sim.trace().of::<RsmTrace>().filter(|(_, _, e)| matches!(e, RsmTrace::Leader { .. }));
+    won.last().map(|(_, leader, _)| leader)
+}
+
 /// Build a Boom-FS cluster. Returns the member node ids.
 pub fn build(sim: &mut Sim, coord: NodeId) -> Vec<NodeId> {
     let base = sim.num_nodes() as NodeId;
@@ -216,11 +222,8 @@ mod tests {
     fn leader_crash_recovers_slower_than_mams_but_recovers() {
         let mut rig = boot(12);
         rig.add_client(6, |c| c.start_delay = START_DELAY);
-        // Kill whichever member most recently traced `rsm.leader`.
-        let kill_leader = |s: &mut Sim| {
-            let leader = s.trace().events().iter().rev().find(|e| e.tag == "rsm.leader");
-            s.crash(leader.expect("a leader was elected").node);
-        };
+        // Kill whichever member won the latest election.
+        let kill_leader = |s: &mut Sim| s.crash(last_leader(s).expect("a leader was elected"));
         let mttr = rig
             .mttr_after(SimTime(30_000_000), kill_leader, SimTime(80_000_000))
             .expect("service must recover after leader crash");

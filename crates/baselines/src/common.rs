@@ -8,7 +8,8 @@ use mams_coord::{CoordClient, CoordEvent, CoordResp, Incoming, KeyOp};
 use mams_core::retry::RetryCache;
 use mams_core::{CpuModel, FsOp, Ingress, IngressItem, MdsReq, MdsResp, OpOutput, Prefix, ViewKey};
 use mams_journal::{SharedBatch, Sn, Txn};
-use mams_sim::{Ctx, Duration, Message, NodeId};
+use mams_namespace::ImageError;
+use mams_sim::{Ctx, Duration, Event, Message, NodeId};
 
 /// The front-end's flush timer. Clear of the tokens a comparator arms for
 /// itself (2, 3, 1000…) and of the RSM's (1, 2), which Boom-FS forwards.
@@ -40,6 +41,26 @@ impl FsScale {
         self.nominal_files * Self::BYTES_PER_FILE
     }
 }
+
+/// What a comparator records: the milestones of its takeover. Which
+/// baseline recorded one is which deployment the trace is of. Avatar and
+/// Hadoop HA detect (`FailoverDetected`) through the coordinator; Hadoop HA
+/// then advances the journal nodes to `Fencing::epoch` and replays the
+/// shared log (`Drained`); BackupNode recollects the block locations of
+/// `files` files; `TakeoverDone` is the new active serving.
+/// `restart_from_checkpoint` reloads the namespace from a fresh image.
+#[derive(Debug)]
+pub enum BaselineTrace {
+    FailoverDetected,
+    Fencing { epoch: u64 },
+    Drained { sn: Sn },
+    Recollecting { files: u64, takes: Duration },
+    TakeoverDone,
+    ImageRestart { version: Option<u16>, bytes: u64 },
+    ImageCorrupt(ImageError),
+}
+
+impl Event for BaselineTrace {}
 
 /// A client reply waiting on durability: `(client, seq, result)`.
 pub type PendingReply = (NodeId, u64, Result<OpOutput, String>);
@@ -262,12 +283,13 @@ impl NameNode {
         let image = p.ns().pin().encode_image(p.tail_sn(), p.window());
         match mams_namespace::decode_image_with_window(image.data.clone()) {
             Ok((tree, sn, window)) => {
-                ctx.trace("namenode.image_restart", || {
-                    format!("v{} image, {} B", image.version().unwrap_or(0), image.size_bytes())
+                ctx.trace(|| BaselineTrace::ImageRestart {
+                    version: image.version(),
+                    bytes: image.size_bytes(),
                 });
                 self.prefix = Prefix::from_image(tree, sn, window);
             }
-            Err(e) => ctx.trace("namenode.image_corrupt", || e.to_string()),
+            Err(e) => ctx.trace(|| BaselineTrace::ImageCorrupt(e)),
         }
         image.size_bytes()
     }

@@ -16,7 +16,7 @@ use mams_storage::pool::new_shared_pool;
 use mams_storage::proto::{PoolReq, PoolResp};
 use mams_storage::{DiskModel, PoolNode};
 
-use crate::common::{NameNode, PendingReply, FLUSH_INTERVAL, T_FLUSH};
+use crate::common::{BaselineTrace, NameNode, PendingReply, FLUSH_INTERVAL, T_FLUSH};
 
 const T_TAIL: u64 = 2;
 const T_TRANSITION_DONE: u64 = 3;
@@ -102,7 +102,7 @@ impl HaNameNode {
         self.role = HaRole::Fencing;
         self.epoch += 1;
         self.fence_waits = self.quorum();
-        ctx.trace("ha.fencing", || format!("epoch {}", self.epoch));
+        ctx.trace(|| BaselineTrace::Fencing { epoch: self.epoch });
         for (&jn, req) in self.journals.iter().zip(self.next_req..) {
             ctx.send(jn, PoolReq::AdvanceEpoch { group: 0, to: self.epoch, req });
         }
@@ -138,7 +138,7 @@ impl Node for HaNameNode {
             T_TRANSITION_DONE if self.role == HaRole::Transitioning => {
                 self.role = HaRole::Active;
                 self.nn.publish(ctx);
-                ctx.trace("ha.transition_done", String::new);
+                ctx.trace(|| BaselineTrace::TakeoverDone);
             }
             _ => {}
         }
@@ -149,7 +149,7 @@ impl Node for HaNameNode {
         let msg = match self.nn.on_coord(ctx, msg, active) {
             Ok(active_vanished) => {
                 if active_vanished && self.role == HaRole::Standby {
-                    ctx.trace("ha.failover_detected", String::new);
+                    ctx.trace(|| BaselineTrace::FailoverDetected);
                     self.begin_failover(ctx);
                 }
                 return;
@@ -179,7 +179,7 @@ impl Node for HaNameNode {
                 self.nn.replay(batches);
                 if self.role == HaRole::Draining && self.nn.replayed_sn() >= tail_sn {
                     self.role = HaRole::Transitioning;
-                    ctx.trace("ha.drained", || format!("sn {}", self.nn.replayed_sn()));
+                    ctx.trace(|| BaselineTrace::Drained { sn: self.nn.replayed_sn() });
                     ctx.set_timer(HA_TRANSITION_COST, T_TRANSITION_DONE);
                 }
             }

@@ -68,4 +68,4 @@ pub mod common;
 pub mod hadoop_ha;
 pub mod hdfs;
 
-pub use common::FsScale;
+pub use common::{BaselineTrace, FsScale};

@@ -14,15 +14,14 @@
 //!    large sn gap — why juniors load images instead of replaying
 //!    everything.
 
-use mams_bench::{arr, obj, print_table, save_json};
+use mams_bench::{arr, obj, print_table, save_json, Value};
 use mams_cluster::deploy::{build, DeploySpec};
 use mams_cluster::metrics::Metrics;
 use mams_cluster::mttr::mttr_from_completions;
 use mams_cluster::workload::Workload;
-use mams_core::MdsReq;
+use mams_core::{MdsReq, MdsTrace};
 use mams_sim::{Duration, Sim, SimConfig, SimTime};
 use mams_storage::DiskModel;
-use serde_json::Value;
 
 /// Print one ablation's table and return its rows for `ablations.json`:
 /// one object per row keyed by column header, numeric cells as numbers.
@@ -162,8 +161,9 @@ fn ablate_renewing_image_path() -> Value {
             sim.run_until(crash_at + Duration::from_secs(120));
             let catchup = sim
                 .trace()
-                .first_at_or_after("renew.promoted", restart_at)
-                .map(|e| (e.time - restart_at).as_secs_f64());
+                .of::<MdsTrace>()
+                .find(|&(t, _, e)| t >= restart_at && matches!(e, MdsTrace::JuniorPromoted { .. }))
+                .map(|(t, _, _)| (t - restart_at).as_secs_f64());
             cells.push(catchup.map_or("never".into(), |c| format!("{c:.2}")));
         }
         rows.push(cells);

@@ -17,6 +17,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
+use mams_bench::{arr, obj, Value};
 use mams_chaos::{corpus, quiet, run_scenario, CheckOutcome, RunConfig, RunReport, Scenario};
 
 struct Args {
@@ -194,44 +195,37 @@ fn main() {
         &rows,
     );
 
-    let mut doc = serde_json::Map::new();
-    doc.insert("seeds_per_scenario".into(), serde_json::Value::from(per_scenario as f64));
-    doc.insert("injected_double_ack".into(), serde_json::Value::from(args.inject));
-    doc.insert("strict_linearizability".into(), serde_json::Value::from(true));
-    doc.insert("wall_secs".into(), serde_json::Value::from(t_start.elapsed().as_secs_f64()));
-    let mut sc_map = serde_json::Map::new();
-    for (name, t) in &tally {
-        let mut m = serde_json::Map::new();
-        m.insert("runs".into(), serde_json::Value::from(t.runs as f64));
-        m.insert("clean".into(), serde_json::Value::from(t.clean as f64));
-        m.insert("linearizability_violations".into(), serde_json::Value::from(t.violations as f64));
-        m.insert("invariant_failures".into(), serde_json::Value::from(t.invariant_failures as f64));
-        m.insert("inconclusive".into(), serde_json::Value::from(t.inconclusive as f64));
-        m.insert("mean_ops_ok".into(), serde_json::Value::from((t.ops_ok / t.runs.max(1)) as f64));
-        m.insert("history_records".into(), serde_json::Value::from(t.records as f64));
-        m.insert("max_checker_states".into(), serde_json::Value::from(t.max_states as f64));
-        sc_map.insert(name.to_string(), serde_json::Value::Object(m));
-    }
-    doc.insert("scenarios".into(), serde_json::Value::Object(sc_map));
-    let mut witness_arr = Vec::new();
-    for (name, seed, s) in &shrunk_witnesses {
-        let mut m = serde_json::Map::new();
-        m.insert("scenario".into(), serde_json::Value::from(*name));
-        m.insert("seed".into(), serde_json::Value::from(*seed as f64));
-        m.insert(
-            "minimal_program".into(),
-            serde_json::Value::Array(
-                s.program
-                    .iter()
-                    .map(|a| serde_json::Value::from(format!("t+{}ms {:?}", a.at_ms, a.kind)))
-                    .collect(),
-            ),
-        );
-        m.insert("reruns".into(), serde_json::Value::from(s.runs as f64));
-        witness_arr.push(serde_json::Value::Object(m));
-    }
-    doc.insert("shrunk_witnesses".into(), serde_json::Value::Array(witness_arr));
-    mams_bench::save_json("CAMPAIGN", &serde_json::Value::Object(doc));
+    let scenarios = tally.iter().map(|(name, t)| {
+        let fields = obj([
+            ("runs", t.runs.into()),
+            ("clean", t.clean.into()),
+            ("linearizability_violations", t.violations.into()),
+            ("invariant_failures", t.invariant_failures.into()),
+            ("inconclusive", t.inconclusive.into()),
+            ("mean_ops_ok", (t.ops_ok / t.runs.max(1)).into()),
+            ("history_records", t.records.into()),
+            ("max_checker_states", t.max_states.into()),
+        ]);
+        (name.to_string(), fields)
+    });
+    let witnesses = shrunk_witnesses.iter().map(|(name, seed, s)| {
+        let program = s.program.iter().map(|a| format!("t+{}ms {:?}", a.at_ms, a.kind));
+        obj([
+            ("scenario", (*name).into()),
+            ("seed", (*seed).into()),
+            ("minimal_program", arr(program)),
+            ("reruns", (s.runs as u64).into()),
+        ])
+    });
+    let doc = obj([
+        ("seeds_per_scenario", per_scenario.into()),
+        ("injected_double_ack", args.inject.into()),
+        ("strict_linearizability", true.into()),
+        ("wall_secs", t_start.elapsed().as_secs_f64().into()),
+        ("scenarios", Value::Object(scenarios.collect())),
+        ("shrunk_witnesses", arr(witnesses)),
+    ]);
+    mams_bench::save_json("CAMPAIGN", &doc);
 
     let failures = reports.iter().filter(|r| r.failed()).count();
     if args.inject {
@@ -262,6 +256,7 @@ fn main() {
                 if let CheckOutcome::Violation { witness } = &r.check {
                     println!("   {witness}");
                 }
+                println!("   timeline:\n{}", r.timeline);
             }
             std::process::exit(1);
         }

@@ -1,7 +1,7 @@
 //! Figure 1: system reliability vs node count for per-node MTBF of 10^5 and
 //! 10^6 hours (the paper's motivation figure; analytic model).
 
-use mams_bench::{arr, obj, print_table, save_json};
+use mams_bench::{arr, obj, print_table, save_json, Value};
 use mams_sim::reliability::{reliability_series, system_mtbf_hours};
 
 fn main() {
@@ -33,8 +33,7 @@ fn main() {
         "\nBlue Gene/L scale (131k nodes, per-node MTBF 9e5h): system MTBF = {:.1} h (paper: below 7 h)",
         system_mtbf_hours(131_000, 9e5)
     );
-    let series =
-        |s: &[(u64, f64)]| arr(s.iter().map(|&(n, r)| arr([serde_json::Value::from(n), r.into()])));
+    let series = |s: &[(u64, f64)]| arr(s.iter().map(|&(n, r)| arr([Value::from(n), r.into()])));
     save_json(
         "fig1_reliability",
         &obj([

@@ -7,7 +7,9 @@
 //! rename) are distributed transactions and do not scale with actives;
 //! adding standbys costs only a few percent per standby.
 
-use mams_bench::{arr, measure_throughput, obj, populate, print_table, save_json};
+use std::collections::BTreeMap;
+
+use mams_bench::{arr, measure_throughput, obj, populate, print_table, save_json, Value};
 use mams_cluster::deploy::{build, DeploySpec};
 use mams_cluster::workload::Workload;
 use mams_coord::CoordConfig;
@@ -84,14 +86,14 @@ fn main() {
     let mut json_rows = Vec::new();
     for op in ops {
         let mut row = vec![op.name().to_string()];
-        let mut jrow = serde_json::Map::new();
+        let mut jrow = BTreeMap::new();
         for (i, sys) in systems.iter().enumerate() {
             let tput = run_cell(sys, op, 0x5EED + i as u64);
             row.push(format!("{tput:.0}"));
             jrow.insert(sys.to_string(), tput.into());
         }
         jrow.insert("op".into(), op.name().into());
-        json_rows.push(serde_json::Value::Object(jrow));
+        json_rows.push(Value::Object(jrow));
         rows.push(row);
     }
     let mut headers = vec!["op"];

@@ -7,8 +7,10 @@
 //! costs least; CFS with three standbys still beats AvatarNode and
 //! Hadoop HA thanks to the SSP's cheap journal synchronization.
 
+use std::collections::BTreeMap;
+
 use mams_baselines::{avatar, backupnode, boomfs, hadoop_ha, hdfs, FsScale};
-use mams_bench::{print_table, save_json};
+use mams_bench::{print_table, save_json, Value};
 use mams_cluster::deploy::{build, DeploySpec};
 use mams_cluster::metrics::Metrics;
 use mams_cluster::workload::Workload;
@@ -95,7 +97,7 @@ fn run_system(name: &str) -> f64 {
 fn main() {
     let systems = ["HDFS", "BackupNode", "CFS (MAMS-1A3S)", "AvatarNode", "Hadoop HA", "Boom-FS"];
     let mut rows = Vec::new();
-    let mut json = serde_json::Map::new();
+    let mut json = BTreeMap::new();
     let mut hdfs_tput = 0.0;
     for sys in systems {
         let tput = run_system(sys);
@@ -113,5 +115,5 @@ fn main() {
     );
     println!("\nShape checks (paper): HDFS > BackupNode > CFS-1A3S > AvatarNode > Hadoop HA;");
     println!("Boom-FS pays a consensus round per mutation (extra column, Section II).");
-    save_json("fig6_mechanism_compare", &serde_json::Value::Object(json));
+    save_json("fig6_mechanism_compare", &Value::Object(json));
 }

@@ -10,6 +10,7 @@ use mams_bench::{arr, obj, print_table, save_json};
 use mams_cluster::deploy::{build, DeploySpec};
 use mams_cluster::metrics::Metrics;
 use mams_cluster::workload::Workload;
+use mams_core::MdsTrace;
 use mams_sim::{Sim, SimConfig, SimTime};
 
 const KILL_AT: SimTime = SimTime(15_000_000);
@@ -31,10 +32,13 @@ fn run_once(seed: u64) -> Option<Stages> {
     sim.at(KILL_AT, move |s| s.crash(victim));
     sim.run_until(SimTime(45_000_000));
 
-    let trace = sim.trace();
-    let detected = trace.first_at_or_after("failover.detected", KILL_AT)?.time;
-    let lock = trace.first_at_or_after("failover.lock_acquired", KILL_AT)?.time;
-    let switch_done = trace.first_at_or_after("failover.switch_done", KILL_AT)?.time;
+    // When each stage was first reached after the kill.
+    let first = |stage: fn(&MdsTrace) -> bool| {
+        sim.trace().of().find(|&(t, _, e)| t >= KILL_AT && stage(e)).map(|(t, _, _)| t)
+    };
+    let detected = first(|e| matches!(e, MdsTrace::FailureDetected))?;
+    let lock = first(|e| matches!(e, MdsTrace::LockAcquired { .. }))?;
+    let switch_done = first(|e| matches!(e, MdsTrace::SwitchDone { .. }))?;
     let first_success = metrics
         .completions()
         .iter()

@@ -50,17 +50,7 @@ fn run_boomfs(fail: bool) -> Arc<JobStats> {
     let stats = JobStats::new();
     build_job(&mut sim, coord, Partitioner::new(1), job_spec(), stats.clone());
     if fail {
-        sim.at(FAIL_AT, move |s| {
-            let leader = s
-                .trace()
-                .events()
-                .iter()
-                .rev()
-                .find(|e| e.tag == "rsm.leader")
-                .map(|e| e.node)
-                .expect("a Boom-FS leader exists");
-            s.crash(leader);
-        });
+        sim.at(FAIL_AT, |s| s.crash(boomfs::last_leader(s).expect("a Boom-FS leader exists")));
     }
     sim.run_until(SimTime(600_000_000));
     assert!(stats.job_done_at().is_some(), "Boom-FS job (fail={fail}) did not finish");

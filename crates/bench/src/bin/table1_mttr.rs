@@ -7,8 +7,10 @@
 //! millisecond-scale election and switch + client reconnection), i.e.
 //! 14–35 % of the baselines' average MTTR.
 
+use std::collections::BTreeMap;
+
 use mams_baselines::{avatar, backupnode, hadoop_ha, FsScale};
-use mams_bench::{arr, obj, print_table, save_json};
+use mams_bench::{arr, obj, print_table, save_json, Value};
 use mams_cluster::deploy::DeploySpec;
 use mams_cluster::KillRig;
 use mams_sim::{SimConfig, SimTime};
@@ -62,7 +64,7 @@ fn main() {
     let mut sums = [0.0f64; 4];
     for &mb in &IMAGE_MB {
         let mut row = vec![mb.to_string()];
-        let mut jrow = serde_json::Map::new();
+        let mut jrow = BTreeMap::new();
         jrow.insert("image_mb".into(), mb.into());
         for (i, sys) in systems.iter().enumerate() {
             let m = mean_mttr(sys, mb);
@@ -71,7 +73,7 @@ fn main() {
             jrow.insert(sys.to_string(), m.into());
         }
         rows.push(row);
-        json_rows.push(serde_json::Value::Object(jrow));
+        json_rows.push(Value::Object(jrow));
         eprintln!("  done {mb} MB");
     }
     let mut headers = vec!["Image (MB)"];

@@ -5,6 +5,8 @@
 //! trace inspection helpers. Wall-clock cost is measured by `bench_e2e/`,
 //! a package of its own.
 
+use std::collections::BTreeMap;
+use std::fmt;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -13,9 +15,9 @@ use mams_chaos::active_of;
 use mams_cluster::deploy::Deployment;
 use mams_cluster::metrics::Metrics;
 use mams_cluster::workload::Workload;
+use mams_coord::CoordTrace;
 use mams_core::ViewKey;
 use mams_sim::{Duration, NodeId, Sim, SimTime};
-use serde_json::Value;
 
 /// Print an aligned table to stdout.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -42,8 +44,101 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// A JSON object from `(key, value)` pairs. Result documents are built by
-/// hand from `Value` because the offline `serde_json::json!` renders `null`.
+/// A result document: what `save_json` writes. Object keys are sorted.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    Bool(bool),
+    Number(f64),
+    String(String),
+    Array(Vec<Value>),
+    Object(BTreeMap<String, Value>),
+}
+
+impl Value {
+    /// Pretty-printed: each item of an array or object on a line of its own,
+    /// two spaces deeper than its brackets; an empty one on one line.
+    fn write(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+        let (open, close, items): (_, _, Vec<(Option<&str>, &Value)>) = match self {
+            Value::Bool(b) => return write!(f, "{b}"),
+            // Integral and exactly representable: no fraction, no exponent.
+            Value::Number(n) if n.fract() == 0.0 && n.abs() < 9.0e15 => {
+                return write!(f, "{}", *n as i64)
+            }
+            Value::Number(n) => return write!(f, "{n}"),
+            Value::String(s) => return quote(f, s),
+            Value::Array(v) => ("[", "]", v.iter().map(|v| (None, v)).collect()),
+            Value::Object(m) => ("{", "}", m.iter().map(|(k, v)| (Some(k.as_str()), v)).collect()),
+        };
+        if items.is_empty() {
+            return write!(f, "{open}{close}");
+        }
+        f.write_str(open)?;
+        for (i, (key, v)) in items.into_iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            write!(f, "{sep}\n{:w$}", "", w = 2 * depth + 2)?;
+            if let Some(k) = key {
+                quote(f, k)?;
+                f.write_str(": ")?;
+            }
+            v.write(f, depth + 1)?;
+        }
+        write!(f, "\n{:w$}{close}", "", w = 2 * depth)
+    }
+}
+
+fn quote(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => write!(f, "{c}")?,
+        }
+    }
+    f.write_str("\"")
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(v: bool) -> Value {
+        Value::Bool(v)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(v: f64) -> Value {
+        Value::Number(v)
+    }
+}
+
+impl From<u64> for Value {
+    fn from(v: u64) -> Value {
+        Value::Number(v as f64)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(v: &str) -> Value {
+        Value::String(v.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(v: String) -> Value {
+        Value::String(v)
+    }
+}
+
+/// A JSON object from `(key, value)` pairs.
 pub fn obj<const N: usize>(fields: [(&str, Value); N]) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
@@ -60,7 +155,7 @@ pub fn save_json(name: &str, value: &Value) {
     let path = dir.join(format!("{name}.json"));
     match std::fs::File::create(&path) {
         Ok(mut f) => {
-            let _ = writeln!(f, "{}", serde_json::to_string_pretty(value).expect("serializable"));
+            let _ = writeln!(f, "{value}");
             println!("(saved {})", path.display());
         }
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
@@ -125,35 +220,20 @@ pub fn reconstruct_states(sim: &Sim, members: &[NodeId]) -> Vec<(f64, Vec<String
     let snapshot = |current: &HashMap<NodeId, String>| -> Vec<String> {
         members.iter().map(|m| current.get(m).cloned().unwrap_or_else(|| "-".to_string())).collect()
     };
-    for e in sim.trace().events() {
-        let changed = match e.tag {
-            "view.set" => {
-                if let Some((key, value)) = e.detail.split_once('=') {
-                    if let Some(ViewKey::State(0, node)) = ViewKey::parse(key) {
-                        current.insert(node, value.to_string());
-                        true
-                    } else {
-                        false
-                    }
-                } else {
-                    false
-                }
-            }
-            "view.del" => {
-                if let Some(ViewKey::State(0, node)) = ViewKey::parse(&e.detail) {
-                    current.remove(&node);
-                    true
-                } else {
-                    false
-                }
-            }
-            _ => false,
+    for (time, _, e) in sim.trace().of::<CoordTrace>() {
+        let (key, value) = match e {
+            CoordTrace::ViewSet { key, value } => (key, Some(value)),
+            CoordTrace::ViewDel { key } => (key, None),
+            _ => continue,
         };
-        if changed {
-            let snap = snapshot(&current);
-            if rows.last().map(|(_, s)| s) != Some(&snap) {
-                rows.push((e.time.as_secs_f64(), snap));
-            }
+        let Some(ViewKey::State(0, node)) = ViewKey::parse(key) else { continue };
+        match value {
+            Some(v) => current.insert(node, v.clone()),
+            None => current.remove(&node),
+        };
+        let snap = snapshot(&current);
+        if rows.last().map(|(_, s)| s) != Some(&snap) {
+            rows.push((time.as_secs_f64(), snap));
         }
     }
     rows
@@ -230,6 +310,18 @@ mod tests {
         assert_eq!(last.len(), 3);
         assert_eq!(last.iter().filter(|s| s.as_str() == "A").count(), 1, "{last:?}");
         assert_eq!(last.iter().filter(|s| s.as_str() == "S").count(), 2, "{last:?}");
+    }
+
+    #[test]
+    fn values_render_as_the_results_files_are_written() {
+        let v = obj([
+            ("n", arr([Value::from(3u64), 0.5.into(), 1e16.into()])),
+            ("s", "a\"b\\\n\u{1}".into()),
+            ("e", obj([])),
+        ]);
+        let want = "{\n  \"e\": {},\n  \"n\": [\n    3,\n    0.5,\n    10000000000000000\n  ],\n  \
+                    \"s\": \"a\\\"b\\\\\\n\\u0001\"\n}";
+        assert_eq!(v.to_string(), want);
     }
 
     #[test]

@@ -15,8 +15,10 @@
 use mams_cluster::deploy::{self, DeploySpec};
 use mams_cluster::{History, Metrics, Recorder};
 use mams_coord::CoordServer;
-use mams_core::{MdsTiming, ViewKey};
-use mams_sim::{DetRng, Duration, NodeId, NodeStatus, Sim, SimConfig, SimTime};
+use mams_core::{MdsTiming, MdsTrace, ViewKey};
+use mams_sim::node::EXTERNAL;
+use mams_sim::{DetRng, Duration, Event, NodeId, NodeStatus, Sim, SimConfig, SimTime};
+use mams_storage::PoolError;
 
 use crate::checker::{check_history, CheckOutcome};
 use crate::scenario::{FaultAction, FaultKind, NodeRef, Scenario, Topology};
@@ -47,6 +49,9 @@ pub struct RunReport {
     pub check: CheckOutcome,
     /// Violated run invariants, human-readable.
     pub invariants: Vec<String>,
+    /// The run's trace, one event per line, when it [`failed`](Self::failed);
+    /// empty for a clean run.
+    pub timeline: String,
 }
 
 impl RunReport {
@@ -55,6 +60,18 @@ impl RunReport {
         self.check.is_violation() || !self.invariants.is_empty()
     }
 }
+
+/// What a fault program records that the kernel does not: its faults on the
+/// shared pool's contents, whether each found something to hit, and what
+/// [`GroupStore::compact`](mams_storage::GroupStore::compact) answered.
+#[derive(Debug)]
+pub enum FaultTrace {
+    CorruptImage { group: u32, hit: bool },
+    CorruptDelta { group: u32, hit: bool },
+    CompactPool { group: u32, outcome: Result<Option<u64>, PoolError> },
+}
+
+impl Event for FaultTrace {}
 
 /// Resolve a symbolic node reference against the live cluster.
 fn resolve(sim: &Sim, topo: &Topology, r: NodeRef) -> Option<NodeId> {
@@ -187,15 +204,15 @@ fn apply(sim: &mut Sim, topo: &Topology, kind: &FaultKind) {
         }
         FaultKind::CorruptImage { group } => {
             let hit = topo.shared_pool.lock().group_mut(*group).corrupt_image();
-            trace_pool_fault(sim, "chaos.corrupt_image", format!("g{group} hit={hit}"));
+            sim.record(EXTERNAL, || FaultTrace::CorruptImage { group: *group, hit });
         }
         FaultKind::CorruptDelta { group } => {
             let hit = topo.shared_pool.lock().group_mut(*group).corrupt_delta();
-            trace_pool_fault(sim, "chaos.corrupt_delta", format!("g{group} hit={hit}"));
+            sim.record(EXTERNAL, || FaultTrace::CorruptDelta { group: *group, hit });
         }
         FaultKind::CompactPool { group } => {
             let outcome = topo.shared_pool.lock().group_mut(*group).compact();
-            trace_pool_fault(sim, "chaos.compact_pool", format!("g{group} {outcome:?}"));
+            sim.record(EXTERNAL, || FaultTrace::CompactPool { group: *group, outcome });
         }
         FaultKind::ClearNetwork => {
             let net = sim.net_mut();
@@ -205,11 +222,6 @@ fn apply(sim: &mut Sim, topo: &Topology, kind: &FaultKind) {
             net.set_dup_probability(0.0);
         }
     }
-}
-
-fn trace_pool_fault(sim: &mut Sim, tag: &'static str, detail: String) {
-    let now = sim.now();
-    sim.trace_mut().record(now, u32::MAX, tag, || detail);
 }
 
 /// Run one scenario once. Deterministic in `(scenario, cfg)`.
@@ -286,25 +298,14 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
 
     let heal_time = sim.now();
     sim.run_for(GRACE);
-    // Diagnostic hook: CHAOS_TRACE=1 dumps the full event trace of every
-    // run to stderr. Combine with `--scenario X --seeds N` to replay a
-    // failing seed and see exactly what the cluster did.
-    if std::env::var("CHAOS_TRACE").is_ok() {
-        for e in sim.trace().events() {
-            eprintln!("[trc] {:>9}us n{} {} {}", e.time.micros(), e.node, e.tag, e.detail);
-        }
-    }
-
     // ---- invariants ----
     let mut invariants = Vec::new();
-    for e in sim.trace().events() {
-        // Exact tag: `member.reset_divergent` is the *legitimate* discard of
-        // a never-acknowledged journal suffix on re-registration, not
-        // divergence. Only a failed replay of an acknowledged record counts.
-        if e.tag == "replica.diverged" {
-            invariants.push(format!("replica divergence: {} ({})", e.tag, e.detail));
-            break;
-        }
+    // Only a failed replay of an acknowledged record counts:
+    // `MdsTrace::ResetDivergent` is the *legitimate* discard of a
+    // never-acknowledged journal suffix on re-registration.
+    let mut events = sim.trace().of::<MdsTrace>();
+    if let Some((_, node, e)) = events.find(|(_, _, e)| matches!(e, MdsTrace::Diverged { .. })) {
+        invariants.push(format!("replica divergence: n{node} {e:?}"));
     }
     for g in 0..sc.groups {
         if active_of(&sim, topo.coord, g).is_none() {
@@ -318,7 +319,7 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
 
     let check = check_history(&records);
 
-    RunReport {
+    let mut report = RunReport {
         scenario: sc.name,
         seed: cfg.seed,
         program,
@@ -327,7 +328,12 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
         records: records.len(),
         check,
         invariants,
+        timeline: String::new(),
+    };
+    if report.failed() {
+        report.timeline = sim.trace().to_string();
     }
+    report
 }
 
 fn post_heal_progress(records: &[mams_cluster::OpRecord], heal: SimTime) -> bool {
@@ -345,6 +351,7 @@ mod tests {
         assert!(!rep.failed(), "invariants: {:?} check: {:?}", rep.invariants, rep.check);
         assert!(rep.ops_ok > 50, "got {}", rep.ops_ok);
         assert!(matches!(rep.check, CheckOutcome::Ok { .. }));
+        assert!(rep.timeline.is_empty(), "a clean run keeps no timeline");
     }
 
     #[test]
@@ -362,6 +369,8 @@ mod tests {
             rep.check,
             rep.invariants
         );
+        // The conviction comes with the run's own timeline.
+        assert!(rep.timeline.contains("LockGranted"), "{}", rep.timeline);
     }
 
     #[test]

@@ -28,6 +28,6 @@ pub mod scenario;
 pub mod shrink;
 
 pub use checker::{check_history, CheckOutcome};
-pub use engine::{active_of, run_scenario, RunConfig, RunReport};
+pub use engine::{active_of, run_scenario, FaultTrace, RunConfig, RunReport};
 pub use scenario::{by_name, corpus, quiet, FaultAction, FaultKind, NodeRef, Scenario};
 pub use shrink::{shrink, Shrunk};

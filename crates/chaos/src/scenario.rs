@@ -10,8 +10,8 @@
 //! Node references are symbolic (`Active { group }`, `BackupOf { group }`)
 //! because the interesting nodes move: by the time the second fault of a
 //! program fires, the active may be two failovers away from where it
-//! started. References resolve against the live view trace when the action
-//! fires.
+//! started. References resolve against the coordinator's view when the
+//! action fires.
 
 use mams_cluster::Workload;
 use mams_core::MdsTiming;

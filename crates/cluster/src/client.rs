@@ -13,7 +13,7 @@ use std::sync::Arc;
 use mams_coord::{CoordEvent, CoordReq, CoordResp};
 use mams_core::{FsOp, MdsReq, MdsResp, OpOutput, ViewKey};
 use mams_namespace::Partitioner;
-use mams_sim::{Ctx, DetRng, Duration, Message, Node, NodeId, SimTime, TimerId};
+use mams_sim::{Ctx, DetRng, Duration, Event, Message, Node, NodeId, SimTime, TimerId};
 
 use crate::history::Recorder;
 use crate::metrics::Metrics;
@@ -266,6 +266,14 @@ impl FsIo {
     }
 }
 
+/// What a client records: an operation that ended in a genuine error.
+#[derive(Debug)]
+pub enum ClientTrace {
+    OpFailed { op: FsOp, error: String },
+}
+
+impl Event for ClientTrace {}
+
 /// Client tuning.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
@@ -370,7 +378,7 @@ impl FsClient {
             Err(e) => {
                 // A genuine error (e.g. AlreadyExists on a first attempt) is
                 // an application-level failure; trace it for diagnosis.
-                ctx.trace("client.op_failed", || format!("{op:?}: {e}"));
+                ctx.trace(|| ClientTrace::OpFailed { op: op.clone(), error: e.clone() });
                 false
             }
         };

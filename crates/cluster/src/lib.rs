@@ -20,7 +20,7 @@ pub mod metrics;
 pub mod mttr;
 pub mod workload;
 
-pub use client::{ClientConfig, FsClient, FsIo, IoEvent};
+pub use client::{ClientConfig, ClientTrace, FsClient, FsIo, IoEvent};
 pub use datasrv::DataServer;
 pub use deploy::{DeploySpec, Deployment};
 pub use history::{History, OpRecord, Recorder};

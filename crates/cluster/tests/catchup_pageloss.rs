@@ -10,6 +10,7 @@ use mams_cluster::deploy::{build, DeploySpec};
 use mams_cluster::faults;
 use mams_cluster::metrics::Metrics;
 use mams_cluster::workload::Workload;
+use mams_core::MdsTrace;
 use mams_sim::{Duration, Sim, SimConfig, SimTime};
 
 #[test]
@@ -41,19 +42,17 @@ fn journal_catchup_converges_under_sustained_page_loss() {
     }
     s.run_for(Duration::from_secs(80));
 
-    let trace = s.trace();
     // The junior must have converged and been promoted back to standby —
     // if catch-up wedges on a lost page, this is what goes missing.
-    let promoted = trace.events().iter().any(|e| {
-        e.tag == "renew.promoted"
-            && e.detail == format!("n{standby}")
-            && e.time > SimTime(16_000_000)
+    let promoted = s.trace().of::<MdsTrace>().any(|(t, _, e)| {
+        t > SimTime(16_000_000)
+            && matches!(e, MdsTrace::JuniorPromoted { junior } if *junior == standby)
     });
     assert!(promoted, "restarted member never converged back to standby under page loss");
     // Replaying with lost-and-retried pages must not reorder or skip
     // records.
     assert!(
-        !trace.events().iter().any(|e| e.tag == "replica.diverged"),
+        !s.trace().of::<MdsTrace>().any(|(_, _, e)| matches!(e, MdsTrace::Diverged { .. })),
         "catch-up under loss produced a divergent replica"
     );
     // The cluster as a whole kept serving throughout.

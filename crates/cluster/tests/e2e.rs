@@ -5,6 +5,8 @@ use mams_cluster::faults;
 use mams_cluster::metrics::Metrics;
 use mams_cluster::mttr::{mean_mttr_secs, mttr_from_completions};
 use mams_cluster::workload::Workload;
+use mams_coord::CoordTrace;
+use mams_core::MdsTrace;
 use mams_sim::{Duration, Sim, SimConfig, SimTime};
 
 fn sim(seed: u64) -> Sim {
@@ -63,9 +65,10 @@ fn active_crash_fails_over_and_service_resumes() {
     );
 
     // A new active exists and the election stages were traced.
-    let trace = s.trace();
-    assert!(trace.first_at_or_after("failover.lock_acquired", kill_at).is_some());
-    assert!(trace.first_at_or_after("failover.switch_done", kill_at).is_some());
+    let after_kill =
+        |pick: fn(&MdsTrace) -> bool| s.trace().of().any(|(t, _, e)| t >= kill_at && pick(e));
+    assert!(after_kill(|e| matches!(e, MdsTrace::LockAcquired { .. })));
+    assert!(after_kill(|e| matches!(e, MdsTrace::SwitchDone { .. })));
 }
 
 #[test]
@@ -112,10 +115,12 @@ fn crashed_member_rejoins_as_junior_then_standby() {
     faults::schedule_crash_restart(&mut s, active, SimTime(15_000_000), Duration::from_secs(10));
     s.run_for(Duration::from_secs(80));
 
-    let trace = s.trace();
     // The restarted node must have been renewed back to standby.
+    let mut events = s.trace().of::<MdsTrace>();
     assert!(
-        trace.first_at_or_after("renew.promoted", SimTime(25_000_000)).is_some(),
+        events.any(|(t, _, e)| {
+            t >= SimTime(25_000_000) && matches!(e, MdsTrace::JuniorPromoted { .. })
+        }),
         "restarted member was never promoted back to standby"
     );
     assert!(m.ok_count() > 1_000);
@@ -134,18 +139,13 @@ fn test_a_lock_loss_returns_old_active_as_standby() {
     faults::schedule_lock_loss(&mut s, d.coord, active, SimTime(20_000_000));
     s.run_for(Duration::from_secs(50));
 
-    let trace = s.trace();
-    let degraded = trace
-        .first_at_or_after("failover.degraded", SimTime(20_000_000))
-        .expect("old active degrades");
-    assert_eq!(degraded.node, active);
+    let since_loss = || s.trace().of::<MdsTrace>().filter(|&(t, _, _)| t >= SimTime(20_000_000));
+    let degraded = since_loss().find(|(_, _, e)| matches!(e, MdsTrace::Degraded { .. }));
+    assert_eq!(degraded.expect("old active degrades").1, active);
     // The deposed active must come back as a hot member: either directly
     // standby at registration or via a (short) renewal.
-    let back = trace.events().iter().any(|e| {
-        e.node == active
-            && e.time >= SimTime(20_000_000)
-            && (e.tag == "member.registered_standby" || e.tag == "member.registered_junior")
-    });
+    let back =
+        since_loss().any(|(_, n, e)| n == active && matches!(e, MdsTrace::Registered { .. }));
     assert!(back, "deposed active never re-registered");
     // Service resumed.
     let outages = mttr_from_completions(&m.completions(), &[20_000_000]);
@@ -164,21 +164,15 @@ fn test_b_unplug_expires_members_and_they_rejoin() {
     s.run_for(Duration::from_secs(60));
 
     // The unplugged standby's session must have expired...
-    let trace = s.trace();
-    let expired = trace
-        .events()
-        .iter()
-        .any(|e| e.tag == "session.expired" && e.detail == format!("n{standby}"));
+    let mut events = s.trace().of::<CoordTrace>();
+    let expired = events.any(|(_, _, e)| *e == CoordTrace::SessionExpired { session: standby });
     assert!(expired, "unplugged standby's session should expire");
     // ...and service continues throughout (it was only a standby).
     assert!(m.ok_count() > 1_500, "got {}", m.ok_count());
     // After replug it must become hot again.
-    let rejoined = trace.events().iter().any(|e| {
-        e.node == standby
-            && e.time > SimTime(23_000_000)
-            && (e.tag == "member.registered_standby"
-                || e.tag == "renew.promoted"
-                || e.tag == "member.registered_junior")
+    let mut events = s.trace().of::<MdsTrace>();
+    let rejoined = events.any(|(t, n, e)| {
+        n == standby && t > SimTime(23_000_000) && matches!(e, MdsTrace::Registered { .. })
     });
     assert!(rejoined, "unplugged standby never rejoined");
 }
@@ -199,7 +193,8 @@ fn replicas_converge_after_quiet_period() {
     // All member acks settled: check via trace that syncs completed by
     // verifying the pool journal tail equals the number of flushed batches
     // and no divergence was ever traced.
-    assert!(!s.trace().events().iter().any(|e| e.tag.contains("diverg")));
+    let mut events = s.trace().of::<MdsTrace>();
+    assert!(!events.any(|(_, _, e)| matches!(e, MdsTrace::Diverged { .. })));
     let pool = d.shared_pool.lock();
     let g = pool.group(0).expect("journal");
     assert!(g.tail_sn() > 0);
@@ -223,11 +218,9 @@ fn backup_nodes_can_be_added_at_runtime() {
 
     // Both must have been renewed to standby.
     for b in [b1, b2] {
-        let promoted = s
-            .trace()
-            .events()
-            .iter()
-            .any(|e| e.tag == "renew.promoted" && e.detail == format!("n{b}"));
+        let mut events = s.trace().of::<MdsTrace>();
+        let promoted = events
+            .any(|(_, _, e)| matches!(e, MdsTrace::JuniorPromoted { junior } if *junior == b));
         assert!(promoted, "added backup n{b} never became a standby");
     }
 
@@ -243,14 +236,9 @@ fn backup_nodes_can_be_added_at_runtime() {
     let late =
         m.completions().iter().filter(|c| c.ok && c.at_us > s.now().micros() - 5_000_000).count();
     assert!(late > 100, "added backups failed to take over ({late})");
-    let winner = s
-        .trace()
-        .events()
-        .iter()
-        .rev()
-        .find(|e| e.tag == "failover.switch_done")
-        .map(|e| e.node)
-        .expect("switch completed");
+    let switches =
+        s.trace().of::<MdsTrace>().filter(|(_, _, e)| matches!(e, MdsTrace::SwitchDone { .. }));
+    let (_, winner, _) = switches.last().expect("switch completed");
     assert!([b1, b2].contains(&winner), "winner {winner} was not an added backup");
 }
 
@@ -367,7 +355,9 @@ fn automatic_checkpoints_bound_the_shared_journal() {
     s.run_for(Duration::from_secs(45));
 
     // Several checkpoints happened and the journal stayed compacted.
-    let checkpoints = s.trace().events().iter().filter(|e| e.tag == "checkpoint.done").count();
+    let events = s.trace().of::<MdsTrace>();
+    let checkpoints =
+        events.filter(|(_, _, e)| matches!(e, MdsTrace::CheckpointDone { .. })).count();
     assert!(checkpoints >= 3, "only {checkpoints} checkpoints");
     let pool = d.shared_pool.lock();
     let g = pool.group(0).expect("journal");

@@ -31,4 +31,4 @@ pub mod server;
 
 pub use client::{CoordClient, Incoming, COORD_HB_TOKEN};
 pub use proto::{CoordEvent, CoordReq, CoordResp, KeyOp, ReqId};
-pub use server::{CoordConfig, CoordServer};
+pub use server::{CoordConfig, CoordServer, CoordTrace};

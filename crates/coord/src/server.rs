@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use mams_sim::{Ctx, Duration, Message, Node, NodeId, SimTime};
+use mams_sim::{Ctx, Duration, Event, Message, Node, NodeId, SimTime};
 
 use crate::proto::{CoordEvent, CoordReq, CoordResp, KeyOp};
 
@@ -26,6 +26,21 @@ impl Default for CoordConfig {
         }
     }
 }
+
+/// What the coordination server records: every change to the global view,
+/// every lock grant (with the fencing `epoch` it carries) and release, every
+/// session opened or expired.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CoordTrace {
+    ViewSet { key: String, value: String },
+    ViewDel { key: String },
+    LockGranted { path: String, holder: NodeId, epoch: u64 },
+    LockFreed { path: String, by_expiry: bool },
+    SessionOpened { session: NodeId },
+    SessionExpired { session: NodeId },
+}
+
+impl Event for CoordTrace {}
 
 #[derive(Debug, Clone)]
 struct Entry {
@@ -95,7 +110,7 @@ impl CoordServer {
     fn apply_key_op(&mut self, ctx: &mut Ctx<'_>, from: NodeId, op: KeyOp, by_expiry: bool) {
         match op {
             KeyOp::Set { key, value, ephemeral } => {
-                ctx.trace("view.set", || format!("{key}={value}"));
+                ctx.trace(|| CoordTrace::ViewSet { key: key.clone(), value: value.clone() });
                 self.keys.insert(
                     key.clone(),
                     Entry { value: value.clone(), ephemeral: ephemeral.then_some(from) },
@@ -104,14 +119,14 @@ impl CoordServer {
             }
             KeyOp::Delete { key } => {
                 if self.keys.remove(&key).is_some() {
-                    ctx.trace("view.del", || key.clone());
+                    ctx.trace(|| CoordTrace::ViewDel { key: key.clone() });
                     self.fire_key_event(ctx, &key, None, by_expiry);
                 }
             }
             KeyOp::DeleteIfValue { key, value } => {
                 if self.keys.get(&key).is_some_and(|e| e.value == value) {
                     self.keys.remove(&key);
-                    ctx.trace("view.del", || key.clone());
+                    ctx.trace(|| CoordTrace::ViewDel { key: key.clone() });
                     self.fire_key_event(ctx, &key, None, by_expiry);
                 }
             }
@@ -121,7 +136,7 @@ impl CoordServer {
     fn release_lock(&mut self, ctx: &mut Ctx<'_>, path: &str, by_expiry: bool) {
         if let Some(lock) = self.locks.get_mut(path) {
             if lock.holder.take().is_some() {
-                ctx.trace("lock.freed", || format!("{path} (expiry={by_expiry})"));
+                ctx.trace(|| CoordTrace::LockFreed { path: path.to_string(), by_expiry });
                 for w in self.watchers_of(path) {
                     ctx.send(w, CoordEvent::LockFreed { path: path.to_string(), by_expiry });
                 }
@@ -133,7 +148,7 @@ impl CoordServer {
         if self.sessions.remove(&who).is_none() {
             return;
         }
-        ctx.trace("session.expired", || format!("n{who}"));
+        ctx.trace(|| CoordTrace::SessionExpired { session: who });
         // Drop ephemerals.
         let dead: Vec<String> = self
             .keys
@@ -200,7 +215,7 @@ impl Node for CoordServer {
         match req {
             CoordReq::Register => {
                 self.sessions.insert(from, ctx.now());
-                ctx.trace("session.open", || format!("n{from}"));
+                ctx.trace(|| CoordTrace::SessionOpened { session: from });
                 ctx.send(from, CoordResp::Registered);
             }
             CoordReq::Heartbeat => {
@@ -250,7 +265,11 @@ impl Node for CoordServer {
                         lock.holder = Some(from);
                         lock.epoch += 1;
                         let epoch = lock.epoch;
-                        ctx.trace("lock.grant", || format!("{path} -> n{from} (epoch {epoch})"));
+                        ctx.trace(|| CoordTrace::LockGranted {
+                            path: path.clone(),
+                            holder: from,
+                            epoch,
+                        });
                         for w in self.watchers_of(&path) {
                             ctx.send(
                                 w,
@@ -546,7 +565,8 @@ mod tests {
         sim.send_external(coord, CoordReq::Heartbeat);
         sim.run_for(Duration::from_secs(1));
         // No panic and no grant recorded.
-        assert!(!sim.trace().events().iter().any(|e| e.tag == "lock.grant"));
+        let mut events = sim.trace().of::<CoordTrace>();
+        assert!(!events.any(|(_, _, e)| matches!(e, CoordTrace::LockGranted { .. })));
     }
 }
 
@@ -620,7 +640,8 @@ mod more_tests {
         let (mut sim, coord, _probe, _log) = world();
         sim.send_external(coord, CoordReq::ForceExpire { victim: 999 });
         sim.run_for(mams_sim::Duration::from_secs(1));
-        assert!(!sim.trace().events().iter().any(|e| e.tag == "session.expired"));
+        let mut events = sim.trace().of::<CoordTrace>();
+        assert!(!events.any(|(_, _, e)| matches!(e, CoordTrace::SessionExpired { .. })));
     }
 
     #[test]

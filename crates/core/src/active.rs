@@ -17,6 +17,7 @@ use crate::proto::{FsOp, GroupMsg, MdsResp, OpOutput, Xid};
 use crate::server::{
     ClientReply, Inflight, MemberPos, PendingOp, Replica, ReplyTo, Tenure, XgOutstanding,
 };
+use crate::trace::MdsTrace;
 
 /// Flush as soon as this many mutations are pending.
 const BATCH_MAX_OPS: usize = 64;
@@ -334,7 +335,7 @@ impl Tenure {
             self.reply_now(r, ctx, reply, result);
         }
         if ooo > 0 {
-            ctx.trace("commit.ooo_release", || format!("{ooo} replies past an incomplete batch"));
+            ctx.trace(|| MdsTrace::OooRelease { replies: ooo });
         }
         for sn in drained {
             if let Some(inf) = self.inflight.remove(&sn) {
@@ -409,7 +410,7 @@ impl Tenure {
             // A rejected leg (e.g. the skeleton already had the entry from a
             // previous coordinator's half-finished transaction) still counts
             // as settled: the directory skeleton is consistent either way.
-            ctx.trace("xg.leg_failed", || format!("xid {xid:?} group {group}"));
+            ctx.trace(|| MdsTrace::LegFailed { xid, group });
         }
         let Some(o) = self.xg_outstanding.get_mut(&xid) else { return };
         o.groups.remove(&group);
@@ -470,8 +471,9 @@ impl Tenure {
         let image = r.prefix.ns.pin().encode_image(r.prefix.tail_sn(), &r.prefix.window);
         let group = r.cfg.group;
         let epoch = self.epoch;
-        ctx.trace("checkpoint.start", || {
-            format!("sn {} size {} B", image.checkpoint_sn, image.size_bytes())
+        ctx.trace(|| MdsTrace::CheckpointStarted {
+            sn: image.checkpoint_sn,
+            bytes: image.size_bytes(),
         });
         // A full image restarts the manifest chain, so it supersedes any
         // artifact write still unanswered: that reply may have been lost,
@@ -521,8 +523,11 @@ impl Tenure {
             txns,
             &r.prefix.window,
         );
-        ctx.trace("delta.start", || {
-            format!("({anchor}, {end}] {} entries {} B", delta.entries, delta.size_bytes())
+        ctx.trace(|| MdsTrace::DeltaStarted {
+            anchor,
+            end,
+            entries: delta.entries,
+            bytes: delta.size_bytes(),
         });
         let group = r.cfg.group;
         let epoch = self.epoch;
@@ -560,12 +565,12 @@ impl Tenure {
                     // The new base starts a fresh manifest chain; deltas
                     // fold from here on.
                     self.delta_anchor = Some(checkpoint_sn);
-                    ctx.trace("checkpoint.done", || format!("sn {checkpoint_sn}"));
+                    ctx.trace(|| MdsTrace::CheckpointDone { sn: checkpoint_sn });
                 }
                 (ArtifactKind::Base, _) => {}
                 (ArtifactKind::Delta, PoolResp::DeltaWritten { end_sn, .. }) => {
                     self.delta_anchor = Some(end_sn);
-                    ctx.trace("delta.done", || format!("sn {end_sn}"));
+                    ctx.trace(|| MdsTrace::DeltaDone { sn: end_sn });
                 }
                 (
                     ArtifactKind::Delta,
@@ -574,11 +579,11 @@ impl Tenure {
                     // The pool's chain moved under us (another writer's
                     // checkpoint, a lost ack): our anchor is stale. Restart
                     // the chain with a full image.
-                    ctx.trace("delta.rechain", String::new);
+                    ctx.trace(|| MdsTrace::DeltaRechain);
                     self.delta_anchor = None;
                     self.start_checkpoint(r, ctx);
                 }
-                (ArtifactKind::Delta, other) => ctx.trace("delta.error", || format!("{other:?}")),
+                (ArtifactKind::Delta, other) => ctx.trace(|| MdsTrace::DeltaFailed(other)),
             }
             return false;
         }
@@ -593,12 +598,12 @@ impl Tenure {
             }
             PoolResp::Failed { error: PoolError::Fenced { .. }, .. } => {
                 // IO fencing in action.
-                ctx.trace("fencing.append_refused", || format!("sn {sn}"));
+                ctx.trace(|| MdsTrace::AppendFenced { sn });
                 return true;
             }
             // The batch keeps its request: `retry_pool_appends` sends it
             // again, and whichever reply comes next is matched the same way.
-            other => ctx.trace("pool.append_error", || format!("{other:?}")),
+            other => ctx.trace(|| MdsTrace::AppendFailed(other)),
         }
         false
     }

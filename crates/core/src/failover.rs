@@ -21,6 +21,7 @@ use crate::server::{
     CatchupStage, ElectStage, ElectState, Inflight, MdsServer, Member, MemberPos, Replica,
     RoleState, Session, SessionReq, Tenure, Upgrading, T_ELECT, T_UPGRADE_RETRY,
 };
+use crate::trace::MdsTrace;
 use crate::view::ViewKey;
 
 /// How long an election round collects bids before listing them
@@ -211,7 +212,7 @@ impl MdsServer {
     fn note_failure(&mut self, ctx: &mut Ctx<'_>) {
         if let Some(m) = self.role.member().filter(|m| m.failure_seen_at.is_none()) {
             m.failure_seen_at = Some(ctx.now());
-            ctx.trace("failover.detected", String::new);
+            ctx.trace(|| MdsTrace::FailureDetected);
         }
     }
 
@@ -240,7 +241,7 @@ impl MdsServer {
         } else {
             ctx.rng().next_u64() >> 1 // random, below junior cap
         };
-        ctx.trace("election.start", || format!("bid {bid}"));
+        ctx.trace(|| MdsTrace::ElectionStarted { bid });
         let key = ViewKey::Bid(group, ctx.id());
         self.r.coord.set(ctx, key.to_string(), bid.to_string(), true);
         let m = self.role.member().expect("matched above");
@@ -277,7 +278,7 @@ impl MdsServer {
         // Not the winner: wait; the Backoff timer restarts the round if the
         // winner fails to take over.
         if entries.iter().filter_map(bid_of).max().is_some_and(|(_, winner)| winner == ctx.id()) {
-            ctx.trace("election.won_bid", || format!("bid {}", elect.bid));
+            ctx.trace(|| MdsTrace::BidWon { bid: elect.bid });
             self.r.coord.acquire_lock(ctx, ViewKey::Lock(self.r.cfg.group).to_string());
         }
     }
@@ -299,7 +300,7 @@ impl MdsServer {
         let my_state = self.r.view.get(&ViewKey::State(group, me));
         let standbys_exist = self.r.members_in_state("S").any(|n| n != me);
         if my_state.map(String::as_str) == Some("J") && standbys_exist {
-            ctx.trace("failover.aborted", || "junior with standbys present".into());
+            ctx.trace(|| MdsTrace::SwitchAborted);
             self.r.coord.release_lock(ctx, ViewKey::Lock(group).to_string(), epoch);
             self.r.pending_lock_release = Some(epoch);
             if let Some(m) = self.role.member() {
@@ -307,7 +308,7 @@ impl MdsServer {
             }
             return;
         }
-        ctx.trace("failover.lock_acquired", || format!("epoch {epoch}"));
+        ctx.trace(|| MdsTrace::LockAcquired { epoch });
         self.r.group_epoch = self.r.group_epoch.max(epoch);
         ctx.set_timer(UPGRADE_RETRY, T_UPGRADE_RETRY);
         // A junior elected mid-renewing keeps a chain in progress and
@@ -350,8 +351,7 @@ impl MdsServer {
         let mut keys = self.active_keys(me);
         keys.push(KeyOp::Delete { key: ViewKey::Bid(self.r.cfg.group, me).to_string() });
         self.r.coord.multi(ctx, keys);
-        ctx.trace("failover.view_updated", String::new);
-        ctx.trace("failover.switch_done", || format!("sn {}", self.r.prefix.tail_sn()));
+        ctx.trace(|| MdsTrace::SwitchDone { sn: self.r.prefix.tail_sn() });
         // Our replica can be *ahead* of the durable tail: the deposed active
         // synced batches to us whose own SSP appends died with it. They are
         // already applied to our image, so re-offer the suffix to the pool —
@@ -367,7 +367,7 @@ impl MdsServer {
             .map(|bs| bs.iter().map(SharedBatch::share).collect())
             .unwrap_or_default();
         for batch in resync {
-            ctx.trace("failover.resync_pool", || format!("re-offer sn {}", batch.sn));
+            ctx.trace(|| MdsTrace::PoolResync { sn: batch.sn });
             t.append_to_pool(r, ctx, batch, Inflight::default());
         }
         // Step 6: release buffered client requests.
@@ -412,15 +412,11 @@ impl MdsServer {
             // Divergent suffix (our extra batches were never
             // client-acknowledged): give the prefix up, catch-up rebuilds
             // one from the pool.
-            ctx.trace("member.reset_divergent", || {
-                format!("our sn {} > tail {tail_sn}", self.r.prefix.tail_sn())
-            });
+            ctx.trace(|| MdsTrace::ResetDivergent { sn: self.r.prefix.tail_sn(), tail: tail_sn });
             self.r.prefix = Prefix::new();
         }
         self.announce_state(ctx);
-        let verdict =
-            if as_standby { "member.registered_standby" } else { "member.registered_junior" };
-        ctx.trace(verdict, String::new);
+        ctx.trace(|| MdsTrace::Registered { as_standby });
     }
 
     // ------------------------------------------------------ degradation
@@ -438,7 +434,7 @@ impl MdsServer {
         let Some(epoch) = self.role.grant() else { return };
         let silent = ctx.now().since(self.r.last_coord_contact);
         if silent > self.r.cfg.timing.coord_lease() {
-            ctx.trace("failover.self_fence", || format!("coord silent for {silent:?}"));
+            ctx.trace(|| MdsTrace::SelfFenced { silent });
             // Teardown of our view presence. On an *asymmetric* cut (we can
             // send to the coordinator but hear nothing back) our session
             // stays alive server-side, so without this the lock and the
@@ -474,7 +470,7 @@ impl MdsServer {
 
     /// Our member state — after stepping down, if we hold (or are taking)
     /// the lock.
-    fn step_down(&mut self, ctx: &mut Ctx<'_>, reason: &str) -> &mut Member {
+    fn step_down(&mut self, ctx: &mut Ctx<'_>, reason: &'static str) -> &mut Member {
         if self.role.grant().is_some() {
             self.degrade_to_junior(ctx, reason);
         }
@@ -488,8 +484,8 @@ impl MdsServer {
     /// keeps operations exact; barriered reads observed state that will
     /// never commit and are never answered; whatever the pool still answers,
     /// it answers nobody.
-    pub(crate) fn degrade_to_junior(&mut self, ctx: &mut Ctx<'_>, reason: &str) {
-        ctx.trace("failover.degraded", || reason.to_string());
+    pub(crate) fn degrade_to_junior(&mut self, ctx: &mut Ctx<'_>, reason: &'static str) {
+        ctx.trace(|| MdsTrace::Degraded { reason });
         let last_grant = self.role.grant().expect("only a grant's holder degrades");
         let junior = Member { junior: true, last_grant, ..Member::default() };
         let ended = std::mem::replace(&mut self.role, RoleState::Member(junior));
@@ -503,8 +499,9 @@ impl MdsServer {
         // later replay diverge.
         if let RoleState::Active(t) = &ended {
             if !t.pending.is_empty() || t.inflight.values().any(|i| i.pool_req.is_some()) {
-                ctx.trace("failover.discard_speculative", || {
-                    format!("{} pending, {} inflight", t.pending.len(), t.inflight.len())
+                ctx.trace(|| MdsTrace::SpeculativeDiscarded {
+                    pending: t.pending.len(),
+                    inflight: t.inflight.len(),
                 });
                 self.r.prefix = Prefix::new();
             }
@@ -532,11 +529,7 @@ impl Tenure {
         let as_standby = sn == tail;
         let votes_from = as_standby.then_some(tail + 1);
         self.members.insert(from, MemberPos { acked: sn, votes_from });
-        if as_standby {
-            ctx.trace("member.standby", || format!("n{from} at sn {sn}"));
-        } else {
-            ctx.trace("member.junior", || format!("n{from} at sn {sn} (tail {tail})"));
-        }
+        ctx.trace(|| MdsTrace::MemberRegistered { member: from, sn, tail, as_standby });
         ctx.send(from, GroupMsg::RegisterAck { as_standby, epoch: self.epoch, tail_sn: tail });
         // Batches that waited for a vote it no longer owes can go.
         self.try_complete(r, ctx);

@@ -38,6 +38,7 @@ pub mod prefix;
 pub mod proto;
 pub mod retry;
 pub mod server;
+pub mod trace;
 pub mod view;
 
 mod active;
@@ -51,4 +52,5 @@ pub use prefix::Prefix;
 pub use proto::{FsOp, GroupMsg, MdsReq, MdsResp, OpOutput, Xid};
 pub use retry::RetryCache;
 pub use server::{MdsServer, Role};
+pub use trace::MdsTrace;
 pub use view::ViewKey;

@@ -21,7 +21,7 @@
 //! by the active's re-push (`retry_pool_appends`).
 
 use mams_journal::{SharedBatch, Sn};
-use mams_namespace::StreamingImageDecoder;
+use mams_namespace::{ImageError, StreamingImageDecoder};
 use mams_sim::{Ctx, NodeId};
 use mams_storage::proto::{PoolReq, PoolResp, ReqId};
 use mams_storage::{ArtifactId, ArtifactKind, ManifestEntry, PoolError};
@@ -31,6 +31,7 @@ use crate::proto::GroupMsg;
 use crate::server::{
     CatchupStage, MdsServer, Member, RenewDriver, Replica, RoleState, Session, SessionReq, Tenure,
 };
+use crate::trace::MdsTrace;
 
 /// Journal-sn gap at or below which the renewing protocol enters its final
 /// synchronization stage. Must stay below `MdsTiming::renew_image_gap`.
@@ -51,7 +52,7 @@ impl Tenure {
         if let Some(d) = self.renew_driver.as_mut() {
             d.stale_scans += 1;
             if d.stale_scans > 5 {
-                ctx.trace("renew.session_stalled", || format!("junior n{}", d.junior));
+                ctx.trace(|| MdsTrace::RenewStalled { junior: d.junior });
                 self.renew_driver = None;
             } else {
                 return;
@@ -63,7 +64,7 @@ impl Tenure {
         let candidate = juniors.filter_map(|n| Some((self.members.get(&n)?.acked, n))).max();
         if let Some((sn, junior)) = candidate {
             let tip = r.prefix.tail_sn();
-            ctx.trace("renew.session_start", || format!("junior n{junior} sn {sn} tip {tip}"));
+            ctx.trace(|| MdsTrace::RenewStarted { junior, sn, tip });
             self.renew_driver = Some(RenewDriver { junior, stale_scans: 0 });
             ctx.send(junior, GroupMsg::RenewStart { tip_sn: tip });
         }
@@ -101,9 +102,7 @@ impl Tenure {
             // Shared handles into our log — shipping the range is
             // reference-count bumps, not a copy of the records.
             let batches: Vec<SharedBatch> = missing.iter().map(SharedBatch::share).collect();
-            ctx.trace("renew.final_sync", || {
-                format!("n{from}: {} batches to tail {tail}", batches.len())
-            });
+            ctx.trace(|| MdsTrace::FinalSync { junior: from, batches: batches.len(), tail });
             ctx.send(from, GroupMsg::RenewJournal { epoch: self.epoch, batches });
         } else if sn == tail {
             // Already at the tail; promote on its next ack (or now).
@@ -114,7 +113,7 @@ impl Tenure {
     /// A renewing junior acknowledged our tail (or reported in at it): it is
     /// fully synchronized — flip it to standby in the view.
     pub(crate) fn promote_junior(&mut self, r: &Replica, ctx: &mut Ctx<'_>, junior: NodeId) {
-        ctx.trace("renew.promoted", || format!("n{junior}"));
+        ctx.trace(|| MdsTrace::JuniorPromoted { junior });
         self.renew_driver = None;
         let tail_sn = r.prefix.tail_sn();
         if let Some(pos) = self.members.get_mut(&junior) {
@@ -132,13 +131,13 @@ impl MdsServer {
         let RoleState::Member(m @ Member { junior: true, .. }) = &self.role else { return };
         self.r.active_hint = Some(from);
         let gap = tip_sn.saturating_sub(self.r.prefix.tail_sn());
-        ctx.trace("renew.begin", || format!("gap {gap}"));
+        ctx.trace(|| MdsTrace::RenewBegin { gap });
         if let Some(CatchupStage::Chain { idx, offset, .. }) = &m.session.stage {
             // Resume an interrupted session from its checkpoint instead of
             // retransmitting everything. Re-resolving the manifest first
             // confirms the planned artifacts still exist (compaction may
             // have GC'd them while we were away).
-            ctx.trace("renew.resume", || format!("chain idx {idx} offset {offset}"));
+            ctx.trace(|| MdsTrace::RenewResumed { idx: *idx, offset: *offset });
             self.start_image_fetch(ctx);
         } else if gap > self.r.cfg.timing.renew_image_gap {
             self.start_image_fetch(ctx);
@@ -266,7 +265,7 @@ impl MdsServer {
         let manifest = match resp {
             PoolResp::ManifestInfo { manifest, .. } => manifest,
             other => {
-                ctx.trace("renew.manifest_error", || format!("{other:?}"));
+                ctx.trace(|| MdsTrace::ManifestFailed(other));
                 return;
             }
         };
@@ -306,14 +305,11 @@ impl MdsServer {
             self.enter_journal_stage(ctx, 0);
             return;
         }
-        ctx.trace("renew.chain_plan", || {
-            let bytes: u64 = plan.iter().map(|e| e.bytes).sum();
-            format!(
-                "{} artifacts {} B (applied {applied}, chain end {})",
-                plan.len(),
-                bytes,
-                manifest.end_sn()
-            )
+        ctx.trace(|| MdsTrace::ChainPlanned {
+            artifacts: plan.len(),
+            bytes: plan.iter().map(|e| e.bytes).sum(),
+            applied,
+            chain_end: manifest.end_sn(),
         });
         let first = plan[0].clone();
         let decoder = (first.kind == ArtifactKind::Base).then(|| {
@@ -342,7 +338,7 @@ impl MdsServer {
                 // between the plan and this read. Re-resolve and replan
                 // against the merged chain (satellite of the crash-safe
                 // compaction swap).
-                ctx.trace("renew.manifest_stale", || format!("artifact {id} gone"));
+                ctx.trace(|| MdsTrace::ManifestStale { artifact: id });
                 if let Some(CatchupStage::Chain { plan, .. }) = self.role.stage() {
                     plan.clear(); // force a replan; resume check can't hold
                 }
@@ -350,7 +346,7 @@ impl MdsServer {
                 return;
             }
             other => {
-                ctx.trace("renew.chunk_error", || format!("{other:?}"));
+                ctx.trace(|| MdsTrace::ChunkFailed(other));
                 self.session_send(ctx, SessionReq::Manifest);
                 return;
             }
@@ -362,7 +358,7 @@ impl MdsServer {
             More(ArtifactId, u64),
             BaseDone,
             DeltaDone,
-            Corrupt(String),
+            Corrupt(ImageError),
         }
         let step = {
             let Some(CatchupStage::Chain { plan, idx, offset, decoder, buf }) = self.role.stage()
@@ -386,7 +382,7 @@ impl MdsServer {
                                 Step::More(entry.id, *offset)
                             }
                         }
-                        Err(e) => Step::Corrupt(e.to_string()),
+                        Err(e) => Step::Corrupt(e),
                     }
                 }
                 ArtifactKind::Delta => {
@@ -407,7 +403,7 @@ impl MdsServer {
             Step::BaseDone => self.finish_base_artifact(ctx),
             Step::DeltaDone => self.finish_delta_artifact(ctx),
             Step::Corrupt(e) => {
-                ctx.trace("renew.image_corrupt", || e);
+                ctx.trace(|| MdsTrace::ImageCorrupt(e));
                 // A corrupt *base* has no cheaper fallback: restart the
                 // whole resolve (a fresh checkpoint will replace it).
                 self.set_catchup(Some(CatchupStage::Manifest));
@@ -426,7 +422,7 @@ impl MdsServer {
         let Some(decoder) = decoder else { return };
         match decoder.finish_with_window() {
             Ok((tree, image_sn, window)) => {
-                ctx.trace("renew.image_loaded", || format!("checkpoint sn {image_sn}"));
+                ctx.trace(|| MdsTrace::ImageLoaded { sn: image_sn });
                 // The image's retry window is the writer's window at
                 // `image_sn`: the prefix it stands for, though we never saw
                 // the batches.
@@ -434,7 +430,7 @@ impl MdsServer {
                 self.advance_chain(ctx);
             }
             Err(e) => {
-                ctx.trace("renew.image_corrupt", || e.to_string());
+                ctx.trace(|| MdsTrace::ImageCorrupt(e));
                 self.set_catchup(Some(CatchupStage::Manifest));
                 self.session_send(ctx, SessionReq::Manifest);
             }
@@ -452,7 +448,7 @@ impl MdsServer {
             .and_then(|delta| self.r.prefix.adopt_delta(delta));
         match adopted {
             Ok(()) => {
-                ctx.trace("renew.delta_applied", || format!("to sn {}", self.r.prefix.tail_sn()));
+                ctx.trace(|| MdsTrace::DeltaApplied { sn: self.r.prefix.tail_sn() });
                 self.advance_chain(ctx);
             }
             Err(e) => {
@@ -462,7 +458,7 @@ impl MdsServer {
                 // journal from the base checkpoint, so the range is there;
                 // if a compaction truncates it meanwhile, the `compacted`
                 // reply re-resolves a fresh manifest.
-                ctx.trace("renew.delta_corrupt", || e);
+                ctx.trace(|| MdsTrace::DeltaCorrupt(e));
                 self.enter_journal_stage(ctx, 0);
             }
         }
@@ -513,7 +509,7 @@ impl MdsServer {
         let (batches, tail_sn, compacted) = match resp {
             PoolResp::Journal { batches, tail_sn, compacted, .. } => (batches, tail_sn, compacted),
             other => {
-                ctx.trace("renew.page_error", || format!("{other:?}"));
+                ctx.trace(|| MdsTrace::PageFailed(other));
                 // Keep the pipeline moving despite the failed read.
                 self.pump_journal_pages(ctx);
                 return;

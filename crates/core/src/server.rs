@@ -28,6 +28,7 @@ use crate::commit::FLUSH_IDLE;
 use crate::config::{InitialRole, MdsConfig};
 use crate::prefix::Prefix;
 use crate::proto::{GroupMsg, MdsReq, MdsResp, OpOutput, Xid};
+use crate::trace::MdsTrace;
 use crate::view::ViewKey;
 
 /// Timer tokens (coord heartbeat uses its own reserved token).
@@ -669,7 +670,7 @@ impl Replica {
         if !self.diverged_traced && self.divergences > 0 {
             self.diverged_traced = true;
             let n = self.divergences;
-            ctx.trace("replica.diverged", || format!("count={n}"));
+            ctx.trace(|| MdsTrace::Diverged { count: n });
         }
     }
 
@@ -800,7 +801,7 @@ impl Node for MdsServer {
                 let epoch = up.epoch;
                 // A pool reply of the switch is late or lost: ask again. A
                 // switch that awaits nothing runs again from the fence.
-                ctx.trace("failover.upgrade_retry", String::new);
+                ctx.trace(|| MdsTrace::UpgradeRetry);
                 if self.resend_session_requests(ctx) {
                     ctx.set_timer(crate::failover::UPGRADE_RETRY, T_UPGRADE_RETRY);
                 } else {

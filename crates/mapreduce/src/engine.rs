@@ -13,7 +13,7 @@ use std::sync::Arc;
 use mams_cluster::{FsIo, IoEvent};
 use mams_core::FsOp;
 use mams_namespace::Partitioner;
-use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim};
+use mams_sim::{Ctx, Duration, Event, Message, Node, NodeId, Sim};
 
 use crate::stats::JobStats;
 
@@ -52,6 +52,19 @@ pub enum MrMsg {
     MapDone { id: usize },
     ReduceDone { id: usize },
 }
+
+/// What the job tracker records: the job's phases and every task it saw
+/// finish, with how many of that kind are done.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MrTrace {
+    JobStarted,
+    MapDone { id: usize, done: usize },
+    ReducePhase,
+    ReduceDone { id: usize, done: usize },
+    JobDone,
+}
+
+impl Event for MrTrace {}
 
 /// Paths used by the job.
 fn intermediate(map: usize, reduce: usize) -> String {
@@ -109,7 +122,7 @@ impl JobTracker {
 
     fn begin_reduce_phase(&mut self, ctx: &mut Ctx<'_>) {
         self.started_reduce = true;
-        ctx.trace("mr.reduce_phase", String::new);
+        ctx.trace(|| MrTrace::ReducePhase);
         let workers = self.workers.clone();
         for w in workers {
             if let Some(id) = self.reduce_queue.pop_front() {
@@ -138,7 +151,7 @@ impl Node for JobTracker {
                 if self.setup_pending > 0 {
                     self.setup_pending -= 1;
                     if self.setup_pending == 0 {
-                        ctx.trace("mr.job_start", String::new);
+                        ctx.trace(|| MrTrace::JobStarted);
                         self.stats.job_started(ctx.now().micros());
                         self.assign_initial_maps(ctx);
                     }
@@ -153,7 +166,7 @@ impl Node for JobTracker {
                 MrMsg::MapDone { id } => {
                     self.maps_done += 1;
                     self.stats.map_done(ctx.now().micros());
-                    ctx.trace("mr.map_done", || format!("map {id} ({})", self.maps_done));
+                    ctx.trace(|| MrTrace::MapDone { id, done: self.maps_done });
                     if let Some(next) = self.map_queue.pop_front() {
                         ctx.send(from, MrMsg::AssignMap { id: next });
                     } else if self.maps_done == self.spec.maps && !self.started_reduce {
@@ -163,12 +176,12 @@ impl Node for JobTracker {
                 MrMsg::ReduceDone { id } => {
                     self.reduces_done += 1;
                     self.stats.reduce_done(ctx.now().micros());
-                    ctx.trace("mr.reduce_done", || format!("reduce {id} ({})", self.reduces_done));
+                    ctx.trace(|| MrTrace::ReduceDone { id, done: self.reduces_done });
                     if let Some(next) = self.reduce_queue.pop_front() {
                         ctx.send(from, MrMsg::AssignReduce { id: next });
                     } else if self.reduces_done == self.spec.reduces {
                         self.stats.job_done(ctx.now().micros());
-                        ctx.trace("mr.job_done", String::new);
+                        ctx.trace(|| MrTrace::JobDone);
                     }
                 }
                 MrMsg::AssignMap { .. } | MrMsg::AssignReduce { .. } => {}

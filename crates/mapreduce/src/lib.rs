@@ -16,5 +16,5 @@
 pub mod engine;
 pub mod stats;
 
-pub use engine::{build_job, JobSpec, JobTracker, MrMsg, TaskWorker};
+pub use engine::{build_job, JobSpec, JobTracker, MrMsg, MrTrace, TaskWorker};
 pub use stats::JobStats;

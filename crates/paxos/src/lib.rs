@@ -18,3 +18,4 @@ pub mod rsm;
 
 pub use acceptor::{AcceptReply, Acceptor};
 pub use ballot::Ballot;
+pub use rsm::RsmTrace;

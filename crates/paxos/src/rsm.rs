@@ -12,10 +12,21 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Debug;
 
-use mams_sim::{Ctx, Duration, Message, Node, NodeId};
+use mams_sim::{Ctx, Duration, Event, Message, Node, NodeId};
 
 use crate::acceptor::Acceptor;
 use crate::ballot::Ballot;
+
+/// What a replica records: elections it starts and wins, slots it commits
+/// (`follower`: learned from the leader rather than counted here).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RsmTrace {
+    ElectionStarted { ballot: Ballot },
+    Leader { ballot: Ballot },
+    Committed { slot: u64, follower: bool },
+}
+
+impl Event for RsmTrace {}
 
 /// An accepted slot entry: `(slot, ballot, command)`.
 pub type SlotEntry<C> = (u64, Ballot, C);
@@ -219,7 +230,7 @@ impl<A: RsmApp + 'static> RsmNode<A> {
         // Self-promise with our own accepted suffix.
         let mine = self.accepted_from(self.commit_index);
         self.promises.insert(self.cfg.me, mine);
-        ctx.trace("rsm.election_start", || format!("ballot {}", self.ballot));
+        ctx.trace(|| RsmTrace::ElectionStarted { ballot: self.ballot });
         let msg = RsmMsg::Prepare { ballot: self.ballot, from_slot: self.commit_index };
         self.broadcast(ctx, &msg);
         self.arm_election_timer(ctx);
@@ -236,7 +247,7 @@ impl<A: RsmApp + 'static> RsmNode<A> {
         self.role = Role::Leader;
         self.leader_hint = Some(self.my_id());
         self.accepts.clear();
-        ctx.trace("rsm.leader", || format!("ballot {}", self.ballot));
+        ctx.trace(|| RsmTrace::Leader { ballot: self.ballot });
 
         // Merge promise suffixes: per slot keep the highest-ballot value,
         // then re-propose everything uncommitted under our ballot.
@@ -306,7 +317,7 @@ impl<A: RsmApp + 'static> RsmNode<A> {
                 .expect("quorum-accepted slot has a local value");
             self.app.apply(slot, &value);
             self.commit_index += 1;
-            ctx.trace("rsm.commit", || format!("slot {slot}"));
+            ctx.trace(|| RsmTrace::Committed { slot, follower: false });
             if let Some((client, req)) = self.waiting_clients.remove(&slot) {
                 Self::send(
                     ctx,
@@ -333,7 +344,7 @@ impl<A: RsmApp + 'static> RsmNode<A> {
             };
             self.app.apply(slot, &value);
             self.commit_index += 1;
-            ctx.trace("rsm.commit", || format!("slot {slot} (follower)"));
+            ctx.trace(|| RsmTrace::Committed { slot, follower: true });
         }
     }
 

@@ -16,7 +16,8 @@
 //! * [`Sim`] — the world: event queue, network model, node lifecycle
 //!   (crash / restart / pause), control hooks for fault injection,
 //! * [`net::Network`] — per-link latency models, partitions, loss,
-//! * [`trace::Trace`] — structured, time-stamped protocol traces used by the
+//! * [`trace::Trace`] — time-stamped protocol traces of typed events (one
+//!   enum per recording crate, read back with [`Trace::of`]) used by the
 //!   figure harnesses (e.g. the Figure 7 failover-stage breakdown),
 //! * [`reliability`] — the analytic MTBF model behind Figure 1.
 //!
@@ -39,5 +40,5 @@ pub use net::{LatencyModel, LinkShape, Network, RouteFate};
 pub use node::{AnyMessage, Ctx, Message, Node, NodeId, TimerId};
 pub use rng::DetRng;
 pub use time::{Duration, SimTime};
-pub use trace::{Trace, TraceEvent};
-pub use world::{NodeStatus, Sim, SimConfig};
+pub use trace::{Event, Trace, TraceEvent};
+pub use world::{NodeStatus, Sim, SimConfig, SimTrace};

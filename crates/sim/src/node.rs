@@ -12,6 +12,7 @@ use std::fmt;
 
 use crate::rng::DetRng;
 use crate::time::{Duration, SimTime};
+use crate::trace::Event;
 use crate::world::Kernel;
 
 /// Identifies a node in the simulated cluster. Dense small integers; assigned
@@ -181,11 +182,10 @@ impl<'a> Ctx<'a> {
         &mut self.kernel.rng
     }
 
-    /// Emit a structured trace event (no-op when tracing is disabled).
-    pub fn trace(&mut self, tag: &'static str, detail: impl FnOnce() -> String) {
-        let now = self.kernel.now;
-        let id = self.id;
-        self.kernel.trace.record(now, id, tag, detail);
+    /// Record a trace event. With tracing off `event` is never called, so
+    /// nothing is built.
+    pub fn trace<E: Event>(&mut self, event: impl FnOnce() -> E) {
+        self.kernel.trace.record(self.kernel.now, self.id, event);
     }
 }
 

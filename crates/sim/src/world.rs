@@ -7,7 +7,20 @@ use crate::net::{LatencyModel, Network};
 use crate::node::{Ctx, Message, Node, NodeId, TimerId, EXTERNAL};
 use crate::rng::DetRng;
 use crate::time::{Duration, SimTime};
-use crate::trace::Trace;
+use crate::trace::{Event, Trace};
+
+/// What the kernel itself records: the lifecycle actions a harness or a
+/// fault injector takes on a node, each with the name the node was
+/// registered under.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SimTrace {
+    Crashed(String),
+    Paused(String),
+    Resumed(String),
+    Restarted(String),
+}
+
+impl Event for SimTrace {}
 
 /// Whether a node's process is running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,15 +215,16 @@ impl Sim {
         &self.kernel.trace
     }
 
-    /// Mutable trace handle (clearing between phases).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.kernel.trace
+    /// Record a trace event on behalf of `node` from outside any callback (a
+    /// control action); `event` is evaluated only when tracing is on.
+    pub fn record<E: Event>(&mut self, node: NodeId, event: impl FnOnce() -> E) {
+        self.kernel.trace.record(self.kernel.now, node, event);
     }
 
     /// Record a control action on a node, named as it was registered.
-    fn trace_control(&mut self, id: NodeId, tag: &'static str) {
+    fn trace_control(&mut self, id: NodeId, action: fn(String) -> SimTrace) {
         let Kernel { now, trace, meta, .. } = &mut self.kernel;
-        trace.record(*now, id, tag, || meta[id as usize].name.clone());
+        trace.record(*now, id, || action(meta[id as usize].name.clone()));
     }
 
     pub fn node_status(&self, id: NodeId) -> NodeStatus {
@@ -274,7 +288,7 @@ impl Sim {
                 self.kernel.queue.cancel_timer(timer);
             }
         }
-        self.trace_control(id, "sim.crash");
+        self.trace_control(id, SimTrace::Crashed);
     }
 
     /// Freeze a node without killing it (long GC pause, SIGSTOP): its state
@@ -286,7 +300,7 @@ impl Sim {
             return;
         }
         if self.kernel.paused.insert(id) {
-            self.trace_control(id, "sim.pause");
+            self.trace_control(id, SimTrace::Paused);
         }
     }
 
@@ -296,7 +310,7 @@ impl Sim {
         if !self.kernel.paused.remove(&id) {
             return;
         }
-        self.trace_control(id, "sim.resume");
+        self.trace_control(id, SimTrace::Resumed);
         let now = self.kernel.now;
         if let Some(events) = self.kernel.backlog.remove(&id) {
             // Pushed at `now` in buffered order; the queue keeps same-time
@@ -339,7 +353,7 @@ impl Sim {
         m.epoch += 1;
         m.started = false;
         self.awaiting_start = true;
-        self.trace_control(id, "sim.restart");
+        self.trace_control(id, SimTrace::Restarted);
         self.start_pending();
     }
 
@@ -596,7 +610,7 @@ mod tests {
 
     #[test]
     fn identical_seeds_identical_traces() {
-        fn run(seed: u64) -> Vec<(u64, &'static str)> {
+        fn run(seed: u64) -> String {
             let hits = Arc::new(AtomicU64::new(0));
             let mut sim = Sim::new(SimConfig { seed, ..SimConfig::default() });
             let a = sim.add_node("a", mk(hits.clone(), None));
@@ -605,7 +619,7 @@ mod tests {
             sim.send_external(b, 0u32);
             sim.at(SimTime(2_000), move |s| s.crash(a));
             sim.run_for(Duration::from_secs(1));
-            sim.trace().events().iter().map(|e| (e.time.micros(), e.tag)).collect()
+            sim.trace().to_string()
         }
         assert_eq!(run(7), run(7));
         // And the run is not trivially empty.

@@ -40,28 +40,8 @@ fn main() {
 
     // The failover, step by step, from the protocol trace.
     println!("\nfailover timeline:");
-    for e in sim.trace().events() {
-        if e.time < kill_at {
-            continue;
-        }
-        match e.tag {
-            "sim.crash"
-            | "session.expired"
-            | "lock.freed"
-            | "failover.detected"
-            | "election.start"
-            | "election.won_bid"
-            | "lock.grant"
-            | "failover.lock_acquired"
-            | "failover.view_updated"
-            | "failover.switch_done"
-            | "member.standby"
-            | "renew.session_start"
-            | "renew.promoted" => {
-                println!("  {e}");
-            }
-            _ => {}
-        }
+    for e in sim.trace().events().iter().filter(|e| e.time >= kill_at) {
+        println!("  {e}");
     }
 
     let outages = mttr_from_completions(&metrics.completions(), &[kill_at.micros()]);

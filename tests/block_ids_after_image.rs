@@ -10,15 +10,16 @@
 
 mod common;
 
-use common::{group_with, mds, secs};
+use common::{first, group_with, mds, secs};
 use mams::cluster::{ClientConfig, History, Recorder, Workload};
-use mams::core::{FsOp, MdsReq, MdsTiming, OpOutput, Role};
+use mams::core::{FsOp, MdsReq, MdsTiming, MdsTrace, OpOutput, Role};
 use mams::sim::Duration;
 
 #[test]
 fn a_member_elected_after_an_image_catch_up_allocates_fresh_block_ids() {
     // The blocks are in the base image: written, then checkpointed by hand.
-    elected_after_adopting("renew.image_loaded", MdsTiming::default(), 0.5, true);
+    let image_loaded = |e: &MdsTrace| matches!(e, MdsTrace::ImageLoaded { .. });
+    elected_after_adopting(image_loaded, MdsTiming::default(), 0.5, true);
 }
 
 #[test]
@@ -31,14 +32,19 @@ fn a_member_elected_after_a_delta_catch_up_allocates_fresh_block_ids() {
         renew_image_gap: 9,
         ..MdsTiming::default()
     };
-    elected_after_adopting("renew.delta_applied", timing, 1.5, false);
+    elected_after_adopting(|e| matches!(e, MdsTrace::DeltaApplied { .. }), timing, 1.5, false);
 }
 
 /// Write a file's blocks at `write_at`, checkpoint (by hand, or leave it to
 /// `timing`), restart the standby so that it adopts the artifact (`adopted`
-/// is the trace tag that proves it), crash the active, and write another
-/// file through the restored member.
-fn elected_after_adopting(adopted: &str, timing: MdsTiming, write_at: f64, checkpoint: bool) {
+/// picks the trace event that proves it), crash the active, and write
+/// another file through the restored member.
+fn elected_after_adopting(
+    adopted: fn(&MdsTrace) -> bool,
+    timing: MdsTiming,
+    write_at: f64,
+    checkpoint: bool,
+) {
     // Two scripted clients: the first writes before the checkpoint, the
     // second starts after the restored member's election.
     let file = |path: &str, blocks: usize| {
@@ -70,8 +76,8 @@ fn elected_after_adopting(adopted: &str, timing: MdsTiming, write_at: f64, check
     g.sim.run_until(secs(9.0));
     g.sim.restart(member);
     g.sim.run_until(secs(15.0));
-    let caught_up = g.sim.trace().events().iter().any(|e| e.tag == adopted && e.node == member);
-    assert!(caught_up, "the restarted member was meant to trace {adopted}");
+    let caught_up = first(&g.sim, secs(9.0), |n, e| n == member && adopted(e));
+    assert!(caught_up.is_some(), "the restarted member was meant to adopt the artifact");
     assert_eq!(mds(&g.sim, member).role(), Role::Standby, "and to be renewed");
 
     g.sim.crash(active);

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use mams::cluster::deploy::{build, DeploySpec};
 use mams::cluster::{ClientConfig, Metrics, Workload};
-use mams::core::{MdsServer, MdsTiming};
+use mams::core::{MdsServer, MdsTiming, MdsTrace};
 use mams::sim::{LatencyModel, NodeId, Sim, SimConfig, SimTime};
 use mams::storage::pool::SharedPool;
 
@@ -66,6 +66,16 @@ pub fn group_with(
 /// A live member's state.
 pub fn mds(sim: &Sim, id: NodeId) -> &MdsServer {
     sim.node(id).expect("the member is up")
+}
+
+/// When a member first recorded an event `pick` accepts, at or after `from`.
+pub fn first(
+    sim: &Sim,
+    from: SimTime,
+    pick: impl Fn(NodeId, &MdsTrace) -> bool,
+) -> Option<SimTime> {
+    let mut events = sim.trace().of::<MdsTrace>();
+    events.find(|&(t, node, e)| t >= from && pick(node, e)).map(|(t, _, _)| t)
 }
 
 pub fn secs(s: f64) -> SimTime {

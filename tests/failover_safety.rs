@@ -6,8 +6,26 @@ use mams::cluster::deploy::{build, DeploySpec};
 use mams::cluster::faults;
 use mams::cluster::metrics::Metrics;
 use mams::cluster::workload::Workload;
+use mams::coord::CoordTrace;
+use mams::core::{MdsTrace, ViewKey};
 use mams::journal::Txn;
 use mams::sim::{DetRng, Duration, Sim, SimConfig, SimTime};
+
+/// The fencing epoch of every lock grant, in grant order.
+fn grant_epochs(sim: &Sim) -> Vec<u64> {
+    let grants = sim.trace().of::<CoordTrace>().filter_map(|(_, _, e)| match e {
+        CoordTrace::LockGranted { epoch, .. } => Some(*epoch),
+        _ => None,
+    });
+    grants.collect()
+}
+
+/// Some replica failed to replay an acknowledged record: the campaign's own
+/// predicate. (`MdsTrace::ResetDivergent`, the discard of a suffix no client
+/// was acknowledged for, is legitimate.)
+fn diverged(sim: &Sim) -> bool {
+    sim.trace().of::<MdsTrace>().any(|(_, _, e)| matches!(e, MdsTrace::Diverged { .. }))
+}
 
 /// Build a 1A3S cluster with a client, inject a random fault schedule, and
 /// return (sim, metrics) after the run.
@@ -90,26 +108,11 @@ fn randomized_faults_recover_and_stay_consistent() {
         assert!(late_ok > 100, "seed {seed}: no traffic after the fault storm ({late_ok})");
 
         // Fencing epochs only ever increase.
-        let mut last_epoch = 0u64;
-        for e in sim.trace().events() {
-            if e.tag == "lock.grant" {
-                let epoch: u64 = e
-                    .detail
-                    .rsplit("epoch ")
-                    .next()
-                    .and_then(|s| s.trim_end_matches(')').parse().ok())
-                    .expect("epoch in grant trace");
-                assert!(epoch > last_epoch, "seed {seed}: epoch regression in {e}");
-                last_epoch = epoch;
-            }
-        }
-        assert!(last_epoch >= 1, "seed {seed}: no grants recorded");
+        let epochs = grant_epochs(&sim);
+        assert!(!epochs.is_empty(), "seed {seed}: no grants recorded");
+        assert!(epochs.windows(2).all(|w| w[0] < w[1]), "seed {seed}: epochs {epochs:?}");
 
-        // No replica divergence was ever traced.
-        assert!(
-            !sim.trace().events().iter().any(|e| e.tag.contains("diverg")),
-            "seed {seed}: divergence traced"
-        );
+        assert!(!diverged(&sim), "seed {seed}: divergence traced");
     }
 }
 
@@ -118,16 +121,15 @@ fn lock_grants_are_serialized_per_group() {
     // The single-active invariant at the coordination layer: between two
     // grants of a group's lock there must be a release (freed) event.
     let (sim, _metrics) = random_fault_run(0xAB);
+    let lock = ViewKey::Lock(0).to_string();
     let mut held = false;
-    for e in sim.trace().events() {
-        match e.tag {
-            "lock.grant" if e.detail.starts_with("g/0/lock") => {
-                assert!(!held, "double grant without release: {e}");
+    for (t, _, e) in sim.trace().of::<CoordTrace>() {
+        match e {
+            CoordTrace::LockGranted { path, .. } if *path == lock => {
+                assert!(!held, "double grant without release at {t}: {e:?}");
                 held = true;
             }
-            "lock.freed" if e.detail.starts_with("g/0/lock") => {
-                held = false;
-            }
+            CoordTrace::LockFreed { path, .. } if *path == lock => held = false,
             _ => {}
         }
     }
@@ -155,7 +157,7 @@ fn multi_group_cluster_survives_fault_storm() {
     sim.run_until(SimTime(120_000_000));
     let late_ok = metrics.completions().iter().filter(|c| c.ok && c.at_us > 100_000_000).count();
     assert!(late_ok > 200, "multi-group cluster did not recover ({late_ok})");
-    assert!(!sim.trace().events().iter().any(|e| e.tag.contains("diverg")));
+    assert!(!diverged(&sim));
 }
 
 #[test]
@@ -213,17 +215,6 @@ fn coordination_service_restart_heals_without_split_brain() {
     assert!(creates + 1 >= metrics.ok_count(), "acked {} journaled {creates}", metrics.ok_count());
     drop(pool);
     // ...and the epoch history stayed monotone per grant.
-    let mut last = 0u64;
-    for e in sim.trace().events() {
-        if e.tag == "lock.grant" {
-            let epoch: u64 = e
-                .detail
-                .rsplit("epoch ")
-                .next()
-                .and_then(|x| x.trim_end_matches(')').parse().ok())
-                .unwrap();
-            assert!(epoch > last, "epoch regression: {e}");
-            last = epoch;
-        }
-    }
+    let epochs = grant_epochs(&sim);
+    assert!(epochs.windows(2).all(|w| w[0] < w[1]), "epoch regression: {epochs:?}");
 }

@@ -19,7 +19,7 @@
 mod common;
 
 use common::{group, mds, secs, Group};
-use mams::core::{MdsTiming, Role};
+use mams::core::{MdsTiming, MdsTrace, Role};
 use mams::sim::{Duration, LinkShape};
 
 const CHECKPOINT_SECS: u64 = 4;
@@ -54,17 +54,19 @@ fn a_lost_image_reply_does_not_stop_deltas() {
     sim.at(secs(lost + 0.3), move |s| s.net_mut().heal_one_way(pool, active));
     sim.run_until(secs(lost + 2.0 * CHECKPOINT_SECS as f64 + 0.5));
 
-    let trace = sim.trace();
-    let first = |tag, from| trace.first_at_or_after(tag, secs(from)).map(|e| e.time);
-    assert!(first("delta.done", 0.0).is_some_and(|at| at < secs(lost)), "deltas ran before");
-    let superseding = first("checkpoint.start", lost + 1.0).expect("the next checkpoint");
+    let first = |pick: fn(&MdsTrace) -> bool, from| common::first(&sim, secs(from), |_, e| pick(e));
+    let delta_done = |e: &MdsTrace| matches!(e, MdsTrace::DeltaDone { .. });
+    assert!(first(delta_done, 0.0).is_some_and(|at| at < secs(lost)), "deltas ran before");
+    let superseding = first(|e| matches!(e, MdsTrace::CheckpointStarted { .. }), lost + 1.0)
+        .expect("the next checkpoint");
     assert!(
-        first("checkpoint.done", lost - 0.05).is_some_and(|at| at > superseding),
+        first(|e| matches!(e, MdsTrace::CheckpointDone { .. }), lost - 0.05)
+            .is_some_and(|at| at > superseding),
         "the reply to the checkpoint at {lost} s was meant to be lost"
     );
     // The next full image supersedes the unanswered one, and deltas chain
     // onto it within that checkpoint's interval.
-    let resumed = first("delta.done", lost).expect("no delta image after the lost reply");
+    let resumed = first(delta_done, lost).expect("no delta image after the lost reply");
     assert!(
         resumed.since(superseding) < Duration::from_secs(CHECKPOINT_SECS),
         "deltas resumed only at {resumed:?}, superseding checkpoint at {superseding:?}"
@@ -108,10 +110,12 @@ fn a_renewing_junior_awaits_a_bounded_number_of_pool_replies() {
         sim.run_for(Duration::from_secs(1));
         most = most.max(mds(&sim, junior).pool_requests_pending());
     }
-    for stage in ["renew.image_loaded", "renew.delta_applied"] {
-        let seen = sim.trace().events().iter().any(|e| e.tag == stage && e.node == junior);
-        assert!(seen, "renewing was meant to go through {stage}");
-    }
+    let went_through = |pick: fn(&MdsTrace) -> bool| {
+        common::first(&sim, secs(0.0), |n, e| n == junior && pick(e)).is_some()
+    };
+    let image = went_through(|e| matches!(e, MdsTrace::ImageLoaded { .. }));
+    let delta = went_through(|e| matches!(e, MdsTrace::DeltaApplied { .. }));
+    assert!(image && delta, "renewing was meant to go through the image and a delta");
     assert!(most <= SESSION_BOUND, "{most} pool requests awaited at once");
     let s = mds(&sim, junior);
     assert_eq!(s.role(), Role::Standby, "the loss was meant to be survivable");

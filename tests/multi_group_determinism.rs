@@ -18,15 +18,17 @@ use std::sync::Arc;
 
 use mams::cluster::deploy::{build, DeploySpec};
 use mams::cluster::{Completion, Metrics, Workload};
+use mams::coord::CoordTrace;
 use mams::core::{MdsServer, Role};
-use mams::sim::{Duration, LatencyModel, NodeId, Sim, SimConfig, SimTime, TraceEvent};
+use mams::sim::{Duration, LatencyModel, NodeId, Sim, SimConfig, SimTime};
 
 const CLIENTS: u32 = 24;
 
 /// What a run leaves behind: every op's issue and completion time per
 /// client, `(applied_sn, fingerprint)` per member, group by group, the
-/// trace, and each group's directory skeleton as its active holds it.
-type Outcome = (Vec<Vec<Completion>>, Vec<Vec<(u64, u64)>>, Vec<TraceEvent>, Vec<u64>);
+/// rendered trace, and each group's directory skeleton as its active holds
+/// it.
+type Outcome = (Vec<Vec<Completion>>, Vec<Vec<(u64, u64)>>, String, Vec<u64>);
 
 /// MAMS-3A3S under 24 clients making directories (`max_ops` each, or as
 /// many as 16 s allow), with `faults` scheduled against the three boot-time
@@ -35,7 +37,7 @@ fn run(
     seed: u64,
     max_ops: Option<u64>,
     faults: impl FnOnce(&mut Sim, NodeId, [NodeId; 3]),
-) -> Outcome {
+) -> (Outcome, Sim) {
     let mut sim = Sim::new(SimConfig { seed, trace: true, latency: LatencyModel::lan() });
     let mut d = build(&mut sim, DeploySpec::mams(3, 3));
     let metrics: Vec<Arc<Metrics>> = (0..CLIENTS).map(|_| Metrics::new(true)).collect();
@@ -66,17 +68,19 @@ fn run(
         active.skeleton_fingerprint()
     };
     let skeletons = d.groups.iter().map(skeleton).collect();
-    (acked, state, sim.trace().events().to_vec(), skeletons)
+    let timeline = sim.trace().to_string();
+    ((acked, state, timeline, skeletons), sim)
 }
 
 /// Group 1 loses its active: until its standby is promoted, every mkdir
 /// coordinated elsewhere has a leg that only the retry timer delivers.
 fn crash_one_active(seed: u64, max_ops: Option<u64>) -> Outcome {
-    run(seed, max_ops, |sim, _, actives| {
+    let (outcome, _) = run(seed, max_ops, |sim, _, actives| {
         let victim = actives[1];
         sim.at(SimTime(4_000_000), move |s| s.crash(victim));
         sim.at(SimTime(9_000_000), move |s| s.restart(victim));
-    })
+    });
+    outcome
 }
 
 #[test]
@@ -128,17 +132,21 @@ fn sessions_lapsing_in_one_scan_expire_in_one_order() {
             });
         })
     };
-    let first = cut_from_coordinator(0x5eed);
-    let expiries: Vec<&TraceEvent> =
-        first.2.iter().filter(|e| e.tag == "session.expired").collect();
+    let (first, sim) = cut_from_coordinator(0x5eed);
+    let expiries: Vec<SimTime> = sim
+        .trace()
+        .of::<CoordTrace>()
+        .filter(|(_, _, e)| matches!(e, CoordTrace::SessionExpired { .. }))
+        .map(|(t, _, _)| t)
+        .collect();
     assert_eq!(expiries.len(), 3, "the three cut sessions were meant to lapse");
     assert!(
-        expiries.iter().all(|e| e.time == expiries[0].time),
+        expiries.iter().all(|&t| t == expiries[0]),
         "the three sessions were meant to lapse in one scan"
     );
     // Three sessions agree by luck one time in six: four repeats let a
     // hash-ordered coordinator through once in 1 296 runs.
     for again in 0..4 {
-        assert!(cut_from_coordinator(0x5eed) == first, "repeat {again} of one seed diverged");
+        assert!(cut_from_coordinator(0x5eed).0 == first, "repeat {again} of one seed diverged");
     }
 }

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use mams_chaos::{check_history, CheckOutcome};
 use mams_cluster::deploy::{build, DeploySpec};
 use mams_cluster::{faults, History, Metrics, Recorder, Workload};
-use mams_core::{FsOp, Prefix};
+use mams_core::{FsOp, MdsTrace, Prefix};
 use mams_journal::Txn;
 use mams_namespace::{path, NamespaceTree};
 use mams_sim::{Duration, Sim, SimConfig, SimTime};
@@ -148,7 +148,7 @@ fn run_case(case: u64) -> CaseOutcome {
 
     // ---- durable equivalence: no replica divergence, replay parity ----
     assert!(
-        !sim.trace().events().iter().any(|e| e.tag == "replica.diverged"),
+        !sim.trace().of::<MdsTrace>().any(|(_, _, e)| matches!(e, MdsTrace::Diverged { .. })),
         "case {case}: a replica diverged from the journal"
     );
     let mut completed_ok: HashMap<String, u64> = HashMap::new();
@@ -206,7 +206,8 @@ fn run_case(case: u64) -> CaseOutcome {
         }
     }
 
-    let ooo_events = sim.trace().events().iter().filter(|e| e.tag == "commit.ooo_release").count();
+    let events = sim.trace().of::<MdsTrace>();
+    let ooo_events = events.filter(|(_, _, e)| matches!(e, MdsTrace::OooRelease { .. })).count();
     CaseOutcome { ooo_events, records: records.len() }
 }
 

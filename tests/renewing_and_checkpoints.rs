@@ -5,8 +5,18 @@
 use mams::cluster::deploy::{build, DeploySpec};
 use mams::cluster::metrics::Metrics;
 use mams::cluster::workload::Workload;
-use mams::core::MdsReq;
-use mams::sim::{Sim, SimConfig, SimTime};
+use mams::core::{MdsReq, MdsTrace};
+use mams::sim::{NodeId, Sim, SimConfig, SimTime};
+
+/// Whether a member recorded an event `pick` accepts at or after `from`.
+fn traced(sim: &Sim, from: SimTime, pick: impl Fn(NodeId, &MdsTrace) -> bool) -> bool {
+    sim.trace().of::<MdsTrace>().any(|(t, node, e)| t >= from && pick(node, e))
+}
+
+/// The active promoted `junior` to standby.
+fn promoted(junior: NodeId) -> impl Fn(NodeId, &MdsTrace) -> bool {
+    move |_, e| matches!(e, MdsTrace::JuniorPromoted { junior: j } if *j == junior)
+}
 
 fn checkpointing_cluster(
     seed: u64,
@@ -32,18 +42,19 @@ fn restarted_member_recovers_through_the_image() {
     sim.at(SimTime(20_000_000), move |s| s.restart(standby));
     sim.run_until(SimTime(60_000_000));
 
-    let trace = sim.trace();
     assert!(
-        trace.first_at_or_after("checkpoint.done", SimTime::ZERO).is_some(),
+        traced(&sim, SimTime::ZERO, |_, e| matches!(e, MdsTrace::CheckpointDone { .. })),
         "checkpoint must land in the pool"
     );
     // The journal before the checkpoint is compacted, so the junior MUST
     // have gone through the image path.
-    let image_loaded =
-        trace.events().iter().any(|e| e.tag == "renew.image_loaded" && e.node == standby);
-    assert!(image_loaded, "junior recovered without loading the image");
+    let image_loaded = |n, e: &_| n == standby && matches!(e, MdsTrace::ImageLoaded { .. });
     assert!(
-        trace.first_at_or_after("renew.promoted", SimTime(20_000_000)).is_some(),
+        traced(&sim, SimTime::ZERO, image_loaded),
+        "junior recovered without loading the image"
+    );
+    assert!(
+        traced(&sim, SimTime(20_000_000), |_, e| matches!(e, MdsTrace::JuniorPromoted { .. })),
         "junior never promoted"
     );
     assert_eq!(metrics.failed_count(), 0);
@@ -62,12 +73,10 @@ fn renewal_survives_active_failure_midway() {
     sim.at(SimTime(21_500_000), move |s| s.crash(active));
     sim.run_until(SimTime(90_000_000));
 
-    let trace = sim.trace();
-    let promoted = trace
-        .events()
-        .iter()
-        .any(|e| e.tag == "renew.promoted" && e.detail == format!("n{standby}"));
-    assert!(promoted, "junior must eventually be renewed by the new active");
+    assert!(
+        traced(&sim, SimTime::ZERO, promoted(standby)),
+        "junior must eventually be renewed by the new active"
+    );
     // Service recovered from the active failure too.
     let late_ok = metrics.completions().iter().filter(|c| c.ok && c.at_us > 80_000_000).count();
     assert!(late_ok > 100, "no late traffic ({late_ok})");
@@ -123,22 +132,22 @@ fn junior_with_max_sn_takes_over_when_no_standby_left() {
         let late_ok = metrics.completions().iter().filter(|c| c.ok && c.at_us > 70_000_000).count();
         assert!(late_ok > 100, "no takeover by surviving members ({late_ok})");
         // And the winner was one of the two juniors.
-        let events = sim.trace().events();
+        let events: Vec<_> = sim.trace().of::<MdsTrace>().collect();
         let switch = events
             .iter()
-            .rposition(|e| e.tag == "failover.switch_done")
+            .rposition(|(_, _, e)| matches!(e, MdsTrace::SwitchDone { .. }))
             .expect("a switch completed");
-        let winner = events[switch].node;
+        let winner = events[switch].1;
         assert!(m[1..].contains(&winner), "winner {winner} was not a junior");
         if checkpointed {
             let upgrade = events[..switch]
                 .iter()
-                .rposition(|e| e.tag == "failover.lock_acquired" && e.node == winner)
+                .rposition(|&(_, n, e)| n == winner && matches!(e, MdsTrace::LockAcquired { .. }))
                 .expect("the winner took the lock");
             assert!(
                 events[upgrade..switch]
                     .iter()
-                    .any(|e| e.tag == "renew.image_loaded" && e.node == winner),
+                    .any(|&(_, n, e)| n == winner && matches!(e, MdsTrace::ImageLoaded { .. })),
                 "the winner switched without loading the image"
             );
         }
@@ -202,18 +211,15 @@ fn interrupted_image_transfer_resumes_from_its_checkpoint() {
     sim.at(SimTime(17_000_000), move |s| s.crash(active));
     sim.run_until(SimTime(90_000_000));
 
-    let trace = sim.trace();
-    let resumed = trace.events().iter().any(|e| e.tag == "renew.resume" && e.node == standby);
-    assert!(resumed, "junior must resume the image transfer, not restart it");
-    let resumed_offset_nonzero = trace
-        .events()
-        .iter()
-        .filter(|e| e.tag == "renew.resume")
-        .any(|e| !e.detail.contains("offset 0"));
-    assert!(resumed_offset_nonzero, "resume offset should be past zero");
-    let promoted = trace
-        .events()
-        .iter()
-        .any(|e| e.tag == "renew.promoted" && e.detail == format!("n{standby}"));
-    assert!(promoted, "junior must finish renewing after the interruption");
+    let resumed = |n, e: &_| n == standby && matches!(e, MdsTrace::RenewResumed { .. });
+    assert!(
+        traced(&sim, SimTime::ZERO, resumed),
+        "junior must resume the image transfer, not restart it"
+    );
+    let past_zero = |_, e: &_| matches!(e, MdsTrace::RenewResumed { offset, .. } if *offset > 0);
+    assert!(traced(&sim, SimTime::ZERO, past_zero), "resume offset should be past zero");
+    assert!(
+        traced(&sim, SimTime::ZERO, promoted(standby)),
+        "junior must finish renewing after the interruption"
+    );
 }

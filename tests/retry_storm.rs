@@ -25,7 +25,7 @@
 use mams_chaos::{active_of, check_history, CheckOutcome};
 use mams_cluster::deploy::{build, DeploySpec};
 use mams_cluster::{History, Metrics, Recorder, Workload};
-use mams_core::MdsTiming;
+use mams_core::{MdsTiming, MdsTrace};
 use mams_journal::JournalBatch;
 use mams_namespace::{
     decode_delta, decode_image_with_window, replay_outcome, NamespaceTree, RetryEntry, RetryWindow,
@@ -152,7 +152,7 @@ fn run_case(case: u64) -> CaseOutcome {
         }
     }
     assert!(
-        !sim.trace().events().iter().any(|e| e.tag == "replica.diverged"),
+        !sim.trace().of::<MdsTrace>().any(|(_, _, e)| matches!(e, MdsTrace::Diverged { .. })),
         "case {case}: a replica diverged from the journal"
     );
 

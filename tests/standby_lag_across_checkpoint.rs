@@ -20,8 +20,8 @@
 
 mod common;
 
-use common::{group, mds, secs, Group};
-use mams::core::{MdsReq, MdsTiming, Role};
+use common::{first, group, mds, secs, Group};
+use mams::core::{MdsReq, MdsTiming, MdsTrace, Role};
 use mams::sim::Duration;
 
 #[test]
@@ -37,7 +37,7 @@ fn a_cut_spanning_a_checkpoint_does_not_stop_the_group() {
     let at_heal = metrics.ok_count();
     assert!(at_heal > 1_000, "the workload barely ran ({at_heal} ok)");
     assert!(
-        sim.trace().first_at_or_after("checkpoint.done", secs(7.96)).is_some(),
+        first(&sim, secs(7.96), |_, e| matches!(e, MdsTrace::CheckpointDone { .. })).is_some(),
         "the checkpoint was meant to land inside the cut"
     );
 
@@ -68,14 +68,14 @@ fn a_standby_back_before_its_session_lapsed_does_not_stop_the_group() {
     sim.at(secs(6.0), move |s| s.crash(standby));
     sim.at(secs(7.0), move |s| s.restart(standby));
     sim.run_until(secs(7.0));
-    assert!(sim.trace().first_at_or_after("checkpoint.done", secs(3.0)).is_some());
+    assert!(first(&sim, secs(3.0), |_, e| matches!(e, MdsTrace::CheckpointDone { .. })).is_some());
     let at_restart = metrics.ok_count();
     assert!(at_restart > 1_000, "the workload barely ran ({at_restart} ok)");
 
     // One second for the renewing scan to find the junior, and it is back.
     sim.run_until(secs(9.0));
     assert!(
-        sim.trace().first_at_or_after("renew.promoted", secs(7.0)).is_some(),
+        first(&sim, secs(7.0), |_, e| matches!(e, MdsTrace::JuniorPromoted { .. })).is_some(),
         "the restarted member was meant to be renewed"
     );
     let resumed = metrics.ok_count() - at_restart;

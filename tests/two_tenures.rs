@@ -13,7 +13,7 @@ mod common;
 use common::{group_with, mds, secs};
 use mams::chaos::{check_history, CheckOutcome};
 use mams::cluster::{ClientConfig, History, Recorder, Workload};
-use mams::core::{MdsTiming, Role};
+use mams::core::{MdsTiming, MdsTrace, Role};
 use mams::sim::Duration;
 
 #[test]
@@ -33,11 +33,8 @@ fn a_second_tenure_holds_nothing_of_the_first() {
     let mut g = group_with(0x7e2, 1, timing, 4, client);
     let (first, second) = (g.members[0], g.members[1]);
     let switches = |sim: &mams::sim::Sim, node| {
-        sim.trace()
-            .events()
-            .iter()
-            .filter(|e| e.tag == "failover.switch_done" && e.node == node)
-            .count()
+        let events = sim.trace().of::<MdsTrace>();
+        events.filter(|&(_, n, e)| n == node && matches!(e, MdsTrace::SwitchDone { .. })).count()
     };
 
     // First tenure, frozen mid-flight for longer than the session timeout:
