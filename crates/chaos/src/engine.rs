@@ -18,7 +18,6 @@ use mams_coord::CoordServer;
 use mams_core::{MdsTiming, MdsTrace, ViewKey};
 use mams_sim::node::EXTERNAL;
 use mams_sim::{DetRng, Duration, Event, NodeId, NodeStatus, Sim, SimConfig, SimTime};
-use mams_storage::PoolError;
 
 use crate::checker::{check_history, CheckOutcome};
 use crate::scenario::{FaultAction, FaultKind, NodeRef, Scenario, Topology};
@@ -62,13 +61,11 @@ impl RunReport {
 }
 
 /// What a fault program records that the kernel does not: its faults on the
-/// shared pool's contents, whether each found something to hit, and what
-/// [`GroupStore::compact`](mams_storage::GroupStore::compact) answered.
+/// shared pool's contents, and whether each found something to hit.
 #[derive(Debug)]
 pub enum FaultTrace {
     CorruptImage { group: u32, hit: bool },
     CorruptDelta { group: u32, hit: bool },
-    CompactPool { group: u32, outcome: Result<Option<u64>, PoolError> },
 }
 
 impl Event for FaultTrace {}
@@ -209,10 +206,6 @@ fn apply(sim: &mut Sim, topo: &Topology, kind: &FaultKind) {
         FaultKind::CorruptDelta { group } => {
             let hit = topo.shared_pool.lock().group_mut(*group).corrupt_delta();
             sim.record(EXTERNAL, || FaultTrace::CorruptDelta { group: *group, hit });
-        }
-        FaultKind::CompactPool { group } => {
-            let outcome = topo.shared_pool.lock().group_mut(*group).compact();
-            sim.record(EXTERNAL, || FaultTrace::CompactPool { group: *group, outcome });
         }
         FaultKind::ClearNetwork => {
             let net = sim.net_mut();

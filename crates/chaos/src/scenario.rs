@@ -90,12 +90,6 @@ pub enum FaultKind {
     CorruptDelta {
         group: u32,
     },
-    /// Force an immediate delta-chain compaction in the pool (races the
-    /// background sweep against whatever is in flight — failover, a junior
-    /// mid-stream with a cached manifest).
-    CompactPool {
-        group: u32,
-    },
     /// Heal all cuts, clear all shapes, zero global loss/dup.
     ClearNetwork,
 }
@@ -368,30 +362,35 @@ pub fn corpus() -> Vec<Scenario> {
     v.push(Scenario {
         juniors: 1,
         tune: |mut t| {
+            // Deltas only, every second: the active's chain rule replaces
+            // the chain with a full image every tenth tick, whatever a
+            // renewing junior is streaming at the time. The restarted
+            // member starts streaming three ticks after an image (every
+            // timer here is on whole seconds); in 8-byte reads its ~15 KB
+            // chain takes about ten seconds, so the next image lands
+            // mid-stream.
             t.renew_image_gap = 64;
-            t.checkpoint_interval = Some(Duration::from_secs(8));
-            t.delta_interval = Some(Duration::from_secs(2));
+            t.checkpoint_interval = None;
+            t.delta_interval = Some(Duration::from_secs(1));
+            t.image_chunk = 8;
             t
         },
-        about: "force a pool compaction right as the active dies (and again \
-                mid-recovery): the crash-safe manifest swap must never lose \
-                the chain, and a consumer holding a pre-compaction manifest \
-                must retry against the merged chain instead of wedging on a \
-                GC'd artifact",
+        about: "crash the active and restart it while the chain rule keeps \
+                superseding the manifest chain with full images: a junior \
+                holding a superseded manifest must re-resolve instead of \
+                wedging on a dropped artifact, and the successor's first \
+                tick must start a chain of its own",
         faults: |r| {
             let t1 = jitter(r, 14_000, 3_000);
             vec![
                 FaultAction::at(t1, FaultKind::Crash(A0)),
-                FaultAction::at(t1 + 300, FaultKind::CompactPool { group: 0 }),
-                FaultAction::at(t1 + 6_000, FaultKind::CompactPool { group: 0 }),
                 FaultAction::at(
                     t1 + 18_000,
                     FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
                 ),
-                FaultAction::at(t1 + 20_000, FaultKind::CompactPool { group: 0 }),
             ]
         },
-        ..base("compaction_during_failover", "")
+        ..base("rechain_during_failover", "")
     });
 
     v.push(Scenario {
@@ -685,8 +684,8 @@ pub struct Topology {
     pub groups: Vec<Vec<NodeId>>,
     /// Workload client node ids ([`NodeRef::Clients`]).
     pub clients: Vec<NodeId>,
-    /// The pool's contents, for the faults that damage or compact stored
-    /// artifacts directly (bit rot is not a protocol message).
+    /// The pool's contents, for the faults that damage stored artifacts
+    /// directly (bit rot is not a protocol message).
     pub shared_pool: SharedPool,
 }
 

@@ -8,19 +8,25 @@ use std::sync::Arc;
 use mams_journal::{AckRecord, SharedBatch, Sn, Txn};
 use mams_namespace::shard::MAX_SHARDS;
 use mams_sim::{Ctx, Duration, NodeId};
-use mams_storage::pool::{ArtifactKind, PoolError};
+use mams_storage::pool::PoolError;
 use mams_storage::proto::{PoolReq, PoolResp};
 
 use crate::commit::FLUSH_MAX;
 use crate::ingress::{CpuModel, IngressItem};
 use crate::proto::{FsOp, GroupMsg, MdsResp, OpOutput, Xid};
 use crate::server::{
-    ClientReply, Inflight, MemberPos, PendingOp, Replica, ReplyTo, Tenure, XgOutstanding,
+    Chain, ClientReply, Inflight, MemberPos, PendingOp, Replica, ReplyTo, Tenure, XgOutstanding,
 };
 use crate::trace::MdsTrace;
 
 /// Flush as soon as this many mutations are pending.
 const BATCH_MAX_OPS: usize = 64;
+
+/// A chain with more deltas than this is replaced by a full image.
+const MAX_CHAIN_DELTAS: usize = 8;
+/// Nor may its deltas outweigh its base, or this floor when the base is
+/// smaller: a near-empty namespace must not turn every delta into an image.
+const CHAIN_BYTES_FLOOR: u64 = 64 * 1024;
 
 /// Extra per-mutation CPU for each hot standby the active synchronizes
 /// (serialization + send per replica). This is what produces the paper's
@@ -461,7 +467,8 @@ impl Tenure {
 
     // ---------------------------------------------------------- checkpoint
 
-    /// Write a namespace image to the SSP (compacts the shared journal).
+    /// Write a namespace image to the SSP: it starts a fresh chain and
+    /// compacts the shared journal.
     pub(crate) fn start_checkpoint(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>) {
         // Encoded straight from the shards at a pinned epoch: no second copy
         // of the namespace is built, and the pin is gone again before the
@@ -471,15 +478,14 @@ impl Tenure {
         let image = r.prefix.ns.pin().encode_image(r.prefix.tail_sn(), &r.prefix.window);
         let group = r.cfg.group;
         let epoch = self.epoch;
-        ctx.trace(|| MdsTrace::CheckpointStarted {
-            sn: image.checkpoint_sn,
-            bytes: image.size_bytes(),
-        });
+        let (sn, bytes) = (image.checkpoint_sn, image.size_bytes());
+        ctx.trace(|| MdsTrace::CheckpointStarted { sn, bytes });
         // A full image restarts the manifest chain, so it supersedes any
         // artifact write still unanswered: that reply may have been lost,
         // and whatever it said, this image's reply replaces it.
         let req = r.next_req();
-        self.artifact = Some((req, ArtifactKind::Base));
+        let chain = Chain { end_sn: sn, deltas: 0, delta_bytes: 0, base_bytes: bytes };
+        self.artifact = Some((req, chain));
         r.pool_deliver(ctx, PoolReq::WriteImage { group, epoch, image, req });
     }
 
@@ -487,9 +493,12 @@ impl Tenure {
     /// checkpoint artifact into a delta image and append it to the pool's
     /// manifest chain. Cost is proportional to churn in the window, not to
     /// namespace size — which is why it can run at a much faster cadence
-    /// than `start_checkpoint` and keep junior recovery time flat.
+    /// than `start_checkpoint` and keep junior recovery time flat. A chain
+    /// grown past `MAX_CHAIN_DELTAS`, or whose deltas outweigh its base, is
+    /// not extended: the tick writes a full image instead, so a reader never
+    /// streams more than that to catch up.
     pub(crate) fn start_delta(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>) {
-        let Some(anchor) = self.delta_anchor else {
+        let Some(chain) = self.chain else {
             // Nothing to chain onto yet: establish the chain with a full
             // image (unless one is already in flight).
             if self.artifact.is_none() {
@@ -497,7 +506,7 @@ impl Tenure {
             }
             return;
         };
-        let end = r.prefix.tail_sn();
+        let (anchor, end) = (chain.end_sn, r.prefix.tail_sn());
         if end <= anchor {
             return; // no churn since the last artifact
         }
@@ -507,10 +516,16 @@ impl Tenure {
             // anchor the image is about to supersede.
             return;
         }
+        if chain.deltas > MAX_CHAIN_DELTAS
+            || chain.delta_bytes > chain.base_bytes.max(CHAIN_BYTES_FLOOR)
+        {
+            self.start_checkpoint(r, ctx);
+            return;
+        }
         let Some(batches) = r.prefix.log.read_after(anchor) else {
             // Local log compacted past the anchor (a concurrent full
             // checkpoint landed): re-anchor with a fresh image.
-            self.delta_anchor = None;
+            self.chain = None;
             self.start_checkpoint(r, ctx);
             return;
         };
@@ -532,7 +547,13 @@ impl Tenure {
         let group = r.cfg.group;
         let epoch = self.epoch;
         let req = r.next_req();
-        self.artifact = Some((req, ArtifactKind::Delta));
+        let grown = Chain {
+            end_sn: end,
+            deltas: chain.deltas + 1,
+            delta_bytes: chain.delta_bytes + delta.size_bytes(),
+            ..chain
+        };
+        self.artifact = Some((req, grown));
         r.pool_deliver(ctx, PoolReq::WriteDelta { group, epoch, delta, req });
     }
 
@@ -551,9 +572,9 @@ impl Tenure {
         resp: PoolResp,
     ) -> bool {
         let req = resp.req_id();
-        if let Some((_, kind)) = self.artifact.take_if(|(awaited, _)| *awaited == req) {
-            match (kind, resp) {
-                (ArtifactKind::Base, PoolResp::ImageWritten { checkpoint_sn, .. }) => {
+        if let Some((_, chain)) = self.artifact.take_if(|(awaited, _)| *awaited == req) {
+            match resp {
+                PoolResp::ImageWritten { checkpoint_sn, .. } => {
                     // Our log is what a lagging standby is repaired from and
                     // an unacknowledged append is resent from: keep whatever
                     // some standby, or the pool, has not acknowledged.
@@ -564,26 +585,26 @@ impl Tenure {
                     r.prefix.log.compact_through(checkpoint_sn.min(held));
                     // The new base starts a fresh manifest chain; deltas
                     // fold from here on.
-                    self.delta_anchor = Some(checkpoint_sn);
+                    self.chain = Some(chain);
                     ctx.trace(|| MdsTrace::CheckpointDone { sn: checkpoint_sn });
                 }
-                (ArtifactKind::Base, _) => {}
-                (ArtifactKind::Delta, PoolResp::DeltaWritten { end_sn, .. }) => {
-                    self.delta_anchor = Some(end_sn);
+                PoolResp::DeltaWritten { end_sn, .. } => {
+                    self.chain = Some(chain);
                     ctx.trace(|| MdsTrace::DeltaDone { sn: end_sn });
                 }
-                (
-                    ArtifactKind::Delta,
-                    PoolResp::Failed { error: PoolError::DeltaChain { .. }, .. },
-                ) => {
+                PoolResp::Failed { error: PoolError::DeltaChain { .. }, .. } => {
                     // The pool's chain moved under us (another writer's
                     // checkpoint, a lost ack): our anchor is stale. Restart
                     // the chain with a full image.
                     ctx.trace(|| MdsTrace::DeltaRechain);
-                    self.delta_anchor = None;
+                    self.chain = None;
                     self.start_checkpoint(r, ctx);
                 }
-                (ArtifactKind::Delta, other) => ctx.trace(|| MdsTrace::DeltaFailed(other)),
+                // Refused — fenced, or ahead of the pool's journal because
+                // an append it covers has not landed: the chain stays as it
+                // was, and the next tick tries again.
+                _ if chain.deltas == 0 => {}
+                other => ctx.trace(|| MdsTrace::DeltaFailed(other)),
             }
             return false;
         }

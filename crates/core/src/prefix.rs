@@ -98,7 +98,7 @@ impl Prefix {
     /// Advance by a checkpoint delta — records never seen as batches, so
     /// the log restarts at the delta's end like after an image. An empty
     /// window section means no ack was ever journaled in the writer's
-    /// window: keep what we have (same policy as pool compaction).
+    /// window: keep what we have.
     pub fn adopt_delta(&mut self, delta: DecodedDelta) -> Result<(), String> {
         let applied = self.tail_sn();
         if applied < delta.base_sn {

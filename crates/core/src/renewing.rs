@@ -135,8 +135,8 @@ impl MdsServer {
         if let Some(CatchupStage::Chain { idx, offset, .. }) = &m.session.stage {
             // Resume an interrupted session from its checkpoint instead of
             // retransmitting everything. Re-resolving the manifest first
-            // confirms the planned artifacts still exist (compaction may
-            // have GC'd them while we were away).
+            // confirms the planned artifacts still exist (a newer image may
+            // have superseded them while we were away).
             ctx.trace(|| MdsTrace::RenewResumed { idx: *idx, offset: *offset });
             self.start_image_fetch(ctx);
         } else if gap > self.r.cfg.timing.renew_image_gap {
@@ -271,7 +271,7 @@ impl MdsServer {
         };
         // Mid-chain resume: if everything we still need is listed in the
         // fresh manifest, continue from the checkpointed offset instead of
-        // replanning (nothing was compacted away under us).
+        // replanning (no image superseded the chain under us).
         if let Some(CatchupStage::Chain { plan, idx, offset, .. }) = self.role.stage() {
             if *idx < plan.len()
                 && plan[*idx..].iter().all(|e| manifest.chain.iter().any(|m| m.id == e.id))
@@ -334,10 +334,9 @@ impl MdsServer {
                 (artifact, offset, data, total)
             }
             PoolResp::Failed { error: PoolError::NoSuchArtifact { id }, .. } => {
-                // Our manifest went stale: compaction GC'd the artifact
-                // between the plan and this read. Re-resolve and replan
-                // against the merged chain (satellite of the crash-safe
-                // compaction swap).
+                // Our manifest went stale: the active's next image superseded
+                // the chain between the plan and this read. Re-resolve and
+                // replan against the new chain.
                 ctx.trace(|| MdsTrace::ManifestStale { artifact: id });
                 if let Some(CatchupStage::Chain { plan, .. }) = self.role.stage() {
                     plan.clear(); // force a replan; resume check can't hold
@@ -456,7 +455,7 @@ impl MdsServer {
                 // of the chain and fall back one rung — windowed journal
                 // catch-up from our applied sn. The pool retains the
                 // journal from the base checkpoint, so the range is there;
-                // if a compaction truncates it meanwhile, the `compacted`
+                // if a newer image truncates it meanwhile, the `compacted`
                 // reply re-resolves a fresh manifest.
                 ctx.trace(|| MdsTrace::DeltaCorrupt(e));
                 self.enter_journal_stage(ctx, 0);

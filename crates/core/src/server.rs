@@ -21,7 +21,7 @@ use mams_coord::{CoordClient, Incoming};
 use mams_journal::{SharedBatch, Sn, Txn};
 use mams_namespace::RetryWindow;
 use mams_sim::{Ctx, Duration, Message, Node, NodeId, SimTime};
-use mams_storage::pool::{ArtifactId, ArtifactKind, Epoch};
+use mams_storage::pool::{ArtifactId, Epoch};
 use mams_storage::proto::{PoolReq, PoolResp, ReqId};
 
 use crate::commit::FLUSH_IDLE;
@@ -314,16 +314,28 @@ pub(crate) struct Tenure {
     /// Transactions minted so far: an xid is `(group, epoch, n)`, so no
     /// successor, zombie or later tenure of this member can mint it again.
     pub xids: u64,
-    /// Sn of the last checkpoint artifact (full image or delta) this tenure
-    /// wrote to the pool: the anchor the next delta folds from. `None`
-    /// until a base image lands — the predecessor's manifest chain is not
-    /// ours to extend, so the first delta tick writes a full image.
-    pub delta_anchor: Option<Sn>,
-    /// The one image (`Base`) or delta write whose reply is still awaited:
-    /// no delta folds while it is set (one artifact at a time keeps the
-    /// chain ordered). Its reply clears it; a lost reply leaves it set only
-    /// until the next full checkpoint supersedes the request.
-    pub artifact: Option<(ReqId, ArtifactKind)>,
+    /// The checkpoint chain this tenure wrote to the pool. `None` until a
+    /// base image lands — the predecessor's manifest chain is not ours to
+    /// extend, so the first delta tick writes a full image.
+    pub chain: Option<Chain>,
+    /// The one image or delta write whose reply is still awaited, with the
+    /// chain as it stands once the write lands: no delta folds while it is
+    /// set (one artifact at a time keeps the chain ordered). Its reply
+    /// clears it; a lost reply leaves it set only until the next full
+    /// checkpoint supersedes the request.
+    pub artifact: Option<(ReqId, Chain)>,
+}
+
+/// A tenure's checkpoint chain in the pool: a base image and the deltas
+/// folded onto it since. The active wrote every artifact of it, so it knows
+/// what the chain weighs without asking the pool.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Chain {
+    /// Sn of the last artifact: the anchor the next delta folds from.
+    pub end_sn: Sn,
+    pub deltas: usize,
+    pub delta_bytes: u64,
+    pub base_bytes: u64,
 }
 
 impl Tenure {

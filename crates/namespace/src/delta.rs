@@ -109,7 +109,7 @@ pub struct DecodedDelta {
 }
 
 /// The namespace surface the fold and apply paths need, implemented by both
-/// the flat [`NamespaceTree`] (parity tests, pool compaction) and the
+/// the flat [`NamespaceTree`] (parity tests) and the
 /// [`ShardedNamespace`] a live replica runs (the renewing consumer).
 pub trait DeltaNamespace {
     /// What the fold reads final states through: by-id access to the

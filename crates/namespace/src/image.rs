@@ -116,9 +116,9 @@ pub fn encode_image<S: InodeSource>(src: &S, checkpoint_sn: Sn) -> NamespaceImag
 /// with an empty window).
 ///
 /// This is the only encoder: the active hands it its pinned shards
-/// ([`SnapshotView::encode_image`](crate::SnapshotView::encode_image)), pool
-/// compaction and the baselines a [`NamespaceTree`], and the bytes depend on
-/// the namespace alone, not on which of the two held it.
+/// ([`SnapshotView::encode_image`](crate::SnapshotView::encode_image)), the
+/// baselines a [`NamespaceTree`], and the bytes depend on the namespace
+/// alone, not on which of the two held it.
 pub fn encode_image_with_window<S: InodeSource>(
     src: &S,
     checkpoint_sn: Sn,

@@ -4,8 +4,7 @@
 //! from the root, and [`NamespaceTree::apply`] is the per-record replay the
 //! sharded namespace and its replay session are checked against. It is also
 //! what images decode into (the encoder reads any [`InodeSource`], this tree
-//! or the active's shards), what pool compaction merges in, and the engine
-//! of the baseline systems. It carries no resolution cache of its
+//! or the active's shards) and the engine of the baseline systems. It carries no resolution cache of its
 //! own — the oracle a cache is compared with should not have one.
 
 use std::collections::HashMap;

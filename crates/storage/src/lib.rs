@@ -10,9 +10,10 @@
 //! The model here:
 //!
 //! * [`PoolState`] — the durable, pool-wide contents (per-replica-group
-//!   journal segments, latest image, fencing epoch). It survives any single
-//!   node crash, exactly like the paper's replicated pool, and is shared by
-//!   every [`PoolNode`].
+//!   journal segments, the checkpoint chain, fencing epoch). It survives any
+//!   single node crash, exactly like the paper's replicated pool, and is
+//!   shared by every [`PoolNode`]. It stores bytes: the active formats every
+//!   image and delta, and the pool never decodes one.
 //! * [`PoolNode`] — a cluster node serving the pool protocol with a disk
 //!   latency model, so access costs show up in virtual time.
 //! * [`proto`] — the request/response vocabulary.

@@ -14,17 +14,6 @@ use crate::disk::DiskModel;
 use crate::pool::{PoolError, SharedPool};
 use crate::proto::{PoolReq, PoolResp};
 
-/// How often the background sweep looks for over-long delta chains.
-const SWEEP_EVERY: Duration = Duration::from_secs(5);
-/// Compact once a chain carries more than this many deltas (or once the
-/// deltas outweigh the base, whichever trips first — see
-/// [`crate::GroupStore::compaction_due`]).
-const MAX_CHAIN: usize = 8;
-
-/// Timer token reserved for the compaction sweep; `next_token` counts up
-/// from zero so reply timers can never collide with it.
-const T_COMPACT_SWEEP: u64 = u64::MAX;
-
 /// A member of the shared storage pool.
 pub struct PoolNode {
     pool: SharedPool,
@@ -50,20 +39,6 @@ impl PoolNode {
         self.journal_disk = journal;
         self.image_disk = image;
         self
-    }
-
-    /// Sweep every group and fold any over-long delta chain into a fresh
-    /// base. Failures (e.g. a corrupt delta injected by chaos) leave the
-    /// chain as-is — consumers fall back to journal catch-up, and the next
-    /// successful base checkpoint resets the chain.
-    fn compaction_sweep(&mut self) {
-        let mut pool = self.pool.lock();
-        for group in pool.group_ids() {
-            let g = pool.group_mut(group);
-            if g.compaction_due(MAX_CHAIN) {
-                let _ = g.compact();
-            }
-        }
     }
 
     fn reply_after(&mut self, ctx: &mut Ctx<'_>, to: NodeId, resp: PoolResp, delay: Duration) {
@@ -153,10 +128,6 @@ impl PoolNode {
 }
 
 impl Node for PoolNode {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(SWEEP_EVERY, T_COMPACT_SWEEP);
-    }
-
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Message) {
         match msg.downcast::<PoolReq>() {
             Ok(req) => {
@@ -170,11 +141,6 @@ impl Node for PoolNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token == T_COMPACT_SWEEP {
-            self.compaction_sweep();
-            ctx.set_timer(SWEEP_EVERY, T_COMPACT_SWEEP);
-            return;
-        }
         if let Some((to, resp)) = self.pending.remove(&token) {
             ctx.send(to, resp);
         }
@@ -274,6 +240,16 @@ mod tests {
         }
     }
 
+    /// Store `img` as group 0's base over the journal it stands for.
+    fn write_image_over_journal(pool: &SharedPool, img: mams_namespace::NamespaceImage) {
+        let mut pool = pool.lock();
+        let g = pool.group_mut(0);
+        for sn in 1..=img.checkpoint_sn {
+            g.append_journal(1, batch(sn)).unwrap();
+        }
+        g.write_image(1, img).unwrap();
+    }
+
     /// The base image's artifact id, as a renewing junior learns it.
     fn base_of(n: &mut PoolNode) -> crate::pool::ManifestEntry {
         match n.serve(PoolReq::ReadManifest { group: 0, req: 1 }).0 {
@@ -289,7 +265,7 @@ mod tests {
         t.mkdir_p("/a/b").unwrap();
         let img = mams_namespace::encode_image(&t, 5);
         let total = img.size_bytes();
-        pool.lock().group_mut(0).write_image(1, img).unwrap();
+        write_image_over_journal(&pool, img);
         let mut n = PoolNode::new(pool);
         let base = base_of(&mut n);
         assert_eq!((base.end_sn, base.bytes), (5, total));
@@ -340,7 +316,7 @@ mod tests {
         }
         let img = mams_namespace::encode_image(&t, 5);
         assert_eq!(img.version(), Some(mams_namespace::VERSION_V2));
-        pool.lock().group_mut(0).write_image(1, img).unwrap();
+        write_image_over_journal(&pool, img);
         let mut n = PoolNode::new(pool);
         let (t2, sn) = stream_image_from_pool(&mut n, 64);
         assert_eq!(sn, 5);

@@ -1,15 +1,18 @@
 //! Pool contents: per-replica-group journal segments, checkpoint artifacts
 //! (base images and delta chains), and fencing.
+//!
+//! The pool stores bytes. It never decodes an artifact: the active formats
+//! every image and delta, and decides when a full image restarts the chain.
+//! What the pool checks is what it can see from its own files — the writer's
+//! fence, that a delta chains onto the manifest's end, and that no artifact
+//! runs ahead of the journal it stands for.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use mams_journal::{AppendOutcome, JournalLog, SharedBatch, Sn};
-use mams_namespace::{
-    apply_delta, decode_delta, decode_image_with_window, encode_image_with_window, DeltaImage,
-    NamespaceImage,
-};
+use mams_namespace::{DeltaImage, NamespaceImage};
 use parking_lot::Mutex;
 
 /// Replica-group index (matches `mams_namespace::partition::GroupId`).
@@ -20,7 +23,7 @@ pub type GroupId = u32;
 pub type Epoch = u64;
 
 /// Pool-unique checkpoint artifact id (never reused; a manifest entry
-/// naming a GC'd id is how a consumer learns its manifest is stale).
+/// naming a dropped id is how a consumer learns its manifest is stale).
 pub type ArtifactId = u64;
 
 /// Pool operation failure.
@@ -31,13 +34,15 @@ pub enum PoolError {
     Fenced { current: Epoch, presented: Epoch },
     /// Journal gap or divergence.
     Journal(String),
-    /// The named artifact is gone (GC'd by compaction after the caller
-    /// cached its manifest): re-resolve the manifest and retry.
+    /// The named artifact is gone (a newer image superseded its chain after
+    /// the caller cached the manifest): re-resolve the manifest and retry.
     NoSuchArtifact { id: ArtifactId },
     /// A delta was offered that does not chain onto the manifest's end.
     DeltaChain { expected: Sn, offered: Sn },
-    /// A stored artifact failed to decode during compaction.
-    Corrupt(String),
+    /// An image or delta reaches past the journal's tail: it holds effects
+    /// of batches the pool never got, and a reader adopting it could never
+    /// append after it. The writer retries once its appends have landed.
+    AheadOfJournal { tail: Sn, offered: Sn },
 }
 
 impl std::fmt::Display for PoolError {
@@ -51,7 +56,9 @@ impl std::fmt::Display for PoolError {
             PoolError::DeltaChain { expected, offered } => {
                 write!(f, "delta chains onto sn {offered}, manifest ends at {expected}")
             }
-            PoolError::Corrupt(s) => write!(f, "corrupt artifact: {s}"),
+            PoolError::AheadOfJournal { tail, offered } => {
+                write!(f, "artifact ends at sn {offered}, journal tail is {tail}")
+            }
         }
     }
 }
@@ -115,11 +122,6 @@ impl Manifest {
     pub fn end_sn(&self) -> Sn {
         self.chain.last().map(|e| e.end_sn).unwrap_or(0)
     }
-
-    /// Total encoded delta bytes (the compaction-policy signal).
-    pub fn delta_bytes(&self) -> u64 {
-        self.deltas().iter().map(|e| e.bytes).sum()
-    }
 }
 
 /// One replica group's shared files.
@@ -129,15 +131,12 @@ pub struct GroupStore {
     epoch: Epoch,
     /// The shared journal segment.
     journal: JournalLog,
-    /// Checkpoint artifacts by id (base images and deltas). Entries not
-    /// referenced by the manifest are garbage the next GC sweep collects.
+    /// Checkpoint artifacts by id (base images and deltas): exactly the
+    /// ones the manifest references.
     artifacts: HashMap<ArtifactId, Bytes>,
     /// The current resolvable chain.
     manifest: Manifest,
     next_artifact: ArtifactId,
-    /// A merged base built by `compact_begin` and not yet committed, with
-    /// the sn it was encoded at.
-    staged_base: Option<(ArtifactId, Sn)>,
 }
 
 impl GroupStore {
@@ -146,6 +145,15 @@ impl GroupStore {
             return Err(PoolError::Fenced { current: self.epoch, presented });
         }
         self.epoch = presented;
+        Ok(())
+    }
+
+    /// Refuse an artifact reaching past what the journal holds.
+    fn check_behind_journal(&self, offered: Sn) -> Result<(), PoolError> {
+        let tail = self.journal.tail_sn();
+        if offered > tail {
+            return Err(PoolError::AheadOfJournal { tail, offered });
+        }
         Ok(())
     }
 
@@ -182,22 +190,19 @@ impl GroupStore {
     }
 
     /// Store a checkpoint image, start a fresh manifest chain on it, and
-    /// compact the journal through its sn. Superseded artifacts (the old
-    /// chain) are GC'd.
+    /// compact the journal through its sn. The superseded chain's artifacts
+    /// are dropped: a reader still holding the old manifest gets
+    /// `NoSuchArtifact` and re-resolves. An image past the journal's tail is
+    /// refused.
     pub fn write_image(&mut self, epoch: Epoch, image: NamespaceImage) -> Result<(), PoolError> {
         self.check_epoch(epoch)?;
         let sn = image.checkpoint_sn;
-        let id = self.alloc_artifact(image.data.clone());
-        self.manifest = Manifest {
-            chain: vec![ManifestEntry {
-                id,
-                kind: ArtifactKind::Base,
-                base_sn: sn,
-                end_sn: sn,
-                bytes: image.size_bytes(),
-            }],
-        };
-        self.gc_unreferenced();
+        self.check_behind_journal(sn)?;
+        let bytes = image.size_bytes();
+        self.artifacts.clear();
+        let id = self.alloc_artifact(image.data);
+        let base = ManifestEntry { id, kind: ArtifactKind::Base, base_sn: sn, end_sn: sn, bytes };
+        self.manifest = Manifest { chain: vec![base] };
         self.journal.compact_through(sn);
         Ok(())
     }
@@ -205,12 +210,14 @@ impl GroupStore {
     /// Append a delta to the manifest chain. The delta must chain exactly
     /// onto the current end (`delta.base_sn == manifest.end_sn()`); anything
     /// else — no base yet, a gap, a stale producer after failover — is
-    /// rejected so the chain can never silently fork. The journal is *not*
-    /// compacted: it stays retained from the base checkpoint, so journal
-    /// catch-up from any sn at or past the base keeps working even if every
-    /// delta turns out corrupt (the recovery ladder's last rung).
+    /// rejected so the chain can never silently fork, and so is a delta past
+    /// the journal's tail. The journal is *not* compacted: it stays retained
+    /// from the base checkpoint, so journal catch-up from any sn at or past
+    /// the base keeps working even if every delta turns out corrupt (the
+    /// recovery ladder's last rung).
     pub fn append_delta(&mut self, epoch: Epoch, delta: DeltaImage) -> Result<Sn, PoolError> {
         self.check_epoch(epoch)?;
+        self.check_behind_journal(delta.end_sn)?;
         let expected = self.manifest.end_sn();
         if self.manifest.is_empty() || delta.base_sn != expected {
             return Err(PoolError::DeltaChain { expected, offered: delta.base_sn });
@@ -234,8 +241,8 @@ impl GroupStore {
     }
 
     /// A chunk of an artifact's encoded bytes, with the artifact's total
-    /// size. `NoSuchArtifact` means the id was GC'd (or never existed): the
-    /// caller re-resolves the manifest.
+    /// size. `NoSuchArtifact` means the id was dropped with a superseded chain
+    /// (or never existed): the caller re-resolves the manifest.
     pub fn artifact_chunk(
         &self,
         id: ArtifactId,
@@ -247,120 +254,6 @@ impl GroupStore {
         let start = offset.min(size) as usize;
         let end = offset.saturating_add(len).min(size) as usize;
         Ok((data.slice(start..end), size))
-    }
-
-    // ------------------------------------------------------- compaction
-    //
-    // Merging a delta chain into a new base runs in three crash-safe steps,
-    // exposed individually so tests can stop between any two:
-    //
-    //  1. `compact_begin` materializes the merged base as a *new, not yet
-    //     referenced* artifact. A crash here leaks one artifact (collected
-    //     by any later GC); the old chain stays fully resolvable.
-    //  2. `compact_commit` swaps the manifest to the new single-entry chain
-    //     in one assignment — the atomic point. Old artifacts are garbage
-    //     but still present, so a consumer holding the pre-swap manifest
-    //     keeps streaming until the next GC.
-    //  3. `compact_gc` drops unreferenced artifacts. Idempotent; a crash
-    //     between 2 and 3 just defers collection.
-
-    /// Whether the chain is long or heavy enough to merge: more than
-    /// `max_chain` deltas, or delta bytes exceeding the base's size. The
-    /// byte rule is floored so a tiny base (a near-empty namespace) does
-    /// not make every delta instantly trip a pointless merge.
-    pub fn compaction_due(&self, max_chain: usize) -> bool {
-        const BYTE_FLOOR: u64 = 64 * 1024;
-        let deltas = self.manifest.deltas();
-        if deltas.is_empty() {
-            return false;
-        }
-        let base_bytes = self.manifest.base().map(|b| b.bytes).unwrap_or(0);
-        deltas.len() > max_chain || self.manifest.delta_bytes() > base_bytes.max(BYTE_FLOOR)
-    }
-
-    /// Step 1: build the merged base (decode the current base, apply every
-    /// delta in chain order, re-encode at the chain's end sn) and store it
-    /// as a new unreferenced artifact. `Ok(None)` when there is nothing to
-    /// merge. A corrupt artifact anywhere in the chain aborts with no state
-    /// change — the chain is left for the next full checkpoint to supersede.
-    pub fn compact_begin(&mut self) -> Result<Option<ArtifactId>, PoolError> {
-        if self.manifest.deltas().is_empty() {
-            return Ok(None);
-        }
-        let base = self.manifest.base().expect("deltas imply a base").clone();
-        let base_bytes =
-            self.artifacts.get(&base.id).ok_or(PoolError::NoSuchArtifact { id: base.id })?;
-        let (mut tree, _, mut window) = decode_image_with_window(base_bytes.clone())
-            .map_err(|e| PoolError::Corrupt(format!("base {}: {e}", base.id)))?;
-        let mut end_sn = base.end_sn;
-        for entry in self.manifest.deltas() {
-            let data =
-                self.artifacts.get(&entry.id).ok_or(PoolError::NoSuchArtifact { id: entry.id })?;
-            let decoded = decode_delta(data)
-                .map_err(|e| PoolError::Corrupt(format!("delta {}: {e}", entry.id)))?;
-            apply_delta(&mut tree, &decoded)
-                .map_err(|e| PoolError::Corrupt(format!("delta {} apply: {e}", entry.id)))?;
-            end_sn = decoded.end_sn;
-            // Each windowed delta carries the full retry window as of its
-            // end sn; the merged base adopts the newest one. (A window only
-            // ever empties when no acks were journaled at all, so an empty
-            // section just means "nothing to carry" — keep what we have.)
-            if !decoded.window.is_empty() {
-                window = decoded.window;
-            }
-        }
-        let merged = encode_image_with_window(&tree, end_sn, &window);
-        let id = self.alloc_artifact(merged.data);
-        self.staged_base = Some((id, end_sn));
-        Ok(Some(id))
-    }
-
-    /// Step 2: atomically point the manifest at the merged base.
-    pub fn compact_commit(&mut self, new_base: ArtifactId) -> Result<Sn, PoolError> {
-        let data =
-            self.artifacts.get(&new_base).ok_or(PoolError::NoSuchArtifact { id: new_base })?;
-        let bytes = data.len() as u64;
-        let end_sn = match self.staged_base.take() {
-            Some((id, sn)) if id == new_base => sn,
-            other => {
-                // Committing an id that was not staged (or re-committing
-                // after the staging was dropped): fall back to the chain
-                // end, which is what `compact_begin` encoded the merge at.
-                self.staged_base = other;
-                self.manifest.end_sn()
-            }
-        };
-        self.manifest = Manifest {
-            chain: vec![ManifestEntry {
-                id: new_base,
-                kind: ArtifactKind::Base,
-                base_sn: end_sn,
-                end_sn,
-                bytes,
-            }],
-        };
-        self.journal.compact_through(end_sn);
-        Ok(end_sn)
-    }
-
-    /// Step 3: drop artifacts the manifest no longer references.
-    pub fn compact_gc(&mut self) {
-        self.gc_unreferenced();
-    }
-
-    /// Run the full merge. Returns the new base sn, or `None` when there
-    /// was nothing to compact.
-    pub fn compact(&mut self) -> Result<Option<Sn>, PoolError> {
-        let Some(id) = self.compact_begin()? else { return Ok(None) };
-        let sn = self.compact_commit(id)?;
-        self.compact_gc();
-        Ok(Some(sn))
-    }
-
-    fn gc_unreferenced(&mut self) {
-        let live: std::collections::HashSet<ArtifactId> =
-            self.manifest.chain.iter().map(|e| e.id).collect();
-        self.artifacts.retain(|id, _| live.contains(id));
     }
 
     /// Flip one byte in the middle of a stored artifact; `false` when there
@@ -427,11 +320,6 @@ impl PoolState {
     pub fn group(&self, group: GroupId) -> Option<&GroupStore> {
         self.groups.get(&group)
     }
-
-    /// Ids of every group touched so far (for background sweeps).
-    pub fn group_ids(&self) -> Vec<GroupId> {
-        self.groups.keys().copied().collect()
-    }
 }
 
 /// Handle shared by every pool node (the pool's contents are replicated
@@ -447,10 +335,20 @@ pub fn new_shared_pool() -> SharedPool {
 mod tests {
     use super::*;
     use mams_journal::{JournalBatch, Txn};
-    use mams_namespace::{encode_image, NamespaceTree};
+    use mams_namespace::{apply_delta, decode_delta, encode_image, fold_delta, NamespaceTree};
 
     fn batch(sn: Sn) -> JournalBatch {
         JournalBatch::new(sn, sn, vec![Txn::Mkdir { path: format!("/d{sn}") }])
+    }
+
+    /// A store whose journal holds batches `1..=tail`: what any artifact
+    /// written to it may stand for.
+    fn journal_through(tail: Sn) -> GroupStore {
+        let mut g = GroupStore::default();
+        for sn in 1..=tail {
+            g.append_journal(1, batch(sn)).unwrap();
+        }
+        g
     }
 
     #[test]
@@ -495,7 +393,7 @@ mod tests {
             t.create(&format!("/a/b/c/f{i}"), 3).unwrap();
         }
         let img = encode_image(&t, 1);
-        let mut g = GroupStore::default();
+        let mut g = journal_through(1);
         g.write_image(1, img.clone()).unwrap();
         let id = g.manifest().base().unwrap().id;
         (g, id, img.data)
@@ -532,10 +430,7 @@ mod tests {
 
     #[test]
     fn image_checkpoint_compacts_journal() {
-        let mut g = GroupStore::default();
-        for sn in 1..=10 {
-            g.append_journal(1, batch(sn)).unwrap();
-        }
+        let mut g = journal_through(10);
         let mut t = NamespaceTree::new();
         for sn in 1..=7 {
             t.mkdir(&format!("/d{sn}")).unwrap();
@@ -546,6 +441,31 @@ mod tests {
         assert!(g.read_journal(3, 10).is_none());
         let tail = g.read_journal(7, 10).unwrap();
         assert_eq!(tail.iter().map(|b| b.sn).collect::<Vec<_>>(), vec![8, 9, 10]);
+    }
+
+    /// An image encoded at a sealed tail the pool's journal has not reached
+    /// would be advertised as the base, and a reader adopting it could
+    /// never append after it: its next sn lands past a hole in the journal.
+    #[test]
+    fn an_artifact_ahead_of_the_journal_is_refused() {
+        let mut g = journal_through(3);
+        let mut t = NamespaceTree::new();
+        t.mkdir("/d").unwrap();
+        let err = g.write_image(1, encode_image(&t, 5)).unwrap_err();
+        assert_eq!(err, PoolError::AheadOfJournal { tail: 3, offered: 5 });
+        assert!(g.manifest().is_empty(), "a refused image is never the base");
+        assert_eq!(g.read_journal(0, 10).map(|b| b.len()), Some(3), "nor compacts the journal");
+
+        // The writer retries once its appends have landed; a delta is held
+        // to the same tail.
+        g.write_image(1, encode_image(&t, 3)).unwrap();
+        let txn = Txn::Mkdir { path: "/d/e".into() };
+        t.apply(&txn).unwrap();
+        let err = g.append_delta(1, fold_delta(&t, 3, 4, [&txn])).unwrap_err();
+        assert_eq!(err, PoolError::AheadOfJournal { tail: 3, offered: 4 });
+        g.append_journal(1, batch(4)).unwrap();
+        assert_eq!(g.append_delta(1, fold_delta(&t, 3, 4, [&txn])), Ok(4));
+        assert_eq!(g.append_journal(1, batch(5)), Ok(AppendOutcome::Appended));
     }
 
     #[test]
@@ -565,14 +485,13 @@ mod tests {
         assert_eq!(p.group(1).unwrap().tail_sn(), 0);
     }
 
-    // ------------------------------------------- manifest chain + compaction
-
-    use mams_namespace::fold_delta;
+    // ------------------------------------------------------ manifest chain
 
     /// Build a group holding a base at `base_sn` plus `n_deltas` chained
-    /// deltas, each creating one file. Returns the final expected tree.
+    /// deltas, each creating one file, over a journal reaching the chain's
+    /// end. Returns the final expected tree.
     fn chained_group(base_sn: Sn, n_deltas: usize) -> (GroupStore, NamespaceTree) {
-        let mut g = GroupStore::default();
+        let mut g = journal_through(base_sn + n_deltas as u64);
         let mut t = NamespaceTree::new();
         t.mkdir("/d").unwrap();
         g.write_image(1, encode_image(&t, base_sn)).unwrap();
@@ -609,6 +528,9 @@ mod tests {
         assert_eq!(m.end_sn(), 8);
         assert_eq!(resolve_chain(&g).fingerprint(), t.fingerprint());
         // A gap is refused: the chain never silently forks.
+        for sn in 9..=11 {
+            g.append_journal(1, batch(sn)).unwrap();
+        }
         let mut t2 = t.clone();
         let txn = Txn::Mkdir { path: "/gap".into() };
         t2.apply(&txn).unwrap();
@@ -621,7 +543,7 @@ mod tests {
 
     #[test]
     fn delta_without_base_is_rejected() {
-        let mut g = GroupStore::default();
+        let mut g = journal_through(1);
         let t = NamespaceTree::new();
         let txn = Txn::Mkdir { path: "/x".into() };
         let delta = fold_delta(&t, 0, 1, [&txn]);
@@ -658,134 +580,5 @@ mod tests {
         assert_eq!(g.manifest().end_sn(), 6);
         let tail = g.read_journal(4, 10).unwrap();
         assert_eq!(tail.iter().map(|b| b.sn).collect::<Vec<_>>(), vec![5, 6]);
-    }
-
-    #[test]
-    fn compaction_carries_retry_window_from_newest_delta() {
-        use mams_namespace::{fold_delta_with_window, RetryEntry, RetryOutcome, RetryWindow};
-        let mut g = GroupStore::default();
-        let mut t = NamespaceTree::new();
-        t.mkdir("/d").unwrap();
-        g.write_image(1, encode_image(&t, 1)).unwrap();
-        // Delta 1 carries a window; delta 2 (pre-extension producer) does
-        // not; delta 3 carries a newer window. The merged base must hold
-        // delta 3's window.
-        let mut old_win = RetryWindow::new();
-        old_win.record(7, 1, RetryEntry { outcome: RetryOutcome::Done, token: None });
-        let mut new_win = RetryWindow::new();
-        new_win.record(7, 1, RetryEntry { outcome: RetryOutcome::Done, token: None });
-        new_win.record(7, 2, RetryEntry { outcome: RetryOutcome::Block(31), token: None });
-        for (i, win) in [old_win, RetryWindow::new(), new_win.clone()].into_iter().enumerate() {
-            let sn = 1 + i as u64;
-            let txn = Txn::Create { path: format!("/d/f{i}"), replication: 3 };
-            t.apply(&txn).unwrap();
-            g.append_delta(1, fold_delta_with_window(&t, sn, sn + 1, [&txn], &win)).unwrap();
-        }
-        g.compact().unwrap().unwrap();
-        let m = g.manifest().clone();
-        let base = m.base().expect("merged base");
-        let (data, _) = g.artifact_chunk(base.id, 0, u64::MAX).unwrap();
-        let (merged, sn, win) = mams_namespace::decode_image_with_window(data).unwrap();
-        assert_eq!(sn, 4);
-        assert_eq!(merged.fingerprint(), t.fingerprint());
-        assert_eq!(win, new_win);
-    }
-
-    #[test]
-    fn compaction_merges_chain_and_gcs() {
-        let (mut g, t) = chained_group(1, 4);
-        let old_ids: Vec<ArtifactId> = g.manifest().chain.iter().map(|e| e.id).collect();
-        assert!(g.compaction_due(3));
-        let sn = g.compact().unwrap().unwrap();
-        assert_eq!(sn, 5);
-        let m = g.manifest();
-        assert_eq!(m.chain.len(), 1);
-        assert_eq!(m.base().unwrap().end_sn, 5);
-        assert_eq!(resolve_chain(&g).fingerprint(), t.fingerprint());
-        // Old artifacts are gone; their ids resolve to NoSuchArtifact.
-        for id in old_ids {
-            assert!(matches!(g.artifact_chunk(id, 0, 8), Err(PoolError::NoSuchArtifact { .. })));
-        }
-    }
-
-    #[test]
-    fn compaction_with_no_deltas_is_a_noop() {
-        let (mut g, _) = chained_group(3, 0);
-        assert!(!g.compaction_due(0));
-        assert_eq!(g.compact().unwrap(), None);
-        assert_eq!(g.manifest().base().unwrap().end_sn, 3);
-    }
-
-    #[test]
-    fn crash_between_begin_and_commit_leaves_old_chain_resolvable() {
-        let (mut g, t) = chained_group(1, 3);
-        let staged = g.compact_begin().unwrap().unwrap();
-        // "Crash": nothing committed. The old chain still resolves.
-        assert_eq!(g.manifest().deltas().len(), 3);
-        assert_eq!(resolve_chain(&g).fingerprint(), t.fingerprint());
-        // Recovery commits the staged base; the merge survives.
-        let sn = g.compact_commit(staged).unwrap();
-        g.compact_gc();
-        assert_eq!(sn, 4);
-        assert_eq!(resolve_chain(&g).fingerprint(), t.fingerprint());
-    }
-
-    #[test]
-    fn commit_after_staging_lost_falls_back_to_chain_end() {
-        let (mut g, t) = chained_group(1, 2);
-        let staged = g.compact_begin().unwrap().unwrap();
-        // Simulate the staging map being lost across a restart (the
-        // artifact bytes themselves are durable).
-        g.staged_base = None;
-        let sn = g.compact_commit(staged).unwrap();
-        g.compact_gc();
-        assert_eq!(sn, 3);
-        assert_eq!(resolve_chain(&g).fingerprint(), t.fingerprint());
-    }
-
-    #[test]
-    fn corrupt_delta_aborts_compaction_without_state_change() {
-        let (mut g, t) = chained_group(1, 3);
-        assert!(g.corrupt_delta());
-        let err = g.compact().unwrap_err();
-        assert!(matches!(err, PoolError::Corrupt(_)), "got {err:?}");
-        // Chain untouched: base + intact deltas still resolvable, and the
-        // journal from the base still covers the whole range.
-        assert_eq!(g.manifest().deltas().len(), 3);
-        assert!(g.manifest().base().is_some());
-        drop(t);
-    }
-
-    #[test]
-    fn compaction_due_trips_on_bytes_too() {
-        // Build a base heavier than the 64 KiB floor, then pile delta bytes
-        // past it: the byte rule must trip even with a short chain.
-        let mut g = GroupStore::default();
-        let mut t = NamespaceTree::new();
-        t.mkdir("/bulk").unwrap();
-        for i in 0..3000 {
-            t.create(&format!("/bulk/file-with-a-longish-name-{i:05}"), 3).unwrap();
-        }
-        g.write_image(1, encode_image(&t, 1)).unwrap();
-        let base_bytes = g.manifest().base().unwrap().bytes;
-        assert!(base_bytes > 64 * 1024, "base must exceed the floor: {base_bytes}");
-        let mut sn = 1;
-        while g.manifest().delta_bytes() <= base_bytes {
-            // One delta re-upserting a whole directory's worth of entries.
-            let txns: Vec<Txn> = (0..3000)
-                .map(|i| Txn::SetPerm {
-                    path: format!("/bulk/file-with-a-longish-name-{i:05}"),
-                    perm: 0o640,
-                })
-                .collect();
-            for txn in &txns {
-                t.apply(txn).unwrap();
-            }
-            let delta = fold_delta(&t, sn, sn + 1, txns.iter());
-            g.append_delta(1, delta).unwrap();
-            sn += 1;
-        }
-        // Few deltas, but heavy relative to the base.
-        assert!(g.compaction_due(1_000_000));
     }
 }

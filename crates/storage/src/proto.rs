@@ -18,10 +18,12 @@ pub enum PoolReq {
     AppendJournal { group: GroupId, epoch: Epoch, batch: SharedBatch, req: ReqId },
     /// Read up to `max` batches with sn > `after_sn`.
     ReadJournal { group: GroupId, after_sn: Sn, max: usize, req: ReqId },
-    /// Checkpoint an image (starts a fresh manifest chain and compacts the
-    /// shared journal through its sn).
+    /// Checkpoint an image (starts a fresh manifest chain, drops the one it
+    /// supersedes, and compacts the shared journal through its sn). Refused
+    /// past the journal's tail.
     WriteImage { group: GroupId, epoch: Epoch, image: NamespaceImage, req: ReqId },
-    /// Append a delta to the manifest chain (must chain onto its end).
+    /// Append a delta to the manifest chain (must chain onto its end, and
+    /// end at or below the journal's tail).
     WriteDelta { group: GroupId, epoch: Epoch, delta: DeltaImage, req: ReqId },
     /// The checkpoint manifest chain (base + deltas).
     ReadManifest { group: GroupId, req: ReqId },

@@ -222,9 +222,14 @@ fn image_round_trips_and_chunks() {
         assert_eq!(sn, 42);
         assert_eq!(decoded.fingerprint(), tree.fingerprint(), "case {case}");
 
-        // Chunked reassembly, sliced as the pool slices a stored image.
+        // Chunked reassembly, sliced as the pool slices a stored image,
+        // over the journal the image stands for.
         let mut store = mams::storage::pool::GroupStore::default();
-        store.write_image(1, img).expect("no fence on a fresh store");
+        for sn in 1..=42 {
+            let batch = JournalBatch::new(sn, sn, vec![Txn::Mkdir { path: format!("/j{sn}") }]);
+            store.append_journal(1, batch).expect("contiguous");
+        }
+        store.write_image(1, img).expect("the journal reaches the image");
         let id = store.manifest().base().expect("just written").id;
         let mut buf = Vec::new();
         let mut off = 0;
