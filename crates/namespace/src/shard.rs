@@ -5,10 +5,14 @@
 //! server's hot path while keeping the replicated-state contract intact:
 //!
 //! * **Inode-id sharding.** Inodes live in N power-of-two shards keyed by
-//!   `id % N`, each behind its own `RwLock`. Directory entries — each name
-//!   inline in its directory's map ([`Name`]), no table of names beside them
-//!   — and the parent-directory resolution cache are per-shard state, so ops
-//!   on unrelated directories touch disjoint
+//!   `id % N`, each behind its own `RwLock`. An id is an index: the rest of
+//!   its low word is the inode's position in its shard's slot table, and its
+//!   high word a generation that goes stale when the slot is freed (see
+//!   `GEN_SHIFT`), so an inode is reached without hashing and a table is
+//!   as long as its shard's peak number of live inodes. Directory entries —
+//!   each name inline in its directory's map ([`Name`]), no table of names
+//!   beside them — and the parent-directory resolution cache are per-shard
+//!   state, so ops on unrelated directories touch disjoint
 //!   locks. New *file* ids are allocated from their parent directory's shard
 //!   (a create or block op locks exactly one shard); new *directory* ids are
 //!   spread by hashing `(parent, name)` so a deep tree doesn't collapse into
@@ -62,8 +66,11 @@
 //! reads, which the lazy pruning below reclaims.
 //!
 //! Version chains are pruned on the next write to a slot once the pins that
-//! needed them are gone; subtree deletions performed while a pin was active
-//! leave tombstones that each shard sweeps at the start of a later mutation.
+//! needed them are gone; deletions performed while a pin was active leave
+//! tombstones that each shard sweeps at the start of a later mutation. A
+//! slot's index is reused only once it is freed — at the delete when no pin
+//! is registered, at the sweep otherwise — so no pinned reader ever finds
+//! another inode where the one it pinned was.
 //!
 //! ### Replay parity
 //!
@@ -114,26 +121,33 @@ const SHARD_CACHE_CAP: usize = 1 << 10;
 const CACHE_WAYS: usize = 4;
 const CACHE_SETS: usize = SHARD_CACHE_CAP / CACHE_WAYS;
 
+/// Where an id's generation starts. An id is `generation << GEN_SHIFT |
+/// index << log2 N | shard`: the shard in the low bits, so `id & (N - 1)`
+/// names it; the index of the inode's slot in that shard's table in the rest
+/// of the low word (`32 - log2 N` bits: 2^28 slots a shard at the default 16
+/// shards, 2^24 at [`MAX_SHARDS`]); and above them the slot's generation, a
+/// `u32` bumped each time the slot is freed. An id whose generation is not
+/// its slot's reads as absent, as a removed key would. The generation wraps
+/// after 2^32 frees of one index: a stale id could resolve again only if it
+/// were held across four billion reuses of its slot, and every holder keeps
+/// one for one op, or for a replay session between two records.
+const GEN_SHIFT: u32 = 32;
+
 /// One inode's versions. `stamp`/`node` is the newest version; `hist` holds
 /// displaced versions (oldest first) and is empty unless mutations ran while
-/// a snapshot pin was registered. `node == None` is a tombstone: the inode
-/// was deleted at `stamp` but an older version may still be pinned.
-#[derive(Debug)]
+/// a snapshot pin was registered. `node == None` is a tombstone — the inode
+/// was deleted at `stamp` but an older version may still be pinned — or a
+/// free slot, on its shard's free list. `gen` is the generation of the ids
+/// that name this slot now (see [`GEN_SHIFT`]).
+#[derive(Debug, Default)]
 struct Slot {
     stamp: Stamp,
+    gen: u32,
     node: Option<Inode>,
     hist: Vec<(Stamp, Option<Inode>)>,
 }
 
 impl Slot {
-    fn base(node: Inode) -> Slot {
-        Slot { stamp: 0, node: Some(node), hist: Vec::new() }
-    }
-
-    fn fresh(stamp: Stamp, node: Inode) -> Slot {
-        Slot { stamp, node: Some(node), hist: Vec::new() }
-    }
-
     /// Newest version (what unpinned readers and mutators see).
     fn latest(&self) -> Option<&Inode> {
         self.node.as_ref()
@@ -188,46 +202,76 @@ impl Slot {
     }
 }
 
-/// Hasher for inode-id keys. Ids are sequential per shard (stride = shard
-/// count), so SipHash's DoS resistance buys nothing here while dominating
-/// the cost of every slot lookup on the hot path; a SplitMix-style mix is
-/// a few cycles and fully scrambles the stride (a bare multiply would leave
-/// the low bits — the bucket index — in lock-step).
-#[derive(Default, Clone, Copy)]
-struct IdHasher(u64);
-
-impl std::hash::Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("inode-id keys hash via write_u64");
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let mut z = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        z ^= z >> 32;
-        self.0 = z.wrapping_mul(0xd6e8_feb8_6659_fd93);
-    }
-}
-
-type IdBuild = std::hash::BuildHasherDefault<IdHasher>;
-
 /// Mutable per-shard state, behind the shard's `RwLock`.
 #[derive(Debug, Default)]
 struct ShardState {
-    slots: HashMap<InodeId, Slot, IdBuild>,
-    /// Next inode id this shard hands out (always ≡ shard index mod N).
-    next_id: InodeId,
+    /// The slot table: id `g << GEN_SHIFT | i << shift | shard` is
+    /// `slots[i]` while that slot's generation is `g`.
+    slots: Vec<Slot>,
+    /// Freed indexes, the last freed reused first.
+    free: Vec<u32>,
     /// Tombstoned ids awaiting the no-pins sweep.
     dead: Vec<InodeId>,
+    /// This shard's index and log2 N: the fixed fields of its ids.
+    shard: u64,
+    shift: u32,
 }
 
 impl ShardState {
+    fn index(&self, id: InodeId) -> usize {
+        (id as u32 >> self.shift) as usize
+    }
+
+    fn id(&self, index: usize, gen: u32) -> InodeId {
+        (gen as u64) << GEN_SHIFT | (index as u64) << self.shift | self.shard
+    }
+
+    /// The slot `id` names, unless it was freed since `id` was handed out.
+    fn get(&self, id: InodeId) -> Option<&Slot> {
+        self.slots.get(self.index(id)).filter(|s| s.gen == (id >> GEN_SHIFT) as u32)
+    }
+
+    fn get_mut(&mut self, id: InodeId) -> Option<&mut Slot> {
+        let index = self.index(id);
+        self.slots.get_mut(index).filter(|s| s.gen == (id >> GEN_SHIFT) as u32)
+    }
+
     /// Whether the newest version of `id` is a directory.
     fn has_live_dir(&self, id: InodeId) -> bool {
-        self.slots.get(&id).and_then(Slot::latest).is_some_and(Inode::is_dir)
+        self.get(id).and_then(Slot::latest).is_some_and(Inode::is_dir)
+    }
+
+    /// The id this shard's next [`take`](Self::take) hands out. Reading it
+    /// takes nothing, so an op refused after it spends no id.
+    fn next_id(&self) -> InodeId {
+        match self.free.last() {
+            Some(&i) => self.id(i as usize, self.slots[i as usize].gen),
+            None => self.id(self.slots.len(), 0),
+        }
+    }
+
+    /// Store `node`, written at `stamp`, under the id
+    /// [`next_id`](Self::next_id) named.
+    fn take(&mut self, stamp: Stamp, node: Inode) -> InodeId {
+        let index = match self.free.pop() {
+            Some(i) => i as usize,
+            None => {
+                assert!(self.slots.len() >> (32 - self.shift) == 0, "shard table full");
+                self.slots.push(Slot::default());
+                self.slots.len() - 1
+            }
+        };
+        let slot = &mut self.slots[index];
+        (slot.stamp, slot.node) = (stamp, Some(node));
+        self.id(index, self.slots[index].gen)
+    }
+
+    /// Free the slot of `id` for reuse: every id naming it goes stale.
+    fn free(&mut self, id: InodeId) {
+        let index = self.index(id);
+        let slot = &mut self.slots[index];
+        *slot = Slot { gen: slot.gen.wrapping_add(1), ..Slot::default() };
+        self.free.push(index as u32);
     }
 }
 
@@ -402,7 +446,7 @@ pub struct LockedShards<'a> {
 impl InodeSource for LockedShards<'_> {
     fn inode(&self, id: InodeId) -> Option<&Inode> {
         // The shard count is a power of two.
-        self.guards[(id as usize) & (self.guards.len() - 1)].slots.get(&id)?.view(self.epoch)
+        self.guards[(id as usize) & (self.guards.len() - 1)].get(id)?.view(self.epoch)
     }
 
     fn counts(&self) -> (u64, u64) {
@@ -461,13 +505,10 @@ impl ShardedNamespace {
         let n = n.clamp(1, MAX_SHARDS).next_power_of_two();
         let mut shards = Vec::with_capacity(n);
         for k in 0..n {
-            let mut st = ShardState {
-                // Shard k hands out ids ≡ k (mod n); id 0 is the root.
-                next_id: if k == 0 { n as u64 } else { k as u64 },
-                ..ShardState::default()
-            };
+            let mut st =
+                ShardState { shard: k as u64, shift: n.trailing_zeros(), ..ShardState::default() };
             if k == 0 {
-                st.slots.insert(ROOT_ID, Slot::base(Inode::new_dir()));
+                st.take(0, Inode::new_dir()); // ROOT_ID: index 0, generation 0
             }
             shards.push(Shard { state: RwLock::new(st) });
         }
@@ -488,7 +529,11 @@ impl ShardedNamespace {
 
     /// Build from a legacy tree (the image-install path: the streaming
     /// decoder produces a [`NamespaceTree`], the junior installs it here).
-    /// Ids are preserved; placement follows `id % N`.
+    /// Ids are preserved and read in this namespace's layout
+    /// (`GEN_SHIFT`), which needs them to differ in their low 32 bits, as
+    /// a decoded image's and [`to_tree`](Self::to_tree)'s do. Each table is
+    /// as long as the highest index the tree puts in it, and the indexes no
+    /// inode took are its free list.
     pub fn from_tree(tree: NamespaceTree) -> Self {
         Self::from_tree_with_shards(tree, DEFAULT_SHARDS)
     }
@@ -496,24 +541,24 @@ impl ShardedNamespace {
     /// [`from_tree`](Self::from_tree) with an explicit shard count.
     pub fn from_tree_with_shards(tree: NamespaceTree, n: usize) -> Self {
         let ns = Self::with_shards(n);
-        let nshards = ns.shards.len() as u64;
-        let (inodes, next_id, num_files, num_dirs) = tree.into_parts();
+        let (inodes, _, num_files, num_dirs) = tree.into_parts();
         {
             let mut guards: Vec<_> = ns.shards.iter().map(|s| s.state.write().unwrap()).collect();
-            for (id, inode) in inodes {
-                guards[(id as usize) & ns.mask].slots.insert(id, Slot::base(inode));
+            for &id in inodes.keys() {
+                let st = &mut guards[ns.shard_of(id)];
+                let len = st.slots.len().max(st.index(id) + 1);
+                st.slots.resize_with(len, Slot::default);
             }
-            // Each shard's allocator resumes above every legacy id.
-            for (k, g) in guards.iter_mut().enumerate() {
-                let k = k as u64;
-                let base = next_id.max(1);
-                // Smallest value ≥ base that is ≡ k (mod n).
-                let rem = base % nshards;
-                let mut v = base + (k + nshards - rem) % nshards;
-                if v == 0 {
-                    v = nshards;
-                }
-                g.next_id = g.next_id.max(v);
+            for (id, inode) in inodes {
+                let st = &mut guards[ns.shard_of(id)];
+                let index = st.index(id);
+                let slot = &mut st.slots[index];
+                debug_assert!(slot.node.is_none() || id == ROOT_ID, "two ids share slot of {id}");
+                (slot.gen, slot.node) = ((id >> GEN_SHIFT) as u32, Some(inode));
+            }
+            for st in guards.iter_mut().map(|g| &mut **g) {
+                let free = (0..st.slots.len()).rev().filter(|&i| st.slots[i].node.is_none());
+                st.free = free.map(|i| i as u32).collect();
             }
         }
         ns.num_files.store(num_files, Ordering::Relaxed);
@@ -529,9 +574,10 @@ impl ShardedNamespace {
         let mut next_id: InodeId = 1;
         for shard in self.shards.iter() {
             let st = shard.state.read().unwrap();
-            next_id = next_id.max(st.next_id);
-            for (&id, slot) in &st.slots {
+            for (i, slot) in st.slots.iter().enumerate() {
                 if let Some(node) = slot.latest() {
+                    let id = st.id(i, slot.gen);
+                    next_id = next_id.max(id + 1);
                     inodes.insert(id, node.clone());
                 }
             }
@@ -558,7 +604,7 @@ impl ShardedNamespace {
             .iter()
             .map(|s| {
                 let st = s.state.read().expect("shard lock poisoned");
-                st.slots.values().filter(|s| s.node.is_some()).map(|s| s.hist.len()).sum::<usize>()
+                st.slots.iter().filter(|s| s.node.is_some()).map(|s| s.hist.len()).sum::<usize>()
             })
             .sum()
     }
@@ -640,15 +686,15 @@ impl ShardedNamespace {
         w
     }
 
-    /// Reclaim tombstoned slots once no pin can see them. Runs at the start
+    /// Free tombstoned slots once no pin can see them. Runs at the start
     /// of mutations on shards that accumulated tombstones.
     fn sweep(&self, st: &mut ShardState) {
         if st.dead.is_empty() || self.pins_active.load(Ordering::Acquire) != 0 {
             return;
         }
-        for id in st.dead.drain(..) {
-            if st.slots.get(&id).is_some_and(|s| s.node.is_none()) {
-                st.slots.remove(&id);
+        while let Some(id) = st.dead.pop() {
+            if st.get(id).is_some_and(|s| s.node.is_none()) {
+                st.free(id);
             }
         }
     }
@@ -732,7 +778,7 @@ impl ShardedNamespace {
         f: impl FnOnce(&Inode) -> R,
     ) -> Option<R> {
         let st = self.shards[self.shard_of(id)].state.read().unwrap();
-        st.slots.get(&id).and_then(|s| s.view(epoch)).map(f)
+        st.get(id).and_then(|s| s.view(epoch)).map(f)
     }
 
     /// From-root component walk at `epoch`. One shard read lock per step —
@@ -741,7 +787,7 @@ impl ShardedNamespace {
         let mut cur = ROOT_ID;
         for comp in path::components(p) {
             let st = self.shards[self.shard_of(cur)].state.read().unwrap();
-            match st.slots.get(&cur)?.view(epoch)? {
+            match st.get(cur)?.view(epoch)? {
                 Inode::Directory { children, .. } => cur = child(children, comp)?,
                 Inode::File { .. } => return None,
             }
@@ -789,12 +835,12 @@ impl ShardedNamespace {
     fn child_kind(&self, dir_id: InodeId, name: &str) -> Option<(InodeId, bool)> {
         let pk = self.shard_of(dir_id);
         let st = self.shards[pk].state.read().expect("shard lock poisoned");
-        let Inode::Directory { children, .. } = st.slots.get(&dir_id)?.latest()? else {
+        let Inode::Directory { children, .. } = st.get(dir_id)?.latest()? else {
             return None;
         };
         let id = child(children, name)?;
         if self.shard_of(id) == pk {
-            return Some((id, st.slots.get(&id)?.latest()?.is_dir()));
+            return Some((id, st.get(id)?.latest()?.is_dir()));
         }
         drop(st);
         Some((id, self.with_node(id, None, Inode::is_dir)?))
@@ -824,7 +870,7 @@ impl ShardedNamespace {
         let mut cur = ROOT_ID;
         for comp in path::components(p) {
             let st = self.shards[self.shard_of(cur)].state.read().unwrap();
-            match st.slots.get(&cur).and_then(|s| s.view(epoch)) {
+            match st.get(cur).and_then(|s| s.view(epoch)) {
                 Some(Inode::Directory { children, .. }) => match child(children, comp) {
                     Some(id) => cur = id,
                     None => return false,
@@ -876,14 +922,13 @@ impl ShardedNamespace {
         let (pid, _) = self.lookup_dir(dir, None).ok_or_else(missing)?;
         let pk = self.shard_of(pid);
         let st = self.shards[pk].state.read().unwrap();
-        let id = match st.slots.get(&pid).and_then(Slot::latest) {
+        let id = match st.get(pid).and_then(Slot::latest) {
             Some(Inode::Directory { children, .. }) => child(children, name).ok_or_else(missing)?,
             _ => return Err(missing()),
         };
         if self.shard_of(id) == pk {
             return st
-                .slots
-                .get(&id)
+                .get(id)
                 .and_then(Slot::latest)
                 .map(|n| Self::info_of(p, n))
                 .ok_or_else(missing);
@@ -1015,7 +1060,7 @@ impl ShardedNamespace {
             // A concurrent structural op may have run since the unlocked
             // resolution: the child must still be of the kind the lock set
             // was chosen for, and the parent a live directory.
-            let empty = match locked.get(ck).slots.get(&id).and_then(Slot::latest) {
+            let empty = match locked.get(ck).get(id).and_then(Slot::latest) {
                 Some(Inode::Directory { children, .. }) if is_dir => children.is_empty(),
                 Some(Inode::File { .. }) if !is_dir => true,
                 _ => continue,
@@ -1242,7 +1287,7 @@ impl ShardedNamespace {
         while let Some((id, depth)) = stack.pop() {
             mix(&depth.to_le_bytes());
             let st = self.shards[self.shard_of(id)].state.read().unwrap();
-            match st.slots.get(&id).and_then(|s| s.view(epoch)) {
+            match st.get(id).and_then(|s| s.view(epoch)) {
                 Some(Inode::Directory { children, perm }) => {
                     mix(b"D");
                     mix(&perm.to_le_bytes());
@@ -1278,9 +1323,7 @@ impl ShardedNamespace {
         let mut stack: Vec<(InodeId, String)> = vec![(ROOT_ID, String::new())];
         while let Some((id, dir)) = stack.pop() {
             let st = self.shards[self.shard_of(id)].state.read().unwrap();
-            if let Some(Inode::Directory { children, perm }) =
-                st.slots.get(&id).and_then(Slot::latest)
-            {
+            if let Some(Inode::Directory { children, perm }) = st.get(id).and_then(Slot::latest) {
                 sum = sum.wrapping_add(fnv1a64(format!("{dir}/ {perm}").as_bytes()));
                 stack
                     .extend(children.iter().map(|(name, child)| (*child, format!("{dir}/{name}"))));
@@ -1536,15 +1579,14 @@ impl ShardedNamespace {
         let _gate = self.gate.read().unwrap();
         let mut st = self.shards[self.shard_of(parent)].state.write().unwrap();
         self.sweep(&mut st);
-        Self::check_parent(st.slots.get(&parent), what)?;
+        Self::check_parent(st.get(parent), what)?;
         let keep = self.watermark();
         let s = self.alloc_stamp();
         // The id the file gets if the name is free: a refused op takes none.
-        let id = st.next_id;
+        let id = st.next_id();
         let linked = Self::link(Self::open_dir(&mut st, parent, s, keep), name, id, what);
         if linked.is_ok() {
-            st.next_id += self.shards.len() as u64;
-            st.slots.insert(id, Slot::fresh(s, Inode::new_file(replication)));
+            st.take(s, Inode::new_file(replication));
             if let Some(k) = bind {
                 self.cache_put(&k, parent, s);
             }
@@ -1571,15 +1613,13 @@ impl ShardedNamespace {
         let tk = self.dir_home(parent, name);
         let mut locked = self.lock_set(pk, tk);
         self.sweep(locked.get(pk));
-        Self::check_parent(locked.get(pk).slots.get(&parent), what)?;
+        Self::check_parent(locked.get(pk).get(parent), what)?;
         let keep = self.watermark();
         let s = self.alloc_stamp();
-        let id = locked.get(tk).next_id;
+        let id = locked.get(tk).next_id();
         let linked = Self::link(Self::open_dir(locked.get(pk), parent, s, keep), name, id, what);
         if linked.is_ok() {
-            let home = locked.get(tk);
-            home.next_id += self.shards.len() as u64;
-            home.slots.insert(id, Slot::fresh(s, Inode::new_dir()));
+            locked.get(tk).take(s, Inode::new_dir());
             if let Some(k) = bind {
                 self.cache_put(&k, parent, s);
             }
@@ -1609,7 +1649,7 @@ impl ShardedNamespace {
         stamp: Stamp,
         keep: Option<Stamp>,
     ) -> &mut BTreeMap<Name, InodeId> {
-        match st.slots.get_mut(&dir).and_then(|slot| slot.open(stamp, keep).as_mut()) {
+        match st.get_mut(dir).and_then(|slot| slot.open(stamp, keep).as_mut()) {
             Some(Inode::Directory { children, .. }) => children,
             _ => unreachable!("inode {dir} was a live directory under this lock"),
         }
@@ -1645,7 +1685,7 @@ impl ShardedNamespace {
         let mut stack = vec![root];
         while let Some(cur) = stack.pop() {
             let st = locked.get(self.shard_of(cur));
-            match st.slots.get(&cur).and_then(Slot::latest) {
+            match st.get(cur).and_then(Slot::latest) {
                 Some(Inode::Directory { children, .. }) => {
                     dirs += 1;
                     stack.extend(children.values().copied());
@@ -1658,21 +1698,21 @@ impl ShardedNamespace {
         (files, dirs)
     }
 
-    /// Drop the deleted inode `id` — to a tombstone for the sweep while a
-    /// pin may still read it.
+    /// Drop the deleted inode `id`: free its slot, or — while a pin may
+    /// still read it — leave a tombstone for the sweep to free.
     fn bury(st: &mut ShardState, id: InodeId, stamp: Stamp, keep: Option<Stamp>) {
         if keep.is_none() {
-            st.slots.remove(&id);
+            st.free(id);
         } else {
-            *st.slots.get_mut(&id).expect("seen live under this lock").open(stamp, keep) = None;
+            *st.get_mut(id).expect("seen live under this lock").open(stamp, keep) = None;
             st.dead.push(id);
         }
     }
 
     /// Mutate the node `id`, which the caller resolved from `p`: lock one
-    /// shard, validate, mutate at a fresh stamp. A missing slot means the
-    /// resolution went stale and maps to NotFound, matching what a fresh one
-    /// would report.
+    /// shard, validate, mutate at a fresh stamp. A missing slot — freed, or
+    /// reused under a newer generation — means the resolution went stale
+    /// and maps to NotFound, matching what a fresh one would report.
     fn mutate_by_id(
         &self,
         id: InodeId,
@@ -1682,7 +1722,7 @@ impl ShardedNamespace {
         let _gate = self.gate.read().unwrap();
         let mut st = self.shards[self.shard_of(id)].state.write().unwrap();
         self.sweep(&mut st);
-        match st.slots.get(&id).and_then(Slot::latest) {
+        match st.get(id).and_then(Slot::latest) {
             Some(node) => {
                 let mut probe = node.clone();
                 f(&mut probe, p)?;
@@ -1691,7 +1731,7 @@ impl ShardedNamespace {
         }
         let keep = self.watermark();
         let s = self.alloc_stamp();
-        let node = st.slots.get_mut(&id).expect("checked above").open(s, keep);
+        let node = st.get_mut(id).expect("checked above").open(s, keep);
         f(node.as_mut().expect("latest version exists"), p).expect("validated above");
         drop(st);
         self.publish(s);
@@ -1878,6 +1918,84 @@ mod tests {
         // Mutations after install must not collide with legacy ids.
         s.create("/x/y/g", 1).unwrap();
         assert_eq!(s.to_tree().fingerprint(), s.fingerprint());
+    }
+
+    /// Slots in the one table of a `with_shards(1)` namespace.
+    fn table_len(s: &ShardedNamespace) -> usize {
+        s.shards[0].state.read().unwrap().slots.len()
+    }
+
+    #[test]
+    fn stale_ids_read_as_absent_after_their_index_is_reused() {
+        let s = ShardedNamespace::with_shards(1);
+        s.mkdir("/d").unwrap();
+        s.create("/d/f", 1).unwrap();
+        let (old_dir, old_file) = (s.resolve_path("/d").unwrap(), s.resolve_path("/d/f").unwrap());
+        s.delete("/d", true).unwrap();
+        s.mkdir("/e").unwrap();
+        s.create("/e/g", 1).unwrap();
+        let (dir, file) = (s.resolve_path("/e").unwrap(), s.resolve_path("/e/g").unwrap());
+        assert_eq!(table_len(&s), 3, "both indexes were reused");
+        let mut old = [old_dir as u32, old_file as u32];
+        let mut new = [dir as u32, file as u32];
+        old.sort();
+        new.sort();
+        assert_eq!(old, new, "the same two indexes");
+        assert!(old_dir != dir && old_dir != file && old_file != dir && old_file != file);
+        assert!(s.with_node(old_dir, None, |_| ()).is_none());
+        assert!(s.with_node(old_file, None, |_| ()).is_none());
+        let before = s.fingerprint();
+        assert_eq!(
+            s.attach_file(old_dir, "x", 1, "x", None),
+            Err(NsError::ParentNotFound("x".into()))
+        );
+        assert_eq!(
+            s.mutate_by_id(old_file, "/d/f", |node, _| {
+                node.set_perm(0o700);
+                Ok(())
+            }),
+            Err(NsError::NotFound("/d/f".into()))
+        );
+        assert_eq!(s.fingerprint(), before, "neither touched the inode now at the index");
+        assert_eq!(s.list("/e").unwrap(), ["g"]);
+    }
+
+    #[test]
+    fn a_pinned_inode_keeps_its_index_until_the_pin_drops() {
+        let s = ShardedNamespace::with_shards(1);
+        s.mkdir("/d").unwrap();
+        s.create("/d/f", 1).unwrap();
+        s.add_block("/d/f", 7).unwrap();
+        let old = s.resolve_path("/d/f").unwrap();
+        let view = s.pin();
+        s.delete("/d/f", false).unwrap();
+        s.create("/d/g", 1).unwrap();
+        assert_eq!(table_len(&s), 4, "the deleted file's index was not reused");
+        assert_eq!(view.getfileinfo("/d/f").unwrap().blocks, [7], "the view reads the old inode");
+        assert_eq!(view.resolve_path("/d/f"), Some(old));
+        assert!(s.with_node(old, None, |_| ()).is_none(), "the newest state has no such file");
+        drop(view);
+        // The next mutation of the shard sweeps the tombstone and its
+        // allocation takes the freed index.
+        s.create("/d/h", 1).unwrap();
+        let h = s.resolve_path("/d/h").unwrap();
+        assert_eq!(table_len(&s), 4);
+        assert_eq!((h as u32, h == old), (old as u32, false), "same index, new generation");
+        assert!(s.with_node(old, None, |_| ()).is_none());
+        assert_eq!(s.getfileinfo("/d/h").unwrap().blocks, Vec::<u64>::new());
+    }
+
+    #[test]
+    fn a_table_is_as_long_as_its_peak_of_live_inodes() {
+        let s = ShardedNamespace::with_shards(1);
+        for i in 0..50_000 {
+            if i >= 64 {
+                s.delete(&format!("/f{}", i - 64), false).unwrap();
+            }
+            s.create(&format!("/f{i}"), 1).unwrap();
+        }
+        assert_eq!(s.num_files(), 64);
+        assert!(table_len(&s) <= 65, "{} slots for 64 files and the root", table_len(&s));
     }
 
     #[test]
