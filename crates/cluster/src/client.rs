@@ -7,7 +7,6 @@
 //! is completely transparent to applications, the file system sees no
 //! errors occur in the case of failures." (Section III-C.)
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use mams_coord::{CoordEvent, CoordReq, CoordResp};
@@ -93,7 +92,8 @@ impl Pending {
 pub struct FsIo {
     coord: NodeId,
     partitioner: Partitioner,
-    actives: HashMap<u32, NodeId>,
+    /// Each group's active as the global view last named it, by group.
+    actives: Vec<Option<NodeId>>,
     /// Ascending by seq (the order of submission), so that one seed gives
     /// one run. A vector, not a map: a closed-loop owner holds one entry,
     /// and this keeps its allocation from one op to the next.
@@ -111,7 +111,7 @@ impl FsIo {
         FsIo {
             coord,
             partitioner,
-            actives: HashMap::new(),
+            actives: vec![None; partitioner.groups() as usize],
             pending: Vec::new(),
             next_seq: SEQ_BASE,
             acked: 0,
@@ -128,15 +128,11 @@ impl FsIo {
         ctx.send(self.coord, CoordReq::List { prefix: ViewKey::all_groups(), req: 0 });
     }
 
+    /// A view key for a group this deployment does not have is ignored.
     fn absorb_active(&mut self, key: &str, value: Option<&str>) {
         if let Some(ViewKey::Active(group)) = ViewKey::parse(key) {
-            match value.and_then(|v| v.parse().ok()) {
-                Some(n) => {
-                    self.actives.insert(group, n);
-                }
-                None => {
-                    self.actives.remove(&group);
-                }
+            if let Some(active) = self.actives.get_mut(group as usize) {
+                *active = value.and_then(|v| v.parse().ok());
             }
         }
     }
@@ -159,8 +155,8 @@ impl FsIo {
 
     /// Send an op to its group's active, if one is known.
     fn send_op(&self, ctx: &mut Ctx<'_>, p: &Pending) -> bool {
-        let active = self.actives.get(&p.group);
-        if let Some(&active) = active {
+        let active = self.actives[p.group as usize];
+        if let Some(active) = active {
             ctx.send(active, MdsReq::Op { op: p.op.clone(), seq: p.seq, acked: self.acked });
         }
         active.is_some()

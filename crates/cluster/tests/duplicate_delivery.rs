@@ -4,14 +4,16 @@
 //! The cluster client retries an op with the *same* seq after a timeout; if
 //! the first delivery was applied but the reply lost, the server must answer
 //! the retry from its per-client retry cache — the very same `Arc<MdsResp>`
-//! — and must not journal or execute the mutation a second time.
+//! — and must not journal or execute the mutation a second time. A read is
+//! the other way round: it changes nothing, so its reply is never cached
+//! and its resend is executed again.
 
 use std::sync::{Arc, Mutex};
 
 use mams_cluster::deploy::{build, DeploySpec};
 use mams_cluster::metrics::Metrics;
 use mams_cluster::workload::Workload;
-use mams_core::{FsOp, MdsReq, MdsResp};
+use mams_core::{FsOp, MdsReq, MdsResp, OpOutput};
 use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim, SimConfig};
 
 const T_FIRST: u64 = 1;
@@ -134,4 +136,75 @@ fn duplicate_delivery_is_answered_from_cache_without_reapply() {
         }
     }
     assert_eq!(creates, 1, "the duplicated create was journaled {creates} times");
+}
+
+/// What a client received: the reply, and whether it came as the shared
+/// `Arc` the retry cache keeps or as an owned value nobody else holds.
+type Received = Arc<Mutex<Vec<(bool, MdsResp)>>>;
+
+/// Creates `/r` (seq 1) and reads it (seq 2), then deletes it with a
+/// watermark of 1, as if the read's reply had been lost, and resends the
+/// read under seq 2. One step every 500 ms, after the group's election.
+struct ReadResender {
+    active: NodeId,
+    step: usize,
+    received: Received,
+}
+
+impl Node for ReadResender {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(Duration::from_secs(2), 0);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _: u64) {
+        let path = || "/r".to_string();
+        let (op, seq, acked) = match self.step {
+            0 => (FsOp::Create { path: path(), replication: 3 }, 1, 0),
+            1 => (FsOp::GetFileInfo { path: path() }, 2, 1),
+            2 => (FsOp::Delete { path: path(), recursive: false }, 3, 1),
+            3 => (FsOp::GetFileInfo { path: path() }, 2, 1),
+            _ => return,
+        };
+        ctx.send(self.active, MdsReq::Op { op, seq, acked });
+        self.step += 1;
+        ctx.set_timer(Duration::from_millis(500), 0);
+    }
+
+    fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
+        let got = match msg.downcast::<Arc<MdsResp>>() {
+            Ok(shared) => (true, (*shared).clone()),
+            Err(msg) => match msg.downcast::<MdsResp>() {
+                Ok(owned) => (false, owned),
+                Err(_) => return,
+            },
+        };
+        self.received.lock().unwrap().push(got);
+    }
+}
+
+#[test]
+fn a_resent_read_is_executed_again() {
+    let mut s = Sim::new(SimConfig { seed: 42, ..SimConfig::default() });
+    let d = build(&mut s, DeploySpec { standbys_per_group: 2, ..DeploySpec::default() });
+    let received = Received::default();
+    let active = d.initial_active(0);
+    s.add_node("reader", Box::new(ReadResender { active, step: 0, received: received.clone() }));
+    s.run_for(Duration::from_secs(5));
+
+    let received = received.lock().unwrap();
+    let summary: Vec<_> = received
+        .iter()
+        .map(|(shared, r)| match r {
+            MdsResp::Reply { seq, result } => (*shared, *seq, result.clone()),
+            other => panic!("unexpected reply {other:?}"),
+        })
+        .collect();
+    assert_eq!(summary.len(), 4, "{summary:?}");
+    // Mutations' replies are cached, so they travel as the shared `Arc`.
+    assert!(matches!(&summary[0], (true, 1, Ok(OpOutput::Info(_)))), "{summary:?}");
+    assert!(matches!(&summary[1], (false, 2, Ok(OpOutput::Info(_)))), "{summary:?}");
+    assert_eq!(summary[2], (true, 3, Ok(OpOutput::Done)));
+    // The resent read sees the delete: it ran again, it was not replayed
+    // from a cache.
+    assert_eq!(summary[3], (false, 2, Err("/r: no such file or directory".to_string())));
 }

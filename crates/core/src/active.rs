@@ -15,7 +15,8 @@ use crate::commit::FLUSH_MAX;
 use crate::ingress::{CpuModel, IngressItem};
 use crate::proto::{FsOp, GroupMsg, MdsResp, OpOutput, Xid};
 use crate::server::{
-    Chain, ClientReply, Inflight, MemberPos, PendingOp, Replica, ReplyTo, Tenure, XgOutstanding,
+    Chain, ClientReply, Inflight, MemberPos, Observation, PendingOp, Replica, ReplyTo, Tenure,
+    XgOutstanding,
 };
 use crate::trace::MdsTrace;
 
@@ -83,15 +84,12 @@ impl Tenure {
     }
 
     fn serve_op(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>, from: NodeId, op: FsOp, seq: u64) {
-        // Duplicate handling: a retried request (same seq) is answered from
-        // the cache, never re-executed.
-        if let Some(cached) = self.retry_cache.check(from, seq) {
-            ctx.send(from, cached);
-            return;
-        }
         if !op.is_mutation() {
+            // A read runs every time it arrives, a resend included: it
+            // changes nothing, and a re-execution lies inside the interval
+            // of the op it repeats, so its reply is never cached.
             let result = r.prefix.exec(op).map(|(_, output)| output);
-            let resp = Arc::new(MdsResp::Reply { seq, result });
+            let resp = Observation::Read(MdsResp::Reply { seq, result });
             // Read barrier: the image may include mutations that are not
             // yet durable in the SSP. Releasing the reply now would let
             // the client observe state that can still be discarded — an
@@ -102,6 +100,12 @@ impl Tenure {
             // with the tenure instead and the client retries against the
             // new active. The read still linearizes at its execution point.
             self.send_or_defer_observation(r, ctx, from, seq, resp);
+            return;
+        }
+        // Duplicate handling: a retried mutation (same seq) is answered
+        // from the cache, never re-executed.
+        if let Some(cached) = self.retry_cache.check(from, seq) {
+            ctx.send(from, cached);
             return;
         }
         if r.cfg.timing.fault_double_ack {
@@ -139,7 +143,7 @@ impl Tenure {
         ctx: &mut Ctx<'_>,
         from: NodeId,
         seq: u64,
-        resp: Arc<MdsResp>,
+        resp: Observation,
     ) {
         let barrier = if self.pending.is_empty() {
             self.inflight.keys().next_back().copied()
@@ -147,11 +151,20 @@ impl Tenure {
             Some(r.prefix.tail_sn() + 1)
         };
         match barrier {
-            None => {
-                self.retry_cache.store(from, seq, resp.clone());
-                ctx.send(from, resp);
-            }
+            None => self.release_observation(ctx, from, seq, resp),
             Some(sn) => self.deferred_reads.push((sn, from, seq, resp)),
+        }
+    }
+
+    /// Send an observation; a rejected mutation's is cached first, so that
+    /// its resend is answered alike.
+    fn release_observation(&mut self, ctx: &mut Ctx<'_>, to: NodeId, seq: u64, resp: Observation) {
+        match resp {
+            Observation::Read(resp) => ctx.send(to, resp),
+            Observation::Rejected(resp) => {
+                self.retry_cache.store(to, seq, resp.clone());
+                ctx.send(to, resp);
+            }
         }
     }
 
@@ -164,7 +177,7 @@ impl Tenure {
             Err(e) => match reply {
                 ReplyTo::Client { node, seq } => {
                     let resp = Arc::new(MdsResp::Reply { seq, result: Err(e) });
-                    self.send_or_defer_observation(r, ctx, node, seq, resp);
+                    self.send_or_defer_observation(r, ctx, node, seq, Observation::Rejected(resp));
                 }
                 other => self.reply_now(r, ctx, other, Err(e)),
             },
@@ -362,8 +375,7 @@ impl Tenure {
             let mut keep = Vec::new();
             for (sn, node, seq, resp) in std::mem::take(&mut self.deferred_reads) {
                 if sn <= tail && sn < frontier {
-                    self.retry_cache.store(node, seq, resp.clone());
-                    ctx.send(node, resp);
+                    self.release_observation(ctx, node, seq, resp);
                 } else {
                     keep.push((sn, node, seq, resp));
                 }

@@ -65,8 +65,9 @@ pub enum OpOutput {
 #[derive(Debug, Clone)]
 pub enum MdsReq {
     /// `seq` is a per-client monotonically increasing number; the server
-    /// remembers the last reply per client so a retried request is answered
-    /// from the cache instead of re-executed (duplicate handling). `acked`
+    /// remembers the last replies per client so a retried mutation is
+    /// answered from the cache instead of re-executed (duplicate handling;
+    /// a retried read is executed again). `acked`
     /// is the client's cumulative receipt watermark — every reply with seq
     /// ≤ `acked` has reached it — letting the server evict exactly the
     /// cache entries the client can never retry, instead of guessing by
@@ -95,9 +96,9 @@ pub enum MdsResp {
 
 impl MdsResp {
     /// Extract a response from a wire message, accepting both the owned
-    /// form and the shared `Arc` form servers send for cache-backed replies
-    /// (the retry cache keeps responses behind `Arc`, so a reply — cached
-    /// or fresh — ships a reference-count bump instead of a deep clone).
+    /// form a read's reply is sent in — taken on the first downcast, with
+    /// nothing copied — and the shared `Arc` form of a mutation's reply,
+    /// copied while the retry cache still holds it.
     pub fn from_message(msg: mams_sim::Message) -> Result<MdsResp, mams_sim::Message> {
         match msg.downcast::<MdsResp>() {
             Ok(r) => Ok(r),

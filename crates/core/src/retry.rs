@@ -1,10 +1,15 @@
 //! Duplicate-request handling ("duplicated message handling in the MAMS
 //! will avoid the problem of incorrect metadata operations", Section IV-C).
 //!
-//! Servers remember the last responses per client; an exactly-retried
-//! request is answered from the cache, never re-executed. Clients may have
-//! several operations outstanding (the MapReduce workers do), so the cache
-//! holds a bounded window per client rather than a single entry.
+//! Servers remember the last responses to each client's *mutations*; an
+//! exactly-retried mutation is answered from the cache, never re-executed.
+//! What the cache holds is a mutation's reply and a rejected mutation's
+//! observation (its error read the namespace, and a second run could answer
+//! differently). A read's reply is never cached: a resent read executes
+//! again, inside the interval of the op it repeats and behind the same read
+//! barrier as any read, so it linearizes. Clients may have several
+//! operations outstanding (the MapReduce workers do), so the cache holds a
+//! bounded window per client rather than a single entry.
 //!
 //! Eviction is driven by the client's own receipt watermark: every request
 //! piggybacks the highest seq `A` such that the client has received replies
@@ -17,13 +22,19 @@
 //! The capacity bound remains as an overflow backstop for clients that
 //! never advance their watermark.
 //!
+//! A client's seqs arrive in ascending order, so its window is a ring: a
+//! reply is pushed at the back, the watermark pops from the front, and only
+//! a duplicate or out-of-order seq pays a binary search. Clients are found
+//! by binary search in a vector sorted by node id; nothing is hashed and,
+//! once a client's ring has grown, nothing is allocated per request.
+//!
 //! After a failover the successor seeds this cache from the replicated
 //! retry window ([`mams_namespace::RetryWindow`]) it rebuilt during journal
 //! replay, so at-most-once holds *across* the switch: a retry of an op the
 //! dead active committed is answered with the recorded outcome, not
 //! re-executed.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use mams_namespace::{RetryOutcome, RetryWindow};
@@ -31,28 +42,32 @@ use mams_sim::NodeId;
 
 use crate::proto::{MdsResp, OpOutput};
 
-/// Per-client slice of the cache: remembered responses plus the client's
-/// cumulative receipt watermark.
+/// Per-client slice of the cache: remembered responses, the requests still
+/// executing, and the client's cumulative receipt watermark.
 #[derive(Debug, Default)]
 struct ClientSlot {
-    responses: BTreeMap<u64, Arc<MdsResp>>,
-    /// Highest seq the client confirmed receiving all replies through.
-    acked: u64,
-}
-
-/// Bounded per-client response cache. Responses are held behind `Arc` so a
-/// cache hit (and the original send) is a reference-count bump, not a deep
-/// clone of the reply payload — listings and file infos can be large.
-#[derive(Debug, Default)]
-pub struct RetryCache {
-    per_client: HashMap<NodeId, ClientSlot>,
+    /// Ascending by seq.
+    responses: VecDeque<(u64, Arc<MdsResp>)>,
     /// Requests admitted but not yet answered. A duplicate delivery in this
     /// window (the network duplicated the message, or the client retried
     /// into a slow durability round) must not execute a second time: the
     /// response cache only covers *completed* requests, and a re-execution
     /// of a mutation whose first run is still in flight can interleave with
     /// other clients' operations and corrupt the history.
-    inflight: HashSet<(NodeId, u64)>,
+    inflight: Vec<u64>,
+    /// Highest seq the client confirmed receiving all replies through.
+    /// `None` until a watermark or a reply of the client's was seen: only
+    /// then does it refuse seqs at or below the mark, seq 0 included.
+    acked: Option<u64>,
+}
+
+/// Bounded per-client response cache. Responses are held behind `Arc` so a
+/// cache hit (and the original send) is a reference-count bump, not a deep
+/// clone of the reply payload.
+#[derive(Debug, Default)]
+pub struct RetryCache {
+    /// Sorted by node id. Never indexed by one: `EXTERNAL` is `u32::MAX`.
+    slots: Vec<(NodeId, ClientSlot)>,
 }
 
 /// Default responses remembered per client (overflow bound; the watermark
@@ -64,9 +79,27 @@ impl RetryCache {
         Self::default()
     }
 
+    fn slot(&self, from: NodeId) -> Option<&ClientSlot> {
+        let at = self.slots.binary_search_by_key(&from, |s| s.0).ok()?;
+        Some(&self.slots[at].1)
+    }
+
+    fn slot_mut(&mut self, from: NodeId) -> &mut ClientSlot {
+        let at = match self.slots.binary_search_by_key(&from, |s| s.0) {
+            Ok(at) => at,
+            Err(at) => {
+                self.slots.insert(at, (from, ClientSlot::default()));
+                at
+            }
+        };
+        &mut self.slots[at].1
+    }
+
     /// A cached response for an exact duplicate, if remembered.
     pub fn check(&self, from: NodeId, seq: u64) -> Option<Arc<MdsResp>> {
-        self.per_client.get(&from).and_then(|s| s.responses.get(&seq)).cloned()
+        let responses = &self.slot(from)?.responses;
+        let at = responses.binary_search_by_key(&seq, |r| r.0).ok()?;
+        Some(responses[at].1.clone())
     }
 
     /// Admit a request for execution. Returns `false` when the same
@@ -79,10 +112,12 @@ impl RetryCache {
     /// could succeed where the original was refused (or the reverse) and
     /// nobody would learn.
     pub fn begin(&mut self, from: NodeId, seq: u64) -> bool {
-        if self.per_client.get(&from).is_some_and(|slot| seq <= slot.acked) {
+        let slot = self.slot_mut(from);
+        if slot.acked.is_some_and(|acked| seq <= acked) || slot.inflight.contains(&seq) {
             return false;
         }
-        self.inflight.insert((from, seq))
+        slot.inflight.push(seq);
+        true
     }
 
     /// Absorb the client's receipt watermark: responses at or below `acked`
@@ -90,14 +125,15 @@ impl RetryCache {
     /// are dropped now. The watermark is monotonic; a reordered request
     /// carrying an older value is ignored.
     pub fn note_acked(&mut self, from: NodeId, acked: u64) {
-        let slot = self.per_client.entry(from).or_default();
-        if acked <= slot.acked {
+        let slot = self.slot_mut(from);
+        let mark = slot.acked.get_or_insert(0);
+        if acked <= *mark {
             return;
         }
-        slot.acked = acked;
-        // Split off the suffix the client may still retry; everything at or
-        // below the watermark is garbage.
-        slot.responses = slot.responses.split_off(&(acked + 1));
+        *mark = acked;
+        while slot.responses.front().is_some_and(|r| r.0 <= acked) {
+            slot.responses.pop_front();
+        }
     }
 
     /// Remember a response. Eviction is watermark-first (see `note_acked`);
@@ -106,18 +142,27 @@ impl RetryCache {
     /// entry whose retry is least likely still in flight.
     /// Also retires the request's in-flight marker.
     pub fn store(&mut self, from: NodeId, seq: u64, resp: Arc<MdsResp>) {
-        self.inflight.remove(&(from, seq));
-        let slot = self.per_client.entry(from).or_default();
-        if seq <= slot.acked {
+        let slot = self.slot_mut(from);
+        if let Some(at) = slot.inflight.iter().position(|&s| s == seq) {
+            slot.inflight.swap_remove(at);
+        }
+        if seq <= *slot.acked.get_or_insert(0) {
             // The client already confirmed receipt past this seq (possible
             // when a watermark overtakes a slow durability round): caching
             // it would only leak.
             return;
         }
-        slot.responses.insert(seq, resp);
-        while slot.responses.len() > DEFAULT_RETRY_WINDOW {
-            let oldest = *slot.responses.keys().next().expect("non-empty");
-            slot.responses.remove(&oldest);
+        let responses = &mut slot.responses;
+        if responses.back().is_some_and(|r| r.0 >= seq) {
+            match responses.binary_search_by_key(&seq, |r| r.0) {
+                Ok(at) => responses[at].1 = resp,
+                Err(at) => responses.insert(at, (seq, resp)),
+            }
+        } else {
+            responses.push_back((seq, resp));
+        }
+        if responses.len() > DEFAULT_RETRY_WINDOW {
+            responses.pop_front();
         }
     }
 
@@ -145,6 +190,10 @@ impl RetryCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, HashMap, HashSet};
+
+    use mams_sim::node::EXTERNAL;
+    use mams_sim::DetRng;
 
     fn resp(seq: u64) -> Arc<MdsResp> {
         Arc::new(MdsResp::Reply { seq, result: Ok(crate::proto::OpOutput::Done) })
@@ -256,5 +305,124 @@ mod tests {
             other => panic!("unexpected seeded reply {other:?}"),
         }
         assert!(c.check(4, 11).is_none(), "unseen seqs execute fresh");
+    }
+
+    /// The cache as it was kept before the ring: a hash map of per-client
+    /// B-trees and one hash set of in-flight requests.
+    #[derive(Default)]
+    struct Oracle {
+        per_client: HashMap<NodeId, (BTreeMap<u64, Arc<MdsResp>>, u64)>,
+        inflight: HashSet<(NodeId, u64)>,
+    }
+
+    impl Oracle {
+        fn check(&self, from: NodeId, seq: u64) -> Option<Arc<MdsResp>> {
+            self.per_client.get(&from).and_then(|s| s.0.get(&seq)).cloned()
+        }
+
+        fn begin(&mut self, from: NodeId, seq: u64) -> bool {
+            if self.per_client.get(&from).is_some_and(|s| seq <= s.1) {
+                return false;
+            }
+            self.inflight.insert((from, seq))
+        }
+
+        fn note_acked(&mut self, from: NodeId, acked: u64) {
+            let (responses, mark) = self.per_client.entry(from).or_default();
+            if acked <= *mark {
+                return;
+            }
+            *mark = acked;
+            *responses = responses.split_off(&(acked + 1));
+        }
+
+        fn store(&mut self, from: NodeId, seq: u64, resp: Arc<MdsResp>) {
+            self.inflight.remove(&(from, seq));
+            let (responses, mark) = self.per_client.entry(from).or_default();
+            if seq <= *mark {
+                return;
+            }
+            responses.insert(seq, resp);
+            while responses.len() > DEFAULT_RETRY_WINDOW {
+                let oldest = *responses.keys().next().expect("non-empty");
+                responses.remove(&oldest);
+            }
+        }
+    }
+
+    /// `PARITY_CASES` scales the case count, as in the other suites.
+    fn cases() -> u64 {
+        std::env::var("PARITY_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(64)
+    }
+
+    /// Seeded walks over four clients, one of them `EXTERNAL`: seqs mostly
+    /// ascend from 0 but repeat, step back and jump ahead; watermarks mostly
+    /// trail the seqs but regress; a client that never advances its own
+    /// overflows its ring. Every call must answer as the oracle does, and
+    /// every hit must be the very response the oracle holds.
+    #[test]
+    fn the_ring_answers_every_call_as_the_maps_did() {
+        const CLIENTS: [NodeId; 4] = [EXTERNAL, 3, 0, 1 << 20];
+        let (mut hits, mut refusals, mut overflows) = (0, 0, 0);
+        for case in 0..cases() {
+            let mut rng = DetRng::seed_from_u64(0x2e7_0000 + case);
+            let (mut ring, mut oracle) = (RetryCache::new(), Oracle::default());
+            let mut next = [0u64; 4];
+            // In half the cases one client never advances its watermark.
+            let stalled = rng.below(8) as usize;
+            for step in 0..rng.range(400, 2000) {
+                let c = rng.index(CLIENTS.len());
+                let from = CLIENTS[c];
+                let seq = match rng.below(8) {
+                    0 => next[c].saturating_sub(rng.below(2 * DEFAULT_RETRY_WINDOW as u64)),
+                    1 => next[c] + rng.below(4),
+                    2 => next[c],
+                    _ => {
+                        next[c] += 1;
+                        next[c]
+                    }
+                };
+                let what = format!("case {case} step {step}: client {from} seq {seq}");
+                match rng.below(8) {
+                    0..=1 => {
+                        let (got, want) = (ring.check(from, seq), oracle.check(from, seq));
+                        hits += usize::from(want.is_some());
+                        match (&got, &want) {
+                            (Some(g), Some(w)) => assert!(Arc::ptr_eq(g, w), "check, {what}"),
+                            (None, None) => {}
+                            _ => panic!("check, {what}: ring {got:?}, oracle {want:?}"),
+                        }
+                    }
+                    2..=3 => {
+                        let want = oracle.begin(from, seq);
+                        refusals += usize::from(!want);
+                        assert_eq!(ring.begin(from, seq), want, "begin, {what}");
+                    }
+                    4 if c == stalled => {}
+                    4 => {
+                        let acked = match rng.below(4) {
+                            0 => rng.below(seq + 1),
+                            _ => seq.saturating_sub(rng.below(8)),
+                        };
+                        ring.note_acked(from, acked);
+                        oracle.note_acked(from, acked);
+                    }
+                    _ => {
+                        let r = resp(seq);
+                        ring.store(from, seq, r.clone());
+                        oracle.store(from, seq, r);
+                        let held = oracle.per_client[&from].0.len();
+                        overflows += usize::from(held == DEFAULT_RETRY_WINDOW);
+                    }
+                }
+                // Both hold the same seqs, in the same order.
+                let ring_seqs: Vec<u64> =
+                    ring.slot(from).iter().flat_map(|s| s.responses.iter().map(|r| r.0)).collect();
+                let oracle_seqs: Vec<u64> =
+                    oracle.per_client.get(&from).iter().flat_map(|s| s.0.keys().copied()).collect();
+                assert_eq!(ring_seqs, oracle_seqs, "held, {what}");
+            }
+        }
+        assert!(hits > 0 && refusals > 0 && overflows > 0, "{hits} {refusals} {overflows}");
     }
 }

@@ -302,10 +302,11 @@ pub(crate) struct Tenure {
     /// are the sync set. Ordered: syncs go out in iteration order.
     pub members: BTreeMap<NodeId, MemberPos>,
     pub retry_cache: crate::retry::RetryCache,
-    /// Read barrier: replies to reads that observed not-yet-durable
-    /// mutations, keyed by the batch sn that must commit before release.
-    /// A dirty read must never be answered, so they go with the tenure.
-    pub deferred_reads: Vec<(Sn, NodeId, u64, std::sync::Arc<MdsResp>)>,
+    /// Read barrier: replies to reads (and rejected mutations) that observed
+    /// not-yet-durable mutations, keyed by the batch sn that must commit
+    /// before release. A dirty read must never be answered, so they go with
+    /// the tenure.
+    pub deferred_reads: Vec<(Sn, NodeId, u64, Observation)>,
     pub renew_driver: Option<RenewDriver>,
     /// As coordinator: legs still outstanding per xid (retried until every
     /// group acknowledges, so a mid-failover group cannot jam the
@@ -324,6 +325,16 @@ pub(crate) struct Tenure {
     /// clears it; a lost reply leaves it set only until the next full
     /// checkpoint supersedes the request.
     pub artifact: Option<(ReqId, Chain)>,
+}
+
+/// A reply that observed the namespace without journaling anything.
+#[derive(Debug)]
+pub(crate) enum Observation {
+    /// A read's: sent owned, never cached — a resend executes again.
+    Read(MdsResp),
+    /// A rejected mutation's: cached when sent, so that its resend is
+    /// answered alike rather than run against a namespace that moved on.
+    Rejected(std::sync::Arc<MdsResp>),
 }
 
 /// A tenure's checkpoint chain in the pool: a base image and the deltas
