@@ -279,8 +279,7 @@ impl NameNode {
     /// a cold image load yields. Returns the image's size in bytes, for
     /// the caller's disk-time model.
     pub fn restart_from_checkpoint(&mut self, ctx: &mut Ctx<'_>) -> u64 {
-        let p = &self.prefix;
-        let image = p.ns().pin().encode_image(p.tail_sn(), p.window());
+        let image = self.prefix.encode_image();
         match mams_namespace::decode_image_with_window(image.data.clone()) {
             Ok((tree, sn, window)) => {
                 ctx.trace(|| BaselineTrace::ImageRestart {

@@ -266,7 +266,7 @@ impl Tenure {
         let ops = std::mem::take(&mut self.pending);
         let sn = r.prefix.tail_sn() + 1;
         let mut records = Vec::with_capacity(ops.len());
-        let mut settled = Vec::with_capacity(ops.len());
+        let mut acks = Vec::with_capacity(ops.len());
         let mut inflight = Inflight { flushed_at: ctx.now(), ..Default::default() };
         for (i, op) in ops.into_iter().enumerate() {
             // The legs may have settled already (fast acks); only xids
@@ -279,14 +279,7 @@ impl Tenure {
                 // client binding lives in the coordinating group's journal.
                 ReplyTo::XGroup { .. } => inflight.xg_replies.push((op.reply, Ok(op.output))),
                 ReplyTo::Client { node: client, seq } => {
-                    let outcome = match &op.output {
-                        OpOutput::Done => mams_namespace::RetryOutcome::Done,
-                        OpOutput::Block(b) => mams_namespace::RetryOutcome::Block(*b),
-                        OpOutput::Info(info) => mams_namespace::RetryOutcome::Info(info.clone()),
-                        OpOutput::Listing(_) => unreachable!("reads are never journaled"),
-                    };
-                    settled
-                        .push((AckRecord { record: i as u32, client, seq, spec: false }, outcome));
+                    acks.push(AckRecord { record: i as u32, client, seq, spec: false });
                     let shards = r.shards_of_txn(&op.txn);
                     inflight.client_replies.push(ClientReply {
                         reply: op.reply,
@@ -297,7 +290,7 @@ impl Tenure {
             }
             records.push(op.txn);
         }
-        let batch = r.prefix.seal(records, settled);
+        let batch = r.prefix.seal(records, acks);
 
         let epoch = self.epoch;
         for (s, _) in self.voters() {
@@ -368,19 +361,16 @@ impl Tenure {
         }
         // Release barriered reads whose observed mutations are all durable:
         // the barrier batch must have been sealed (sn on the log) and every
-        // inflight entry at or below it completed.
+        // inflight entry at or below it completed. They leave in the order
+        // they were held, and the vector keeps its allocation.
         if !self.deferred_reads.is_empty() {
             let frontier = self.inflight.keys().next().copied().unwrap_or(Sn::MAX);
             let tail = r.prefix.tail_sn();
-            let mut keep = Vec::new();
-            for (sn, node, seq, resp) in std::mem::take(&mut self.deferred_reads) {
-                if sn <= tail && sn < frontier {
-                    self.release_observation(ctx, node, seq, resp);
-                } else {
-                    keep.push((sn, node, seq, resp));
-                }
+            let mut held = std::mem::take(&mut self.deferred_reads);
+            for (_, node, seq, resp) in held.extract_if(.., |d| d.0 <= tail && d.0 < frontier) {
+                self.release_observation(ctx, node, seq, resp);
             }
-            self.deferred_reads = keep;
+            self.deferred_reads = held;
         }
     }
 
@@ -454,14 +444,14 @@ impl Tenure {
             // The same request again, not a new one (see
             // `Inflight::pool_req`). `share` ends the log borrow, so the
             // retained handle moves into the request without copying.
-            let held = r.prefix.log.get(sn).map(SharedBatch::share);
+            let held = r.prefix.log().get(sn).map(SharedBatch::share);
             if let (Some(req), Some(batch)) = (inf.pool_req, held) {
                 r.pool_deliver(ctx, PoolReq::AppendJournal { group, epoch, batch, req });
             }
         }
         let tail = r.prefix.tail_sn();
         for (member, pos) in self.voters().filter(|(_, pos)| pos.acked < tail) {
-            for b in r.prefix.log.read_after(pos.acked).unwrap_or_default() {
+            for b in r.prefix.log().read_after(pos.acked).unwrap_or_default() {
                 ctx.send(member, GroupMsg::SyncJournal { epoch, batch: b.share() });
             }
         }
@@ -487,7 +477,7 @@ impl Tenure {
         // next mutation, so none pays for history. The retry window rides
         // inside the image so a junior restored from it inherits the
         // duplicate-suppression state as of this sn.
-        let image = r.prefix.ns.pin().encode_image(r.prefix.tail_sn(), &r.prefix.window);
+        let image = r.prefix.encode_image();
         let group = r.cfg.group;
         let epoch = self.epoch;
         let (sn, bytes) = (image.checkpoint_sn, image.size_bytes());
@@ -534,22 +524,13 @@ impl Tenure {
             self.start_checkpoint(r, ctx);
             return;
         }
-        let Some(batches) = r.prefix.log.read_after(anchor) else {
+        let Some(delta) = r.prefix.fold_delta(anchor) else {
             // Local log compacted past the anchor (a concurrent full
             // checkpoint landed): re-anchor with a fresh image.
             self.chain = None;
             self.start_checkpoint(r, ctx);
             return;
         };
-        let txns =
-            batches.iter().filter(|b| b.sn <= end).flat_map(|b| b.entries().map(|(_, txn)| txn));
-        let delta = mams_namespace::fold_delta_with_window(
-            &r.prefix.ns,
-            anchor,
-            end,
-            txns,
-            &r.prefix.window,
-        );
         ctx.trace(|| MdsTrace::DeltaStarted {
             anchor,
             end,
@@ -594,7 +575,7 @@ impl Tenure {
                     let unappended = self.inflight.iter().find(|(_, inf)| inf.pool_req.is_some());
                     let by_pool = unappended.map(|(&sn, _)| sn - 1);
                     let held = by_standbys.into_iter().chain(by_pool).min().unwrap_or(Sn::MAX);
-                    r.prefix.log.compact_through(checkpoint_sn.min(held));
+                    r.prefix.compact_log(checkpoint_sn.min(held));
                     // The new base starts a fresh manifest chain; deltas
                     // fold from here on.
                     self.chain = Some(chain);
@@ -1039,7 +1020,7 @@ mod tests {
             initial_role: InitialRole::Standby,
             timing: Default::default(),
         });
-        s.role = RoleState::Active(Box::new(Tenure::new(1, &s.r.prefix.window)));
+        s.role = RoleState::Active(Box::new(Tenure::new(1, s.r.prefix.window())));
         assert_eq!(sim.add_node("active", Box::new(Rig { s, script })), ACTIVE);
         sim.run_until(SimTime(1_000_000));
         let seen = seen.lock().unwrap().clone();

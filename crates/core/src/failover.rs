@@ -346,7 +346,7 @@ impl MdsServer {
         let me = ctx.id();
         let RoleState::Upgrading(up) = &mut self.role else { return };
         let buffered = std::mem::take(&mut up.buffered);
-        self.role = RoleState::Active(Box::new(Tenure::new(up.epoch, &self.r.prefix.window)));
+        self.role = RoleState::Active(Box::new(Tenure::new(up.epoch, self.r.prefix.window())));
         self.r.active_hint = Some(me);
         let mut keys = self.active_keys(me);
         keys.push(KeyOp::Delete { key: ViewKey::Bid(self.r.cfg.group, me).to_string() });
@@ -362,7 +362,7 @@ impl MdsServer {
         let (t, r) = self.active().expect("promoted above");
         let resync: Vec<SharedBatch> = r
             .prefix
-            .log
+            .log()
             .read_after(durable_tail)
             .map(|bs| bs.iter().map(SharedBatch::share).collect())
             .unwrap_or_default();

@@ -12,6 +12,16 @@
 //! catches up from the pool. Giving the prefix up is dropping the value, so
 //! nothing of it can be left behind.
 //!
+//! The retry window is a view of the log: it is folded through
+//! `window_sn`, and every way to read it ([`window`](Prefix::window),
+//! [`encode_image`](Prefix::encode_image), [`fold_delta`](Prefix::fold_delta))
+//! first folds the acks of the batches past that mark, in sn order. So is
+//! every way to drop batches ([`compact_log`](Prefix::compact_log),
+//! [`adopt_delta`](Prefix::adopt_delta)): an ack leaves the log only once
+//! it is in the window. The window a reader sees is the one an eager fold
+//! at every apply would have built, byte for byte, but a standby that is
+//! never promoted never folds at all.
+//!
 //! The MAMS member holds one beside its process state, and so does every
 //! comparator in `mams-baselines`: one executor and one replay for all.
 
@@ -20,8 +30,9 @@ use std::collections::BTreeMap;
 use mams_journal::{AckRecord, JournalBatch, JournalLog, SharedBatch, Sn, Txn, TxnId};
 use mams_namespace::inode::ROOT_ID;
 use mams_namespace::{
-    apply_delta, replay_outcome, BlockMap, DecodedDelta, DeltaOp, Inode, InodeSource,
-    NamespaceTree, RetryEntry, RetryOutcome, RetryWindow, ShardedNamespace, ShardedReplaySession,
+    apply_delta, fold_delta_with_window, replay_outcome, BlockMap, DecodedDelta, DeltaImage,
+    DeltaOp, Inode, InodeSource, NamespaceImage, NamespaceTree, RetryEntry, RetryOutcome,
+    RetryWindow, ShardedNamespace, ShardedReplaySession,
 };
 
 use crate::proto::{FsOp, OpOutput};
@@ -35,16 +46,19 @@ pub struct Prefix {
     /// Every applied batch since the last compaction. Its tail is the
     /// applied position, whatever wrote it: a seal, an ingest, an adopted
     /// image or delta.
-    pub(crate) log: JournalLog,
+    log: JournalLog,
     /// Batches that arrived ahead of the tail, drained contiguously onto
     /// the log; holds shared handles, so stashing never copies records.
     stash: BTreeMap<Sn, SharedBatch>,
     /// Replicated retry-outcome window: the `(client, seq) → outcome`
-    /// bindings of every journaled batch applied (or adopted from an
-    /// image/delta). The writer and every reader of a journal agree on it
-    /// byte for byte, so a tenure seeds its response cache from it and
-    /// keeps at-most-once across the switch.
-    pub(crate) window: RetryWindow,
+    /// bindings of every journaled batch through `window_sn` (or adopted
+    /// from an image/delta). The writer and every reader of a journal agree
+    /// on it byte for byte once folded to the tail, so a tenure seeds its
+    /// response cache from it and keeps at-most-once across the switch.
+    window: RetryWindow,
+    /// The sn the window is folded through; never below the log's base, so
+    /// the batches past it are all on the log.
+    window_sn: Sn,
     /// Journal replay fast path (validate-skip + cached parent handle). Its
     /// handles are good only while replay is the sole writer of `ns`.
     replay: ShardedReplaySession,
@@ -68,6 +82,7 @@ impl Prefix {
             log: JournalLog::new(),
             stash: BTreeMap::new(),
             window: RetryWindow::new(),
+            window_sn: 0,
             replay: ShardedReplaySession::new(),
             next_txid: 1,
             next_block_id: 1,
@@ -89,6 +104,7 @@ impl Prefix {
             log: JournalLog::with_base(sn),
             stash: BTreeMap::new(),
             window,
+            window_sn: sn,
             replay: ShardedReplaySession::new(),
             next_txid: 1,
             next_block_id,
@@ -98,7 +114,7 @@ impl Prefix {
     /// Advance by a checkpoint delta — records never seen as batches, so
     /// the log restarts at the delta's end like after an image. An empty
     /// window section means no ack was ever journaled in the writer's
-    /// window: keep what we have.
+    /// window: keep what we have, folded before the log that holds it goes.
     pub fn adopt_delta(&mut self, delta: DecodedDelta) -> Result<(), String> {
         let applied = self.tail_sn();
         if applied < delta.base_sn {
@@ -113,10 +129,13 @@ impl Prefix {
             _ => None,
         });
         self.next_block_id = self.next_block_id.max(highest_block.max().unwrap_or(0) + 1);
-        if !delta.window.is_empty() {
+        if delta.window.is_empty() {
+            self.fold_window();
+        } else {
             self.window = delta.window;
         }
         self.log = JournalLog::with_base(delta.end_sn);
+        self.window_sn = delta.end_sn;
         self.stash.clear();
         Ok(())
     }
@@ -129,8 +148,52 @@ impl Prefix {
         &self.log
     }
 
-    pub fn window(&self) -> &RetryWindow {
+    /// The retry window as of the tail.
+    pub fn window(&mut self) -> &RetryWindow {
+        self.fold_window();
         &self.window
+    }
+
+    /// A checkpoint image of the applied prefix, encoded from the shards at
+    /// a pinned epoch, with the window as of the tail.
+    pub fn encode_image(&mut self) -> NamespaceImage {
+        self.fold_window();
+        self.ns.pin().encode_image(self.tail_sn(), &self.window)
+    }
+
+    /// A checkpoint delta from `anchor` to the tail: the log's records past
+    /// `anchor` folded into changed paths, with the window as of the tail.
+    /// `None` when the log was compacted past `anchor`.
+    pub fn fold_delta(&mut self, anchor: Sn) -> Option<DeltaImage> {
+        self.fold_window();
+        let txns = self.log.read_after(anchor)?.iter().flat_map(|b| b.records.iter());
+        Some(fold_delta_with_window(&self.ns, anchor, self.tail_sn(), txns, &self.window))
+    }
+
+    /// Drop the log's batches through `sn` (after an image checkpoint),
+    /// once their acks are in the window.
+    pub fn compact_log(&mut self, sn: Sn) {
+        self.fold_window();
+        self.log.compact_through(sn);
+    }
+
+    /// Fold the acks of the log's batches past `window_sn` into the window.
+    /// A batch's acks are sorted by record (the seal emits them in op
+    /// order), so one forward scan pairs each with its record — the pairing
+    /// `apply_records` checks at each record's apply point.
+    fn fold_window(&mut self) {
+        let batches =
+            self.log.read_after(self.window_sn).expect("the window is never behind the log");
+        for batch in batches {
+            let mut acks = batch.acks.iter().peekable();
+            for (i, txn) in batch.records.iter().enumerate() {
+                while let Some(ack) = acks.next_if(|a| a.record as usize == i) {
+                    let entry = RetryEntry { outcome: RetryOutcome::of(txn), token: None };
+                    self.window.record(ack.client, ack.seq, entry);
+                }
+            }
+        }
+        self.window_sn = self.log.tail_sn();
     }
 
     /// The applied position.
@@ -197,26 +260,15 @@ impl Prefix {
     }
 
     /// Seal executed records into the next `⟨sn, txid⟩` batch and append it
-    /// to the log. `settled` names the records that answer a client request
-    /// (ascending by record), each with the outcome that request was
-    /// answered: the batch carries the binding as an ack record, so every
-    /// node that replays it rebuilds the retry window, and the same binding
-    /// is folded into our own window here — the outcome straight from the
-    /// executed op is byte-identical to what replay reconstructs.
+    /// to the log. `acks` names the records that answer a client request,
+    /// ascending by record: the batch carries each binding, so the window
+    /// of every node that holds the batch — this one included — folds it
+    /// when it is read.
     ///
     /// The batch is encoded to its wire form exactly once, here; every
     /// holder (this log, each sync, the pool append, later resends) shares
     /// the sealed allocation.
-    pub fn seal(
-        &mut self,
-        records: Vec<Txn>,
-        settled: Vec<(AckRecord, RetryOutcome)>,
-    ) -> SharedBatch {
-        let mut acks = Vec::with_capacity(settled.len());
-        for (ack, outcome) in settled {
-            self.window.record(ack.client, ack.seq, RetryEntry { outcome, token: None });
-            acks.push(ack);
-        }
+    pub fn seal(&mut self, records: Vec<Txn>, acks: Vec<AckRecord>) -> SharedBatch {
         let sn = self.tail_sn() + 1;
         let batch = SharedBatch::sealed(JournalBatch::with_acks(sn, self.next_txid, records, acks));
         self.next_txid = batch.last_txid() + 1;
@@ -250,10 +302,10 @@ impl Prefix {
     }
 
     /// Apply a batch's records to the namespace and block map and advance
-    /// the id marks. Ack records riding on the batch are folded into the
-    /// retry window *at each record's apply point*, so the reconstructed
-    /// outcome (e.g. the `FileInfo` a `Create` answered) is exactly what
-    /// the writer sent.
+    /// the id marks. The batch's ack records wait on the log for the window
+    /// fold; debug builds check here, *at each acked record's apply point*,
+    /// that the outcome the fold will reconstruct from the record (e.g. the
+    /// `FileInfo` a `Create` answered) is what the namespace says.
     fn apply_records(&mut self, batch: &JournalBatch) -> u64 {
         let mut failed = 0;
         let mut acks = batch.acks.iter().peekable();
@@ -268,11 +320,8 @@ impl Prefix {
                 failed += 1;
             }
             self.next_txid = self.next_txid.max(txid + 1);
-            // Acks are sorted by record index (the seal emits them in op
-            // order), so a single forward scan pairs them up.
-            while let Some(ack) = acks.next_if(|a| a.record as usize == i) {
-                let outcome = replay_outcome(|p| self.ns.getfileinfo(p).ok(), txn);
-                self.window.record(ack.client, ack.seq, RetryEntry { outcome, token: None });
+            while cfg!(debug_assertions) && acks.next_if(|a| a.record as usize == i).is_some() {
+                replay_outcome(|p| self.ns.getfileinfo(p).ok(), txn);
             }
         }
         failed

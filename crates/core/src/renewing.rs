@@ -88,7 +88,7 @@ impl Tenure {
         if tail.saturating_sub(sn) > RENEW_FINAL_GAP {
             return;
         }
-        let Some(missing) = r.prefix.log.read_after(sn) else {
+        let Some(missing) = r.prefix.log().read_after(sn) else {
             // The range was compacted from our local log (rare: checkpoint
             // raced the session). Let the junior keep pulling from the
             // pool, voting on nothing: whatever waited for it can go.

@@ -29,10 +29,11 @@
 //! once a client's ring has grown, nothing is allocated per request.
 //!
 //! After a failover the successor seeds this cache from the replicated
-//! retry window ([`mams_namespace::RetryWindow`]) it rebuilt during journal
-//! replay, so at-most-once holds *across* the switch: a retry of an op the
-//! dead active committed is answered with the recorded outcome, not
-//! re-executed.
+//! retry window ([`mams_namespace::RetryWindow`]), which its prefix folds
+//! from the ack records of the journal it replayed — at the promotion, the
+//! first time a standby reads it — so at-most-once holds *across* the
+//! switch: a retry of an op the dead active committed is answered with the
+//! recorded outcome, not re-executed.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -166,8 +167,8 @@ impl RetryCache {
         }
     }
 
-    /// Seed the cache from a replicated retry window rebuilt during journal
-    /// replay (failover: the successor inherits the dead active's
+    /// Seed the cache from a replicated retry window folded from the
+    /// replayed journal (failover: the successor inherits the dead active's
     /// duplicate-suppression state). Entries become exactly the replies the
     /// predecessor sent.
     ///

@@ -351,9 +351,9 @@ pub(crate) struct Chain {
 
 impl Tenure {
     /// A tenure under the grant `epoch`. Its response cache starts as the
-    /// replicated retry window replay rebuilt: a retry of an op the dead
-    /// active committed but never answered is served from cache, not
-    /// re-executed — at-most-once holds *across* the switch. The window
+    /// replicated retry window folded from the journal: a retry of an op
+    /// the dead active committed but never answered is served from cache,
+    /// not re-executed — at-most-once holds *across* the switch. The window
     /// derives only from the durable journal, so an op whose batch died
     /// with the predecessor is absent and its retry executes fresh.
     pub fn new(epoch: Epoch, window: &RetryWindow) -> Self {
@@ -874,12 +874,15 @@ impl Node for MdsServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mams_journal::{decode_batch, AckRecord, JournalBatch};
+    use crate::proto::FsOp;
+    use mams_journal::{decode_batch, AckRecord};
     use mams_namespace::{Partitioner, RetryOutcome};
 
-    /// A standby's state after ingesting one batch whose only ack record
-    /// carries `spec`, decoded from the wire as a standby receives it.
-    fn standby_after(spec: bool) -> (u64, RetryWindow) {
+    /// A standby that ingested, each decoded from the wire as a standby
+    /// receives it, the batches an active sealed: `/d`, then one create per
+    /// batch acked to client 7, every ack record carrying `spec`. Nothing
+    /// reads its window. Also what the active answered each `(7, seq)`.
+    fn standby_after(spec: bool) -> (MdsServer, Vec<(u64, OpOutput)>) {
         let mut s = MdsServer::new(MdsConfig {
             group: 0,
             members: vec![1, 2],
@@ -889,27 +892,54 @@ mod tests {
             initial_role: InitialRole::Standby,
             timing: Default::default(),
         });
-        let records = vec![
-            Txn::Mkdir { path: "/d".into() },
-            Txn::Create { path: "/d/f".into(), replication: 3 },
-        ];
-        let acks = vec![AckRecord { record: 1, client: 7, seq: 3, spec }];
-        let sealed = SharedBatch::sealed(JournalBatch::with_acks(1, 1, records, acks));
-        let decoded = decode_batch(sealed.wire().clone()).expect("own encoding decodes");
-        assert_eq!(decoded.acks[0].spec, spec, "the byte survives the wire");
-        assert_eq!(s.r.prefix.ingest(SharedBatch::new(decoded)), 0);
-        assert_eq!(s.applied_sn(), 1);
-        (s.fingerprint(), s.r.prefix.window)
+        let mut active = Prefix::new();
+        let mkdir = active.exec(FsOp::Mkdir { path: "/d".into() }).expect("/d is new").0;
+        let mut records: Vec<Txn> = mkdir.into_iter().collect();
+        let mut answered = Vec::new();
+        for (seq, name) in [(3, "f"), (4, "g"), (5, "h")] {
+            let create = FsOp::Create { path: format!("/d/{name}"), replication: 3 };
+            let (txn, output) = active.exec(create).expect("the name is new");
+            records.extend(txn);
+            let acks = vec![AckRecord { record: records.len() as u32 - 1, client: 7, seq, spec }];
+            let sealed = active.seal(std::mem::take(&mut records), acks);
+            let decoded = decode_batch(sealed.wire().clone()).expect("own encoding decodes");
+            assert_eq!(decoded.acks[0].spec, spec, "the byte survives the wire");
+            assert_eq!(s.r.prefix.ingest(SharedBatch::new(decoded)), 0);
+            answered.push((seq, output));
+        }
+        assert_eq!(s.applied_sn(), 3);
+        (s, answered)
     }
 
     /// `AckRecord::spec` is a reserved byte: whatever it holds, a replica
     /// replays the batch to the same namespace and the same retry window.
     #[test]
     fn the_reserved_ack_byte_changes_nothing_a_standby_derives() {
-        let (fp, window) = standby_after(false);
-        assert_eq!(standby_after(true), (fp, window.clone()));
+        let ((mut a, _), (mut b, _)) = (standby_after(false), standby_after(true));
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        let window = a.r.prefix.window();
+        assert_eq!(window, b.r.prefix.window());
         let entry = window.get(7, 3).expect("the ack settled (7, 3)");
         assert!(matches!(&entry.outcome, RetryOutcome::Info(i) if i.path == "/d/f"));
         assert_eq!(entry.token, None);
+    }
+
+    /// A standby folds its window only when it is promoted: the tenure's
+    /// seeded cache then answers each resent `(client, seq)` with the very
+    /// reply the active sent.
+    #[test]
+    fn a_promoted_standby_answers_a_resend_with_the_reply_the_active_sent() {
+        let (mut s, answered) = standby_after(false);
+        let tenure = Tenure::new(2, s.r.prefix.window());
+        for (seq, sent) in answered {
+            assert!(matches!(sent, OpOutput::Info(_)), "a create answers with the file's info");
+            match tenure.retry_cache.check(7, seq).as_deref() {
+                Some(MdsResp::Reply { seq: replied, result: Ok(got) }) => {
+                    assert_eq!((*replied, got), (seq, &sent), "the resend of (7, {seq})")
+                }
+                other => panic!("(7, {seq}) is answered {other:?}"),
+            }
+        }
+        assert!(tenure.retry_cache.check(7, 6).is_none(), "an unsent seq executes fresh");
     }
 }

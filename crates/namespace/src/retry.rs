@@ -1,21 +1,24 @@
 //! The replicated retry-outcome window.
 //!
 //! MAMS §IV-C answers duplicated client requests from a per-client response
-//! cache instead of re-executing them. PR 10 makes that cache *replicated
-//! state*: every journaled batch carries [`AckRecord`]s binding records to
-//! the `(client, seq)` requests they settle, and every replica that replays
-//! the batch folds the settled outcome into its [`RetryWindow`]. A freshly
-//! promoted active seeds its response cache from the replayed window, so a
-//! retry of a committed-but-unacknowledged mutation is answered from cache
-//! — exactly once across failover, with no checker escape hatch.
+//! cache instead of re-executing them. The cache is *replicated state*:
+//! every journaled batch carries [`AckRecord`](mams_journal::AckRecord)s
+//! binding records to the `(client, seq)` requests they settle, and the
+//! [`RetryWindow`] is the fold of those acks over the journal prefix a
+//! replica holds. A freshly promoted active seeds its response cache from
+//! that window, so a retry of a committed-but-unacknowledged mutation is
+//! answered from cache — exactly once across failover, with no checker
+//! escape hatch. The fold runs when the window is read (a promotion, an
+//! image or delta written), not as each batch applies: the journal log
+//! already holds everything it needs.
 //!
 //! Reply payloads are **not** journaled. The outcome of a journaled
-//! mutation is a deterministic function of the record and the namespace
-//! state at its apply point ([`replay_outcome`]): `Create` returns the
-//! file's info as of creation, `AddBlock` the block id riding in the
-//! record, everything else `Done`. Replay applies records in execution
-//! order, so the reconstructed outcome is identical to the one the
-//! original active sent.
+//! mutation is a function of its record alone ([`RetryOutcome::of`]):
+//! `Create` returns the fresh file's info, `AddBlock` the block id riding
+//! in the record, everything else `Done` — so a late fold reconstructs
+//! exactly the reply the original active sent. [`replay_outcome`] is the
+//! same, checked in debug builds against the namespace at the record's
+//! apply point.
 //!
 //! The window also rides inside namespace images and MDLT deltas (one
 //! length-prefixed section each) so a junior restored from base + deltas
@@ -262,29 +265,39 @@ impl<'a> SectionReader<'a> {
     }
 }
 
-/// Reconstruct the outcome the active replied for a journaled mutation,
-/// from the record alone. A `Create` answered with the fresh file's info,
-/// which is a constant of the record's path and replication; `info` looks a
-/// path up in the namespace state **at the record's apply point** (right
-/// after applying it, before the next one) and is consulted only by debug
-/// builds, to check that constant against a real lookup.
+impl RetryOutcome {
+    /// The outcome the active replied for a journaled mutation, from the
+    /// record alone: a `Create` answered with the fresh file's info, a
+    /// constant of the record's path and replication; an `AddBlock` with
+    /// the block id it carries; everything else `Done`.
+    pub fn of(txn: &Txn) -> RetryOutcome {
+        match txn {
+            Txn::Create { path, replication } => {
+                RetryOutcome::Info(FileInfo::new_file(path, *replication))
+            }
+            Txn::AddBlock { block_id, .. } => RetryOutcome::Block(*block_id),
+            Txn::Mkdir { .. }
+            | Txn::Delete { .. }
+            | Txn::Rename { .. }
+            | Txn::CloseFile { .. }
+            | Txn::SetPerm { .. } => RetryOutcome::Done,
+        }
+    }
+}
+
+/// [`RetryOutcome::of`], checked: `info` looks a path up in the namespace
+/// state **at the record's apply point** (right after applying it, before
+/// the next one) and is consulted only by debug builds, to check a
+/// `Create`'s constant against a real lookup.
 pub fn replay_outcome<F>(info: F, txn: &Txn) -> RetryOutcome
 where
     F: FnOnce(&str) -> Option<FileInfo>,
 {
-    match txn {
-        Txn::Create { path, replication } => {
-            let fresh = FileInfo::new_file(path, *replication);
-            debug_assert_eq!(info(path).as_ref(), Some(&fresh), "create reply is not a constant");
-            RetryOutcome::Info(fresh)
-        }
-        Txn::AddBlock { block_id, .. } => RetryOutcome::Block(*block_id),
-        Txn::Mkdir { .. }
-        | Txn::Delete { .. }
-        | Txn::Rename { .. }
-        | Txn::CloseFile { .. }
-        | Txn::SetPerm { .. } => RetryOutcome::Done,
+    let outcome = RetryOutcome::of(txn);
+    if let (Txn::Create { path, .. }, RetryOutcome::Info(fresh)) = (txn, &outcome) {
+        debug_assert_eq!(info(path).as_ref(), Some(fresh), "create reply is not a constant");
     }
+    outcome
 }
 
 #[cfg(test)]

@@ -352,8 +352,8 @@ fn shared_batch_replays_identically_via_sync_and_pool_paths() {
 
     assert_eq!(via_sync.ns().fingerprint(), via_pool.ns().fingerprint());
     assert_eq!(via_sync.id_marks(), (7, 10), "txids 1..=6 and block 9 were seen");
-    let img_sync = via_sync.ns().pin().encode_image(1, via_sync.window());
-    let img_pool = via_pool.ns().pin().encode_image(1, via_pool.window());
+    let img_sync = via_sync.encode_image();
+    let img_pool = via_pool.encode_image();
     assert_eq!(img_sync.data, img_pool.data, "replayed namespaces must be byte-identical");
     // And both logs hold the sealed allocation itself.
     assert!(SharedBatch::ptr_eq(via_sync.log().get(1).expect("applied"), &sealed));
