@@ -280,13 +280,13 @@ impl NameNode {
     /// the caller's disk-time model.
     pub fn restart_from_checkpoint(&mut self, ctx: &mut Ctx<'_>) -> u64 {
         let image = self.prefix.encode_image();
-        match mams_namespace::decode_image_with_window(image.data.clone()) {
-            Ok((tree, sn, window)) => {
+        match mams_namespace::decode_image(image.data.clone()) {
+            Ok(decoded) => {
                 ctx.trace(|| BaselineTrace::ImageRestart {
                     version: image.version(),
                     bytes: image.size_bytes(),
                 });
-                self.prefix = Prefix::from_image(tree, sn, window);
+                self.prefix = Prefix::from_image(decoded);
             }
             Err(e) => ctx.trace(|| BaselineTrace::ImageCorrupt(e)),
         }

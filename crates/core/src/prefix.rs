@@ -28,11 +28,10 @@
 use std::collections::BTreeMap;
 
 use mams_journal::{AckRecord, JournalBatch, JournalLog, SharedBatch, Sn, Txn, TxnId};
-use mams_namespace::inode::ROOT_ID;
 use mams_namespace::{
-    apply_delta, fold_delta_with_window, replay_outcome, BlockMap, DecodedDelta, DeltaImage,
-    DeltaOp, Inode, InodeSource, NamespaceImage, NamespaceTree, RetryEntry, RetryOutcome,
-    RetryWindow, ShardedNamespace, ShardedReplaySession,
+    apply_delta, fold_delta_with_window, replay_outcome, BlockMap, DecodedDelta, DecodedImage,
+    DeltaImage, DeltaOp, NamespaceImage, RetryEntry, RetryOutcome, RetryWindow, ShardedNamespace,
+    ShardedReplaySession,
 };
 
 use crate::proto::{FsOp, OpOutput};
@@ -89,17 +88,18 @@ impl Prefix {
         }
     }
 
-    /// The prefix a checkpoint image stands for: the namespace and retry
-    /// window as of `sn`, the log restarting there. Replay would have
-    /// advanced the block-id mark past every `AddBlock` it saw; the highest
-    /// id the image holds does it here, or a member elected after catching
-    /// up this way hands out ids its files already hold. No image carries a
-    /// txid and nothing keys on one — replay ignores it, the pool and the
-    /// members deduplicate by `sn`, the retry window by `(client, seq)`.
-    pub fn from_image(tree: NamespaceTree, sn: Sn, window: RetryWindow) -> Self {
-        let next_block_id = highest_block_id(&tree) + 1;
+    /// The prefix a checkpoint image stands for, installed as decoded: the
+    /// namespace and retry window as of its sn, the log restarting there.
+    /// Replay would have advanced the block-id mark past every `AddBlock` it
+    /// saw; the highest id the image holds does it here, or a member elected
+    /// after catching up this way hands out ids its files already hold. No
+    /// image carries a txid and nothing keys on one — replay ignores it, the
+    /// pool and the members deduplicate by `sn`, the retry window by
+    /// `(client, seq)`.
+    pub fn from_image(image: DecodedImage) -> Self {
+        let DecodedImage { ns, sn, window, highest_block } = image;
         Prefix {
-            ns: ShardedNamespace::from_tree(tree),
+            ns,
             blocks: BlockMap::new(),
             log: JournalLog::with_base(sn),
             stash: BTreeMap::new(),
@@ -107,7 +107,7 @@ impl Prefix {
             window_sn: sn,
             replay: ShardedReplaySession::new(),
             next_txid: 1,
-            next_block_id,
+            next_block_id: highest_block + 1,
         }
     }
 
@@ -326,19 +326,4 @@ impl Prefix {
         }
         failed
     }
-}
-
-/// The highest block id any file of `tree` holds (0: none).
-fn highest_block_id(tree: &impl InodeSource) -> u64 {
-    let (mut highest, mut stack) = (0, vec![ROOT_ID]);
-    while let Some(id) = stack.pop() {
-        match tree.inode(id) {
-            Some(Inode::Directory { children, .. }) => stack.extend(children.values()),
-            Some(Inode::File { blocks, .. }) => {
-                highest = blocks.iter().fold(highest, |h, &b| h.max(b))
-            }
-            None => {}
-        }
-    }
-    highest
 }

@@ -312,11 +312,8 @@ impl MdsServer {
             chain_end: manifest.end_sn(),
         });
         let first = plan[0].clone();
-        let decoder = (first.kind == ArtifactKind::Base).then(|| {
-            let mut d = Box::new(StreamingImageDecoder::new());
-            d.reserve_hint(first.bytes);
-            d
-        });
+        let decoder =
+            (first.kind == ArtifactKind::Base).then(|| Box::new(StreamingImageDecoder::new()));
         self.set_catchup(Some(CatchupStage::Chain {
             plan,
             idx: 0,
@@ -351,8 +348,8 @@ impl MdsServer {
             }
         };
         // Feed the chunk into the current artifact's sink: the base goes
-        // straight into the streaming decoder (the tree is rebuilt as bytes
-        // arrive, no whole-image buffer); a delta accumulates in `buf`.
+        // straight into the streaming decoder (the shards are loaded as
+        // bytes arrive, no whole-image buffer); a delta accumulates in `buf`.
         enum Step {
             More(ArtifactId, u64),
             BaseDone,
@@ -419,13 +416,13 @@ impl MdsServer {
             _ => return,
         };
         let Some(decoder) = decoder else { return };
-        match decoder.finish_with_window() {
-            Ok((tree, image_sn, window)) => {
-                ctx.trace(|| MdsTrace::ImageLoaded { sn: image_sn });
-                // The image's retry window is the writer's window at
-                // `image_sn`: the prefix it stands for, though we never saw
-                // the batches.
-                self.r.prefix = Prefix::from_image(tree, image_sn, window);
+        match decoder.finish() {
+            Ok(image) => {
+                ctx.trace(|| MdsTrace::ImageLoaded { sn: image.sn });
+                // The image's retry window is the writer's window at its
+                // sn: the prefix it stands for, though we never saw the
+                // batches.
+                self.r.prefix = Prefix::from_image(image);
                 self.advance_chain(ctx);
             }
             Err(e) => {

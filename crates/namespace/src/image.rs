@@ -1,4 +1,4 @@
-//! Namespace images: checkpoints of the whole tree.
+//! Namespace images: checkpoints of the whole namespace.
 //!
 //! The renewing protocol ships an image to a junior whose journal gap is too
 //! large to replay record-by-record. There is one wire format, **version
@@ -7,21 +7,22 @@
 //!
 //! The body is a preorder DFS of **parent-id delta** entries — `(parent
 //! entry index, name, attrs)` with varint lengths. The encoder reads the
-//! namespace through [`InodeSource`] — the reference tree or the active's
-//! pinned shards, no copy of either — with names borrowed from the
-//! directories that hold them, and the decoder attaches
-//! each inode directly under its already-materialized parent in a single
-//! pass: no from-root path resolution, no second lookup to set permissions,
-//! and a name appears once, not once per descendant. After the tree entries
-//! an image may carry the retry-outcome window as one `W`-tagged,
-//! length-prefixed section, elided when the window is empty.
+//! namespace through [`InodeSource`] — a node's pinned shards, or the
+//! reference tree in tests, no copy of either — with names borrowed from
+//! the directories that hold them. The decoder loads each inode straight
+//! into the shards of a [`ShardedNamespace`], under its already-loaded
+//! parent, where a live create or mkdir would have put it: no from-root
+//! path resolution, no intermediate tree, and a name appears once, not
+//! once per descendant. After the entries an image may carry the
+//! retry-outcome window as one `W`-tagged, length-prefixed section, elided
+//! when the window is empty.
 //!
 //! Images are read back in *chunks* so the junior can checkpoint its
 //! progress and resume after an interruption (Section III-D: "the junior
 //! records the checkpoint that has been committed ... and avoid
 //! retransmitting the whole files"). [`StreamingImageDecoder`] consumes
 //! those chunks at arbitrary boundaries as they arrive, so the junior never
-//! buffers a whole image before starting to rebuild the tree.
+//! buffers a whole image before starting to rebuild the namespace.
 
 use std::collections::BTreeMap;
 
@@ -31,6 +32,7 @@ use mams_journal::Sn;
 
 use crate::inode::{Inode, InodeId, InodeSource, ROOT_ID};
 use crate::retry::RetryWindow;
+use crate::shard::ShardedNamespace;
 use crate::tree::NamespaceTree;
 
 /// Image format magic ("MIMG").
@@ -115,10 +117,10 @@ pub fn encode_image<S: InodeSource>(src: &S, checkpoint_sn: Sn) -> NamespaceImag
 /// section after the tree entries, elided when empty (such an image decodes
 /// with an empty window).
 ///
-/// This is the only encoder: the active hands it its pinned shards
+/// This is the only encoder: every node hands it its pinned shards
 /// ([`SnapshotView::encode_image`](crate::SnapshotView::encode_image)), the
-/// baselines a [`NamespaceTree`], and the bytes depend on the namespace
-/// alone, not on which of the two held it.
+/// parity suites also the reference tree, and the bytes depend on the
+/// namespace alone, not on which of the two held it.
 pub fn encode_image_with_window<S: InodeSource>(
     src: &S,
     checkpoint_sn: Sn,
@@ -187,13 +189,27 @@ pub fn encode_image_with_window<S: InodeSource>(
 
 // ------------------------------------------------------------------ decode
 
+/// A decoded image: what a junior installs, as one value.
+#[derive(Debug)]
+pub struct DecodedImage {
+    /// The namespace, each inode where a live create or mkdir puts it.
+    pub ns: ShardedNamespace,
+    /// The journal sn the image reflects.
+    pub sn: Sn,
+    /// The retry-outcome window (empty when the image carries none).
+    pub window: RetryWindow,
+    /// The highest block id any file holds (0: none): the mark replaying
+    /// the image's prefix would have left.
+    pub highest_block: u64,
+}
+
 /// Chunk-incremental image decoder.
 ///
 /// A push-based state machine: feed encoded bytes in chunks of any size
 /// with [`push`](Self::push), then call [`finish`](Self::finish) once the
-/// whole image has been delivered. Entries are applied to the tree as soon
-/// as they are complete, so decoding overlaps the transfer and no whole-
-/// image buffer ever exists.
+/// whole image has been delivered. Entries are loaded into the shards as
+/// soon as they are complete, so decoding overlaps the transfer and no
+/// whole-image buffer ever exists.
 ///
 /// **Checkpoint rule:** after any `push`, [`checkpoint`](Self::checkpoint)
 /// reports `(offset, last_inode)` — the total bytes accepted and the most
@@ -207,9 +223,10 @@ pub fn encode_image_with_window<S: InodeSource>(
 /// input, and the caller restarts the transfer from scratch.
 #[derive(Debug)]
 pub struct StreamingImageDecoder {
-    tree: NamespaceTree,
+    ns: ShardedNamespace,
     /// Entry index → inode id (index 0 is the root).
     ids: Vec<InodeId>,
+    highest_block: u64,
     sn: Sn,
     header_done: bool,
     hash: Fnv1a64,
@@ -235,8 +252,9 @@ impl Default for StreamingImageDecoder {
 impl StreamingImageDecoder {
     pub fn new() -> Self {
         StreamingImageDecoder {
-            tree: NamespaceTree::new(),
+            ns: ShardedNamespace::new(),
             ids: vec![ROOT_ID],
+            highest_block: 0,
             sn: 0,
             header_done: false,
             hash: Fnv1a64::new(),
@@ -285,30 +303,13 @@ impl StreamingImageDecoder {
         (self.offset, self.last_id)
     }
 
-    /// Pre-size internal tables for an image of `image_bytes` encoded
-    /// bytes (e.g. the total announced by the image transfer's metadata).
-    /// Purely an optimization — avoids rehash churn while millions of
-    /// entries stream in.
-    pub fn reserve_hint(&mut self, image_bytes: u64) {
-        // An entry averages ~30 encoded bytes.
-        let entries = (image_bytes / 30) as usize;
-        self.ids.reserve(entries);
-        self.tree.reserve_inodes(entries);
-    }
-
     /// The checkpoint sn from the header, once seen.
     pub fn checkpoint_sn(&self) -> Option<Sn> {
         self.header_done.then_some(self.sn)
     }
 
-    /// Verify the checksum and return the decoded tree and checkpoint sn.
-    pub fn finish(self) -> Result<(NamespaceTree, Sn), ImageError> {
-        self.finish_with_window().map(|(tree, sn, _)| (tree, sn))
-    }
-
-    /// Verify the checksum and return the decoded tree, checkpoint sn, and
-    /// the retry-outcome window (empty when the image carries none).
-    pub fn finish_with_window(self) -> Result<(NamespaceTree, Sn, RetryWindow), ImageError> {
+    /// Verify the checksum and return what the image holds.
+    pub fn finish(self) -> Result<DecodedImage, ImageError> {
         if let Some(e) = self.err {
             return Err(e);
         }
@@ -323,7 +324,8 @@ impl StreamingImageDecoder {
         if stored != self.hash.digest() {
             return Err(ImageError::BadChecksum);
         }
-        Ok((self.tree, self.sn, self.window))
+        let StreamingImageDecoder { ns, sn, window, highest_block, .. } = self;
+        Ok(DecodedImage { ns, sn, window, highest_block })
     }
 
     /// Decode as much of `s` as possible; returns the consumed prefix
@@ -346,7 +348,7 @@ impl StreamingImageDecoder {
             }
             self.sn = u64::from_be_bytes(s[6..14].try_into().expect("8 bytes"));
             let root_perm = u16::from_be_bytes(s[14..16].try_into().expect("2 bytes"));
-            self.tree.inodes.get_mut(&ROOT_ID).expect("root exists").set_perm(root_perm);
+            self.ns.set_root_perm(root_perm);
             self.hash.write(&s[..HEADER_LEN]);
             self.header_done = true;
             pos = HEADER_LEN;
@@ -461,14 +463,13 @@ impl StreamingImageDecoder {
                         }
                     }
                 }
+                self.highest_block = blocks.iter().fold(self.highest_block, |h, &b| h.max(b));
                 Inode::File { blocks, replication, sealed, perm }
             }
             k => return Err(ImageError::Corrupt(format!("unknown entry kind {k}"))),
         };
-        let id = self
-            .tree
-            .attach_child(parent_id, name, inode)
-            .map_err(|e| ImageError::Corrupt(e.to_string()))?;
+        let id =
+            self.ns.load(parent_id, name, inode).map_err(|e| ImageError::Corrupt(e.to_string()))?;
         self.ids.push(id);
         self.last_id = id;
         Ok(Some(pos))
@@ -486,26 +487,22 @@ fn claimed_end(pos: usize, len: u64) -> Result<usize, ImageError> {
         .ok_or_else(|| ImageError::Corrupt(format!("section length {len} overflows")))
 }
 
-/// Decode a whole in-memory image back into a tree,
-/// verifying the checksum. Returns the tree and the checkpoint sn stored in
-/// the image. One pass over the bytes — this is the streaming decoder fed a
-/// single chunk.
-pub fn decode_image(data: Bytes) -> Result<(NamespaceTree, Sn), ImageError> {
+/// Decode a whole in-memory image, verifying the checksum. One pass over
+/// the bytes — this is the streaming decoder fed a single chunk.
+pub fn decode_image(data: Bytes) -> Result<DecodedImage, ImageError> {
     let mut d = StreamingImageDecoder::new();
-    d.reserve_hint(data.len() as u64);
     d.push(&data)?;
     d.finish()
 }
 
-/// [`decode_image`] variant that also returns the retry-outcome window
-/// (empty for images written without one).
+/// [`decode_image`], flattened into a [`NamespaceTree`] beside the sn and
+/// the window. It stays only because `bench_e2e`'s API surface names it;
+/// nothing outside this module may call it.
 pub fn decode_image_with_window(
     data: Bytes,
 ) -> Result<(NamespaceTree, Sn, RetryWindow), ImageError> {
-    let mut d = StreamingImageDecoder::new();
-    d.reserve_hint(data.len() as u64);
-    d.push(&data)?;
-    d.finish_with_window()
+    let image = decode_image(data)?;
+    Ok((image.ns.to_tree(), image.sn, image.window))
 }
 
 /// Estimated encoded image size (bytes) for a namespace with the given
@@ -549,13 +546,14 @@ mod tests {
         assert_eq!(img.files, 20);
         assert_eq!(img.dirs, 3);
         assert_eq!(img.version(), Some(VERSION_V2));
-        let (t2, sn) = decode_image(img.data.clone()).unwrap();
-        assert_eq!(sn, 42);
-        assert_eq!(t.fingerprint(), t2.fingerprint());
-        assert_eq!(t2.num_files(), 20);
-        assert_eq!(t2.num_dirs(), 3);
-        assert_eq!(t2.getfileinfo("/tmp").unwrap().perm, 0o777);
-        assert_eq!(t2.getfileinfo("/data/logs/f3").unwrap().blocks, vec![1003]);
+        let d = decode_image(img.data.clone()).unwrap();
+        assert_eq!((d.sn, d.highest_block), (42, 1019));
+        assert_eq!(t.fingerprint(), d.ns.fingerprint());
+        assert_eq!(d.ns.num_files(), 20);
+        assert_eq!(d.ns.num_dirs(), 3);
+        assert_eq!(d.ns.getfileinfo("/tmp").unwrap().perm, 0o777);
+        assert_eq!(d.ns.getfileinfo("/").unwrap().perm, 0o711);
+        assert_eq!(d.ns.getfileinfo("/data/logs/f3").unwrap().blocks, vec![1003]);
     }
 
     #[test]
@@ -566,21 +564,18 @@ mod tests {
         win.record(4, 9, RetryEntry { outcome: RetryOutcome::Done, token: None });
         win.record(4, 10, RetryEntry { outcome: RetryOutcome::Block(1007), token: Some(55) });
         let img = encode_image_with_window(&t, 42, &win);
-        // Buffered decode.
+        // Buffered decode, and its flattening into a tree.
+        let d = decode_image(img.data.clone()).unwrap();
+        assert_eq!((d.sn, &d.window), (42, &win));
+        assert_eq!(d.ns.fingerprint(), t.fingerprint());
         let (t2, sn, w2) = decode_image_with_window(img.data.clone()).unwrap();
-        assert_eq!(sn, 42);
-        assert_eq!(t2.fingerprint(), t.fingerprint());
-        assert_eq!(w2, win);
-        // Plain decode ignores the window but still verifies.
-        let (t3, _) = decode_image(img.data.clone()).unwrap();
-        assert_eq!(t3.fingerprint(), t.fingerprint());
+        assert_eq!((t2.fingerprint(), sn, w2), (t.fingerprint(), 42, win.clone()));
         // Streaming decode at every split point.
         for cut in 0..=img.data.len() {
             let mut d = StreamingImageDecoder::new();
             d.push(&img.data[..cut]).unwrap();
             d.push(&img.data[cut..]).unwrap();
-            let (_, _, w) = d.finish_with_window().unwrap();
-            assert_eq!(w, win, "split at {cut}");
+            assert_eq!(d.finish().unwrap().window, win, "split at {cut}");
         }
     }
 
@@ -591,8 +586,7 @@ mod tests {
         let plain = encode_image(&t, 7);
         let explicit = encode_image_with_window(&t, 7, &RetryWindow::new());
         assert_eq!(plain.data, explicit.data, "empty window must be elided");
-        let (_, _, w) = decode_image_with_window(plain.data.clone()).unwrap();
-        assert!(w.is_empty());
+        assert!(decode_image(plain.data.clone()).unwrap().window.is_empty());
     }
 
     #[test]
@@ -639,20 +633,21 @@ mod tests {
     fn streaming_matches_buffered_at_every_boundary() {
         let t = sample_tree();
         let img = encode_image(&t, 77);
-        let (buffered, sn) = decode_image(img.data.clone()).unwrap();
-        let reencoded = encode_image(&buffered, sn).data;
+        let buffered = decode_image(img.data.clone()).unwrap();
+        let reencoded = buffered.ns.pin().encode_image(buffered.sn, &buffered.window).data;
+        assert_eq!(reencoded, img.data);
         for cut in 0..=img.data.len() {
             let mut d = StreamingImageDecoder::new();
             d.push(&img.data[..cut]).unwrap();
             let (off, _) = d.checkpoint();
             assert_eq!(off, cut as u64);
             d.push(&img.data[cut..]).unwrap();
-            let (t2, sn2) = d.finish().unwrap();
-            assert_eq!(sn2, 77);
-            assert_eq!(t2.fingerprint(), buffered.fingerprint(), "split at {cut}");
+            let d = d.finish().unwrap();
+            assert_eq!(d.sn, 77);
+            assert_eq!(d.ns.fingerprint(), buffered.ns.fingerprint(), "split at {cut}");
             // Byte-identical result: re-encoding the resumed decode equals
             // re-encoding the buffered decode.
-            assert_eq!(encode_image(&t2, sn).data, reencoded, "split at {cut}");
+            assert_eq!(d.ns.pin().encode_image(d.sn, &d.window).data, reencoded, "split at {cut}");
         }
     }
 
@@ -672,9 +667,9 @@ mod tests {
     fn empty_tree_round_trips() {
         let t = NamespaceTree::new();
         let img = encode_image(&t, 0);
-        let (t2, sn) = decode_image(img.data).unwrap();
-        assert_eq!(sn, 0);
-        assert_eq!(t.fingerprint(), t2.fingerprint());
+        let d = decode_image(img.data).unwrap();
+        assert_eq!((d.sn, d.highest_block), (0, 0));
+        assert_eq!(t.fingerprint(), d.ns.fingerprint());
     }
 
     #[test]

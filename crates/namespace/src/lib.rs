@@ -29,7 +29,8 @@ pub use delta::{
 };
 pub use image::{
     decode_image, decode_image_with_window, encode_image, encode_image_with_window,
-    estimated_image_bytes, ImageError, NamespaceImage, StreamingImageDecoder, VERSION_V2,
+    estimated_image_bytes, DecodedImage, ImageError, NamespaceImage, StreamingImageDecoder,
+    VERSION_V2,
 };
 pub use inode::{FileInfo, Inode, InodeId, InodeSource, Name};
 pub use partition::Partitioner;

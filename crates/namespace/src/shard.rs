@@ -76,15 +76,15 @@
 //!
 //! Standbys replay journal records through [`ShardedReplaySession`] (the
 //! validate-skip fast path, checked against per-record
-//! [`NamespaceTree::apply`]) and juniors install decoded images via
-//! [`ShardedNamespace::from_tree`]; both produce a namespace whose
-//! [`fingerprint`] is byte-for-byte the legacy tree's over the same history —
-//! inode ids may differ (per-shard allocators), but the fingerprint hashes
-//! structure, names, and attributes, never ids. The other direction needs
-//! no tree: the active's checkpoint is
-//! [`SnapshotView::encode_image`], the image encoder reading the shards at a
-//! pinned epoch, and its bytes are those of the tree's image. Property
-//! tests pin both (`tests/sharded_parity.rs`).
+//! [`NamespaceTree::apply`]), and a junior's image decodes straight into the
+//! shards, each inode loaded under its parent where a live create or mkdir
+//! would have put it. Either way the [`fingerprint`] is byte-for-byte the
+//! legacy tree's over the same history — inode ids may differ (per-shard
+//! allocators), but the fingerprint hashes structure, names, and attributes,
+//! never ids. The active's checkpoint is [`SnapshotView::encode_image`], the
+//! image encoder reading the shards at a pinned epoch, and its bytes are
+//! those of the tree's image. Property tests pin all three
+//! (`tests/sharded_parity.rs`).
 //!
 //! [`pin`]: ShardedNamespace::pin
 //! [`fingerprint`]: ShardedNamespace::fingerprint
@@ -527,43 +527,77 @@ impl ShardedNamespace {
         }
     }
 
-    /// Build from a legacy tree (the image-install path: the streaming
-    /// decoder produces a [`NamespaceTree`], the junior installs it here).
-    /// Ids are preserved and read in this namespace's layout
-    /// (`GEN_SHIFT`), which needs them to differ in their low 32 bits, as
-    /// a decoded image's and [`to_tree`](Self::to_tree)'s do. Each table is
-    /// as long as the highest index the tree puts in it, and the indexes no
-    /// inode took are its free list.
+    /// Build from a legacy tree: a preorder walk of it into
+    /// [`load`](Self::load), the image decoder's loader, so the result is
+    /// laid out as the decode of the tree's image is. The oracle bridge the
+    /// parity suites and `bench_e2e`'s probes use; no server calls it.
     pub fn from_tree(tree: NamespaceTree) -> Self {
         Self::from_tree_with_shards(tree, DEFAULT_SHARDS)
     }
 
     /// [`from_tree`](Self::from_tree) with an explicit shard count.
     pub fn from_tree_with_shards(tree: NamespaceTree, n: usize) -> Self {
-        let ns = Self::with_shards(n);
-        let (inodes, _, num_files, num_dirs) = tree.into_parts();
-        {
-            let mut guards: Vec<_> = ns.shards.iter().map(|s| s.state.write().unwrap()).collect();
-            for &id in inodes.keys() {
-                let st = &mut guards[ns.shard_of(id)];
-                let len = st.slots.len().max(st.index(id) + 1);
-                st.slots.resize_with(len, Slot::default);
-            }
-            for (id, inode) in inodes {
-                let st = &mut guards[ns.shard_of(id)];
-                let index = st.index(id);
-                let slot = &mut st.slots[index];
-                debug_assert!(slot.node.is_none() || id == ROOT_ID, "two ids share slot of {id}");
-                (slot.gen, slot.node) = ((id >> GEN_SHIFT) as u32, Some(inode));
-            }
-            for st in guards.iter_mut().map(|g| &mut **g) {
-                let free = (0..st.slots.len()).rev().filter(|&i| st.slots[i].node.is_none());
-                st.free = free.map(|i| i as u32).collect();
-            }
+        let mut ns = Self::with_shards(n);
+        let Some(Inode::Directory { children, perm }) = tree.inode(ROOT_ID) else {
+            unreachable!("a tree's root is a directory")
+        };
+        ns.set_root_perm(*perm);
+        let mut open = vec![(children.iter(), ROOT_ID)];
+        while let Some((siblings, parent)) = open.last_mut() {
+            let Some((name, &id)) = siblings.next() else {
+                open.pop();
+                continue;
+            };
+            let parent = *parent;
+            let (node, children) = match tree.inode(id).expect("a directory entry names an inode") {
+                Inode::Directory { children, perm } => {
+                    (Inode::Directory { children: BTreeMap::new(), perm: *perm }, Some(children))
+                }
+                file => (file.clone(), None),
+            };
+            let loaded =
+                ns.load(parent, name.as_str(), node).expect("a tree holds no repeated name");
+            open.extend(children.map(|c| (c.iter(), loaded)));
         }
-        ns.num_files.store(num_files, Ordering::Relaxed);
-        ns.num_dirs.store(num_dirs, Ordering::Relaxed);
         ns
+    }
+
+    /// Load `node` under the directory `parent` as `name`, where a live
+    /// create or mkdir would place it: a file in its parent's shard, a
+    /// directory in `dir_home`'s, each through `ShardState::take`. For a
+    /// namespace being built before anyone reads it — the image decoder,
+    /// [`from_tree`](Self::from_tree) — so no gate, stamp or cache entry:
+    /// what it loads is in every epoch, and no table has a hole. A parent
+    /// that is not a live directory and a repeated name are refused, as an
+    /// attach under the locks refuses them.
+    pub(crate) fn load(
+        &mut self,
+        parent: InodeId,
+        name: &str,
+        node: Inode,
+    ) -> Result<InodeId, NsError> {
+        debug_assert!(!matches!(&node, Inode::Directory { children, .. } if !children.is_empty()));
+        let is_dir = node.is_dir();
+        let home = if is_dir { self.dir_home(parent, name) } else { self.shard_of(parent) };
+        let id = self.state_mut(home).next_id();
+        let st = self.state_mut(self.shard_of(parent));
+        Self::check_parent(st.get(parent), name)?;
+        Self::link(Self::open_dir(st, parent, 0, None), name, id, name)?;
+        self.state_mut(home).take(0, node);
+        let count = if is_dir { &mut self.num_dirs } else { &mut self.num_files };
+        *count.get_mut() += 1;
+        Ok(id)
+    }
+
+    /// Set the root's permission bits while the namespace is being loaded
+    /// (see [`load`](Self::load)).
+    pub(crate) fn set_root_perm(&mut self, perm: u16) {
+        self.state_mut(0).slots[0].node.as_mut().expect("the root is live").set_perm(perm);
+    }
+
+    /// Shard `k`'s state, reached through exclusive access: no lock taken.
+    fn state_mut(&mut self, k: usize) -> &mut ShardState {
+        self.shards[k].state.get_mut().expect("shard lock poisoned")
     }
 
     /// Flatten the newest versions into a legacy tree (ids are preserved).
@@ -1564,10 +1598,9 @@ impl ShardedReplaySession {
 
 impl ShardedNamespace {
     /// Attach a new file under directory `parent` — the body of `create`, and
-    /// the replay path's whole create (the analogue of the legacy
-    /// `attach_child`). Errors name `what`: the path on the live path, the
-    /// bare name on replay, as the legacy tree's do. `bind` is the parent's
-    /// cache key when its lookup walked.
+    /// the replay path's whole create. Errors name `what`: the path on the
+    /// live path, the bare name on replay, as the legacy tree's do. `bind` is
+    /// the parent's cache key when its lookup walked.
     fn attach_file(
         &self,
         parent: InodeId,
@@ -1901,23 +1934,6 @@ mod tests {
         assert_eq!(s.resolve_path("/d/s/f"), s.resolve_path_uncached("/d/s/f"));
         assert!(s.exists("/d/s"));
         assert!(!s.exists("/d/x"));
-    }
-
-    #[test]
-    fn from_tree_to_tree_round_trip() {
-        let mut t = NamespaceTree::new();
-        t.mkdir_p("/x/y").unwrap();
-        t.create("/x/y/f", 3).unwrap();
-        t.add_block("/x/y/f", 42).unwrap();
-        t.set_perm("/x", 0o700).unwrap();
-        let fp = t.fingerprint();
-        let s = ShardedNamespace::from_tree_with_shards(t, 4);
-        assert_eq!(s.fingerprint(), fp);
-        assert_eq!(s.num_files(), 1);
-        assert_eq!(s.num_dirs(), 2);
-        // Mutations after install must not collide with legacy ids.
-        s.create("/x/y/g", 1).unwrap();
-        assert_eq!(s.to_tree().fingerprint(), s.fingerprint());
     }
 
     /// Slots in the one table of a `with_shards(1)` namespace.

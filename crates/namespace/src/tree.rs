@@ -2,10 +2,12 @@
 //!
 //! This is the plain reference namespace: every path resolves by a walk
 //! from the root, and [`NamespaceTree::apply`] is the per-record replay the
-//! sharded namespace and its replay session are checked against. It is also
-//! what images decode into (the encoder reads any [`InodeSource`], this tree
-//! or the active's shards) and the engine of the baseline systems. It carries no resolution cache of its
-//! own — the oracle a cache is compared with should not have one.
+//! sharded namespace and its replay session are checked against. No node
+//! holds one — every system's namespace is the shards, and images decode
+//! into them — so it lives on as the oracle: the parity suites run it beside
+//! the shards, encode its image (it is an [`InodeSource`]) and cross into
+//! it with `to_tree`/`from_tree`. It carries no resolution cache of its own
+//! — the oracle a cache is compared with should not have one.
 
 use std::collections::HashMap;
 
@@ -105,69 +107,11 @@ impl NamespaceTree {
         NamespaceTree { inodes, next_id, num_files, num_dirs }
     }
 
-    /// Decompose into `(inodes, next_id, num_files, num_dirs)` — the sharded
-    /// namespace consumes a decoded image tree through this without cloning
-    /// any inode.
-    pub(crate) fn into_parts(self) -> (HashMap<InodeId, Inode>, InodeId, u64, u64) {
-        (self.inodes, self.next_id, self.num_files, self.num_dirs)
-    }
-
     fn alloc(&mut self, inode: Inode) -> InodeId {
         let id = self.next_id;
         self.next_id += 1;
         self.inodes.insert(id, inode);
         id
-    }
-
-    /// Attach a fully-formed inode directly under `parent` with the given
-    /// component name — the image decoder's single-pass path: no from-root
-    /// resolution, no path strings. The caller guarantees `name` is a valid
-    /// component; duplicate names and non-directory parents are rejected
-    /// (they indicate a corrupt image).
-    pub(crate) fn attach_child(
-        &mut self,
-        parent: InodeId,
-        name: &str,
-        inode: Inode,
-    ) -> Result<InodeId, NsError> {
-        match self.inodes.get(&parent) {
-            Some(Inode::Directory { .. }) => {}
-            Some(Inode::File { .. }) => return Err(NsError::ParentNotDirectory(name.to_string())),
-            None => return Err(NsError::ParentNotFound(name.to_string())),
-        }
-        let is_dir = inode.is_dir();
-        let id = self.alloc(inode);
-        let duplicate = match self.inodes.get_mut(&parent).expect("parent checked above") {
-            Inode::Directory { children, .. } => {
-                // Single tree search via the entry API (this is the image
-                // decoder's per-entry hot path).
-                match children.entry(Name::from(name)) {
-                    std::collections::btree_map::Entry::Vacant(v) => {
-                        v.insert(id);
-                        None
-                    }
-                    std::collections::btree_map::Entry::Occupied(o) => Some(o.key().to_string()),
-                }
-            }
-            Inode::File { .. } => unreachable!("parent kind checked above"),
-        };
-        if let Some(name) = duplicate {
-            self.inodes.remove(&id);
-            return Err(NsError::AlreadyExists(name));
-        }
-        if is_dir {
-            self.num_dirs += 1;
-        } else {
-            self.num_files += 1;
-        }
-        Ok(id)
-    }
-
-    /// Pre-size the inode table for `extra` upcoming inserts (the image
-    /// decoder calls this with an estimate from the announced transfer
-    /// size, avoiding repeated rehashing while millions of entries load).
-    pub(crate) fn reserve_inodes(&mut self, extra: usize) {
-        self.inodes.reserve(extra);
     }
 
     /// Resolve a validated path to an inode id by walking from the root.

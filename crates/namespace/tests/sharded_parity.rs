@@ -5,16 +5,18 @@
 //! tree: same results (including errors) for every operation, same
 //! fingerprint after any operation sequence, and snapshot reads pinned
 //! mid-sequence must match a quiesced replica that stopped at the pin
-//! point.
+//! point. A namespace loaded rather than built by mutations — decoded
+//! from an image, or `from_tree` — must behave as its source does.
 //!
 //! These are seeded randomized tests, not `proptest` suites (no `proptest`
 //! crate resolves offline): property coverage here comes from the vendored
 //! `rand` with fixed seeds — deterministic, shrink-free, CI-friendly.
 //! `PARITY_CASES` scales the number of cases per test (nightly runs more).
 
+use mams_namespace::shard::DEFAULT_SHARDS;
 use mams_namespace::{
-    decode_image_with_window, encode_image_with_window, NamespaceTree, NsError, RetryEntry,
-    RetryOutcome, RetryWindow, ShardedNamespace,
+    decode_image, encode_image_with_window, NamespaceTree, NsError, RetryEntry, RetryOutcome,
+    RetryWindow, ShardedNamespace,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -267,10 +269,9 @@ fn pinned_shards_encode_the_image_of_the_pin_point() {
         assert!(sharded.displaced_versions() > 0, "case {case}: the pin preserved nothing");
         let later = view.encode_image(sn, &window);
         assert_eq!(later.data, at_pin.data, "case {case}: the pinned image moved");
-        let (decoded, got_sn, got_window) =
-            decode_image_with_window(later.data).expect("own image decodes");
-        assert_eq!(decoded.fingerprint(), pinned_fingerprint, "case {case}: decoded state");
-        assert_eq!((got_sn, &got_window), (sn, &window), "case {case}: sn and window");
+        let decoded = decode_image(later.data).expect("own image decodes");
+        assert_eq!(decoded.ns.fingerprint(), pinned_fingerprint, "case {case}: decoded state");
+        assert_eq!((decoded.sn, &decoded.window), (sn, &window), "case {case}: sn and window");
         drop(view);
 
         let now = sharded.pin().encode_image(sn, &window);
@@ -281,5 +282,128 @@ fn pinned_shards_encode_the_image_of_the_pin_point() {
             sharded.set_perm(&p, perm).expect("listed");
         }
         assert_eq!(sharded.displaced_versions(), 0, "case {case}: history outlived its pin");
+    }
+}
+
+/// Every live inode of `ns`: its id and its path.
+fn live_ids(ns: &ShardedNamespace) -> Vec<(u64, String)> {
+    live_paths(ns).into_iter().map(|p| (ns.resolve_path(&p).expect("listed"), p)).collect()
+}
+
+/// Every shard of `ns` (of `shards` shards) holds its live inodes at the
+/// indexes `0..n`, each at generation 0. An id is `generation << 32 | index
+/// << log2 N | shard`, so that is a table of `n` slots, the root's in shard
+/// 0 among them, of which none was ever freed: an empty free list, and no
+/// slot beside the live ones.
+fn assert_dense(ns: &ShardedNamespace, shards: usize, what: &str) {
+    let mut indexes = vec![Vec::new(); shards];
+    for (id, p) in live_ids(ns) {
+        assert_eq!(id >> 32, 0, "{what}: {p} sits in a slot freed before");
+        indexes[id as usize & (shards - 1)].push(id as u32 >> shards.trailing_zeros());
+    }
+    for (k, mut taken) in indexes.into_iter().enumerate() {
+        taken.sort_unstable();
+        assert!(taken.iter().copied().eq(0..taken.len() as u32), "{what}: shard {k}: {taken:?}");
+    }
+}
+
+/// Load the namespace `history` builds both ways a namespace is built
+/// other than by mutations — decoding its image, and `from_tree` of its
+/// tree copy — and hold each to the source: the fingerprint, the counts,
+/// the image bytes, the highest block id, dense tables; then the same
+/// `suffix` on both, with the same result and fingerprint at every step,
+/// a pin held across `pinned` so copy-on-write runs on loaded slots.
+fn check_loaded(
+    history: &[Op],
+    suffix: &[Op],
+    shards: usize,
+    pinned: std::ops::Range<usize>,
+    what: &str,
+) {
+    let grow = || {
+        let ns = ShardedNamespace::with_shards(shards);
+        for op in history {
+            let _ = op.apply_sharded(&ns);
+        }
+        ns
+    };
+    let image = grow().pin().encode_image(7, &RetryWindow::new());
+    let decoded = decode_image(image.data.clone()).expect("own image decodes");
+    let highest_block = live_paths(&decoded.ns)
+        .iter()
+        .flat_map(|p| decoded.ns.getfileinfo(p).expect("listed").blocks)
+        .max()
+        .unwrap_or(0);
+    assert_eq!(decoded.highest_block, highest_block, "{what}: highest block id");
+    let via_tree = ShardedNamespace::from_tree_with_shards(grow().to_tree(), shards);
+    for (how, loaded, n) in
+        [("decoded", decoded.ns, DEFAULT_SHARDS), ("from_tree", via_tree, shards)]
+    {
+        let what = format!("{what}, {how}");
+        let source = grow();
+        assert_eq!(loaded.fingerprint(), source.fingerprint(), "{what}: fingerprint");
+        assert_eq!(
+            (loaded.num_files(), loaded.num_dirs()),
+            (source.num_files(), source.num_dirs()),
+            "{what}: counts"
+        );
+        let again = loaded.pin().encode_image(7, &RetryWindow::new());
+        assert_eq!(again.data, image.data, "{what}: re-encoded");
+        assert_dense(&loaded, n, &what);
+        let mut view = None;
+        for (step, op) in suffix.iter().enumerate() {
+            if step == pinned.start {
+                view = Some((loaded.pin(), loaded.fingerprint()));
+            }
+            if step == pinned.end {
+                let (view, at_pin) = view.take().expect("pinned");
+                assert_eq!(view.fingerprint(), at_pin, "{what}: the pin moved");
+            }
+            assert_eq!(
+                op.apply_sharded(&loaded),
+                op.apply_sharded(&source),
+                "{what} {step}: {op:?}"
+            );
+            assert_eq!(loaded.fingerprint(), source.fingerprint(), "{what} {step}: fingerprint");
+        }
+        drop(view);
+        assert_eq!(loaded.to_tree().fingerprint(), source.fingerprint(), "{what}: to_tree");
+    }
+}
+
+/// A namespace loaded from an image, or from a tree, is a live one: see
+/// [`check_loaded`]. The histories delete and rename, whole directories
+/// too, so their sources free slots and reuse them; the loaded copies
+/// start with none freed.
+#[test]
+fn a_loaded_namespace_is_a_live_one() {
+    let mut reused = 0;
+    for case in 0..cases() {
+        let shards = [1usize, 2, 4, 16][case as usize % 4];
+        let mut rng = SmallRng::seed_from_u64(0x5AD_0004 ^ (case << 8));
+        let history: Vec<Op> = (0..rng.gen_range(100..OPS_PER_CASE))
+            .map(|_| rand_op_with_dir_renames(&mut rng))
+            .collect();
+        let suffix: Vec<Op> = (0..200).map(|_| rand_op_with_dir_renames(&mut rng)).collect();
+        let start = rng.gen_range(0..150usize);
+        check_loaded(&history, &suffix, shards, start..start + 50, &format!("case {case}"));
+        let source = ShardedNamespace::with_shards(shards);
+        for op in &history {
+            let _ = op.apply_sharded(&source);
+        }
+        reused += live_ids(&source).iter().filter(|(id, _)| id >> 32 != 0).count();
+    }
+    assert!(reused > 0, "no history reused a freed slot");
+    // A small fixed tree, its root's permissions changed.
+    let history = [
+        Op::MkdirP("/x/y".into()),
+        Op::Create("/x/y/f".into(), 3),
+        Op::AddBlock("/x/y/f".into(), 42),
+        Op::SetPerm("/x".into(), 0o700),
+        Op::SetPerm("/".into(), 0o711),
+    ];
+    let suffix = [Op::Create("/x/y/g".into(), 1), Op::Rename("/x/y".into(), "/z".into())];
+    for shards in [1, 4] {
+        check_loaded(&history, &suffix, shards, 0..1, &format!("fixed tree, {shards} shards"));
     }
 }

@@ -282,10 +282,7 @@ mod tests {
 
     /// Pull a pool-stored image through `ReadArtifactChunk` exactly as a
     /// renewing junior does, feeding each chunk to the streaming decoder.
-    fn stream_image_from_pool(
-        n: &mut PoolNode,
-        chunk_len: u64,
-    ) -> (mams_namespace::NamespaceTree, u64) {
+    fn stream_image_from_pool(n: &mut PoolNode, chunk_len: u64) -> mams_namespace::DecodedImage {
         let artifact = base_of(n).id;
         let mut d = mams_namespace::StreamingImageDecoder::new();
         let mut offset = 0u64;
@@ -318,9 +315,9 @@ mod tests {
         assert_eq!(img.version(), Some(mams_namespace::VERSION_V2));
         write_image_over_journal(&pool, img);
         let mut n = PoolNode::new(pool);
-        let (t2, sn) = stream_image_from_pool(&mut n, 64);
-        assert_eq!(sn, 5);
-        assert_eq!(t2.fingerprint(), t.fingerprint());
+        let decoded = stream_image_from_pool(&mut n, 64);
+        assert_eq!(decoded.sn, 5);
+        assert_eq!(decoded.ns.fingerprint(), t.fingerprint());
     }
 
     #[test]

@@ -335,7 +335,9 @@ pub fn new_shared_pool() -> SharedPool {
 mod tests {
     use super::*;
     use mams_journal::{JournalBatch, Txn};
-    use mams_namespace::{apply_delta, decode_delta, encode_image, fold_delta, NamespaceTree};
+    use mams_namespace::{
+        apply_delta, decode_delta, encode_image, fold_delta, NamespaceTree, ShardedNamespace,
+    };
 
     fn batch(sn: Sn) -> JournalBatch {
         JournalBatch::new(sn, sn, vec![Txn::Mkdir { path: format!("/d{sn}") }])
@@ -506,17 +508,17 @@ mod tests {
     }
 
     /// Decode base + deltas from the manifest like a consumer would.
-    fn resolve_chain(g: &GroupStore) -> NamespaceTree {
+    fn resolve_chain(g: &GroupStore) -> ShardedNamespace {
         let m = g.manifest().clone();
         let base = m.base().expect("base");
         let (data, _) = g.artifact_chunk(base.id, 0, u64::MAX).unwrap();
-        let (mut t, _) = mams_namespace::decode_image(data).unwrap();
+        let mut ns = mams_namespace::decode_image(data).unwrap().ns;
         for e in m.deltas() {
             let (data, _) = g.artifact_chunk(e.id, 0, u64::MAX).unwrap();
             let d = decode_delta(&data).unwrap();
-            apply_delta(&mut t, &d).unwrap();
+            apply_delta(&mut ns, &d).unwrap();
         }
-        t
+        ns
     }
 
     #[test]

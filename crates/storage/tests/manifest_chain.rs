@@ -11,6 +11,7 @@
 use mams_journal::{JournalBatch, Sn, Txn};
 use mams_namespace::{
     apply_delta, decode_delta, decode_image, encode_image, fold_delta, NamespaceTree,
+    ShardedNamespace,
 };
 use mams_storage::{GroupStore, Manifest, PoolError};
 
@@ -43,7 +44,7 @@ fn chained_group(tail: Sn, base_sn: Sn, n_deltas: usize) -> (GroupStore, Namespa
 struct SimConsumer {
     manifest: Manifest,
     applied: Sn,
-    tree: NamespaceTree,
+    ns: ShardedNamespace,
     /// Manifest re-resolutions forced by `NoSuchArtifact`.
     replans: usize,
 }
@@ -71,12 +72,11 @@ impl SimConsumer {
                 };
                 assert_eq!(data.len() as u64, total, "whole-artifact fetch");
                 if entry.base_sn == entry.end_sn {
-                    let (t, sn) = decode_image(data).expect("base decodes");
-                    self.tree = t;
-                    self.applied = sn;
+                    let image = decode_image(data).expect("base decodes");
+                    (self.ns, self.applied) = (image.ns, image.sn);
                 } else {
                     let d = decode_delta(&data).expect("delta decodes");
-                    apply_delta(&mut self.tree, &d).expect("delta applies");
+                    apply_delta(&mut self.ns, &d).expect("delta applies");
                     self.applied = d.end_sn;
                 }
             }
@@ -95,16 +95,15 @@ fn stale_manifest_consumer_re_resolves_after_a_new_image() {
     let mut c = SimConsumer {
         manifest: g.manifest().clone(),
         applied: 0,
-        tree: NamespaceTree::new(),
+        ns: ShardedNamespace::new(),
         replans: 0,
     };
 
     // Stream only the base from the cached manifest, then stall.
     let base = c.manifest.base().unwrap().clone();
     let (data, _) = g.artifact_chunk(base.id, 0, u64::MAX).unwrap();
-    let (t, sn) = decode_image(data).unwrap();
-    c.tree = t;
-    c.applied = sn;
+    let image = decode_image(data).unwrap();
+    (c.ns, c.applied) = (image.ns, image.sn);
 
     // The producer's chain grew past its limit: its next checkpoint is a
     // full image, which supersedes the chain and drops every artifact the
@@ -125,5 +124,5 @@ fn stale_manifest_consumer_re_resolves_after_a_new_image() {
     c.catch_up(&g);
     assert_eq!(c.replans, 1, "exactly one forced re-resolution");
     assert_eq!(c.applied, 15);
-    assert_eq!(c.tree.fingerprint(), live.fingerprint(), "state after retry");
+    assert_eq!(c.ns.fingerprint(), live.fingerprint(), "state after retry");
 }

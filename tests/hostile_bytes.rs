@@ -158,8 +158,9 @@ fn stream_image(data: &[u8], rng: &mut SmallRng) -> Result<Vec<u8>, ImageError> 
         d.push(&rest[..n])?;
         rest = &rest[n..];
     }
-    let (tree, sn, window) = d.finish_with_window()?;
-    Ok(encode_image_with_window(&tree, sn, &window).data.to_vec())
+    let image = d.finish()?;
+    let reencoded = image.ns.pin().encode_image(image.sn, &image.window);
+    Ok(reencoded.data.to_vec())
 }
 
 fn journal_of(data: &[u8]) -> Result<JournalBatch, EncodeError> {
@@ -284,6 +285,39 @@ fn image_length_varint_near_u64_max_is_corrupt_not_a_panic() {
     for (bytes, what) in [(name, "name length"), (window, "window length")] {
         let got = catch_unwind(AssertUnwindSafe(|| stream_image(&bytes, &mut rng)))
             .unwrap_or_else(|_| panic!("decoder panicked on a u64::MAX {what}"));
+        assert!(matches!(got, Err(ImageError::Corrupt(_))), "{what}: {got:?}");
+    }
+}
+
+/// Entries the parser accepts but no namespace can hold, resealed so the
+/// checksum does not stop them: the loader's checks must. `/d` is entry 1
+/// and the file `/f` entry 2; each case appends one entry (kind, parent
+/// index, name length, name, perm, and for a file replication, sealed and
+/// an empty block list).
+#[test]
+fn resealed_entries_no_namespace_holds_are_corrupt_not_a_panic() {
+    let mut rng = SmallRng::seed_from_u64(3);
+    let mut tree = NamespaceTree::new();
+    tree.mkdir("/d").unwrap();
+    tree.create("/f", 1).unwrap();
+    let img = encode_image_with_window(&tree, 5, &RetryWindow::new()).data.to_vec();
+    let body = &img[..img.len() - TRAILER_LEN];
+    assert_eq!(&body[IMAGE_HEADER_LEN..IMAGE_HEADER_LEN + 4], b"D\x00\x01d");
+    let with_entry = |entry: &[u8]| {
+        let mut bytes = [body, entry, &[0; TRAILER_LEN]].concat();
+        reseal(&mut bytes);
+        bytes
+    };
+    // The construction is sound: a well-placed entry decodes.
+    assert!(stream_image(&with_entry(&[b'D', 1, 1, b'x', 1, 0xed]), &mut rng).is_ok());
+    for (entry, what) in [
+        (&[b'D', 2, 1, b'x', 1, 0xed][..], "an entry whose parent is a file"),
+        (&[b'F', 0, 1, b'f', 1, 0xa4, 1, 0, 0][..], "a repeated sibling name"),
+        (&[b'D', 9, 1, b'x', 1, 0xed][..], "a parent index not yet seen"),
+    ] {
+        let bytes = with_entry(entry);
+        let got = catch_unwind(AssertUnwindSafe(|| stream_image(&bytes, &mut rng)))
+            .unwrap_or_else(|_| panic!("decoder panicked on {what}"));
         assert!(matches!(got, Err(ImageError::Corrupt(_))), "{what}: {got:?}");
     }
 }

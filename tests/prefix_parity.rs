@@ -21,8 +21,8 @@ use rand::{Rng, SeedableRng};
 use mams::core::{FsOp, OpOutput, Prefix};
 use mams::journal::{AckRecord, SharedBatch, Sn, Txn};
 use mams::namespace::{
-    apply_delta, decode_delta, decode_image_with_window, fold_delta_with_window, replay_outcome,
-    DecodedDelta, NamespaceImage, RetryEntry, RetryOutcome, RetryWindow, ShardedNamespace,
+    apply_delta, decode_delta, decode_image, fold_delta_with_window, replay_outcome, DecodedDelta,
+    NamespaceImage, RetryEntry, RetryOutcome, RetryWindow, ShardedNamespace,
 };
 
 fn cases() -> u64 {
@@ -197,8 +197,7 @@ fn an_image_or_a_delta_and_the_suffix_equal_the_whole_journal() {
 
         let image = at_k.encode_image();
         assert_eq!(image.checkpoint_sn, k as u64, "case {case}: an image is of the tail");
-        let (tree, sn, window) = decode_image_with_window(image.data).expect("own image decodes");
-        let mut from_image = Prefix::from_image(tree, sn, window);
+        let mut from_image = Prefix::from_image(decode_image(image.data).expect("own image"));
         assert_eq!(derived(&mut from_image), derived(&mut at_k), "case {case}: image at {k}");
         replay(&mut from_image, &journal);
         let want = derived(&mut writer);
@@ -259,9 +258,8 @@ impl EagerFold {
 
     /// What a node restored from `image` holds.
     fn from_image(image: &NamespaceImage) -> Self {
-        let (tree, tail, window) =
-            decode_image_with_window(image.data.clone()).expect("own image decodes");
-        EagerFold { ns: ShardedNamespace::from_tree(tree), window, tail }
+        let image = decode_image(image.data.clone()).expect("own image decodes");
+        EagerFold { ns: image.ns, window: image.window, tail: image.sn }
     }
 
     /// Apply the journal's batches past our tail through `to`; whether any
@@ -366,9 +364,8 @@ fn a_window_read_at_any_point_is_the_eager_fold() {
                     match rng.gen_range(0..3u32) {
                         1 => {
                             let image = writer.encode_image();
-                            let (_, _, window) =
-                                decode_image_with_window(image.data).expect("own image decodes");
-                            same_window(&window, &writer_eager, &what);
+                            let image = decode_image(image.data).expect("own image decodes");
+                            same_window(&image.window, &writer_eager, &what);
                         }
                         // A delta folds a non-empty range.
                         2 if base < tail => {
@@ -442,9 +439,8 @@ fn a_window_read_at_any_point_is_the_eager_fold() {
                     } else {
                         replayed_to(&journal[..rng.gen_range(0..journal.len() + 1)]).encode_image()
                     };
-                    let (tree, sn, window) =
-                        decode_image_with_window(image.data.clone()).expect("own image decodes");
-                    reader = Prefix::from_image(tree, sn, window);
+                    let decoded = decode_image(image.data.clone()).expect("own image decodes");
+                    reader = Prefix::from_image(decoded);
                     eager = EagerFold::from_image(&image);
                     unread = false;
                 }

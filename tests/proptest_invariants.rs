@@ -218,9 +218,9 @@ fn image_round_trips_and_chunks() {
         apply_random_ops(&mut tree, &ops);
         let img = encode_image(&tree, 42);
 
-        let (decoded, sn) = decode_image(img.data.clone()).expect("round trip");
-        assert_eq!(sn, 42);
-        assert_eq!(decoded.fingerprint(), tree.fingerprint(), "case {case}");
+        let decoded = decode_image(img.data.clone()).expect("round trip");
+        assert_eq!(decoded.sn, 42);
+        assert_eq!(decoded.ns.fingerprint(), tree.fingerprint(), "case {case}");
 
         // Chunked reassembly, sliced as the pool slices a stored image,
         // over the journal the image stands for.
@@ -241,8 +241,8 @@ fn image_round_trips_and_chunks() {
             off += c.len() as u64;
             buf.extend_from_slice(&c);
         }
-        let (rebuilt, _) = decode_image(bytes::Bytes::from(buf)).expect("chunked round trip");
-        assert_eq!(rebuilt.fingerprint(), tree.fingerprint(), "case {case}");
+        let rebuilt = decode_image(bytes::Bytes::from(buf)).expect("chunked round trip");
+        assert_eq!(rebuilt.ns.fingerprint(), tree.fingerprint(), "case {case}");
     }
 }
 
@@ -268,15 +268,19 @@ fn streaming_decode_matches_buffered_at_any_chunk_size() {
             let (off, _) = dec.checkpoint();
             assert_eq!(off, pushed, "case {case}");
         }
-        let (streamed, sn) = dec.finish().expect("stream finish");
-        assert_eq!(sn, 9);
+        let streamed = dec.finish().expect("stream finish");
+        assert_eq!(streamed.sn, 9);
 
-        let (buffered, _) = decode_image(img.data.clone()).expect("buffered decode");
-        assert_eq!(streamed.fingerprint(), buffered.fingerprint(), "case {case}");
-        assert_eq!(streamed.fingerprint(), tree.fingerprint(), "case {case}");
-        // Re-encoding both yields the same bytes: the decoded trees are
-        // structurally identical, not merely fingerprint-equal.
-        assert_eq!(encode_image(&streamed, 9).data, encode_image(&buffered, 9).data);
+        let buffered = decode_image(img.data.clone()).expect("buffered decode");
+        assert_eq!(streamed.ns.fingerprint(), buffered.ns.fingerprint(), "case {case}");
+        assert_eq!(streamed.ns.fingerprint(), tree.fingerprint(), "case {case}");
+        // Re-encoding both yields the same bytes: the decoded namespaces
+        // are structurally identical, not merely fingerprint-equal.
+        let reencode = |ns: &mams::namespace::ShardedNamespace| {
+            ns.pin().encode_image(9, &mams::namespace::RetryWindow::new()).data
+        };
+        assert_eq!(reencode(&streamed.ns), reencode(&buffered.ns));
+        assert_eq!(reencode(&streamed.ns), img.data);
     }
 }
 

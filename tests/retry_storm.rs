@@ -28,8 +28,8 @@ use mams_cluster::{History, Metrics, Recorder, Workload};
 use mams_core::{MdsTiming, MdsTrace};
 use mams_journal::JournalBatch;
 use mams_namespace::{
-    decode_delta, decode_image_with_window, replay_outcome, NamespaceTree, RetryEntry, RetryWindow,
-    ShardedNamespace, ShardedReplaySession,
+    decode_delta, decode_image, replay_outcome, RetryEntry, RetryWindow, ShardedNamespace,
+    ShardedReplaySession,
 };
 use mams_sim::{Duration, Sim, SimConfig};
 use rand::rngs::SmallRng;
@@ -46,13 +46,12 @@ fn cases(default: u64) -> u64 {
 /// (`replay_outcome`) with the namespace lookup evaluated right after the
 /// record applied.
 fn fold_window(
-    tree: NamespaceTree,
+    ns: ShardedNamespace,
     mut window: RetryWindow,
     batches: &[JournalBatch],
     from_sn: u64,
     up_to_sn: u64,
 ) -> RetryWindow {
-    let ns = ShardedNamespace::from_tree(tree);
     let mut replay = ShardedReplaySession::new();
     for b in batches {
         if b.sn <= from_sn || b.sn > up_to_sn {
@@ -187,10 +186,10 @@ fn run_case(case: u64) -> CaseOutcome {
     let mut parity_checks = 0;
     let mut windowed_checks = 0;
     if let (Some(base), Some(delta)) = (base, delta) {
-        let (tree, base_sn, base_window) =
-            decode_image_with_window(base).expect("the pool base image decodes");
+        let image = decode_image(base).expect("the pool base image decodes");
+        let base_sn = image.sn;
         let d = decode_delta(&delta).expect("the newest pool delta decodes");
-        let folded = fold_window(tree, base_window, &tail, base_sn, d.end_sn);
+        let folded = fold_window(image.ns, image.window, &tail, base_sn, d.end_sn);
         assert_eq!(
             folded.fingerprint(),
             d.window.fingerprint(),
