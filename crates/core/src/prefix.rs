@@ -208,28 +208,25 @@ impl Prefix {
 
     // ------------------------------------------------------------- writing
 
-    /// Execute one client operation: a read answers from a pinned snapshot,
-    /// a mutation is validated and applied and yields its journal record. A
+    /// Execute one client operation: a read answers from the newest state, a
+    /// mutation is validated and applied and yields its journal record. A
     /// refused mutation changes nothing and is never journaled. Consumes the
     /// op so its paths move into the record instead of being cloned — on a
     /// create/rename-heavy mix the journal's strings are allocated exactly
     /// once, at request decode.
     ///
-    /// The simulated server is single-threaded, so a read's pin is vacuous
-    /// here — but it is the path a threaded deployment uses (see
-    /// `shard.rs`'s `pinned_reader_concurrent_with_writer`), and going
-    /// through it keeps the snapshot machinery under the full protocol test
-    /// surface: a pinned read observes exactly the applied-and-published
-    /// prefix, never a mutation mid-apply.
+    /// The namespace has one owner, this prefix's node, so its newest state
+    /// is the published one: a read takes no pin and never sees a mutation
+    /// mid-apply.
     pub fn exec(&mut self, op: FsOp) -> Result<(Option<Txn>, OpOutput), String> {
         // A mutation writes `ns` past the replay session's cached handles.
         self.replay.reset();
         let done = |txn| (Some(txn), OpOutput::Done);
         match op {
             FsOp::GetFileInfo { path } => {
-                self.ns.pin().getfileinfo(&path).map(|info| (None, OpOutput::Info(info)))
+                self.ns.getfileinfo(&path).map(|info| (None, OpOutput::Info(info)))
             }
-            FsOp::List { path } => self.ns.pin().list(&path).map(|l| (None, OpOutput::Listing(l))),
+            FsOp::List { path } => self.ns.list(&path).map(|l| (None, OpOutput::Listing(l))),
             FsOp::Create { path, replication } => self
                 .ns
                 .create(&path, replication)

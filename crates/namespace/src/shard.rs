@@ -1,76 +1,58 @@
-//! A sharded namespace with epoch-snapshot reads.
+//! A sharded namespace with epoch-snapshot reads, owned by one thread.
 //!
-//! [`NamespaceTree`] is a single mutable structure: one op at a time, reads
-//! blocking behind mutations. This module breaks that ceiling for the active
-//! server's hot path while keeping the replicated-state contract intact:
+//! [`NamespaceTree`] is the plain reference namespace, one op at a time over
+//! a hash map of inodes. This module is the namespace every node runs, with
+//! the replicated-state contract intact:
 //!
 //! * **Inode-id sharding.** Inodes live in N power-of-two shards keyed by
-//!   `id % N`, each behind its own `RwLock`. An id is an index: the rest of
-//!   its low word is the inode's position in its shard's slot table, and its
-//!   high word a generation that goes stale when the slot is freed (see
-//!   `GEN_SHIFT`), so an inode is reached without hashing and a table is
-//!   as long as its shard's peak number of live inodes. Directory entries —
-//!   each name inline in its directory's map ([`Name`]), no table of names
-//!   beside them — and the parent-directory resolution cache are per-shard
-//!   state, so ops on unrelated directories touch disjoint
-//!   locks. New *file* ids are allocated from their parent directory's shard
-//!   (a create or block op locks exactly one shard); new *directory* ids are
-//!   spread by hashing `(parent, name)` so a deep tree doesn't collapse into
-//!   the root's shard.
+//!   `id % N`. An id is an index: the rest of its low word is the inode's
+//!   position in its shard's slot table, and its high word a generation that
+//!   goes stale when the slot is freed (see `GEN_SHIFT`), so an inode is
+//!   reached without hashing and a table is as long as its shard's peak
+//!   number of live inodes. Directory entries hold each name inline in their
+//!   directory's map ([`Name`]), with no table of names beside them. New
+//!   *file* ids are allocated from their parent directory's shard; new
+//!   *directory* ids are spread by hashing `(parent, name)` so a deep tree
+//!   doesn't collapse into the root's shard.
 //!
-//! * **Epoch-snapshot reads.** Every mutation is stamped from a global
-//!   counter and published in stamp order to a `visible` epoch. A reader can
-//!   [`pin`] the current epoch and see a point-in-time namespace regardless
-//!   of concurrent mutations: mutators that run while a pin is registered
-//!   preserve the displaced version of each inode they touch in a per-slot
-//!   history chain (copy-on-write at inode granularity). When no pin is
-//!   registered — the common case on the hot path — mutations write in
-//!   place and the structure behaves like the legacy tree plus a lock.
+//! * **One owner.** A node owns its namespace and one thread drives the
+//!   node, so nothing here is locked: the public API takes `&self`, and the
+//!   shards, the resolution cache and the counters sit in `RefCell`s and
+//!   `Cell`s. The type is `Send`, not `Sync`. The newest state is the
+//!   published one, so a live read needs no pin.
 //!
-//! * **Deterministic multi-shard lock order.** Ops that touch several shards
-//!   (mkdir, cross-directory file rename) lock them in ascending shard-index
-//!   order; structural subtree ops (directory rename, recursive delete) take
-//!   every shard — the namespace-level analogue of the paper's "structural
-//!   operations are distributed transactions". Path readers never hold two
-//!   shard locks at once (each path step locks exactly one shard), and the
-//!   two readers that visit the whole namespace — the image encoder and the
-//!   delta fold, through [`LockedShards`] — read-lock every shard in the
-//!   same ascending order, so neither can deadlock against the writers.
+//! * **Epoch-snapshot reads.** Every mutation takes a stamp from one
+//!   counter. A reader can [`pin`] the last stamp and see a point-in-time
+//!   namespace while mutations proceed: a mutation that runs while a pin is
+//!   registered preserves the displaced version of each inode it touches in
+//!   a per-slot history chain (copy-on-write at inode granularity). With no
+//!   pin registered — the common case — mutations write in place. The pins
+//!   are a multiset of epochs without a cap; the oldest is the watermark, and
+//!   dropping a view removes one copy of its epoch.
 //!
-//! * **One descent per directory map.** A mutation resolves without the
-//!   write locks (the cache probe or the walk, then for delete and rename
-//!   the child's id and kind under a read lock), takes its write locks —
-//!   one or two shards held inline, every shard for a subtree op — checks
-//!   kinds on the slots, and then touches each directory's map once through
-//!   `entry`: create and mkdir insert if vacant, delete removes if the name
-//!   still binds the resolved id, rename claims the vacant destination and
-//!   removes the matching source (two descents when both are one map),
-//!   undoing the claim if the source went stale. The directory is opened for
-//!   writing *before* that descent, so an op it refuses or finds stale has
-//!   taken a stamp and, under a pin, displaced a copy equal to the newest
-//!   version: it publishes the stamp, no reader pinned or not sees a
-//!   difference, no inode id is spent, and the copy goes with the next
-//!   unpinned write of the slot (see `Slot::open`).
-//!
-//! ### Pin/mutator protocol
-//!
-//! The correctness pivot is the race between a mutator deciding "no pins ⇒
-//! in-place write is safe" and a reader concurrently registering a pin at an
-//! epoch that still needs the displaced version. A `gate: RwLock<()>` closes
-//! it: every mutator holds `gate.read()` from before its first write until
-//! after it publishes its stamp; a pin registers under `gate.write()`. Pin
-//! registration therefore sees a quiescent namespace (`visible` equals the
-//! latest allocated stamp) and any mutator that starts afterwards observes
-//! the registered pin and copies on write. Unpinning is a plain atomic store
-//! — a mutator that still sees a dying pin merely preserves a version nobody
-//! reads, which the lazy pruning below reclaims.
+//! * **One pass per op.** A mutation resolves its parent directory (the
+//!   cache probe or the walk), then borrows the shards once and touches each
+//!   directory's map once through `entry`, checking in the reference tree's
+//!   error order as it goes: create and mkdir insert if vacant; delete
+//!   removes the name and then looks at what it bound, putting it back if
+//!   that is a populated directory and the delete is not recursive; rename
+//!   removes the source and claims the vacant destination, putting the
+//!   source back if the destination is refused (two descents when both are
+//!   one map). Nothing can change between resolution and mutation, so
+//!   nothing is revalidated. The directory is opened for writing *before*
+//!   that descent, so an op it refuses has taken a stamp and, under a pin,
+//!   displaced a copy equal to the newest version: no reader pinned or not
+//!   sees a difference, no inode id is spent, and the copy goes with the
+//!   next unpinned write of the slot (see `Slot::open`). The single-inode
+//!   ops (`add_block`, `close_file`, `set_perm`) check the inode as it
+//!   stands first, and a refused one takes no stamp.
 //!
 //! Version chains are pruned on the next write to a slot once the pins that
-//! needed them are gone; deletions performed while a pin was active leave
-//! tombstones that each shard sweeps at the start of a later mutation. A
-//! slot's index is reused only once it is freed — at the delete when no pin
-//! is registered, at the sweep otherwise — so no pinned reader ever finds
-//! another inode where the one it pinned was.
+//! needed them are gone; deletions performed while a pin was registered
+//! leave tombstones that each shard sweeps at the start of a later mutation.
+//! A slot's index is reused only once it is freed — at the delete when no
+//! pin is registered, at the sweep otherwise — so no pinned reader ever
+//! finds another inode where the one it pinned was.
 //!
 //! ### Replay parity
 //!
@@ -89,10 +71,9 @@
 //! [`pin`]: ShardedNamespace::pin
 //! [`fingerprint`]: ShardedNamespace::fingerprint
 
+use std::cell::{Cell, Ref, RefCell};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use mams_journal::{Sn, Txn};
 
@@ -103,17 +84,13 @@ use crate::path::{self, PathError};
 use crate::retry::RetryWindow;
 use crate::tree::{NamespaceTree, NsError};
 
-/// Mutation stamp: allocated per mutation, published in order to `visible`.
+/// Mutation stamp: taken per mutation from one counter.
 pub type Stamp = u64;
 
 /// Default shard count (power of two).
 pub const DEFAULT_SHARDS: usize = 16;
 /// The most shards a namespace can be built with.
 pub const MAX_SHARDS: usize = 256;
-/// Concurrent snapshot-pin capacity; `pin` waits for a free slot beyond it.
-const MAX_PINS: usize = 32;
-/// Sentinel for an unoccupied pin slot.
-const PIN_EMPTY: u64 = u64::MAX;
 /// Per-shard resolution-cache bound, in entries.
 const SHARD_CACHE_CAP: usize = 1 << 10;
 /// Entries per cache set. A path's hash picks one set; a full set replaces
@@ -176,12 +153,11 @@ impl Slot {
     /// Idempotent per stamp, so one op may touch a slot twice.
     ///
     /// A directory is opened *before* its one descent says whether the op
-    /// goes through, so an op refused there (the name is taken, the
-    /// directory is not empty) or found stale has opened the slot and
-    /// written nothing: every reader sees what it saw, a pinned one through
-    /// a displaced copy equal to the newest version, which the next unpinned
-    /// write clears like any other. Such an op publishes its stamp all the
-    /// same — a stamp taken and never published would stop `visible` for good.
+    /// goes through, so an op refused there (the name is taken or missing,
+    /// the directory is not empty) has opened the slot and, once it has put
+    /// back what it took out, written nothing: every reader sees what it saw,
+    /// a pinned one through a displaced copy equal to the newest version,
+    /// which the next unpinned write clears like any other.
     fn open(&mut self, stamp: Stamp, keep: Option<Stamp>) -> &mut Option<Inode> {
         if self.stamp == stamp {
             return &mut self.node;
@@ -202,7 +178,7 @@ impl Slot {
     }
 }
 
-/// Mutable per-shard state, behind the shard's `RwLock`.
+/// One shard's slot table and what frees and reuses its slots.
 #[derive(Debug, Default)]
 struct ShardState {
     /// The slot table: id `g << GEN_SHIFT | i << shift | shard` is
@@ -275,9 +251,22 @@ impl ShardState {
     }
 }
 
-#[derive(Debug)]
-struct Shard {
-    state: RwLock<ShardState>,
+/// The version of `id` visible at `epoch` (newest when `None`). The shard
+/// count is a power of two.
+fn inode_at(shards: &[ShardState], id: InodeId, epoch: Option<Stamp>) -> Option<&Inode> {
+    shards[(id as usize) & (shards.len() - 1)].get(id)?.view(epoch)
+}
+
+/// From-root component walk at `epoch`.
+fn walk(shards: &[ShardState], p: &str, epoch: Option<Stamp>) -> Option<InodeId> {
+    let mut cur = ROOT_ID;
+    for comp in path::components(p) {
+        match inode_at(shards, cur, epoch)? {
+            Inode::Directory { children, .. } => cur = child(children, comp)?,
+            Inode::File { .. } => return None,
+        }
+    }
+    Some(cur)
 }
 
 /// A directory path hashed once — the hash picks the cache shard and the set
@@ -300,6 +289,11 @@ impl CacheKey<'_> {
     }
 }
 
+/// A resolved parent directory and, when its lookup walked, the key a
+/// mutation that goes through binds it under (see
+/// [`ShardedNamespace::cache_put`]).
+type Parent<'p> = (InodeId, Option<CacheKey<'p>>);
+
 /// One cached binding `path → directory id`, inserted by the mutation
 /// stamped `stamp` while the cache generation was `gen`. `gen == 0` is an
 /// empty way: the generation counter starts at 1.
@@ -321,8 +315,7 @@ impl CacheEntry {
 /// One shard of the path → directory-id resolution cache (sharded by path
 /// hash, independently of the inode shards): [`CACHE_SETS`] sets of
 /// [`CACHE_WAYS`] entries. Only directories are cached, and only by a
-/// mutation holding the write lock of the directory's inode shard, having
-/// seen the directory live there.
+/// mutation that has seen the directory live.
 ///
 /// An entry of the current generation is a live binding. Removing an *empty*
 /// directory drops exactly its own key — it has no cached descendants,
@@ -333,35 +326,35 @@ impl CacheEntry {
 /// `E` additionally needs `stamp ≤ E`: the binding has held continuously from
 /// the stamp to now, which covers `E`.
 struct CacheShard {
-    ways: Mutex<Box<[CacheEntry]>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    ways: Box<[CacheEntry]>,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
 impl CacheShard {
     fn new() -> CacheShard {
-        CacheShard {
-            ways: Mutex::new((0..SHARD_CACHE_CAP).map(|_| CacheEntry::default()).collect()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+        let ways = (0..SHARD_CACHE_CAP).map(|_| CacheEntry::default()).collect();
+        CacheShard { ways, hits: 0, misses: 0, evictions: 0 }
     }
 
-    /// Probe for `k` at `epoch`. Contended probes count as misses
-    /// (`try_lock`): the reader falls back to the walk rather than blocking.
-    fn get(&self, k: &CacheKey<'_>, epoch: Option<Stamp>) -> Option<InodeId> {
-        let ways = self.ways.try_lock().ok()?;
-        let e = ways[k.set()].iter().find(|e| e.holds(k))?;
-        epoch.is_none_or(|at| e.stamp <= at).then_some(e.id)
+    /// Probe for `k` at `epoch`, counting the hit or the miss.
+    fn get(&mut self, k: &CacheKey<'_>, epoch: Option<Stamp>) -> Option<InodeId> {
+        let found = self.ways[k.set()]
+            .iter()
+            .find(|e| e.holds(k) && epoch.is_none_or(|at| e.stamp <= at))
+            .map(|e| e.id);
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
+        found
     }
 
     /// Bind `k → id` as of `stamp`, into a dead way when the set has one and
     /// over its oldest binding otherwise.
-    fn put(&self, k: &CacheKey<'_>, id: InodeId, stamp: Stamp) {
-        let mut ways = self.ways.lock().expect("cache shard lock poisoned");
-        let set = &mut ways[k.set()];
+    fn put(&mut self, k: &CacheKey<'_>, id: InodeId, stamp: Stamp) {
+        let set = &mut self.ways[k.set()];
         if let Some(e) = set.iter().find(|e| e.holds(k)) {
             // Keep the older entry: the binding is unchanged and the older
             // stamp serves more pinned epochs.
@@ -371,7 +364,7 @@ impl CacheShard {
         let victim = match set.iter().position(|e| e.gen != k.gen) {
             Some(dead) => dead,
             None => {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.evictions += 1;
                 (0..CACHE_WAYS).min_by_key(|&i| set[i].stamp).expect("CACHE_WAYS > 0")
             }
         };
@@ -379,21 +372,10 @@ impl CacheShard {
     }
 
     /// Drop the binding for `k`, if cached.
-    fn remove(&self, k: &CacheKey<'_>) {
-        let mut ways = self.ways.lock().expect("cache shard lock poisoned");
-        if let Some(e) = ways[k.set()].iter_mut().find(|e| e.holds(k)) {
+    fn remove(&mut self, k: &CacheKey<'_>) {
+        if let Some(e) = self.ways[k.set()].iter_mut().find(|e| e.holds(k)) {
             *e = CacheEntry::default();
         }
-    }
-}
-
-impl std::fmt::Debug for CacheShard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CacheShard")
-            .field("hits", &self.hits.load(Ordering::Relaxed))
-            .field("misses", &self.misses.load(Ordering::Relaxed))
-            .field("evictions", &self.evictions.load(Ordering::Relaxed))
-            .finish()
     }
 }
 
@@ -408,45 +390,20 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// The write guards of one mutation, taken in ascending shard order (the
-/// deterministic multi-shard lock order). An op on one or two directories
-/// holds its guards here, inline; only a subtree op, which takes every
-/// shard, allocates for them.
-enum Locked<'a> {
-    One(usize, RwLockWriteGuard<'a, ShardState>),
-    Two([(usize, RwLockWriteGuard<'a, ShardState>); 2]),
-    All(Vec<RwLockWriteGuard<'a, ShardState>>),
-}
-
-impl Locked<'_> {
-    fn get(&mut self, shard: usize) -> &mut ShardState {
-        match self {
-            Locked::One(k, g) if *k == shard => g,
-            Locked::Two([(k, g), _]) if *k == shard => g,
-            Locked::Two([_, (k, g)]) if *k == shard => g,
-            Locked::All(guards) => &mut guards[shard],
-            _ => panic!("op touched shard {shard}, outside its lock set"),
-        }
-    }
-}
-
-/// Every shard read-locked at once, for a reader that visits the whole
+/// Every shard read at one epoch, for a reader that visits the whole
 /// namespace by inode id: the image encoder at a pinned epoch, the delta
-/// fold at the newest state (`epoch: None`, which the held locks keep
-/// still). One lock acquisition per shard instead of one per inode; taken in
-/// ascending shard order, like the writers' lock sets, so the two cannot
-/// deadlock. Mutators wait while it lives — hold it for one pass, not for
-/// the life of a pin.
-pub struct LockedShards<'a> {
-    guards: Box<[RwLockReadGuard<'a, ShardState>]>,
+/// fold at the newest state (`epoch: None`). It holds the shards borrowed,
+/// so nothing mutates while it lives — hold it for one pass, not for the
+/// life of a pin.
+pub struct ShardsAt<'a> {
+    shards: Ref<'a, [ShardState]>,
     epoch: Option<Stamp>,
     counts: (u64, u64),
 }
 
-impl InodeSource for LockedShards<'_> {
+impl InodeSource for ShardsAt<'_> {
     fn inode(&self, id: InodeId) -> Option<&Inode> {
-        // The shard count is a power of two.
-        self.guards[(id as usize) & (self.guards.len() - 1)].get(id)?.view(self.epoch)
+        inode_at(&self.shards, id, self.epoch)
     }
 
     fn counts(&self) -> (u64, u64) {
@@ -454,34 +411,31 @@ impl InodeSource for LockedShards<'_> {
     }
 }
 
-/// The sharded, concurrently-usable namespace. All operations take `&self`;
-/// the structure is `Sync` and is shared across shard workers and reader
-/// threads without external locking.
+/// The sharded namespace. All operations take `&self`, and the one thread
+/// that owns it runs them one at a time: the structure is `Send`, not
+/// `Sync`.
 pub struct ShardedNamespace {
-    shards: Box<[Shard]>,
-    cache: Box<[CacheShard]>,
+    shards: RefCell<Box<[ShardState]>>,
+    cache: RefCell<Box<[CacheShard]>>,
     /// Resolution-cache generation (starts at 1): entries of an earlier
-    /// generation are dead. Bumped by subtree moves, under every shard lock.
-    cache_gen: AtomicU64,
+    /// generation are dead. Bumped by subtree moves.
+    cache_gen: Cell<u64>,
     mask: usize,
-    /// Pin/mutator coordination gate (see module docs): mutators hold it
-    /// shared across apply+publish, pin registration takes it exclusively.
-    gate: RwLock<()>,
-    next_stamp: AtomicU64,
-    visible: AtomicU64,
-    pins_active: AtomicUsize,
-    pin_slots: Box<[AtomicU64]>,
-    num_files: AtomicU64,
-    num_dirs: AtomicU64,
+    /// The last stamp taken: the epoch a pin registered now reads.
+    last_stamp: Cell<Stamp>,
+    /// The epochs of the live views, one entry per view.
+    pins: RefCell<Vec<Stamp>>,
+    num_files: Cell<u64>,
+    num_dirs: Cell<u64>,
 }
 
 impl std::fmt::Debug for ShardedNamespace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedNamespace")
-            .field("shards", &self.shards.len())
+            .field("shards", &(self.mask + 1))
             .field("num_files", &self.num_files())
             .field("num_dirs", &self.num_dirs())
-            .field("visible", &self.visible.load(Ordering::Relaxed))
+            .field("last_stamp", &self.last_stamp.get())
             .finish()
     }
 }
@@ -503,27 +457,28 @@ impl ShardedNamespace {
     /// `1..=`[`MAX_SHARDS`]).
     pub fn with_shards(n: usize) -> Self {
         let n = n.clamp(1, MAX_SHARDS).next_power_of_two();
-        let mut shards = Vec::with_capacity(n);
-        for k in 0..n {
-            let mut st =
-                ShardState { shard: k as u64, shift: n.trailing_zeros(), ..ShardState::default() };
-            if k == 0 {
-                st.take(0, Inode::new_dir()); // ROOT_ID: index 0, generation 0
-            }
-            shards.push(Shard { state: RwLock::new(st) });
-        }
+        let shards = (0..n)
+            .map(|k| {
+                let mut st = ShardState {
+                    shard: k as u64,
+                    shift: n.trailing_zeros(),
+                    ..ShardState::default()
+                };
+                if k == 0 {
+                    st.take(0, Inode::new_dir()); // ROOT_ID: index 0, generation 0
+                }
+                st
+            })
+            .collect();
         ShardedNamespace {
-            shards: shards.into_boxed_slice(),
-            cache: (0..n).map(|_| CacheShard::new()).collect(),
-            cache_gen: AtomicU64::new(1),
+            shards: RefCell::new(shards),
+            cache: RefCell::new((0..n).map(|_| CacheShard::new()).collect()),
+            cache_gen: Cell::new(1),
             mask: n - 1,
-            gate: RwLock::new(()),
-            next_stamp: AtomicU64::new(0),
-            visible: AtomicU64::new(0),
-            pins_active: AtomicUsize::new(0),
-            pin_slots: (0..MAX_PINS).map(|_| AtomicU64::new(PIN_EMPTY)).collect(),
-            num_files: AtomicU64::new(0),
-            num_dirs: AtomicU64::new(0),
+            last_stamp: Cell::new(0),
+            pins: RefCell::default(),
+            num_files: Cell::new(0),
+            num_dirs: Cell::new(0),
         }
     }
 
@@ -566,10 +521,10 @@ impl ShardedNamespace {
     /// create or mkdir would place it: a file in its parent's shard, a
     /// directory in `dir_home`'s, each through `ShardState::take`. For a
     /// namespace being built before anyone reads it — the image decoder,
-    /// [`from_tree`](Self::from_tree) — so no gate, stamp or cache entry:
-    /// what it loads is in every epoch, and no table has a hole. A parent
-    /// that is not a live directory and a repeated name are refused, as an
-    /// attach under the locks refuses them.
+    /// [`from_tree`](Self::from_tree) — so no stamp or cache entry: what it
+    /// loads is in every epoch, and no table has a hole. A parent that is
+    /// not a live directory and a repeated name are refused, as an attach
+    /// refuses them.
     pub(crate) fn load(
         &mut self,
         parent: InodeId,
@@ -579,11 +534,12 @@ impl ShardedNamespace {
         debug_assert!(!matches!(&node, Inode::Directory { children, .. } if !children.is_empty()));
         let is_dir = node.is_dir();
         let home = if is_dir { self.dir_home(parent, name) } else { self.shard_of(parent) };
-        let id = self.state_mut(home).next_id();
-        let st = self.state_mut(self.shard_of(parent));
-        Self::check_parent(st.get(parent), name)?;
-        Self::link(Self::open_dir(st, parent, 0, None), name, id, name)?;
-        self.state_mut(home).take(0, node);
+        let pk = self.shard_of(parent);
+        let shards = self.shards.get_mut();
+        let id = shards[home].next_id();
+        Self::check_parent(shards[pk].get(parent), name)?;
+        Self::link(Self::open_dir(&mut shards[pk], parent, 0, None), name, id, name)?;
+        shards[home].take(0, node);
         let count = if is_dir { &mut self.num_dirs } else { &mut self.num_files };
         *count.get_mut() += 1;
         Ok(id)
@@ -592,12 +548,8 @@ impl ShardedNamespace {
     /// Set the root's permission bits while the namespace is being loaded
     /// (see [`load`](Self::load)).
     pub(crate) fn set_root_perm(&mut self, perm: u16) {
-        self.state_mut(0).slots[0].node.as_mut().expect("the root is live").set_perm(perm);
-    }
-
-    /// Shard `k`'s state, reached through exclusive access: no lock taken.
-    fn state_mut(&mut self, k: usize) -> &mut ShardState {
-        self.shards[k].state.get_mut().expect("shard lock poisoned")
+        let root = self.shards.get_mut()[0].slots[0].node.as_mut();
+        root.expect("the root is live").set_perm(perm);
     }
 
     /// Flatten the newest versions into a legacy tree (ids are preserved).
@@ -606,8 +558,7 @@ impl ShardedNamespace {
     pub fn to_tree(&self) -> NamespaceTree {
         let mut inodes = HashMap::with_capacity((self.num_files() + self.num_dirs() + 1) as usize);
         let mut next_id: InodeId = 1;
-        for shard in self.shards.iter() {
-            let st = shard.state.read().unwrap();
+        for st in self.shards.borrow().iter() {
             for (i, slot) in st.slots.iter().enumerate() {
                 if let Some(node) = slot.latest() {
                     let id = st.id(i, slot.gen);
@@ -621,12 +572,12 @@ impl ShardedNamespace {
 
     /// Number of files.
     pub fn num_files(&self) -> u64 {
-        self.num_files.load(Ordering::Relaxed)
+        self.num_files.get()
     }
 
     /// Number of directories, excluding the root.
     pub fn num_dirs(&self) -> u64 {
-        self.num_dirs.load(Ordering::Relaxed)
+        self.num_dirs.get()
     }
 
     /// Displaced versions still chained behind live inodes for pinned
@@ -634,26 +585,19 @@ impl ShardedNamespace {
     /// once every pin is gone this falls to 0 as the inodes are next
     /// written.
     pub fn displaced_versions(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let st = s.state.read().expect("shard lock poisoned");
-                st.slots.iter().filter(|s| s.node.is_some()).map(|s| s.hist.len()).sum::<usize>()
-            })
-            .sum()
+        let shards = self.shards.borrow();
+        let live = shards.iter().flat_map(|st| st.slots.iter()).filter(|s| s.node.is_some());
+        live.map(|s| s.hist.len()).sum()
     }
 
     /// Resolution-cache counters summed over shards (`bench_e2e` reports
     /// them as `namespace.cache_hit_ratio`).
     pub fn cache_stats(&self) -> CacheStats {
-        let mut s = CacheStats {
-            flushes: self.cache_gen.load(Ordering::Relaxed) - 1,
-            ..CacheStats::default()
-        };
-        for c in self.cache.iter() {
-            s.hits += c.hits.load(Ordering::Relaxed);
-            s.misses += c.misses.load(Ordering::Relaxed);
-            s.evictions += c.evictions.load(Ordering::Relaxed);
+        let mut s = CacheStats { flushes: self.cache_gen.get() - 1, ..CacheStats::default() };
+        for c in self.cache.borrow().iter() {
+            s.hits += c.hits;
+            s.misses += c.misses;
+            s.evictions += c.evictions;
         }
         s
     }
@@ -686,44 +630,21 @@ impl ShardedNamespace {
     }
 
     fn alloc_stamp(&self) -> Stamp {
-        self.next_stamp.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Publish `s` once every earlier stamp is visible. Called after the
-    /// shard locks are dropped but while the gate is still held shared.
-    fn publish(&self, s: Stamp) {
-        let mut spins = 0u32;
-        while self.visible.load(Ordering::Acquire) != s - 1 {
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        self.visible.store(s, Ordering::Release);
+        let s = self.last_stamp.get() + 1;
+        self.last_stamp.set(s);
+        s
     }
 
     /// Oldest registered pin epoch, or `None` when no snapshot is pinned
     /// (the in-place fast path).
     fn watermark(&self) -> Option<Stamp> {
-        if self.pins_active.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let mut w = None;
-        for s in self.pin_slots.iter() {
-            let v = s.load(Ordering::Acquire);
-            if v != PIN_EMPTY {
-                w = Some(w.map_or(v, |x: u64| x.min(v)));
-            }
-        }
-        w
+        self.pins.borrow().iter().min().copied()
     }
 
     /// Free tombstoned slots once no pin can see them. Runs at the start
     /// of mutations on shards that accumulated tombstones.
     fn sweep(&self, st: &mut ShardState) {
-        if st.dead.is_empty() || self.pins_active.load(Ordering::Acquire) != 0 {
+        if st.dead.is_empty() || !self.pins.borrow().is_empty() {
             return;
         }
         while let Some(id) = st.dead.pop() {
@@ -733,34 +654,12 @@ impl ShardedNamespace {
         }
     }
 
-    /// Write-lock shards `a` and `b` — one lock when they are the same.
-    fn lock_set(&self, a: usize, b: usize) -> Locked<'_> {
-        let lock = |k: usize| (k, self.shards[k].state.write().expect("shard lock poisoned"));
-        let (lo, hi) = (a.min(b), a.max(b));
-        let first = lock(lo);
-        if lo == hi {
-            Locked::One(first.0, first.1)
-        } else {
-            Locked::Two([first, lock(hi)])
-        }
-    }
-
-    fn lock_all(&self) -> Locked<'_> {
-        Locked::All(
-            self.shards.iter().map(|s| s.state.write().expect("shard lock poisoned")).collect(),
-        )
-    }
-
-    /// Read-lock every shard for a by-id reader at `epoch` (newest when
-    /// `None`); see [`LockedShards`]. The counts are the newest ones — a
-    /// sizing hint, exact when nothing has mutated since `epoch`.
-    pub(crate) fn lock_shards(&self, epoch: Option<Stamp>) -> LockedShards<'_> {
-        LockedShards {
-            guards: self
-                .shards
-                .iter()
-                .map(|s| s.state.read().expect("shard lock poisoned"))
-                .collect(),
+    /// Every shard at `epoch` (newest when `None`); see [`ShardsAt`]. The
+    /// counts are the newest ones — a sizing hint, exact when nothing has
+    /// mutated since `epoch`.
+    pub(crate) fn shards_at(&self, epoch: Option<Stamp>) -> ShardsAt<'_> {
+        ShardsAt {
+            shards: Ref::map(self.shards.borrow(), |s| &**s),
             epoch,
             counts: (self.num_files(), self.num_dirs()),
         }
@@ -769,25 +668,20 @@ impl ShardedNamespace {
     /// Hash `dir` for the cache and read the generation a binding resolved
     /// from here on may be inserted under. Take the key *before* resolving.
     fn cache_key<'p>(&self, dir: &'p str) -> CacheKey<'p> {
-        CacheKey {
-            path: dir,
-            hash: fnv1a64(dir.as_bytes()),
-            gen: self.cache_gen.load(Ordering::Acquire),
-        }
+        CacheKey { path: dir, hash: fnv1a64(dir.as_bytes()), gen: self.cache_gen.get() }
     }
 
-    fn cache_shard(&self, k: &CacheKey<'_>) -> &CacheShard {
-        &self.cache[(k.hash as usize) & self.mask]
+    fn cache_shard(&self, k: &CacheKey<'_>) -> usize {
+        (k.hash as usize) & self.mask
     }
 
-    /// Record `k → id`. Mutation paths only, while holding the write lock of
-    /// `id`'s inode shard and having seen `id` live there: removing or moving
-    /// a directory takes that lock too, so a binding is never inserted behind
-    /// its own invalidation.
+    /// Record `k → id`. Mutation paths only, having seen `id` a live
+    /// directory: removing or moving a directory updates the cache after it,
+    /// so a binding is never inserted behind its own invalidation.
     fn cache_put(&self, k: &CacheKey<'_>, id: InodeId, stamp: Stamp) {
         // A key taken before a flush would be dead on arrival.
-        if k.gen == self.cache_gen.load(Ordering::Acquire) {
-            self.cache_shard(k).put(k, id, stamp);
+        if k.gen == self.cache_gen.get() {
+            self.cache.borrow_mut()[self.cache_shard(k)].put(k, id, stamp);
         }
     }
 
@@ -795,13 +689,12 @@ impl ShardedNamespace {
     /// beneath it (see [`CacheShard`]).
     fn cache_remove(&self, p: &str) {
         let k = self.cache_key(p);
-        self.cache_shard(&k).remove(&k);
+        self.cache.borrow_mut()[self.cache_shard(&k)].remove(&k);
     }
 
-    /// A subtree moved or disappeared: retire every cached binding. Called
-    /// under every shard lock, so no insert is in flight.
+    /// A subtree moved or disappeared: retire every cached binding.
     fn cache_flush(&self) {
-        self.cache_gen.fetch_add(1, Ordering::AcqRel);
+        self.cache_gen.set(self.cache_gen.get() + 1);
     }
 
     /// Read the version of `id` visible at `epoch` (newest when `None`).
@@ -811,73 +704,23 @@ impl ShardedNamespace {
         epoch: Option<Stamp>,
         f: impl FnOnce(&Inode) -> R,
     ) -> Option<R> {
-        let st = self.shards[self.shard_of(id)].state.read().unwrap();
-        st.get(id).and_then(|s| s.view(epoch)).map(f)
-    }
-
-    /// From-root component walk at `epoch`. One shard read lock per step —
-    /// readers never hold two shard locks at once.
-    fn walk(&self, p: &str, epoch: Option<Stamp>) -> Option<InodeId> {
-        let mut cur = ROOT_ID;
-        for comp in path::components(p) {
-            let st = self.shards[self.shard_of(cur)].state.read().unwrap();
-            match st.get(cur)?.view(epoch)? {
-                Inode::Directory { children, .. } => cur = child(children, comp)?,
-                Inode::File { .. } => return None,
-            }
-        }
-        Some(cur)
+        inode_at(&self.shards.borrow(), id, epoch).map(f)
     }
 
     /// Resolve the validated directory path `dir` at `epoch`: one hash, one
     /// cache probe, and the walk from the root when that misses. A walked
-    /// answer comes back with its key, for the mutation that goes on to lock
-    /// the directory's shard to bind (see [`cache_put`](Self::cache_put)).
-    /// Maintains the hit/miss counters; the root costs no lookup and counts
-    /// as neither.
-    fn lookup_dir<'p>(
-        &self,
-        dir: &'p str,
-        epoch: Option<Stamp>,
-    ) -> Option<(InodeId, Option<CacheKey<'p>>)> {
+    /// answer comes back with its key, for the mutation that goes on to bind
+    /// it (see [`cache_put`](Self::cache_put)). Maintains the hit/miss
+    /// counters; the root costs no lookup and counts as neither.
+    fn lookup_dir<'p>(&self, dir: &'p str, epoch: Option<Stamp>) -> Option<Parent<'p>> {
         if dir == "/" {
             return Some((ROOT_ID, None));
         }
         let k = self.cache_key(dir);
-        let cs = self.cache_shard(&k);
-        if let Some(id) = cs.get(&k, epoch) {
-            cs.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(id) = self.cache.borrow_mut()[self.cache_shard(&k)].get(&k, epoch) {
             return Some((id, None));
         }
-        cs.misses.fetch_add(1, Ordering::Relaxed);
-        self.walk(dir, epoch).map(|id| (id, Some(k)))
-    }
-
-    /// The child `name` of directory `dir_id` at `epoch`.
-    fn child_of(&self, dir_id: InodeId, name: &str, epoch: Option<Stamp>) -> Option<InodeId> {
-        self.with_node(dir_id, epoch, |n| match n {
-            Inode::Directory { children, .. } => child(children, name),
-            Inode::File { .. } => None,
-        })
-        .flatten()
-    }
-
-    /// The newest child `name` of directory `dir_id` and whether it is a
-    /// directory — what delete and rename choose their lock set from. One
-    /// read lock when the child lives in its parent's shard (every file
-    /// does), as in [`getfileinfo`](Self::getfileinfo).
-    fn child_kind(&self, dir_id: InodeId, name: &str) -> Option<(InodeId, bool)> {
-        let pk = self.shard_of(dir_id);
-        let st = self.shards[pk].state.read().expect("shard lock poisoned");
-        let Inode::Directory { children, .. } = st.get(dir_id)?.latest()? else {
-            return None;
-        };
-        let id = child(children, name)?;
-        if self.shard_of(id) == pk {
-            return Some((id, st.get(id)?.latest()?.is_dir()));
-        }
-        drop(st);
-        Some((id, self.with_node(id, None, Inode::is_dir)?))
+        walk(&self.shards.borrow(), dir, epoch).map(|id| (id, Some(k)))
     }
 
     /// Resolve a validated path at `epoch` through its parent directory's
@@ -886,25 +729,28 @@ impl ShardedNamespace {
     fn resolve(&self, p: &str, epoch: Option<Stamp>) -> Option<InodeId> {
         let Some((dir, name)) = path::split(p) else { return Some(ROOT_ID) };
         let (pid, _) = self.lookup_dir(dir, epoch)?;
-        self.child_of(pid, name, epoch)
+        match inode_at(&self.shards.borrow(), pid, epoch)? {
+            Inode::Directory { children, .. } => child(children, name),
+            Inode::File { .. } => None,
+        }
     }
 
     /// Classify a failed parent resolution the way the legacy tree does:
     /// a file somewhere along the chain is `ParentNotDirectory`, anything
     /// else `ParentNotFound`.
-    fn parent_missing_error(&self, p: &str, parent: &str, epoch: Option<Stamp>) -> NsError {
-        if self.chain_has_file(parent, epoch) {
+    fn parent_missing_error(&self, p: &str, parent: &str) -> NsError {
+        if self.chain_has_file(parent) {
             NsError::ParentNotDirectory(p.to_string())
         } else {
             NsError::ParentNotFound(p.to_string())
         }
     }
 
-    fn chain_has_file(&self, p: &str, epoch: Option<Stamp>) -> bool {
+    fn chain_has_file(&self, p: &str) -> bool {
+        let shards = self.shards.borrow();
         let mut cur = ROOT_ID;
         for comp in path::components(p) {
-            let st = self.shards[self.shard_of(cur)].state.read().unwrap();
-            match st.get(cur).and_then(|s| s.view(epoch)) {
+            match inode_at(&shards, cur, None) {
                 Some(Inode::Directory { children, .. }) => match child(children, comp) {
                     Some(id) => cur = id,
                     None => return false,
@@ -913,7 +759,7 @@ impl ShardedNamespace {
                 None => return false,
             }
         }
-        self.with_node(cur, epoch, Inode::is_file).unwrap_or(false)
+        inode_at(&shards, cur, None).is_some_and(Inode::is_file)
     }
 
     fn info_of(p: &str, node: &Inode) -> FileInfo {
@@ -940,48 +786,37 @@ impl ShardedNamespace {
     }
 
     // ------------------------------------------------------------------
-    // Reads (newest-version path; snapshot reads live on SnapshotView)
+    // Reads (newest state here; a pinned view reads its epoch)
     // ------------------------------------------------------------------
 
-    /// `getfileinfo`: read-only metadata lookup against the newest published
-    /// state. When the target is co-located in its parent's shard (the
-    /// file-create layout), the whole read is one cache probe plus one shard
-    /// read lock.
-    pub fn getfileinfo(&self, p: &str) -> Result<FileInfo, NsError> {
+    /// `getfileinfo` at `epoch` (newest when `None`).
+    fn info_at(&self, p: &str, epoch: Option<Stamp>) -> Result<FileInfo, NsError> {
         path::validate(p)?;
-        let missing = || NsError::NotFound(p.to_string());
-        let Some((dir, name)) = path::split(p) else {
-            return self.with_node(ROOT_ID, None, |n| Self::info_of(p, n)).ok_or_else(missing);
-        };
-        let (pid, _) = self.lookup_dir(dir, None).ok_or_else(missing)?;
-        let pk = self.shard_of(pid);
-        let st = self.shards[pk].state.read().unwrap();
-        let id = match st.get(pid).and_then(Slot::latest) {
-            Some(Inode::Directory { children, .. }) => child(children, name).ok_or_else(missing)?,
-            _ => return Err(missing()),
-        };
-        if self.shard_of(id) == pk {
-            return st
-                .get(id)
-                .and_then(Slot::latest)
-                .map(|n| Self::info_of(p, n))
-                .ok_or_else(missing);
-        }
-        drop(st);
-        self.with_node(id, None, |n| Self::info_of(p, n)).ok_or_else(missing)
+        let node = |id| self.with_node(id, epoch, |n| Self::info_of(p, n));
+        self.resolve(p, epoch).and_then(node).ok_or_else(|| NsError::NotFound(p.to_string()))
     }
 
-    /// List child names of a directory (sorted), newest state.
-    pub fn list(&self, p: &str) -> Result<Vec<String>, NsError> {
+    /// `list` at `epoch` (newest when `None`).
+    fn list_at(&self, p: &str, epoch: Option<Stamp>) -> Result<Vec<String>, NsError> {
         path::validate(p)?;
-        let id = self.resolve(p, None).ok_or_else(|| NsError::NotFound(p.to_string()))?;
-        self.with_node(id, None, |n| match n {
+        let id = self.resolve(p, epoch).ok_or_else(|| NsError::NotFound(p.to_string()))?;
+        self.with_node(id, epoch, |n| match n {
             Inode::Directory { children, .. } => {
                 Ok(children.keys().map(|k| k.as_str().to_owned()).collect())
             }
             Inode::File { .. } => Err(NsError::IsFile(p.to_string())),
         })
         .ok_or_else(|| NsError::NotFound(p.to_string()))?
+    }
+
+    /// `getfileinfo`: read-only metadata lookup against the newest state.
+    pub fn getfileinfo(&self, p: &str) -> Result<FileInfo, NsError> {
+        self.info_at(p, None)
+    }
+
+    /// List child names of a directory (sorted), newest state.
+    pub fn list(&self, p: &str) -> Result<Vec<String>, NsError> {
+        self.list_at(p, None)
     }
 
     /// Resolve a path to its inode id (cached fast path, newest state).
@@ -994,7 +829,7 @@ impl ShardedNamespace {
     /// fast path must agree with; does not touch the hit/miss counters).
     pub fn resolve_path_uncached(&self, p: &str) -> Option<InodeId> {
         path::validate(p).ok()?;
-        self.walk(p, None)
+        walk(&self.shards.borrow(), p, None)
     }
 
     /// Whether a path exists in the newest state.
@@ -1007,23 +842,12 @@ impl ShardedNamespace {
     // ------------------------------------------------------------------
 
     /// Pin the current epoch: the returned view reads a frozen namespace
-    /// while mutations proceed underneath. Registration excludes in-flight
-    /// mutators via the gate (see module docs); the view itself never blocks
-    /// mutators and mutators never block it.
+    /// while mutations proceed underneath, which copy what they displace
+    /// until the view is dropped. Any number of views may live at once.
     pub fn pin(&self) -> SnapshotView<'_> {
-        let _g = self.gate.write().unwrap();
-        let slot = loop {
-            match self.pin_slots.iter().position(|s| s.load(Ordering::Acquire) == PIN_EMPTY) {
-                Some(i) => break i,
-                // All pin slots taken: wait for an unpin (which does not
-                // need the gate, so progress is guaranteed).
-                None => std::thread::yield_now(),
-            }
-        };
-        let epoch = self.visible.load(Ordering::Acquire);
-        self.pin_slots[slot].store(epoch, Ordering::SeqCst);
-        self.pins_active.fetch_add(1, Ordering::SeqCst);
-        SnapshotView { ns: self, epoch, slot }
+        let epoch = self.last_stamp.get();
+        self.pins.borrow_mut().push(epoch);
+        SnapshotView { ns: self, epoch }
     }
 
     // ------------------------------------------------------------------
@@ -1031,27 +855,27 @@ impl ShardedNamespace {
     // ------------------------------------------------------------------
 
     /// `create`: make an empty file. The new id comes from the parent's
-    /// shard, so the op locks exactly one shard.
+    /// shard.
     pub fn create(&self, p: &str, replication: u8) -> Result<FileInfo, NsError> {
         path::validate(p)?;
         let (dir, name) = path::split(p).ok_or(NsError::RootImmutable)?;
         // Bare lookup for the candidate parent id; its kind (and the legacy
-        // error precedence) is classified under the write lock, saving a
-        // separate read-locked kind check per create.
+        // error precedence) is classified on the slot, saving a separate
+        // kind check per create.
         let (pid, bind) =
-            self.lookup_dir(dir, None).ok_or_else(|| self.parent_missing_error(p, dir, None))?;
+            self.lookup_dir(dir, None).ok_or_else(|| self.parent_missing_error(p, dir))?;
         self.attach_file(pid, name, replication, p, bind)?;
         Ok(FileInfo::new_file(p, replication))
     }
 
     /// `mkdir`: make a directory (parent must exist). The new id is spread
-    /// across shards, so this locks the parent's shard and the new id's.
+    /// across shards.
     pub fn mkdir(&self, p: &str) -> Result<(), NsError> {
         path::validate(p)?;
         let (dir, name) = path::split(p).ok_or(NsError::RootImmutable)?;
         let new = self.cache_key(p);
         let (pid, bind) =
-            self.lookup_dir(dir, None).ok_or_else(|| self.parent_missing_error(p, dir, None))?;
+            self.lookup_dir(dir, None).ok_or_else(|| self.parent_missing_error(p, dir))?;
         self.attach_dir(pid, name, p, bind, new).map(|_| ())
     }
 
@@ -1078,214 +902,66 @@ impl ShardedNamespace {
     }
 
     /// `delete`: remove a file, or a directory (recursively when asked).
-    /// Returns `(files_removed, dirs_removed)`. Directory deletion takes
-    /// every shard (the subtree may live anywhere); file deletion locks at
-    /// most two.
+    /// Returns `(files_removed, dirs_removed)`.
     pub fn delete(&self, p: &str, recursive: bool) -> Result<(u64, u64), NsError> {
         path::validate(p)?;
         let (dir, name) = path::split(p).ok_or(NsError::RootImmutable)?;
-        let missing = || NsError::NotFound(p.to_string());
-        loop {
-            let (pid, bind) = self.lookup_dir(dir, None).ok_or_else(missing)?;
-            let (id, is_dir) = self.child_kind(pid, name).ok_or_else(missing)?;
-            let _gate = self.gate.read().unwrap();
-            let (pk, ck) = (self.shard_of(pid), self.shard_of(id));
-            let mut locked = if is_dir { self.lock_all() } else { self.lock_set(pk, ck) };
-            // A concurrent structural op may have run since the unlocked
-            // resolution: the child must still be of the kind the lock set
-            // was chosen for, and the parent a live directory.
-            let empty = match locked.get(ck).get(id).and_then(Slot::latest) {
-                Some(Inode::Directory { children, .. }) if is_dir => children.is_empty(),
-                Some(Inode::File { .. }) if !is_dir => true,
-                _ => continue,
-            };
-            if !locked.get(pk).has_live_dir(pid) {
-                continue;
-            }
-            let keep = self.watermark();
-            let s = self.alloc_stamp();
-            let outcome = 'locked: {
-                // Whether the parent still binds `name` to `id` is learnt by
-                // unlinking it: one descent of the parent's map.
-                let children = Self::open_dir(locked.get(pk), pid, s, keep);
-                let Entry::Occupied(bound) = children.entry(Name::from(name)) else {
-                    break 'locked None;
-                };
-                if *bound.get() != id {
-                    break 'locked None;
-                }
-                if is_dir && !empty && !recursive {
-                    break 'locked Some(Err(NsError::NotEmpty(p.to_string())));
-                }
-                bound.remove();
-                let (files, dirs) = if is_dir {
-                    self.drop_subtree(&mut locked, id, s, keep)
-                } else {
-                    Self::bury(locked.get(ck), id, s, keep);
-                    (1, 0)
-                };
-                // Files are never cached; an empty directory is cached under
-                // its own key at most; a populated one takes its subtree
-                // with it.
-                if is_dir && empty {
-                    self.cache_remove(p);
-                } else if is_dir {
-                    self.cache_flush();
-                }
-                if let Some(k) = bind {
-                    self.cache_put(&k, pid, s);
-                }
-                self.num_files.fetch_sub(files, Ordering::Relaxed);
-                self.num_dirs.fetch_sub(dirs, Ordering::Relaxed);
-                Some(Ok((files, dirs)))
-            };
-            drop(locked);
-            self.publish(s);
-            if let Some(done) = outcome {
-                return done;
-            }
-        }
+        let parent = self.lookup_dir(dir, None).ok_or_else(|| NsError::NotFound(p.to_string()))?;
+        self.unlink(parent, name, recursive, p)
     }
 
-    /// `rename`: move `src` to `dst` (which must not exist). File renames
-    /// lock the two parents' shards; directory renames take every shard
-    /// (the subtree's cached paths are retired with the cache generation).
+    /// `rename`: move `src` to `dst` (which must not exist). A directory's
+    /// move retires every cached path with the cache generation.
     pub fn rename(&self, src: &str, dst: &str) -> Result<(), NsError> {
-        self.rename_entry(src, dst).map(|_moved_dir| ())
-    }
-
-    /// [`rename`](Self::rename), answering whether what moved is a directory
-    /// (the replay session keeps its directory handle across a file's move).
-    fn rename_entry(&self, src: &str, dst: &str) -> Result<bool, NsError> {
         path::validate(src)?;
         path::validate(dst)?;
-        let (Some((src_dir, src_name)), Some((dst_dir, dst_name))) =
-            (path::split(src), path::split(dst))
-        else {
-            return Err(NsError::RootImmutable);
+        Self::check_rename(src, dst)?;
+        let (src_dir, src_name) = path::split(src).expect("not the root");
+        let (dst_dir, dst_name) = path::split(dst).expect("not the root");
+        let from =
+            self.lookup_dir(src_dir, None).ok_or_else(|| NsError::NotFound(src.to_string()))?;
+        let to = if dst_dir == src_dir {
+            Ok((from.0, None))
+        } else {
+            self.lookup_dir(dst_dir, None).ok_or_else(|| self.parent_missing_error(dst, dst_dir))
         };
+        self.move_entry(from, src_name, to.map(|parent| (parent, dst_name)), src, dst).map(|_| ())
+    }
+
+    /// What `rename` refuses from its two paths alone, in the legacy tree's
+    /// order.
+    fn check_rename(src: &str, dst: &str) -> Result<(), NsError> {
+        if src == "/" || dst == "/" {
+            return Err(NsError::RootImmutable);
+        }
         if src == dst {
             return Err(NsError::AlreadyExists(dst.to_string()));
         }
         if path::is_strict_descendant(dst, src) {
             return Err(NsError::RenameIntoSelf { src: src.to_string(), dst: dst.to_string() });
         }
-        let missing = || NsError::NotFound(src.to_string());
-        loop {
-            let (src_parent, src_bind) = self.lookup_dir(src_dir, None).ok_or_else(missing)?;
-            let (src_id, src_is_dir) = self.child_kind(src_parent, src_name).ok_or_else(missing)?;
-            let (dst_parent, dst_bind) = if dst_dir == src_dir {
-                (src_parent, None)
-            } else {
-                self.lookup_dir(dst_dir, None)
-                    .ok_or_else(|| self.parent_missing_error(dst, dst_dir, None))?
-            };
-            // Unlocked classification of the destination, in the legacy
-            // tree's error order; the locks below revalidate the clean case.
-            match self.with_node(dst_parent, None, |n| match n {
-                Inode::Directory { children, .. } => Some(child(children, dst_name).is_some()),
-                Inode::File { .. } => None,
-            }) {
-                Some(Some(false)) => {}
-                Some(Some(true)) => return Err(NsError::AlreadyExists(dst.to_string())),
-                Some(None) => return Err(NsError::ParentNotDirectory(dst.to_string())),
-                None => return Err(NsError::ParentNotFound(dst.to_string())),
-            }
-            let _gate = self.gate.read().unwrap();
-            let (sk, dk) = (self.shard_of(src_parent), self.shard_of(dst_parent));
-            let mut locked = if src_is_dir { self.lock_all() } else { self.lock_set(sk, dk) };
-            if !locked.get(sk).has_live_dir(src_parent) || !locked.get(dk).has_live_dir(dst_parent)
-            {
-                continue;
-            }
-            let keep = self.watermark();
-            let s = self.alloc_stamp();
-            let moved = 'locked: {
-                // Claim the destination, which shows it vacant…
-                let Entry::Vacant(claim) =
-                    Self::open_dir(locked.get(dk), dst_parent, s, keep).entry(Name::from(dst_name))
-                else {
-                    break 'locked false;
-                };
-                claim.insert(src_id);
-                // …and remove the source, which shows it is still what was
-                // resolved. One descent of each map; two of a shared one.
-                let unlinked = match Self::open_dir(locked.get(sk), src_parent, s, keep)
-                    .entry(Name::from(src_name))
-                {
-                    Entry::Occupied(bound) if *bound.get() == src_id => {
-                        bound.remove();
-                        true
-                    }
-                    _ => false,
-                };
-                if !unlinked {
-                    Self::open_dir(locked.get(dk), dst_parent, s, keep).remove(dst_name.as_bytes());
-                    break 'locked false;
-                }
-                if src_is_dir {
-                    // Every cached path at or under `src` now points
-                    // somewhere else (or nowhere).
-                    self.cache_flush();
-                }
-                for (bind, parent) in [(src_bind, src_parent), (dst_bind, dst_parent)] {
-                    if let Some(k) = bind {
-                        self.cache_put(&k, parent, s);
-                    }
-                }
-                true
-            };
-            drop(locked);
-            self.publish(s);
-            if moved {
-                return Ok(src_is_dir);
-            }
-        }
+        Ok(())
     }
 
-    /// Shared frame for the single-inode file mutations (`add_block`,
-    /// `close_file`, `set_perm`): resolve, then mutate by id.
-    fn mutate_node(
-        &self,
-        p: &str,
-        f: impl Fn(&mut Inode, &str) -> Result<(), NsError>,
-    ) -> Result<(), NsError> {
+    /// A validated path's inode, or `NotFound`.
+    fn resolve_existing(&self, p: &str) -> Result<InodeId, NsError> {
         path::validate(p)?;
-        let id = self.resolve(p, None).ok_or_else(|| NsError::NotFound(p.to_string()))?;
-        self.mutate_by_id(id, p, f)
+        self.resolve(p, None).ok_or_else(|| NsError::NotFound(p.to_string()))
     }
 
     /// Append a block to an unsealed file.
     pub fn add_block(&self, p: &str, block_id: u64) -> Result<(), NsError> {
-        self.mutate_node(p, |node, p| match node {
-            Inode::File { blocks, sealed, .. } => {
-                if *sealed {
-                    return Err(NsError::FileSealed(p.to_string()));
-                }
-                blocks.push(block_id);
-                Ok(())
-            }
-            Inode::Directory { .. } => Err(NsError::IsDirectory(p.to_string())),
-        })
+        self.add_block_at(self.resolve_existing(p)?, p, block_id)
     }
 
     /// Seal a file. Idempotent.
     pub fn close_file(&self, p: &str) -> Result<(), NsError> {
-        self.mutate_node(p, |node, p| match node {
-            Inode::File { sealed, .. } => {
-                *sealed = true;
-                Ok(())
-            }
-            Inode::Directory { .. } => Err(NsError::IsDirectory(p.to_string())),
-        })
+        self.close_file_at(self.resolve_existing(p)?, p)
     }
 
     /// Change permission bits (files, directories, and the root).
     pub fn set_perm(&self, p: &str, perm: u16) -> Result<(), NsError> {
-        self.mutate_node(p, |node, _| {
-            node.set_perm(perm);
-            Ok(())
-        })
+        self.set_perm_at(self.resolve_existing(p)?, p, perm)
     }
 
     /// Apply a journalled transaction (the naive replay path; standbys use
@@ -1317,11 +993,11 @@ impl ShardedNamespace {
                 h = h.wrapping_mul(0x1_0000_0000_01b3);
             }
         };
+        let shards = self.shards.borrow();
         let mut stack: Vec<(InodeId, u32)> = vec![(ROOT_ID, 0)];
         while let Some((id, depth)) = stack.pop() {
             mix(&depth.to_le_bytes());
-            let st = self.shards[self.shard_of(id)].state.read().unwrap();
-            match st.get(id).and_then(|s| s.view(epoch)) {
+            match inode_at(&shards, id, epoch) {
                 Some(Inode::Directory { children, perm }) => {
                     mix(b"D");
                     mix(&perm.to_le_bytes());
@@ -1337,12 +1013,8 @@ impl ShardedNamespace {
                         mix(&b.to_le_bytes());
                     }
                 }
-                None => {
-                    // Unreachable in a quiescent namespace; a concurrent
-                    // delete between parent visit and child visit lands
-                    // here. Mix nothing: the caller wanted a point-in-time
-                    // fingerprint and should have pinned first.
-                }
+                // Every entry names an inode live at the epoch.
+                None => {}
             }
         }
         h
@@ -1353,11 +1025,11 @@ impl ShardedNamespace {
     /// nor inode ids show. Replica groups partition files but run every
     /// structural operation, so at quiescence all groups report one value.
     pub fn skeleton_fingerprint(&self) -> u64 {
+        let shards = self.shards.borrow();
         let mut sum = 0u64;
         let mut stack: Vec<(InodeId, String)> = vec![(ROOT_ID, String::new())];
         while let Some((id, dir)) = stack.pop() {
-            let st = self.shards[self.shard_of(id)].state.read().unwrap();
-            if let Some(Inode::Directory { children, perm }) = st.get(id).and_then(Slot::latest) {
+            if let Some(Inode::Directory { children, perm }) = inode_at(&shards, id, None) {
                 sum = sum.wrapping_add(fnv1a64(format!("{dir}/ {perm}").as_bytes()));
                 stack
                     .extend(children.iter().map(|(name, child)| (*child, format!("{dir}/{name}"))));
@@ -1369,18 +1041,19 @@ impl ShardedNamespace {
 
 /// A pinned point-in-time view of the namespace (see
 /// [`ShardedNamespace::pin`]). Reads through the view are stable against
-/// concurrent mutations; dropping the view unpins the epoch and lets the
-/// preserved versions be reclaimed.
+/// the mutations made after it was taken; dropping the view unpins its
+/// epoch and lets the preserved versions be reclaimed.
 pub struct SnapshotView<'a> {
     ns: &'a ShardedNamespace,
     epoch: Stamp,
-    slot: usize,
 }
 
 impl Drop for SnapshotView<'_> {
     fn drop(&mut self) {
-        self.ns.pin_slots[self.slot].store(PIN_EMPTY, Ordering::SeqCst);
-        self.ns.pins_active.fetch_sub(1, Ordering::SeqCst);
+        let mut pins = self.ns.pins.borrow_mut();
+        if let Some(at) = pins.iter().position(|&e| e == self.epoch) {
+            pins.swap_remove(at);
+        }
     }
 }
 
@@ -1392,27 +1065,12 @@ impl SnapshotView<'_> {
 
     /// `getfileinfo` against the pinned epoch.
     pub fn getfileinfo(&self, p: &str) -> Result<FileInfo, NsError> {
-        path::validate(p)?;
-        let e = Some(self.epoch);
-        let id = self.ns.resolve(p, e).ok_or_else(|| NsError::NotFound(p.to_string()))?;
-        self.ns
-            .with_node(id, e, |n| ShardedNamespace::info_of(p, n))
-            .ok_or_else(|| NsError::NotFound(p.to_string()))
+        self.ns.info_at(p, Some(self.epoch))
     }
 
     /// `list` against the pinned epoch.
     pub fn list(&self, p: &str) -> Result<Vec<String>, NsError> {
-        path::validate(p)?;
-        let e = Some(self.epoch);
-        let id = self.ns.resolve(p, e).ok_or_else(|| NsError::NotFound(p.to_string()))?;
-        self.ns
-            .with_node(id, e, |n| match n {
-                Inode::Directory { children, .. } => {
-                    Ok(children.keys().map(|k| k.as_str().to_owned()).collect())
-                }
-                Inode::File { .. } => Err(NsError::IsFile(p.to_string())),
-            })
-            .ok_or_else(|| NsError::NotFound(p.to_string()))?
+        self.ns.list_at(p, Some(self.epoch))
     }
 
     /// Resolve a path at the pinned epoch.
@@ -1423,7 +1081,7 @@ impl SnapshotView<'_> {
 
     /// Whether a path exists at the pinned epoch.
     pub fn exists(&self, p: &str) -> bool {
-        path::validate(p).is_ok() && self.ns.resolve(p, Some(self.epoch)).is_some()
+        self.resolve_path(p).is_some()
     }
 
     /// Structural fingerprint of the pinned state.
@@ -1435,10 +1093,10 @@ impl SnapshotView<'_> {
     /// journal position the caller knows the pin to reflect) and carrying
     /// `window`: encoded straight from the shards, byte for byte what
     /// [`encode_image_with_window`] makes of a [`NamespaceTree`] holding the
-    /// same namespace. Shard locks are held for the encode only, so a pin
-    /// kept across mutations yields the same image afterwards.
+    /// same namespace. A pin kept across mutations yields the same image
+    /// afterwards.
     pub fn encode_image(&self, checkpoint_sn: Sn, window: &RetryWindow) -> NamespaceImage {
-        encode_image_with_window(&self.ns.lock_shards(Some(self.epoch)), checkpoint_sn, window)
+        encode_image_with_window(&self.ns.shards_at(Some(self.epoch)), checkpoint_sn, window)
     }
 }
 
@@ -1449,11 +1107,13 @@ impl SnapshotView<'_> {
 /// of the resolution work a per-record [`NamespaceTree::apply`] does: the
 /// last-resolved parent directory and last-touched node are remembered
 /// across records (journals have heavy directory locality, and
-/// `Create f → AddBlock f → CloseFile f` runs are ubiquitous). A `Delete` or
-/// `Rename` drops the node handle, and the directory handle too when what
-/// went was a directory (or the record failed); an external
-/// [`reset`](Self::reset) drops both. Success/failure agrees with the naive apply
-/// record for record; error *kinds* can differ on malformed records.
+/// `Create f → AddBlock f → CloseFile f` runs are ubiquitous). Every record
+/// resolves its parents through that handle and runs the live op's body. A
+/// `Delete` or `Rename` drops the node handle, and the directory handle too
+/// when what went was a directory (or the record failed); an external
+/// [`reset`](Self::reset) drops both. Success/failure agrees with the naive
+/// apply record for record; error *kinds* can differ where a parent is
+/// missing or a record is malformed.
 #[derive(Debug, Default)]
 pub struct ShardedReplaySession {
     dir: String,
@@ -1480,59 +1140,47 @@ impl ShardedReplaySession {
     pub fn apply(&mut self, ns: &ShardedNamespace, txn: &Txn) -> Result<(), NsError> {
         match txn {
             Txn::Create { path, replication } => {
-                let (pid, name, bind) = self.parent_of(ns, path)?;
+                let ((pid, bind), name) = self.parent_of(ns, path)?;
                 let id = ns.attach_file(pid, name, *replication, name, bind)?;
                 self.remember_node(path, id);
                 Ok(())
             }
             Txn::Mkdir { path } => {
                 let new = ns.cache_key(path);
-                let (pid, name, bind) = self.parent_of(ns, path)?;
+                let ((pid, bind), name) = self.parent_of(ns, path)?;
                 let id = ns.attach_dir(pid, name, name, bind, new)?;
                 self.remember_dir(path, id);
                 Ok(())
             }
             Txn::Delete { path, recursive } => {
-                let removed = ns.delete(path, *recursive);
+                let (parent, name) = self.parent_of(ns, path)?;
+                let removed = ns.unlink(parent, name, *recursive, path);
                 self.forget(!matches!(removed, Ok((_, 0))));
                 removed.map(|_| ())
             }
             Txn::Rename { src, dst } => {
-                let moved_dir = ns.rename_entry(src, dst);
+                let moved_dir = self.rename(ns, src, dst);
                 self.forget(!matches!(moved_dir, Ok(false)));
                 moved_dir.map(|_| ())
             }
             Txn::AddBlock { path, block_id, .. } => {
-                let id = self.resolve_node(ns, path)?;
-                ns.mutate_by_id(id, path, |node, p| match node {
-                    Inode::File { blocks, sealed, .. } => {
-                        if *sealed {
-                            return Err(NsError::FileSealed(p.to_string()));
-                        }
-                        blocks.push(*block_id);
-                        Ok(())
-                    }
-                    Inode::Directory { .. } => Err(NsError::IsDirectory(p.to_string())),
-                })
+                ns.add_block_at(self.resolve_node(ns, path)?, path, *block_id)
             }
-            Txn::CloseFile { path } => {
-                let id = self.resolve_node(ns, path)?;
-                ns.mutate_by_id(id, path, |node, p| match node {
-                    Inode::File { sealed, .. } => {
-                        *sealed = true;
-                        Ok(())
-                    }
-                    Inode::Directory { .. } => Err(NsError::IsDirectory(p.to_string())),
-                })
-            }
+            Txn::CloseFile { path } => ns.close_file_at(self.resolve_node(ns, path)?, path),
             Txn::SetPerm { path, perm } => {
-                let id = self.resolve_node(ns, path)?;
-                ns.mutate_by_id(id, path, |node, _| {
-                    node.set_perm(*perm);
-                    Ok(())
-                })
+                ns.set_perm_at(self.resolve_node(ns, path)?, path, *perm)
             }
         }
+    }
+
+    /// A `Rename` through the directory handle: the source's parent, then
+    /// the destination's, whose failure counts only once the source is
+    /// found. Answers whether what moved is a directory.
+    fn rename(&mut self, ns: &ShardedNamespace, src: &str, dst: &str) -> Result<bool, NsError> {
+        ShardedNamespace::check_rename(src, dst)?;
+        let (from, src_name) = self.parent_of(ns, src)?;
+        let to = self.parent_of(ns, dst);
+        ns.move_entry(from, src_name, to, src, dst)
     }
 
     /// A record removed or moved something. Only a directory's going can
@@ -1557,26 +1205,26 @@ impl ShardedReplaySession {
         self.node_valid = true;
     }
 
-    /// The parent directory of `path`, the child's name, and — when the
-    /// namespace had to walk for it — the key the caller's attach binds it
-    /// under, so later records (and other sessions) hit the namespace's
-    /// resolution cache.
+    /// The parent directory of `path` — with, when the namespace had to walk
+    /// for it, the key the caller's op binds it under, so later records (and
+    /// other sessions) hit the namespace's resolution cache — and the
+    /// child's name.
     fn parent_of<'p>(
         &mut self,
         ns: &ShardedNamespace,
         path: &'p str,
-    ) -> Result<(InodeId, &'p str, Option<CacheKey<'p>>), NsError> {
+    ) -> Result<(Parent<'p>, &'p str), NsError> {
         let (dir, name) = path::split(path).ok_or(NsError::RootImmutable)?;
         if name.is_empty() {
             return Err(NsError::Invalid(PathError(format!("{path:?} has a trailing slash"))));
         }
         if self.dir_valid && self.dir == dir {
-            return Ok((self.dir_id, name, None));
+            return Ok(((self.dir_id, None), name));
         }
-        let (pid, bind) =
+        let parent =
             ns.lookup_dir(dir, None).ok_or_else(|| NsError::ParentNotFound(path.to_string()))?;
-        self.remember_dir(dir, pid);
-        Ok((pid, name, bind))
+        self.remember_dir(dir, parent.0);
+        Ok((parent, name))
     }
 
     fn resolve_node(&mut self, ns: &ShardedNamespace, path: &str) -> Result<InodeId, NsError> {
@@ -1589,13 +1237,21 @@ impl ShardedReplaySession {
         if self.dir_valid && self.dir == path {
             return Ok(self.dir_id);
         }
-        let (pid, name, _) = self.parent_of(ns, path)?;
-        let id = ns.child_of(pid, name, None).ok_or_else(|| NsError::NotFound(path.to_string()))?;
+        let ((pid, _), name) = self.parent_of(ns, path)?;
+        let id = ns
+            .with_node(pid, None, |n| match n {
+                Inode::Directory { children, .. } => child(children, name),
+                Inode::File { .. } => None,
+            })
+            .flatten()
+            .ok_or_else(|| NsError::NotFound(path.to_string()))?;
         self.remember_node(path, id);
         Ok(id)
     }
 }
 
+/// The bodies of the mutations, past their parents' resolution: the live
+/// ops and the replay session both end here.
 impl ShardedNamespace {
     /// Attach a new file under directory `parent` — the body of `create`, and
     /// the replay path's whole create. Errors name `what`: the path on the
@@ -1609,25 +1265,21 @@ impl ShardedNamespace {
         what: &str,
         bind: Option<CacheKey<'_>>,
     ) -> Result<InodeId, NsError> {
-        let _gate = self.gate.read().unwrap();
-        let mut st = self.shards[self.shard_of(parent)].state.write().unwrap();
-        self.sweep(&mut st);
+        let mut shards = self.shards.borrow_mut();
+        let st = &mut shards[self.shard_of(parent)];
+        self.sweep(st);
         Self::check_parent(st.get(parent), what)?;
         let keep = self.watermark();
         let s = self.alloc_stamp();
         // The id the file gets if the name is free: a refused op takes none.
         let id = st.next_id();
-        let linked = Self::link(Self::open_dir(&mut st, parent, s, keep), name, id, what);
-        if linked.is_ok() {
-            st.take(s, Inode::new_file(replication));
-            if let Some(k) = bind {
-                self.cache_put(&k, parent, s);
-            }
-            self.num_files.fetch_add(1, Ordering::Relaxed);
+        Self::link(Self::open_dir(st, parent, s, keep), name, id, what)?;
+        st.take(s, Inode::new_file(replication));
+        if let Some(k) = bind {
+            self.cache_put(&k, parent, s);
         }
-        drop(st);
-        self.publish(s);
-        linked.map(|()| id)
+        self.num_files.set(self.num_files.get() + 1);
+        Ok(id)
     }
 
     /// Attach a new directory under `parent` (see
@@ -1641,31 +1293,140 @@ impl ShardedNamespace {
         bind: Option<CacheKey<'_>>,
         new: CacheKey<'_>,
     ) -> Result<InodeId, NsError> {
-        let _gate = self.gate.read().unwrap();
-        let pk = self.shard_of(parent);
-        let tk = self.dir_home(parent, name);
-        let mut locked = self.lock_set(pk, tk);
-        self.sweep(locked.get(pk));
-        Self::check_parent(locked.get(pk).get(parent), what)?;
+        let mut shards = self.shards.borrow_mut();
+        let (pk, tk) = (self.shard_of(parent), self.dir_home(parent, name));
+        self.sweep(&mut shards[pk]);
+        Self::check_parent(shards[pk].get(parent), what)?;
         let keep = self.watermark();
         let s = self.alloc_stamp();
-        let id = locked.get(tk).next_id();
-        let linked = Self::link(Self::open_dir(locked.get(pk), parent, s, keep), name, id, what);
-        if linked.is_ok() {
-            locked.get(tk).take(s, Inode::new_dir());
+        let id = shards[tk].next_id();
+        Self::link(Self::open_dir(&mut shards[pk], parent, s, keep), name, id, what)?;
+        shards[tk].take(s, Inode::new_dir());
+        if let Some(k) = bind {
+            self.cache_put(&k, parent, s);
+        }
+        self.cache_put(&new, id, s);
+        self.num_dirs.set(self.num_dirs.get() + 1);
+        Ok(id)
+    }
+
+    /// The body of `delete`: unlink `name` from the directory `parent` — one
+    /// descent of its map — and drop what it bound. Errors in the legacy
+    /// tree's order, naming `p`: no such entry, then a populated directory
+    /// without `recursive` (the entry is put back).
+    fn unlink(
+        &self,
+        (pid, bind): Parent<'_>,
+        name: &str,
+        recursive: bool,
+        p: &str,
+    ) -> Result<(u64, u64), NsError> {
+        let mut shards = self.shards.borrow_mut();
+        let pk = self.shard_of(pid);
+        if !shards[pk].has_live_dir(pid) {
+            return Err(NsError::NotFound(p.to_string()));
+        }
+        let keep = self.watermark();
+        let s = self.alloc_stamp();
+        let Entry::Occupied(bound) =
+            Self::open_dir(&mut shards[pk], pid, s, keep).entry(Name::from(name))
+        else {
+            return Err(NsError::NotFound(p.to_string()));
+        };
+        let (key, id) = bound.remove_entry();
+        let ck = self.shard_of(id);
+        let (is_dir, empty) = match shards[ck].get(id).and_then(Slot::latest) {
+            Some(Inode::Directory { children, .. }) => (true, children.is_empty()),
+            Some(Inode::File { .. }) => (false, true),
+            None => unreachable!("a directory entry names a live inode"),
+        };
+        if is_dir && !empty && !recursive {
+            Self::open_dir(&mut shards[pk], pid, s, keep).insert(key, id);
+            return Err(NsError::NotEmpty(p.to_string()));
+        }
+        let (files, dirs) = if is_dir {
+            self.drop_subtree(&mut shards, id, s, keep)
+        } else {
+            Self::bury(&mut shards[ck], id, s, keep);
+            (1, 0)
+        };
+        // Files are never cached; an empty directory is cached under its
+        // own key at most; a populated one takes its subtree with it.
+        if is_dir && empty {
+            self.cache_remove(p);
+        } else if is_dir {
+            self.cache_flush();
+        }
+        if let Some(k) = bind {
+            self.cache_put(&k, pid, s);
+        }
+        self.num_files.set(self.num_files.get() - files);
+        self.num_dirs.set(self.num_dirs.get() - dirs);
+        Ok((files, dirs))
+    }
+
+    /// The body of `rename`, past [`check_rename`](Self::check_rename):
+    /// move `src_name` of the directory `from` to `to`, the destination's
+    /// parent and name or the error its parent's resolution ended in. One
+    /// descent of each map (two of a shared one), erring in the legacy
+    /// tree's order: no source, then the destination's parent, then a taken
+    /// destination — the last two putting the source back. Answers whether
+    /// what moved is a directory.
+    fn move_entry(
+        &self,
+        (sp, src_bind): Parent<'_>,
+        src_name: &str,
+        to: Result<(Parent<'_>, &str), NsError>,
+        src: &str,
+        dst: &str,
+    ) -> Result<bool, NsError> {
+        let mut shards = self.shards.borrow_mut();
+        let sk = self.shard_of(sp);
+        if !shards[sk].has_live_dir(sp) {
+            return Err(NsError::NotFound(src.to_string()));
+        }
+        let keep = self.watermark();
+        let s = self.alloc_stamp();
+        let Entry::Occupied(bound) =
+            Self::open_dir(&mut shards[sk], sp, s, keep).entry(Name::from(src_name))
+        else {
+            return Err(NsError::NotFound(src.to_string()));
+        };
+        let (key, id) = bound.remove_entry();
+        let claimed = to.and_then(|((dp, dst_bind), dst_name)| {
+            let dk = self.shard_of(dp);
+            Self::check_parent(shards[dk].get(dp), dst)?;
+            match Self::open_dir(&mut shards[dk], dp, s, keep).entry(Name::from(dst_name)) {
+                Entry::Vacant(free) => {
+                    free.insert(id);
+                    Ok((dp, dst_bind))
+                }
+                Entry::Occupied(_) => Err(NsError::AlreadyExists(dst.to_string())),
+            }
+        });
+        let (dp, dst_bind) = match claimed {
+            Ok(to) => to,
+            Err(e) => {
+                Self::open_dir(&mut shards[sk], sp, s, keep).insert(key, id);
+                return Err(e);
+            }
+        };
+        let is_dir = shards[self.shard_of(id)].has_live_dir(id);
+        if is_dir {
+            // Every cached path at or under `src` now points somewhere else
+            // (or nowhere).
+            self.cache_flush();
+        }
+        for (bind, parent) in [(src_bind, sp), (dst_bind, dp)] {
             if let Some(k) = bind {
                 self.cache_put(&k, parent, s);
             }
-            self.cache_put(&new, id, s);
-            self.num_dirs.fetch_add(1, Ordering::Relaxed);
         }
-        drop(locked);
-        self.publish(s);
-        linked.map(|()| id)
+        Ok(is_dir)
     }
 
-    /// The legacy tree's classification of an attach under `parent`, from
-    /// the slot alone; whether the name is free is [`link`](Self::link)'s.
+    /// The legacy tree's classification of an op under `parent`, from the
+    /// slot alone; whether the name is free is the op's one descent.
     fn check_parent(parent: Option<&Slot>, what: &str) -> Result<(), NsError> {
         match parent.and_then(Slot::latest) {
             Some(Inode::Directory { .. }) => Ok(()),
@@ -1675,7 +1436,7 @@ impl ShardedNamespace {
     }
 
     /// Open the entries of `dir` for writing at `stamp`. The caller has seen
-    /// it a live directory under the write lock it still holds.
+    /// it a live directory.
     fn open_dir(
         st: &mut ShardState,
         dir: InodeId,
@@ -1684,7 +1445,7 @@ impl ShardedNamespace {
     ) -> &mut BTreeMap<Name, InodeId> {
         match st.get_mut(dir).and_then(|slot| slot.open(stamp, keep).as_mut()) {
             Some(Inode::Directory { children, .. }) => children,
-            _ => unreachable!("inode {dir} was a live directory under this lock"),
+            _ => unreachable!("inode {dir} was seen a live directory"),
         }
     }
 
@@ -1705,11 +1466,11 @@ impl ShardedNamespace {
         }
     }
 
-    /// Drop the unlinked directory `root` and everything under it, every
-    /// shard being locked; `(files, directories)` dropped.
+    /// Drop the unlinked directory `root` and everything under it;
+    /// `(files, directories)` dropped.
     fn drop_subtree(
         &self,
-        locked: &mut Locked<'_>,
+        shards: &mut [ShardState],
         root: InodeId,
         stamp: Stamp,
         keep: Option<Stamp>,
@@ -1717,7 +1478,7 @@ impl ShardedNamespace {
         let (mut files, mut dirs) = (0, 0);
         let mut stack = vec![root];
         while let Some(cur) = stack.pop() {
-            let st = locked.get(self.shard_of(cur));
+            let st = &mut shards[self.shard_of(cur)];
             match st.get(cur).and_then(Slot::latest) {
                 Some(Inode::Directory { children, .. }) => {
                     dirs += 1;
@@ -1737,37 +1498,64 @@ impl ShardedNamespace {
         if keep.is_none() {
             st.free(id);
         } else {
-            *st.get_mut(id).expect("seen live under this lock").open(stamp, keep) = None;
+            *st.get_mut(id).expect("seen live").open(stamp, keep) = None;
             st.dead.push(id);
         }
     }
 
-    /// Mutate the node `id`, which the caller resolved from `p`: lock one
-    /// shard, validate, mutate at a fresh stamp. A missing slot — freed, or
-    /// reused under a newer generation — means the resolution went stale
-    /// and maps to NotFound, matching what a fresh one would report.
+    /// Append `block_id` to the file `id`, resolved from `p`, unless it is
+    /// sealed.
+    fn add_block_at(&self, id: InodeId, p: &str, block_id: u64) -> Result<(), NsError> {
+        let check = |node: &Inode| match node {
+            Inode::File { sealed: false, .. } => Ok(()),
+            Inode::File { .. } => Err(NsError::FileSealed(p.to_string())),
+            Inode::Directory { .. } => Err(NsError::IsDirectory(p.to_string())),
+        };
+        self.mutate_by_id(id, p, check, |node| {
+            if let Inode::File { blocks, .. } = node {
+                blocks.push(block_id);
+            }
+        })
+    }
+
+    /// Seal the file `id`, resolved from `p`.
+    fn close_file_at(&self, id: InodeId, p: &str) -> Result<(), NsError> {
+        let check = |node: &Inode| match node {
+            Inode::File { .. } => Ok(()),
+            Inode::Directory { .. } => Err(NsError::IsDirectory(p.to_string())),
+        };
+        self.mutate_by_id(id, p, check, |node| {
+            if let Inode::File { sealed, .. } = node {
+                *sealed = true;
+            }
+        })
+    }
+
+    /// Set the permission bits of `id`, resolved from `p`.
+    fn set_perm_at(&self, id: InodeId, p: &str, perm: u16) -> Result<(), NsError> {
+        self.mutate_by_id(id, p, |_| Ok(()), |node| node.set_perm(perm))
+    }
+
+    /// Mutate the node `id`, which the caller resolved from `p`: `check` the
+    /// newest version as it stands, and only when it passes take a stamp and
+    /// `apply` to the version opened for writing — a refused op takes no
+    /// stamp and copies nothing. A missing slot — freed, or reused under a
+    /// newer generation — means the resolution went stale and maps to
+    /// NotFound, matching what a fresh one would report.
     fn mutate_by_id(
         &self,
         id: InodeId,
         p: &str,
-        f: impl Fn(&mut Inode, &str) -> Result<(), NsError>,
+        check: impl FnOnce(&Inode) -> Result<(), NsError>,
+        apply: impl FnOnce(&mut Inode),
     ) -> Result<(), NsError> {
-        let _gate = self.gate.read().unwrap();
-        let mut st = self.shards[self.shard_of(id)].state.write().unwrap();
-        self.sweep(&mut st);
-        match st.get(id).and_then(Slot::latest) {
-            Some(node) => {
-                let mut probe = node.clone();
-                f(&mut probe, p)?;
-            }
-            None => return Err(NsError::NotFound(p.to_string())),
-        }
+        let mut shards = self.shards.borrow_mut();
+        let st = &mut shards[self.shard_of(id)];
+        self.sweep(st);
+        check(st.get(id).and_then(Slot::latest).ok_or_else(|| NsError::NotFound(p.to_string()))?)?;
         let keep = self.watermark();
         let s = self.alloc_stamp();
-        let node = st.get_mut(id).expect("checked above").open(s, keep);
-        f(node.as_mut().expect("latest version exists"), p).expect("validated above");
-        drop(st);
-        self.publish(s);
+        apply(st.get_mut(id).and_then(|slot| slot.open(s, keep).as_mut()).expect("checked above"));
         Ok(())
     }
 }
@@ -1776,8 +1564,15 @@ impl ShardedNamespace {
 mod tests {
     use super::*;
     use crate::inode::DEFAULT_PERM;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A node owns its namespace and a node is `Send`, so the namespace must
+    /// be too (it is not `Sync`: one thread drives it).
+    const _: () = {
+        const fn assert_send<T: Send>() {}
+        assert_send::<ShardedNamespace>()
+    };
 
     fn both() -> (NamespaceTree, ShardedNamespace) {
         (NamespaceTree::new(), ShardedNamespace::with_shards(8))
@@ -1832,9 +1627,14 @@ mod tests {
             (t.create("/a/f", 1).map(|_| ()), s.create("/a/f", 1).map(|_| ())),
             (t.delete("/", true).map(|_| ()), s.delete("/", true).map(|_| ())),
             (t.delete("/a", false).map(|_| ()), s.delete("/a", false).map(|_| ())),
+            (t.delete("/a/f/x", false).map(|_| ()), s.delete("/a/f/x", false).map(|_| ())),
             (t.rename("/a", "/a/evil").map(|_| ()), s.rename("/a", "/a/evil").map(|_| ())),
             (t.rename("/missing", "/y").map(|_| ()), s.rename("/missing", "/y").map(|_| ())),
+            (t.rename("/missing", "/no/y").map(|_| ()), s.rename("/missing", "/no/y").map(|_| ())),
             (t.rename("/a", "/no/where").map(|_| ()), s.rename("/a", "/no/where").map(|_| ())),
+            (t.rename("/a", "/a/f/x/y").map(|_| ()), s.rename("/a", "/a/f/x/y").map(|_| ())),
+            (t.rename("/a/f", "/a").map(|_| ()), s.rename("/a/f", "/a").map(|_| ())),
+            (t.rename("/", "/r").map(|_| ()), s.rename("/", "/r").map(|_| ())),
             (t.add_block("/a", 1), s.add_block("/a", 1)),
             (t.add_block("/gone", 1), s.add_block("/gone", 1)),
             (t.mkdir_p("/a/f"), s.mkdir_p("/a/f")),
@@ -1842,16 +1642,17 @@ mod tests {
         for (i, (a, b)) in cases.iter().enumerate() {
             assert_eq!(a, b, "error parity case {i}");
         }
+        assert_eq!(t.fingerprint(), s.fingerprint(), "no refused op moved anything");
         refused_ops_leave_no_trace(1);
         refused_ops_leave_no_trace(8);
     }
 
-    /// An op refused under the write locks — the name is taken, the
-    /// directory is populated — fails as the tree's does and leaves nothing
-    /// a reader or a later op can see, with no pin and under a live one: the
-    /// fingerprints hold still, the next inode ids are the ones a namespace
-    /// that never saw the refused ops hands out, and what a pinned refusal
-    /// displaced is cleared by the next unpinned write of the slot.
+    /// An op refused in its one pass — the name is taken, the directory is
+    /// populated — fails as the tree's does and leaves nothing a reader or a
+    /// later op can see, with no pin and under a live one: the fingerprints
+    /// hold still, the next inode ids are the ones a namespace that never
+    /// saw the refused ops hands out, and what a pinned refusal displaced is
+    /// cleared by the next unpinned write of the slot.
     fn refused_ops_leave_no_trace(shards: usize) {
         let setup = [
             Txn::Mkdir { path: "/a".into() },
@@ -1868,6 +1669,7 @@ mod tests {
             Txn::Rename { src: "/a/f".into(), dst: "/a/d".into() },
             Txn::Rename { src: "/a/f".into(), dst: "/b/g".into() },
             Txn::Rename { src: "/a/d".into(), dst: "/b/g".into() },
+            Txn::Rename { src: "/a/f".into(), dst: "/b/g/h".into() },
             Txn::Delete { path: "/a".into(), recursive: false },
         ];
         let next = [
@@ -1913,6 +1715,48 @@ mod tests {
         }
     }
 
+    /// A refused block op or seal checks the inode as it stands: it copies
+    /// nothing and takes no stamp, pinned or not, and answers what the tree
+    /// answers — on the live path and on replay.
+    #[test]
+    fn a_refused_op_by_id_takes_no_stamp_and_copies_nothing() {
+        let (mut t, s) = both();
+        let setup = [
+            Txn::Mkdir { path: "/d".into() },
+            Txn::Create { path: "/d/f".into(), replication: 1 },
+            Txn::AddBlock { path: "/d/f".into(), block_id: 1, len: 8 },
+            Txn::CloseFile { path: "/d/f".into() },
+        ];
+        for op in &setup {
+            t.apply(op).unwrap();
+            s.apply(op).unwrap();
+        }
+        let view = s.pin();
+        s.set_perm("/d", 0o700).unwrap();
+        t.set_perm("/d", 0o700).unwrap();
+        let (epoch, displaced) = (s.pin().epoch(), s.displaced_versions());
+        assert!(epoch > view.epoch() && displaced > 0, "an accepted op under the pin copies");
+        let (sealed, is_dir) =
+            (NsError::FileSealed("/d/f".into()), NsError::IsDirectory("/d".into()));
+        let refused = [
+            (Txn::AddBlock { path: "/d/f".into(), block_id: 2, len: 8 }, sealed),
+            (Txn::AddBlock { path: "/d".into(), block_id: 2, len: 8 }, is_dir.clone()),
+            (Txn::CloseFile { path: "/d".into() }, is_dir),
+        ];
+        let mut session = ShardedReplaySession::new();
+        for (op, error) in refused {
+            let want = Err(error);
+            assert_eq!(t.apply(&op), want, "{op:?}");
+            assert_eq!(s.apply(&op), want, "{op:?}");
+            assert_eq!(session.apply(&s, &op), want, "{op:?} on replay");
+        }
+        assert_eq!(s.pin().epoch(), epoch, "a refused op took a stamp");
+        assert_eq!(s.displaced_versions(), displaced, "a refused op displaced a copy");
+        assert_eq!(view.getfileinfo("/d/f").unwrap().blocks, [1]);
+        assert_eq!(view.getfileinfo("/d").unwrap().perm, DEFAULT_PERM);
+        assert_eq!(s.fingerprint(), t.fingerprint());
+    }
+
     #[test]
     fn reads_match_legacy() {
         let ops = [
@@ -1938,7 +1782,7 @@ mod tests {
 
     /// Slots in the one table of a `with_shards(1)` namespace.
     fn table_len(s: &ShardedNamespace) -> usize {
-        s.shards[0].state.read().unwrap().slots.len()
+        s.shards.borrow()[0].slots.len()
     }
 
     #[test]
@@ -1965,14 +1809,12 @@ mod tests {
             s.attach_file(old_dir, "x", 1, "x", None),
             Err(NsError::ParentNotFound("x".into()))
         );
+        assert_eq!(s.set_perm_at(old_file, "/d/f", 0o700), Err(NsError::NotFound("/d/f".into())));
         assert_eq!(
-            s.mutate_by_id(old_file, "/d/f", |node, _| {
-                node.set_perm(0o700);
-                Ok(())
-            }),
+            s.unlink((old_dir, None), "f", false, "/d/f"),
             Err(NsError::NotFound("/d/f".into()))
         );
-        assert_eq!(s.fingerprint(), before, "neither touched the inode now at the index");
+        assert_eq!(s.fingerprint(), before, "none touched the inode now at the index");
         assert_eq!(s.list("/e").unwrap(), ["g"]);
     }
 
@@ -2041,6 +1883,84 @@ mod tests {
         // With pins gone, later mutations reclaim history and tombstones.
         s.create("/d/later", 1).unwrap();
         assert!(s.exists("/d/later"));
+    }
+
+    /// One thread pins and then mutates the pinned directory 500 times —
+    /// creates, renames, deletes — reading the view between every two: the
+    /// view holds still throughout, and the copies it kept go with the next
+    /// unpinned write once it is dropped.
+    #[test]
+    fn a_pinned_view_holds_still_while_its_directory_churns() {
+        let s = ShardedNamespace::with_shards(8);
+        s.mkdir("/w").unwrap();
+        s.create("/w/seed", 1).unwrap();
+        s.mkdir("/w/sub").unwrap();
+        let (names, frozen) = (s.list("/w").unwrap(), s.fingerprint());
+        let view = s.pin();
+        for i in 0..500 {
+            match i % 3 {
+                0 => s.create(&format!("/w/f{i}"), 1).map(|_| ()),
+                1 => s.rename(&format!("/w/f{}", i - 1), &format!("/w/r{}", i - 1)),
+                _ => s.delete(&format!("/w/r{}", i - 2), false).map(|_| ()),
+            }
+            .unwrap();
+            assert_eq!(view.list("/w").unwrap(), names, "after op {i}");
+            assert!(view.exists("/w/seed") && !view.exists("/w/f0"), "after op {i}");
+            assert_eq!(view.fingerprint(), frozen, "after op {i}");
+        }
+        assert_eq!(s.list("/w").unwrap(), ["r498", "seed", "sub"]);
+        assert!(s.displaced_versions() > 0);
+        drop(view);
+        s.create("/w/after", 1).unwrap();
+        assert_eq!(s.displaced_versions(), 0);
+    }
+
+    /// Pins are a multiset of epochs with no cap: 64 views at 64 epochs,
+    /// and a second view at every eighth, each read their own epoch; the
+    /// watermark is the oldest left while they are dropped in a seeded
+    /// random order; once the last is gone, one write to each slot the
+    /// mutations opened leaves no displaced version and no tombstone.
+    #[test]
+    fn any_number_of_pins_each_read_their_epoch() {
+        let s = ShardedNamespace::with_shards(4);
+        s.mkdir("/d").unwrap();
+        let mut views = Vec::new();
+        let mut frozen = Vec::new();
+        for i in 0..64 {
+            views.push(s.pin());
+            frozen.push(s.fingerprint());
+            if i % 8 == 0 {
+                views.push(s.pin());
+                frozen.push(s.fingerprint());
+            }
+            s.create(&format!("/d/f{i}"), 1).unwrap();
+            if i % 2 == 1 {
+                s.delete(&format!("/d/f{}", i - 1), false).unwrap();
+                s.set_perm("/d", 0o700 + i as u16).unwrap();
+            }
+        }
+        assert_eq!(views.len(), 72);
+        let mut rng = SmallRng::seed_from_u64(31);
+        while !views.is_empty() {
+            for (view, &fp) in views.iter().zip(&frozen) {
+                assert_eq!(view.fingerprint(), fp, "the view pinned at {}", view.epoch());
+            }
+            let oldest = views.iter().map(SnapshotView::epoch).min();
+            assert_eq!(s.watermark(), oldest);
+            let at = rng.gen_range(0..views.len());
+            drop(views.swap_remove(at));
+            frozen.swap_remove(at);
+        }
+        assert_eq!(s.watermark(), None);
+        assert!(s.displaced_versions() > 0, "nothing was written since the pins went");
+        s.create("/d/after", 1).unwrap();
+        assert_eq!(s.displaced_versions(), 0);
+        let shards = s.shards.borrow();
+        for st in shards.iter() {
+            assert!(st.dead.is_empty(), "a tombstone outlived every pin");
+            let empty = st.slots.iter().filter(|slot| slot.node.is_none()).count();
+            assert_eq!(empty, st.free.len(), "every empty slot is free for reuse");
+        }
     }
 
     #[test]
@@ -2118,6 +2038,10 @@ mod tests {
             Txn::Create { path: "/".into(), replication: 1 },
             Txn::Mkdir { path: "/a/".into() },
             Txn::Delete { path: "/".into(), recursive: true },
+            Txn::Delete { path: "/a/b/f2".into(), recursive: false },
+            Txn::Rename { src: "/a/b/f2".into(), dst: "/a/f2".into() },
+            Txn::Rename { src: "/a/c".into(), dst: "/a/c/d".into() },
+            Txn::Rename { src: "/".into(), dst: "/x".into() },
         ] {
             assert!(sess.apply(&sharded, &stale).is_err(), "{stale:?}");
             assert!(naive.apply(&stale).is_err(), "{stale:?}");
@@ -2152,6 +2076,115 @@ mod tests {
         assert_eq!(naive.fingerprint(), sharded.fingerprint());
     }
 
+    /// A random entry of `dir` whose name starts with `prefix`, as a path.
+    fn pick(rng: &mut SmallRng, t: &NamespaceTree, dir: &str, prefix: char) -> Option<String> {
+        let names: Vec<String> =
+            t.list(dir).ok()?.into_iter().filter(|n| n.starts_with(prefix)).collect();
+        (!names.is_empty()).then(|| format!("{dir}/{}", names[rng.gen_range(0..names.len())]))
+    }
+
+    /// One record of a seeded journal shaped like `write_steady`'s — create,
+    /// rename and delete rounds interleaved across 32 directories, with
+    /// blocks and seals — mixed with directory renames, recursive deletes
+    /// and records that must fail: a delete of a missing path, a rename onto
+    /// an existing name, a rename into the source itself, a populated
+    /// directory deleted without `recursive`. Aimed at what `t` holds.
+    fn churn_record(rng: &mut SmallRng, t: &NamespaceTree, n: u64) -> Txn {
+        let (a, b) = (rng.gen_range(0..32), rng.gen_range(0..32));
+        let (dir, other) = (format!("/w/d{a}"), format!("/w/d{b}"));
+        let or_missing = |p: Option<String>| p.unwrap_or_else(|| format!("{dir}/missing"));
+        match rng.gen_range(0..100) {
+            0..30 => Txn::Create { path: format!("{dir}/f{n}"), replication: 1 },
+            30..50 => {
+                let src = or_missing(pick(rng, t, &dir, 'f'));
+                let dst = src.replacen("/f", "/r", 1);
+                Txn::Rename { src, dst }
+            }
+            50..68 => Txn::Delete { path: or_missing(pick(rng, t, &dir, 'r')), recursive: false },
+            68..74 => {
+                Txn::AddBlock { path: or_missing(pick(rng, t, &dir, 'f')), block_id: n, len: 1 }
+            }
+            74..77 => Txn::CloseFile { path: or_missing(pick(rng, t, &dir, 'f')) },
+            77..80 => Txn::Rename { src: dir.clone(), dst: format!("{other}/d{a}") },
+            80..82 => Txn::Rename { src: format!("{other}/d{a}"), dst: dir },
+            82..84 => Txn::Delete { path: dir, recursive: true },
+            84..89 => Txn::Mkdir { path: dir },
+            89..91 => Txn::Delete { path: format!("{dir}/missing"), recursive: false },
+            91..94 => {
+                let src = or_missing(pick(rng, t, &dir, 'f'));
+                Txn::Rename { src, dst: or_missing(pick(rng, t, &dir, 'r')) }
+            }
+            94..96 => Txn::Rename { src: dir.clone(), dst: format!("{dir}/d{b}") },
+            96..98 => Txn::Delete { path: dir, recursive: false },
+            _ => {
+                let src = or_missing(pick(rng, t, &dir, 'f'));
+                Txn::Rename { dst: src.replacen(&dir, &other, 1), src }
+            }
+        }
+    }
+
+    /// Seeded `write_steady`-shaped journals through the live ops (the
+    /// active's path) and the replay session (a standby's) beside the
+    /// reference tree: the live ops answer exactly what the tree answers,
+    /// the session succeeds and fails where the tree does, record for
+    /// record, and all three end in one fingerprint.
+    #[test]
+    fn replay_session_matches_naive_apply_on_churn_journals() {
+        let cases: u64 =
+            std::env::var("PARITY_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(8);
+        for case in 0..cases {
+            let mut rng = SmallRng::seed_from_u64(2000 + case);
+            let mut naive = NamespaceTree::new();
+            let (live, replica) = (ShardedNamespace::new(), ShardedNamespace::new());
+            let mut session = ShardedReplaySession::new();
+            let mut journal = vec![Txn::Mkdir { path: "/w".into() }];
+            journal.extend((0..32).map(|d| Txn::Mkdir { path: format!("/w/d{d}") }));
+            // Per kind — a directory's rename, a file's, a populated
+            // directory's delete, any other delete, a create, the rest —
+            // how many records went through and how many were refused.
+            let (mut applied, mut failed) = ([0u32; 6], [0u32; 6]);
+            for n in 0..3_000u64 {
+                let txn = if (n as usize) < journal.len() {
+                    journal[n as usize].clone()
+                } else {
+                    churn_record(&mut rng, &naive, n)
+                };
+                let kind = match &txn {
+                    Txn::Rename { src, .. } if naive.list(src).is_ok() => 0,
+                    Txn::Rename { .. } => 1,
+                    Txn::Delete { path, .. } if naive.list(path).is_ok_and(|l| !l.is_empty()) => 2,
+                    Txn::Delete { .. } => 3,
+                    Txn::Create { .. } => 4,
+                    _ => 5,
+                };
+                let want = naive.apply(&txn);
+                assert_eq!(live.apply(&txn), want, "case {case}, live, record {n}: {txn:?}");
+                let got = session.apply(&replica, &txn);
+                assert_eq!(got.is_ok(), want.is_ok(), "case {case}, replay, record {n}: {txn:?}");
+                if want.is_ok() {
+                    applied[kind] += 1;
+                } else {
+                    failed[kind] += 1;
+                }
+                if n % 250 == 0 {
+                    assert_eq!(live.fingerprint(), naive.fingerprint(), "case {case} at {n}");
+                    assert_eq!(replica.fingerprint(), naive.fingerprint(), "case {case} at {n}");
+                }
+            }
+            assert_eq!(live.fingerprint(), naive.fingerprint(), "case {case}");
+            assert_eq!(replica.fingerprint(), naive.fingerprint(), "case {case}");
+            assert_eq!(
+                (replica.num_files(), replica.num_dirs()),
+                (naive.num_files(), naive.num_dirs())
+            );
+            // The mix went through, and was refused, in every kind.
+            assert!(
+                applied.iter().chain(&failed[..4]).all(|&k| k > 0),
+                "case {case}: applied {applied:?}, failed {failed:?}"
+            );
+        }
+    }
+
     #[test]
     fn cache_counters_move() {
         let s = ShardedNamespace::with_shards(4);
@@ -2166,106 +2199,6 @@ mod tests {
         // A cold deep path walks (miss).
         let _ = s.resolve_path("/warm/dir/unseen");
         assert!(s.cache_stats().misses >= after.misses);
-    }
-
-    #[test]
-    fn concurrent_writers_and_readers_smoke() {
-        let s = Arc::new(ShardedNamespace::with_shards(8));
-        for w in 0..4 {
-            s.mkdir(&format!("/w{w}")).unwrap();
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::new();
-        for w in 0..4u32 {
-            let s = s.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut log = Vec::new();
-                for i in 0..300 {
-                    let p = format!("/w{w}/f{i}");
-                    s.create(&p, 1).unwrap();
-                    log.push(Txn::Create { path: p.clone(), replication: 1 });
-                    if i % 3 == 0 {
-                        s.add_block(&p, i).unwrap();
-                        log.push(Txn::AddBlock { path: p.clone(), block_id: i, len: 1 });
-                    }
-                    if i % 7 == 0 {
-                        let q = format!("/w{w}/r{i}");
-                        s.rename(&p, &q).unwrap();
-                        log.push(Txn::Rename { src: p, dst: q });
-                    }
-                }
-                log
-            }));
-        }
-        {
-            let s = s.clone();
-            let stop = stop.clone();
-            handles.push(std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    for w in 0..4 {
-                        let _ = s.getfileinfo(&format!("/w{w}"));
-                        let _ = s.list(&format!("/w{w}"));
-                    }
-                }
-                Vec::new()
-            }));
-        }
-        let mut logs = Vec::new();
-        for (i, h) in handles.into_iter().enumerate() {
-            if i == 4 {
-                stop.store(true, Ordering::Relaxed);
-            }
-            logs.push(h.join().unwrap());
-            if i == 3 {
-                stop.store(true, Ordering::Relaxed);
-            }
-        }
-        // Writers hit disjoint directories, so replaying their logs in any
-        // per-thread order yields the same structure.
-        let mut legacy = NamespaceTree::new();
-        for w in 0..4 {
-            legacy.mkdir(&format!("/w{w}")).unwrap();
-        }
-        for log in &logs {
-            for txn in log {
-                legacy.apply(txn).unwrap();
-            }
-        }
-        assert_eq!(legacy.fingerprint(), s.fingerprint());
-        // Cached and uncached resolution agree everywhere we look.
-        for w in 0..4 {
-            for p in s.list(&format!("/w{w}")).unwrap() {
-                let full = format!("/w{w}/{p}");
-                assert_eq!(s.resolve_path(&full), s.resolve_path_uncached(&full));
-            }
-        }
-    }
-
-    #[test]
-    fn pinned_reader_concurrent_with_writer() {
-        let s = Arc::new(ShardedNamespace::with_shards(8));
-        s.mkdir("/w").unwrap();
-        s.create("/w/seed", 1).unwrap();
-        let before = s.list("/w").unwrap();
-        let view_owner = s.clone();
-        let view = view_owner.pin();
-        let writer = {
-            let s = s.clone();
-            std::thread::spawn(move || {
-                for i in 0..500 {
-                    s.create(&format!("/w/f{i}"), 1).unwrap();
-                }
-            })
-        };
-        // Interleave snapshot reads with the writer's progress.
-        for _ in 0..50 {
-            assert_eq!(view.list("/w").unwrap(), before);
-            assert!(view.exists("/w/seed"));
-            std::thread::yield_now();
-        }
-        writer.join().unwrap();
-        assert_eq!(view.list("/w").unwrap(), before);
-        assert_eq!(s.list("/w").unwrap().len(), before.len() + 500);
     }
 
     #[test]
