@@ -6,7 +6,8 @@
 use std::sync::Arc;
 
 use mams_journal::{AckRecord, SharedBatch, Sn, Txn};
-use mams_namespace::shard::MAX_SHARDS;
+use mams_namespace::partition::fnv1a64;
+use mams_namespace::path;
 use mams_sim::{Ctx, Duration, NodeId};
 use mams_storage::pool::PoolError;
 use mams_storage::proto::{PoolReq, PoolResp};
@@ -57,20 +58,18 @@ impl Tenure {
         // Journal fan-out: every mutation is serialized and sent to each
         // hot standby.
         cpu.mutation += SYNC_CPU_PER_STANDBY.mul_f64(self.voters().count() as f64);
-        // Fan the drained window across the namespace's shard workers: ops
-        // are bucketed by the shard that owns their parent directory
-        // (`ShardedNamespace::home_shard`) and the buckets are served in
-        // shard-index order — a stable sort is that pass in place. Within a
-        // bucket the admission order is preserved, so ops against the same
-        // directory, and hence the per-shard journal order, serve exactly as
-        // admitted; ops against different shards were concurrent (clients
-        // are closed-loop, one op in flight each), so any interleaving is a
-        // legal linearization. The grouping is deterministic, keeping
-        // replica replay and the retry cache's in-order assumptions intact,
-        // and it batches each shard's lock traffic together — the
-        // single-process analogue of one worker thread per shard.
+        // Serve the drained window bucket by bucket: ops are grouped by their
+        // parent directory's release bucket and the buckets served in index
+        // order — a stable sort is that pass in place. Within a bucket the
+        // admission order is preserved, so ops against the same directory
+        // serve, and are journalled, exactly as admitted; ops in different
+        // buckets were concurrent (clients are closed-loop, one op in flight
+        // each), so any interleaving is a legal linearization. The order is
+        // deterministic, keeping replica replay and the retry cache's
+        // in-order assumptions intact, and it shapes each batch's bytes and
+        // the order replies leave in: changing it moves virtual time.
         let mut drained = r.ingress.drain(budget, cpu);
-        drained.sort_by_cached_key(|item| r.prefix.ns.home_shard(item.op().primary_path()));
+        drained.sort_by_cached_key(|item| release_bucket(item.op().primary_path()));
         for item in drained {
             match item {
                 IngressItem::Client { from, op, seq } => self.serve_op(r, ctx, from, op, seq),
@@ -280,11 +279,10 @@ impl Tenure {
                 ReplyTo::XGroup { .. } => inflight.xg_replies.push((op.reply, Ok(op.output))),
                 ReplyTo::Client { node: client, seq } => {
                     acks.push(AckRecord { record: i as u32, client, seq, spec: false });
-                    let shards = r.shards_of_txn(&op.txn);
                     inflight.client_replies.push(ClientReply {
                         reply: op.reply,
                         result: Ok(op.output),
-                        shards,
+                        buckets: release_buckets(&op.txn),
                     });
                 }
             }
@@ -317,7 +315,7 @@ impl Tenure {
 
     /// Release replies: leg acks as soon as their batch is durable (any
     /// order); client replies when their batch is fully complete, released
-    /// **out of order** across batches subject to per-shard FIFO.
+    /// **out of order** across batches subject to per-bucket FIFO.
     ///
     /// Safety: the pool's journal rejects gaps, so an `AppendOk` for batch
     /// `sn` proves every batch ≤ `sn` is durable in the SSP, and standby
@@ -325,8 +323,8 @@ impl Tenure {
     /// its predecessors in reality, only ahead of their bookkeeping
     /// (a lost pool ack) or their distributed-transaction legs. What the
     /// ascending walk preserves is the client-visible contract: replies
-    /// touching the same home shard (same parent-directory region) release
-    /// in batch order, while creates/deletes/renames under disjoint shards
+    /// touching the same release bucket (same parent-directory region) release
+    /// in batch order, while creates/deletes/renames in disjoint buckets
     /// stop serializing behind each other's legs and stragglers.
     pub(crate) fn try_complete(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
@@ -472,7 +470,7 @@ impl Tenure {
     /// Write a namespace image to the SSP: it starts a fresh chain and
     /// compacts the shared journal.
     pub(crate) fn start_checkpoint(&mut self, r: &mut Replica, ctx: &mut Ctx<'_>) {
-        // Encoded straight from the shards at a pinned epoch: no second copy
+        // Encoded straight from the slot table at a pinned epoch: no second copy
         // of the namespace is built, and the pin is gone again before the
         // next mutation, so none pays for history. The retry window rides
         // inside the image so a junior restored from it inherits the
@@ -631,18 +629,6 @@ pub(crate) fn voted(members: &std::collections::BTreeMap<NodeId, MemberPos>, sn:
 }
 
 impl Replica {
-    /// Home shards a journaled transaction touched (a rename spans its
-    /// source and destination parents). Client replies release in per-shard
-    /// FIFO order, so ops whose shard sets are disjoint ack independently.
-    fn shards_of_txn(&self, txn: &Txn) -> [usize; 2] {
-        match txn {
-            Txn::Rename { src, dst } => {
-                [self.prefix.ns.home_shard(src), self.prefix.ns.home_shard(dst)]
-            }
-            other => [self.prefix.ns.home_shard(other.primary_path()); 2],
-        }
-    }
-
     /// Participant: admit a structural transaction leg from another group's
     /// active. Legs go through the same ingress queue as client operations:
     /// synchronizing the directory skeleton consumes real capacity on every
@@ -680,20 +666,25 @@ impl Replica {
     }
 }
 
-/// The home shards some held reply touches: a bit per shard a namespace can
-/// have, so a release walk builds its set on the stack.
-#[derive(Default)]
-struct ShardSet([u64; MAX_SHARDS / 64]);
+/// Reply-release buckets: a held reply holds the later replies of its
+/// buckets, a bit each in [`ClientReply::buckets`].
+const RELEASE_BUCKETS: u64 = 16;
 
-impl ShardSet {
-    fn contains(&self, shard: usize) -> bool {
-        self.0[shard / 64] >> (shard % 64) & 1 == 1
-    }
+/// The release bucket of an op on `p`: its parent directory's FNV-1a hash,
+/// so that ops under one directory share a bucket.
+fn release_bucket(p: &str) -> u64 {
+    let dir = path::parent(p).unwrap_or("/");
+    fnv1a64(dir.as_bytes()) & (RELEASE_BUCKETS - 1)
+}
 
-    fn extend(&mut self, shards: [usize; 2]) {
-        for shard in shards {
-            self.0[shard / 64] |= 1 << (shard % 64);
-        }
+/// The buckets a journaled transaction touched, a bit each (a rename spans
+/// its source and destination parents). Client replies release in
+/// per-bucket FIFO order, so ops whose bucket sets are disjoint ack
+/// independently.
+fn release_buckets(txn: &Txn) -> u16 {
+    match txn {
+        Txn::Rename { src, dst } => (1 << release_bucket(src)) | (1 << release_bucket(dst)),
+        other => 1 << release_bucket(other.primary_path()),
     }
 }
 
@@ -703,8 +694,8 @@ pub(crate) type ReadyReply = (ReplyTo, Result<OpOutput, String>);
 /// The ascending release walk over the inflight window (the out-of-order
 /// ack core, see `try_complete`), `complete` saying which batches wait for
 /// nothing any more: a *complete* batch releases its client
-/// replies unless an earlier still-held reply shares one of their home
-/// shards; an *incomplete* batch blocks every shard its replies touch.
+/// replies unless an earlier still-held reply shares one of their release
+/// buckets; an *incomplete* batch blocks every bucket its replies touch.
 /// Returns the replies to send, in release order, the sns whose reply lists
 /// fully drained, and how many replies released *past* an earlier
 /// still-incomplete batch (the out-of-order count, for observability).
@@ -716,7 +707,8 @@ pub(crate) fn release_walk(
     inflight: &mut std::collections::BTreeMap<Sn, Inflight>,
     complete: impl Fn(Sn, &Inflight) -> bool,
 ) -> (Vec<ReadyReply>, Vec<Sn>, u64) {
-    let mut blocked = ShardSet::default();
+    // The buckets some held reply touches.
+    let mut blocked = 0u16;
     let mut released: Vec<ReadyReply> = Vec::new();
     let mut drained: Vec<Sn> = Vec::new();
     let mut held = false;
@@ -725,11 +717,11 @@ pub(crate) fn release_walk(
         if complete(sn, inf) {
             let mut kept = Vec::new();
             for cr in inf.client_replies.drain(..) {
-                if cr.shards.iter().any(|&s| blocked.contains(s)) {
-                    // An earlier reply on this shard is still held: keep
-                    // FIFO within the shard, and hold everything behind
-                    // this reply's shards too.
-                    blocked.extend(cr.shards);
+                if cr.buckets & blocked != 0 {
+                    // An earlier reply in this bucket is still held: keep
+                    // FIFO within the bucket, and hold everything behind
+                    // this reply's buckets too.
+                    blocked |= cr.buckets;
                     kept.push(cr);
                 } else {
                     if held {
@@ -748,7 +740,7 @@ pub(crate) fn release_walk(
         } else {
             held = true;
             for cr in &inf.client_replies {
-                blocked.extend(cr.shards);
+                blocked |= cr.buckets;
             }
         }
     }
@@ -760,16 +752,16 @@ mod tests {
     use super::*;
     use crate::config::{InitialRole, MdsConfig};
     use crate::server::{MdsServer, RenewDriver, RoleState};
-    use mams_namespace::{Partitioner, ShardedNamespace};
+    use mams_namespace::Partitioner;
     use mams_sim::{DetRng, LatencyModel, Message, Node, Sim, SimConfig, SimTime};
     use std::collections::{BTreeMap, BTreeSet};
     use std::sync::{Arc, Mutex};
 
-    fn reply(seq: u64, shards: &[usize]) -> ClientReply {
+    fn reply(seq: u64, buckets: &[u64]) -> ClientReply {
         ClientReply {
             reply: ReplyTo::Client { node: 1, seq },
             result: Ok(OpOutput::Done),
-            shards: [shards[0], shards[shards.len() - 1]],
+            buckets: buckets.iter().fold(0, |set, b| set | 1 << b),
         }
     }
 
@@ -796,29 +788,29 @@ mod tests {
             .collect()
     }
 
-    /// Same home shard = same parent directory: a later batch's reply must
-    /// never overtake an earlier incomplete batch on that shard, while a
-    /// disjoint-shard reply in the same later batch releases immediately.
+    /// Same release bucket = same parent directory: a later batch's reply
+    /// must never overtake an earlier incomplete batch in that bucket, while
+    /// a disjoint-bucket reply in the same later batch releases immediately.
     #[test]
-    fn same_shard_replies_hold_behind_an_incomplete_batch() {
+    fn same_bucket_replies_hold_behind_an_incomplete_batch() {
         let mut w = BTreeMap::new();
         w.insert(1, incomplete(vec![reply(1, &[3])]));
         w.insert(2, complete(vec![reply(2, &[3]), reply(3, &[7])]));
         let (released, drained, ooo) = release_walk(&mut w, appended);
-        assert_eq!(seqs(&released), vec![3], "disjoint shard releases out of order");
+        assert_eq!(seqs(&released), vec![3], "disjoint bucket releases out of order");
         assert_eq!(ooo, 1, "that release overtook the incomplete sn 1");
         assert!(drained.is_empty(), "sn 2 still holds the blocked reply");
-        assert_eq!(w[&2].client_replies.len(), 1, "same-shard reply stays held");
+        assert_eq!(w[&2].client_replies.len(), 1, "same-bucket reply stays held");
 
         // Once sn 1 turns durable, both release — in batch (txid) order.
         w.get_mut(&1).unwrap().pool_req = None;
         let (released, drained, ooo) = release_walk(&mut w, appended);
-        assert_eq!(seqs(&released), vec![1, 2], "per-shard FIFO preserved");
+        assert_eq!(seqs(&released), vec![1, 2], "per-bucket FIFO preserved");
         assert_eq!(ooo, 0, "nothing overtaken once the window is complete");
         assert_eq!(drained, vec![1, 2]);
     }
 
-    /// Blocking is transitive through shard *sets*: a held rename spanning
+    /// Blocking is transitive through bucket *sets*: a held rename spanning
     /// two parents extends the block to its second parent, so a later op
     /// under that parent cannot slip past the rename.
     #[test]
@@ -828,11 +820,11 @@ mod tests {
         w.insert(2, complete(vec![reply(2, &[1, 0])])); // rename /b/x -> /a/y
         w.insert(3, complete(vec![reply(3, &[1])]));
         let (released, drained, _) = release_walk(&mut w, appended);
-        assert!(released.is_empty(), "rename held on shard 0 must also hold shard 1");
+        assert!(released.is_empty(), "rename held on bucket 0 must also hold bucket 1");
         assert!(drained.is_empty());
     }
 
-    /// Batches whose shard sets are fully disjoint from everything earlier
+    /// Batches whose bucket sets are fully disjoint from everything earlier
     /// ack independently, whatever the completion order was.
     #[test]
     fn disjoint_directories_release_independently() {
@@ -841,21 +833,44 @@ mod tests {
         w.insert(2, complete(vec![reply(3, &[2])]));
         w.insert(3, complete(vec![reply(4, &[5]), reply(5, &[4])]));
         let (released, _, ooo) = release_walk(&mut w, appended);
-        assert_eq!(seqs(&released), vec![3, 4], "only shard-4 reply waits for sn 1");
+        assert_eq!(seqs(&released), vec![3, 4], "only bucket-4 reply waits for sn 1");
         assert_eq!(ooo, 2, "both releases overtook the incomplete sn 1");
         assert_eq!(w[&3].client_replies.len(), 1);
     }
 
-    /// The shard map itself groups by parent directory — two files in one
-    /// directory share a home shard, which is what makes the walk's
-    /// per-shard FIFO mean "same-directory ops never reorder".
+    /// Buckets group by parent directory — two files in one directory share
+    /// a release bucket, which is what makes the walk's per-bucket FIFO mean
+    /// "same-directory ops never reorder" — and a rename touches both of its
+    /// parents' buckets.
     #[test]
-    fn same_directory_ops_share_a_home_shard() {
-        let ns = mams_namespace::ShardedNamespace::with_shards(8);
-        assert_eq!(ns.home_shard("/jobs/out/part-0"), ns.home_shard("/jobs/out/part-1"));
-        let t1 = mams_journal::Txn::Create { path: "/jobs/out/part-0".into(), replication: 3 };
-        let t2 = mams_journal::Txn::Create { path: "/jobs/out/part-1".into(), replication: 3 };
-        assert_eq!(ns.home_shard(t1.primary_path()), ns.home_shard(t2.primary_path()));
+    fn same_directory_ops_share_a_release_bucket() {
+        assert_eq!(release_bucket("/jobs/out/part-0"), release_bucket("/jobs/out/part-1"));
+        let t1 = Txn::Create { path: "/jobs/out/part-0".into(), replication: 3 };
+        let t2 = Txn::Create { path: "/jobs/out/part-1".into(), replication: 3 };
+        assert_eq!(release_buckets(&t1), release_buckets(&t2));
+        assert_eq!(release_buckets(&t1).count_ones(), 1);
+        let rename = Txn::Rename { src: "/w/d0/f1".into(), dst: "/w/d1/f1".into() };
+        assert_eq!(release_buckets(&rename), 1 << 8 | 1 << 11);
+    }
+
+    /// The buckets are the ones these paths had when the namespace's
+    /// sixteen shards picked them, so the drain serves, and replies release,
+    /// in the order they always have.
+    #[test]
+    fn paths_keep_the_buckets_they_always_had() {
+        let recorded = [
+            ("/", 14),
+            ("/a", 14),
+            ("/jobs/out/part-0", 13),
+            ("/w/d0/f1", 8),
+            ("/w/d1/f1", 11),
+            ("/w/d17/r3", 4),
+            ("/bench/dir7/file123", 13),
+            ("/x/y/z", 10),
+        ];
+        for (p, bucket) in recorded {
+            assert_eq!(release_bucket(p), bucket, "{p}");
+        }
     }
 
     // ---------------------------------------------------------------------
@@ -1051,7 +1066,7 @@ mod tests {
     }
 
     impl Reference {
-        fn apply(&mut self, ns: &ShardedNamespace, step: Step) {
+        fn apply(&mut self, step: Step) {
             match step {
                 Step::Enqueue { dir, reply } => {
                     if let Target::Client { xid: Some(xid), .. } = reply {
@@ -1078,7 +1093,7 @@ mod tests {
                                     waits.legs.insert(xid);
                                     leg.1 = Some(self.tail);
                                 }
-                                inf.client_replies.push(reply(seq, &[ns.home_shard(&path(dir))]));
+                                inf.client_replies.push(reply(seq, &[release_bucket(&path(dir))]));
                             }
                         }
                     }
@@ -1144,7 +1159,7 @@ mod tests {
     /// A random walk over what can happen to a tenure, drawn from the
     /// reference's state so that every step is one both readings define:
     /// acks in order, members that join as strangers.
-    fn random_script(rng: &mut DetRng, ns: &ShardedNamespace) -> (Vec<Step>, Vec<Out>) {
+    fn random_script(rng: &mut DetRng) -> (Vec<Step>, Vec<Out>) {
         fn pick<T>(rng: &mut DetRng, from: impl Iterator<Item = T>) -> Option<T> {
             let mut all: Vec<T> = from.collect();
             (!all.is_empty()).then(|| all.swap_remove(rng.index(all.len())))
@@ -1191,7 +1206,7 @@ mod tests {
                 _ => pick(rng, model.acked.keys().copied()).map(|node| Step::Gone { node }),
             };
             if let Some(step) = step {
-                model.apply(ns, step);
+                model.apply(step);
                 script.push(step);
             }
         }
@@ -1205,10 +1220,9 @@ mod tests {
 
     #[test]
     fn derived_votes_release_what_the_per_batch_sets_released() {
-        let ns = ShardedNamespace::new();
         for case in 0..cases() {
             let mut rng = DetRng::seed_from_u64(0x7e9_0000 + case);
-            let (script, expected) = random_script(&mut rng, &ns);
+            let (script, expected) = random_script(&mut rng);
             assert_eq!(run(script.clone()), expected, "case {case}: {script:#?}");
         }
     }

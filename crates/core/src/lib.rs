@@ -25,7 +25,7 @@
 //!
 //! The central type is [`MdsServer`]: one replica-group member — a replica
 //! (the process: configuration, the coordination client, clocks; and the
-//! one [`Prefix`] it has derived from the journal: sharded namespace, log,
+//! one [`Prefix`] it has derived from the journal: namespace, log,
 //! block map, retry window) and beside it the one value of its role:
 //! member, upgrading, or the active's tenure. It runs on any `mams-sim`
 //! runtime. [`Prefix`] is public because the comparators in

@@ -154,7 +154,7 @@ impl Prefix {
         &self.window
     }
 
-    /// A checkpoint image of the applied prefix, encoded from the shards at
+    /// A checkpoint image of the applied prefix, encoded from the table at
     /// a pinned epoch, with the window as of the tail.
     pub fn encode_image(&mut self) -> NamespaceImage {
         self.fold_window();

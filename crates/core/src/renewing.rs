@@ -348,7 +348,7 @@ impl MdsServer {
             }
         };
         // Feed the chunk into the current artifact's sink: the base goes
-        // straight into the streaming decoder (the shards are loaded as
+        // straight into the streaming decoder (the table is loaded as
         // bytes arrive, no whole-image buffer); a delta accumulates in `buf`.
         enum Step {
             More(ArtifactId, u64),

@@ -115,16 +115,17 @@ pub(crate) struct PendingOp {
     pub xid: Option<Xid>,
 }
 
-/// A client reply held until its batch (and its shards' predecessors) are
-/// durable. `shards` are the home shards the op touched — a rename's two
-/// parents, any other op's one shard twice: release preserves
-/// per-shard FIFO order, while ops on disjoint shards (different parent
-/// directories) release independently — the out-of-order ack path.
+/// A client reply held until its batch (and its buckets' predecessors) are
+/// durable. `buckets` are the release buckets of the op's parent
+/// directories, a bit each — a rename's two parents, any other op's one:
+/// release preserves per-bucket FIFO order, while ops in disjoint buckets
+/// (different parent directories) release independently — the
+/// out-of-order ack path.
 #[derive(Debug)]
 pub(crate) struct ClientReply {
     pub reply: ReplyTo,
     pub result: Result<OpOutput, String>,
-    pub shards: [usize; 2],
+    pub buckets: u16,
 }
 
 /// A sealed batch: the replies it owes, and nothing else. What it waits
@@ -136,7 +137,7 @@ pub(crate) struct ClientReply {
 /// distributed-transaction leg acks immediately — tying leg acks to full
 /// completion would deadlock two groups coordinating at each other — while
 /// **client replies** additionally wait for this batch's own outgoing legs
-/// and are released in per-shard FIFO order (see `try_complete`).
+/// and are released in per-bucket FIFO order (see `try_complete`).
 #[derive(Debug, Default)]
 pub(crate) struct Inflight {
     /// The SSP append this batch still waits on; `None` once acknowledged.

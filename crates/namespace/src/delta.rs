@@ -35,7 +35,7 @@ use crate::image::ImageError;
 use crate::inode::{child, FileInfo, Inode, InodeSource, ROOT_ID};
 use crate::path;
 use crate::retry::RetryWindow;
-use crate::shard::{ShardedNamespace, ShardsAt};
+use crate::shard::{InodesAt, ShardedNamespace};
 use crate::tree::{NamespaceTree, NsError};
 
 /// Delta image magic ("MDLT").
@@ -158,9 +158,9 @@ impl DeltaNamespace for NamespaceTree {
 }
 
 impl DeltaNamespace for ShardedNamespace {
-    type View<'a> = ShardsAt<'a>;
-    fn view(&self) -> ShardsAt<'_> {
-        self.shards_at(None)
+    type View<'a> = InodesAt<'a>;
+    fn view(&self) -> InodesAt<'_> {
+        self.inodes_at(None)
     }
     fn info(&self, p: &str) -> Option<FileInfo> {
         self.getfileinfo(p).ok()

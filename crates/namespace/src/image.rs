@@ -7,10 +7,10 @@
 //!
 //! The body is a preorder DFS of **parent-id delta** entries — `(parent
 //! entry index, name, attrs)` with varint lengths. The encoder reads the
-//! namespace through [`InodeSource`] — a node's pinned shards, or the
+//! namespace through [`InodeSource`] — a node's pinned slot table, or the
 //! reference tree in tests, no copy of either — with names borrowed from
 //! the directories that hold them. The decoder loads each inode straight
-//! into the shards of a [`ShardedNamespace`], under its already-loaded
+//! into the slot table of a [`ShardedNamespace`], under its already-loaded
 //! parent, where a live create or mkdir would have put it: no from-root
 //! path resolution, no intermediate tree, and a name appears once, not
 //! once per descendant. After the entries an image may carry the
@@ -117,7 +117,7 @@ pub fn encode_image<S: InodeSource>(src: &S, checkpoint_sn: Sn) -> NamespaceImag
 /// section after the tree entries, elided when empty (such an image decodes
 /// with an empty window).
 ///
-/// This is the only encoder: every node hands it its pinned shards
+/// This is the only encoder: every node hands it its pinned slot table
 /// ([`SnapshotView::encode_image`](crate::SnapshotView::encode_image)), the
 /// parity suites also the reference tree, and the bytes depend on the
 /// namespace alone, not on which of the two held it.
@@ -207,7 +207,7 @@ pub struct DecodedImage {
 ///
 /// A push-based state machine: feed encoded bytes in chunks of any size
 /// with [`push`](Self::push), then call [`finish`](Self::finish) once the
-/// whole image has been delivered. Entries are loaded into the shards as
+/// whole image has been delivered. Entries are loaded into the table as
 /// soon as they are complete, so decoding overlaps the transfer and no
 /// whole-image buffer ever exists.
 ///
@@ -235,8 +235,6 @@ pub struct StreamingImageDecoder {
     /// Undecoded tail: the held-back checksum candidate plus any
     /// incomplete entry straddling the last chunk boundary.
     pending: Vec<u8>,
-    /// Most recently attached inode (checkpoint telemetry).
-    last_id: InodeId,
     /// Retry-outcome window section (`W`), when the image carries one.
     window: RetryWindow,
     window_seen: bool,
@@ -260,7 +258,6 @@ impl StreamingImageDecoder {
             hash: Fnv1a64::new(),
             offset: 0,
             pending: Vec::new(),
-            last_id: ROOT_ID,
             window: RetryWindow::new(),
             window_seen: false,
             err: None,
@@ -297,10 +294,9 @@ impl StreamingImageDecoder {
         }
     }
 
-    /// `(offset, last inode id)`: the resume checkpoint after the bytes
-    /// pushed so far.
-    pub fn checkpoint(&self) -> (u64, InodeId) {
-        (self.offset, self.last_id)
+    /// The resume checkpoint after the bytes pushed so far: their count.
+    pub fn checkpoint(&self) -> u64 {
+        self.offset
     }
 
     /// The checkpoint sn from the header, once seen.
@@ -471,7 +467,6 @@ impl StreamingImageDecoder {
         let id =
             self.ns.load(parent_id, name, inode).map_err(|e| ImageError::Corrupt(e.to_string()))?;
         self.ids.push(id);
-        self.last_id = id;
         Ok(Some(pos))
     }
 }
@@ -639,7 +634,7 @@ mod tests {
         for cut in 0..=img.data.len() {
             let mut d = StreamingImageDecoder::new();
             d.push(&img.data[..cut]).unwrap();
-            let (off, _) = d.checkpoint();
+            let off = d.checkpoint();
             assert_eq!(off, cut as u64);
             d.push(&img.data[cut..]).unwrap();
             let d = d.finish().unwrap();

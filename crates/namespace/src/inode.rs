@@ -204,7 +204,7 @@ impl Inode {
 
 /// Read-only access to a namespace by inode id: what the image encoder and
 /// the delta fold walk. The reference tree implements it directly and the
-/// sharded namespace through a view borrowing its shards, so both
+/// namespace a node runs through a view borrowing its slot table, so both
 /// producers read the namespace a replica runs instead of a copy of it.
 pub trait InodeSource {
     /// The inode `id` in the state this source shows, if it exists there.

@@ -35,5 +35,5 @@ pub use image::{
 pub use inode::{FileInfo, Inode, InodeId, InodeSource, Name};
 pub use partition::Partitioner;
 pub use retry::{replay_outcome, RetryEntry, RetryOutcome, RetryWindow, DEFAULT_WINDOW_CAP};
-pub use shard::{CacheStats, ShardedNamespace, ShardedReplaySession, ShardsAt, SnapshotView};
+pub use shard::{CacheStats, InodesAt, ShardedNamespace, ShardedReplaySession, SnapshotView};
 pub use tree::{NamespaceTree, NsError};

@@ -12,9 +12,10 @@
 pub type GroupId = u32;
 
 /// FNV-1a, stable across runs and platforms (clients and servers must agree
-/// on routing forever). Shared by group-level partitioning here and the
-/// intra-namespace shard map in [`crate::shard`].
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+/// on routing forever). Group-level partitioning here, the resolution
+/// cache's sets in [`crate::shard`], and the active's reply-release buckets
+/// in `mams-core` all hash with it.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

@@ -3,9 +3,9 @@
 //! This is the plain reference namespace: every path resolves by a walk
 //! from the root, and [`NamespaceTree::apply`] is the per-record replay the
 //! sharded namespace and its replay session are checked against. No node
-//! holds one — every system's namespace is the shards, and images decode
-//! into them — so it lives on as the oracle: the parity suites run it beside
-//! the shards, encode its image (it is an [`InodeSource`]) and cross into
+//! holds one — every system's namespace is a slot table, and images decode
+//! into it — so it lives on as the oracle: the parity suites run it beside
+//! the table, encode its image (it is an [`InodeSource`]) and cross into
 //! it with `to_tree`/`from_tree`. It carries no resolution cache of its own
 //! — the oracle a cache is compared with should not have one.
 

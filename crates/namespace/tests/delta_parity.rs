@@ -170,8 +170,6 @@ fn delta_applies_cleanly_at_every_intermediate_state() {
 #[test]
 fn sharded_apply_matches_tree_apply() {
     for case in 0..cases() {
-        // Odd shard counts and 1 exercise the modulo layout edge cases.
-        let shards = [1usize, 2, 4, 16][case as usize % 4];
         let mut rng = SmallRng::seed_from_u64(0x000D_E17A_0003 ^ (case << 8));
         let mut live = NamespaceTree::new();
         let base_len = rng.gen_range(0..150usize);
@@ -185,7 +183,7 @@ fn sharded_apply_matches_tree_apply() {
         let decoded = decode_delta(&delta.data).expect("fresh fold decodes");
 
         // Stand a sharded replica up at the base state, then patch it.
-        let mut sharded = ShardedNamespace::with_shards(shards);
+        let mut sharded = ShardedNamespace::new();
         for txn in &prefix {
             sharded.apply(txn).unwrap_or_else(|e| {
                 panic!("case {case}: sharded replay of committed txn failed: {e:?}")
@@ -199,7 +197,7 @@ fn sharded_apply_matches_tree_apply() {
         assert_eq!(
             sharded.fingerprint(),
             tree.fingerprint(),
-            "case {case} ({shards} shards): sharded and tree apply diverged"
+            "case {case}: sharded and tree apply diverged"
         );
         assert_eq!(sharded.fingerprint(), live.fingerprint(), "case {case}: vs naive replay");
     }
@@ -273,14 +271,14 @@ const WIRE_DIGESTS: [(u64, u64, u64); 3] = [
 
 /// Both checkpoint artifacts are byte for byte what the previous encoders
 /// wrote for the same namespace, journal range and retry window — from the
-/// reference tree and from the shards alike — so a pool written before the
-/// encoders read the shards directly still loads, and the reverse.
+/// reference tree and from the table alike — so a pool written before the
+/// encoders read the table directly still loads, and the reverse.
 #[test]
 fn wire_bytes_are_the_recorded_ones() {
     for (seed, image_digest, delta_digest) in WIRE_DIGESTS {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut live = NamespaceTree::new();
-        let sharded = ShardedNamespace::with_shards(4);
+        let sharded = ShardedNamespace::new();
         for txn in grow(&mut rng, &mut live, 200) {
             sharded.apply(&txn).expect("committed on the tree");
         }
@@ -297,11 +295,11 @@ fn wire_bytes_are_the_recorded_ones() {
         let delta = fold_delta_with_window(&live, 200, 500, journal.iter(), &window);
         assert_eq!(fnv1a64(&delta.data), delta_digest, "seed {seed:#x}: delta off the tree");
         let delta = fold_delta_with_window(&sharded, 200, 500, journal.iter(), &window);
-        assert_eq!(fnv1a64(&delta.data), delta_digest, "seed {seed:#x}: delta off the shards");
+        assert_eq!(fnv1a64(&delta.data), delta_digest, "seed {seed:#x}: delta off the table");
         let image = encode_image_with_window(&live, 500, &window);
         assert_eq!(fnv1a64(&image.data), image_digest, "seed {seed:#x}: image of the tree");
         let image = sharded.pin().encode_image(500, &window);
-        assert_eq!(fnv1a64(&image.data), image_digest, "seed {seed:#x}: image of the shards");
+        assert_eq!(fnv1a64(&image.data), image_digest, "seed {seed:#x}: image of the table");
     }
 }
 
@@ -336,11 +334,11 @@ fn mixed_names() -> Vec<String> {
 
 /// The encoder walks a directory's children in key order, so the image of a
 /// directory of mixed names pins that order — byte order, which is `str`
-/// order — and each name's bytes, off the tree and off the shards.
+/// order — and each name's bytes, off the tree and off the table.
 #[test]
 fn image_of_a_directory_of_mixed_names_is_the_recorded_one() {
     let mut tree = NamespaceTree::new();
-    let sharded = ShardedNamespace::with_shards(4);
+    let sharded = ShardedNamespace::new();
     let mut ops = vec![Txn::Mkdir { path: "/m".into() }];
     // Entered in an order that is not the sorted one.
     for (i, name) in mixed_names().iter().rev().enumerate() {
@@ -352,7 +350,7 @@ fn image_of_a_directory_of_mixed_names_is_the_recorded_one() {
     }
     for op in &ops {
         tree.apply(op).expect("valid on the tree");
-        sharded.apply(op).expect("valid on the shards");
+        sharded.apply(op).expect("valid on the table");
     }
     let mut listed = tree.list("/m").expect("a directory");
     assert_eq!(listed, sharded.list("/m").expect("a directory"));
@@ -363,5 +361,5 @@ fn image_of_a_directory_of_mixed_names_is_the_recorded_one() {
     let image = encode_image_with_window(&tree, 7, &window);
     assert_eq!(fnv1a64(&image.data), MIXED_NAMES_IMAGE_DIGEST, "image of the tree");
     let image = sharded.pin().encode_image(7, &window);
-    assert_eq!(fnv1a64(&image.data), MIXED_NAMES_IMAGE_DIGEST, "image of the shards");
+    assert_eq!(fnv1a64(&image.data), MIXED_NAMES_IMAGE_DIGEST, "image of the table");
 }

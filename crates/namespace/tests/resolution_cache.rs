@@ -14,7 +14,9 @@
 //! Seeded `rand`; `PARITY_CASES` scales the case count.
 
 use mams_journal::Txn;
-use mams_namespace::{NamespaceTree, ShardedNamespace, ShardedReplaySession, SnapshotView};
+use mams_namespace::{
+    CacheStats, NamespaceTree, ShardedNamespace, ShardedReplaySession, SnapshotView,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -101,10 +103,10 @@ fn assert_cache_agrees(ns: &ShardedNamespace, paths: &[String], what: &str) {
     }
 }
 
-fn run_stream(case: u64, universe: Universe, shards: usize, ops: usize) -> ShardedNamespace {
+fn run_stream(case: u64, universe: Universe, ops: usize) -> ShardedNamespace {
     let mut rng = SmallRng::seed_from_u64(0xCAC4E ^ (case << 8));
-    let active = ShardedNamespace::with_shards(shards);
-    let replica = ShardedNamespace::with_shards(shards);
+    let active = ShardedNamespace::new();
+    let replica = ShardedNamespace::new();
     let mut session = ShardedReplaySession::new();
     let mut legacy = NamespaceTree::new();
     for txn in universe.skeleton() {
@@ -168,29 +170,22 @@ fn run_stream(case: u64, universe: Universe, shards: usize, ops: usize) -> Shard
 fn cached_resolution_matches_the_walk_under_subtree_moves_and_pins() {
     let mut flushes = 0;
     for case in 0..cases() {
-        let shards = [1usize, 4, 16][case as usize % 3];
-        let ns = run_stream(
-            case,
-            Universe { fan: [3, 3, 2], subtree_moves_per_mille: 150 },
-            shards,
-            600,
-        );
+        let ns = run_stream(case, Universe { fan: [3, 3, 2], subtree_moves_per_mille: 150 }, 600);
         flushes += ns.cache_stats().flushes;
     }
     assert!(flushes > 0, "the streams never moved a subtree");
 }
 
-/// More directories than one cache shard holds, so bindings are replaced
-/// while the stream runs.
+/// Twice as many directories up front as the cache has sets, so some sets
+/// overflow and bindings are replaced while the stream runs.
 #[test]
 fn cached_resolution_matches_the_walk_while_sets_overflow() {
     let mut evictions = 0;
     for case in 0..cases().div_ceil(4) {
         let ns = run_stream(
             1000 + case,
-            Universe { fan: [8, 16, 16], subtree_moves_per_mille: 2 },
-            1,
-            6_000,
+            Universe { fan: [64, 128, 4], subtree_moves_per_mille: 2 },
+            3_000,
         );
         evictions += ns.cache_stats().evictions;
     }
@@ -247,4 +242,39 @@ fn file_lifecycle_and_empty_rmdir_never_flush_and_keep_hitting() {
         let ratio = hits as f64 / (hits + misses) as f64;
         assert!(ratio >= 0.95, "{name}: hit ratio {ratio:.3} ({hits} hits, {misses} misses)");
     }
+}
+
+/// The cache counts exactly what it counted as sixteen 1 024-entry cache
+/// shards: a path's set is picked from the same twelve hash bits, so a fixed
+/// seeded stream — 8 256 directories up front, which overflow sets, then
+/// mkdirs, creates, rmdirs, deletes, subtree moves and reads — ends with the
+/// hits, misses, flushes and evictions recorded before the shards went.
+#[test]
+fn a_fixed_stream_counts_what_the_cache_shards_counted() {
+    let universe = Universe { fan: [64, 128, 4], subtree_moves_per_mille: 0 };
+    let mut rng = SmallRng::seed_from_u64(0x601D);
+    let ns = ShardedNamespace::new();
+    for txn in universe.skeleton() {
+        ns.apply(&txn).unwrap();
+    }
+    for i in 0..20_000u32 {
+        let txn = match rng.gen_range(0..1000u32) {
+            0..=1 => Txn::Rename { src: universe.dir(&mut rng), dst: universe.dir(&mut rng) },
+            2..=3 => Txn::Delete { path: universe.dir(&mut rng), recursive: true },
+            4..=400 => Txn::Mkdir { path: universe.dir(&mut rng) },
+            401..=700 => Txn::Create {
+                path: format!("{}/f{}", universe.dir(&mut rng), i % 3),
+                replication: 1,
+            },
+            701..=800 => Txn::Delete { path: universe.dir(&mut rng), recursive: false },
+            _ => Txn::Delete {
+                path: format!("{}/f{}", universe.dir(&mut rng), i % 3),
+                recursive: false,
+            },
+        };
+        let _ = ns.apply(&txn);
+        let _ = ns.getfileinfo(&format!("{}/f0", universe.dir(&mut rng)));
+    }
+    let want = CacheStats { hits: 17_635, misses: 27_271, flushes: 25, evictions: 418 };
+    assert_eq!(ns.cache_stats(), want);
 }

@@ -1,7 +1,7 @@
 //! Randomized parity between [`ShardedNamespace`] and the legacy
 //! [`NamespaceTree`].
 //!
-//! The sharded namespace must be *observationally identical* to the legacy
+//! The namespace must be *observationally identical* to the legacy
 //! tree: same results (including errors) for every operation, same
 //! fingerprint after any operation sequence, and snapshot reads pinned
 //! mid-sequence must match a quiesced replica that stopped at the pin
@@ -13,7 +13,6 @@
 //! `rand` with fixed seeds — deterministic, shrink-free, CI-friendly.
 //! `PARITY_CASES` scales the number of cases per test (nightly runs more).
 
-use mams_namespace::shard::DEFAULT_SHARDS;
 use mams_namespace::{
     decode_image, encode_image_with_window, NamespaceTree, NsError, RetryEntry, RetryOutcome,
     RetryWindow, ShardedNamespace,
@@ -134,16 +133,14 @@ fn universe() -> Vec<String> {
     v
 }
 
-/// Sharded results — mutation outcomes, reads, fingerprint, counters —
-/// must equal the legacy tree's after every random op.
+/// The namespace's results — mutation outcomes, reads, fingerprint,
+/// counters — must equal the legacy tree's after every random op.
 #[test]
 fn random_ops_keep_sharded_and_legacy_identical() {
     for case in 0..cases() {
-        // Odd shard counts and 1 exercise the modulo layout edge cases.
-        let shards = [1usize, 2, 4, 16][case as usize % 4];
         let mut rng = SmallRng::seed_from_u64(0x5AD_0001 ^ (case << 8));
         let mut legacy = NamespaceTree::new();
-        let sharded = ShardedNamespace::with_shards(shards);
+        let sharded = ShardedNamespace::new();
         for step in 0..OPS_PER_CASE {
             let op = rand_op(&mut rng);
             let a = op.apply_legacy(&mut legacy);
@@ -175,7 +172,7 @@ fn random_ops_keep_sharded_and_legacy_identical() {
 fn snapshot_reads_match_a_quiesced_replica() {
     for case in 0..cases() {
         let mut rng = SmallRng::seed_from_u64(0x5AD_0002 ^ (case << 8));
-        let sharded = ShardedNamespace::with_shards(4);
+        let sharded = ShardedNamespace::new();
         let mut quiesced = NamespaceTree::new();
         let prefix = rng.gen_range(40..OPS_PER_CASE);
         for _ in 0..prefix {
@@ -234,17 +231,16 @@ fn rand_op_with_dir_renames(rng: &mut SmallRng) -> Op {
     }
 }
 
-/// The active checkpoints by encoding its pinned shards. That image must be
+/// The active checkpoints by encoding its pinned table. That image must be
 /// byte for byte the one the encoder makes of a `to_tree` copy of the same
 /// namespace; a pin held while the namespace moves on must keep yielding
 /// the image of the pin point; and once the pin is gone, writing an inode
 /// must drop the versions it kept for the pin.
 #[test]
-fn pinned_shards_encode_the_image_of_the_pin_point() {
+fn a_pinned_table_encodes_the_image_of_the_pin_point() {
     for case in 0..cases() {
-        let shards = [1usize, 2, 4, 16][case as usize % 4];
         let mut rng = SmallRng::seed_from_u64(0x5AD_0003 ^ (case << 8));
-        let sharded = ShardedNamespace::with_shards(shards);
+        let sharded = ShardedNamespace::new();
         let mut window = RetryWindow::new();
         for step in 0..rng.gen_range(100..OPS_PER_CASE) as u64 {
             if rand_op_with_dir_renames(&mut rng).apply_sharded(&sharded).is_ok() {
@@ -258,7 +254,7 @@ fn pinned_shards_encode_the_image_of_the_pin_point() {
 
         let view = sharded.pin();
         let at_pin = view.encode_image(sn, &window);
-        assert_eq!(at_pin.data, of_copy.data, "case {case}: shards and tree copy encode alike");
+        assert_eq!(at_pin.data, of_copy.data, "case {case}: table and tree copy encode alike");
         assert_eq!((at_pin.files, at_pin.dirs), (of_copy.files, of_copy.dirs), "case {case}");
         let pinned_fingerprint = view.fingerprint();
 
@@ -290,21 +286,14 @@ fn live_ids(ns: &ShardedNamespace) -> Vec<(u64, String)> {
     live_paths(ns).into_iter().map(|p| (ns.resolve_path(&p).expect("listed"), p)).collect()
 }
 
-/// Every shard of `ns` (of `shards` shards) holds its live inodes at the
-/// indexes `0..n`, each at generation 0. An id is `generation << 32 | index
-/// << log2 N | shard`, so that is a table of `n` slots, the root's in shard
-/// 0 among them, of which none was ever freed: an empty free list, and no
-/// slot beside the live ones.
-fn assert_dense(ns: &ShardedNamespace, shards: usize, what: &str) {
-    let mut indexes = vec![Vec::new(); shards];
-    for (id, p) in live_ids(ns) {
-        assert_eq!(id >> 32, 0, "{what}: {p} sits in a slot freed before");
-        indexes[id as usize & (shards - 1)].push(id as u32 >> shards.trailing_zeros());
-    }
-    for (k, mut taken) in indexes.into_iter().enumerate() {
-        taken.sort_unstable();
-        assert!(taken.iter().copied().eq(0..taken.len() as u32), "{what}: shard {k}: {taken:?}");
-    }
+/// The table of `ns` holds its `n` live inodes at the indexes `0..n`, each
+/// at generation 0. An id is `generation << 32 | index`, so that is a table
+/// of `n` slots, the root's among them, of which none was ever freed: an
+/// empty free list, and no slot beside the live ones.
+fn assert_dense(ns: &ShardedNamespace, what: &str) {
+    let mut taken: Vec<u64> = live_ids(ns).into_iter().map(|(id, _)| id).collect();
+    taken.sort_unstable();
+    assert!(taken.iter().copied().eq(0..taken.len() as u64), "{what}: {taken:?}");
 }
 
 /// Load the namespace `history` builds both ways a namespace is built
@@ -313,15 +302,9 @@ fn assert_dense(ns: &ShardedNamespace, shards: usize, what: &str) {
 /// the image bytes, the highest block id, dense tables; then the same
 /// `suffix` on both, with the same result and fingerprint at every step,
 /// a pin held across `pinned` so copy-on-write runs on loaded slots.
-fn check_loaded(
-    history: &[Op],
-    suffix: &[Op],
-    shards: usize,
-    pinned: std::ops::Range<usize>,
-    what: &str,
-) {
+fn check_loaded(history: &[Op], suffix: &[Op], pinned: std::ops::Range<usize>, what: &str) {
     let grow = || {
-        let ns = ShardedNamespace::with_shards(shards);
+        let ns = ShardedNamespace::new();
         for op in history {
             let _ = op.apply_sharded(&ns);
         }
@@ -335,10 +318,8 @@ fn check_loaded(
         .max()
         .unwrap_or(0);
     assert_eq!(decoded.highest_block, highest_block, "{what}: highest block id");
-    let via_tree = ShardedNamespace::from_tree_with_shards(grow().to_tree(), shards);
-    for (how, loaded, n) in
-        [("decoded", decoded.ns, DEFAULT_SHARDS), ("from_tree", via_tree, shards)]
-    {
+    let via_tree = ShardedNamespace::from_tree(grow().to_tree());
+    for (how, loaded) in [("decoded", decoded.ns), ("from_tree", via_tree)] {
         let what = format!("{what}, {how}");
         let source = grow();
         assert_eq!(loaded.fingerprint(), source.fingerprint(), "{what}: fingerprint");
@@ -349,7 +330,7 @@ fn check_loaded(
         );
         let again = loaded.pin().encode_image(7, &RetryWindow::new());
         assert_eq!(again.data, image.data, "{what}: re-encoded");
-        assert_dense(&loaded, n, &what);
+        assert_dense(&loaded, &what);
         let mut view = None;
         for (step, op) in suffix.iter().enumerate() {
             if step == pinned.start {
@@ -379,15 +360,14 @@ fn check_loaded(
 fn a_loaded_namespace_is_a_live_one() {
     let mut reused = 0;
     for case in 0..cases() {
-        let shards = [1usize, 2, 4, 16][case as usize % 4];
         let mut rng = SmallRng::seed_from_u64(0x5AD_0004 ^ (case << 8));
         let history: Vec<Op> = (0..rng.gen_range(100..OPS_PER_CASE))
             .map(|_| rand_op_with_dir_renames(&mut rng))
             .collect();
         let suffix: Vec<Op> = (0..200).map(|_| rand_op_with_dir_renames(&mut rng)).collect();
         let start = rng.gen_range(0..150usize);
-        check_loaded(&history, &suffix, shards, start..start + 50, &format!("case {case}"));
-        let source = ShardedNamespace::with_shards(shards);
+        check_loaded(&history, &suffix, start..start + 50, &format!("case {case}"));
+        let source = ShardedNamespace::new();
         for op in &history {
             let _ = op.apply_sharded(&source);
         }
@@ -403,7 +383,5 @@ fn a_loaded_namespace_is_a_live_one() {
         Op::SetPerm("/".into(), 0o711),
     ];
     let suffix = [Op::Create("/x/y/g".into(), 1), Op::Rename("/x/y".into(), "/z".into())];
-    for shards in [1, 4] {
-        check_loaded(&history, &suffix, shards, 0..1, &format!("fixed tree, {shards} shards"));
-    }
+    check_loaded(&history, &suffix, 0..1, "fixed tree");
 }

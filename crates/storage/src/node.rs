@@ -295,7 +295,7 @@ mod tests {
             };
             d.push(&data).unwrap();
             offset += data.len() as u64;
-            assert_eq!(d.checkpoint().0, offset);
+            assert_eq!(d.checkpoint(), offset);
             if offset >= total || data.is_empty() {
                 break;
             }

@@ -265,7 +265,7 @@ fn streaming_decode_matches_buffered_at_any_chunk_size() {
         for piece in img.data.chunks(chunk) {
             dec.push(piece).expect("valid image streams cleanly");
             pushed += piece.len() as u64;
-            let (off, _) = dec.checkpoint();
+            let off = dec.checkpoint();
             assert_eq!(off, pushed, "case {case}");
         }
         let streamed = dec.finish().expect("stream finish");
