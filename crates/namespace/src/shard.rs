@@ -296,8 +296,10 @@ impl CacheEntry {
 }
 
 /// The path → directory-id resolution cache: [`CACHE_SETS`] sets of
-/// [`CACHE_WAYS`] entries. Only directories are cached, and only by a
-/// mutation that has seen the directory live.
+/// [`CACHE_WAYS`] entries. A binding is what a walk found: a mutation whose
+/// lookup of its parent directory missed and walked binds that directory once
+/// the op goes through. Reads never insert, and a mkdir does not bind the
+/// directory it makes.
 ///
 /// An entry of the current generation is a live binding. Removing an *empty*
 /// directory drops exactly its own key — it has no cached descendants,
@@ -337,12 +339,8 @@ impl ResolutionCache {
     /// over its oldest binding otherwise.
     fn put(&mut self, k: &CacheKey<'_>, id: InodeId, stamp: Stamp) {
         let set = &mut self.ways[k.set()];
-        if let Some(e) = set.iter().find(|e| e.holds(k)) {
-            // Keep the older entry: the binding is unchanged and the older
-            // stamp serves more pinned epochs.
-            debug_assert_eq!(e.id, id, "two live bindings for {}", k.path);
-            return;
-        }
+        // Only a walk binds, and an op walks only when its probe missed.
+        debug_assert!(!set.iter().any(|e| e.holds(k)), "{} is already bound", k.path);
         let victim = match set.iter().position(|e| e.gen != k.gen) {
             Some(dead) => dead,
             None => {
@@ -587,10 +585,12 @@ impl ShardedNamespace {
         CacheKey { path: dir, hash: fnv1a64(dir.as_bytes()), gen: self.cache_gen.get() }
     }
 
-    /// Record `k → id`. Mutation paths only, having seen `id` a live
-    /// directory: removing or moving a directory updates the cache after it,
-    /// so a binding is never inserted behind its own invalidation.
-    fn cache_put(&self, k: &CacheKey<'_>, id: InodeId, stamp: Stamp) {
+    /// Record `k → id`, what the op's own lookup walked to. Mutation paths
+    /// only, once the op went through with `id` a live directory in `table`:
+    /// removing or moving a directory updates the cache after it, so a
+    /// binding is never inserted behind its own invalidation.
+    fn cache_put(&self, table: &SlotTable, k: &CacheKey<'_>, id: InodeId, stamp: Stamp) {
+        debug_assert!(table.has_live_dir(id), "{} binds no live directory", k.path);
         // A key taken before a flush would be dead on arrival.
         if k.gen == self.cache_gen.get() {
             self.cache.borrow_mut().put(k, id, stamp);
@@ -778,14 +778,14 @@ impl ShardedNamespace {
         Ok(FileInfo::new_file(p, replication))
     }
 
-    /// `mkdir`: make a directory (parent must exist).
+    /// `mkdir`: make a directory (parent must exist). The new directory is
+    /// not cached: the first later op that walks to it binds it.
     pub fn mkdir(&self, p: &str) -> Result<(), NsError> {
         path::validate(p)?;
         let (dir, name) = path::split(p).ok_or(NsError::RootImmutable)?;
-        let new = self.cache_key(p);
         let (pid, bind) =
             self.lookup_dir(dir, None).ok_or_else(|| self.parent_missing_error(p, dir))?;
-        self.attach_dir(pid, name, p, bind, new).map(|_| ())
+        self.attach_dir(pid, name, p, bind).map(|_| ())
     }
 
     /// `mkdir -p`: create all missing ancestors. Ok if the directory exists.
@@ -1017,7 +1017,9 @@ impl SnapshotView<'_> {
 /// last-resolved parent directory and last-touched node are remembered
 /// across records (journals have heavy directory locality, and
 /// `Create f → AddBlock f → CloseFile f` runs are ubiquitous). Every record
-/// resolves its parents through that handle and runs the live op's body. A
+/// resolves its parents through that handle and runs the live op's body,
+/// which binds in the namespace's resolution cache only a parent the
+/// namespace walked to — never the directory a `Mkdir` makes. A
 /// `Delete` or `Rename` drops the node handle, and the directory handle too
 /// when what went was a directory (or the record failed); an external
 /// [`reset`](Self::reset) drops both. The answer is the naive apply's,
@@ -1056,10 +1058,9 @@ impl ShardedReplaySession {
                 Ok(())
             }
             Txn::Mkdir { path } => {
-                let new = ns.cache_key(path);
                 let missing = |dir: &str| ns.parent_missing_error(path, dir);
                 let ((pid, bind), name) = self.parent_of(ns, path, missing)?;
-                let id = ns.attach_dir(pid, name, path, bind, new)?;
+                let id = ns.attach_dir(pid, name, path, bind)?;
                 self.remember_dir(path, id);
                 Ok(())
             }
@@ -1188,22 +1189,21 @@ impl ShardedNamespace {
         Self::link(Self::open_dir(&mut table, parent, s, keep), name, id, p)?;
         table.take(s, Inode::new_file(replication));
         if let Some(k) = bind {
-            self.cache_put(&k, parent, s);
+            self.cache_put(&table, &k, parent, s);
         }
         self.num_files.set(self.num_files.get() + 1);
         Ok(id)
     }
 
     /// Attach a new directory under `parent` (see
-    /// [`attach_file`](Self::attach_file)), and cache it under `new`, the key
-    /// of its own path.
+    /// [`attach_file`](Self::attach_file)). The directory itself is not
+    /// bound: the first later op whose lookup walks to it binds it.
     fn attach_dir(
         &self,
         parent: InodeId,
         name: &str,
         p: &str,
         bind: Option<CacheKey<'_>>,
-        new: CacheKey<'_>,
     ) -> Result<InodeId, NsError> {
         let mut table = self.table.borrow_mut();
         self.sweep(&mut table);
@@ -1214,9 +1214,8 @@ impl ShardedNamespace {
         Self::link(Self::open_dir(&mut table, parent, s, keep), name, id, p)?;
         table.take(s, Inode::new_dir());
         if let Some(k) = bind {
-            self.cache_put(&k, parent, s);
+            self.cache_put(&table, &k, parent, s);
         }
-        self.cache_put(&new, id, s);
         self.num_dirs.set(self.num_dirs.get() + 1);
         Ok(id)
     }
@@ -1267,7 +1266,7 @@ impl ShardedNamespace {
             self.cache_flush();
         }
         if let Some(k) = bind {
-            self.cache_put(&k, pid, s);
+            self.cache_put(&table, &k, pid, s);
         }
         self.num_files.set(self.num_files.get() - files);
         self.num_dirs.set(self.num_dirs.get() - dirs);
@@ -1326,7 +1325,7 @@ impl ShardedNamespace {
         }
         for (bind, parent) in [(src_bind, sp), (dst_bind, dp)] {
             if let Some(k) = bind {
-                self.cache_put(&k, parent, s);
+                self.cache_put(&table, &k, parent, s);
             }
         }
         Ok(is_dir)

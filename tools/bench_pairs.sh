@@ -12,15 +12,20 @@
 # change. Workloads default to every one BENCHMARK.json names.
 #
 # stdout is the record (results/PR<n>_bench_e2e_compare.txt is this output):
-# a header, one line per pair, a count per workload, then `bench_e2e
-# --compare`'s table. The two sets are left in $OUT (default a fresh
-# directory under ${TMPDIR:-/tmp}) as parent.json and change.json, in the
-# form `--compare` reads. Exit status is `--compare`'s: non-zero when a
-# metric is out of bounds or a run was incorrect.
+# a header, one line per pair (with both sides' peak_rss_mb and setup_s), a
+# claim verdict per workload, then `bench_e2e --compare`'s table. The verdict
+# is the rule a claimed gain in cpu_ns_per_op must meet: the change lower in
+# at least nine of ten pairs (ties count for neither), and its median below the
+# parent's by more than the parent's quartile spread (q3 - q1, quartiles
+# interpolated linearly between the sorted runs); it reads `holds` or `fails`.
+# The two sets are left in $OUT (default a fresh directory under
+# ${TMPDIR:-/tmp}) as parent.json and change.json, in the form `--compare`
+# reads. Exit status is `--compare`'s: non-zero when a metric is out of
+# bounds or a run was incorrect.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,19s/^# \{0,1\}//p' "$0" >&2
+    sed -n '2,24s/^# \{0,1\}//p' "$0" >&2
     exit 2
 fi
 parent=$1
@@ -47,12 +52,30 @@ metric() { sed -n "s/.*\"$2\": {\"value\": \([-0-9.e+]*\).*/\1/p" <<<"$1"; }
 field() { sed -n "s/.*\"$2\": \([a-z0-9]*\).*/\1/p" <<<"$1"; }
 virtual="commit_p50_us commit_p99_us commit_p999_us virt_ops_per_s mttr_ms"
 
+# The claim verdict for one workload from its pairs' cpu_ns_per_op: "a b" per
+# line, parent first.
+verdict() {
+    awk -v w="$1" '
+        function q(v, n, f,   i, x) { x = f * (n - 1); i = int(x); return v[i + 1] + (x - i) * (v[i + 2] - v[i + 1]) }
+        function sorted(v, n,   i, j, t) {
+            for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+        }
+        { n++; a[n] = $1; b[n] = $2; won += ($2 < $1) }
+        END {
+            sorted(a, n); sorted(b, n)
+            ma = q(a, n, 0.5); mb = q(b, n, 0.5); spread = q(a, n, 0.75) - q(a, n, 0.25)
+            ok = won * 10 >= 9 * n && ma - mb > spread
+            printf "%s: cpu_ns_per_op lower with the change in %d of %d pairs; median %.0f -> %.0f (%+.1f%%), parent quartile spread %.0f (%.1f%%): claim %s\n",
+                w, won, n, ma, mb, 100 * (mb - ma) / ma, spread, 100 * spread / ma, ok ? "holds" : "fails"
+        }'
+}
+
 declare -A runs=([parent]="" [change]="")
 declare -A bin=([parent]=$parent [change]=$change)
 lines=""
 counts=""
 for w in "${workloads[@]}"; do
-    better=0
+    cpus=""
     for ((seed = first; seed < first + pairs; seed++)); do
         if ((seed % 2 == 0)); then order="parent change"; else order="change parent"; fi
         declare -A result=()
@@ -69,15 +92,18 @@ for w in "${workloads[@]}"; do
         done
         a=$(metric "${result[parent]}" cpu_ns_per_op)
         b=$(metric "${result[change]}" cpu_ns_per_op)
-        better=$((better + $(awk -v a="$a" -v b="$b" 'BEGIN { print (b < a) }')))
+        cpus+="$a $b"$'\n'
         line=$(awk -v a="$a" -v b="$b" 'BEGIN { printf "cpu %.0f -> %.0f (%+.1f%%)", a, b, 100 * (b - a) / a }')
         line="$w $seed first=${order%% *} $same $line"
+        line+=$(awk -v a="$(metric "${result[parent]}" peak_rss_mb)" -v b="$(metric "${result[change]}" peak_rss_mb)" \
+            -v c="$(metric "${result[parent]}" setup_s)" -v d="$(metric "${result[change]}" setup_s)" \
+            'BEGIN { printf " peak_rss_mb %.2f -> %.2f setup_s %.3f -> %.3f", a, b, c, d }')
         line+=" failed $(field "${result[parent]}" failed) $(field "${result[change]}" failed)"
         line+=" correct $(field "${result[parent]}" correct) $(field "${result[change]}" correct)"
         echo "$line" >&2
         lines+="#   $line"$'\n'
     done
-    counts+="#   $w: cpu_ns_per_op lower with the change in $better of $pairs pairs"$'\n'
+    counts+="#   $(verdict "$w" <<<"${cpus%$'\n'}")"$'\n'
 done
 for side in parent change; do
     echo "{\"quick\": false, \"seconds\": $seconds, \"runs\": [${runs[$side]}]}" >"$out/$side.json"

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Self and inclusive symbol tables from a sigprof.c / mallocsites.c dump.
 
-    symbolize.py <dump> [top-n [leaf]]
+    symbolize.py <dump> [top-n [leaf]] [--window <inside> <outside>]
 
 With `leaf`, only the samples whose innermost frame is that symbol are kept:
-the inclusive table then says who the leaf's time was spent for.
+the inclusive table then says who the leaf's time was spent for. With
+`--window`, a third table gives the self samples of the stacks that hold
+`inside` and not `outside`, as shares of those samples alone: for bench_e2e
+that is the measured windows, the stretch its cpu_ns_per_op times.
 
 Addresses are resolved with `nm` over each executable mapping named in the
 dump's copy of /proc/self/maps (`.symtab` where the file has one, `.dynsym`
@@ -49,9 +52,19 @@ def symbols(path):
     return []
 
 
+def show(title, counts, total, top):
+    print(f"\n{title:>9}      %  symbol")
+    for name, n in counts.most_common(top):
+        print(f"{n:9d} {100 * n / total:6.2f}  {name[:150]}")
+
+
 def main():
-    dump, top = sys.argv[1], int(sys.argv[2]) if len(sys.argv) > 2 else 20
-    leaf = sys.argv[3] if len(sys.argv) > 3 else None
+    args, window = sys.argv[1:], None
+    if "--window" in args:
+        at = args.index("--window")
+        window, args = args[at + 1 : at + 3], args[:at] + args[at + 3 :]
+    dump, top = args[0], int(args[1]) if len(args) > 1 else 20
+    leaf = args[2] if len(args) > 2 else None
     base = {}  # path -> load bias: the lowest address the file is mapped at
     spans = []  # (start, end, path) of the executable mappings
     ifuncs, stacks, notes = [], [], []
@@ -89,20 +102,24 @@ def main():
         j = bisect.bisect_right(table, (addr - base[path], "￿")) - 1
         return table[j][1] if j >= 0 else "[" + path.rsplit("/", 1)[-1] + "]"
 
-    self_n, incl_n = collections.Counter(), collections.Counter()
+    self_n, incl_n, window_n = (collections.Counter() for _ in range(3))
     for stack in stacks:
         names = [name_of(a) for a in stack]
         if names and leaf in (None, names[0]):
             self_n[names[0]] += 1
             incl_n.update(set(names))
+            if window and window[0] in names and window[1] not in names:
+                window_n[names[0]] += 1
     total = sum(self_n.values()) or 1
     print(f"{total} samples from {dump}" + (f" with {leaf} innermost" if leaf else ""))
     for note in notes:
         print(note)
-    for title, counts in (("self", self_n), ("inclusive", incl_n)):
-        print(f"\n{title:>9}      %  symbol")
-        for name, n in counts.most_common(top):
-            print(f"{n:9d} {100 * n / total:6.2f}  {name[:150]}")
+    show("self", self_n, total, top)
+    show("inclusive", incl_n, total, top)
+    if window:
+        inside = sum(window_n.values())
+        print(f"\n{inside} samples ({100 * inside / total:.2f} %) under {window[0]}, not under {window[1]}")
+        show("window", window_n, inside or 1, top)
 
 
 if __name__ == "__main__":

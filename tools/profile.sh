@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # A sampling CPU profile of one bench_e2e workload: whole process, 997 Hz of
 # CPU time, frame-pointer stacks; prints the top twenty symbols by self and by
-# inclusive samples.
+# inclusive samples, then by self samples within the measured windows alone
+# (stacks under Sim::run_until and not under Sim::run_for, the stretch
+# cpu_ns_per_op times: no set-up, populate or drain, and not bench_e2e's own
+# speed reference, Meter::speed).
 #
 #   tools/profile.sh <workload> [seconds [seed]]
 #   PROFILE=mallocsites tools/profile.sh <workload> [seconds [seed]]
@@ -18,7 +21,7 @@
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-    sed -n '2,17s/^# \{0,1\}//p' "$0" >&2
+    sed -n '2,21s/^# \{0,1\}//p' "$0" >&2
     exit 2
 fi
 workload=$1
@@ -43,4 +46,5 @@ echo "# $kind of bench_e2e --workload $workload --seed $seed --seconds $seconds 
 SIGPROF_OUT=$dump MALLOCSITES_OUT=$dump LD_PRELOAD=$target/$kind.so \
     "$target/release/bench_e2e" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
     2>/dev/null | sed -n 's/.*"cpu_ns_per_op": {"value": \([0-9.]*\).*/# cpu_ns_per_op under the sampler: \1/p'
-python3 "$here/prof/symbolize.py" "$dump" 20
+python3 "$here/prof/symbolize.py" "$dump" 20 \
+    --window 'mams_sim::world::Sim::run_until' 'mams_sim::world::Sim::run_for'
