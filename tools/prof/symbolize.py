@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Self and inclusive symbol tables from a sigprof.c / mallocsites.c dump.
 
-    symbolize.py <dump> [top-n [leaf]] [--window <inside> <outside>]
+    symbolize.py <dump> [top-n [leaf]]
 
 With `leaf`, only the samples whose innermost frame is that symbol are kept:
-the inclusive table then says who the leaf's time was spent for. With
-`--window`, a third table gives the self samples of the stacks that hold
-`inside` and not `outside`, as shares of those samples alone: for bench_e2e
-that is the measured windows, the stretch its cpu_ns_per_op times.
+the inclusive table then says who the leaf's time was spent for. When any
+sample falls under bench_e2e's `drive` (WINDOW), a third table gives the self
+samples of those stacks alone, as shares of them: the measured windows, the
+call bench_e2e's cpu_ns_per_op times. `drive` is inlined, so it is looked for
+in each frame's chain of inlined functions from the binary's line tables
+(`llvm-addr2line -i`; tools/profile.sh builds with them), not among the symbols.
 
 Addresses are resolved with `nm` over each executable mapping named in the
 dump's copy of /proc/self/maps (`.symtab` where the file has one, `.dynsym`
@@ -32,6 +34,7 @@ the symbol anywhere in the stack, counted once per sample.
 import bisect
 import collections
 import functools
+import re
 import subprocess
 import sys
 
@@ -52,6 +55,39 @@ def symbols(path):
     return []
 
 
+# The function a sample must be under to count as measured, and its file:
+# bench_e2e's `drive`, the call its cpu_ns_per_op times.
+WINDOW = ("drive", "bench_e2e/src/run.rs")
+
+
+def inlined(path, addrs):
+    """{addr: [(function, file)] at `addr` in `path`, innermost first,
+    inlined functions included}, from the file's line tables. GNU addr2line
+    misnames the innermost inlined function, so this is LLVM's."""
+    try:
+        out = subprocess.run(
+            ["llvm-addr2line", "-a", "-f", "-i", "-p", "-C", "-e", path],
+            input="\n".join(f"{a:#x}" for a in addrs),
+            capture_output=True,
+            text=True,
+        ).stdout
+    except FileNotFoundError:
+        return {}
+    chains = {}
+    for line in out.splitlines():
+        if line.startswith("0x"):
+            addr, _, line = line.partition(": ")
+            chain = chains[int(addr, 16)] = []
+        name, _, where = line.removeprefix(" (inlined by) ").rpartition(" at ")
+        name = re.sub(r"::h[0-9a-f]{16}$", "", name).rsplit("::", 1)[-1]
+        chain.append((name, where.rsplit(":", 2)[0]))
+    return chains
+
+
+def measured(chain):
+    return any(name == WINDOW[0] and path.endswith(WINDOW[1]) for name, path in chain)
+
+
 def show(title, counts, total, top):
     print(f"\n{title:>9}      %  symbol")
     for name, n in counts.most_common(top):
@@ -59,12 +95,8 @@ def show(title, counts, total, top):
 
 
 def main():
-    args, window = sys.argv[1:], None
-    if "--window" in args:
-        at = args.index("--window")
-        window, args = args[at + 1 : at + 3], args[:at] + args[at + 3 :]
-    dump, top = args[0], int(args[1]) if len(args) > 1 else 20
-    leaf = args[2] if len(args) > 2 else None
+    dump, top = sys.argv[1], int(sys.argv[2]) if len(sys.argv) > 2 else 20
+    leaf = sys.argv[3] if len(sys.argv) > 3 else None
     base = {}  # path -> load bias: the lowest address the file is mapped at
     spans = []  # (start, end, path) of the executable mappings
     ifuncs, stacks, notes = [], [], []
@@ -102,13 +134,26 @@ def main():
         j = bisect.bisect_right(table, (addr - base[path], "￿")) - 1
         return table[j][1] if j >= 0 else "[" + path.rsplit("/", 1)[-1] + "]"
 
+    # Past the interrupted pc, a frame is a return address: one byte back
+    # lands in the call, inside the inlined function that made it.
+    calls = [s[:1] + [a - 1 for a in s[1:]] for s in stacks]
+    by_path = collections.defaultdict(set)
+    for a in {a for c in calls for a in c}:
+        i = bisect.bisect_right(spans, (a, float("inf"), "")) - 1
+        if i >= 0 and a < spans[i][1]:
+            by_path[spans[i][2]].add(a)
+    in_window = set()  # the addresses inside WINDOW
+    for path, addrs in by_path.items():
+        chains = inlined(path, sorted(a - base[path] for a in addrs))
+        in_window.update(a for a in addrs if measured(chains.get(a - base[path], ())))
+
     self_n, incl_n, window_n = (collections.Counter() for _ in range(3))
-    for stack in stacks:
+    for stack, call in zip(stacks, calls):
         names = [name_of(a) for a in stack]
         if names and leaf in (None, names[0]):
             self_n[names[0]] += 1
             incl_n.update(set(names))
-            if window and window[0] in names and window[1] not in names:
+            if not in_window.isdisjoint(call):
                 window_n[names[0]] += 1
     total = sum(self_n.values()) or 1
     print(f"{total} samples from {dump}" + (f" with {leaf} innermost" if leaf else ""))
@@ -116,10 +161,13 @@ def main():
         print(note)
     show("self", self_n, total, top)
     show("inclusive", incl_n, total, top)
-    if window:
-        inside = sum(window_n.values())
-        print(f"\n{inside} samples ({100 * inside / total:.2f} %) under {window[0]}, not under {window[1]}")
-        show("window", window_n, inside or 1, top)
+    inside = sum(window_n.values())
+    where = f"{WINDOW[1]}'s {WINDOW[0]}"
+    if inside:
+        print(f"\n{inside} samples ({100 * inside / total:.2f} %) under {where}")
+        show("window", window_n, inside, top)
+    else:
+        print(f"\nno sample under {where} (it takes line tables and llvm-addr2line)")
 
 
 if __name__ == "__main__":
