@@ -11,10 +11,9 @@
 
 use std::collections::HashMap;
 
-use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim};
-use mams_storage::pool::new_shared_pool;
+use mams_sim::{Ctx, Duration, Message, Node, NodeId};
 use mams_storage::proto::{PoolReq, PoolResp};
-use mams_storage::{DiskModel, PoolNode};
+use mams_storage::DiskModel;
 
 use crate::common::{BaselineTrace, NameNode, PendingReply, FLUSH_INTERVAL, T_FLUSH};
 
@@ -27,8 +26,10 @@ const T_SWITCH_DONE: u64 = 3;
 /// scale replay, leaving ~25 s of redirection machinery.
 pub const AVATAR_SWITCH_COST: Duration = Duration::from_secs(25);
 
-/// NFS append latency (higher than local disk: network + filer fsync).
-const NFS_LATENCY: Duration = Duration::from_micros(3_500);
+/// The NFS filer's disk: append latency higher than a local disk's
+/// (network + filer fsync).
+pub(crate) const NFS_DISK: DiskModel =
+    DiskModel { op_overhead: Duration::from_micros(3_500), bytes_per_sec: 80 * 1024 * 1024 };
 /// Standby tail-poll cadence.
 const TAIL_INTERVAL: Duration = Duration::from_millis(300);
 /// Primary-side journaling CPU per mutation (NFS client stack per edit record).
@@ -149,32 +150,17 @@ impl Node for AvatarNode {
     }
 }
 
-/// Build the avatar pair plus the NFS filer. Returns
-/// `(active, standby, nfs)`.
-pub fn build(sim: &mut Sim, coord: NodeId) -> (NodeId, NodeId, NodeId) {
-    let nfs_pool = new_shared_pool();
-    let nfs_disk = DiskModel { op_overhead: NFS_LATENCY, bytes_per_sec: 80 * 1024 * 1024 };
-    let nfs = sim
-        .add_node("avatar-nfs", Box::new(PoolNode::new(nfs_pool).with_disks(nfs_disk, nfs_disk)));
-    let active = sim.add_node("avatar-active", Box::new(AvatarNode::new(coord, nfs, true)));
-    let standby = sim.add_node("avatar-standby", Box::new(AvatarNode::new(coord, nfs, false)));
-    (active, standby, nfs)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use mams_cluster::KillRig;
     use mams_sim::{SimConfig, SimTime};
+
+    use crate::{KillRig, Mechanism};
 
     #[test]
     fn failover_is_flat_and_around_thirty_seconds() {
-        let mut rig = KillRig::new(SimConfig::default());
-        let (active, _standby, _nfs) = build(&mut rig.sim, rig.coord);
+        let mut rig = KillRig::new(SimConfig::default(), Mechanism::Avatar);
         rig.add_client(3, |_| {});
-        let mttr = rig
-            .mttr_after(SimTime(10_000_000), move |s| s.crash(active), SimTime(90_000_000))
-            .expect("service must recover");
+        let mttr = rig.mttr_after(SimTime(10_000_000), SimTime(90_000_000));
         // Paper band: 27–33 s (5 s detection + ~25 s switchover + replay).
         assert!((26.0..38.0).contains(&mttr), "Avatar MTTR {mttr:.1}s");
     }

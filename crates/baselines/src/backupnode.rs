@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use mams_journal::SharedBatch;
-use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim};
+use mams_sim::{Ctx, Duration, Message, Node, NodeId};
 use mams_storage::DiskModel;
 
 use crate::common::{BaselineTrace, FsScale, NameNode, PendingReply, FLUSH_INTERVAL, T_FLUSH};
@@ -160,28 +160,18 @@ impl Node for BnNode {
     }
 }
 
-/// Build a primary + backup pair. Returns `(primary, backup)`.
-pub fn build(sim: &mut Sim, coord: NodeId, scale: FsScale) -> (NodeId, NodeId) {
-    let primary_id = sim.num_nodes() as NodeId;
-    let backup_id = primary_id + 1;
-    let p = sim.add_node("bn-primary", Box::new(BnNode::new(coord, scale, true, backup_id)));
-    let b = sim.add_node("bn-backup", Box::new(BnNode::new(coord, scale, false, primary_id)));
-    assert_eq!((p, b), (primary_id, backup_id));
-    (p, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mams_cluster::KillRig;
     use mams_sim::{SimConfig, SimTime};
 
+    use crate::{KillRig, Mechanism};
+
     fn run_takeover(image_mb: u64) -> f64 {
-        let mut rig = KillRig::new(SimConfig::default());
-        let (primary, _backup) = build(&mut rig.sim, rig.coord, FsScale::from_image_mb(image_mb));
+        let scale = FsScale::from_image_mb(image_mb);
+        let mut rig = KillRig::new(SimConfig::default(), Mechanism::BackupNode(scale));
         rig.add_client(1, |_| {});
-        rig.mttr_after(SimTime(10_000_000), move |s| s.crash(primary), SimTime(300_000_000))
-            .expect("service must recover")
+        rig.mttr_after(SimTime(10_000_000), SimTime(300_000_000))
     }
 
     #[test]

@@ -23,7 +23,7 @@ const T_PUBLISH: u64 = 101;
 const PUBLISH_INTERVAL: Duration = Duration::from_millis(200);
 
 /// Replica count (the distributed log's membership).
-const MEMBERS: usize = 3;
+pub(crate) const MEMBERS: usize = 3;
 const HEARTBEAT: Duration = Duration::from_millis(500);
 /// Leader failure-detection budget; Boom-FS sits between MAMS (~5 s
 /// session timeout) and the heavier namenode designs.
@@ -68,7 +68,10 @@ pub struct BoomFsServer {
 }
 
 impl BoomFsServer {
-    pub fn new(coord: NodeId, cfg: RsmConfig) -> Self {
+    /// Member `me` of the log replicated over `members`.
+    pub fn new(coord: NodeId, members: Vec<NodeId>, me: u32) -> Self {
+        let cfg =
+            RsmConfig { members, me, heartbeat: HEARTBEAT, election_timeout: ELECTION_TIMEOUT };
         BoomFsServer {
             rsm: RsmNode::new(cfg, NsApp(Prefix::new())),
             front: NameNode::new(coord, CONSENSUS_CPU),
@@ -171,48 +174,29 @@ pub fn last_leader(sim: &Sim) -> Option<NodeId> {
     won.last().map(|(_, leader, _)| leader)
 }
 
-/// Build a Boom-FS cluster. Returns the member node ids.
-pub fn build(sim: &mut Sim, coord: NodeId) -> Vec<NodeId> {
-    let base = sim.num_nodes() as NodeId;
-    let members: Vec<NodeId> = (0..MEMBERS as NodeId).map(|i| base + i).collect();
-    for (i, &planned) in members.iter().enumerate() {
-        let mut cfg = RsmConfig::new(members.clone(), i as u32);
-        cfg.heartbeat = HEARTBEAT;
-        cfg.election_timeout = ELECTION_TIMEOUT;
-        let got = sim.add_node(format!("boomfs-{i}"), Box::new(BoomFsServer::new(coord, cfg)));
-        assert_eq!(got, planned);
-    }
-    members
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mams_cluster::metrics::Metrics;
     use mams_cluster::workload::Workload;
-    use mams_cluster::{ClientConfig, FsClient, KillRig};
+    use mams_cluster::{ClientConfig, FsClient};
     use mams_namespace::Partitioner;
     use mams_sim::{DetRng, SimConfig, SimTime};
+
+    use crate::{KillRig, Mechanism};
 
     /// Let the RSM elect before the first operation.
     const START_DELAY: Duration = Duration::from_secs(10);
 
-    fn boot(seed: u64) -> KillRig {
-        let mut rig = KillRig::new(SimConfig { seed, ..SimConfig::default() });
-        build(&mut rig.sim, rig.coord);
-        rig
-    }
-
     #[test]
     fn serves_clients_after_electing_a_leader() {
-        let KillRig { mut sim, coord, .. } = boot(11);
+        let mut sim = Sim::new(SimConfig { seed: 11, ..SimConfig::default() });
+        let coord = Mechanism::BoomFs.build(&mut sim).coord;
         let m = Metrics::new(false);
         let mut cfg = ClientConfig::new(coord, Partitioner::new(1));
         cfg.start_delay = START_DELAY;
-        sim.add_node(
-            "client",
-            Box::new(FsClient::new(cfg, Workload::mixed(0), m.clone(), DetRng::seed_from_u64(5))),
-        );
+        let client = FsClient::new(cfg, Workload::mixed(0), m.clone(), DetRng::seed_from_u64(5));
+        sim.add_node("client", Box::new(client));
         sim.run_for(Duration::from_secs(40));
         assert!(m.ok_count() > 300, "got {}", m.ok_count());
         assert_eq!(m.failed_count(), 0);
@@ -220,13 +204,11 @@ mod tests {
 
     #[test]
     fn leader_crash_recovers_slower_than_mams_but_recovers() {
-        let mut rig = boot(12);
+        let mut rig =
+            KillRig::new(SimConfig { seed: 12, ..SimConfig::default() }, Mechanism::BoomFs);
         rig.add_client(6, |c| c.start_delay = START_DELAY);
-        // Kill whichever member won the latest election.
-        let kill_leader = |s: &mut Sim| s.crash(last_leader(s).expect("a leader was elected"));
-        let mttr = rig
-            .mttr_after(SimTime(30_000_000), kill_leader, SimTime(80_000_000))
-            .expect("service must recover after leader crash");
+        // The rig kills whichever member won the latest election.
+        let mttr = rig.mttr_after(SimTime(30_000_000), SimTime(80_000_000));
         // Election timeout 6 s (±50% jitter) + repair: expect ~4–14 s.
         assert!((3.0..16.0).contains(&mttr), "BoomFS MTTR {mttr:.1}s");
     }

@@ -29,16 +29,8 @@ pub struct FsScale {
 impl FsScale {
     pub const BYTES_PER_FILE: u64 = 150;
 
-    pub fn from_image_bytes(image_bytes: u64) -> Self {
-        FsScale { nominal_files: image_bytes / Self::BYTES_PER_FILE }
-    }
-
     pub fn from_image_mb(image_mb: u64) -> Self {
-        Self::from_image_bytes(image_mb * 1024 * 1024)
-    }
-
-    pub fn image_bytes(&self) -> u64 {
-        self.nominal_files * Self::BYTES_PER_FILE
+        FsScale { nominal_files: image_mb * 1024 * 1024 / Self::BYTES_PER_FILE }
     }
 }
 
@@ -306,6 +298,5 @@ mod tests {
             "1 GB ↔ ~7M files, got {}",
             s.nominal_files
         );
-        assert_eq!(FsScale { nominal_files: 10 }.image_bytes(), 1_500);
     }
 }

@@ -11,10 +11,9 @@
 
 use std::collections::HashMap;
 
-use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim};
-use mams_storage::pool::new_shared_pool;
+use mams_sim::{Ctx, Duration, Message, Node, NodeId};
 use mams_storage::proto::{PoolReq, PoolResp};
-use mams_storage::{DiskModel, PoolNode};
+use mams_storage::DiskModel;
 
 use crate::common::{BaselineTrace, NameNode, PendingReply, FLUSH_INTERVAL, T_FLUSH};
 
@@ -27,9 +26,10 @@ const T_TRANSITION_DONE: u64 = 3;
 pub const HA_TRANSITION_COST: Duration = Duration::from_secs(11);
 
 /// Number of journal nodes (the paper sets 4).
-const JOURNAL_NODES: usize = 4;
-/// Per-journal-node append latency (QJM RPC + fsync).
-const JN_LATENCY: Duration = Duration::from_micros(2_500);
+pub(crate) const JOURNAL_NODES: usize = 4;
+/// A journal node's disk: per-append latency of a QJM RPC + fsync.
+pub(crate) const JN_DISK: DiskModel =
+    DiskModel { op_overhead: Duration::from_micros(2_500), bytes_per_sec: 100 * 1024 * 1024 };
 /// Standby tail-poll cadence.
 const TAIL_INTERVAL: Duration = Duration::from_millis(500);
 /// Primary-side journaling CPU per mutation (QJM RPC marshalling per edit to 4 journal nodes).
@@ -189,40 +189,17 @@ impl Node for HaNameNode {
     }
 }
 
-/// Build the HA pair plus journal nodes. Returns
-/// `(active, standby, journal_nodes)`.
-pub fn build(sim: &mut Sim, coord: NodeId) -> (NodeId, NodeId, Vec<NodeId>) {
-    let jn_disk = DiskModel { op_overhead: JN_LATENCY, bytes_per_sec: 100 * 1024 * 1024 };
-    let mut journals = Vec::new();
-    for i in 0..JOURNAL_NODES {
-        // Each journal node has its *own* storage (quorum semantics).
-        let pool = new_shared_pool();
-        journals.push(sim.add_node(
-            format!("jn-{i}"),
-            Box::new(PoolNode::new(pool).with_disks(jn_disk, jn_disk)),
-        ));
-    }
-    let active =
-        sim.add_node("ha-active", Box::new(HaNameNode::new(coord, journals.clone(), true)));
-    let standby =
-        sim.add_node("ha-standby", Box::new(HaNameNode::new(coord, journals.clone(), false)));
-    (active, standby, journals)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use mams_cluster::KillRig;
     use mams_sim::{SimConfig, SimTime};
+
+    use crate::{KillRig, Mechanism};
 
     #[test]
     fn failover_in_the_paper_band() {
-        let mut rig = KillRig::new(SimConfig::default());
-        let (active, _standby, _jns) = build(&mut rig.sim, rig.coord);
+        let mut rig = KillRig::new(SimConfig::default(), Mechanism::HadoopHa);
         rig.add_client(4, |_| {});
-        let mttr = rig
-            .mttr_after(SimTime(10_000_000), move |s| s.crash(active), SimTime(60_000_000))
-            .expect("service must recover");
+        let mttr = rig.mttr_after(SimTime(10_000_000), SimTime(60_000_000));
         // Paper band: 15–19 s.
         assert!((14.0..22.0).contains(&mttr), "HA MTTR {mttr:.1}s");
     }

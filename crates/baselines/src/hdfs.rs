@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim};
+use mams_sim::{Ctx, Duration, Message, Node, NodeId};
 
 use crate::common::{NameNode, PendingReply, FLUSH_INTERVAL, T_FLUSH};
 
@@ -67,29 +67,23 @@ impl Node for HdfsNameNode {
     }
 }
 
-/// Add a vanilla HDFS namenode to the simulation (publishing itself as
-/// group 0's active in the global view so `FsClient` routes to it).
-pub fn build(sim: &mut Sim, coord: NodeId) -> NodeId {
-    sim.add_node("hdfs-nn", Box::new(HdfsNameNode::new(coord)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mams_cluster::metrics::Metrics;
     use mams_cluster::workload::Workload;
     use mams_cluster::{ClientConfig, FsClient};
-    use mams_coord::{CoordConfig, CoordServer};
     use mams_core::{FsOp, MdsReq, MdsResp, OpOutput};
     use mams_namespace::Partitioner;
     use mams_sim::{DetRng, Sim, SimConfig};
     use std::sync::{Arc, Mutex};
 
+    use crate::Mechanism;
+
     fn boot() -> (Sim, NodeId, NodeId) {
         let mut sim = Sim::new(SimConfig::default());
-        let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
-        let nn = build(&mut sim, coord);
-        (sim, coord, nn)
+        let d = Mechanism::Hdfs.build(&mut sim);
+        (sim, d.coord, d.initial_active(0))
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //!   log (`mams-paxos`'s RSM); every mutation pays a consensus round and
 //!   failover pays leader election plus log repair.
 //!
+//! **One builder.** A [`Mechanism`] names MAMS or one of the five, and
+//! [`Mechanism::build`] returns the same [`mams_cluster::Deployment`] for
+//! each; [`KillRig`] is the MTTR rig over any of them.
+//!
 //! **One front-end, one prefix.** All five sit behind [`common::NameNode`],
 //! which holds what a comparison must not vary: the coordination session
 //! and the `g/0/active` pointer clients route by, the bounded admission
@@ -67,5 +71,7 @@ pub mod boomfs;
 pub mod common;
 pub mod hadoop_ha;
 pub mod hdfs;
+pub mod mechanism;
 
 pub use common::{BaselineTrace, FsScale};
+pub use mechanism::{KillRig, Mechanism};

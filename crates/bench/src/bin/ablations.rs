@@ -14,10 +14,10 @@
 //!    large sn gap — why juniors load images instead of replaying
 //!    everything.
 
+use mams_baselines::{KillRig, Mechanism};
 use mams_bench::{arr, obj, print_table, save_json, Value};
-use mams_cluster::deploy::{build, DeploySpec};
+use mams_cluster::deploy::{build, DeploySpec, CLIENT_SEED};
 use mams_cluster::metrics::Metrics;
-use mams_cluster::mttr::mttr_from_completions;
 use mams_cluster::workload::Workload;
 use mams_core::{MdsReq, MdsTrace};
 use mams_sim::{Duration, Sim, SimConfig, SimTime};
@@ -35,21 +35,6 @@ fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Value {
 
 fn base_spec(standbys: usize) -> DeploySpec {
     DeploySpec { groups: 1, standbys_per_group: standbys, ..DeploySpec::default() }
-}
-
-fn mttr_with(spec: DeploySpec, seed: u64) -> f64 {
-    let mut sim = Sim::new(SimConfig { seed, ..SimConfig::default() });
-    let mut d = build(&mut sim, spec);
-    let m = Metrics::new(true);
-    d.add_client(&mut sim, Workload::create_only(0), m.clone());
-    let victim = d.initial_active(0);
-    let kill = SimTime(15_000_000);
-    sim.at(kill, move |s| s.crash(victim));
-    sim.run_until(SimTime(60_000_000));
-    mttr_from_completions(&m.completions(), &[kill.micros()])
-        .first()
-        .map(|o| o.mttr_secs())
-        .expect("recovered")
 }
 
 fn throughput_with(spec: DeploySpec, clients: u32, seed: u64) -> f64 {
@@ -70,7 +55,10 @@ fn ablate_session_timeout() -> Value {
         let mut spec = base_spec(3);
         spec.coord.session_timeout = Duration::from_secs(timeout_s);
         spec.timing.heartbeat = Duration::from_millis((timeout_s * 1000 / 3).max(200));
-        let mttr = mttr_with(spec, 0xAB1 + timeout_s);
+        let cfg = SimConfig { seed: 0xAB1 + timeout_s, ..SimConfig::default() };
+        let mut rig = KillRig::new(cfg, Mechanism::Mams(spec));
+        rig.add_client(CLIENT_SEED, |_| {});
+        let mttr = rig.mttr_after(SimTime(15_000_000), SimTime(60_000_000));
         rows.push(vec![
             format!("{timeout_s}"),
             format!("{mttr:.2}"),
@@ -89,7 +77,10 @@ fn ablate_session_timeout() -> Value {
 fn ablate_standby_count() -> Value {
     let mut rows = Vec::new();
     for standbys in [1usize, 2, 3, 4] {
-        let mttr = mttr_with(base_spec(standbys), 0xAB2 + standbys as u64);
+        let cfg = SimConfig { seed: 0xAB2 + standbys as u64, ..SimConfig::default() };
+        let mut rig = KillRig::new(cfg, Mechanism::Mams(base_spec(standbys)));
+        rig.add_client(CLIENT_SEED, |_| {});
+        let mttr = rig.mttr_after(SimTime(15_000_000), SimTime(60_000_000));
         let tput = throughput_with(base_spec(standbys), 48, 0xAB2);
         rows.push(vec![format!("{standbys}"), format!("{mttr:.2}"), format!("{tput:.0}")]);
     }

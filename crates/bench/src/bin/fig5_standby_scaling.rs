@@ -12,7 +12,6 @@ use std::collections::BTreeMap;
 use mams_bench::{arr, measure_throughput, obj, populate, print_table, save_json, Value};
 use mams_cluster::deploy::{build, DeploySpec};
 use mams_cluster::workload::Workload;
-use mams_coord::CoordConfig;
 use mams_sim::{Duration, Sim, SimConfig};
 
 const CLIENTS: u32 = 96;
@@ -55,22 +54,9 @@ impl OpKind {
     }
 }
 
-fn spec_for(system: &str) -> DeploySpec {
-    let mut spec = match system {
-        "HDFS" => DeploySpec { groups: 1, standbys_per_group: 0, ..DeploySpec::default() },
-        "MAMS-3A3S" => DeploySpec::mams(3, 3),
-        "MAMS-3A6S" => DeploySpec::mams(3, 6),
-        "MAMS-3A9S" => DeploySpec::mams(3, 9),
-        "MAMS-3A12S" => DeploySpec::mams(3, 12),
-        other => panic!("unknown system {other}"),
-    };
-    spec.coord = CoordConfig::default();
-    spec
-}
-
-fn run_cell(system: &str, op: OpKind, seed: u64) -> f64 {
+fn run_cell(spec: &DeploySpec, op: OpKind, seed: u64) -> f64 {
     let mut sim = Sim::new(SimConfig { seed, trace: false, ..SimConfig::default() });
-    let mut d = build(&mut sim, spec_for(system));
+    let mut d = build(&mut sim, spec.clone());
     if op.needs_population() {
         // Phase 1: create the files the measured phase consumes/reads.
         populate(&mut sim, &mut d, CLIENTS, PRECREATED, Duration::from_secs(300));
@@ -79,7 +65,14 @@ fn run_cell(system: &str, op: OpKind, seed: u64) -> f64 {
 }
 
 fn main() {
-    let systems = ["HDFS", "MAMS-3A3S", "MAMS-3A6S", "MAMS-3A9S", "MAMS-3A12S"];
+    // "HDFS" is one namenode: a group with no standby.
+    let systems = [
+        ("HDFS", DeploySpec { groups: 1, standbys_per_group: 0, ..DeploySpec::default() }),
+        ("MAMS-3A3S", DeploySpec::mams(3, 3)),
+        ("MAMS-3A6S", DeploySpec::mams(3, 6)),
+        ("MAMS-3A9S", DeploySpec::mams(3, 9)),
+        ("MAMS-3A12S", DeploySpec::mams(3, 12)),
+    ];
     let ops = [OpKind::Create, OpKind::GetInfo, OpKind::Delete, OpKind::Mkdir, OpKind::Rename];
 
     let mut rows = Vec::new();
@@ -87,8 +80,8 @@ fn main() {
     for op in ops {
         let mut row = vec![op.name().to_string()];
         let mut jrow = BTreeMap::new();
-        for (i, sys) in systems.iter().enumerate() {
-            let tput = run_cell(sys, op, 0x5EED + i as u64);
+        for (i, (sys, spec)) in systems.iter().enumerate() {
+            let tput = run_cell(spec, op, 0x5EED + i as u64);
             row.push(format!("{tput:.0}"));
             jrow.insert(sys.to_string(), tput.into());
         }
@@ -97,7 +90,7 @@ fn main() {
         rows.push(row);
     }
     let mut headers = vec!["op"];
-    headers.extend(systems.iter().copied());
+    headers.extend(systems.iter().map(|(sys, _)| *sys));
     print_table("Figure 5: ops/sec by system (3 actives, 1-4 standbys each)", &headers, &rows);
 
     println!("\nShape checks (paper):");

@@ -9,37 +9,17 @@
 
 use std::collections::BTreeMap;
 
-use mams_baselines::{avatar, backupnode, boomfs, hadoop_ha, hdfs, FsScale};
+use mams_baselines::{FsScale, Mechanism};
 use mams_bench::{print_table, save_json, Value};
-use mams_cluster::deploy::{build, DeploySpec};
+use mams_cluster::deploy::{DeploySpec, CLIENT_SEED};
 use mams_cluster::metrics::Metrics;
 use mams_cluster::workload::Workload;
 use mams_cluster::{ClientConfig, FsClient};
-use mams_coord::{CoordConfig, CoordServer};
-use mams_namespace::Partitioner;
-use mams_sim::{DetRng, Duration, NodeId, Sim, SimConfig};
+use mams_sim::{DetRng, Duration, Sim, SimConfig};
 
 const CLIENTS: u32 = 48;
 const WARMUP: Duration = Duration::from_secs(5);
 const MEASURE: Duration = Duration::from_secs(10);
-
-fn add_clients(sim: &mut Sim, coord: NodeId, start_delay: Duration) -> std::sync::Arc<Metrics> {
-    let metrics = Metrics::new(false);
-    for c in 0..CLIENTS {
-        let mut cfg = ClientConfig::new(coord, Partitioner::new(1));
-        cfg.start_delay = start_delay;
-        sim.add_node(
-            format!("client-{c}"),
-            Box::new(FsClient::new(
-                cfg,
-                Workload::mixed(c),
-                metrics.clone(),
-                DetRng::seed_from_u64(0xF166 + c as u64),
-            )),
-        );
-    }
-    metrics
-}
 
 fn measure(sim: &mut Sim, metrics: &Metrics) -> f64 {
     sim.run_for(WARMUP);
@@ -49,58 +29,43 @@ fn measure(sim: &mut Sim, metrics: &Metrics) -> f64 {
     metrics.mean_throughput(from, to)
 }
 
-fn run_system(name: &str) -> f64 {
+fn run_system(mechanism: Mechanism) -> f64 {
     let mut sim = Sim::new(SimConfig { seed: 0xF166, trace: false, ..SimConfig::default() });
-    if name == "CFS (MAMS-1A3S)" {
-        let mut d = build(
-            &mut sim,
-            DeploySpec { groups: 1, standbys_per_group: 3, ..DeploySpec::default() },
-        );
-        let metrics = Metrics::new(false);
-        for c in 0..CLIENTS {
-            d.add_client(&mut sim, Workload::mixed(c), metrics.clone());
-        }
-        return measure(&mut sim, &metrics);
+    // MAMS's clients draw from its deployment's client seeds; Boom-FS's wait
+    // for the RSM to elect.
+    let seed = if matches!(mechanism, Mechanism::Mams(_)) { CLIENT_SEED } else { 0xF166 };
+    let boomfs = matches!(mechanism, Mechanism::BoomFs);
+    let start_delay = Duration::from_millis(if boomfs { 10_000 } else { 500 });
+    let d = mechanism.build(&mut sim);
+    let metrics = Metrics::new(false);
+    for c in 0..CLIENTS {
+        let cfg = ClientConfig { start_delay, ..ClientConfig::new(d.coord, d.partitioner) };
+        let rng = DetRng::seed_from_u64(seed + c as u64);
+        let client = FsClient::new(cfg, Workload::mixed(c), metrics.clone(), rng);
+        sim.add_node(format!("client-{c}"), Box::new(client));
     }
-    let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
-    let start_delay = match name {
-        "HDFS" => {
-            hdfs::build(&mut sim, coord);
-            Duration::from_millis(500)
-        }
-        "BackupNode" => {
-            // Nothing fails here, so the recollection scale is never read.
-            backupnode::build(&mut sim, coord, FsScale::from_image_mb(64));
-            Duration::from_millis(500)
-        }
-        "AvatarNode" => {
-            avatar::build(&mut sim, coord);
-            Duration::from_millis(500)
-        }
-        "Hadoop HA" => {
-            hadoop_ha::build(&mut sim, coord);
-            Duration::from_millis(500)
-        }
-        "Boom-FS" => {
-            boomfs::build(&mut sim, coord);
-            Duration::from_secs(10) // let the RSM elect first
-        }
-        other => panic!("unknown system {other}"),
-    };
-    let metrics = add_clients(&mut sim, coord, start_delay);
-    if name == "Boom-FS" {
+    if boomfs {
         sim.run_for(Duration::from_secs(10));
     }
     measure(&mut sim, &metrics)
 }
 
 fn main() {
-    let systems = ["HDFS", "BackupNode", "CFS (MAMS-1A3S)", "AvatarNode", "Hadoop HA", "Boom-FS"];
+    let mams = DeploySpec { groups: 1, standbys_per_group: 3, ..DeploySpec::default() };
+    let systems = [
+        ("HDFS", Mechanism::Hdfs),
+        // Nothing fails here, so the recollection scale is never read.
+        ("BackupNode", Mechanism::BackupNode(FsScale::from_image_mb(64))),
+        ("CFS (MAMS-1A3S)", Mechanism::Mams(mams)),
+        ("AvatarNode", Mechanism::Avatar),
+        ("Hadoop HA", Mechanism::HadoopHa),
+        ("Boom-FS", Mechanism::BoomFs),
+    ];
     let mut rows = Vec::new();
     let mut json = BTreeMap::new();
     let mut hdfs_tput = 0.0;
-    for sys in systems {
-        let tput = run_system(sys);
+    for (sys, mechanism) in systems {
+        let tput = run_system(mechanism);
         if sys == "HDFS" {
             hdfs_tput = tput;
         }

@@ -6,12 +6,10 @@
 //! barrier) longer; CFS completes maps ~28% and reduces ~10% sooner in the
 //! failure case.
 
-use mams_baselines::boomfs;
+use mams_baselines::{boomfs, Mechanism};
 use mams_bench::{arr, obj, save_json};
-use mams_cluster::deploy::{build, DeploySpec};
-use mams_coord::{CoordConfig, CoordServer};
+use mams_cluster::deploy::DeploySpec;
 use mams_mapreduce::{build_job, JobSpec, JobStats};
-use mams_namespace::Partitioner;
 use mams_sim::{Duration, Sim, SimConfig, SimTime};
 use std::sync::Arc;
 
@@ -27,33 +25,26 @@ fn job_spec() -> JobSpec {
     }
 }
 
-fn run_cfs(fail: bool) -> Arc<JobStats> {
-    let mut sim = Sim::new(SimConfig { seed: 0xF169, trace: true, ..SimConfig::default() });
-    let d = build(&mut sim, DeploySpec::mams(3, 9));
+/// The job on `mechanism`, its serving node crashed at [`FAIL_AT`] if
+/// `fail`: group 0's boot-time active, or the elected Boom-FS leader.
+fn run(mechanism: Mechanism, seed: u64, fail: bool) -> Arc<JobStats> {
+    let (name, boom) = (mechanism.name(), matches!(mechanism, Mechanism::BoomFs));
+    let mut sim = Sim::new(SimConfig { seed, trace: true, ..SimConfig::default() });
+    let d = mechanism.build(&mut sim);
+    if boom {
+        // Give the RSM time to elect before the job starts.
+        sim.run_for(Duration::from_secs(10));
+    }
     let stats = JobStats::new();
     build_job(&mut sim, d.coord, d.partitioner, job_spec(), stats.clone());
     if fail {
-        let victim = d.initial_active(0);
-        sim.at(FAIL_AT, move |s| s.crash(victim));
+        let active = d.initial_active(0);
+        sim.at(FAIL_AT, move |s| {
+            s.crash(if boom { boomfs::last_leader(s).expect("a leader exists") } else { active })
+        });
     }
     sim.run_until(SimTime(600_000_000));
-    assert!(stats.job_done_at().is_some(), "CFS job (fail={fail}) did not finish");
-    stats
-}
-
-fn run_boomfs(fail: bool) -> Arc<JobStats> {
-    let mut sim = Sim::new(SimConfig { seed: 0xF16A, trace: true, ..SimConfig::default() });
-    let coord = sim.add_node("coord", Box::new(CoordServer::new(CoordConfig::default())));
-    boomfs::build(&mut sim, coord);
-    // Give the RSM time to elect before the job starts.
-    sim.run_for(Duration::from_secs(10));
-    let stats = JobStats::new();
-    build_job(&mut sim, coord, Partitioner::new(1), job_spec(), stats.clone());
-    if fail {
-        sim.at(FAIL_AT, |s| s.crash(boomfs::last_leader(s).expect("a Boom-FS leader exists")));
-    }
-    sim.run_until(SimTime(600_000_000));
-    assert!(stats.job_done_at().is_some(), "Boom-FS job (fail={fail}) did not finish");
+    assert!(stats.job_done_at().is_some(), "{name} job (fail={fail}) did not finish");
     stats
 }
 
@@ -81,11 +72,12 @@ fn summarize(label: &str, stats: &JobStats) -> (f64, f64) {
 
 fn main() {
     println!("Running the no-failure references...");
-    let cfs_ok = run_cfs(false);
-    let boom_ok = run_boomfs(false);
+    let cfs = || Mechanism::Mams(DeploySpec::mams(3, 9));
+    let cfs_ok = run(cfs(), 0xF169, false);
+    let boom_ok = run(Mechanism::BoomFs, 0xF16A, false);
     println!("Running the failure cases (metadata server killed at t=30s)...");
-    let cfs_fail = run_cfs(true);
-    let boom_fail = run_boomfs(true);
+    let cfs_fail = run(cfs(), 0xF169, true);
+    let boom_fail = run(Mechanism::BoomFs, 0xF16A, true);
 
     println!("\n== Figure 9: task completion under a mid-job MDS failure ==");
     summarize("CFS (normal)", &cfs_ok);

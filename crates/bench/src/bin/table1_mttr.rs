@@ -9,56 +9,44 @@
 
 use std::collections::BTreeMap;
 
-use mams_baselines::{avatar, backupnode, hadoop_ha, FsScale};
+use mams_baselines::{FsScale, KillRig, Mechanism};
 use mams_bench::{arr, obj, print_table, save_json, Value};
-use mams_cluster::deploy::DeploySpec;
-use mams_cluster::KillRig;
+use mams_cluster::deploy::{DeploySpec, CLIENT_SEED};
 use mams_sim::{SimConfig, SimTime};
 
 const IMAGE_MB: [u64; 7] = [16, 32, 64, 128, 256, 512, 1024];
 const REPS: u64 = 5;
 const KILL_AT: SimTime = SimTime(15_000_000);
 
-fn run_one(system: &str, image_mb: u64, seed: u64) -> Option<f64> {
-    let cfg = SimConfig { seed, trace: true, ..SimConfig::default() };
-    let (rig, victim) = if system == "MAMS-1A3S" {
-        // Image size does not enter MAMS failover: the standbys are hot
-        // and the data servers already report blocks to them.
-        let spec = DeploySpec { groups: 1, standbys_per_group: 3, ..DeploySpec::default() };
-        let (rig, d) = KillRig::deployed(cfg, spec);
-        (rig, d.initial_active(0))
-    } else {
-        let mut rig = KillRig::new(cfg);
-        let (sim, coord) = (&mut rig.sim, rig.coord);
-        let victim = match system {
-            "BackupNode" => backupnode::build(sim, coord, FsScale::from_image_mb(image_mb)).0,
-            "Hadoop Avatar" => avatar::build(sim, coord).0,
-            "Hadoop HA" => hadoop_ha::build(sim, coord).0,
-            other => panic!("unknown system {other}"),
-        };
-        rig.add_client(seed ^ 0xC11E, |_| {});
-        (rig, victim)
-    };
-    // Generous horizon: BackupNode at 1 GB needs ~2.5 virtual minutes.
-    let horizon = SimTime(KILL_AT.micros() + 200_000_000);
-    rig.mttr_after(KILL_AT, move |s| s.crash(victim), horizon)
+/// The table's columns at one image size.
+fn systems(image_mb: u64) -> [(&'static str, Mechanism); 4] {
+    // Image size does not enter MAMS failover: the standbys are hot and the
+    // data servers already report blocks to them.
+    let mams = DeploySpec { groups: 1, standbys_per_group: 3, ..DeploySpec::default() };
+    [
+        ("MAMS-1A3S", Mechanism::Mams(mams)),
+        ("BackupNode", Mechanism::BackupNode(FsScale::from_image_mb(image_mb))),
+        ("Hadoop Avatar", Mechanism::Avatar),
+        ("Hadoop HA", Mechanism::HadoopHa),
+    ]
 }
 
-fn mean_mttr(system: &str, image_mb: u64) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0u32;
-    for rep in 0..REPS {
-        if let Some(m) = run_one(system, image_mb, 0x7AB1E + rep * 7919 + image_mb) {
-            sum += m;
-            n += 1;
-        }
-    }
-    assert!(n > 0, "{system} at {image_mb} MB never recovered");
-    sum / n as f64
+fn run_one(mechanism: Mechanism, seed: u64) -> f64 {
+    // MAMS's client draws from its deployment's first client seed.
+    let client_seed =
+        if matches!(mechanism, Mechanism::Mams(_)) { CLIENT_SEED } else { seed ^ 0xC11E };
+    let mut rig = KillRig::new(SimConfig { seed, trace: true, ..SimConfig::default() }, mechanism);
+    rig.add_client(client_seed, |_| {});
+    // Generous horizon: BackupNode at 1 GB needs ~2.5 virtual minutes.
+    rig.mttr_after(KILL_AT, SimTime(KILL_AT.micros() + 200_000_000))
+}
+
+fn mean_mttr(mechanism: &Mechanism, image_mb: u64) -> f64 {
+    let reps = (0..REPS).map(|rep| run_one(mechanism.clone(), 0x7AB1E + rep * 7919 + image_mb));
+    reps.sum::<f64>() / REPS as f64
 }
 
 fn main() {
-    let systems = ["MAMS-1A3S", "BackupNode", "Hadoop Avatar", "Hadoop HA"];
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     let mut sums = [0.0f64; 4];
@@ -66,18 +54,18 @@ fn main() {
         let mut row = vec![mb.to_string()];
         let mut jrow = BTreeMap::new();
         jrow.insert("image_mb".into(), mb.into());
-        for (i, sys) in systems.iter().enumerate() {
-            let m = mean_mttr(sys, mb);
+        for (i, (label, mechanism)) in systems(mb).iter().enumerate() {
+            let m = mean_mttr(mechanism, mb);
             sums[i] += m;
             row.push(format!("{m:.3}"));
-            jrow.insert(sys.to_string(), m.into());
+            jrow.insert(label.to_string(), m.into());
         }
         rows.push(row);
         json_rows.push(Value::Object(jrow));
         eprintln!("  done {mb} MB");
     }
     let mut headers = vec!["Image (MB)"];
-    headers.extend(systems.iter().copied());
+    headers.extend(systems(0).map(|(label, _)| label));
     print_table("Table I: MTTR (s) of reliable metadata management systems", &headers, &rows);
 
     let n = IMAGE_MB.len() as f64;

@@ -12,7 +12,7 @@
 //!    invariants must hold: an active per group, post-heal progress, no
 //!    replica divergence, and a linearizable client history.
 
-use mams_cluster::deploy::{self, DeploySpec};
+use mams_cluster::deploy::{self, DeploySpec, Deployment};
 use mams_cluster::{History, Metrics, Recorder};
 use mams_coord::CoordServer;
 use mams_core::{MdsTiming, MdsTrace, ViewKey};
@@ -20,7 +20,7 @@ use mams_sim::node::EXTERNAL;
 use mams_sim::{DetRng, Duration, Event, NodeId, NodeStatus, Sim, SimConfig, SimTime};
 
 use crate::checker::{check_history, CheckOutcome};
-use crate::scenario::{FaultAction, FaultKind, NodeRef, Scenario, Topology};
+use crate::scenario::{FaultAction, FaultKind, NodeRef, Scenario};
 
 /// Post-fault recovery window before invariants are checked.
 const GRACE: Duration = Duration::from_secs(25);
@@ -71,17 +71,16 @@ pub enum FaultTrace {
 impl Event for FaultTrace {}
 
 /// Resolve a symbolic node reference against the live cluster.
-fn resolve(sim: &Sim, topo: &Topology, r: NodeRef) -> Option<NodeId> {
+fn resolve(sim: &Sim, d: &Deployment, r: NodeRef) -> Option<NodeId> {
+    let members = |group: u32| d.groups.get(group as usize).map(|g| &g.members);
     match r {
-        NodeRef::Coord => Some(topo.coord),
-        NodeRef::Pool(i) => topo.pool.get(i).copied(),
-        NodeRef::Member { group, idx } => {
-            topo.groups.get(group as usize).and_then(|g| g.get(idx)).copied()
-        }
-        NodeRef::Active { group } => active_of(sim, topo.coord, group),
+        NodeRef::Coord => Some(d.coord),
+        NodeRef::Pool(i) => d.pool.get(i).copied(),
+        NodeRef::Member { group, idx } => members(group).and_then(|g| g.get(idx)).copied(),
+        NodeRef::Active { group } => active_of(sim, d.coord, group),
         NodeRef::BackupOf { group } => {
-            let act = active_of(sim, topo.coord, group);
-            topo.groups.get(group as usize).and_then(|g| {
+            let act = active_of(sim, d.coord, group);
+            members(group).and_then(|g| {
                 g.iter()
                     .find(|&&n| {
                         Some(n) != act && sim.node_status(n) == NodeStatus::Up && !sim.is_paused(n)
@@ -102,12 +101,13 @@ pub fn active_of(sim: &Sim, coord: NodeId, group: u32) -> Option<NodeId> {
     view.get(&ViewKey::Active(group).to_string())?.parse().ok()
 }
 
-fn resolve_all(sim: &Sim, topo: &Topology, refs: &[NodeRef]) -> Vec<NodeId> {
+/// Resolve a set of references; [`NodeRef::Clients`] is `clients`.
+fn resolve_all(sim: &Sim, d: &Deployment, clients: &[NodeId], refs: &[NodeRef]) -> Vec<NodeId> {
     let mut out: Vec<NodeId> = Vec::new();
     for &r in refs {
         match r {
-            NodeRef::Clients => out.extend(topo.clients.iter().copied()),
-            _ => out.extend(resolve(sim, topo, r)),
+            NodeRef::Clients => out.extend(clients),
+            _ => out.extend(resolve(sim, d, r)),
         }
     }
     out.sort_unstable();
@@ -118,38 +118,38 @@ fn resolve_all(sim: &Sim, topo: &Topology, refs: &[NodeRef]) -> Vec<NodeId> {
 /// Apply one fault action right now. Status guards make actions no-ops
 /// when their target is already in the desired state, so shrunk programs
 /// (with crash/restart pairs broken up) stay well-formed.
-fn apply(sim: &mut Sim, topo: &Topology, kind: &FaultKind) {
+fn apply(sim: &mut Sim, d: &Deployment, clients: &[NodeId], kind: &FaultKind) {
     match kind {
         FaultKind::Crash(r) => {
-            if let Some(n) = resolve(sim, topo, *r) {
+            if let Some(n) = resolve(sim, d, *r) {
                 if sim.node_status(n) == NodeStatus::Up {
                     sim.crash(n);
                 }
             }
         }
         FaultKind::Restart(r) => {
-            if let Some(n) = resolve(sim, topo, *r) {
+            if let Some(n) = resolve(sim, d, *r) {
                 if sim.node_status(n) == NodeStatus::Down {
                     sim.restart(n);
                 }
             }
         }
         FaultKind::Pause(r) => {
-            if let Some(n) = resolve(sim, topo, *r) {
+            if let Some(n) = resolve(sim, d, *r) {
                 if sim.node_status(n) == NodeStatus::Up && !sim.is_paused(n) {
                     sim.pause(n);
                 }
             }
         }
         FaultKind::Resume(r) => {
-            if let Some(n) = resolve(sim, topo, *r) {
+            if let Some(n) = resolve(sim, d, *r) {
                 if sim.is_paused(n) {
                     sim.resume(n);
                 }
             }
         }
         FaultKind::Partition { a, b, heal_ms } => {
-            let (sa, sb) = (resolve_all(sim, topo, a), resolve_all(sim, topo, b));
+            let (sa, sb) = (resolve_all(sim, d, clients, a), resolve_all(sim, d, clients, b));
             let now = sim.now();
             mams_cluster::faults::schedule_partition(
                 sim,
@@ -160,7 +160,7 @@ fn apply(sim: &mut Sim, topo: &Topology, kind: &FaultKind) {
             );
         }
         FaultKind::OneWay { from, to, heal_ms } => {
-            let (sf, st) = (resolve_all(sim, topo, from), resolve_all(sim, topo, to));
+            let (sf, st) = (resolve_all(sim, d, clients, from), resolve_all(sim, d, clients, to));
             for &f in &sf {
                 for &t in &st {
                     if f != t {
@@ -181,7 +181,7 @@ fn apply(sim: &mut Sim, topo: &Topology, kind: &FaultKind) {
             }
         }
         FaultKind::SlowNode { node, factor, clear_ms } => {
-            if let Some(n) = resolve(sim, topo, *node) {
+            if let Some(n) = resolve(sim, d, *node) {
                 let now = sim.now();
                 mams_cluster::faults::schedule_slow_node(
                     sim,
@@ -195,16 +195,16 @@ fn apply(sim: &mut Sim, topo: &Topology, kind: &FaultKind) {
         FaultKind::GlobalLoss(p) => sim.net_mut().set_loss_probability(*p),
         FaultKind::GlobalDup(p) => sim.net_mut().set_dup_probability(*p),
         FaultKind::ClockSkew { node, factor } => {
-            if let Some(n) = resolve(sim, topo, *node) {
+            if let Some(n) = resolve(sim, d, *node) {
                 sim.set_clock_skew(n, *factor);
             }
         }
         FaultKind::CorruptImage { group } => {
-            let hit = topo.shared_pool.lock().group_mut(*group).corrupt_image();
+            let hit = d.shared_pool.lock().group_mut(*group).corrupt_image();
             sim.record(EXTERNAL, || FaultTrace::CorruptImage { group: *group, hit });
         }
         FaultKind::CorruptDelta { group } => {
-            let hit = topo.shared_pool.lock().group_mut(*group).corrupt_delta();
+            let hit = d.shared_pool.lock().group_mut(*group).corrupt_delta();
             sim.record(EXTERNAL, || FaultTrace::CorruptDelta { group: *group, hit });
         }
         FaultKind::ClearNetwork => {
@@ -232,13 +232,7 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
         ..DeploySpec::default()
     };
     let mut deployment = deploy::build(&mut sim, spec);
-    let mut topo = Topology {
-        coord: deployment.coord,
-        pool: deployment.pool.clone(),
-        groups: deployment.groups.iter().map(|g| g.members.clone()).collect(),
-        clients: Vec::new(),
-        shared_pool: deployment.shared_pool.clone(),
-    };
+    let mut clients = Vec::new();
 
     let history = History::new();
     let metrics = Metrics::new(false);
@@ -256,7 +250,7 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
                 c
             },
         );
-        topo.clients.push(node);
+        clients.push(node);
     }
 
     // Compile the program: every action becomes a scheduled callback.
@@ -267,18 +261,18 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
     let t0 = sim.now();
     for action in &program {
         let kind = action.kind.clone();
-        let topo_c = topo.clone();
+        let (d, clients) = (deployment.clone(), clients.clone());
         sim.at(t0 + Duration::from_millis(action.at_ms), move |s| {
-            apply(s, &topo_c, &kind);
+            apply(s, &d, &clients, &kind);
         });
     }
 
     sim.run_for(Duration::from_secs(sc.run_secs));
 
     // Cleanup: lift everything the program may have left standing.
-    apply(&mut sim, &topo, &FaultKind::ClearNetwork);
-    for g in &topo.groups {
-        for &n in g {
+    apply(&mut sim, &deployment, &clients, &FaultKind::ClearNetwork);
+    for g in &deployment.groups {
+        for &n in &g.members {
             sim.set_clock_skew(n, 1.0);
             if sim.is_paused(n) {
                 sim.resume(n);
@@ -301,7 +295,7 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
         invariants.push(format!("replica divergence: n{node} {e:?}"));
     }
     for g in 0..sc.groups {
-        if active_of(&sim, topo.coord, g).is_none() {
+        if active_of(&sim, deployment.coord, g).is_none() {
             invariants.push(format!("no active for group {g} after grace"));
         }
     }

@@ -15,8 +15,7 @@
 
 use mams_cluster::Workload;
 use mams_core::MdsTiming;
-use mams_sim::{DetRng, Duration, NodeId};
-use mams_storage::pool::SharedPool;
+use mams_sim::{DetRng, Duration};
 
 /// A symbolic node reference, resolved when the action fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -673,20 +672,6 @@ pub fn by_name(name: &str) -> Option<Scenario> {
         return Some(quiet());
     }
     corpus().into_iter().find(|s| s.name == name)
-}
-
-/// Nodes a [`NodeRef`] may resolve to, captured at build time.
-#[derive(Debug, Clone)]
-pub struct Topology {
-    pub coord: NodeId,
-    pub pool: Vec<NodeId>,
-    /// Per group: member node ids in boot order.
-    pub groups: Vec<Vec<NodeId>>,
-    /// Workload client node ids ([`NodeRef::Clients`]).
-    pub clients: Vec<NodeId>,
-    /// The pool's contents, for the faults that damage stored artifacts
-    /// directly (bit rot is not a protocol message).
-    pub shared_pool: SharedPool,
 }
 
 #[cfg(test)]

@@ -1,10 +1,8 @@
 //! Deployment builder: assemble a full CFS-style cluster on the simulator.
 //!
-//! Naming follows the paper: `MAMS-3A3S` = 3 replica groups (actives), each
-//! with 1 standby... no — each active has `standbys` hot backups, so 3A3S
-//! means `groups = 3`, `standbys = 1` *per group*? The paper's notation
-//! "MAMS-3A3S means 3 actives and 3 standbys" counts totals: 3 groups with
-//! one standby each. [`DeploySpec::mams`] takes totals and divides evenly.
+//! The paper's MAMS-xAyS counts totals: x actives, one per replica group,
+//! and y hot standbys spread evenly over the groups. [`DeploySpec::mams`]
+//! takes those totals; [`DeploySpec`] itself counts per group.
 
 use std::sync::Arc;
 
@@ -35,8 +33,6 @@ pub struct DeploySpec {
     pub data_servers: usize,
     pub timing: MdsTiming,
     pub coord: CoordConfig,
-    /// Data-server block-report interval.
-    pub report_interval: Duration,
     /// Override the pool nodes' journal/image disk models (ablations).
     pub pool_disks: Option<(DiskModel, DiskModel)>,
 }
@@ -51,7 +47,6 @@ impl Default for DeploySpec {
             data_servers: 4,
             timing: MdsTiming::default(),
             coord: CoordConfig::default(),
-            report_interval: Duration::from_secs(3),
             pool_disks: None,
         }
     }
@@ -79,21 +74,42 @@ pub struct GroupHandle {
     pub members: Vec<NodeId>,
 }
 
-/// A built deployment.
+/// A built deployment, MAMS or a baseline, its nodes named by role. Every
+/// node a builder registers is restartable; the clients added later are not.
+#[derive(Clone)]
 pub struct Deployment {
+    /// The coordination server, registered first.
     pub coord: NodeId,
+    /// The storage nodes: MAMS's shared storage pool, Avatar's NFS filer or
+    /// Hadoop HA's journal nodes; empty for the others.
     pub pool: Vec<NodeId>,
+    /// The replica groups; a baseline has one. Its `members[0]` is the
+    /// boot-time active (Boom-FS: the first replica, not yet a leader).
     pub groups: Vec<GroupHandle>,
+    /// The block-reporting data servers; empty for every baseline.
     pub data_servers: Vec<NodeId>,
     pub partitioner: Partitioner,
-    /// Direct handle to the pool contents (inspection, pre-population).
+    /// Direct handle to the pool contents (inspection, pre-population):
+    /// MAMS's pool or Avatar's filer; elsewhere a fresh one nothing writes.
     pub shared_pool: SharedPool,
-    spec: DeploySpec,
+    /// What [`Deployment::add_backup`] gives the member it adds.
+    timing: MdsTiming,
     client_count: u32,
 }
 
+/// The first client's rng seed; the `n`th draws from `CLIENT_SEED + n`.
+pub const CLIENT_SEED: u64 = 0xC11E47;
+
+/// Data-server block-report interval.
+const REPORT_INTERVAL: Duration = Duration::from_secs(3);
+
+/// Register the coordination server, the first node of every deployment.
+pub fn add_coord(sim: &mut Sim, cfg: CoordConfig) -> NodeId {
+    sim.add_restartable("coord", move || Box::new(CoordServer::new(cfg)))
+}
+
 /// Build the cluster: coordination server, pool nodes, `groups ×
-/// (1 + standbys + juniors)` metadata servers (restartable), data servers.
+/// (1 + standbys + juniors)` metadata servers, data servers.
 pub fn build(sim: &mut Sim, spec: DeploySpec) -> Deployment {
     // A partitioned active must fence itself before the coordinator can
     // expire its session and let a successor serve.
@@ -104,15 +120,14 @@ pub fn build(sim: &mut Sim, spec: DeploySpec) -> Deployment {
         spec.coord.session_timeout
     );
     let shared_pool = new_shared_pool();
-    let coord = sim.add_node("coord", Box::new(CoordServer::new(spec.coord)));
+    let coord = add_coord(sim, spec.coord);
+    let disks = spec.pool_disks.unwrap_or((DiskModel::journal_disk(), DiskModel::image_disk()));
     let mut pool = Vec::new();
     for i in 0..spec.pool_nodes {
         let p = shared_pool.clone();
-        let mut node = PoolNode::new(p);
-        if let Some((journal, image)) = spec.pool_disks {
-            node = node.with_disks(journal, image);
-        }
-        pool.push(sim.add_node(format!("pool-{i}"), Box::new(node)));
+        pool.push(sim.add_restartable(format!("pool-{i}"), move || {
+            Box::new(PoolNode::new(p.clone()).with_disks(disks.0, disks.1))
+        }));
     }
     let partitioner = Partitioner::new(spec.groups);
 
@@ -149,9 +164,11 @@ pub fn build(sim: &mut Sim, spec: DeploySpec) -> Deployment {
     let all_mds: Vec<NodeId> = groups.iter().flat_map(|g| g.members.iter().copied()).collect();
     let mut data_servers = Vec::new();
     for i in 0..spec.data_servers {
-        let ds = DataServer::new(i as u32, all_mds.clone(), spec.report_interval)
-            .with_blocks((i as u64 * 1000)..(i as u64 * 1000 + 16));
-        data_servers.push(sim.add_node(format!("ds-{i}"), Box::new(ds)));
+        let mds = all_mds.clone();
+        data_servers.push(sim.add_restartable(format!("ds-{i}"), move || {
+            let blocks = (i as u64 * 1000)..(i as u64 * 1000 + 16);
+            Box::new(DataServer::new(i as u32, mds.clone(), REPORT_INTERVAL).with_blocks(blocks))
+        }));
     }
 
     Deployment {
@@ -161,25 +178,30 @@ pub fn build(sim: &mut Sim, spec: DeploySpec) -> Deployment {
         data_servers,
         partitioner,
         shared_pool,
-        spec,
+        timing: spec.timing,
         client_count: 0,
     }
 }
 
 impl Deployment {
-    /// All metadata-server node ids.
-    pub fn mds_nodes(&self) -> Vec<NodeId> {
-        self.groups.iter().flat_map(|g| g.members.iter().copied()).collect()
+    /// One replica group of `members` behind `coord`, with storage nodes
+    /// `pool` and no data servers: a baseline's shape.
+    pub fn one_group(coord: NodeId, pool: Vec<NodeId>, members: Vec<NodeId>) -> Deployment {
+        Deployment {
+            coord,
+            pool,
+            groups: vec![GroupHandle { members }],
+            data_servers: Vec::new(),
+            partitioner: Partitioner::new(1),
+            shared_pool: new_shared_pool(),
+            timing: MdsTiming::default(),
+            client_count: 0,
+        }
     }
 
     /// The boot-time designated active of a group.
     pub fn initial_active(&self, group: u32) -> NodeId {
         self.groups[group as usize].members[0]
-    }
-
-    /// Spec used to build this deployment.
-    pub fn spec(&self) -> &DeploySpec {
-        &self.spec
     }
 
     /// Add a closed-loop client running `workload`, reporting into
@@ -202,7 +224,7 @@ impl Deployment {
         tune: impl FnOnce(ClientConfig) -> ClientConfig,
     ) -> NodeId {
         let cfg = tune(ClientConfig::new(self.coord, self.partitioner));
-        let rng = DetRng::seed_from_u64(0xC11E47 + self.client_count as u64);
+        let rng = DetRng::seed_from_u64(CLIENT_SEED + self.client_count as u64);
         self.client_count += 1;
         let client = FsClient::new(cfg, workload, metrics, rng);
         sim.add_node(format!("client-{}", self.client_count - 1), Box::new(client))
@@ -216,7 +238,7 @@ impl Deployment {
     /// Dynamically add a backup node to a running replica group (the
     /// paper's "supports dynamically adding backup nodes at runtime"): the
     /// node boots as a junior, registers with the active, and is upgraded
-    /// to a hot standby by the renewing protocol.
+    /// to a hot standby by the renewing protocol. MAMS only.
     pub fn add_backup(&mut self, sim: &mut Sim, group: u32) -> NodeId {
         let g = &mut self.groups[group as usize];
         let cfg = MdsConfig {
@@ -226,7 +248,7 @@ impl Deployment {
             pool: self.pool.clone(),
             partitioner: self.partitioner,
             initial_role: InitialRole::Junior,
-            timing: self.spec.timing,
+            timing: self.timing,
         };
         let idx = g.members.len();
         let id = sim.add_restartable(format!("mds-g{group}-{idx} (added)"), move || {

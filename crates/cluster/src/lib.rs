@@ -25,5 +25,5 @@ pub use datasrv::DataServer;
 pub use deploy::{DeploySpec, Deployment};
 pub use history::{History, OpRecord, Recorder};
 pub use metrics::{Completion, Metrics};
-pub use mttr::{mttr_from_completions, KillRig, OutageStats};
+pub use mttr::{mttr_from_completions, OutageStats};
 pub use workload::Workload;
