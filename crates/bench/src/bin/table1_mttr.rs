@@ -20,8 +20,8 @@ const KILL_AT: SimTime = SimTime(15_000_000);
 
 /// The table's columns at one image size.
 fn systems(image_mb: u64) -> [(&'static str, Mechanism); 4] {
-    // Image size does not enter MAMS failover: the standbys are hot and the
-    // data servers already report blocks to them.
+    // Image size does not enter MAMS failover: the standbys are hot. Block
+    // locations are not modelled, so they are assumed hot as well.
     let mams = DeploySpec { groups: 1, standbys_per_group: 3, ..DeploySpec::default() };
     [
         ("MAMS-1A3S", Mechanism::Mams(mams)),

@@ -227,7 +227,6 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
         groups: sc.groups,
         standbys_per_group: sc.standbys,
         juniors_per_group: sc.juniors,
-        data_servers: 1,
         timing,
         ..DeploySpec::default()
     };

@@ -1,10 +1,11 @@
-//! Data servers: block storage stand-ins that keep metadata servers' block
-//! maps fresh.
+//! Data servers: block storage stand-ins that report the blocks they hold.
 //!
-//! "Block locations are periodically reported to both the active and
-//! standby nodes by data servers. It means that the standby node has the
-//! up-to-date file locations and can achieve a hot standby for the active
-//! server." (Section III-A.)
+//! In the paper, "block locations are periodically reported to both the
+//! active and standby nodes by data servers" (Section III-A), which keeps
+//! standbys hot on file locations. Nothing here reads a location: a member
+//! drops every report on arrival, and [`crate::deploy::build`] starts no
+//! data server. [`DataServer`] stays only because `bench_e2e`
+//! builds its own cluster with it, and goes with it (ROADMAP item 1(g)).
 
 use std::collections::BTreeSet;
 
@@ -18,7 +19,7 @@ const T_REPORT: u64 = 1;
 pub struct DataServer {
     /// Stable data-server id used in block reports.
     pub server_id: u32,
-    /// Every metadata server (actives *and* standbys get reports).
+    /// The metadata servers it reports to.
     pub mds_nodes: Vec<NodeId>,
     pub report_interval: Duration,
     held: BTreeSet<u64>,

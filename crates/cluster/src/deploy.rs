@@ -9,12 +9,11 @@ use std::sync::Arc;
 use mams_coord::{CoordConfig, CoordServer};
 use mams_core::{InitialRole, MdsConfig, MdsServer, MdsTiming};
 use mams_namespace::Partitioner;
-use mams_sim::{DetRng, Duration, NodeId, Sim};
+use mams_sim::{DetRng, NodeId, Sim};
 use mams_storage::pool::{new_shared_pool, SharedPool};
 use mams_storage::{DiskModel, PoolNode};
 
 use crate::client::{ClientConfig, FsClient};
-use crate::datasrv::DataServer;
 use crate::metrics::Metrics;
 use crate::workload::Workload;
 
@@ -29,8 +28,6 @@ pub struct DeploySpec {
     pub juniors_per_group: usize,
     /// Shared-storage-pool nodes.
     pub pool_nodes: usize,
-    /// Data servers (block reporters).
-    pub data_servers: usize,
     pub timing: MdsTiming,
     pub coord: CoordConfig,
     /// Override the pool nodes' journal/image disk models (ablations).
@@ -44,7 +41,6 @@ impl Default for DeploySpec {
             standbys_per_group: 3,
             juniors_per_group: 0,
             pool_nodes: 3,
-            data_servers: 4,
             timing: MdsTiming::default(),
             coord: CoordConfig::default(),
             pool_disks: None,
@@ -86,8 +82,6 @@ pub struct Deployment {
     /// The replica groups; a baseline has one. Its `members[0]` is the
     /// boot-time active (Boom-FS: the first replica, not yet a leader).
     pub groups: Vec<GroupHandle>,
-    /// The block-reporting data servers; empty for every baseline.
-    pub data_servers: Vec<NodeId>,
     pub partitioner: Partitioner,
     /// Direct handle to the pool contents (inspection, pre-population):
     /// MAMS's pool or Avatar's filer; elsewhere a fresh one nothing writes.
@@ -100,16 +94,13 @@ pub struct Deployment {
 /// The first client's rng seed; the `n`th draws from `CLIENT_SEED + n`.
 pub const CLIENT_SEED: u64 = 0xC11E47;
 
-/// Data-server block-report interval.
-const REPORT_INTERVAL: Duration = Duration::from_secs(3);
-
 /// Register the coordination server, the first node of every deployment.
 pub fn add_coord(sim: &mut Sim, cfg: CoordConfig) -> NodeId {
     sim.add_restartable("coord", move || Box::new(CoordServer::new(cfg)))
 }
 
-/// Build the cluster: coordination server, pool nodes, `groups ×
-/// (1 + standbys + juniors)` metadata servers, data servers.
+/// Build the cluster: coordination server, pool nodes and `groups ×
+/// (1 + standbys + juniors)` metadata servers.
 pub fn build(sim: &mut Sim, spec: DeploySpec) -> Deployment {
     // A partitioned active must fence itself before the coordinator can
     // expire its session and let a successor serve.
@@ -161,21 +152,10 @@ pub fn build(sim: &mut Sim, spec: DeploySpec) -> Deployment {
         groups.push(GroupHandle { members });
     }
 
-    let all_mds: Vec<NodeId> = groups.iter().flat_map(|g| g.members.iter().copied()).collect();
-    let mut data_servers = Vec::new();
-    for i in 0..spec.data_servers {
-        let mds = all_mds.clone();
-        data_servers.push(sim.add_restartable(format!("ds-{i}"), move || {
-            let blocks = (i as u64 * 1000)..(i as u64 * 1000 + 16);
-            Box::new(DataServer::new(i as u32, mds.clone(), REPORT_INTERVAL).with_blocks(blocks))
-        }));
-    }
-
     Deployment {
         coord,
         pool,
         groups,
-        data_servers,
         partitioner,
         shared_pool,
         timing: spec.timing,
@@ -185,13 +165,12 @@ pub fn build(sim: &mut Sim, spec: DeploySpec) -> Deployment {
 
 impl Deployment {
     /// One replica group of `members` behind `coord`, with storage nodes
-    /// `pool` and no data servers: a baseline's shape.
+    /// `pool`: a baseline's shape.
     pub fn one_group(coord: NodeId, pool: Vec<NodeId>, members: Vec<NodeId>) -> Deployment {
         Deployment {
             coord,
             pool,
             groups: vec![GroupHandle { members }],
-            data_servers: Vec::new(),
             partitioner: Partitioner::new(1),
             shared_pool: new_shared_pool(),
             timing: MdsTiming::default(),
@@ -262,7 +241,7 @@ impl Deployment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mams_sim::SimConfig;
+    use mams_sim::{Duration, SimConfig};
 
     #[test]
     #[should_panic(expected = "must be below the session timeout")]

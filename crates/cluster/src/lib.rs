@@ -2,7 +2,7 @@
 //!
 //! Everything needed to stand up and exercise a full deployment: the
 //! [`deploy`] builder (coordination server + shared storage pool + replica
-//! groups + data servers), the retrying [`client`] library (partition
+//! groups), the retrying [`client`] library (partition
 //! routing, active discovery through the global view, transparent
 //! reconnect-and-resend on failover — the paper's "the client can reconnect
 //! to the new active directly and automatically ... and resend requests

@@ -5,8 +5,9 @@ use mams_cluster::faults;
 use mams_cluster::metrics::Metrics;
 use mams_cluster::mttr::{mean_mttr_secs, mttr_from_completions};
 use mams_cluster::workload::Workload;
+use mams_cluster::DataServer;
 use mams_coord::CoordTrace;
-use mams_core::MdsTrace;
+use mams_core::{MdsServer, MdsTrace};
 use mams_sim::{Duration, Sim, SimConfig, SimTime};
 
 fn sim(seed: u64) -> Sim {
@@ -290,7 +291,7 @@ fn failover_works_even_under_message_loss() {
 fn block_write_path_survives_failover() {
     // The HDFS-style write path: create, allocate blocks, seal — with a
     // failover in the middle. Block metadata must survive on the new
-    // active, and data-server reports must have populated its locations.
+    // active.
     use mams_core::{FsOp, OpOutput};
     let mut s = sim(13);
     let mut d = build(&mut s, DeploySpec { standbys_per_group: 2, ..DeploySpec::default() });
@@ -340,6 +341,47 @@ fn block_write_path_survives_failover() {
     assert_eq!(add_blocks, 2);
     assert_eq!(closes, 1);
     let _ = OpOutput::Done;
+}
+
+#[test]
+fn block_reports_are_dropped_in_every_role_across_a_switch() {
+    // No deployment runs a data server; the benchmark's are the one sender
+    // left. Reports reach the active, the standbys and the member inside
+    // the switch, whose step-3 buffer would release one to the new tenure.
+    // The switch lasts a few milliseconds, so the cadence is shorter still.
+    let mut s = sim(14);
+    let mut d = build(&mut s, DeploySpec::mams(1, 3));
+    let members = d.groups[0].members.clone();
+    let period = Duration::from_millis(1);
+    let reporter = DataServer::new(0, members.clone(), period).with_blocks(0..16);
+    s.add_node("ds-0", Box::new(reporter));
+    let m = Metrics::new(true);
+    d.add_client_with(&mut s, Workload::create_only(0), m.clone(), |mut c| {
+        c.max_ops = Some(2_000);
+        c
+    });
+    let active = d.initial_active(0);
+    let kill_at = SimTime(5_000_000);
+    faults::schedule_crash(&mut s, active, kill_at);
+    s.run_for(Duration::from_secs(20));
+
+    let at = |pick: fn(&MdsTrace) -> bool| {
+        s.trace().of().find(|(t, _, e)| *t >= kill_at && pick(e)).map(|(t, n, _)| (t, n))
+    };
+    let (locked, winner) = at(|e| matches!(e, MdsTrace::LockAcquired { .. })).expect("elected");
+    let (done, _) = at(|e| matches!(e, MdsTrace::SwitchDone { .. })).expect("switched");
+    assert!(
+        done.micros() - locked.micros() > 2 * period.micros(),
+        "the switch ({locked:?} .. {done:?}) spans no report, so none was buffered"
+    );
+    let resumed = m.completions().iter().filter(|c| c.ok && c.at_us > done.micros()).count();
+    assert!(resumed > 100, "service did not resume on n{winner}: {resumed} ops");
+    assert_eq!(m.failed_count(), 0);
+
+    let live: Vec<&MdsServer> = members.iter().filter_map(|&n| s.node::<MdsServer>(n)).collect();
+    assert_eq!(live.len(), 3, "the three standbys outlive the crash");
+    assert!(live.iter().all(|mds| mds.divergences() == 0));
+    assert!(live.iter().all(|mds| mds.fingerprint() == live[0].fingerprint()));
 }
 
 #[test]

@@ -1,11 +1,11 @@
 //! What a member derives from the journal, as one value.
 //!
 //! Everything here is a function of the journal prefix a node has applied:
-//! the namespace, the block registry, the log of applied batches, the
-//! replicated retry window and the two id high-water marks. A [`Prefix`] is
-//! made empty ([`Prefix::new`]) or from a checkpoint image
-//! ([`Prefix::from_image`]) and moves forward three ways only — executing a
-//! client operation ([`exec`](Prefix::exec)) and sealing what was executed
+//! the namespace, the log of applied batches, the replicated retry window
+//! and the two id high-water marks. A [`Prefix`] is made empty
+//! ([`Prefix::new`]) or from a checkpoint image ([`Prefix::from_image`])
+//! and moves forward three ways only — executing a client operation
+//! ([`exec`](Prefix::exec)) and sealing what was executed
 //! ([`seal`](Prefix::seal)) on the node that writes the journal, replaying
 //! a batch ([`ingest`](Prefix::ingest)) on the nodes that read it, adopting
 //! a checkpoint delta ([`adopt_delta`](Prefix::adopt_delta)) on a node that
@@ -29,8 +29,8 @@ use std::collections::BTreeMap;
 
 use mams_journal::{AckRecord, JournalBatch, JournalLog, SharedBatch, Sn, Txn, TxnId};
 use mams_namespace::{
-    apply_delta, fold_delta_with_window, replay_outcome, BlockMap, DecodedDelta, DecodedImage,
-    DeltaImage, DeltaOp, NamespaceImage, RetryEntry, RetryOutcome, RetryWindow, ShardedNamespace,
+    apply_delta, fold_delta_with_window, replay_outcome, DecodedDelta, DecodedImage, DeltaImage,
+    DeltaOp, NamespaceImage, RetryEntry, RetryOutcome, RetryWindow, ShardedNamespace,
     ShardedReplaySession,
 };
 
@@ -39,9 +39,6 @@ use crate::proto::{FsOp, OpOutput};
 /// The state a node derives from the journal prefix it has applied.
 pub struct Prefix {
     pub(crate) ns: ShardedNamespace,
-    /// Block lengths come from the journal; locations from the data
-    /// servers' periodic reports, which rebuild them after a reset.
-    pub(crate) blocks: BlockMap,
     /// Every applied batch since the last compaction. Its tail is the
     /// applied position, whatever wrote it: a seal, an ingest, an adopted
     /// image or delta.
@@ -77,7 +74,6 @@ impl Prefix {
     pub fn new() -> Self {
         Prefix {
             ns: ShardedNamespace::new(),
-            blocks: BlockMap::new(),
             log: JournalLog::new(),
             stash: BTreeMap::new(),
             window: RetryWindow::new(),
@@ -100,7 +96,6 @@ impl Prefix {
         let DecodedImage { ns, sn, window, highest_block } = image;
         Prefix {
             ns,
-            blocks: BlockMap::new(),
             log: JournalLog::with_base(sn),
             stash: BTreeMap::new(),
             window,
@@ -242,7 +237,6 @@ impl Prefix {
                 let block_id = self.next_block_id;
                 self.ns.add_block(&path, block_id).map(|()| {
                     self.next_block_id += 1;
-                    self.blocks.register(block_id, len);
                     (Some(Txn::AddBlock { path, block_id, len }), OpOutput::Block(block_id))
                 })
             }
@@ -298,17 +292,16 @@ impl Prefix {
         failed
     }
 
-    /// Apply a batch's records to the namespace and block map and advance
-    /// the id marks. The batch's ack records wait on the log for the window
-    /// fold; debug builds check here, *at each acked record's apply point*,
-    /// that the outcome the fold will reconstruct from the record (e.g. the
+    /// Apply a batch's records to the namespace and advance the id marks.
+    /// The batch's ack records wait on the log for the window fold; debug
+    /// builds check here, *at each acked record's apply point*, that the
+    /// outcome the fold will reconstruct from the record (e.g. the
     /// `FileInfo` a `Create` answered) is what the namespace says.
     fn apply_records(&mut self, batch: &JournalBatch) -> u64 {
         let mut failed = 0;
         let mut acks = batch.acks.iter().peekable();
         for (i, (txid, txn)) in batch.entries().enumerate() {
-            if let Txn::AddBlock { block_id, len, .. } = txn {
-                self.blocks.register(*block_id, *len);
+            if let Txn::AddBlock { block_id, .. } = txn {
                 self.next_block_id = self.next_block_id.max(*block_id + 1);
             }
             // The session skips re-validation and reuses the previous

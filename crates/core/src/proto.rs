@@ -76,7 +76,9 @@ pub enum MdsReq {
     /// Admin: checkpoint the namespace image to the SSP.
     Checkpoint,
     /// Data-server block report: the complete set of blocks this server
-    /// holds. Sent to *all* group members so standbys stay hot.
+    /// holds. Every member drops it on arrival, since no block location is
+    /// modelled; it stays only because `bench_e2e` builds its own data
+    /// servers, and goes with them (ROADMAP item 1(g)).
     BlockReport { server: u32, blocks: Vec<u64> },
 }
 

@@ -552,10 +552,9 @@ impl MdsServer {
     // ------------------------------------------------------------ dispatch
 
     pub(crate) fn on_client_req(&mut self, ctx: &mut Ctx<'_>, from: NodeId, req: MdsReq) {
-        // Block reports go to every member regardless of role — that is
-        // what keeps standbys hot on file locations.
-        if let MdsReq::BlockReport { server, blocks } = &req {
-            self.r.prefix.blocks.report(*server, blocks);
+        // No block location is kept: a report is dropped on arrival, in
+        // every role, so none is buffered across a switch either.
+        if let MdsReq::BlockReport { .. } = req {
             return;
         }
         // Lazy lease enforcement: a just-thawed zombie can receive queued

@@ -4,15 +4,14 @@
 //! metadata operations the paper benchmarks (`create`, `mkdir`, `delete`,
 //! `rename`, `getfileinfo`), hash-based namespace partitioning across
 //! multiple actives (Section III-A: "Hash-based methods are adopted for
-//! namespace partitioning and metadata distribution"), namespace images
-//! (checkpoints juniors load during renewing), and the block-location map
-//! that data servers keep fresh on actives *and* standbys.
+//! namespace partitioning and metadata distribution") and namespace images
+//! (checkpoints juniors load during renewing). A file records its block
+//! ids; no block location is modelled.
 //!
 //! Mutations are driven by [`mams_journal::Txn`] records so that live
 //! execution on the active and journal replay on a standby run the exact
 //! same code — the replay-determinism invariant the property tests check.
 
-pub mod blocks;
 pub mod delta;
 pub mod image;
 pub mod inode;
@@ -22,7 +21,6 @@ pub mod retry;
 pub mod shard;
 pub mod tree;
 
-pub use blocks::{BlockInfo, BlockMap};
 pub use delta::{
     apply_delta, decode_delta, fold_delta, fold_delta_with_window, DecodedDelta, DeltaEntry,
     DeltaImage, DeltaNamespace, DeltaOp, DELTA_MAGIC, DELTA_VERSION,

@@ -38,13 +38,8 @@ pub fn group_with(
     client: impl Fn(u32, ClientConfig) -> (Workload, ClientConfig),
 ) -> Group {
     let mut sim = Sim::new(SimConfig { seed, trace: true, latency: LatencyModel::lan() });
-    let spec = DeploySpec {
-        standbys_per_group: standbys,
-        pool_nodes: 1,
-        data_servers: 0,
-        timing,
-        ..DeploySpec::default()
-    };
+    let spec =
+        DeploySpec { standbys_per_group: standbys, pool_nodes: 1, timing, ..DeploySpec::default() };
     let mut d = build(&mut sim, spec);
     let metrics = Metrics::new(false);
     let clients = (0..clients)

@@ -1,6 +1,7 @@
 //! One builder for every mechanism: the `Deployment` it returns names every
-//! node it registered, each of them can crash and come back, and
-//! `initial_active(0)` is the node the global view names.
+//! node it registered (the coordinator, the storage nodes and the group
+//! members; no mechanism runs a data server), each of them can crash and
+//! come back, and `initial_active(0)` is the node the global view names.
 
 use mams::baselines::{boomfs, FsScale, Mechanism};
 use mams::chaos::active_of;
@@ -32,7 +33,6 @@ fn every_node_a_deployment_names_restarts() {
     for (name, mut sim, d) in built() {
         let mut named = vec![d.coord];
         named.extend(d.pool.iter().chain(d.groups.iter().flat_map(|g| &g.members)));
-        named.extend(&d.data_servers);
         assert_eq!(named.len(), sim.num_nodes(), "{name}: a node without a role");
         sim.run_for(Duration::from_secs(1));
         for n in named {

@@ -24,7 +24,6 @@ fn a_successor_never_adopts_an_image_ahead_of_the_pool_journal() {
         standbys_per_group: 0,
         juniors_per_group: 1,
         pool_nodes: 2,
-        data_servers: 0,
         ..DeploySpec::default()
     };
     let mut d = build(&mut sim, spec);
