@@ -7,8 +7,7 @@ use std::sync::Arc;
 use mams_coord::{CoordClient, CoordEvent, CoordResp, Incoming, KeyOp};
 use mams_core::retry::RetryCache;
 use mams_core::{CpuModel, FsOp, Ingress, IngressItem, MdsReq, MdsResp, OpOutput, Prefix, ViewKey};
-use mams_journal::{SharedBatch, Sn, Txn};
-use mams_namespace::ImageError;
+use mams_journal::{CodecError, SharedBatch, Sn, Txn};
 use mams_sim::{Ctx, Duration, Event, Message, NodeId};
 
 /// The front-end's flush timer. Clear of the tokens a comparator arms for
@@ -49,7 +48,7 @@ pub enum BaselineTrace {
     Recollecting { files: u64, takes: Duration },
     TakeoverDone,
     ImageRestart { version: Option<u16>, bytes: u64 },
-    ImageCorrupt(ImageError),
+    ImageCorrupt(CodecError),
 }
 
 impl Event for BaselineTrace {}

@@ -27,11 +27,12 @@
 
 use std::collections::BTreeMap;
 
-use mams_journal::{AckRecord, JournalBatch, JournalLog, SharedBatch, Sn, Txn, TxnId};
+use mams_journal::{
+    AckRecord, DeltaImage, JournalBatch, JournalLog, NamespaceImage, SharedBatch, Sn, Txn, TxnId,
+};
 use mams_namespace::{
-    apply_delta, fold_delta_with_window, replay_outcome, DecodedDelta, DecodedImage, DeltaImage,
-    DeltaOp, NamespaceImage, RetryEntry, RetryOutcome, RetryWindow, ShardedNamespace,
-    ShardedReplaySession,
+    apply_delta, fold_delta_with_window, replay_outcome, DecodedDelta, DecodedImage, DeltaOp,
+    RetryEntry, RetryOutcome, RetryWindow, ShardedNamespace, ShardedReplaySession,
 };
 
 use crate::proto::{FsOp, OpOutput};

@@ -20,8 +20,8 @@
 //! running. No other role pulls: a standby that misses a batch is repaired
 //! by the active's re-push (`retry_pool_appends`).
 
-use mams_journal::{SharedBatch, Sn};
-use mams_namespace::{ImageError, StreamingImageDecoder};
+use mams_journal::{CodecError, SharedBatch, Sn};
+use mams_namespace::StreamingImageDecoder;
 use mams_sim::{Ctx, NodeId};
 use mams_storage::proto::{PoolReq, PoolResp, ReqId};
 use mams_storage::{ArtifactId, ArtifactKind, ManifestEntry, PoolError};
@@ -354,7 +354,7 @@ impl MdsServer {
             More(ArtifactId, u64),
             BaseDone,
             DeltaDone,
-            Corrupt(ImageError),
+            Corrupt(CodecError),
         }
         let step = {
             let Some(CatchupStage::Chain { plan, idx, offset, decoder, buf }) = self.role.stage()

@@ -2,8 +2,7 @@
 //! the failover stages back from it, the campaign its divergence invariant,
 //! and the tests the renewing and checkpoint paths a run went through.
 
-use mams_journal::Sn;
-use mams_namespace::ImageError;
+use mams_journal::{CodecError, Sn};
 use mams_sim::{Duration, Event, NodeId};
 use mams_storage::pool::{ArtifactId, Epoch};
 use mams_storage::proto::PoolResp;
@@ -66,7 +65,7 @@ pub enum MdsTrace {
     ManifestFailed(PoolResp),
     ManifestStale { artifact: ArtifactId },
     ChunkFailed(PoolResp),
-    ImageCorrupt(ImageError),
+    ImageCorrupt(CodecError),
     ImageLoaded { sn: Sn },
     DeltaApplied { sn: Sn },
     DeltaCorrupt(String),

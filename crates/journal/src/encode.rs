@@ -3,7 +3,7 @@
 //! The SSP stores journal segments as sequential shared files; this module
 //! defines the record format. There is one: **wire version 2**, named by
 //! the header's version field. Any other version is refused with
-//! [`EncodeError::BadVersion`].
+//! [`CodecError::BadVersion`].
 //!
 //! Header integers are LEB128 varints; per-record txids stay implicit
 //! deltas from the varint `first_txid` base (txid of record *i* is
@@ -24,62 +24,18 @@
 //!
 //! A batch ends with an 8-byte big-endian FNV-1a-64 trailer over everything
 //! before it, so a torn or corrupted write is detected on replay before any
-//! field is trusted.
+//! field is trusted: [`decode_batch`] reads through the crate's one frame
+//! check and [`Reader`](crate::hash::Reader).
 
-use bytes::{Buf, Bytes};
+use bytes::Bytes;
 
-use crate::hash::{fnv1a64, peek_varint, HashingBuf, Varint};
+use crate::hash::{open_frame, CodecError, HashingBuf, Reader};
 use crate::txn::{AckRecord, JournalBatch, Txn};
 
 /// Format magic: "MAMSJRNL" truncated to 4 bytes.
 pub const MAGIC: u32 = 0x4d4a_524e;
 /// The wire version: varints + prefix-compressed paths.
 pub const VERSION_V2: u16 = 2;
-
-/// Decoding failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EncodeError {
-    BadMagic(u32),
-    BadVersion(u16),
-    Truncated,
-    BadChecksum {
-        stored: u64,
-        computed: u64,
-    },
-    BadTag(u8),
-    BadUtf8,
-    BadVarint,
-    /// A path delta referenced more shared bytes than the previous path
-    /// has, or split it off a UTF-8 character boundary.
-    BadPrefix {
-        shared: u64,
-        prev_len: usize,
-    },
-    /// The bytes decode, but to a batch `JournalBatch::with_acks` refuses.
-    Invalid(&'static str),
-}
-
-impl std::fmt::Display for EncodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EncodeError::BadMagic(m) => write!(f, "bad journal magic {m:#x}"),
-            EncodeError::BadVersion(v) => write!(f, "unsupported journal version {v}"),
-            EncodeError::Truncated => write!(f, "truncated journal batch"),
-            EncodeError::BadChecksum { stored, computed } => {
-                write!(f, "journal checksum mismatch: stored {stored:#x}, computed {computed:#x}")
-            }
-            EncodeError::BadTag(t) => write!(f, "unknown transaction tag {t}"),
-            EncodeError::BadUtf8 => write!(f, "non-UTF-8 path in journal record"),
-            EncodeError::BadVarint => write!(f, "malformed varint in journal batch"),
-            EncodeError::BadPrefix { shared, prev_len } => {
-                write!(f, "journal path delta shares {shared} bytes of a {prev_len}-byte prefix")
-            }
-            EncodeError::Invalid(why) => write!(f, "invalid journal batch: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for EncodeError {}
 
 /// Longest common prefix of `prev` and `next` in bytes, clamped back to a
 /// character boundary so the suffix stays valid UTF-8 on its own.
@@ -133,92 +89,35 @@ fn put_txn_v2(buf: &mut HashingBuf, prev: &mut String, t: &Txn) {
     }
 }
 
-/// A consuming view over the checksum-verified body.
-struct Reader<'a> {
-    w: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn varint(&mut self) -> Result<u64, EncodeError> {
-        match peek_varint(self.w) {
-            Varint::Val(v, n) => {
-                self.w = &self.w[n..];
-                Ok(v)
-            }
-            Varint::Need => Err(EncodeError::Truncated),
-            Varint::Bad => Err(EncodeError::BadVarint),
+fn get_txn_v2(r: &mut Reader<'_>, prev: &mut String) -> Result<Txn, CodecError> {
+    Ok(match r.u8()? {
+        1 => {
+            let path = r.path(prev)?;
+            Txn::Create { path, replication: r.u8()? }
         }
-    }
-
-    fn u8(&mut self) -> Result<u8, EncodeError> {
-        let (&b, rest) = self.w.split_first().ok_or(EncodeError::Truncated)?;
-        self.w = rest;
-        Ok(b)
-    }
-
-    fn u16(&mut self) -> Result<u16, EncodeError> {
-        if self.w.len() < 2 {
-            return Err(EncodeError::Truncated);
+        2 => Txn::Mkdir { path: r.path(prev)? },
+        3 => {
+            let path = r.path(prev)?;
+            Txn::Delete { path, recursive: r.u8()? != 0 }
         }
-        let v = u16::from_be_bytes(self.w[..2].try_into().expect("2 bytes"));
-        self.w = &self.w[2..];
-        Ok(v)
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], EncodeError> {
-        if self.w.len() < n {
-            return Err(EncodeError::Truncated);
+        4 => {
+            let src = r.path(prev)?;
+            let dst = r.path(prev)?;
+            Txn::Rename { src, dst }
         }
-        let (head, rest) = self.w.split_at(n);
-        self.w = rest;
-        Ok(head)
-    }
-
-    /// Rebuild a delta-encoded path into `prev` and return an owned copy.
-    fn path(&mut self, prev: &mut String) -> Result<String, EncodeError> {
-        let shared = self.varint()?;
-        if shared as usize > prev.len() || !prev.is_char_boundary(shared as usize) {
-            return Err(EncodeError::BadPrefix { shared, prev_len: prev.len() });
+        5 => {
+            let path = r.path(prev)?;
+            let block_id = r.varint()?;
+            let len = r.varint()?;
+            Txn::AddBlock { path, block_id, len: len as u32 }
         }
-        let suffix_len = self.varint()? as usize;
-        let suffix =
-            std::str::from_utf8(self.bytes(suffix_len)?).map_err(|_| EncodeError::BadUtf8)?;
-        prev.truncate(shared as usize);
-        prev.push_str(suffix);
-        Ok(prev.clone())
-    }
-
-    fn txn(&mut self, prev: &mut String) -> Result<Txn, EncodeError> {
-        let tag = self.u8()?;
-        Ok(match tag {
-            1 => {
-                let path = self.path(prev)?;
-                Txn::Create { path, replication: self.u8()? }
-            }
-            2 => Txn::Mkdir { path: self.path(prev)? },
-            3 => {
-                let path = self.path(prev)?;
-                Txn::Delete { path, recursive: self.u8()? != 0 }
-            }
-            4 => {
-                let src = self.path(prev)?;
-                let dst = self.path(prev)?;
-                Txn::Rename { src, dst }
-            }
-            5 => {
-                let path = self.path(prev)?;
-                let block_id = self.varint()?;
-                let len = self.varint()?;
-                Txn::AddBlock { path, block_id, len: len as u32 }
-            }
-            6 => Txn::CloseFile { path: self.path(prev)? },
-            7 => {
-                let path = self.path(prev)?;
-                Txn::SetPerm { path, perm: self.u16()? }
-            }
-            t => return Err(EncodeError::BadTag(t)),
-        })
-    }
+        6 => Txn::CloseFile { path: r.path(prev)? },
+        7 => {
+            let path = r.path(prev)?;
+            Txn::SetPerm { path, perm: r.u16()? }
+        }
+        t => return Err(CodecError::Corrupt(format!("unknown transaction tag {t}"))),
+    })
 }
 
 /// Encode a batch into its on-disk/wire bytes.
@@ -246,71 +145,47 @@ pub fn encode_batch(batch: &JournalBatch) -> Bytes {
     buf.seal()
 }
 
-fn decode_batch_v2(body: &[u8]) -> Result<JournalBatch, EncodeError> {
-    let mut r = Reader { w: body };
+/// Decode a batch, verifying checksum, magic and version.
+pub fn decode_batch(data: Bytes) -> Result<JournalBatch, CodecError> {
+    let mut r = open_frame(&data, MAGIC, VERSION_V2)?;
     let sn = r.varint()?;
     let first_txid = r.varint()?;
     let n = r.varint()? as usize;
     if sn == 0 {
-        return Err(EncodeError::Invalid("sn 0 is the 'nothing applied' sentinel"));
+        return Err(CodecError::Invalid("sn 0 is the 'nothing applied' sentinel"));
     }
     if n == 0 {
-        return Err(EncodeError::Invalid("no records"));
+        return Err(CodecError::Invalid("no records"));
     }
     if first_txid.checked_add(n as u64).is_none() {
-        return Err(EncodeError::Invalid("txid range overflows"));
+        return Err(CodecError::Invalid("txid range overflows"));
     }
-    let mut records = Vec::with_capacity(n.min(body.len()));
+    let mut records = Vec::with_capacity(n.min(r.remaining()));
     let mut prev = String::new();
     for _ in 0..n {
-        records.push(r.txn(&mut prev)?);
+        records.push(get_txn_v2(&mut r, &mut prev)?);
     }
     // Body bytes past the records host the ack section (absent when the
     // batch owes nothing to a client).
     let mut acks = Vec::new();
-    if !r.w.is_empty() {
+    if !r.is_empty() {
         let count = r.varint()? as usize;
-        acks.reserve(count.min(body.len()));
+        acks.reserve(count.min(r.remaining()));
         for _ in 0..count {
             let record = r.varint()?;
             let client = r.varint()?;
             let seq = r.varint()?;
             let spec = r.u8()? != 0;
             if record >= n as u64 || record > u32::MAX as u64 || client > u32::MAX as u64 {
-                return Err(EncodeError::BadVarint);
+                return Err(CodecError::Invalid("an ack names no record or client"));
             }
             acks.push(AckRecord { record: record as u32, client: client as u32, seq, spec });
         }
-        if !r.w.is_empty() {
-            return Err(EncodeError::Truncated);
+        if !r.is_empty() {
+            return Err(CodecError::Corrupt("bytes after the ack section".into()));
         }
     }
     Ok(JournalBatch { sn, first_txid, records, acks })
-}
-
-/// Decode a batch, verifying checksum, magic and version.
-pub fn decode_batch(data: Bytes) -> Result<JournalBatch, EncodeError> {
-    if data.remaining() < 8 {
-        return Err(EncodeError::Truncated);
-    }
-    let body_len = data.remaining() - 8;
-    let stored = u64::from_be_bytes(data[body_len..].try_into().expect("8-byte trailer"));
-    let computed = fnv1a64(&data[..body_len]);
-    if stored != computed {
-        return Err(EncodeError::BadChecksum { stored, computed });
-    }
-    if body_len < 4 + 2 {
-        return Err(EncodeError::Truncated);
-    }
-    let magic = u32::from_be_bytes(data[..4].try_into().expect("4 bytes"));
-    if magic != MAGIC {
-        return Err(EncodeError::BadMagic(magic));
-    }
-    let version = u16::from_be_bytes(data[4..6].try_into().expect("2 bytes"));
-    match version {
-        VERSION_V2 => decode_batch_v2(&data[6..body_len]),
-        v => Err(EncodeError::BadVersion(v)),
-    }
 }
 
 #[cfg(test)]
@@ -424,9 +299,9 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    EncodeError::BadChecksum { .. }
-                        | EncodeError::BadMagic(_)
-                        | EncodeError::BadVersion(_)
+                    CodecError::BadChecksum { .. }
+                        | CodecError::BadMagic(_)
+                        | CodecError::BadVersion(_)
                 ),
                 "unexpected error at byte {i}: {err:?}"
             );
@@ -439,7 +314,7 @@ mod tests {
         for cut in [0usize, 4, 7, 20, enc.len() - 9] {
             let err = decode_batch(enc.slice(..cut)).unwrap_err();
             assert!(
-                matches!(err, EncodeError::Truncated | EncodeError::BadChecksum { .. }),
+                matches!(err, CodecError::Truncated | CodecError::BadChecksum { .. }),
                 "cut={cut}: {err:?}"
             );
         }
@@ -447,10 +322,18 @@ mod tests {
 
     #[test]
     fn error_display_is_informative() {
-        let e = EncodeError::BadChecksum { stored: 1, computed: 2 };
+        let e = CodecError::BadChecksum { stored: 1, computed: 2 };
         assert!(format!("{e}").contains("checksum"));
-        assert!(format!("{}", EncodeError::BadTag(9)).contains("tag 9"));
-        assert!(format!("{}", EncodeError::BadVarint).contains("varint"));
-        assert!(format!("{}", EncodeError::BadPrefix { shared: 5, prev_len: 2 }).contains("5"));
+        let decode = |body: &[u8]| {
+            let mut b = HashingBuf::with_capacity(32);
+            b.put_u32(MAGIC);
+            b.put_u16(VERSION_V2);
+            b.put_slice(&[1, 1, 1]);
+            b.put_slice(body);
+            decode_batch(b.seal()).unwrap_err().to_string()
+        };
+        assert!(decode(&[9]).contains("tag 9"));
+        assert!(decode(&[[2].as_slice(), &[0xff; 11]].concat()).contains("varint"));
+        assert!(decode(&[2, 5, 1, b'a']).contains("prefix 5"));
     }
 }

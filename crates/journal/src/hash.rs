@@ -1,12 +1,19 @@
-//! Shared checksum/varint primitives for the journal and image wire
-//! formats.
+//! Shared checksum, varint and reading primitives for every byte format
+//! in the repo: journal batches, namespace images, MDLT deltas and the
+//! retry-window section.
 //!
-//! One FNV-1a-64 implementation serves every on-disk format in the repo
-//! (journal batches, namespace images) and the in-memory tree fingerprint
-//! constants: same offset basis, same prime. The incremental form is
-//! split-invariant — feeding the same bytes in any chunking produces the
-//! same digest — which is what lets encoders seal a trailer checksum
-//! without a second scan and streaming decoders verify chunk by chunk.
+//! One FNV-1a-64 implementation serves every on-disk format (and the
+//! in-memory tree fingerprint constants): same offset basis, same prime.
+//! The incremental form is split-invariant — feeding the same bytes in any
+//! chunking produces the same digest — which is what lets encoders seal a
+//! trailer checksum without a second scan ([`HashingBuf`]) and streaming
+//! decoders verify chunk by chunk.
+//!
+//! The read side is one [`Reader`] (a bounds-checked cursor: fixed-width
+//! big-endian integers, varints, length-prefixed bytes and strings,
+//! prefix-compressed paths), one frame check ([`open_frame`] for the
+//! `magic · version · … · fnv64` artifacts) and one [`CodecError`]. Every
+//! decoder of bytes a member did not just write reads through them.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -154,30 +161,180 @@ pub fn push_varint(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&bytes[..n]);
 }
 
-/// Result of peeking a varint at the front of a window.
-#[derive(Debug, Clone, Copy)]
-pub enum Varint {
-    /// Not enough bytes yet.
-    Need,
-    /// Malformed (longer than 10 bytes or overflowing 64 bits).
-    Bad,
-    /// Decoded value and its encoded length.
-    Val(u64, usize),
+/// Why bytes read back from the pool or the wire do not decode: one error
+/// for every format (journal batch, image, delta, retry-window section).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CodecError {
+    /// The bytes end inside a value.
+    Truncated,
+    /// The header names another format.
+    BadMagic(u32),
+    /// A version of the format no codec reads.
+    BadVersion(u16),
+    /// The trailer is not the FNV-1a-64 of the bytes before it.
+    BadChecksum { stored: u64, computed: u64 },
+    /// Malformed bytes: an unknown tag, a bad varint or UTF-8, a length or
+    /// prefix that fits nothing, or an entry no namespace can hold.
+    Corrupt(String),
+    /// The bytes parse, but to a value the format forbids (a batch with no
+    /// records or sn 0, a delta over an empty range).
+    Invalid(&'static str),
 }
 
-/// Peek a LEB128 varint at the front of `w` without consuming it.
-pub fn peek_varint(w: &[u8]) -> Varint {
-    let mut x = 0u64;
-    for (i, &b) in w.iter().enumerate() {
-        if i == 9 && (b & 0x7f) > 1 || i > 9 {
-            return Varint::Bad;
-        }
-        x |= ((b & 0x7f) as u64) << (7 * i);
-        if b & 0x80 == 0 {
-            return Varint::Val(x, i + 1);
+impl std::fmt::Display for CodecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CodecError::Truncated => write!(f, "truncated artifact"),
+            CodecError::BadMagic(m) => write!(f, "bad magic {m:#x}"),
+            CodecError::BadVersion(v) => write!(f, "unsupported version {v}"),
+            CodecError::BadChecksum { stored, computed } => {
+                write!(f, "checksum mismatch: stored {stored:#x}, computed {computed:#x}")
+            }
+            CodecError::Corrupt(why) => write!(f, "corrupt artifact: {why}"),
+            CodecError::Invalid(why) => write!(f, "invalid artifact: {why}"),
         }
     }
-    Varint::Need
+}
+
+impl std::error::Error for CodecError {}
+
+/// Check a whole `magic · version · body · fnv64` artifact — the trailer
+/// first, so no field is trusted before it — and return a reader over the
+/// body after the header.
+pub fn open_frame(data: &[u8], magic: u32, version: u16) -> Result<Reader<'_>, CodecError> {
+    let body_len = data.len().checked_sub(8).ok_or(CodecError::Truncated)?;
+    let (body, trailer) = data.split_at(body_len);
+    let stored = u64::from_be_bytes(trailer.try_into().expect("8-byte trailer"));
+    let computed = fnv1a64(body);
+    if stored != computed {
+        return Err(CodecError::BadChecksum { stored, computed });
+    }
+    let mut r = Reader::new(body);
+    r.header(magic, version)?;
+    Ok(r)
+}
+
+/// A bounds-checked cursor over bytes a member did not just write. Running
+/// out of bytes is [`CodecError::Truncated`]; a length whose end overflows
+/// `usize` is [`CodecError::Corrupt`], never an offset to compute.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    /// What is left to read.
+    rest: &'a [u8],
+    /// The length of the whole buffer.
+    len: usize,
+}
+
+impl<'a> Reader<'a> {
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader { rest: buf, len: buf.len() }
+    }
+
+    /// Bytes consumed so far.
+    pub fn pos(&self) -> usize {
+        self.len - self.rest.len()
+    }
+
+    /// Bytes not consumed yet.
+    pub fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.rest.is_empty()
+    }
+
+    /// The next `len` bytes.
+    #[inline]
+    pub fn bytes(&mut self, len: u64) -> Result<&'a [u8], CodecError> {
+        if len > self.rest.len() as u64 {
+            let end = usize::try_from(len).ok().and_then(|n| self.pos().checked_add(n));
+            return Err(match end {
+                Some(_) => CodecError::Truncated,
+                None => CodecError::Corrupt(format!("length {len} overflows")),
+            });
+        }
+        let (head, rest) = self.rest.split_at(len as usize);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        Ok(self.bytes(N as u64)?.try_into().expect("N bytes"))
+    }
+
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, CodecError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, CodecError> {
+        self.array().map(u16::from_be_bytes)
+    }
+
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, CodecError> {
+        self.array().map(u32::from_be_bytes)
+    }
+
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, CodecError> {
+        self.array().map(u64::from_be_bytes)
+    }
+
+    /// A LEB128 varint: at most 10 bytes, no bits past the 64th.
+    #[inline]
+    pub fn varint(&mut self) -> Result<u64, CodecError> {
+        let mut x = 0u64;
+        for (i, &b) in self.rest.iter().enumerate() {
+            if i == 9 && (b & 0x7f) > 1 || i > 9 {
+                return Err(CodecError::Corrupt("malformed varint".into()));
+            }
+            x |= ((b & 0x7f) as u64) << (7 * i);
+            if b & 0x80 == 0 {
+                self.rest = &self.rest[i + 1..];
+                return Ok(x);
+            }
+        }
+        Err(CodecError::Truncated)
+    }
+
+    /// A varint length, then that many bytes of UTF-8.
+    #[inline]
+    pub fn str(&mut self) -> Result<&'a str, CodecError> {
+        let len = self.varint()?;
+        std::str::from_utf8(self.bytes(len)?)
+            .map_err(|_| CodecError::Corrupt("non-UTF-8 string".into()))
+    }
+
+    /// A path written as `⟨varint shared, str suffix⟩` against `prev`, the
+    /// path before it: rebuilt into `prev` and returned.
+    #[inline]
+    pub fn path(&mut self, prev: &mut String) -> Result<String, CodecError> {
+        let shared = self.varint()?;
+        let keep = usize::try_from(shared).ok().filter(|&n| prev.is_char_boundary(n));
+        let Some(keep) = keep else {
+            return Err(CodecError::Corrupt(format!(
+                "prefix {shared} does not fit the previous {}-byte path",
+                prev.len()
+            )));
+        };
+        let suffix = self.str()?;
+        prev.truncate(keep);
+        prev.push_str(suffix);
+        Ok(prev.clone())
+    }
+
+    /// A `magic · version` header naming this format and version.
+    pub fn header(&mut self, magic: u32, version: u16) -> Result<(), CodecError> {
+        match (self.u32()?, self.u16()?) {
+            (m, _) if m != magic => Err(CodecError::BadMagic(m)),
+            (_, v) if v != version => Err(CodecError::BadVersion(v)),
+            _ => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -236,18 +393,22 @@ mod tests {
             let mut b = HashingBuf::with_capacity(10);
             b.put_varint(v);
             let enc = b.seal();
-            match peek_varint(&enc[..enc.len() - 8]) {
-                Varint::Val(x, n) => {
-                    assert_eq!(x, v);
-                    assert_eq!(n, enc.len() - 8);
-                }
-                other => panic!("{v}: {other:?}"),
-            }
+            let mut r = Reader::new(&enc[..enc.len() - 8]);
+            assert_eq!(r.varint(), Ok(v));
+            assert!(r.is_empty(), "{v}: left {} bytes", r.remaining());
             let mut pushed = Vec::new();
             push_varint(&mut pushed, v);
             assert_eq!(pushed, enc[..enc.len() - 8], "{v}: push_varint");
         }
-        assert!(matches!(peek_varint(&[0x80]), Varint::Need));
-        assert!(matches!(peek_varint(&[0xff; 11]), Varint::Bad));
+        assert_eq!(Reader::new(&[0x80]).varint(), Err(CodecError::Truncated));
+        assert!(matches!(Reader::new(&[0xff; 11]).varint(), Err(CodecError::Corrupt(_))));
+        // What the streaming image decoder relies on: a length past the end
+        // of the bytes is "wait for more", one whose end overflows `usize`
+        // is damage — and neither moves the cursor.
+        let mut r = Reader::new(&[1, 2, 3]);
+        assert_eq!(r.bytes(4), Err(CodecError::Truncated));
+        assert_eq!(r.u8(), Ok(1));
+        assert!(matches!(r.bytes(u64::MAX), Err(CodecError::Corrupt(_))));
+        assert_eq!(r.bytes(2), Ok(&[2, 3][..]));
     }
 }

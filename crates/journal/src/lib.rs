@@ -13,6 +13,10 @@
 //! * [`Txn`] — the namespace operation vocabulary,
 //! * [`JournalBatch`] — a `⟨sn, txid⟩`-described group of records,
 //! * [`encode`] — a compact binary wire/disk format with checksums,
+//! * [`hash`] — the checksum, the varints and the one [`Reader`], frame
+//!   check and [`CodecError`] every decoder of pool or wire bytes uses,
+//! * [`NamespaceImage`] / [`DeltaImage`] — the checkpoint artifacts' byte
+//!   containers, which the pool stores without decoding,
 //! * [`JournalLog`] — an in-memory segment enforcing sn contiguity and
 //!   idempotent appends,
 //! * [`SharedBatch`] — a reference-counted batch handle with an encode-once
@@ -22,14 +26,16 @@
 //! the current maximum" included — is `mams_core::Prefix::ingest`, the one
 //! replay every node of every deployment runs.
 
+pub mod artifact;
 pub mod encode;
 pub mod hash;
 pub mod log;
 pub mod shared;
 pub mod txn;
 
-pub use encode::{decode_batch, encode_batch, EncodeError};
-pub use hash::{fnv1a64, peek_varint, Fnv1a64, HashingBuf, Varint};
+pub use artifact::{DeltaImage, NamespaceImage};
+pub use encode::{decode_batch, encode_batch};
+pub use hash::{fnv1a64, open_frame, CodecError, Fnv1a64, HashingBuf, Reader};
 pub use log::{AppendOutcome, JournalError, JournalLog};
 pub use shared::SharedBatch;
 pub use txn::{AckRecord, JournalBatch, Sn, Txn, TxnId};

@@ -25,13 +25,14 @@
 //! siblings share long prefixes), per-entry op tags, and the repo-wide
 //! FNV-1a-64 trailer via [`HashingBuf`]. Deltas are small enough to buffer
 //! whole before decoding, so unlike the base image there is no streaming
-//! decoder; corruption anywhere fails [`decode_delta`] loudly.
+//! decoder: [`decode_delta`] checks the frame with
+//! [`open_frame`](mams_journal::open_frame), reads the body with the
+//! journal's [`Reader`](mams_journal::Reader), and fails loudly on
+//! corruption anywhere.
 
-use bytes::Bytes;
-use mams_journal::hash::{fnv1a64, push_varint, HashingBuf};
-use mams_journal::{Sn, Txn};
+use mams_journal::hash::{open_frame, push_varint, CodecError, HashingBuf};
+use mams_journal::{DeltaImage, Sn, Txn};
 
-use crate::image::ImageError;
 use crate::inode::{child, FileInfo, Inode, InodeSource, ROOT_ID};
 use crate::path;
 use crate::retry::RetryWindow;
@@ -72,26 +73,6 @@ pub enum DeltaOp {
 pub struct DeltaEntry {
     pub path: String,
     pub op: DeltaOp,
-}
-
-/// A serialized delta image covering the journal range `(base_sn, end_sn]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeltaImage {
-    /// The sn this delta chains onto (exclusive).
-    pub base_sn: Sn,
-    /// The sn this delta advances the consumer to (inclusive).
-    pub end_sn: Sn,
-    /// Number of folded entries.
-    pub entries: u64,
-    /// Encoded bytes.
-    pub data: Bytes,
-}
-
-impl DeltaImage {
-    /// Size of the encoded delta in bytes.
-    pub fn size_bytes(&self) -> u64 {
-        self.data.len() as u64
-    }
 }
 
 /// A decoded delta, ready to apply.
@@ -372,93 +353,27 @@ fn resolve<'v, V: InodeSource>(view: &'v V, p: &str) -> Option<&'v Inode> {
 
 // ------------------------------------------------------------------ decode
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ImageError> {
-        if self.buf.len() - self.at < n {
-            return Err(ImageError::Truncated);
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, ImageError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, ImageError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("len 2")))
-    }
-    fn u32(&mut self) -> Result<u32, ImageError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-    fn u64(&mut self) -> Result<u64, ImageError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-    fn varint(&mut self) -> Result<u64, ImageError> {
-        match mams_journal::hash::peek_varint(&self.buf[self.at..]) {
-            mams_journal::hash::Varint::Val(v, n) => {
-                self.at += n;
-                Ok(v)
-            }
-            mams_journal::hash::Varint::Need => Err(ImageError::Truncated),
-            mams_journal::hash::Varint::Bad => Err(ImageError::Corrupt("bad varint".to_string())),
-        }
-    }
-}
-
 /// Decode a delta image, verifying the checksum first. Corruption anywhere
 /// in the artifact fails the whole decode: the consumer falls back down the
 /// recovery ladder instead of applying a half-trusted delta.
-pub fn decode_delta(data: &[u8]) -> Result<DecodedDelta, ImageError> {
-    if data.len() < HEADER_LEN + TRAILER_LEN {
-        return Err(ImageError::Truncated);
-    }
-    let (body, trailer) = data.split_at(data.len() - TRAILER_LEN);
-    let want = u64::from_be_bytes(trailer.try_into().expect("trailer len"));
-    if fnv1a64(body) != want {
-        return Err(ImageError::BadChecksum);
-    }
-    let mut r = Reader { buf: body, at: 0 };
-    let magic = r.u32()?;
-    if magic != DELTA_MAGIC {
-        return Err(ImageError::BadMagic(magic));
-    }
-    let version = r.u16()?;
-    if version != DELTA_VERSION {
-        return Err(ImageError::BadVersion(version));
-    }
+pub fn decode_delta(data: &[u8]) -> Result<DecodedDelta, CodecError> {
+    let mut r = open_frame(data, DELTA_MAGIC, DELTA_VERSION)?;
     let base_sn = r.u64()?;
     let end_sn = r.u64()?;
     if end_sn <= base_sn {
-        return Err(ImageError::Corrupt(format!("empty range ({base_sn}, {end_sn}]")));
+        return Err(CodecError::Invalid("a delta over an empty range"));
     }
     let count = r.varint()?;
     // An entry is at least a tag and two varints: a count the bytes left
     // cannot hold is damage, and must not size an allocation.
-    if count > ((body.len() - r.at) / 3) as u64 {
-        return Err(ImageError::Truncated);
+    if count > (r.remaining() / 3) as u64 {
+        return Err(CodecError::Truncated);
     }
     let mut entries = Vec::with_capacity(count as usize);
     let mut prev = String::new();
     for _ in 0..count {
         let tag = r.u8()?;
-        let shared = r.varint()? as usize;
-        let suffix_len = r.varint()? as usize;
-        if shared > prev.len() || !prev.is_char_boundary(shared) {
-            return Err(ImageError::Corrupt(format!(
-                "prefix {shared} does not fit the previous {}-byte path",
-                prev.len()
-            )));
-        }
-        let suffix = std::str::from_utf8(r.take(suffix_len)?)
-            .map_err(|_| ImageError::Corrupt("non-utf8 path".to_string()))?;
-        let mut path = String::with_capacity(shared + suffix_len);
-        path.push_str(&prev[..shared]);
-        path.push_str(suffix);
+        let path = r.path(&mut prev)?;
         let op = match tag {
             b'D' => DeltaOp::UpsertDir { perm: r.u16()? },
             b'R' => DeltaOp::ReplaceDir { perm: r.u16()? },
@@ -474,26 +389,25 @@ pub fn decode_delta(data: &[u8]) -> Result<DecodedDelta, ImageError> {
                 DeltaOp::UpsertFile { perm, replication, sealed, blocks }
             }
             b'T' => DeltaOp::Tombstone,
-            other => return Err(ImageError::Corrupt(format!("bad entry tag {other:#x}"))),
+            other => return Err(CodecError::Corrupt(format!("bad entry tag {other:#x}"))),
         };
-        prev.clone_from(&path);
         entries.push(DeltaEntry { path, op });
     }
     let mut window = RetryWindow::new();
-    if r.at != body.len() {
+    if !r.is_empty() {
         // Optional retry-window section: 'W' + varint length + blob.
         let tag = r.u8()?;
         if tag != b'W' {
-            return Err(ImageError::Corrupt(format!("bad section tag {tag:#x}")));
+            return Err(CodecError::Corrupt(format!("bad section tag {tag:#x}")));
         }
-        let wlen = r.varint()? as usize;
-        window = RetryWindow::decode_bytes(r.take(wlen)?)?;
+        let len = r.varint()?;
+        window = RetryWindow::decode_bytes(r.bytes(len)?)?;
         if window.is_empty() {
-            return Err(ImageError::Corrupt("empty retry-window section".to_string()));
+            return Err(CodecError::Corrupt("empty retry-window section".into()));
         }
     }
-    if r.at != body.len() {
-        return Err(ImageError::Corrupt("trailing garbage after entries".to_string()));
+    if !r.is_empty() {
+        return Err(CodecError::Corrupt("trailing garbage after entries".into()));
     }
     Ok(DecodedDelta { base_sn, end_sn, entries, window })
 }
@@ -786,7 +700,7 @@ mod tests {
     #[test]
     fn empty_range_rejected() {
         let delta = fold_delta(&NamespaceTree::new(), 5, 5, []);
-        assert!(matches!(decode_delta(&delta.data), Err(ImageError::Corrupt(_))));
+        assert!(matches!(decode_delta(&delta.data), Err(CodecError::Invalid(_))));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The renewing protocol ships an image to a junior whose journal gap is too
 //! large to replay record-by-record. There is one wire format, **version
 //! 2**, named in the header; any other version is refused with
-//! [`ImageError::BadVersion`].
+//! [`CodecError::BadVersion`].
 //!
 //! The body is a preorder DFS of **parent-id delta** entries — `(parent
 //! entry index, name, attrs)` with varint lengths. The encoder reads the
@@ -27,8 +27,8 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use mams_journal::hash::{peek_varint, push_varint, Fnv1a64, HashingBuf, Varint};
-use mams_journal::Sn;
+use mams_journal::hash::{push_varint, CodecError, Fnv1a64, HashingBuf, Reader};
+use mams_journal::{NamespaceImage, Sn};
 
 use crate::inode::{Inode, InodeId, InodeSource, ROOT_ID};
 use crate::retry::RetryWindow;
@@ -44,57 +44,6 @@ pub const VERSION_V2: u16 = 2;
 const HEADER_LEN: usize = 16;
 /// Trailing checksum length.
 const TRAILER_LEN: usize = 8;
-
-/// Image decode failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ImageError {
-    BadMagic(u32),
-    BadVersion(u16),
-    Truncated,
-    BadChecksum,
-    Corrupt(String),
-}
-
-impl std::fmt::Display for ImageError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ImageError::BadMagic(m) => write!(f, "bad image magic {m:#x}"),
-            ImageError::BadVersion(v) => write!(f, "unsupported image version {v}"),
-            ImageError::Truncated => write!(f, "truncated image"),
-            ImageError::BadChecksum => write!(f, "image checksum mismatch"),
-            ImageError::Corrupt(s) => write!(f, "corrupt image: {s}"),
-        }
-    }
-}
-
-impl std::error::Error for ImageError {}
-
-/// A serialized namespace checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NamespaceImage {
-    /// The journal sn this image reflects (replay continues from
-    /// `checkpoint_sn + 1`).
-    pub checkpoint_sn: Sn,
-    /// Encoded bytes.
-    pub data: Bytes,
-    /// File count at checkpoint time.
-    pub files: u64,
-    /// Directory count at checkpoint time (excluding root).
-    pub dirs: u64,
-}
-
-impl NamespaceImage {
-    /// Size of the encoded image in bytes — the paper's "Image (MB)" column.
-    pub fn size_bytes(&self) -> u64 {
-        self.data.len() as u64
-    }
-
-    /// Wire format version of the encoded bytes (`None` if the header is
-    /// shorter than the version field).
-    pub fn version(&self) -> Option<u16> {
-        self.data.get(4..6).map(|b| u16::from_be_bytes([b[0], b[1]]))
-    }
-}
 
 // ------------------------------------------------------------------ encode
 //
@@ -238,7 +187,7 @@ pub struct StreamingImageDecoder {
     /// Retry-outcome window section (`W`), when the image carries one.
     window: RetryWindow,
     window_seen: bool,
-    err: Option<ImageError>,
+    err: Option<CodecError>,
 }
 
 impl Default for StreamingImageDecoder {
@@ -265,7 +214,7 @@ impl StreamingImageDecoder {
     }
 
     /// Consume the next chunk of encoded bytes (any size, including empty).
-    pub fn push(&mut self, chunk: &[u8]) -> Result<(), ImageError> {
+    pub fn push(&mut self, chunk: &[u8]) -> Result<(), CodecError> {
         if let Some(e) = &self.err {
             return Err(e.clone());
         }
@@ -305,186 +254,110 @@ impl StreamingImageDecoder {
     }
 
     /// Verify the checksum and return what the image holds.
-    pub fn finish(self) -> Result<DecodedImage, ImageError> {
+    pub fn finish(self) -> Result<DecodedImage, CodecError> {
         if let Some(e) = self.err {
             return Err(e);
         }
-        if !self.header_done || self.pending.len() > TRAILER_LEN {
-            // Never saw a full header, or ended mid-entry.
-            return Err(ImageError::Truncated);
-        }
-        if self.pending.len() < TRAILER_LEN {
-            return Err(ImageError::Truncated);
-        }
-        let stored = u64::from_be_bytes(self.pending[..8].try_into().expect("8 bytes"));
-        if stored != self.hash.digest() {
-            return Err(ImageError::BadChecksum);
+        // Anything but a header and exactly the trailer left: the bytes
+        // ended before the header did, or inside an entry.
+        let trailer = match <[u8; TRAILER_LEN]>::try_from(self.pending.as_slice()) {
+            Ok(trailer) if self.header_done => trailer,
+            _ => return Err(CodecError::Truncated),
+        };
+        let (stored, computed) = (u64::from_be_bytes(trailer), self.hash.digest());
+        if stored != computed {
+            return Err(CodecError::BadChecksum { stored, computed });
         }
         let StreamingImageDecoder { ns, sn, window, highest_block, .. } = self;
         Ok(DecodedImage { ns, sn, window, highest_block })
     }
 
-    /// Decode as much of `s` as possible; returns the consumed prefix
-    /// length. The final [`TRAILER_LEN`] bytes currently visible are never
-    /// consumed — they are the checksum candidate until more data proves
-    /// otherwise.
-    fn process(&mut self, s: &[u8]) -> Result<usize, ImageError> {
-        let mut pos = 0;
-        if !self.header_done {
-            if s.len() < HEADER_LEN + TRAILER_LEN {
-                return Ok(0);
-            }
-            let magic = u32::from_be_bytes(s[0..4].try_into().expect("4 bytes"));
-            if magic != MAGIC {
-                return Err(ImageError::BadMagic(magic));
-            }
-            let version = u16::from_be_bytes(s[4..6].try_into().expect("2 bytes"));
-            if version != VERSION_V2 {
-                return Err(ImageError::BadVersion(version));
-            }
-            self.sn = u64::from_be_bytes(s[6..14].try_into().expect("8 bytes"));
-            let root_perm = u16::from_be_bytes(s[14..16].try_into().expect("2 bytes"));
-            self.ns.set_root_perm(root_perm);
-            self.hash.write(&s[..HEADER_LEN]);
-            self.header_done = true;
-            pos = HEADER_LEN;
-        }
-        while s.len() - pos > TRAILER_LEN {
-            let window = &s[pos..s.len() - TRAILER_LEN];
-            match self.entry_v2(window)? {
-                Some(n) => {
-                    self.hash.write(&window[..n]);
-                    pos += n;
+    /// Decode the header and as many whole entries as `s` holds; returns the
+    /// consumed prefix length. The final [`TRAILER_LEN`] bytes currently
+    /// visible are never consumed — they are the checksum candidate until
+    /// more data proves otherwise — and an entry the bytes end inside
+    /// ([`CodecError::Truncated`]) waits for the next chunk.
+    fn process(&mut self, s: &[u8]) -> Result<usize, CodecError> {
+        let Some(body) = s.len().checked_sub(TRAILER_LEN).map(|n| &s[..n]) else {
+            return Ok(0);
+        };
+        let mut r = Reader::new(body);
+        let mut done = 0;
+        while !r.is_empty() {
+            let step = if self.header_done { self.entry(&mut r) } else { self.header(&mut r) };
+            match step {
+                Ok(()) => {
+                    self.hash.write(&body[done..r.pos()]);
+                    done = r.pos();
                 }
-                None => break,
+                Err(CodecError::Truncated) => break,
+                Err(e) => return Err(e),
             }
         }
-        Ok(pos)
+        Ok(done)
     }
 
-    /// Try to decode one entry from the front of `w`. `Ok(None)` means the
-    /// entry is not complete yet.
-    fn entry_v2(&mut self, w: &[u8]) -> Result<Option<usize>, ImageError> {
-        let Some(&kind) = w.first() else { return Ok(None) };
+    fn header(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
+        r.header(MAGIC, VERSION_V2)?;
+        let (sn, root_perm) = (r.u64()?, r.u16()?);
+        self.sn = sn;
+        self.ns.set_root_perm(root_perm);
+        self.header_done = true;
+        Ok(())
+    }
+
+    /// Read one entry off `r` and load it. The whole entry is read before
+    /// anything changes, so an entry cut short leaves the decoder as it was.
+    fn entry(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
         if self.window_seen {
-            return Err(ImageError::Corrupt("entry after retry-window section".into()));
+            return Err(CodecError::Corrupt("entry after retry-window section".into()));
         }
+        let kind = r.u8()?;
         if kind == b'W' {
-            // Retry-outcome window: one length-prefixed blob, decoded whole
-            // once fully visible (incomplete prefixes stay pending like any
-            // other straddling entry).
-            let mut pos = 1;
-            let wlen = match peek_varint(&w[pos..]) {
-                Varint::Need => return Ok(None),
-                Varint::Bad => return Err(ImageError::Corrupt("malformed window length".into())),
-                Varint::Val(v, n) => {
-                    pos += n;
-                    v
-                }
-            };
-            let end = claimed_end(pos, wlen)?;
-            if w.len() < end {
-                return Ok(None);
-            }
-            self.window = RetryWindow::decode_bytes(&w[pos..end])?;
+            // Retry-outcome window: one length-prefixed blob. Once it is
+            // whole, running out of bytes inside it is damage, not a wait.
+            let len = r.varint()?;
+            self.window = RetryWindow::decode_bytes(r.bytes(len)?).map_err(|e| match e {
+                CodecError::Truncated => CodecError::Corrupt("window section cut short".into()),
+                e => e,
+            })?;
             self.window_seen = true;
-            return Ok(Some(end));
+            return Ok(());
         }
-        let mut pos = 1;
-        let parent = match peek_varint(&w[pos..]) {
-            Varint::Need => return Ok(None),
-            Varint::Bad => return Err(ImageError::Corrupt("malformed parent varint".into())),
-            Varint::Val(v, n) => {
-                pos += n;
-                v
-            }
-        };
-        let nlen = match peek_varint(&w[pos..]) {
-            Varint::Need => return Ok(None),
-            Varint::Bad => return Err(ImageError::Corrupt("malformed name length".into())),
-            Varint::Val(v, n) => {
-                pos += n;
-                v
-            }
-        };
-        let end = claimed_end(pos, nlen)?;
-        if w.len() < end {
-            return Ok(None);
-        }
-        let name = std::str::from_utf8(&w[pos..end])
-            .map_err(|_| ImageError::Corrupt("non-UTF-8 name".into()))?;
-        pos = end;
+        let parent = r.varint()?;
+        let name = r.str()?;
         if name.is_empty() || name.contains('/') || name == "." || name == ".." {
-            return Err(ImageError::Corrupt(format!("invalid component name {name:?}")));
+            return Err(CodecError::Corrupt(format!("invalid component name {name:?}")));
         }
         let parent_id = *self
             .ids
             .get(parent as usize)
-            .ok_or_else(|| ImageError::Corrupt(format!("parent index {parent} not yet seen")))?;
+            .ok_or_else(|| CodecError::Corrupt(format!("parent index {parent} not yet seen")))?;
+        let perm = r.u16()?;
         let inode = match kind {
-            b'D' => {
-                if w.len() < pos + 2 {
-                    return Ok(None);
-                }
-                let perm = u16::from_be_bytes(w[pos..pos + 2].try_into().expect("2 bytes"));
-                pos += 2;
-                Inode::Directory { children: BTreeMap::new(), perm }
-            }
+            b'D' => Inode::Directory { children: BTreeMap::new(), perm },
             b'F' => {
-                if w.len() < pos + 4 {
-                    return Ok(None);
-                }
-                let perm = u16::from_be_bytes(w[pos..pos + 2].try_into().expect("2 bytes"));
-                let replication = w[pos + 2];
-                let sealed = w[pos + 3] != 0;
-                pos += 4;
-                let nblocks = match peek_varint(&w[pos..]) {
-                    Varint::Need => return Ok(None),
-                    Varint::Bad => return Err(ImageError::Corrupt("malformed block count".into())),
-                    Varint::Val(v, n) => {
-                        pos += n;
-                        v as usize
-                    }
-                };
-                let mut blocks = Vec::with_capacity(nblocks.min(1024));
+                let (replication, sealed) = (r.u8()?, r.u8()? != 0);
+                let nblocks = r.varint()?;
+                let mut blocks = Vec::with_capacity(nblocks.min(1024) as usize);
                 for _ in 0..nblocks {
-                    match peek_varint(&w[pos..]) {
-                        Varint::Need => return Ok(None),
-                        Varint::Bad => {
-                            return Err(ImageError::Corrupt("malformed block id".into()))
-                        }
-                        Varint::Val(v, n) => {
-                            pos += n;
-                            blocks.push(v);
-                        }
-                    }
+                    blocks.push(r.varint()?);
                 }
                 self.highest_block = blocks.iter().fold(self.highest_block, |h, &b| h.max(b));
                 Inode::File { blocks, replication, sealed, perm }
             }
-            k => return Err(ImageError::Corrupt(format!("unknown entry kind {k}"))),
+            k => return Err(CodecError::Corrupt(format!("unknown entry kind {k}"))),
         };
         let id =
-            self.ns.load(parent_id, name, inode).map_err(|e| ImageError::Corrupt(e.to_string()))?;
+            self.ns.load(parent_id, name, inode).map_err(|e| CodecError::Corrupt(e.to_string()))?;
         self.ids.push(id);
-        Ok(Some(pos))
+        Ok(())
     }
-}
-
-/// Where a section of `len` bytes starting at `pos` ends. The length comes
-/// from bytes whose checksum has not been verified yet (the junior decodes
-/// chunks as they stream in), so an end past `usize::MAX` is a corrupt
-/// image, not an offset to compute.
-fn claimed_end(pos: usize, len: u64) -> Result<usize, ImageError> {
-    usize::try_from(len)
-        .ok()
-        .and_then(|n| pos.checked_add(n))
-        .ok_or_else(|| ImageError::Corrupt(format!("section length {len} overflows")))
 }
 
 /// Decode a whole in-memory image, verifying the checksum. One pass over
 /// the bytes — this is the streaming decoder fed a single chunk.
-pub fn decode_image(data: Bytes) -> Result<DecodedImage, ImageError> {
+pub fn decode_image(data: Bytes) -> Result<DecodedImage, CodecError> {
     let mut d = StreamingImageDecoder::new();
     d.push(&data)?;
     d.finish()
@@ -495,7 +368,7 @@ pub fn decode_image(data: Bytes) -> Result<DecodedImage, ImageError> {
 /// nothing outside this module may call it.
 pub fn decode_image_with_window(
     data: Bytes,
-) -> Result<(NamespaceTree, Sn, RetryWindow), ImageError> {
+) -> Result<(NamespaceTree, Sn, RetryWindow), CodecError> {
     let image = decode_image(data)?;
     Ok((image.ns.to_tree(), image.sn, image.window))
 }
@@ -595,6 +468,20 @@ mod tests {
             bad[i] ^= 0x55;
             assert!(decode_image(Bytes::from(bad)).is_err(), "flip at byte {i}");
         }
+        // The section's blob one byte short, its length and the trailer
+        // rewritten to match: the blob is whole, so running out inside it is
+        // damage at once, not a wait for the next chunk.
+        let blob = win.encode_bytes();
+        let body = &img.data[..img.data.len() - TRAILER_LEN];
+        let section_at = body.len() - blob.len() - 2;
+        assert_eq!(&body[section_at..section_at + 2], [b'W', blob.len() as u8]);
+        let mut cut = body[..section_at].to_vec();
+        cut.extend_from_slice(&[b'W', blob.len() as u8 - 1]);
+        cut.extend_from_slice(&blob[..blob.len() - 1]);
+        let sum = mams_journal::hash::fnv1a64(&cut);
+        cut.extend_from_slice(&sum.to_be_bytes());
+        let got = StreamingImageDecoder::new().push(&cut);
+        assert!(matches!(got, Err(CodecError::Corrupt(_))), "{got:?}");
     }
 
     #[test]
@@ -653,7 +540,7 @@ mod tests {
         bad[HEADER_LEN] = b'Z'; // first entry kind
         let mut d = StreamingImageDecoder::new();
         let err = d.push(&bad).unwrap_err();
-        assert!(matches!(err, ImageError::Corrupt(_)));
+        assert!(matches!(err, CodecError::Corrupt(_)));
         assert_eq!(d.push(b"more").unwrap_err(), err);
         assert_eq!(d.finish().unwrap_err(), err);
     }

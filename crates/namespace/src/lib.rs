@@ -23,12 +23,11 @@ pub mod tree;
 
 pub use delta::{
     apply_delta, decode_delta, fold_delta, fold_delta_with_window, DecodedDelta, DeltaEntry,
-    DeltaImage, DeltaNamespace, DeltaOp, DELTA_MAGIC, DELTA_VERSION,
+    DeltaNamespace, DeltaOp, DELTA_MAGIC, DELTA_VERSION,
 };
 pub use image::{
     decode_image, decode_image_with_window, encode_image, encode_image_with_window,
-    estimated_image_bytes, DecodedImage, ImageError, NamespaceImage, StreamingImageDecoder,
-    VERSION_V2,
+    estimated_image_bytes, DecodedImage, StreamingImageDecoder, VERSION_V2,
 };
 pub use inode::{FileInfo, Inode, InodeId, InodeSource, Name};
 pub use partition::Partitioner;

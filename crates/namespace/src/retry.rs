@@ -28,10 +28,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use mams_journal::hash::{peek_varint, HashingBuf, Varint};
+use mams_journal::hash::{push_varint, CodecError, Reader};
 use mams_journal::Txn;
 
-use crate::image::ImageError;
 use crate::inode::FileInfo;
 
 /// Default per-client entries remembered (matches the server's response
@@ -130,64 +129,60 @@ impl RetryWindow {
     // ---------------------------------------------------------------- wire
 
     /// Encode the window as a standalone byte section (ridden inside
-    /// images and deltas, always under their checksums).
+    /// images and deltas, always under their checksums, so it carries none
+    /// of its own).
     pub fn encode_bytes(&self) -> Vec<u8> {
-        let mut out = HashingBuf::with_capacity(64);
-        out.put_varint(self.cap as u64);
-        out.put_varint(self.per_client.len() as u64);
+        let mut out = Vec::with_capacity(64);
+        push_varint(&mut out, self.cap as u64);
+        push_varint(&mut out, self.per_client.len() as u64);
         for (&client, ring) in &self.per_client {
-            out.put_varint(client as u64);
-            out.put_varint(ring.len() as u64);
+            push_varint(&mut out, client as u64);
+            push_varint(&mut out, ring.len() as u64);
             for (seq, e) in ring {
-                out.put_varint(*seq);
+                push_varint(&mut out, *seq);
                 let kind: u8 = match &e.outcome {
                     RetryOutcome::Done => 0,
                     RetryOutcome::Block(_) => 1,
                     RetryOutcome::Info(_) => 2,
                 };
-                let flags = kind | if e.token.is_some() { 0x80 } else { 0 };
-                out.put_u8(flags);
+                out.push(kind | if e.token.is_some() { 0x80 } else { 0 });
                 if let Some(t) = e.token {
-                    out.put_varint(t);
+                    push_varint(&mut out, t);
                 }
                 match &e.outcome {
                     RetryOutcome::Done => {}
-                    RetryOutcome::Block(b) => out.put_varint(*b),
+                    RetryOutcome::Block(b) => push_varint(&mut out, *b),
                     RetryOutcome::Info(i) => {
-                        out.put_varint(i.path.len() as u64);
-                        out.put_slice(i.path.as_bytes());
-                        out.put_u8(i.is_dir as u8);
-                        out.put_u16(i.perm);
-                        out.put_u8(i.replication);
-                        out.put_u8(i.sealed as u8);
-                        out.put_varint(i.child_count as u64);
-                        out.put_varint(i.blocks.len() as u64);
+                        push_varint(&mut out, i.path.len() as u64);
+                        out.extend_from_slice(i.path.as_bytes());
+                        out.push(i.is_dir as u8);
+                        out.extend_from_slice(&i.perm.to_be_bytes());
+                        out.extend_from_slice(&[i.replication, i.sealed as u8]);
+                        push_varint(&mut out, i.child_count as u64);
+                        push_varint(&mut out, i.blocks.len() as u64);
                         for b in &i.blocks {
-                            out.put_varint(*b);
+                            push_varint(&mut out, *b);
                         }
                     }
                 }
             }
         }
-        // The section rides under the artifact's checksum; its own trailer
-        // would be redundant. `seal` appends one — strip it.
-        let sealed = out.seal();
-        sealed[..sealed.len() - 8].to_vec()
+        out
     }
 
-    /// Decode a window section produced by [`encode_bytes`].
-    pub fn decode_bytes(data: &[u8]) -> Result<RetryWindow, ImageError> {
-        let mut r = SectionReader { w: data };
+    /// Decode a window section produced by [`encode_bytes`](Self::encode_bytes).
+    pub fn decode_bytes(data: &[u8]) -> Result<RetryWindow, CodecError> {
+        let mut r = Reader::new(data);
         let cap = r.varint()? as usize;
         if cap == 0 {
-            return Err(ImageError::Corrupt("retry window cap 0".into()));
+            return Err(CodecError::Corrupt("retry window cap 0".into()));
         }
         let mut win = RetryWindow::with_capacity(cap);
         let clients = r.varint()?;
         for _ in 0..clients {
             let client = r.varint()?;
             if client > u32::MAX as u64 {
-                return Err(ImageError::Corrupt("retry window client id overflow".into()));
+                return Err(CodecError::Corrupt("retry window client id overflow".into()));
             }
             let n = r.varint()?;
             for _ in 0..n {
@@ -198,10 +193,7 @@ impl RetryWindow {
                     0 => RetryOutcome::Done,
                     1 => RetryOutcome::Block(r.varint()?),
                     2 => {
-                        let plen = r.varint()? as usize;
-                        let path = std::str::from_utf8(r.take(plen)?)
-                            .map_err(|_| ImageError::Corrupt("non-UTF-8 info path".into()))?
-                            .to_string();
+                        let path = r.str()?.to_string();
                         let is_dir = r.u8()? != 0;
                         let perm = r.u16()?;
                         let replication = r.u8()?;
@@ -222,46 +214,15 @@ impl RetryWindow {
                             child_count,
                         })
                     }
-                    k => return Err(ImageError::Corrupt(format!("bad retry outcome kind {k}"))),
+                    k => return Err(CodecError::Corrupt(format!("bad retry outcome kind {k}"))),
                 };
                 win.record(client as u32, seq, RetryEntry { outcome, token });
             }
         }
-        if !r.w.is_empty() {
-            return Err(ImageError::Corrupt("trailing bytes after retry window".into()));
+        if !r.is_empty() {
+            return Err(CodecError::Corrupt("trailing bytes after retry window".into()));
         }
         Ok(win)
-    }
-}
-
-struct SectionReader<'a> {
-    w: &'a [u8],
-}
-
-impl<'a> SectionReader<'a> {
-    fn varint(&mut self) -> Result<u64, ImageError> {
-        match peek_varint(self.w) {
-            Varint::Val(v, n) => {
-                self.w = &self.w[n..];
-                Ok(v)
-            }
-            Varint::Need => Err(ImageError::Truncated),
-            Varint::Bad => Err(ImageError::Corrupt("bad varint in retry window".into())),
-        }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ImageError> {
-        if self.w.len() < n {
-            return Err(ImageError::Truncated);
-        }
-        let (head, rest) = self.w.split_at(n);
-        self.w = rest;
-        Ok(head)
-    }
-    fn u8(&mut self) -> Result<u8, ImageError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, ImageError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("2 bytes")))
     }
 }
 

@@ -73,9 +73,9 @@ use std::cell::{Cell, Ref, RefCell};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
-use mams_journal::{Sn, Txn};
+use mams_journal::{NamespaceImage, Sn, Txn};
 
-use crate::image::{encode_image_with_window, NamespaceImage};
+use crate::image::encode_image_with_window;
 use crate::inode::{child, FileInfo, Inode, InodeId, InodeSource, Name, ROOT_ID};
 use crate::partition::fnv1a64;
 use crate::path::{self, PathError};

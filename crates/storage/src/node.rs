@@ -241,7 +241,7 @@ mod tests {
     }
 
     /// Store `img` as group 0's base over the journal it stands for.
-    fn write_image_over_journal(pool: &SharedPool, img: mams_namespace::NamespaceImage) {
+    fn write_image_over_journal(pool: &SharedPool, img: mams_journal::NamespaceImage) {
         let mut pool = pool.lock();
         let g = pool.group_mut(0);
         for sn in 1..=img.checkpoint_sn {

@@ -11,8 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use mams_journal::{AppendOutcome, JournalLog, SharedBatch, Sn};
-use mams_namespace::{DeltaImage, NamespaceImage};
+use mams_journal::{AppendOutcome, DeltaImage, JournalLog, NamespaceImage, SharedBatch, Sn};
 use parking_lot::Mutex;
 
 /// Replica-group index (matches `mams_namespace::partition::GroupId`).

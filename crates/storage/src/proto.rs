@@ -1,8 +1,7 @@
 //! Pool protocol: the messages metadata servers exchange with pool nodes.
 
 use bytes::Bytes;
-use mams_journal::{SharedBatch, Sn};
-use mams_namespace::{DeltaImage, NamespaceImage};
+use mams_journal::{DeltaImage, NamespaceImage, SharedBatch, Sn};
 
 use crate::pool::{ArtifactId, Epoch, GroupId, Manifest, PoolError};
 

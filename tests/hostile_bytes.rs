@@ -1,7 +1,9 @@
 //! Hostile bytes against the three decoders that read bytes a replica did
 //! not just write: `decode_batch` (journal wire), `StreamingImageDecoder`
 //! (checkpoint images, fed at random chunk sizes, with and without a `W`
-//! retry-window section) and `decode_delta` (MDLT deltas).
+//! retry-window section) and `decode_delta` (MDLT deltas). All three, and
+//! the retry-window section inside the last two, read through
+//! `mams_journal`'s one `Reader` and fail with its one `CodecError`.
 //!
 //! Each case builds two valid artifacts per format from a seeded random
 //! namespace history and mutates them: truncate, flip a bit, splice one
@@ -28,10 +30,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bytes::Bytes;
 use mams_journal::{decode_batch, encode_batch, fnv1a64, AckRecord, JournalBatch, Txn};
-use mams_journal::{EncodeError, Sn};
+use mams_journal::{CodecError, Sn};
 use mams_namespace::{
-    decode_delta, encode_image_with_window, fold_delta_with_window, ImageError, NamespaceTree,
-    RetryEntry, RetryOutcome, RetryWindow, StreamingImageDecoder,
+    decode_delta, encode_image_with_window, fold_delta_with_window, NamespaceTree, RetryEntry,
+    RetryOutcome, RetryWindow, StreamingImageDecoder,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -150,7 +152,7 @@ fn rand_artifacts(rng: &mut SmallRng, with_window: bool) -> Artifacts {
 /// Stream `data` through the image decoder in chunks of random size and
 /// return what a junior would adopt, re-encoded (byte equality with the
 /// original image is the strongest "identical decode" there is).
-fn stream_image(data: &[u8], rng: &mut SmallRng) -> Result<Vec<u8>, ImageError> {
+fn stream_image(data: &[u8], rng: &mut SmallRng) -> Result<Vec<u8>, CodecError> {
     let mut d = StreamingImageDecoder::new();
     let mut rest = data;
     while !rest.is_empty() {
@@ -163,7 +165,7 @@ fn stream_image(data: &[u8], rng: &mut SmallRng) -> Result<Vec<u8>, ImageError> 
     Ok(reencoded.data.to_vec())
 }
 
-fn journal_of(data: &[u8]) -> Result<JournalBatch, EncodeError> {
+fn journal_of(data: &[u8]) -> Result<JournalBatch, CodecError> {
     decode_batch(Bytes::from(data.to_vec()))
 }
 
@@ -285,7 +287,7 @@ fn image_length_varint_near_u64_max_is_corrupt_not_a_panic() {
     for (bytes, what) in [(name, "name length"), (window, "window length")] {
         let got = catch_unwind(AssertUnwindSafe(|| stream_image(&bytes, &mut rng)))
             .unwrap_or_else(|_| panic!("decoder panicked on a u64::MAX {what}"));
-        assert!(matches!(got, Err(ImageError::Corrupt(_))), "{what}: {got:?}");
+        assert!(matches!(got, Err(CodecError::Corrupt(_))), "{what}: {got:?}");
     }
 }
 
@@ -318,7 +320,7 @@ fn resealed_entries_no_namespace_holds_are_corrupt_not_a_panic() {
         let bytes = with_entry(entry);
         let got = catch_unwind(AssertUnwindSafe(|| stream_image(&bytes, &mut rng)))
             .unwrap_or_else(|_| panic!("decoder panicked on {what}"));
-        assert!(matches!(got, Err(ImageError::Corrupt(_))), "{what}: {got:?}");
+        assert!(matches!(got, Err(CodecError::Corrupt(_))), "{what}: {got:?}");
     }
 }
 
@@ -341,7 +343,7 @@ fn delta_prefix_inside_a_character_is_corrupt_not_a_panic() {
     reseal(&mut bytes);
     let got = catch_unwind(|| decode_delta(&bytes))
         .unwrap_or_else(|_| panic!("decoder panicked on a prefix inside a character"));
-    assert!(matches!(got, Err(ImageError::Corrupt(_))), "{got:?}");
+    assert!(matches!(got, Err(CodecError::Corrupt(_))), "{got:?}");
 }
 
 /// Offset of the big-endian u16 version in all three headers (after the
@@ -360,9 +362,9 @@ fn a_version_without_a_codec_is_bad_version_not_a_misparse() {
     };
     // Journal and image wire version 1 were decoded until their codecs were
     // deleted; the delta format's only version is 1.
-    assert_eq!(journal_of(&with_version(&a.journal, 1)), Err(EncodeError::BadVersion(1)));
-    assert_eq!(stream_image(&with_version(&a.image, 1), &mut rng), Err(ImageError::BadVersion(1)));
-    assert_eq!(decode_delta(&with_version(&a.delta, 2)), Err(ImageError::BadVersion(2)));
+    assert_eq!(journal_of(&with_version(&a.journal, 1)), Err(CodecError::BadVersion(1)));
+    assert_eq!(stream_image(&with_version(&a.image, 1), &mut rng), Err(CodecError::BadVersion(1)));
+    assert_eq!(decode_delta(&with_version(&a.delta, 2)), Err(CodecError::BadVersion(2)));
 }
 
 #[test]
@@ -377,12 +379,12 @@ fn a_resealed_batch_with_no_records_or_sn_zero_is_invalid() {
     empty[JOURNAL_COUNT_AT] = 0;
     empty.extend_from_slice(&[0; TRAILER_LEN]);
     reseal(&mut empty);
-    assert!(matches!(journal_of(&empty), Err(EncodeError::Invalid(_))), "no records");
+    assert!(matches!(journal_of(&empty), Err(CodecError::Invalid(_))), "no records");
 
     let mut sn_zero = sealed.clone();
     sn_zero[JOURNAL_SN_AT] = 0;
     reseal(&mut sn_zero);
-    assert!(matches!(journal_of(&sn_zero), Err(EncodeError::Invalid(_))), "sn 0");
+    assert!(matches!(journal_of(&sn_zero), Err(CodecError::Invalid(_))), "sn 0");
 
     assert_eq!(journal_of(&sealed), Ok(batch));
 }
@@ -402,6 +404,6 @@ fn delta_entry_count_beyond_the_bytes_left_is_truncated() {
     three[DELTA_COUNT_AT] = 3;
     for mut bytes in [three, with_max_varint(&sealed, DELTA_COUNT_AT)] {
         reseal(&mut bytes);
-        assert_eq!(decode_delta(&bytes).map(|d| d.entries.len()), Err(ImageError::Truncated));
+        assert_eq!(decode_delta(&bytes).map(|d| d.entries.len()), Err(CodecError::Truncated));
     }
 }

@@ -19,10 +19,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use mams::core::{FsOp, OpOutput, Prefix};
-use mams::journal::{AckRecord, SharedBatch, Sn, Txn};
+use mams::journal::{AckRecord, NamespaceImage, SharedBatch, Sn, Txn};
 use mams::namespace::{
     apply_delta, decode_delta, decode_image, fold_delta_with_window, replay_outcome, DecodedDelta,
-    NamespaceImage, RetryEntry, RetryOutcome, RetryWindow, ShardedNamespace,
+    RetryEntry, RetryOutcome, RetryWindow, ShardedNamespace,
 };
 
 fn cases() -> u64 {
