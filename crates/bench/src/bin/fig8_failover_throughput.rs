@@ -7,23 +7,19 @@
 //! recovery (retried requests draining), and returns to the pre-fault
 //! level.
 
-use mams_bench::{
-    arr, crash_current_active_at, expire_current_active_at, obj, print_table, save_json,
-    unplug_current_active_at,
-};
+use mams_bench::{arr, obj, print_table, save_json};
 use mams_cluster::deploy::{build, DeploySpec};
+use mams_cluster::faults::{self, FaultKind, NodeRef};
 use mams_cluster::metrics::Metrics;
 use mams_cluster::workload::Workload;
-use mams_sim::{Duration, Sim, SimConfig, SimTime};
+use mams_sim::{Sim, SimConfig, SimTime};
 
 const CLIENTS: u32 = 8;
 const RUN_SECS: u64 = 240;
 const INJECT_SECS: [u64; 3] = [60, 120, 180];
 
-fn run(
-    label: &str,
-    schedule: impl FnOnce(&mut Sim, &mams_cluster::deploy::Deployment),
-) -> Vec<u64> {
+/// Run the group with `fault` injected at each of [`INJECT_SECS`].
+fn run(label: &str, fault: FaultKind) -> Vec<u64> {
     let mut sim = Sim::new(SimConfig { seed: 0xF168, trace: true, ..SimConfig::default() });
     let mut d =
         build(&mut sim, DeploySpec { groups: 1, standbys_per_group: 3, ..DeploySpec::default() });
@@ -31,7 +27,9 @@ fn run(
     for c in 0..CLIENTS {
         d.add_client(&mut sim, Workload::create_mkdir(c), metrics.clone());
     }
-    schedule(&mut sim, &d);
+    for &t in &INJECT_SECS {
+        faults::inject(&mut sim, &d, SimTime(t * 1_000_000), fault.clone());
+    }
     sim.run_until(SimTime(RUN_SECS * 1_000_000));
     let mut ps = metrics.per_second();
     ps.resize(RUN_SECS as usize, 0);
@@ -62,21 +60,16 @@ fn run(
 }
 
 fn main() {
-    let a = run("(a) Test A: active loses the lock", |sim, d| {
-        for &t in &INJECT_SECS {
-            expire_current_active_at(sim, d.coord, SimTime(t * 1_000_000));
-        }
-    });
-    let b = run("(b) Test B: network wires pulled", |sim, d| {
-        for &t in &INJECT_SECS {
-            unplug_current_active_at(sim, d.coord, SimTime(t * 1_000_000), Duration::from_secs(12));
-        }
-    });
-    let c = run("(c) Test C: process shutdown/restart", |sim, d| {
-        for &t in &INJECT_SECS {
-            crash_current_active_at(sim, d.coord, SimTime(t * 1_000_000), Duration::from_secs(12));
-        }
-    });
+    let active = NodeRef::Active { group: 0 };
+    let a = run("(a) Test A: active loses the lock", FaultKind::LockLoss(active));
+    let b = run(
+        "(b) Test B: network wires pulled",
+        FaultKind::Unplug { node: active, heal_ms: 12_000 },
+    );
+    let c = run(
+        "(c) Test C: process shutdown/restart",
+        FaultKind::Crash { node: active, restart_ms: Some(12_000) },
+    );
     save_json(
         "fig8_failover_throughput",
         &obj([("test_a", arr(a)), ("test_b", arr(b)), ("test_c", arr(c))]),

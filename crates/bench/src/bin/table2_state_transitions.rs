@@ -9,19 +9,27 @@
 //! * Test C — "shutting down and restarting processes": a restarted process
 //!   has empty state, registers as junior, and is renewed to standby.
 
-use mams_bench::{
-    arr, crash_current_active_at, expire_current_active_at, obj, print_table, reconstruct_states,
-    save_json,
-};
-use mams_cluster::deploy::{build, DeploySpec};
+use mams_bench::{arr, obj, print_table, reconstruct_states, save_json};
+use mams_cluster::deploy::{build, DeploySpec, Deployment};
+use mams_cluster::faults::{self, FaultKind, NodeRef};
 use mams_cluster::metrics::Metrics;
 use mams_cluster::workload::Workload;
-use mams_sim::{Duration, Sim, SimConfig, SimTime};
+use mams_sim::{Sim, SimConfig, SimTime};
 
-fn run_test(
-    label: &str,
-    schedule: impl FnOnce(&mut Sim, &mams_cluster::deploy::Deployment),
-) -> Vec<(f64, Vec<String>)> {
+fn member(idx: usize) -> NodeRef {
+    NodeRef::Member { group: 0, idx }
+}
+
+/// Cut the members `side` names away from every other node for 20 s.
+fn unplug_members(side: &[usize], d: &Deployment) -> FaultKind {
+    let mut rest = vec![NodeRef::Coord, NodeRef::Clients];
+    rest.extend((0..d.pool.len()).map(NodeRef::Pool));
+    rest.extend((0..d.groups[0].members.len()).filter(|i| !side.contains(i)).map(member));
+    let side = side.iter().copied().map(member).collect();
+    FaultKind::Partition { a: side, b: rest, heal_ms: Some(20_000) }
+}
+
+fn run_test(label: &str, schedule: impl FnOnce(&mut Sim, &Deployment)) -> Vec<(f64, Vec<String>)> {
     let mut sim = Sim::new(SimConfig { seed: 0x7AB2, trace: true, ..SimConfig::default() });
     let mut d =
         build(&mut sim, DeploySpec { groups: 1, standbys_per_group: 3, ..DeploySpec::default() });
@@ -47,53 +55,26 @@ fn run_test(
 }
 
 fn main() {
+    let at = |secs: u64| SimTime(secs * 1_000_000);
+    let active = NodeRef::Active { group: 0 };
     let a = run_test("Test A: active loses the lock (x3)", |sim, d| {
-        let coord = d.coord;
-        for t in [20u64, 80, 140] {
-            expire_current_active_at(sim, coord, SimTime(t * 1_000_000));
+        for t in [20, 80, 140] {
+            faults::inject(sim, d, at(t), FaultKind::LockLoss(active));
         }
     });
     let b = run_test("Test B: network wires out/in", |sim, d| {
-        let m = d.groups[0].members.clone();
-        let rest_of = |sim: &Sim, side: &[mams_sim::NodeId]| -> Vec<mams_sim::NodeId> {
-            (0..sim.num_nodes() as mams_sim::NodeId).filter(|n| !side.contains(n)).collect()
-        };
         // First: two backup nodes unplugged, then replugged.
-        let side = vec![m[2], m[3]];
-        let rest = rest_of(sim, &side);
-        mams_cluster::faults::schedule_partition(
-            sim,
-            side,
-            rest,
-            SimTime(20_000_000),
-            Some(Duration::from_secs(20)),
-        );
+        faults::inject(sim, d, at(20), unplug_members(&[2, 3], d));
         // Then: the active and one standby.
-        let side = vec![m[0], m[1]];
-        let rest = rest_of(sim, &side);
-        mams_cluster::faults::schedule_partition(
-            sim,
-            side,
-            rest,
-            SimTime(90_000_000),
-            Some(Duration::from_secs(20)),
-        );
+        faults::inject(sim, d, at(90), unplug_members(&[0, 1], d));
     });
     let c = run_test("Test C: processes shut down and restarted", |sim, d| {
-        crash_current_active_at(sim, d.coord, SimTime(20_000_000), Duration::from_secs(15));
-        let m = d.groups[0].members.clone();
+        faults::inject(sim, d, at(20), FaultKind::Crash { node: active, restart_ms: Some(15_000) });
         // Later: two of the (by then) standbys go down and come back.
-        sim.at(SimTime(90_000_000), {
-            let m = m.clone();
-            move |s| {
-                s.crash(m[1]);
-                s.crash(m[2]);
-            }
-        });
-        sim.at(SimTime(110_000_000), move |s| {
-            s.restart(m[1]);
-            s.restart(m[2]);
-        });
+        for idx in [1, 2] {
+            let kind = FaultKind::Crash { node: member(idx), restart_ms: Some(20_000) };
+            faults::inject(sim, d, at(90), kind);
+        }
     });
 
     println!("\nShape checks (paper Table II):");

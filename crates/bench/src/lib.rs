@@ -11,13 +11,12 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use mams_chaos::active_of;
 use mams_cluster::deploy::Deployment;
 use mams_cluster::metrics::Metrics;
 use mams_cluster::workload::Workload;
 use mams_coord::CoordTrace;
 use mams_core::ViewKey;
-use mams_sim::{Duration, NodeId, Sim, SimTime};
+use mams_sim::{Duration, NodeId, Sim};
 
 /// Print an aligned table to stdout.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -239,38 +238,11 @@ pub fn reconstruct_states(sim: &Sim, members: &[NodeId]) -> Vec<(f64, Vec<String
     rows
 }
 
-/// Schedule "make whoever is active at `at` lose the lock" (Test A).
-pub fn expire_current_active_at(sim: &mut Sim, coord: NodeId, at: SimTime) {
-    sim.at(at, move |s| {
-        if let Some(victim) = active_of(s, coord, 0) {
-            s.send_external(coord, mams_coord::CoordReq::ForceExpire { victim });
-        }
-    });
-}
-
-/// Schedule "unplug whoever is active at `at` for `down`" (Test B).
-pub fn unplug_current_active_at(sim: &mut Sim, coord: NodeId, at: SimTime, down: Duration) {
-    sim.at(at, move |s| {
-        if let Some(victim) = active_of(s, coord, 0) {
-            mams_cluster::faults::schedule_unplug(s, victim, s.now(), down);
-        }
-    });
-}
-
-/// Schedule "kill whoever is active at `at`, restart after `down`" (Test C).
-pub fn crash_current_active_at(sim: &mut Sim, coord: NodeId, at: SimTime, down: Duration) {
-    sim.at(at, move |s| {
-        if let Some(victim) = active_of(s, coord, 0) {
-            s.crash(victim);
-            s.after(down, move |s2| s2.restart(victim));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mams_cluster::deploy::{build, DeploySpec};
+    use mams_cluster::faults::active_of;
     use mams_cluster::workload::Workload as W;
     use mams_sim::SimConfig;
 

@@ -12,15 +12,14 @@
 //!    invariants must hold: an active per group, post-heal progress, no
 //!    replica divergence, and a linearizable client history.
 
-use mams_cluster::deploy::{self, DeploySpec, Deployment};
+use mams_cluster::deploy::{self, DeploySpec};
+use mams_cluster::faults::{self, active_of, FaultAction, FaultKind};
 use mams_cluster::{History, Metrics, Recorder};
-use mams_coord::CoordServer;
-use mams_core::{MdsTiming, MdsTrace, ViewKey};
-use mams_sim::node::EXTERNAL;
-use mams_sim::{DetRng, Duration, Event, NodeId, NodeStatus, Sim, SimConfig, SimTime};
+use mams_core::{MdsTiming, MdsTrace};
+use mams_sim::{DetRng, Duration, NodeStatus, Sim, SimConfig, SimTime};
 
 use crate::checker::{check_history, CheckOutcome};
-use crate::scenario::{FaultAction, FaultKind, NodeRef, Scenario};
+use crate::scenario::Scenario;
 
 /// Post-fault recovery window before invariants are checked.
 const GRACE: Duration = Duration::from_secs(25);
@@ -60,163 +59,6 @@ impl RunReport {
     }
 }
 
-/// What a fault program records that the kernel does not: its faults on the
-/// shared pool's contents, and whether each found something to hit.
-#[derive(Debug)]
-pub enum FaultTrace {
-    CorruptImage { group: u32, hit: bool },
-    CorruptDelta { group: u32, hit: bool },
-}
-
-impl Event for FaultTrace {}
-
-/// Resolve a symbolic node reference against the live cluster.
-fn resolve(sim: &Sim, d: &Deployment, r: NodeRef) -> Option<NodeId> {
-    let members = |group: u32| d.groups.get(group as usize).map(|g| &g.members);
-    match r {
-        NodeRef::Coord => Some(d.coord),
-        NodeRef::Pool(i) => d.pool.get(i).copied(),
-        NodeRef::Member { group, idx } => members(group).and_then(|g| g.get(idx)).copied(),
-        NodeRef::Active { group } => active_of(sim, d.coord, group),
-        NodeRef::BackupOf { group } => {
-            let act = active_of(sim, d.coord, group);
-            members(group).and_then(|g| {
-                g.iter()
-                    .find(|&&n| {
-                        Some(n) != act && sim.node_status(n) == NodeStatus::Up && !sim.is_paused(n)
-                    })
-                    .copied()
-            })
-        }
-        // A set, not a node: only the set-valued positions (resolve_all)
-        // expand it.
-        NodeRef::Clients => None,
-    }
-}
-
-/// The group's current active according to the coordinator `coord`: the
-/// value of the group's active pointer in the global view.
-pub fn active_of(sim: &Sim, coord: NodeId, group: u32) -> Option<NodeId> {
-    let view: &CoordServer = sim.node(coord)?;
-    view.get(&ViewKey::Active(group).to_string())?.parse().ok()
-}
-
-/// Resolve a set of references; [`NodeRef::Clients`] is `clients`.
-fn resolve_all(sim: &Sim, d: &Deployment, clients: &[NodeId], refs: &[NodeRef]) -> Vec<NodeId> {
-    let mut out: Vec<NodeId> = Vec::new();
-    for &r in refs {
-        match r {
-            NodeRef::Clients => out.extend(clients),
-            _ => out.extend(resolve(sim, d, r)),
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-/// Apply one fault action right now. Status guards make actions no-ops
-/// when their target is already in the desired state, so shrunk programs
-/// (with crash/restart pairs broken up) stay well-formed.
-fn apply(sim: &mut Sim, d: &Deployment, clients: &[NodeId], kind: &FaultKind) {
-    match kind {
-        FaultKind::Crash(r) => {
-            if let Some(n) = resolve(sim, d, *r) {
-                if sim.node_status(n) == NodeStatus::Up {
-                    sim.crash(n);
-                }
-            }
-        }
-        FaultKind::Restart(r) => {
-            if let Some(n) = resolve(sim, d, *r) {
-                if sim.node_status(n) == NodeStatus::Down {
-                    sim.restart(n);
-                }
-            }
-        }
-        FaultKind::Pause(r) => {
-            if let Some(n) = resolve(sim, d, *r) {
-                if sim.node_status(n) == NodeStatus::Up && !sim.is_paused(n) {
-                    sim.pause(n);
-                }
-            }
-        }
-        FaultKind::Resume(r) => {
-            if let Some(n) = resolve(sim, d, *r) {
-                if sim.is_paused(n) {
-                    sim.resume(n);
-                }
-            }
-        }
-        FaultKind::Partition { a, b, heal_ms } => {
-            let (sa, sb) = (resolve_all(sim, d, clients, a), resolve_all(sim, d, clients, b));
-            let now = sim.now();
-            mams_cluster::faults::schedule_partition(
-                sim,
-                sa,
-                sb,
-                now,
-                heal_ms.map(Duration::from_millis),
-            );
-        }
-        FaultKind::OneWay { from, to, heal_ms } => {
-            let (sf, st) = (resolve_all(sim, d, clients, from), resolve_all(sim, d, clients, to));
-            for &f in &sf {
-                for &t in &st {
-                    if f != t {
-                        sim.net_mut().cut_one_way(f, t);
-                    }
-                }
-            }
-            if let Some(ms) = heal_ms {
-                sim.after(Duration::from_millis(*ms), move |s| {
-                    for &f in &sf {
-                        for &t in &st {
-                            if f != t {
-                                s.net_mut().heal_one_way(f, t);
-                            }
-                        }
-                    }
-                });
-            }
-        }
-        FaultKind::SlowNode { node, factor, clear_ms } => {
-            if let Some(n) = resolve(sim, d, *node) {
-                let now = sim.now();
-                mams_cluster::faults::schedule_slow_node(
-                    sim,
-                    n,
-                    *factor,
-                    now,
-                    clear_ms.map(Duration::from_millis),
-                );
-            }
-        }
-        FaultKind::GlobalLoss(p) => sim.net_mut().set_loss_probability(*p),
-        FaultKind::GlobalDup(p) => sim.net_mut().set_dup_probability(*p),
-        FaultKind::ClockSkew { node, factor } => {
-            if let Some(n) = resolve(sim, d, *node) {
-                sim.set_clock_skew(n, *factor);
-            }
-        }
-        FaultKind::CorruptImage { group } => {
-            let hit = d.shared_pool.lock().group_mut(*group).corrupt_image();
-            sim.record(EXTERNAL, || FaultTrace::CorruptImage { group: *group, hit });
-        }
-        FaultKind::CorruptDelta { group } => {
-            let hit = d.shared_pool.lock().group_mut(*group).corrupt_delta();
-            sim.record(EXTERNAL, || FaultTrace::CorruptDelta { group: *group, hit });
-        }
-        FaultKind::ClearNetwork => {
-            let net = sim.net_mut();
-            net.heal_all();
-            net.clear_shapes();
-            net.set_loss_probability(0.0);
-            net.set_dup_probability(0.0);
-        }
-    }
-}
-
 /// Run one scenario once. Deterministic in `(scenario, cfg)`.
 pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
     let mut sim = Sim::new(SimConfig { seed: cfg.seed, ..SimConfig::default() });
@@ -231,7 +73,6 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
         ..DeploySpec::default()
     };
     let mut deployment = deploy::build(&mut sim, spec);
-    let mut clients = Vec::new();
 
     let history = History::new();
     let metrics = Metrics::new(false);
@@ -239,7 +80,7 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
         let client = deployment.next_client_id();
         let log = history.clone();
         let think = Duration::from_millis(sc.think_ms);
-        let node = deployment.add_client_with(
+        deployment.add_client_with(
             &mut sim,
             (sc.workload)(i, sc.keys),
             metrics.clone(),
@@ -249,27 +90,23 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
                 c
             },
         );
-        clients.push(node);
     }
 
-    // Compile the program: every action becomes a scheduled callback.
+    // Compile the program: every action becomes a scheduled fault.
     let program = cfg
         .program
         .clone()
         .unwrap_or_else(|| (sc.faults)(&mut DetRng::seed_from_u64(cfg.seed ^ 0x5EED_CAFE)));
     let t0 = sim.now();
     for action in &program {
-        let kind = action.kind.clone();
-        let (d, clients) = (deployment.clone(), clients.clone());
-        sim.at(t0 + Duration::from_millis(action.at_ms), move |s| {
-            apply(s, &d, &clients, &kind);
-        });
+        let at = t0 + Duration::from_millis(action.at_ms);
+        faults::inject(&mut sim, &deployment, at, action.kind.clone());
     }
 
     sim.run_for(Duration::from_secs(sc.run_secs));
 
     // Cleanup: lift everything the program may have left standing.
-    apply(&mut sim, &deployment, &clients, &FaultKind::ClearNetwork);
+    faults::apply(&mut sim, &deployment, &FaultKind::ClearNetwork);
     for g in &deployment.groups {
         for &n in &g.members {
             sim.set_clock_skew(n, 1.0);

@@ -5,15 +5,18 @@
 //!
 //! * [`scenario`] — the declarative model: a [`Scenario`](scenario::Scenario)
 //!   is a cluster shape, a contended workload, and a *fault program* — a
-//!   seeded list of timed [`FaultAction`](scenario::FaultAction)s over
-//!   symbolic node references (partitions during failover, gray-slow
-//!   standbys, message loss/duplication, storage corruption mid-catch-up,
-//!   clock skew, frozen zombies). Programs are data: shrinkable,
-//!   printable, replayable.
-//! * [`engine`] — compiles a program onto the simulator's control hooks,
-//!   runs it against history-recorded clients, lifts every fault, grants a
-//!   grace window, and sweeps the invariants (an active per group,
-//!   post-heal progress, zero replica divergence, linearizable history).
+//!   seeded list of timed
+//!   [`FaultAction`](mams_cluster::faults::FaultAction)s over symbolic node
+//!   references (partitions during failover, gray-slow standbys, message
+//!   loss/duplication, storage corruption mid-catch-up, clock skew, frozen
+//!   zombies). The fault vocabulary is `mams_cluster::faults`', the one the
+//!   tests and the paper harnesses inject through too. Programs are data:
+//!   shrinkable, printable, replayable.
+//! * [`engine`] — injects a program's actions through
+//!   [`mams_cluster::faults::inject`], runs them against history-recorded
+//!   clients, lifts every fault, grants a grace window, and sweeps the
+//!   invariants (an active per group, post-heal progress, zero replica
+//!   divergence, linearizable history).
 //! * [`checker`] — the Wing–Gong-style linearizability checker over the
 //!   per-client histories, specialized to the metadata op model. The
 //!   retry window is replicated through the journal, so every history is
@@ -28,6 +31,6 @@ pub mod scenario;
 pub mod shrink;
 
 pub use checker::{check_history, CheckOutcome};
-pub use engine::{active_of, run_scenario, FaultTrace, RunConfig, RunReport};
-pub use scenario::{by_name, corpus, quiet, FaultAction, FaultKind, NodeRef, Scenario};
+pub use engine::{run_scenario, RunConfig, RunReport};
+pub use scenario::{by_name, corpus, quiet, Scenario};
 pub use shrink::{shrink, Shrunk};

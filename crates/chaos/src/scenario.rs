@@ -1,111 +1,18 @@
 //! Declarative fault scenarios.
 //!
 //! A [`Scenario`] is a cluster shape + a contended workload + a *fault
-//! program*: a list of timed [`FaultAction`]s over symbolic [`NodeRef`]s.
-//! Programs are data, not code — the engine compiles them onto the
-//! simulator's control hooks at run time, which is what makes failing
-//! programs shrinkable (drop an action, rerun) and reportable (print the
-//! minimal witness).
-//!
-//! Node references are symbolic (`Active { group }`, `BackupOf { group }`)
-//! because the interesting nodes move: by the time the second fault of a
-//! program fires, the active may be two failovers away from where it
-//! started. References resolve against the coordinator's view when the
-//! action fires.
+//! program*: a list of timed [`FaultAction`]s, each a
+//! [`mams_cluster::faults::FaultKind`] over symbolic
+//! [`NodeRef`]s that resolve when the fault fires. Programs are data, not
+//! code — the engine injects each action through
+//! [`mams_cluster::faults::inject`], which is what makes failing programs
+//! shrinkable (drop an action, rerun) and reportable (print the minimal
+//! witness).
 
+use mams_cluster::faults::{FaultAction, FaultKind, NodeRef};
 use mams_cluster::Workload;
 use mams_core::MdsTiming;
 use mams_sim::{DetRng, Duration};
-
-/// A symbolic node reference, resolved when the action fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeRef {
-    /// The coordination server.
-    Coord,
-    /// The `i`-th shared-storage-pool node.
-    Pool(usize),
-    /// A replica-group member by boot index (0 = boot active).
-    Member { group: u32, idx: usize },
-    /// Whoever the view says is the group's active *right now*.
-    Active { group: u32 },
-    /// The first group member that is currently *not* the active (a hot
-    /// standby if any is up, else a junior).
-    BackupOf { group: u32 },
-    /// Every workload client, as a set. Only meaningful in the set-valued
-    /// positions of [`FaultKind::Partition`] / [`FaultKind::OneWay`] (it
-    /// resolves to nothing as a single-node target) — used to cut the
-    /// reply path so clients must retry.
-    Clients,
-}
-
-/// One timed fault. Times are relative to scenario start.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultKind {
-    /// Kill the node (state lost; restartable).
-    Crash(NodeRef),
-    /// Bring a previously crashed node back.
-    Restart(NodeRef),
-    /// Freeze the process without killing it (gray failure: a zombie that
-    /// later resumes believing it still holds its old role).
-    Pause(NodeRef),
-    Resume(NodeRef),
-    /// Cut every link between the two sides (both directions).
-    Partition {
-        a: Vec<NodeRef>,
-        b: Vec<NodeRef>,
-        heal_ms: Option<u64>,
-    },
-    /// Cut only `from → to` (asymmetric partition: acks flow, data does
-    /// not).
-    OneWay {
-        from: Vec<NodeRef>,
-        to: Vec<NodeRef>,
-        heal_ms: Option<u64>,
-    },
-    /// Multiply every delivery latency on links touching the node
-    /// (gray-slow node, not dead — heartbeats still arrive, late).
-    SlowNode {
-        node: NodeRef,
-        factor: f64,
-        clear_ms: Option<u64>,
-    },
-    /// Network-wide independent message loss.
-    GlobalLoss(f64),
-    /// Network-wide independent message duplication.
-    GlobalDup(f64),
-    /// Run the node's timers at `factor` speed (clock skew; 1.0 = clear).
-    ClockSkew {
-        node: NodeRef,
-        factor: f64,
-    },
-    /// Flip a byte in the group's checkpoint image in the shared pool
-    /// (silent storage corruption mid-catch-up).
-    CorruptImage {
-        group: u32,
-    },
-    /// Flip a byte in a mid-chain delta artifact (silent corruption of an
-    /// incremental checkpoint; consumers must fall back down the recovery
-    /// ladder, never apply the damage).
-    CorruptDelta {
-        group: u32,
-    },
-    /// Heal all cuts, clear all shapes, zero global loss/dup.
-    ClearNetwork,
-}
-
-/// A fault at a time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultAction {
-    /// Milliseconds after scenario start.
-    pub at_ms: u64,
-    pub kind: FaultKind,
-}
-
-impl FaultAction {
-    pub fn at(at_ms: u64, kind: FaultKind) -> Self {
-        FaultAction { at_ms, kind }
-    }
-}
 
 /// A complete declarative scenario.
 #[derive(Clone)]
@@ -173,6 +80,7 @@ fn jitter(rng: &mut DetRng, base_ms: u64, spread_ms: u64) -> u64 {
 
 const A0: NodeRef = NodeRef::Active { group: 0 };
 const B0: NodeRef = NodeRef::BackupOf { group: 0 };
+const CRASH_A0: FaultKind = FaultKind::Crash { node: A0, restart_ms: None };
 
 /// The built-in scenario corpus, in rough order of severity.
 pub fn corpus() -> Vec<Scenario> {
@@ -185,12 +93,12 @@ pub fn corpus() -> Vec<Scenario> {
             let t1 = jitter(r, 10_000, 3_000);
             let t2 = jitter(r, 30_000, 4_000);
             vec![
-                FaultAction::at(t1, FaultKind::Crash(A0)),
+                FaultAction::at(t1, CRASH_A0),
                 FaultAction::at(
                     t1 + 12_000,
                     FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
                 ),
-                FaultAction::at(t2, FaultKind::Crash(A0)),
+                FaultAction::at(t2, CRASH_A0),
                 FaultAction::at(
                     t2 + 12_000,
                     FaultKind::Restart(NodeRef::Member { group: 0, idx: 1 }),
@@ -236,7 +144,7 @@ pub fn corpus() -> Vec<Scenario> {
                     t1,
                     FaultKind::SlowNode { node: B0, factor: 25.0, clear_ms: Some(30_000) },
                 ),
-                FaultAction::at(t1 + 8_000, FaultKind::Crash(A0)),
+                FaultAction::at(t1 + 8_000, CRASH_A0),
                 FaultAction::at(
                     t1 + 22_000,
                     FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
@@ -254,7 +162,7 @@ pub fn corpus() -> Vec<Scenario> {
             vec![
                 FaultAction::at(t1, FaultKind::GlobalLoss(0.15)),
                 FaultAction::at(t1, FaultKind::GlobalDup(0.05)),
-                FaultAction::at(jitter(r, 18_000, 3_000), FaultKind::Crash(A0)),
+                FaultAction::at(jitter(r, 18_000, 3_000), CRASH_A0),
                 FaultAction::at(40_000, FaultKind::ClearNetwork),
                 FaultAction::at(41_000, FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 })),
             ]
@@ -276,7 +184,7 @@ pub fn corpus() -> Vec<Scenario> {
                         heal_ms: Some(12_000),
                     },
                 ),
-                FaultAction::at(t1 + 20_000, FaultKind::Crash(A0)),
+                FaultAction::at(t1 + 20_000, CRASH_A0),
                 FaultAction::at(
                     t1 + 32_000,
                     FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
@@ -318,7 +226,7 @@ pub fn corpus() -> Vec<Scenario> {
             let t1 = jitter(r, 12_000, 3_000);
             vec![
                 FaultAction::at(t1, FaultKind::CorruptImage { group: 0 }),
-                FaultAction::at(t1 + 9_000, FaultKind::Crash(A0)),
+                FaultAction::at(t1 + 9_000, CRASH_A0),
                 FaultAction::at(
                     t1 + 21_000,
                     FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
@@ -348,7 +256,7 @@ pub fn corpus() -> Vec<Scenario> {
             let t1 = jitter(r, 12_000, 3_000);
             vec![
                 FaultAction::at(t1, FaultKind::CorruptDelta { group: 0 }),
-                FaultAction::at(t1 + 9_000, FaultKind::Crash(A0)),
+                FaultAction::at(t1 + 9_000, CRASH_A0),
                 FaultAction::at(
                     t1 + 21_000,
                     FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
@@ -382,7 +290,7 @@ pub fn corpus() -> Vec<Scenario> {
         faults: |r| {
             let t1 = jitter(r, 14_000, 3_000);
             vec![
-                FaultAction::at(t1, FaultKind::Crash(A0)),
+                FaultAction::at(t1, CRASH_A0),
                 FaultAction::at(
                     t1 + 18_000,
                     FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
@@ -400,7 +308,7 @@ pub fn corpus() -> Vec<Scenario> {
             vec![
                 FaultAction::at(t1, FaultKind::ClockSkew { node: A0, factor: 3.0 }),
                 FaultAction::at(t1, FaultKind::ClockSkew { node: B0, factor: 0.33 }),
-                FaultAction::at(t1 + 10_000, FaultKind::Crash(A0)),
+                FaultAction::at(t1 + 10_000, CRASH_A0),
                 FaultAction::at(
                     t1 + 24_000,
                     FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
@@ -431,12 +339,12 @@ pub fn corpus() -> Vec<Scenario> {
             let t1 = jitter(r, 10_000, 3_000);
             let t2 = jitter(r, 36_000, 4_000);
             vec![
-                FaultAction::at(t1, FaultKind::Crash(A0)),
+                FaultAction::at(t1, CRASH_A0),
                 FaultAction::at(
                     t1 + 11_000,
                     FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
                 ),
-                FaultAction::at(t2, FaultKind::Crash(A0)),
+                FaultAction::at(t2, CRASH_A0),
                 FaultAction::at(
                     t2 + 11_000,
                     FaultKind::Restart(NodeRef::Member { group: 0, idx: 1 }),
@@ -457,12 +365,12 @@ pub fn corpus() -> Vec<Scenario> {
             let t1 = jitter(r, 12_000, 3_000);
             let t2 = jitter(r, 38_000, 4_000);
             vec![
-                FaultAction::at(t1, FaultKind::Crash(A0)),
+                FaultAction::at(t1, CRASH_A0),
                 FaultAction::at(
                     t1 + 10_000,
                     FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
                 ),
-                FaultAction::at(t2, FaultKind::Crash(A0)),
+                FaultAction::at(t2, CRASH_A0),
                 FaultAction::at(
                     t2 + 10_000,
                     FaultKind::Restart(NodeRef::Member { group: 0, idx: 1 }),
@@ -494,7 +402,7 @@ pub fn corpus() -> Vec<Scenario> {
                         heal_ms: Some(9_000),
                     },
                 ),
-                FaultAction::at(t1 + 4_000, FaultKind::Crash(A0)),
+                FaultAction::at(t1 + 4_000, CRASH_A0),
                 FaultAction::at(
                     t1 + 16_000,
                     FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
@@ -508,7 +416,7 @@ pub fn corpus() -> Vec<Scenario> {
                         heal_ms: Some(9_000),
                     },
                 ),
-                FaultAction::at(t2 + 4_000, FaultKind::Crash(A0)),
+                FaultAction::at(t2 + 4_000, CRASH_A0),
                 FaultAction::at(
                     t2 + 16_000,
                     FaultKind::Restart(NodeRef::Member { group: 0, idx: 1 }),
@@ -550,7 +458,7 @@ pub fn corpus() -> Vec<Scenario> {
                         heal_ms: Some(9_000),
                     },
                 ),
-                FaultAction::at(t1 + 4_000, FaultKind::Crash(A0)),
+                FaultAction::at(t1 + 4_000, CRASH_A0),
                 // The ex-active renews as a junior over base+deltas.
                 FaultAction::at(
                     t1 + 14_000,
@@ -566,7 +474,7 @@ pub fn corpus() -> Vec<Scenario> {
                         heal_ms: Some(9_000),
                     },
                 ),
-                FaultAction::at(t1 + 30_000, FaultKind::Crash(A0)),
+                FaultAction::at(t1 + 30_000, CRASH_A0),
                 FaultAction::at(
                     t1 + 42_000,
                     FaultKind::Restart(NodeRef::Member { group: 0, idx: 1 }),
@@ -587,12 +495,12 @@ pub fn corpus() -> Vec<Scenario> {
             let t1 = jitter(r, 10_000, 3_000);
             let t2 = jitter(r, 36_000, 4_000);
             vec![
-                FaultAction::at(t1, FaultKind::Crash(A0)),
+                FaultAction::at(t1, CRASH_A0),
                 FaultAction::at(
                     t1 + 11_000,
                     FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
                 ),
-                FaultAction::at(t2, FaultKind::Crash(A0)),
+                FaultAction::at(t2, CRASH_A0),
                 FaultAction::at(
                     t2 + 11_000,
                     FaultKind::Restart(NodeRef::Member { group: 0, idx: 1 }),
@@ -618,7 +526,7 @@ pub fn corpus() -> Vec<Scenario> {
                     t1,
                     FaultKind::SlowNode { node: B0, factor: 15.0, clear_ms: Some(20_000) },
                 ),
-                FaultAction::at(t1 + 24_000, FaultKind::Crash(A0)),
+                FaultAction::at(t1 + 24_000, CRASH_A0),
                 FaultAction::at(
                     t1 + 36_000,
                     FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),

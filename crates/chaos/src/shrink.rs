@@ -3,13 +3,15 @@
 //! Greedy delta-debugging: repeatedly try dropping one action and rerun
 //! the scenario with the shortened program under the same seed; keep any
 //! drop that still fails, until a fixpoint (or the rerun budget runs out).
-//! Because [`FaultKind`](crate::scenario::FaultKind) applications are
+//! Because [`FaultKind`](mams_cluster::faults::FaultKind) applications are
 //! status-guarded no-ops when their target is already in the desired
 //! state, a program with its crash/restart pairs broken up stays
 //! well-formed — which is what makes single-action dropping sound here.
 
+use mams_cluster::faults::FaultAction;
+
 use crate::engine::{run_scenario, RunConfig, RunReport};
-use crate::scenario::{FaultAction, Scenario};
+use crate::scenario::Scenario;
 
 /// Result of shrinking.
 #[derive(Debug, Clone)]

@@ -86,9 +86,10 @@ pub struct Deployment {
     /// Direct handle to the pool contents (inspection, pre-population):
     /// MAMS's pool or Avatar's filer; elsewhere a fresh one nothing writes.
     pub shared_pool: SharedPool,
+    /// The clients added so far, in the order they were added.
+    pub clients: Vec<NodeId>,
     /// What [`Deployment::add_backup`] gives the member it adds.
     timing: MdsTiming,
-    client_count: u32,
 }
 
 /// The first client's rng seed; the `n`th draws from `CLIENT_SEED + n`.
@@ -158,8 +159,8 @@ pub fn build(sim: &mut Sim, spec: DeploySpec) -> Deployment {
         groups,
         partitioner,
         shared_pool,
+        clients: Vec::new(),
         timing: spec.timing,
-        client_count: 0,
     }
 }
 
@@ -173,8 +174,8 @@ impl Deployment {
             groups: vec![GroupHandle { members }],
             partitioner: Partitioner::new(1),
             shared_pool: new_shared_pool(),
+            clients: Vec::new(),
             timing: MdsTiming::default(),
-            client_count: 0,
         }
     }
 
@@ -203,15 +204,17 @@ impl Deployment {
         tune: impl FnOnce(ClientConfig) -> ClientConfig,
     ) -> NodeId {
         let cfg = tune(ClientConfig::new(self.coord, self.partitioner));
-        let rng = DetRng::seed_from_u64(CLIENT_SEED + self.client_count as u64);
-        self.client_count += 1;
+        let n = self.clients.len();
+        let rng = DetRng::seed_from_u64(CLIENT_SEED + n as u64);
         let client = FsClient::new(cfg, workload, metrics, rng);
-        sim.add_node(format!("client-{}", self.client_count - 1), Box::new(client))
+        let id = sim.add_node(format!("client-{n}"), Box::new(client));
+        self.clients.push(id);
+        id
     }
 
     /// A fresh per-client workload id (clients get private directories).
     pub fn next_client_id(&self) -> u32 {
-        self.client_count
+        self.clients.len() as u32
     }
 
     /// Dynamically add a backup node to a running replica group (the

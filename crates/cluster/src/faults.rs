@@ -1,182 +1,353 @@
-//! Fault injection: the paper's three error classes, plus the gray-failure
-//! vocabulary the chaos campaigns compose from.
+//! Fault injection: one vocabulary for the paper's three error classes and
+//! the gray failures the chaos campaign composes from.
 //!
 //! * **Test A** — "modifying the global view to make the active lose the
-//!   lock": [`schedule_lock_loss`] force-expires the victim's coordination
+//!   lock": [`FaultKind::LockLoss`] force-expires the victim's coordination
 //!   session.
 //! * **Test B** — "unplugging and reconnecting network wires":
-//!   [`schedule_unplug`] isolates a node's NIC for a while, then plugs it
-//!   back; [`schedule_partition`] cuts between two named sides, and
-//!   [`schedule_one_way_partition`] cuts only one direction (asymmetric
-//!   gray failure).
+//!   [`FaultKind::Unplug`] isolates a node's NIC for a while;
+//!   [`FaultKind::Partition`] cuts between two named sides and
+//!   [`FaultKind::OneWay`] only one direction (asymmetric gray failure).
 //! * **Test C** — "shutting down and restarting processes":
-//!   [`schedule_crash`] / [`schedule_restart`] (fresh in-memory state on
-//!   restart, like a real process).
-//! * **Gray failures** — [`schedule_slow_link`] / [`schedule_slow_node`]
-//!   stretch latency without severing connectivity; [`schedule_loss`]
-//!   drops a fraction of messages on a link.
+//!   [`FaultKind::Crash`] / [`FaultKind::Restart`] (fresh in-memory state
+//!   on restart, like a real process).
+//! * **Gray failures** — pauses, slow nodes, network-wide loss and
+//!   duplication, clock skew, and corrupted pool artifacts.
+//!
+//! A fault names its targets by [`NodeRef`] because the interesting nodes
+//! move: by the time the second fault of a run fires, the active may be two
+//! failovers away from where it started. [`inject`] resolves the targets
+//! against the deployment and the coordinator's view when the fault fires;
+//! a timed end (a restart, a heal, a cleared shape) acts on the nodes the
+//! start hit and never resolves them again.
 
-use mams_coord::CoordReq;
-use mams_sim::{Duration, LinkShape, NodeId, Sim, SimTime};
+use mams_coord::{CoordReq, CoordServer};
+use mams_core::ViewKey;
+use mams_sim::node::EXTERNAL;
+use mams_sim::{Duration, Event, LinkShape, Network, NodeId, NodeStatus, Sim, SimTime};
 
-/// Kill a process at `at`.
-pub fn schedule_crash(sim: &mut Sim, node: NodeId, at: SimTime) {
-    sim.at(at, move |s| s.crash(node));
+use crate::deploy::Deployment;
+
+/// A symbolic node reference, resolved when the fault fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeRef {
+    /// The coordination server.
+    Coord,
+    /// The `i`-th shared-storage-pool node.
+    Pool(usize),
+    /// A replica-group member by boot index (0 = boot active).
+    Member { group: u32, idx: usize },
+    /// Whoever the view says is the group's active *right now*.
+    Active { group: u32 },
+    /// The first group member that is currently *not* the active (a hot
+    /// standby if any is up, else a junior).
+    BackupOf { group: u32 },
+    /// Every client the deployment added, as a set. Only meaningful in the
+    /// set-valued positions of [`FaultKind::Partition`] /
+    /// [`FaultKind::OneWay`] (it resolves to nothing as a single-node
+    /// target) — used to cut the reply path so clients must retry.
+    Clients,
 }
 
-/// Restart a crashed process at `at` (requires `add_restartable`).
-pub fn schedule_restart(sim: &mut Sim, node: NodeId, at: SimTime) {
-    sim.at(at, move |s| s.restart(node));
+/// One fault.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FaultKind {
+    /// Kill the node (state lost; restartable), and restart that same node
+    /// `restart_ms` later when given.
+    Crash {
+        node: NodeRef,
+        restart_ms: Option<u64>,
+    },
+    /// Bring a previously crashed node back.
+    Restart(NodeRef),
+    /// Force the node's coordination session to expire (Test A).
+    LockLoss(NodeRef),
+    /// Unplug the node's network cable; plug it back `heal_ms` later
+    /// (Test B).
+    Unplug {
+        node: NodeRef,
+        heal_ms: u64,
+    },
+    /// Freeze the process without killing it (gray failure: a zombie that
+    /// later resumes believing it still holds its old role).
+    Pause(NodeRef),
+    Resume(NodeRef),
+    /// Cut every link between the two sides (both directions). Nodes
+    /// outside both sides keep full connectivity — unlike
+    /// [`FaultKind::Unplug`]'s node-vs-world isolation.
+    Partition {
+        a: Vec<NodeRef>,
+        b: Vec<NodeRef>,
+        heal_ms: Option<u64>,
+    },
+    /// Cut only `from → to` (asymmetric partition: acks flow, data does
+    /// not).
+    OneWay {
+        from: Vec<NodeRef>,
+        to: Vec<NodeRef>,
+        heal_ms: Option<u64>,
+    },
+    /// Multiply every delivery latency on links touching the node
+    /// (gray-slow node, not dead — heartbeats still arrive, late).
+    SlowNode {
+        node: NodeRef,
+        factor: f64,
+        clear_ms: Option<u64>,
+    },
+    /// Network-wide independent message loss.
+    GlobalLoss(f64),
+    /// Network-wide independent message duplication.
+    GlobalDup(f64),
+    /// Run the node's timers at `factor` speed (clock skew; 1.0 = clear).
+    ClockSkew {
+        node: NodeRef,
+        factor: f64,
+    },
+    /// Flip a byte in the group's checkpoint image in the shared pool
+    /// (silent storage corruption mid-catch-up).
+    CorruptImage {
+        group: u32,
+    },
+    /// Flip a byte in a mid-chain delta artifact (silent corruption of an
+    /// incremental checkpoint; consumers must fall back down the recovery
+    /// ladder, never apply the damage).
+    CorruptDelta {
+        group: u32,
+    },
+    /// Heal all cuts, clear all shapes, zero global loss/dup.
+    ClearNetwork,
 }
 
-/// Crash at `at` and restart after `down_for`.
-pub fn schedule_crash_restart(sim: &mut Sim, node: NodeId, at: SimTime, down_for: Duration) {
-    schedule_crash(sim, node, at);
-    schedule_restart(sim, node, at + down_for);
+/// A fault at a time: one step of a fault program.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultAction {
+    /// Milliseconds after the program starts.
+    pub at_ms: u64,
+    pub kind: FaultKind,
 }
 
-/// Unplug `node`'s network cable at `at`, plug it back after `down_for`.
-pub fn schedule_unplug(sim: &mut Sim, node: NodeId, at: SimTime, down_for: Duration) {
-    sim.at(at, move |s| s.net_mut().isolate(node));
-    sim.at(at + down_for, move |s| s.net_mut().rejoin(node));
+impl FaultAction {
+    pub fn at(at_ms: u64, kind: FaultKind) -> Self {
+        FaultAction { at_ms, kind }
+    }
 }
 
-/// Force the victim's coordination session to expire at `at` (Test A).
-pub fn schedule_lock_loss(sim: &mut Sim, coord: NodeId, victim: NodeId, at: SimTime) {
-    sim.at(at, move |s| {
-        s.send_external(coord, CoordReq::ForceExpire { victim });
-    });
+/// What a fault records that the kernel does not: its faults on the shared
+/// pool's contents, and whether each found something to hit.
+#[derive(Debug)]
+pub enum FaultTrace {
+    CorruptImage { group: u32, hit: bool },
+    CorruptDelta { group: u32, hit: bool },
 }
 
-/// Cut every link between `side_a` and `side_b` at `at` (both directions);
-/// heal the same links after `heal_after`, when given. Nodes outside both
-/// sides keep full connectivity — this is a *named-sides* partition, unlike
-/// [`schedule_unplug`]'s node-vs-world isolation.
-pub fn schedule_partition(
+impl Event for FaultTrace {}
+
+/// Schedule `kind` at `at`. Its targets resolve when it fires, against the
+/// view then and against `d` as it is now: a client added later is not in
+/// [`NodeRef::Clients`].
+pub fn inject(sim: &mut Sim, d: &Deployment, at: SimTime, kind: FaultKind) {
+    let d = d.clone();
+    sim.at(at, move |s| apply(s, &d, &kind));
+}
+
+/// The group's current active according to the coordinator `coord`: the
+/// value of the group's active pointer in the global view.
+pub fn active_of(sim: &Sim, coord: NodeId, group: u32) -> Option<NodeId> {
+    let view: &CoordServer = sim.node(coord)?;
+    view.get(&ViewKey::Active(group).to_string())?.parse().ok()
+}
+
+/// Resolve a symbolic node reference against the live cluster.
+fn resolve(sim: &Sim, d: &Deployment, r: NodeRef) -> Option<NodeId> {
+    let members = |group: u32| d.groups.get(group as usize).map(|g| &g.members);
+    match r {
+        NodeRef::Coord => Some(d.coord),
+        NodeRef::Pool(i) => d.pool.get(i).copied(),
+        NodeRef::Member { group, idx } => members(group).and_then(|g| g.get(idx)).copied(),
+        NodeRef::Active { group } => active_of(sim, d.coord, group),
+        NodeRef::BackupOf { group } => {
+            let act = active_of(sim, d.coord, group);
+            members(group).and_then(|g| {
+                g.iter()
+                    .find(|&&n| {
+                        Some(n) != act && sim.node_status(n) == NodeStatus::Up && !sim.is_paused(n)
+                    })
+                    .copied()
+            })
+        }
+        // A set, not a node: only the set-valued positions (`links`)
+        // expand it.
+        NodeRef::Clients => None,
+    }
+}
+
+/// Resolve a set of references; [`NodeRef::Clients`] is `d.clients`.
+fn resolve_all(sim: &Sim, d: &Deployment, refs: &[NodeRef]) -> Vec<NodeId> {
+    let mut out: Vec<NodeId> = Vec::new();
+    for &r in refs {
+        match r {
+            NodeRef::Clients => out.extend(&d.clients),
+            _ => out.extend(resolve(sim, d, r)),
+        }
+    }
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// Every `(from, to)` pair of the two resolved sides; a node is never
+/// paired with itself.
+fn links(sim: &Sim, d: &Deployment, from: &[NodeRef], to: &[NodeRef]) -> Vec<(NodeId, NodeId)> {
+    let to = resolve_all(sim, d, to);
+    let from = resolve_all(sim, d, from);
+    from.iter().flat_map(|&f| to.iter().filter(move |&&t| t != f).map(move |&t| (f, t))).collect()
+}
+
+type LinkOp = fn(&mut Network, NodeId, NodeId);
+
+/// `cut` every link now; `heal` the same links `heal_ms` later, if given.
+fn sever(
     sim: &mut Sim,
-    side_a: Vec<NodeId>,
-    side_b: Vec<NodeId>,
-    at: SimTime,
-    heal_after: Option<Duration>,
+    links: Vec<(NodeId, NodeId)>,
+    heal_ms: Option<u64>,
+    cut: LinkOp,
+    heal: LinkOp,
 ) {
-    let (a2, b2) = (side_a.clone(), side_b.clone());
-    sim.at(at, move |s| {
-        for &a in &side_a {
-            for &b in &side_b {
-                s.net_mut().cut(a, b);
+    for &(a, b) in &links {
+        cut(sim.net_mut(), a, b);
+    }
+    if let Some(ms) = heal_ms {
+        sim.after(Duration::from_millis(ms), move |s| {
+            for &(a, b) in &links {
+                heal(s.net_mut(), a, b);
+            }
+        });
+    }
+}
+
+fn restart_if_down(sim: &mut Sim, n: NodeId) {
+    if sim.node_status(n) == NodeStatus::Down {
+        sim.restart(n);
+    }
+}
+
+/// Apply one fault right now and schedule its end, if it has one. Status
+/// guards make a fault a no-op when its target is already in the desired
+/// state, so shrunk programs (with crash/restart pairs broken up) stay
+/// well-formed.
+pub fn apply(sim: &mut Sim, d: &Deployment, kind: &FaultKind) {
+    match kind {
+        FaultKind::Crash { node, restart_ms } => {
+            let Some(n) = resolve(sim, d, *node) else { return };
+            if sim.node_status(n) != NodeStatus::Up {
+                return;
+            }
+            sim.crash(n);
+            if let Some(ms) = restart_ms {
+                sim.after(Duration::from_millis(*ms), move |s| restart_if_down(s, n));
             }
         }
-    });
-    if let Some(d) = heal_after {
-        sim.at(at + d, move |s| {
-            for &a in &a2 {
-                for &b in &b2 {
-                    s.net_mut().heal(a, b);
-                }
-            }
-        });
-    }
-}
-
-/// Asymmetric partition: messages from any node in `from` to any node in
-/// `to` are dropped at `at`, while the reverse direction keeps flowing —
-/// the classic half-open gray failure. Heals after `heal_after` if given.
-pub fn schedule_one_way_partition(
-    sim: &mut Sim,
-    from: Vec<NodeId>,
-    to: Vec<NodeId>,
-    at: SimTime,
-    heal_after: Option<Duration>,
-) {
-    let (f2, t2) = (from.clone(), to.clone());
-    sim.at(at, move |s| {
-        for &f in &from {
-            for &t in &to {
-                s.net_mut().cut_one_way(f, t);
+        FaultKind::Restart(r) => {
+            if let Some(n) = resolve(sim, d, *r) {
+                restart_if_down(sim, n);
             }
         }
-    });
-    if let Some(d) = heal_after {
-        sim.at(at + d, move |s| {
-            for &f in &f2 {
-                for &t in &t2 {
-                    s.net_mut().heal_one_way(f, t);
+        FaultKind::LockLoss(r) => {
+            if let Some(victim) = resolve(sim, d, *r) {
+                sim.send_external(d.coord, CoordReq::ForceExpire { victim });
+            }
+        }
+        FaultKind::Unplug { node, heal_ms } => {
+            if let Some(n) = resolve(sim, d, *node) {
+                sim.net_mut().isolate(n);
+                sim.after(Duration::from_millis(*heal_ms), move |s| s.net_mut().rejoin(n));
+            }
+        }
+        FaultKind::Pause(r) => {
+            if let Some(n) = resolve(sim, d, *r) {
+                if sim.node_status(n) == NodeStatus::Up && !sim.is_paused(n) {
+                    sim.pause(n);
                 }
             }
-        });
-    }
-}
-
-/// Stretch the `a`↔`b` link's latency by `factor` at `at` (both directions,
-/// connectivity intact); restore after `for_dur` if given.
-pub fn schedule_slow_link(
-    sim: &mut Sim,
-    a: NodeId,
-    b: NodeId,
-    factor: f64,
-    at: SimTime,
-    for_dur: Option<Duration>,
-) {
-    sim.at(at, move |s| s.net_mut().shape_link(a, b, LinkShape::slow(factor)));
-    if let Some(d) = for_dur {
-        sim.at(at + d, move |s| {
-            s.net_mut().clear_link_shape(a, b);
-        });
-    }
-}
-
-/// Stretch every link touching `node` by `factor` at `at` (a gray-slow
-/// process: alive, heartbeating, but crawling); restore after `for_dur`.
-pub fn schedule_slow_node(
-    sim: &mut Sim,
-    node: NodeId,
-    factor: f64,
-    at: SimTime,
-    for_dur: Option<Duration>,
-) {
-    sim.at(at, move |s| s.net_mut().shape_node(node, LinkShape::slow(factor)));
-    if let Some(d) = for_dur {
-        sim.at(at + d, move |s| {
-            s.net_mut().clear_node_shape(node);
-        });
-    }
-}
-
-/// Drop each message on the `a`↔`b` link with probability `p` at `at`
-/// (both directions); restore after `for_dur` if given.
-pub fn schedule_loss(
-    sim: &mut Sim,
-    a: NodeId,
-    b: NodeId,
-    p: f64,
-    at: SimTime,
-    for_dur: Option<Duration>,
-) {
-    sim.at(at, move |s| s.net_mut().shape_link(a, b, LinkShape::lossy(p)));
-    if let Some(d) = for_dur {
-        sim.at(at + d, move |s| {
-            s.net_mut().clear_link_shape(a, b);
-        });
+        }
+        FaultKind::Resume(r) => {
+            if let Some(n) = resolve(sim, d, *r) {
+                if sim.is_paused(n) {
+                    sim.resume(n);
+                }
+            }
+        }
+        FaultKind::Partition { a, b, heal_ms } => {
+            let links = links(sim, d, a, b);
+            sever(sim, links, *heal_ms, Network::cut, Network::heal);
+        }
+        FaultKind::OneWay { from, to, heal_ms } => {
+            let links = links(sim, d, from, to);
+            sever(sim, links, *heal_ms, Network::cut_one_way, Network::heal_one_way);
+        }
+        FaultKind::SlowNode { node, factor, clear_ms } => {
+            if let Some(n) = resolve(sim, d, *node) {
+                sim.net_mut().shape_node(n, LinkShape::slow(*factor));
+                if let Some(ms) = clear_ms {
+                    sim.after(Duration::from_millis(*ms), move |s| s.net_mut().clear_node_shape(n));
+                }
+            }
+        }
+        FaultKind::GlobalLoss(p) => sim.net_mut().set_loss_probability(*p),
+        FaultKind::GlobalDup(p) => sim.net_mut().set_dup_probability(*p),
+        FaultKind::ClockSkew { node, factor } => {
+            if let Some(n) = resolve(sim, d, *node) {
+                sim.set_clock_skew(n, *factor);
+            }
+        }
+        FaultKind::CorruptImage { group } => {
+            let hit = d.shared_pool.lock().group_mut(*group).corrupt_image();
+            sim.record(EXTERNAL, || FaultTrace::CorruptImage { group: *group, hit });
+        }
+        FaultKind::CorruptDelta { group } => {
+            let hit = d.shared_pool.lock().group_mut(*group).corrupt_delta();
+            sim.record(EXTERNAL, || FaultTrace::CorruptDelta { group: *group, hit });
+        }
+        FaultKind::ClearNetwork => {
+            let net = sim.net_mut();
+            net.heal_all();
+            net.clear_shapes();
+            net.set_loss_probability(0.0);
+            net.set_dup_probability(0.0);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mams_sim::{NodeStatus, SimConfig};
-
-    use mams_sim::{Ctx, Message, Node};
+    use mams_sim::{Ctx, Message, Node, SimConfig};
 
     struct Idle;
     impl Node for Idle {
         fn on_message(&mut self, _: &mut Ctx<'_>, _: NodeId, _: Message) {}
     }
 
+    /// `n` idle restartable nodes as the one group of a deployment whose
+    /// coordinator is the first of them.
+    fn idle_group(n: usize) -> (Sim, Deployment) {
+        let mut sim = Sim::new(SimConfig::default());
+        let members: Vec<NodeId> =
+            (0..n).map(|i| sim.add_restartable(format!("n{i}"), || Box::new(Idle))).collect();
+        let d = Deployment::one_group(members[0], Vec::new(), members);
+        (sim, d)
+    }
+
+    fn member(idx: usize) -> NodeRef {
+        NodeRef::Member { group: 0, idx }
+    }
+
     #[test]
     fn crash_restart_cycle() {
-        let mut sim = Sim::new(SimConfig::default());
-        let n = sim.add_restartable("n", || Box::new(Idle));
-        schedule_crash_restart(&mut sim, n, SimTime(1_000_000), Duration::from_secs(2));
+        let (mut sim, d) = idle_group(1);
+        let kind = FaultKind::Crash { node: member(0), restart_ms: Some(2_000) };
+        inject(&mut sim, &d, SimTime(1_000_000), kind);
+        let n = d.initial_active(0);
         sim.run_until(SimTime(1_500_000));
         assert_eq!(sim.node_status(n), NodeStatus::Down);
         sim.run_until(SimTime(3_500_000));
@@ -185,10 +356,14 @@ mod tests {
 
     #[test]
     fn unplug_cycle() {
-        let mut sim = Sim::new(SimConfig::default());
-        let a = sim.add_node("a", Box::new(Idle));
-        let b = sim.add_node("b", Box::new(Idle));
-        schedule_unplug(&mut sim, a, SimTime(1_000_000), Duration::from_secs(1));
+        let (mut sim, d) = idle_group(2);
+        let (a, b) = (d.groups[0].members[0], d.groups[0].members[1]);
+        inject(
+            &mut sim,
+            &d,
+            SimTime(1_000_000),
+            FaultKind::Unplug { node: member(0), heal_ms: 1_000 },
+        );
         sim.run_until(SimTime(1_100_000));
         assert!(!sim.net_mut().connected(a, b));
         sim.run_until(SimTime(2_100_000));
@@ -197,17 +372,12 @@ mod tests {
 
     #[test]
     fn partition_cuts_only_between_named_sides() {
-        let mut sim = Sim::new(SimConfig::default());
-        let a = sim.add_node("a", Box::new(Idle));
-        let b = sim.add_node("b", Box::new(Idle));
-        let c = sim.add_node("c", Box::new(Idle));
-        schedule_partition(
-            &mut sim,
-            vec![a],
-            vec![b],
-            SimTime(1_000_000),
-            Some(Duration::from_secs(1)),
-        );
+        let (mut sim, d) = idle_group(3);
+        let m = d.groups[0].members.clone();
+        let (a, b, c) = (m[0], m[1], m[2]);
+        let kind =
+            FaultKind::Partition { a: vec![member(0)], b: vec![member(1)], heal_ms: Some(1_000) };
+        inject(&mut sim, &d, SimTime(1_000_000), kind);
         sim.run_until(SimTime(1_100_000));
         assert!(!sim.net_mut().connected(a, b));
         assert!(sim.net_mut().connected(a, c), "third parties unaffected");
@@ -218,16 +388,11 @@ mod tests {
 
     #[test]
     fn one_way_partition_is_asymmetric() {
-        let mut sim = Sim::new(SimConfig::default());
-        let a = sim.add_node("a", Box::new(Idle));
-        let b = sim.add_node("b", Box::new(Idle));
-        schedule_one_way_partition(
-            &mut sim,
-            vec![a],
-            vec![b],
-            SimTime(1_000_000),
-            Some(Duration::from_secs(1)),
-        );
+        let (mut sim, d) = idle_group(2);
+        let (a, b) = (d.groups[0].members[0], d.groups[0].members[1]);
+        let kind =
+            FaultKind::OneWay { from: vec![member(0)], to: vec![member(1)], heal_ms: Some(1_000) };
+        inject(&mut sim, &d, SimTime(1_000_000), kind);
         sim.run_until(SimTime(1_100_000));
         assert!(!sim.net_mut().connected(a, b), "a→b cut");
         assert!(sim.net_mut().connected(b, a), "b→a flows");

@@ -7,11 +7,11 @@
 //! page must never strand the renewal.
 
 use mams_cluster::deploy::{build, DeploySpec};
-use mams_cluster::faults;
+use mams_cluster::faults::{self, FaultKind, NodeRef};
 use mams_cluster::metrics::Metrics;
 use mams_cluster::workload::Workload;
 use mams_core::MdsTrace;
-use mams_sim::{Duration, Sim, SimConfig, SimTime};
+use mams_sim::{Duration, LinkShape, Sim, SimConfig, SimTime};
 
 #[test]
 fn journal_catchup_converges_under_sustained_page_loss() {
@@ -29,17 +29,20 @@ fn journal_catchup_converges_under_sustained_page_loss() {
     // journal gap to accumulate, then restart it into a lossy world: every
     // junior↔pool link drops half its messages while it catches up.
     let standby = d.groups[0].members[2];
-    faults::schedule_crash_restart(&mut s, standby, SimTime(10_000_000), Duration::from_secs(6));
-    for &p in &d.pool {
-        faults::schedule_loss(
-            &mut s,
-            standby,
-            p,
-            0.5,
-            SimTime(16_000_000),
-            Some(Duration::from_secs(20)),
-        );
-    }
+    let crash =
+        FaultKind::Crash { node: NodeRef::Member { group: 0, idx: 2 }, restart_ms: Some(6_000) };
+    faults::inject(&mut s, &d, SimTime(10_000_000), crash);
+    let pool = d.pool.clone();
+    s.at(SimTime(16_000_000), move |s| {
+        for &p in &pool {
+            s.net_mut().shape_link(standby, p, LinkShape::lossy(0.5));
+        }
+        s.after(Duration::from_secs(20), move |s| {
+            for &p in &pool {
+                s.net_mut().clear_link_shape(standby, p);
+            }
+        });
+    });
     s.run_for(Duration::from_secs(80));
 
     // The junior must have converged and been promoted back to standby —

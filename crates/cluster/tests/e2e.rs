@@ -1,17 +1,26 @@
 //! End-to-end tests: full deployments under load and failures.
 
 use mams_cluster::deploy::{build, DeploySpec};
-use mams_cluster::faults;
+use mams_cluster::faults::{self, FaultKind, NodeRef};
 use mams_cluster::metrics::Metrics;
 use mams_cluster::mttr::{mean_mttr_secs, mttr_from_completions};
 use mams_cluster::workload::Workload;
 use mams_cluster::DataServer;
 use mams_coord::CoordTrace;
 use mams_core::{MdsServer, MdsTrace};
-use mams_sim::{Duration, Sim, SimConfig, SimTime};
+use mams_sim::{Duration, NodeStatus, Sim, SimConfig, SimTime};
 
 fn sim(seed: u64) -> Sim {
     Sim::new(SimConfig { seed, ..SimConfig::default() })
+}
+
+fn member(idx: usize) -> NodeRef {
+    NodeRef::Member { group: 0, idx }
+}
+
+/// Crash group 0's member `idx`, restarting it `restart_ms` later if given.
+fn crash(idx: usize, restart_ms: Option<u64>) -> FaultKind {
+    FaultKind::Crash { node: member(idx), restart_ms }
 }
 
 #[test]
@@ -45,9 +54,8 @@ fn active_crash_fails_over_and_service_resumes() {
     let mut d = build(&mut s, DeploySpec { standbys_per_group: 3, ..DeploySpec::default() });
     let m = Metrics::new(true);
     d.add_client(&mut s, Workload::create_only(0), m.clone());
-    let active = d.initial_active(0);
     let kill_at = SimTime(20_000_000);
-    faults::schedule_crash(&mut s, active, kill_at);
+    faults::inject(&mut s, &d, kill_at, crash(0, None));
     s.run_for(Duration::from_secs(60));
 
     let before = m.completions().iter().filter(|c| c.ok && c.at_us < kill_at.micros()).count();
@@ -78,8 +86,7 @@ fn no_acknowledged_operation_is_lost_across_failover() {
     let mut d = build(&mut s, DeploySpec { standbys_per_group: 2, ..DeploySpec::default() });
     let m = Metrics::new(true);
     d.add_client(&mut s, Workload::create_only(0), m.clone());
-    let active = d.initial_active(0);
-    faults::schedule_crash(&mut s, active, SimTime(15_000_000));
+    faults::inject(&mut s, &d, SimTime(15_000_000), crash(0, None));
     s.run_for(Duration::from_secs(40));
     let acked_creates = m.ok_count();
     assert!(acked_creates > 100);
@@ -112,8 +119,7 @@ fn crashed_member_rejoins_as_junior_then_standby() {
     let mut d = build(&mut s, DeploySpec { standbys_per_group: 3, ..DeploySpec::default() });
     let m = Metrics::new(false);
     d.add_client(&mut s, Workload::create_only(0), m.clone());
-    let active = d.initial_active(0);
-    faults::schedule_crash_restart(&mut s, active, SimTime(15_000_000), Duration::from_secs(10));
+    faults::inject(&mut s, &d, SimTime(15_000_000), crash(0, Some(10_000)));
     s.run_for(Duration::from_secs(80));
 
     // The restarted node must have been renewed back to standby.
@@ -137,7 +143,7 @@ fn test_a_lock_loss_returns_old_active_as_standby() {
     let m = Metrics::new(true);
     d.add_client(&mut s, Workload::create_mkdir(0), m.clone());
     let active = d.initial_active(0);
-    faults::schedule_lock_loss(&mut s, d.coord, active, SimTime(20_000_000));
+    faults::inject(&mut s, &d, SimTime(20_000_000), FaultKind::LockLoss(member(0)));
     s.run_for(Duration::from_secs(50));
 
     let since_loss = || s.trace().of::<MdsTrace>().filter(|&(t, _, _)| t >= SimTime(20_000_000));
@@ -155,13 +161,53 @@ fn test_a_lock_loss_returns_old_active_as_standby() {
 }
 
 #[test]
+fn a_fault_resolves_its_target_when_it_fires() {
+    // Every fault is injected at boot, when the view names no successor
+    // yet: `Active` must mean whoever holds the lock when the fault fires,
+    // and a crash's restart must bring back the node it crashed, not
+    // whoever is active by then.
+    let mut s = sim(21);
+    let mut d = build(&mut s, DeploySpec { standbys_per_group: 3, ..DeploySpec::default() });
+    d.add_client(&mut s, Workload::create_only(0), Metrics::new(false));
+    let active = NodeRef::Active { group: 0 };
+    let secs = |t: u64| SimTime(t * 1_000_000);
+    faults::inject(&mut s, &d, secs(5), crash(0, None));
+    faults::inject(&mut s, &d, secs(20), FaultKind::LockLoss(active));
+    faults::inject(
+        &mut s,
+        &d,
+        secs(40),
+        FaultKind::Crash { node: active, restart_ms: Some(15_000) },
+    );
+    let view = |s: &Sim| faults::active_of(s, d.coord, 0).expect("the view names an active");
+
+    s.run_until(secs(19));
+    let successor = view(&s);
+    assert_ne!(successor, d.initial_active(0), "a successor serves after the first crash");
+    s.run_until(secs(39));
+    let expired = s
+        .trace()
+        .of::<CoordTrace>()
+        .any(|(t, _, e)| t >= secs(20) && *e == CoordTrace::SessionExpired { session: successor });
+    assert!(expired, "the lock loss must hit the successor n{successor}");
+
+    let victim = view(&s);
+    s.run_until(secs(54));
+    assert_eq!(s.node_status(victim), NodeStatus::Down, "the crash hit n{victim}");
+    assert_ne!(view(&s), victim, "the view has moved on by the restart");
+    s.run_until(secs(60));
+    assert_eq!(s.node_status(victim), NodeStatus::Up, "the restart brings back n{victim}");
+}
+
+#[test]
 fn test_b_unplug_expires_members_and_they_rejoin() {
     let mut s = sim(7);
     let mut d = build(&mut s, DeploySpec { standbys_per_group: 3, ..DeploySpec::default() });
     let m = Metrics::new(false);
     d.add_client(&mut s, Workload::create_only(0), m.clone());
     let standby = d.groups[0].members[2];
-    faults::schedule_unplug(&mut s, standby, SimTime(15_000_000), Duration::from_secs(8));
+    let unplug = FaultKind::Unplug { node: member(2), heal_ms: 8_000 };
+    faults::inject(&mut s, &d, SimTime(15_000_000), unplug);
     s.run_for(Duration::from_secs(60));
 
     // The unplugged standby's session must have expired...
@@ -280,8 +326,7 @@ fn failover_works_even_under_message_loss() {
     s.net_mut().set_loss_probability(0.01);
     let m = Metrics::new(true);
     d.add_client(&mut s, Workload::create_only(0), m.clone());
-    let active = d.initial_active(0);
-    faults::schedule_crash(&mut s, active, SimTime(20_000_000));
+    faults::inject(&mut s, &d, SimTime(20_000_000), crash(0, None));
     s.run_for(Duration::from_secs(70));
     let late = m.completions().iter().filter(|c| c.ok && c.at_us > 50_000_000).count();
     assert!(late > 500, "no recovery under loss ({late})");
@@ -311,8 +356,7 @@ fn block_write_path_survives_failover() {
     assert_eq!(m.ok_count(), ops.len() as u64, "write path ops all succeed");
 
     // Failover, then read the file back through a second client.
-    let active = d.initial_active(0);
-    faults::schedule_crash(&mut s, active, SimTime(6_000_000));
+    faults::inject(&mut s, &d, SimTime(6_000_000), crash(0, None));
     s.run_for(Duration::from_secs(10));
     let m2 = Metrics::new(true);
     d.add_client(
@@ -360,9 +404,8 @@ fn block_reports_are_dropped_in_every_role_across_a_switch() {
         c.max_ops = Some(2_000);
         c
     });
-    let active = d.initial_active(0);
     let kill_at = SimTime(5_000_000);
-    faults::schedule_crash(&mut s, active, kill_at);
+    faults::inject(&mut s, &d, kill_at, crash(0, None));
     s.run_for(Duration::from_secs(20));
 
     let at = |pick: fn(&MdsTrace) -> bool| {
@@ -414,9 +457,8 @@ fn automatic_checkpoints_bound_the_shared_journal() {
     );
     // A failover after checkpointing still works (the new active reads the
     // tail, never the compacted range).
-    let active = d.initial_active(0);
     drop(pool);
-    faults::schedule_crash(&mut s, active, SimTime(46_000_000));
+    faults::inject(&mut s, &d, SimTime(46_000_000), crash(0, None));
     let m2 = Metrics::new(true);
     d.add_client(&mut s, Workload::create_only(9), m2.clone());
     s.run_for(Duration::from_secs(20));

@@ -13,7 +13,7 @@ use mams::sim::{Duration, Sim, SimConfig, SimTime};
 
 fn main() {
     // A deterministic simulated cluster: coordination service, shared
-    // storage pool, one replica group with three standbys, data servers.
+    // storage pool, one replica group with three standbys.
     let mut sim = Sim::new(SimConfig::default());
     let mut cluster =
         build(&mut sim, DeploySpec { groups: 1, standbys_per_group: 3, ..DeploySpec::default() });

@@ -4,8 +4,8 @@
 //! come back, and `initial_active(0)` is the node the global view names.
 
 use mams::baselines::{boomfs, FsScale, Mechanism};
-use mams::chaos::active_of;
 use mams::cluster::deploy::{DeploySpec, Deployment};
+use mams::cluster::faults::active_of;
 use mams::sim::{Duration, NodeStatus, Sim, SimConfig};
 
 /// Every mechanism, each built on a simulation of its own.

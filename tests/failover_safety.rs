@@ -3,7 +3,7 @@
 //! monotonicity, divergence-freedom, eventual recovery.
 
 use mams::cluster::deploy::{build, DeploySpec};
-use mams::cluster::faults;
+use mams::cluster::faults::{self, FaultKind, NodeRef};
 use mams::cluster::metrics::Metrics;
 use mams::cluster::workload::Workload;
 use mams::coord::CoordTrace;
@@ -36,19 +36,18 @@ fn random_fault_run(seed: u64) -> (Sim, std::sync::Arc<mams::cluster::metrics::M
     let metrics = Metrics::new(true);
     d.add_client(&mut sim, Workload::create_mkdir(0), metrics.clone());
 
-    let members = d.groups[0].members.clone();
-    let coord = d.coord;
     let mut rng = DetRng::seed_from_u64(seed ^ 0xFA17);
     // 4 random faults between t=15s and t=75s, at least 12s apart so the
     // cluster can breathe (the paper's tests also space failures out).
     for k in 0..4u64 {
         let at = SimTime((15 + 15 * k) * 1_000_000 + rng.below(3_000_000));
-        let victim = members[rng.index(members.len())];
-        match rng.below(3) {
-            0 => faults::schedule_crash_restart(&mut sim, victim, at, Duration::from_secs(6)),
-            1 => faults::schedule_unplug(&mut sim, victim, at, Duration::from_secs(6)),
-            _ => faults::schedule_lock_loss(&mut sim, coord, victim, at),
-        }
+        let node = NodeRef::Member { group: 0, idx: rng.index(d.groups[0].members.len()) };
+        let kind = match rng.below(3) {
+            0 => FaultKind::Crash { node, restart_ms: Some(6_000) },
+            1 => FaultKind::Unplug { node, heal_ms: 6_000 },
+            _ => FaultKind::LockLoss(node),
+        };
+        faults::inject(&mut sim, &d, at, kind);
     }
     // Long quiet tail so every renewal finishes.
     sim.run_until(SimTime(120_000_000));
@@ -65,12 +64,11 @@ fn randomized_faults_never_lose_acked_creates() {
         );
         let metrics = Metrics::new(true);
         d.add_client(&mut sim, Workload::create_only(0), metrics.clone());
-        let members = d.groups[0].members.clone();
         let mut rng = DetRng::seed_from_u64(seed);
         for k in 0..3u64 {
             let at = SimTime((15 + 20 * k) * 1_000_000 + rng.below(2_000_000));
-            let victim = members[rng.index(members.len())];
-            faults::schedule_crash_restart(&mut sim, victim, at, Duration::from_secs(8));
+            let node = NodeRef::Member { group: 0, idx: rng.index(d.groups[0].members.len()) };
+            faults::inject(&mut sim, &d, at, FaultKind::Crash { node, restart_ms: Some(8_000) });
         }
         sim.run_until(SimTime(100_000_000));
 
@@ -145,14 +143,10 @@ fn multi_group_cluster_survives_fault_storm() {
         d.add_client(&mut sim, Workload::mixed(c), metrics.clone());
     }
     // Kill every group's active in quick succession.
-    for g in 0..3 {
-        let victim = d.initial_active(g);
-        faults::schedule_crash_restart(
-            &mut sim,
-            victim,
-            SimTime((20 + g as u64 * 3) * 1_000_000),
-            Duration::from_secs(10),
-        );
+    for group in 0..3 {
+        let at = SimTime((20 + group as u64 * 3) * 1_000_000);
+        let node = NodeRef::Member { group, idx: 0 };
+        faults::inject(&mut sim, &d, at, FaultKind::Crash { node, restart_ms: Some(10_000) });
     }
     sim.run_until(SimTime(120_000_000));
     let late_ok = metrics.completions().iter().filter(|c| c.ok && c.at_us > 100_000_000).count();
@@ -177,21 +171,13 @@ fn coordination_service_restart_heals_without_split_brain() {
     sim.run_until(SimTime(100_000_000));
     assert!(metrics.ok_count() > 1_000);
 
-    // Emulate a total coordination outage: partition the coord away long
-    // enough for every session (including the active's) to expire, then
-    // heal. On heal, every member re-registers through NoSession and the
+    // Emulate a total coordination outage: unplug the coord long enough
+    // for every session (including the active's) to expire, then plug it
+    // back. On heal, every member re-registers through NoSession and the
     // view is rebuilt from scratch.
-    let coord = d.coord;
-    let everyone_else: Vec<_> =
-        (0..sim.num_nodes() as mams_sim::NodeId).filter(|&n| n != coord).collect();
+    let unplug = FaultKind::Unplug { node: NodeRef::Coord, heal_ms: 12_000 };
     let now = sim.now();
-    mams_cluster::faults::schedule_partition(
-        &mut sim,
-        vec![coord],
-        everyone_else,
-        now,
-        Some(Duration::from_secs(12)),
-    );
+    faults::inject(&mut sim, &d, now, unplug);
     sim.run_for(Duration::from_secs(42));
 
     // Converged: traffic flows again...

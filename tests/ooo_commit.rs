@@ -25,7 +25,8 @@ use std::collections::HashMap;
 
 use mams_chaos::{check_history, CheckOutcome};
 use mams_cluster::deploy::{build, DeploySpec};
-use mams_cluster::{faults, History, Metrics, Recorder, Workload};
+use mams_cluster::faults::{self, FaultKind, NodeRef};
+use mams_cluster::{History, Metrics, Recorder, Workload};
 use mams_core::{FsOp, MdsTrace, Prefix};
 use mams_journal::Txn;
 use mams_namespace::{path, NamespaceTree};
@@ -118,14 +119,12 @@ fn run_case(case: u64) -> CaseOutcome {
 
     // Gray-slow one standby of group 0 mid-run: its sync acks straggle,
     // stretching group 0's durability legs without killing progress.
-    let straggler = d.groups[0].members[1];
-    faults::schedule_slow_node(
-        &mut sim,
-        straggler,
-        slow_factor,
-        SimTime(2_000_000),
-        Some(Duration::from_secs(slow_secs)),
-    );
+    let slow = FaultKind::SlowNode {
+        node: NodeRef::Member { group: 0, idx: 1 },
+        factor: slow_factor,
+        clear_ms: Some(slow_secs * 1_000),
+    };
+    faults::inject(&mut sim, &d, SimTime(2_000_000), slow);
 
     sim.run_for(Duration::from_secs(12));
 

@@ -22,8 +22,9 @@
 //! Seeded `SmallRng` drives the randomization. Override the case count with
 //! `PARITY_CASES=n`; the nightly workflow runs an elevated sweep.
 
-use mams_chaos::{active_of, check_history, CheckOutcome};
+use mams_chaos::{check_history, CheckOutcome};
 use mams_cluster::deploy::{build, DeploySpec};
+use mams_cluster::faults::active_of;
 use mams_cluster::{History, Metrics, Recorder, Workload};
 use mams_core::{MdsTiming, MdsTrace};
 use mams_journal::JournalBatch;
