@@ -242,29 +242,8 @@ pub fn reconstruct_states(sim: &Sim, members: &[NodeId]) -> Vec<(f64, Vec<String
 mod tests {
     use super::*;
     use mams_cluster::deploy::{build, DeploySpec};
-    use mams_cluster::faults::active_of;
     use mams_cluster::workload::Workload as W;
     use mams_sim::SimConfig;
-
-    #[test]
-    fn the_active_is_read_off_the_coordinator() {
-        let mut sim = Sim::new(SimConfig::default());
-        let mut d = build(
-            &mut sim,
-            DeploySpec { groups: 1, standbys_per_group: 2, ..DeploySpec::default() },
-        );
-        let m = Metrics::new(false);
-        d.add_client(&mut sim, W::create_only(0), m);
-        sim.run_for(Duration::from_secs(2));
-        assert_eq!(active_of(&sim, d.coord, 0), Some(d.initial_active(0)));
-        // After a failover, the helper reports the new active.
-        let old = d.initial_active(0);
-        sim.after(Duration::ZERO, move |s| s.crash(old));
-        sim.run_for(Duration::from_secs(12));
-        let now = active_of(&sim, d.coord, 0).expect("an active exists");
-        assert_ne!(now, old);
-        assert!(d.groups[0].members.contains(&now));
-    }
 
     #[test]
     fn reconstruct_states_yields_letter_rows() {

@@ -4,16 +4,19 @@
 //! A run has three phases:
 //!
 //! 1. **Load + faults** (`run_secs`): clients hammer the shared key set
-//!    while the program's actions fire at their scheduled times.
-//! 2. **Cleanup**: every injected condition is lifted — cuts healed,
-//!    shapes cleared, paused nodes resumed, clocks trued, crashed MDS
-//!    nodes restarted.
+//!    while the program's actions fire at their scheduled times, each
+//!    scheduling its own end (restart, resume, heal, clear) on the nodes
+//!    it hit.
+//! 2. **Cleanup**: whatever is still standing — a fault without an end, or
+//!    one whose end falls past the run phase — is lifted through the
+//!    kernel: cuts healed, shapes cleared, loss and duplication zeroed,
+//!    paused nodes resumed, clocks trued, crashed MDS nodes restarted.
 //! 3. **Grace**: the cluster gets a recovery window, after which the
 //!    invariants must hold: an active per group, post-heal progress, no
 //!    replica divergence, and a linearizable client history.
 
 use mams_cluster::deploy::{self, DeploySpec};
-use mams_cluster::faults::{self, active_of, FaultAction, FaultKind};
+use mams_cluster::faults::{self, active_of, FaultAction};
 use mams_cluster::{History, Metrics, Recorder};
 use mams_core::{MdsTiming, MdsTrace};
 use mams_sim::{DetRng, Duration, NodeStatus, Sim, SimConfig, SimTime};
@@ -106,7 +109,11 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
     sim.run_for(Duration::from_secs(sc.run_secs));
 
     // Cleanup: lift everything the program may have left standing.
-    faults::apply(&mut sim, &deployment, &FaultKind::ClearNetwork);
+    let net = sim.net_mut();
+    net.heal_all();
+    net.clear_shapes();
+    net.set_loss_probability(0.0);
+    net.set_dup_probability(0.0);
     for g in &deployment.groups {
         for &n in &g.members {
             sim.set_clock_skew(n, 1.0);

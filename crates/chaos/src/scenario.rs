@@ -3,11 +3,12 @@
 //! A [`Scenario`] is a cluster shape + a contended workload + a *fault
 //! program*: a list of timed [`FaultAction`]s, each a
 //! [`mams_cluster::faults::FaultKind`] over symbolic
-//! [`NodeRef`]s that resolve when the fault fires. Programs are data, not
-//! code — the engine injects each action through
+//! [`NodeRef`]s that resolve when the fault fires, carrying its own end (a
+//! crash its restart, a pause its resume, a cut its heal). Programs are
+//! data, not code — the engine injects each action through
 //! [`mams_cluster::faults::inject`], which is what makes failing programs
-//! shrinkable (drop an action, rerun) and reportable (print the minimal
-//! witness).
+//! shrinkable (drop an action and its end goes with it, rerun) and
+//! reportable (print the minimal witness).
 
 use mams_cluster::faults::{FaultAction, FaultKind, NodeRef};
 use mams_cluster::Workload;
@@ -80,7 +81,11 @@ fn jitter(rng: &mut DetRng, base_ms: u64, spread_ms: u64) -> u64 {
 
 const A0: NodeRef = NodeRef::Active { group: 0 };
 const B0: NodeRef = NodeRef::BackupOf { group: 0 };
-const CRASH_A0: FaultKind = FaultKind::Crash { node: A0, restart_ms: None };
+
+/// Crash group 0's active and restart that node `restart_ms` later.
+fn crash_a0(restart_ms: u64) -> FaultKind {
+    FaultKind::Crash { node: A0, restart_ms: Some(restart_ms) }
+}
 
 /// The built-in scenario corpus, in rough order of severity.
 pub fn corpus() -> Vec<Scenario> {
@@ -92,18 +97,7 @@ pub fn corpus() -> Vec<Scenario> {
         faults: |r| {
             let t1 = jitter(r, 10_000, 3_000);
             let t2 = jitter(r, 30_000, 4_000);
-            vec![
-                FaultAction::at(t1, CRASH_A0),
-                FaultAction::at(
-                    t1 + 12_000,
-                    FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
-                ),
-                FaultAction::at(t2, CRASH_A0),
-                FaultAction::at(
-                    t2 + 12_000,
-                    FaultKind::Restart(NodeRef::Member { group: 0, idx: 1 }),
-                ),
-            ]
+            vec![FaultAction::at(t1, crash_a0(12_000)), FaultAction::at(t2, crash_a0(12_000))]
         },
         ..base("failover_crash", "")
     });
@@ -144,11 +138,7 @@ pub fn corpus() -> Vec<Scenario> {
                     t1,
                     FaultKind::SlowNode { node: B0, factor: 25.0, clear_ms: Some(30_000) },
                 ),
-                FaultAction::at(t1 + 8_000, CRASH_A0),
-                FaultAction::at(
-                    t1 + 22_000,
-                    FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
-                ),
+                FaultAction::at(t1 + 8_000, crash_a0(14_000)),
             ]
         },
         ..base("gray_slow_standby", "")
@@ -159,12 +149,12 @@ pub fn corpus() -> Vec<Scenario> {
                 failover",
         faults: |r| {
             let t1 = jitter(r, 5_000, 2_000);
+            let tc = jitter(r, 18_000, 3_000);
+            let clear_ms = 40_000 - t1;
             vec![
-                FaultAction::at(t1, FaultKind::GlobalLoss(0.15)),
-                FaultAction::at(t1, FaultKind::GlobalDup(0.05)),
-                FaultAction::at(jitter(r, 18_000, 3_000), CRASH_A0),
-                FaultAction::at(40_000, FaultKind::ClearNetwork),
-                FaultAction::at(41_000, FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 })),
+                FaultAction::at(t1, FaultKind::GlobalLoss { p: 0.15, clear_ms }),
+                FaultAction::at(t1, FaultKind::GlobalDup { p: 0.05, clear_ms }),
+                FaultAction::at(tc, crash_a0(41_000 - tc)),
             ]
         },
         ..base("flaky_network", "")
@@ -184,11 +174,7 @@ pub fn corpus() -> Vec<Scenario> {
                         heal_ms: Some(12_000),
                     },
                 ),
-                FaultAction::at(t1 + 20_000, CRASH_A0),
-                FaultAction::at(
-                    t1 + 32_000,
-                    FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
-                ),
+                FaultAction::at(t1 + 20_000, crash_a0(12_000)),
             ]
         },
         ..base("one_way_partition", "")
@@ -199,13 +185,7 @@ pub fn corpus() -> Vec<Scenario> {
                 thaw the zombie — fencing must hold against its stale epoch",
         faults: |r| {
             let t1 = jitter(r, 10_000, 3_000);
-            vec![
-                FaultAction::at(t1, FaultKind::Pause(A0)),
-                FaultAction::at(
-                    t1 + 15_000,
-                    FaultKind::Resume(NodeRef::Member { group: 0, idx: 0 }),
-                ),
-            ]
+            vec![FaultAction::at(t1, FaultKind::Pause { node: A0, resume_ms: 15_000 })]
         },
         ..base("pause_active", "")
     });
@@ -226,11 +206,7 @@ pub fn corpus() -> Vec<Scenario> {
             let t1 = jitter(r, 12_000, 3_000);
             vec![
                 FaultAction::at(t1, FaultKind::CorruptImage { group: 0 }),
-                FaultAction::at(t1 + 9_000, CRASH_A0),
-                FaultAction::at(
-                    t1 + 21_000,
-                    FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
-                ),
+                FaultAction::at(t1 + 9_000, crash_a0(12_000)),
             ]
         },
         ..base("corrupt_catchup", "")
@@ -256,11 +232,7 @@ pub fn corpus() -> Vec<Scenario> {
             let t1 = jitter(r, 12_000, 3_000);
             vec![
                 FaultAction::at(t1, FaultKind::CorruptDelta { group: 0 }),
-                FaultAction::at(t1 + 9_000, CRASH_A0),
-                FaultAction::at(
-                    t1 + 21_000,
-                    FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
-                ),
+                FaultAction::at(t1 + 9_000, crash_a0(12_000)),
             ]
         },
         ..base("delta_corrupt_catchup", "")
@@ -289,13 +261,7 @@ pub fn corpus() -> Vec<Scenario> {
                 tick must start a chain of its own",
         faults: |r| {
             let t1 = jitter(r, 14_000, 3_000);
-            vec![
-                FaultAction::at(t1, CRASH_A0),
-                FaultAction::at(
-                    t1 + 18_000,
-                    FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
-                ),
-            ]
+            vec![FaultAction::at(t1, crash_a0(18_000))]
         },
         ..base("rechain_during_failover", "")
     });
@@ -308,11 +274,7 @@ pub fn corpus() -> Vec<Scenario> {
             vec![
                 FaultAction::at(t1, FaultKind::ClockSkew { node: A0, factor: 3.0 }),
                 FaultAction::at(t1, FaultKind::ClockSkew { node: B0, factor: 0.33 }),
-                FaultAction::at(t1 + 10_000, CRASH_A0),
-                FaultAction::at(
-                    t1 + 24_000,
-                    FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
-                ),
+                FaultAction::at(t1 + 10_000, crash_a0(14_000)),
             ]
         },
         ..base("clock_skew", "")
@@ -338,18 +300,7 @@ pub fn corpus() -> Vec<Scenario> {
         faults: |r| {
             let t1 = jitter(r, 10_000, 3_000);
             let t2 = jitter(r, 36_000, 4_000);
-            vec![
-                FaultAction::at(t1, CRASH_A0),
-                FaultAction::at(
-                    t1 + 11_000,
-                    FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
-                ),
-                FaultAction::at(t2, CRASH_A0),
-                FaultAction::at(
-                    t2 + 11_000,
-                    FaultKind::Restart(NodeRef::Member { group: 0, idx: 1 }),
-                ),
-            ]
+            vec![FaultAction::at(t1, crash_a0(11_000)), FaultAction::at(t2, crash_a0(11_000))]
         },
         ..base("read_during_promotion", "")
     });
@@ -364,18 +315,7 @@ pub fn corpus() -> Vec<Scenario> {
         faults: |r| {
             let t1 = jitter(r, 12_000, 3_000);
             let t2 = jitter(r, 38_000, 4_000);
-            vec![
-                FaultAction::at(t1, CRASH_A0),
-                FaultAction::at(
-                    t1 + 10_000,
-                    FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
-                ),
-                FaultAction::at(t2, CRASH_A0),
-                FaultAction::at(
-                    t2 + 10_000,
-                    FaultKind::Restart(NodeRef::Member { group: 0, idx: 1 }),
-                ),
-            ]
+            vec![FaultAction::at(t1, crash_a0(10_000)), FaultAction::at(t2, crash_a0(10_000))]
         },
         ..base("rename_storm_crash", "")
     });
@@ -402,11 +342,7 @@ pub fn corpus() -> Vec<Scenario> {
                         heal_ms: Some(9_000),
                     },
                 ),
-                FaultAction::at(t1 + 4_000, CRASH_A0),
-                FaultAction::at(
-                    t1 + 16_000,
-                    FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
-                ),
+                FaultAction::at(t1 + 4_000, crash_a0(12_000)),
                 // Second round against the successor.
                 FaultAction::at(
                     t2,
@@ -416,11 +352,7 @@ pub fn corpus() -> Vec<Scenario> {
                         heal_ms: Some(9_000),
                     },
                 ),
-                FaultAction::at(t2 + 4_000, CRASH_A0),
-                FaultAction::at(
-                    t2 + 16_000,
-                    FaultKind::Restart(NodeRef::Member { group: 0, idx: 1 }),
-                ),
+                FaultAction::at(t2 + 4_000, crash_a0(12_000)),
             ]
         },
         ..base("retry_across_failover", "")
@@ -458,12 +390,8 @@ pub fn corpus() -> Vec<Scenario> {
                         heal_ms: Some(9_000),
                     },
                 ),
-                FaultAction::at(t1 + 4_000, CRASH_A0),
                 // The ex-active renews as a junior over base+deltas.
-                FaultAction::at(
-                    t1 + 14_000,
-                    FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
-                ),
+                FaultAction::at(t1 + 4_000, crash_a0(10_000)),
                 // Second reply cut + crash: promotion now falls to a junior
                 // whose window came up the recovery ladder.
                 FaultAction::at(
@@ -474,11 +402,7 @@ pub fn corpus() -> Vec<Scenario> {
                         heal_ms: Some(9_000),
                     },
                 ),
-                FaultAction::at(t1 + 30_000, CRASH_A0),
-                FaultAction::at(
-                    t1 + 42_000,
-                    FaultKind::Restart(NodeRef::Member { group: 0, idx: 1 }),
-                ),
+                FaultAction::at(t1 + 30_000, crash_a0(12_000)),
             ]
         },
         ..base("retry_after_delta_restart", "")
@@ -494,18 +418,7 @@ pub fn corpus() -> Vec<Scenario> {
         faults: |r| {
             let t1 = jitter(r, 10_000, 3_000);
             let t2 = jitter(r, 36_000, 4_000);
-            vec![
-                FaultAction::at(t1, CRASH_A0),
-                FaultAction::at(
-                    t1 + 11_000,
-                    FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
-                ),
-                FaultAction::at(t2, CRASH_A0),
-                FaultAction::at(
-                    t2 + 11_000,
-                    FaultKind::Restart(NodeRef::Member { group: 0, idx: 1 }),
-                ),
-            ]
+            vec![FaultAction::at(t1, crash_a0(11_000)), FaultAction::at(t2, crash_a0(11_000))]
         },
         ..base("double_failover", "")
     });
@@ -526,11 +439,7 @@ pub fn corpus() -> Vec<Scenario> {
                     t1,
                     FaultKind::SlowNode { node: B0, factor: 15.0, clear_ms: Some(20_000) },
                 ),
-                FaultAction::at(t1 + 24_000, CRASH_A0),
-                FaultAction::at(
-                    t1 + 36_000,
-                    FaultKind::Restart(NodeRef::Member { group: 0, idx: 0 }),
-                ),
+                FaultAction::at(t1 + 24_000, crash_a0(12_000)),
             ]
         },
         ..base("adaptive_gray_standby", "")

@@ -3,9 +3,9 @@
 //! Greedy delta-debugging: repeatedly try dropping one action and rerun
 //! the scenario with the shortened program under the same seed; keep any
 //! drop that still fails, until a fixpoint (or the rerun budget runs out).
-//! Because [`FaultKind`](mams_cluster::faults::FaultKind) applications are
-//! status-guarded no-ops when their target is already in the desired
-//! state, a program with its crash/restart pairs broken up stays
+//! A [`FaultKind`](mams_cluster::faults::FaultKind) carries its own end (a
+//! crash its restart, a pause its resume, a cut its heal), so dropping an
+//! action drops its end with it and every shortened program is
 //! well-formed — which is what makes single-action dropping sound here.
 
 use mams_cluster::faults::FaultAction;

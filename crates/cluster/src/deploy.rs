@@ -250,8 +250,7 @@ mod tests {
     #[should_panic(expected = "must be below the session timeout")]
     fn build_refuses_a_session_timeout_the_lease_would_outlive() {
         let mut sim = Sim::new(SimConfig::default());
-        let coord =
-            CoordConfig { session_timeout: Duration::from_secs(1), ..CoordConfig::default() };
+        let coord = CoordConfig { session_timeout: Duration::from_secs(1) };
         build(&mut sim, DeploySpec { coord, ..DeploySpec::default() });
     }
 }

@@ -9,17 +9,18 @@
 //!   [`FaultKind::Partition`] cuts between two named sides and
 //!   [`FaultKind::OneWay`] only one direction (asymmetric gray failure).
 //! * **Test C** — "shutting down and restarting processes":
-//!   [`FaultKind::Crash`] / [`FaultKind::Restart`] (fresh in-memory state
-//!   on restart, like a real process).
+//!   [`FaultKind::Crash`], with a restart of the node it killed `restart_ms`
+//!   later (fresh in-memory state on restart, like a real process).
 //! * **Gray failures** — pauses, slow nodes, network-wide loss and
 //!   duplication, clock skew, and corrupted pool artifacts.
 //!
 //! A fault names its targets by [`NodeRef`] because the interesting nodes
 //! move: by the time the second fault of a run fires, the active may be two
 //! failovers away from where it started. [`inject`] resolves the targets
-//! against the deployment and the coordinator's view when the fault fires;
-//! a timed end (a restart, a heal, a cleared shape) acts on the nodes the
-//! start hit and never resolves them again.
+//! against the deployment and the coordinator's view when the fault fires.
+//! A fault carries its own end (a restart, a resume, a heal, a cleared
+//! shape or rate): no kind needs a partner action, and an end acts on the
+//! nodes the start hit and never resolves them again.
 
 use mams_coord::{CoordReq, CoordServer};
 use mams_core::ViewKey;
@@ -54,68 +55,41 @@ pub enum NodeRef {
 pub enum FaultKind {
     /// Kill the node (state lost; restartable), and restart that same node
     /// `restart_ms` later when given.
-    Crash {
-        node: NodeRef,
-        restart_ms: Option<u64>,
-    },
-    /// Bring a previously crashed node back.
-    Restart(NodeRef),
+    Crash { node: NodeRef, restart_ms: Option<u64> },
     /// Force the node's coordination session to expire (Test A).
     LockLoss(NodeRef),
     /// Unplug the node's network cable; plug it back `heal_ms` later
     /// (Test B).
-    Unplug {
-        node: NodeRef,
-        heal_ms: u64,
-    },
+    Unplug { node: NodeRef, heal_ms: u64 },
     /// Freeze the process without killing it (gray failure: a zombie that
-    /// later resumes believing it still holds its old role).
-    Pause(NodeRef),
-    Resume(NodeRef),
+    /// later resumes believing it still holds its old role), and resume
+    /// that same node `resume_ms` later.
+    Pause { node: NodeRef, resume_ms: u64 },
     /// Cut every link between the two sides (both directions). Nodes
     /// outside both sides keep full connectivity — unlike
     /// [`FaultKind::Unplug`]'s node-vs-world isolation.
-    Partition {
-        a: Vec<NodeRef>,
-        b: Vec<NodeRef>,
-        heal_ms: Option<u64>,
-    },
+    Partition { a: Vec<NodeRef>, b: Vec<NodeRef>, heal_ms: Option<u64> },
     /// Cut only `from → to` (asymmetric partition: acks flow, data does
     /// not).
-    OneWay {
-        from: Vec<NodeRef>,
-        to: Vec<NodeRef>,
-        heal_ms: Option<u64>,
-    },
+    OneWay { from: Vec<NodeRef>, to: Vec<NodeRef>, heal_ms: Option<u64> },
     /// Multiply every delivery latency on links touching the node
     /// (gray-slow node, not dead — heartbeats still arrive, late).
-    SlowNode {
-        node: NodeRef,
-        factor: f64,
-        clear_ms: Option<u64>,
-    },
-    /// Network-wide independent message loss.
-    GlobalLoss(f64),
-    /// Network-wide independent message duplication.
-    GlobalDup(f64),
+    SlowNode { node: NodeRef, factor: f64, clear_ms: Option<u64> },
+    /// Network-wide independent message loss, set back to 0 `clear_ms`
+    /// later.
+    GlobalLoss { p: f64, clear_ms: u64 },
+    /// Network-wide independent message duplication, set back to 0
+    /// `clear_ms` later.
+    GlobalDup { p: f64, clear_ms: u64 },
     /// Run the node's timers at `factor` speed (clock skew; 1.0 = clear).
-    ClockSkew {
-        node: NodeRef,
-        factor: f64,
-    },
+    ClockSkew { node: NodeRef, factor: f64 },
     /// Flip a byte in the group's checkpoint image in the shared pool
     /// (silent storage corruption mid-catch-up).
-    CorruptImage {
-        group: u32,
-    },
+    CorruptImage { group: u32 },
     /// Flip a byte in a mid-chain delta artifact (silent corruption of an
     /// incremental checkpoint; consumers must fall back down the recovery
     /// ladder, never apply the damage).
-    CorruptDelta {
-        group: u32,
-    },
-    /// Heal all cuts, clear all shapes, zero global loss/dup.
-    ClearNetwork,
+    CorruptDelta { group: u32 },
 }
 
 /// A fault at a time: one step of a fault program.
@@ -216,26 +190,27 @@ fn sever(
     for &(a, b) in &links {
         cut(sim.net_mut(), a, b);
     }
-    if let Some(ms) = heal_ms {
-        sim.after(Duration::from_millis(ms), move |s| {
-            for &(a, b) in &links {
-                heal(s.net_mut(), a, b);
-            }
-        });
-    }
+    end_after(sim, heal_ms, move |s| {
+        for &(a, b) in &links {
+            heal(s.net_mut(), a, b);
+        }
+    });
 }
 
-fn restart_if_down(sim: &mut Sim, n: NodeId) {
-    if sim.node_status(n) == NodeStatus::Down {
-        sim.restart(n);
+/// Run `end` `ms` later, if given.
+fn end_after(sim: &mut Sim, ms: Option<u64>, end: impl FnOnce(&mut Sim) + Send + 'static) {
+    if let Some(ms) = ms {
+        sim.after(Duration::from_millis(ms), end);
     }
 }
 
 /// Apply one fault right now and schedule its end, if it has one. Status
-/// guards make a fault a no-op when its target is already in the desired
-/// state, so shrunk programs (with crash/restart pairs broken up) stay
-/// well-formed.
-pub fn apply(sim: &mut Sim, d: &Deployment, kind: &FaultKind) {
+/// guards make a start a no-op when its target is already in the desired
+/// state (two faults can hit one node). A restart, resume or cleared rate
+/// acts only while its own fault is in force: not once the node crashed or
+/// restarted since (the engine's cleanup, which an end can outlast, restarts
+/// it too), nor once a later fault set another rate.
+fn apply(sim: &mut Sim, d: &Deployment, kind: &FaultKind) {
     match kind {
         FaultKind::Crash { node, restart_ms } => {
             let Some(n) = resolve(sim, d, *node) else { return };
@@ -243,14 +218,12 @@ pub fn apply(sim: &mut Sim, d: &Deployment, kind: &FaultKind) {
                 return;
             }
             sim.crash(n);
-            if let Some(ms) = restart_ms {
-                sim.after(Duration::from_millis(*ms), move |s| restart_if_down(s, n));
-            }
-        }
-        FaultKind::Restart(r) => {
-            if let Some(n) = resolve(sim, d, *r) {
-                restart_if_down(sim, n);
-            }
+            let epoch = sim.epoch(n);
+            end_after(sim, *restart_ms, move |s| {
+                if s.epoch(n) == epoch {
+                    s.restart(n);
+                }
+            });
         }
         FaultKind::LockLoss(r) => {
             if let Some(victim) = resolve(sim, d, *r) {
@@ -263,19 +236,18 @@ pub fn apply(sim: &mut Sim, d: &Deployment, kind: &FaultKind) {
                 sim.after(Duration::from_millis(*heal_ms), move |s| s.net_mut().rejoin(n));
             }
         }
-        FaultKind::Pause(r) => {
-            if let Some(n) = resolve(sim, d, *r) {
-                if sim.node_status(n) == NodeStatus::Up && !sim.is_paused(n) {
-                    sim.pause(n);
-                }
+        FaultKind::Pause { node, resume_ms } => {
+            let Some(n) = resolve(sim, d, *node) else { return };
+            if sim.node_status(n) != NodeStatus::Up || sim.is_paused(n) {
+                return;
             }
-        }
-        FaultKind::Resume(r) => {
-            if let Some(n) = resolve(sim, d, *r) {
-                if sim.is_paused(n) {
-                    sim.resume(n);
+            sim.pause(n);
+            let epoch = sim.epoch(n);
+            sim.after(Duration::from_millis(*resume_ms), move |s| {
+                if s.epoch(n) == epoch {
+                    s.resume(n);
                 }
-            }
+            });
         }
         FaultKind::Partition { a, b, heal_ms } => {
             let links = links(sim, d, a, b);
@@ -288,13 +260,27 @@ pub fn apply(sim: &mut Sim, d: &Deployment, kind: &FaultKind) {
         FaultKind::SlowNode { node, factor, clear_ms } => {
             if let Some(n) = resolve(sim, d, *node) {
                 sim.net_mut().shape_node(n, LinkShape::slow(*factor));
-                if let Some(ms) = clear_ms {
-                    sim.after(Duration::from_millis(*ms), move |s| s.net_mut().clear_node_shape(n));
-                }
+                end_after(sim, *clear_ms, move |s| s.net_mut().clear_node_shape(n));
             }
         }
-        FaultKind::GlobalLoss(p) => sim.net_mut().set_loss_probability(*p),
-        FaultKind::GlobalDup(p) => sim.net_mut().set_dup_probability(*p),
+        FaultKind::GlobalLoss { p, clear_ms } => {
+            let p = *p;
+            sim.net_mut().set_loss_probability(p);
+            sim.after(Duration::from_millis(*clear_ms), move |s| {
+                if s.net_mut().loss_probability() == p {
+                    s.net_mut().set_loss_probability(0.0);
+                }
+            });
+        }
+        FaultKind::GlobalDup { p, clear_ms } => {
+            let p = *p;
+            sim.net_mut().set_dup_probability(p);
+            sim.after(Duration::from_millis(*clear_ms), move |s| {
+                if s.net_mut().dup_probability() == p {
+                    s.net_mut().set_dup_probability(0.0);
+                }
+            });
+        }
         FaultKind::ClockSkew { node, factor } => {
             if let Some(n) = resolve(sim, d, *node) {
                 sim.set_clock_skew(n, *factor);
@@ -308,20 +294,13 @@ pub fn apply(sim: &mut Sim, d: &Deployment, kind: &FaultKind) {
             let hit = d.shared_pool.lock().group_mut(*group).corrupt_delta();
             sim.record(EXTERNAL, || FaultTrace::CorruptDelta { group: *group, hit });
         }
-        FaultKind::ClearNetwork => {
-            let net = sim.net_mut();
-            net.heal_all();
-            net.clear_shapes();
-            net.set_loss_probability(0.0);
-            net.set_dup_probability(0.0);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mams_sim::{Ctx, Message, Node, SimConfig};
+    use mams_sim::{Ctx, DetRng, Message, Node, SimConfig};
 
     struct Idle;
     impl Node for Idle {
@@ -352,6 +331,71 @@ mod tests {
         assert_eq!(sim.node_status(n), NodeStatus::Down);
         sim.run_until(SimTime(3_500_000));
         assert_eq!(sim.node_status(n), NodeStatus::Up);
+    }
+
+    #[test]
+    fn pause_resume_cycle() {
+        let (mut sim, d) = idle_group(1);
+        let kind = FaultKind::Pause { node: member(0), resume_ms: 2_000 };
+        inject(&mut sim, &d, SimTime(1_000_000), kind);
+        let n = d.initial_active(0);
+        sim.run_until(SimTime(1_500_000));
+        assert!(sim.is_paused(n));
+        sim.run_until(SimTime(3_500_000));
+        assert!(!sim.is_paused(n));
+    }
+
+    #[test]
+    fn global_loss_and_dup_clear() {
+        let (mut sim, d) = idle_group(2);
+        let (a, b) = (d.groups[0].members[0], d.groups[0].members[1]);
+        let loss = FaultKind::GlobalLoss { p: 1.0, clear_ms: 1_000 };
+        let dup = FaultKind::GlobalDup { p: 1.0, clear_ms: 2_000 };
+        inject(&mut sim, &d, SimTime(1_000_000), loss);
+        inject(&mut sim, &d, SimTime(1_000_000), dup);
+        let fate = |sim: &mut Sim| {
+            let f = sim.net_mut().route_fate(a, b, &mut DetRng::seed_from_u64(1));
+            (f.deliver.is_some(), f.duplicate.is_some())
+        };
+        sim.run_until(SimTime(1_500_000));
+        assert_eq!(fate(&mut sim), (false, false), "every message lost");
+        sim.run_until(SimTime(2_500_000));
+        assert_eq!(fate(&mut sim), (true, true), "loss cleared, every message doubled");
+        sim.run_until(SimTime(3_500_000));
+        assert_eq!(fate(&mut sim), (true, false), "both cleared");
+    }
+
+    #[test]
+    fn an_end_leaves_a_later_fault_standing() {
+        let (mut sim, d) = idle_group(2);
+        let (p, c) = (d.groups[0].members[0], d.groups[0].members[1]);
+        let ms = |t: u64| SimTime(t * 1_000);
+        let pause = |resume_ms| FaultKind::Pause { node: member(0), resume_ms };
+        let crash = |restart_ms| FaultKind::Crash { node: member(1), restart_ms: Some(restart_ms) };
+        let loss = |p, clear_ms| FaultKind::GlobalLoss { p, clear_ms };
+        // The first of each pair ends at 4 s, inside the second.
+        inject(&mut sim, &d, ms(1_000), pause(3_000));
+        inject(
+            &mut sim,
+            &d,
+            ms(1_500),
+            FaultKind::Crash { node: member(0), restart_ms: Some(500) },
+        );
+        inject(&mut sim, &d, ms(2_500), pause(5_000));
+        inject(&mut sim, &d, ms(1_000), crash(3_000));
+        inject(&mut sim, &d, ms(2_500), crash(5_000));
+        inject(&mut sim, &d, ms(1_000), loss(0.5, 3_000));
+        inject(&mut sim, &d, ms(2_500), loss(0.25, 5_000));
+        sim.run_until(ms(2_000));
+        sim.restart(c); // what the engine's cleanup does
+        sim.run_until(ms(5_000));
+        assert!(sim.is_paused(p), "the first pause's resume skips the second pause");
+        assert_eq!(sim.node_status(c), NodeStatus::Down, "and the first restart the second crash");
+        assert_eq!(sim.net_mut().loss_probability(), 0.25, "and the first clear the second rate");
+        sim.run_until(ms(8_000));
+        assert!(!sim.is_paused(p));
+        assert_eq!(sim.node_status(c), NodeStatus::Up);
+        assert_eq!(sim.net_mut().loss_probability(), 0.0);
     }
 
     #[test]

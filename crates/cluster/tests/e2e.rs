@@ -8,7 +8,7 @@ use mams_cluster::workload::Workload;
 use mams_cluster::DataServer;
 use mams_coord::CoordTrace;
 use mams_core::{MdsServer, MdsTrace};
-use mams_sim::{Duration, NodeStatus, Sim, SimConfig, SimTime};
+use mams_sim::{Duration, NodeStatus, Sim, SimConfig, SimTime, SimTrace};
 
 fn sim(seed: u64) -> Sim {
     Sim::new(SimConfig { seed, ..SimConfig::default() })
@@ -164,8 +164,8 @@ fn test_a_lock_loss_returns_old_active_as_standby() {
 fn a_fault_resolves_its_target_when_it_fires() {
     // Every fault is injected at boot, when the view names no successor
     // yet: `Active` must mean whoever holds the lock when the fault fires,
-    // and a crash's restart must bring back the node it crashed, not
-    // whoever is active by then.
+    // and a crash's restart or a pause's resume must act on the node its
+    // start hit, not on whoever is active by then.
     let mut s = sim(21);
     let mut d = build(&mut s, DeploySpec { standbys_per_group: 3, ..DeploySpec::default() });
     d.add_client(&mut s, Workload::create_only(0), Metrics::new(false));
@@ -179,11 +179,13 @@ fn a_fault_resolves_its_target_when_it_fires() {
         secs(40),
         FaultKind::Crash { node: active, restart_ms: Some(15_000) },
     );
+    faults::inject(&mut s, &d, secs(70), FaultKind::Pause { node: active, resume_ms: 15_000 });
     let view = |s: &Sim| faults::active_of(s, d.coord, 0).expect("the view names an active");
 
     s.run_until(secs(19));
     let successor = view(&s);
     assert_ne!(successor, d.initial_active(0), "a successor serves after the first crash");
+    assert!(d.groups[0].members.contains(&successor), "the view names a member");
     s.run_until(secs(39));
     let expired = s
         .trace()
@@ -197,6 +199,18 @@ fn a_fault_resolves_its_target_when_it_fires() {
     assert_ne!(view(&s), victim, "the view has moved on by the restart");
     s.run_until(secs(60));
     assert_eq!(s.node_status(victim), NodeStatus::Up, "the restart brings back n{victim}");
+
+    s.run_until(secs(69));
+    let paused = view(&s);
+    s.run_until(secs(84));
+    assert!(s.is_paused(paused), "the pause froze n{paused}");
+    let successor = view(&s);
+    assert_ne!(successor, paused, "the view has moved on by the resume");
+    s.run_until(secs(86));
+    assert!(!s.is_paused(paused), "the resume wakes n{paused}");
+    let mut pauses =
+        s.trace().of::<SimTrace>().filter(|(_, _, e)| matches!(e, SimTrace::Paused(_)));
+    assert!(pauses.all(|(_, n, _)| n == paused), "only n{paused} was ever paused");
 }
 
 #[test]

@@ -7,23 +7,20 @@ use mams_sim::{Ctx, Duration, Event, Message, Node, NodeId, SimTime};
 use crate::proto::{CoordEvent, CoordReq, CoordResp, KeyOp};
 
 const T_EXPIRY_SCAN: u64 = 1;
+/// How often to sweep for dead sessions (bounds detection latency on top of
+/// the timeout).
+const EXPIRY_SCAN: Duration = Duration::from_millis(250);
 
 /// Server tuning. Defaults follow the paper's experimental setup: 2 s
 /// heartbeats (client side), 5 s session timeout.
 #[derive(Debug, Clone, Copy)]
 pub struct CoordConfig {
     pub session_timeout: Duration,
-    /// How often to sweep for dead sessions (bounds detection latency on
-    /// top of the timeout).
-    pub expiry_scan: Duration,
 }
 
 impl Default for CoordConfig {
     fn default() -> Self {
-        CoordConfig {
-            session_timeout: Duration::from_secs(5),
-            expiry_scan: Duration::from_millis(250),
-        }
+        CoordConfig { session_timeout: Duration::from_secs(5) }
     }
 }
 
@@ -179,7 +176,7 @@ impl CoordServer {
 
 impl Node for CoordServer {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.cfg.expiry_scan, T_EXPIRY_SCAN);
+        ctx.set_timer(EXPIRY_SCAN, T_EXPIRY_SCAN);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -196,7 +193,7 @@ impl Node for CoordServer {
         for n in dead {
             self.expire_session(ctx, n);
         }
-        ctx.set_timer(self.cfg.expiry_scan, T_EXPIRY_SCAN);
+        ctx.set_timer(EXPIRY_SCAN, T_EXPIRY_SCAN);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Message) {

@@ -194,6 +194,14 @@ impl Network {
         self.loss_probability = p;
     }
 
+    pub fn loss_probability(&self) -> f64 {
+        self.loss_probability
+    }
+
+    pub fn dup_probability(&self) -> f64 {
+        self.dup_probability
+    }
+
     /// Set independent message-duplication probability.
     pub fn set_dup_probability(&mut self, p: f64) {
         assert!((0.0..=1.0).contains(&p), "dup probability out of range");

@@ -29,12 +29,6 @@ impl SimTime {
         self.0
     }
 
-    /// Whole milliseconds since simulation start (truncating).
-    #[inline]
-    pub fn millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Seconds since simulation start as a float (for reporting only).
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
@@ -72,11 +66,6 @@ impl Duration {
     #[inline]
     pub fn micros(self) -> u64 {
         self.0
-    }
-
-    #[inline]
-    pub fn millis(self) -> u64 {
-        self.0 / 1_000
     }
 
     #[inline]

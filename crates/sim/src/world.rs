@@ -231,6 +231,12 @@ impl Sim {
         self.kernel.meta[id as usize].status
     }
 
+    /// How many times the node has crashed or restarted: an action scheduled
+    /// for one incarnation of a process compares it to skip the next.
+    pub fn epoch(&self, id: NodeId) -> u64 {
+        self.kernel.meta[id as usize].epoch
+    }
+
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
