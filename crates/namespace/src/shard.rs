@@ -24,10 +24,12 @@
 //!   counter. A reader can [`pin`] the last stamp and see a point-in-time
 //!   namespace while mutations proceed: a mutation that runs while a pin is
 //!   registered preserves the displaced version of each inode it touches in
-//!   a per-slot history chain (copy-on-write at inode granularity). With no
-//!   pin registered — the common case — mutations write in place. The pins
-//!   are a multiset of epochs without a cap; the oldest is the watermark, and
-//!   dropping a view removes one copy of its epoch.
+//!   the table's history map, keyed by slot index (copy-on-write at inode
+//!   granularity), so a slot itself holds one version. With no pin
+//!   registered — the common case — mutations write in place and the map
+//!   stays empty. The pins are a multiset of epochs without a cap; the
+//!   oldest is the watermark, and dropping a view removes one copy of its
+//!   epoch.
 //!
 //! * **One pass per op.** A mutation resolves its parent directory (the
 //!   cache probe or the walk), then borrows the table once and touches each
@@ -42,13 +44,14 @@
 //!   that descent, so an op it refuses has taken a stamp and, under a pin,
 //!   displaced a copy equal to the newest version: no reader pinned or not
 //!   sees a difference, no inode id is spent, and the copy goes with the
-//!   next unpinned write of the slot (see `Slot::open`). The single-inode
-//!   ops (`add_block`, `close_file`, `set_perm`) check the inode as it
-//!   stands first, and a refused one takes no stamp.
+//!   next unpinned write of the slot (see `SlotTable::open`). The
+//!   single-inode ops (`add_block`, `close_file`, `set_perm`) check the
+//!   inode as it stands first, and a refused one takes no stamp.
 //!
-//! Version chains are pruned on the next write to a slot once the pins that
-//! needed them are gone; deletions performed while a pin was registered
-//! leave tombstones that the table sweeps at the start of a later mutation.
+//! A slot's history is pruned on the next write to it once the pins that
+//! needed it are gone, and dropped with the slot when it is freed;
+//! deletions performed while a pin was registered leave tombstones that the
+//! table sweeps at the start of a later mutation.
 //! A slot's index is reused only once it is freed — at the delete when no
 //! pin is registered, at the sweep otherwise — so no pinned reader ever
 //! finds another inode where the one it pinned was.
@@ -100,71 +103,26 @@ const CACHE_WAYS: usize = 4;
 /// replay session between two records.
 const GEN_SHIFT: u32 = 32;
 
-/// One inode's versions. `stamp`/`node` is the newest version; `hist` holds
-/// displaced versions (oldest first) and is empty unless mutations ran while
-/// a snapshot pin was registered. `node == None` is a tombstone — the inode
+/// One inode's newest version. `node == None` is a tombstone — the inode
 /// was deleted at `stamp` but an older version may still be pinned — or a
 /// free slot, on the table's free list. `gen` is the generation of the ids
-/// that name this slot now (see [`GEN_SHIFT`]).
+/// that name this slot now (see [`GEN_SHIFT`]). The versions a pinned
+/// reader may still need live beside the slots, in [`SlotTable::hist`].
 #[derive(Debug, Default)]
 struct Slot {
     stamp: Stamp,
     gen: u32,
     node: Option<Inode>,
-    hist: Vec<(Stamp, Option<Inode>)>,
 }
+
+// Every member holds one row per inode, so a field added here costs inodes × members.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Slot>() == 48);
 
 impl Slot {
     /// Newest version (what unpinned readers and mutators see).
     fn latest(&self) -> Option<&Inode> {
         self.node.as_ref()
-    }
-
-    /// The version visible at `epoch`, if the inode existed then.
-    fn at(&self, epoch: Stamp) -> Option<&Inode> {
-        if self.stamp <= epoch {
-            return self.node.as_ref();
-        }
-        self.hist.iter().rev().find(|(s, _)| *s <= epoch).and_then(|(_, n)| n.as_ref())
-    }
-
-    /// Version visible at `epoch`, or newest when `epoch` is `None`.
-    fn view(&self, epoch: Option<Stamp>) -> Option<&Inode> {
-        match epoch {
-            None => self.latest(),
-            Some(e) => self.at(e),
-        }
-    }
-
-    /// Open the newest version for writing at `stamp`. `keep` is the oldest
-    /// registered pin epoch: when present, the displaced version is pushed
-    /// onto the history chain (after pruning what no pin can read any more);
-    /// when absent the chain is cleared and the write happens in place.
-    /// Idempotent per stamp, so one op may touch a slot twice.
-    ///
-    /// A directory is opened *before* its one descent says whether the op
-    /// goes through, so an op refused there (the name is taken or missing,
-    /// the directory is not empty) has opened the slot and, once it has put
-    /// back what it took out, written nothing: every reader sees what it saw,
-    /// a pinned one through a displaced copy equal to the newest version,
-    /// which the next unpinned write clears like any other.
-    fn open(&mut self, stamp: Stamp, keep: Option<Stamp>) -> &mut Option<Inode> {
-        if self.stamp == stamp {
-            return &mut self.node;
-        }
-        match keep {
-            None => self.hist.clear(),
-            Some(w) => {
-                // Keep the newest history entry at-or-below the oldest pin
-                // (it serves that pin) and everything newer.
-                if let Some(pos) = self.hist.iter().rposition(|(s, _)| *s <= w) {
-                    self.hist.drain(..pos);
-                }
-                self.hist.push((self.stamp, self.node.clone()));
-            }
-        }
-        self.stamp = stamp;
-        &mut self.node
     }
 }
 
@@ -174,6 +132,11 @@ struct SlotTable {
     /// Id `g << GEN_SHIFT | i` is `slots[i]` while that slot's generation
     /// is `g`.
     slots: Vec<Slot>,
+    /// The displaced versions of slot `i` (oldest first), for the pinned
+    /// readers: an entry only for a slot written while a pin was
+    /// registered, dropped at the slot's next unpinned write or when the
+    /// slot is freed.
+    hist: BTreeMap<u32, Vec<(Stamp, Option<Inode>)>>,
     /// Freed indexes, the last freed reused first.
     free: Vec<u32>,
     /// Tombstoned ids awaiting the no-pins sweep.
@@ -190,18 +153,65 @@ impl SlotTable {
         self.slots.get(id as u32 as usize).filter(|s| s.gen == (id >> GEN_SHIFT) as u32)
     }
 
-    fn get_mut(&mut self, id: InodeId) -> Option<&mut Slot> {
-        self.slots.get_mut(id as u32 as usize).filter(|s| s.gen == (id >> GEN_SHIFT) as u32)
-    }
-
-    /// The version of `id` visible at `epoch` (newest when `None`).
+    /// The version of `id` visible at `epoch` (newest when `None`), if the
+    /// inode existed then.
     fn inode(&self, id: InodeId, epoch: Option<Stamp>) -> Option<&Inode> {
-        self.get(id)?.view(epoch)
+        let slot = self.get(id)?;
+        match epoch {
+            Some(e) if slot.stamp > e => {
+                let hist = self.hist.get(&(id as u32))?;
+                hist.iter().rev().find(|(s, _)| *s <= e).and_then(|(_, n)| n.as_ref())
+            }
+            _ => slot.latest(),
+        }
     }
 
     /// Whether the newest version of `id` is a directory.
     fn has_live_dir(&self, id: InodeId) -> bool {
         self.get(id).and_then(Slot::latest).is_some_and(Inode::is_dir)
+    }
+
+    /// Open the newest version of `id` for writing at `stamp`, unless `id`
+    /// went stale. `keep` is the oldest registered pin epoch: when present,
+    /// the displaced version is pushed onto the slot's history (after
+    /// pruning what no pin can read any more); when absent the history is
+    /// dropped and the write happens in place. Idempotent per stamp, so one
+    /// op may touch a slot twice.
+    ///
+    /// A directory is opened *before* its one descent says whether the op
+    /// goes through, so an op refused there (the name is taken or missing,
+    /// the directory is not empty) has opened the slot and, once it has put
+    /// back what it took out, written nothing: every reader sees what it saw,
+    /// a pinned one through a displaced copy equal to the newest version,
+    /// which the next unpinned write drops like any other.
+    fn open(
+        &mut self,
+        id: InodeId,
+        stamp: Stamp,
+        keep: Option<Stamp>,
+    ) -> Option<&mut Option<Inode>> {
+        let index = id as u32;
+        let slot =
+            self.slots.get_mut(index as usize).filter(|s| s.gen == (id >> GEN_SHIFT) as u32)?;
+        if slot.stamp != stamp {
+            match keep {
+                // A lookup in an empty map, as it is with no pin in sight.
+                None => {
+                    self.hist.remove(&index);
+                }
+                Some(w) => {
+                    let hist = self.hist.entry(index).or_default();
+                    // Keep the newest entry at-or-below the oldest pin (it
+                    // serves that pin) and everything newer.
+                    if let Some(pos) = hist.iter().rposition(|(s, _)| *s <= w) {
+                        hist.drain(..pos);
+                    }
+                    hist.push((slot.stamp, slot.node.clone()));
+                }
+            }
+            slot.stamp = stamp;
+        }
+        Some(&mut slot.node)
     }
 
     /// The id the next [`take`](Self::take) hands out. Reading it takes
@@ -229,11 +239,13 @@ impl SlotTable {
         Self::id(index, slot.gen)
     }
 
-    /// Free the slot of `id` for reuse: every id naming it goes stale.
+    /// Free the slot of `id` for reuse: every id naming it goes stale, and
+    /// its history goes with it.
     fn free(&mut self, id: InodeId) {
         let index = id as u32;
         let slot = &mut self.slots[index as usize];
         *slot = Slot { gen: slot.gen.wrapping_add(1), ..Slot::default() };
+        self.hist.remove(&index);
         self.free.push(index);
     }
 }
@@ -526,13 +538,12 @@ impl ShardedNamespace {
         self.num_dirs.get()
     }
 
-    /// Displaced versions still chained behind live inodes for pinned
-    /// readers. A write with no pin registered clears its slot's chain, so
-    /// once every pin is gone this falls to 0 as the inodes are next
-    /// written.
+    /// Displaced versions the table's history map keeps for pinned readers,
+    /// tombstones' included. A write with no pin registered drops its
+    /// slot's history and the sweep drops a tombstone's, so once every pin
+    /// is gone this falls to 0 as the inodes are next written.
     pub fn displaced_versions(&self) -> usize {
-        let table = self.table.borrow();
-        table.slots.iter().filter(|s| s.node.is_some()).map(|s| s.hist.len()).sum()
+        self.table.borrow().hist.values().map(Vec::len).sum()
     }
 
     /// Resolution-cache counters (`bench_e2e` reports them as
@@ -1349,7 +1360,7 @@ impl ShardedNamespace {
         stamp: Stamp,
         keep: Option<Stamp>,
     ) -> &mut BTreeMap<Name, InodeId> {
-        match table.get_mut(dir).and_then(|slot| slot.open(stamp, keep).as_mut()) {
+        match table.open(dir, stamp, keep).and_then(Option::as_mut) {
             Some(Inode::Directory { children, .. }) => children,
             _ => unreachable!("inode {dir} was seen a live directory"),
         }
@@ -1402,7 +1413,7 @@ impl ShardedNamespace {
         if keep.is_none() {
             table.free(id);
         } else {
-            *table.get_mut(id).expect("seen live").open(stamp, keep) = None;
+            *table.open(id, stamp, keep).expect("seen live") = None;
             table.dead.push(id);
         }
     }
@@ -1460,9 +1471,7 @@ impl ShardedNamespace {
         )?;
         let keep = self.watermark();
         let s = self.alloc_stamp();
-        apply(
-            table.get_mut(id).and_then(|slot| slot.open(s, keep).as_mut()).expect("checked above"),
-        );
+        apply(table.open(id, s, keep).and_then(Option::as_mut).expect("checked above"));
         Ok(())
     }
 }
@@ -1765,17 +1774,24 @@ mod tests {
     fn snapshot_view_is_stable() {
         let s = ShardedNamespace::new();
         s.mkdir("/d").unwrap();
+        s.mkdir("/d/sub").unwrap();
         s.create("/d/old", 1).unwrap();
+        s.create("/d/kept", 1).unwrap();
         let before = s.list("/d").unwrap();
         let view = s.pin();
         s.create("/d/new", 1).unwrap();
         s.delete("/d/old", false).unwrap();
         s.set_perm("/d", 0o700).unwrap();
+        s.set_perm("/d/kept", 0o600).unwrap();
+        s.rename("/d/sub", "/moved").unwrap();
         // The view still sees the pinned state…
         assert_eq!(view.list("/d").unwrap(), before);
         assert!(view.exists("/d/old"));
         assert!(!view.exists("/d/new"));
+        assert!(view.exists("/d/sub") && !view.exists("/moved"));
         assert_eq!(view.getfileinfo("/d").unwrap().perm, DEFAULT_PERM);
+        assert_eq!(view.getfileinfo("/d/kept").unwrap().perm, DEFAULT_PERM);
+        assert_eq!(s.table.borrow().dead.len(), 1, "the delete under the pin left a tombstone");
         // …while the latest state moved on.
         assert!(!s.exists("/d/old"));
         assert!(s.exists("/d/new"));
@@ -1785,7 +1801,18 @@ mod tests {
         assert!(view2.exists("/d/new"));
         drop(view2);
         drop(view);
-        // With pins gone, later mutations reclaim history and tombstones.
+        // With pins gone, later mutations reclaim history and tombstones:
+        // the first sweeps the tombstone, and writing each slot written
+        // under the pin — the root, `/d`, `/d/kept` — drops its history.
+        assert!(s.displaced_versions() > 0);
+        for p in ["/", "/d", "/d/kept"] {
+            s.set_perm(p, 0o750).unwrap();
+        }
+        assert_eq!(s.displaced_versions(), 0);
+        let table = s.table.borrow();
+        assert!(table.dead.is_empty(), "the sweep freed the tombstone");
+        assert!(table.hist.is_empty(), "history outlived its pin: {:?}", table.hist.keys());
+        drop(table);
         s.create("/d/later", 1).unwrap();
         assert!(s.exists("/d/later"));
     }

@@ -12,12 +12,15 @@
 # change. Workloads default to every one BENCHMARK.json names.
 #
 # stdout is the record (results/PR<n>_bench_e2e_compare.txt is this output):
-# a header, one line per pair (with both sides' peak_rss_mb and setup_s), a
-# claim verdict per workload, then `bench_e2e --compare`'s table. The verdict
-# is the rule a claimed gain in cpu_ns_per_op must meet: the change lower in
-# at least nine of ten pairs (ties count for neither), and its median below the
-# parent's by more than the parent's quartile spread (q3 - q1, quartiles
-# interpolated linearly between the sorted runs); it reads `holds` or `fails`.
+# a header, one line per pair (with both sides' peak_rss_mb and setup_s),
+# three claim verdicts per workload, then `bench_e2e --compare`'s table. A
+# verdict is the rule a claimed gain must meet, applied to each
+# machine-measured end-to-end metric — cpu_ns_per_op, peak_rss_mb and
+# setup_s, all lower-is-better — whichever the change claims: the change
+# lower in at least nine of ten pairs (ties count for neither), and its
+# median below the parent's by more than the parent's quartile spread
+# (q3 - q1, quartiles interpolated linearly between the sorted runs); it
+# reads `holds` or `fails`.
 # The two sets are left in $OUT (default a fresh directory under
 # ${TMPDIR:-/tmp}) as parent.json and change.json, in the form `--compare`
 # reads. Exit status is `--compare`'s: non-zero when a metric is out of
@@ -25,7 +28,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,24s/^# \{0,1\}//p' "$0" >&2
+    sed -n '2,27s/^# \{0,1\}//p' "$0" >&2
     exit 2
 fi
 parent=$1
@@ -51,11 +54,12 @@ mkdir -p "$out"
 metric() { sed -n "s/.*\"$2\": {\"value\": \([-0-9.e+]*\).*/\1/p" <<<"$1"; }
 field() { sed -n "s/.*\"$2\": \([a-z0-9]*\).*/\1/p" <<<"$1"; }
 virtual="commit_p50_us commit_p99_us commit_p999_us virt_ops_per_s mttr_ms"
+measured="cpu_ns_per_op peak_rss_mb setup_s"
 
-# The claim verdict for one workload from its pairs' cpu_ns_per_op: "a b" per
-# line, parent first.
+# The claim verdict for workload $1 from its pairs' values of metric $2: "a b"
+# per line, parent first.
 verdict() {
-    awk -v w="$1" '
+    awk -v w="$1" -v m="$2" '
         function q(v, n, f,   i, x) { x = f * (n - 1); i = int(x); return v[i + 1] + (x - i) * (v[i + 2] - v[i + 1]) }
         function sorted(v, n,   i, j, t) {
             for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
@@ -65,8 +69,8 @@ verdict() {
             sorted(a, n); sorted(b, n)
             ma = q(a, n, 0.5); mb = q(b, n, 0.5); spread = q(a, n, 0.75) - q(a, n, 0.25)
             ok = won * 10 >= 9 * n && ma - mb > spread
-            printf "%s: cpu_ns_per_op lower with the change in %d of %d pairs; median %.0f -> %.0f (%+.1f%%), parent quartile spread %.0f (%.1f%%): claim %s\n",
-                w, won, n, ma, mb, 100 * (mb - ma) / ma, spread, 100 * spread / ma, ok ? "holds" : "fails"
+            printf "%s: %s lower with the change in %d of %d pairs; median %g -> %g (%+.1f%%), parent quartile spread %g (%.1f%%): claim %s\n",
+                w, m, won, n, ma, mb, 100 * (mb - ma) / ma, spread, 100 * spread / ma, ok ? "holds" : "fails"
         }'
 }
 
@@ -75,7 +79,7 @@ declare -A bin=([parent]=$parent [change]=$change)
 lines=""
 counts=""
 for w in "${workloads[@]}"; do
-    cpus=""
+    declare -A values=()
     for ((seed = first; seed < first + pairs; seed++)); do
         if ((seed % 2 == 0)); then order="parent change"; else order="change parent"; fi
         declare -A result=()
@@ -90,9 +94,11 @@ for w in "${workloads[@]}"; do
         for m in $virtual; do
             [ "$(metric "${result[parent]}" "$m")" = "$(metric "${result[change]}" "$m")" ] || same="VIRT-DIFFERS($m)"
         done
+        for m in $measured; do
+            values[$m]+="$(metric "${result[parent]}" "$m") $(metric "${result[change]}" "$m")"$'\n'
+        done
         a=$(metric "${result[parent]}" cpu_ns_per_op)
         b=$(metric "${result[change]}" cpu_ns_per_op)
-        cpus+="$a $b"$'\n'
         line=$(awk -v a="$a" -v b="$b" 'BEGIN { printf "cpu %.0f -> %.0f (%+.1f%%)", a, b, 100 * (b - a) / a }')
         line="$w $seed first=${order%% *} $same $line"
         line+=$(awk -v a="$(metric "${result[parent]}" peak_rss_mb)" -v b="$(metric "${result[change]}" peak_rss_mb)" \
@@ -103,7 +109,9 @@ for w in "${workloads[@]}"; do
         echo "$line" >&2
         lines+="#   $line"$'\n'
     done
-    counts+="#   $(verdict "$w" <<<"${cpus%$'\n'}")"$'\n'
+    for m in $measured; do
+        counts+="#   $(verdict "$w" "$m" <<<"${values[$m]%$'\n'}")"$'\n'
+    done
 done
 for side in parent change; do
     echo "{\"quick\": false, \"seconds\": $seconds, \"runs\": [${runs[$side]}]}" >"$out/$side.json"
