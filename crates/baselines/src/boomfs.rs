@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use mams_core::{FsOp, MdsResp, OpOutput, Prefix};
+use mams_core::{FsOp, MdsResp, NsError, OpOutput, Prefix};
 use mams_paxos::rsm::{MsgOf, RsmApp, RsmConfig, RsmNode, RsmTrace};
 use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim};
 
@@ -40,7 +40,7 @@ pub struct NsApp(Prefix);
 impl RsmApp for NsApp {
     type Cmd = FsOp;
     type Query = FsOp;
-    type Reply = Result<OpOutput, String>;
+    type Reply = Result<OpOutput, NsError>;
 
     fn apply(&mut self, _slot: u64, op: &FsOp) {
         // Validation happens at apply time in an RSM; a failed op is a
@@ -48,7 +48,7 @@ impl RsmApp for NsApp {
         let _ = self.0.exec(op.clone());
     }
 
-    fn query(&mut self, op: &FsOp) -> Result<OpOutput, String> {
+    fn query(&mut self, op: &FsOp) -> Result<OpOutput, NsError> {
         self.0.exec(op.clone()).map(|(_, out)| out)
     }
 }

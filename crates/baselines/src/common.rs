@@ -6,7 +6,9 @@ use std::sync::Arc;
 
 use mams_coord::{CoordClient, CoordEvent, CoordResp, Incoming, KeyOp};
 use mams_core::retry::RetryCache;
-use mams_core::{CpuModel, FsOp, Ingress, IngressItem, MdsReq, MdsResp, OpOutput, Prefix, ViewKey};
+use mams_core::{
+    CpuModel, FsOp, Ingress, IngressItem, MdsReq, MdsResp, NsError, OpOutput, Prefix, ViewKey,
+};
 use mams_journal::{CodecError, SharedBatch, Sn, Txn};
 use mams_sim::{Ctx, Duration, Event, Message, NodeId};
 
@@ -53,8 +55,8 @@ pub enum BaselineTrace {
 
 impl Event for BaselineTrace {}
 
-/// A client reply waiting on durability: `(client, seq, result)`.
-pub type PendingReply = (NodeId, u64, Result<OpOutput, String>);
+/// An applied mutation's reply waiting on durability: `(client, seq, output)`.
+pub type PendingReply = (NodeId, u64, OpOutput);
 
 /// What every comparator has in common with every other: a session with
 /// the coordination service and the `g/0/active` pointer clients route by,
@@ -206,7 +208,7 @@ impl NameNode {
         match self.prefix.exec(op) {
             Ok((Some(txn), out)) => {
                 self.records.push(txn);
-                self.pending.push((from, seq, Ok(out)));
+                self.pending.push((from, seq, out));
             }
             Ok((None, out)) => self.reply(ctx, from, seq, Ok(out)),
             Err(e) => self.reply(ctx, from, seq, Err(e)),
@@ -232,7 +234,7 @@ impl NameNode {
         ctx: &mut Ctx<'_>,
         to: NodeId,
         seq: u64,
-        result: Result<OpOutput, String>,
+        result: Result<OpOutput, NsError>,
     ) {
         let resp = Arc::new(MdsResp::Reply { seq, result });
         self.retry.store(to, seq, resp.clone());
@@ -241,8 +243,8 @@ impl NameNode {
 
     /// Send the replies of a batch that has become durable.
     pub fn release(&mut self, ctx: &mut Ctx<'_>, replies: Vec<PendingReply>) {
-        for (to, seq, result) in replies {
-            self.reply(ctx, to, seq, result);
+        for (to, seq, output) in replies {
+            self.reply(ctx, to, seq, Ok(output));
         }
     }
 

@@ -73,7 +73,7 @@ mod tests {
     use mams_cluster::metrics::Metrics;
     use mams_cluster::workload::Workload;
     use mams_cluster::{ClientConfig, FsClient};
-    use mams_core::{FsOp, MdsReq, MdsResp, OpOutput};
+    use mams_core::{FsOp, MdsReq, MdsResp, NsError, OpOutput};
     use mams_namespace::Partitioner;
     use mams_sim::{DetRng, Sim, SimConfig};
     use std::sync::{Arc, Mutex};
@@ -104,7 +104,7 @@ mod tests {
     /// reply arrives — the retry of a client whose first reply was slow.
     struct Retrier {
         nn: NodeId,
-        replies: Arc<Mutex<Vec<Result<OpOutput, String>>>>,
+        replies: Arc<Mutex<Vec<Result<OpOutput, NsError>>>>,
     }
 
     impl Retrier {

@@ -33,7 +33,7 @@
 use std::collections::{HashMap, HashSet};
 
 use mams_cluster::OpRecord;
-use mams_core::{FsOp, OpOutput};
+use mams_core::{FsOp, NsError, OpOutput};
 
 /// Search budget: explored configurations per component.
 const BUDGET: u64 = 400_000;
@@ -90,8 +90,6 @@ struct Branch {
     pre: Pre,
     eff: Option<Eff>,
 }
-
-const NOOP: Branch = Branch { pre: Pre::None, eff: None };
 
 #[derive(Debug)]
 struct Entry {
@@ -160,20 +158,39 @@ fn success_branch(op: &FsOp, slot: impl Fn(&str) -> u8) -> Option<Branch> {
     }
 }
 
-/// The branch explaining an *error* outcome (a no-op whose precondition is
-/// the state the error claims). Unknown errors are unconstrained no-ops.
-fn error_branch(op: &FsOp, err: &str, slot: impl Fn(&str) -> u8) -> Branch {
-    let exists = err.contains("already exists");
-    let missing = err.contains("no such file");
+/// The branch explaining an *error* outcome: a no-op whose precondition is
+/// the state the error proves. No `_` arm: CI's clippy refuses a new
+/// variant until this says what it proves.
+#[deny(clippy::wildcard_enum_match_arm)]
+fn error_branch(op: &FsOp, err: &NsError, slot: impl Fn(&str) -> u8) -> Branch {
+    let (taken, missing) = claimed_names(op);
+    let pre = match err {
+        NsError::AlreadyExists(_) => taken.map_or(Pre::None, |p| Pre::Present(slot(p))),
+        NsError::NotFound(_) => missing.map_or(Pre::None, |p| Pre::Absent(slot(p))),
+        // These speak of a parent, a child, a file's state or a path's form,
+        // which the flat `Absent | File | Dir` model does not hold: they stay
+        // unconstrained until the checker models a tree (ROADMAP item 22(c)).
+        NsError::Invalid(_)
+        | NsError::ParentNotFound(_)
+        | NsError::ParentNotDirectory(_)
+        | NsError::NotEmpty(_)
+        | NsError::IsDirectory(_)
+        | NsError::IsFile(_)
+        | NsError::FileSealed(_)
+        | NsError::RenameIntoSelf { .. }
+        | NsError::RootImmutable => Pre::None,
+    };
+    Branch { pre, eff: None }
+}
+
+/// The name an op's `AlreadyExists` proves present, and the name its
+/// `NotFound` proves absent.
+fn claimed_names(op: &FsOp) -> (Option<&str>, Option<&str>) {
     match op {
-        FsOp::Create { path, .. } | FsOp::Mkdir { path } if exists => {
-            Branch { pre: Pre::Present(slot(path)), eff: None }
-        }
-        FsOp::Delete { path, .. } if missing => Branch { pre: Pre::Absent(slot(path)), eff: None },
-        FsOp::Rename { src, .. } if missing => Branch { pre: Pre::Absent(slot(src)), eff: None },
-        FsOp::Rename { dst, .. } if exists => Branch { pre: Pre::Present(slot(dst)), eff: None },
-        FsOp::GetFileInfo { path } if missing => Branch { pre: Pre::Absent(slot(path)), eff: None },
-        _ => NOOP,
+        FsOp::Create { path, .. } | FsOp::Mkdir { path } => (Some(path), None),
+        FsOp::Delete { path, .. } | FsOp::GetFileInfo { path } => (None, Some(path)),
+        FsOp::Rename { src, dst } => (Some(dst), Some(src)),
+        _ => (None, None),
     }
 }
 
@@ -270,31 +287,23 @@ fn build_components(records: &[OpRecord]) -> Vec<Component> {
             let is_mutation = r.op.is_mutation();
 
             let mut branches = Vec::new();
-            match (&r.op, r.completed_us, r.ok) {
-                (FsOp::GetFileInfo { path }, Some(_), Some(true)) => {
-                    match &r.output {
-                        Some(OpOutput::Info(fi)) => branches
-                            .push(Branch { pre: Pre::IsDir(slot(path), fi.is_dir), eff: None }),
-                        _ => branches.push(Branch { pre: Pre::Present(slot(path)), eff: None }),
-                    };
+            match (&r.op, &r.result, r.ok) {
+                (FsOp::GetFileInfo { path }, Some(Ok(OpOutput::Info(fi))), _) => {
+                    branches.push(Branch { pre: Pre::IsDir(slot(path), fi.is_dir), eff: None })
                 }
-                (op, Some(_), Some(false)) => {
-                    let err = r.error.as_deref().unwrap_or("");
-                    branches.push(error_branch(op, err, slot));
-                }
-                (op, Some(_), _) if is_mutation => {
+                (op, Some(Err(e)), Some(false)) => branches.push(error_branch(op, e, slot)),
+                (op, Some(result), _) if is_mutation => {
                     // Completed successfully.
                     if let Some(b) = success_branch(op, slot) {
                         branches.push(b);
                     }
-                    if r.reconciled {
-                        // The success the client reported was inferred from
-                        // a retry error ("already exists" / "no such
-                        // file"): either its own earlier execution applied,
-                        // or it never executed and the error is a truthful
-                        // no-op. Both worlds must be explorable.
-                        let err = r.error.as_deref().unwrap_or("");
-                        branches.push(error_branch(op, err, slot));
+                    if let Err(e) = result {
+                        // Reconciled: the success the client reported was
+                        // inferred from a retry error (`AlreadyExists` /
+                        // `NotFound`): either its own earlier execution
+                        // applied, or it never executed and the error is a
+                        // truthful no-op. Both worlds must be explorable.
+                        branches.push(error_branch(op, e, slot));
                     }
                 }
                 (op, None, _) if is_mutation => {
@@ -302,7 +311,7 @@ fn build_components(records: &[OpRecord]) -> Vec<Component> {
                     if let Some(b) = success_branch(op, slot) {
                         branches.push(b);
                     }
-                    branches.push(NOOP);
+                    branches.push(Branch { pre: Pre::None, eff: None });
                 }
                 _ => continue, // unanswered read (already filtered) or non-model op
             }
@@ -394,21 +403,12 @@ fn witness(c: &Component) -> String {
     recs.sort_by_key(|r| r.invoked_us);
     let mut out = String::from("no valid linearization for component:\n");
     for r in recs.iter().take(48) {
-        let outcome = match (r.completed_us, r.ok) {
+        let outcome = match (&r.result, r.ok) {
             (None, _) => "?".to_string(),
-            (Some(_), Some(true)) => {
-                if r.reconciled {
-                    "ok (reconciled)".to_string()
-                } else {
-                    match &r.output {
-                        Some(OpOutput::Info(fi)) => {
-                            format!("ok is_dir={}", fi.is_dir)
-                        }
-                        _ => "ok".to_string(),
-                    }
-                }
-            }
-            _ => format!("err {}", r.error.as_deref().unwrap_or("?")),
+            (Some(Err(_)), Some(true)) => "ok (reconciled)".to_string(),
+            (Some(Err(e)), _) => format!("err {e}"),
+            (Some(Ok(OpOutput::Info(fi))), _) => format!("ok is_dir={}", fi.is_dir),
+            (Some(Ok(_)), _) => "ok".to_string(),
         };
         out.push_str(&format!(
             "  c{} [{} .. {}] x{} {:?} -> {}\n",
@@ -464,12 +464,15 @@ mod tests {
             invoked_us: window.0,
             completed_us: window.1,
             ok,
-            output: ok.filter(|o| *o).map(|_| OpOutput::Done),
-            error: None,
+            result: ok.map(|_| Ok(OpOutput::Done)),
             attempts,
-            reconciled: false,
             is_setup: false,
         }
+    }
+
+    /// A completed record the server refused with `err`.
+    fn failed(client: u32, op: FsOp, window: (u64, Option<u64>), err: NsError) -> OpRecord {
+        OpRecord { result: Some(Err(err)), ..rec(client, op, window, Some(false), 1) }
     }
 
     fn create(p: &str) -> FsOp {
@@ -508,7 +511,7 @@ mod tests {
         // delete committed, then a later read still sees the file — with
         // no concurrency to hide behind this cannot linearize.
         let mut read = rec(0, getinfo("/hot/f0"), (4, Some(5)), Some(true), 1);
-        read.output = Some(info_file("/hot/f0"));
+        read.result = Some(Ok(info_file("/hot/f0")));
         let recs = vec![
             rec(0, create("/hot/f0"), (0, Some(1)), Some(true), 1),
             rec(0, delete("/hot/f0"), (2, Some(3)), Some(true), 1),
@@ -519,9 +522,8 @@ mod tests {
 
     #[test]
     fn concurrent_create_explains_exists_error() {
-        let mut err = rec(1, create("/hot/f0"), (0, Some(4)), Some(false), 1);
-        err.error = Some("/hot/f0: already exists".into());
-        err.output = None;
+        let err =
+            failed(1, create("/hot/f0"), (0, Some(4)), NsError::AlreadyExists("/hot/f0".into()));
         let recs = vec![rec(0, create("/hot/f0"), (1, Some(2)), Some(true), 1), err];
         assert!(matches!(check_history(&recs), CheckOutcome::Ok { .. }));
     }
@@ -536,7 +538,7 @@ mod tests {
             rec(1, delete("/hot/f0"), (5, Some(6)), Some(true), 1),
             {
                 let mut read = rec(1, getinfo("/hot/f0"), (8, Some(9)), Some(true), 1);
-                read.output = Some(info_file("/hot/f0"));
+                read.result = Some(Ok(info_file("/hot/f0")));
                 read
             },
         ];
@@ -545,12 +547,11 @@ mod tests {
 
     #[test]
     fn reconciled_delete_explores_both_worlds() {
-        // Delete retried across a failover, answered "no such file",
+        // Delete retried across a failover, answered `NotFound`,
         // reconciled to ok. World A: its first execution deleted the file.
         // World B: client 1's delete did. Either way the history checks.
         let mut d = rec(0, delete("/hot/f0"), (2, Some(30)), Some(true), 2);
-        d.reconciled = true;
-        d.error = Some("/hot/f0: no such file or directory".into());
+        d.result = Some(Err(NsError::NotFound("/hot/f0".into())));
         let recs = vec![
             rec(0, create("/hot/f0"), (0, Some(1)), Some(true), 1),
             d,
@@ -572,14 +573,14 @@ mod tests {
             ),
             {
                 let mut read = rec(1, getinfo("/hot/g0"), (4, Some(5)), Some(true), 1);
-                read.output = Some(info_file("/hot/g0"));
+                read.result = Some(Ok(info_file("/hot/g0")));
                 read
             },
         ];
         assert!(matches!(check_history(&recs), CheckOutcome::Ok { .. }));
         // And the moved-away source must read absent, not present.
         let mut bad = rec(1, getinfo("/hot/f0"), (6, Some(7)), Some(true), 1);
-        bad.output = Some(info_file("/hot/f0"));
+        bad.result = Some(Ok(info_file("/hot/f0")));
         let mut recs2 = recs;
         recs2.push(bad);
         assert!(check_history(&recs2).is_violation());
@@ -590,12 +591,10 @@ mod tests {
         // A create that never came back: both a later "exists" error and a
         // later "missing" read must be explainable.
         let lost = rec(0, create("/hot/f0"), (0, None), None, 3);
-        let mut err = rec(1, create("/hot/f0"), (10, Some(11)), Some(false), 1);
-        err.error = Some("/hot/f0: already exists".into());
-        err.output = None;
-        let mut missing = rec(1, getinfo("/hot/f0"), (10, Some(11)), Some(false), 1);
-        missing.error = Some("/hot/f0: no such file or directory".into());
-        missing.output = None;
+        let exists = NsError::AlreadyExists("/hot/f0".into());
+        let err = failed(1, create("/hot/f0"), (10, Some(11)), exists);
+        let missing = NsError::NotFound("/hot/f0".into());
+        let missing = failed(1, getinfo("/hot/f0"), (10, Some(11)), missing);
         assert!(matches!(check_history(&[lost.clone(), err]), CheckOutcome::Ok { .. }));
         assert!(matches!(check_history(&[lost, missing]), CheckOutcome::Ok { .. }));
     }
@@ -606,10 +605,24 @@ mod tests {
         // read sees the file absent. An ack promises durability, so this
         // cannot linearize.
         let acked = rec(0, create("/hot/f0"), (0, Some(1)), Some(true), 1);
-        let mut missing = rec(0, getinfo("/hot/f0"), (10, Some(11)), Some(false), 1);
-        missing.error = Some("/hot/f0: no such file or directory".into());
-        missing.output = None;
+        let missing = NsError::NotFound("/hot/f0".into());
+        let missing = failed(0, getinfo("/hot/f0"), (10, Some(11)), missing);
         assert!(check_history(&[acked, missing]).is_violation());
+    }
+
+    #[test]
+    fn an_error_is_read_by_its_variant_not_its_text() {
+        // A path may hold spaces, so `/hot/no such file` names a directory.
+        // Refusing to delete it because it holds children proves nothing
+        // in the flat model, whatever its text says.
+        let dir = "/hot/no such file";
+        let not_empty = NsError::NotEmpty(dir.into());
+        assert_eq!(not_empty.to_string(), "/hot/no such file: directory not empty");
+        let recs = vec![
+            rec(0, FsOp::Mkdir { path: dir.into() }, (0, Some(1)), Some(true), 1),
+            failed(0, delete(dir), (2, Some(3)), not_empty),
+        ];
+        assert!(matches!(check_history(&recs), CheckOutcome::Ok { .. }));
     }
 
     #[test]

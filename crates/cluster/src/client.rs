@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use mams_coord::{CoordEvent, CoordReq, CoordResp};
-use mams_core::{FsOp, MdsReq, MdsResp, OpOutput, ViewKey};
+use mams_core::{FsOp, MdsReq, MdsResp, NsError, OpOutput, ViewKey};
 use mams_namespace::Partitioner;
 use mams_sim::{Ctx, DetRng, Duration, Event, Message, Node, NodeId, SimTime, TimerId};
 
@@ -54,7 +54,7 @@ pub enum IoEvent {
         seq: u64,
         op: FsOp,
         attempts: u32,
-        result: Result<OpOutput, String>,
+        result: Result<OpOutput, NsError>,
         reconciled: bool,
     },
     /// The message was FsIo-internal traffic.
@@ -198,12 +198,12 @@ impl FsIo {
 
     /// A retried mutation may hit the result of its own earlier, half-acked
     /// execution; reconcile those errors into successes.
-    fn reconcile(op: &FsOp, err: &str) -> bool {
-        match op {
-            FsOp::Create { .. } | FsOp::Mkdir { .. } => err.contains("already exists"),
-            FsOp::Delete { .. } | FsOp::Rename { .. } => err.contains("no such file"),
-            _ => false,
-        }
+    fn reconcile(op: &FsOp, err: &NsError) -> bool {
+        matches!(
+            (op, err),
+            (FsOp::Create { .. } | FsOp::Mkdir { .. }, NsError::AlreadyExists(_))
+                | (FsOp::Delete { .. } | FsOp::Rename { .. }, NsError::NotFound(_))
+        )
     }
 
     /// Feed a message through.
@@ -265,7 +265,7 @@ impl FsIo {
 /// What a client records: an operation that ended in a genuine error.
 #[derive(Debug)]
 pub enum ClientTrace {
-    OpFailed { op: FsOp, error: String },
+    OpFailed { op: FsOp, error: NsError },
 }
 
 impl Event for ClientTrace {}
@@ -364,13 +364,13 @@ impl FsClient {
         ctx: &mut Ctx<'_>,
         op: &FsOp,
         attempts: u32,
-        result: &Result<OpOutput, String>,
+        result: Result<OpOutput, NsError>,
         reconciled: bool,
     ) {
         let o = self.outstanding.take().expect("outstanding op");
-        let ok = match result {
+        let ok = match &result {
             Ok(_) => true,
-            Err(e) if reconciled || (o.is_setup && e.contains("already exists")) => true,
+            Err(e) if reconciled || (o.is_setup && matches!(e, NsError::AlreadyExists(_))) => true,
             Err(e) => {
                 // A genuine error (e.g. AlreadyExists on a first attempt) is
                 // an application-level failure; trace it for diagnosis.
@@ -407,9 +407,9 @@ impl Node for FsClient {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
         if let IoEvent::Completed { op, attempts, result, reconciled, .. } =
-            &self.io.on_message(ctx, msg)
+            self.io.on_message(ctx, msg)
         {
-            self.finish(ctx, op, *attempts, result, *reconciled);
+            self.finish(ctx, &op, attempts, result, reconciled);
         }
     }
 }
@@ -427,13 +427,28 @@ mod tests {
     #[test]
     fn reconcile_only_accepts_own_echoes() {
         let create = FsOp::Create { path: "/f".into(), replication: 1 };
-        assert!(FsIo::reconcile(&create, "/f: already exists"));
-        assert!(!FsIo::reconcile(&create, "/f: no such file or directory"));
+        let (exists, missing) =
+            (NsError::AlreadyExists("/f".into()), NsError::NotFound("/f".into()));
+        assert!(FsIo::reconcile(&create, &exists));
+        assert!(!FsIo::reconcile(&create, &missing));
         let del = FsOp::Delete { path: "/f".into(), recursive: false };
-        assert!(FsIo::reconcile(&del, "/f: no such file or directory"));
-        assert!(!FsIo::reconcile(&del, "/f: directory not empty"));
+        assert!(FsIo::reconcile(&del, &missing));
+        assert!(!FsIo::reconcile(&del, &NsError::NotEmpty("/f".into())));
         let read = FsOp::GetFileInfo { path: "/f".into() };
-        assert!(!FsIo::reconcile(&read, "/f: already exists"));
+        assert!(!FsIo::reconcile(&read, &exists));
+        // A path may hold spaces, so an error's text can say what its
+        // variant does not. Neither of these is an echo.
+        let dir = "/hot/no such file";
+        let not_empty = NsError::NotEmpty(dir.into());
+        assert_eq!(not_empty.to_string(), "/hot/no such file: directory not empty");
+        assert!(!FsIo::reconcile(&FsOp::Delete { path: dir.into(), recursive: false }, &not_empty));
+        let odd = "/hot/already exists/";
+        let invalid = NsError::from(mams_namespace::path::validate(odd).unwrap_err());
+        assert_eq!(
+            invalid.to_string(),
+            r#"invalid path: "/hot/already exists/" has a trailing slash"#
+        );
+        assert!(!FsIo::reconcile(&FsOp::Create { path: odd.into(), replication: 1 }, &invalid));
     }
 
     /// What a [`FakeMds`] does with a request.

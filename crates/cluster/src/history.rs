@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use mams_core::{FsOp, OpOutput};
+use mams_core::{FsOp, NsError, OpOutput};
 use parking_lot::Mutex;
 
 /// One invocation (and, usually, its completion) as the client saw it.
@@ -24,19 +24,16 @@ pub struct OpRecord {
     pub invoked_us: u64,
     /// `None` = still outstanding when the run ended.
     pub completed_us: Option<u64>,
-    /// What the client accepted (`true` includes reconciled retries).
+    /// What the client accepted. `Some(true)` beside an `Err` is a retry
+    /// reconciled with its own earlier, half-acked execution (or the setup
+    /// mkdir finding its directory).
     pub ok: Option<bool>,
-    /// Successful output, when the server replied `Ok`.
-    pub output: Option<OpOutput>,
-    /// Raw error string, when the server replied `Err` — kept even for
-    /// reconciled retries so the checker sees the real response.
-    pub error: Option<String>,
+    /// The server's reply as it arrived, `None` while outstanding; the
+    /// checker sees a reconciled retry's real response.
+    pub result: Option<Result<OpOutput, NsError>>,
     /// Send attempts made (1 = no retry; >1 means the op may have executed
     /// more than once server-side across a failover).
     pub attempts: u32,
-    /// The client turned an `Err` reply into a success because it matched
-    /// its own earlier half-acked execution (retry reconciliation).
-    pub reconciled: bool,
     /// The private-directory setup mkdir (idempotent by construction).
     pub is_setup: bool,
 }
@@ -62,10 +59,8 @@ impl History {
             invoked_us: at_us,
             completed_us: None,
             ok: None,
-            output: None,
-            error: None,
+            result: None,
             attempts: 0,
-            reconciled: false,
             is_setup,
         });
         r.len() - 1
@@ -76,7 +71,7 @@ impl History {
         &self,
         idx: usize,
         at_us: u64,
-        result: &Result<OpOutput, String>,
+        result: Result<OpOutput, NsError>,
         ok: bool,
         attempts: u32,
     ) {
@@ -85,13 +80,7 @@ impl History {
         rec.completed_us = Some(at_us);
         rec.ok = Some(ok);
         rec.attempts = attempts;
-        match result {
-            Ok(out) => rec.output = Some(out.clone()),
-            Err(e) => {
-                rec.error = Some(e.clone());
-                rec.reconciled = ok;
-            }
-        }
+        rec.result = Some(result);
     }
 
     /// Snapshot of all records (invocation order).
@@ -123,26 +112,25 @@ mod tests {
     fn invoke_then_complete_round_trip() {
         let h = History::new();
         let i = h.invoke(3, FsOp::Mkdir { path: "/x".into() }, false, 100);
-        h.complete(i, 250, &Ok(OpOutput::Done), true, 1);
+        h.complete(i, 250, Ok(OpOutput::Done), true, 1);
         let r = h.records();
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].client, 3);
         assert_eq!(r[0].invoked_us, 100);
         assert_eq!(r[0].completed_us, Some(250));
-        assert_eq!(r[0].ok, Some(true));
-        assert!(!r[0].reconciled);
+        assert_eq!((r[0].ok, &r[0].result), (Some(true), &Some(Ok(OpOutput::Done))));
     }
 
     #[test]
     fn reconciled_errors_keep_the_raw_error() {
         let h = History::new();
         let i = h.invoke(0, FsOp::Delete { path: "/f".into(), recursive: false }, false, 1);
-        h.complete(i, 9, &Err("/f: no such file or directory".into()), true, 3);
+        let missing = NsError::NotFound("/f".into());
+        h.complete(i, 9, Err(missing.clone()), true, 3);
         let r = &h.records()[0];
         assert_eq!(r.ok, Some(true));
-        assert!(r.reconciled);
         assert_eq!(r.attempts, 3);
-        assert!(r.error.as_deref().unwrap().contains("no such file"));
+        assert_eq!(r.result, Some(Err(missing)));
     }
 
     #[test]

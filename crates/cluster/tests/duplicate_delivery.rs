@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 use mams_cluster::deploy::{build, DeploySpec};
 use mams_cluster::metrics::Metrics;
 use mams_cluster::workload::Workload;
-use mams_core::{FsOp, MdsReq, MdsResp, OpOutput};
+use mams_core::{FsOp, MdsReq, MdsResp, NsError, OpOutput};
 use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim, SimConfig};
 
 const T_FIRST: u64 = 1;
@@ -206,5 +206,5 @@ fn a_resent_read_is_executed_again() {
     assert_eq!(summary[2], (true, 3, Ok(OpOutput::Done)));
     // The resent read sees the delete: it ran again, it was not replayed
     // from a cache.
-    assert_eq!(summary[3], (false, 2, Err("/r: no such file or directory".to_string())));
+    assert_eq!(summary[3], (false, 2, Err(NsError::NotFound("/r".into()))));
 }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use mams_journal::{AckRecord, SharedBatch, Sn, Txn};
 use mams_namespace::partition::fnv1a64;
-use mams_namespace::path;
+use mams_namespace::{path, NsError};
 use mams_sim::{Ctx, Duration, NodeId};
 use mams_storage::pool::PoolError;
 use mams_storage::proto::{PoolReq, PoolResp};
@@ -237,7 +237,7 @@ impl Tenure {
         r: &mut Replica,
         ctx: &mut Ctx<'_>,
         reply: ReplyTo,
-        result: Result<OpOutput, String>,
+        result: Result<OpOutput, NsError>,
     ) {
         match reply {
             ReplyTo::Client { node, seq } => {
@@ -245,11 +245,7 @@ impl Tenure {
                 self.retry_cache.store(node, seq, resp.clone());
                 ctx.send(node, resp);
             }
-            ReplyTo::XGroup { coordinator, xid } => {
-                let (group, ok) = (r.cfg.group, result.is_ok());
-                r.xg_seen.insert(xid, Some(ok));
-                ctx.send(coordinator, GroupMsg::XGroupAck { xid, group, ok });
-            }
+            ReplyTo::XGroup { coordinator: to, xid } => ack_leg(r, ctx, to, xid, result.is_ok()),
         }
     }
 
@@ -276,12 +272,12 @@ impl Tenure {
             match op.reply {
                 // Distributed-transaction legs carry no ack record — their
                 // client binding lives in the coordinating group's journal.
-                ReplyTo::XGroup { .. } => inflight.xg_replies.push((op.reply, Ok(op.output))),
+                ReplyTo::XGroup { coordinator: to, xid } => inflight.xg_replies.push((to, xid)),
                 ReplyTo::Client { node: client, seq } => {
                     acks.push(AckRecord { record: i as u32, client, seq, spec: false });
                     inflight.client_replies.push(ClientReply {
                         reply: op.reply,
-                        result: Ok(op.output),
+                        output: op.output,
                         buckets: release_buckets(&op.txn),
                     });
                 }
@@ -341,8 +337,8 @@ impl Tenure {
         let (released, drained, ooo) = release_walk(inflight, |sn, inf| {
             durable(sn, inf) && !xg_outstanding.values().any(|o| o.sn == Some(sn))
         });
-        for (reply, result) in leg_acks {
-            self.reply_now(r, ctx, reply, result);
+        for (coordinator, xid) in leg_acks {
+            ack_leg(r, ctx, coordinator, xid, true);
         }
         if ooo > 0 {
             ctx.trace(|| MdsTrace::OooRelease { replies: ooo });
@@ -354,8 +350,8 @@ impl Tenure {
                 r.commit.observe_ack(now.since(inf.flushed_at));
             }
         }
-        for (reply, result) in released {
-            self.reply_now(r, ctx, reply, result);
+        for (reply, output) in released {
+            self.reply_now(r, ctx, reply, Ok(output));
         }
         // Release barriered reads whose observed mutations are all durable:
         // the barrier batch must have been sealed (sn on the log) and every
@@ -688,8 +684,14 @@ fn release_buckets(txn: &Txn) -> u16 {
     }
 }
 
-/// A reply ready to go out: destination plus the operation's result.
-pub(crate) type ReadyReply = (ReplyTo, Result<OpOutput, String>);
+/// Tell a leg's coordinator whether it applied, and remember it for resends.
+fn ack_leg(r: &mut Replica, ctx: &mut Ctx<'_>, coordinator: NodeId, xid: Xid, ok: bool) {
+    r.xg_seen.insert(xid, Some(ok));
+    ctx.send(coordinator, GroupMsg::XGroupAck { xid, group: r.cfg.group, ok });
+}
+
+/// A held reply ready to go out: only a success waits (see `enqueue_mutation`).
+pub(crate) type ReadyReply = (ReplyTo, OpOutput);
 
 /// The ascending release walk over the inflight window (the out-of-order
 /// ack core, see `try_complete`), `complete` saying which batches wait for
@@ -727,7 +729,7 @@ pub(crate) fn release_walk(
                     if held {
                         ooo += 1;
                     }
-                    released.push((cr.reply, cr.result));
+                    released.push((cr.reply, cr.output));
                 }
             }
             if !kept.is_empty() {
@@ -760,7 +762,7 @@ mod tests {
     fn reply(seq: u64, buckets: &[u64]) -> ClientReply {
         ClientReply {
             reply: ReplyTo::Client { node: 1, seq },
-            result: Ok(OpOutput::Done),
+            output: OpOutput::Done,
             buckets: buckets.iter().fold(0, |set, b| set | 1 << b),
         }
     }
@@ -1082,8 +1084,7 @@ mod tests {
                     for (dir, target) in self.pending.drain(..) {
                         match target {
                             Target::Leg { xid } => {
-                                let to = ReplyTo::XGroup { coordinator: COORDINATOR, xid };
-                                inf.xg_replies.push((to, Ok(OpOutput::Done)));
+                                inf.xg_replies.push((COORDINATOR, xid));
                             }
                             Target::Client { seq, xid } => {
                                 // Only legs still out hold the replies.
@@ -1140,10 +1141,7 @@ mod tests {
             let durable = |sn: Sn| waits[&sn].appended && waits[&sn].members.is_empty();
             for (&sn, inf) in self.window.iter_mut() {
                 if durable(sn) {
-                    self.out.extend(inf.xg_replies.drain(..).map(|(to, _)| match to {
-                        ReplyTo::XGroup { xid, .. } => Out::LegAck(xid),
-                        other => panic!("{other:?} among the leg acks"),
-                    }));
+                    self.out.extend(inf.xg_replies.drain(..).map(|(_, xid)| Out::LegAck(xid)));
                 }
             }
             let complete = |sn: Sn, _: &Inflight| durable(sn) && waits[&sn].legs.is_empty();

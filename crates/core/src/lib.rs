@@ -48,6 +48,7 @@ mod renewing;
 pub use commit::GroupCommitPolicy;
 pub use config::{InitialRole, MdsConfig, MdsTiming};
 pub use ingress::{CpuModel, Ingress, IngressItem};
+pub use mams_namespace::NsError;
 pub use prefix::Prefix;
 pub use proto::{FsOp, GroupMsg, MdsReq, MdsResp, OpOutput, Xid};
 pub use retry::RetryCache;

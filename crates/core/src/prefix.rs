@@ -32,7 +32,7 @@ use mams_journal::{
 };
 use mams_namespace::{
     apply_delta, fold_delta_with_window, replay_outcome, DecodedDelta, DecodedImage, DeltaOp,
-    RetryEntry, RetryOutcome, RetryWindow, ShardedNamespace, ShardedReplaySession,
+    NsError, RetryEntry, RetryOutcome, RetryWindow, ShardedNamespace, ShardedReplaySession,
 };
 
 use crate::proto::{FsOp, OpOutput};
@@ -214,7 +214,7 @@ impl Prefix {
     /// The namespace has one owner, this prefix's node, so its newest state
     /// is the published one: a read takes no pin and never sees a mutation
     /// mid-apply.
-    pub fn exec(&mut self, op: FsOp) -> Result<(Option<Txn>, OpOutput), String> {
+    pub fn exec(&mut self, op: FsOp) -> Result<(Option<Txn>, OpOutput), NsError> {
         // A mutation writes `ns` past the replay session's cached handles.
         self.replay.reset();
         let done = |txn| (Some(txn), OpOutput::Done);
@@ -248,7 +248,6 @@ impl Prefix {
                 self.ns.set_perm(&path, perm).map(|()| done(Txn::SetPerm { path, perm }))
             }
         }
-        .map_err(|e| e.to_string())
     }
 
     /// Seal executed records into the next `⟨sn, txid⟩` batch and append it

@@ -1,7 +1,7 @@
 //! Client ↔ MDS and intra-group protocol messages.
 
 use mams_journal::{SharedBatch, Sn};
-use mams_namespace::FileInfo;
+use mams_namespace::{FileInfo, NsError};
 use mams_sim::NodeId;
 use mams_storage::pool::Epoch;
 
@@ -87,7 +87,7 @@ pub enum MdsReq {
 pub enum MdsResp {
     Reply {
         seq: u64,
-        result: Result<OpOutput, String>,
+        result: Result<OpOutput, NsError>,
     },
     /// The receiver is not the active for this group; the client should
     /// re-resolve the active from the global view and retry.

@@ -124,7 +124,7 @@ pub(crate) struct PendingOp {
 #[derive(Debug)]
 pub(crate) struct ClientReply {
     pub reply: ReplyTo,
-    pub result: Result<OpOutput, String>,
+    pub output: OpOutput,
     pub buckets: u16,
 }
 
@@ -148,8 +148,8 @@ pub(crate) struct Inflight {
     /// the modelled disk write ends, not in sn order.
     pub pool_req: Option<ReqId>,
     pub client_replies: Vec<ClientReply>,
-    /// Leg acknowledgements owed to other groups' coordinators.
-    pub xg_replies: Vec<(ReplyTo, Result<OpOutput, String>)>,
+    /// Applied legs' acks owed to other groups' coordinators (`ack_leg`).
+    pub xg_replies: Vec<(NodeId, Xid)>,
     /// Seal time, for the adaptive controller's ack-latency signal.
     pub flushed_at: SimTime,
 }

@@ -37,7 +37,7 @@ use crate::inode::{child, FileInfo, Inode, InodeSource, ROOT_ID};
 use crate::path;
 use crate::retry::RetryWindow;
 use crate::shard::{InodesAt, ShardedNamespace};
-use crate::tree::{NamespaceTree, NsError};
+use crate::{error::NsError, tree::NamespaceTree};
 
 /// Delta image magic ("MDLT").
 pub const DELTA_MAGIC: u32 = 0x4d44_4c54;

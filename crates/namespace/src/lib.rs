@@ -13,6 +13,7 @@
 //! same code — the replay-determinism invariant the property tests check.
 
 pub mod delta;
+pub mod error;
 pub mod image;
 pub mod inode;
 pub mod partition;
@@ -25,6 +26,7 @@ pub use delta::{
     apply_delta, decode_delta, fold_delta, fold_delta_with_window, DecodedDelta, DeltaEntry,
     DeltaNamespace, DeltaOp, DELTA_MAGIC, DELTA_VERSION,
 };
+pub use error::NsError;
 pub use image::{
     decode_image, decode_image_with_window, encode_image, encode_image_with_window,
     estimated_image_bytes, DecodedImage, StreamingImageDecoder, VERSION_V2,
@@ -33,4 +35,4 @@ pub use inode::{FileInfo, Inode, InodeId, InodeSource, Name};
 pub use partition::Partitioner;
 pub use retry::{replay_outcome, RetryEntry, RetryOutcome, RetryWindow, DEFAULT_WINDOW_CAP};
 pub use shard::{CacheStats, InodesAt, ShardedNamespace, ShardedReplaySession, SnapshotView};
-pub use tree::{NamespaceTree, NsError};
+pub use tree::NamespaceTree;

@@ -83,7 +83,7 @@ use crate::inode::{child, FileInfo, Inode, InodeId, InodeSource, Name, ROOT_ID};
 use crate::partition::fnv1a64;
 use crate::path::{self, PathError};
 use crate::retry::RetryWindow;
-use crate::tree::{NamespaceTree, NsError};
+use crate::{error::NsError, tree::NamespaceTree};
 
 /// Mutation stamp: taken per mutation from one counter.
 pub type Stamp = u64;

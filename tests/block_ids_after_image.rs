@@ -87,8 +87,8 @@ fn elected_after_adopting(
     let blocks: Vec<(String, u64)> = history
         .records()
         .into_iter()
-        .filter_map(|r| match (r.op, r.output) {
-            (FsOp::AddBlock { path, .. }, Some(OpOutput::Block(id))) => Some((path, id)),
+        .filter_map(|r| match (r.op, r.result) {
+            (FsOp::AddBlock { path, .. }, Some(Ok(OpOutput::Block(id)))) => Some((path, id)),
             _ => None,
         })
         .collect();

@@ -18,7 +18,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use mams::core::{FsOp, OpOutput, Prefix};
+use mams::core::{FsOp, NsError, OpOutput, Prefix};
 use mams::journal::{AckRecord, NamespaceImage, SharedBatch, Sn, Txn};
 use mams::namespace::{
     apply_delta, decode_delta, decode_image, fold_delta_with_window, replay_outcome, DecodedDelta,
@@ -231,7 +231,7 @@ fn exec_journals_mutations_and_only_mutations() {
     let (txn, out) = p.exec(FsOp::List { path: "/a".into() }).unwrap();
     assert_eq!((txn, out), (None, OpOutput::Listing(vec!["f".into()])));
     let err = p.exec(FsOp::Mkdir { path: "/a".into() }).unwrap_err();
-    assert!(err.contains("already exists"), "{err}");
+    assert_eq!(err, NsError::AlreadyExists("/a".into()));
 
     p.exec(FsOp::AddBlock { path: "/a/nope".into(), len: 1 }).unwrap_err();
     assert_eq!(p.id_marks().1, 1, "a refused AddBlock spends no id");
