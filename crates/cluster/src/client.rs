@@ -6,6 +6,7 @@
 //! active-standby switching and resend requests when needed. As the process
 //! is completely transparent to applications, the file system sees no
 //! errors occur in the case of failures." (Section III-C.)
+#![deny(clippy::disallowed_types)]
 
 use std::sync::Arc;
 
@@ -415,6 +416,7 @@ impl Node for FsClient {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "FakeMds and a bare coordinator, no group")]
 mod tests {
     use super::*;
     use crate::metrics::Metrics;

@@ -96,6 +96,7 @@ pub struct Deployment {
 pub const CLIENT_SEED: u64 = 0xC11E47;
 
 /// Register the coordination server, the first node of every deployment.
+#[expect(clippy::disallowed_methods, reason = "the builder's one coordinator")]
 pub fn add_coord(sim: &mut Sim, cfg: CoordConfig) -> NodeId {
     sim.add_restartable("coord", move || Box::new(CoordServer::new(cfg)))
 }

@@ -6,6 +6,9 @@
 //! keep re-driving the window until the junior converges — a single lost
 //! page must never strand the renewal.
 
+// clippy.toml's hash map is banned from `FsIo` alone (client.rs).
+#![allow(clippy::disallowed_types)]
+
 use mams_cluster::deploy::{build, DeploySpec};
 use mams_cluster::faults::{self, FaultKind, NodeRef};
 use mams_cluster::metrics::Metrics;

@@ -8,6 +8,9 @@
 //! the other way round: it changes nothing, so its reply is never cached
 //! and its resend is executed again.
 
+// clippy.toml's hash map is banned from `FsIo` alone (client.rs).
+#![allow(clippy::disallowed_types)]
+
 use std::sync::{Arc, Mutex};
 
 use mams_cluster::deploy::{build, DeploySpec};

@@ -1,5 +1,8 @@
 //! End-to-end tests: full deployments under load and failures.
 
+// clippy.toml's hash map is banned from `FsIo` alone (client.rs).
+#![allow(clippy::disallowed_types)]
+
 use mams_cluster::deploy::{build, DeploySpec};
 use mams_cluster::faults::{self, FaultKind, NodeRef};
 use mams_cluster::metrics::Metrics;

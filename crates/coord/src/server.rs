@@ -304,6 +304,7 @@ impl Node for CoordServer {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the coordinator's own tests run it alone")]
 mod tests {
     use super::*;
     use mams_sim::{Sim, SimConfig};
@@ -568,6 +569,7 @@ mod tests {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the coordinator's own tests run it alone")]
 mod more_tests {
     use super::*;
     use crate::proto::{CoordEvent, CoordReq, CoordResp};

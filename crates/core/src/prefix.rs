@@ -28,7 +28,8 @@
 use std::collections::BTreeMap;
 
 use mams_journal::{
-    AckRecord, DeltaImage, JournalBatch, JournalLog, NamespaceImage, SharedBatch, Sn, Txn, TxnId,
+    AckRecord, CodecError, DeltaImage, JournalBatch, JournalLog, NamespaceImage, SharedBatch, Sn,
+    Txn, TxnId,
 };
 use mams_namespace::{
     apply_delta, fold_delta_with_window, replay_outcome, DecodedDelta, DecodedImage, DeltaOp,
@@ -36,6 +37,18 @@ use mams_namespace::{
 };
 
 use crate::proto::{FsOp, OpOutput};
+
+/// Why a checkpoint delta was not adopted.
+#[derive(Debug)]
+pub enum DeltaError {
+    /// The bytes are not a delta.
+    Decode(CodecError),
+    /// The delta chains onto `base_sn`, past the applied position:
+    /// applying it would skip the records in between.
+    Gap { base_sn: Sn, applied: Sn },
+    /// The namespace refused one of its entries.
+    Apply(NsError),
+}
 
 /// The state a node derives from the journal prefix it has applied.
 pub struct Prefix {
@@ -111,15 +124,15 @@ impl Prefix {
     /// the log restarts at the delta's end like after an image. An empty
     /// window section means no ack was ever journaled in the writer's
     /// window: keep what we have, folded before the log that holds it goes.
-    pub fn adopt_delta(&mut self, delta: DecodedDelta) -> Result<(), String> {
+    pub fn adopt_delta(&mut self, delta: DecodedDelta) -> Result<(), DeltaError> {
         let applied = self.tail_sn();
         if applied < delta.base_sn {
             // A hole in front of this delta (should not happen on a
-            // well-formed chain): applying it would skip records.
-            return Err(format!("delta chains onto {} but we are at {applied}", delta.base_sn));
+            // well-formed chain).
+            return Err(DeltaError::Gap { base_sn: delta.base_sn, applied });
         }
         self.replay.reset();
-        apply_delta(&mut self.ns, &delta).map_err(|e| e.to_string())?;
+        apply_delta(&mut self.ns, &delta).map_err(DeltaError::Apply)?;
         let highest_block = delta.entries.iter().filter_map(|e| match &e.op {
             DeltaOp::UpsertFile { blocks, .. } => blocks.iter().max().copied(),
             _ => None,
@@ -168,6 +181,7 @@ impl Prefix {
 
     /// Drop the log's batches through `sn` (after an image checkpoint),
     /// once their acks are in the window.
+    #[expect(clippy::disallowed_methods, reason = "the one compaction, after the fold")]
     pub fn compact_log(&mut self, sn: Sn) {
         self.fold_window();
         self.log.compact_through(sn);
@@ -177,6 +191,7 @@ impl Prefix {
     /// A batch's acks are sorted by record (the seal emits them in op
     /// order), so one forward scan pairs each with its record — the pairing
     /// `apply_records` checks at each record's apply point.
+    #[expect(clippy::disallowed_methods, reason = "the one fold of the retry window")]
     fn fold_window(&mut self) {
         let batches =
             self.log.read_after(self.window_sn).expect("the window is never behind the log");

@@ -26,7 +26,7 @@ use mams_sim::{Ctx, NodeId};
 use mams_storage::proto::{PoolReq, PoolResp, ReqId};
 use mams_storage::{ArtifactId, ArtifactKind, ManifestEntry, PoolError};
 
-use crate::prefix::Prefix;
+use crate::prefix::{DeltaError, Prefix};
 use crate::proto::GroupMsg;
 use crate::server::{
     CatchupStage, MdsServer, Member, RenewDriver, Replica, RoleState, Session, SessionReq, Tenure,
@@ -440,7 +440,7 @@ impl MdsServer {
             _ => return,
         };
         let adopted = mams_namespace::decode_delta(&buf)
-            .map_err(|e| e.to_string())
+            .map_err(DeltaError::Decode)
             .and_then(|delta| self.r.prefix.adopt_delta(delta));
         match adopted {
             Ok(()) => {

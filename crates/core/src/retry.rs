@@ -34,6 +34,7 @@
 //! first time a standby reads it — so at-most-once holds *across* the
 //! switch: a retry of an op the dead active committed is answered with the
 //! recorded outcome, not re-executed.
+#![deny(clippy::disallowed_types)]
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -189,6 +190,11 @@ impl RetryCache {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the model test keeps the old maps as its oracle and records a window to seed from"
+)]
 mod tests {
     use super::*;
     use std::collections::{BTreeMap, HashMap, HashSet};

@@ -7,6 +7,7 @@ use mams_sim::{Duration, Event, NodeId};
 use mams_storage::pool::{ArtifactId, Epoch};
 use mams_storage::proto::PoolResp;
 
+use crate::prefix::DeltaError;
 use crate::proto::Xid;
 
 /// One metadata-server event. `FailureDetected` is where Figure 7's clock
@@ -68,7 +69,7 @@ pub enum MdsTrace {
     ImageCorrupt(CodecError),
     ImageLoaded { sn: Sn },
     DeltaApplied { sn: Sn },
-    DeltaCorrupt(String),
+    DeltaCorrupt(DeltaError),
     PageFailed(PoolResp),
 }
 

@@ -74,7 +74,7 @@
 
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use mams_journal::{NamespaceImage, Sn, Txn};
 
@@ -515,7 +515,9 @@ impl ShardedNamespace {
     /// Flatten the newest versions into a legacy tree (ids are preserved).
     /// The oracle the parity suites and `bench_e2e`'s probes hold
     /// [`SnapshotView::encode_image`] against; the server never calls it.
+    #[expect(clippy::disallowed_types, reason = "the bridge builds the oracle's hash map")]
     pub fn to_tree(&self) -> NamespaceTree {
+        use std::collections::HashMap;
         let mut inodes = HashMap::with_capacity((self.num_files() + self.num_dirs() + 1) as usize);
         let mut next_id: InodeId = 1;
         for (i, slot) in self.table.borrow().slots.iter().enumerate() {

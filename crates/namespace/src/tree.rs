@@ -8,6 +8,7 @@
 //! the table, encode its image (it is an [`InodeSource`]) and cross into
 //! it with `to_tree`/`from_tree`. It carries no resolution cache of its own
 //! — the oracle a cache is compared with should not have one.
+#![expect(clippy::disallowed_types, reason = "the oracle keeps its inodes in a hash map")]
 
 use std::collections::HashMap;
 

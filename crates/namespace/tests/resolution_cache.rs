@@ -15,7 +15,7 @@
 //!
 //! Seeded `rand`; `PARITY_CASES` scales the case count.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use mams_journal::Txn;
 use mams_namespace::{
@@ -219,11 +219,11 @@ fn lifecycle(out: &mut Vec<Txn>, d: u32, file: u32) {
 }
 
 /// The directories `stream`'s ops resolve as parents.
-fn parents_of(stream: &[Txn]) -> HashSet<&str> {
+fn parents_of(stream: &[Txn]) -> BTreeSet<&str> {
     fn parent(p: &str) -> Option<&str> {
         p.rsplit_once('/').map(|(dir, _)| dir)
     }
-    let mut dirs = HashSet::new();
+    let mut dirs = BTreeSet::new();
     for txn in stream {
         dirs.extend(parent(txn.primary_path()));
         if let Txn::Rename { dst, .. } = txn {

@@ -18,7 +18,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use mams::core::{FsOp, NsError, OpOutput, Prefix};
+use mams::core::{DeltaError, FsOp, NsError, OpOutput, Prefix};
 use mams::journal::{AckRecord, NamespaceImage, SharedBatch, Sn, Txn};
 use mams::namespace::{
     apply_delta, decode_delta, decode_image, fold_delta_with_window, replay_outcome, DecodedDelta,
@@ -213,6 +213,31 @@ fn an_image_or_a_delta_and_the_suffix_equal_the_whole_journal() {
         assert_eq!(derived(&mut via_delta), want, "case {case}: delta, suffix");
         assert!(via_delta.id_marks().1 <= writer.id_marks().1, "case {case}");
     }
+}
+
+/// A delta that chains onto a position past the tail is refused as a gap,
+/// before anything of it applies: the prefix keeps its namespace and tail.
+#[test]
+fn a_delta_past_the_tail_is_a_gap_and_changes_nothing() {
+    let mut writer = Prefix::new();
+    let journal: Vec<SharedBatch> = ["/a", "/b", "/c"]
+        .into_iter()
+        .map(|path| {
+            let (txn, _) = writer.exec(FsOp::Mkdir { path: path.into() }).unwrap();
+            writer.seal(vec![txn.expect("a mkdir journals")], Vec::new())
+        })
+        .collect();
+    let delta = writer.fold_delta(2).expect("nothing compacted");
+
+    let mut at_1 = Prefix::new();
+    replay(&mut at_1, &journal[..1]);
+    let before = (at_1.tail_sn(), at_1.ns().fingerprint());
+    let refused = at_1.adopt_delta(decode_delta(&delta.data).expect("own delta decodes"));
+    assert!(
+        matches!(refused, Err(DeltaError::Gap { base_sn: 2, applied: 1 })),
+        "a delta from sn 2 onto a prefix at sn 1: {refused:?}"
+    );
+    assert_eq!((at_1.tail_sn(), at_1.ns().fingerprint()), before, "nothing applied");
 }
 
 /// What `exec` journals and what it does not: the record carries the op's

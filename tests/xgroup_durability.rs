@@ -59,6 +59,7 @@ struct Cluster {
 
 /// Two single-member groups; group 1 appends to a pool node of its own with
 /// `participant_disk`. One client sends `mkdirs` directories owned by group 0.
+#[expect(clippy::disallowed_methods, reason = "a pool node per group, each with its own disk")]
 fn build(participant_disk: DiskModel, flood: bool, mkdirs: usize) -> Cluster {
     let mut sim = Sim::new(SimConfig { seed: 0x1e9, ..SimConfig::default() });
     let shared_pool = new_shared_pool();

@@ -20,7 +20,8 @@
 # lower in at least nine of ten pairs (ties count for neither), and its
 # median below the parent's by more than the parent's quartile spread
 # (q3 - q1, quartiles interpolated linearly between the sorted runs); it
-# reads `holds` or `fails`.
+# reads `holds` or `fails`. Whether the runs spread too widely to tell is
+# the table's verdict: `unresolved: spread over bound` (setup_s exempt).
 # The two sets are left in $OUT (default a fresh directory under
 # ${TMPDIR:-/tmp}) as parent.json and change.json, in the form `--compare`
 # reads. Exit status is `--compare`'s: non-zero when a metric is out of
@@ -28,7 +29,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,27s/^# \{0,1\}//p' "$0" >&2
+    sed -n '2,28s/^# \{0,1\}//p' "$0" >&2
     exit 2
 fi
 parent=$1
