@@ -9,7 +9,11 @@
 //! entry index, name, attrs)` with varint lengths. The encoder reads the
 //! namespace through [`InodeSource`] — a node's pinned slot table, or the
 //! reference tree in tests, no copy of either — with names borrowed from
-//! the directories that hold them. The decoder loads each inode straight
+//! the directories that hold them. It scans, then walks: one pass over the
+//! source in storage order packs every file's attributes ([`FileAttrs`]),
+//! and the preorder walk copies a file's from there, reading an inode only
+//! for a directory (for its children) or a file the scan packed nothing for
+//! (one written after the pin). The decoder loads each inode straight
 //! into the slot table of a [`ShardedNamespace`], under its already-loaded
 //! parent, where a live create or mkdir would have put it: no from-root
 //! path resolution, no intermediate tree, and a name appears once, not
@@ -85,12 +89,14 @@ pub fn encode_image_with_window<S: InodeSource>(
     out.put_u64(checkpoint_sn);
     out.put_u16(root.perm());
 
-    // Preorder DFS, one open child iterator per level. Every emitted entry
-    // gets the next index (the root is index 0 and is never emitted);
-    // children reference their parent by that index, which the decoder has
-    // always already materialized. Names are borrowed from the directory
-    // that holds them, and an entry is assembled in `entry` and handed to
-    // the hashing buffer whole: one checksum run and one copy per inode.
+    // Scan, then walk: preorder DFS, one open child iterator per level, a
+    // file's attributes copied from the scan's. Every emitted entry gets the
+    // next index (the root is index 0 and is never emitted); children
+    // reference their parent by that index, which the decoder has always
+    // already materialized. Names are borrowed from the directory that holds
+    // them, and an entry is assembled in `entry` and handed to the hashing
+    // buffer whole: one checksum run and one copy per inode.
+    let attrs = src.file_attrs();
     let (mut files, mut dirs) = (0u64, 0u64);
     let mut next_index: u64 = 1;
     let mut entry: Vec<u8> = Vec::with_capacity(128);
@@ -104,24 +110,25 @@ pub fn encode_image_with_window<S: InodeSource>(
             continue;
         };
         let parent = *parent;
-        let node = src.inode(id).expect("a directory entry names an inode of the same state");
         entry.clear();
-        entry.push(if node.is_dir() { b'D' } else { b'F' });
+        entry.push(b'F');
         push_varint(&mut entry, parent);
         push_varint(&mut entry, name.len() as u64);
         entry.extend_from_slice(name.as_bytes());
-        entry.extend_from_slice(&node.perm().to_be_bytes());
-        match node {
-            Inode::Directory { children, .. } => {
-                dirs += 1;
-                open.push((children.iter(), next_index));
-            }
-            Inode::File { blocks, replication, sealed, .. } => {
-                files += 1;
-                entry.extend_from_slice(&[*replication, *sealed as u8]);
-                push_varint(&mut entry, blocks.len() as u64);
-                for b in blocks {
-                    push_varint(&mut entry, *b);
+        if attrs.write(id as u32 as usize, &mut entry) {
+            debug_assert!(src.inode(id).is_some_and(|n| !n.is_dir()), "{id} names no file");
+            files += 1;
+        } else {
+            match src.inode(id).expect("a directory entry names an inode of the same state") {
+                Inode::Directory { children, perm } => {
+                    entry[0] = b'D';
+                    dirs += 1;
+                    open.push((children.iter(), next_index));
+                    entry.extend_from_slice(&perm.to_be_bytes());
+                }
+                Inode::File { blocks, replication, sealed, perm } => {
+                    files += 1;
+                    push_file_attrs(&mut entry, *perm, *replication, *sealed, blocks);
                 }
             }
         }
@@ -134,6 +141,89 @@ pub fn encode_image_with_window<S: InodeSource>(
         out.put_slice(&window_bytes);
     }
     NamespaceImage { checkpoint_sn, data: out.seal(), files, dirs }
+}
+
+/// Append a file's attributes as an entry holds them: `perm, replication,
+/// sealed, varint(nblocks), varint(block_id)…`.
+fn push_file_attrs(out: &mut Vec<u8>, perm: u16, replication: u8, sealed: bool, blocks: &[u64]) {
+    out.extend_from_slice(&perm.to_be_bytes());
+    out.extend_from_slice(&[replication, sealed as u8]);
+    push_varint(out, blocks.len() as u64);
+    for b in blocks {
+        push_varint(out, *b);
+    }
+}
+
+/// Every file's attributes, packed by one scan of an [`InodeSource`] in
+/// storage order ([`InodeSource::file_attrs`]), so that the preorder walk,
+/// which meets the inodes out of that order, copies a file's attributes
+/// instead of reading its inode. One 4-byte row per index: a file with no
+/// blocks holds its attributes in the row, a file with blocks the offset in
+/// `spill` of a 4-byte length and then its attributes as an entry holds
+/// them. A directory, a free index, an inode the source shows in another
+/// version and every index past the end are `READ`: the walk reads the
+/// inode. A namespace where most files have blocks gains as well: their
+/// block lists are read in storage order, not scattered across the heap.
+#[derive(Debug, Default)]
+pub struct FileAttrs {
+    rows: Vec<u32>,
+    spill: Vec<u8>,
+}
+
+impl FileAttrs {
+    const READ: u32 = u32::MAX;
+    /// Set in the row of a file with no blocks, beside `sealed << 24 |
+    /// replication << 16 | perm`; clear in an offset into `spill`.
+    const INLINE: u32 = 1 << 31;
+
+    /// Room for `indexes` calls of [`Self::push`] before the rows grow.
+    pub(crate) fn with_capacity(indexes: usize) -> Self {
+        FileAttrs { rows: Vec::with_capacity(indexes), spill: Vec::new() }
+    }
+
+    /// Pack the next index: `node`'s attributes if it is a file, else none.
+    pub(crate) fn push(&mut self, node: Option<&Inode>) {
+        let row = match node {
+            Some(Inode::File { blocks, replication, sealed, perm }) if blocks.is_empty() => {
+                Self::INLINE
+                    | u32::from(*sealed) << 24
+                    | u32::from(*replication) << 16
+                    | u32::from(*perm)
+            }
+            // Past 2 GiB of spill, the rest of the files read their inodes.
+            Some(Inode::File { blocks, replication, sealed, perm }) => {
+                match u32::try_from(self.spill.len()) {
+                    Ok(at) if at < Self::INLINE => {
+                        self.spill.extend_from_slice(&[0; 4]);
+                        push_file_attrs(&mut self.spill, *perm, *replication, *sealed, blocks);
+                        let len = (self.spill.len() - at as usize - 4) as u32;
+                        self.spill[at as usize..][..4].copy_from_slice(&len.to_le_bytes());
+                        at
+                    }
+                    _ => Self::READ,
+                }
+            }
+            _ => Self::READ,
+        };
+        self.rows.push(row);
+    }
+
+    /// Append the attributes packed for `index` to `out`; `false` when there
+    /// are none and the inode must be read instead.
+    fn write(&self, index: usize, out: &mut Vec<u8>) -> bool {
+        match self.rows.get(index).copied().unwrap_or(Self::READ) {
+            Self::READ => return false,
+            row if row & Self::INLINE != 0 => {
+                push_file_attrs(out, row as u16, (row >> 16) as u8, row >> 24 & 1 != 0, &[]);
+            }
+            at => {
+                let (len, attrs) = self.spill[at as usize..].split_at(4);
+                let len = u32::from_le_bytes(len.try_into().expect("four bytes"));
+                out.extend_from_slice(&attrs[..len as usize]);
+            }
+        }
+        true
+    }
 }
 
 // ------------------------------------------------------------------ decode
@@ -563,6 +653,56 @@ mod tests {
             u64::from_be_bytes(trailer.try_into().unwrap()),
             mams_journal::hash::fnv1a64(body)
         );
+    }
+
+    /// The pinned table's image is the tree's, byte for byte, whether the
+    /// walk copies a file's attributes from the scan or reads its inode: sealed
+    /// and unsealed files with default and other perms, a file with 130
+    /// blocks (ids and count multi-byte varints), directories (empty, and
+    /// with a non-default perm), names inline, on the heap and longer than a
+    /// one-byte length varint, and files changed under the pin, whose visible
+    /// version is in the history, so the scan packs nothing for them.
+    #[test]
+    fn a_pinned_table_encodes_what_its_tree_encodes_packed_or_read() {
+        use crate::inode::NAME_INLINE;
+        let (long, longer) = ("l".repeat(NAME_INLINE + 1), "m".repeat(200));
+        let dir = format!("/{long}/{longer}");
+        let ns = ShardedNamespace::new();
+        ns.mkdir_p(&dir).unwrap();
+        ns.mkdir_p("/empty").unwrap();
+        ns.set_perm("/empty", 0o700).unwrap();
+        ns.set_perm(&dir, 0o750).unwrap();
+        let files = ["plain", "sealed", "perm", "to_perm", "to_seal", "to_grow", "grown"];
+        let files = files.map(|f| format!("{dir}/{f}"));
+        for (i, f) in files.iter().enumerate() {
+            ns.create(f, 1 + i as u8).unwrap();
+        }
+        ns.close_file(&files[1]).unwrap();
+        ns.set_perm(&files[2], 0o600).unwrap();
+        for b in 0..130 {
+            ns.add_block(&files[6], (1 << 20) + b).unwrap();
+        }
+        let win = RetryWindow::new();
+        let check = |view: &crate::SnapshotView<'_>, tree: &NamespaceTree, files: usize| {
+            let got = ns.inodes_at(Some(view.epoch())).file_attrs();
+            let packed = got.rows.iter().filter(|&&r| r != FileAttrs::READ).count();
+            assert_eq!(packed, files, "files the scan packed");
+            let img = view.encode_image(9, &win);
+            assert_eq!(img.data, encode_image_with_window(tree, 9, &win).data);
+            let d = decode_image(img.data).unwrap();
+            assert_eq!(d.ns.fingerprint(), tree.fingerprint());
+            assert_eq!(d.ns.fingerprint(), view.fingerprint());
+        };
+        let before = ns.to_tree();
+        let view = ns.pin();
+        check(&view, &before, 7);
+        ns.set_perm(&files[3], 0o640).unwrap();
+        ns.close_file(&files[4]).unwrap();
+        ns.add_block(&files[5], 300).unwrap();
+        ns.add_block(&files[6], 1 << 40).unwrap();
+        check(&view, &before, 3);
+        drop(view);
+        check(&ns.pin(), &ns.to_tree(), 7);
     }
 
     #[test]

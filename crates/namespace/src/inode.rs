@@ -3,6 +3,8 @@
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
+use crate::image::FileAttrs;
+
 /// Dense inode identifier, unique within one namespace tree.
 pub type InodeId = u64;
 
@@ -206,11 +208,21 @@ impl Inode {
 /// the delta fold walk. The reference tree implements it directly and the
 /// namespace a node runs through a view borrowing its slot table, so both
 /// producers read the namespace a replica runs instead of a copy of it.
+///
+/// The image encoder scans, then walks: one call of [`Self::file_attrs`],
+/// then a preorder walk that calls [`Self::inode`] for every directory and
+/// every entry the scan packed nothing for.
 pub trait InodeSource {
     /// The inode `id` in the state this source shows, if it exists there.
     fn inode(&self, id: InodeId) -> Option<&Inode>;
     /// `(files, directories excluding the root)`; sizes the image buffer.
     fn counts(&self) -> (u64, u64);
+    /// The attributes of every file this source shows, packed in storage
+    /// order and indexed by the low 32 bits of its id. The default packs
+    /// none: every entry reads its inode.
+    fn file_attrs(&self) -> FileAttrs {
+        FileAttrs::default()
+    }
 }
 
 impl<S: InodeSource> InodeSource for &S {
@@ -219,6 +231,9 @@ impl<S: InodeSource> InodeSource for &S {
     }
     fn counts(&self) -> (u64, u64) {
         (**self).counts()
+    }
+    fn file_attrs(&self) -> FileAttrs {
+        (**self).file_attrs()
     }
 }
 

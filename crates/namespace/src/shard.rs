@@ -78,7 +78,7 @@ use std::collections::BTreeMap;
 
 use mams_journal::{NamespaceImage, Sn, Txn};
 
-use crate::image::encode_image_with_window;
+use crate::image::{encode_image_with_window, FileAttrs};
 use crate::inode::{child, FileInfo, Inode, InodeId, InodeSource, Name, ROOT_ID};
 use crate::partition::fnv1a64;
 use crate::path::{self, PathError};
@@ -387,6 +387,11 @@ pub struct CacheStats {
 /// fold at the newest state (`epoch: None`). It holds the table borrowed,
 /// so nothing mutates while it lives — hold it for one pass, not for the
 /// life of a pin.
+///
+/// Its file attributes come from one scan of the slots in index order; the
+/// image encoder's preorder walk then reads only the slots the scan packed
+/// nothing for: directories (for their children) and slots stamped after
+/// the epoch, whose visible version is in `SlotTable::hist`.
 pub struct InodesAt<'a> {
     table: Ref<'a, SlotTable>,
     epoch: Option<Stamp>,
@@ -400,6 +405,15 @@ impl InodeSource for InodesAt<'_> {
 
     fn counts(&self) -> (u64, u64) {
         self.counts
+    }
+
+    fn file_attrs(&self) -> FileAttrs {
+        let mut attrs = FileAttrs::with_capacity(self.table.slots.len());
+        for s in &self.table.slots {
+            // A slot stamped after the epoch shows an older version: `hist`'s.
+            attrs.push(s.latest().filter(|_| self.epoch.is_none_or(|e| s.stamp <= e)));
+        }
+        attrs
     }
 }
 
