@@ -82,8 +82,8 @@ impl Ingress {
     }
 
     /// Admit a client operation; `false` = queue full, op dropped (client
-    /// will time out and retry). The fourth argument is reserved; see
-    /// ROADMAP item 2.
+    /// will time out and retry). The fourth argument is reserved and unused;
+    /// `bench_e2e` passes it, so it leaves with a change to the benchmark.
     pub fn push(&mut self, from: NodeId, op: FsOp, seq: u64, _reserved: Option<u64>) -> bool {
         self.push_item(IngressItem::Client { from, op, seq })
     }

@@ -92,7 +92,7 @@ pub struct AckRecord {
     pub client: u32,
     /// The client's per-session request sequence number.
     pub seq: u64,
-    /// Reserved; see ROADMAP item 2. Written `false`, read only by the codec.
+    /// Reserved, written `false`; `bench_e2e` sets it, so it leaves with a benchmark change.
     pub spec: bool,
 }
 

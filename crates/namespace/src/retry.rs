@@ -51,7 +51,7 @@ pub enum RetryOutcome {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryEntry {
     pub outcome: RetryOutcome,
-    /// Reserved; see ROADMAP item 2. Written `None`, read only by the codec.
+    /// Reserved, written `None`; `bench_e2e` sets it, so it leaves with a benchmark change.
     pub token: Option<u64>,
 }
 
