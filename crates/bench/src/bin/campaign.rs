@@ -3,22 +3,24 @@
 //! ```text
 //! cargo run --release --bin campaign -- --seeds 200
 //! cargo run --release --bin campaign -- --scenario failover_crash --seeds 40
-//! cargo run --release --bin campaign -- --inject --seeds 10   # teeth check
+//! cargo run --bin campaign -- --inject --seeds 10             # teeth check
 //! ```
 //!
 //! Splits the seed budget across the corpus, runs every (scenario, seed)
 //! pair on a worker pool, shrinks any unexpected failure down to a minimal
-//! fault program, and writes `results/CAMPAIGN.json`.
+//! fault program, and, after a whole-corpus sweep, writes
+//! `results/CAMPAIGN.json`. `--inject` runs the debug-only `double_ack`
+//! scenario instead, where every run must be convicted.
 //!
-//! Exit status: `0` when every run upheld the invariants (and, under
-//! `--inject`, when the deliberately armed double-ack bug *was* caught);
-//! `1` otherwise.
+//! Exit status: `0` when every run is as expected (clean, or convicted
+//! under `--inject`); `1` otherwise; `2` for bad arguments, or `--inject`
+//! in a release build, which carries no bug.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use mams_bench::{arr, obj, Value};
-use mams_chaos::{corpus, quiet, run_scenario, CheckOutcome, RunConfig, RunReport, Scenario};
+use mams_chaos::{corpus, run_scenario, CheckOutcome, RunConfig, RunReport, Scenario};
 
 struct Args {
     seeds: u64,
@@ -78,18 +80,18 @@ struct ScenarioTally {
 
 fn main() {
     let args = parse_args();
-    let scenarios: Vec<Scenario> = if args.inject {
-        // Teeth mode: arm the double-ack defect on the fault-free scenario
-        // and demand the checker convicts every seed.
-        vec![quiet()]
-    } else {
-        match &args.scenario {
-            Some(name) => vec![mams_chaos::by_name(name).unwrap_or_else(|| {
+    // Teeth mode runs the one scenario with a bug, which only debug builds have.
+    let name = if args.inject { Some("double_ack") } else { args.scenario.as_deref() };
+    let scenarios: Vec<Scenario> = match name {
+        Some(name) => vec![mams_chaos::by_name(name).unwrap_or_else(|| {
+            if args.inject {
+                eprintln!("--inject needs the debug build, the one with the bug: drop --release");
+            } else {
                 eprintln!("unknown scenario {name}");
-                std::process::exit(2);
-            })],
-            None => corpus(),
-        }
+            }
+            std::process::exit(2);
+        })],
+        None => corpus(),
     };
 
     let per_scenario = (args.seeds / scenarios.len() as u64).max(1);
@@ -100,12 +102,11 @@ fn main() {
         }
     }
     println!(
-        "campaign: {} scenario(s) x {} seed(s) = {} runs on {} worker(s){}",
+        "campaign: {} scenario(s) x {} seed(s) = {} runs on {} worker(s)",
         scenarios.len(),
         per_scenario,
         jobs.len(),
         args.jobs,
-        if args.inject { " [double-ack INJECTED]" } else { "" }
     );
 
     let queue = Mutex::new(jobs);
@@ -116,7 +117,7 @@ fn main() {
             scope.spawn(|| loop {
                 let job = queue.lock().unwrap().pop();
                 let Some((si, seed)) = job else { break };
-                let cfg = RunConfig { seed, inject_double_ack: args.inject, ..Default::default() };
+                let cfg = RunConfig { seed, ..Default::default() };
                 let rep = run_scenario(&scenarios[si], &cfg);
                 reports.lock().unwrap().push(rep);
             });
@@ -219,47 +220,45 @@ fn main() {
     });
     let doc = obj([
         ("seeds_per_scenario", per_scenario.into()),
-        ("injected_double_ack", args.inject.into()),
         ("strict_linearizability", true.into()),
         ("wall_secs", t_start.elapsed().as_secs_f64().into()),
         ("scenarios", Value::Object(scenarios.collect())),
         ("shrunk_witnesses", arr(witnesses)),
     ]);
-    mams_bench::save_json("CAMPAIGN", &doc);
-
-    let failures = reports.iter().filter(|r| r.failed()).count();
-    if args.inject {
-        let caught = reports.iter().filter(|r| r.check.is_violation()).count();
-        println!(
-            "\ninjected double-ack: {caught}/{} run(s) convicted by the checker",
-            reports.len()
-        );
-        if caught == reports.len() {
-            println!("checker has teeth: PASS");
-        } else {
-            println!("checker MISSED the injected bug: FAIL");
-            std::process::exit(1);
-        }
-    } else {
-        println!(
-            "\n{} run(s), {} failure(s), {:.1}s wall",
-            reports.len(),
-            failures,
-            t_start.elapsed().as_secs_f64()
-        );
-        if failures > 0 {
-            for r in reports.iter().filter(|r| r.failed()).take(5) {
-                println!("-- {} seed {}:", r.scenario, r.seed);
-                for inv in &r.invariants {
-                    println!("   invariant: {inv}");
-                }
-                if let CheckOutcome::Violation { witness } = &r.check {
-                    println!("   {witness}");
-                }
-                println!("   timeline:\n{}", r.timeline);
-            }
-            std::process::exit(1);
-        }
-        println!("all scenarios clean: PASS");
+    if name.is_none() {
+        mams_bench::save_json("CAMPAIGN", &doc);
     }
+
+    let (expected, verdict) = if args.inject {
+        ("convicted", "checker has teeth")
+    } else {
+        ("clean", "all scenarios clean")
+    };
+    let unexpected: Vec<&RunReport> = reports
+        .iter()
+        .filter(|r| if args.inject { !r.check.is_violation() } else { r.failed() })
+        .collect();
+    println!(
+        "\n{}/{} run(s) {expected}, {:.1}s wall",
+        reports.len() - unexpected.len(),
+        reports.len(),
+        t_start.elapsed().as_secs_f64()
+    );
+    for r in unexpected.iter().take(5) {
+        println!("-- {} seed {}:", r.scenario, r.seed);
+        for inv in &r.invariants {
+            println!("   invariant: {inv}");
+        }
+        match &r.check {
+            CheckOutcome::Ok { .. } => {}
+            CheckOutcome::Violation { witness } => println!("   {witness}"),
+            CheckOutcome::Inconclusive { states } => println!("   inconclusive: {states} states"),
+        }
+        println!("   timeline:\n{}", r.timeline);
+    }
+    if !unexpected.is_empty() {
+        println!("{verdict}: FAIL");
+        std::process::exit(1);
+    }
+    println!("{verdict}: PASS");
 }

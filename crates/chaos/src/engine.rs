@@ -31,8 +31,6 @@ const GRACE: Duration = Duration::from_secs(25);
 #[derive(Debug, Clone, Default)]
 pub struct RunConfig {
     pub seed: u64,
-    /// Arm the deliberate double-ack defect (teeth test for the checker).
-    pub inject_double_ack: bool,
     /// Replace the scenario's generated fault program (shrinking).
     pub program: Option<Vec<FaultAction>>,
 }
@@ -56,9 +54,10 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// An unexpected failure (what campaigns shrink and report).
+    /// An unexpected failure (what campaigns shrink and report): a broken
+    /// invariant, or a history the checker did not prove linearizable.
     pub fn failed(&self) -> bool {
-        self.check.is_violation() || !self.invariants.is_empty()
+        !matches!(self.check, CheckOutcome::Ok { .. }) || !self.invariants.is_empty()
     }
 }
 
@@ -66,13 +65,11 @@ impl RunReport {
 pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> RunReport {
     let mut sim = Sim::new(SimConfig { seed: cfg.seed, ..SimConfig::default() });
 
-    let mut timing = (sc.tune)(MdsTiming::default());
-    timing.fault_double_ack = cfg.inject_double_ack;
     let spec = DeploySpec {
         groups: sc.groups,
         standbys_per_group: sc.standbys,
         juniors_per_group: sc.juniors,
-        timing,
+        timing: (sc.tune)(MdsTiming::default()),
         ..DeploySpec::default()
     };
     let mut deployment = deploy::build(&mut sim, spec);
@@ -185,14 +182,29 @@ mod tests {
     }
 
     #[test]
+    fn an_inconclusive_check_is_a_failure() {
+        let rep = RunReport {
+            scenario: "quiet",
+            seed: 1,
+            program: Vec::new(),
+            ops_ok: 1,
+            ops_failed: 0,
+            records: 1,
+            check: CheckOutcome::Inconclusive { states: 400_000 },
+            invariants: Vec::new(),
+            timeline: String::new(),
+        };
+        assert!(rep.failed());
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
     fn checker_has_teeth_against_injected_double_ack() {
         // The deliberate bug: the active acks deletes without applying
         // them. Fault-free runs have no retries, hence no echo slack — the
         // checker must convict.
-        let rep = run_scenario(
-            &scenario::quiet(),
-            &RunConfig { seed: 11, inject_double_ack: true, ..Default::default() },
-        );
+        let rep =
+            run_scenario(&scenario::double_ack(), &RunConfig { seed: 11, ..Default::default() });
         assert!(
             rep.check.is_violation(),
             "double-ack must be caught, got {:?} (inv {:?})",

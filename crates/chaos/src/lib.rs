@@ -32,5 +32,7 @@ pub mod shrink;
 
 pub use checker::{check_history, CheckOutcome};
 pub use engine::{run_scenario, RunConfig, RunReport};
+#[cfg(debug_assertions)]
+pub use scenario::double_ack;
 pub use scenario::{by_name, corpus, quiet, Scenario};
 pub use shrink::{shrink, Shrunk};

@@ -468,27 +468,35 @@ pub fn corpus() -> Vec<Scenario> {
     v
 }
 
-/// The fault-free scenario used with the deliberate double-ack injection.
-/// The strict checker convicts a fake ack in any run; fault-free keeps
-/// the witness small and the verdict instant.
+/// The fault-free scenario, and the base of `double_ack`.
 pub fn quiet() -> Scenario {
     Scenario {
         clients: 3,
         keys: 2,
         think_ms: 30,
         run_secs: 20,
-        about: "no faults; used to prove the checker catches an injected \
-                double-ack bug",
-        ..base("quiet", "")
+        ..base("quiet", "no faults: small, contended and instant to check")
     }
 }
 
-/// Look up a corpus scenario (or the teeth scenario) by name.
-pub fn by_name(name: &str) -> Option<Scenario> {
-    if name == "quiet" {
-        return Some(quiet());
+/// The checker's teeth (debug builds only): `quiet`, but acks are faked.
+#[cfg(debug_assertions)]
+pub fn double_ack() -> Scenario {
+    Scenario {
+        name: "double_ack",
+        about: "quiet, but the active acks deletes it never applies",
+        tune: |t| MdsTiming { fault_double_ack: true, ..t },
+        ..quiet()
     }
-    corpus().into_iter().find(|s| s.name == name)
+}
+
+/// Look up a corpus scenario, `quiet` or (debug builds) `double_ack` by name.
+pub fn by_name(name: &str) -> Option<Scenario> {
+    let mut all = corpus();
+    all.push(quiet());
+    #[cfg(debug_assertions)]
+    all.push(double_ack());
+    all.into_iter().find(|s| s.name == name)
 }
 
 #[cfg(test)]

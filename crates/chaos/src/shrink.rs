@@ -63,6 +63,7 @@ pub fn shrink(sc: &Scenario, cfg: &RunConfig, failing: &RunReport, max_runs: usi
 }
 
 #[cfg(test)]
+#[cfg(debug_assertions)]
 mod tests {
     use super::*;
     use crate::scenario;
@@ -71,8 +72,8 @@ mod tests {
     fn injected_bug_shrinks_to_the_empty_program() {
         // The double-ack defect fails with *no* faults at all, so every
         // action of any program must shrink away.
-        let sc = scenario::quiet();
-        let cfg = RunConfig { seed: 5, inject_double_ack: true, ..Default::default() };
+        let sc = scenario::double_ack();
+        let cfg = RunConfig { seed: 5, ..Default::default() };
         let failing = run_scenario(&sc, &cfg);
         assert!(failing.failed(), "teeth run must fail");
         let s = shrink(&sc, &cfg, &failing, 8);

@@ -5,7 +5,7 @@
 //! standbys hot on file locations. Nothing here reads a location: a member
 //! drops every report on arrival, and [`crate::deploy::build`] starts no
 //! data server. [`DataServer`] stays only because `bench_e2e`
-//! builds its own cluster with it, and goes with it (ROADMAP item 1(g)).
+//! builds its own cluster with it, and goes when that cluster does.
 
 use std::collections::BTreeSet;
 

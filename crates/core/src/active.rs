@@ -107,6 +107,7 @@ impl Tenure {
             ctx.send(from, cached);
             return;
         }
+        #[cfg(debug_assertions)]
         if r.cfg.timing.fault_double_ack {
             if let FsOp::Delete { .. } = &op {
                 // Injected defect (chaos teeth test): acknowledge the

@@ -39,10 +39,11 @@ pub struct MdsTiming {
     /// cheaper than a full image — cost is proportional to churn — so it
     /// can run far more often, keeping junior recovery time flat.
     pub delta_interval: Option<Duration>,
-    /// **Deliberate bug switch** (chaos-checker teeth test): the active
-    /// acknowledges `delete` without applying it. Must never be set outside
-    /// chaos campaigns — it exists so the linearizability checker can be
-    /// shown to catch a real double-ack defect.
+    /// **Deliberate bug switch**, compiled only into debug builds: the
+    /// active acknowledges `delete` without applying it, so the chaos
+    /// checker can be shown to convict a real double-ack defect
+    /// (`mams_chaos::double_ack`). No release binary carries it.
+    #[cfg(debug_assertions)]
     pub fault_double_ack: bool,
 }
 
@@ -54,6 +55,7 @@ impl Default for MdsTiming {
             image_chunk: 4 * 1024 * 1024,
             checkpoint_interval: None,
             delta_interval: None,
+            #[cfg(debug_assertions)]
             fault_double_ack: false,
         }
     }

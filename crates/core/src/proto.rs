@@ -77,8 +77,8 @@ pub enum MdsReq {
     Checkpoint,
     /// Data-server block report: the complete set of blocks this server
     /// holds. Every member drops it on arrival, since no block location is
-    /// modelled; it stays only because `bench_e2e` builds its own data
-    /// servers, and goes with them (ROADMAP item 1(g)).
+    /// modelled; it stays only because `bench_e2e` builds its own cluster
+    /// with a `DataServer`, and goes with it.
     BlockReport { server: u32, blocks: Vec<u64> },
 }
 
