@@ -169,7 +169,7 @@ fn error_branch(op: &FsOp, err: &NsError, slot: impl Fn(&str) -> u8) -> Branch {
         NsError::NotFound(_) => missing.map_or(Pre::None, |p| Pre::Absent(slot(p))),
         // These speak of a parent, a child, a file's state or a path's form,
         // which the flat `Absent | File | Dir` model does not hold: they stay
-        // unconstrained until the checker models a tree (ROADMAP item 22(c)).
+        // unconstrained until the checker models a parent-child tree.
         NsError::Invalid(_)
         | NsError::ParentNotFound(_)
         | NsError::ParentNotDirectory(_)

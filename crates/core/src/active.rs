@@ -5,8 +5,7 @@
 
 use std::sync::Arc;
 
-use mams_journal::{AckRecord, SharedBatch, Sn, Txn};
-use mams_namespace::partition::fnv1a64;
+use mams_journal::{fnv1a64, AckRecord, SharedBatch, Sn, Txn};
 use mams_namespace::{path, NsError};
 use mams_sim::{Ctx, Duration, NodeId};
 use mams_storage::pool::PoolError;

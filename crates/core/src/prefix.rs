@@ -33,7 +33,7 @@ use mams_journal::{
 };
 use mams_namespace::{
     apply_delta, fold_delta_with_window, replay_outcome, DecodedDelta, DecodedImage, DeltaOp,
-    NsError, RetryEntry, RetryOutcome, RetryWindow, ShardedNamespace, ShardedReplaySession,
+    NsError, RetryEntry, RetryOutcome, RetryWindow, ShardedNamespace,
 };
 
 use crate::proto::{FsOp, OpOutput};
@@ -69,9 +69,6 @@ pub struct Prefix {
     /// The sn the window is folded through; never below the log's base, so
     /// the batches past it are all on the log.
     window_sn: Sn,
-    /// Journal replay fast path (validate-skip + cached parent handle). Its
-    /// handles are good only while replay is the sole writer of `ns`.
-    replay: ShardedReplaySession,
     next_txid: TxnId,
     /// Next block id to allocate (replay advances it past any seen id).
     next_block_id: u64,
@@ -92,7 +89,6 @@ impl Prefix {
             stash: BTreeMap::new(),
             window: RetryWindow::new(),
             window_sn: 0,
-            replay: ShardedReplaySession::new(),
             next_txid: 1,
             next_block_id: 1,
         }
@@ -114,7 +110,6 @@ impl Prefix {
             stash: BTreeMap::new(),
             window,
             window_sn: sn,
-            replay: ShardedReplaySession::new(),
             next_txid: 1,
             next_block_id: highest_block + 1,
         }
@@ -131,7 +126,6 @@ impl Prefix {
             // well-formed chain).
             return Err(DeltaError::Gap { base_sn: delta.base_sn, applied });
         }
-        self.replay.reset();
         apply_delta(&mut self.ns, &delta).map_err(DeltaError::Apply)?;
         let highest_block = delta.entries.iter().filter_map(|e| match &e.op {
             DeltaOp::UpsertFile { blocks, .. } => blocks.iter().max().copied(),
@@ -230,8 +224,6 @@ impl Prefix {
     /// is the published one: a read takes no pin and never sees a mutation
     /// mid-apply.
     pub fn exec(&mut self, op: FsOp) -> Result<(Option<Txn>, OpOutput), NsError> {
-        // A mutation writes `ns` past the replay session's cached handles.
-        self.replay.reset();
         let done = |txn| (Some(txn), OpOutput::Done);
         match op {
             FsOp::GetFileInfo { path } => {
@@ -289,9 +281,10 @@ impl Prefix {
     /// duplicate and dropped; any other is stashed, and the stash drains in
     /// sn order onto the log. What stays stashed waits for a hole to be
     /// filled (a batch lost on the wire, re-pushed by the writer). Returns
-    /// how many records failed to re-apply — journaled records were
-    /// validated before logging, so anything but 0 means this prefix has
-    /// diverged from its journal.
+    /// how many records failed to re-apply — a record fails exactly when
+    /// its live op would refuse it, and the writer journals only what it
+    /// executed, so anything but 0 means this prefix has diverged from its
+    /// journal or the batch holds records no active journals.
     pub fn ingest(&mut self, batch: SharedBatch) -> u64 {
         if batch.sn <= self.tail_sn() {
             return 0;
@@ -319,9 +312,9 @@ impl Prefix {
             if let Txn::AddBlock { block_id, .. } = txn {
                 self.next_block_id = self.next_block_id.max(*block_id + 1);
             }
-            // The session skips re-validation and reuses the previous
-            // record's parent-directory resolution.
-            if self.replay.apply(&self.ns, txn).is_err() {
+            // The live op's body, validation included: a record the writer
+            // would have refused fails here too.
+            if self.ns.apply(txn).is_err() {
                 failed += 1;
             }
             self.next_txid = self.next_txid.max(txid + 1);

@@ -2,8 +2,10 @@
 //! in the repo: journal batches, namespace images, MDLT deltas and the
 //! retry-window section.
 //!
-//! One FNV-1a-64 implementation serves every on-disk format (and the
-//! in-memory tree fingerprint constants): same offset basis, same prime.
+//! One FNV-1a-64 implementation serves every on-disk format and every
+//! in-memory hash — both namespace fingerprints, the group partitioner, the
+//! resolution cache's sets and the active's reply-release buckets: same
+//! offset basis, same prime.
 //! The incremental form is split-invariant — feeding the same bytes in any
 //! chunking produces the same digest — which is what lets encoders seal a
 //! trailer checksum without a second scan ([`HashingBuf`]) and streaming
@@ -70,6 +72,7 @@ impl Fnv1a64 {
 }
 
 /// One-shot FNV-1a 64.
+#[inline]
 pub fn fnv1a64(data: &[u8]) -> u64 {
     let mut f = Fnv1a64::new();
     f.write(data);

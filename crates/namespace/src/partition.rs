@@ -8,23 +8,14 @@
 //! why the paper classifies them as distributed transactions whose
 //! throughput does not improve with more actives (Figure 5 discussion).
 
+use mams_journal::fnv1a64;
+
 /// Index of a replica group within a deployment.
 pub type GroupId = u32;
 
-/// FNV-1a, stable across runs and platforms (clients and servers must agree
-/// on routing forever). Group-level partitioning here, the resolution
-/// cache's sets in [`crate::shard`], and the active's reply-release buckets
-/// in `mams-core` all hash with it.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    h
-}
-
-/// Stable path → group mapping.
+/// Stable path → group mapping: [`fnv1a64`] of the path, the one FNV-1a
+/// every format and every hash in the repo uses, stable across runs and
+/// platforms (clients and servers must agree on routing forever).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Partitioner {
     groups: u32,

@@ -58,9 +58,10 @@
 //!
 //! ### Replay parity
 //!
-//! Standbys replay journal records through [`ShardedReplaySession`] (the
-//! validate-skip fast path, checked against per-record
-//! [`NamespaceTree::apply`]), and a junior's image decodes straight into the
+//! Standbys replay journal records through [`ShardedNamespace::apply`],
+//! which runs the live op's body, validation included, so a record the
+//! active would refuse is refused on replay too (checked against per-record
+//! [`NamespaceTree::apply`]); a junior's image decodes straight into the
 //! table, each inode loaded under its parent as a live create or mkdir
 //! would load it. Either way the [`fingerprint`] is byte-for-byte the
 //! legacy tree's over the same history — inode ids may differ, but the
@@ -76,12 +77,11 @@ use std::cell::{Cell, Ref, RefCell};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-use mams_journal::{NamespaceImage, Sn, Txn};
+use mams_journal::{fnv1a64, Fnv1a64, NamespaceImage, Sn, Txn};
 
 use crate::image::{encode_image_with_window, FileAttrs};
 use crate::inode::{child, FileInfo, Inode, InodeId, InodeSource, Name, ROOT_ID};
-use crate::partition::fnv1a64;
-use crate::path::{self, PathError};
+use crate::path;
 use crate::retry::RetryWindow;
 use crate::{error::NsError, tree::NamespaceTree};
 
@@ -99,8 +99,7 @@ const CACHE_WAYS: usize = 4;
 /// freed. An id whose generation is not its slot's reads as absent, as a
 /// removed key would. The generation wraps after 2^32 frees of one index: a
 /// stale id could resolve again only if it were held across four billion
-/// reuses of its slot, and every holder keeps one for one op, or for a
-/// replay session between two records.
+/// reuses of its slot, and every holder keeps one for one op.
 const GEN_SHIFT: u32 = 32;
 
 /// One inode's newest version. `node == None` is a tombstone — the inode
@@ -794,6 +793,12 @@ impl ShardedNamespace {
 
     /// `create`: make an empty file.
     pub fn create(&self, p: &str, replication: u8) -> Result<FileInfo, NsError> {
+        self.create_file(p, replication)?;
+        Ok(FileInfo::new_file(p, replication))
+    }
+
+    /// `create` without its answer, which a replayed `Create` does not need.
+    fn create_file(&self, p: &str, replication: u8) -> Result<(), NsError> {
         path::validate(p)?;
         let (dir, name) = path::split(p).ok_or(NsError::RootImmutable)?;
         // Bare lookup for the candidate parent id; its kind (and the legacy
@@ -801,8 +806,7 @@ impl ShardedNamespace {
         // kind check per create.
         let (pid, bind) =
             self.lookup_dir(dir, None).ok_or_else(|| self.parent_missing_error(p, dir))?;
-        self.attach_file(pid, name, replication, p, bind)?;
-        Ok(FileInfo::new_file(p, replication))
+        self.attach_file(pid, name, replication, p, bind)
     }
 
     /// `mkdir`: make a directory (parent must exist). The new directory is
@@ -812,7 +816,7 @@ impl ShardedNamespace {
         let (dir, name) = path::split(p).ok_or(NsError::RootImmutable)?;
         let (pid, bind) =
             self.lookup_dir(dir, None).ok_or_else(|| self.parent_missing_error(p, dir))?;
-        self.attach_dir(pid, name, p, bind).map(|_| ())
+        self.attach_dir(pid, name, p, bind)
     }
 
     /// `mkdir -p`: create all missing ancestors. Ok if the directory exists.
@@ -851,22 +855,7 @@ impl ShardedNamespace {
     pub fn rename(&self, src: &str, dst: &str) -> Result<(), NsError> {
         path::validate(src)?;
         path::validate(dst)?;
-        Self::check_rename(src, dst)?;
-        let (src_dir, src_name) = path::split(src).expect("not the root");
-        let (dst_dir, dst_name) = path::split(dst).expect("not the root");
-        let from =
-            self.lookup_dir(src_dir, None).ok_or_else(|| NsError::NotFound(src.to_string()))?;
-        let to = if dst_dir == src_dir {
-            Ok((from.0, None))
-        } else {
-            self.lookup_dir(dst_dir, None).ok_or_else(|| self.parent_missing_error(dst, dst_dir))
-        };
-        self.move_entry(from, src_name, to.map(|parent| (parent, dst_name)), src, dst).map(|_| ())
-    }
-
-    /// What `rename` refuses from its two paths alone, in the legacy tree's
-    /// order.
-    fn check_rename(src: &str, dst: &str) -> Result<(), NsError> {
+        // What the two paths alone refuse, in the legacy tree's order.
         if src == "/" || dst == "/" {
             return Err(NsError::RootImmutable);
         }
@@ -876,7 +865,16 @@ impl ShardedNamespace {
         if path::is_strict_descendant(dst, src) {
             return Err(NsError::RenameIntoSelf { src: src.to_string(), dst: dst.to_string() });
         }
-        Ok(())
+        let (src_dir, src_name) = path::split(src).expect("not the root");
+        let (dst_dir, dst_name) = path::split(dst).expect("not the root");
+        let from =
+            self.lookup_dir(src_dir, None).ok_or_else(|| NsError::NotFound(src.to_string()))?;
+        let to = if dst_dir == src_dir {
+            Ok((from.0, None))
+        } else {
+            self.lookup_dir(dst_dir, None).ok_or_else(|| self.parent_missing_error(dst, dst_dir))
+        };
+        self.move_entry(from, src_name, to.map(|parent| (parent, dst_name)), src, dst)
     }
 
     /// A validated path's inode, or `NotFound`.
@@ -900,11 +898,12 @@ impl ShardedNamespace {
         self.set_perm_at(self.resolve_existing(p)?, p, perm)
     }
 
-    /// Apply a journalled transaction (the naive replay path; standbys use
-    /// [`ShardedReplaySession`]).
+    /// Apply a journalled transaction: the one replay path, each record
+    /// run through its live op, which refuses on replay what it refuses
+    /// live.
     pub fn apply(&self, txn: &Txn) -> Result<(), NsError> {
         match txn {
-            Txn::Create { path, replication } => self.create(path, *replication).map(|_| ()),
+            Txn::Create { path, replication } => self.create_file(path, *replication),
             Txn::Mkdir { path } => self.mkdir(path),
             Txn::Delete { path, recursive } => self.delete(path, *recursive).map(|_| ()),
             Txn::Rename { src, dst } => self.rename(src, dst),
@@ -922,38 +921,32 @@ impl ShardedNamespace {
     }
 
     fn fingerprint_at(&self, epoch: Option<Stamp>) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1_0000_0000_01b3);
-            }
-        };
+        let mut h = Fnv1a64::new();
         let table = self.table.borrow();
         let mut stack: Vec<(InodeId, u32)> = vec![(ROOT_ID, 0)];
         while let Some((id, depth)) = stack.pop() {
-            mix(&depth.to_le_bytes());
+            h.write(&depth.to_le_bytes());
             match table.inode(id, epoch) {
                 Some(Inode::Directory { children, perm }) => {
-                    mix(b"D");
-                    mix(&perm.to_le_bytes());
+                    h.write(b"D");
+                    h.write(&perm.to_le_bytes());
                     for (name, child) in children.iter().rev() {
-                        mix(name.as_bytes());
+                        h.write(name.as_bytes());
                         stack.push((*child, depth + 1));
                     }
                 }
                 Some(Inode::File { blocks, replication, sealed, perm }) => {
-                    mix(&[b'F', *replication, *sealed as u8]);
-                    mix(&perm.to_le_bytes());
+                    h.write(&[b'F', *replication, *sealed as u8]);
+                    h.write(&perm.to_le_bytes());
                     for b in blocks {
-                        mix(&b.to_le_bytes());
+                        h.write(&b.to_le_bytes());
                     }
                 }
                 // Every entry names an inode live at the epoch.
                 None => {}
             }
         }
-        h
+        h.digest()
     }
 
     /// Fingerprint of the directory skeleton alone: every directory's path
@@ -1036,168 +1029,27 @@ impl SnapshotView<'_> {
     }
 }
 
-/// Resolution-skipping journal replay for the namespace.
-///
-/// Journalled records were fully validated by the active before they were
-/// logged, so a replica replaying them can skip `path::validate` and most
-/// of the resolution work a per-record [`NamespaceTree::apply`] does: the
-/// last-resolved parent directory and last-touched node are remembered
-/// across records (journals have heavy directory locality, and
-/// `Create f → AddBlock f → CloseFile f` runs are ubiquitous). Every record
-/// resolves its parents through that handle and runs the live op's body,
-/// which binds in the namespace's resolution cache only a parent the
-/// namespace walked to — never the directory a `Mkdir` makes. A
-/// `Delete` or `Rename` drops the node handle, and the directory handle too
-/// when what went was a directory (or the record failed); an external
-/// [`reset`](Self::reset) drops both. The answer is the naive apply's,
-/// error included, for every record an active can journal; a malformed
-/// record fails in both, not always with the same error.
+/// A name kept for `bench_e2e`, which replays a batch through it: it is
+/// [`ShardedNamespace::apply`] and nothing else, and no replica uses it.
 #[derive(Debug, Default)]
-pub struct ShardedReplaySession {
-    dir: String,
-    dir_id: InodeId,
-    dir_valid: bool,
-    node: String,
-    node_id: InodeId,
-    node_valid: bool,
-}
+pub struct ShardedReplaySession;
 
 impl ShardedReplaySession {
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
-    /// Drop the cached handles (image install, state reset, or a stint as
-    /// active mutating the namespace through other paths).
-    pub fn reset(&mut self) {
-        self.dir_valid = false;
-        self.node_valid = false;
-    }
-
-    /// Apply one journalled record via the fast path.
+    /// Apply one journalled record: `ns.apply(txn)`.
     pub fn apply(&mut self, ns: &ShardedNamespace, txn: &Txn) -> Result<(), NsError> {
-        match txn {
-            Txn::Create { path, replication } => {
-                let missing = |dir: &str| ns.parent_missing_error(path, dir);
-                let ((pid, bind), name) = self.parent_of(ns, path, missing)?;
-                let id = ns.attach_file(pid, name, *replication, path, bind)?;
-                self.remember_node(path, id);
-                Ok(())
-            }
-            Txn::Mkdir { path } => {
-                let missing = |dir: &str| ns.parent_missing_error(path, dir);
-                let ((pid, bind), name) = self.parent_of(ns, path, missing)?;
-                let id = ns.attach_dir(pid, name, path, bind)?;
-                self.remember_dir(path, id);
-                Ok(())
-            }
-            Txn::Delete { path, recursive } => {
-                let (parent, name) =
-                    self.parent_of(ns, path, |_| NsError::NotFound(path.clone()))?;
-                let removed = ns.unlink(parent, name, *recursive, path);
-                self.forget(!matches!(removed, Ok((_, 0))));
-                removed.map(|_| ())
-            }
-            Txn::Rename { src, dst } => {
-                let moved_dir = self.rename(ns, src, dst);
-                self.forget(!matches!(moved_dir, Ok(false)));
-                moved_dir.map(|_| ())
-            }
-            Txn::AddBlock { path, block_id, .. } => {
-                ns.add_block_at(self.resolve_node(ns, path)?, path, *block_id)
-            }
-            Txn::CloseFile { path } => ns.close_file_at(self.resolve_node(ns, path)?, path),
-            Txn::SetPerm { path, perm } => {
-                ns.set_perm_at(self.resolve_node(ns, path)?, path, *perm)
-            }
-        }
-    }
-
-    /// A `Rename` through the directory handle: the source's parent, then
-    /// the destination's, whose failure counts only once the source is
-    /// found. Answers whether what moved is a directory.
-    fn rename(&mut self, ns: &ShardedNamespace, src: &str, dst: &str) -> Result<bool, NsError> {
-        ShardedNamespace::check_rename(src, dst)?;
-        let (from, src_name) = self.parent_of(ns, src, |_| NsError::NotFound(src.to_string()))?;
-        let to = self.parent_of(ns, dst, |dir| ns.parent_missing_error(dst, dir));
-        ns.move_entry(from, src_name, to, src, dst)
-    }
-
-    /// A record removed or moved something. Only a directory's going can
-    /// leave the directory handle naming the wrong inode; a file's takes the
-    /// node handle alone.
-    fn forget(&mut self, maybe_dir: bool) {
-        self.node_valid = false;
-        self.dir_valid &= !maybe_dir;
-    }
-
-    fn remember_dir(&mut self, path: &str, id: InodeId) {
-        self.dir.clear();
-        self.dir.push_str(path);
-        self.dir_id = id;
-        self.dir_valid = true;
-    }
-
-    fn remember_node(&mut self, path: &str, id: InodeId) {
-        self.node.clear();
-        self.node.push_str(path);
-        self.node_id = id;
-        self.node_valid = true;
-    }
-
-    /// The parent directory of `path` — with, when the namespace had to walk
-    /// for it, the key the caller's op binds it under, so later records (and
-    /// other sessions) hit the namespace's resolution cache — and the
-    /// child's name. A parent that is not there is answered with
-    /// `missing(dir)`: the error the live op gives.
-    fn parent_of<'p>(
-        &mut self,
-        ns: &ShardedNamespace,
-        path: &'p str,
-        missing: impl FnOnce(&str) -> NsError,
-    ) -> Result<(Parent<'p>, &'p str), NsError> {
-        let (dir, name) = path::split(path).ok_or(NsError::RootImmutable)?;
-        if name.is_empty() {
-            return Err(NsError::Invalid(PathError(format!("{path:?} has a trailing slash"))));
-        }
-        if self.dir_valid && self.dir == dir {
-            return Ok(((self.dir_id, None), name));
-        }
-        let parent = ns.lookup_dir(dir, None).ok_or_else(|| missing(dir))?;
-        self.remember_dir(dir, parent.0);
-        Ok((parent, name))
-    }
-
-    fn resolve_node(&mut self, ns: &ShardedNamespace, path: &str) -> Result<InodeId, NsError> {
-        if path == "/" {
-            return Ok(ROOT_ID);
-        }
-        if self.node_valid && self.node == path {
-            return Ok(self.node_id);
-        }
-        if self.dir_valid && self.dir == path {
-            return Ok(self.dir_id);
-        }
-        let ((pid, _), name) = self.parent_of(ns, path, |_| NsError::NotFound(path.to_string()))?;
-        let id = ns
-            .with_node(pid, None, |n| match n {
-                Inode::Directory { children, .. } => child(children, name),
-                Inode::File { .. } => None,
-            })
-            .flatten()
-            .ok_or_else(|| NsError::NotFound(path.to_string()))?;
-        self.remember_node(path, id);
-        Ok(id)
+        ns.apply(txn)
     }
 }
 
-/// The bodies of the mutations, past their parents' resolution: the live
-/// ops and the replay session both end here.
+/// The bodies of the mutations, past their parents' resolution.
 impl ShardedNamespace {
     /// Attach a new file under directory `parent` as `name` — the body of
-    /// `create`, and the replay path's whole create. Errors name `p`, the
-    /// file's path, as the legacy tree's do. `bind` is the parent's cache
-    /// key when its lookup walked.
+    /// `create`. Errors name `p`, the file's path, as the legacy tree's do.
+    /// `bind` is the parent's cache key when its lookup walked.
     fn attach_file(
         &self,
         parent: InodeId,
@@ -1205,7 +1057,7 @@ impl ShardedNamespace {
         replication: u8,
         p: &str,
         bind: Option<CacheKey<'_>>,
-    ) -> Result<InodeId, NsError> {
+    ) -> Result<(), NsError> {
         let mut table = self.table.borrow_mut();
         self.sweep(&mut table);
         Self::check_parent(table.get(parent), p)?;
@@ -1219,7 +1071,7 @@ impl ShardedNamespace {
             self.cache_put(&table, &k, parent, s);
         }
         self.num_files.set(self.num_files.get() + 1);
-        Ok(id)
+        Ok(())
     }
 
     /// Attach a new directory under `parent` (see
@@ -1231,7 +1083,7 @@ impl ShardedNamespace {
         name: &str,
         p: &str,
         bind: Option<CacheKey<'_>>,
-    ) -> Result<InodeId, NsError> {
+    ) -> Result<(), NsError> {
         let mut table = self.table.borrow_mut();
         self.sweep(&mut table);
         Self::check_parent(table.get(parent), p)?;
@@ -1244,7 +1096,7 @@ impl ShardedNamespace {
             self.cache_put(&table, &k, parent, s);
         }
         self.num_dirs.set(self.num_dirs.get() + 1);
-        Ok(id)
+        Ok(())
     }
 
     /// The body of `delete`: unlink `name` from the directory `parent` — one
@@ -1300,13 +1152,12 @@ impl ShardedNamespace {
         Ok((files, dirs))
     }
 
-    /// The body of `rename`, past [`check_rename`](Self::check_rename):
+    /// The body of `rename`, past what its two paths alone refuse:
     /// move `src_name` of the directory `from` to `to`, the destination's
     /// parent and name or the error its parent's resolution ended in. One
     /// descent of each map (two of a shared one), erring in the legacy
     /// tree's order: no source, then the destination's parent, then a taken
-    /// destination — the last two putting the source back. Answers whether
-    /// what moved is a directory.
+    /// destination — the last two putting the source back.
     fn move_entry(
         &self,
         (sp, src_bind): Parent<'_>,
@@ -1314,7 +1165,7 @@ impl ShardedNamespace {
         to: Result<(Parent<'_>, &str), NsError>,
         src: &str,
         dst: &str,
-    ) -> Result<bool, NsError> {
+    ) -> Result<(), NsError> {
         let mut table = self.table.borrow_mut();
         if !table.has_live_dir(sp) {
             return Err(NsError::NotFound(src.to_string()));
@@ -1344,8 +1195,7 @@ impl ShardedNamespace {
                 return Err(e);
             }
         };
-        let is_dir = table.has_live_dir(id);
-        if is_dir {
+        if table.has_live_dir(id) {
             // Every cached path at or under `src` now points somewhere else
             // (or nowhere).
             self.cache_flush();
@@ -1355,7 +1205,7 @@ impl ShardedNamespace {
                 self.cache_put(&table, &k, parent, s);
             }
         }
-        Ok(is_dir)
+        Ok(())
     }
 
     /// The legacy tree's classification of an op under `parent`, from the
@@ -1647,10 +1497,12 @@ mod tests {
 
     /// A refused block op or seal checks the inode as it stands: it copies
     /// nothing and takes no stamp, pinned or not, and answers what the tree
-    /// answers — on the live path and on replay.
+    /// answers — on the live path and on a replica that replayed the same
+    /// records.
     #[test]
     fn a_refused_op_by_id_takes_no_stamp_and_copies_nothing() {
         let (mut t, s) = both();
+        let replica = ShardedNamespace::new();
         let setup = [
             Txn::Mkdir { path: "/d".into() },
             Txn::Create { path: "/d/f".into(), replication: 1 },
@@ -1660,6 +1512,7 @@ mod tests {
         for op in &setup {
             t.apply(op).unwrap();
             s.apply(op).unwrap();
+            replica.apply(op).unwrap();
         }
         let view = s.pin();
         s.set_perm("/d", 0o700).unwrap();
@@ -1673,12 +1526,11 @@ mod tests {
             (Txn::AddBlock { path: "/d".into(), block_id: 2, len: 8 }, is_dir.clone()),
             (Txn::CloseFile { path: "/d".into() }, is_dir),
         ];
-        let mut session = ShardedReplaySession::new();
         for (op, error) in refused {
             let want = Err(error);
             assert_eq!(t.apply(&op), want, "{op:?}");
             assert_eq!(s.apply(&op), want, "{op:?}");
-            assert_eq!(session.apply(&s, &op), want, "{op:?} on replay");
+            assert_eq!(replica.apply(&op), want, "{op:?} on replay");
         }
         assert_eq!(s.pin().epoch(), epoch, "a refused op took a stamp");
         assert_eq!(s.displaced_versions(), displaced, "a refused op displaced a copy");
@@ -1947,8 +1799,10 @@ mod tests {
         );
     }
 
+    /// Replay answers what the tree answers, record for record, also for a
+    /// record whose path a rename or delete moved away or that is malformed.
     #[test]
-    fn replay_session_matches_naive_apply() {
+    fn replay_matches_the_tree_across_renames_and_deletes() {
         let workload = [
             Txn::Mkdir { path: "/a".into() },
             Txn::Mkdir { path: "/a/b".into() },
@@ -1965,18 +1819,17 @@ mod tests {
         ];
         let mut naive = NamespaceTree::new();
         let sharded = ShardedNamespace::new();
-        let mut sess = ShardedReplaySession::new();
         for txn in &workload {
             let a = naive.apply(txn);
-            let b = sess.apply(&sharded, txn);
-            assert_eq!(a, b, "session parity broke on {txn:?}");
+            let b = sharded.apply(txn);
+            assert_eq!(a, b, "replay parity broke on {txn:?}");
         }
         assert_eq!(naive.fingerprint(), sharded.fingerprint());
-        // Stale handles: a record against a deleted file or a renamed-away
+        // Stale paths: a record against a deleted file or a renamed-away
         // directory fails in both instead of touching the old inode, and
-        // malformed shapes are rejected although validation is skipped.
+        // malformed shapes are rejected.
         let rename = Txn::Rename { src: "/a/b".into(), dst: "/a/c".into() };
-        sess.apply(&sharded, &rename).unwrap();
+        sharded.apply(&rename).unwrap();
         naive.apply(&rename).unwrap();
         for stale in [
             Txn::AddBlock { path: "/a/b/f0".into(), block_id: 3, len: 64 },
@@ -1989,14 +1842,14 @@ mod tests {
             Txn::Rename { src: "/a/c".into(), dst: "/a/c/d".into() },
             Txn::Rename { src: "/".into(), dst: "/x".into() },
         ] {
-            assert!(sess.apply(&sharded, &stale).is_err(), "{stale:?}");
+            assert!(sharded.apply(&stale).is_err(), "{stale:?}");
             assert!(naive.apply(&stale).is_err(), "{stale:?}");
         }
         assert_eq!(naive.fingerprint(), sharded.fingerprint());
-        // The directory handle outlives a file's delete or rename and not
-        // the directory's own: a create under a path that was renamed or
-        // deleted away fails as the naive apply's does, between two that
-        // succeed.
+        // A create under a directory's old path fails once a rename or a
+        // delete took the directory away, as the naive apply's does, between
+        // two that succeed; a file's delete or rename leaves its directory
+        // where it was.
         for txn in [
             Txn::Mkdir { path: "/p".into() },
             Txn::Create { path: "/p/f1".into(), replication: 1 },
@@ -2016,7 +1869,7 @@ mod tests {
                 || (matches!(&txn, Txn::Create { path, .. } if path == "/q/f6")
                     && !naive.exists("/q"));
             let a = naive.apply(&txn);
-            assert_eq!(a, sess.apply(&sharded, &txn), "session parity broke on {txn:?}");
+            assert_eq!(a, sharded.apply(&txn), "replay parity broke on {txn:?}");
             assert_eq!(a.is_err(), failing, "{txn:?}: {a:?}");
         }
         assert_eq!(naive.fingerprint(), sharded.fingerprint());
@@ -2069,19 +1922,18 @@ mod tests {
         }
     }
 
-    /// Seeded `write_steady`-shaped journals through the live ops (the
-    /// active's path) and the replay session (a standby's) beside the
-    /// reference tree: both answer exactly what the tree answers, error
-    /// included, record for record, and all three end in one fingerprint.
+    /// Seeded `write_steady`-shaped journals through an active's namespace
+    /// and a replica's, each applying every record, beside the reference
+    /// tree: both answer exactly what the tree answers, error included,
+    /// record for record, and all three end in one fingerprint.
     #[test]
-    fn replay_session_matches_naive_apply_on_churn_journals() {
+    fn replay_matches_the_tree_on_churn_journals() {
         let cases: u64 =
             std::env::var("PARITY_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(8);
         for case in 0..cases {
             let mut rng = SmallRng::seed_from_u64(2000 + case);
             let mut naive = NamespaceTree::new();
             let (live, replica) = (ShardedNamespace::new(), ShardedNamespace::new());
-            let mut session = ShardedReplaySession::new();
             let mut journal = vec![Txn::Mkdir { path: "/w".into() }];
             journal.extend((0..32).map(|d| Txn::Mkdir { path: format!("/w/d{d}") }));
             // Per kind — a directory's rename, a file's, a populated
@@ -2104,7 +1956,7 @@ mod tests {
                 };
                 let want = naive.apply(&txn);
                 assert_eq!(live.apply(&txn), want, "case {case}, live, record {n}: {txn:?}");
-                let got = session.apply(&replica, &txn);
+                let got = replica.apply(&txn);
                 assert_eq!(got, want, "case {case}, replay, record {n}: {txn:?}");
                 if want.is_ok() {
                     applied[kind] += 1;

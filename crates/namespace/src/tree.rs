@@ -2,7 +2,7 @@
 //!
 //! This is the plain reference namespace: every path resolves by a walk
 //! from the root, and [`NamespaceTree::apply`] is the per-record replay the
-//! sharded namespace and its replay session are checked against. No node
+//! sharded namespace's own `apply` is checked against. No node
 //! holds one — every system's namespace is a slot table, and images decode
 //! into it — so it lives on as the oracle: the parity suites run it beside
 //! the table, encode its image (it is an [`InodeSource`]) and cross into
@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use mams_journal::Txn;
+use mams_journal::{Fnv1a64, Txn};
 
 use crate::error::NsError;
 use crate::inode::{child, FileInfo, Inode, InodeId, InodeSource, Name, ROOT_ID};
@@ -367,36 +367,30 @@ impl NamespaceTree {
     /// Deterministic structural fingerprint of the whole tree (used by tests
     /// and the renewing protocol's final verification).
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1_0000_0000_01b3);
-            }
-        };
+        let mut h = Fnv1a64::new();
         // DFS in sorted-child order, hashing path-shape and attributes.
         let mut stack: Vec<(InodeId, u32)> = vec![(ROOT_ID, 0)];
         while let Some((id, depth)) = stack.pop() {
-            mix(&depth.to_le_bytes());
+            h.write(&depth.to_le_bytes());
             match &self.inodes[&id] {
                 Inode::Directory { children, perm } => {
-                    mix(b"D");
-                    mix(&perm.to_le_bytes());
+                    h.write(b"D");
+                    h.write(&perm.to_le_bytes());
                     for (name, child) in children.iter().rev() {
-                        mix(name.as_bytes());
+                        h.write(name.as_bytes());
                         stack.push((*child, depth + 1));
                     }
                 }
                 Inode::File { blocks, replication, sealed, perm } => {
-                    mix(&[b'F', *replication, *sealed as u8]);
-                    mix(&perm.to_le_bytes());
+                    h.write(&[b'F', *replication, *sealed as u8]);
+                    h.write(&perm.to_le_bytes());
                     for b in blocks {
-                        mix(&b.to_le_bytes());
+                        h.write(&b.to_le_bytes());
                     }
                 }
             }
         }
-        h
+        h.digest()
     }
 }
 

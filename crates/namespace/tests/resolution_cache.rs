@@ -4,7 +4,7 @@
 //! root gives. These suites drive seeded random streams — directory renames,
 //! recursive deletes of populated trees, rmdir-then-mkdir of one name, with
 //! snapshot pins held across all of it — through an active namespace and a
-//! replica fed its journal through [`ShardedReplaySession`], and after every
+//! replica fed its journal through [`ShardedNamespace::apply`], and after every
 //! op compare cached against uncached resolution on both, and every pinned
 //! view against a quiesced copy taken at its epoch.
 //!
@@ -18,9 +18,7 @@
 use std::collections::BTreeSet;
 
 use mams_journal::Txn;
-use mams_namespace::{
-    CacheStats, NamespaceTree, ShardedNamespace, ShardedReplaySession, SnapshotView,
-};
+use mams_namespace::{CacheStats, NamespaceTree, ShardedNamespace, SnapshotView};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -123,12 +121,11 @@ fn run_stream(case: u64, universe: &Universe, setup: &[Txn], ops: usize) -> Shar
     let mut rng = SmallRng::seed_from_u64(0xCAC4E ^ (case << 8));
     let active = ShardedNamespace::new();
     let replica = ShardedNamespace::new();
-    let mut session = ShardedReplaySession::new();
     let mut legacy = NamespaceTree::new();
     for txn in setup {
         legacy.apply(txn).unwrap();
         active.apply(txn).unwrap();
-        session.apply(&replica, txn).unwrap();
+        replica.apply(txn).unwrap();
     }
     let mut pins: Vec<Pinned<'_>> = Vec::new();
     for step in 0..ops {
@@ -143,7 +140,7 @@ fn run_stream(case: u64, universe: &Universe, setup: &[Txn], ops: usize) -> Shar
         assert_eq!(got, expect, "case {case} step {step}: {txn:?}");
         if got.is_ok() {
             // Only what the active journaled reaches a standby.
-            session.apply(&replica, &txn).unwrap_or_else(|e| {
+            replica.apply(&txn).unwrap_or_else(|e| {
                 panic!("case {case} step {step}: replica rejected {txn:?}: {e}")
             });
         }
@@ -256,15 +253,14 @@ fn file_lifecycle_and_empty_rmdir_never_flush_and_keep_hitting() {
 
     let active = ShardedNamespace::new();
     let replica = ShardedNamespace::new();
-    let mut session = ShardedReplaySession::new();
     for txn in &populate {
         active.apply(txn).unwrap();
-        session.apply(&replica, txn).unwrap();
+        replica.apply(txn).unwrap();
     }
     let before = [active.cache_stats(), replica.cache_stats()];
     for txn in &stream {
         active.apply(txn).unwrap();
-        session.apply(&replica, txn).unwrap();
+        replica.apply(txn).unwrap();
     }
     assert_eq!(active.fingerprint(), replica.fingerprint());
     let touched = parents_of(&stream).len() as u64;
@@ -320,17 +316,16 @@ fn a_fixed_stream_counts_what_walks_alone_bind() {
 /// 18k mkdirs — more than the cache has entries — with creates and
 /// getfileinfos, all under one parent. Only that parent is ever walked to,
 /// so the stream misses once, on its first walk, and evicts nothing — on the
-/// active, and on a replica fed the journal through a replay session (reads
+/// active, and on a replica fed the journal through `apply` (reads
 /// go to the active alone).
 #[test]
 fn a_flat_directory_of_mkdirs_misses_once_and_evicts_nothing() {
     let mut rng = SmallRng::seed_from_u64(0xF16);
     let active = ShardedNamespace::new();
     let replica = ShardedNamespace::new();
-    let mut session = ShardedReplaySession::new();
-    let mut apply = |txn: Txn| {
+    let apply = |txn: Txn| {
         active.apply(&txn).unwrap();
-        session.apply(&replica, &txn).unwrap();
+        replica.apply(&txn).unwrap();
     };
     apply(Txn::Mkdir { path: "/fig6".into() });
     let mut found = 0;

@@ -24,16 +24,20 @@
 //! (the junior decodes chunks as they stream in), so for it the first
 //! strength already reaches the parser.
 //!
+//! Past the decoders, a well-formed batch can still carry records no active
+//! would journal; replay refuses them as the live op does.
+//!
 //! Seeded `SmallRng`; `PARITY_CASES` scales the case count.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bytes::Bytes;
+use mams_core::Prefix;
 use mams_journal::{decode_batch, encode_batch, fnv1a64, AckRecord, JournalBatch, Txn};
-use mams_journal::{CodecError, Sn};
+use mams_journal::{CodecError, SharedBatch, Sn};
 use mams_namespace::{
-    decode_delta, encode_image_with_window, fold_delta_with_window, NamespaceTree, RetryEntry,
-    RetryOutcome, RetryWindow, StreamingImageDecoder,
+    decode_delta, encode_image_with_window, fold_delta_with_window, NamespaceTree, NsError,
+    RetryEntry, RetryOutcome, RetryWindow, StreamingImageDecoder,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -406,4 +410,26 @@ fn delta_entry_count_beyond_the_bytes_left_is_truncated() {
         reseal(&mut bytes);
         assert_eq!(decode_delta(&bytes).map(|d| d.entries.len()), Err(CodecError::Truncated));
     }
+}
+
+/// A sealed batch whose checksum holds but whose records no active would
+/// journal: a create named `..`, one named `.` and one under an empty
+/// component. Replay runs the live op, validation included, so it refuses
+/// what the live op refuses and installs none of them.
+#[test]
+fn replay_refuses_the_paths_the_live_op_refuses() {
+    let mkdir = Txn::Mkdir { path: "/a".into() };
+    let hostile = ["/a/..", "/a/.", "//x"].map(|p| Txn::Create { path: p.into(), replication: 1 });
+    let batch = |records| SharedBatch::sealed(JournalBatch::with_acks(1, 1, records, vec![]));
+    let mut clean = Prefix::new();
+    assert_eq!(clean.ingest(batch(vec![mkdir.clone()])), 0);
+    for txn in &hostile {
+        let refused = clean.ns().create(txn.primary_path(), 1);
+        assert!(matches!(refused, Err(NsError::Invalid(_))), "{txn:?}: {refused:?}");
+    }
+    let mut replica = Prefix::new();
+    assert_eq!(replica.ingest(batch([mkdir].into_iter().chain(hostile).collect())), 3);
+    assert_eq!(replica.ns().fingerprint(), clean.ns().fingerprint());
+    assert_eq!(replica.ns().list("/a").unwrap(), Vec::<String>::new());
+    assert_eq!(replica.ns().list("/").unwrap(), ["a"]);
 }

@@ -284,14 +284,14 @@ fn streaming_decode_matches_buffered_at_any_chunk_size() {
     }
 }
 
-// ------------------------------------------------- replay session parity
+// --------------------------------------------------------- replay parity
 
-/// The validate-skip `ShardedReplaySession` fast path must land on exactly
-/// the state the reference per-record `NamespaceTree::apply` produces,
-/// across histories whose renames and deletes relocate or remove the
-/// cached directories.
+/// Replay through `ShardedNamespace::apply` must land on exactly the state
+/// the reference per-record `NamespaceTree::apply` produces, across
+/// histories whose renames and deletes relocate or remove the cached
+/// directories.
 #[test]
-fn replay_session_matches_naive_apply() {
+fn sharded_replay_matches_the_tree() {
     for case in 0..cases(64) {
         let mut rng = SmallRng::seed_from_u64(0x10_000b ^ (case << 8));
         let ops = rand_txns(&mut rng, 1, 150);
@@ -303,14 +303,13 @@ fn replay_session_matches_naive_apply() {
             naive.apply(t).expect("journaled txns always replay");
         }
 
-        let fast = mams::namespace::ShardedNamespace::new();
-        let mut session = mams::namespace::ShardedReplaySession::new();
+        let table = mams::namespace::ShardedNamespace::new();
         for t in &journaled {
-            session.apply(&fast, t).expect("journaled txns replay via the session");
+            table.apply(t).expect("journaled txns replay on the table");
         }
-        assert_eq!(fast.fingerprint(), naive.fingerprint(), "case {case}");
-        assert_eq!(fast.num_files(), naive.num_files(), "case {case}");
-        assert_eq!(fast.num_dirs(), naive.num_dirs(), "case {case}");
+        assert_eq!(table.fingerprint(), naive.fingerprint(), "case {case}");
+        assert_eq!(table.num_files(), naive.num_files(), "case {case}");
+        assert_eq!(table.num_dirs(), naive.num_dirs(), "case {case}");
     }
 }
 

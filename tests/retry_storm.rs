@@ -30,7 +30,6 @@ use mams_core::{MdsTiming, MdsTrace};
 use mams_journal::JournalBatch;
 use mams_namespace::{
     decode_delta, decode_image, replay_outcome, RetryEntry, RetryWindow, ShardedNamespace,
-    ShardedReplaySession,
 };
 use mams_sim::{Duration, Sim, SimConfig};
 use rand::rngs::SmallRng;
@@ -53,14 +52,13 @@ fn fold_window(
     from_sn: u64,
     up_to_sn: u64,
 ) -> RetryWindow {
-    let mut replay = ShardedReplaySession::new();
     for b in batches {
         if b.sn <= from_sn || b.sn > up_to_sn {
             continue;
         }
         let mut acks = b.acks.iter().peekable();
         for (i, (_, txn)) in b.entries().enumerate() {
-            replay.apply(&ns, txn).expect("journaled txns always replay");
+            ns.apply(txn).expect("journaled txns always replay");
             while let Some(ack) = acks.next_if(|a| a.record as usize == i) {
                 let outcome = replay_outcome(|p| ns.getfileinfo(p).ok(), txn);
                 window.record(ack.client, ack.seq, RetryEntry { outcome, token: None });
